@@ -114,6 +114,35 @@ mod tests {
     }
 
     #[test]
+    fn scan_with_visits_what_scan_returns_at_the_same_cost() {
+        // Two identical pools: the visitor form must see the same rows,
+        // finish at the same virtual time and leave the same pool
+        // counters as the collecting form (same reads, same order).
+        let build = || {
+            let mut bp = pool(256);
+            let mut wal = Wal::new();
+            let (mut t, _) = BTree::create(&mut bp, &mut wal, REC, SimTime::ZERO);
+            for k in (0..400u64).step_by(3) {
+                t.insert(&mut bp, &mut wal, k, &rec(k as u8), SimTime::ZERO);
+            }
+            (bp, t)
+        };
+        let (mut bp_a, t_a) = build();
+        let (mut bp_b, t_b) = build();
+        for (start, limit) in [(0, 5), (100, 60), (390, 50), (1_000, 3), (7, 0)] {
+            let (rows, end_a) = t_a.scan(&mut bp_a, start, limit, SimTime(17));
+            let mut seen = Vec::new();
+            let (n, end_b) = t_b.scan_with(&mut bp_b, start, limit, SimTime(17), |k, r| {
+                seen.push((k, r.to_vec()));
+            });
+            assert_eq!(seen, rows, "start {start} limit {limit}");
+            assert_eq!(n, rows.len());
+            assert_eq!(end_b, end_a);
+            assert_eq!(format!("{:?}", bp_b.stats()), format!("{:?}", bp_a.stats()));
+        }
+    }
+
+    #[test]
     fn update_field_changes_only_that_field() {
         let mut bp = pool(64);
         let mut wal = Wal::new();

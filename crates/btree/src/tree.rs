@@ -293,15 +293,37 @@ impl BTree {
         limit: usize,
         now: SimTime,
     ) -> (Vec<(u64, Vec<u8>)>, SimTime) {
+        let mut out = Vec::with_capacity(limit.min(1024));
+        let (_, t) = self.scan_with(pool, start, limit, now, |key, rec| {
+            out.push((key, rec.to_vec()));
+        });
+        (out, t)
+    }
+
+    /// Range scan, visitor form: call `visit(key, record)` for up to
+    /// `limit` records with key >= `start`, in key order, and return how
+    /// many were visited. Every record is read into one buffer reused
+    /// across the scan, so a caller that only counts or aggregates rows
+    /// allocates once per scan rather than once per row. Issues exactly
+    /// the pool reads of [`BTree::scan`], in the same order.
+    pub fn scan_with<P: BufferPool>(
+        &self,
+        pool: &mut P,
+        start: u64,
+        limit: usize,
+        now: SimTime,
+        mut visit: impl FnMut(u64, &[u8]),
+    ) -> (usize, SimTime) {
         let mut cur = Cursor { pool, now };
         let mut leaf = self.descend(&mut cur, start, None);
-        let mut out = Vec::with_capacity(limit.min(1024));
+        let mut rec = vec![0u8; self.leaf.record_size as usize];
+        let mut visited = 0;
         let mut nkeys = cur.ru16(leaf, OFF_NKEYS);
         let mut i = match self.leaf_search(&mut cur, nkeys, leaf, start) {
             Ok((i, _)) => i,
             Err(i) => i,
         };
-        while out.len() < limit {
+        while visited < limit {
             if i >= nkeys {
                 let next = cur.ru64(leaf, OFF_NEXT_LEAF);
                 if next == 0 {
@@ -314,12 +336,12 @@ impl BTree {
             }
             let h = cur.ru16(leaf, self.leaf.slot_off(i));
             let key = cur.ru64(leaf, self.leaf.heap_off(h));
-            let mut rec = vec![0u8; self.leaf.record_size as usize];
             cur.rbytes(leaf, self.leaf.heap_rec_off(h), &mut rec);
-            out.push((key, rec));
+            visit(key, &rec);
+            visited += 1;
             i += 1;
         }
-        (out, cur.now)
+        (visited, cur.now)
     }
 
     // ------------------------------------------------------ writes

@@ -116,6 +116,11 @@ impl DramBp {
         now
     }
 
+    /// Statistics of the modelled CPU cache in front of the frames.
+    pub fn cache_stats(&self) -> memsim::CacheStats {
+        self.space.cache_stats()
+    }
+
     /// Crash: all volatile pool state is lost.
     pub fn crash(&mut self) {
         self.space.crash();

@@ -34,6 +34,14 @@ pub struct FrameTable {
     heat: Vec<u8>,
     /// The single residency probe: page → frame.
     map: FastMap<PageId, u32>,
+    /// One-entry memo of the last successful [`lookup_touch`] probe. A
+    /// B+tree node visit reads a dozen fields of one page back to back,
+    /// so most probes repeat the previous one. Valid as long as that page
+    /// stays resident: dropped by [`evict`](Self::evict) and
+    /// [`clear`](Self::clear), the only ways a binding ends.
+    ///
+    /// [`lookup_touch`]: Self::lookup_touch
+    last: Option<(PageId, u32)>,
     free: Vec<u32>,
     policy: AnyPolicy,
     /// LSNs of evicted pages (cold path only; cleared on crash).
@@ -64,6 +72,7 @@ impl FrameTable {
             lsn: vec![None; frames],
             heat: vec![0; frames],
             map,
+            last: None,
             free: (0..frames as u32).rev().collect(),
             policy: AnyPolicy::new(kind, frames),
             evicted_lsns: FastMap::default(),
@@ -100,9 +109,18 @@ impl FrameTable {
 
     /// Residency probe that also records the hit with the eviction
     /// policy and bumps the frame's heat counter — the single hash
-    /// lookup of the hot path.
+    /// lookup of the hot path, skipped when `page` is the page the last
+    /// call found.
+    #[inline]
     pub fn lookup_touch(&mut self, page: PageId) -> Option<u32> {
-        let frame = self.map.get(&page).copied()?;
+        let frame = match self.last {
+            Some((p, frame)) if p == page => frame,
+            _ => {
+                let frame = self.map.get(&page).copied()?;
+                self.last = Some((page, frame));
+                frame
+            }
+        };
         self.policy.touch(frame);
         let h = &mut self.heat[frame as usize];
         *h = h.saturating_add(1);
@@ -145,6 +163,7 @@ impl FrameTable {
         let i = frame as usize;
         let page = self.page[i].take().expect("evicting empty frame");
         self.map.remove(&page);
+        self.last = None;
         if let Some(lsn) = self.lsn[i].take() {
             self.evicted_lsns.insert(page, lsn);
         }
@@ -225,6 +244,7 @@ impl FrameTable {
         self.lsn.iter_mut().for_each(|l| *l = None);
         self.heat.iter_mut().for_each(|h| *h = 0);
         self.map.clear();
+        self.last = None;
         self.free = (0..n as u32).rev().collect();
         self.policy = AnyPolicy::new(kind, n);
         self.evicted_lsns.clear();
@@ -313,6 +333,26 @@ mod tests {
         assert!(!t.is_dirty(v), "reinstall is clean");
         t.clear();
         assert_eq!(t.page_lsn(PageId(1)), None, "crash loses LSNs");
+    }
+
+    #[test]
+    fn last_page_memo_never_outlives_the_binding() {
+        let mut t = FrameTable::new(1);
+        let f = t.pop_free().unwrap();
+        t.install(f, PageId(1));
+        assert_eq!(t.lookup_touch(PageId(1)), Some(f));
+        assert_eq!(t.lookup_touch(PageId(1)), Some(f), "memoised repeat");
+        assert_eq!(t.heat(f), 3, "a memoised probe still touches and heats");
+        // Evicting the memoised page forgets it, even when the frame is
+        // rebound to another page at once.
+        let v = t.pop_victim().unwrap();
+        t.evict(v);
+        t.install(v, PageId(2));
+        assert_eq!(t.lookup_touch(PageId(1)), None);
+        assert_eq!(t.lookup_touch(PageId(2)), Some(v));
+        // A crash forgets it too.
+        t.clear();
+        assert_eq!(t.lookup_touch(PageId(2)), None);
     }
 
     #[test]

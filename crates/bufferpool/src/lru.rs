@@ -95,6 +95,7 @@ impl LruList {
     }
 
     /// Move `slot` to the front (touch on access).
+    #[inline]
     pub fn touch(&mut self, slot: u32) {
         if self.head == slot {
             return;

@@ -7,6 +7,18 @@
 //! - LBP miss on a remote-resident page → RDMA-read the whole 16 KB page;
 //! - dirty LBP eviction → RDMA-write the whole page back.
 //!
+//! The page-in is *modelled*, not performed: the NIC is charged for the
+//! full page, but the host copies nothing — the frame is marked
+//! **aliased** and its bytes are read in place from the instance's remote
+//! slice, while timing still runs the frame's own offsets through the
+//! LBP's cache model. The first write to an aliased frame materialises it
+//! with one untimed copy (copy-on-write), so a dirty frame is always
+//! local. The invariant that makes this exact: **a remote page is never
+//! mutated while a frame aliases it** — write-back targets a page that is
+//! being evicted, `flush_all` writes only dirty (hence local) frames,
+//! `prewarm` writes only pages the remote tier does not hold, and other
+//! instances own other slices.
+//!
 //! Requesting a few hundred bytes therefore moves 16 KB over the NIC —
 //! the read/write amplification that saturates the ConnectX-6 at a
 //! handful of instances (Figure 7). The NIC ([`memsim::RdmaPool`]) is
@@ -56,6 +68,9 @@ pub struct TieredRdmaBp {
     space: DramSpace,
     store: PageStore,
     frames: FrameTable,
+    /// Per-frame: the frame's bytes are the remote copy of its page, read
+    /// in place (see the module docs). Never set on a dirty frame.
+    aliased: Vec<bool>,
     stats: BpStats,
     /// Page-sized staging buffer for checkpoint transfers that cross two
     /// owned stores (remote → storage), so cold paths allocate nothing
@@ -140,6 +155,7 @@ impl TieredRdmaBp {
             space: DramSpace::new(lbp_frames * page, cache_bytes, false),
             store,
             frames,
+            aliased: vec![false; lbp_frames],
             stats: BpStats::default(),
             scratch: vec![0u8; page],
             flush_order: Vec::with_capacity(capacity),
@@ -220,10 +236,9 @@ impl TieredRdmaBp {
         let ps = self.store.page_size() as usize;
         let off = self.frame_off(frame);
         if self.remote_resident[page.0 as usize] {
-            // Page-granularity RDMA read, landing directly in the frame:
-            // the whole page crosses the NIC no matter how few bytes the
-            // query wants — but the host-side copy is a single one.
-            let roff = self.remote_off(page);
+            // Page-granularity RDMA read: the whole page crosses the NIC
+            // no matter how few bytes the query wants. Only the transfer
+            // is charged; the frame then aliases the remote copy.
             let mut attempt = 0u32;
             loop {
                 let clean = !self.remote_dirty.contains(&page);
@@ -251,18 +266,17 @@ impl TieredRdmaBp {
                         }
                     }
                 }
-                let r = self.rdma.borrow_mut().try_read(
-                    self.host,
-                    roff,
-                    self.space.raw_mut().slice_mut(off, ps),
-                    t,
-                );
+                let r = self
+                    .rdma
+                    .borrow_mut()
+                    .try_read_timing(self.host, ps as u64, t);
                 match r {
                     Ok(a) => {
                         if let Some(b) = self.breaker.as_mut() {
                             b.on_success(a.end);
                         }
                         self.stats.remote_read_bytes += ps as u64;
+                        self.aliased[frame as usize] = true;
                         t = a.end;
                         break;
                     }
@@ -317,7 +331,11 @@ impl TieredRdmaBp {
     fn evict(&mut self, frame: u32, now: SimTime) -> SimTime {
         let (page, dirty) = self.frames.evict(frame);
         self.stats.evictions += 1;
+        let was_aliased = std::mem::take(&mut self.aliased[frame as usize]);
         if dirty {
+            // The write-back below overwrites this page's remote copy
+            // from the frame, so the frame must hold its own bytes.
+            assert!(!was_aliased, "dirty frame still aliases remote memory");
             // Full-page RDMA write-back, even for a one-byte change:
             // write amplification.
             self.stats.writebacks += 1;
@@ -405,6 +423,31 @@ impl TieredRdmaBp {
     pub fn crash(&mut self) {
         self.space.crash();
         self.frames.clear();
+        self.aliased.fill(false);
+    }
+
+    /// Copy-on-write: give an aliased frame its own copy of the page
+    /// before the first store into it. The modelled page-in already paid
+    /// for these bytes to arrive, so the host copy is untimed.
+    #[cold]
+    fn materialise(&mut self, frame: u32, page: PageId) {
+        let ps = self.store.page_size() as usize;
+        let (foff, roff) = (self.frame_off(frame), self.remote_off(page));
+        self.space
+            .raw_mut()
+            .write(foff, self.rdma.borrow().raw().slice(roff, ps));
+        self.aliased[frame as usize] = false;
+    }
+
+    /// Statistics of the modelled CPU cache in front of the LBP frames.
+    pub fn cache_stats(&self) -> memsim::CacheStats {
+        self.space.cache_stats()
+    }
+
+    /// How many LBP frames currently alias their page's remote copy
+    /// (paged in and not written since).
+    pub fn aliased_frames(&self) -> usize {
+        self.aliased.iter().filter(|&&a| a).count()
     }
 
     /// Whether the remote tier holds `page` (used by RDMA-assisted
@@ -430,13 +473,25 @@ impl BufferPool for TieredRdmaBp {
     fn read(&mut self, page: PageId, off: u16, buf: &mut [u8], now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
         let (frame, t) = self.fix(page, now);
-        let base = self.frame_off(frame);
-        self.space.read(base + off as u64, buf, t)
+        let at = self.frame_off(frame) + off as u64;
+        if self.aliased[frame as usize] {
+            // Timing plane: the frame's own lines through the LBP cache
+            // model. Data plane: the bytes, where they really are.
+            let a = self.space.read_timing(at, buf.len(), t);
+            let remote = self.remote_off(page) + off as u64;
+            self.rdma.borrow().raw().read(remote, buf);
+            a
+        } else {
+            self.space.read(at, buf, t)
+        }
     }
 
     fn write(&mut self, page: PageId, off: u16, data: &[u8], lsn: Lsn, now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
         let (frame, t) = self.fix(page, now);
+        if self.aliased[frame as usize] {
+            self.materialise(frame, page);
+        }
         self.frames.mark_dirty(frame);
         self.frames.set_lsn(frame, lsn);
         let base = self.frame_off(frame);
@@ -464,6 +519,10 @@ impl BufferPool for TieredRdmaBp {
             if !self.frames.is_dirty(frame) {
                 continue;
             }
+            assert!(
+                !self.aliased[frame as usize],
+                "dirty frame still aliases remote memory"
+            );
             let foff = self.frame_off(frame);
             t = self
                 .store
@@ -903,6 +962,219 @@ mod tests {
         let mut buf = [0u8; 1];
         bp.read(PageId(0), 0, &mut buf, SimTime::ZERO);
         assert_eq!(buf, [0xD7], "dirty remote read not blocked");
+    }
+
+    // ---- aliased page-in: seeded property test -----------------------
+
+    const PROP_PAGES: u64 = 16;
+    const PROP_PS: usize = 1024;
+
+    /// One instance under test plus its per-page byte oracle (the
+    /// logical content every read must return).
+    struct Checked {
+        bp: TieredRdmaBp,
+        oracle: Vec<Vec<u8>>,
+    }
+
+    impl Checked {
+        fn new(rdma: &SharedRdma, remote_base: u64, lbp_frames: usize) -> Self {
+            let mut store = PageStore::with_page_size(PROP_PAGES, PROP_PS as u64);
+            let mut oracle = Vec::new();
+            for p in 0..PROP_PAGES {
+                store.allocate();
+                let data = vec![p as u8 + 1; PROP_PS];
+                store.raw_write_page(PageId(p), &data);
+                oracle.push(data);
+            }
+            let mut bp =
+                TieredRdmaBp::new(Rc::clone(rdma), 0, remote_base, lbp_frames, 8 << 10, store);
+            bp.prewarm();
+            Checked { bp, oracle }
+        }
+
+        fn remote_bytes(&self, page: PageId) -> Vec<u8> {
+            let off = self.bp.remote_off(page);
+            self.bp.rdma.borrow().raw().slice(off, PROP_PS).to_vec()
+        }
+
+        /// The aliasing invariants, checked after every step.
+        fn check_invariants(&self, step: usize) {
+            for frame in 0..self.bp.frames.capacity() as u32 {
+                if !self.bp.aliased[frame as usize] {
+                    continue;
+                }
+                assert!(
+                    !self.bp.frames.is_dirty(frame),
+                    "step {step}: dirty frame {frame} is aliased"
+                );
+                let page = self
+                    .bp
+                    .frames
+                    .page_of(frame)
+                    .unwrap_or_else(|| panic!("step {step}: empty frame {frame} is aliased"));
+                assert!(self.bp.remote_resident(page), "step {step}: {page:?}");
+                // A remote page is never mutated while a frame aliases it.
+                assert_eq!(
+                    self.remote_bytes(page),
+                    self.oracle[page.0 as usize],
+                    "step {step}: aliased {page:?} diverged from its remote copy"
+                );
+            }
+        }
+
+        fn read_checked(&mut self, page: u64, off: usize, len: usize, now: SimTime, step: usize) {
+            let mut buf = vec![0u8; len];
+            self.bp.read(PageId(page), off as u16, &mut buf, now);
+            assert_eq!(
+                buf,
+                self.oracle[page as usize][off..off + len],
+                "step {step}: page {page} off {off} len {len}"
+            );
+        }
+
+        fn step(&mut self, rng: &mut simkit::rng::SimRng, now: SimTime, step: usize) {
+            let page = rng.gen_range(0..PROP_PAGES);
+            match rng.gen_range(0..100u32) {
+                // Field-sized and multi-line reads.
+                0..=44 => {
+                    let len = [2usize, 8, 8, 120, PROP_PS][rng.gen_range(0..5usize)];
+                    let off = rng.gen_range(0..=PROP_PS - len);
+                    self.read_checked(page, off, len, now, step);
+                }
+                // Writes; bytes stay below 0xD0 so the crash wipe pattern
+                // (0xDE) can never be legitimate content.
+                45..=69 => {
+                    let len = rng.gen_range(1..=200usize);
+                    let off = rng.gen_range(0..=PROP_PS - len);
+                    let data = vec![rng.gen_range(0..0xD0u8); len];
+                    self.bp
+                        .write(PageId(page), off as u16, &data, Lsn(step as u64 + 1), now);
+                    self.oracle[page as usize][off..off + len].copy_from_slice(&data);
+                }
+                // Evict pressure: touch more distinct pages than frames.
+                70..=84 => {
+                    for i in 0..8 {
+                        self.read_checked((page + i) % PROP_PAGES, 0, 1, now, step);
+                    }
+                }
+                85..=89 => {
+                    self.bp.flush_all(now);
+                }
+                90..=92 => self.bp.prewarm(),
+                _ => self.crash(rng.gen_bool(0.5), now, step),
+            }
+        }
+
+        fn crash(&mut self, checkpoint_first: bool, now: SimTime, step: usize) {
+            if checkpoint_first {
+                // Everything reached storage and remote: nothing is lost.
+                self.bp.flush_all(now);
+            }
+            let remote_before: Vec<Option<Vec<u8>>> = (0..PROP_PAGES)
+                .map(|p| {
+                    self.bp
+                        .remote_resident(PageId(p))
+                        .then(|| self.remote_bytes(PageId(p)))
+                })
+                .collect();
+            self.bp.crash();
+            assert_eq!(self.bp.aliased_frames(), 0, "step {step}");
+            for p in 0..PROP_PAGES {
+                let page = PageId(p);
+                // Remote-resident pages survive the crash intact — they
+                // were read in place, never through a wiped local copy.
+                let survivor = match &remote_before[p as usize] {
+                    Some(before) => {
+                        assert!(self.bp.remote_resident(page));
+                        assert_eq!(&self.remote_bytes(page), before, "step {step}: {page:?}");
+                        before.clone()
+                    }
+                    None => self.bp.store().raw_page(page).to_vec(),
+                };
+                if checkpoint_first {
+                    assert_eq!(survivor, self.oracle[p as usize], "step {step}: {page:?}");
+                }
+                // Without a checkpoint, dirty-only-in-LBP writes die with
+                // the host: the surviving tier is the new truth.
+                self.oracle[p as usize] = survivor;
+                assert!(
+                    !self.oracle[p as usize].contains(&0xDE),
+                    "step {step}: wipe pattern leaked into {page:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn aliased_page_in_matches_a_byte_oracle_under_a_seeded_op_mix() {
+        for seed in [1u64, 2, 3] {
+            // Two instances on one fabric, each owning its own slice.
+            let rdma = Rc::new(RefCell::new(RdmaPool::new(1 << 20, 1)));
+            let mut a = Checked::new(&rdma, 0, 4);
+            let mut b = Checked::new(&rdma, 1 << 19, 3);
+            let mut rng = simkit::rng::SimRng::seed_from_u64(seed);
+            let mut max_aliased = 0;
+            for step in 0..3_000 {
+                let now = SimTime(step as u64 * 10_000);
+                let who = if rng.gen_bool(0.5) { &mut a } else { &mut b };
+                who.step(&mut rng, now, step);
+                // After every step: invariants on both instances (the
+                // other one must not have been disturbed), and a whole
+                // page read back against the oracle.
+                a.check_invariants(step);
+                b.check_invariants(step);
+                let page = rng.gen_range(0..PROP_PAGES);
+                a.read_checked(page, 0, PROP_PS, now, step);
+                b.read_checked(page, 0, PROP_PS, now, step);
+                max_aliased = max_aliased.max(a.bp.aliased_frames());
+            }
+            assert_eq!(max_aliased, 4, "seed {seed}: aliasing was exercised");
+            assert!(a.bp.stats().writebacks > 0 && a.bp.stats().remote_read_bytes > 0);
+        }
+    }
+
+    #[test]
+    fn first_write_materialises_an_aliased_frame() {
+        let mut bp = setup(2); // pages 0,1 warm (local copies); 2.. remote only
+        assert_eq!(
+            bp.aliased_frames(),
+            0,
+            "prewarm fills frames with local copies"
+        );
+        let mut buf = [0u8; 8];
+        bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
+        assert_eq!(bp.aliased_frames(), 1, "page-in aliases instead of copying");
+        let remote_before = bp
+            .rdma
+            .borrow()
+            .raw()
+            .slice(bp.remote_off(PageId(5)), 1024)
+            .to_vec();
+        // Copy-on-write: the store lands in a private copy, never in the
+        // remote page the frame was aliasing.
+        bp.write(PageId(5), 3, &[0xAB], Lsn(1), SimTime::ZERO);
+        assert_eq!(bp.aliased_frames(), 0);
+        assert_eq!(
+            bp.rdma.borrow().raw().slice(bp.remote_off(PageId(5)), 1024),
+            &remote_before[..]
+        );
+        bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
+        assert_eq!(buf, [6, 6, 6, 0xAB, 6, 6, 6, 6]);
+        // A storage-fallback fill is a local copy, not an alias.
+        use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
+        faults::clear();
+        faults::install(FaultPlan::default().with(
+            Trigger::SiteHit(FaultSite::RdmaRead, 0),
+            Action::RdmaTransient {
+                failures: 8,
+                spike_ns: 500,
+            },
+        ));
+        bp.read(PageId(6), 0, &mut buf, SimTime::ZERO);
+        faults::clear();
+        assert_eq!(buf, [7u8; 8]);
+        assert_eq!(bp.stats().fault_fallbacks, 1);
+        assert_eq!(bp.aliased_frames(), 0, "fallback fill and evicted alias");
     }
 
     #[test]

@@ -65,6 +65,11 @@ pub struct CxlBp {
     store: PageStore,
     /// Volatile page → block map (rebuilt by recovery).
     map: FastMap<PageId, u32>,
+    /// One-entry memo of the last page `fix` found resident (a B+tree
+    /// node visit reads a dozen fields of one page back to back). Valid
+    /// while that page keeps its block: dropped wherever `map` loses or
+    /// replaces entries — `evict`, `crash`, `adopt_recovered_state`.
+    last: Option<(PageId, u32)>,
     /// Volatile eviction-order state over blocks (LRU / CLOCK / 2Q);
     /// membership itself is authoritative in CXL (`in_use` + list
     /// links), so the policy is rebuildable after a crash.
@@ -156,6 +161,7 @@ impl CxlBp {
             geo,
             store,
             map: presized_map(nblocks as usize),
+            last: None,
             policy: AnyPolicy::new(policy, nblocks as usize),
             free: (0..nblocks as u32).rev().collect(),
             mirror: vec![BlockMeta::free(); nblocks as usize],
@@ -202,6 +208,7 @@ impl CxlBp {
             geo,
             store,
             map: presized_map(nblocks),
+            last: None,
             policy: AnyPolicy::new(policy, nblocks),
             free: Vec::new(),
             mirror: vec![BlockMeta::free(); nblocks],
@@ -271,6 +278,7 @@ impl CxlBp {
     pub fn crash(&mut self) {
         self.cxl.borrow_mut().crash_node(self.node);
         self.map.clear();
+        self.last = None;
         self.policy = AnyPolicy::new(self.policy.kind(), self.geo.nblocks as usize);
         self.free.clear();
         for m in &mut self.mirror {
@@ -288,6 +296,7 @@ impl CxlBp {
     /// `metas` is ordered front (MRU) to back (LRU).
     pub fn adopt_recovered_state(&mut self, metas: &[(u32, BlockMeta)]) {
         self.map.clear();
+        self.last = None;
         self.policy = AnyPolicy::new(self.policy.kind(), self.geo.nblocks as usize);
         for m in &mut self.mirror {
             *m = BlockMeta::free();
@@ -392,7 +401,14 @@ impl CxlBp {
 
     /// Ensure `page` occupies a block; returns (block, time).
     fn fix(&mut self, page: PageId, now: SimTime) -> (u32, SimTime) {
-        if let Some(&b) = self.map.get(&page) {
+        let resident = match self.last {
+            Some((p, b)) if p == page => Some(b),
+            _ => self.map.get(&page).map(|&b| {
+                self.last = Some((page, b));
+                b
+            }),
+        };
+        if let Some(b) = resident {
             self.stats.hits += 1;
             self.stats.tier_cxl_hits += 1;
             self.policy.touch(b);
@@ -445,6 +461,7 @@ impl CxlBp {
         let m = self.mirror[b as usize];
         let page = PageId(m.page_id);
         self.map.remove(&page);
+        self.last = None;
         self.stats.evictions += 1;
         let mut t = now;
         self.dirty_ranges[b as usize].clear();
@@ -551,26 +568,26 @@ impl BufferPool for CxlBp {
         // straight from storage without touching (or admitting it to)
         // the fabric; a dirty page's only current copy is the CXL one,
         // so it always goes through regardless of breaker state.
-        let dirty = self
-            .map
-            .get(&page)
-            .is_some_and(|&b| self.ckpt_dirty[b as usize]);
-        if !dirty {
-            if let Some(br) = self.breaker.as_mut() {
-                if !br.allow(now) {
-                    let ps = self.geo.page_size as usize;
-                    let io = self.store.read_page(page, &mut self.page_buf, now);
-                    self.stats.storage_read_bytes += ps as u64;
-                    let o = off as usize;
-                    buf.copy_from_slice(&self.page_buf[o..o + buf.len()]);
-                    self.overload(page, 0, 0, OverloadKind::BreakerOpen);
-                    return Access {
-                        end: io.end,
-                        link_bytes: 0,
-                        hits: 0,
-                        misses: 0,
-                    };
-                }
+        // (The dirty probe is a second hash lookup, so it runs only when
+        // a breaker is armed to need its answer.)
+        if let Some(br) = self.breaker.as_mut() {
+            let dirty = self
+                .map
+                .get(&page)
+                .is_some_and(|&b| self.ckpt_dirty[b as usize]);
+            if !dirty && !br.allow(now) {
+                let ps = self.geo.page_size as usize;
+                let io = self.store.read_page(page, &mut self.page_buf, now);
+                self.stats.storage_read_bytes += ps as u64;
+                let o = off as usize;
+                buf.copy_from_slice(&self.page_buf[o..o + buf.len()]);
+                self.overload(page, 0, 0, OverloadKind::BreakerOpen);
+                return Access {
+                    end: io.end,
+                    link_bytes: 0,
+                    hits: 0,
+                    misses: 0,
+                };
             }
         }
         let (b, t) = self.fix(page, now);

@@ -141,10 +141,13 @@ impl<P: BufferPool> Db<P> {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::Btree);
         let cpu = CPU_POINT_SELECT_NS + limit as u64 * CPU_PER_ROW_NS;
         let g = self.cpus.acquire(now, cpu);
-        let (rows, t) = self.table.scan(&mut self.pool, start, limit, g.end);
+        // Only the count is returned, so visit the rows in place.
+        let (rows, t) = self
+            .table
+            .scan_with(&mut self.pool, start, limit, g.end, |_, _| {});
         self.stats.queries += 1;
-        self.stats.rows_read += rows.len() as u64;
-        (rows.len(), t)
+        self.stats.rows_read += rows as u64;
+        (rows, t)
     }
 
     /// Auto-commit update of `len` bytes at `field_off` in `key`'s row:

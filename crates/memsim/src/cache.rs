@@ -60,22 +60,26 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-#[derive(Clone, Copy)]
-struct Slot {
-    /// Line index + 1; 0 = invalid.
-    tag: u64,
-    dirty: bool,
-}
+/// One set's tag word, packed into 4 bytes so a 4 MB modelled cache is a
+/// 256 KB host array: `key << 1 | dirty`, where `key = line / sets + 1`
+/// (the true tag plus one) and 0 means invalid. Storing the true tag
+/// rather than the line index keeps any region size safe: the key only
+/// has to fit 31 bits, which [`Cache::pack`] asserts on every fill.
+type Slot = u32;
+
+/// Keys must stay below this to fit a [`Slot`].
+const KEY_LIMIT: u64 = 1 << 31;
 
 /// Direct-mapped write-back cache. Addresses are byte offsets into the
 /// backing region; lines are [`CACHE_LINE`] bytes.
 pub struct Cache {
     slots: Vec<Slot>,
-    /// `slots.len() - 1` when the set count is a power of two (the common
-    /// case for real cache sizes), letting the per-line set lookup use a
-    /// mask instead of a 64-bit modulo. Purely an addressing shortcut:
-    /// `line & mask == line % len` whenever `len` is a power of two.
-    set_mask: Option<u64>,
+    /// `(sets - 1, log2(sets))` when the set count is a power of two (the
+    /// common case for real cache sizes), letting the per-line set/tag
+    /// split use a mask and a shift instead of a 64-bit divide. Purely an
+    /// addressing shortcut: `line & mask == line % sets` and
+    /// `line >> shift == line / sets` whenever `sets` is a power of two.
+    pow2: Option<(u64, u32)>,
     data: Option<FastMap<u64, Box<[u8]>>>,
     stats: CacheStats,
 }
@@ -95,14 +99,10 @@ impl Cache {
     pub fn new(capacity_bytes: usize) -> Self {
         let sets = (capacity_bytes / CACHE_LINE as usize).max(1);
         Cache {
-            slots: vec![
-                Slot {
-                    tag: 0,
-                    dirty: false
-                };
-                sets
-            ],
-            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
+            slots: vec![0; sets],
+            pow2: sets
+                .is_power_of_two()
+                .then(|| (sets as u64 - 1, sets.trailing_zeros())),
             data: None,
             stats: CacheStats::default(),
         }
@@ -130,46 +130,75 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// `(set, key)` of `line`; a slot holds the line iff `slot >> 1 == key`
+    /// (compared in 64 bits, so an out-of-range key can never match).
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        match self.set_mask {
-            Some(mask) => (line & mask) as usize,
-            None => (line % self.slots.len() as u64) as usize,
+    fn split(&self, line: u64) -> (usize, u64) {
+        match self.pow2 {
+            Some((mask, shift)) => ((line & mask) as usize, (line >> shift) + 1),
+            None => {
+                let sets = self.slots.len() as u64;
+                ((line % sets) as usize, line / sets + 1)
+            }
         }
+    }
+
+    /// The slot word for a freshly filled line.
+    #[inline]
+    fn pack(key: u64, dirty: bool) -> Slot {
+        assert!(key < KEY_LIMIT, "cache tag exceeds 31 bits");
+        (key as Slot) << 1 | dirty as Slot
+    }
+
+    /// The line a valid slot word of `set` holds.
+    #[inline]
+    fn line_of(&self, set: usize, slot: Slot) -> u64 {
+        ((slot >> 1) as u64 - 1) * self.slots.len() as u64 + set as u64
     }
 
     /// Touch `line` (byte offset / 64). Returns whether it hit, and any
     /// dirty victim the caller must write back *before* the fill.
     pub fn access(&mut self, line: u64, write: bool) -> LineAccess {
-        let set = self.set_of(line);
-        let slot = &mut self.slots[set];
-        if slot.tag == line + 1 {
+        let (set, key) = self.split(line);
+        let slot = self.slots[set];
+        if (slot >> 1) as u64 == key {
             self.stats.hits += 1;
-            if write {
-                slot.dirty = true;
-            }
+            self.slots[set] = slot | write as Slot;
             return LineAccess::Hit;
         }
         // Miss: evict current occupant.
-        let evicted_dirty = if slot.tag != 0 && slot.dirty {
+        let evicted_dirty = if slot & 1 != 0 {
             self.stats.writebacks += 1;
-            Some(slot.tag - 1)
+            Some(self.line_of(set, slot))
         } else {
             None
         };
-        if slot.tag != 0 {
+        if slot != 0 && evicted_dirty.is_none() {
+            // Clean eviction: drop the stale copy. Dirty copies are
+            // removed by `take_line` during writeback.
+            let victim = self.line_of(set, slot);
             if let Some(data) = &mut self.data {
-                if evicted_dirty.is_none() {
-                    // Clean eviction: drop the stale copy.
-                    data.remove(&(slot.tag - 1));
-                }
-                // Dirty copies are removed by `take_line` during writeback.
+                data.remove(&victim);
             }
         }
-        slot.tag = line + 1;
-        slot.dirty = write;
+        self.slots[set] = Self::pack(key, write);
         self.stats.misses += 1;
         LineAccess::Miss { evicted_dirty }
+    }
+
+    /// The lean read probe: if this is a timing-mode cache holding `line`,
+    /// count the hit — exactly what `access(line, false)` does on a hit —
+    /// and return `true`; otherwise change nothing and return `false`, so
+    /// the caller can fall through to the general path.
+    #[inline(always)]
+    pub fn read_hit(&mut self, line: u64) -> bool {
+        if self.data.is_some() {
+            return false;
+        }
+        let (set, key) = self.split(line);
+        let hit = (self.slots[set] >> 1) as u64 == key;
+        self.stats.hits += hit as u64;
+        hit
     }
 
     /// Touch a contiguous run of lines in order, exactly as repeated
@@ -179,28 +208,18 @@ impl Cache {
     /// only: capture mode needs the per-line data plumbing.
     pub fn access_run(&mut self, lines: std::ops::Range<u64>, write: bool) -> RunAccess {
         debug_assert!(self.data.is_none(), "access_run is timing-mode only");
-        let n_sets = self.slots.len() as u64;
-        let mask = self.set_mask;
         let first = lines.start;
         let last = lines.end.saturating_sub(1);
         let mut run = RunAccess::default();
         for line in lines {
-            let set = match mask {
-                Some(m) => (line & m) as usize,
-                None => (line % n_sets) as usize,
-            };
-            let slot = &mut self.slots[set];
-            if slot.tag == line + 1 {
+            let (set, key) = self.split(line);
+            let slot = self.slots[set];
+            if (slot >> 1) as u64 == key {
                 run.hits += 1;
-                if write {
-                    slot.dirty = true;
-                }
+                self.slots[set] = slot | write as Slot;
             } else {
-                if slot.tag != 0 && slot.dirty {
-                    run.dirty_evictions += 1;
-                }
-                slot.tag = line + 1;
-                slot.dirty = write;
+                run.dirty_evictions += (slot & 1) as u64;
+                self.slots[set] = Self::pack(key, write);
                 run.misses += 1;
                 if line == first {
                     run.first_missed = true;
@@ -218,27 +237,28 @@ impl Cache {
 
     /// Whether `line` is currently cached.
     pub fn contains(&self, line: u64) -> bool {
-        self.slots[self.set_of(line)].tag == line + 1
+        let (set, key) = self.split(line);
+        (self.slots[set] >> 1) as u64 == key
     }
 
     /// Whether `line` is cached and dirty.
     pub fn is_dirty(&self, line: u64) -> bool {
-        let s = &self.slots[self.set_of(line)];
-        s.tag == line + 1 && s.dirty
+        let (set, key) = self.split(line);
+        let slot = self.slots[set];
+        (slot >> 1) as u64 == key && slot & 1 != 0
     }
 
     /// Flush-and-invalidate one line (the `clflush` instruction, §3.3).
     /// Returns `true` when the line was present and dirty (the caller must
     /// write its data back to the region).
     pub fn clflush(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let slot = &mut self.slots[set];
-        if slot.tag != line + 1 {
+        let (set, key) = self.split(line);
+        let slot = self.slots[set];
+        if (slot >> 1) as u64 != key {
             return false;
         }
-        let was_dirty = slot.dirty;
-        slot.tag = 0;
-        slot.dirty = false;
+        let was_dirty = slot & 1 != 0;
+        self.slots[set] = 0;
         self.stats.invalidations += 1;
         if was_dirty {
             self.stats.flushes += 1;
@@ -251,11 +271,9 @@ impl Cache {
     /// Drop a line without writing back (pure invalidation; used on the
     /// reader side of the coherency protocol where lines are clean).
     pub fn invalidate(&mut self, line: u64) {
-        let set = self.set_of(line);
-        let slot = &mut self.slots[set];
-        if slot.tag == line + 1 {
-            slot.tag = 0;
-            slot.dirty = false;
+        let (set, key) = self.split(line);
+        if (self.slots[set] >> 1) as u64 == key {
+            self.slots[set] = 0;
             self.stats.invalidations += 1;
             if let Some(data) = &mut self.data {
                 data.remove(&line);
@@ -267,10 +285,7 @@ impl Cache {
     /// writeback — exactly what happens to a host's CPU cache on power
     /// loss while the CXL box stays up.
     pub fn crash(&mut self) {
-        for s in &mut self.slots {
-            s.tag = 0;
-            s.dirty = false;
-        }
+        self.slots.fill(0);
         if let Some(data) = &mut self.data {
             data.clear();
         }
@@ -497,6 +512,119 @@ mod tests {
                 (64..65, false), // single aliasing line: dirty eviction
             ],
         );
+    }
+
+    // ---- packed slot vs an unpacked reference ------------------------
+    //
+    // The reference keeps what the slot used to be — the full line index
+    // and a separate dirty flag per set — so it has no tag-width limit.
+    // The packed cache must agree with it access by access.
+
+    struct UnpackedRef {
+        slots: Vec<Option<(u64, bool)>>,
+    }
+
+    impl UnpackedRef {
+        fn access(&mut self, line: u64, write: bool) -> LineAccess {
+            let set = (line % self.slots.len() as u64) as usize;
+            match &mut self.slots[set] {
+                Some((l, dirty)) if *l == line => {
+                    *dirty |= write;
+                    LineAccess::Hit
+                }
+                slot => {
+                    let evicted_dirty = match *slot {
+                        Some((l, true)) => Some(l),
+                        _ => None,
+                    };
+                    *slot = Some((line, write));
+                    LineAccess::Miss { evicted_dirty }
+                }
+            }
+        }
+    }
+
+    fn assert_packed_matches_unpacked(capacity: usize, base_line: u64) {
+        let sets = capacity / CACHE_LINE as usize;
+        let mut packed = Cache::new(capacity);
+        let mut batched = Cache::new(capacity);
+        let mut reference = UnpackedRef {
+            slots: vec![None; sets],
+        };
+        let mut rng = simkit::rng::SimRng::seed_from_u64(0xC0FFEE ^ base_line);
+        for _ in 0..4_000 {
+            // Runs of 1..=5 lines drawn from 3x the cache's reach, so
+            // hits, clean and dirty evictions and intra-run aliasing
+            // all occur.
+            let start = base_line + rng.gen_range(0..sets as u64 * 3);
+            let len = rng.gen_range(1..=5u64);
+            let write = rng.gen_bool(0.4);
+            let mut want = RunAccess::default();
+            for line in start..start + len {
+                let r = reference.access(line, write);
+                assert_eq!(packed.access(line, write), r, "line {line} write={write}");
+                match r {
+                    LineAccess::Hit => want.hits += 1,
+                    LineAccess::Miss { evicted_dirty } => {
+                        want.misses += 1;
+                        want.dirty_evictions += evicted_dirty.is_some() as u64;
+                        want.first_missed |= line == start;
+                        want.last_missed |= line == start + len - 1;
+                    }
+                }
+            }
+            assert_eq!(batched.access_run(start..start + len, write), want);
+        }
+        assert_eq!(packed.stats(), batched.stats());
+        for line in base_line..base_line + sets as u64 * 3 {
+            let held = reference.slots[(line % sets as u64) as usize];
+            assert_eq!(
+                packed.contains(line),
+                matches!(held, Some((l, _)) if l == line)
+            );
+            assert_eq!(packed.is_dirty(line), held == Some((line, true)));
+            assert_eq!(batched.contains(line), packed.contains(line));
+        }
+    }
+
+    #[test]
+    fn packed_slot_matches_unpacked_for_non_power_of_two_sets() {
+        // 48 sets: set/tag split by divide, not mask/shift.
+        assert_packed_matches_unpacked(48 * CACHE_LINE as usize, 0);
+    }
+
+    #[test]
+    fn packed_slot_matches_unpacked_for_lines_above_two_to_the_31() {
+        // Line indices that would not fit a 31-bit slot themselves; the
+        // stored value is the true tag `line / sets`, which does.
+        for capacity in [64 * CACHE_LINE as usize, 48 * CACHE_LINE as usize] {
+            assert_packed_matches_unpacked(capacity, (1 << 33) + 17);
+        }
+    }
+
+    #[test]
+    fn read_hit_counts_like_access_and_never_fills() {
+        let mut c = Cache::new(4096);
+        assert!(!c.read_hit(7), "cold line: no hit");
+        assert_eq!(c.stats(), CacheStats::default(), "and nothing counted");
+        assert!(!c.contains(7), "and nothing filled");
+        c.access(7, true);
+        assert!(c.read_hit(7));
+        assert_eq!(c.stats().hits, 1);
+        assert!(c.is_dirty(7), "a read hit keeps the dirty bit");
+        // Capture-mode caches always decline: reads must go through the
+        // per-line data plumbing.
+        let mut cap = Cache::with_capture(4096);
+        cap.access(7, false);
+        assert!(!cap.read_hit(7));
+        assert_eq!(cap.stats().hits, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache tag exceeds 31 bits")]
+    fn tag_overflow_is_refused_not_wrapped() {
+        // One set: the tag is the line index itself.
+        Cache::new(CACHE_LINE as usize).access(1 << 31, false);
     }
 
     #[test]

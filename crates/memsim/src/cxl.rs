@@ -77,6 +77,17 @@ fn note_cxl_slow(
     trace::span(kind, node.0 as u32, now, end, link_bytes);
 }
 
+/// Whether nothing observes or perturbs individual operations right now:
+/// host profiler off, tracer off, no fault plan installed. Only then may
+/// a lean path skip the per-operation profiler scope, attribution note
+/// and fault gate; an instrumented or fault-armed run takes the general
+/// path, so `prof.*.calls`, lane totals, spans and fault-site hit
+/// indices are those of the general path by construction.
+#[inline]
+fn unobserved() -> bool {
+    !simkit::profile::is_enabled() && !trace::active() && !faults::active()
+}
+
 #[inline]
 fn line_range(off: u64, len: usize) -> std::ops::Range<u64> {
     off / CACHE_LINE..(off + len as u64).div_ceil(CACHE_LINE)
@@ -833,9 +844,48 @@ impl CxlPool {
     }
 
     /// Cached read of `buf.len()` bytes at `off` by `node`.
+    #[inline]
     pub fn read(&mut self, node: NodeId, off: u64, buf: &mut [u8], now: SimTime) -> Access {
+        if unobserved() {
+            if let Some(a) = self.read_line_hit(node, off, buf, now) {
+                return a;
+            }
+        }
+        self.read_general(node, off, buf, now)
+    }
+
+    /// The general read path, out of line so that [`CxlPool::read`]'s
+    /// lean branch stays small enough to inline into the pools.
+    fn read_general(&mut self, node: NodeId, off: u64, buf: &mut [u8], now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::CxlMem);
         self.port(node).read(off, buf, now)
+    }
+
+    /// The lean read path: an access inside one line that hits the node's
+    /// timing-mode cache. [`Port::read`] would sweep that one tag, count
+    /// the hit, copy the bytes from the region (timing mode keeps it
+    /// current), charge zero link bytes and return `now + CACHE_HIT_NS` —
+    /// which is all this does, without building the port. Anything else
+    /// (miss, several lines, capture mode) returns `None` untouched.
+    #[inline(always)]
+    fn read_line_hit(
+        &mut self,
+        node: NodeId,
+        off: u64,
+        buf: &mut [u8],
+        now: SimTime,
+    ) -> Option<Access> {
+        let lines = line_range(off, buf.len());
+        if lines.end - lines.start != 1 || !self.caches[node.0].read_hit(lines.start) {
+            return None;
+        }
+        self.region.read(off, buf);
+        Some(Access {
+            end: now + CACHE_HIT_NS,
+            link_bytes: 0,
+            hits: 1,
+            misses: 0,
+        })
     }
 
     /// Cached write of `data` at `off` by `node` (write-allocate,

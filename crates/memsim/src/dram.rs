@@ -72,6 +72,11 @@ impl DramSpace {
         &mut self.region
     }
 
+    /// Statistics of the CPU cache in front of this space.
+    pub fn cache_stats(&self) -> crate::cache::CacheStats {
+        self.cache.stats()
+    }
+
     /// Total bytes read / written through the timed interface.
     pub fn traffic(&self) -> (u64, u64) {
         (self.bytes_read, self.bytes_written)
@@ -85,14 +90,25 @@ impl DramSpace {
         }
     }
 
+    /// `(latency, hits, misses)` of touching `off..off + len`.
+    #[inline]
     fn access_cost(&mut self, off: u64, len: usize, write: bool) -> (u64, u64, u64) {
-        // DRAM caches are always timing-mode, so the whole access is one
-        // batched tag sweep; `Cache::access_run` counts hits/misses (and
-        // stats) identically to per-line `Cache::access` calls.
-        let run = self.cache.access_run(
-            off / CACHE_LINE..(off + len as u64).div_ceil(CACHE_LINE),
-            write,
-        );
+        let lines = off / CACHE_LINE..(off + len as u64).div_ceil(CACHE_LINE);
+        // Lean path: a read inside one line that hits costs exactly what
+        // the batched sweep would report for it — one hit, no miss.
+        if !write && lines.end - lines.start == 1 && self.cache.read_hit(lines.start) {
+            return (CACHE_HIT_NS, 1, 0);
+        }
+        self.sweep_cost(lines, write)
+    }
+
+    /// The general path of [`DramSpace::access_cost`]. DRAM caches are
+    /// always timing-mode, so the whole access is one batched tag sweep;
+    /// `Cache::access_run` counts hits/misses (and stats) identically to
+    /// per-line `Cache::access` calls.
+    #[inline(never)]
+    fn sweep_cost(&mut self, lines: std::ops::Range<u64>, write: bool) -> (u64, u64, u64) {
+        let run = self.cache.access_run(lines, write);
         let (hits, misses) = (run.hits, run.misses);
         let latency = if misses == 0 {
             hits * CACHE_HIT_NS
@@ -102,18 +118,30 @@ impl DramSpace {
         (latency, hits, misses)
     }
 
-    /// Timed read.
-    pub fn read(&mut self, off: u64, buf: &mut [u8], now: SimTime) -> Access {
-        let (latency, hits, misses) = self.access_cost(off, buf.len(), false);
+    /// The timing half of a read: run the cache model over
+    /// `off..off + len`, charge attribution and traffic, move no bytes.
+    /// [`DramSpace::read`] is this plus the copy; a caller whose bytes
+    /// live elsewhere (a buffer-pool frame aliasing remote memory) calls
+    /// it alone and loads the data from where it really is.
+    #[inline]
+    pub fn read_timing(&mut self, off: u64, len: usize, now: SimTime) -> Access {
+        let (latency, hits, misses) = self.access_cost(off, len, false);
         note_dram(latency, hits);
-        self.region.read(off, buf);
-        self.bytes_read += buf.len() as u64;
+        self.bytes_read += len as u64;
         Access {
             end: now + latency,
             link_bytes: 0,
             hits,
             misses,
         }
+    }
+
+    /// Timed read.
+    #[inline]
+    pub fn read(&mut self, off: u64, buf: &mut [u8], now: SimTime) -> Access {
+        let a = self.read_timing(off, buf.len(), now);
+        self.region.read(off, buf);
+        a
     }
 
     /// Timed write.
@@ -168,6 +196,59 @@ mod tests {
         let a = local.read(0, &mut buf, SimTime::ZERO);
         let b = remote.read(0, &mut buf, SimTime::ZERO);
         assert!(b.end > a.end);
+    }
+
+    #[test]
+    fn lean_hits_and_the_timing_half_match_a_per_line_reference() {
+        // One seeded mix of single-line reads (lean when they hit),
+        // multi-line reads (swept) and writes drives three things: a full
+        // space, a space asked only for the timing half, and a bare
+        // `Cache` touched line by line with the latency formula applied
+        // by hand. All three must agree on every `Access`, on the cache
+        // stats and on traffic; the timing half just moves no bytes.
+        let mut full = DramSpace::new(1 << 16, 4096, false);
+        let mut timing = DramSpace::new(1 << 16, 4096, false);
+        let mut reference = Cache::new(4096);
+        let mut rng = simkit::rng::SimRng::seed_from_u64(0xD7A3);
+        let mut now = SimTime::ZERO;
+        for _ in 0..4_000 {
+            let len = [2usize, 8, 8, 8, 60, 188, 1024][rng.gen_range(0..7usize)];
+            let off = rng.gen_range(0..(1u64 << 16) - len as u64);
+            let write = rng.gen_bool(0.2);
+            let (mut hits, mut misses) = (0, 0);
+            for line in off / CACHE_LINE..(off + len as u64).div_ceil(CACHE_LINE) {
+                match reference.access(line, write) {
+                    crate::cache::LineAccess::Hit => hits += 1,
+                    crate::cache::LineAccess::Miss { .. } => misses += 1,
+                }
+            }
+            let latency = hits * CACHE_HIT_NS
+                + if misses == 0 {
+                    0
+                } else {
+                    DRAM_LOCAL_NS + (misses - 1) * DRAM_STREAM_NS_PER_LINE
+                };
+            let want = Access {
+                end: now + latency,
+                link_bytes: 0,
+                hits,
+                misses,
+            };
+            if write {
+                let data = vec![rng.gen::<u8>(); len];
+                assert_eq!(full.write(off, &data, now), want);
+                assert_eq!(timing.write(off, &data, now), want);
+            } else {
+                let mut buf = vec![0u8; len];
+                assert_eq!(full.read(off, &mut buf, now), want, "off {off} len {len}");
+                assert_eq!(timing.read_timing(off, len, now), want);
+                assert_eq!(buf, timing.raw().slice(off, len));
+                now = want.end;
+            }
+        }
+        assert_eq!(full.cache_stats(), reference.stats());
+        assert_eq!(timing.cache_stats(), reference.stats());
+        assert_eq!(full.traffic(), timing.traffic());
     }
 
     #[test]

@@ -178,10 +178,35 @@ impl RdmaPool {
         &mut self.region
     }
 
+    /// The timing half of [`RdmaPool::try_read`]: gate the link and the
+    /// read site, charge `len` bytes to `host`'s NIC (stretched by any
+    /// degrade factor) — and move no bytes. For a caller that models the
+    /// transfer but reads the remote bytes in place (the tiered pool's
+    /// aliased page-in). A dead host is neither timed nor queued.
+    pub fn try_read_timing(
+        &mut self,
+        host: usize,
+        len: u64,
+        now: SimTime,
+    ) -> Result<Access, RdmaError> {
+        let factor = link_gate(host, now)?;
+        match faults::gate(FaultSite::RdmaRead, now) {
+            Verdict::Run => {
+                let mut a =
+                    charge_nic(&mut self.nics[host].0, SpanKind::RdmaPageIn, host, len, now);
+                degrade(&mut a, now, factor);
+                Ok(a)
+            }
+            Verdict::Transient { spike_ns } => Err(RdmaError::Transient { spike_ns }),
+            _ => Ok(Access::free(now)),
+        }
+    }
+
     /// RDMA read with typed fault propagation: like [`RdmaPool::read`],
     /// but a transient fabric fault surfaces as an error (carrying the
     /// latency the failed attempt burned) instead of being retried
-    /// internally.
+    /// internally. A dead host still sees the remote node's (surviving)
+    /// bytes.
     pub fn try_read(
         &mut self,
         host: usize,
@@ -189,21 +214,9 @@ impl RdmaPool {
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<Access, RdmaError> {
-        let factor = link_gate(host, now)?;
-        match faults::gate(FaultSite::RdmaRead, now) {
-            Verdict::Run => {
-                let mut a = self.read_inner(host, off, buf, now);
-                degrade(&mut a, now, factor);
-                Ok(a)
-            }
-            Verdict::Transient { spike_ns } => Err(RdmaError::Transient { spike_ns }),
-            // Dead: the host still sees the remote node's (surviving)
-            // bytes, but nothing is timed or queued any more.
-            _ => {
-                self.region.read(off, buf);
-                Ok(Access::free(now))
-            }
-        }
+        let a = self.try_read_timing(host, buf.len() as u64, now)?;
+        self.region.read(off, buf);
+        Ok(a)
     }
 
     /// RDMA read: copy `buf.len()` bytes from remote `off` into `buf`
@@ -218,17 +231,6 @@ impl RdmaPool {
                 Err(RdmaError::Transient { spike_ns }) => now += spike_ns,
             }
         }
-    }
-
-    fn read_inner(&mut self, host: usize, off: u64, buf: &mut [u8], now: SimTime) -> Access {
-        self.region.read(off, buf);
-        charge_nic(
-            &mut self.nics[host].0,
-            SpanKind::RdmaPageIn,
-            host,
-            buf.len() as u64,
-            now,
-        )
     }
 
     /// RDMA write with typed fault propagation: like

@@ -64,7 +64,20 @@ impl Region {
     #[inline]
     pub fn read(&self, off: u64, buf: &mut [u8]) {
         let off = off as usize;
-        buf.copy_from_slice(&self.bytes[off..off + buf.len()]);
+        let src = &self.bytes[off..off + buf.len()];
+        // B+tree field reads are 8-byte keys/pointers and 2-byte slots.
+        // Moving those as integers makes each one load and one store; left
+        // as three `copy_from_slice` arms the optimiser folds them back
+        // into a single variable-length call into libc's `memcpy`.
+        if let Ok(dst) = <&mut [u8; 8]>::try_from(&mut *buf) {
+            let v = u64::from_ne_bytes(src.try_into().expect("same length as dst"));
+            *dst = v.to_ne_bytes();
+        } else if let Ok(dst) = <&mut [u8; 2]>::try_from(&mut *buf) {
+            let v = u16::from_ne_bytes(src.try_into().expect("same length as dst"));
+            *dst = v.to_ne_bytes();
+        } else {
+            buf.copy_from_slice(src);
+        }
     }
 
     /// Copy `data` into the region starting at `off`.

@@ -237,6 +237,7 @@ mod imp {
         ENABLED.with(|e| e.set(on));
     }
 
+    #[inline]
     pub fn is_enabled() -> bool {
         ENABLED.with(|e| e.get())
     }

@@ -155,6 +155,12 @@ pub struct Link {
     bytes: u64,
     transfers: u64,
     busy_ns: u64,
+    /// Recent `(bytes, transfer_ns(bytes, gbps))` results, direct-mapped
+    /// on the size in cache lines. A link carries a handful of sizes (one
+    /// to four 64 B lines, 16 KB pages), and the formula's `f64::round` is
+    /// a libm call on baseline x86-64; a memo entry is the formula's own
+    /// earlier result, so it is exact.
+    transfer_memo: [(u64, u64); 4],
 }
 
 impl Link {
@@ -171,6 +177,8 @@ impl Link {
             bytes: 0,
             transfers: 0,
             busy_ns: 0,
+            // `transfer_ns(0, _)` is 0 for every capacity.
+            transfer_memo: [(0, 0); 4],
         }
     }
 
@@ -196,12 +204,23 @@ impl Link {
         self.gbps
     }
 
+    /// Pipe time for `bytes` at this link's capacity:
+    /// [`dur::transfer_ns`](crate::time::dur::transfer_ns), memoised.
+    #[inline]
+    fn transfer_ns(&mut self, bytes: u64) -> u64 {
+        let memo = &mut self.transfer_memo[(bytes >> 6) as usize & 3];
+        if memo.0 != bytes {
+            *memo = (bytes, crate::time::dur::transfer_ns(bytes, self.gbps));
+        }
+        memo.1
+    }
+
     /// Queue a transfer of `bytes` requested at `now`. Returns the grant;
     /// `grant.end` includes propagation delay.
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> Grant {
         let _prof = crate::profile::scope(crate::profile::Subsys::Link);
         let start = now.max(self.free_at);
-        let occupy = self.per_op_overhead_ns + crate::time::dur::transfer_ns(bytes, self.gbps);
+        let occupy = self.per_op_overhead_ns + self.transfer_ns(bytes);
         let pipe_done = start + occupy;
         // Cumulative capacity accounting (see type docs): the backlog
         // clock grows by occupancy only, never ratchets to `now`.
@@ -284,6 +303,7 @@ impl Link {
                 bytes: self.bytes,
                 transfers: self.transfers,
                 busy_ns: self.busy_ns,
+                transfer_memo: self.transfer_memo,
             },
             base_free_at: self.free_at,
             base_bytes: self.bytes,
@@ -401,6 +421,31 @@ mod tests {
         // as soon as the pipe drains.
         let g2 = nic.transfer(SimTime::ZERO, 0);
         assert_eq!(g2.start, SimTime(1_100));
+    }
+
+    #[test]
+    fn memoised_transfer_time_equals_the_formula() {
+        // A seeded mix dominated by the sizes real links carry (a few 64 B
+        // lines, 16 KB pages) with odd sizes, repeats and memo-slot
+        // collisions in between: every grant must be what the
+        // un-memoised formula gives.
+        let mut rng = crate::rng::SimRng::seed_from_u64(0x11A7);
+        for gbps in [0.5, 12.0, 64.0, 3.7] {
+            let mut link = Link::new("memo", gbps).with_per_op_overhead(7);
+            let mut free_at = 0u64;
+            for _ in 0..5_000 {
+                let bytes = match rng.gen_range(0..10u32) {
+                    0..=3 => 64 * rng.gen_range(1..=9u64),
+                    4..=6 => 16 << 10,
+                    7 => 0,
+                    _ => rng.gen_range(1..1_000_000u64),
+                };
+                let occupy = 7 + dur::transfer_ns(bytes, gbps);
+                let g = link.transfer(SimTime(free_at), bytes);
+                assert_eq!(g.end, SimTime(free_at + occupy), "{bytes} B at {gbps} GB/s");
+                free_at += occupy;
+            }
+        }
     }
 
     #[test]

@@ -101,7 +101,11 @@ fn five_crashes_on_tiered_rdma_cannot_corrupt_committed_state() {
     // remote where resident) must restore exactly the committed state.
     let store = PageStore::with_page_size(512, 2048);
     let rdma = Rc::new(RefCell::new(RdmaPool::new(512 * 2048, 1)));
-    let mut db = Db::create(TieredRdmaBp::new(rdma, 0, 0, 24, 1 << 20, store), REC);
+    const LBP_FRAMES: usize = 24;
+    let mut db = Db::create(
+        TieredRdmaBp::new(rdma, 0, 0, LBP_FRAMES, 1 << 20, store),
+        REC,
+    );
     db.load((1..=KEYS).map(|k| (k, vec![(k % 250) as u8; REC as usize])));
     let mut model: BTreeMap<u64, Vec<u8>> = (1..=KEYS)
         .map(|k| (k, vec![(k % 250) as u8; REC as usize]))
@@ -149,12 +153,31 @@ fn five_crashes_on_tiered_rdma_cannot_corrupt_committed_state() {
         if round % 2 == 1 {
             now = db.checkpoint(now);
         }
+        // Land the crash while most LBP frames alias remote memory: the
+        // write burst above leaves private (materialised) frames, so
+        // sweep clean leaves in with point selects first.
+        for k in (1..next_key).step_by(2) {
+            now = db.point_select(k, now).1;
+        }
+        assert!(
+            db.pool.aliased_frames() * 2 > LBP_FRAMES,
+            "round {round}: only {} of {LBP_FRAMES} frames aliased at the crash",
+            db.pool.aliased_frames()
+        );
         db.crash();
+        assert_eq!(db.pool.aliased_frames(), 0);
         let report = recover_replay(&mut db, "rdma-based", now);
         now = report.done;
         for (k, v) in &model {
             let (got, _) = db.table.get(&mut db.pool, *k, SimTime::ZERO);
             assert_eq!(got.as_ref(), Some(v), "round {round}, key {k}");
+        }
+        // No post-crash read may see the wiped local tier (0xDE fill):
+        // every page's header comes from remote memory or storage.
+        for p in 0..db.pool.store().allocated_pages() {
+            let mut header = [0u8; 16];
+            db.pool.read(PageId(p), 0, &mut header, SimTime::ZERO);
+            assert_ne!(header, [0xDE; 16], "round {round}, page {p} reads as wiped");
         }
         assert_eq!(
             db.table.check_invariants(&mut db.pool),
