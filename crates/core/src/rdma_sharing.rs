@@ -11,15 +11,23 @@
 //!
 //! Contrast with [`crate::fusion`]: no local copies at all, 64-B flush
 //! granularity, and invalidation by a single CXL store.
+//!
+//! The amplification is a *virtual-time* fact: every page-in and
+//! write-back charges the whole page to the NIC, and the host moves only
+//! the bytes a statement touches (DESIGN.md, "Timing plane vs data
+//! plane"). A local frame is residency and policy metadata, reads are
+//! served in place from the remote region, and a write is a small
+//! pending store that `publish` lands there.
 
 use bufferpool::lru::LruList;
 use bufferpool::policy::{AnyPolicy, Policy, PolicyKind};
 use bufferpool::tiered::SharedRdma;
 use memsim::calib::{DRAM_LOCAL_NS, DRAM_STREAM_NS_PER_LINE, RPC_NS};
+use memsim::shard::overlay;
 use memsim::{NodeId, RdmaFabric};
 use simkit::trace::{self, Lane};
+use simkit::FastMap;
 use simkit::SimTime;
-use simkit::{FastMap, FastSet};
 use storage::PageId;
 
 use crate::fusion::SharedStore;
@@ -130,16 +138,20 @@ impl RdmaDbp {
                 self.map.remove(&vpage);
                 victim
             };
-            let ps = self.page_size as usize;
-            let mut buf = vec![0u8; ps];
-            let io = self.store.borrow_mut().read_page(page, &mut buf, t);
-            t = io.end;
+            // Storage reads straight into the slot; the server's NIC is
+            // charged the page write that models the move. The bytes stay
+            // even if that write meets a dead host: the directory naming
+            // the slot dies with it, and a new server refills before use.
+            let mut rdma = self.rdma.borrow_mut();
+            let dst = rdma
+                .raw_mut()
+                .slice_mut(self.slot_addr(slot), self.page_size as usize);
+            t = self.store.borrow_mut().read_page(page, dst, t).end;
             self.stats.storage_fills += 1;
-            let a = self
-                .rdma
-                .borrow_mut()
-                .write(self.server_host, self.slot_addr(slot), &buf, t);
-            t = a.end;
+            if let Some(a) = rdma.write_timing(self.server_host, self.page_size, t) {
+                t = a.end;
+            }
+            drop(rdma);
             self.map.insert(
                 page,
                 SlotInfo {
@@ -273,8 +285,17 @@ impl RdmaNodeStats {
     }
 }
 
-/// A database node in the RDMA sharing baseline: local page copies over
-/// a remote DBP.
+/// A store made under the X lock and not yet published.
+#[derive(Debug)]
+struct PendingStore {
+    page: PageId,
+    off: u64,
+    /// The bytes, as a range of [`RdmaSharingNode::pending_bytes`].
+    bytes: std::ops::Range<usize>,
+}
+
+/// A database node in the RDMA sharing baseline: a local buffer pool
+/// over a remote DBP.
 pub struct RdmaSharingNode {
     node: NodeId,
     host: usize,
@@ -282,13 +303,17 @@ pub struct RdmaSharingNode {
     /// LBP frame metadata, struct-of-arrays: which page each frame
     /// holds…
     frame_page: Vec<Option<PageId>>,
-    /// …and its backing bytes, preallocated once so faults never
-    /// allocate on the hot path.
-    frame_buf: Vec<Vec<u8>>,
+    /// …and the DBP address it was paged in from. A frame has no bytes
+    /// of its own: the modelled copy is the remote page under this
+    /// node's own stores, since a peer's store drops the frame as it lands.
+    frame_addr: Vec<u64>,
     free: Vec<u32>,
     map: FastMap<PageId, u32>,
     policy: AnyPolicy,
-    dirty: FastSet<PageId>,
+    /// Unpublished stores in program order (a page is dirty while it
+    /// has one) and their bytes. A statement writes, then publishes.
+    pending: Vec<PendingStore>,
+    pending_bytes: Vec<u8>,
     addrs: FastMap<PageId, u64>,
     stats: RdmaNodeStats,
 }
@@ -328,11 +353,12 @@ impl RdmaSharingNode {
             host,
             page_size,
             frame_page: vec![None; lbp_frames],
-            frame_buf: vec![vec![0u8; page_size as usize]; lbp_frames],
+            frame_addr: vec![0; lbp_frames],
             free: (0..lbp_frames as u32).rev().collect(),
             map: FastMap::default(),
             policy: AnyPolicy::new(policy, lbp_frames),
-            dirty: FastSet::default(),
+            pending: Vec::new(),
+            pending_bytes: Vec::new(),
             addrs: FastMap::default(),
             stats: RdmaNodeStats::default(),
         }
@@ -353,10 +379,14 @@ impl RdmaSharingNode {
         self.frame_page.len() as u64 * self.page_size
     }
 
+    fn is_dirty(&self, page: PageId) -> bool {
+        self.pending.iter().any(|s| s.page == page)
+    }
+
     /// Drop the local copy of `page` (invalidation message received).
     pub fn invalidate_local(&mut self, page: PageId) {
         if let Some(frame) = self.map.remove(&page) {
-            debug_assert!(!self.dirty.contains(&page), "invalidating a dirty page");
+            debug_assert!(!self.is_dirty(page), "invalidating a dirty page");
             self.frame_page[frame as usize] = None;
             self.policy.remove(frame);
             self.free.push(frame);
@@ -364,9 +394,9 @@ impl RdmaSharingNode {
         }
     }
 
-    /// Claim a frame for `page`, evicting the policy's victim if none
-    /// is free. Pure local-metadata work.
-    fn claim_frame(&mut self, page: PageId) -> u32 {
+    /// Claim a frame for `page` at DBP address `addr`, evicting the
+    /// policy's victim if none is free. Pure local-metadata work.
+    fn claim_frame(&mut self, page: PageId, addr: u64) {
         let frame = if let Some(f) = self.free.pop() {
             f
         } else {
@@ -374,47 +404,14 @@ impl RdmaSharingNode {
             let vpage = self.frame_page[victim as usize]
                 .take()
                 .expect("page in frame");
-            assert!(
-                !self.dirty.contains(&vpage),
-                "evicting dirty page outside lock"
-            );
+            assert!(!self.is_dirty(vpage), "evicting dirty page outside lock");
             self.map.remove(&vpage);
             victim
         };
         self.frame_page[frame as usize] = Some(page);
+        self.frame_addr[frame as usize] = addr;
         self.map.insert(page, frame);
         self.policy.insert(frame);
-        frame
-    }
-
-    /// Ensure a local copy exists; returns (frame, time).
-    fn fault_in(&mut self, server: &mut RdmaDbp, page: PageId, now: SimTime) -> (u32, SimTime) {
-        if let Some(&frame) = self.map.get(&page) {
-            self.stats.local_hits += 1;
-            self.policy.touch(frame);
-            return (frame, now);
-        }
-        let mut t = now;
-        let addr = if let Some(&a) = self.addrs.get(&page) {
-            a
-        } else {
-            let (a, t2) = server.request_page(page, self.node, t);
-            self.addrs.insert(page, a);
-            t = t2;
-            a
-        };
-        let frame = self.claim_frame(page);
-        // Whole-page RDMA read — read amplification — straight into the
-        // frame's preallocated buffer.
-        let a = server.fabric().borrow_mut().read(
-            self.host,
-            addr,
-            &mut self.frame_buf[frame as usize],
-            t,
-        );
-        t = a.end;
-        self.stats.page_reads += 1;
-        (frame, t)
     }
 
     /// Read from a shared page (caller holds ≥ S lock).
@@ -426,15 +423,12 @@ impl RdmaSharingNode {
         buf: &mut [u8],
         now: SimTime,
     ) -> SimTime {
-        let (frame, t) = self.fault_in(server, page, now);
-        let data = &self.frame_buf[frame as usize];
-        buf.copy_from_slice(&data[off as usize..off as usize + buf.len()]);
-        trace::attr_add(Lane::Dram, dram_cost_ns(buf.len()));
-        t + dram_cost_ns(buf.len())
+        let t = self.resolve(server, page, now);
+        self.read_resident(&mut *server.fabric().borrow_mut(), page, off, buf, t)
     }
 
     /// Write to a shared page (caller holds the X lock). Local only —
-    /// the page reaches the DBP at [`RdmaSharingNode::publish`].
+    /// the bytes reach the DBP at [`RdmaSharingNode::publish`].
     pub fn write(
         &mut self,
         server: &mut RdmaDbp,
@@ -443,12 +437,8 @@ impl RdmaSharingNode {
         data: &[u8],
         now: SimTime,
     ) -> SimTime {
-        let (frame, t) = self.fault_in(server, page, now);
-        let buf = &mut self.frame_buf[frame as usize];
-        buf[off as usize..off as usize + data.len()].copy_from_slice(data);
-        self.dirty.insert(page);
-        trace::attr_add(Lane::Dram, dram_cost_ns(data.len()));
-        t + dram_cost_ns(data.len())
+        let t = self.resolve(server, page, now);
+        self.write_resident(&mut *server.fabric().borrow_mut(), page, off, data, t)
     }
 
     /// Release-time publish: RDMA-write the **whole page** back to the
@@ -460,19 +450,7 @@ impl RdmaSharingNode {
         page: PageId,
         now: SimTime,
     ) -> (Vec<NodeId>, SimTime) {
-        let mut t = now;
-        if self.dirty.remove(&page) {
-            let frame = *self.map.get(&page).expect("dirty page is resident");
-            let addr = *self.addrs.get(&page).expect("dirty page has an address");
-            let a = server.fabric().borrow_mut().write(
-                self.host,
-                addr,
-                &self.frame_buf[frame as usize],
-                t,
-            );
-            t = a.end;
-            self.stats.page_writes += 1;
-        }
+        let t = self.flush_resident(&mut *server.fabric().borrow_mut(), page, now);
         server.publish(page, self.node, t)
     }
 
@@ -491,15 +469,17 @@ impl RdmaSharingNode {
 
     // ---- Phase API: barrier-synchronized parallel stepping ----------
     //
-    // The `*_resident` methods mirror the serial protocol above but run
-    // against an explicit [`RdmaFabric`] (a per-node `RdmaShard` during
-    // a phase) and a read-only [`RdmaDir`] snapshot. Every page address
-    // must have been resolved before the phase starts (drivers warm up
-    // all touched pages serially), so no server RPC — and no directory
-    // mutation — can happen mid-phase. Frame eviction is pure node-local
-    // state and stays allowed.
+    // The `*_resident` methods are the protocol proper, run against an
+    // explicit [`RdmaFabric`]: the pool itself for the serial methods
+    // above (which only add the address RPC), a per-node `RdmaShard`
+    // during a phase, next to a read-only [`RdmaDir`] snapshot. Every
+    // page address must have been resolved before a phase starts
+    // (drivers warm up all touched pages serially), so no server RPC —
+    // and no directory mutation — can happen mid-phase. Frame eviction
+    // is pure node-local state and stays allowed.
 
-    /// Phase-capable [`fault_in`](Self::fault_in).
+    /// Ensure `page` is resident, charging a whole-page RDMA read — read
+    /// amplification — on a miss; returns (DBP address, time).
     ///
     /// # Panics
     /// If `page`'s remote address was not pre-resolved.
@@ -508,23 +488,24 @@ impl RdmaSharingNode {
         fabric: &mut R,
         page: PageId,
         now: SimTime,
-    ) -> (u32, SimTime) {
+    ) -> (u64, SimTime) {
         if let Some(&frame) = self.map.get(&page) {
             self.stats.local_hits += 1;
             self.policy.touch(frame);
-            return (frame, now);
+            return (self.frame_addr[frame as usize], now);
         }
         let &addr = self
             .addrs
             .get(&page)
             .unwrap_or_else(|| panic!("page {page:?} not pre-resolved on node {:?}", self.node));
-        let frame = self.claim_frame(page);
-        let a = fabric.read(self.host, addr, &mut self.frame_buf[frame as usize], now);
+        self.claim_frame(page, addr);
+        let a = fabric.read_timing(self.host, self.page_size, now);
         self.stats.page_reads += 1;
-        (frame, a.end)
+        (addr, a.end)
     }
 
-    /// Phase-capable [`SharingNode::read`](Self::read).
+    /// Phase-capable [`read`](Self::read): the page's remote bytes as
+    /// `fabric` sees them, under this node's unpublished stores.
     pub fn read_resident<R: RdmaFabric>(
         &mut self,
         fabric: &mut R,
@@ -533,9 +514,15 @@ impl RdmaSharingNode {
         buf: &mut [u8],
         now: SimTime,
     ) -> SimTime {
-        let (frame, t) = self.fault_in_resident(fabric, page, now);
-        let data = &self.frame_buf[frame as usize];
-        buf.copy_from_slice(&data[off as usize..off as usize + buf.len()]);
+        assert!(
+            off + buf.len() as u64 <= self.page_size,
+            "read past the page end"
+        );
+        let (addr, t) = self.fault_in_resident(fabric, page, now);
+        fabric.peek(addr + off, buf);
+        for s in self.pending.iter().filter(|s| s.page == page) {
+            overlay(off, buf, s.off, &self.pending_bytes[s.bytes.clone()]);
+        }
         trace::attr_add(Lane::Dram, dram_cost_ns(buf.len()));
         t + dram_cost_ns(buf.len())
     }
@@ -549,12 +536,49 @@ impl RdmaSharingNode {
         data: &[u8],
         now: SimTime,
     ) -> SimTime {
-        let (frame, t) = self.fault_in_resident(fabric, page, now);
-        let buf = &mut self.frame_buf[frame as usize];
-        buf[off as usize..off as usize + data.len()].copy_from_slice(data);
-        self.dirty.insert(page);
+        assert!(
+            off + data.len() as u64 <= self.page_size,
+            "write past the page end"
+        );
+        let (_, t) = self.fault_in_resident(fabric, page, now);
+        let start = self.pending_bytes.len();
+        self.pending_bytes.extend_from_slice(data);
+        self.pending.push(PendingStore {
+            page,
+            off,
+            bytes: start..start + data.len(),
+        });
         trace::attr_add(Lane::Dram, dram_cost_ns(data.len()));
         t + dram_cost_ns(data.len())
+    }
+
+    /// The write-back half of a publish: if `page` is dirty, charge the
+    /// **whole page** to this node's NIC and land its pending stores —
+    /// the only bytes in which the modelled local copy differs from the
+    /// DBP's. A dead host's write-back lands nothing; the stores are
+    /// dropped either way.
+    fn flush_resident<R: RdmaFabric>(
+        &mut self,
+        fabric: &mut R,
+        page: PageId,
+        now: SimTime,
+    ) -> SimTime {
+        if !self.is_dirty(page) {
+            return now;
+        }
+        let addr = *self.addrs.get(&page).expect("dirty page has an address");
+        let landed = fabric.write_timing(self.host, self.page_size, now);
+        self.stats.page_writes += 1;
+        if landed.is_some() {
+            for s in self.pending.iter().filter(|s| s.page == page) {
+                fabric.poke(addr + s.off, &self.pending_bytes[s.bytes.clone()]);
+            }
+        }
+        self.pending.retain(|s| s.page != page);
+        if self.pending.is_empty() {
+            self.pending_bytes.clear();
+        }
+        landed.map_or(now, |a| a.end)
     }
 
     /// Phase-capable [`publish`](Self::publish): the page write-back
@@ -571,14 +595,7 @@ impl RdmaSharingNode {
         outbox: &mut Vec<(NodeId, PageId)>,
         now: SimTime,
     ) -> SimTime {
-        let mut t = now;
-        if self.dirty.remove(&page) {
-            let frame = *self.map.get(&page).expect("dirty page is resident");
-            let addr = *self.addrs.get(&page).expect("dirty page has an address");
-            let a = fabric.write(self.host, addr, &self.frame_buf[frame as usize], t);
-            t = a.end;
-            self.stats.page_writes += 1;
-        }
+        let mut t = self.flush_resident(fabric, page, now);
         for &target in dir.active(page) {
             if target == self.node {
                 continue;
@@ -675,6 +692,253 @@ mod tests {
         n0.read(&mut server, PageId(0), 0, &mut buf, SimTime::ZERO);
         assert_eq!(server.stats().rpcs, rpcs_before);
         assert_eq!(n0.stats().page_reads, 4);
+    }
+
+    /// Two-node phased fixture: every page resolved on both nodes, one
+    /// shard per node, the directory snapshot that names both.
+    fn phased(
+        lbp_frames: usize,
+    ) -> (
+        RdmaDbp,
+        [RdmaSharingNode; 2],
+        [memsim::RdmaShard; 2],
+        RdmaDir,
+    ) {
+        let (mut server, mut n0, mut n1) = setup(lbp_frames);
+        for p in 0..16 {
+            n0.resolve(&mut server, PageId(p), SimTime::ZERO);
+            n1.resolve(&mut server, PageId(p), SimTime::ZERO);
+        }
+        let dir = server.dir_snapshot();
+        let shards = {
+            let mut pool = server.fabric().borrow_mut();
+            [pool.detach_host(0, 2), pool.detach_host(1, 2)]
+        };
+        (server, [n0, n1], shards, dir)
+    }
+
+    #[test]
+    fn same_quantum_updates_to_one_page_both_survive() {
+        // Two nodes update different rows of one page inside one
+        // quantum. Logging whole stale pages, the later node's page
+        // overwrote the earlier node's row at the barrier.
+        let (server, [mut n0, mut n1], [mut s0, mut s1], dir) = phased(4);
+        let mut outbox = Vec::new();
+        let page = PageId(5);
+        let t = n0.write_resident(&mut s0, page, 100, &[0xA0; 8], SimTime::ZERO);
+        n0.publish_resident(&mut s0, &dir, page, &mut outbox, t);
+        let t = n1.write_resident(&mut s1, page, 300, &[0xB1; 8], SimTime::ZERO);
+        n1.publish_resident(&mut s1, &dir, page, &mut outbox, t);
+        let mut shards = [s0, s1];
+        server.fabric().borrow_mut().barrier(&mut shards);
+        let pool = server.fabric().borrow();
+        let got = pool.raw().slice(n0.addrs[&page], 1024);
+        assert_eq!(got[100..108], [0xA0; 8], "node 0's row was overwritten");
+        assert_eq!(got[300..308], [0xB1; 8]);
+        assert_eq!(got[0..100], [6u8; 100], "the rest of the page is intact");
+    }
+
+    #[test]
+    fn unpublished_bytes_are_invisible_to_a_peer() {
+        let mut buf = [0u8; 8];
+        // Serial: the peer sees the store at publish, not at write.
+        let (mut server, mut n0, mut n1) = setup(4);
+        let t = n0.write(&mut server, PageId(2), 40, &[0xEE; 8], SimTime::ZERO);
+        n0.read(&mut server, PageId(2), 40, &mut buf, t);
+        assert_eq!(buf, [0xEE; 8], "a node sees its own store at once");
+        n1.read(&mut server, PageId(2), 40, &mut buf, t);
+        assert_eq!(buf, [3u8; 8]);
+        n0.publish(&mut server, PageId(2), t);
+        n1.read(&mut server, PageId(2), 40, &mut buf, t);
+        assert_eq!(buf, [0xEE; 8]);
+
+        // Phased: not at write, not at publish, only after the barrier.
+        let (server, [mut n0, mut n1], [mut s0, mut s1], dir) = phased(4);
+        let mut outbox = Vec::new();
+        let t = n0.write_resident(&mut s0, PageId(2), 40, &[0xEE; 8], SimTime::ZERO);
+        n1.read_resident(&mut s1, PageId(2), 40, &mut buf, t);
+        assert_eq!(buf, [3u8; 8]);
+        let t = n0.publish_resident(&mut s0, &dir, PageId(2), &mut outbox, t);
+        n1.read_resident(&mut s1, PageId(2), 40, &mut buf, t);
+        assert_eq!(buf, [3u8; 8], "published, but the barrier has not run");
+        n0.read_resident(&mut s0, PageId(2), 40, &mut buf, t);
+        assert_eq!(buf, [0xEE; 8], "the writer keeps seeing it throughout");
+        let mut shards = [s0, s1];
+        server.fabric().borrow_mut().barrier(&mut shards);
+        assert_eq!(outbox, vec![(NodeId(1), PageId(2))]);
+        n1.invalidate_local(PageId(2));
+        let [_, s1] = &mut shards;
+        n1.read_resident(s1, PageId(2), 40, &mut buf, t);
+        assert_eq!(buf, [0xEE; 8]);
+    }
+
+    #[test]
+    fn dead_host_publish_lands_nothing() {
+        use simkit::faults::{self, FaultPlan};
+        faults::clear();
+        let (mut server, mut n0, _) = setup(4);
+        let t = n0.write(&mut server, PageId(1), 0, &[0x77; 16], SimTime::ZERO);
+        let nic_before = server.fabric().borrow().nic_bytes(0);
+        // The publish's first gate poll kills the host.
+        faults::install(FaultPlan::crash_at_hit(0));
+        let (_, done) = n0.publish(&mut server, PageId(1), t);
+        faults::clear();
+        assert_eq!(done, t, "a dead host is not timed");
+        let pool = server.fabric().borrow();
+        assert_eq!(pool.nic_bytes(0), nic_before);
+        let slot = pool.raw().slice(n0.addrs[&PageId(1)], 1024);
+        assert!(slot == [2u8; 1024], "the store reached the DBP");
+    }
+
+    /// Seeded byte oracle: N nodes on shards under LBP eviction
+    /// pressure. A read must return the bytes as of the last barrier,
+    /// under the reader's own stores since — published or not — and
+    /// never a peer's; after every barrier the region must equal the
+    /// quantum's published stores applied in node order.
+    #[test]
+    fn reads_see_own_stores_now_and_peers_at_the_barrier() {
+        const N: usize = 3;
+        const PAGES: u64 = 6;
+        const PS: usize = 256;
+        type Store = (usize, usize, Vec<u8>); // (page, off, bytes)
+        fn overlay(view: &mut [u8], page: usize, stores: &[Store]) {
+            for (p, off, bytes) in stores {
+                if *p == page {
+                    view[*off..off + bytes.len()].copy_from_slice(bytes);
+                }
+            }
+        }
+        for seed in 0..8u64 {
+            let mut rng = simkit::rng::stream_rng(0x5A4E, seed);
+            let rdma: SharedRdma = Rc::new(RefCell::new(RdmaPool::new(PAGES as usize * PS, N + 1)));
+            let mut store = PageStore::with_page_size(PAGES, PS as u64);
+            let mut committed: Vec<Vec<u8>> = Vec::new();
+            for p in 0..PAGES {
+                store.allocate();
+                committed.push((0..PS).map(|i| (p as usize * 31 + i) as u8).collect());
+                store.raw_write_page(PageId(p), &committed[p as usize]);
+            }
+            let store: SharedStore = Rc::new(RefCell::new(store));
+            let mut server = RdmaDbp::new(Rc::clone(&rdma), N, 0, PAGES as u32, store);
+            // Two frames for six pages: most faults evict.
+            let mut nodes: Vec<RdmaSharingNode> = (0..N)
+                .map(|i| RdmaSharingNode::new(NodeId(i), i, 2, PS as u64))
+                .collect();
+            for node in &mut nodes {
+                for p in 0..PAGES {
+                    node.resolve(&mut server, PageId(p), SimTime::ZERO);
+                }
+            }
+            let dir = server.dir_snapshot();
+            let mut shards: Vec<memsim::RdmaShard> = (0..N)
+                .map(|i| rdma.borrow_mut().detach_host(i, N))
+                .collect();
+            let mut outboxes: Vec<Vec<(NodeId, PageId)>> = vec![Vec::new(); N];
+            // Per node: this quantum's published stores, and the stores
+            // of its (at most one) dirty page.
+            let mut published: Vec<Vec<Store>> = vec![Vec::new(); N];
+            let mut unpublished: Vec<Vec<Store>> = vec![Vec::new(); N];
+            let mut now = SimTime::ZERO;
+
+            for step in 0..3_000 {
+                let barrier = rng.gen_range(0..100u32) < 4;
+                for i in 0..N {
+                    // A dirty page is published before its node touches
+                    // anything else, and before any barrier.
+                    if (barrier || i == step % N) && !unpublished[i].is_empty() {
+                        let page = PageId(unpublished[i][0].0 as u64);
+                        now = nodes[i].publish_resident(
+                            &mut shards[i],
+                            &dir,
+                            page,
+                            &mut outboxes[i],
+                            now,
+                        );
+                        published[i].append(&mut unpublished[i]);
+                    }
+                }
+                if barrier {
+                    rdma.borrow_mut().barrier(&mut shards);
+                    for i in 0..N {
+                        for (target, page) in outboxes[i].drain(..) {
+                            nodes[target.0].invalidate_local(page);
+                        }
+                        for (p, off, bytes) in published[i].drain(..) {
+                            committed[p][off..off + bytes.len()].copy_from_slice(&bytes);
+                        }
+                    }
+                    let pool = rdma.borrow();
+                    for (p, want) in committed.iter().enumerate() {
+                        let addr = nodes[0].addrs[&PageId(p as u64)];
+                        assert!(
+                            pool.raw().slice(addr, PS) == &want[..],
+                            "seed {seed} step {step}: page {p} after the barrier"
+                        );
+                    }
+                    continue;
+                }
+                let i = step % N;
+                let page = rng.gen_range(0..PAGES) as usize;
+                let len = rng.gen_range(1..=48usize);
+                let off = rng.gen_range(0..=PS - len);
+                if rng.gen_bool(0.6) {
+                    let mut want = committed[page].clone();
+                    overlay(&mut want, page, &published[i]);
+                    overlay(&mut want, page, &unpublished[i]);
+                    let mut buf = vec![0u8; len];
+                    now = nodes[i].read_resident(
+                        &mut shards[i],
+                        PageId(page as u64),
+                        off as u64,
+                        &mut buf,
+                        now,
+                    );
+                    assert_eq!(
+                        buf,
+                        want[off..off + len],
+                        "seed {seed} step {step}: node {i} page {page} off {off}"
+                    );
+                } else {
+                    let data = vec![rng.gen::<u8>(); len];
+                    now = nodes[i].write_resident(
+                        &mut shards[i],
+                        PageId(page as u64),
+                        off as u64,
+                        &data,
+                        now,
+                    );
+                    unpublished[i].push((page, off, data));
+                    // Mostly publish at once, like a statement does;
+                    // sometimes leave the page dirty for peers to probe.
+                    if rng.gen_bool(0.7) {
+                        now = nodes[i].publish_resident(
+                            &mut shards[i],
+                            &dir,
+                            PageId(page as u64),
+                            &mut outboxes[i],
+                            now,
+                        );
+                        published[i].append(&mut unpublished[i]);
+                    }
+                }
+            }
+            // Whole pages on the wire, whatever the host moved.
+            let mut pool = rdma.borrow_mut();
+            for shard in shards {
+                pool.attach_host(shard);
+            }
+            let msgs: u64 = nodes.iter().map(|n| n.stats().invalidation_msgs_sent).sum();
+            assert!(msgs > 0);
+            assert_eq!(pool.nic_bytes(N), PAGES * PS as u64 + 64 * msgs);
+            for (i, node) in nodes.iter().enumerate() {
+                let s = node.stats();
+                assert!(s.page_reads > 100 && s.page_writes > 100 && s.invalidations > 0);
+                assert_eq!(
+                    pool.nic_bytes(i),
+                    (s.page_reads + s.page_writes) * PS as u64
+                );
+            }
+        }
     }
 
     #[test]

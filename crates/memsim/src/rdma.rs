@@ -83,6 +83,47 @@ fn charge_nic(link: &mut Link, kind: SpanKind, host: usize, len: u64, now: SimTi
     }
 }
 
+/// Fault site and span kind of the two bulk directions.
+const PAGE_IN: (FaultSite, SpanKind) = (FaultSite::RdmaRead, SpanKind::RdmaPageIn);
+const PAGE_OUT: (FaultSite, SpanKind) = (FaultSite::RdmaWrite, SpanKind::RdmaPageOut);
+
+/// Gate the link and the direction's site, then charge `len` bytes to a
+/// NIC pipe, stretched by any degrade factor: the one gate/charge/degrade
+/// body behind every bulk transfer of the pool and of a shard. Moves no
+/// bytes. `Ok(None)` means the host is dead: nothing is timed or queued,
+/// and a write must not reach the remote node.
+#[inline]
+fn gated_transfer(
+    link: &mut Link,
+    (site, kind): (FaultSite, SpanKind),
+    host: usize,
+    len: u64,
+    now: SimTime,
+) -> Result<Option<Access>, RdmaError> {
+    let factor = link_gate(host, now)?;
+    match faults::gate(site, now) {
+        Verdict::Run => {
+            let mut a = charge_nic(link, kind, host, len, now);
+            degrade(&mut a, now, factor);
+            Ok(Some(a))
+        }
+        Verdict::Transient { spike_ns } => Err(RdmaError::Transient { spike_ns }),
+        _ => Ok(None),
+    }
+}
+
+/// Retry `attempt` in place until it succeeds, starting each new try
+/// after the spike the failed one burned (a transient burst is finite
+/// by construction, and retries advance `now` past a link outage).
+fn retrying<T>(mut now: SimTime, mut attempt: impl FnMut(SimTime) -> Result<T, RdmaError>) -> T {
+    loop {
+        match attempt(now) {
+            Ok(v) => return v,
+            Err(RdmaError::Transient { spike_ns }) => now += spike_ns,
+        }
+    }
+}
+
 /// A small control message on a NIC's tx pipe — costs a round trip but
 /// no bulk bandwidth. Shared body of [`RdmaPool::message`] and
 /// [`RdmaShard::message`].
@@ -90,15 +131,9 @@ fn message_on(tx: &mut Link, host: usize, now: SimTime) -> SimTime {
     if faults::crashed() {
         return now;
     }
-    let mut now = now;
-    let factor = loop {
-        match link_gate(host, now) {
-            Ok(f) => break f,
-            // Outage: the sender retries the doorbell until the NIC
-            // returns; each attempt burns the backoff interval.
-            Err(RdmaError::Transient { spike_ns }) => now += spike_ns,
-        }
-    };
+    // Outage: the sender retries the doorbell until the NIC returns;
+    // each attempt burns the backoff interval.
+    let (factor, now) = retrying(now, |now| link_gate(host, now).map(|f| (f, now)));
     let end = tx.transfer(now, 64).end;
     trace::attr_add(Lane::RdmaNic, end.saturating_since(now));
     let mut a = Access {
@@ -116,12 +151,26 @@ fn message_on(tx: &mut Link, host: usize, now: SimTime) -> SimTime {
 /// The RDMA operations node-level database code issues, abstracted over
 /// the serial pool and a phase-private [`RdmaShard`]. Drivers hand nodes
 /// whichever implementation matches the execution mode; both charge the
-/// identical timed bodies.
+/// identical timed bodies. Bulk transfers are split the way DESIGN.md's
+/// "timing plane vs data plane" splits them: the `*_timing` methods
+/// charge a transfer of any length and move nothing, `peek`/`poke` move
+/// bytes and cost nothing — so a caller can model a whole-page transfer
+/// while touching only the bytes it needs.
 pub trait RdmaFabric {
-    /// RDMA read over `host`'s NIC (retrying transients in place).
-    fn read(&mut self, host: usize, off: u64, buf: &mut [u8], now: SimTime) -> Access;
-    /// RDMA write over `host`'s NIC (retrying transients in place).
-    fn write(&mut self, host: usize, off: u64, data: &[u8], now: SimTime) -> Access;
+    /// Charge a `len`-byte RDMA read to `host`'s NIC (retrying
+    /// transients in place).
+    fn read_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access;
+    /// Charge a `len`-byte RDMA write to `host`'s NIC (retrying
+    /// transients in place). `None`: the host is dead, the write never
+    /// reaches the remote node and the caller must [`poke`](Self::poke)
+    /// nothing.
+    fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Option<Access>;
+    /// Untimed copy of the remote bytes at `off` as this view sees them:
+    /// its own stores at once, peers' stores once they landed.
+    fn peek(&self, off: u64, buf: &mut [u8]);
+    /// Untimed store of `data` at remote `off`: lands at once on the
+    /// pool, at the next barrier from a shard.
+    fn poke(&mut self, off: u64, data: &[u8]);
     /// Control message on `host`'s NIC.
     fn message(&mut self, host: usize, now: SimTime) -> SimTime;
 }
@@ -189,17 +238,8 @@ impl RdmaPool {
         len: u64,
         now: SimTime,
     ) -> Result<Access, RdmaError> {
-        let factor = link_gate(host, now)?;
-        match faults::gate(FaultSite::RdmaRead, now) {
-            Verdict::Run => {
-                let mut a =
-                    charge_nic(&mut self.nics[host].0, SpanKind::RdmaPageIn, host, len, now);
-                degrade(&mut a, now, factor);
-                Ok(a)
-            }
-            Verdict::Transient { spike_ns } => Err(RdmaError::Transient { spike_ns }),
-            _ => Ok(Access::free(now)),
-        }
+        let a = gated_transfer(&mut self.nics[host].0, PAGE_IN, host, len, now)?;
+        Ok(a.unwrap_or(Access::free(now)))
     }
 
     /// RDMA read with typed fault propagation: like [`RdmaPool::read`],
@@ -224,13 +264,19 @@ impl RdmaPool {
     /// burst is finite by construction); use [`RdmaPool::try_read`] for
     /// typed propagation.
     pub fn read(&mut self, host: usize, off: u64, buf: &mut [u8], now: SimTime) -> Access {
-        let mut now = now;
-        loop {
-            match self.try_read(host, off, buf, now) {
-                Ok(a) => return a,
-                Err(RdmaError::Transient { spike_ns }) => now += spike_ns,
-            }
-        }
+        retrying(now, |now| self.try_read(host, off, buf, now))
+    }
+
+    /// The timing half of [`RdmaPool::try_write`], twin of
+    /// [`RdmaPool::try_read_timing`]. `Ok(None)`: the host is dead and
+    /// the write must not land.
+    pub fn try_write_timing(
+        &mut self,
+        host: usize,
+        len: u64,
+        now: SimTime,
+    ) -> Result<Option<Access>, RdmaError> {
+        gated_transfer(&mut self.nics[host].1, PAGE_OUT, host, len, now)
     }
 
     /// RDMA write with typed fault propagation: like
@@ -244,40 +290,20 @@ impl RdmaPool {
         data: &[u8],
         now: SimTime,
     ) -> Result<Access, RdmaError> {
-        let factor = link_gate(host, now)?;
-        match faults::gate(FaultSite::RdmaWrite, now) {
-            Verdict::Run => {
-                let mut a = self.write_inner(host, off, data, now);
-                degrade(&mut a, now, factor);
-                Ok(a)
+        Ok(match self.try_write_timing(host, data.len() as u64, now)? {
+            Some(a) => {
+                self.region.write(off, data);
+                a
             }
-            Verdict::Transient { spike_ns } => Err(RdmaError::Transient { spike_ns }),
-            _ => Ok(Access::free(now)),
-        }
+            None => Access::free(now),
+        })
     }
 
     /// RDMA write: copy `data` to remote `off` over `host`'s NIC.
     /// Transient faults are retried in place; use
     /// [`RdmaPool::try_write`] for typed propagation.
     pub fn write(&mut self, host: usize, off: u64, data: &[u8], now: SimTime) -> Access {
-        let mut now = now;
-        loop {
-            match self.try_write(host, off, data, now) {
-                Ok(a) => return a,
-                Err(RdmaError::Transient { spike_ns }) => now += spike_ns,
-            }
-        }
-    }
-
-    fn write_inner(&mut self, host: usize, off: u64, data: &[u8], now: SimTime) -> Access {
-        self.region.write(off, data);
-        charge_nic(
-            &mut self.nics[host].1,
-            SpanKind::RdmaPageOut,
-            host,
-            data.len() as u64,
-            now,
-        )
+        retrying(now, |now| self.try_write(host, off, data, now))
     }
 
     /// A small control message (e.g. a page-invalidation RPC in the
@@ -359,11 +385,17 @@ impl RdmaPool {
 }
 
 impl RdmaFabric for RdmaPool {
-    fn read(&mut self, host: usize, off: u64, buf: &mut [u8], now: SimTime) -> Access {
-        RdmaPool::read(self, host, off, buf, now)
+    fn read_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access {
+        retrying(now, |now| self.try_read_timing(host, len, now))
     }
-    fn write(&mut self, host: usize, off: u64, data: &[u8], now: SimTime) -> Access {
-        RdmaPool::write(self, host, off, data, now)
+    fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Option<Access> {
+        retrying(now, |now| self.try_write_timing(host, len, now))
+    }
+    fn peek(&self, off: u64, buf: &mut [u8]) {
+        self.region.read(off, buf);
+    }
+    fn poke(&mut self, off: u64, data: &[u8]) {
+        self.region.write(off, data);
     }
     fn message(&mut self, host: usize, now: SimTime) -> SimTime {
         RdmaPool::message(self, host, now)
@@ -392,83 +424,34 @@ impl RdmaShard {
     pub fn host(&self) -> usize {
         self.host
     }
-
-    /// RDMA read with typed fault propagation (shard flavour of
-    /// [`RdmaPool::try_read`]): reads observe the shard's own pending
-    /// stores immediately and peers' stores as of the last barrier.
-    pub fn try_read(
-        &mut self,
-        off: u64,
-        buf: &mut [u8],
-        now: SimTime,
-    ) -> Result<Access, RdmaError> {
-        let factor = link_gate(self.host, now)?;
-        match faults::gate(FaultSite::RdmaRead, now) {
-            Verdict::Run => {
-                self.log.read_through(&self.reader, off, buf);
-                let mut a = charge_nic(
-                    &mut self.rx,
-                    SpanKind::RdmaPageIn,
-                    self.host,
-                    buf.len() as u64,
-                    now,
-                );
-                degrade(&mut a, now, factor);
-                Ok(a)
-            }
-            Verdict::Transient { spike_ns } => Err(RdmaError::Transient { spike_ns }),
-            _ => {
-                self.log.read_through(&self.reader, off, buf);
-                Ok(Access::free(now))
-            }
-        }
-    }
-
-    /// RDMA write with typed fault propagation (shard flavour of
-    /// [`RdmaPool::try_write`]): the store lands in the shard's log and
-    /// reaches the shared region at the next barrier.
-    pub fn try_write(&mut self, off: u64, data: &[u8], now: SimTime) -> Result<Access, RdmaError> {
-        let factor = link_gate(self.host, now)?;
-        match faults::gate(FaultSite::RdmaWrite, now) {
-            Verdict::Run => {
-                self.log.write(off, data);
-                let mut a = charge_nic(
-                    &mut self.tx,
-                    SpanKind::RdmaPageOut,
-                    self.host,
-                    data.len() as u64,
-                    now,
-                );
-                degrade(&mut a, now, factor);
-                Ok(a)
-            }
-            Verdict::Transient { spike_ns } => Err(RdmaError::Transient { spike_ns }),
-            _ => Ok(Access::free(now)),
-        }
-    }
 }
 
 impl RdmaFabric for RdmaShard {
-    fn read(&mut self, host: usize, off: u64, buf: &mut [u8], now: SimTime) -> Access {
+    fn read_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access {
         debug_assert_eq!(host, self.host);
-        let mut now = now;
-        loop {
-            match self.try_read(off, buf, now) {
-                Ok(a) => return a,
-                Err(RdmaError::Transient { spike_ns }) => now += spike_ns,
-            }
-        }
+        let a = retrying(now, |now| {
+            gated_transfer(&mut self.rx, PAGE_IN, host, len, now)
+        });
+        a.unwrap_or(Access::free(now))
     }
 
-    fn write(&mut self, host: usize, off: u64, data: &[u8], now: SimTime) -> Access {
+    fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Option<Access> {
         debug_assert_eq!(host, self.host);
-        let mut now = now;
-        loop {
-            match self.try_write(off, data, now) {
-                Ok(a) => return a,
-                Err(RdmaError::Transient { spike_ns }) => now += spike_ns,
-            }
-        }
+        retrying(now, |now| {
+            gated_transfer(&mut self.tx, PAGE_OUT, host, len, now)
+        })
+    }
+
+    /// Base bytes as of the last barrier, patched with this shard's own
+    /// pending stores.
+    fn peek(&self, off: u64, buf: &mut [u8]) {
+        self.log.read_through(&self.reader, off, buf);
+    }
+
+    /// The store lands in the shard's log and reaches the shared region
+    /// at the next barrier.
+    fn poke(&mut self, off: u64, data: &[u8]) {
+        self.log.write(off, data);
     }
 
     /// Control messages always ride the coherency server's tx NIC — the
@@ -647,13 +630,13 @@ mod tests {
         p.write(2, 0, &[9u8; 8], SimTime::ZERO);
         let mut s0 = p.detach_host(0, 2);
         let mut s1 = p.detach_host(1, 2);
-        s0.try_write(0, &[1u8; 8], SimTime::ZERO).unwrap();
-        s1.try_write(4, &[2u8; 8], SimTime::ZERO).unwrap();
+        s0.poke(0, &[1u8; 8]);
+        s1.poke(4, &[2u8; 8]);
         // Own writes visible immediately; the peer's not yet.
         let mut b = [0u8; 8];
-        s0.try_read(0, &mut b, SimTime::ZERO).unwrap();
+        s0.peek(0, &mut b);
         assert_eq!(b, [1u8; 8]);
-        s1.try_read(0, &mut b, SimTime::ZERO).unwrap();
+        s1.peek(0, &mut b);
         assert_eq!(b, [9, 9, 9, 9, 2, 2, 2, 2]);
         // The region still holds the pre-phase bytes.
         let mut r = [0u8; 8];
@@ -680,7 +663,7 @@ mod tests {
         let mut s0 = p.detach_host(0, 2);
         let mut last = SimTime::ZERO;
         for _ in 0..4 {
-            last = s0.try_read(0, &mut buf, SimTime::ZERO).unwrap().end;
+            last = s0.read_timing(0, PAGE_SIZE, SimTime::ZERO).end;
         }
         p.attach_host(s0);
         // Backlog and counters equal the serial run's.

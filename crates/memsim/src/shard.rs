@@ -81,6 +81,18 @@ impl RegionReader {
     }
 }
 
+/// Lay a pending store of `data` at `store_off` over `buf`, the bytes read
+/// at `off`, wherever the two overlap.
+#[inline]
+pub fn overlay(off: u64, buf: &mut [u8], store_off: u64, data: &[u8]) {
+    let lo = store_off.max(off);
+    let hi = (store_off + data.len() as u64).min(off + buf.len() as u64);
+    if lo < hi {
+        let src = &data[(lo - store_off) as usize..(hi - store_off) as usize];
+        buf[(lo - off) as usize..(hi - off) as usize].copy_from_slice(src);
+    }
+}
+
 /// One node's pending stores for the current quantum.
 ///
 /// Stores append to a byte arena; [`WriteLog::apply`] replays them onto
@@ -120,15 +132,8 @@ impl WriteLog {
     /// log's pending stores in program order (read-your-own-writes).
     pub fn read_through(&self, base: &RegionReader, off: u64, buf: &mut [u8]) {
         base.read(off, buf);
-        let end = off + buf.len() as u64;
         for &(eoff, aoff, len) in &self.entries {
-            let eend = eoff + len as u64;
-            if eoff < end && off < eend {
-                let s = eoff.max(off);
-                let e = eend.min(end);
-                let src = &self.arena[aoff + (s - eoff) as usize..][..(e - s) as usize];
-                buf[(s - off) as usize..(e - off) as usize].copy_from_slice(src);
-            }
+            overlay(off, buf, eoff, &self.arena[aoff..aoff + len]);
         }
     }
 

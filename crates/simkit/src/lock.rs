@@ -222,9 +222,18 @@ impl<K: Eq + Hash> LockTable<K> {
     /// snapshotted from this table, and [`LockTable::absorb`] folds
     /// each shard's deltas back at the barrier in fixed node order.
     pub fn shard(&self) -> LockShard<'_, K> {
+        self.shard_reusing(&mut LockDelta::default())
+    }
+
+    /// [`LockTable::shard`] built on the buffers of a `spent` delta
+    /// (one [`LockTable::absorb`] has drained), so a driver stepping
+    /// thousands of quanta allocates its shards once.
+    pub fn shard_reusing(&self, spent: &mut LockDelta<K>) -> LockShard<'_, K> {
+        debug_assert!(spent.entries.is_empty() && spent.touched.is_empty());
         LockShard {
             base: self,
-            touched: FastMap::default(),
+            touched: std::mem::take(&mut spent.touched),
+            entries: std::mem::take(&mut spent.entries),
             wait_ns: 0,
             contended: 0,
             acquires: 0,
@@ -246,8 +255,11 @@ impl<K: Eq + Hash + Ord + Copy> LockTable<K> {
     /// same-quantum hold by at most one barrier interval, identically
     /// for every worker count. Shared holds are max-merged (readers
     /// overlap).
-    pub fn absorb(&mut self, delta: LockDelta<K>) {
-        for (key, slot) in delta.entries {
+    ///
+    /// Drains `delta`, leaving its buffers for the next quantum's
+    /// [`LockTable::shard_reusing`].
+    pub fn absorb(&mut self, delta: &mut LockDelta<K>) {
+        for (key, slot) in delta.entries.drain(..) {
             let lock = self.locks.entry(key).or_default();
             match slot.first_xg {
                 None => {}
@@ -262,9 +274,9 @@ impl<K: Eq + Hash + Ord + Copy> LockTable<K> {
             lock.x_grants += slot.lock.x_grants - slot.base_xg;
             lock.s_grants += slot.lock.s_grants - slot.base_sg;
         }
-        self.wait_ns += delta.wait_ns;
-        self.contended += delta.contended;
-        self.acquires += delta.acquires;
+        self.wait_ns += std::mem::take(&mut delta.wait_ns);
+        self.contended += std::mem::take(&mut delta.contended);
+        self.acquires += std::mem::take(&mut delta.acquires);
     }
 }
 
@@ -290,6 +302,8 @@ struct ShardSlot {
 pub struct LockShard<'a, K: Eq + Hash> {
     base: &'a LockTable<K>,
     touched: FastMap<K, ShardSlot>,
+    /// Empty until [`LockShard::finish`]; carried for its capacity.
+    entries: Vec<(K, ShardSlot)>,
     wait_ns: u64,
     contended: u64,
     acquires: u64,
@@ -359,11 +373,13 @@ impl<K: Eq + Hash + Copy> LockShard<'_, K> {
 impl<K: Eq + Hash + Ord + Copy> LockShard<'_, K> {
     /// Detach the shard's deltas (sorted by key, so the barrier merge
     /// is independent of map iteration order).
-    pub fn finish(self) -> LockDelta<K> {
-        let mut entries: Vec<(K, ShardSlot)> = self.touched.into_iter().collect();
+    pub fn finish(mut self) -> LockDelta<K> {
+        let mut entries = self.entries;
+        entries.extend(self.touched.drain());
         entries.sort_unstable_by_key(|(k, _)| *k);
         LockDelta {
             entries,
+            touched: self.touched,
             wait_ns: self.wait_ns,
             contended: self.contended,
             acquires: self.acquires,
@@ -375,9 +391,23 @@ impl<K: Eq + Hash + Ord + Copy> LockShard<'_, K> {
 #[derive(Debug)]
 pub struct LockDelta<K> {
     entries: Vec<(K, ShardSlot)>,
+    /// The shard's drained map, kept for its capacity.
+    touched: FastMap<K, ShardSlot>,
     wait_ns: u64,
     contended: u64,
     acquires: u64,
+}
+
+impl<K> Default for LockDelta<K> {
+    fn default() -> Self {
+        LockDelta {
+            entries: Vec::new(),
+            touched: FastMap::default(),
+            wait_ns: 0,
+            contended: 0,
+            acquires: 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -475,9 +505,9 @@ mod tests {
         s0.acquire(1, SimTime::ZERO, LockMode::Exclusive, 100);
         s1.acquire(1, SimTime::ZERO, LockMode::Exclusive, 100);
         s1.acquire(2, SimTime::ZERO, LockMode::Exclusive, 50);
-        let (d0, d1) = (s0.finish(), s1.finish());
-        table.absorb(d0);
-        table.absorb(d1);
+        let (mut d0, mut d1) = (s0.finish(), s1.finish());
+        table.absorb(&mut d0);
+        table.absorb(&mut d1);
 
         // Both queues end at the same backlog; a third writer arriving
         // after the barrier sees the combined holds.
@@ -492,14 +522,40 @@ mod tests {
     }
 
     #[test]
+    fn reused_shard_buffers_merge_like_fresh_ones() {
+        let mut fresh: LockTable<u32> = LockTable::new();
+        let mut reused: LockTable<u32> = LockTable::new();
+        let mut spent = LockDelta::default();
+        for q in 0..3u64 {
+            let step = |mut s: LockShard<'_, u32>| {
+                for key in [9, 2, 5, 2] {
+                    s.acquire(key, SimTime(q * 100), LockMode::Exclusive, 40 + key as u64);
+                }
+                s.finish()
+            };
+            let mut d = step(fresh.shard());
+            fresh.absorb(&mut d);
+            spent = step(reused.shard_reusing(&mut spent));
+            reused.absorb(&mut spent);
+        }
+        for key in [2, 5, 9] {
+            assert_eq!(
+                fresh.acquire(key, SimTime::ZERO, LockMode::Exclusive, 1),
+                reused.acquire(key, SimTime::ZERO, LockMode::Exclusive, 1)
+            );
+        }
+        assert_eq!(fresh.wait_ns(), reused.wait_ns());
+        assert_eq!(fresh.contended(), reused.contended());
+    }
+
+    #[test]
     fn shard_shared_holds_max_merge() {
         let mut table: LockTable<u32> = LockTable::new();
         table.acquire(7, SimTime::ZERO, LockMode::Shared, 100);
         let mut s0 = table.shard();
         s0.acquire(7, SimTime(10), LockMode::Shared, 500); // holds to 510
         s0.extend_shared(7, SimTime(600));
-        let d = s0.finish();
-        table.absorb(d);
+        table.absorb(&mut s0.finish());
         let (g, _) = table.acquire(7, SimTime::ZERO, LockMode::Exclusive, 1);
         assert_eq!(g, SimTime(600), "writer waits for the merged reader");
     }

@@ -315,6 +315,9 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
     let settle_from = SimTime(cfg.duration.as_nanos() * 2 / 3);
     let mut dir = server.dir_snapshot();
     let mut locks: LockTable<PageId> = LockTable::new();
+    // Each node's lock delta; the barrier merge drains it and the next
+    // quantum's shard reuses its buffers.
+    let mut lock_bufs: Vec<LockDelta<PageId>> = (0..n).map(|_| LockDelta::default()).collect();
     let tcfg = elasticity_tcfg(cfg);
     let mut hub = TelemetryHub::new(tcfg.clone());
     let mut coord = MigrationCoordinator::new(NodeId(n), journal_base);
@@ -378,10 +381,11 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
             .iter_mut()
             .zip(shards.iter_mut())
             .zip(loops.iter_mut())
-            .map(|((node, shard), lp)| ElLane {
+            .zip(lock_bufs.iter_mut())
+            .map(|(((node, shard), lp), lock_buf)| ElLane {
                 node,
                 shard,
-                lock: locks.shard(),
+                lock: locks.shard_reusing(lock_buf),
                 lp,
             })
             .collect();
@@ -504,10 +508,11 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
             trace::swap_state(tr);
         });
         // Barrier: fold lock deltas and shards in node order.
-        let deltas: Vec<LockDelta<PageId>> =
-            lanes.into_iter().map(|lane| lane.lock.finish()).collect();
-        for delta in deltas {
-            locks.absorb(delta);
+        for (buf, lane) in lock_bufs.iter_mut().zip(lanes) {
+            *buf = lane.lock.finish();
+        }
+        for buf in lock_bufs.iter_mut() {
+            locks.absorb(buf);
         }
         cxl.borrow_mut().barrier(&mut shards);
         now = q_end;

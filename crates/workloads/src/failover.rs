@@ -696,8 +696,8 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         // oracle's last-writer-wins agrees with the region's.
         let deltas: Vec<LockDelta<PageId>> =
             lanes.into_iter().map(|lane| lane.lock.finish()).collect();
-        for delta in deltas {
-            locks.absorb(delta);
+        for mut delta in deltas {
+            locks.absorb(&mut delta);
         }
         for lp in loops.iter_mut() {
             for (key, b) in lp.writes.drain(..) {

@@ -650,8 +650,8 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
         // Barrier: fold lock deltas and link backlog in node order.
         let deltas: Vec<LockDelta<PageId>> =
             lanes.into_iter().map(|lane| lane.lock.finish()).collect();
-        for delta in deltas {
-            locks.absorb(delta);
+        for mut delta in deltas {
+            locks.absorb(&mut delta);
         }
         cxl.borrow_mut().barrier(&mut shards);
         now = q_end;

@@ -465,6 +465,9 @@ where
     let quantum = cfg.quantum.max(SimTime(1));
     let dir = server.dir_snapshot();
     let mut locks: LockTable<PageId> = LockTable::new();
+    // Each node's lock delta; the barrier merge drains it and the next
+    // quantum's shard reuses its buffers.
+    let mut lock_bufs: Vec<LockDelta<PageId>> = (0..n).map(|_| LockDelta::default()).collect();
     let tcfg = sharing_tcfg(cfg);
     let mut hub = TelemetryHub::new(tcfg.clone());
     let mut loops = node_loops(n, cfg.workers_per_node, cfg.seed, &tcfg);
@@ -492,10 +495,11 @@ where
             .zip(shards.iter_mut())
             .zip(loops.iter_mut())
             .zip(prevs.iter_mut())
-            .map(|(((node, shard), lp), prev)| CxlLane {
+            .zip(lock_bufs.iter_mut())
+            .map(|((((node, shard), lp), prev), lock_buf)| CxlLane {
                 node,
                 shard,
-                lock: locks.shard(),
+                lock: locks.shard_reusing(lock_buf),
                 lp,
                 prev,
             })
@@ -592,10 +596,11 @@ where
         });
         // Barrier: fold lock deltas, write logs and link backlog back
         // into the shared state in fixed node order.
-        let deltas: Vec<LockDelta<PageId>> =
-            lanes.into_iter().map(|lane| lane.lock.finish()).collect();
-        for delta in deltas {
-            locks.absorb(delta);
+        for (buf, lane) in lock_bufs.iter_mut().zip(lanes) {
+            *buf = lane.lock.finish();
+        }
+        for buf in lock_bufs.iter_mut() {
+            locks.absorb(buf);
         }
         cxl.borrow_mut().barrier(&mut shards);
         now = q_end;
@@ -696,6 +701,9 @@ where
     let quantum = cfg.quantum.max(SimTime(1));
     let dir = server.dir_snapshot();
     let mut locks: LockTable<PageId> = LockTable::new();
+    // Each node's lock delta; the barrier merge drains it and the next
+    // quantum's shard reuses its buffers.
+    let mut lock_bufs: Vec<LockDelta<PageId>> = (0..n).map(|_| LockDelta::default()).collect();
     let tcfg = sharing_tcfg(cfg);
     let mut hub = TelemetryHub::new(tcfg.clone());
     let mut loops = node_loops(n, cfg.workers_per_node, cfg.seed, &tcfg);
@@ -729,14 +737,17 @@ where
             .zip(loops.iter_mut())
             .zip(outboxes.iter_mut())
             .zip(prevs.iter_mut())
-            .map(|((((node, shard), lp), outbox), prev)| RdmaLane {
-                node,
-                shard,
-                lock: locks.shard(),
-                lp,
-                outbox,
-                prev,
-            })
+            .zip(lock_bufs.iter_mut())
+            .map(
+                |(((((node, shard), lp), outbox), prev), lock_buf)| RdmaLane {
+                    node,
+                    shard,
+                    lock: locks.shard_reusing(lock_buf),
+                    lp,
+                    outbox,
+                    prev,
+                },
+            )
             .collect();
         par::run_phase(threads, &mut lanes, |i, lane| {
             let RdmaLane {
@@ -831,10 +842,11 @@ where
         });
         // Barrier: fold lock deltas and NIC backlog in fixed node
         // order, then apply queued invalidations to their targets.
-        let deltas: Vec<LockDelta<PageId>> =
-            lanes.into_iter().map(|lane| lane.lock.finish()).collect();
-        for delta in deltas {
-            locks.absorb(delta);
+        for (buf, lane) in lock_bufs.iter_mut().zip(lanes) {
+            *buf = lane.lock.finish();
+        }
+        for buf in lock_bufs.iter_mut() {
+            locks.absorb(buf);
         }
         rdma.borrow_mut().barrier(&mut shards);
         #[allow(clippy::needless_range_loop)]

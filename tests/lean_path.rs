@@ -14,8 +14,14 @@
 //!
 //! and the `Access` sequences, `BpStats`, `CacheStats` and link bytes
 //! must be identical across the three.
+//!
+//! The RDMA sharing baseline has no second path, but the same split: it
+//! charges whole pages and moves only the bytes a statement touches. Its
+//! case runs the three modes over the serial and the phased API and
+//! checks that no charged transfer skipped its gate.
 
-use polardb_cxl_repro::memsim::{Access, CacheStats};
+use polardb_cxl_repro::memsim::{Access, CacheStats, RdmaShard};
+use polardb_cxl_repro::polarcxlmem::{RdmaDbp, RdmaSharingNode};
 use polardb_cxl_repro::prelude::*;
 use polardb_cxl_repro::simkit::trace;
 use std::cell::RefCell;
@@ -244,4 +250,126 @@ fn armed_fault_plan_sees_every_cxl_read_gate() {
         faults::stats().hits[FaultSite::CxlRead as usize]
     });
     assert_eq!(hits, 100);
+}
+
+/// Everything simulated that a sharing-baseline run produced, and the
+/// gate polls its charged transfers imply.
+#[derive(Debug, PartialEq)]
+struct SharingOutcome {
+    ends: Vec<SimTime>,
+    node_stats: String,
+    nic_bytes: Vec<u64>,
+    page_ins: u64,
+    page_outs: u64,
+}
+
+/// Two nodes over one DBP, reads and write+publish statements under
+/// LBP eviction pressure; `phased` runs the `*_resident` API on shards
+/// with a barrier every 50 statements. Returns the outcome and the
+/// `RdmaRead` / `RdmaWrite` gate polls an installed plan counted.
+fn drive_sharing(phased: bool) -> (SharingOutcome, u64, u64) {
+    const NODES: usize = 2;
+    let rdma = Rc::new(RefCell::new(RdmaPool::new(
+        PAGES as usize * PAGE_SIZE,
+        NODES + 1,
+    )));
+    let store = Rc::new(RefCell::new(store()));
+    let mut server = RdmaDbp::new(Rc::clone(&rdma), NODES, 0, PAGES as u32, store);
+    let mut nodes: Vec<RdmaSharingNode> = (0..NODES)
+        .map(|i| RdmaSharingNode::new(NodeId(i), i, FRAMES, PAGE_SIZE as u64))
+        .collect();
+    let mut ends = Vec::new();
+    let mut now = SimTime::ZERO;
+    for node in &mut nodes {
+        for p in 0..PAGES {
+            now = node.resolve(&mut server, PageId(p), now);
+            ends.push(now);
+        }
+    }
+    let dir = server.dir_snapshot();
+    let mut shards: Vec<RdmaShard> = if phased {
+        let mut pool = rdma.borrow_mut();
+        (0..NODES).map(|i| pool.detach_host(i, NODES)).collect()
+    } else {
+        Vec::new()
+    };
+    let mut outbox = Vec::new();
+    let mut rng = SimRng::seed_from_u64(0x5EA4);
+    let mut buf = [0u8; 120];
+    for step in 0..4_000usize {
+        let i = step % NODES;
+        let page = PageId(rng.gen_range(0..PAGES));
+        let off = rng.gen_range(0..=PAGE_SIZE - buf.len()) as u64;
+        now = match (phased, rng.gen_bool(0.4)) {
+            (false, false) => nodes[i].read(&mut server, page, off, &mut buf, now),
+            (false, true) => {
+                let t = nodes[i].write(&mut server, page, off, &buf, now);
+                let (targets, t) = nodes[i].publish(&mut server, page, t);
+                for target in targets {
+                    nodes[target.0].invalidate_local(page);
+                }
+                t
+            }
+            (true, false) => nodes[i].read_resident(&mut shards[i], page, off, &mut buf, now),
+            (true, true) => {
+                let t = nodes[i].write_resident(&mut shards[i], page, off, &buf, now);
+                nodes[i].publish_resident(&mut shards[i], &dir, page, &mut outbox, t)
+            }
+        };
+        ends.push(now);
+        if phased && step % 50 == 49 {
+            rdma.borrow_mut().barrier(&mut shards);
+            for (target, page) in outbox.drain(..) {
+                nodes[target.0].invalidate_local(page);
+            }
+        }
+    }
+    let mut pool = rdma.borrow_mut();
+    for shard in shards {
+        pool.attach_host(shard);
+    }
+    let stats: Vec<_> = nodes.iter().map(|n| n.stats()).collect();
+    let outcome = SharingOutcome {
+        ends,
+        node_stats: format!("{stats:?}"),
+        nic_bytes: (0..=NODES).map(|h| pool.nic_bytes(h)).collect(),
+        page_ins: stats.iter().map(|s| s.page_reads).sum(),
+        // The server's storage fills are page writes on its own NIC.
+        page_outs: stats.iter().map(|s| s.page_writes).sum::<u64>() + server.stats().storage_fills,
+    };
+    let hits = faults::stats().hits;
+    (
+        outcome,
+        hits[FaultSite::RdmaRead as usize],
+        hits[FaultSite::RdmaWrite as usize],
+    )
+}
+
+#[test]
+fn rdma_sharing_node_is_blind_to_instrumentation_and_skips_no_gate() {
+    for phased in [false, true] {
+        let ((plain, ..), _) = under(Mode::Plain, || drive_sharing(phased));
+        assert!(
+            plain.page_ins > 500 && plain.page_outs > 500,
+            "phased={phased}: {plain:?}"
+        );
+        // Whole pages on the wire for every page-in and write-back.
+        let moved = (plain.page_ins + plain.page_outs) * PAGE_SIZE as u64;
+        assert!(plain.nic_bytes.iter().sum::<u64>() >= moved);
+        for mode in [Mode::Attribution, Mode::ArmedFaults] {
+            let ((got, read_gates, write_gates), observed) = under(mode, || drive_sharing(phased));
+            assert!(observed, "phased={phased}: {mode:?} saw nothing");
+            for (i, (a, b)) in plain.ends.iter().zip(&got.ends).enumerate() {
+                assert_eq!(a, b, "phased={phased}: {mode:?} diverged at statement {i}");
+            }
+            assert_eq!(got, plain, "phased={phased}: {mode:?}");
+            if mode == Mode::ArmedFaults {
+                assert_eq!(
+                    (read_gates, write_gates),
+                    (got.page_ins, got.page_outs),
+                    "phased={phased}: a charged transfer skipped its gate"
+                );
+            }
+        }
+    }
 }
