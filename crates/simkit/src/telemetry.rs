@@ -1238,3 +1238,20 @@ mod rt {
 }
 
 pub use rt::{NodeProbe, TelemetryHub};
+
+impl TelemetryHub {
+    /// End of run: drain every probe's tail windows (operation overshoot
+    /// past the last barrier), seal through `end`, and export the report
+    /// — `None` when the layer is compiled out or the window is ZERO.
+    pub fn conclude<'a>(
+        &mut self,
+        probes: impl IntoIterator<Item = &'a mut NodeProbe>,
+        end: SimTime,
+    ) -> Option<TelemetryReport> {
+        for probe in probes {
+            self.drain(probe);
+        }
+        self.finish(end);
+        (compiled() && self.enabled()).then(|| self.report())
+    }
+}

@@ -24,7 +24,7 @@ use memsim::{CxlPool, NodeId, RdmaPool};
 use polarcxlmem::CxlBp;
 use simkit::faults::{self, Action, FaultPlan, FaultSite, FaultStats, Trigger};
 use simkit::rng::stream_rng;
-use simkit::telemetry::{self, NodeProbe, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport};
+use simkit::telemetry::{NodeProbe, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport};
 use simkit::{dur, MetricsRegistry, SimTime, Step, TimeSeries, WorkerId, WorkerSet};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -208,13 +208,7 @@ where
         recovery = Some(summary);
     }
 
-    hub.drain(&mut probe);
-    hub.finish(cfg.duration);
-    let telemetry_report = if telemetry::compiled() && hub.enabled() {
-        Some(hub.report())
-    } else {
-        None
-    };
+    let telemetry_report = hub.conclude([&mut probe], cfg.duration);
 
     let timeline = series
         .rates_per_sec()
@@ -403,7 +397,7 @@ mod tests {
         cfg.telemetry_window = SimTime(500_000);
         let r = run_chaos(&cfg);
         assert_eq!(r.crashes, 1);
-        if !telemetry::compiled() {
+        if !simkit::telemetry::compiled() {
             assert!(r.telemetry.is_none());
             return;
         }
@@ -430,7 +424,7 @@ mod tests {
         cfg.fault_events = 0;
         cfg.telemetry_window = SimTime::from_millis(2);
         let r = run_chaos(&cfg);
-        if !telemetry::compiled() {
+        if !simkit::telemetry::compiled() {
             return;
         }
         let rep = r.telemetry.as_ref().expect("telemetry compiled in");

@@ -23,29 +23,21 @@
 //! Everything is a function of virtual time and per-node state, so
 //! results are bit-identical across 1/2/4 host worker threads.
 
-use crate::sharing::{seed_storage, GroupLayout};
+use crate::cluster::{Cluster, FusionCluster};
+use crate::sharing::GroupLayout;
 use memsim::calib::{
-    CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, CPU_WRITE_STMT_NS, LOCK_SERVICE_NS, PAGE_SIZE,
-    STORAGE_READ_NS, STORAGE_WRITE_NS,
+    CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, CPU_WRITE_STMT_NS, PAGE_SIZE, STORAGE_READ_NS,
+    STORAGE_WRITE_NS,
 };
-use memsim::{CxlNodeConfig, CxlPool, CxlShard, NodeId};
+use memsim::NodeId;
 use polarcxlmem::fusion::CoherencyMode;
 use polarcxlmem::{
-    CxlMemoryManager, ElasticConfig, ElasticController, ElasticStats, FusionServer, FusionStats,
-    MigrationCoordinator, MigrationPlan, MigrationRequest, SharingNode,
+    CxlMemoryManager, ElasticConfig, ElasticController, ElasticStats, FusionStats,
+    MigrationCoordinator, MigrationPlan, MigrationRequest,
 };
-use simkit::faults::{self, FaultPlan, FaultState};
-use simkit::rng::{stream_rng, SimRng};
-use simkit::telemetry::{
-    self, Metric, NodeProbe, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport,
-};
-use simkit::trace::{self, Lane, TraceState};
-use simkit::{
-    par, Histogram, LockDelta, LockMode, LockShard, LockTable, MetricsRegistry, MultiServer,
-    SimTime, Step, WorkerId, WorkerSet,
-};
-use std::cell::RefCell;
-use std::rc::Rc;
+use simkit::faults::FaultState;
+use simkit::telemetry::{Metric, SloRule, TelemetryConfig, TelemetryReport};
+use simkit::{Histogram, MetricsRegistry, SimTime, Step};
 use storage::PageId;
 
 /// CPU charged to refuse a write into the write-protected (migrating)
@@ -186,11 +178,10 @@ pub struct ElasticityResult {
     pub telemetry: Option<TelemetryReport>,
 }
 
-/// Per-lane driver state surviving across quanta.
-struct ElLoop {
-    ws: WorkerSet,
-    cpu: MultiServer,
-    rngs: Vec<SimRng>,
+/// What a tenant's lane accumulates, plus its view of the partition —
+/// refreshed by the barrier hook, read-only inside a phase.
+#[derive(Default)]
+struct Tenant {
     hist: Histogram,
     settled: Histogram,
     queries: u64,
@@ -203,10 +194,10 @@ struct ElLoop {
     remote: Vec<u64>,
     /// Statements this quantum.
     q_ops: u64,
-    buf: Vec<u8>,
-    trace: TraceState,
-    faults: FaultState,
-    probe: NodeProbe,
+    /// Extent → owning tenant.
+    owners: Vec<usize>,
+    /// The write-protected (migrating) page range, if any.
+    protected: Option<(PageId, u64)>,
 }
 
 fn elasticity_tcfg(cfg: &ElasticityConfig) -> TelemetryConfig {
@@ -247,41 +238,10 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
     let ext_pages = layout.pages_per_group();
     let ext_bytes = ext_pages * PAGE_SIZE;
     let total_pages = layout.total_pages();
-    let slots_bytes = total_pages * PAGE_SIZE;
-    let flags_bytes = total_pages * 16;
-    let journal_base = slots_bytes + flags_bytes * n as u64;
-    let pool_size = journal_base + 4096;
-    let mut cfgs: Vec<CxlNodeConfig> = (0..=n)
-        .map(|host| CxlNodeConfig {
-            host,
-            cache_bytes: 8 << 20,
-            capture: true,
-            remote_numa: false,
-            direct_attach: false,
-        })
-        .collect();
-    cfgs[n].host = n; // fusion server / coordinator on its own link
-    let cxl = Rc::new(RefCell::new(CxlPool::new(pool_size as usize, &cfgs)));
-    let store = Rc::new(RefCell::new(seed_storage(&layout)));
-    let mut server = FusionServer::new(
-        Rc::clone(&cxl),
-        NodeId(n),
-        0,
-        total_pages as u32,
-        Rc::clone(&store),
-    );
-    let mut nodes: Vec<SharingNode> = (0..n)
-        .map(|i| {
-            let flag_base = slots_bytes + i as u64 * flags_bytes;
-            server.register_node(NodeId(i), flag_base);
-            SharingNode::with_mode(
-                NodeId(i),
-                flag_base,
-                PAGE_SIZE,
-                CoherencyMode::SoftwareLines,
-            )
-        })
-        .collect();
+    // The migration journal sits behind the DBP slots and flag arrays.
+    let journal_base = total_pages * (PAGE_SIZE + 16 * n as u64);
+    let (mut fusion, mut nodes) =
+        FusionCluster::with_nodes(&layout, n, CoherencyMode::SoftwareLines);
     // Initial partition matches first-half demand: tenant 0 owns the
     // first 3/4 of the extents, tenant 1 the rest. One manager lease
     // per extent over the page-address space, so every extent is an
@@ -295,271 +255,137 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
             .expect("pool sized for every extent");
         debug_assert_eq!(lease.offset, e as u64 * ext_bytes);
     }
-    // Warm serially: each tenant resolves every page of its extents, so
-    // no RPC happens inside a parallel phase.
+    // Each tenant resolves every page of its extents.
     for e in 0..cfg.extents {
-        let owner = initial_owner(e);
-        for p in 0..ext_pages {
-            let page = PageId(e as u64 * ext_pages + p);
-            nodes[owner].access(&mut server, page, SimTime::ZERO);
-        }
+        let pages = layout.group_pages(e).map(PageId);
+        fusion.warm(&mut nodes[initial_owner(e)], pages, SimTime::ZERO);
     }
-    cxl.borrow_mut().reset_link_counters();
 
-    let threads = if cfg.host_threads == 0 {
-        par::host_threads()
-    } else {
-        cfg.host_threads
-    };
-    let quantum = cfg.quantum.max(SimTime(1));
     let settle_from = SimTime(cfg.duration.as_nanos() * 2 / 3);
-    let mut dir = server.dir_snapshot();
-    let mut locks: LockTable<PageId> = LockTable::new();
-    // Each node's lock delta; the barrier merge drains it and the next
-    // quantum's shard reuses its buffers.
-    let mut lock_bufs: Vec<LockDelta<PageId>> = (0..n).map(|_| LockDelta::default()).collect();
-    let tcfg = elasticity_tcfg(cfg);
-    let mut hub = TelemetryHub::new(tcfg.clone());
     let mut coord = MigrationCoordinator::new(NodeId(n), journal_base);
     let mut ctl = ElasticController::new(
         (0..cfg.extents).map(initial_owner).collect(),
         n,
         cfg.elastic,
     );
-    let mut owners: Vec<usize> = ctl.owners().to_vec();
-    let mut loops: Vec<ElLoop> = (0..n)
-        .map(|i| {
-            let mut ws = WorkerSet::new();
-            for k in 0..cfg.workers_per_node {
-                ws.spawn(WorkerId(k), SimTime::ZERO);
-            }
-            ElLoop {
-                ws,
-                cpu: MultiServer::new(16),
-                rngs: (0..cfg.workers_per_node)
-                    .map(|k| stream_rng(cfg.seed, (i * cfg.workers_per_node + k) as u64))
-                    .collect(),
-                hist: Histogram::new(),
-                settled: Histogram::new(),
-                queries: 0,
-                txns: 0,
-                remote_reads: 0,
-                remote_writes: 0,
-                protected_writes: 0,
-                remote: vec![0; cfg.extents],
-                q_ops: 0,
-                buf: vec![0u8; 256],
-                trace: TraceState::armed(),
-                faults: FaultState::prepared(FaultPlan::default()),
-                probe: NodeProbe::new(i as u32, &tcfg),
-            }
+    let tenants = (0..n)
+        .map(|_| Tenant {
+            remote: vec![0; cfg.extents],
+            owners: ctl.owners().to_vec(),
+            ..Tenant::default()
         })
         .collect();
-    let mut shards: Vec<CxlShard> = {
-        let mut pool = cxl.borrow_mut();
-        (0..n).map(|i| pool.detach_node(NodeId(i))).collect()
-    };
-
-    struct ElLane<'a> {
-        node: &'a mut SharingNode,
-        shard: &'a mut CxlShard,
-        lock: LockShard<'a, PageId>,
-        lp: &'a mut ElLoop,
+    let faults = (0..n).map(|_| FaultState::inactive()).collect();
+    let (tcfg, wpn) = (elasticity_tcfg(cfg), cfg.workers_per_node);
+    let mut cluster = Cluster::new(fusion, nodes, tenants, faults, tcfg, wpn, cfg.seed);
+    // This scenario defines a miss itself: a storage-direct statement.
+    cluster.protocol_probe = false;
+    for i in 0..n {
+        cluster.activate(i, SimTime::ZERO);
     }
 
     let payload = [0xE7u8; 96];
-    let cfg_ref: &ElasticityConfig = cfg;
-    let layout_ref = &layout;
-    let mut inflight: Option<(MigrationRequest, MigrationPlan)> = None;
+    let mut inflight: Option<MigrationRequest> = None;
     let mut migrations = 0u64;
-    let mut now = SimTime::ZERO;
-    while now < cfg.duration {
-        let q_end = (now + quantum.as_nanos()).min(cfg.duration);
-        let prot = coord.protected();
-        let owners_ref: &[usize] = &owners;
-        let mut lanes: Vec<ElLane> = nodes
-            .iter_mut()
-            .zip(shards.iter_mut())
-            .zip(loops.iter_mut())
-            .zip(lock_bufs.iter_mut())
-            .map(|(((node, shard), lp), lock_buf)| ElLane {
-                node,
-                shard,
-                lock: locks.shard_reusing(lock_buf),
-                lp,
-            })
-            .collect();
-        let dir_ref = &dir;
-        par::run_phase(threads, &mut lanes, |i, lane| {
-            let ElLane {
-                node,
-                shard,
-                lock,
-                lp,
-            } = lane;
-            let ElLoop {
-                ws,
-                cpu,
-                rngs,
-                hist,
-                settled,
-                queries,
-                txns,
-                remote_reads,
-                remote_writes,
-                protected_writes,
-                remote,
-                q_ops,
-                buf,
-                trace: tr,
-                faults: fs,
-                probe,
-            } = &mut **lp;
-            trace::swap_state(tr);
-            faults::swap_state(fs);
-            ws.run_until(q_end, |WorkerId(w), start| {
-                let rng = &mut rngs[w];
-                let demand = demand_range(cfg_ref, i, start);
-                let span = (demand.end - demand.start) as u64;
-                let mut t = start + CPU_TXN_OVERHEAD_NS;
-                for _ in 0..4 {
-                    let background = rng.gen_range(0..100) < cfg_ref.background_pct as u64;
-                    let e = if background {
-                        // Residual trickle: a uniform pick over the
-                        // extents this tenant currently owns.
-                        let owned_cnt = owners_ref.iter().filter(|&&o| o == i).count() as u64;
-                        let k = rng.gen_range(0..owned_cnt.max(1)) as usize;
-                        owners_ref
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &o)| o == i)
-                            .nth(k)
-                            .map(|(e, _)| e)
-                            .unwrap_or(demand.start)
+    let telemetry_report = cluster.run(
+        cfg.duration,
+        cfg.quantum,
+        cfg.host_threads,
+        |ctx, w, start| {
+            let i = ctx.lane;
+            let demand = demand_range(cfg, i, start);
+            let span = (demand.end - demand.start) as u64;
+            let mut t = start + CPU_TXN_OVERHEAD_NS;
+            for _ in 0..4 {
+                let (rng, owners) = (&mut ctx.rngs[w], &ctx.ext.owners);
+                let background = rng.gen_range(0..100) < cfg.background_pct as u64;
+                let e = if background {
+                    // Residual trickle: a uniform pick over the
+                    // extents this tenant currently owns.
+                    let owned_cnt = owners.iter().filter(|&&o| o == i).count() as u64;
+                    let k = rng.gen_range(0..owned_cnt.max(1)) as usize;
+                    (0..owners.len())
+                        .filter(|&e| owners[e] == i)
+                        .nth(k)
+                        .unwrap_or(demand.start)
+                } else {
+                    demand.start + rng.gen_range(0..span) as usize
+                };
+                let row = rng.gen_range(0..layout.rows_per_group);
+                let (page, off) = layout.locate(e, row);
+                let is_write = rng.gen_range(0..100) < cfg.write_pct as u64;
+                let owned = owners[e] == i;
+                let in_protected = (ctx.ext.protected)
+                    .is_some_and(|(from, count)| page.0 >= from.0 && page.0 < from.0 + count);
+                let s0 = t;
+                if owned && is_write && in_protected {
+                    // The migrating range is write-protected on the
+                    // donor: refuse fast, client retries after the
+                    // hand-off. Reads below keep flowing.
+                    t = ctx.cpu.acquire(t, PROTECTED_WRITE_NS).end;
+                    ctx.ext.protected_writes += 1;
+                    ctx.probe.record_errs(0, t, 1);
+                } else if owned {
+                    t = if is_write {
+                        ctx.locked_write_publish(page, off as u64 + 8, &payload, t)
+                            .expect("no node of this cluster is ever fenced")
                     } else {
-                        demand.start + rng.gen_range(0..span) as usize
+                        ctx.locked_read(page, off as u64 + 8, 96, t)
                     };
-                    let row = rng.gen_range(0..layout_ref.rows_per_group);
-                    let (page, off) = layout_ref.locate(e, row);
-                    let is_write = rng.gen_range(0..100) < cfg_ref.write_pct as u64;
-                    let owned = owners_ref[e] == i;
-                    let in_protected = prot
-                        .is_some_and(|(from, count)| page.0 >= from.0 && page.0 < from.0 + count);
-                    let s0 = t;
-                    if owned && is_write && in_protected {
-                        // The migrating range is write-protected on the
-                        // donor: refuse fast, client retries after the
-                        // hand-off. Reads below keep flowing.
-                        t = cpu.acquire(t, PROTECTED_WRITE_NS).end;
-                        *protected_writes += 1;
-                        if probe.enabled() {
-                            probe.record_errs(0, t, 1);
-                        }
-                    } else if owned {
-                        if is_write {
-                            t = cpu.acquire(t, CPU_WRITE_STMT_NS).end;
-                            t += LOCK_SERVICE_NS;
-                            let (grant, _) = lock.acquire(page, t, LockMode::Exclusive, 0);
-                            t = grant;
-                            t = node.write_resident(*shard, page, off as u64 + 8, &payload, t);
-                            t = node.publish_resident(*shard, dir_ref, page, t);
-                            lock.extend_exclusive(page, t);
-                        } else {
-                            t = cpu.acquire(t, CPU_POINT_SELECT_NS).end;
-                            t += LOCK_SERVICE_NS;
-                            let (grant, _) = lock.acquire(page, t, LockMode::Shared, 0);
-                            t = grant;
-                            t = node.read_resident(*shard, page, off as u64 + 8, &mut buf[..96], t);
-                            lock.extend_shared(page, t);
-                        }
-                        if probe.enabled() {
-                            probe.record_op(0, t, t.saturating_since(s0));
-                            probe.record_bytes(0, t, 96);
-                        }
+                    ctx.probe.record_op(0, t, t.saturating_since(s0));
+                    ctx.probe.record_bytes(0, t, 96);
+                } else {
+                    // Foreign extent: storage-direct service — the
+                    // thrash the controller exists to remove.
+                    if is_write {
+                        t = ctx.cpu.acquire(t, CPU_WRITE_STMT_NS).end + STORAGE_WRITE_NS;
+                        ctx.ext.remote_writes += 1;
                     } else {
-                        // Foreign extent: storage-direct service — the
-                        // thrash the controller exists to remove.
-                        if is_write {
-                            t = cpu.acquire(t, CPU_WRITE_STMT_NS).end;
-                            t += STORAGE_WRITE_NS;
-                            *remote_writes += 1;
-                        } else {
-                            t = cpu.acquire(t, CPU_POINT_SELECT_NS).end;
-                            t += STORAGE_READ_NS;
-                            *remote_reads += 1;
-                        }
-                        remote[e] += 1;
-                        if probe.enabled() {
-                            probe.record_op(1, t, t.saturating_since(s0));
-                            probe.record_misses(1, t, 1);
-                        }
+                        t = ctx.cpu.acquire(t, CPU_POINT_SELECT_NS).end + STORAGE_READ_NS;
+                        ctx.ext.remote_reads += 1;
                     }
-                    *queries += 1;
-                    *q_ops += 1;
+                    ctx.ext.remote[e] += 1;
+                    ctx.probe.record_op(1, t, t.saturating_since(s0));
+                    ctx.probe.record_misses(1, t, 1);
                 }
-                *txns += 1;
-                hist.record(t - start);
-                if start >= settle_from {
-                    settled.record(t - start);
-                }
-                Step::Done(t)
-            });
-            faults::swap_state(fs);
-            trace::swap_state(tr);
-        });
-        // Barrier: fold lock deltas and shards in node order.
-        for (buf, lane) in lock_bufs.iter_mut().zip(lanes) {
-            *buf = lane.lock.finish();
-        }
-        for buf in lock_bufs.iter_mut() {
-            locks.absorb(buf);
-        }
-        cxl.borrow_mut().barrier(&mut shards);
-        now = q_end;
-        if hub.enabled() {
-            for lp in loops.iter_mut() {
-                hub.ingest(&mut lp.probe, now);
+                ctx.ext.queries += 1;
+                ctx.ext.q_ops += 1;
             }
-            hub.seal(now);
-        }
-        // Controller food: per-tenant per-extent remote ops and totals
-        // for the quantum just ended, folded in node order.
-        let mut remote_window: Vec<Vec<u64>> = Vec::with_capacity(n);
-        let mut ops_window: Vec<u64> = Vec::with_capacity(n);
-        for lp in loops.iter_mut() {
-            remote_window.push(std::mem::replace(&mut lp.remote, vec![0; cfg.extents]));
-            ops_window.push(std::mem::take(&mut lp.q_ops));
-        }
-        if cfg.adaptive {
-            if let Some((req, _plan)) = inflight.take() {
+            ctx.ext.txns += 1;
+            ctx.ext.hist.record(t - start);
+            if start >= settle_from {
+                ctx.ext.settled.record(t - start);
+            }
+            Step::Done(t)
+        },
+        |cl, now| {
+            if !cfg.adaptive {
+                return;
+            }
+            // Controller food: per-tenant per-extent remote ops and totals
+            // for the quantum just ended, folded in node order.
+            let mut remote_window: Vec<Vec<u64>> = Vec::with_capacity(n);
+            let mut ops_window: Vec<u64> = Vec::with_capacity(n);
+            for lp in cl.exts.iter_mut() {
+                remote_window.push(std::mem::replace(&mut lp.remote, vec![0; cfg.extents]));
+                ops_window.push(std::mem::take(&mut lp.q_ops));
+            }
+            // Both migration phases run with every shard merged back.
+            if let Some(req) = inflight.take() {
                 // COMMIT barrier: the intent journalled last barrier
                 // goes through phase 2 while the lanes were serving
                 // through the write-protected window.
-                {
-                    let mut pool = cxl.borrow_mut();
-                    for s in shards.drain(..) {
-                        pool.attach_node(s);
-                    }
-                }
-                let (donor_ix, recip_ix) = (req.donor, req.recipient);
-                {
-                    let (a, b) = nodes.split_at_mut(donor_ix.max(recip_ix));
-                    let (d, r) = if donor_ix < recip_ix {
-                        (&mut a[donor_ix], &mut b[0])
-                    } else {
-                        (&mut b[0], &mut a[recip_ix])
+                cl.merged(|cl| {
+                    let (lo, hi) = cl.nodes.split_at_mut(1);
+                    let (d, r) = match req.donor {
+                        0 => (&mut lo[0], &mut hi[0]),
+                        _ => (&mut hi[0], &mut lo[0]),
                     };
-                    coord
-                        .commit(&mut server, &mut mgr, d, r, now)
-                        .expect("fault-free commit");
-                }
-                {
-                    let mut pool = cxl.borrow_mut();
-                    shards = (0..n).map(|i| pool.detach_node(NodeId(i))).collect();
-                }
+                    coord.commit(&mut cl.fabric.server, &mut mgr, d, r, now)
+                })
+                .expect("fault-free commit");
                 ctl.apply(req);
-                owners = ctl.owners().to_vec();
-                dir = server.dir_snapshot();
+                cl.refresh_dir();
                 migrations += 1;
             } else {
                 // Pressure: the telemetry burn-rate rule when compiled
@@ -569,65 +395,36 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
                 for (t, p) in pressured.iter_mut().enumerate() {
                     let remote_total: u64 = remote_window[t].iter().sum();
                     let share_hit = remote_total * 100 > ops_window[t] * cfg.pressure_pct;
-                    *p = share_hit || (hub.enabled() && hub.firing("miss_burn", t as u32));
+                    *p = share_hit || cl.hub.firing("miss_burn", t as u32);
                 }
                 if let Some(req) = ctl.tick(&pressured, &remote_window) {
                     // PREPARE barrier: journal the intent and flush the
                     // donor range; the next quantum runs with the range
                     // write-protected on the donor.
-                    let from = PageId(req.extent as u64 * ext_pages);
-                    let lease = mgr
-                        .lease_at(req.extent as u64 * ext_bytes, ext_bytes)
-                        .expect("every extent keeps its lease");
                     let plan = MigrationPlan {
                         donor: NodeId(req.donor),
                         recipient: NodeId(req.recipient),
-                        from,
+                        from: PageId(layout.group_pages(req.extent).start),
                         count: ext_pages,
-                        lease,
+                        lease: mgr
+                            .lease_at(req.extent as u64 * ext_bytes, ext_bytes)
+                            .expect("every extent keeps its lease"),
                     };
-                    {
-                        let mut pool = cxl.borrow_mut();
-                        for s in shards.drain(..) {
-                            pool.attach_node(s);
-                        }
-                    }
-                    coord
-                        .prepare(&mut server, plan, now)
+                    cl.merged(|cl| coord.prepare(&mut cl.fabric.server, plan, now))
                         .expect("fault-free prepare");
-                    {
-                        let mut pool = cxl.borrow_mut();
-                        shards = (0..n).map(|i| pool.detach_node(NodeId(i))).collect();
-                    }
-                    inflight = Some((req, plan));
+                    inflight = Some(req);
                 }
             }
-        }
-    }
-    {
-        let mut pool = cxl.borrow_mut();
-        for shard in shards {
-            pool.attach_node(shard);
-        }
-    }
-    server.absorb_invalidations(
-        nodes
-            .iter()
-            .map(|node| node.stats().invalidations_sent)
-            .sum(),
+            for lp in cl.exts.iter_mut() {
+                lp.owners.clone_from_slice(ctl.owners());
+                lp.protected = coord.protected();
+            }
+        },
     );
-    for lp in loops.iter_mut() {
-        hub.drain(&mut lp.probe);
-    }
-    hub.finish(cfg.duration);
-    let telemetry_report = if telemetry::compiled() && hub.enabled() {
-        Some(hub.report())
-    } else {
-        None
-    };
 
     // Partition sanity: slot conservation, lease invariants, and the
     // lease map agreeing with the controller's extent map.
+    let server = &cluster.fabric.server;
     debug_assert_eq!(
         server.pages_in_use() + server.free_slots(),
         total_pages as usize,
@@ -645,11 +442,11 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
         );
     }
 
-    // Fold lanes in node order: outcomes, aggregates, trace state.
+    // Fold lanes in node order: outcomes and aggregates.
     let mut per_tenant = Vec::with_capacity(n);
     let mut queries = 0u64;
     let mut txns = 0u64;
-    for (i, mut lp) in loops.into_iter().enumerate() {
+    for (i, lp) in cluster.exts.iter().enumerate() {
         queries += lp.queries;
         txns += lp.txns;
         per_tenant.push(ElasticTenantOutcome {
@@ -663,16 +460,6 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
             settled_p99_ns: lp.settled.quantile_ns(0.99),
             mean_ns: (lp.hist.mean_us() * 1_000.0).round() as u64,
         });
-        let bd = lp.trace.breakdown();
-        for lane in Lane::ALL {
-            let ns = bd.lane(lane);
-            if ns > 0 {
-                trace::attr_add(lane, ns);
-            }
-        }
-        for ev in lp.trace.take_events() {
-            trace::span(ev.kind, ev.node, ev.start, ev.end, ev.bytes);
-        }
     }
     let fusion = server.stats();
     let elastic = coord.stats();

@@ -10,7 +10,7 @@
 //!    slow, which is why fencing exists).
 //! 2. **Fencing** — the fusion server bumps the node's epoch word in
 //!    CXL; any late guarded store/publish from its zombie incarnation
-//!    is rejected ([`FencedError`]).
+//!    is rejected ([`polarcxlmem::FencedError`]).
 //! 3. **Takeover** — a standby registers under the bumped epoch regime,
 //!    adopts the dead node's DBP pages straight out of CXL (PolarRecv
 //!    band: RPCs + flag stores, no storage replay), and starts serving
@@ -27,34 +27,26 @@
 //! produces an *observable* stale read and fails
 //! [`FailoverResult::assert_safety`].
 
+use crate::cluster::{Cluster, Fenced, FusionCluster};
 use crate::metrics::TimelinePoint;
 use crate::sharing::{seed_storage, GroupLayout};
-use memsim::calib::{
-    CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, CPU_WRITE_STMT_NS, LOCK_SERVICE_NS, PAGE_SIZE,
-};
-use memsim::{CxlNodeConfig, CxlPool, CxlShard, NodeId};
-use polarcxlmem::{CxlMemoryManager, FencingPolicy, FusionServer, FusionStats, Lease, SharingNode};
+use memsim::calib::{CPU_TXN_OVERHEAD_NS, PAGE_SIZE};
+use memsim::NodeId;
+use polarcxlmem::{CxlMemoryManager, FencingPolicy, FusionStats, Lease, SharingNode};
 use simkit::faults::{self, Action, FaultPlan, FaultSite, FaultState, FaultStats, Trigger};
-use simkit::rng::{stream_rng, SimRng};
+use simkit::rng::stream_rng;
 use simkit::stats::TimeSeries;
-use simkit::telemetry::{
-    self, Metric, NodeProbe, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport,
-};
-use simkit::trace::{self, Lane, SpanKind, TraceState};
-use simkit::{
-    par, LockDelta, LockMode, LockShard, LockTable, MetricsRegistry, MultiServer, SimTime, Step,
-    WorkerId, WorkerSet,
-};
-use std::cell::RefCell;
+use simkit::telemetry::{Metric, SloRule, TelemetryConfig, TelemetryReport};
+use simkit::trace::{self, SpanKind};
+use simkit::{MetricsRegistry, SimTime, Step};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use storage::PageId;
 
 /// How the victim node dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeathMode {
     /// The host truly dies: its CPU caches freeze mid-flight
-    /// ([`CxlPool::crash_node`]) and it never speaks again.
+    /// ([`memsim::CxlPool::crash_node`]) and it never speaks again.
     Crash,
     /// The node is only *declared* dead (partition / long pause): it
     /// stops serving when declared, but issues one late guarded write
@@ -271,29 +263,14 @@ fn fill_byte(w: usize, k: u64) -> u8 {
     }
 }
 
-/// Per-node driver state surviving across quanta (primaries `0..n`,
-/// the standby at index `n`): the node's closed-loop scheduler, CPU
-/// cores, RNG streams, write sequence numbers, timeline, reusable I/O
-/// buffers, the per-quantum committed-write log for the oracle, and
-/// the node's detached tracer / fault-engine states (swapped in around
-/// each quantum).
-struct FoLoop {
-    ws: WorkerSet,
-    cpu: MultiServer,
-    rngs: Vec<SimRng>,
+/// What a lane (primaries `0..n`, the standby at lane `n`) accumulates:
+/// per-worker write sequence numbers, the throughput timeline, and the
+/// quantum's committed writes awaiting the oracle at the barrier.
+struct Served {
     write_seq: Vec<u64>,
-    wbase: usize,
     series: TimeSeries,
     queries: u64,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
     writes: Vec<((PageId, u16), u8)>,
-    trace: TraceState,
-    faults: FaultState,
-    probe: NodeProbe,
-    /// Fusion-stat snapshot at the last quantum edge (miss/retry deltas
-    /// feed the probe per quantum).
-    prev: polarcxlmem::SharingNodeStats,
 }
 
 /// Run the failover scenario.
@@ -340,51 +317,26 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         })
         .collect();
 
-    // ---- Fabric, storage, fusion server -----------------------------
-    // Identity i on host i: primaries 0..n, server on n, standby on n+1.
-    let cfgs: Vec<CxlNodeConfig> = (0..n + 2)
-        .map(|host| CxlNodeConfig {
-            host,
-            cache_bytes: 8 << 20,
-            capture: true,
-            remote_numa: false,
-            direct_attach: false,
-        })
-        .collect();
-    let cxl = Rc::new(RefCell::new(CxlPool::new(pool_size as usize, &cfgs)));
-    let store = Rc::new(RefCell::new(seed_storage(&layout)));
-    let mut server = FusionServer::new(
-        Rc::clone(&cxl),
-        server_id,
-        0,
-        total_pages as u32,
-        Rc::clone(&store),
-    );
-    server.enable_fencing(cfg.fencing, epoch_lease.offset);
-    let guard_nodes = cfg.fencing == FencingPolicy::Epoch;
+    // ---- Fabric, storage, fusion server, nodes ----------------------
+    let mut fusion = FusionCluster::new(&layout, pool_size, n + 2, server_id);
+    fusion
+        .server
+        .enable_fencing(cfg.fencing, epoch_lease.offset);
+    // Under the ablation the server still grants epochs; nodes just
+    // never re-validate them.
+    let guard = (cfg.fencing == FencingPolicy::Epoch).then_some(epoch_lease.offset);
     let mut nodes: Vec<SharingNode> = (0..n)
         .map(|i| {
-            let (grant, _) =
-                server.register_node_fenced(NodeId(i), flag_leases[i].offset, SimTime::ZERO);
             let mut node = SharingNode::new(NodeId(i), flag_leases[i].offset, PAGE_SIZE);
-            if guard_nodes {
-                node.enable_fencing(epoch_lease.offset, grant);
-            }
+            fusion.admit(&mut node, flag_leases[i].offset, guard, SimTime::ZERO);
             node
         })
         .collect();
-    // Warm: every node resolves its own group + the shared group.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        for g in [i, n] {
-            for p in 0..pages_per_group {
-                let page = PageId(g as u64 * pages_per_group + p);
-                nodes[i].access(&mut server, page, SimTime::ZERO);
-            }
-        }
-    }
-    cxl.borrow_mut().reset_link_counters();
-    let warm_fills = server.stats().storage_fills;
+    fusion.warm_home(&mut nodes, &layout);
+    // Lane n is the standby: it registers, adopts and starts at takeover.
+    let standby = SharingNode::new(standby_id, flag_leases[n].offset, PAGE_SIZE);
+    nodes.push(standby);
+    let warm_fills = fusion.server.stats().storage_fills;
 
     // ---- Fault plan --------------------------------------------------
     // The crash instant is derived from the fault seed: same
@@ -442,9 +394,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         }
     }
 
-    // ---- The cluster run ---------------------------------------------
-    let mut locks: LockTable<PageId> = LockTable::new();
-
     // Oracle: committed row contents, keyed (page, offset). Shared row 0
     // is reserved as the zombie's target — the workload never writes it,
     // so its expected content stays the deterministic seed byte and a
@@ -456,10 +405,8 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     let mut death_declared: Option<SimTime> = None;
     let mut takeover: Option<TakeoverSummary> = None;
     let mut zombie_due: Option<SimTime> = None;
-    let mut standby_node: Option<SharingNode> = None;
     let detection_ns = cfg.detection.as_nanos();
     let idle_tick = (detection_ns / 4).max(10_000);
-    let payload_len = 120usize;
 
     // Vanilla-replay estimate: what the takeover would cost if the
     // standby had to reload the dead node's group from storage (an
@@ -468,34 +415,20 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         let mut cold = seed_storage(&layout);
         let mut buf = vec![0u8; PAGE_SIZE as usize];
         let mut t = SimTime::ZERO;
-        for p in 0..pages_per_group {
-            let page = PageId(dead as u64 * pages_per_group + p);
-            t = cold.read_page(page, &mut buf, t).end;
+        for page in layout.group_pages(dead) {
+            t = cold.read_page(PageId(page), &mut buf, t).end;
         }
         t.as_nanos()
     };
 
-    // ---- Phased stepping between virtual-time barriers ---------------
+    // ---- The cluster -------------------------------------------------
     // Every node (and, once serving, the standby) steps on its own lane
-    // between barriers; cross-node effects — CXL write logs, lock
-    // deltas, invalid flags, oracle commits — land at each barrier in
-    // fixed node order. Detection, fencing, takeover and the zombie's
-    // late write are control-plane actions: they run serially at
-    // barrier boundaries on the driver thread, which is also where the
-    // serial supervisor polled them (once per idle tick).
-    let threads = if cfg.host_threads == 0 {
-        par::host_threads()
-    } else {
-        cfg.host_threads
-    };
-    let quantum = idle_tick;
-
-    // ---- Online telemetry ---------------------------------------------
-    // One probe per identity (primaries + standby), ingested and sealed
-    // at every barrier. The absence rule is the telemetry-driven death
-    // detector scored against the fault plan's ground truth; the p99
-    // burn-rate rule catches link degradation (sustained latency
-    // inflation with the short mean reacting and the long confirming).
+    // of the [`crate::cluster`] driver, one supervisor idle tick per
+    // quantum. One probe per identity: the absence rule is the
+    // telemetry-driven death detector scored against the fault plan's
+    // ground truth; the p99 burn-rate rule catches link degradation
+    // (sustained latency inflation with the short mean reacting and the
+    // long confirming).
     let tcfg = TelemetryConfig::new(cfg.telemetry_window, n + 1)
         .lanes(&["private", "shared"])
         .rule(
@@ -508,384 +441,198 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
                 .fire_after(1)
                 .clear_after(2),
         );
-    let mut hub = TelemetryHub::new(tcfg.clone());
-    // The standby is silent until takeover — not a missing heartbeat.
-    hub.set_inactive(n as u32);
-
-    let mut loops: Vec<FoLoop> = (0..n + 1)
-        .map(|i| {
-            let mut ws = WorkerSet::new();
-            if i < n {
-                for k in 0..wpn {
-                    ws.spawn(WorkerId(k), SimTime::ZERO);
-                }
-            } // the standby's workers spawn at takeover_done
-            FoLoop {
-                ws,
-                cpu: MultiServer::new(16),
-                rngs: (0..wpn)
-                    .map(|k| stream_rng(cfg.seed, (i * wpn + k) as u64))
-                    .collect(),
-                write_seq: vec![0u64; wpn],
-                wbase: i * wpn,
-                series: TimeSeries::with_capacity_for(cfg.bucket.as_nanos(), cfg.duration),
-                queries: 0,
-                rbuf: vec![0u8; payload_len],
-                wbuf: vec![0u8; payload_len],
-                writes: Vec::new(),
-                trace: TraceState::armed(),
-                faults: FaultState::prepared(std::mem::take(&mut lane_plans[i])),
-                probe: NodeProbe::new(i as u32, &tcfg),
-                prev: polarcxlmem::SharingNodeStats::default(),
-            }
+    let served = (0..=n)
+        .map(|_| Served {
+            write_seq: vec![0u64; wpn],
+            series: TimeSeries::with_capacity_for(cfg.bucket.as_nanos(), cfg.duration),
+            queries: 0,
+            writes: Vec::new(),
         })
         .collect();
-    let mut dir = server.dir_snapshot();
-    // Shards of currently-stepping identities, ascending: primaries
-    // 0..n, minus the victim once declared, plus the standby once
-    // serving (its identity n+1 sorts last).
-    let mut shards: Vec<CxlShard> = {
-        let mut pool = cxl.borrow_mut();
-        (0..n).map(|i| pool.detach_node(NodeId(i))).collect()
-    };
-
-    struct FoLane<'a> {
-        serve_group: usize,
-        node: &'a mut SharingNode,
-        shard: &'a mut CxlShard,
-        lock: LockShard<'a, PageId>,
-        lp: &'a mut FoLoop,
+    let faults = lane_plans.into_iter().map(FaultState::prepared).collect();
+    let mut cluster = Cluster::new(fusion, nodes, served, faults, tcfg, wpn, cfg.seed);
+    // The standby is silent until takeover — not a missing heartbeat.
+    cluster.hub.set_inactive(n as u32);
+    for i in 0..n {
+        cluster.activate(i, SimTime::ZERO);
     }
 
     let shared_pct = cfg.shared_pct;
     let rows = layout.rows_per_group;
-    let mut now = SimTime::ZERO;
-    while now < cfg.duration {
-        let q_end = (now + quantum).min(cfg.duration);
-        let mut lanes: Vec<FoLane> = Vec::with_capacity(shards.len());
-        {
-            let node_iter = nodes
-                .iter_mut()
-                .map(Some)
-                .chain(std::iter::once(standby_node.as_mut()));
-            let mut shard_iter = shards.iter_mut();
-            for ((idx, node_opt), lp) in node_iter.enumerate().zip(loops.iter_mut()) {
-                let active = if idx < n {
-                    !(idx == dead && death_declared.is_some())
+    let telemetry_report = cluster.run(
+        cfg.duration,
+        SimTime(idle_tick),
+        cfg.host_threads,
+        |ctx, w, start| {
+            // The standby serves the dead node's group.
+            let serve_group = if ctx.lane < n { ctx.lane } else { dead };
+            let mut t = start + CPU_TXN_OVERHEAD_NS;
+            let mut stmts = 0u64;
+            for _ in 0..4 {
+                let s0 = t;
+                let rng = &mut ctx.rngs[w];
+                let group = if rng.gen_range(0..100) < shared_pct {
+                    n
                 } else {
-                    takeover.is_some()
+                    serve_group
                 };
-                if !active {
-                    continue;
-                }
-                lanes.push(FoLane {
-                    serve_group: if idx < n { idx } else { dead },
-                    node: node_opt.expect("active node exists"),
-                    shard: shard_iter.next().expect("one shard per active node"),
-                    lock: locks.shard(),
-                    lp,
-                });
-            }
-        }
-        let dir_ref = &dir;
-        par::run_phase(threads, &mut lanes, |_, lane| {
-            let FoLane {
-                serve_group,
-                node,
-                shard,
-                lock,
-                lp,
-            } = lane;
-            let serve_group = *serve_group;
-            let FoLoop {
-                ws,
-                cpu,
-                rngs,
-                write_seq,
-                wbase,
-                series,
-                queries,
-                rbuf,
-                wbuf,
-                writes,
-                trace: tr,
-                faults: fs,
-                probe,
-                prev,
-            } = &mut **lp;
-            trace::swap_state(tr);
-            faults::swap_state(fs);
-            ws.run_until(q_end, |WorkerId(w), start| {
-                let rng = &mut rngs[w];
-                let mut t = start + CPU_TXN_OVERHEAD_NS;
-                let mut stmts = 0u64;
-                for _ in 0..4 {
-                    let s0 = t;
-                    let group = if rng.gen_range(0..100) < shared_pct {
-                        n
-                    } else {
-                        serve_group
-                    };
-                    let lane_ix = (group == n) as usize;
-                    // Shared row 0 is the zombie's reserved target.
-                    let row = if group == n {
-                        rng.gen_range(1..rows)
-                    } else {
-                        rng.gen_range(0..rows)
-                    };
-                    let (page, off) = layout.locate(group, row);
-                    let is_write = rng.gen_range(0..100) < 40;
-                    if is_write {
-                        t = cpu.acquire(t, CPU_WRITE_STMT_NS).end;
-                        t += LOCK_SERVICE_NS;
-                        let (grant, _) = lock.acquire(page, t, LockMode::Exclusive, 0);
-                        t = grant;
-                        write_seq[w] += 1;
-                        let b = fill_byte(*wbase + w, write_seq[w]);
-                        wbuf.fill(b);
-                        match node
-                            .guarded_write_resident(*shard, page, off as u64, wbuf, t)
-                            .and_then(|t2| node.guarded_publish_resident(*shard, dir_ref, page, t2))
-                        {
-                            Ok(t2) => {
-                                t = t2;
-                                writes.push(((page, off), b));
-                            }
-                            Err(_) => {
-                                // Fenced mid-run: the write never
-                                // committed, so the oracle keeps the old
-                                // value; stop serving.
-                                lock.extend_exclusive(page, t);
-                                probe.record_errs(lane_ix, t, 1);
-                                return Step::Park;
-                            }
+                let lane_ix = (group == n) as usize;
+                // Shared row 0 is the zombie's reserved target.
+                let row = if group == n {
+                    rng.gen_range(1..rows)
+                } else {
+                    rng.gen_range(0..rows)
+                };
+                let (page, off) = layout.locate(group, row);
+                let is_write = rng.gen_range(0..100) < 40;
+                if is_write {
+                    ctx.ext.write_seq[w] += 1;
+                    let b = fill_byte(ctx.lane * wpn + w, ctx.ext.write_seq[w]);
+                    match ctx.locked_write_publish(page, off as u64, &[b; 120], t) {
+                        Ok(t2) => {
+                            t = t2;
+                            ctx.ext.writes.push(((page, off), b));
                         }
-                        lock.extend_exclusive(page, t);
-                    } else {
-                        t = cpu.acquire(t, CPU_POINT_SELECT_NS).end;
-                        t += LOCK_SERVICE_NS;
-                        let (grant, _) = lock.acquire(page, t, LockMode::Shared, 0);
-                        t = grant;
-                        t = node.read_resident(*shard, page, off as u64, rbuf, t);
-                        lock.extend_shared(page, t);
+                        Err(Fenced(at)) => {
+                            // Fenced mid-run: the write never committed,
+                            // so the oracle keeps the old value; stop
+                            // serving.
+                            ctx.probe.record_errs(lane_ix, at, 1);
+                            return Step::Park;
+                        }
                     }
-                    probe.record_op(lane_ix, t, t.saturating_since(s0));
-                    probe.record_bytes(lane_ix, t, 120);
-                    stmts += 1;
+                } else {
+                    t = ctx.locked_read(page, off as u64, 120, t);
                 }
-                series.record_at(t, stmts);
-                *queries += stmts;
-                Step::Done(t)
-            });
-            // Fold the quantum's fusion-protocol deltas into the window
-            // still open at the quantum edge (misses = RPCs, retries =
-            // coherency drops/reloads).
-            if probe.enabled() {
-                let s1 = node.stats();
-                let d = s1.since(prev);
-                let edge = SimTime(q_end.as_nanos().saturating_sub(1));
-                probe.record_misses(0, edge, d.rpcs);
-                probe.record_retries(0, edge, d.invalid_drops + d.removal_reloads);
-                *prev = s1;
+                ctx.probe.record_op(lane_ix, t, t.saturating_since(s0));
+                ctx.probe.record_bytes(lane_ix, t, 120);
+                stmts += 1;
             }
-            faults::swap_state(fs);
-            trace::swap_state(tr);
-        });
-        // Barrier: fold lock deltas, then the oracle's committed writes,
-        // then the fabric write logs — all in fixed node order, so the
-        // oracle's last-writer-wins agrees with the region's.
-        let deltas: Vec<LockDelta<PageId>> =
-            lanes.into_iter().map(|lane| lane.lock.finish()).collect();
-        for mut delta in deltas {
-            locks.absorb(&mut delta);
-        }
-        for lp in loops.iter_mut() {
-            for (key, b) in lp.writes.drain(..) {
-                model.insert(key, b);
-            }
-        }
-        cxl.borrow_mut().barrier(&mut shards);
-        now = q_end;
-        // Telemetry barrier: hand every window that closed before `now`
-        // to the hub (fixed node order), then seal — rows, health and
-        // alert transitions are a function of virtual time only.
-        for lp in loops.iter_mut() {
-            hub.ingest(&mut lp.probe, now);
-        }
-        hub.seal(now);
-
+            ctx.ext.series.record_at(t, stmts);
+            ctx.ext.queries += stmts;
+            Step::Done(t)
+        },
         // ---- Barrier-boundary control plane --------------------------
-        if death_declared.is_none() {
-            if let Some(node) = loops[dead].faults.take_node_crash() {
-                debug_assert_eq!(node as usize, dead);
-                death_declared = Some(now);
-                // The victim stops being stepped; its shard re-attaches
-                // so barrier-boundary serial code (the zombie, the crash
-                // path) works through the pool.
-                let sh = shards.remove(dead);
-                let mut pool = cxl.borrow_mut();
-                pool.attach_node(sh);
-                if cfg.death == DeathMode::Crash {
-                    pool.crash_node(NodeId(dead));
-                }
-                // Ground-truth acknowledged: pin the victim's health to
-                // Dead from this window on. Its rules keep evaluating —
-                // the absence alert still fires and scores MTTD.
-                hub.retire(dead as u32, now);
+        // Detection, fencing, takeover and the zombie's late write run
+        // serially here, once per idle tick — where the supervisor polls.
+        |cl, now| {
+            // The oracle's commits fold in lane order, like the fabric's
+            // write logs, so its last-writer-wins agrees with the region's.
+            for served in cl.exts.iter_mut() {
+                model.extend(served.writes.drain(..));
             }
-        } else if let Some(declared) = death_declared {
-            if takeover.is_none() && now >= declared + detection_ns {
-                let fence_start = now;
-                // 1. Fence: bump the dead node's epoch word. Serial at
-                //    the barrier — shard reads observe it next quantum.
-                let mut t = server.fence_node(NodeId(dead), fence_start);
-                // 2. Reclaim its page locks (its group + shared pages).
-                let mut locks_reclaimed = 0u64;
-                for g in [dead, n] {
-                    for p in 0..pages_per_group {
-                        let page = PageId(g as u64 * pages_per_group + p);
-                        if locks.reclaim(page, t) {
+            if death_declared.is_none() {
+                if let Some(node) = cl.cores[dead].faults.take_node_crash() {
+                    debug_assert_eq!(node as usize, dead);
+                    death_declared = Some(now);
+                    // The victim stops being stepped; its shard merges
+                    // back so serial code (the zombie, the crash path)
+                    // works through the pool.
+                    cl.deactivate(dead);
+                    if cfg.death == DeathMode::Crash {
+                        cl.fabric.pool.borrow_mut().crash_node(NodeId(dead));
+                    }
+                    // Ground-truth acknowledged: pin the victim's health to
+                    // Dead from this window on. Its rules keep evaluating —
+                    // the absence alert still fires and scores MTTD.
+                    cl.hub.retire(dead as u32, now);
+                }
+            } else if let Some(declared) = death_declared {
+                if takeover.is_none() && now >= declared + detection_ns {
+                    let fence_start = now;
+                    let (fabric, sb) = (&mut cl.fabric, &mut cl.nodes[n]);
+                    // 1. Fence: bump the dead node's epoch word. Serial at
+                    //    the barrier — shard reads observe it next quantum.
+                    let mut t = fabric.server.fence_node(NodeId(dead), fence_start);
+                    // 2. Reclaim its page locks (its group + shared pages).
+                    let mut locks_reclaimed = 0u64;
+                    for page in layout.home_pages(dead) {
+                        if cl.locks.reclaim(page, t) {
                             locks_reclaimed += 1;
                         }
                     }
-                }
-                // 3. Lease surgery: revoke the dead node's scratch
-                //    lease (idempotent — failover can race shutdown)
-                //    and hand the spare flag array to the standby.
-                let (revoked, t2) = mgr.revoke(scratch_leases[dead], t);
-                debug_assert!(revoked);
-                let (again, t3) = mgr.revoke(scratch_leases[dead], t2);
-                debug_assert!(!again);
-                let (_, t4) = mgr
-                    .reassign(flag_leases[n], standby_id, t3)
-                    .expect("standby flag lease");
-                t = t4;
-                // 4. Standby adopts the DBP straight out of CXL while
-                //    the pages are still mapped (PolarRecv band).
-                let fills_before = server.stats().storage_fills;
-                let (grant, t2) = server.register_node_fenced(standby_id, flag_leases[n].offset, t);
-                t = t2;
-                let mut sb = SharingNode::new(standby_id, flag_leases[n].offset, PAGE_SIZE);
-                if guard_nodes {
-                    sb.enable_fencing(epoch_lease.offset, grant);
-                }
-                // One bulk RPC adopts the dead node's whole group out of
-                // the DBP directory — no per-page round trips, no
-                // storage replay.
-                let (adopted, t2) = sb.adopt(
-                    &mut server,
-                    PageId(dead as u64 * pages_per_group),
-                    pages_per_group,
-                    t,
-                );
-                t = t2;
-                // 5. Self-heal the server: drop the dead node from every
-                //    active list, clear its flag words, recycle slots
-                //    nobody else holds.
-                let slots_before = server.stats().reclaimed_slots;
-                t = server.reclaim_node(NodeId(dead), t);
-                trace::span(
-                    SpanKind::RecoveryReplay,
-                    standby_id.0 as u32,
-                    fence_start,
-                    t,
-                    pages_per_group * PAGE_SIZE,
-                );
-                takeover = Some(TakeoverSummary {
-                    death_declared: declared,
-                    fence_start,
-                    takeover_done: t,
-                    takeover_ns: t.saturating_since(fence_start),
-                    replay_estimate_ns,
-                    pages_recovered: adopted,
-                    storage_fills_during_takeover: server.stats().storage_fills - fills_before,
-                    locks_reclaimed,
-                    slots_reclaimed: server.stats().reclaimed_slots - slots_before,
-                });
-                // The standby also serves the shared group: resolve its
-                // pages serially so no RPC happens mid-phase, then start
-                // its workers at takeover_done and hand it a fabric
-                // shard for the next quantum.
-                for p in 0..pages_per_group {
-                    let page = PageId(n as u64 * pages_per_group + p);
-                    sb.access(&mut server, page, t);
-                }
-                standby_node = Some(sb);
-                for k in 0..wpn {
-                    loops[n].ws.spawn(WorkerId(k), t);
-                }
-                hub.expect_from(n as u32, t);
-                shards.push(cxl.borrow_mut().detach_node(standby_id));
-                dir = server.dir_snapshot();
-                if cfg.death == DeathMode::Zombie {
-                    zombie_due = Some(t + idle_tick);
+                    // 3. Lease surgery: revoke the dead node's scratch
+                    //    lease (idempotent — failover can race shutdown)
+                    //    and hand the spare flag array to the standby.
+                    let (revoked, t2) = mgr.revoke(scratch_leases[dead], t);
+                    debug_assert!(revoked);
+                    let (again, t3) = mgr.revoke(scratch_leases[dead], t2);
+                    debug_assert!(!again);
+                    let (_, t4) = mgr
+                        .reassign(flag_leases[n], standby_id, t3)
+                        .expect("standby flag lease");
+                    t = t4;
+                    // 4. Standby adopts the DBP straight out of CXL while
+                    //    the pages are still mapped (PolarRecv band).
+                    let fills_before = fabric.server.stats().storage_fills;
+                    t = fabric.admit(sb, flag_leases[n].offset, guard, t);
+                    // One bulk RPC adopts the dead node's whole group out of
+                    // the DBP directory — no per-page round trips, no
+                    // storage replay.
+                    let first = PageId(layout.group_pages(dead).start);
+                    let (adopted, t2) = sb.adopt(&mut fabric.server, first, pages_per_group, t);
+                    t = t2;
+                    // 5. Self-heal the server: drop the dead node from every
+                    //    active list, clear its flag words, recycle slots
+                    //    nobody else holds.
+                    let slots_before = fabric.server.stats().reclaimed_slots;
+                    t = fabric.server.reclaim_node(NodeId(dead), t);
+                    trace::span(
+                        SpanKind::RecoveryReplay,
+                        standby_id.0 as u32,
+                        fence_start,
+                        t,
+                        pages_per_group * PAGE_SIZE,
+                    );
+                    takeover = Some(TakeoverSummary {
+                        death_declared: declared,
+                        fence_start,
+                        takeover_done: t,
+                        takeover_ns: t.saturating_since(fence_start),
+                        replay_estimate_ns,
+                        pages_recovered: adopted,
+                        storage_fills_during_takeover: fabric.server.stats().storage_fills
+                            - fills_before,
+                        locks_reclaimed,
+                        slots_reclaimed: fabric.server.stats().reclaimed_slots - slots_before,
+                    });
+                    // The standby also serves the shared group: resolve its
+                    // pages serially so no RPC happens mid-phase, then start
+                    // its workers at takeover_done on a shard of its own.
+                    fabric.warm(sb, layout.group_pages(n).map(PageId), t);
+                    cl.activate(n, t);
+                    cl.hub.expect_from(n as u32, t);
+                    cl.refresh_dir();
+                    if cfg.death == DeathMode::Zombie {
+                        zombie_due = Some(t + idle_tick);
+                    }
                 }
             }
-        }
-        if let Some(due) = zombie_due {
-            if now >= due {
+            if zombie_due.is_some_and(|due| now >= due) {
                 zombie_due = None;
                 // The zombie speaks: one late guarded write+publish
                 // against a shared row. Epoch fencing refuses it; the
                 // ablation lets it straight through to readers.
                 let (page, off) = zombie_row;
-                if let Ok(t2) =
-                    nodes[dead].guarded_write(&mut server, page, off as u64, &[0xEE; 120], now)
-                {
-                    let _ = nodes[dead].guarded_publish(&mut server, page, t2);
+                let (zombie, server) = (&mut cl.nodes[dead], &mut cl.fabric.server);
+                if let Ok(t2) = zombie.guarded_write(server, page, off as u64, &[0xEE; 120], now) {
+                    let _ = zombie.guarded_publish(server, page, t2);
                 }
             }
-        }
-    }
-    // Re-attach the surviving shards: the safety check below reads
-    // serially through the pool.
-    {
-        let mut pool = cxl.borrow_mut();
-        for shard in shards.drain(..) {
-            pool.attach_node(shard);
-        }
-    }
-    server.absorb_invalidations(
-        nodes
-            .iter()
-            .chain(standby_node.iter())
-            .map(|node| node.stats().invalidations_sent)
-            .sum(),
+        },
     );
-    // Drain the probes' tail windows (operation overshoot past the last
-    // barrier) and seal through the end of the run.
-    for lp in loops.iter_mut() {
-        hub.drain(&mut lp.probe);
-    }
-    hub.finish(cfg.duration);
-    let telemetry_report = if telemetry::compiled() && hub.enabled() {
-        Some(hub.report())
-    } else {
-        None
-    };
-    // Fold per-lane fault counters, end-of-run link state and trace
-    // state back in node order.
+    // Fold per-lane fault counters and end-of-run link state in lane
+    // order.
     let mut fault_stats = FaultStats::default();
     let mut link_snap = faults::LinkSnapshot::default();
-    for lp in loops.iter_mut() {
-        fault_stats.absorb(&lp.faults.stats());
-        let ls = lp.faults.link_snapshot(cfg.duration);
+    for core in &cluster.cores {
+        fault_stats.absorb(&core.faults.stats());
+        let ls = core.faults.link_snapshot(cfg.duration);
         link_snap.degraded += ls.degraded;
         link_snap.down += ls.down;
         link_snap.worst_factor = link_snap.worst_factor.max(ls.worst_factor);
-        let bd = lp.trace.breakdown();
-        for lane in Lane::ALL {
-            let ns = bd.lane(lane);
-            if ns > 0 {
-                trace::attr_add(lane, ns);
-            }
-        }
-        for ev in lp.trace.take_events() {
-            trace::span(ev.kind, ev.node, ev.start, ev.end, ev.bytes);
-        }
     }
-    let queries_per_node: Vec<u64> = loops.iter().map(|lp| lp.queries).collect();
-    let series: Vec<TimeSeries> = loops.into_iter().map(|lp| lp.series).collect();
+    let queries_per_node: Vec<u64> = cluster.exts.iter().map(|s| s.queries).collect();
 
     // ---- End-of-run safety check: protocol reads vs the oracle -------
     let reader_for = |page: PageId| -> usize {
@@ -900,21 +647,15 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         }
     };
     let mut mismatches = 0u64;
-    let t_check = cfg.duration;
-    let mut buf = vec![0u8; payload_len];
+    let mut buf = vec![0u8; 120];
     for (&(page, off), &expect) in model.iter() {
         let ridx = reader_for(page);
-        buf.fill(0);
-        if ridx == n {
-            match standby_node.as_mut() {
-                Some(sb) => {
-                    sb.read(&mut server, page, off as u64, &mut buf, t_check);
-                }
-                None => continue, // takeover never happened: nothing to check
-            }
-        } else {
-            nodes[ridx].read(&mut server, page, off as u64, &mut buf, t_check);
+        if ridx == n && takeover.is_none() {
+            continue; // takeover never happened: nothing to check
         }
+        buf.fill(0);
+        let server = &mut cluster.fabric.server;
+        cluster.nodes[ridx].read(server, page, off as u64, &mut buf, cfg.duration);
         if buf.iter().any(|&b| b != expect) {
             mismatches += 1;
         }
@@ -922,6 +663,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     let safety_ok = mismatches == 0;
 
     // ---- Timelines, liveness, registry --------------------------------
+    let series: Vec<TimeSeries> = cluster.exts.into_iter().map(|s| s.series).collect();
     let per_node_timeline: Vec<Vec<TimelinePoint>> = series
         .iter()
         .map(|s| {
@@ -953,6 +695,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     }
 
     let queries: u64 = queries_per_node.iter().sum();
+    let server = &cluster.fabric.server;
     let fusion = server.stats();
     let mut registry = MetricsRegistry::new();
     registry.set_int("queries", queries);
@@ -1049,6 +792,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::telemetry;
 
     #[test]
     fn failover_recovers_and_stays_safe() {

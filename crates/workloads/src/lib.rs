@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod cluster;
 pub mod elasticity;
 pub mod failover;
 pub mod harness;

@@ -31,31 +31,20 @@
 //! Every QoS decision is a function of virtual time and per-node state
 //! only, so results are bit-identical across host thread counts.
 
-use crate::sharing::{seed_storage, GroupLayout, ShOp};
-use memsim::calib::{
-    CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, CPU_WRITE_STMT_NS, LOCK_SERVICE_NS, PAGE_SIZE,
-    STORAGE_READ_NS,
-};
-use memsim::{CxlNodeConfig, CxlPool, CxlShard, NodeId};
+use crate::cluster::{Cluster, FusionCluster};
+use crate::sharing::{exec_op, GroupLayout, ShOp};
+use memsim::calib::{CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, STORAGE_READ_NS};
+use memsim::NodeId;
 use polarcxlmem::fusion::CoherencyMode;
-use polarcxlmem::{FusionServer, FusionStats, SharingNode};
+use polarcxlmem::FusionStats;
 use simkit::faults::{self, Action, FaultPlan, FaultSite, FaultState, LinkHealth, Trigger};
 use simkit::qos::{
     self, Admission, AdmissionStats, BreakerConfig, BreakerStats, CircuitBreaker, Decision,
     QosConfig, TenantClass,
 };
-use simkit::rng::{stream_rng, SimRng, Zipf};
-use simkit::telemetry::{
-    self, Metric, NodeProbe, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport,
-};
-use simkit::trace::{self, Lane, TraceState};
-use simkit::{
-    par, Histogram, LockDelta, LockMode, LockShard, LockTable, MetricsRegistry, MultiServer,
-    SimTime, Step, WorkerId, WorkerSet,
-};
-use std::cell::RefCell;
-use std::rc::Rc;
-use storage::PageId;
+use simkit::rng::{SimRng, Zipf};
+use simkit::telemetry::{Metric, SloRule, TelemetryConfig, TelemetryReport};
+use simkit::{Histogram, MetricsRegistry, SimTime, Step};
 
 /// CPU + client turnaround charged to a shed transaction: the node
 /// rejects at admission (no locks, no fabric) and the closed-loop
@@ -237,13 +226,10 @@ pub struct OverloadResult {
     pub telemetry: Option<TelemetryReport>,
 }
 
-/// Per-lane driver state surviving across quanta. Each lane owns the
-/// admission gate and fabric breaker for its own tenant; the driver
-/// flips brownout flags serially at barriers.
-struct OvLoop {
-    ws: WorkerSet,
-    cpu: MultiServer,
-    rngs: Vec<SimRng>,
+/// What a tenant's lane accumulates, plus the admission gate and fabric
+/// breaker it owns; the driver flips brownout flags serially at
+/// barriers.
+struct Tenant {
     hist: Histogram,
     queries: u64,
     txns: u64,
@@ -251,13 +237,10 @@ struct OvLoop {
     browned_txns: u64,
     breaker_fallbacks: u64,
     refused_writes: u64,
-    buf: Vec<u8>,
     adm: Admission,
     breaker: CircuitBreaker,
-    trace: TraceState,
-    faults: FaultState,
-    probe: NodeProbe,
-    prev: polarcxlmem::SharingNodeStats,
+    /// The transaction being executed (buffer reused across steps).
+    ops: Vec<ShOp>,
 }
 
 fn qos_config(cfg: &OverloadConfig) -> QosConfig {
@@ -339,67 +322,13 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
         groups: n + 1,
         rows_per_group: cfg.rows_per_group,
     };
-    let total_pages = layout.total_pages();
-    let slots_bytes = total_pages * PAGE_SIZE;
-    let flags_bytes = total_pages * 16;
-    let pool_size = slots_bytes + flags_bytes * n as u64 + 4096;
-    let mut cfgs: Vec<CxlNodeConfig> = (0..=n)
-        .map(|host| CxlNodeConfig {
-            host,
-            cache_bytes: 8 << 20,
-            capture: true,
-            remote_numa: false,
-            direct_attach: false,
-        })
-        .collect();
-    cfgs[n].host = n; // fusion server on its own host/link
-    let cxl = Rc::new(RefCell::new(CxlPool::new(pool_size as usize, &cfgs)));
-    let store = Rc::new(RefCell::new(seed_storage(&layout)));
-    let mut server = FusionServer::new(
-        Rc::clone(&cxl),
-        NodeId(n),
-        0,
-        total_pages as u32,
-        Rc::clone(&store),
-    );
-    let mut nodes: Vec<SharingNode> = (0..n)
-        .map(|i| {
-            let flag_base = slots_bytes + i as u64 * flags_bytes;
-            server.register_node(NodeId(i), flag_base);
-            SharingNode::with_mode(
-                NodeId(i),
-                flag_base,
-                PAGE_SIZE,
-                CoherencyMode::SoftwareLines,
-            )
-        })
-        .collect();
-    // Warm serially: every node resolves its own + the shared group, so
-    // no RPC happens inside a parallel phase.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        for g in [i, layout.groups - 1] {
-            for p in 0..layout.pages_per_group() {
-                let page = PageId(g as u64 * layout.pages_per_group() + p);
-                nodes[i].access(&mut server, page, SimTime::ZERO);
-            }
-        }
-    }
-    cxl.borrow_mut().reset_link_counters();
+    let (mut fusion, mut nodes) =
+        FusionCluster::with_nodes(&layout, n, CoherencyMode::SoftwareLines);
+    fusion.warm_home(&mut nodes, &layout);
 
-    let threads = if cfg.host_threads == 0 {
-        par::host_threads()
-    } else {
-        cfg.host_threads
-    };
-    let quantum = cfg.quantum.max(SimTime(1));
     let qos_active = cfg.qos && qos::compiled();
     let qcfg = qos_config(cfg);
     let zipf = Zipf::new(cfg.rows_per_group, cfg.zipf_theta);
-    let mut dir = server.dir_snapshot();
-    let mut locks: LockTable<PageId> = LockTable::new();
-    let tcfg = overload_tcfg(cfg);
-    let mut hub = TelemetryHub::new(tcfg.clone());
     // One fault plan per lane; a configured flap lands on its host's
     // lane so the outage is visible exactly where that tenant steps.
     let mut lane_plans: Vec<FaultPlan> = (0..n).map(|_| FaultPlan::default()).collect();
@@ -414,269 +343,119 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
             },
         );
     }
-    let mut loops: Vec<OvLoop> = (0..n)
-        .map(|i| {
-            let mut ws = WorkerSet::new();
-            for k in 0..cfg.workers_per_node {
-                ws.spawn(WorkerId(k), SimTime::ZERO);
-            }
-            OvLoop {
-                ws,
-                cpu: MultiServer::new(16),
-                rngs: (0..cfg.workers_per_node)
-                    .map(|k| stream_rng(cfg.seed, (i * cfg.workers_per_node + k) as u64))
-                    .collect(),
-                hist: Histogram::new(),
-                queries: 0,
-                txns: 0,
-                shed_txns: 0,
-                browned_txns: 0,
-                breaker_fallbacks: 0,
-                refused_writes: 0,
-                buf: vec![0u8; 256],
-                adm: Admission::new(&qcfg),
-                breaker: CircuitBreaker::new(cfg.breaker),
-                trace: TraceState::armed(),
-                faults: FaultState::prepared(std::mem::take(&mut lane_plans[i])),
-                probe: NodeProbe::new(i as u32, &tcfg),
-                prev: polarcxlmem::SharingNodeStats::default(),
-            }
+    let tenants = (0..n)
+        .map(|_| Tenant {
+            hist: Histogram::new(),
+            queries: 0,
+            txns: 0,
+            shed_txns: 0,
+            browned_txns: 0,
+            breaker_fallbacks: 0,
+            refused_writes: 0,
+            adm: Admission::new(&qcfg),
+            breaker: CircuitBreaker::new(cfg.breaker),
+            ops: Vec::with_capacity(16),
         })
         .collect();
-    let shared_start = (layout.groups - 1) as u64 * layout.pages_per_group();
-    let mut shards: Vec<CxlShard> = {
-        let mut pool = cxl.borrow_mut();
-        (0..n).map(|i| pool.detach_node(NodeId(i))).collect()
-    };
-
-    struct OvLane<'a> {
-        node: &'a mut SharingNode,
-        shard: &'a mut CxlShard,
-        lock: LockShard<'a, PageId>,
-        lp: &'a mut OvLoop,
+    let faults = lane_plans.into_iter().map(FaultState::prepared).collect();
+    let (tcfg, wpn) = (overload_tcfg(cfg), cfg.workers_per_node);
+    let mut cluster = Cluster::new(fusion, nodes, tenants, faults, tcfg, wpn, cfg.seed);
+    for i in 0..n {
+        cluster.activate(i, SimTime::ZERO);
     }
 
+    let shared_start = layout.group_pages(n).start;
     let payload = [0xA6u8; 120];
-    let cfg_ref: &OverloadConfig = cfg;
-    let layout_ref = &layout;
-    let zipf_ref = &zipf;
     let mut browned_now = false;
     let mut clear_streak = 0u32;
     let mut brownout_entries = 0u64;
     let mut brownout_exits = 0u64;
-    let mut now = SimTime::ZERO;
-    while now < cfg.duration {
-        let q_end = (now + quantum.as_nanos()).min(cfg.duration);
-        let mut lanes: Vec<OvLane> = nodes
-            .iter_mut()
-            .zip(shards.iter_mut())
-            .zip(loops.iter_mut())
-            .map(|((node, shard), lp)| OvLane {
-                node,
-                shard,
-                lock: locks.shard(),
-                lp,
-            })
-            .collect();
-        let dir_ref = &dir;
-        par::run_phase(threads, &mut lanes, |i, lane| {
-            let OvLane {
-                node,
-                shard,
-                lock,
-                lp,
-            } = lane;
-            let OvLoop {
-                ws,
-                cpu,
-                rngs,
-                hist,
-                queries,
-                txns,
-                shed_txns,
-                browned_txns,
-                breaker_fallbacks,
-                refused_writes,
-                buf,
-                adm,
-                breaker,
-                trace: tr,
-                faults: fs,
-                probe,
-                prev,
-            } = &mut **lp;
-            trace::swap_state(tr);
-            faults::swap_state(fs);
-            let mut ops: Vec<ShOp> = Vec::with_capacity(16);
-            ws.run_until(q_end, |WorkerId(w), start| {
-                // Layer 1: admission — before any CPU, lock, or fabric
-                // work. Shed transactions burn one rejection turnaround.
-                let dec = if qos_active {
-                    adm.admit(i, start)
-                } else {
-                    Decision::Admit
-                };
-                if matches!(dec, Decision::ShedRate | Decision::ShedDeadline) {
-                    *shed_txns += 1;
-                    let t = start + SHED_SERVICE_NS;
-                    if probe.enabled() {
-                        probe.record_errs(0, t, 1);
-                    }
-                    return Step::Done(t);
-                }
-                gen_txn(
-                    cfg_ref,
-                    layout_ref,
-                    zipf_ref,
-                    &mut rngs[w],
-                    i,
-                    start,
-                    &mut ops,
-                );
-                let mut t = start + CPU_TXN_OVERHEAD_NS;
-                // Layer 2: the lane's fabric breaker. An open breaker
-                // fast-fails to storage-direct with no retry burn; a
-                // down link burns exactly one retry, then trips.
-                let mut storage_direct = matches!(dec, Decision::Brownout);
-                if storage_direct {
-                    *browned_txns += 1;
-                } else if qos_active {
-                    if !breaker.allow(t) {
-                        *breaker_fallbacks += 1;
-                        storage_direct = true;
-                    } else {
-                        match faults::link_health(FaultSite::CxlLink, i as u32, t) {
-                            LinkHealth::Down { retry_ns, .. } => {
-                                t += retry_ns;
-                                breaker.on_failure(t);
-                                *breaker_fallbacks += 1;
-                                storage_direct = true;
-                            }
-                            _ => breaker.on_success(t),
-                        }
-                    }
-                }
-                if storage_direct {
-                    // Degraded service: reads bypass locks and the
-                    // fabric entirely; writes are refused (retryable).
-                    for op in &ops {
-                        let s0 = t;
-                        match *op {
-                            ShOp::Read { page, .. } => {
-                                t = cpu.acquire(t, CPU_POINT_SELECT_NS).end;
-                                t += STORAGE_READ_NS;
-                                *queries += 1;
-                                if probe.enabled() {
-                                    let lane_ix = (page.0 >= shared_start) as usize;
-                                    probe.record_op(lane_ix, t, t.saturating_since(s0));
-                                }
-                            }
-                            ShOp::Write { page, .. } => {
-                                t = cpu.acquire(t, WRITE_REFUSE_NS).end;
-                                *refused_writes += 1;
-                                if probe.enabled() {
-                                    let lane_ix = (page.0 >= shared_start) as usize;
-                                    probe.record_errs(lane_ix, t, 1);
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    for op in &ops {
-                        let s0 = t;
-                        match *op {
-                            ShOp::Read { page, off, len } => {
-                                t = cpu.acquire(t, CPU_POINT_SELECT_NS).end;
-                                t += LOCK_SERVICE_NS;
-                                let (grant, _) = lock.acquire(page, t, LockMode::Shared, 0);
-                                t = grant;
-                                t = node.read_resident(
-                                    *shard,
-                                    page,
-                                    off as u64,
-                                    &mut buf[..len as usize],
-                                    t,
-                                );
-                                lock.extend_shared(page, t);
-                                *queries += 1;
-                                if probe.enabled() {
-                                    let lane_ix = (page.0 >= shared_start) as usize;
-                                    probe.record_op(lane_ix, t, t.saturating_since(s0));
-                                    probe.record_bytes(lane_ix, t, len as u64);
-                                }
-                            }
-                            ShOp::Write { page, off, len } => {
-                                t = cpu.acquire(t, CPU_WRITE_STMT_NS).end;
-                                t += LOCK_SERVICE_NS;
-                                let (grant, _) = lock.acquire(page, t, LockMode::Exclusive, 0);
-                                t = grant;
-                                t = node.write_resident(
-                                    *shard,
-                                    page,
-                                    off as u64,
-                                    &payload[..len as usize],
-                                    t,
-                                );
-                                t = node.publish_resident(*shard, dir_ref, page, t);
-                                lock.extend_exclusive(page, t);
-                                *queries += 1;
-                                if probe.enabled() {
-                                    let lane_ix = (page.0 >= shared_start) as usize;
-                                    probe.record_op(lane_ix, t, t.saturating_since(s0));
-                                    probe.record_bytes(lane_ix, t, len as u64);
-                                }
-                            }
-                        }
-                    }
-                }
-                if qos_active && !matches!(dec, Decision::Brownout) {
-                    adm.observe(i, t.saturating_since(start));
-                }
-                *txns += 1;
-                hist.record(t - start);
-                Step::Done(t)
-            });
-            if probe.enabled() {
-                let s1 = node.stats();
-                let d = s1.since(prev);
-                let edge = SimTime(q_end.as_nanos().saturating_sub(1));
-                probe.record_misses(0, edge, d.rpcs);
-                probe.record_retries(0, edge, d.invalid_drops + d.removal_reloads);
-                *prev = s1;
+    let telemetry_report = cluster.run(
+        cfg.duration,
+        cfg.quantum,
+        cfg.host_threads,
+        |ctx, w, start| {
+            let i = ctx.lane;
+            // Layer 1: admission — before any CPU, lock, or fabric
+            // work. Shed transactions burn one rejection turnaround.
+            let dec = if qos_active {
+                ctx.ext.adm.admit(i, start)
+            } else {
+                Decision::Admit
+            };
+            if matches!(dec, Decision::ShedRate | Decision::ShedDeadline) {
+                ctx.ext.shed_txns += 1;
+                let t = start + SHED_SERVICE_NS;
+                ctx.probe.record_errs(0, t, 1);
+                return Step::Done(t);
             }
-            faults::swap_state(fs);
-            trace::swap_state(tr);
-        });
-        // Barrier: fold lock deltas and link backlog in node order.
-        let deltas: Vec<LockDelta<PageId>> =
-            lanes.into_iter().map(|lane| lane.lock.finish()).collect();
-        for mut delta in deltas {
-            locks.absorb(&mut delta);
-        }
-        cxl.borrow_mut().barrier(&mut shards);
-        now = q_end;
-        if hub.enabled() {
-            for lp in loops.iter_mut() {
-                hub.ingest(&mut lp.probe, now);
+            let mut ops = std::mem::take(&mut ctx.ext.ops);
+            gen_txn(cfg, &layout, &zipf, &mut ctx.rngs[w], i, start, &mut ops);
+            let mut t = start + CPU_TXN_OVERHEAD_NS;
+            // Layer 2: the lane's fabric breaker. An open breaker
+            // fast-fails to storage-direct with no retry burn; a
+            // down link burns exactly one retry, then trips.
+            let mut storage_direct = matches!(dec, Decision::Brownout);
+            if storage_direct {
+                ctx.ext.browned_txns += 1;
+            } else if qos_active {
+                if !ctx.ext.breaker.allow(t) {
+                    ctx.ext.breaker_fallbacks += 1;
+                    storage_direct = true;
+                } else {
+                    match faults::link_health(FaultSite::CxlLink, i as u32, t) {
+                        LinkHealth::Down { retry_ns, .. } => {
+                            t += retry_ns;
+                            ctx.ext.breaker.on_failure(t);
+                            ctx.ext.breaker_fallbacks += 1;
+                            storage_direct = true;
+                        }
+                        _ => ctx.ext.breaker.on_success(t),
+                    }
+                }
             }
-            hub.seal(now);
-        }
+            for &op in &ops {
+                if !storage_direct {
+                    t = exec_op(ctx, op, &payload, shared_start, t);
+                    ctx.ext.queries += 1;
+                    continue;
+                }
+                // Degraded service: reads bypass locks and the fabric
+                // entirely; writes are refused (retryable).
+                let s0 = t;
+                match op {
+                    ShOp::Read { page, .. } => {
+                        t = ctx.cpu.acquire(t, CPU_POINT_SELECT_NS).end + STORAGE_READ_NS;
+                        ctx.ext.queries += 1;
+                        let lane_ix = (page.0 >= shared_start) as usize;
+                        ctx.probe.record_op(lane_ix, t, t.saturating_since(s0));
+                    }
+                    ShOp::Write { page, .. } => {
+                        t = ctx.cpu.acquire(t, WRITE_REFUSE_NS).end;
+                        ctx.ext.refused_writes += 1;
+                        let lane_ix = (page.0 >= shared_start) as usize;
+                        ctx.probe.record_errs(lane_ix, t, 1);
+                    }
+                }
+            }
+            ctx.ext.ops = ops;
+            if qos_active && !matches!(dec, Decision::Brownout) {
+                ctx.ext.adm.observe(i, t.saturating_since(start));
+            }
+            ctx.ext.txns += 1;
+            ctx.ext.hist.record(t - start);
+            Step::Done(t)
+        },
         // Layer 3: brownout controller — serial, virtual-time driven.
-        if qos_active {
-            let mut pressure = false;
-            if hub.enabled() {
-                for v in 1..n {
-                    if hub.firing("p99_slow", v as u32) {
-                        pressure = true;
-                        break;
-                    }
-                }
+        |cl, now| {
+            if !qos_active {
+                return;
             }
+            let server = &mut cl.fabric.server;
             let slots = server.pages_in_use() + server.free_slots();
             let occ_pct = (server.pages_in_use() * 100 / slots.max(1)) as u32;
-            if occ_pct > cfg.occupancy_max_pct {
-                pressure = true;
-            }
+            let pressure = occ_pct > cfg.occupancy_max_pct
+                || (1..n).any(|v| cl.hub.firing("p99_slow", v as u32));
             if pressure && !browned_now {
                 browned_now = true;
                 brownout_entries += 1;
@@ -689,67 +468,33 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
                 if let Err(clamp) = server.shrink_node_share(NodeId(0), cfg.brownout_keep, now) {
                     debug_assert!(clamp.achievable > cfg.brownout_keep);
                 }
-                dir = server.dir_snapshot();
-                loops[0].adm.set_brownout(0, true);
+                cl.refresh_dir();
+                cl.exts[0].adm.set_brownout(0, true);
             } else if browned_now {
-                if pressure {
-                    clear_streak = 0;
-                } else {
-                    clear_streak += 1;
-                }
+                clear_streak = if pressure { 0 } else { clear_streak + 1 };
                 if clear_streak >= cfg.clear_quanta {
                     browned_now = false;
                     brownout_exits += 1;
                     server.set_brownout(NodeId(0), false);
-                    loops[0].adm.set_brownout(0, false);
+                    cl.exts[0].adm.set_brownout(0, false);
                     // Re-warm the restored tenant serially: its recycled
                     // pages carry removal flags, and resolving them here
                     // keeps RPCs out of the parallel phase.
-                    let shard0 = shards.remove(0);
-                    cxl.borrow_mut().attach_node(shard0);
-                    for g in [0usize, layout.groups - 1] {
-                        for p in 0..layout.pages_per_group() {
-                            let page = PageId(g as u64 * layout.pages_per_group() + p);
-                            nodes[0].access(&mut server, page, now);
-                        }
-                    }
-                    let s0 = cxl.borrow_mut().detach_node(NodeId(0));
-                    shards.insert(0, s0);
-                    dir = server.dir_snapshot();
+                    cl.rewarm(0, layout.home_pages(0), now);
+                    cl.refresh_dir();
                 }
             }
-        }
-    }
-    {
-        let mut pool = cxl.borrow_mut();
-        for shard in shards {
-            pool.attach_node(shard);
-        }
-    }
-    server.absorb_invalidations(
-        nodes
-            .iter()
-            .map(|node| node.stats().invalidations_sent)
-            .sum(),
+        },
     );
-    for lp in loops.iter_mut() {
-        hub.drain(&mut lp.probe);
-    }
-    hub.finish(cfg.duration);
-    let telemetry_report = if telemetry::compiled() && hub.enabled() {
-        Some(hub.report())
-    } else {
-        None
-    };
 
-    // Fold lanes in node order: outcomes, aggregates, trace state.
+    // Fold lanes in node order: outcomes and aggregates.
     let mut per_tenant = Vec::with_capacity(n);
     let mut hist = Histogram::new();
     let mut admission = AdmissionStats::default();
     let mut breaker = BreakerStats::default();
     let mut queries = 0u64;
     let mut txns = 0u64;
-    for (i, mut lp) in loops.into_iter().enumerate() {
+    for (i, lp) in cluster.exts.iter().enumerate() {
         let a = lp.adm.stats(i);
         let b = lp.breaker.stats();
         admission.absorb(&a);
@@ -773,23 +518,14 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
             breaker: b,
         });
         hist.merge(&lp.hist);
-        let bd = lp.trace.breakdown();
-        for lane in Lane::ALL {
-            let ns = bd.lane(lane);
-            if ns > 0 {
-                trace::attr_add(lane, ns);
-            }
-        }
-        for ev in lp.trace.take_events() {
-            trace::span(ev.kind, ev.node, ev.start, ev.end, ev.bytes);
-        }
     }
+    let (server, locks) = (&cluster.fabric.server, &cluster.locks);
     let victim_p99_ns = per_tenant[1..].iter().map(|t| t.p99_ns).max().unwrap_or(0); // lint: order-insensitive
     let aggressor_p99_ns = per_tenant[0].p99_ns;
     let fusion = server.stats();
     debug_assert_eq!(
         server.pages_in_use() + server.free_slots(),
-        total_pages as usize,
+        layout.total_pages() as usize,
         "DBP slot conservation"
     );
 
@@ -846,6 +582,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::telemetry;
     use simkit::MetricValue;
 
     fn smoke(qos: bool) -> OverloadResult {

@@ -15,22 +15,17 @@
 //! the interaction that makes RDMA's full-page flushes hurt under
 //! contention.
 
+use crate::cluster::{Cluster, Fabric, FusionCluster, LaneCtx, RdmaCluster};
 use crate::metrics::RunMetrics;
 use crate::sysbench::RECORD_SIZE;
-use memsim::calib::{
-    CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, CPU_WRITE_STMT_NS, LOCK_SERVICE_NS, PAGE_SIZE,
-};
-use memsim::{CxlNodeConfig, CxlPool, CxlShard, NodeId, RdmaPool, RdmaShard};
+use memsim::calib::{CPU_TXN_OVERHEAD_NS, PAGE_SIZE};
+use memsim::{NodeId, RdmaPool};
 use polarcxlmem::fusion::CoherencyMode;
-use polarcxlmem::{FusionServer, RdmaDbp, RdmaSharingNode, SharingNode};
-use simkit::faults::{self, FaultState};
-use simkit::rng::{stream_rng, SimRng};
-use simkit::telemetry::{self, NodeProbe, TelemetryConfig, TelemetryHub, TelemetryReport};
-use simkit::trace::{self, Lane, TraceState};
-use simkit::{
-    par, Histogram, LockDelta, LockMode, LockShard, LockTable, MultiServer, SimTime, Step,
-    WorkerId, WorkerSet,
-};
+use polarcxlmem::{RdmaDbp, RdmaSharingNode};
+use simkit::faults::FaultState;
+use simkit::rng::SimRng;
+use simkit::telemetry::{TelemetryConfig, TelemetryReport};
+use simkit::{Histogram, SimTime, Step};
 use std::cell::RefCell;
 use std::rc::Rc;
 use storage::{PageId, PageStore};
@@ -59,6 +54,18 @@ impl GroupLayout {
     /// Total pages across all groups.
     pub fn total_pages(&self) -> u64 {
         self.pages_per_group() * self.groups as u64
+    }
+
+    /// The page numbers of group `g`.
+    pub fn group_pages(&self, g: usize) -> std::ops::Range<u64> {
+        let ppg = self.pages_per_group();
+        g as u64 * ppg..(g as u64 + 1) * ppg
+    }
+
+    /// The pages node `i` serves: its own group, then the shared (last)
+    /// group.
+    pub fn home_pages(&self, i: usize) -> impl Iterator<Item = PageId> {
+        (self.group_pages(i).chain(self.group_pages(self.groups - 1))).map(PageId)
     }
 
     /// Locate a row: (page, byte offset of its record).
@@ -260,18 +267,11 @@ pub(crate) fn seed_storage(layout: &GroupLayout) -> PageStore {
     for g in 0..layout.groups {
         for r in 0..layout.rows_per_group {
             let (page, off) = layout.locate(g, r);
-            let mut rec = vec![(g as u8).wrapping_add(r as u8); 8 + RECORD_SIZE as usize - 8];
-            rec.truncate(RECORD_SIZE as usize);
-            let po = page.0 * PAGE_SIZE + off as u64;
-            let _ = po;
             let base = off as usize;
-            let pagebuf = {
-                let mut buf = store.raw_page(page).to_vec();
-                buf[base - 8..base].copy_from_slice(&r.to_le_bytes());
-                buf[base..base + RECORD_SIZE as usize].copy_from_slice(&rec);
-                buf
-            };
-            store.raw_write_page(page, &pagebuf);
+            let mut buf = store.raw_page(page).to_vec();
+            buf[base - 8..base].copy_from_slice(&r.to_le_bytes());
+            buf[base..base + RECORD_SIZE as usize].fill((g as u8).wrapping_add(r as u8));
+            store.raw_write_page(page, &buf);
         }
     }
     store
@@ -279,393 +279,39 @@ pub(crate) fn seed_storage(layout: &GroupLayout) -> PageStore {
 
 /// Run a sharing experiment with the given transaction generator.
 ///
-/// The run is *always* phased (barrier-synchronized parallel stepping,
-/// see [`par::run_phase`]): nodes step between virtual-time barriers on
-/// up to [`SharingConfig::host_threads`] host threads, and the results
-/// are bit-identical for every thread count — including 1, which runs
-/// the same phased code inline.
+/// The run is *always* phased (barrier-synchronized parallel stepping on
+/// the [`crate::cluster`] driver): nodes step between virtual-time
+/// barriers on up to [`SharingConfig::host_threads`] host threads, and
+/// the results are bit-identical for every thread count — including 1,
+/// which runs the same phased code inline.
 pub fn run_sharing<F>(cfg: &SharingConfig, gen: F) -> SharingResult
 where
     F: Fn(&mut SimRng, usize) -> Vec<ShOp> + Sync,
 {
-    match cfg.system {
-        SharingSystem::Cxl => run_cxl(cfg, &gen, CoherencyMode::SoftwareLines),
-        SharingSystem::CxlFullPageFlush => run_cxl(cfg, &gen, CoherencyMode::SoftwareFullPage),
-        SharingSystem::Cxl3Hw => run_cxl(cfg, &gen, CoherencyMode::Hardware),
-        SharingSystem::Rdma { lbp_fraction } => run_rdma(cfg, &gen, lbp_fraction),
-    }
-}
-
-/// Per-node driver state that survives across quanta: the node's
-/// closed-loop scheduler, CPU cores, RNG streams, latency histogram,
-/// statement counters, a reusable read buffer, and the node's detached
-/// tracer / fault-engine states (swapped in around each quantum).
-struct NodeLoop {
-    ws: WorkerSet,
-    cpu: MultiServer,
-    rngs: Vec<SimRng>,
-    hist: Histogram,
-    queries: u64,
-    txns: u64,
-    buf: Vec<u8>,
-    trace: TraceState,
-    faults: FaultState,
-    probe: NodeProbe,
-}
-
-fn node_loops(n: usize, wpn: usize, seed: u64, tcfg: &TelemetryConfig) -> Vec<NodeLoop> {
-    (0..n)
-        .map(|i| {
-            let mut ws = WorkerSet::new();
-            for k in 0..wpn {
-                ws.spawn(WorkerId(k), SimTime::ZERO);
-            }
-            NodeLoop {
-                ws,
-                cpu: MultiServer::new(16),
-                rngs: (0..wpn)
-                    .map(|k| stream_rng(seed, (i * wpn + k) as u64))
-                    .collect(),
-                hist: Histogram::new(),
-                queries: 0,
-                txns: 0,
-                buf: vec![0u8; 256],
-                trace: TraceState::armed(),
-                faults: FaultState::inactive(),
-                probe: NodeProbe::new(i as u32, tcfg),
-            }
-        })
-        .collect()
-}
-
-/// Telemetry shape shared by both systems: one probe per node, the
-/// statement's target group as the lane. No SLO rules — this harness is
-/// fault-free; the report is a per-node windowed throughput/latency map.
-fn sharing_tcfg(cfg: &SharingConfig) -> TelemetryConfig {
-    TelemetryConfig::new(cfg.telemetry_window, cfg.nodes).lanes(&["private", "shared"])
-}
-
-/// Fold per-node loop state back into driver-level aggregates **in node
-/// order**: histograms and counters merge, and each node's lane totals
-/// and spans re-land on the driver thread's tracer so attribution and
-/// span consumers observe one coherent stream.
-fn merge_loops(loops: Vec<NodeLoop>) -> (Histogram, u64, u64) {
-    let mut hist = Histogram::new();
-    let mut queries = 0u64;
-    let mut txns = 0u64;
-    for mut lp in loops {
-        hist.merge(&lp.hist);
-        queries += lp.queries;
-        txns += lp.txns;
-        let bd = lp.trace.breakdown();
-        for lane in Lane::ALL {
-            let ns = bd.lane(lane);
-            if ns > 0 {
-                trace::attr_add(lane, ns);
-            }
-        }
-        for ev in lp.trace.take_events() {
-            trace::span(ev.kind, ev.node, ev.start, ev.end, ev.bytes);
-        }
-    }
-    (hist, queries, txns)
-}
-
-// Private result assembler: the argument list IS the result shape.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    queries: u64,
-    txns: u64,
-    hist: Histogram,
-    window: SimTime,
-    bytes: u64,
-    memory: u64,
-    locks: &LockTable<PageId>,
-    telemetry: Option<TelemetryReport>,
-) -> SharingResult {
-    let secs = window.as_secs_f64();
-    SharingResult {
-        metrics: RunMetrics {
-            qps: queries as f64 / secs,
-            tps: txns as f64 / secs,
-            avg_latency_us: hist.mean_us(),
-            p50_latency_us: hist.p50_us(),
-            p95_latency_us: hist.p95_us(),
-            p99_latency_us: hist.p99_us(),
-            p999_latency_us: hist.p999_us(),
-            interconnect_gbps: bytes as f64 / window.as_nanos() as f64,
-            memory_bytes: memory,
-            window,
-            latency: hist,
-        },
-        lock_contended: locks.contended(),
-        lock_mean_wait_ns: locks.mean_wait_ns(),
-        telemetry,
-    }
-}
-
-fn run_cxl<F>(cfg: &SharingConfig, gen: &F, mode: CoherencyMode) -> SharingResult
-where
-    F: Fn(&mut SimRng, usize) -> Vec<ShOp> + Sync,
-{
-    let layout = cfg.layout;
-    let n = cfg.nodes;
-    let total_pages = layout.total_pages();
-    // CXL layout: DBP slots, then one flag array per node.
-    let slots_bytes = total_pages * PAGE_SIZE;
-    let flags_bytes = total_pages * 16;
-    let pool_size = slots_bytes + flags_bytes * n as u64 + 4096;
-    // Node i = DB node on host i; node n = fusion server on its own host.
-    let node_cfg = |_: usize| CxlNodeConfig {
-        host: 0,
-        cache_bytes: 8 << 20,
-        capture: true,
-        remote_numa: false,
-        direct_attach: false,
+    let (layout, n) = (cfg.layout, cfg.nodes);
+    let mode = match cfg.system {
+        SharingSystem::Cxl => CoherencyMode::SoftwareLines,
+        SharingSystem::CxlFullPageFlush => CoherencyMode::SoftwareFullPage,
+        SharingSystem::Cxl3Hw => CoherencyMode::Hardware,
+        SharingSystem::Rdma { lbp_fraction } => return run_rdma(cfg, &gen, lbp_fraction),
     };
-    let mut cfgs: Vec<CxlNodeConfig> = (0..=n).map(node_cfg).collect();
-    for (host, c) in cfgs.iter_mut().enumerate() {
-        c.host = host; // each node on its own host/link
-    }
-    let cxl = Rc::new(RefCell::new(CxlPool::new(pool_size as usize, &cfgs)));
-    let store = Rc::new(RefCell::new(seed_storage(&layout)));
-    let mut server = FusionServer::new(
-        Rc::clone(&cxl),
-        NodeId(n),
-        0,
-        total_pages as u32,
-        Rc::clone(&store),
-    );
-    let mut nodes: Vec<SharingNode> = (0..n)
-        .map(|i| {
-            let flag_base = slots_bytes + i as u64 * flags_bytes;
-            server.register_node(NodeId(i), flag_base);
-            SharingNode::with_mode(NodeId(i), flag_base, PAGE_SIZE, mode)
-        })
-        .collect();
-    // Warm the DBP serially: every node resolves the pages of the
-    // groups it can touch (its own + shared), so no RPC — and no
-    // directory mutation — can happen inside a parallel phase.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        for g in [i, layout.groups - 1] {
-            for p in 0..layout.pages_per_group() {
-                let page = PageId(g as u64 * layout.pages_per_group() + p);
-                nodes[i].access(&mut server, page, SimTime::ZERO);
-            }
-        }
-    }
-    cxl.borrow_mut().reset_link_counters();
-
-    let threads = if cfg.host_threads == 0 {
-        par::host_threads()
-    } else {
-        cfg.host_threads
-    };
-    let quantum = cfg.quantum.max(SimTime(1));
-    let dir = server.dir_snapshot();
-    let mut locks: LockTable<PageId> = LockTable::new();
-    // Each node's lock delta; the barrier merge drains it and the next
-    // quantum's shard reuses its buffers.
-    let mut lock_bufs: Vec<LockDelta<PageId>> = (0..n).map(|_| LockDelta::default()).collect();
-    let tcfg = sharing_tcfg(cfg);
-    let mut hub = TelemetryHub::new(tcfg.clone());
-    let mut loops = node_loops(n, cfg.workers_per_node, cfg.seed, &tcfg);
-    let mut prevs: Vec<polarcxlmem::SharingNodeStats> = vec![Default::default(); n];
-    let shared_start = (layout.groups - 1) as u64 * layout.pages_per_group();
-    let mut shards: Vec<CxlShard> = {
-        let mut pool = cxl.borrow_mut();
-        (0..n).map(|i| pool.detach_node(NodeId(i))).collect()
-    };
-
-    struct CxlLane<'a> {
-        node: &'a mut SharingNode,
-        shard: &'a mut CxlShard,
-        lock: LockShard<'a, PageId>,
-        lp: &'a mut NodeLoop,
-        prev: &'a mut polarcxlmem::SharingNodeStats,
-    }
-
-    let payload = [0xC5u8; 120];
-    let mut now = SimTime::ZERO;
-    while now < cfg.duration {
-        let q_end = (now + quantum.as_nanos()).min(cfg.duration);
-        let mut lanes: Vec<CxlLane> = nodes
-            .iter_mut()
-            .zip(shards.iter_mut())
-            .zip(loops.iter_mut())
-            .zip(prevs.iter_mut())
-            .zip(lock_bufs.iter_mut())
-            .map(|((((node, shard), lp), prev), lock_buf)| CxlLane {
-                node,
-                shard,
-                lock: locks.shard_reusing(lock_buf),
-                lp,
-                prev,
-            })
-            .collect();
-        par::run_phase(threads, &mut lanes, |i, lane| {
-            let CxlLane {
-                node,
-                shard,
-                lock,
-                lp,
-                prev,
-            } = lane;
-            let NodeLoop {
-                ws,
-                cpu,
-                rngs,
-                hist,
-                queries,
-                txns,
-                buf,
-                trace: tr,
-                faults: fs,
-                probe,
-            } = &mut **lp;
-            trace::swap_state(tr);
-            faults::swap_state(fs);
-            ws.run_until(q_end, |WorkerId(w), start| {
-                let txn = gen(&mut rngs[w], i);
-                let mut t = start + CPU_TXN_OVERHEAD_NS;
-                for op in &txn {
-                    let s0 = t;
-                    match *op {
-                        ShOp::Read { page, off, len } => {
-                            t = cpu.acquire(t, CPU_POINT_SELECT_NS).end;
-                            t += LOCK_SERVICE_NS;
-                            let (grant, _) = lock.acquire(page, t, LockMode::Shared, 0);
-                            t = grant;
-                            t = node.read_resident(
-                                *shard,
-                                page,
-                                off as u64,
-                                &mut buf[..len as usize],
-                                t,
-                            );
-                            lock.extend_shared(page, t);
-                            if probe.enabled() {
-                                let lane_ix = (page.0 >= shared_start) as usize;
-                                probe.record_op(lane_ix, t, t.saturating_since(s0));
-                                probe.record_bytes(lane_ix, t, len as u64);
-                            }
-                        }
-                        ShOp::Write { page, off, len } => {
-                            t = cpu.acquire(t, CPU_WRITE_STMT_NS).end;
-                            t += LOCK_SERVICE_NS;
-                            let (grant, _) = lock.acquire(page, t, LockMode::Exclusive, 0);
-                            t = grant;
-                            t = node.write_resident(
-                                *shard,
-                                page,
-                                off as u64,
-                                &payload[..len as usize],
-                                t,
-                            );
-                            // Publish (clflush modified lines + invalid
-                            // flags) happens before the lock is
-                            // observed released.
-                            t = node.publish_resident(*shard, &dir, page, t);
-                            lock.extend_exclusive(page, t);
-                            if probe.enabled() {
-                                let lane_ix = (page.0 >= shared_start) as usize;
-                                probe.record_op(lane_ix, t, t.saturating_since(s0));
-                                probe.record_bytes(lane_ix, t, len as u64);
-                            }
-                        }
-                    }
-                    *queries += 1;
-                }
-                *txns += 1;
-                hist.record(t - start);
-                Step::Done(t)
-            });
-            if probe.enabled() {
-                // Coherency-protocol counters land as misses/retries in
-                // the window closing at this quantum edge.
-                let s1 = node.stats();
-                let d = s1.since(prev);
-                let edge = SimTime(q_end.as_nanos().saturating_sub(1));
-                probe.record_misses(0, edge, d.rpcs);
-                probe.record_retries(0, edge, d.invalid_drops + d.removal_reloads);
-                **prev = s1;
-            }
-            faults::swap_state(fs);
-            trace::swap_state(tr);
-        });
-        // Barrier: fold lock deltas, write logs and link backlog back
-        // into the shared state in fixed node order.
-        for (buf, lane) in lock_bufs.iter_mut().zip(lanes) {
-            *buf = lane.lock.finish();
-        }
-        for buf in lock_bufs.iter_mut() {
-            locks.absorb(buf);
-        }
-        cxl.borrow_mut().barrier(&mut shards);
-        now = q_end;
-        if hub.enabled() {
-            for lp in loops.iter_mut() {
-                hub.ingest(&mut lp.probe, now);
-            }
-            hub.seal(now);
-        }
-    }
-    {
-        let mut pool = cxl.borrow_mut();
-        for shard in shards {
-            pool.attach_node(shard);
-        }
-    }
-    server.absorb_invalidations(
-        nodes
-            .iter()
-            .map(|node| node.stats().invalidations_sent)
-            .sum(),
-    );
-    for lp in loops.iter_mut() {
-        hub.drain(&mut lp.probe);
-    }
-    hub.finish(cfg.duration);
-    let telemetry_report = if telemetry::compiled() && hub.enabled() {
-        Some(hub.report())
-    } else {
-        None
-    };
-    let (hist, queries, txns) = merge_loops(loops);
-    let bytes = cxl.borrow().switch_bytes();
-    let memory = slots_bytes + flags_bytes * n as u64;
-    finish(
-        queries,
-        txns,
-        hist,
-        cfg.duration,
-        bytes,
-        memory,
-        &locks,
-        telemetry_report,
-    )
+    let (mut fusion, mut nodes) = FusionCluster::with_nodes(&layout, n, mode);
+    fusion.warm_home(&mut nodes, &layout);
+    // Footprint: the DBP slots plus one flag array per node.
+    let memory = layout.total_pages() * (PAGE_SIZE + 16 * n as u64);
+    run_on(cfg, &gen, fusion, nodes, memory)
 }
 
 fn run_rdma<F>(cfg: &SharingConfig, gen: &F, lbp_fraction: f64) -> SharingResult
 where
     F: Fn(&mut SimRng, usize) -> Vec<ShOp> + Sync,
 {
-    let layout = cfg.layout;
-    let n = cfg.nodes;
-    let total_pages = layout.total_pages();
-    let rdma = Rc::new(RefCell::new(RdmaPool::new(
-        (total_pages * PAGE_SIZE) as usize,
-        n + 1,
-    )));
+    let (layout, n) = (cfg.layout, cfg.nodes);
+    let dbp_bytes = layout.total_pages() * PAGE_SIZE;
+    let pool = Rc::new(RefCell::new(RdmaPool::new(dbp_bytes as usize, n + 1)));
     let store = Rc::new(RefCell::new(seed_storage(&layout)));
-    let mut server = RdmaDbp::new(
-        Rc::clone(&rdma),
-        n,
-        0,
-        total_pages as u32,
-        Rc::clone(&store),
-    );
+    let total_pages = layout.total_pages() as u32;
+    let mut server = RdmaDbp::new(Rc::clone(&pool), n, 0, total_pages, store);
     // Each node accesses 2 groups (its own + shared): LBP sized to a
     // fraction of that.
     let accessed_pages = 2 * layout.pages_per_group();
@@ -676,232 +322,142 @@ where
     // Warm serially: resolve the DBP address of *every* page the node
     // may touch (no server RPC can happen mid-phase), then fault in up
     // to the LBP capacity.
-    #[allow(clippy::needless_range_loop)]
+    for (i, node) in nodes.iter_mut().enumerate() {
+        for (k, page) in layout.home_pages(i).enumerate() {
+            node.resolve(&mut server, page, SimTime::ZERO);
+            if k < lbp_frames {
+                node.read(&mut server, page, 16, &mut [0u8; 8], SimTime::ZERO);
+            }
+        }
+    }
+    let fabric = RdmaCluster {
+        pool,
+        server,
+        server_host: n,
+    };
+    let nodes = nodes.into_iter().map(|node| (node, Vec::new())).collect();
+    // Footprint: the DBP plus every node's local buffer pool.
+    let memory = dbp_bytes + n as u64 * lbp_frames as u64 * PAGE_SIZE;
+    run_on(cfg, gen, fabric, nodes, memory)
+}
+
+/// What a sharing lane accumulates: the txn-latency histogram and the
+/// statement / transaction counters.
+#[derive(Default)]
+struct Tally {
+    hist: Histogram,
+    queries: u64,
+    txns: u64,
+}
+
+/// Execute one [`ShOp`] on a lane: the locked statement, then the probe
+/// record on the `private` (0) / `shared` (1) lane its page falls in.
+pub(crate) fn exec_op<F: Fabric, X>(
+    ctx: &mut LaneCtx<'_, '_, F, X>,
+    op: ShOp,
+    payload: &[u8],
+    shared_start: u64,
+    now: SimTime,
+) -> SimTime {
+    let (page, len, t) = match op {
+        ShOp::Read { page, off, len } => (
+            page,
+            len,
+            ctx.locked_read(page, off as u64, len as usize, now),
+        ),
+        ShOp::Write { page, off, len } => {
+            let t = ctx
+                .locked_write_publish(page, off as u64, &payload[..len as usize], now)
+                .expect("no node of this cluster is ever fenced");
+            (page, len, t)
+        }
+    };
+    if ctx.probe.enabled() {
+        let lane_ix = (page.0 >= shared_start) as usize;
+        ctx.probe.record_op(lane_ix, t, t.saturating_since(now));
+        ctx.probe.record_bytes(lane_ix, t, len as u64);
+    }
+    t
+}
+
+/// The sharing scenario on either fabric: every lane runs `gen`'s
+/// transactions; there is no control plane, so the barrier hook is
+/// empty. `memory` is the design's footprint.
+fn run_on<Fb: Fabric, F>(
+    cfg: &SharingConfig,
+    gen: &F,
+    fabric: Fb,
+    nodes: Vec<Fb::Node>,
+    memory: u64,
+) -> SharingResult
+where
+    F: Fn(&mut SimRng, usize) -> Vec<ShOp> + Sync,
+{
+    let n = cfg.nodes;
+    // One probe per node, the statement's target group as the lane. No
+    // SLO rules — this harness is fault-free; the report is a per-node
+    // windowed throughput/latency map.
+    let tcfg = TelemetryConfig::new(cfg.telemetry_window, n).lanes(&["private", "shared"]);
+    let tallies = (0..n).map(|_| Tally::default()).collect();
+    let faults = (0..n).map(|_| FaultState::inactive()).collect();
+    let (wpn, seed) = (cfg.workers_per_node, cfg.seed);
+    let mut cluster = Cluster::new(fabric, nodes, tallies, faults, tcfg, wpn, seed);
     for i in 0..n {
-        let mut warmed = 0;
-        for g in [i, layout.groups - 1] {
-            for p in 0..layout.pages_per_group() {
-                let page = PageId(g as u64 * layout.pages_per_group() + p);
-                nodes[i].resolve(&mut server, page, SimTime::ZERO);
-                if warmed < lbp_frames {
-                    let mut b = [0u8; 8];
-                    nodes[i].read(&mut server, page, 16, &mut b, SimTime::ZERO);
-                    warmed += 1;
-                }
-            }
-        }
+        cluster.activate(i, SimTime::ZERO);
     }
-    rdma.borrow_mut().reset_link_counters();
-
-    let threads = if cfg.host_threads == 0 {
-        par::host_threads()
-    } else {
-        cfg.host_threads
-    };
-    let quantum = cfg.quantum.max(SimTime(1));
-    let dir = server.dir_snapshot();
-    let mut locks: LockTable<PageId> = LockTable::new();
-    // Each node's lock delta; the barrier merge drains it and the next
-    // quantum's shard reuses its buffers.
-    let mut lock_bufs: Vec<LockDelta<PageId>> = (0..n).map(|_| LockDelta::default()).collect();
-    let tcfg = sharing_tcfg(cfg);
-    let mut hub = TelemetryHub::new(tcfg.clone());
-    let mut loops = node_loops(n, cfg.workers_per_node, cfg.seed, &tcfg);
-    let mut prevs: Vec<polarcxlmem::RdmaNodeStats> = vec![Default::default(); n];
-    let shared_start = (layout.groups - 1) as u64 * layout.pages_per_group();
-    let mut shards: Vec<RdmaShard> = {
-        let mut pool = rdma.borrow_mut();
-        (0..n).map(|i| pool.detach_host(i, n)).collect()
-    };
-    // Per-node invalidation outboxes: `publish_resident` queues
-    // (target, page); the driver drops the targets' local copies at the
-    // barrier in fixed node order.
-    let mut outboxes: Vec<Vec<(NodeId, PageId)>> = (0..n).map(|_| Vec::new()).collect();
-
-    struct RdmaLane<'a> {
-        node: &'a mut RdmaSharingNode,
-        shard: &'a mut RdmaShard,
-        lock: LockShard<'a, PageId>,
-        lp: &'a mut NodeLoop,
-        outbox: &'a mut Vec<(NodeId, PageId)>,
-        prev: &'a mut polarcxlmem::RdmaNodeStats,
-    }
-
+    let shared_start = cfg.layout.group_pages(cfg.layout.groups - 1).start;
     let payload = [0xC5u8; 120];
-    let mut now = SimTime::ZERO;
-    while now < cfg.duration {
-        let q_end = (now + quantum.as_nanos()).min(cfg.duration);
-        let mut lanes: Vec<RdmaLane> = nodes
-            .iter_mut()
-            .zip(shards.iter_mut())
-            .zip(loops.iter_mut())
-            .zip(outboxes.iter_mut())
-            .zip(prevs.iter_mut())
-            .zip(lock_bufs.iter_mut())
-            .map(
-                |(((((node, shard), lp), outbox), prev), lock_buf)| RdmaLane {
-                    node,
-                    shard,
-                    lock: locks.shard_reusing(lock_buf),
-                    lp,
-                    outbox,
-                    prev,
-                },
-            )
-            .collect();
-        par::run_phase(threads, &mut lanes, |i, lane| {
-            let RdmaLane {
-                node,
-                shard,
-                lock,
-                lp,
-                outbox,
-                prev,
-            } = lane;
-            let NodeLoop {
-                ws,
-                cpu,
-                rngs,
-                hist,
-                queries,
-                txns,
-                buf,
-                trace: tr,
-                faults: fs,
-                probe,
-            } = &mut **lp;
-            trace::swap_state(tr);
-            faults::swap_state(fs);
-            ws.run_until(q_end, |WorkerId(w), start| {
-                let txn = gen(&mut rngs[w], i);
-                let mut t = start + CPU_TXN_OVERHEAD_NS;
-                for op in &txn {
-                    let s0 = t;
-                    match *op {
-                        ShOp::Read { page, off, len } => {
-                            t = cpu.acquire(t, CPU_POINT_SELECT_NS).end;
-                            t += LOCK_SERVICE_NS;
-                            let (grant, _) = lock.acquire(page, t, LockMode::Shared, 0);
-                            t = grant;
-                            t = node.read_resident(
-                                *shard,
-                                page,
-                                off as u64,
-                                &mut buf[..len as usize],
-                                t,
-                            );
-                            lock.extend_shared(page, t);
-                            if probe.enabled() {
-                                let lane_ix = (page.0 >= shared_start) as usize;
-                                probe.record_op(lane_ix, t, t.saturating_since(s0));
-                                probe.record_bytes(lane_ix, t, len as u64);
-                            }
-                        }
-                        ShOp::Write { page, off, len } => {
-                            t = cpu.acquire(t, CPU_WRITE_STMT_NS).end;
-                            t += LOCK_SERVICE_NS;
-                            let (grant, _) = lock.acquire(page, t, LockMode::Exclusive, 0);
-                            t = grant;
-                            t = node.write_resident(
-                                *shard,
-                                page,
-                                off as u64,
-                                &payload[..len as usize],
-                                t,
-                            );
-                            // Full-page flush + invalidation messages
-                            // sit on the lock hold path; the *effects*
-                            // on peers land at the barrier.
-                            t = node.publish_resident(*shard, &dir, page, outbox, t);
-                            lock.extend_exclusive(page, t);
-                            if probe.enabled() {
-                                let lane_ix = (page.0 >= shared_start) as usize;
-                                probe.record_op(lane_ix, t, t.saturating_since(s0));
-                                probe.record_bytes(lane_ix, t, len as u64);
-                            }
-                        }
-                    }
-                    *queries += 1;
-                }
-                *txns += 1;
-                hist.record(t - start);
-                Step::Done(t)
-            });
-            if probe.enabled() {
-                // Page-fetch / invalidation counters land as
-                // misses/retries in the window closing at this edge.
-                let s1 = node.stats();
-                let d = s1.since(prev);
-                let edge = SimTime(q_end.as_nanos().saturating_sub(1));
-                probe.record_misses(0, edge, d.page_reads);
-                probe.record_retries(0, edge, d.invalidations);
-                **prev = s1;
-            }
-            faults::swap_state(fs);
-            trace::swap_state(tr);
-        });
-        // Barrier: fold lock deltas and NIC backlog in fixed node
-        // order, then apply queued invalidations to their targets.
-        for (buf, lane) in lock_bufs.iter_mut().zip(lanes) {
-            *buf = lane.lock.finish();
-        }
-        for buf in lock_bufs.iter_mut() {
-            locks.absorb(buf);
-        }
-        rdma.borrow_mut().barrier(&mut shards);
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for (target, page) in outboxes[i].drain(..) {
-                nodes[target.0].invalidate_local(page);
-            }
-        }
-        now = q_end;
-        if hub.enabled() {
-            for lp in loops.iter_mut() {
-                hub.ingest(&mut lp.probe, now);
-            }
-            hub.seal(now);
-        }
-    }
-    {
-        let mut pool = rdma.borrow_mut();
-        for shard in shards {
-            pool.attach_host(shard);
-        }
-    }
-    server.absorb_invalidation_msgs(
-        nodes
-            .iter()
-            .map(|node| node.stats().invalidation_msgs_sent)
-            .sum(),
-    );
-    for lp in loops.iter_mut() {
-        hub.drain(&mut lp.probe);
-    }
-    hub.finish(cfg.duration);
-    let telemetry_report = if telemetry::compiled() && hub.enabled() {
-        Some(hub.report())
-    } else {
-        None
-    };
-    let (hist, queries, txns) = merge_loops(loops);
-    let bytes = rdma.borrow().total_bytes();
-    let memory = total_pages * PAGE_SIZE + n as u64 * lbp_frames as u64 * PAGE_SIZE;
-    finish(
-        queries,
-        txns,
-        hist,
+    let telemetry = cluster.run(
         cfg.duration,
-        bytes,
-        memory,
-        &locks,
-        telemetry_report,
-    )
+        cfg.quantum,
+        cfg.host_threads,
+        |ctx, w, start| {
+            let txn = gen(&mut ctx.rngs[w], ctx.lane);
+            let mut t = start + CPU_TXN_OVERHEAD_NS;
+            for &op in &txn {
+                t = exec_op(ctx, op, &payload, shared_start, t);
+            }
+            ctx.ext.queries += txn.len() as u64;
+            ctx.ext.txns += 1;
+            ctx.ext.hist.record(t - start);
+            Step::Done(t)
+        },
+        |_, _| {},
+    );
+    let mut hist = Histogram::new();
+    let (mut queries, mut txns) = (0u64, 0u64);
+    for tally in &cluster.exts {
+        hist.merge(&tally.hist);
+        queries += tally.queries;
+        txns += tally.txns;
+    }
+    let window = cfg.duration;
+    let secs = window.as_secs_f64();
+    SharingResult {
+        metrics: RunMetrics {
+            qps: queries as f64 / secs,
+            tps: txns as f64 / secs,
+            avg_latency_us: hist.mean_us(),
+            p50_latency_us: hist.p50_us(),
+            p95_latency_us: hist.p95_us(),
+            p99_latency_us: hist.p99_us(),
+            p999_latency_us: hist.p999_us(),
+            interconnect_gbps: cluster.fabric.link_bytes() as f64 / window.as_nanos() as f64,
+            memory_bytes: memory,
+            window,
+            latency: hist,
+        },
+        lock_contended: cluster.locks.contended(),
+        lock_mean_wait_ns: cluster.locks.mean_wait_ns(),
+        telemetry,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::rng::stream_rng;
+    use simkit::telemetry;
 
     fn tiny(system: SharingSystem, shared_pct: u32) -> SharingResult {
         let mut cfg = SharingConfig::standard(system, 4);

@@ -27,7 +27,7 @@ use memsim::{CxlPool, NodeId};
 use polarcxlmem::tiering::{AdaptivePool, TierConfig};
 use simkit::rng::{stream_rng, Zipf};
 use simkit::telemetry::{
-    self, Metric, NodeProbe, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport,
+    Metric, NodeProbe, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport,
 };
 use simkit::{Histogram, MetricsRegistry, SimTime, Step, WorkerId, WorkerSet};
 use std::cell::RefCell;
@@ -256,13 +256,7 @@ pub fn run_tiering(cfg: &TieringConfig) -> TieringResult {
     });
     hist.record_batch(&lat_batch);
 
-    hub.drain(&mut probe);
-    hub.finish(cfg.duration);
-    let telemetry_report = if telemetry::compiled() && hub.enabled() {
-        Some(hub.report())
-    } else {
-        None
-    };
+    let telemetry_report = hub.conclude([&mut probe], cfg.duration);
 
     let s = pool.stats();
     let total = (s.hits + s.misses).max(1);
@@ -379,7 +373,7 @@ mod tests {
         let mut cfg = tiny(PolicyKind::Lru, true, PhasePattern::Burst);
         cfg.telemetry_window = SimTime::from_millis(1);
         let r = run_tiering(&cfg);
-        if !telemetry::compiled() {
+        if !simkit::telemetry::compiled() {
             assert!(r.telemetry.is_none());
             return;
         }
@@ -398,7 +392,7 @@ mod tests {
 
     #[test]
     fn burst_thrash_is_visible_in_windowed_miss_rates() {
-        if !telemetry::compiled() {
+        if !simkit::telemetry::compiled() {
             return;
         }
         let window = SimTime::from_millis(1);

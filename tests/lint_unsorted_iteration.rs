@@ -26,11 +26,14 @@ use std::path::{Path, PathBuf};
 /// simkit is included for the telemetry/alerting pipeline: window rows,
 /// alert logs and health maps feed bit-deterministic reports, so any
 /// hash-order iteration there is just as corrupting as in the simulator.
+/// workloads holds the cluster driver and every "fold in node order"
+/// merge of the harnesses.
 const SCANNED: &[&str] = &[
     "crates/memsim/src",
     "crates/bufferpool/src",
     "crates/core/src",
     "crates/simkit/src",
+    "crates/workloads/src",
 ];
 
 /// Iteration methods that surface hash order.
