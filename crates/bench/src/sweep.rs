@@ -75,7 +75,7 @@ pub fn trace_out_path() -> Option<std::path::PathBuf> {
 
 /// Run `f(cfg)` with span recording and latency attribution enabled,
 /// then write the recorded spans as Chrome `trace_event` JSON to `path`
-/// (load it in https://ui.perfetto.dev or `chrome://tracing`).
+/// (load it in <https://ui.perfetto.dev> or `chrome://tracing`).
 /// Tracing is observation-only, so the returned result is bit-identical
 /// to an untraced run.
 pub fn run_traced<C, R>(cfg: &C, path: &std::path::Path, f: impl Fn(&C) -> R) -> R {

@@ -593,9 +593,9 @@ impl MigrationCoordinator {
                 let mut adopted = false;
                 for node in nodes.iter_mut() {
                     // lint: order-insensitive (slice, not a hash map)
-                    if node.node() == plan.donor {
+                    if node.id() == plan.donor {
                         node.forget_range(plan.from, plan.count);
-                    } else if node.node() == plan.recipient {
+                    } else if node.id() == plan.recipient {
                         t = self.gate(MigrationStep::Adopt, t)?;
                         let (_, end) = node.adopt(server, plan.from, plan.count, t);
                         t = end;

@@ -1,0 +1,465 @@
+//! Membership changes over the slot table: what happens to a node's
+//! active entries and flag words when the cluster changes shape —
+//! reclaim after a declared death, bulk adoption by a standby or a
+//! migration recipient, the donor-side migration hand-off and the
+//! brownout shrink. Every operation returns early, touching nothing,
+//! for a node that never registered a flag array.
+
+use super::node::SharingNode;
+use super::server::{invalid_flag_off, removal_flag_off, FusionServer};
+use crate::manager::rpc_gate;
+use memsim::NodeId;
+use simkit::SimTime;
+use storage::PageId;
+
+/// Typed outcome of an unachievable [`FusionServer::shrink_node_share`]
+/// request: the node's pinned share (pages other tenants are also
+/// active on — recycling those would evict a healthy tenant's data)
+/// already exceeds the requested share. The shrink still recycles every
+/// exclusive page, so the error reports what *was* achieved instead of
+/// silently clamping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShrinkError {
+    /// The browned-out node whose share was shrunk.
+    pub node: NodeId,
+    /// The share the caller asked to keep (total DBP pages).
+    pub requested: usize,
+    /// The smallest share actually achievable (the pinned page count).
+    pub achievable: usize,
+    /// Completion time of the partial shrink (all exclusive pages were
+    /// still recycled; callers continue from here).
+    pub completed: SimTime,
+}
+
+impl std::fmt::Display for ShrinkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "shrink of node {} clamped: requested share {} is below the \
+             {} pages pinned by co-tenants",
+            self.node.0, self.requested, self.achievable
+        )
+    }
+}
+
+impl std::error::Error for ShrinkError {}
+
+impl FusionServer {
+    /// Self-healing after [`FusionServer::fence_node`]: walk the DBP,
+    /// clear the dead node's `invalid`/`removal` flag words, drop it
+    /// from every slot's active list, and recycle slots only it was
+    /// using. The node's pages stay in the DBP wherever a survivor is
+    /// still active — the data in CXL outlived its writer. Returns the
+    /// completion time.
+    pub fn reclaim_node(&mut self, node: NodeId, now: SimTime) -> SimTime {
+        let Some(&flag_base) = self.flag_bases.get(&node) else {
+            return now;
+        };
+        // FastMap iteration order is not deterministic: collect and sort
+        // before doing timed work.
+        let mut touched: Vec<PageId> = self
+            .map
+            .iter()
+            .filter(|(_, info)| info.active.contains(&node))
+            .map(|(&page, _)| page)
+            .collect();
+        touched.sort_unstable();
+        let mut t = now;
+        for page in touched {
+            // One 16-B store clears both of the node's flags for the page.
+            t = self.store_uncached(invalid_flag_off(flag_base, page), &[0u8; 16], t);
+            self.stats.reclaimed_flags += 1;
+            let Some(info) = self.map.get_mut(&page) else {
+                continue;
+            };
+            info.active.retain(|&n| n != node);
+            if info.active.is_empty() {
+                self.unmap(page);
+                self.stats.reclaimed_slots += 1;
+            }
+        }
+        t
+    }
+
+    /// Put `node` into (or take it out of) brownout. A browned-out node
+    /// is served storage-direct by its harness (no new DBP admissions)
+    /// and its exclusive DBP share may be shrunk with
+    /// [`FusionServer::shrink_node_share`]. Pure control plane — no
+    /// fabric traffic, idempotent, and orthogonal to fencing (a browned
+    /// node is degraded, not dead).
+    pub fn set_brownout(&mut self, node: NodeId, on: bool) {
+        if on {
+            if !self.browned.contains(&node) {
+                self.browned.push(node);
+                self.stats.brownouts += 1;
+            }
+        } else {
+            self.browned.retain(|&n| n != node);
+        }
+    }
+
+    /// Whether `node` is currently browned out.
+    pub fn is_browned(&self, node: NodeId) -> bool {
+        self.browned.contains(&node)
+    }
+
+    /// Shrink a browned-out node's DBP footprint to at most `keep`
+    /// pages total. Only pages *exclusively* active on `node` can be
+    /// recycled (sorted page order; the lowest-numbered survive,
+    /// deterministically) — pages shared with any other node are pinned
+    /// by that co-tenant and set the floor the shrink cannot go below.
+    /// Each recycled page gets the node's removal flag set, exactly
+    /// like an LRU recycle, so a restored node re-requests it cleanly.
+    ///
+    /// Returns the completion time, or a typed [`ShrinkError`] when
+    /// `keep` is below the pinned-page floor: the shrink still recycles
+    /// every exclusive page, and the error reports the achievable share
+    /// instead of silently clamping.
+    pub fn shrink_node_share(
+        &mut self,
+        node: NodeId,
+        keep: usize,
+        now: SimTime,
+    ) -> Result<SimTime, ShrinkError> {
+        let Some(&flag_base) = self.flag_bases.get(&node) else {
+            return Ok(now);
+        };
+        // FastMap iteration order is not deterministic: collect and sort
+        // before doing timed work.
+        let mut exclusive: Vec<PageId> = self
+            .map
+            .iter()
+            .filter(|(_, info)| info.active.len() == 1 && info.active[0] == node)
+            .map(|(&page, _)| page)
+            .collect();
+        exclusive.sort_unstable();
+        let pinned = self
+            .map
+            .iter()
+            .filter(|(_, info)| info.active.len() > 1 && info.active.contains(&node))
+            .count();
+        let keep_exclusive = keep.saturating_sub(pinned);
+        let mut t = now;
+        for page in exclusive.into_iter().skip(keep_exclusive) {
+            if self.unmap(page).is_none() {
+                continue;
+            }
+            t = self.store_uncached(removal_flag_off(flag_base, page), &1u64.to_le_bytes(), t);
+            self.stats.brownout_reclaims += 1;
+        }
+        if keep < pinned {
+            self.stats.brownout_clamped += 1;
+            return Err(ShrinkError {
+                node,
+                requested: keep,
+                achievable: pinned,
+                completed: t,
+            });
+        }
+        Ok(t)
+    }
+
+    /// Bulk directory fetch for standby adoption (PolarRecv-style): one
+    /// RPC returns every mapped (page, CXL address) pair in
+    /// `[from, from + count)`, registers `node` as active on each, and
+    /// resets the node's flag words for the whole range with a single
+    /// contiguous ntstore sweep. This is why takeover sits far under a
+    /// storage replay: the directory is read wholesale, not resolved
+    /// page by page. A node that never registered a flag array is
+    /// granted nothing (this runs on the takeover path, where a panic
+    /// would take the standby down with the failed node).
+    pub fn adopt_range(
+        &mut self,
+        node: NodeId,
+        from: PageId,
+        count: u64,
+        now: SimTime,
+    ) -> (Vec<(PageId, u64)>, SimTime) {
+        let Some(&flag_base) = self.flag_bases.get(&node) else {
+            return (Vec::new(), now);
+        };
+        self.stats.rpcs += 1;
+        let t = rpc_gate(now);
+        let mut grants = Vec::new();
+        for p in from.0..from.0 + count {
+            let page = PageId(p);
+            if let Some(info) = self.map.get_mut(&page) {
+                if !info.active.contains(&node) {
+                    info.active.push(node);
+                }
+                let slot = info.slot;
+                self.lru.touch(slot);
+                grants.push((page, self.slot_addr(slot)));
+            }
+        }
+        // Flag words for a contiguous page range are contiguous in the
+        // node's flag array: clear them in one sweep.
+        let zeros = vec![0u8; (count * 16) as usize];
+        let end = self.store_uncached(invalid_flag_off(flag_base, from), &zeros, t);
+        (grants, end)
+    }
+
+    /// Migration hand-off, donor side: drop `donor` from the active
+    /// list of every mapped page in `[from, from + count)` and set its
+    /// removal flags for the whole range in one contiguous patterned
+    /// ntstore sweep (removal word := 1, invalid word := 0 — removal is
+    /// checked first, so a live donor re-requests cleanly). Slots are
+    /// *not* recycled: the pages transfer in place to the recipient
+    /// ([`FusionServer::adopt_range`]), which is the whole point of a
+    /// CXL migration — no data moves. Idempotent; returns completion
+    /// time.
+    pub fn migrate_out(
+        &mut self,
+        donor: NodeId,
+        from: PageId,
+        count: u64,
+        now: SimTime,
+    ) -> SimTime {
+        let Some(&flag_base) = self.flag_bases.get(&donor) else {
+            return now;
+        };
+        self.stats.rpcs += 1;
+        let t = rpc_gate(now);
+        let mut handed = 0u64;
+        for p in from.0..from.0 + count {
+            if let Some(info) = self.map.get_mut(&PageId(p)) {
+                if info.active.contains(&donor) {
+                    info.active.retain(|&n| n != donor);
+                    handed += 1;
+                }
+            }
+        }
+        self.stats.migrated_out += handed;
+        // Flag words for a contiguous page range are contiguous in the
+        // donor's flag array: one patterned sweep sets every removal
+        // word in the range.
+        let mut pattern = vec![0u8; (count * 16) as usize];
+        for i in 0..count as usize {
+            pattern[i * 16 + 8] = 1;
+        }
+        self.store_uncached(invalid_flag_off(flag_base, from), &pattern, t)
+    }
+}
+
+impl SharingNode {
+    /// Adopt every mapped page in `[from, from + count)` with a single
+    /// bulk RPC ([`FusionServer::adopt_range`]) — the standby-takeover
+    /// fast path. Returns (pages adopted, completion time).
+    pub fn adopt(
+        &mut self,
+        server: &mut FusionServer,
+        from: PageId,
+        count: u64,
+        now: SimTime,
+    ) -> (u64, SimTime) {
+        self.stats.rpcs += 1;
+        let (grants, mut t) = server.adopt_range(self.node, from, count, now);
+        let adopted = grants.len() as u64;
+        let mut pool = server.fabric().borrow_mut();
+        for (page, addr) in grants {
+            t = self.install(&mut *pool, page, addr, t);
+        }
+        (adopted, t)
+    }
+
+    /// Migration hand-off, node side: drop the local metadata entries
+    /// for `[from, from + count)`. The donor calls this after the
+    /// coordinator's [`FusionServer::migrate_out`] so its next touch of
+    /// a migrated page goes through the normal removal/re-request
+    /// protocol instead of a stale local address. Pure control plane.
+    pub fn forget_range(&mut self, from: PageId, count: u64) {
+        for p in from.0..from.0 + count {
+            self.entries.remove(&PageId(p));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::{self, setup, EPOCH_BASE};
+    use super::super::FencingPolicy;
+    use super::*;
+
+    #[test]
+    fn reclaim_heals_flags_slots_and_shared_pages_survive() {
+        let (mut server, mut n0, mut n1) = setup();
+        server.enable_fencing(FencingPolicy::Epoch, EPOCH_BASE);
+        let (e0, _) = server.register_node_fenced(NodeId(0), 64 << 10, SimTime::ZERO);
+        let (e1, _) = server.register_node_fenced(NodeId(1), 96 << 10, SimTime::ZERO);
+        n0.enable_fencing(EPOCH_BASE, e0);
+        n1.enable_fencing(EPOCH_BASE, e1);
+        let mut buf = [0u8; 8];
+        // Node 0 alone touches pages 2,3; both nodes share page 5.
+        n0.read(&mut server, PageId(2), 0, &mut buf, SimTime::ZERO);
+        n0.read(&mut server, PageId(3), 0, &mut buf, SimTime::ZERO);
+        n0.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
+        n1.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
+        assert_eq!(server.pages_in_use(), 3);
+        let t = server.fence_node(NodeId(0), SimTime::ZERO);
+        let t = server.reclaim_node(NodeId(0), t);
+        // Exclusive slots recycled, the shared page survives in the DBP.
+        assert_eq!(server.pages_in_use(), 1);
+        assert_eq!(server.stats().reclaimed_slots, 2);
+        assert_eq!(server.stats().reclaimed_flags, 3);
+        assert_eq!(
+            server.pages_in_use() + server.free_slots(),
+            16,
+            "no leaked slots"
+        );
+        // The survivor still reads the shared page without a storage
+        // round trip (its DBP copy survived its peer's death).
+        let fills = server.stats().storage_fills;
+        n1.read(&mut server, PageId(5), 0, &mut buf, t);
+        assert_eq!(buf, [6u8; 8]);
+        assert_eq!(server.stats().storage_fills, fills);
+        // A standby re-registering the dead identity resumes at the
+        // bumped epoch and works again.
+        let (e0b, t) = server.register_node_fenced(NodeId(0), 64 << 10, t);
+        assert_eq!(e0b, e0 + 1);
+        let mut n0b = SharingNode::new(NodeId(0), 64 << 10, 1024);
+        n0b.enable_fencing(EPOCH_BASE, e0b);
+        n0b.guarded_write(&mut server, PageId(2), 0, &[7u8; 8], t)
+            .expect("resurrected node writes at the new epoch");
+    }
+
+    #[test]
+    fn brownout_shrinks_exclusive_share_and_restores_cleanly() {
+        let (mut server, mut n0, mut n1) = setup();
+        let mut buf = [0u8; 8];
+        // Node 0 alone touches pages 1..=3; both nodes share page 5.
+        n0.read(&mut server, PageId(1), 0, &mut buf, SimTime::ZERO);
+        n0.read(&mut server, PageId(2), 0, &mut buf, SimTime::ZERO);
+        n0.read(&mut server, PageId(3), 0, &mut buf, SimTime::ZERO);
+        n0.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
+        n1.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
+        assert_eq!(server.pages_in_use(), 4);
+        assert!(!server.is_browned(NodeId(0)));
+        server.set_brownout(NodeId(0), true);
+        server.set_brownout(NodeId(0), true); // idempotent
+        assert!(server.is_browned(NodeId(0)));
+        // Keep = 2 total: one pinned (shared page 5) + one exclusive.
+        let t = server
+            .shrink_node_share(NodeId(0), 2, SimTime::ZERO)
+            .expect("share of 2 is achievable (1 pinned + 1 exclusive)");
+        // Pages 2 and 3 recycled (lowest page id survives); the page
+        // shared with node 1 is untouched.
+        assert_eq!(server.pages_in_use(), 2);
+        assert_eq!(server.stats().brownouts, 1);
+        assert_eq!(server.stats().brownout_reclaims, 2);
+        assert_eq!(
+            server.pages_in_use() + server.free_slots(),
+            16,
+            "no leaked slots"
+        );
+        // The shared page still reads from the DBP without a storage
+        // round trip.
+        let fills = server.stats().storage_fills;
+        n1.read(&mut server, PageId(5), 0, &mut buf, t);
+        assert_eq!(buf, [6u8; 8]);
+        assert_eq!(server.stats().storage_fills, fills);
+        // Restore: the node sees the removal flag on a recycled page
+        // and re-requests it through the normal protocol.
+        server.set_brownout(NodeId(0), false);
+        assert!(!server.is_browned(NodeId(0)));
+        let removals = n0.stats().removal_reloads;
+        n0.read(&mut server, PageId(3), 0, &mut buf, t);
+        assert_eq!(buf, [4u8; 8]);
+        assert_eq!(n0.stats().removal_reloads, removals + 1);
+        assert_eq!(server.pages_in_use(), 3);
+    }
+
+    #[test]
+    fn shrink_below_pinned_floor_reports_typed_clamp() {
+        let (mut server, mut n0, mut n1) = setup();
+        let mut buf = [0u8; 8];
+        // Node 0 exclusive on pages 1..=2; both nodes share page 5.
+        n0.read(&mut server, PageId(1), 0, &mut buf, SimTime::ZERO);
+        n0.read(&mut server, PageId(2), 0, &mut buf, SimTime::ZERO);
+        n0.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
+        n1.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
+        server.set_brownout(NodeId(0), true);
+        // Requesting 0 cannot evict the co-tenant's shared page: the
+        // shrink recycles every exclusive page and reports the floor.
+        let err = server
+            .shrink_node_share(NodeId(0), 0, SimTime::ZERO)
+            .expect_err("share below the pinned floor must be a typed clamp");
+        assert_eq!(err.node, NodeId(0));
+        assert_eq!(err.requested, 0);
+        assert_eq!(err.achievable, 1, "page 5 is pinned by node 1");
+        assert!(err.completed > SimTime::ZERO, "exclusive pages recycled");
+        assert_eq!(server.stats().brownout_reclaims, 2);
+        assert_eq!(server.stats().brownout_clamped, 1);
+        assert_eq!(server.pages_in_use(), 1, "only the shared page remains");
+        assert_eq!(server.pages_in_use() + server.free_slots(), 16);
+        // The co-tenant's shared page still serves from the DBP.
+        let fills = server.stats().storage_fills;
+        n1.read(&mut server, PageId(5), 0, &mut buf, err.completed);
+        assert_eq!(buf, [6u8; 8]);
+        assert_eq!(server.stats().storage_fills, fills);
+    }
+
+    #[test]
+    fn migrate_out_hands_pages_off_without_recycling() {
+        let (mut server, mut n0, mut n1) = setup();
+        let mut buf = [0u8; 8];
+        // Donor (node 0) active on pages 2..=4; write one of them so the
+        // data in CXL is worth keeping.
+        n0.read(&mut server, PageId(2), 0, &mut buf, SimTime::ZERO);
+        n0.read(&mut server, PageId(3), 0, &mut buf, SimTime::ZERO);
+        n0.read(&mut server, PageId(4), 0, &mut buf, SimTime::ZERO);
+        let t = n0.write(&mut server, PageId(3), 0, &[9u8; 8], SimTime::ZERO);
+        let t = n0.publish(&mut server, PageId(3), t);
+        let in_use = server.pages_in_use();
+        let free = server.free_slots();
+        let t = server.migrate_out(NodeId(0), PageId(2), 3, t);
+        // Slots neither freed nor leaked: the pages transfer in place.
+        assert_eq!(server.pages_in_use(), in_use);
+        assert_eq!(server.free_slots(), free);
+        assert_eq!(server.stats().migrated_out, 3);
+        assert!(server.slot_of(PageId(3)).is_some());
+        // Idempotent: a replay hands off nothing new.
+        let t = server.migrate_out(NodeId(0), PageId(2), 3, t);
+        assert_eq!(server.stats().migrated_out, 3);
+        // The recipient adopts the range and reads the donor's committed
+        // write without a storage round trip.
+        let (grants, t) = n1.adopt(&mut server, PageId(2), 3, t);
+        assert_eq!(grants, 3);
+        let fills = server.stats().storage_fills;
+        n1.read(&mut server, PageId(3), 0, &mut buf, t);
+        assert_eq!(buf, [9u8; 8]);
+        assert_eq!(server.stats().storage_fills, fills);
+        // The donor polls its removal flag and re-requests cleanly if it
+        // ever comes back to the page.
+        let removals = n0.stats().removal_reloads;
+        n0.read(&mut server, PageId(3), 0, &mut buf, t);
+        assert_eq!(n0.stats().removal_reloads, removals + 1);
+    }
+
+    #[test]
+    fn membership_changes_for_an_unregistered_node_touch_nothing() {
+        // Node 1 never registered a flag array (a standby whose
+        // registration was lost, say). Every membership operation on the
+        // takeover path must come back empty-handed instead of indexing
+        // a flag base that is not there.
+        let mut server = testkit::server();
+        server.register_node(NodeId(0), 64 << 10);
+        let mut n0 = SharingNode::new(NodeId(0), 64 << 10, 1024);
+        let mut stray = SharingNode::new(NodeId(1), 96 << 10, 1024);
+        let mut buf = [0u8; 8];
+        let t = n0.read(&mut server, PageId(2), 0, &mut buf, SimTime::ZERO);
+        let before = server.stats();
+        let link = server.fabric().borrow().switch_bytes();
+        assert_eq!(
+            server.adopt_range(NodeId(1), PageId(0), 8, t),
+            (Vec::new(), t)
+        );
+        assert_eq!(stray.adopt(&mut server, PageId(0), 8, t), (0, t));
+        assert_eq!(server.reclaim_node(NodeId(1), t), t);
+        assert_eq!(server.migrate_out(NodeId(1), PageId(0), 8, t), t);
+        assert_eq!(server.shrink_node_share(NodeId(1), 0, t), Ok(t));
+        assert_eq!(server.stats(), before);
+        assert_eq!(server.fabric().borrow().switch_bytes(), link);
+        // The registered node's directory entry is untouched.
+        assert_eq!(server.dir_snapshot().active(PageId(2)), &[NodeId(0)]);
+    }
+}

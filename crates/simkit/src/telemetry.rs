@@ -11,7 +11,7 @@
 //! - [`NodeProbe`] — the per-node recording side. Lives inside a node's
 //!   shard during barrier-parallel phases (like `TraceState` /
 //!   `FaultState`), so recording never synchronizes. Each probe keeps a
-//!   short sorted list of *open* windows ([`LaneAcc`] per lane: ops,
+//!   short sorted list of *open* windows (`LaneAcc` per lane: ops,
 //!   errors, retries, misses, bytes, latency [`Histogram`]).
 //! - [`TelemetryHub`] — the serial aggregation side. At each virtual
 //!   -time barrier the driver `ingest`s every probe's windows that lie

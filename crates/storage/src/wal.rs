@@ -48,7 +48,7 @@ const PAYLOAD_INLINE: usize = 22;
 /// Appending a redo record is on the hot path of every simulated page
 /// write, and almost all payloads are tiny header/slot/key updates; a
 /// heap `Vec<u8>` per record is the single largest allocation source in
-/// a write-heavy run. Payloads up to [`PAYLOAD_INLINE`] bytes live
+/// a write-heavy run. Payloads up to `PAYLOAD_INLINE` bytes live
 /// inside the record. Derefs to `[u8]`, so `&rec.data` still reads as a
 /// byte slice everywhere.
 #[derive(Clone)]

@@ -64,7 +64,7 @@ pub struct ElasticityConfig {
     pub workers_per_node: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Host worker threads (`0` = [`par::host_threads`]). Any value
+    /// Host worker threads (`0` = [`simkit::par::host_threads`]). Any value
     /// yields bit-identical results.
     pub host_threads: usize,
     /// Telemetry window width (ZERO disables probes; the controller

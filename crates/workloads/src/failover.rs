@@ -130,7 +130,7 @@ pub struct FailoverConfig {
     /// run for the telemetry false-positive measurement.
     pub fault_free: bool,
     /// Host worker threads stepping nodes between barriers
-    /// (`0` = [`par::host_threads`]). Any value yields bit-identical
+    /// (`0` = [`simkit::par::host_threads`]). Any value yields bit-identical
     /// results; it only changes wall-clock time.
     pub host_threads: usize,
 }

@@ -21,9 +21,9 @@
 //! 3. **Brownout** (driver, at barriers): when a victim's windowed p99
 //!    burn-rate rule fires — or CXL-pool occupancy crosses the
 //!    configured ceiling — the lowest-priority tenant is degraded to
-//!    storage-direct service ([`FusionServer::set_brownout`]) and its
+//!    storage-direct service ([`polarcxlmem::FusionServer::set_brownout`]) and its
 //!    exclusive buffer-pool share is shrunk
-//!    ([`FusionServer::shrink_node_share`]). Restoration is hysteretic:
+//!    ([`polarcxlmem::FusionServer::shrink_node_share`]). Restoration is hysteretic:
 //!    only after [`OverloadConfig::clear_quanta`] consecutive clear
 //!    quanta does the tenant return to fabric service (its pages are
 //!    re-resolved serially, so no RPC happens inside a parallel phase).
@@ -84,7 +84,7 @@ pub struct OverloadConfig {
     pub workers_per_node: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Host worker threads (`0` = [`par::host_threads`]). Any value
+    /// Host worker threads (`0` = [`simkit::par::host_threads`]). Any value
     /// yields bit-identical results.
     pub host_threads: usize,
     /// Telemetry window width (ZERO disables probes and with them the

@@ -149,7 +149,7 @@ pub struct SharingConfig {
     /// host thread count.
     pub quantum: SimTime,
     /// Host worker threads stepping nodes between barriers
-    /// (`0` = [`par::host_threads`]). Any value yields bit-identical
+    /// (`0` = [`simkit::par::host_threads`]). Any value yields bit-identical
     /// results; it only changes wall-clock time.
     pub host_threads: usize,
     /// Eviction policy for node-local page frames (the RDMA design's

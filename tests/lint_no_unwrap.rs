@@ -9,7 +9,7 @@
 //!
 //! Scope: all of `crates/memsim/src` (RDMA + CXL fabric models), the
 //! storage primitives `wal.rs` / `pagestore.rs`, and the cluster
-//! control plane `manager.rs` / `fusion.rs` / `elastic.rs` (lease
+//! control plane `manager.rs` / `fusion/` / `elastic.rs` (lease
 //! revocation, epoch fencing, node reclamation and live lease migration
 //! run exactly when nodes are dying or crash-recovering, so a
 //! panic there takes the failover path down with the failed node), plus
@@ -31,7 +31,7 @@ const SCANNED: &[&str] = &[
     "crates/storage/src/wal.rs",
     "crates/storage/src/pagestore.rs",
     "crates/core/src/manager.rs",
-    "crates/core/src/fusion.rs",
+    "crates/core/src/fusion",
     "crates/core/src/elastic.rs",
     "crates/core/src/tiering.rs",
     "crates/simkit/src/telemetry.rs",

@@ -9,7 +9,9 @@
 //! whole harness is built on (serial == parallel, bit-identical).
 //!
 //! This test scans the simulator crates' sources for direct iteration
-//! over hash-typed struct fields and fails unless the site either sorts
+//! over hash-typed struct fields (field names are collected per crate
+//! directory, so an `impl` in one file is checked against a struct
+//! declared in another) and fails unless the site either sorts
 //! the collected keys within the next few lines or carries an explicit
 //! `// lint: order-insensitive` marker (for sites whose effect provably
 //! does not depend on order).
@@ -63,12 +65,15 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Field names declared with a hash-container type in `src`, e.g.
-/// `map: FastMap<PageId, u32>,` -> `map`.
-fn hash_fields(src: &str) -> Vec<String> {
-    let mut fields = Vec::new();
+/// `map: FastMap<PageId, u32>,` -> `map`, added to `fields`.
+fn hash_fields(src: &str, fields: &mut Vec<String>) {
     for line in src.lines() {
         let line = line.trim_start();
         let line = line.strip_prefix("pub ").unwrap_or(line);
+        let line = match line.strip_prefix("pub(") {
+            Some(rest) => rest.split_once(") ").map_or(line, |(_, l)| l),
+            None => line,
+        };
         let Some((name, ty)) = line.split_once(':') else {
             continue;
         };
@@ -84,9 +89,6 @@ fn hash_fields(src: &str) -> Vec<String> {
             fields.push(name.to_string());
         }
     }
-    fields.sort();
-    fields.dedup();
-    fields
 }
 
 /// Byte offset where test code starts (lint only covers non-test code).
@@ -94,13 +96,33 @@ fn test_code_start(src: &str) -> usize {
     src.find("#[cfg(test)]").unwrap_or(src.len())
 }
 
-fn check_file(path: &Path, violations: &mut String) {
-    let src = std::fs::read_to_string(path).expect("readable source file");
-    let fields = hash_fields(&src);
-    if fields.is_empty() {
-        return;
+/// Lint every file under `dir` against the hash-typed field names
+/// declared *anywhere* under it: a struct and the `impl` block that
+/// iterates its map need not share a file (`core::fusion` keeps
+/// `FusionServer { map }` in `server.rs` and walks it in
+/// `membership.rs`).
+fn check_dir(dir: &Path, violations: &mut String) -> usize {
+    let mut files = Vec::new();
+    rust_files(dir, &mut files);
+    files.sort();
+    let sources: Vec<String> = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).expect("readable source file"))
+        .collect();
+    let mut fields = Vec::new();
+    for src in &sources {
+        hash_fields(src, &mut fields);
     }
-    let code = &src[..test_code_start(&src)];
+    fields.sort();
+    fields.dedup();
+    for (path, src) in files.iter().zip(&sources) {
+        check_file(path, src, &fields, violations);
+    }
+    files.len()
+}
+
+fn check_file(path: &Path, src: &str, fields: &[String], violations: &mut String) {
+    let code = &src[..test_code_start(src)];
     let lines: Vec<&str> = code.lines().collect();
     for (i, line) in lines.iter().enumerate() {
         let hit = fields.iter().any(|f| {
@@ -135,20 +157,15 @@ fn check_file(path: &Path, violations: &mut String) {
 #[test]
 fn no_unsorted_hash_iteration_in_simulator_state() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for dir in SCANNED {
-        rust_files(&root.join(dir), &mut files);
-    }
-    files.sort();
-    assert!(
-        files.len() >= 10,
-        "lint scanned suspiciously few files ({}) — moved sources?",
-        files.len()
-    );
     let mut violations = String::new();
-    for f in &files {
-        check_file(f, &mut violations);
+    let mut files = 0;
+    for dir in SCANNED {
+        files += check_dir(&root.join(dir), &mut violations);
     }
+    assert!(
+        files >= 10,
+        "lint scanned suspiciously few files ({files}) — moved sources?"
+    );
     assert!(
         violations.is_empty(),
         "hash-container iteration without a sort within {SORT_WINDOW} lines \
@@ -159,18 +176,32 @@ fn no_unsorted_hash_iteration_in_simulator_state() {
 
 #[test]
 fn lint_catches_a_seeded_violation() {
-    // The lint must actually fire on the pattern it claims to catch.
-    let src = "struct S {\n    map: FastMap<u64, u32>,\n}\n\
-               impl S { fn f(&self) { for v in self.map.values() { drop(v); } } }\n";
-    let dir = std::env::temp_dir().join("lint_unsorted_seed");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("seeded.rs");
-    std::fs::write(&path, src).unwrap();
-    let mut violations = String::new();
-    check_file(&path, &mut violations);
-    std::fs::remove_file(&path).ok();
-    assert!(
-        violations.contains("seeded.rs:4"),
-        "lint failed to flag a direct map iteration: {violations:?}"
-    );
+    // The lint must actually fire on the pattern it claims to catch —
+    // also when the struct and the iterating `impl` sit in different
+    // files of one crate directory, `pub(super)` field or not.
+    let decl = "struct S {\n    pub(super) map: FastMap<u64, u32>,\n}\n";
+    let walk = "impl S { fn f(&self) { for v in self.map.values() { drop(v); } } }\n";
+    for (name, files) in [
+        ("one_file", vec![("seeded.rs", format!("{decl}{walk}"))]),
+        (
+            "two_files",
+            vec![
+                ("decl.rs", decl.to_string()),
+                ("seeded.rs", walk.to_string()),
+            ],
+        ),
+    ] {
+        let dir = std::env::temp_dir().join(format!("lint_unsorted_seed_{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (file, src) in &files {
+            std::fs::write(dir.join(file), src).unwrap();
+        }
+        let mut violations = String::new();
+        check_dir(&dir, &mut violations);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            violations.contains("seeded.rs:") && violations.contains("self.map.values()"),
+            "{name}: lint failed to flag a direct map iteration: {violations:?}"
+        );
+    }
 }
