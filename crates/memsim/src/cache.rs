@@ -13,9 +13,20 @@
 //!   coherency *real*: a node that skips the paper's invalidation protocol
 //!   observably reads stale data. Used by the multi-primary sharing
 //!   experiments and their tests (§3.3).
+//!
+//! Line copies live in a dense slab — one 64-byte buffer per *live* copy,
+//! found through a per-set index and recycled through a free list — so a
+//! warmed cache allocates nothing, and host memory follows the lines a
+//! node actually holds rather than the modelled capacity.
 
 use crate::calib::CACHE_LINE;
-use simkit::FastMap;
+
+/// The lines a `len`-byte access at `off` touches. (A zero-length access
+/// at an unaligned offset still names the line it sits in.)
+#[inline]
+pub(crate) fn line_range(off: u64, len: usize) -> std::ops::Range<u64> {
+    off / CACHE_LINE..(off + len as u64).div_ceil(CACHE_LINE)
+}
 
 /// What a line access did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +81,85 @@ type Slot = u32;
 /// Keys must stay below this to fit a [`Slot`].
 const KEY_LIMIT: u64 = 1 << 31;
 
+/// The bytes of one cache line.
+pub type LineBytes = [u8; CACHE_LINE as usize];
+
+/// One captured copy: the bytes, and the line they are a copy of. The
+/// owner is kept beside the bytes (not read off the set's tag) because
+/// the two part ways mid-operation: a dirty victim's copy outlives its
+/// tag until the caller takes it for write-back.
+#[derive(Clone, Copy)]
+struct Captured {
+    line: u64,
+    bytes: LineBytes,
+}
+
+/// Capture-mode line copies. A direct-mapped set holds at most one copy,
+/// so `idx` finds it in one load; the buffers themselves are dense
+/// (`lines.len()` is the high-water mark of live copies, not the set
+/// count) and reused through `free`.
+struct LineStore {
+    /// Per set: index into `lines` plus one; 0 = the set holds no copy.
+    idx: Vec<u32>,
+    lines: Vec<Captured>,
+    /// Entries of `lines` no set refers to.
+    free: Vec<u32>,
+}
+
+impl LineStore {
+    fn new(sets: usize) -> Self {
+        LineStore {
+            idx: vec![0; sets],
+            lines: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// The buffer holding `line`'s copy, if `set` (its set) has one.
+    #[inline]
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        let i = self.idx[set].checked_sub(1)? as usize;
+        (self.lines[i].line == line).then_some(i)
+    }
+
+    /// Install `bytes` as `line`'s copy: over its current copy, or into a
+    /// recycled (else new) buffer.
+    #[inline]
+    fn put(&mut self, set: usize, line: u64, bytes: &LineBytes) {
+        let copy = Captured {
+            line,
+            bytes: *bytes,
+        };
+        if let Some(i) = self.idx[set].checked_sub(1) {
+            // A different owner here would be a dirty victim nobody took:
+            // a store about to be lost.
+            debug_assert_eq!(self.lines[i as usize].line, line, "orphaned line copy");
+            self.lines[i as usize] = copy;
+        } else if let Some(i) = self.free.pop() {
+            self.lines[i as usize] = copy;
+            self.idx[set] = i + 1;
+        } else {
+            self.lines.push(copy);
+            self.idx[set] = u32::try_from(self.lines.len()).expect("line slab exceeds u32");
+        }
+    }
+
+    /// Drop `line`'s copy, handing its buffer back; returns the bytes.
+    #[inline]
+    fn release(&mut self, set: usize, line: u64) -> Option<LineBytes> {
+        let i = self.find(set, line)?;
+        self.idx[set] = 0;
+        self.free.push(i as u32);
+        Some(self.lines[i].bytes)
+    }
+
+    fn clear(&mut self) {
+        self.idx.fill(0);
+        self.lines.clear();
+        self.free.clear();
+    }
+}
+
 /// Direct-mapped write-back cache. Addresses are byte offsets into the
 /// backing region; lines are [`CACHE_LINE`] bytes.
 pub struct Cache {
@@ -80,7 +170,7 @@ pub struct Cache {
     /// addressing shortcut: `line & mask == line % sets` and
     /// `line >> shift == line / sets` whenever `sets` is a power of two.
     pow2: Option<(u64, u32)>,
-    data: Option<FastMap<u64, Box<[u8]>>>,
+    data: Option<LineStore>,
     stats: CacheStats,
 }
 
@@ -111,7 +201,7 @@ impl Cache {
     /// A data-capturing cache (see module docs).
     pub fn with_capture(capacity_bytes: usize) -> Self {
         let mut c = Cache::new(capacity_bytes);
-        c.data = Some(FastMap::default());
+        c.data = Some(LineStore::new(c.slots.len()));
         c
     }
 
@@ -178,7 +268,7 @@ impl Cache {
             // removed by `take_line` during writeback.
             let victim = self.line_of(set, slot);
             if let Some(data) = &mut self.data {
-                data.remove(&victim);
+                data.release(set, victim);
             }
         }
         self.slots[set] = Self::pack(key, write);
@@ -263,7 +353,7 @@ impl Cache {
         if was_dirty {
             self.stats.flushes += 1;
         } else if let Some(data) = &mut self.data {
-            data.remove(&line);
+            data.release(set, line);
         }
         was_dirty
     }
@@ -276,8 +366,30 @@ impl Cache {
             self.slots[set] = 0;
             self.stats.invalidations += 1;
             if let Some(data) = &mut self.data {
-                data.remove(&line);
+                data.release(set, line);
             }
+        }
+    }
+
+    /// [`Cache::invalidate`] for every line of a contiguous run, as one
+    /// sweep: up to the wrap of the set index the run's sets are
+    /// contiguous and its lines share one key, so each stretch is a pass
+    /// over a slice of tags comparing against a constant.
+    pub fn invalidate_run(&mut self, lines: std::ops::Range<u64>) {
+        let sets = self.slots.len() as u64;
+        let mut line = lines.start;
+        while line < lines.end {
+            let (set, key) = self.split(line);
+            let n = (sets - set as u64).min(lines.end - line);
+            // A key too wide for a slot is held by none.
+            if let Ok(key) = Slot::try_from(key) {
+                for i in 0..n {
+                    if self.slots[set + i as usize] >> 1 == key {
+                        self.invalidate(line + i);
+                    }
+                }
+            }
+            line += n;
         }
     }
 
@@ -295,26 +407,32 @@ impl Cache {
 
     /// Install a data copy for `line` (after a miss fill). Capture mode
     /// only.
-    pub fn put_line(&mut self, line: u64, bytes: &[u8]) {
-        debug_assert_eq!(bytes.len(), CACHE_LINE as usize);
+    pub fn put_line(&mut self, line: u64, bytes: &LineBytes) {
+        let set = self.split(line).0;
         if let Some(data) = &mut self.data {
-            data.insert(line, bytes.into());
+            data.put(set, line, bytes);
         }
     }
 
     /// Borrow the cached copy of `line`, if capturing and present.
-    pub fn line(&self, line: u64) -> Option<&[u8]> {
-        self.data.as_ref()?.get(&line).map(|b| &**b)
+    pub fn line(&self, line: u64) -> Option<&LineBytes> {
+        let data = self.data.as_ref()?;
+        let i = data.find(self.split(line).0, line)?;
+        Some(&data.lines[i].bytes)
     }
 
     /// Mutably borrow the cached copy of `line`.
-    pub fn line_mut(&mut self, line: u64) -> Option<&mut [u8]> {
-        self.data.as_mut()?.get_mut(&line).map(|b| &mut **b)
+    pub fn line_mut(&mut self, line: u64) -> Option<&mut LineBytes> {
+        let set = self.split(line).0;
+        let data = self.data.as_mut()?;
+        let i = data.find(set, line)?;
+        Some(&mut data.lines[i].bytes)
     }
 
     /// Remove and return the data copy of `line` (for writeback).
-    pub fn take_line(&mut self, line: u64) -> Option<Box<[u8]>> {
-        self.data.as_mut()?.remove(&line)
+    pub fn take_line(&mut self, line: u64) -> Option<LineBytes> {
+        let set = self.split(line).0;
+        self.data.as_mut()?.release(set, line)
     }
 }
 
@@ -618,6 +736,269 @@ mod tests {
         cap.access(7, false);
         assert!(!cap.read_hit(7));
         assert_eq!(cap.stats().hits, 0);
+    }
+
+    // ---- slab line store vs a map of line copies ----------------------
+    //
+    // The reference is the capture cache as it was before the slab: an
+    // unpacked tag per set and a `HashMap` of line copies keyed by line,
+    // each method a transcription of the old body.
+
+    struct MapRef {
+        slots: Vec<Option<(u64, bool)>>,
+        data: std::collections::HashMap<u64, LineBytes>,
+        stats: CacheStats,
+    }
+
+    impl MapRef {
+        fn new(sets: usize) -> Self {
+            MapRef {
+                slots: vec![None; sets],
+                data: Default::default(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&self, line: u64) -> usize {
+            (line % self.slots.len() as u64) as usize
+        }
+
+        fn holds(&self, line: u64) -> Option<bool> {
+            self.slots[self.set(line)]
+                .filter(|&(l, _)| l == line)
+                .map(|(_, dirty)| dirty)
+        }
+
+        fn access(&mut self, line: u64, write: bool) -> LineAccess {
+            let set = self.set(line);
+            if self.holds(line).is_some() {
+                self.stats.hits += 1;
+                if let Some((_, dirty)) = &mut self.slots[set] {
+                    *dirty |= write;
+                }
+                return LineAccess::Hit;
+            }
+            let evicted_dirty = match self.slots[set] {
+                Some((victim, true)) => {
+                    self.stats.writebacks += 1;
+                    Some(victim)
+                }
+                Some((victim, false)) => {
+                    self.data.remove(&victim);
+                    None
+                }
+                None => None,
+            };
+            self.slots[set] = Some((line, write));
+            self.stats.misses += 1;
+            LineAccess::Miss { evicted_dirty }
+        }
+
+        fn clflush(&mut self, line: u64) -> bool {
+            let Some(was_dirty) = self.holds(line) else {
+                return false;
+            };
+            let set = self.set(line);
+            self.slots[set] = None;
+            self.stats.invalidations += 1;
+            if was_dirty {
+                self.stats.flushes += 1;
+            } else {
+                self.data.remove(&line);
+            }
+            was_dirty
+        }
+
+        fn invalidate(&mut self, line: u64) {
+            if self.holds(line).is_some() {
+                let set = self.set(line);
+                self.slots[set] = None;
+                self.stats.invalidations += 1;
+                self.data.remove(&line);
+            }
+        }
+
+        fn crash(&mut self) {
+            self.slots.fill(None);
+            self.data.clear();
+        }
+    }
+
+    /// Tags, dirty bits, stats and every stored copy agree over `reach`.
+    fn assert_same_state(c: &Cache, m: &MapRef, reach: std::ops::Range<u64>) {
+        assert_eq!(c.stats(), m.stats);
+        for line in reach {
+            assert_eq!(c.contains(line), m.holds(line).is_some(), "tag {line}");
+            assert_eq!(
+                c.is_dirty(line),
+                m.holds(line) == Some(true),
+                "dirty {line}"
+            );
+            assert_eq!(c.line(line), m.data.get(&line), "copy of {line}");
+        }
+    }
+
+    fn random_line_bytes(rng: &mut simkit::rng::SimRng) -> LineBytes {
+        std::array::from_fn(|_| rng.gen())
+    }
+
+    /// Random protocol-shaped traffic — fills that take their dirty victim
+    /// before installing the new copy, flushes that take what they
+    /// flushed, as `cxl::Port` does — plus bare takes, invalidations and
+    /// crashes, through the slab and the map side by side.
+    fn assert_slab_matches_map(sets: usize, base_line: u64, seed: u64) {
+        let mut c = Cache::with_capture(sets * CACHE_LINE as usize);
+        let mut m = MapRef::new(sets);
+        let mut rng = simkit::rng::SimRng::seed_from_u64(seed);
+        let reach = base_line..base_line + sets as u64 * 3;
+        let mut high_water = 0;
+        let (mut retagged_takes, mut held_takes) = (0, 0);
+        for step in 0..20_000 {
+            let line = rng.gen_range(reach.clone());
+            match rng.gen_range(0..100u32) {
+                0..=59 => {
+                    let write = rng.gen_bool(0.4);
+                    let r = m.access(line, write);
+                    assert_eq!(c.access(line, write), r);
+                    match r {
+                        LineAccess::Hit => match (c.line_mut(line), m.data.get_mut(&line)) {
+                            (Some(a), Some(b)) => {
+                                assert_eq!(a, b);
+                                let (at, v) = (rng.gen_range(0..64usize), rng.gen());
+                                (a[at], b[at]) = (v, v);
+                            }
+                            // The copy was taken while the tag stayed.
+                            (None, None) => {}
+                            (a, b) => panic!("line_mut({line}): {a:?} vs {b:?}"),
+                        },
+                        LineAccess::Miss { evicted_dirty } => {
+                            if let Some(victim) = evicted_dirty {
+                                // The set is re-tagged: the new line has no
+                                // copy yet, the victim's is still there.
+                                assert_eq!(c.line(line), None);
+                                let taken = c.take_line(victim);
+                                assert_eq!(taken, m.data.remove(&victim));
+                                retagged_takes += taken.is_some() as u32;
+                            }
+                            let bytes = random_line_bytes(&mut rng);
+                            c.put_line(line, &bytes);
+                            m.data.insert(line, bytes);
+                        }
+                    }
+                }
+                60..=74 => {
+                    let dirty = m.clflush(line);
+                    assert_eq!(c.clflush(line), dirty);
+                    if dirty {
+                        assert_eq!(c.take_line(line), m.data.remove(&line));
+                    }
+                }
+                75..=84 => {
+                    c.invalidate(line);
+                    m.invalidate(line);
+                }
+                85..=98 => {
+                    // A bare take: the tag keeps the line, the copy is gone.
+                    let taken = c.take_line(line);
+                    assert_eq!(taken, m.data.remove(&line));
+                    assert_eq!(c.line(line), None);
+                    held_takes += (taken.is_some() && c.contains(line)) as u32;
+                }
+                _ => {
+                    if rng.gen_bool(0.1) {
+                        c.crash();
+                        m.crash();
+                    }
+                }
+            }
+            // One buffer per live copy, and never more buffers than the
+            // most copies that were ever live at once.
+            let store = c.data.as_ref().expect("capture mode");
+            assert_eq!(store.lines.len() - store.free.len(), m.data.len());
+            high_water = high_water.max(m.data.len());
+            assert!(store.lines.len() <= high_water);
+            assert_eq!(c.line(line), m.data.get(&line));
+            if step % 500 == 0 {
+                assert_same_state(&c, &m, reach.clone());
+            }
+        }
+        assert_same_state(&c, &m, reach);
+        assert!(retagged_takes > 100 && held_takes > 100);
+    }
+
+    #[test]
+    fn slab_store_matches_a_map_of_copies() {
+        assert_slab_matches_map(64, 0, 0x51AB);
+        assert_slab_matches_map(48, 0, 0x51AC);
+        assert_slab_matches_map(48, (1 << 33) + 17, 0x51AD);
+    }
+
+    // ---- invalidate_run vs per-line invalidate ------------------------
+
+    fn assert_invalidate_run_matches_per_line(sets: usize) {
+        let n = sets as u64;
+        let mut rng = simkit::rng::SimRng::seed_from_u64(0x1A7A ^ n);
+        // Within one stretch, across the set-index wrap, the whole cache,
+        // longer than the cache (wrapping twice), empty, and far above.
+        let runs = [
+            3..9,
+            n - 5..n + 7,
+            n..2 * n,
+            n / 2..3 * n + 5,
+            7..7,
+            (1 << 33) + n - 2..(1 << 33) + n + 2,
+            0..4 * n,
+        ];
+        for run in runs {
+            let mut swept = Cache::with_capture(sets * CACHE_LINE as usize);
+            let mut per_line = Cache::with_capture(sets * CACHE_LINE as usize);
+            let mut m = MapRef::new(sets);
+            // Clean and dirty lines with copies, drawn so that about half
+            // the sets hold a line of the run and the rest an alias of one.
+            for _ in 0..sets * 2 {
+                let line = run.start.saturating_sub(n) + rng.gen_range(0..4 * n);
+                let write = rng.gen_bool(0.3);
+                let bytes = random_line_bytes(&mut rng);
+                let r = m.access(line, write);
+                if let LineAccess::Miss { evicted_dirty } = r {
+                    if let Some(victim) = evicted_dirty {
+                        m.data.remove(&victim);
+                    }
+                    m.data.insert(line, bytes);
+                }
+                for c in [&mut swept, &mut per_line] {
+                    assert_eq!(c.access(line, write), r);
+                    if let LineAccess::Miss { evicted_dirty } = r {
+                        if let Some(victim) = evicted_dirty {
+                            c.take_line(victim);
+                        }
+                        c.put_line(line, &bytes);
+                    }
+                }
+            }
+            swept.invalidate_run(run.clone());
+            for line in run.clone() {
+                per_line.invalidate(line);
+                m.invalidate(line);
+            }
+            let reach = run.start.saturating_sub(n)..run.start.saturating_sub(n) + 4 * n;
+            assert_same_state(&swept, &m, reach.clone());
+            assert_same_state(&per_line, &m, reach);
+        }
+        // A line whose key overflows a slot — here to exactly line 1's key
+        // once truncated — is held by no set and must drop nothing.
+        let mut c = Cache::with_capture(sets * CACHE_LINE as usize);
+        c.access(1, false);
+        c.put_line(1, &[5; 64]);
+        c.invalidate_run((n << 32)..(n << 32) + 3);
+        assert!(c.contains(1) && c.line(1).is_some());
+        assert_eq!(c.stats().invalidations, 0);
+    }
+
+    #[test]
+    fn invalidate_run_matches_per_line_invalidate() {
+        assert_invalidate_run_matches_per_line(64);
+        assert_invalidate_run_matches_per_line(48);
     }
 
     #[test]

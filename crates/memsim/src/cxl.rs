@@ -24,7 +24,7 @@
 //! the *same* operation bodies (the internal `Port`), so the two modes
 //! cannot drift apart.
 
-use crate::cache::{Cache, LineAccess};
+use crate::cache::{line_range, Cache, LineAccess};
 use crate::calib::{
     CACHE_HIT_NS, CACHE_LINE, CLFLUSH_ISSUE_NS, CXL_COPY_READ_BASE_NS, CXL_COPY_WRITE_BASE_NS,
     CXL_HOST_LINK_GBPS, CXL_HW_SNOOP_NS, CXL_STREAM_READ_NS_PER_LINE, CXL_STREAM_WRITE_NS_PER_LINE,
@@ -86,11 +86,6 @@ fn note_cxl_slow(
 #[inline]
 fn unobserved() -> bool {
     !simkit::profile::is_enabled() && !trace::active() && !faults::active()
-}
-
-#[inline]
-fn line_range(off: u64, len: usize) -> std::ops::Range<u64> {
-    off / CACHE_LINE..(off + len as u64).div_ceil(CACHE_LINE)
 }
 
 /// Per-node attachment configuration.
@@ -189,6 +184,16 @@ impl Port<'_> {
     #[inline]
     fn base_write_ns(&self) -> u64 {
         (CXL_COPY_WRITE_BASE_NS as i64 + self.attach_delta_ns()) as u64
+    }
+
+    /// Move the captured copy of `line` — a dirty victim, or a line just
+    /// flushed — out of the cache and into memory. Timing-mode caches hold
+    /// no copies: their stores went to memory as they were made.
+    #[inline]
+    fn write_back(&mut self, line: u64) {
+        if let Some(bytes) = self.cache.take_line(line) {
+            self.mem.write(line * CACHE_LINE, &bytes);
+        }
     }
 
     /// Charge `bytes` to the node's host link and the switch. Returns the
@@ -311,9 +316,7 @@ impl Port<'_> {
                     link_bytes += CACHE_LINE;
                     if let Some(victim) = evicted_dirty {
                         link_bytes += CACHE_LINE;
-                        if let Some(bytes) = self.cache.take_line(victim) {
-                            self.mem.write(victim * CACHE_LINE, &bytes);
-                        }
+                        self.write_back(victim);
                     }
                     if self.cache.captures() {
                         let mut fill = [0u8; CACHE_LINE as usize];
@@ -431,9 +434,7 @@ impl Port<'_> {
                     }
                     if let Some(victim) = evicted_dirty {
                         link_bytes += CACHE_LINE;
-                        if let Some(bytes) = self.cache.take_line(victim) {
-                            self.mem.write(victim * CACHE_LINE, &bytes);
-                        }
+                        self.write_back(victim);
                     }
                     if self.cache.captures() {
                         let mut fill = [0u8; CACHE_LINE as usize];
@@ -483,9 +484,7 @@ impl Port<'_> {
         // Drop any locally cached copies so a later cached read refetches.
         for line in line_range(off, buf.len()) {
             if self.cache.clflush(line) {
-                if let Some(bytes) = self.cache.take_line(line) {
-                    self.mem.write(line * CACHE_LINE, &bytes);
-                }
+                self.write_back(line);
             }
         }
         self.mem.read(off, buf);
@@ -529,9 +528,7 @@ impl Port<'_> {
             // cover it only partially, and dropping it would lose the
             // non-overlapped dirty bytes (found by the property tests).
             if self.cache.clflush(line) {
-                if let Some(bytes) = self.cache.take_line(line) {
-                    self.mem.write(line * CACHE_LINE, &bytes);
-                }
+                self.write_back(line);
             }
         }
         self.mem.write(off, data);
@@ -574,9 +571,7 @@ impl Port<'_> {
             issued += 1;
             if self.cache.clflush(line) {
                 flushed += 1;
-                if let Some(bytes) = self.cache.take_line(line) {
-                    self.mem.write(line * CACHE_LINE, &bytes);
-                }
+                self.write_back(line);
             }
         }
         let link_bytes = flushed * CACHE_LINE;
@@ -617,9 +612,7 @@ impl Port<'_> {
             }
             if self.cache.clflush(line) {
                 flushed += 1;
-                if let Some(bytes) = self.cache.take_line(line) {
-                    self.mem.write(line * CACHE_LINE, &bytes);
-                }
+                self.write_back(line);
             }
         }
         Access::free(now)
@@ -632,11 +625,9 @@ impl Port<'_> {
         if faults::crashed() {
             return Access::free(now);
         }
-        let mut issued = 0u64;
-        for line in line_range(off, len) {
-            issued += 1;
-            self.cache.invalidate(line);
-        }
+        let lines = line_range(off, len);
+        let issued = lines.end - lines.start;
+        self.cache.invalidate_run(lines);
         let end = now + issued * CLFLUSH_ISSUE_NS;
         note_cxl(SpanKind::Clflush, self.node, now, end, 0, 0, 0);
         Access {
@@ -655,20 +646,29 @@ impl Port<'_> {
         // Write through to the device.
         self.mem.write(off, data);
         let lr = line_range(off, data.len());
+        // A refreshed line may alias a dirty one (a cached store by this
+        // node): the victim is written back and charged as `read` does.
+        let mut evictions = 0u64;
         if self.cache.captures() {
             // Writer keeps a clean, up-to-date copy.
             for line in lr.clone() {
                 let line_start = line * CACHE_LINE;
-                self.cache.access(line, false);
+                if let LineAccess::Miss {
+                    evicted_dirty: Some(victim),
+                } = self.cache.access(line, false)
+                {
+                    evictions += 1;
+                    self.write_back(victim);
+                }
                 let mut fill = [0u8; CACHE_LINE as usize];
                 self.mem.read(line_start, &mut fill);
                 self.cache.put_line(line, &fill);
             }
         } else {
-            self.cache.access_run(lr.clone(), false);
+            evictions = self.cache.access_run(lr.clone(), false).dirty_evictions;
         }
         let lines = lr.count() as u64;
-        let link_bytes = lines * CACHE_LINE;
+        let link_bytes = (lines + evictions) * CACHE_LINE;
         // Back-invalidation snoops traverse the switch once per sharer.
         let latency = self.base_write_ns()
             + (lines - 1) * CXL_STREAM_WRITE_NS_PER_LINE
@@ -1351,6 +1351,25 @@ mod tests {
             with_sharer.as_nanos() > base.as_nanos(),
             "snoop adds latency"
         );
+    }
+
+    #[test]
+    fn coherent_store_writes_back_the_dirty_line_it_evicts() {
+        for capture in [true, false] {
+            // 64 sets: line 64 aliases line 0.
+            let mut p = CxlPool::single_host(1 << 20, 2, 4 << 10, capture);
+            p.write(NodeId(0), 0, &[7; 8], SimTime::ZERO); // dirty in node 0's cache
+            let a = p.write_coherent(NodeId(0), 64 * 64, &[9; 8], SimTime::ZERO);
+            assert_eq!(a.link_bytes, 2 * 64, "the stored line and its victim");
+            assert_eq!(p.cache_stats(NodeId(0)).writebacks, 1);
+            assert_eq!(p.raw().slice(0, 8), &[7; 8], "capture={capture}");
+            // Nothing of line 0 is left behind in the cache to flush.
+            let flush = p.clflush(NodeId(0), 0, 64, SimTime::ZERO);
+            assert_eq!(flush.link_bytes, 0);
+            let mut buf = [0u8; 8];
+            p.read(NodeId(1), 0, &mut buf, SimTime::ZERO);
+            assert_eq!(buf, [7; 8], "capture={capture}");
+        }
     }
 
     // ---- batched fast path vs per-line reference ----------------------

@@ -264,13 +264,19 @@ pub(crate) fn seed_storage(layout: &GroupLayout) -> PageStore {
         store.allocate();
     }
     // Deterministic row payloads so coherency checks can verify data.
+    // A group's rows fill its pages in order, so each page is built once
+    // in `buf` and written once.
+    let rpp = layout.rows_per_page();
+    let mut buf = vec![0u8; PAGE_SIZE as usize];
     for g in 0..layout.groups {
-        for r in 0..layout.rows_per_group {
-            let (page, off) = layout.locate(g, r);
-            let base = off as usize;
-            let mut buf = store.raw_page(page).to_vec();
-            buf[base - 8..base].copy_from_slice(&r.to_le_bytes());
-            buf[base..base + RECORD_SIZE as usize].fill((g as u8).wrapping_add(r as u8));
+        for first in (0..layout.rows_per_group).step_by(rpp as usize) {
+            let page = layout.locate(g, first).0;
+            buf.copy_from_slice(store.raw_page(page));
+            for r in first..(first + rpp).min(layout.rows_per_group) {
+                let base = layout.locate(g, r).1 as usize;
+                buf[base - 8..base].copy_from_slice(&r.to_le_bytes());
+                buf[base..base + RECORD_SIZE as usize].fill((g as u8).wrapping_add(r as u8));
+            }
             store.raw_write_page(page, &buf);
         }
     }
