@@ -503,10 +503,7 @@ fn main() {
         // Perf gate: with tracing disabled (the default above) the
         // disabled-path guards must keep the hot path allocation-free.
         // The telemetry layer rides the same contract: the pooling hot
-        // path carries no probes, and the `--no-default-features` CI
-        // smoke re-runs this assertion with telemetry compiled out, so
-        // the ~0 allocs/query pin in BENCH_host_perf.json holds in
-        // both build configurations.
+        // path carries no probes.
         assert!(
             allocs_rdma < 0.5 && allocs_cxl < 0.5,
             "hot-path allocs/query regressed with tracing disabled: \
@@ -533,11 +530,7 @@ fn main() {
         trace::enable_spans(false);
         trace::enable_attribution(false);
         let events = trace::take_events();
-        // Without the `trace` feature the hooks compile to nothing and
-        // the stream is empty; the bit-identity check below still binds.
-        if cfg!(feature = "trace") {
-            assert!(!events.is_empty(), "traced smoke run recorded no spans");
-        }
+        assert!(!events.is_empty(), "traced smoke run recorded no spans");
         let doc = trace::chrome_trace_json(&events);
         trace::reset();
         assert_eq!(
@@ -545,9 +538,7 @@ fn main() {
             "tracing changed simulation results"
         );
         let complete = validate_chrome_trace(&doc);
-        if cfg!(feature = "trace") {
-            assert!(complete > 0, "trace JSON contains no complete events");
-        }
+        assert!(complete > 0, "trace JSON contains no complete events");
         let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../target/host_perf_smoke_trace.json");
         std::fs::write(&out, &doc).expect("write smoke trace");

@@ -875,17 +875,6 @@ mod tests {
     #[test]
     fn breaker_trips_on_retry_burn_and_fast_fails_then_recovers() {
         use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
-        if !simkit::qos::compiled() {
-            // Compiled-out contract: an armed breaker is a no-op and
-            // the retry path behaves exactly as without one.
-            let mut bp = setup(2);
-            bp.enable_breaker(BreakerConfig::default());
-            let mut buf = [0u8; 8];
-            bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-            assert_eq!(buf, [6u8; 8]);
-            assert_eq!(bp.stats().breaker_trips, 0);
-            return;
-        }
         faults::clear();
         let mut bp = setup(2); // pages 0,1 warm; 2.. remote only
         bp.enable_breaker(BreakerConfig {
@@ -933,9 +922,6 @@ mod tests {
     #[test]
     fn open_breaker_never_blocks_dirty_remote_reads() {
         use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
-        if !simkit::qos::compiled() {
-            return;
-        }
         faults::clear();
         let mut bp = setup(1);
         bp.enable_breaker(BreakerConfig {

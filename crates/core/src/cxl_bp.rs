@@ -979,23 +979,6 @@ mod tests {
             cooldown_ns: 1_000_000,
             half_open_probes: 1,
         });
-        if !simkit::qos::compiled() {
-            // Compiled out: the armed breaker is a zero-sized no-op and
-            // the heal path behaves exactly as without it.
-            faults::install(
-                FaultPlan::default()
-                    .with(Trigger::SiteHit(FaultSite::CxlRead, 0), Action::PoisonLine),
-            );
-            let mut buf = [0u8; 8];
-            bp.read(PageId(3), 0, &mut buf, SimTime::ZERO);
-            faults::clear();
-            assert_eq!(buf, [4u8; 8]);
-            assert_eq!(bp.stats().poison_rebuilds, 1);
-            assert_eq!(bp.stats().breaker_trips, 0);
-            assert_eq!(bp.stats().overload_errors, 0);
-            assert_eq!(bp.breaker_state(), Some(BreakerState::Closed));
-            return;
-        }
         // Two poisoned reads in a row trip the breaker. Each heal of a
         // clean page re-reads via the fabric (hits 1 and 3), so the
         // poison triggers sit at fabric-read hits 0 and 2.

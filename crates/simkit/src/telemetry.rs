@@ -27,22 +27,16 @@
 //!   report, plus MTTD helpers for scoring detection against
 //!   fault-engine ground truth.
 //!
-//! Feature-gated like `trace`: without the `telemetry` cargo feature
-//! [`NodeProbe`] and [`TelemetryHub`] compile to zero-sized no-ops,
-//! disabled runs are bit-identical and the hot path allocates nothing.
+//! Switched at runtime like `trace`: a zero-width window
+//! (`TelemetryConfig::window == ZERO`, [`NodeProbe::off`]) makes every
+//! recorder an early-out, allocates nothing and exports no report.
 //! Observation only: recording never feeds back into virtual time, RNG
-//! streams or simulated state, which is why enabling it cannot perturb
-//! simulation results either.
+//! streams or simulated state, so a run with the window on and the same
+//! run with it off agree on every simulation result.
 
 use crate::json::{self, Obj};
 use crate::stats::{Histogram, MetricsRegistry};
 use crate::time::SimTime;
-
-/// True when the `telemetry` cargo feature is compiled in (the runtime
-/// window knob can still disable it per run).
-pub const fn compiled() -> bool {
-    cfg!(feature = "telemetry")
-}
 
 /// A per-window metric an [`SloRule`] can evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -380,19 +374,6 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// An empty report (what disabled builds / disabled runs produce).
-    pub fn empty(window_ns: u64, nodes: usize) -> Self {
-        TelemetryReport {
-            window_ns,
-            nodes,
-            lanes: Vec::new(),
-            windows: 0,
-            rows: Vec::new(),
-            alerts: Vec::new(),
-            retired: vec![None; nodes],
-        }
-    }
-
     /// Number of alert fires.
     pub fn alert_fires(&self) -> u64 {
         self.alerts.iter().filter(|a| a.firing).count() as u64
@@ -555,9 +536,7 @@ fn assert_snake(what: &str, name: &str) {
     assert!(ok, "{what} name `{name}` is not snake_case");
 }
 
-/// Per-lane accumulator for one open window. Only compiled (and only
-/// allocated) with the `telemetry` feature.
-#[cfg(feature = "telemetry")]
+/// Per-lane accumulator for one open window.
 #[derive(Debug, Clone)]
 struct LaneAcc {
     ops: u64,
@@ -568,7 +547,6 @@ struct LaneAcc {
     hist: Histogram,
 }
 
-#[cfg(feature = "telemetry")]
 impl LaneAcc {
     fn fresh(lanes: usize) -> Vec<LaneAcc> {
         (0..lanes)
@@ -584,665 +562,487 @@ impl LaneAcc {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod rt {
-    use super::*;
+/// The recording half of the pipeline: lives inside a node's shard
+/// during barrier-parallel phases, so recording is thread-free and
+/// allocation-free on the per-operation path (windows allocate once
+/// when first touched). All recorders take the operation's *end*
+/// time — the window an operation lands in is the window it
+/// completed in.
+#[derive(Debug)]
+pub struct NodeProbe {
+    node: u32,
+    window_ns: u64,
+    lanes: usize,
+    /// Open windows, sorted by window index. Stays short: the hub
+    /// drains everything before each barrier.
+    open: Vec<(u64, Vec<LaneAcc>)>,
+}
 
-    /// The recording half of the pipeline: lives inside a node's shard
-    /// during barrier-parallel phases, so recording is thread-free and
-    /// allocation-free on the per-operation path (windows allocate once
-    /// when first touched). All recorders take the operation's *end*
-    /// time — the window an operation lands in is the window it
-    /// completed in.
-    #[derive(Debug)]
-    pub struct NodeProbe {
-        node: u32,
-        window_ns: u64,
-        lanes: usize,
-        /// Open windows, sorted by window index. Stays short: the hub
-        /// drains everything before each barrier.
-        open: Vec<(u64, Vec<LaneAcc>)>,
+impl NodeProbe {
+    /// A probe recording as node `node` under `cfg`'s window/lane
+    /// shape. A zero-width window yields a disabled probe.
+    pub fn new(node: u32, cfg: &TelemetryConfig) -> Self {
+        NodeProbe {
+            node,
+            window_ns: cfg.window.as_nanos(),
+            lanes: cfg.lanes.len(),
+            open: Vec::new(),
+        }
     }
 
-    impl NodeProbe {
-        /// A probe recording as node `node` under `cfg`'s window/lane
-        /// shape. A zero-width window yields a disabled probe.
-        pub fn new(node: u32, cfg: &TelemetryConfig) -> Self {
-            NodeProbe {
-                node,
-                window_ns: cfg.window.as_nanos(),
-                lanes: cfg.lanes.len(),
-                open: Vec::new(),
+    /// A disabled probe (every recorder is an early-out).
+    pub fn off() -> Self {
+        NodeProbe {
+            node: 0,
+            window_ns: 0,
+            lanes: 0,
+            open: Vec::new(),
+        }
+    }
+
+    /// True when this probe is actually recording.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.window_ns != 0
+    }
+
+    /// Node id this probe records as.
+    pub fn node(&self) -> u32 {
+        self.node
+    }
+
+    fn slot_idx(&mut self, w: u64) -> usize {
+        if let Some((lw, _)) = self.open.last() {
+            if *lw == w {
+                return self.open.len() - 1;
             }
-        }
-
-        /// A disabled probe (every recorder is an early-out).
-        pub fn off() -> Self {
-            NodeProbe {
-                node: 0,
-                window_ns: 0,
-                lanes: 0,
-                open: Vec::new(),
-            }
-        }
-
-        /// True when this probe is actually recording.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            self.window_ns != 0
-        }
-
-        /// Node id this probe records as.
-        pub fn node(&self) -> u32 {
-            self.node
-        }
-
-        fn slot_idx(&mut self, w: u64) -> usize {
-            if let Some((lw, _)) = self.open.last() {
-                if *lw == w {
-                    return self.open.len() - 1;
-                }
-                if w > *lw {
-                    self.open.push((w, LaneAcc::fresh(self.lanes)));
-                    return self.open.len() - 1;
-                }
-            } else {
+            if w > *lw {
                 self.open.push((w, LaneAcc::fresh(self.lanes)));
-                return 0;
+                return self.open.len() - 1;
             }
-            // Out-of-order landing (an op that started earlier finished
-            // after a later-started short one): rare, bounded, exact.
-            match self.open.binary_search_by_key(&w, |e| e.0) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.open.insert(i, (w, LaneAcc::fresh(self.lanes)));
-                    i
-                }
-            }
+        } else {
+            self.open.push((w, LaneAcc::fresh(self.lanes)));
+            return 0;
         }
-
-        #[inline]
-        fn lane(&mut self, lane: usize, at: SimTime) -> &mut LaneAcc {
-            let w = at.as_nanos() / self.window_ns;
-            let i = self.slot_idx(w);
-            &mut self.open[i].1[lane]
-        }
-
-        /// Record one completed operation with its end-to-end latency.
-        #[inline]
-        pub fn record_op(&mut self, lane: usize, end: SimTime, latency_ns: u64) {
-            if self.window_ns == 0 {
-                return;
-            }
-            let acc = self.lane(lane, end);
-            acc.ops += 1;
-            acc.hist.record(latency_ns);
-        }
-
-        /// Record link bytes moved.
-        #[inline]
-        pub fn record_bytes(&mut self, lane: usize, at: SimTime, n: u64) {
-            if self.window_ns == 0 || n == 0 {
-                return;
-            }
-            self.lane(lane, at).bytes += n;
-        }
-
-        /// Record failed operations (fenced writes, failed RPCs, …).
-        #[inline]
-        pub fn record_errs(&mut self, lane: usize, at: SimTime, n: u64) {
-            if self.window_ns == 0 || n == 0 {
-                return;
-            }
-            self.lane(lane, at).errs += n;
-        }
-
-        /// Record retries (transient-fault retries, reloads, …).
-        #[inline]
-        pub fn record_retries(&mut self, lane: usize, at: SimTime, n: u64) {
-            if self.window_ns == 0 || n == 0 {
-                return;
-            }
-            self.lane(lane, at).retries += n;
-        }
-
-        /// Record misses (remote fetches, storage reads, …).
-        #[inline]
-        pub fn record_misses(&mut self, lane: usize, at: SimTime, n: u64) {
-            if self.window_ns == 0 || n == 0 {
-                return;
-            }
-            self.lane(lane, at).misses += n;
-        }
-    }
-
-    #[derive(Debug, Clone)]
-    struct NodeSlot {
-        /// Empty until a probe hands its window over (at most once per
-        /// (node, window)).
-        lanes: Vec<LaneAcc>,
-    }
-
-    #[derive(Debug, Clone, Copy, Default)]
-    struct RuleState {
-        breach: u32,
-        ok: u32,
-        firing: bool,
-    }
-
-    /// The serial aggregation half: ingests probe windows at barriers,
-    /// seals closed windows into [`WindowRow`]s, scores health and
-    /// steps the alert rules. Drive it only from serial (barrier)
-    /// code — that is what makes the output worker-count invariant.
-    #[derive(Debug)]
-    pub struct TelemetryHub {
-        cfg: TelemetryConfig,
-        window_ns: u64,
-        /// Sealed-window boundary: every window `< sealed` is closed.
-        sealed: u64,
-        /// Open windows awaiting their seal, sorted by index.
-        open: Vec<(u64, Vec<NodeSlot>)>,
-        /// Sealed windows kept for [`TelemetryHub::merged_histogram`]
-        /// (trimmed to `cfg.retain` when nonzero).
-        ring: Vec<(u64, Vec<NodeSlot>)>,
-        rows: Vec<WindowRow>,
-        /// Per node: indices into `rows`, oldest first (burn-rate history).
-        history: Vec<Vec<usize>>,
-        /// Per node: first window index the node is expected to report
-        /// from (`u64::MAX` = inactive, e.g. an unspawned standby).
-        expected_from: Vec<u64>,
-        /// Per node: window index the control plane retired it from.
-        retired: Vec<Option<u64>>,
-        /// Per node: current consecutive-silent-window streak.
-        silence: Vec<u64>,
-        /// Per node: whether any activity has been observed yet. Until
-        /// a node is seen (or explicitly expected / retired), empty
-        /// windows emit no rows and count no silence, so a slow cold
-        /// start is not misread as an outage.
-        seen: Vec<bool>,
-        /// Per node: `expect_from` was called (an explicit liveness
-        /// expectation, unlike the implicit expected-from-0 default).
-        explicit: Vec<bool>,
-        /// Hysteresis state, indexed `rule * nodes + node`.
-        rule_state: Vec<RuleState>,
-        alerts: Vec<AlertEvent>,
-    }
-
-    impl TelemetryHub {
-        /// Build a hub for `cfg`. Panics on empty node/lane sets or
-        /// non-snake_case rule/lane names; a zero-width window yields a
-        /// disabled hub whose methods no-op and whose report is empty.
-        pub fn new(cfg: TelemetryConfig) -> Self {
-            assert!(cfg.nodes > 0, "need at least one node slot");
-            assert!(!cfg.lanes.is_empty(), "need at least one lane");
-            for l in &cfg.lanes {
-                assert_snake("lane", l);
-            }
-            for r in &cfg.rules {
-                assert_snake("rule", r.name);
-            }
-            let nodes = cfg.nodes;
-            let nrules = cfg.rules.len();
-            TelemetryHub {
-                window_ns: cfg.window.as_nanos(),
-                sealed: 0,
-                open: Vec::new(),
-                ring: Vec::new(),
-                rows: Vec::new(),
-                history: vec![Vec::new(); nodes],
-                expected_from: vec![0; nodes],
-                retired: vec![None; nodes],
-                silence: vec![0; nodes],
-                seen: vec![false; nodes],
-                explicit: vec![false; nodes],
-                rule_state: vec![RuleState::default(); nrules * nodes],
-                alerts: Vec::new(),
-                cfg,
-            }
-        }
-
-        /// True when this hub is actually aggregating.
-        pub fn enabled(&self) -> bool {
-            self.window_ns != 0
-        }
-
-        /// Move every probe window lying strictly before `up_to` into
-        /// the hub. Call at a virtual-time barrier, in node order.
-        pub fn ingest(&mut self, probe: &mut NodeProbe, up_to: SimTime) {
-            if self.window_ns == 0 || !probe.enabled() {
-                return;
-            }
-            debug_assert_eq!(probe.window_ns, self.window_ns, "probe/hub window mismatch");
-            let boundary = up_to.as_nanos() / self.window_ns;
-            let k = probe.open.partition_point(|e| e.0 < boundary);
-            let node = probe.node;
-            for (w, lanes) in probe.open.drain(..k) {
-                self.accept(node, w, lanes);
-            }
-        }
-
-        /// Move *all* of a probe's windows into the hub (end of run).
-        pub fn drain(&mut self, probe: &mut NodeProbe) {
-            if self.window_ns == 0 || !probe.enabled() {
-                return;
-            }
-            let node = probe.node;
-            for (w, lanes) in probe.open.drain(..) {
-                self.accept(node, w, lanes);
-            }
-        }
-
-        fn accept(&mut self, node: u32, w: u64, lanes: Vec<LaneAcc>) {
-            debug_assert!(w >= self.sealed, "window {w} already sealed");
-            let i = match self.open.binary_search_by_key(&w, |e| e.0) {
-                Ok(i) => i,
-                Err(i) => {
-                    let slots = vec![NodeSlot { lanes: Vec::new() }; self.cfg.nodes];
-                    self.open.insert(i, (w, slots));
-                    i
-                }
-            };
-            let slot = &mut self.open[i].1[node as usize];
-            debug_assert!(slot.lanes.is_empty(), "(node, window) handed over twice");
-            slot.lanes = lanes;
-        }
-
-        /// Seal every window that closed strictly before `now`. Call at
-        /// a virtual-time barrier, *after* ingesting all probes.
-        pub fn seal(&mut self, now: SimTime) {
-            if self.window_ns == 0 {
-                return;
-            }
-            self.seal_to(now.as_nanos() / self.window_ns);
-        }
-
-        /// Seal through the end of the run: every window up to `end`
-        /// (inclusive of a partial tail window) plus any straggler
-        /// windows still open from operation overshoot.
-        pub fn finish(&mut self, end: SimTime) {
-            if self.window_ns == 0 {
-                return;
-            }
-            let mut boundary = end.as_nanos().div_ceil(self.window_ns);
-            if let Some((w, _)) = self.open.last() {
-                boundary = boundary.max(w + 1);
-            }
-            self.seal_to(boundary);
-        }
-
-        fn seal_to(&mut self, boundary: u64) {
-            while self.sealed < boundary {
-                let w = self.sealed;
-                let slots = if self.open.first().map(|e| e.0) == Some(w) {
-                    self.open.remove(0).1
-                } else {
-                    vec![NodeSlot { lanes: Vec::new() }; self.cfg.nodes]
-                };
-                self.eval_window(w, &slots);
-                self.ring.push((w, slots));
-                if self.cfg.retain > 0 && self.ring.len() > self.cfg.retain {
-                    let cut = self.ring.len() - self.cfg.retain;
-                    self.ring.drain(..cut);
-                }
-                self.sealed += 1;
-            }
-        }
-
-        fn eval_window(&mut self, w: u64, slots: &[NodeSlot]) {
-            let window_ns = self.window_ns;
-            for (node, slot) in slots.iter().enumerate().take(self.cfg.nodes) {
-                if w < self.expected_from[node] {
-                    continue;
-                }
-                let mut ops = 0u64;
-                let mut errs = 0u64;
-                let mut retries = 0u64;
-                let mut misses = 0u64;
-                let mut bytes = 0u64;
-                let mut lane_ops = vec![0u64; self.cfg.lanes.len()];
-                let mut hist = Histogram::new();
-                for (li, l) in slot.lanes.iter().enumerate() {
-                    ops += l.ops;
-                    errs += l.errs;
-                    retries += l.retries;
-                    misses += l.misses;
-                    bytes += l.bytes;
-                    lane_ops[li] = l.ops;
-                    hist.merge(&l.hist);
-                }
-                if !self.seen[node] {
-                    if ops + errs + retries + misses + bytes > 0 {
-                        self.seen[node] = true;
-                    } else if !self.explicit[node] && self.retired[node].is_none() {
-                        // Not yet online: a cold start isn't an outage.
-                        continue;
-                    }
-                }
-                if ops == 0 {
-                    self.silence[node] += 1;
-                } else {
-                    self.silence[node] = 0;
-                }
-                let pol = &self.cfg.health;
-                let err_rate = errs as f64 / (ops + errs).max(1) as f64;
-                let p50_ns = hist.quantile_ns(0.50);
-                let p99_ns = hist.quantile_ns(0.99);
-                let health = if self.retired[node].is_some_and(|rw| w >= rw)
-                    || self.silence[node] >= pol.dead_after as u64
-                {
-                    Health::Dead
-                } else if ops == 0 {
-                    // suspect_after <= dead_after is the sane shape; a
-                    // silent window is at least Suspect regardless.
-                    Health::Suspect
-                } else if p99_ns > pol.p99_degraded_ns || err_rate > pol.err_degraded {
-                    Health::Degraded
-                } else {
-                    Health::Healthy
-                };
-                self.history[node].push(self.rows.len());
-                self.rows.push(WindowRow {
-                    window: w,
-                    node: node as u32,
-                    ops,
-                    errs,
-                    retries,
-                    misses,
-                    bytes,
-                    p50_ns,
-                    p99_ns,
-                    lane_ops,
-                    health,
-                });
-                for (ri, rule) in self.cfg.rules.iter().enumerate() {
-                    let breach = rule_breach(
-                        &rule.kind,
-                        &self.rows,
-                        &self.history[node],
-                        self.silence[node],
-                        window_ns,
-                    );
-                    let st = &mut self.rule_state[ri * self.cfg.nodes + node];
-                    if breach {
-                        st.breach += 1;
-                        st.ok = 0;
-                        if !st.firing && st.breach >= rule.fire_after {
-                            st.firing = true;
-                            self.alerts.push(AlertEvent {
-                                rule: rule.name,
-                                node: node as u32,
-                                at: SimTime((w + 1) * window_ns),
-                                firing: true,
-                            });
-                        }
-                    } else {
-                        st.ok += 1;
-                        st.breach = 0;
-                        if st.firing && st.ok >= rule.clear_after {
-                            st.firing = false;
-                            self.alerts.push(AlertEvent {
-                                rule: rule.name,
-                                node: node as u32,
-                                at: SimTime((w + 1) * window_ns),
-                                firing: false,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        /// Declare that `node` is only expected to report from `t` on
-        /// (e.g. a standby spawned mid-run). Windows before `t` emit no
-        /// rows and no alerts for it.
-        pub fn expect_from(&mut self, node: u32, t: SimTime) {
-            if self.window_ns == 0 {
-                return;
-            }
-            self.expected_from[node as usize] = t.as_nanos() / self.window_ns;
-            self.silence[node as usize] = 0;
-            self.explicit[node as usize] = true;
-        }
-
-        /// Declare `node` inactive (not expected to report at all,
-        /// until a later [`TelemetryHub::expect_from`]).
-        pub fn set_inactive(&mut self, node: u32) {
-            self.expected_from[node as usize] = u64::MAX;
-            self.explicit[node as usize] = false;
-        }
-
-        /// Control-plane acknowledgement of ground-truth death: from
-        /// `t`'s window on, `node`'s health is pinned `Dead`. Rules
-        /// keep evaluating (the absence alert still measures MTTD).
-        pub fn retire(&mut self, node: u32, t: SimTime) {
-            if self.window_ns == 0 {
-                return;
-            }
-            self.retired[node as usize] = Some(t.as_nanos() / self.window_ns);
-        }
-
-        /// Whether `rule` is currently firing for `node` — the
-        /// hysteresis-filtered alert state as of the last sealed
-        /// window. This is the control-plane read used by brownout
-        /// controllers at virtual-time barriers; unknown rule names and
-        /// disabled hubs read `false`.
-        pub fn firing(&self, rule: &str, node: u32) -> bool {
-            if self.window_ns == 0 {
-                return false;
-            }
-            let Some(ri) = self.cfg.rules.iter().position(|r| r.name == rule) else {
-                return false;
-            };
-            self.rule_state
-                .get(ri * self.cfg.nodes + node as usize)
-                .map(|st| st.firing)
-                .unwrap_or(false)
-        }
-
-        /// Merge every retained window histogram for `node` (all lanes)
-        /// — with `retain == 0` this is exactly the end-of-run
-        /// histogram, which the window-exactness test pins via
-        /// [`Histogram::merge`].
-        pub fn merged_histogram(&self, node: u32) -> Histogram {
-            let mut h = Histogram::new();
-            for (_, slots) in self.ring.iter().chain(self.open.iter()) {
-                for l in &slots[node as usize].lanes {
-                    h.merge(&l.hist);
-                }
-            }
-            h
-        }
-
-        /// Export the report (rows, alert log, retirement marks).
-        pub fn report(&self) -> TelemetryReport {
-            TelemetryReport {
-                window_ns: self.window_ns,
-                nodes: self.cfg.nodes,
-                lanes: self.cfg.lanes.iter().map(|l| l.to_string()).collect(),
-                windows: self.sealed,
-                rows: self.rows.clone(),
-                alerts: self.alerts.clone(),
-                retired: self.retired.clone(),
+        // Out-of-order landing (an op that started earlier finished
+        // after a later-started short one): rare, bounded, exact.
+        match self.open.binary_search_by_key(&w, |e| e.0) {
+            Ok(i) => i,
+            Err(i) => {
+                self.open.insert(i, (w, LaneAcc::fresh(self.lanes)));
+                i
             }
         }
     }
 
-    fn metric_value(row: &WindowRow, window_ns: u64, m: Metric) -> f64 {
-        match m {
-            Metric::Qps => row.ops as f64 * 1e9 / window_ns as f64,
-            Metric::P50Ns => row.p50_ns as f64,
-            Metric::P99Ns => row.p99_ns as f64,
-            Metric::MissRate => row.misses as f64 / row.ops.max(1) as f64,
-            Metric::ErrRate => row.errs as f64 / (row.ops + row.errs).max(1) as f64,
-            Metric::RetryRate => row.retries as f64 / row.ops.max(1) as f64,
-            Metric::LinkBytes => row.bytes as f64,
-        }
+    #[inline]
+    fn lane(&mut self, lane: usize, at: SimTime) -> &mut LaneAcc {
+        let w = at.as_nanos() / self.window_ns;
+        let i = self.slot_idx(w);
+        &mut self.open[i].1[lane]
     }
 
-    fn rule_breach(
-        kind: &RuleKind,
-        rows: &[WindowRow],
-        hist: &[usize],
-        silence: u64,
-        window_ns: u64,
-    ) -> bool {
-        let last = match hist.last() {
-            Some(&i) => &rows[i],
-            None => return false,
-        };
-        match *kind {
-            RuleKind::Above { metric, limit } => metric_value(last, window_ns, metric) > limit,
-            RuleKind::Below { metric, limit } => metric_value(last, window_ns, metric) < limit,
-            RuleKind::BurnRate {
-                metric,
-                budget,
-                short,
-                long,
-            } => {
-                if hist.len() < long {
-                    return false;
-                }
-                let mean = |n: usize| {
-                    let s: f64 = hist[hist.len() - n..]
-                        .iter()
-                        .map(|&i| metric_value(&rows[i], window_ns, metric))
-                        .sum();
-                    s / n as f64
-                };
-                mean(short) > budget && mean(long) > budget
-            }
-            RuleKind::Absence { windows } => silence >= windows as u64,
+    /// Record one completed operation with its end-to-end latency.
+    #[inline]
+    pub fn record_op(&mut self, lane: usize, end: SimTime, latency_ns: u64) {
+        if self.window_ns == 0 {
+            return;
         }
+        let acc = self.lane(lane, end);
+        acc.ops += 1;
+        acc.hist.record(latency_ns);
+    }
+
+    /// Record link bytes moved.
+    #[inline]
+    pub fn record_bytes(&mut self, lane: usize, at: SimTime, n: u64) {
+        if self.window_ns == 0 || n == 0 {
+            return;
+        }
+        self.lane(lane, at).bytes += n;
+    }
+
+    /// Record failed operations (fenced writes, failed RPCs, …).
+    #[inline]
+    pub fn record_errs(&mut self, lane: usize, at: SimTime, n: u64) {
+        if self.window_ns == 0 || n == 0 {
+            return;
+        }
+        self.lane(lane, at).errs += n;
+    }
+
+    /// Record retries (transient-fault retries, reloads, …).
+    #[inline]
+    pub fn record_retries(&mut self, lane: usize, at: SimTime, n: u64) {
+        if self.window_ns == 0 || n == 0 {
+            return;
+        }
+        self.lane(lane, at).retries += n;
+    }
+
+    /// Record misses (remote fetches, storage reads, …).
+    #[inline]
+    pub fn record_misses(&mut self, lane: usize, at: SimTime, n: u64) {
+        if self.window_ns == 0 || n == 0 {
+            return;
+        }
+        self.lane(lane, at).misses += n;
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod rt {
-    use super::*;
-
-    /// No-op probe: the `telemetry` feature is compiled out, so every
-    /// recorder is an empty inline function and the struct is
-    /// zero-sized.
-    #[derive(Debug, Default, Clone)]
-    pub struct NodeProbe;
-
-    impl NodeProbe {
-        /// A probe recording as node `node` under `cfg` (no-op build).
-        pub fn new(_node: u32, _cfg: &TelemetryConfig) -> Self {
-            NodeProbe
-        }
-
-        /// A disabled probe (no-op build).
-        pub fn off() -> Self {
-            NodeProbe
-        }
-
-        /// Always `false` in the no-op build.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            false
-        }
-
-        /// Node id (always 0 in the no-op build).
-        pub fn node(&self) -> u32 {
-            0
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn record_op(&mut self, _lane: usize, _end: SimTime, _latency_ns: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn record_bytes(&mut self, _lane: usize, _at: SimTime, _n: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn record_errs(&mut self, _lane: usize, _at: SimTime, _n: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn record_retries(&mut self, _lane: usize, _at: SimTime, _n: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn record_misses(&mut self, _lane: usize, _at: SimTime, _n: u64) {}
-    }
-
-    /// No-op hub: aggregates nothing, reports empty.
-    #[derive(Debug)]
-    pub struct TelemetryHub {
-        window_ns: u64,
-        nodes: usize,
-    }
-
-    impl TelemetryHub {
-        /// Build a (no-op) hub for `cfg`; name validation still runs so
-        /// both builds reject the same configs.
-        pub fn new(cfg: TelemetryConfig) -> Self {
-            assert!(cfg.nodes > 0, "need at least one node slot");
-            assert!(!cfg.lanes.is_empty(), "need at least one lane");
-            for l in &cfg.lanes {
-                assert_snake("lane", l);
-            }
-            for r in &cfg.rules {
-                assert_snake("rule", r.name);
-            }
-            TelemetryHub {
-                window_ns: cfg.window.as_nanos(),
-                nodes: cfg.nodes,
-            }
-        }
-
-        /// Always `false` in the no-op build.
-        pub fn enabled(&self) -> bool {
-            false
-        }
-
-        /// No-op.
-        pub fn ingest(&mut self, _probe: &mut NodeProbe, _up_to: SimTime) {}
-
-        /// No-op.
-        pub fn drain(&mut self, _probe: &mut NodeProbe) {}
-
-        /// No-op.
-        pub fn seal(&mut self, _now: SimTime) {}
-
-        /// No-op.
-        pub fn finish(&mut self, _end: SimTime) {}
-
-        /// No-op.
-        pub fn expect_from(&mut self, _node: u32, _t: SimTime) {}
-
-        /// No-op.
-        pub fn set_inactive(&mut self, _node: u32) {}
-
-        /// No-op.
-        pub fn retire(&mut self, _node: u32, _t: SimTime) {}
-
-        /// Never firing in the no-op build.
-        pub fn firing(&self, _rule: &str, _node: u32) -> bool {
-            false
-        }
-
-        /// Always the empty histogram in the no-op build.
-        pub fn merged_histogram(&self, _node: u32) -> Histogram {
-            Histogram::new()
-        }
-
-        /// Always the empty report in the no-op build.
-        pub fn report(&self) -> TelemetryReport {
-            TelemetryReport::empty(self.window_ns, self.nodes)
-        }
-    }
+#[derive(Debug, Clone)]
+struct NodeSlot {
+    /// Empty until a probe hands its window over (at most once per
+    /// (node, window)).
+    lanes: Vec<LaneAcc>,
 }
 
-pub use rt::{NodeProbe, TelemetryHub};
+#[derive(Debug, Clone, Copy, Default)]
+struct RuleState {
+    breach: u32,
+    ok: u32,
+    firing: bool,
+}
+
+/// The serial aggregation half: ingests probe windows at barriers,
+/// seals closed windows into [`WindowRow`]s, scores health and
+/// steps the alert rules. Drive it only from serial (barrier)
+/// code — that is what makes the output worker-count invariant.
+#[derive(Debug)]
+pub struct TelemetryHub {
+    cfg: TelemetryConfig,
+    window_ns: u64,
+    /// Sealed-window boundary: every window `< sealed` is closed.
+    sealed: u64,
+    /// Open windows awaiting their seal, sorted by index.
+    open: Vec<(u64, Vec<NodeSlot>)>,
+    /// Sealed windows kept for [`TelemetryHub::merged_histogram`]
+    /// (trimmed to `cfg.retain` when nonzero).
+    ring: Vec<(u64, Vec<NodeSlot>)>,
+    rows: Vec<WindowRow>,
+    /// Per node: indices into `rows`, oldest first (burn-rate history).
+    history: Vec<Vec<usize>>,
+    /// Per node: first window index the node is expected to report
+    /// from (`u64::MAX` = inactive, e.g. an unspawned standby).
+    expected_from: Vec<u64>,
+    /// Per node: window index the control plane retired it from.
+    retired: Vec<Option<u64>>,
+    /// Per node: current consecutive-silent-window streak.
+    silence: Vec<u64>,
+    /// Per node: whether any activity has been observed yet. Until
+    /// a node is seen (or explicitly expected / retired), empty
+    /// windows emit no rows and count no silence, so a slow cold
+    /// start is not misread as an outage.
+    seen: Vec<bool>,
+    /// Per node: `expect_from` was called (an explicit liveness
+    /// expectation, unlike the implicit expected-from-0 default).
+    explicit: Vec<bool>,
+    /// Hysteresis state, indexed `rule * nodes + node`.
+    rule_state: Vec<RuleState>,
+    alerts: Vec<AlertEvent>,
+}
 
 impl TelemetryHub {
+    /// Build a hub for `cfg`. Panics on empty node/lane sets or
+    /// non-snake_case rule/lane names; a zero-width window yields a
+    /// disabled hub whose methods no-op and whose report is empty.
+    pub fn new(cfg: TelemetryConfig) -> Self {
+        assert!(cfg.nodes > 0, "need at least one node slot");
+        assert!(!cfg.lanes.is_empty(), "need at least one lane");
+        for l in &cfg.lanes {
+            assert_snake("lane", l);
+        }
+        for r in &cfg.rules {
+            assert_snake("rule", r.name);
+        }
+        let nodes = cfg.nodes;
+        let nrules = cfg.rules.len();
+        TelemetryHub {
+            window_ns: cfg.window.as_nanos(),
+            sealed: 0,
+            open: Vec::new(),
+            ring: Vec::new(),
+            rows: Vec::new(),
+            history: vec![Vec::new(); nodes],
+            expected_from: vec![0; nodes],
+            retired: vec![None; nodes],
+            silence: vec![0; nodes],
+            seen: vec![false; nodes],
+            explicit: vec![false; nodes],
+            rule_state: vec![RuleState::default(); nrules * nodes],
+            alerts: Vec::new(),
+            cfg,
+        }
+    }
+
+    /// True when this hub is actually aggregating.
+    pub fn enabled(&self) -> bool {
+        self.window_ns != 0
+    }
+
+    /// Move every probe window lying strictly before `up_to` into
+    /// the hub. Call at a virtual-time barrier, in node order.
+    pub fn ingest(&mut self, probe: &mut NodeProbe, up_to: SimTime) {
+        if self.window_ns == 0 || !probe.enabled() {
+            return;
+        }
+        debug_assert_eq!(probe.window_ns, self.window_ns, "probe/hub window mismatch");
+        let boundary = up_to.as_nanos() / self.window_ns;
+        let k = probe.open.partition_point(|e| e.0 < boundary);
+        let node = probe.node;
+        for (w, lanes) in probe.open.drain(..k) {
+            self.accept(node, w, lanes);
+        }
+    }
+
+    /// Move *all* of a probe's windows into the hub (end of run).
+    pub fn drain(&mut self, probe: &mut NodeProbe) {
+        if self.window_ns == 0 || !probe.enabled() {
+            return;
+        }
+        let node = probe.node;
+        for (w, lanes) in probe.open.drain(..) {
+            self.accept(node, w, lanes);
+        }
+    }
+
+    fn accept(&mut self, node: u32, w: u64, lanes: Vec<LaneAcc>) {
+        debug_assert!(w >= self.sealed, "window {w} already sealed");
+        let i = match self.open.binary_search_by_key(&w, |e| e.0) {
+            Ok(i) => i,
+            Err(i) => {
+                let slots = vec![NodeSlot { lanes: Vec::new() }; self.cfg.nodes];
+                self.open.insert(i, (w, slots));
+                i
+            }
+        };
+        let slot = &mut self.open[i].1[node as usize];
+        debug_assert!(slot.lanes.is_empty(), "(node, window) handed over twice");
+        slot.lanes = lanes;
+    }
+
+    /// Seal every window that closed strictly before `now`. Call at
+    /// a virtual-time barrier, *after* ingesting all probes.
+    pub fn seal(&mut self, now: SimTime) {
+        if self.window_ns == 0 {
+            return;
+        }
+        self.seal_to(now.as_nanos() / self.window_ns);
+    }
+
+    /// Seal through the end of the run: every window up to `end`
+    /// (inclusive of a partial tail window) plus any straggler
+    /// windows still open from operation overshoot.
+    pub fn finish(&mut self, end: SimTime) {
+        if self.window_ns == 0 {
+            return;
+        }
+        let mut boundary = end.as_nanos().div_ceil(self.window_ns);
+        if let Some((w, _)) = self.open.last() {
+            boundary = boundary.max(w + 1);
+        }
+        self.seal_to(boundary);
+    }
+
+    fn seal_to(&mut self, boundary: u64) {
+        while self.sealed < boundary {
+            let w = self.sealed;
+            let slots = if self.open.first().map(|e| e.0) == Some(w) {
+                self.open.remove(0).1
+            } else {
+                vec![NodeSlot { lanes: Vec::new() }; self.cfg.nodes]
+            };
+            self.eval_window(w, &slots);
+            self.ring.push((w, slots));
+            if self.cfg.retain > 0 && self.ring.len() > self.cfg.retain {
+                let cut = self.ring.len() - self.cfg.retain;
+                self.ring.drain(..cut);
+            }
+            self.sealed += 1;
+        }
+    }
+
+    fn eval_window(&mut self, w: u64, slots: &[NodeSlot]) {
+        let window_ns = self.window_ns;
+        for (node, slot) in slots.iter().enumerate().take(self.cfg.nodes) {
+            if w < self.expected_from[node] {
+                continue;
+            }
+            let mut ops = 0u64;
+            let mut errs = 0u64;
+            let mut retries = 0u64;
+            let mut misses = 0u64;
+            let mut bytes = 0u64;
+            let mut lane_ops = vec![0u64; self.cfg.lanes.len()];
+            let mut hist = Histogram::new();
+            for (li, l) in slot.lanes.iter().enumerate() {
+                ops += l.ops;
+                errs += l.errs;
+                retries += l.retries;
+                misses += l.misses;
+                bytes += l.bytes;
+                lane_ops[li] = l.ops;
+                hist.merge(&l.hist);
+            }
+            if !self.seen[node] {
+                if ops + errs + retries + misses + bytes > 0 {
+                    self.seen[node] = true;
+                } else if !self.explicit[node] && self.retired[node].is_none() {
+                    // Not yet online: a cold start isn't an outage.
+                    continue;
+                }
+            }
+            if ops == 0 {
+                self.silence[node] += 1;
+            } else {
+                self.silence[node] = 0;
+            }
+            let pol = &self.cfg.health;
+            let err_rate = errs as f64 / (ops + errs).max(1) as f64;
+            let p50_ns = hist.quantile_ns(0.50);
+            let p99_ns = hist.quantile_ns(0.99);
+            let health = if self.retired[node].is_some_and(|rw| w >= rw)
+                || self.silence[node] >= pol.dead_after as u64
+            {
+                Health::Dead
+            } else if ops == 0 {
+                // suspect_after <= dead_after is the sane shape; a
+                // silent window is at least Suspect regardless.
+                Health::Suspect
+            } else if p99_ns > pol.p99_degraded_ns || err_rate > pol.err_degraded {
+                Health::Degraded
+            } else {
+                Health::Healthy
+            };
+            self.history[node].push(self.rows.len());
+            self.rows.push(WindowRow {
+                window: w,
+                node: node as u32,
+                ops,
+                errs,
+                retries,
+                misses,
+                bytes,
+                p50_ns,
+                p99_ns,
+                lane_ops,
+                health,
+            });
+            for (ri, rule) in self.cfg.rules.iter().enumerate() {
+                let breach = rule_breach(
+                    &rule.kind,
+                    &self.rows,
+                    &self.history[node],
+                    self.silence[node],
+                    window_ns,
+                );
+                let st = &mut self.rule_state[ri * self.cfg.nodes + node];
+                if breach {
+                    st.breach += 1;
+                    st.ok = 0;
+                    if !st.firing && st.breach >= rule.fire_after {
+                        st.firing = true;
+                        self.alerts.push(AlertEvent {
+                            rule: rule.name,
+                            node: node as u32,
+                            at: SimTime((w + 1) * window_ns),
+                            firing: true,
+                        });
+                    }
+                } else {
+                    st.ok += 1;
+                    st.breach = 0;
+                    if st.firing && st.ok >= rule.clear_after {
+                        st.firing = false;
+                        self.alerts.push(AlertEvent {
+                            rule: rule.name,
+                            node: node as u32,
+                            at: SimTime((w + 1) * window_ns),
+                            firing: false,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Declare that `node` is only expected to report from `t` on
+    /// (e.g. a standby spawned mid-run). Windows before `t` emit no
+    /// rows and no alerts for it.
+    pub fn expect_from(&mut self, node: u32, t: SimTime) {
+        if self.window_ns == 0 {
+            return;
+        }
+        self.expected_from[node as usize] = t.as_nanos() / self.window_ns;
+        self.silence[node as usize] = 0;
+        self.explicit[node as usize] = true;
+    }
+
+    /// Declare `node` inactive (not expected to report at all,
+    /// until a later [`TelemetryHub::expect_from`]).
+    pub fn set_inactive(&mut self, node: u32) {
+        self.expected_from[node as usize] = u64::MAX;
+        self.explicit[node as usize] = false;
+    }
+
+    /// Control-plane acknowledgement of ground-truth death: from
+    /// `t`'s window on, `node`'s health is pinned `Dead`. Rules
+    /// keep evaluating (the absence alert still measures MTTD).
+    pub fn retire(&mut self, node: u32, t: SimTime) {
+        if self.window_ns == 0 {
+            return;
+        }
+        self.retired[node as usize] = Some(t.as_nanos() / self.window_ns);
+    }
+
+    /// Whether `rule` is currently firing for `node` — the
+    /// hysteresis-filtered alert state as of the last sealed
+    /// window. This is the control-plane read used by brownout
+    /// controllers at virtual-time barriers; unknown rule names and
+    /// disabled hubs read `false`.
+    pub fn firing(&self, rule: &str, node: u32) -> bool {
+        if self.window_ns == 0 {
+            return false;
+        }
+        let Some(ri) = self.cfg.rules.iter().position(|r| r.name == rule) else {
+            return false;
+        };
+        self.rule_state
+            .get(ri * self.cfg.nodes + node as usize)
+            .map(|st| st.firing)
+            .unwrap_or(false)
+    }
+
+    /// Merge every retained window histogram for `node` (all lanes)
+    /// — with `retain == 0` this is exactly the end-of-run
+    /// histogram, which the window-exactness test pins via
+    /// [`Histogram::merge`].
+    pub fn merged_histogram(&self, node: u32) -> Histogram {
+        let mut h = Histogram::new();
+        for (_, slots) in self.ring.iter().chain(self.open.iter()) {
+            for l in &slots[node as usize].lanes {
+                h.merge(&l.hist);
+            }
+        }
+        h
+    }
+
+    /// Export the report (rows, alert log, retirement marks).
+    pub fn report(&self) -> TelemetryReport {
+        TelemetryReport {
+            window_ns: self.window_ns,
+            nodes: self.cfg.nodes,
+            lanes: self.cfg.lanes.iter().map(|l| l.to_string()).collect(),
+            windows: self.sealed,
+            rows: self.rows.clone(),
+            alerts: self.alerts.clone(),
+            retired: self.retired.clone(),
+        }
+    }
+
     /// End of run: drain every probe's tail windows (operation overshoot
     /// past the last barrier), seal through `end`, and export the report
-    /// — `None` when the layer is compiled out or the window is ZERO.
+    /// — `None` when the window is ZERO.
     pub fn conclude<'a>(
         &mut self,
         probes: impl IntoIterator<Item = &'a mut NodeProbe>,
@@ -1252,6 +1052,54 @@ impl TelemetryHub {
             self.drain(probe);
         }
         self.finish(end);
-        (compiled() && self.enabled()).then(|| self.report())
+        self.enabled().then(|| self.report())
+    }
+}
+
+fn metric_value(row: &WindowRow, window_ns: u64, m: Metric) -> f64 {
+    match m {
+        Metric::Qps => row.ops as f64 * 1e9 / window_ns as f64,
+        Metric::P50Ns => row.p50_ns as f64,
+        Metric::P99Ns => row.p99_ns as f64,
+        Metric::MissRate => row.misses as f64 / row.ops.max(1) as f64,
+        Metric::ErrRate => row.errs as f64 / (row.ops + row.errs).max(1) as f64,
+        Metric::RetryRate => row.retries as f64 / row.ops.max(1) as f64,
+        Metric::LinkBytes => row.bytes as f64,
+    }
+}
+
+fn rule_breach(
+    kind: &RuleKind,
+    rows: &[WindowRow],
+    hist: &[usize],
+    silence: u64,
+    window_ns: u64,
+) -> bool {
+    let last = match hist.last() {
+        Some(&i) => &rows[i],
+        None => return false,
+    };
+    match *kind {
+        RuleKind::Above { metric, limit } => metric_value(last, window_ns, metric) > limit,
+        RuleKind::Below { metric, limit } => metric_value(last, window_ns, metric) < limit,
+        RuleKind::BurnRate {
+            metric,
+            budget,
+            short,
+            long,
+        } => {
+            if hist.len() < long {
+                return false;
+            }
+            let mean = |n: usize| {
+                let s: f64 = hist[hist.len() - n..]
+                    .iter()
+                    .map(|&i| metric_value(&rows[i], window_ns, metric))
+                    .sum();
+                s / n as f64
+            };
+            mean(short) > budget && mean(long) > budget
+        }
+        RuleKind::Absence { windows } => silence >= windows as u64,
     }
 }

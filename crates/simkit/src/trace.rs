@@ -22,11 +22,10 @@
 //!
 //! Discipline (same as the profiler's):
 //!
-//! - **Zero cost when unused.** Without the `trace` cargo feature every
-//!   call compiles to nothing; with it (the default), a disabled tracer
-//!   costs one inlined thread-local flag test per call site, and the
-//!   hot path performs no heap allocation whether tracing is enabled or
-//!   not (the ring buffer is preallocated when spans are enabled).
+//! - **One flag test when unused.** A disabled tracer costs one inlined
+//!   thread-local flag test per call site, and the hot path performs no
+//!   heap allocation whether tracing is enabled or not (the ring buffer
+//!   is preallocated when spans are enabled).
 //! - **Observation only.** Recording never feeds back into virtual
 //!   time, RNG streams, or simulated state, so enabling tracing cannot
 //!   change any simulation result; both switches default to off on
@@ -34,6 +33,7 @@
 
 use crate::json;
 use crate::time::SimTime;
+use std::cell::{Cell, RefCell};
 
 // ---------------------------------------------------------------------------
 // Lanes: where a simulated nanosecond is spent.
@@ -208,338 +208,156 @@ pub struct TraceEvent {
 pub const RING_CAPACITY: usize = 1 << 16;
 
 // ---------------------------------------------------------------------------
-// Instrumentation (real with the `trace` feature, no-op without).
+// Instrumentation: per-thread switches, lane totals and span ring.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::{Lane, QueryBreakdown, SpanKind, TraceEvent, LANE_COUNT, RING_CAPACITY};
-    use crate::time::SimTime;
-    use std::cell::{Cell, RefCell};
+const SPANS: u8 = 1 << 0;
+const ATTR: u8 = 1 << 1;
 
-    const SPANS: u8 = 1 << 0;
-    const ATTR: u8 = 1 << 1;
+struct Ring {
+    buf: Vec<TraceEvent>,
+    /// Oldest event's index once the buffer has wrapped.
+    head: usize,
+    dropped: u64,
+}
 
-    struct Ring {
-        buf: Vec<TraceEvent>,
-        /// Oldest event's index once the buffer has wrapped.
-        head: usize,
-        dropped: u64,
-    }
-
-    thread_local! {
-        static FLAGS: Cell<u8> = const { Cell::new(0) };
-        static LANES: RefCell<[u64; LANE_COUNT]> = const { RefCell::new([0; LANE_COUNT]) };
-        static RING: RefCell<Ring> = const {
-            RefCell::new(Ring {
-                buf: Vec::new(),
-                head: 0,
-                dropped: 0,
-            })
-        };
-    }
-
-    pub fn enable_spans(on: bool) {
-        FLAGS.with(|f| {
-            f.set(if on {
-                f.get() | SPANS
-            } else {
-                f.get() & !SPANS
-            })
-        });
-        if on {
-            // Preallocate once so recording never touches the heap.
-            RING.with(|r| r.borrow_mut().buf.reserve(RING_CAPACITY));
-        }
-    }
-
-    pub fn enable_attribution(on: bool) {
-        FLAGS.with(|f| f.set(if on { f.get() | ATTR } else { f.get() & !ATTR }));
-    }
-
-    #[inline]
-    pub fn spans_enabled() -> bool {
-        FLAGS.with(|f| f.get()) & SPANS != 0
-    }
-
-    #[inline]
-    pub fn attribution_enabled() -> bool {
-        FLAGS.with(|f| f.get()) & ATTR != 0
-    }
-
-    #[inline]
-    pub fn active() -> bool {
-        FLAGS.with(|f| f.get()) != 0
-    }
-
-    pub fn reset() {
-        LANES.with(|l| *l.borrow_mut() = [0; LANE_COUNT]);
-        RING.with(|r| {
-            let mut r = r.borrow_mut();
-            r.buf.clear();
-            r.head = 0;
-            r.dropped = 0;
-        });
-    }
-
-    pub fn attr_snapshot() -> QueryBreakdown {
-        LANES.with(|l| QueryBreakdown { ns: *l.borrow() })
-    }
-
-    pub fn take_events() -> Vec<TraceEvent> {
-        RING.with(|r| {
-            let mut r = r.borrow_mut();
-            let head = r.head;
-            let mut out = Vec::with_capacity(r.buf.len());
-            out.extend_from_slice(&r.buf[head..]);
-            out.extend_from_slice(&r.buf[..head]);
-            r.buf.clear();
-            r.head = 0;
-            out
-        })
-    }
-
-    pub fn dropped_events() -> u64 {
-        RING.with(|r| r.borrow().dropped)
-    }
-
-    #[inline]
-    pub fn attr_add(lane: Lane, ns: u64) {
-        if FLAGS.with(|f| f.get()) & ATTR != 0 {
-            attr_add_slow(lane, ns);
-        }
-    }
-
-    #[cold]
-    fn attr_add_slow(lane: Lane, ns: u64) {
-        LANES.with(|l| l.borrow_mut()[lane as usize] += ns);
-    }
-
-    #[inline]
-    pub fn span(kind: SpanKind, node: u32, start: SimTime, end: SimTime, bytes: u64) {
-        if FLAGS.with(|f| f.get()) & SPANS != 0 {
-            span_slow(kind, node, start, end, bytes);
-        }
-    }
-
-    /// Detached tracer state (flags + lane totals + ring) for one
-    /// simulated node, movable across worker threads.
-    pub struct StateImpl {
-        flags: u8,
-        lanes: [u64; LANE_COUNT],
-        ring: Ring,
-    }
-
-    pub fn state_armed() -> StateImpl {
-        let flags = FLAGS.with(|f| f.get());
-        let mut ring = Ring {
+impl Ring {
+    const fn new() -> Self {
+        Ring {
             buf: Vec::new(),
             head: 0,
             dropped: 0,
-        };
-        if flags & SPANS != 0 {
-            ring.buf.reserve(RING_CAPACITY);
-        }
-        StateImpl {
-            flags,
-            lanes: [0; LANE_COUNT],
-            ring,
         }
     }
 
-    pub fn state_swap(s: &mut StateImpl) {
-        FLAGS.with(|f| {
-            let cur = f.get();
-            f.set(s.flags);
-            s.flags = cur;
-        });
-        LANES.with(|l| std::mem::swap(&mut *l.borrow_mut(), &mut s.lanes));
-        RING.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut s.ring));
+    fn push(&mut self, ev: TraceEvent) {
+        if self.buf.len() < RING_CAPACITY {
+            self.buf.push(ev);
+        } else {
+            self.buf[self.head] = ev;
+            self.head = (self.head + 1) % RING_CAPACITY;
+            self.dropped += 1;
+        }
     }
 
-    pub fn state_breakdown(s: &StateImpl) -> QueryBreakdown {
-        QueryBreakdown { ns: s.lanes }
-    }
-
-    pub fn state_take_events(s: &mut StateImpl) -> Vec<TraceEvent> {
-        let head = s.ring.head;
-        let mut out = Vec::with_capacity(s.ring.buf.len());
-        out.extend_from_slice(&s.ring.buf[head..]);
-        out.extend_from_slice(&s.ring.buf[..head]);
-        s.ring.buf.clear();
-        s.ring.head = 0;
+    /// Remove every event, oldest first. Keeps the allocation and the
+    /// dropped count.
+    fn drain(&mut self) -> Vec<TraceEvent> {
+        let mut out = Vec::with_capacity(self.buf.len());
+        out.extend_from_slice(&self.buf[self.head..]);
+        out.extend_from_slice(&self.buf[..self.head]);
+        self.buf.clear();
+        self.head = 0;
         out
-    }
-
-    pub fn state_dropped(s: &StateImpl) -> u64 {
-        s.ring.dropped
-    }
-
-    #[cold]
-    fn span_slow(kind: SpanKind, node: u32, start: SimTime, end: SimTime, bytes: u64) {
-        debug_assert!(end >= start, "span ends before it starts");
-        let ev = TraceEvent {
-            kind,
-            node,
-            start,
-            end,
-            bytes,
-        };
-        RING.with(|r| {
-            let mut r = r.borrow_mut();
-            if r.buf.len() < RING_CAPACITY {
-                r.buf.push(ev);
-            } else {
-                let head = r.head;
-                r.buf[head] = ev;
-                r.head = (head + 1) % RING_CAPACITY;
-                r.dropped += 1;
-            }
-        });
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod imp {
-    use super::{Lane, QueryBreakdown, SpanKind, TraceEvent};
-    use crate::time::SimTime;
-
-    #[inline]
-    pub fn enable_spans(_on: bool) {}
-
-    #[inline]
-    pub fn enable_attribution(_on: bool) {}
-
-    #[inline(always)]
-    pub fn spans_enabled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn attribution_enabled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
-
-    #[inline]
-    pub fn reset() {}
-
-    #[inline]
-    pub fn attr_snapshot() -> QueryBreakdown {
-        QueryBreakdown::default()
-    }
-
-    #[inline]
-    pub fn take_events() -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    #[inline]
-    pub fn dropped_events() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn attr_add(_lane: Lane, _ns: u64) {}
-
-    #[inline(always)]
-    pub fn span(_kind: SpanKind, _node: u32, _start: SimTime, _end: SimTime, _bytes: u64) {}
-
-    /// Detached tracer state: zero-sized without the `trace` feature.
-    pub struct StateImpl;
-
-    #[inline]
-    pub fn state_armed() -> StateImpl {
-        StateImpl
-    }
-
-    #[inline]
-    pub fn state_swap(_s: &mut StateImpl) {}
-
-    #[inline]
-    pub fn state_breakdown(_s: &StateImpl) -> QueryBreakdown {
-        QueryBreakdown::default()
-    }
-
-    #[inline]
-    pub fn state_take_events(_s: &mut StateImpl) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    #[inline]
-    pub fn state_dropped(_s: &StateImpl) -> u64 {
-        0
-    }
+thread_local! {
+    static FLAGS: Cell<u8> = const { Cell::new(0) };
+    static LANES: RefCell<[u64; LANE_COUNT]> = const { RefCell::new([0; LANE_COUNT]) };
+    static RING: RefCell<Ring> = const { RefCell::new(Ring::new()) };
 }
 
 /// Turn span recording on or off for the current thread.
-#[inline]
 pub fn enable_spans(on: bool) {
-    imp::enable_spans(on)
+    FLAGS.with(|f| {
+        f.set(if on {
+            f.get() | SPANS
+        } else {
+            f.get() & !SPANS
+        })
+    });
+    if on {
+        // Preallocate once so recording never touches the heap.
+        RING.with(|r| r.borrow_mut().buf.reserve(RING_CAPACITY));
+    }
 }
 
 /// Whether span recording is enabled on this thread.
 #[inline]
 pub fn spans_enabled() -> bool {
-    imp::spans_enabled()
+    FLAGS.with(|f| f.get()) & SPANS != 0
 }
 
 /// Turn latency attribution on or off for the current thread.
-#[inline]
 pub fn enable_attribution(on: bool) {
-    imp::enable_attribution(on)
+    FLAGS.with(|f| f.set(if on { f.get() | ATTR } else { f.get() & !ATTR }));
 }
 
 /// Whether latency attribution is enabled on this thread.
 #[inline]
 pub fn attribution_enabled() -> bool {
-    imp::attribution_enabled()
+    FLAGS.with(|f| f.get()) & ATTR != 0
 }
 
 /// Whether either instrument is enabled (single-test gate for helpers
 /// that would otherwise compute span *and* attribution arguments).
 #[inline]
 pub fn active() -> bool {
-    imp::active()
+    FLAGS.with(|f| f.get()) != 0
 }
 
 /// Clear this thread's lane totals, ring buffer and dropped count.
 pub fn reset() {
-    imp::reset()
+    LANES.with(|l| *l.borrow_mut() = [0; LANE_COUNT]);
+    RING.with(|r| {
+        let mut r = r.borrow_mut();
+        r.buf.clear();
+        r.head = 0;
+        r.dropped = 0;
+    });
 }
 
 /// Copy of this thread's accumulated lane totals.
-#[inline]
 pub fn attr_snapshot() -> QueryBreakdown {
-    imp::attr_snapshot()
+    LANES.with(|l| QueryBreakdown { ns: *l.borrow() })
 }
 
 /// Drain this thread's recorded spans, oldest first. Keeps the ring's
 /// allocation; [`dropped_events`] is *not* reset.
 pub fn take_events() -> Vec<TraceEvent> {
-    imp::take_events()
+    RING.with(|r| r.borrow_mut().drain())
 }
 
-/// Events overwritten because the ring buffer was full.
+/// Events overwritten because a ring buffer was full — this thread's,
+/// plus every detached state's folded in by [`absorb`].
 pub fn dropped_events() -> u64 {
-    imp::dropped_events()
+    RING.with(|r| r.borrow().dropped)
 }
 
 /// Attribute `ns` simulated nanoseconds to `lane`. Called by every leaf
 /// timed primitive; a single inlined flag test when attribution is off.
 #[inline]
 pub fn attr_add(lane: Lane, ns: u64) {
-    imp::attr_add(lane, ns)
+    if FLAGS.with(|f| f.get()) & ATTR != 0 {
+        attr_add_slow(lane, ns);
+    }
+}
+
+#[cold]
+fn attr_add_slow(lane: Lane, ns: u64) {
+    LANES.with(|l| l.borrow_mut()[lane as usize] += ns);
 }
 
 /// Record a span. A single inlined flag test when spans are off.
 #[inline]
 pub fn span(kind: SpanKind, node: u32, start: SimTime, end: SimTime, bytes: u64) {
-    imp::span(kind, node, start, end, bytes)
+    if FLAGS.with(|f| f.get()) & SPANS != 0 {
+        span_slow(kind, node, start, end, bytes);
+    }
+}
+
+#[cold]
+fn span_slow(kind: SpanKind, node: u32, start: SimTime, end: SimTime, bytes: u64) {
+    debug_assert!(end >= start, "span ends before it starts");
+    let ev = TraceEvent {
+        kind,
+        node,
+        start,
+        end,
+        bytes,
+    };
+    RING.with(|r| r.borrow_mut().push(ev));
 }
 
 /// A detached tracer state (enable flags, lane totals and span ring)
@@ -548,33 +366,30 @@ pub fn span(kind: SpanKind, node: u32, start: SimTime, end: SimTime, bytes: u64)
 /// Barrier-synchronized parallel stepping gives every node its own
 /// tracer: the driver arms one state per node with [`TraceState::armed`]
 /// (inheriting the calling thread's enable switches), swaps it in
-/// around the node's quantum with [`swap_state`], and reads the
-/// detached states in fixed node order at the end of the run. Lane
-/// totals and recorded spans are therefore a function of the node's own
-/// op sequence — invariant to worker count. Zero-sized without the
-/// `trace` feature.
-pub struct TraceState(imp::StateImpl);
+/// around the node's quantum with [`swap_state`], and folds the
+/// detached states back with [`absorb`] in fixed node order at the end
+/// of the run. Lane totals and recorded spans are therefore a function
+/// of the node's own op sequence — invariant to worker count.
+pub struct TraceState {
+    flags: u8,
+    lanes: [u64; LANE_COUNT],
+    ring: Ring,
+}
 
 impl TraceState {
     /// A fresh state inheriting the calling thread's enable switches,
     /// with zero lane totals and an empty ring.
     pub fn armed() -> Self {
-        TraceState(imp::state_armed())
-    }
-
-    /// This state's accumulated lane totals.
-    pub fn breakdown(&self) -> QueryBreakdown {
-        imp::state_breakdown(&self.0)
-    }
-
-    /// Drain this state's recorded spans, oldest first.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        imp::state_take_events(&mut self.0)
-    }
-
-    /// Events overwritten because this state's ring was full.
-    pub fn dropped_events(&self) -> u64 {
-        imp::state_dropped(&self.0)
+        let flags = FLAGS.with(|f| f.get());
+        let mut ring = Ring::new();
+        if flags & SPANS != 0 {
+            ring.buf.reserve(RING_CAPACITY);
+        }
+        TraceState {
+            flags,
+            lanes: [0; LANE_COUNT],
+            ring,
+        }
     }
 }
 
@@ -583,7 +398,32 @@ impl TraceState {
 /// back out — identical whether the quantum runs inline or on a pool
 /// worker.
 pub fn swap_state(state: &mut TraceState) {
-    imp::state_swap(&mut state.0)
+    FLAGS.with(|f| {
+        let cur = f.get();
+        f.set(state.flags);
+        state.flags = cur;
+    });
+    LANES.with(|l| std::mem::swap(&mut *l.borrow_mut(), &mut state.lanes));
+    RING.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut state.ring));
+}
+
+/// Fold a detached state into the calling thread's tracer and leave it
+/// empty: lane totals add, spans re-land in recorded order, and the
+/// spans the state's own ring overwrote stay counted in
+/// [`dropped_events`].
+pub fn absorb(state: &mut TraceState) {
+    LANES.with(|l| {
+        for (total, ns) in l.borrow_mut().iter_mut().zip(&mut state.lanes) {
+            *total += std::mem::take(ns);
+        }
+    });
+    RING.with(|r| {
+        let mut r = r.borrow_mut();
+        for ev in state.ring.drain() {
+            r.push(ev);
+        }
+        r.dropped += std::mem::take(&mut state.ring.dropped);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -665,7 +505,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     )
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -714,6 +554,43 @@ mod tests {
         // Oldest three were overwritten; drain starts at event 3.
         assert_eq!(ev[0].start, t(3));
         assert_eq!(ev.last().unwrap().start, t(RING_CAPACITY as u64 + 2));
+        reset();
+    }
+
+    #[test]
+    fn absorb_counts_every_span_a_detached_state_emitted() {
+        reset();
+        enable_spans(true);
+        enable_attribution(true);
+        // Lane 0 overflows its own ring by 5; lane 1's 7 spans then
+        // overflow the driver's ring as they re-land.
+        let emitted = [RING_CAPACITY as u64 + 5, 7];
+        let mut lanes = [TraceState::armed(), TraceState::armed()];
+        for (node, (state, &n)) in lanes.iter_mut().zip(&emitted).enumerate() {
+            swap_state(state);
+            for i in 0..n {
+                span(SpanKind::Query, node as u32, t(i), t(i + 1), 0);
+                attr_add(Lane::Cpu, 1);
+            }
+            swap_state(state);
+        }
+        assert!(take_events().is_empty(), "lanes record detached");
+        for state in &mut lanes {
+            absorb(state);
+        }
+        enable_spans(false);
+        enable_attribution(false);
+        let total: u64 = emitted.iter().sum();
+        assert_eq!(dropped_events(), 5 + 7);
+        assert_eq!(attr_snapshot().lane(Lane::Cpu), total);
+        let ev = take_events();
+        assert_eq!(ev.len() as u64 + dropped_events(), total);
+        assert_eq!(ev.last().unwrap().node, 1, "lane order preserved");
+        // Absorbing leaves the state empty: a second fold adds nothing.
+        absorb(&mut lanes[0]);
+        assert!(take_events().is_empty());
+        assert_eq!(dropped_events(), 5 + 7);
+        assert_eq!(attr_snapshot().lane(Lane::Cpu), total);
         reset();
     }
 

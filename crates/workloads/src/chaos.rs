@@ -56,8 +56,7 @@ pub struct ChaosConfig {
     /// Also crash the host at this global site hit, then recover with
     /// the scheme under test and resume.
     pub crash_at_hit: Option<u64>,
-    /// Telemetry window width (ZERO disables the probe even when the
-    /// `telemetry` feature is compiled in).
+    /// Telemetry window width (ZERO disables the probe).
     pub telemetry_window: SimTime,
 }
 
@@ -100,8 +99,7 @@ pub struct ChaosRunResult {
     /// Uniform counter snapshot (fault injections, degradation
     /// counters, recovery numbers, throughput).
     pub registry: MetricsRegistry,
-    /// Windowed ops report (`None` when the `telemetry` feature is
-    /// compiled out or `telemetry_window` is ZERO).
+    /// Windowed ops report (`None` when `telemetry_window` is ZERO).
     pub telemetry: Option<TelemetryReport>,
 }
 
@@ -397,11 +395,7 @@ mod tests {
         cfg.telemetry_window = SimTime(500_000);
         let r = run_chaos(&cfg);
         assert_eq!(r.crashes, 1);
-        if !simkit::telemetry::compiled() {
-            assert!(r.telemetry.is_none());
-            return;
-        }
-        let rep = r.telemetry.as_ref().expect("telemetry compiled in");
+        let rep = r.telemetry.as_ref().expect("telemetry window is on");
         assert!(rep.windows > 0);
         // The absence alert fired after the crash, and the registry
         // carries the detection delay.
@@ -424,10 +418,7 @@ mod tests {
         cfg.fault_events = 0;
         cfg.telemetry_window = SimTime::from_millis(2);
         let r = run_chaos(&cfg);
-        if !simkit::telemetry::compiled() {
-            return;
-        }
-        let rep = r.telemetry.as_ref().expect("telemetry compiled in");
+        let rep = r.telemetry.as_ref().expect("telemetry window is on");
         assert_eq!(rep.alert_fires(), 0, "{}", rep.alert_log());
     }
 

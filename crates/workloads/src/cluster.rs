@@ -41,7 +41,7 @@ use polarcxlmem::{
 use simkit::faults::{self, FaultState};
 use simkit::rng::{stream_rng, SimRng};
 use simkit::telemetry::{NodeProbe, TelemetryConfig, TelemetryHub, TelemetryReport};
-use simkit::trace::{self, Lane, TraceState};
+use simkit::trace::{self, TraceState};
 use simkit::{
     par, LockDelta, LockMode, LockShard, LockTable, MultiServer, SimTime, Step, WorkerId, WorkerSet,
 };
@@ -295,7 +295,7 @@ impl<F: Fabric, X: Send> Cluster<F, X> {
     /// Step `duration` of virtual time in `quantum`-wide phases on
     /// `host_threads` host threads (`0` = [`par::host_threads`]; any
     /// count yields bit-identical results). Returns the telemetry report
-    /// (`None` when compiled out or the window is ZERO).
+    /// (`None` when the window is ZERO).
     pub fn run(
         &mut self,
         duration: SimTime,
@@ -384,19 +384,11 @@ impl<F: Fabric, X: Send> Cluster<F, X> {
         self.fabric.absorb_invalidations(&self.nodes);
         let probes = self.cores.iter_mut().map(|core| &mut core.probe);
         let report = self.hub.conclude(probes, duration);
-        // Each lane's lane totals and spans re-land on the driver
-        // thread's tracer, so consumers observe one coherent stream.
+        // Each lane's lane totals, spans and dropped-span count re-land
+        // on the driver thread's tracer, so consumers observe one
+        // coherent stream.
         for core in self.cores.iter_mut() {
-            let bd = core.trace.breakdown();
-            for lane in Lane::ALL {
-                let ns = bd.lane(lane);
-                if ns > 0 {
-                    trace::attr_add(lane, ns);
-                }
-            }
-            for ev in core.trace.take_events() {
-                trace::span(ev.kind, ev.node, ev.start, ev.end, ev.bytes);
-            }
+            trace::absorb(&mut core.trace);
         }
         report
     }

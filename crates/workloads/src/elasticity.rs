@@ -10,8 +10,8 @@
 //! storage-direct — the tens-of-microseconds path that blows the tail.
 //!
 //! With `adaptive` on, an [`ElasticController`] watches per-tenant miss
-//! pressure at quantum barriers (the `miss_burn` telemetry rule when
-//! compiled in, a remote-share threshold otherwise) and re-partitions
+//! pressure at quantum barriers (the `miss_burn` telemetry rule while
+//! the window is on, a remote-share threshold either way) and re-partitions
 //! live: each plan runs the two-phase lease migration of
 //! [`MigrationCoordinator`] — PREPARE (journal + write-protect + flush)
 //! at one barrier, COMMIT (reassign + hand-off + bulk adopt + retire)
@@ -173,8 +173,7 @@ pub struct ElasticityResult {
     pub fusion: FusionStats,
     /// Flat metrics export.
     pub registry: MetricsRegistry,
-    /// Windowed per-node ops report (`None` when telemetry is compiled
-    /// out or the window is ZERO).
+    /// Windowed per-node ops report (`None` when the window is ZERO).
     pub telemetry: Option<TelemetryReport>,
 }
 
@@ -388,9 +387,9 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
                 cl.refresh_dir();
                 migrations += 1;
             } else {
-                // Pressure: the telemetry burn-rate rule when compiled
-                // in, OR the remote-share fallback (deterministic from
-                // folded counters either way).
+                // Pressure: the telemetry burn-rate rule while the
+                // window is on, OR the remote-share fallback
+                // (deterministic from folded counters either way).
                 let mut pressured = vec![false; n];
                 for (t, p) in pressured.iter_mut().enumerate() {
                     let remote_total: u64 = remote_window[t].iter().sum();
@@ -529,30 +528,36 @@ mod tests {
 
     #[test]
     fn adaptive_run_migrates_and_clears_the_thrash() {
-        let r = run_elasticity(&threads_cfg(2, true));
-        // The diurnal flip moves exactly the extents tenant 1 newly
-        // demands: 3/4·E − 1/4·E = E/2 of them.
-        let cfg = ElasticityConfig::smoke();
-        let expect = (cfg.extents * 3 / 4 - cfg.extents / 4) as u64;
-        assert_eq!(r.migrations, expect, "owners: {:?}", r.final_owners);
-        assert_eq!(r.elastic.commits, expect);
-        assert_eq!(r.elastic.rollbacks, 0);
-        assert!(r.fusion.migrated_out > 0, "pages handed off in place");
-        // Post-shift ownership matches second-half demand exactly.
-        let cold = cfg.extents / 4;
-        for e in 0..cfg.extents {
-            assert_eq!(r.final_owners[e], usize::from(e >= cold));
-        }
-        // Settled tails: both tenants inside the SLO once migration
-        // has caught the partition up with demand.
-        for t in &r.per_tenant {
-            assert!(
-                t.settled_p99_ns <= cfg.slo_p99_ns,
-                "tenant {} settled p99 {} > SLO {}",
-                t.tenant,
-                t.settled_p99_ns,
-                cfg.slo_p99_ns
-            );
+        // Window on: the `miss_burn` rule and the remote-share threshold
+        // both feed the controller. Window ZERO: the threshold alone.
+        for window in [SimTime::from_millis(2), SimTime::ZERO] {
+            let mut cfg = threads_cfg(2, true);
+            cfg.telemetry_window = window;
+            let r = run_elasticity(&cfg);
+            assert_eq!(r.telemetry.is_some(), window != SimTime::ZERO);
+            // The diurnal flip moves exactly the extents tenant 1 newly
+            // demands: 3/4·E − 1/4·E = E/2 of them.
+            let expect = (cfg.extents * 3 / 4 - cfg.extents / 4) as u64;
+            assert_eq!(r.migrations, expect, "owners: {:?}", r.final_owners);
+            assert_eq!(r.elastic.commits, expect);
+            assert_eq!(r.elastic.rollbacks, 0);
+            assert!(r.fusion.migrated_out > 0, "pages handed off in place");
+            // Post-shift ownership matches second-half demand exactly.
+            let cold = cfg.extents / 4;
+            for e in 0..cfg.extents {
+                assert_eq!(r.final_owners[e], usize::from(e >= cold));
+            }
+            // Settled tails: both tenants inside the SLO once migration
+            // has caught the partition up with demand.
+            for t in &r.per_tenant {
+                assert!(
+                    t.settled_p99_ns <= cfg.slo_p99_ns,
+                    "window {window:?}: tenant {} settled p99 {} > SLO {}",
+                    t.tenant,
+                    t.settled_p99_ns,
+                    cfg.slo_p99_ns
+                );
+            }
         }
     }
 

@@ -123,8 +123,7 @@ pub struct FailoverConfig {
     /// Optional link degradation riding along with the crash.
     pub link_chaos: LinkChaos,
     /// Telemetry window width (`SimTime::ZERO` disables the online
-    /// telemetry pipeline at runtime; the `telemetry` cargo feature
-    /// compiles it out entirely).
+    /// telemetry pipeline).
     pub telemetry_window: SimTime,
     /// Run entirely fault-free — no crash, no link chaos. The control
     /// run for the telemetry false-positive measurement.
@@ -222,8 +221,7 @@ pub struct FailoverResult {
     pub fault_stats: FaultStats,
     /// Fusion-server counters.
     pub fusion: FusionStats,
-    /// Online telemetry report (`None` when the layer is compiled out
-    /// or the run disabled it).
+    /// Online telemetry report (`None` when `telemetry_window` is ZERO).
     pub telemetry: Option<TelemetryReport>,
     /// All counters, for tables and machine diffing.
     pub registry: MetricsRegistry,
@@ -792,7 +790,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::telemetry;
 
     #[test]
     fn failover_recovers_and_stays_safe() {
@@ -871,11 +868,7 @@ mod tests {
         let cfg = FailoverConfig::smoke(3);
         let r = run_failover(&cfg);
         r.assert_safety();
-        if !telemetry::compiled() {
-            assert!(r.telemetry.is_none());
-            return;
-        }
-        let rep = r.telemetry.as_ref().expect("telemetry compiled in");
+        let rep = r.telemetry.as_ref().expect("telemetry window is on");
         let crash_at = SimTime(
             r.registry
                 .get("failover_crash_at_ns")
@@ -913,19 +906,13 @@ mod tests {
         let r = run_failover(&cfg);
         r.assert_safety();
         assert!(r.takeover.is_none(), "fault-free run must not fail over");
-        if !telemetry::compiled() {
-            return;
-        }
-        let rep = r.telemetry.as_ref().expect("telemetry compiled in");
+        let rep = r.telemetry.as_ref().expect("telemetry window is on");
         assert_eq!(rep.alert_fires(), 0, "{}", rep.alert_log());
         assert_eq!(rep.alert_clears(), 0);
     }
 
     #[test]
     fn telemetry_detects_a_link_flap_and_clears() {
-        if !telemetry::compiled() {
-            return;
-        }
         let mut cfg = FailoverConfig::smoke(3);
         cfg.link_chaos = LinkChaos::Flap {
             host: 1,

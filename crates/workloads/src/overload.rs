@@ -39,8 +39,8 @@ use polarcxlmem::fusion::CoherencyMode;
 use polarcxlmem::FusionStats;
 use simkit::faults::{self, Action, FaultPlan, FaultSite, FaultState, LinkHealth, Trigger};
 use simkit::qos::{
-    self, Admission, AdmissionStats, BreakerConfig, BreakerStats, CircuitBreaker, Decision,
-    QosConfig, TenantClass,
+    Admission, AdmissionStats, BreakerConfig, BreakerStats, CircuitBreaker, Decision, QosConfig,
+    TenantClass,
 };
 use simkit::rng::{SimRng, Zipf};
 use simkit::telemetry::{Metric, SloRule, TelemetryConfig, TelemetryReport};
@@ -221,8 +221,7 @@ pub struct OverloadResult {
     pub fusion: FusionStats,
     /// Flat metrics export.
     pub registry: MetricsRegistry,
-    /// Windowed per-node ops report (`None` when telemetry is compiled
-    /// out or the window is ZERO).
+    /// Windowed per-node ops report (`None` when the window is ZERO).
     pub telemetry: Option<TelemetryReport>,
 }
 
@@ -326,7 +325,6 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
         FusionCluster::with_nodes(&layout, n, CoherencyMode::SoftwareLines);
     fusion.warm_home(&mut nodes, &layout);
 
-    let qos_active = cfg.qos && qos::compiled();
     let qcfg = qos_config(cfg);
     let zipf = Zipf::new(cfg.rows_per_group, cfg.zipf_theta);
     // One fault plan per lane; a configured flap lands on its host's
@@ -378,7 +376,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
             let i = ctx.lane;
             // Layer 1: admission — before any CPU, lock, or fabric
             // work. Shed transactions burn one rejection turnaround.
-            let dec = if qos_active {
+            let dec = if cfg.qos {
                 ctx.ext.adm.admit(i, start)
             } else {
                 Decision::Admit
@@ -398,7 +396,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
             let mut storage_direct = matches!(dec, Decision::Brownout);
             if storage_direct {
                 ctx.ext.browned_txns += 1;
-            } else if qos_active {
+            } else if cfg.qos {
                 if !ctx.ext.breaker.allow(t) {
                     ctx.ext.breaker_fallbacks += 1;
                     storage_direct = true;
@@ -439,7 +437,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
                 }
             }
             ctx.ext.ops = ops;
-            if qos_active && !matches!(dec, Decision::Brownout) {
+            if cfg.qos && !matches!(dec, Decision::Brownout) {
                 ctx.ext.adm.observe(i, t.saturating_since(start));
             }
             ctx.ext.txns += 1;
@@ -448,7 +446,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
         },
         // Layer 3: brownout controller — serial, virtual-time driven.
         |cl, now| {
-            if !qos_active {
+            if !cfg.qos {
                 return;
             }
             let server = &mut cl.fabric.server;
@@ -530,7 +528,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
     );
 
     let mut registry = MetricsRegistry::new();
-    registry.set_int("overload_qos_enabled", qos_active as u64);
+    registry.set_int("overload_qos_enabled", cfg.qos as u64);
     registry.set_int("overload_queries", queries);
     registry.set_int("overload_txns", txns);
     registry.set_num("overload_qps", queries as f64 / cfg.duration.as_secs_f64());
@@ -582,7 +580,6 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::telemetry;
     use simkit::MetricValue;
 
     fn smoke(qos: bool) -> OverloadResult {
@@ -610,12 +607,6 @@ mod tests {
         let on = smoke(true);
         let off = smoke(false);
         assert!(on.txns > 0 && off.txns > 0);
-        if !qos::compiled() {
-            // Compiled out: the switch is inert and both runs are
-            // plain baselines.
-            assert_eq!(on.admission.shed(), 0);
-            return;
-        }
         assert!(
             on.admission.shed() > 0,
             "the bursting aggressor must get shed at admission"
@@ -635,9 +626,6 @@ mod tests {
 
     #[test]
     fn occupancy_rule_browns_out_the_low_priority_tenant() {
-        if !qos::compiled() {
-            return;
-        }
         // Every page is warmed, so occupancy is 100% by construction;
         // a 50% ceiling forces a brownout at the first barrier that
         // never clears.
@@ -677,9 +665,6 @@ mod tests {
 
     #[test]
     fn breaker_trips_and_recovers_on_a_link_flap() {
-        if !qos::compiled() {
-            return;
-        }
         let mut cfg = OverloadConfig::smoke(3);
         cfg.link_flap = Some(FlapSpec {
             host: 1,
@@ -706,9 +691,6 @@ mod tests {
 
     #[test]
     fn sustained_burst_browns_out_and_hysteresis_restores() {
-        if !qos::compiled() || !telemetry::compiled() {
-            return;
-        }
         // One long burst up front, then calm: the p99 burn-rate rule
         // browns the aggressor out, and after the rule clears the
         // hysteresis window restores it. An unthrottled aggressor
@@ -732,7 +714,7 @@ mod tests {
         );
         assert!(r.per_tenant[0].browned_txns > 0);
         assert!(r.fusion.brownout_reclaims > 0);
-        let rep = r.telemetry.as_ref().expect("telemetry compiled in");
+        let rep = r.telemetry.as_ref().expect("telemetry window is on");
         assert!(rep.alert_fires() > 0, "the p99_slow rule fired");
     }
 

@@ -253,8 +253,8 @@ pub struct SharingResult {
     pub lock_contended: u64,
     /// Mean lock wait, ns.
     pub lock_mean_wait_ns: f64,
-    /// Windowed per-node ops report (`None` when the `telemetry`
-    /// feature is compiled out or `telemetry_window` is ZERO).
+    /// Windowed per-node ops report (`None` when `telemetry_window` is
+    /// ZERO).
     pub telemetry: Option<TelemetryReport>,
 }
 
@@ -463,7 +463,6 @@ where
 mod tests {
     use super::*;
     use simkit::rng::stream_rng;
-    use simkit::telemetry;
 
     fn tiny(system: SharingSystem, shared_pct: u32) -> SharingResult {
         let mut cfg = SharingConfig::standard(system, 4);
@@ -523,9 +522,6 @@ mod tests {
 
     #[test]
     fn telemetry_lanes_split_private_from_shared_traffic() {
-        if !telemetry::compiled() {
-            return;
-        }
         let run = |shared_pct| {
             let mut cfg = SharingConfig::standard(SharingSystem::Cxl, 4);
             cfg.layout.rows_per_group = 1_000;
@@ -536,7 +532,7 @@ mod tests {
             run_sharing(&cfg, point_update_gen(layout, shared_pct))
         };
         let r0 = run(0);
-        let rep0 = r0.telemetry.as_ref().expect("telemetry compiled in");
+        let rep0 = r0.telemetry.as_ref().expect("telemetry window is on");
         let lane_sum = |rep: &simkit::telemetry::TelemetryReport, lane: usize| {
             rep.rows.iter().map(|w| w.lane_ops[lane]).sum::<u64>()
         };
@@ -560,9 +556,6 @@ mod tests {
 
     #[test]
     fn telemetry_is_identical_across_host_thread_counts() {
-        if !telemetry::compiled() {
-            return;
-        }
         let run = |threads| {
             let mut cfg = SharingConfig::standard(SharingSystem::Rdma { lbp_fraction: 0.3 }, 4);
             cfg.layout.rows_per_group = 1_000;

@@ -142,8 +142,7 @@ pub struct TieringResult {
     pub dram_hit_rate: f64,
     /// Epoch sweeps executed.
     pub sweeps: u64,
-    /// Windowed ops report (`None` when the `telemetry` feature is
-    /// compiled out or `telemetry_window` is ZERO).
+    /// Windowed ops report (`None` when `telemetry_window` is ZERO).
     pub telemetry: Option<TelemetryReport>,
 }
 
@@ -373,11 +372,7 @@ mod tests {
         let mut cfg = tiny(PolicyKind::Lru, true, PhasePattern::Burst);
         cfg.telemetry_window = SimTime::from_millis(1);
         let r = run_tiering(&cfg);
-        if !simkit::telemetry::compiled() {
-            assert!(r.telemetry.is_none());
-            return;
-        }
-        let rep = r.telemetry.as_ref().expect("telemetry compiled in");
+        let rep = r.telemetry.as_ref().expect("telemetry window is on");
         let ops = match r.registry.get("ops") {
             Some(v) => v.as_u64(),
             None => panic!("ops missing"),
@@ -392,9 +387,6 @@ mod tests {
 
     #[test]
     fn burst_thrash_is_visible_in_windowed_miss_rates() {
-        if !simkit::telemetry::compiled() {
-            return;
-        }
         let window = SimTime::from_millis(1);
         let peak_miss = |pattern| {
             let mut cfg = tiny(PolicyKind::Lru, true, pattern);

@@ -15,10 +15,7 @@
 //!    second half and its settled p99 blows through the SLO.
 //!
 //! Run with: `cargo run --release --example elasticity`
-//! (`ELASTIC_SMOKE=1` shrinks the run for CI. With
-//! `--no-default-features` the telemetry burn-rate rule is compiled
-//! out and the controller runs on the remote-share fallback alone —
-//! the demo contract is identical.)
+//! (`ELASTIC_SMOKE=1` shrinks the run for CI.)
 
 use workloads::{run_elasticity, ElasticityConfig, ElasticityResult};
 

@@ -19,9 +19,7 @@
 //!    hysteresis restores it after the burst ends.
 //!
 //! Run with: `cargo run --release --example overload`
-//! (`OVERLOAD_SMOKE=1` shrinks the run for CI. Built with
-//! `--no-default-features` the QoS layer is compiled out and the demo
-//! verifies the baseline is unperturbed instead.)
+//! (`OVERLOAD_SMOKE=1` shrinks the run for CI.)
 
 use simkit::qos::TenantClass;
 use simkit::{MetricValue, SimTime};
@@ -82,23 +80,6 @@ fn print_registry(r: &OverloadResult) {
 fn main() {
     let cfg = base_cfg();
     let slo = cfg.slo_p99_ns as u64;
-
-    if !simkit::qos::compiled() {
-        // Compiled out: the switch is inert; the run must be a clean,
-        // unperturbed baseline.
-        let r = run_invariant(&cfg);
-        assert!(r.txns > 0);
-        assert_eq!(r.admission.shed(), 0);
-        assert_eq!(r.breaker.trips, 0);
-        assert_eq!(r.brownout_entries, 0);
-        println!(
-            "qos layer compiled out (--no-default-features): admission, \
-             breakers and brownout are no-ops; baseline ran {} txns \
-             (victim p99 {} ns), bit-identical across 1/2/4 host threads",
-            r.txns, r.victim_p99_ns
-        );
-        return;
-    }
 
     // ---- 1. QoS on: victims protected, aggressor shed ----------------
     let on = run_invariant(&cfg);
@@ -188,17 +169,15 @@ fn main() {
         brown.fusion.brownout_reclaims
     );
     print_registry(&brown);
-    if simkit::telemetry::compiled() {
-        assert!(
-            brown.brownout_entries >= 1,
-            "the p99 rule must brown the aggressor out"
-        );
-        assert!(
-            brown.brownout_exits >= 1,
-            "hysteresis must restore the aggressor after the burst"
-        );
-        assert!(brown.fusion.brownout_reclaims > 0);
-    }
+    assert!(
+        brown.brownout_entries >= 1,
+        "the p99 rule must brown the aggressor out"
+    );
+    assert!(
+        brown.brownout_exits >= 1,
+        "hysteresis must restore the aggressor after the burst"
+    );
+    assert!(brown.fusion.brownout_reclaims > 0);
 
     println!("all overload scenarios passed, bit-identical across 1/2/4 host threads");
 }

@@ -18,9 +18,7 @@
 //! once service resumes.
 //!
 //! Run with: `cargo run --release --example telemetry`
-//! (`TELEMETRY_SMOKE=1` shrinks the run for CI. Built with
-//! `--no-default-features` the layer is compiled out and the demo says
-//! so instead of printing empty tables.)
+//! (`TELEMETRY_SMOKE=1` shrinks the run for CI.)
 
 use simkit::SimTime;
 use workloads::{
@@ -52,29 +50,6 @@ fn chaos_cfg() -> ChaosConfig {
 }
 
 fn main() {
-    if !simkit::telemetry::compiled() {
-        println!(
-            "telemetry layer compiled out (--no-default-features): \
-             probes and hub are zero-sized no-ops, nothing to show"
-        );
-        // Still run the scenarios: the simulation must be unperturbed.
-        let r = run_failover(&base_cfg());
-        assert!(r.telemetry.is_none());
-        r.assert_safety();
-        println!(
-            "failover still passes without the layer: {} queries, safety ok",
-            r.queries
-        );
-        let c = run_chaos(&chaos_cfg());
-        assert!(c.telemetry.is_none());
-        assert_eq!(c.crashes, 1);
-        println!(
-            "chaos still passes without the layer: {} queries, crash recovered",
-            c.queries
-        );
-        return;
-    }
-
     let cfg = base_cfg();
     let window_ms = cfg.telemetry_window.as_nanos() as f64 / 1e6;
     println!(
@@ -87,7 +62,7 @@ fn main() {
     println!("== run 1: node crash ==");
     let r = run_failover(&cfg);
     r.assert_safety();
-    let rep = r.telemetry.as_ref().expect("telemetry compiled in");
+    let rep = r.telemetry.as_ref().expect("telemetry window is on");
     print!("{}", rep.ascii_timeline());
     println!("alert log:");
     print!("{}", rep.alert_log());
@@ -119,7 +94,7 @@ fn main() {
     };
     let r2 = run_failover(&cfg2);
     r2.assert_safety();
-    let rep2 = r2.telemetry.as_ref().expect("telemetry compiled in");
+    let rep2 = r2.telemetry.as_ref().expect("telemetry window is on");
     print!("{}", rep2.ascii_timeline());
     println!("alert log:");
     print!("{}", rep2.alert_log());
@@ -141,10 +116,7 @@ fn main() {
     cfg3.fault_free = true;
     let r3 = run_failover(&cfg3);
     r3.assert_safety();
-    let rep3 = r3.telemetry.as_ref().expect("telemetry compiled in");
-    if std::env::var_os("TELEMETRY_DEBUG").is_some() {
-        dump_p99(rep3);
-    }
+    let rep3 = r3.telemetry.as_ref().expect("telemetry window is on");
     assert!(r3.takeover.is_none(), "no fault, no takeover");
     assert_eq!(
         rep3.alert_fires(),
@@ -164,7 +136,7 @@ fn main() {
     let ccfg = chaos_cfg();
     let c = run_chaos(&ccfg);
     assert_eq!(c.crashes, 1);
-    let crep = c.telemetry.as_ref().expect("telemetry compiled in");
+    let crep = c.telemetry.as_ref().expect("telemetry window is on");
     print!("{}", crep.ascii_timeline());
     println!("alert log:");
     print!("{}", crep.alert_log());
@@ -184,19 +156,4 @@ fn main() {
     for line in rep.to_json().lines().take(3) {
         println!("  {line}");
     }
-}
-
-#[allow(dead_code)]
-fn dump_p99(rep: &simkit::telemetry::TelemetryReport) {
-    let mut max = 0u64;
-    for row in &rep.rows {
-        if row.ops > 0 {
-            max = max.max(row.p99_ns);
-            println!(
-                "w{} n{} ops={} p99={}",
-                row.window, row.node, row.ops, row.p99_ns
-            );
-        }
-    }
-    println!("max healthy p99 = {max}");
 }

@@ -25,16 +25,6 @@ fn fnv(s: &str) -> u64 {
     })
 }
 
-/// Whether the golden values apply: they were captured with every layer
-/// compiled in (the default feature set).
-fn default_features() -> bool {
-    cfg!(all(
-        feature = "trace",
-        feature = "telemetry",
-        feature = "qos"
-    ))
-}
-
 /// Run `f` with attribution and spans on; returns its result and a
 /// "lanes … spans N" line.
 fn traced<R>(f: impl FnOnce() -> R) -> (R, String) {
@@ -70,9 +60,6 @@ fn telemetry_line(t: &Option<TelemetryReport>) -> String {
 /// Run `run` untraced and traced, require equal dumps, and compare the
 /// dump + trace line against `want`.
 fn check<R>(name: &str, want: &str, run: impl Fn() -> R, dump: impl Fn(&R) -> String) {
-    if !default_features() {
-        return;
-    }
     let plain = dump(&run());
     let (r, trace_line) = traced(&run);
     assert_eq!(plain, dump(&r), "{name}: tracing changed the result");

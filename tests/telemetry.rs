@@ -15,12 +15,13 @@
 //!    only: an oscillating metric produces zero alerts, a sustained
 //!    breach exactly one fire and (after recovery) exactly one clear.
 //!
-//! Every hub-content assertion is gated on `telemetry::compiled()` so
-//! the same test file passes under `--no-default-features`, where it
-//! instead pins the disabled contract (`telemetry: None`, empty hub).
+//! And one contract every harness shares: the window is an observer.
+//! `telemetry_window = ZERO` turns the report into `None` and changes
+//! nothing else a run produces.
 
 use polardb_cxl_repro::prelude::*;
-use simkit::{Histogram, SimTime, TimeSeries};
+use polardb_cxl_repro::workloads::sharing::point_update_gen;
+use simkit::{Histogram, MetricsRegistry, SimTime, TimeSeries};
 
 const WINDOW_NS: u64 = 1_000;
 
@@ -50,12 +51,6 @@ fn window_histograms_merge_to_the_end_of_run_histogram() {
     hub.drain(&mut probe);
     hub.finish(SimTime(WINDOWS * WINDOW_NS));
     let rep = hub.report();
-
-    if !telemetry::compiled() {
-        assert_eq!(rep.rows.len(), 0, "no-op build must report empty");
-        assert_eq!(hub.merged_histogram(0).count(), 0);
-        return;
-    }
 
     // Lossless partition: window histograms merge back to the whole.
     assert_eq!(hub.merged_histogram(0), reference);
@@ -133,11 +128,6 @@ fn alert_hysteresis_ignores_oscillation_and_fires_once_on_sustained_breach() {
     hub.finish(SimTime(16 * WINDOW_NS));
     let rep = hub.report();
 
-    if !telemetry::compiled() {
-        assert!(rep.alerts.is_empty());
-        return;
-    }
-
     assert_eq!(
         rep.alert_fires(),
         1,
@@ -151,20 +141,72 @@ fn alert_hysteresis_ignores_oscillation_and_fires_once_on_sustained_breach() {
     assert!(!rep.alerts[1].firing);
 }
 
+/// `reg`'s entries other than the ones the telemetry report exports.
+fn non_telemetry(reg: &MetricsRegistry) -> String {
+    let kept: Vec<_> = reg
+        .iter()
+        .filter(|(name, _)| !name.starts_with("telemetry_"))
+        .collect();
+    format!("{kept:?}")
+}
+
+/// `run(window)` returns the report and a rendering of everything else
+/// the run produced; only the former may depend on the window.
+fn assert_observation_only(
+    name: &str,
+    window: SimTime,
+    run: impl Fn(SimTime) -> (Option<TelemetryReport>, String),
+) {
+    let (on, rest_on) = run(window);
+    let (off, rest_off) = run(SimTime::ZERO);
+    let rep = on.unwrap_or_else(|| panic!("{name}: window on must report"));
+    assert!(rep.windows > 0, "{name}: no window sealed");
+    assert!(off.is_none(), "{name}: window ZERO must report None");
+    assert_eq!(rest_on, rest_off, "{name}: the window changed the run");
+}
+
 #[test]
-fn failover_telemetry_matches_the_build_configuration() {
-    let cfg = FailoverConfig::smoke(3);
-    let r = run_failover(&cfg);
-    r.assert_safety();
-    if telemetry::compiled() {
-        let rep = r.telemetry.as_ref().expect("telemetry compiled in");
-        assert!(rep.windows > 0);
-        assert!(
-            r.registry.get("telemetry_mttd_crash_ns").is_some(),
-            "crash MTTD must be scored against ground truth"
-        );
-    } else {
-        assert!(r.telemetry.is_none(), "no-op build must report None");
-        assert!(r.registry.get("telemetry_mttd_crash_ns").is_none());
+fn telemetry_is_observation_only() {
+    for (name, system) in [
+        ("sharing_cxl", SharingSystem::Cxl),
+        ("sharing_rdma", SharingSystem::Rdma { lbp_fraction: 0.3 }),
+    ] {
+        assert_observation_only(name, SimTime::from_millis(2), |window| {
+            let mut cfg = SharingConfig::standard(system, 3);
+            cfg.layout.rows_per_group = 1_000;
+            cfg.duration = SimTime::from_millis(20);
+            cfg.workers_per_node = 4;
+            cfg.telemetry_window = window;
+            let mut r = run_sharing(&cfg, point_update_gen(cfg.layout, 30));
+            (r.telemetry.take(), format!("{r:?}"))
+        });
     }
+    let on = FailoverConfig::smoke(3).telemetry_window;
+    assert_observation_only("failover", on, |window| {
+        let mut cfg = FailoverConfig::smoke(3);
+        cfg.telemetry_window = window;
+        let mut r = run_failover(&cfg);
+        r.assert_safety();
+        assert_eq!(
+            r.registry.get("telemetry_mttd_crash_ns").is_some(),
+            window != SimTime::ZERO,
+            "crash MTTD is scored against ground truth iff the window is on"
+        );
+        let reg = non_telemetry(&std::mem::take(&mut r.registry));
+        (r.telemetry.take(), format!("{r:?} {reg}"))
+    });
+    assert_observation_only("chaos", SimTime(500_000), |window| {
+        let mut cfg = ChaosConfig::standard(Scheme::RdmaBased, SysbenchKind::ReadWrite);
+        cfg.table_size = 2_000;
+        cfg.workers = 8;
+        cfg.duration = SimTime::from_millis(60);
+        cfg.fault_events = 12;
+        cfg.horizon_hits = 20_000;
+        cfg.crash_at_hit = Some(5_000);
+        cfg.telemetry_window = window;
+        let mut r = run_chaos(&cfg);
+        assert_eq!(r.crashes, 1);
+        let reg = non_telemetry(&std::mem::take(&mut r.registry));
+        (r.telemetry.take(), format!("{r:?} {reg}"))
+    });
 }
