@@ -13,7 +13,9 @@ use simkit::trace::{self, SpanKind};
 use simkit::SimTime;
 use storage::{Lsn, PageId, PageStore};
 
-/// A local-DRAM buffer pool over a page store.
+/// A local-DRAM buffer pool over a page store. It owns everything it
+/// touches and addresses it by frame, so a clone is an exact copy.
+#[derive(Clone)]
 pub struct DramBp {
     space: DramSpace,
     store: PageStore,

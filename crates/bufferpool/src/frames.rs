@@ -18,8 +18,10 @@ use simkit::FastMap;
 use storage::{Lsn, PageId};
 
 /// Struct-of-arrays frame directory: residency map + per-frame parallel
-/// arrays + eviction policy + evicted-LSN spill.
-#[derive(Debug)]
+/// arrays + eviction policy + evicted-LSN spill. Frames and pages are
+/// indices, so a clone is an exact copy (hash tables clone at their
+/// reserved size).
+#[derive(Debug, Clone)]
 pub struct FrameTable {
     /// Which page each frame holds (`None` = empty frame).
     page: Vec<Option<PageId>>,

@@ -164,6 +164,42 @@ impl TieredRdmaBp {
         }
     }
 
+    /// An exact copy of this pool seated at `remote_base` of the same
+    /// fabric: the private state is cloned (LBP frames with their cache
+    /// model, frame table, residency and dirty sets, counters, page
+    /// store) and the remote slice is copied raw. Every address the pool
+    /// keeps is relative — frame offsets, page ids, `remote_off` from the
+    /// base — so the copy is the pool that replaying this one's history
+    /// at `remote_base` would have produced. Untimed.
+    ///
+    /// # Panics
+    /// When the destination slice overlaps this pool's or leaves the
+    /// remote region.
+    pub fn copy_to(&self, remote_base: u64) -> Self {
+        let slice = self.store.capacity_pages() * self.store.page_size();
+        self.rdma.borrow_mut().raw_mut().copy_disjoint(
+            self.remote_base,
+            remote_base,
+            slice as usize,
+        );
+        TieredRdmaBp {
+            rdma: Rc::clone(&self.rdma),
+            host: self.host,
+            remote_base,
+            remote_resident: self.remote_resident.clone(),
+            remote_dirty: self.remote_dirty.clone(),
+            space: self.space.clone(),
+            store: self.store.clone(),
+            frames: self.frames.clone(),
+            aliased: self.aliased.clone(),
+            stats: self.stats,
+            scratch: self.scratch.clone(),
+            flush_order: simkit::clone_reserved(&self.flush_order),
+            breaker: self.breaker.clone(),
+            last_overload: self.last_overload,
+        }
+    }
+
     /// Arm a circuit breaker over the fabric retry paths: consecutive
     /// transient failures trip it open, reads of storage-clean pages
     /// and dirty write-backs then fast-fail to storage without burning

@@ -222,6 +222,52 @@ impl CxlBp {
         }
     }
 
+    /// An exact copy of this pool run by `node` over the lease at `base`
+    /// of the same fabric: the host-side state is cloned (map, policy,
+    /// mirror, dirty ranges, counters, page store), the lease bytes are
+    /// copied raw and `node`'s CPU cache becomes this node's, moved by
+    /// the lease delta ([`CxlPool::copy_lease`]). Everything kept in the
+    /// lease is a block index or a page id and every offset is taken from
+    /// `base`, so the copy is the pool that replaying this one's history
+    /// on `node` at `base` would have produced. Untimed.
+    ///
+    /// # Panics
+    /// When [`CxlPool::copy_lease`] refuses: a lease delta that is not
+    /// whole cache lines, a destination that overlaps this lease or
+    /// leaves the pool, a capture-mode cache, or a `node` whose cache has
+    /// been used or is sized differently.
+    pub fn copy_to(&self, node: NodeId, base: u64) -> Self {
+        self.cxl.borrow_mut().copy_lease(
+            self.node,
+            self.geo.base,
+            node,
+            base,
+            self.geo.lease_size(),
+        );
+        CxlBp {
+            cxl: Rc::clone(&self.cxl),
+            node,
+            geo: Geometry { base, ..self.geo },
+            store: self.store.clone(),
+            map: self.map.clone(),
+            last: self.last,
+            policy: self.policy.clone(),
+            free: self.free.clone(),
+            mirror: self.mirror.clone(),
+            inuse_head: self.inuse_head,
+            dirty_ranges: self
+                .dirty_ranges
+                .iter()
+                .map(simkit::clone_reserved)
+                .collect(),
+            ckpt_dirty: self.ckpt_dirty.clone(),
+            page_buf: self.page_buf.clone(),
+            stats: self.stats,
+            breaker: self.breaker.clone(),
+            last_overload: self.last_overload,
+        }
+    }
+
     /// Region geometry (used by recovery).
     pub fn geometry(&self) -> Geometry {
         self.geo

@@ -70,6 +70,60 @@ mod tests {
         db
     }
 
+    /// `Db::load` sizes its log buffer from the row count and what the
+    /// first rows append. Against a load that cannot (an iterator with no
+    /// size hint, so the buffer grows by doubling), nothing simulated
+    /// moves — LSNs, flushed bytes, stored pages — and the buffer ends up
+    /// just above the records it held, where doubling overshoots.
+    #[test]
+    fn load_sizes_its_log_once_and_changes_nothing_else() {
+        const N: u64 = 8_000;
+        let load = |hinted: bool| {
+            let store = PageStore::new(256);
+            let mut db = Db::create(DramBp::new(256, 1 << 20, store), 188);
+            let rows = (1..=N).map(|k| (k, vec![(k % 250) as u8; 188]));
+            if hinted {
+                db.load(rows);
+            } else {
+                db.load(rows.filter(|_| true));
+            }
+            db
+        };
+        let (sized, doubled) = (load(true), load(false));
+        let records = sized.wal.max_assigned_lsn().0 as usize;
+        assert_eq!(records, doubled.wal.max_assigned_lsn().0 as usize);
+        assert_eq!(sized.wal.flush_stats(), doubled.wal.flush_stats());
+        assert_eq!(sized.wal.durable_lsn(), doubled.wal.durable_lsn());
+        assert_eq!(sized.wal.checkpoint_lsn(), doubled.wal.checkpoint_lsn());
+        let pages = sized.pool.store().allocated_pages();
+        assert_eq!(pages, doubled.pool.store().allocated_pages());
+        for p in 0..pages {
+            let p = storage::PageId(p);
+            assert_eq!(
+                sized.pool.store().raw_page(p),
+                doubled.pool.store().raw_page(p)
+            );
+        }
+        // Everything the load logged sat in the buffer at once (one flush).
+        assert_eq!(sized.wal.flush_stats().0, 1);
+        let (cap, doubled_cap) = (sized.wal.capacity(), doubled.wal.capacity());
+        assert!(
+            cap >= records && cap < records + records / 8,
+            "{cap} slots for {records} records"
+        );
+        assert!(doubled_cap > records + records / 2, "{doubled_cap}");
+    }
+
+    #[test]
+    #[should_panic(expected = "installed fault plan")]
+    fn copying_under_a_fault_plan_is_refused() {
+        let db = dram_db();
+        // Armed, never firing: the hit indices are what a skipped load
+        // would shift.
+        simkit::faults::install(simkit::FaultPlan::crash_at_hit(u64::MAX));
+        db.copy_onto(db.pool.clone());
+    }
+
     fn check_contents<P: BufferPool>(db: &mut Db<P>, model: &BTreeMap<u64, Vec<u8>>) {
         for (k, v) in model {
             let (got, _) = db.table.get(&mut db.pool, *k, SimTime::ZERO);

@@ -98,6 +98,7 @@ struct Captured {
 /// so `idx` finds it in one load; the buffers themselves are dense
 /// (`lines.len()` is the high-water mark of live copies, not the set
 /// count) and reused through `free`.
+#[derive(Clone)]
 struct LineStore {
     /// Per set: index into `lines` plus one; 0 = the set holds no copy.
     idx: Vec<u32>,
@@ -162,6 +163,7 @@ impl LineStore {
 
 /// Direct-mapped write-back cache. Addresses are byte offsets into the
 /// backing region; lines are [`CACHE_LINE`] bytes.
+#[derive(Clone)]
 pub struct Cache {
     slots: Vec<Slot>,
     /// `(sets - 1, log2(sets))` when the set count is a power of two (the
@@ -218,6 +220,57 @@ impl Cache {
     /// Reset statistics (not contents).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
+    }
+
+    /// Number of sets (= lines of capacity; the cache is direct-mapped).
+    pub fn sets(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether nothing has ever gone through this cache: no line held, no
+    /// statistic counted.
+    pub fn is_untouched(&self) -> bool {
+        self.stats == CacheStats::default() && self.slots.iter().all(|&s| s == 0)
+    }
+
+    /// This cache as it would be had every access that shaped it been
+    /// made `delta` lines further along: the state of an instance seated
+    /// at another base, without replaying its accesses.
+    ///
+    /// Exact because the cache is direct-mapped: hits, misses and victims
+    /// depend only on which lines are equal and which share a set, both
+    /// unchanged when every line moves by the same amount, so translation
+    /// is a bijection on cache states. Each held line goes through
+    /// `line_of` → `+ delta` → `split` → `pack`; the key is *not* the old
+    /// key plus a constant, because the carry out of the set bits reaches
+    /// it. Dirty bits and statistics carry over.
+    ///
+    /// # Panics
+    /// On a capture-mode cache: its line copies belong to the addresses
+    /// they were read from, and to bytes this call cannot see.
+    pub fn shifted(&self, delta: i64) -> Cache {
+        assert!(
+            self.data.is_none(),
+            "a capture-mode cache cannot be shifted"
+        );
+        let mut out = Cache {
+            slots: vec![0; self.slots.len()],
+            pow2: self.pow2,
+            data: None,
+            stats: self.stats,
+        };
+        for (set, &slot) in self.slots.iter().enumerate() {
+            if slot == 0 {
+                continue;
+            }
+            let line = self
+                .line_of(set, slot)
+                .checked_add_signed(delta)
+                .expect("shifted line leaves the address space");
+            let (to, key) = out.split(line);
+            out.slots[to] = Self::pack(key, slot & 1 != 0);
+        }
+        out
     }
 
     /// `(set, key)` of `line`; a slot holds the line iff `slot >> 1 == key`
@@ -999,6 +1052,84 @@ mod tests {
     fn invalidate_run_matches_per_line_invalidate() {
         assert_invalidate_run_matches_per_line(64);
         assert_invalidate_run_matches_per_line(48);
+    }
+
+    // ---- shifted vs the same traffic replayed at another base ----------
+
+    /// A seeded mix of reads, writes, `clflush` and `invalidate` through a
+    /// cache at `base`; `a.shifted(delta)` must be the cache the same mix
+    /// leaves at `base + delta`, slot for slot and in statistics.
+    fn assert_shifted_matches_replay(sets: usize, base: u64, delta: i64) {
+        let traffic = |base: u64| {
+            let mut c = Cache::new(sets * CACHE_LINE as usize);
+            let mut rng = simkit::rng::SimRng::seed_from_u64(0x5EA7 ^ sets as u64);
+            for _ in 0..6_000 {
+                let line = base + rng.gen_range(0..sets as u64 * 3);
+                match rng.gen_range(0..100u32) {
+                    0..=44 => {
+                        c.access(line, false);
+                    }
+                    45..=74 => {
+                        c.access_run(line..line + rng.gen_range(1..=4u64), true);
+                    }
+                    75..=89 => {
+                        c.clflush(line);
+                    }
+                    _ => c.invalidate(line),
+                }
+            }
+            c
+        };
+        let at_base = traffic(base);
+        let moved = at_base.shifted(delta);
+        let replayed = traffic(base.checked_add_signed(delta).expect("test base"));
+        assert_eq!(moved.slots, replayed.slots, "sets={sets} delta={delta}");
+        assert_eq!(moved.stats(), replayed.stats());
+        assert_eq!(moved.pow2, replayed.pow2);
+        let s = at_base.stats();
+        assert!(s.hits > 0 && s.writebacks > 0 && s.flushes > 0 && s.invalidations > 0);
+        // And a plain clone is a different cache.
+        assert_ne!(at_base.slots, replayed.slots);
+    }
+
+    #[test]
+    fn shifted_cache_equals_the_replayed_one() {
+        for sets in [64usize, 48] {
+            // Below the set count, above it (so the key moves by more than
+            // the carry), a whole number of revolutions, and backwards.
+            for delta in [
+                1,
+                17,
+                sets as i64 - 1,
+                sets as i64 * 5 + 29,
+                sets as i64 * 3,
+            ] {
+                assert_shifted_matches_replay(sets, 0, delta);
+                assert_shifted_matches_replay(sets, (1 << 20) + 11, -delta);
+            }
+        }
+        // The harness's own case: a 4 MB cache and a 14.6 MB lease.
+        assert_shifted_matches_replay(65_536, 0, 233_489);
+    }
+
+    #[test]
+    fn untouched_means_no_line_and_no_count() {
+        let mut c = Cache::new(4096);
+        assert!(c.is_untouched());
+        c.access(3, false);
+        assert!(!c.is_untouched());
+        c.invalidate(3);
+        c.reset_stats();
+        assert!(c.is_untouched());
+        c.access(3, false);
+        c.reset_stats();
+        assert!(!c.is_untouched(), "a held line is use, counted or not");
+    }
+
+    #[test]
+    #[should_panic(expected = "capture-mode cache cannot be shifted")]
+    fn shifting_a_capture_cache_is_refused() {
+        Cache::with_capture(4096).shifted(1);
     }
 
     #[test]

@@ -828,6 +828,40 @@ impl CxlPool {
         }
     }
 
+    /// Seat `to` as an exact copy of `from`: the `len` bytes of `from`'s
+    /// lease at `from_off` are copied raw to `to_off`, and `to`'s cache
+    /// becomes `from`'s with every line moved by the lease delta
+    /// ([`Cache::shifted`]) — the state `to` would have reached by making
+    /// `from`'s accesses at its own base. Untimed; `from` is untouched.
+    ///
+    /// # Panics
+    /// When the delta is not a whole number of cache lines, the two nodes'
+    /// caches differ in size, `to`'s cache has already been used, `from`'s
+    /// is a capture-mode cache, or the destination overlaps the source or
+    /// leaves the pool.
+    // `#[inline]` for the reason on [`Region::copy_disjoint`]: compiled
+    // into its caller's crate, this module's hot code is grouped as it was.
+    #[inline]
+    pub fn copy_lease(&mut self, from: NodeId, from_off: u64, to: NodeId, to_off: u64, len: u64) {
+        assert!(
+            from_off.abs_diff(to_off).is_multiple_of(CACHE_LINE),
+            "lease delta is not a whole number of cache lines"
+        );
+        let delta = (to_off / CACHE_LINE) as i64 - (from_off / CACHE_LINE) as i64;
+        assert!(
+            self.caches[to.0].is_untouched(),
+            "destination node's cache has already been used"
+        );
+        assert_eq!(
+            self.caches[to.0].sets(),
+            self.caches[from.0].sets(),
+            "destination node's cache differs in size"
+        );
+        let moved = self.caches[from.0].shifted(delta);
+        self.region.copy_disjoint(from_off, to_off, len as usize);
+        self.caches[to.0] = moved;
+    }
+
     /// Borrow a node's full fabric view (serial mode: the real region).
     fn port(&mut self, node: NodeId) -> Port<'_> {
         let host = self.node_host[node.0];
@@ -1674,5 +1708,102 @@ mod tests {
         let mut b = [0u8; 64];
         p.read(NodeId(0), 0, &mut b, SimTime::ZERO);
         assert_eq!(b, [9; 64]);
+    }
+
+    // ---- copy_lease vs the same traffic made at the other base ---------
+
+    /// Seeded cached reads and writes, flushes and non-temporal stores by
+    /// `node` over a `len`-byte lease at `base`.
+    fn lease_traffic(p: &mut CxlPool, node: NodeId, base: u64, len: u64, seed: u64) -> Vec<Access> {
+        let mut rng = simkit::rng::SimRng::seed_from_u64(seed);
+        let mut t = SimTime::ZERO;
+        let mut out = Vec::new();
+        for _ in 0..3_000 {
+            let n = rng.gen_range(1..=200usize);
+            let off = base + rng.gen_range(0..len - n as u64);
+            let mut buf = vec![rng.gen::<u8>(); n];
+            let a = match rng.gen_range(0..10u32) {
+                0..=3 => p.read(node, off, &mut buf, t),
+                4..=6 => p.write(node, off, &buf, t),
+                7 => p.clflush(node, off, n, t),
+                8 => p.write_uncached(node, off, &buf[..n.min(8)], t),
+                _ => p.read_uncached(node, off, &mut buf[..n.min(8)], t),
+            };
+            t = a.end;
+            out.push(a);
+        }
+        out
+    }
+
+    #[test]
+    fn copied_lease_equals_the_one_built_in_place() {
+        // A 64-set cache over a 24 KB lease, so aliasing is constant.
+        let (len, a_off, b_off) = (24 << 10, 0u64, (40 << 10) + 64);
+        let mk = || CxlPool::single_host(128 << 10, 2, 4 << 10, false);
+        // Node 1 seated at `b_off` by its own traffic...
+        let mut built = mk();
+        lease_traffic(&mut built, NodeId(1), b_off, len, 7);
+        // ...and as a copy of node 0, which made that traffic at `a_off`.
+        let mut copied = mk();
+        lease_traffic(&mut copied, NodeId(0), a_off, len, 7);
+        copied.copy_lease(NodeId(0), a_off, NodeId(1), b_off, len);
+        let lease = |p: &CxlPool| p.raw().slice(b_off, len as usize).to_vec();
+        assert_eq!(lease(&copied), lease(&built));
+        assert_eq!(copied.cache_stats(NodeId(1)), built.cache_stats(NodeId(1)));
+        assert!(built.cache_stats(NodeId(1)).writebacks > 0);
+        // From here on the two nodes cannot be told apart. (Link clocks
+        // differ — node 0's traffic is on the copy's — so reset them, as
+        // every harness does after set-up.)
+        built.reset_link_counters();
+        copied.reset_link_counters();
+        assert_eq!(
+            lease_traffic(&mut copied, NodeId(1), b_off, len, 8),
+            lease_traffic(&mut built, NodeId(1), b_off, len, 8)
+        );
+        assert_eq!(lease(&copied), lease(&built));
+        assert_eq!(copied.cache_stats(NodeId(1)), built.cache_stats(NodeId(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole number of cache lines")]
+    fn copy_lease_refuses_a_ragged_delta() {
+        pool(false).copy_lease(NodeId(0), 0, NodeId(1), 4096 + 8, 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache has already been used")]
+    fn copy_lease_refuses_a_used_destination_cache() {
+        let mut p = pool(false);
+        p.read(NodeId(1), 8192, &mut [0u8; 8], SimTime::ZERO);
+        p.copy_lease(NodeId(0), 0, NodeId(1), 4096, 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache differs in size")]
+    fn copy_lease_refuses_a_differently_sized_cache() {
+        let node = |cache_bytes| CxlNodeConfig {
+            cache_bytes,
+            ..CxlNodeConfig::default()
+        };
+        let mut p = CxlPool::new(1 << 16, [node(4 << 10), node(8 << 10)]);
+        p.copy_lease(NodeId(0), 0, NodeId(1), 4096, 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "capture-mode cache cannot be shifted")]
+    fn copy_lease_refuses_capture_mode() {
+        pool(true).copy_lease(NodeId(0), 0, NodeId(1), 4096, 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps its source")]
+    fn copy_lease_refuses_an_overlapping_destination() {
+        pool(false).copy_lease(NodeId(0), 0, NodeId(1), 512, 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the region")]
+    fn copy_lease_refuses_a_destination_outside_the_pool() {
+        pool(false).copy_lease(NodeId(0), 0, NodeId(1), (1 << 20) - 512, 1024);
     }
 }

@@ -29,8 +29,9 @@ fn note_dram(latency: u64, hits: u64) {
     }
 }
 
-/// A node-private DRAM space with a CPU cache in front.
-#[derive(Debug)]
+/// A node-private DRAM space with a CPU cache in front. Every address in
+/// it is an offset into its own region, so a clone is an exact copy.
+#[derive(Debug, Clone)]
 pub struct DramSpace {
     region: Region,
     cache: Cache,

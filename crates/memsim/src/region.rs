@@ -9,6 +9,7 @@
 use std::fmt;
 
 /// A flat, byte-addressable memory region.
+#[derive(Clone)]
 pub struct Region {
     bytes: Vec<u8>,
     /// Whether contents survive a simulated host crash.
@@ -101,6 +102,31 @@ impl Region {
         &mut self.bytes[off..off + len]
     }
 
+    /// Copy `len` bytes from `src` to `dst` within the region — seating
+    /// one instance's slice as a copy of another's, untimed.
+    ///
+    /// # Panics
+    /// When the destination overlaps the source (the copy would eat the
+    /// instance it is taken from) or leaves the region.
+    // `#[inline]` so the body is compiled where it is called (once per
+    // seated instance), not into this module's codegen unit: a set-up
+    // function landing there regroups `memsim`'s units, `WriteLog::write`
+    // stops being inlined into `cxl::Port::*`, and `share_mixed` loses
+    // 5-7 % of its host speed (EXPERIMENTS.md, ISSUE 19).
+    #[inline]
+    pub fn copy_disjoint(&mut self, src: u64, dst: u64, len: usize) {
+        let (src, dst) = (src as usize, dst as usize);
+        assert!(
+            dst + len <= self.bytes.len(),
+            "copy destination leaves the region"
+        );
+        assert!(
+            src + len <= dst || dst + len <= src,
+            "copy destination overlaps its source"
+        );
+        self.bytes.copy_within(src..src + len, dst);
+    }
+
     /// Zero a byte range.
     pub fn zero(&mut self, off: u64, len: usize) {
         let off = off as usize;
@@ -158,6 +184,30 @@ mod tests {
         assert_eq!(r.slice(7, 1), &[9]);
         assert_eq!(r.slice(8, 8), &[0; 8]);
         assert_eq!(r.slice(16, 1), &[9]);
+    }
+
+    #[test]
+    fn copy_disjoint_moves_bytes_either_way() {
+        let mut r = Region::volatile(32);
+        r.write(0, &[1, 2, 3, 4]);
+        r.copy_disjoint(0, 8, 4);
+        assert_eq!(r.slice(8, 4), &[1, 2, 3, 4]);
+        r.write(28, &[9; 4]);
+        r.copy_disjoint(28, 4, 4);
+        assert_eq!(r.slice(4, 4), &[9; 4]);
+        assert_eq!(r.slice(0, 4), &[1, 2, 3, 4], "source untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps its source")]
+    fn copy_onto_its_own_source_is_refused() {
+        Region::volatile(32).copy_disjoint(0, 4, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the region")]
+    fn copy_past_the_end_is_refused() {
+        Region::volatile(32).copy_disjoint(0, 28, 8);
     }
 
     #[test]

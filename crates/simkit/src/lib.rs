@@ -55,3 +55,15 @@ pub use stats::{Counter, Histogram, MetricValue, MetricsRegistry, TimeSeries};
 pub use time::{dur, SimTime};
 pub use trace::{Lane, QueryBreakdown, SpanKind, TraceEvent};
 pub use worker::{Step, WorkerId, WorkerSet};
+
+/// Clone `v` keeping its *capacity*. `Vec::clone` allocates for the
+/// length alone, so a clone of a buffer that was pre-sized to keep a hot
+/// path off the allocator would start growing where the original never
+/// does — and a copied instance must allocate exactly as the one it was
+/// copied from.
+#[allow(clippy::ptr_arg)] // a slice has no capacity to read
+pub fn clone_reserved<T: Clone>(v: &Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.capacity());
+    out.extend_from_slice(v);
+    out
+}

@@ -43,7 +43,7 @@ impl Grant {
 /// late-chained request, silently destroying capacity. With cumulative
 /// accounting, requests start immediately while aggregate demand is below
 /// `k` servers' worth of work and queue once it exceeds it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MultiServer {
     /// Earliest availability of each server (min-heap).
     free_at: BinaryHeap<Reverse<u64>>,
@@ -142,7 +142,7 @@ impl MultiServer {
 /// also serialize on the device (e.g. RDMA doorbell ringing / WQE
 /// processing), which is what makes IOPS-bound RDMA workloads stop
 /// scaling.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Link {
     name: &'static str,
     /// Capacity in bytes per nanosecond (== GB/s decimal).
@@ -294,17 +294,7 @@ impl Link {
     /// one barrier interval, identically for every worker count.
     pub fn fork(&self) -> LinkFork {
         LinkFork {
-            link: Link {
-                name: self.name,
-                gbps: self.gbps,
-                per_op_overhead_ns: self.per_op_overhead_ns,
-                propagation_ns: self.propagation_ns,
-                free_at: self.free_at,
-                bytes: self.bytes,
-                transfers: self.transfers,
-                busy_ns: self.busy_ns,
-                transfer_memo: self.transfer_memo,
-            },
+            link: self.clone(),
             base_free_at: self.free_at,
             base_bytes: self.bytes,
             base_transfers: self.transfers,

@@ -37,7 +37,7 @@ impl std::fmt::Display for StorageError {
 impl std::error::Error for StorageError {}
 
 /// A fixed-capacity page store.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PageStore {
     region: Region,
     channel: Link,

@@ -245,6 +245,19 @@ impl Default for Wal {
     }
 }
 
+/// Both record vectors keep their capacity, so a copied instance grows
+/// its log buffers at the same appends as the one it was copied from.
+impl Clone for Wal {
+    fn clone(&self) -> Self {
+        Wal {
+            buffer: simkit::clone_reserved(&self.buffer),
+            durable: simkit::clone_reserved(&self.durable),
+            device: self.device.clone(),
+            ..*self
+        }
+    }
+}
+
 impl Wal {
     /// A fresh, empty log.
     pub fn new() -> Self {
@@ -303,6 +316,19 @@ impl Wal {
         let lsn = rec.lsn;
         self.buffer.push(rec);
         lsn
+    }
+
+    /// Make room for `records` more appends, so a bulk loader that knows
+    /// how many rows are coming grows the volatile buffer once instead of
+    /// by doubling.
+    pub fn reserve(&mut self, records: usize) {
+        self.buffer.reserve_exact(records);
+    }
+
+    /// Records the log's two vectors have room for — what the log holds
+    /// in host memory, whether or not records occupy it.
+    pub fn capacity(&self) -> usize {
+        self.buffer.capacity() + self.durable.capacity()
     }
 
     /// Mark the end of the current mini-transaction group (idempotent;
@@ -541,6 +567,47 @@ mod tests {
         // Checkpoint at the durable tip empties the durable log entirely.
         wal.set_checkpoint(wal.durable_lsn());
         assert_eq!(wal.replay_from(Lsn::ZERO).count(), 0);
+    }
+
+    #[test]
+    fn reserve_changes_nothing_but_capacity() {
+        let fill = |wal: &mut Wal| {
+            for p in 0..100 {
+                wal.append_update(PageId(p), 8, &[p as u8; 30]);
+                wal.seal_mtr();
+            }
+            wal.flush(SimTime::ZERO)
+        };
+        let (mut plain, mut sized) = (Wal::new(), Wal::new());
+        sized.reserve(100);
+        assert_eq!(sized.capacity(), 100);
+        assert_eq!(fill(&mut plain), fill(&mut sized));
+        assert_eq!(sized.capacity(), 100, "sized once, never regrown");
+        assert_eq!(plain.flush_stats(), sized.flush_stats());
+        assert_eq!(plain.max_assigned_lsn(), sized.max_assigned_lsn());
+        let records = |w: &Wal| w.replay_from(Lsn::ZERO).cloned().collect::<Vec<_>>();
+        assert_eq!(records(&plain), records(&sized));
+    }
+
+    #[test]
+    fn clone_keeps_records_counters_and_capacity() {
+        let mut wal = Wal::new();
+        wal.reserve(64);
+        wal.append_mtr(vec![upd(1, 0, 1), upd(2, 0, 2)]);
+        wal.flush(SimTime::ZERO);
+        wal.append_mtr(vec![upd(3, 0, 3)]);
+        let copy = wal.clone();
+        assert_eq!(copy.capacity(), wal.capacity());
+        assert_eq!(copy.pending_bytes(), wal.pending_bytes());
+        assert_eq!(copy.flush_stats(), wal.flush_stats());
+        assert_eq!(copy.max_assigned_lsn(), Lsn(3));
+        // Same device backlog, same buffered tail: the next flush ends at
+        // the same instant and makes the same records durable.
+        let (mut a, mut b) = (wal, copy);
+        assert_eq!(a.flush(SimTime(10)), b.flush(SimTime(10)));
+        let records = |w: &Wal| w.replay_from(Lsn::ZERO).cloned().collect::<Vec<_>>();
+        assert_eq!(records(&a), records(&b));
+        assert_eq!(records(&a).len(), 3);
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub struct PoolingResult {
 /// Pages needed to hold `table_size` rows plus B+tree overhead and
 /// insert slack.
 fn pages_for(table_size: u64, page_size: u64) -> u64 {
-    let rows_per_page = (page_size - 16) / (8 + crate::sysbench::RECORD_SIZE as u64);
+    let rows_per_page = (page_size - 16) / (8 + RECORD_SIZE as u64);
     let leaves = table_size.div_ceil(rows_per_page.max(1));
     // meta + root chain + split slack.
     leaves * 2 + leaves / 8 + 64
@@ -157,10 +157,7 @@ pub fn exec_txn<P: BufferPool>(db: &mut Db<P>, txn: &[Statement], start: SimTime
     t
 }
 
-fn drive<P: BufferPool>(
-    dbs: &mut [Db<P>],
-    cfg: &PoolingConfig,
-) -> (u64, u64, Histogram, SimTime, Vec<u64>) {
+fn drive<P: BufferPool>(dbs: &mut [Db<P>], cfg: &PoolingConfig) -> (u64, u64, Histogram, Vec<u64>) {
     for db in dbs.iter_mut() {
         db.reset_timing_queues();
     }
@@ -200,31 +197,7 @@ fn drive<P: BufferPool>(
         Step::Done(end)
     });
     hist.record_batch(&lat_batch);
-    (queries, txns, hist, cfg.duration, per_instance)
-}
-
-fn finish(
-    queries: u64,
-    txns: u64,
-    hist: Histogram,
-    window: SimTime,
-    interconnect_bytes: u64,
-    memory_bytes: u64,
-) -> RunMetrics {
-    let secs = window.as_secs_f64();
-    RunMetrics {
-        qps: queries as f64 / secs,
-        tps: txns as f64 / secs,
-        avg_latency_us: hist.mean_us(),
-        p50_latency_us: hist.p50_us(),
-        p95_latency_us: hist.p95_us(),
-        p99_latency_us: hist.p99_us(),
-        p999_latency_us: hist.p999_us(),
-        interconnect_gbps: interconnect_bytes as f64 / window.as_nanos() as f64,
-        memory_bytes,
-        window,
-        latency: hist,
-    }
+    (queries, txns, hist, per_instance)
 }
 
 /// Collect every subsystem's counters into one registry — the uniform
@@ -323,84 +296,122 @@ fn collect_registry<P: BufferPool>(
     reg
 }
 
+/// Seat `cfg.instances` identically configured instances. Instance 0 is
+/// built over `fresh(0)` and loaded; every other one is a copy of it over
+/// `copy(&pool_0, i)` — bit for bit the instance its own load would have
+/// produced (DESIGN.md, "Set-up"), at the cost of a memcpy instead of
+/// tens of thousands of logged inserts. `ALL_LOADED` is the reference
+/// the tests hold that claim to: every instance built by its own load.
+fn seat<P: BufferPool, const ALL_LOADED: bool>(
+    cfg: &PoolingConfig,
+    mut fresh: impl FnMut(usize) -> P,
+    copy: impl Fn(&P, usize) -> P,
+) -> Vec<Db<P>> {
+    let mut load = |i| {
+        let mut db = Db::create(fresh(i), RECORD_SIZE);
+        db.load((1..=cfg.table_size).map(|k| (k, make_record(k, (k % 251) as u8))));
+        db
+    };
+    let mut dbs = Vec::with_capacity(cfg.instances);
+    dbs.push(load(0));
+    for i in 1..cfg.instances {
+        let db = if ALL_LOADED {
+            load(i)
+        } else {
+            dbs[0].copy_onto(copy(&dbs[0].pool, i))
+        };
+        dbs.push(db);
+    }
+    dbs
+}
+
+/// The measured window over seated instances and everything reported
+/// from it. `interconnect_bytes` reads the design's fabric counter once
+/// the window has run.
+fn measure<P: BufferPool>(
+    mut dbs: Vec<Db<P>>,
+    cfg: &PoolingConfig,
+    memory_bytes: u64,
+    interconnect_bytes: impl FnOnce() -> u64,
+) -> PoolingResult {
+    let attr_before = trace::attr_snapshot();
+    let (queries, txns, hist, per) = drive(&mut dbs, cfg);
+    let attribution =
+        trace::attribution_enabled().then(|| trace::attr_snapshot().since(&attr_before));
+    let window = cfg.duration;
+    let secs = window.as_secs_f64();
+    let metrics = RunMetrics {
+        qps: queries as f64 / secs,
+        tps: txns as f64 / secs,
+        avg_latency_us: hist.mean_us(),
+        p50_latency_us: hist.p50_us(),
+        p95_latency_us: hist.p95_us(),
+        p99_latency_us: hist.p99_us(),
+        p999_latency_us: hist.p999_us(),
+        interconnect_gbps: interconnect_bytes() as f64 / window.as_nanos() as f64,
+        memory_bytes,
+        window,
+        latency: hist,
+    };
+    let registry = collect_registry(&dbs, &metrics, attribution.as_ref());
+    PoolingResult {
+        metrics,
+        per_instance_qps: per.iter().map(|&c| c as f64 / secs).collect(),
+        registry,
+        attribution,
+    }
+}
+
 /// Run a pooling experiment.
 pub fn run_pooling(cfg: &PoolingConfig) -> PoolingResult {
+    pooling::<false>(cfg)
+}
+
+fn pooling<const ALL_LOADED: bool>(cfg: &PoolingConfig) -> PoolingResult {
+    let n = cfg.instances as u64;
     let pages = pages_for(cfg.table_size, PAGE_SIZE);
-    let rows = || (1..=cfg.table_size).map(|k| (k, make_record(k, (k % 251) as u8)));
     match cfg.kind {
         PoolKind::Dram => {
-            let mut dbs: Vec<Db<DramBp>> = (0..cfg.instances)
-                .map(|_| {
+            let dbs = seat::<_, ALL_LOADED>(
+                cfg,
+                |_| {
                     let store = PageStore::new(pages);
-                    let mut db = Db::create(
-                        DramBp::with_policy(pages as usize, cfg.cache_bytes, store, cfg.policy),
-                        crate::sysbench::RECORD_SIZE,
-                    );
-                    db.load(rows());
-                    db
-                })
-                .collect();
-            let attr_before = trace::attr_snapshot();
-            let (q, x, h, w, per) = drive(&mut dbs, cfg);
-            let attribution =
-                trace::attribution_enabled().then(|| trace::attr_snapshot().since(&attr_before));
-            let mem = cfg.instances as u64 * pages * PAGE_SIZE;
-            let metrics = finish(q, x, h, w, 0, mem);
-            let registry = collect_registry(&dbs, &metrics, attribution.as_ref());
-            PoolingResult {
-                metrics,
-                per_instance_qps: per.iter().map(|&c| c as f64 / w.as_secs_f64()).collect(),
-                registry,
-                attribution,
-            }
+                    DramBp::with_policy(pages as usize, cfg.cache_bytes, store, cfg.policy)
+                },
+                |first, _| first.clone(),
+            );
+            measure(dbs, cfg, n * pages * PAGE_SIZE, || 0)
         }
         PoolKind::TieredRdma => {
             let slice = pages * PAGE_SIZE;
-            let rdma = Rc::new(RefCell::new(RdmaPool::new(
-                (slice * cfg.instances as u64) as usize,
-                1,
-            )));
+            let rdma = Rc::new(RefCell::new(RdmaPool::new((slice * n) as usize, 1)));
             let lbp_frames = ((pages as f64 * cfg.lbp_fraction).ceil() as usize).max(8);
-            let mut dbs: Vec<Db<TieredRdmaBp>> = (0..cfg.instances)
-                .map(|i| {
-                    let store = PageStore::new(pages);
-                    let mut db = Db::create(
-                        TieredRdmaBp::with_policy(
-                            Rc::clone(&rdma),
-                            0,
-                            i as u64 * slice,
-                            lbp_frames,
-                            cfg.cache_bytes,
-                            store,
-                            cfg.policy,
-                        ),
-                        crate::sysbench::RECORD_SIZE,
-                    );
-                    db.load(rows());
-                    db
-                })
-                .collect();
+            let dbs = seat::<_, ALL_LOADED>(
+                cfg,
+                |i| {
+                    TieredRdmaBp::with_policy(
+                        Rc::clone(&rdma),
+                        0,
+                        i as u64 * slice,
+                        lbp_frames,
+                        cfg.cache_bytes,
+                        PageStore::new(pages),
+                        cfg.policy,
+                    )
+                },
+                |first, i| first.copy_to(i as u64 * slice),
+            );
             rdma.borrow_mut().reset_link_counters();
-            let attr_before = trace::attr_snapshot();
-            let (q, x, h, w, per) = drive(&mut dbs, cfg);
-            let attribution =
-                trace::attribution_enabled().then(|| trace::attr_snapshot().since(&attr_before));
-            let bytes = rdma.borrow().total_bytes();
-            let mem = cfg.instances as u64 * (slice + lbp_frames as u64 * PAGE_SIZE);
-            let metrics = finish(q, x, h, w, bytes, mem);
-            let mut registry = collect_registry(&dbs, &metrics, attribution.as_ref());
-            registry.set_int("rdma_nic_bytes", bytes);
-            PoolingResult {
-                metrics,
-                per_instance_qps: per.iter().map(|&c| c as f64 / w.as_secs_f64()).collect(),
-                registry,
-                attribution,
-            }
+            let mem = n * (slice + lbp_frames as u64 * PAGE_SIZE);
+            let mut r = measure(dbs, cfg, mem, || rdma.borrow().total_bytes());
+            r.registry
+                .set_int("rdma_nic_bytes", rdma.borrow().total_bytes());
+            r
         }
         PoolKind::Cxl => {
             // One CXL pool on the host, carved up by the memory manager.
             let geo_size = 64 + pages * (64 + PAGE_SIZE);
-            let pool_size = (geo_size + 4096) * cfg.instances as u64;
+            let pool_size = (geo_size + 4096) * n;
             let node_cfg = memsim::CxlNodeConfig {
                 host: 0,
                 cache_bytes: cfg.cache_bytes,
@@ -413,50 +424,36 @@ pub fn run_pooling(cfg: &PoolingConfig) -> PoolingResult {
                 (0..cfg.instances).map(move |_| node_cfg),
             )));
             let mut mgr = CxlMemoryManager::new(pool_size);
-            let mut dbs: Vec<Db<CxlBp>> = (0..cfg.instances)
+            let leases: Vec<u64> = (0..cfg.instances)
                 .map(|i| {
                     let (lease, _) = mgr
                         .allocate(NodeId(i), geo_size, SimTime::ZERO)
                         .expect("pool sized for all instances");
-                    let store = PageStore::new(pages);
-                    let mut db = Db::create(
-                        CxlBp::format_with_policy(
-                            Rc::clone(&cxl),
-                            NodeId(i),
-                            lease.offset,
-                            pages,
-                            store,
-                            cfg.policy,
-                        ),
-                        crate::sysbench::RECORD_SIZE,
-                    );
-                    db.load(rows());
-                    db
+                    lease.offset
                 })
                 .collect();
+            let dbs = seat::<_, ALL_LOADED>(
+                cfg,
+                |i| {
+                    let store = PageStore::new(pages);
+                    let (cxl, node) = (Rc::clone(&cxl), NodeId(i));
+                    CxlBp::format_with_policy(cxl, node, leases[i], pages, store, cfg.policy)
+                },
+                |first, i| first.copy_to(NodeId(i), leases[i]),
+            );
             cxl.borrow_mut().reset_link_counters();
-            let attr_before = trace::attr_snapshot();
-            let (q, x, h, w, per) = drive(&mut dbs, cfg);
-            let attribution =
-                trace::attribution_enabled().then(|| trace::attr_snapshot().since(&attr_before));
-            let bytes = cxl.borrow().switch_bytes();
-            let mem = cfg.instances as u64 * geo_size;
-            let metrics = finish(q, x, h, w, bytes, mem);
-            let mut registry = collect_registry(&dbs, &metrics, attribution.as_ref());
-            registry.set_int("cxl_switch_bytes", bytes);
-            registry.set_int("cxl_host_link_bytes", cxl.borrow().host_link_bytes(0));
+            let mut r = measure(dbs, cfg, n * geo_size, || cxl.borrow().switch_bytes());
+            let cxl = cxl.borrow();
+            r.registry.set_int("cxl_switch_bytes", cxl.switch_bytes());
+            r.registry
+                .set_int("cxl_host_link_bytes", cxl.host_link_bytes(0));
             let (cache_hits, cache_misses) = (0..cfg.instances).fold((0u64, 0u64), |(h, m), i| {
-                let s = cxl.borrow().cache_stats(NodeId(i));
+                let s = cxl.cache_stats(NodeId(i));
                 (h + s.hits, m + s.misses)
             });
-            registry.set_int("cxl_cache_hits", cache_hits);
-            registry.set_int("cxl_cache_misses", cache_misses);
-            PoolingResult {
-                metrics,
-                per_instance_qps: per.iter().map(|&c| c as f64 / w.as_secs_f64()).collect(),
-                registry,
-                attribution,
-            }
+            r.registry.set_int("cxl_cache_hits", cache_hits);
+            r.registry.set_int("cxl_cache_misses", cache_misses);
+            r
         }
     }
 }
@@ -502,5 +499,51 @@ mod tests {
             "point-select: 1 query per txn"
         );
         assert_eq!(r.per_instance_qps.len(), 1);
+    }
+
+    /// Copying instance 0 is *exact*: against the reference that loads
+    /// every instance itself, the whole result — metrics, latency
+    /// histogram, per-instance QPS, every registry entry — is equal, for
+    /// every design, a read-only and a logging workload, both instance
+    /// counts past one, two eviction policies, and modelled caches small
+    /// enough to alias constantly (a power-of-two set count at n = 2,
+    /// 1 536 sets at n = 3).
+    #[test]
+    fn copied_instances_equal_loaded_ones() {
+        for kind in [PoolKind::Dram, PoolKind::TieredRdma, PoolKind::Cxl] {
+            for workload in [SysbenchKind::PointSelect, SysbenchKind::ReadWrite] {
+                for n in [2, 3] {
+                    for policy in [PolicyKind::Lru, PolicyKind::Clock] {
+                        let mut cfg = PoolingConfig::standard(kind, workload, n);
+                        cfg.table_size = 3_000;
+                        cfg.duration = SimTime::from_millis(3);
+                        cfg.workers_per_instance = 8;
+                        cfg.cache_bytes = if n == 2 { 64 << 10 } else { 96 << 10 };
+                        cfg.lbp_fraction = 0.2;
+                        cfg.policy = policy;
+                        let copied = run_pooling(&cfg);
+                        assert_eq!(copied, pooling::<true>(&cfg), "{cfg:?}");
+                        assert!(copied.per_instance_qps.iter().all(|&q| q > 0.0));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same under attribution: the lanes of the measured window are
+    /// those of the all-loaded run.
+    #[test]
+    fn copied_instances_attribute_like_loaded_ones() {
+        let mut cfg = PoolingConfig::standard(PoolKind::Cxl, SysbenchKind::ReadWrite, 3);
+        cfg.table_size = 3_000;
+        cfg.duration = SimTime::from_millis(3);
+        cfg.cache_bytes = 96 << 10;
+        trace::reset();
+        trace::enable_attribution(true);
+        let copied = run_pooling(&cfg);
+        let loaded = pooling::<true>(&cfg);
+        trace::reset();
+        assert!(copied.attribution.is_some());
+        assert_eq!(copied, loaded);
     }
 }

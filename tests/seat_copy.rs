@@ -1,0 +1,399 @@
+//! A copied instance against a loaded one.
+//!
+//! `run_pooling` loads one instance and seats the rest as copies of it
+//! (`Db::copy_onto` over `DramBp::clone`, `TieredRdmaBp::copy_to`,
+//! `CxlBp::copy_to`). The copy is claimed to be *exact*: the instance its
+//! own load at its own seat would have produced. Per pool design, two
+//! worlds are built — in one, seats A and B each load the table; in the
+//! other, A loads it and B is copied from A — and B must be the same
+//! instance in both:
+//!
+//! - equal at rest: page-store bytes and I/O counts, pool-slice bytes
+//!   (remote slice / CXL lease), `BpStats`, modelled-cache statistics,
+//!   the `page_lsn` of every page, WAL and engine counters;
+//! - equal in motion: one seeded mix of pool reads and logged in-place
+//!   rewrites (every `Access` compared), engine statements, checkpoints,
+//!   evictions (every pool is smaller than the table) and a crash with
+//!   the design's own recovery (PolarRecv over the lease for `CxlBp`),
+//!   every completion time and recovery summary compared;
+//! - equal at rest again afterwards, and seat A undisturbed.
+//!
+//! The refusals of a copy — the cases the exactness argument does not
+//! cover — each have a `should_panic` case at the layer that refuses and
+//! through the pool that inherits it: here for the two pools, in `engine`
+//! for the fault plan, in `memsim` for `Cache::shifted`,
+//! `Region::copy_disjoint` and `CxlPool::copy_lease`.
+
+use polardb_cxl_repro::memsim::{Access, CacheStats};
+use polardb_cxl_repro::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+const RECORD: u16 = 120;
+const ROWS: u64 = 4_000;
+/// Room for the loaded tree (~100 pages) with slack.
+const PAGES: u64 = 160;
+const PAGE: u64 = 16 << 10;
+/// 768 sets — not a power of two, and far smaller than any pool below.
+const CACHE_BYTES: usize = 48 << 10;
+
+fn rows() -> impl Iterator<Item = (u64, Vec<u8>)> {
+    (1..=ROWS).map(|k| (k, vec![(k % 251) as u8; RECORD as usize]))
+}
+
+fn loaded<P: BufferPool>(pool: P) -> Db<P> {
+    let mut db = Db::create(pool, RECORD);
+    db.load(rows());
+    db
+}
+
+/// What can be read off an instance without disturbing it.
+#[derive(Debug, PartialEq)]
+struct AtRest {
+    store_pages: Vec<Vec<u8>>,
+    store_io: (u64, u64, u64),
+    slice: Vec<u8>,
+    bp_stats: String,
+    cache: CacheStats,
+    page_lsns: Vec<Option<Lsn>>,
+    wal: (u64, u64, Lsn, Lsn, Lsn, u64),
+    db_stats: String,
+}
+
+/// `slice` is the seat's part of the shared memory (remote slice, CXL
+/// lease; nothing for local DRAM), `cache` the statistics of the modelled
+/// cache in front of the pool.
+fn at_rest<P: BufferPool>(db: &Db<P>, slice: Vec<u8>, cache: CacheStats) -> AtRest {
+    let store = db.pool.store();
+    let pages = store.allocated_pages();
+    let (reads, writes) = store.io_counts();
+    let (flushes, flushed) = db.wal.flush_stats();
+    AtRest {
+        store_pages: (0..pages)
+            .map(|p| store.raw_page(PageId(p)).to_vec())
+            .collect(),
+        store_io: (reads, writes, store.channel_bytes()),
+        slice,
+        bp_stats: format!("{:?}", db.pool.stats()),
+        cache,
+        page_lsns: (0..pages).map(|p| db.pool.page_lsn(PageId(p))).collect(),
+        wal: (
+            flushes,
+            flushed,
+            db.wal.durable_lsn(),
+            db.wal.checkpoint_lsn(),
+            db.wal.max_assigned_lsn(),
+            db.wal.pending_bytes(),
+        ),
+        db_stats: format!("{:?}", db.stats()),
+    }
+}
+
+/// Everything the seeded mix returned.
+#[derive(Debug, PartialEq, Default)]
+struct InMotion {
+    accesses: Vec<Access>,
+    bytes_read: Vec<u8>,
+    times: Vec<SimTime>,
+    found: Vec<bool>,
+    recoveries: Vec<String>,
+}
+
+/// The seeded mix (see the module docs). `recover` is the design's
+/// recovery scheme, run after the mid-mix crash.
+fn drive<P: BufferPool + Crashable>(
+    db: &mut Db<P>,
+    recover: fn(&mut Db<P>, SimTime) -> String,
+) -> InMotion {
+    let mut out = InMotion::default();
+    let mut rng = SimRng::seed_from_u64(0xC0B1);
+    let mut t = SimTime::ZERO;
+    db.reset_timing_queues();
+    for step in 0..3_000u32 {
+        let pages = db.pool.store().allocated_pages();
+        let page = PageId(rng.gen_range(0..pages));
+        let len = rng.gen_range(1..=300usize);
+        let off = rng.gen_range(0..PAGE as usize - len) as u16;
+        let key = rng.gen_range(1..=ROWS + 200);
+        match rng.gen_range(0..100u32) {
+            0..=34 => {
+                let mut buf = vec![0u8; len];
+                let a = db.pool.read(page, off, &mut buf, t);
+                out.bytes_read.extend_from_slice(&buf);
+                out.accesses.push(a);
+                t = a.end;
+            }
+            35..=54 => {
+                // A logged, latched rewrite of bytes with themselves: a
+                // real pool write (dirty frame, new page LSN, write-back
+                // on eviction) that leaves the tree readable.
+                let mut buf = vec![0u8; len];
+                t = db.pool.read(page, off, &mut buf, t).end;
+                t = db.pool.set_latch(page, true, t);
+                let lsn = db.wal.append_update(page, off, &buf);
+                let a = db.pool.write(page, off, &buf, lsn, t);
+                db.wal.seal_mtr();
+                t = db.pool.set_latch(page, false, a.end);
+                out.accesses.push(a);
+            }
+            55..=69 => {
+                let mut field = [0u8; 8];
+                let (found, end) = db.select_field(key, 0, &mut field, t);
+                out.bytes_read.extend_from_slice(&field);
+                out.found.push(found);
+                t = end;
+            }
+            70..=79 => {
+                let (found, end) = db.update(key, 8, &[step as u8; 16], t);
+                out.found.push(found);
+                t = end;
+            }
+            80..=84 => {
+                let (found, end) = db.update_no_commit(key, 40, &[step as u8; 4], t);
+                out.found.push(found);
+                t = end;
+            }
+            85..=89 => {
+                let rec = vec![step as u8; RECORD as usize];
+                let (inserted, end) = db.insert(key, &rec, t);
+                out.found.push(inserted);
+                t = end;
+            }
+            90..=93 => {
+                let (found, end) = db.delete(key, t);
+                out.found.push(found);
+                t = end;
+            }
+            94..=97 => {
+                let (n, end) = db.range_select(key, 40, t);
+                out.found.push(n > 0);
+                t = end;
+            }
+            _ => t = db.checkpoint(t),
+        }
+        out.times.push(t);
+        if step == 1_800 {
+            // Whatever is unflushed — log tail, dirty frames, dirty cache
+            // lines — dies here.
+            db.crash();
+            out.recoveries.push(recover(db, t));
+            t += 1_000_000;
+        }
+    }
+    out.times.push(db.pool.flush_all(t));
+    out
+}
+
+fn replay<P: BufferPool>(db: &mut Db<P>, t: SimTime) -> String {
+    format!("{:?}", recover_replay(db, "replay", t))
+}
+
+fn polar(db: &mut Db<CxlBp>, t: SimTime) -> String {
+    format!("{:?}", recover_polar(db, t))
+}
+
+/// One world: seats A and B of one design, and how to look at them.
+struct World<P: BufferPool> {
+    a: Db<P>,
+    b: Db<P>,
+    /// The bytes of seat A's / seat B's part of the shared memory.
+    slices: [Box<dyn Fn() -> Vec<u8>>; 2],
+    cache: Box<dyn Fn(&P) -> CacheStats>,
+    /// Forget the set-up's link backlog, as every harness does.
+    reset_links: Box<dyn Fn()>,
+}
+
+impl<P: BufferPool> World<P> {
+    fn a_at_rest(&self) -> AtRest {
+        at_rest(&self.a, (self.slices[0])(), (self.cache)(&self.a.pool))
+    }
+
+    fn b_at_rest(&self) -> AtRest {
+        at_rest(&self.b, (self.slices[1])(), (self.cache)(&self.b.pool))
+    }
+}
+
+/// `build(copy)` makes a world whose seat B is copied from A (`true`) or
+/// loaded (`false`).
+fn assert_copy_is_exact<P: BufferPool + Crashable>(
+    build: impl Fn(bool) -> World<P>,
+    recover: fn(&mut Db<P>, SimTime) -> String,
+) {
+    let mut loaded = build(false);
+    let mut copied = build(true);
+    let a_before = copied.a_at_rest();
+    assert_eq!(a_before, loaded.a_at_rest(), "seat A");
+    // Same table, same pool, another seat: at rest A and B differ in
+    // nothing either (their slices hold the same bytes).
+    assert_eq!(a_before, copied.b_at_rest(), "seat B is seat A elsewhere");
+    assert_eq!(copied.b_at_rest(), loaded.b_at_rest(), "seat B at rest");
+    (loaded.reset_links)();
+    (copied.reset_links)();
+    let moved = drive(&mut copied.b, recover);
+    assert_eq!(moved, drive(&mut loaded.b, recover), "seat B in motion");
+    assert!(moved.accesses.iter().any(|a| a.misses > 0));
+    assert!(moved.found.iter().any(|&f| f) && moved.found.iter().any(|&f| !f));
+    assert_eq!(copied.b_at_rest(), loaded.b_at_rest(), "seat B afterwards");
+    assert_ne!(a_before, copied.b_at_rest(), "the mix changed seat B");
+    // Neither making the copy nor driving it touched the source.
+    assert_eq!(a_before, copied.a_at_rest(), "seat A afterwards");
+}
+
+#[test]
+fn dram_copy_is_exact() {
+    assert_copy_is_exact(
+        |copy| {
+            let fresh = || DramBp::new(40, CACHE_BYTES, PageStore::new(PAGES));
+            let a = loaded(fresh());
+            let b = if copy {
+                a.copy_onto(a.pool.clone())
+            } else {
+                loaded(fresh())
+            };
+            World {
+                a,
+                b,
+                slices: [Box::new(Vec::new), Box::new(Vec::new)],
+                cache: Box::new(DramBp::cache_stats),
+                reset_links: Box::new(|| {}),
+            }
+        },
+        replay,
+    );
+}
+
+#[test]
+fn tiered_rdma_copy_is_exact() {
+    let slice = PAGES * PAGE;
+    for policy in [PolicyKind::Lru, PolicyKind::Clock] {
+        assert_copy_is_exact(
+            |copy| {
+                let rdma = Rc::new(RefCell::new(RdmaPool::new(2 * slice as usize, 1)));
+                let fresh = |base| {
+                    let store = PageStore::new(PAGES);
+                    let rdma = Rc::clone(&rdma);
+                    TieredRdmaBp::with_policy(rdma, 0, base, 24, CACHE_BYTES, store, policy)
+                };
+                let a = loaded(fresh(0));
+                let b = if copy {
+                    a.copy_onto(a.pool.copy_to(slice))
+                } else {
+                    loaded(fresh(slice))
+                };
+                let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
+                    let rdma = Rc::clone(&rdma);
+                    Box::new(move || rdma.borrow().raw().slice(base, slice as usize).to_vec())
+                };
+                let links = Rc::clone(&rdma);
+                World {
+                    a,
+                    b,
+                    slices: [bytes(0), bytes(slice)],
+                    cache: Box::new(TieredRdmaBp::cache_stats),
+                    reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
+                }
+            },
+            replay,
+        );
+    }
+}
+
+#[test]
+fn cxl_copy_is_exact() {
+    // Fewer blocks than the table has pages, so the load itself evicts.
+    const BLOCKS: u64 = 60;
+    let lease = 64 + BLOCKS * (64 + PAGE);
+    // Not a multiple of the 768-set cache's reach: B's lines land in
+    // other sets than A's, with a carry into the tags.
+    let b_base = lease + 4096 + 3 * 64;
+    for policy in [PolicyKind::Lru, PolicyKind::Clock] {
+        assert_copy_is_exact(
+            |copy| {
+                let cxl = Rc::new(RefCell::new(CxlPool::single_host(
+                    (b_base + lease) as usize,
+                    2,
+                    CACHE_BYTES,
+                    false,
+                )));
+                let fresh = |node, base| {
+                    let store = PageStore::new(PAGES);
+                    CxlBp::format_with_policy(Rc::clone(&cxl), node, base, BLOCKS, store, policy)
+                };
+                let a = loaded(fresh(NodeId(0), 0));
+                let b = if copy {
+                    a.copy_onto(a.pool.copy_to(NodeId(1), b_base))
+                } else {
+                    loaded(fresh(NodeId(1), b_base))
+                };
+                let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
+                    let cxl = Rc::clone(&cxl);
+                    Box::new(move || cxl.borrow().raw().slice(base, lease as usize).to_vec())
+                };
+                let (stats, links) = (Rc::clone(&cxl), Rc::clone(&cxl));
+                World {
+                    a,
+                    b,
+                    slices: [bytes(0), bytes(b_base)],
+                    cache: Box::new(move |bp: &CxlBp| stats.borrow().cache_stats(bp.node())),
+                    reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
+                }
+            },
+            polar,
+        );
+    }
+}
+
+// ---- what a copy refuses --------------------------------------------
+
+fn small_tiered(rdma_bytes: usize) -> TieredRdmaBp {
+    let rdma = Rc::new(RefCell::new(RdmaPool::new(rdma_bytes, 1)));
+    TieredRdmaBp::new(rdma, 0, 0, 4, 4096, PageStore::with_page_size(8, 1024))
+}
+
+#[test]
+#[should_panic(expected = "overlaps its source")]
+fn tiered_copy_onto_its_own_slice_is_refused() {
+    small_tiered(64 << 10).copy_to(4096);
+}
+
+#[test]
+#[should_panic(expected = "leaves the region")]
+fn tiered_copy_outside_the_remote_region_is_refused() {
+    small_tiered(12 << 10).copy_to(8192);
+}
+
+fn small_cxl(pool_bytes: usize) -> CxlBp {
+    let cxl = Rc::new(RefCell::new(CxlPool::single_host(
+        pool_bytes, 2, 4096, false,
+    )));
+    CxlBp::format(cxl, NodeId(0), 0, 4, PageStore::with_page_size(8, 1024))
+}
+
+#[test]
+#[should_panic(expected = "overlaps its source")]
+fn cxl_copy_onto_its_own_lease_is_refused() {
+    small_cxl(64 << 10).copy_to(NodeId(1), 1024);
+}
+
+#[test]
+#[should_panic(expected = "leaves the region")]
+fn cxl_copy_outside_the_pool_is_refused() {
+    small_cxl(8 << 10).copy_to(NodeId(1), 6 << 10);
+}
+
+#[test]
+#[should_panic(expected = "not a whole number of cache lines")]
+fn cxl_copy_by_a_ragged_delta_is_refused() {
+    small_cxl(64 << 10).copy_to(NodeId(1), (16 << 10) + 8);
+}
+
+#[test]
+#[should_panic(expected = "cache has already been used")]
+fn cxl_copy_onto_a_used_node_is_refused() {
+    let bp = small_cxl(64 << 10);
+    let mut buf = [0u8; 8];
+    bp.fabric()
+        .borrow_mut()
+        .read(NodeId(1), 32 << 10, &mut buf, SimTime::ZERO);
+    bp.copy_to(NodeId(1), 16 << 10);
+}
