@@ -27,14 +27,7 @@ use std::sync::Mutex;
 /// available parallelism, overridable with the `SWEEP_THREADS`
 /// environment variable (useful for A/B-ing the runner itself).
 pub fn host_threads() -> usize {
-    if let Ok(v) = std::env::var("SWEEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    simkit::par::threads_from_env("SWEEP_THREADS")
 }
 
 /// Run `f` over every configuration using [`host_threads`] workers,
@@ -142,8 +135,8 @@ where
 }
 
 /// Minimal JSON emission for machine-readable bench artifacts
-/// (`BENCH_host_perf.json`). Now lives in `simkit::json` so the metrics
-/// registry and trace exporter can use it too; re-exported here for the
+/// (`BENCH_tiering.json`). Lives in `simkit::json` so the metrics
+/// registry and trace exporter use it too; re-exported here for the
 /// bench harnesses.
 pub use simkit::json;
 

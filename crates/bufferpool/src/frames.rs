@@ -253,53 +253,6 @@ impl FrameTable {
     }
 }
 
-/// A [`FrameTable`] split into independent shards by page id.
-///
-/// Per-node drivers already give each node a private table; this wrapper
-/// is for intra-node sharding (and the `micro_structures` bench that
-/// quantifies it): each shard has its own map, arrays and LRU list, so
-/// probes from different page ranges never contend on one hash table's
-/// cache lines.
-#[derive(Debug)]
-pub struct ShardedFrameTable {
-    shards: Vec<FrameTable>,
-    mask: u64,
-}
-
-impl ShardedFrameTable {
-    /// `shards` (a power of two) tables of `frames_per_shard` each.
-    pub fn new(shards: usize, frames_per_shard: usize) -> Self {
-        assert!(shards.is_power_of_two());
-        ShardedFrameTable {
-            shards: (0..shards)
-                .map(|_| FrameTable::new(frames_per_shard))
-                .collect(),
-            mask: shards as u64 - 1,
-        }
-    }
-
-    /// Which shard owns `page`.
-    pub fn shard_of(&self, page: PageId) -> usize {
-        (page.0 & self.mask) as usize
-    }
-
-    /// The shard owning `page`.
-    pub fn shard(&self, page: PageId) -> &FrameTable {
-        &self.shards[self.shard_of(page)]
-    }
-
-    /// The shard owning `page`, mutably.
-    pub fn shard_mut(&mut self, page: PageId) -> &mut FrameTable {
-        let s = self.shard_of(page);
-        &mut self.shards[s]
-    }
-
-    /// Total resident pages across shards.
-    pub fn resident(&self) -> usize {
-        self.shards.iter().map(FrameTable::resident).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,22 +366,6 @@ mod tests {
             t.clear();
             assert_eq!(t.policy_kind(), kind, "clear preserves the policy");
             assert_eq!(t.resident(), 0);
-        }
-    }
-
-    #[test]
-    fn sharded_table_partitions_pages() {
-        let mut s = ShardedFrameTable::new(4, 2);
-        for p in 0..8u64 {
-            let page = PageId(p);
-            let shard = s.shard_mut(page);
-            let f = shard.pop_free().unwrap();
-            shard.install(f, page);
-        }
-        assert_eq!(s.resident(), 8);
-        for p in 0..8u64 {
-            assert_eq!(s.shard_of(PageId(p)), (p % 4) as usize);
-            assert!(s.shard(PageId(p)).contains(PageId(p)));
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Minimal JSON emission for machine-readable artifacts
-//! (`BENCH_host_perf.json`, Chrome trace files). Numbers use Rust's
+//! (`BENCH_tiering.json`, Chrome trace files). Numbers use Rust's
 //! shortest-roundtrip float formatting; non-finite floats become `null`.
 //!
 //! Lived in `bench::sweep` originally; moved here so the trace exporter

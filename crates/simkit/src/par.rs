@@ -33,23 +33,33 @@
 
 use std::sync::OnceLock;
 
+/// What the value of a thread-count environment variable means: the
+/// number it spells (surrounding whitespace ignored, clamped to ≥ 1), or
+/// `None` when it spells none.
+fn parse_threads(value: &str) -> Option<usize> {
+    value.trim().parse::<usize>().ok().map(|n| n.max(1))
+}
+
+/// Worker count named by the environment variable `var`, or the
+/// machine's available parallelism when it is unset or not a number.
+pub fn threads_from_env(var: &str) -> usize {
+    std::env::var(var)
+        .ok()
+        .and_then(|v| parse_threads(&v))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+}
+
 /// Number of host worker threads a driver should use for intra-config
-/// parallel stepping: the `HOST_THREADS` environment variable if set
-/// (clamped to ≥ 1), otherwise the machine's available parallelism.
-/// Read once and cached; pass an explicit count to
-/// [`run_phase`] to override (tests pin 1/2/4).
+/// parallel stepping: [`threads_from_env`] of `HOST_THREADS`. Read once
+/// and cached; pass an explicit count to [`run_phase`] to override
+/// (tests pin 1/2/4).
 pub fn host_threads() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        if let Ok(v) = std::env::var("HOST_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    *CACHE.get_or_init(|| threads_from_env("HOST_THREADS"))
 }
 
 /// Run one quantum: apply `f` to every shard, distributing shards
@@ -128,6 +138,16 @@ mod tests {
         assert_eq!(serial, run(2));
         assert_eq!(serial, run(4));
         assert_eq!(serial, run(16));
+    }
+
+    #[test]
+    fn thread_counts_parse_trimmed_and_clamped() {
+        assert_eq!(parse_threads("2"), Some(2));
+        assert_eq!(parse_threads(" 2 \n"), Some(2));
+        assert_eq!(parse_threads("0"), Some(1));
+        assert_eq!(parse_threads(""), None);
+        assert_eq!(parse_threads("two"), None);
+        assert_eq!(parse_threads("-1"), None);
     }
 
     #[test]

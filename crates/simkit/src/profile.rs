@@ -6,15 +6,14 @@
 //! while producing a run. Pure-software CXL simulators are only useful
 //! if their per-access host overhead stays orders of magnitude below
 //! full-system simulation, so host cost is a first-class performance
-//! target (see `BENCH_host_perf.json`).
+//! target (the ledger under `benchmark/` reports it as `prof.*`).
 //!
 //! Design constraints:
 //!
-//! - **Zero cost when unused.** Instrumentation compiles to nothing
-//!   without the `profile` cargo feature, and with the feature enabled
-//!   it is a single thread-local flag test until [`enable`] turns it
-//!   on. Timed benchmark passes run with profiling disabled; a separate
-//!   profiled pass collects the breakdown.
+//! - **One flag test when off.** The guards are always compiled; each
+//!   is a single thread-local flag test until [`enable`] turns the
+//!   profiler on. Timed benchmark passes run with profiling disabled; a
+//!   separate profiled pass collects the breakdown.
 //! - **Deterministic results.** Profiling only ever *observes* host
 //!   time; it never feeds back into virtual time, RNG streams, or any
 //!   simulated state, so enabling it cannot change simulation results.
@@ -24,16 +23,16 @@
 //!   allocations, with children subtracted, so the breakdown sums to
 //!   roughly the instrumented total instead of double counting.
 //!
-//! Accounting is per-thread. Sweeps profile on a single thread
-//! (`threads = 1`), which is also the configuration the serial
-//! throughput number measures.
+//! Accounting is per-thread: profile a run on the thread that enabled
+//! the profiler.
 //!
 //! Allocation counting relies on the host binary installing
 //! [`CountingAlloc`] as its `#[global_allocator]`; without it the
 //! allocation columns read zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::time::Instant;
 
 /// Simulator subsystems attributed by the profiler.
 ///
@@ -184,207 +183,143 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 // ---------------------------------------------------------------------------
-// Instrumentation (real with the `profile` feature, no-op without).
+// Instrumentation (always compiled; off until `enable`).
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "profile")]
-mod imp {
-    use super::{alloc_count, Snapshot, Subsys};
-    use std::cell::{Cell, RefCell};
-    use std::time::Instant;
+/// Deepest guard nesting tracked; deeper guards are ignored (their
+/// time stays attributed to the enclosing subsystem).
+const MAX_DEPTH: usize = 16;
 
-    /// Deepest guard nesting tracked; deeper guards are ignored (their
-    /// time stays attributed to the enclosing subsystem).
-    const MAX_DEPTH: usize = 16;
-
-    #[derive(Clone, Copy)]
-    struct Frame {
-        subsys: u8,
-        start: Instant,
-        child_ns: u64,
-        allocs_at_entry: u64,
-        child_allocs: u64,
-    }
-
-    struct State {
-        rows: Snapshot,
-        depth: usize,
-        stack: [Frame; MAX_DEPTH],
-    }
-
-    thread_local! {
-        static ENABLED: Cell<bool> = const { Cell::new(false) };
-        static STATE: RefCell<State> = RefCell::new(State {
-            rows: Snapshot::default(),
-            depth: 0,
-            stack: [Frame {
-                subsys: 0,
-                start: Instant::now(),
-                child_ns: 0,
-                allocs_at_entry: 0,
-                child_allocs: 0,
-            }; MAX_DEPTH],
-        });
-    }
-
-    /// Scoped profiling guard; accounting happens on drop.
-    #[must_use = "profiling stops when the guard is dropped"]
-    pub struct Guard {
-        active: bool,
-    }
-
-    pub fn enable(on: bool) {
-        ENABLED.with(|e| e.set(on));
-    }
-
-    #[inline]
-    pub fn is_enabled() -> bool {
-        ENABLED.with(|e| e.get())
-    }
-
-    pub fn reset() {
-        STATE.with(|s| {
-            let mut s = s.borrow_mut();
-            s.rows = Snapshot::default();
-            s.depth = 0;
-        });
-    }
-
-    pub fn snapshot() -> Snapshot {
-        STATE.with(|s| s.borrow().rows.clone())
-    }
-
-    #[inline]
-    pub fn scope(subsys: Subsys) -> Guard {
-        if !ENABLED.with(|e| e.get()) {
-            return Guard { active: false };
-        }
-        let active = STATE.with(|s| {
-            let mut s = s.borrow_mut();
-            if s.depth >= MAX_DEPTH {
-                return false;
-            }
-            let depth = s.depth;
-            s.stack[depth] = Frame {
-                subsys: subsys as u8,
-                start: Instant::now(),
-                child_ns: 0,
-                allocs_at_entry: alloc_count(),
-                child_allocs: 0,
-            };
-            s.depth = depth + 1;
-            true
-        });
-        Guard { active }
-    }
-
-    impl Drop for Guard {
-        #[inline]
-        fn drop(&mut self) {
-            if !self.active {
-                return;
-            }
-            self.record();
-        }
-    }
-
-    impl Guard {
-        /// Out-of-line accounting slow path, so the disabled-profiler drop
-        /// inlines to a single predictable branch at every call site.
-        #[cold]
-        fn record(&mut self) {
-            let now_allocs = alloc_count();
-            STATE.with(|s| {
-                let mut s = s.borrow_mut();
-                debug_assert!(s.depth > 0, "guard drop without matching scope");
-                s.depth -= 1;
-                let f = s.stack[s.depth];
-                let total_ns = f.start.elapsed().as_nanos() as u64;
-                let total_allocs = now_allocs.saturating_sub(f.allocs_at_entry);
-                let row = &mut s.rows.rows[f.subsys as usize];
-                row.calls += 1;
-                row.self_ns += total_ns.saturating_sub(f.child_ns);
-                row.self_allocs += total_allocs.saturating_sub(f.child_allocs);
-                if s.depth > 0 {
-                    let parent_idx = s.depth - 1;
-                    let parent = &mut s.stack[parent_idx];
-                    parent.child_ns += total_ns;
-                    parent.child_allocs += total_allocs;
-                }
-            });
-        }
-    }
+#[derive(Clone, Copy)]
+struct Frame {
+    subsys: u8,
+    start: Instant,
+    child_ns: u64,
+    allocs_at_entry: u64,
+    child_allocs: u64,
 }
 
-#[cfg(not(feature = "profile"))]
-mod imp {
-    use super::{Snapshot, Subsys};
-
-    /// Scoped profiling guard; a no-op without the `profile` feature.
-    #[must_use = "profiling stops when the guard is dropped"]
-    pub struct Guard {
-        _private: (),
-    }
-
-    #[inline]
-    pub fn enable(_on: bool) {}
-
-    #[inline]
-    pub fn is_enabled() -> bool {
-        false
-    }
-
-    #[inline]
-    pub fn reset() {}
-
-    #[inline]
-    pub fn snapshot() -> Snapshot {
-        Snapshot::default()
-    }
-
-    #[inline(always)]
-    pub fn scope(_subsys: Subsys) -> Guard {
-        Guard { _private: () }
-    }
+struct State {
+    rows: Snapshot,
+    depth: usize,
+    stack: [Frame; MAX_DEPTH],
 }
 
-pub use imp::Guard;
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static STATE: RefCell<State> = RefCell::new(State {
+        rows: Snapshot::default(),
+        depth: 0,
+        stack: [Frame {
+            subsys: 0,
+            start: Instant::now(),
+            child_ns: 0,
+            allocs_at_entry: 0,
+            child_allocs: 0,
+        }; MAX_DEPTH],
+    });
+}
 
-/// Turn profiling on or off for the current thread. A no-op without the
-/// `profile` feature. Leaves accumulated totals untouched.
+/// Scoped profiling guard; accounting happens on drop.
+#[must_use = "profiling stops when the guard is dropped"]
+pub struct Guard {
+    active: bool,
+}
+
+/// Turn profiling on or off for the current thread. Leaves accumulated
+/// totals untouched.
 #[inline]
 pub fn enable(on: bool) {
-    imp::enable(on)
+    ENABLED.with(|e| e.set(on));
 }
 
 /// Whether profiling is currently enabled on this thread.
 #[inline]
 pub fn is_enabled() -> bool {
-    imp::is_enabled()
+    ENABLED.with(|e| e.get())
 }
 
 /// Clear the current thread's accumulated totals (and any dangling
 /// nesting state).
 pub fn reset() {
-    imp::reset()
+    STATE.with(|s| {
+        let mut s = s.borrow_mut();
+        s.rows = Snapshot::default();
+        s.depth = 0;
+    });
 }
 
 /// Copy of the current thread's accumulated per-subsystem totals.
 pub fn snapshot() -> Snapshot {
-    imp::snapshot()
+    STATE.with(|s| s.borrow().rows.clone())
 }
 
 /// Enter `subsys`: host time and allocations until the returned guard
 /// drops are attributed to it (minus nested instrumented scopes).
 ///
-/// Costs one thread-local flag test when profiling is disabled, and
-/// nothing at all without the `profile` feature.
+/// Costs one thread-local flag test when profiling is disabled.
 #[inline]
 pub fn scope(subsys: Subsys) -> Guard {
-    imp::scope(subsys)
+    if !ENABLED.with(|e| e.get()) {
+        return Guard { active: false };
+    }
+    let active = STATE.with(|s| {
+        let mut s = s.borrow_mut();
+        if s.depth >= MAX_DEPTH {
+            return false;
+        }
+        let depth = s.depth;
+        s.stack[depth] = Frame {
+            subsys: subsys as u8,
+            start: Instant::now(),
+            child_ns: 0,
+            allocs_at_entry: alloc_count(),
+            child_allocs: 0,
+        };
+        s.depth = depth + 1;
+        true
+    });
+    Guard { active }
 }
 
-#[cfg(all(test, feature = "profile"))]
+impl Drop for Guard {
+    #[inline]
+    fn drop(&mut self) {
+        if !self.active {
+            return;
+        }
+        self.record();
+    }
+}
+
+impl Guard {
+    /// Out-of-line accounting slow path, so the disabled-profiler drop
+    /// inlines to a single predictable branch at every call site.
+    #[cold]
+    fn record(&mut self) {
+        let now_allocs = alloc_count();
+        STATE.with(|s| {
+            let mut s = s.borrow_mut();
+            debug_assert!(s.depth > 0, "guard drop without matching scope");
+            s.depth -= 1;
+            let f = s.stack[s.depth];
+            let total_ns = f.start.elapsed().as_nanos() as u64;
+            let total_allocs = now_allocs.saturating_sub(f.allocs_at_entry);
+            let row = &mut s.rows.rows[f.subsys as usize];
+            row.calls += 1;
+            row.self_ns += total_ns.saturating_sub(f.child_ns);
+            row.self_allocs += total_allocs.saturating_sub(f.child_allocs);
+            if s.depth > 0 {
+                let parent_idx = s.depth - 1;
+                let parent = &mut s.stack[parent_idx];
+                parent.child_ns += total_ns;
+                parent.child_allocs += total_allocs;
+            }
+        });
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

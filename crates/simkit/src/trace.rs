@@ -430,23 +430,19 @@ pub fn absorb(state: &mut TraceState) {
 // Chrome trace_event export.
 // ---------------------------------------------------------------------------
 
-/// Render spans as Chrome `trace_event` JSON (the "JSON Array Format"
-/// with a `traceEvents` wrapper), loadable in Perfetto or
-/// `chrome://tracing`.
-///
-/// Layout: `pid` = node/host id, and each [`SpanKind`] gets its own
-/// group of `tid` tracks. Events of one kind that overlap in virtual
-/// time (interleaved workers) are spread greedily over as many lanes as
-/// needed, so **within any single `(pid, tid)` track spans never
-/// overlap** — by construction, and validated by the `host_perf` smoke
-/// run. Timestamps are microseconds (the format's unit) with nanosecond
-/// fractions.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    /// tid stride per span kind; lanes above this fold into the last
-    /// track (never reached in practice — it would take >4096 spans of
-    /// one kind overlapping one instant on one node).
-    const LANE_STRIDE: usize = 4096;
+/// tid stride per span kind; lanes above this fold into the last track
+/// (never reached in practice — it would take >4096 spans of one kind
+/// overlapping one instant on one node).
+const LANE_STRIDE: usize = 4096;
 
+/// The order [`chrome_trace_json`] draws `events` in — by start time —
+/// and the `tid` track of each, as `(index into events, tid)`. Each
+/// [`SpanKind`] gets its own group of `tid`s; events of one kind on one
+/// node that overlap in virtual time (interleaved workers) are spread
+/// greedily over as many lanes as needed, so **within any single
+/// `(node, tid)` track spans never overlap** (`tests/traced_run.rs`
+/// holds a whole traced run to that).
+pub fn chrome_tracks(events: &[TraceEvent]) -> Vec<(usize, usize)> {
     let mut order: Vec<usize> = (0..events.len()).collect();
     order.sort_by_key(|&i| {
         let e = &events[i];
@@ -455,23 +451,39 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 
     // Greedy lane assignment: per (node, kind), first lane free at start.
     let mut lane_ends: crate::FastMap<(u32, u8), Vec<SimTime>> = crate::FastMap::default();
+    order
+        .into_iter()
+        .map(|i| {
+            let e = &events[i];
+            let ends = lane_ends.entry((e.node, e.kind as u8)).or_default();
+            let lane = match ends.iter().position(|&end| end <= e.start) {
+                Some(l) => l,
+                None if ends.len() < LANE_STRIDE - 1 => {
+                    ends.push(SimTime::ZERO);
+                    ends.len() - 1
+                }
+                None => ends.len() - 1,
+            };
+            ends[lane] = e.end;
+            (i, e.kind as usize * LANE_STRIDE + lane)
+        })
+        .collect()
+}
+
+/// Render spans as Chrome `trace_event` JSON (the "JSON Array Format"
+/// with a `traceEvents` wrapper), loadable in Perfetto or
+/// `chrome://tracing`.
+///
+/// Layout: `pid` = node/host id, `tid` = the event's [`chrome_tracks`]
+/// track. Timestamps are microseconds (the format's unit) with
+/// nanosecond fractions.
+pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut rows: Vec<String> = Vec::with_capacity(events.len());
-    let mut tracks: Vec<(u32, usize, SpanKind, usize)> = Vec::new(); // (pid, tid, kind, lane)
-    for &i in &order {
+    let mut tracks: Vec<(u32, usize, SpanKind)> = Vec::new(); // (pid, tid, kind)
+    for (i, tid) in chrome_tracks(events) {
         let e = &events[i];
-        let ends = lane_ends.entry((e.node, e.kind as u8)).or_default();
-        let lane = match ends.iter().position(|&end| end <= e.start) {
-            Some(l) => l,
-            None if ends.len() < LANE_STRIDE - 1 => {
-                ends.push(SimTime::ZERO);
-                ends.len() - 1
-            }
-            None => ends.len() - 1,
-        };
-        ends[lane] = e.end;
-        let tid = e.kind as usize * LANE_STRIDE + lane;
         if !tracks.iter().any(|t| t.0 == e.node && t.1 == tid) {
-            tracks.push((e.node, tid, e.kind, lane));
+            tracks.push((e.node, tid, e.kind));
         }
         let ts = e.start.as_nanos() as f64 / 1000.0;
         let dur = (e.end.as_nanos() - e.start.as_nanos()) as f64 / 1000.0;
@@ -490,11 +502,12 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     // Name the tracks so Perfetto shows "cxl_read.0" instead of tid soup.
     tracks.sort_unstable_by_key(|t| (t.0, t.1));
     let mut meta: Vec<String> = Vec::with_capacity(tracks.len());
-    for (pid, tid, kind, lane) in tracks {
+    for (pid, tid, kind) in tracks {
         meta.push(format!(
             "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
-             \"args\": {{\"name\": \"{}.{lane}\"}}}}",
-            kind.name()
+             \"args\": {{\"name\": \"{}.{}\"}}}}",
+            kind.name(),
+            tid % LANE_STRIDE
         ));
     }
 

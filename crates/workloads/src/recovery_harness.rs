@@ -7,16 +7,16 @@
 //! throughput-over-time curve plus the derived recovery and warm-up
 //! times the paper quotes.
 
-use crate::harness::exec_txn;
+use crate::harness::{exec_txn, pages_for, PoolKind, PoolingConfig};
 use crate::metrics::TimelinePoint;
 use crate::sysbench::{make_record, Sysbench, SysbenchKind};
 use bufferpool::dram_bp::DramBp;
 use bufferpool::tiered::TieredRdmaBp;
 use bufferpool::{BufferPool, Crashable};
-use engine::{recover_polar, recover_replay, Db, RecoverySummary};
+use engine::{recover_polar, recover_polar_policy, recover_replay, Db, RecoverySummary};
 use memsim::calib::PAGE_SIZE;
 use memsim::{CxlPool, NodeId, RdmaPool};
-use polarcxlmem::CxlBp;
+use polarcxlmem::{CxlBp, TrustPolicy};
 use simkit::rng::stream_rng;
 use simkit::{dur, SimTime, Step, TimeSeries, WorkerId, WorkerSet};
 use std::cell::RefCell;
@@ -185,22 +185,26 @@ where
     }
 }
 
-/// Pages needed for the table (shared with the pooling harness).
-fn pages_for(table_size: u64) -> u64 {
-    let rows_per_page = (PAGE_SIZE - 16) / (8 + crate::sysbench::RECORD_SIZE as u64);
-    let leaves = table_size.div_ceil(rows_per_page);
-    leaves * 2 + leaves / 8 + 64
+/// PolarRecv trusting no block's metadata ([`Scheme::PolarRecvNoMeta`]):
+/// every in-use page is rebuilt from storage + redo.
+pub(crate) fn recover_untrusted(db: &mut Db<CxlBp>, now: SimTime) -> RecoverySummary {
+    RecoverySummary {
+        scheme: "polarrecv-nometa",
+        ..recover_polar_policy(db, TrustPolicy::Nothing, now)
+    }
 }
 
 /// Run one recovery experiment.
 pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRunResult {
-    let pages = pages_for(cfg.table_size);
+    let pages = pages_for(cfg.table_size, PAGE_SIZE);
+    // Cache size and local-buffer fraction are the pooling harness's.
+    let base = PoolingConfig::standard(PoolKind::TieredRdma, cfg.workload, 1);
     let rows = || (1..=cfg.table_size).map(|k| (k, make_record(k, (k % 251) as u8)));
     match cfg.scheme {
         Scheme::Vanilla => {
             let store = PageStore::new(pages);
             let mut db = Db::create(
-                DramBp::new(pages as usize, 4 << 20, store),
+                DramBp::new(pages as usize, base.cache_bytes, store),
                 crate::sysbench::RECORD_SIZE,
             );
             db.load(rows());
@@ -209,22 +213,21 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRunResult {
         Scheme::RdmaBased => {
             let store = PageStore::new(pages);
             let rdma = Rc::new(RefCell::new(RdmaPool::new((pages * PAGE_SIZE) as usize, 1)));
-            let lbp = ((pages as f64 * 0.3).ceil() as usize).max(8);
+            let lbp = ((pages as f64 * base.lbp_fraction).ceil() as usize).max(8);
             let mut db = Db::create(
-                TieredRdmaBp::new(rdma, 0, 0, lbp, 4 << 20, store),
+                TieredRdmaBp::new(rdma, 0, 0, lbp, base.cache_bytes, store),
                 crate::sysbench::RECORD_SIZE,
             );
             db.load(rows());
             run_phases(cfg, db, |db, t| recover_replay(db, "rdma-based", t))
         }
         Scheme::PolarRecv | Scheme::PolarRecvNoMeta => {
-            let trust = cfg.scheme == Scheme::PolarRecv;
             let store = PageStore::new(pages);
             let geo = 64 + pages * (64 + PAGE_SIZE) + 4096;
             let cxl = Rc::new(RefCell::new(CxlPool::single_host(
                 geo as usize,
                 1,
-                4 << 20,
+                base.cache_bytes,
                 false,
             )));
             let mut db = Db::create(
@@ -232,24 +235,13 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRunResult {
                 crate::sysbench::RECORD_SIZE,
             );
             db.load(rows());
-            run_phases(cfg, db, move |db, t| {
-                if trust {
-                    recover_polar(db, t)
+            let recover: fn(&mut Db<CxlBp>, SimTime) -> RecoverySummary =
+                if cfg.scheme == Scheme::PolarRecv {
+                    recover_polar
                 } else {
-                    let report =
-                        polarcxlmem::recovery::polar_recv_with(&mut db.pool, &mut db.wal, t, false);
-                    let (table, t2) =
-                        btree::BTree::open(&mut db.pool, db.table.meta_page, report.done);
-                    db.table = table;
-                    engine::RecoverySummary {
-                        scheme: "polarrecv-nometa",
-                        pages_rebuilt: report.rebuilt,
-                        records_applied: report.records_applied,
-                        log_bytes: report.log_bytes_scanned,
-                        done: t2,
-                    }
-                }
-            })
+                    recover_untrusted
+                };
+            run_phases(cfg, db, recover)
         }
     }
 }
