@@ -9,6 +9,7 @@
 
 #![warn(missing_docs)]
 
+mod inline_vec;
 pub mod mtr;
 pub mod page;
 pub mod tree;
@@ -114,32 +115,49 @@ mod tests {
     }
 
     #[test]
-    fn scan_with_visits_what_scan_returns_at_the_same_cost() {
-        // Two identical pools: the visitor form must see the same rows,
-        // finish at the same virtual time and leave the same pool
-        // counters as the collecting form (same reads, same order).
+    fn scan_count_counts_what_scan_returns_at_the_same_cost() {
+        // Twin pools with a small modelled cache (so scans miss and evict
+        // lines): the counting form must report the same number of rows,
+        // finish at the same virtual time and leave the same pool and
+        // cache counters as the collecting form (same accesses, same
+        // order), while moving no row bytes.
         let build = || {
-            let mut bp = pool(256);
+            let mut bp = DramBp::new(256, 4 << 10, PageStore::with_page_size(256, 512));
             let mut wal = Wal::new();
             let (mut t, _) = BTree::create(&mut bp, &mut wal, REC, SimTime::ZERO);
             for k in (0..400u64).step_by(3) {
+                t.insert(&mut bp, &mut wal, k, &rec(k as u8), SimTime::ZERO);
+            }
+            // Deletes put heap cells on the leaves' free lists, so slot
+            // order and heap order differ.
+            for k in (0..400u64).step_by(12) {
+                t.delete(&mut bp, &mut wal, k, SimTime::ZERO);
+            }
+            for k in (1..400u64).step_by(24) {
                 t.insert(&mut bp, &mut wal, k, &rec(k as u8), SimTime::ZERO);
             }
             (bp, t)
         };
         let (mut bp_a, t_a) = build();
         let (mut bp_b, t_b) = build();
-        for (start, limit) in [(0, 5), (100, 60), (390, 50), (1_000, 3), (7, 0)] {
+        assert!(t_a.height() >= 2);
+        let cases = [
+            (6, 3),          // inside one leaf
+            (100, 60),       // across the leaf chain
+            (390, 50),       // into the table end
+            (7, 0),          // limit == 0
+            (1_000, 3),      // start past the last key
+            (0, usize::MAX), // the whole table
+        ];
+        for (start, limit) in cases {
             let (rows, end_a) = t_a.scan(&mut bp_a, start, limit, SimTime(17));
-            let mut seen = Vec::new();
-            let (n, end_b) = t_b.scan_with(&mut bp_b, start, limit, SimTime(17), |k, r| {
-                seen.push((k, r.to_vec()));
-            });
-            assert_eq!(seen, rows, "start {start} limit {limit}");
-            assert_eq!(n, rows.len());
-            assert_eq!(end_b, end_a);
+            let (n, end_b) = t_b.scan_count(&mut bp_b, start, limit, SimTime(17));
+            assert_eq!(n, rows.len(), "start {start} limit {limit}");
+            assert_eq!(end_b, end_a, "start {start} limit {limit}");
             assert_eq!(format!("{:?}", bp_b.stats()), format!("{:?}", bp_a.stats()));
+            assert_eq!(bp_b.cache_stats(), bp_a.cache_stats());
         }
+        assert!(bp_a.cache_stats().misses > 100, "{:?}", bp_a.cache_stats());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! and cleared (after flushing the modified lines) at commit — which is
 //! exactly the signal `polarcxlmem::recovery` uses to find torn pages.
 
+use crate::inline_vec::InlineVec;
 use bufferpool::BufferPool;
 use memsim::Access;
 use simkit::SimTime;
@@ -20,7 +21,9 @@ use storage::{PageId, Wal};
 pub struct Mtr<'a, P: BufferPool> {
     pool: &'a mut P,
     wal: &'a mut Wal,
-    latched: Vec<PageId>,
+    /// Pages write-latched so far, in latch order. A statement latches
+    /// one page; only SMOs wider than eight spill to the heap.
+    latched: InlineVec<PageId, 8>,
     now: SimTime,
     writes: u64,
 }
@@ -31,7 +34,7 @@ impl<'a, P: BufferPool> Mtr<'a, P> {
         Mtr {
             pool,
             wal,
-            latched: Vec::new(),
+            latched: InlineVec::new(),
             now,
             writes: 0,
         }
@@ -75,7 +78,7 @@ impl<'a, P: BufferPool> Mtr<'a, P> {
 
     /// Redo-logged, latched write within the mtr.
     pub fn write(&mut self, page: PageId, off: u16, data: &[u8]) {
-        if !self.latched.contains(&page) {
+        if !self.latched.as_slice().contains(&page) {
             // First touch: take (and, on CXL, persist) the write latch.
             self.now = self.pool.set_latch(page, true, self.now);
             self.latched.push(page);

@@ -12,6 +12,7 @@
 //! single-child inner nodes and collapsing the root — so both SMO kinds
 //! the paper names (splits *and* merges) run under mini-transactions.
 
+use crate::inline_vec::InlineVec;
 use crate::mtr::Mtr;
 use crate::page::{
     meta, InnerGeo, LeafGeo, HEADER, OFF_CHILD0, OFF_FREE_HEAD, OFF_HEAP_USED, OFF_LEVEL,
@@ -20,6 +21,11 @@ use crate::page::{
 use bufferpool::BufferPool;
 use simkit::SimTime;
 use storage::{PageId, Wal};
+
+/// The inner nodes a descent passed, root first, each with the index of
+/// the child it followed. One or two entries for any table this
+/// repository loads; deeper trees spill to the heap.
+type Path = InlineVec<(PageId, u16), 8>;
 
 /// Uniform timed-read access used by both the read-only cursor and the
 /// mini-transaction.
@@ -51,6 +57,14 @@ impl<P: BufferPool> PageReader for Cursor<'_, P> {
     }
     fn rbytes(&mut self, page: PageId, off: u16, buf: &mut [u8]) {
         self.now = self.pool.read(page, off, buf, self.now).end;
+    }
+}
+
+impl<P: BufferPool> Cursor<'_, P> {
+    /// Charge a read of `len` bytes at `off` within `page` and move none
+    /// ([`BufferPool::touch`]): for bytes nothing will look at.
+    fn touch(&mut self, page: PageId, off: u16, len: usize) {
+        self.now = self.pool.touch(page, off, len, self.now).end;
     }
 }
 
@@ -193,14 +207,8 @@ impl BTree {
         lo
     }
 
-    fn descend<R: PageReader>(
-        &self,
-        r: &mut R,
-        key: u64,
-        path: Option<&mut Vec<(PageId, u16)>>,
-    ) -> PageId {
+    fn descend<R: PageReader>(&self, r: &mut R, key: u64, mut path: Option<&mut Path>) -> PageId {
         let mut page = self.root;
-        let mut path = path;
         for _ in 0..self.height {
             let nkeys = r.ru16(page, OFF_NKEYS);
             let idx = self.inner_child_idx(r, nkeys, page, key);
@@ -294,29 +302,51 @@ impl BTree {
         now: SimTime,
     ) -> (Vec<(u64, Vec<u8>)>, SimTime) {
         let mut out = Vec::with_capacity(limit.min(1024));
-        let (_, t) = self.scan_with(pool, start, limit, now, |key, rec| {
-            out.push((key, rec.to_vec()));
+        let (_, t) = self.scan_rows(pool, start, limit, now, |cur, leaf, h| {
+            let key = cur.ru64(leaf, self.leaf.heap_off(h));
+            let mut rec = vec![0u8; self.leaf.record_size as usize];
+            cur.rbytes(leaf, self.leaf.heap_rec_off(h), &mut rec);
+            out.push((key, rec));
         });
         (out, t)
     }
 
-    /// Range scan, visitor form: call `visit(key, record)` for up to
-    /// `limit` records with key >= `start`, in key order, and return how
-    /// many were visited. Every record is read into one buffer reused
-    /// across the scan, so a caller that only counts or aggregates rows
-    /// allocates once per scan rather than once per row. Issues exactly
-    /// the pool reads of [`BTree::scan`], in the same order.
-    pub fn scan_with<P: BufferPool>(
+    /// Range scan that only counts: how many of up to `limit` records
+    /// with key >= `start` exist. Charges exactly the pool accesses of
+    /// [`BTree::scan`], in the same order — the slot entries, which steer
+    /// the scan, are read; each row's key and record, which nothing looks
+    /// at, are touched — and allocates nothing.
+    pub fn scan_count<P: BufferPool>(
         &self,
         pool: &mut P,
         start: u64,
         limit: usize,
         now: SimTime,
-        mut visit: impl FnMut(u64, &[u8]),
+    ) -> (usize, SimTime) {
+        self.scan_rows(pool, start, limit, now, |cur, leaf, h| {
+            cur.touch(leaf, self.leaf.heap_off(h), 8);
+            cur.touch(
+                leaf,
+                self.leaf.heap_rec_off(h),
+                self.leaf.record_size as usize,
+            );
+        })
+    }
+
+    /// The row loop under both scans: position at `start`, walk slot
+    /// entries along the leaf chain and hand each row's leaf and heap
+    /// cell to `row`, which accesses the key and then the record. Returns
+    /// how many rows were visited.
+    fn scan_rows<P: BufferPool>(
+        &self,
+        pool: &mut P,
+        start: u64,
+        limit: usize,
+        now: SimTime,
+        mut row: impl FnMut(&mut Cursor<'_, P>, PageId, u16),
     ) -> (usize, SimTime) {
         let mut cur = Cursor { pool, now };
         let mut leaf = self.descend(&mut cur, start, None);
-        let mut rec = vec![0u8; self.leaf.record_size as usize];
         let mut visited = 0;
         let mut nkeys = cur.ru16(leaf, OFF_NKEYS);
         let mut i = match self.leaf_search(&mut cur, nkeys, leaf, start) {
@@ -335,9 +365,7 @@ impl BTree {
                 continue;
             }
             let h = cur.ru16(leaf, self.leaf.slot_off(i));
-            let key = cur.ru64(leaf, self.leaf.heap_off(h));
-            cur.rbytes(leaf, self.leaf.heap_rec_off(h), &mut rec);
-            visit(key, &rec);
+            row(&mut cur, leaf, h);
             visited += 1;
             i += 1;
         }
@@ -401,9 +429,10 @@ impl BTree {
         // Shift the slot directory (2 bytes per entry) right by one.
         if pos < nkeys {
             let move_len = 2 * (nkeys - pos) as usize;
-            let mut buf = vec![0u8; move_len];
-            mtr.rbytes(leaf, self.leaf.slot_off(pos), &mut buf);
-            mtr.write(leaf, self.leaf.slot_off(pos + 1), &buf);
+            simkit::with_scratch(move_len, |buf| {
+                mtr.rbytes(leaf, self.leaf.slot_off(pos), buf);
+                mtr.write(leaf, self.leaf.slot_off(pos + 1), buf);
+            });
         }
         mtr.write_u16(leaf, self.leaf.slot_off(pos), h);
         mtr.write_u16(leaf, OFF_NKEYS, nkeys + 1);
@@ -426,7 +455,7 @@ impl BTree {
             "record size mismatch"
         );
         let mut mtr = Mtr::begin(pool, wal, now);
-        let mut path = Vec::with_capacity(self.height as usize);
+        let mut path = Path::new();
         let mut leafp = self.descend(&mut mtr, key, Some(&mut path));
         let mut nkeys = mtr.ru16(leafp, OFF_NKEYS);
         if self.leaf_search(&mut mtr, nkeys, leafp, key).is_ok() {
@@ -460,7 +489,7 @@ impl BTree {
         now: SimTime,
     ) -> (bool, SimTime) {
         let mut mtr = Mtr::begin(pool, wal, now);
-        let mut path = Vec::with_capacity(self.height as usize);
+        let mut path = Path::new();
         let leafp = self.descend(&mut mtr, key, Some(&mut path));
         let nkeys = mtr.ru16(leafp, OFF_NKEYS);
         let (pos, h) = match self.leaf_search(&mut mtr, nkeys, leafp, key) {
@@ -470,9 +499,10 @@ impl BTree {
         // Shift the slot directory left over the removed entry.
         if pos + 1 < nkeys {
             let move_len = 2 * (nkeys - pos - 1) as usize;
-            let mut buf = vec![0u8; move_len];
-            mtr.rbytes(leafp, self.leaf.slot_off(pos + 1), &mut buf);
-            mtr.write(leafp, self.leaf.slot_off(pos), &buf);
+            simkit::with_scratch(move_len, |buf| {
+                mtr.rbytes(leafp, self.leaf.slot_off(pos + 1), buf);
+                mtr.write(leafp, self.leaf.slot_off(pos), buf);
+            });
         }
         mtr.write_u16(leafp, OFF_NKEYS, nkeys - 1);
         // Chain the heap cell into the free list (husk stores the old
@@ -485,7 +515,7 @@ impl BTree {
         // delete+insert workloads (every sysbench write-tail would merge
         // ~80 entries and immediately re-split them).
         if nkeys - 1 < self.leaf.capacity / 4 {
-            self.try_merge_leaf(&mut mtr, leafp, &path);
+            self.try_merge_leaf(&mut mtr, leafp, path.as_slice());
         }
         (true, mtr.commit())
     }
@@ -694,7 +724,7 @@ impl BTree {
     fn insert_into_parents<P: BufferPool>(
         &mut self,
         mtr: &mut Mtr<'_, P>,
-        mut path: Vec<(PageId, u16)>,
+        mut path: Path,
         mut sep: u64,
         mut right: PageId,
     ) {

@@ -118,6 +118,16 @@ impl DramBp {
         now
     }
 
+    /// Fix `page` and run the cache model over `off..off + len` of its
+    /// frame: all of a read except the copy. Returns where the bytes are
+    /// in the frame space, and the access.
+    #[inline(always)]
+    fn access(&mut self, page: PageId, off: u16, len: usize, now: SimTime) -> (u64, Access) {
+        let (frame, t) = self.fix(page, now);
+        let at = self.frame_off(frame) + off as u64;
+        (at, self.space.read_timing(at, len, t))
+    }
+
     /// Statistics of the modelled CPU cache in front of the frames.
     pub fn cache_stats(&self) -> memsim::CacheStats {
         self.space.cache_stats()
@@ -141,9 +151,14 @@ impl BufferPool for DramBp {
 
     fn read(&mut self, page: PageId, off: u16, buf: &mut [u8], now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
-        let (frame, t) = self.fix(page, now);
-        let base = self.frame_off(frame);
-        self.space.read(base + off as u64, buf, t)
+        let (at, a) = self.access(page, off, buf.len(), now);
+        self.space.raw().read(at, buf);
+        a
+    }
+
+    fn touch(&mut self, page: PageId, off: u16, len: usize, now: SimTime) -> Access {
+        let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
+        self.access(page, off, len, now).1
     }
 
     fn write(&mut self, page: PageId, off: u16, data: &[u8], lsn: Lsn, now: SimTime) -> Access {

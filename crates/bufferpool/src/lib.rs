@@ -190,6 +190,14 @@ impl std::error::Error for OverloadError {}
 /// All data access is *byte ranges within pages*: this is what lets the
 /// CXL pool touch only the cache lines a query needs while tiered
 /// designs move whole pages.
+///
+/// A read has two planes. The **timing plane** is everything it does to
+/// the model: residency, miss / evict / write-back, policy recency and
+/// heat, [`BpStats`], the modelled CPU cache, link and NIC charges,
+/// fault gates, breaker bookkeeping, profiler rows, spans and lanes.
+/// The **data plane** is the host copy of the bytes into the caller's
+/// buffer, which no simulated value depends on. [`BufferPool::read`] is
+/// both; [`BufferPool::touch`] is the timing plane alone.
 pub trait BufferPool {
     /// Page size in bytes.
     fn page_size(&self) -> u64;
@@ -201,6 +209,20 @@ pub trait BufferPool {
     /// Read `buf.len()` bytes at `off` within `page`, fetching the page
     /// if it is not resident.
     fn read(&mut self, page: PageId, off: u16, buf: &mut [u8], now: SimTime) -> Access;
+
+    /// Everything `read` of `len` bytes at `off` within `page` does to
+    /// the model, and no bytes: the same `Access`, the same pool, cache,
+    /// link and fault state afterwards. Only for callers that would drop
+    /// the bytes unread — where no byte steers control flow or reaches
+    /// the caller's caller.
+    ///
+    /// This default is the definition: read into a scratch buffer and
+    /// discard it. A pool overrides it only by making `read` "the touch
+    /// body plus the copy", and `tests/lean_path.rs` holds every override
+    /// to this reference.
+    fn touch(&mut self, page: PageId, off: u16, len: usize, now: SimTime) -> Access {
+        simkit::with_scratch(len, |buf| self.read(page, off, buf, now))
+    }
 
     /// Write `data` at `off` within `page`, stamping the page with `lsn`
     /// and marking it dirty.

@@ -475,6 +475,16 @@ impl TieredRdmaBp {
         self.aliased[frame as usize] = false;
     }
 
+    /// Fix `page` and run the LBP cache model over `off..off + len` of
+    /// its frame — the frame's own lines, aliased or not: all of a read
+    /// except the copy. Returns the frame and the access.
+    #[inline(always)]
+    fn access(&mut self, page: PageId, off: u16, len: usize, now: SimTime) -> (u32, Access) {
+        let (frame, t) = self.fix(page, now);
+        let at = self.frame_off(frame) + off as u64;
+        (frame, self.space.read_timing(at, len, t))
+    }
+
     /// Statistics of the modelled CPU cache in front of the LBP frames.
     pub fn cache_stats(&self) -> memsim::CacheStats {
         self.space.cache_stats()
@@ -508,18 +518,21 @@ impl BufferPool for TieredRdmaBp {
 
     fn read(&mut self, page: PageId, off: u16, buf: &mut [u8], now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
-        let (frame, t) = self.fix(page, now);
-        let at = self.frame_off(frame) + off as u64;
+        let (frame, a) = self.access(page, off, buf.len(), now);
+        // The bytes, from wherever they live.
         if self.aliased[frame as usize] {
-            // Timing plane: the frame's own lines through the LBP cache
-            // model. Data plane: the bytes, where they really are.
-            let a = self.space.read_timing(at, buf.len(), t);
             let remote = self.remote_off(page) + off as u64;
             self.rdma.borrow().raw().read(remote, buf);
-            a
         } else {
-            self.space.read(at, buf, t)
+            let local = self.frame_off(frame) + off as u64;
+            self.space.raw().read(local, buf);
         }
+        a
+    }
+
+    fn touch(&mut self, page: PageId, off: u16, len: usize, now: SimTime) -> Access {
+        let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
+        self.access(page, off, len, now).1
     }
 
     fn write(&mut self, page: PageId, off: u16, data: &[u8], lsn: Lsn, now: SimTime) -> Access {

@@ -87,8 +87,9 @@ pub struct CxlBp {
     /// Per-block "updates not yet checkpointed to storage" bit
     /// (parallel to `mirror`).
     ckpt_dirty: Vec<bool>,
-    /// Reusable page-sized staging buffer for storage↔CXL transfers
-    /// (miss fills and checkpoints), so the hot path never allocates.
+    /// Reusable page-sized staging buffer for CXL → storage checkpoint
+    /// transfers, so they never allocate. (Miss fills need none: they
+    /// stream from the store's own copy of the page.)
     page_buf: Vec<u8>,
     stats: BpStats,
     /// Optional circuit breaker over the poisoned-read heal path: when
@@ -478,17 +479,8 @@ impl CxlBp {
         t = self.set_meta_field(b, field::LOCK_STATE, 1, t);
         self.mirror[b as usize].lock_state = 1;
         t = self.link_head(b, page, t);
-        // Fill page data from storage with streaming non-temporal stores,
-        // staging through the pool's reusable buffer (no per-miss alloc).
-        let ps = self.geo.page_size as usize;
-        let io = self.store.read_page(page, &mut self.page_buf, t);
-        self.stats.storage_read_bytes += ps as u64;
-        t = io.end;
-        t = self
-            .cxl
-            .borrow_mut()
-            .write_uncached(self.node, self.geo.data_off(b as u64), &self.page_buf, t)
-            .end;
+        // Fill page data from storage with streaming non-temporal stores.
+        t = self.fill_from_storage(b, page, t);
         t = self.set_meta_field(b, field::LOCK_STATE, 0, t);
         self.mirror[b as usize].lock_state = 0;
         self.map.insert(page, b);
@@ -501,6 +493,22 @@ impl CxlBp {
             self.geo.page_size,
         );
         (b, t)
+    }
+
+    /// Charge a storage read of `page` and stream it into block `b` with
+    /// non-temporal stores, straight from the store's own copy.
+    fn fill_from_storage(&mut self, b: u32, page: PageId, now: SimTime) -> SimTime {
+        let io = self.store.read_page_timing(page, now);
+        self.stats.storage_read_bytes += self.geo.page_size;
+        self.cxl
+            .borrow_mut()
+            .write_uncached(
+                self.node,
+                self.geo.data_off(b as u64),
+                self.store.raw_page(page),
+                io.end,
+            )
+            .end
     }
 
     fn evict(&mut self, b: u32, now: SimTime) -> SimTime {
@@ -548,47 +556,104 @@ impl CxlBp {
         io.end
     }
 
+    /// The fabric's half of a read: `len` bytes at pool offset `at`,
+    /// into `dst` when the caller wants them.
+    #[inline(always)]
+    fn fabric_read(&self, at: u64, len: usize, dst: Option<&mut [u8]>, now: SimTime) -> Access {
+        let mut pool = self.cxl.borrow_mut();
+        match dst {
+            Some(buf) => pool.read(self.node, at, buf, now),
+            None => pool.read_timing(self.node, at, len, now),
+        }
+    }
+
     /// Degradation path for a read that tripped a poisoned CXL line.
     ///
     /// A storage-clean page is rebuilt wholesale from storage (the
     /// paper's "forced rebuild": the CXL copy is no longer trusted);
     /// a dirty page — whose only current copy *is* the CXL one — is
-    /// re-read, charging the retry. Either way the caller's buffer ends
-    /// up with good bytes.
+    /// re-read, charging the retry. Either way the caller's buffer, if
+    /// there is one, ends up with good bytes.
     #[cold]
     fn heal_poisoned_read(
         &mut self,
         page: PageId,
         b: u32,
-        off: u16,
-        buf: &mut [u8],
+        at: u64,
+        len: usize,
+        dst: Option<&mut [u8]>,
         bad: Access,
     ) -> Access {
-        let data_off = self.geo.data_off(b as u64);
         let mut t = bad.end;
         if self.ckpt_dirty[b as usize] {
             self.stats.fault_retries += 1;
         } else {
             self.stats.poison_rebuilds += 1;
-            let ps = self.geo.page_size as usize;
-            let io = self.store.read_page(page, &mut self.page_buf, t);
-            self.stats.storage_read_bytes += ps as u64;
-            t = self
-                .cxl
-                .borrow_mut()
-                .write_uncached(self.node, data_off, &self.page_buf, io.end)
-                .end;
+            t = self.fill_from_storage(b, page, t);
         }
-        let good = self
-            .cxl
-            .borrow_mut()
-            .read(self.node, data_off + off as u64, buf, t);
+        let good = self.fabric_read(at, len, dst, t);
         Access {
             end: good.end,
             link_bytes: bad.link_bytes + good.link_bytes,
             hits: bad.hits + good.hits,
             misses: bad.misses + good.misses,
         }
+    }
+
+    /// The one read body: everything a read of `len` bytes at `off`
+    /// within `page` does to the model, and — when `dst` (`len` bytes
+    /// long) is given — the copy. `read` passes its buffer, `touch`
+    /// passes `None`.
+    #[inline(always)]
+    fn access(
+        &mut self,
+        page: PageId,
+        off: u16,
+        len: usize,
+        mut dst: Option<&mut [u8]>,
+        now: SimTime,
+    ) -> Access {
+        // An open breaker means fabric reads are being poisoned faster
+        // than healing pays off. A storage-clean page can be served
+        // straight from storage without touching (or admitting it to)
+        // the fabric; a dirty page's only current copy is the CXL one,
+        // so it always goes through regardless of breaker state.
+        // (The dirty probe is a second hash lookup, so it runs only when
+        // a breaker is armed to need its answer.)
+        if let Some(br) = self.breaker.as_mut() {
+            let dirty = self
+                .map
+                .get(&page)
+                .is_some_and(|&b| self.ckpt_dirty[b as usize]);
+            if !dirty && !br.allow(now) {
+                let io = self.store.read_page_timing(page, now);
+                self.stats.storage_read_bytes += self.geo.page_size;
+                if let Some(buf) = dst {
+                    let o = off as usize;
+                    buf.copy_from_slice(&self.store.raw_page(page)[o..o + len]);
+                }
+                self.overload(page, 0, 0, OverloadKind::BreakerOpen);
+                return Access {
+                    end: io.end,
+                    link_bytes: 0,
+                    hits: 0,
+                    misses: 0,
+                };
+            }
+        }
+        let (b, t) = self.fix(page, now);
+        let at = self.geo.data_off(b as u64) + off as u64;
+        let a = self.fabric_read(at, len, dst.as_deref_mut(), t);
+        if faults::take_poisoned() {
+            if let Some(br) = self.breaker.as_mut() {
+                br.on_failure(a.end);
+            }
+            return self.heal_poisoned_read(page, b, at, len, dst, a);
+        }
+        if let Some(br) = self.breaker.as_mut() {
+            br.on_success(a.end);
+        }
+        a
     }
 }
 
@@ -609,49 +674,12 @@ impl BufferPool for CxlBp {
 
     fn read(&mut self, page: PageId, off: u16, buf: &mut [u8], now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
-        // An open breaker means fabric reads are being poisoned faster
-        // than healing pays off. A storage-clean page can be served
-        // straight from storage without touching (or admitting it to)
-        // the fabric; a dirty page's only current copy is the CXL one,
-        // so it always goes through regardless of breaker state.
-        // (The dirty probe is a second hash lookup, so it runs only when
-        // a breaker is armed to need its answer.)
-        if let Some(br) = self.breaker.as_mut() {
-            let dirty = self
-                .map
-                .get(&page)
-                .is_some_and(|&b| self.ckpt_dirty[b as usize]);
-            if !dirty && !br.allow(now) {
-                let ps = self.geo.page_size as usize;
-                let io = self.store.read_page(page, &mut self.page_buf, now);
-                self.stats.storage_read_bytes += ps as u64;
-                let o = off as usize;
-                buf.copy_from_slice(&self.page_buf[o..o + buf.len()]);
-                self.overload(page, 0, 0, OverloadKind::BreakerOpen);
-                return Access {
-                    end: io.end,
-                    link_bytes: 0,
-                    hits: 0,
-                    misses: 0,
-                };
-            }
-        }
-        let (b, t) = self.fix(page, now);
-        let data = self.geo.data_off(b as u64);
-        let a = self
-            .cxl
-            .borrow_mut()
-            .read(self.node, data + off as u64, buf, t);
-        if faults::take_poisoned() {
-            if let Some(br) = self.breaker.as_mut() {
-                br.on_failure(a.end);
-            }
-            return self.heal_poisoned_read(page, b, off, buf, a);
-        }
-        if let Some(br) = self.breaker.as_mut() {
-            br.on_success(a.end);
-        }
-        a
+        self.access(page, off, buf.len(), Some(buf), now)
+    }
+
+    fn touch(&mut self, page: PageId, off: u16, len: usize, now: SimTime) -> Access {
+        let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
+        self.access(page, off, len, None, now)
     }
 
     fn write(&mut self, page: PageId, off: u16, data: &[u8], lsn: Lsn, now: SimTime) -> Access {

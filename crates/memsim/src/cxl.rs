@@ -228,26 +228,33 @@ impl Port<'_> {
     /// data where the (captured) cache still holds it, device bytes
     /// elsewhere — with no cache, LRU or link mutation and no timing.
     #[cold]
-    fn frozen_read(&mut self, off: u64, buf: &mut [u8], now: SimTime) -> Access {
-        self.mem.read(off, buf);
-        if self.cache.captures() {
-            let end_off = off + buf.len() as u64;
-            for line in line_range(off, buf.len()) {
-                let line_start = line * CACHE_LINE;
-                let copy_from = off.max(line_start);
-                let copy_to = end_off.min(line_start + CACHE_LINE);
-                if let Some(data) = self.cache.line(line) {
-                    let s = (copy_from - line_start) as usize;
-                    let dst = &mut buf[(copy_from - off) as usize..(copy_to - off) as usize];
-                    dst.copy_from_slice(&data[s..s + dst.len()]);
+    fn frozen_read(&mut self, off: u64, dst: Option<&mut [u8]>, now: SimTime) -> Access {
+        if let Some(buf) = dst {
+            self.mem.read(off, buf);
+            if self.cache.captures() {
+                let end_off = off + buf.len() as u64;
+                for line in line_range(off, buf.len()) {
+                    let line_start = line * CACHE_LINE;
+                    let copy_from = off.max(line_start);
+                    let copy_to = end_off.min(line_start + CACHE_LINE);
+                    if let Some(data) = self.cache.line(line) {
+                        let s = (copy_from - line_start) as usize;
+                        let dst = &mut buf[(copy_from - off) as usize..(copy_to - off) as usize];
+                        dst.copy_from_slice(&data[s..s + dst.len()]);
+                    }
                 }
             }
         }
         Access::free(now)
     }
 
-    /// Cached read of `buf.len()` bytes at `off`.
-    fn read(&mut self, off: u64, buf: &mut [u8], now: SimTime) -> Access {
+    /// Cached read of `len` bytes at `off`: the fault gate, the cache
+    /// model, the link and switch charges, and — in capture mode — the
+    /// line fills, whether or not anyone wants the bytes. `dst`, when
+    /// given, is `len` bytes long and receives them; `None` is the
+    /// timing plane alone ([`CxlPool::read_timing`]).
+    fn read(&mut self, off: u64, len: usize, mut dst: Option<&mut [u8]>, now: SimTime) -> Access {
+        debug_assert!(dst.as_ref().is_none_or(|buf| buf.len() == len));
         let now = match faults::gate(FaultSite::CxlRead, now) {
             // A poisoned line is reported to the consumer through the
             // pending-poison flag; the raw bytes still transfer so the
@@ -255,7 +262,7 @@ impl Port<'_> {
             Verdict::Run | Verdict::Poison => now,
             // A transient fabric hiccup delays the load; it still runs.
             Verdict::Transient { spike_ns } => now + spike_ns,
-            _ => return self.frozen_read(off, buf, now),
+            _ => return self.frozen_read(off, dst, now),
         };
         if !self.cache.captures() {
             // Timing-mode fast path: one tag sweep over the whole run, one
@@ -265,8 +272,10 @@ impl Port<'_> {
             // and the latency/link formulas depend only on the hit/miss/
             // eviction counts the sweep returns. Batched-vs-reference
             // equivalence is pinned by the `batched_*` tests.
-            let run = self.cache.access_run(line_range(off, buf.len()), false);
-            self.mem.read(off, buf);
+            let run = self.cache.access_run(line_range(off, len), false);
+            if let Some(buf) = dst {
+                self.mem.read(off, buf);
+            }
             let link_bytes = (run.misses + run.dirty_evictions) * CACHE_LINE;
             let latency = if run.misses == 0 {
                 run.hits * CACHE_HIT_NS
@@ -295,20 +304,26 @@ impl Port<'_> {
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut link_bytes = 0u64;
-        let end_off = off + buf.len() as u64;
-        for line in line_range(off, buf.len()) {
+        let end_off = off + len as u64;
+        for line in line_range(off, len) {
             let line_start = line * CACHE_LINE;
             let copy_from = off.max(line_start);
             let copy_to = end_off.min(line_start + CACHE_LINE);
-            let dst = &mut buf[(copy_from - off) as usize..(copy_to - off) as usize];
+            // This line's part of the destination, and where in the line
+            // it starts.
+            let s = (copy_from - line_start) as usize;
+            let dst = dst
+                .as_deref_mut()
+                .map(|buf| &mut buf[(copy_from - off) as usize..(copy_to - off) as usize]);
             match self.cache.access(line, false) {
                 LineAccess::Hit => {
                     hits += 1;
-                    if let Some(data) = self.cache.line(line) {
-                        let s = (copy_from - line_start) as usize;
-                        dst.copy_from_slice(&data[s..s + dst.len()]);
-                    } else {
-                        self.mem.read(copy_from, dst);
+                    if let Some(dst) = dst {
+                        if let Some(data) = self.cache.line(line) {
+                            dst.copy_from_slice(&data[s..s + dst.len()]);
+                        } else {
+                            self.mem.read(copy_from, dst);
+                        }
                     }
                 }
                 LineAccess::Miss { evicted_dirty } => {
@@ -318,15 +333,14 @@ impl Port<'_> {
                         link_bytes += CACHE_LINE;
                         self.write_back(victim);
                     }
-                    if self.cache.captures() {
-                        let mut fill = [0u8; CACHE_LINE as usize];
-                        self.mem.read(line_start, &mut fill);
-                        let s = (copy_from - line_start) as usize;
+                    // The fill is cache state, not data movement for the
+                    // caller: a later read must find the line captured.
+                    let mut fill = [0u8; CACHE_LINE as usize];
+                    self.mem.read(line_start, &mut fill);
+                    if let Some(dst) = dst {
                         dst.copy_from_slice(&fill[s..s + dst.len()]);
-                        self.cache.put_line(line, &fill);
-                    } else {
-                        self.mem.read(copy_from, dst);
                     }
+                    self.cache.put_line(line, &fill);
                 }
             }
         }
@@ -880,46 +894,64 @@ impl CxlPool {
     /// Cached read of `buf.len()` bytes at `off` by `node`.
     #[inline]
     pub fn read(&mut self, node: NodeId, off: u64, buf: &mut [u8], now: SimTime) -> Access {
-        if unobserved() {
-            if let Some(a) = self.read_line_hit(node, off, buf, now) {
-                return a;
-            }
-        }
-        self.read_general(node, off, buf, now)
+        self.read_into(node, off, buf.len(), Some(buf), now)
     }
 
-    /// The general read path, out of line so that [`CxlPool::read`]'s
-    /// lean branch stays small enough to inline into the pools.
-    fn read_general(&mut self, node: NodeId, off: u64, buf: &mut [u8], now: SimTime) -> Access {
-        let _prof = simkit::profile::scope(simkit::profile::Subsys::CxlMem);
-        self.port(node).read(off, buf, now)
+    /// The timing plane of [`CxlPool::read`]: everything that read does
+    /// to the model — fault gate, cache sweep (capture-mode fills
+    /// included), link and switch charges, attribution, profiler row —
+    /// and no bytes moved to a caller. For callers that discard them.
+    #[inline]
+    pub fn read_timing(&mut self, node: NodeId, off: u64, len: usize, now: SimTime) -> Access {
+        self.read_into(node, off, len, None, now)
     }
 
-    /// The lean read path: an access inside one line that hits the node's
+    /// The one read body: `dst`, when given, is `len` bytes long.
+    ///
+    /// The lean branch is an access inside one line that hits the node's
     /// timing-mode cache. [`Port::read`] would sweep that one tag, count
     /// the hit, copy the bytes from the region (timing mode keeps it
     /// current), charge zero link bytes and return `now + CACHE_HIT_NS` —
     /// which is all this does, without building the port. Anything else
-    /// (miss, several lines, capture mode) returns `None` untouched.
+    /// (miss, several lines, capture mode, an observed run) takes the
+    /// general path.
     #[inline(always)]
-    fn read_line_hit(
+    fn read_into(
         &mut self,
         node: NodeId,
         off: u64,
-        buf: &mut [u8],
+        len: usize,
+        dst: Option<&mut [u8]>,
         now: SimTime,
-    ) -> Option<Access> {
-        let lines = line_range(off, buf.len());
-        if lines.end - lines.start != 1 || !self.caches[node.0].read_hit(lines.start) {
-            return None;
+    ) -> Access {
+        let lines = line_range(off, len);
+        if unobserved() && lines.end - lines.start == 1 && self.caches[node.0].read_hit(lines.start)
+        {
+            if let Some(buf) = dst {
+                self.region.read(off, buf);
+            }
+            return Access {
+                end: now + CACHE_HIT_NS,
+                link_bytes: 0,
+                hits: 1,
+                misses: 0,
+            };
         }
-        self.region.read(off, buf);
-        Some(Access {
-            end: now + CACHE_HIT_NS,
-            link_bytes: 0,
-            hits: 1,
-            misses: 0,
-        })
+        self.read_general(node, off, len, dst, now)
+    }
+
+    /// The general read path, out of line so that the lean branch stays
+    /// small enough to inline into the pools.
+    fn read_general(
+        &mut self,
+        node: NodeId,
+        off: u64,
+        len: usize,
+        dst: Option<&mut [u8]>,
+        now: SimTime,
+    ) -> Access {
+        let _prof = simkit::profile::scope(simkit::profile::Subsys::CxlMem);
+        self.port(node).read(off, len, dst, now)
     }
 
     /// Cached write of `data` at `off` by `node` (write-allocate,
@@ -1163,7 +1195,7 @@ impl CxlFabric for CxlShard {
     fn read(&mut self, node: NodeId, off: u64, buf: &mut [u8], now: SimTime) -> Access {
         debug_assert_eq!(node, self.node);
         let _prof = simkit::profile::scope(simkit::profile::Subsys::CxlMem);
-        self.port().read(off, buf, now)
+        self.port().read(off, buf.len(), Some(buf), now)
     }
     fn write(&mut self, node: NodeId, off: u64, data: &[u8], now: SimTime) -> Access {
         debug_assert_eq!(node, self.node);
@@ -1561,6 +1593,62 @@ mod tests {
     }
 
     #[test]
+    fn read_timing_is_read_minus_the_bytes() {
+        // Twin pools under one seeded mix of cached reads, writes, flushes
+        // and non-temporal stores; one twin's reads are `read`, the
+        // other's `read_timing`. Timing mode (lean and general branches)
+        // and capture mode (per-line loop, fills included) must agree on
+        // every `Access`, on cache stats, link bytes and device bytes —
+        // and a full read-back afterwards on the bytes either cache holds.
+        for capture in [false, true] {
+            let mk = || CxlPool::single_host(64 << 10, 1, 4 << 10, capture);
+            let (mut full, mut timing) = (mk(), mk());
+            let mut rng = simkit::rng::SimRng::seed_from_u64(0x71D1);
+            let mut t = SimTime::ZERO;
+            for step in 0..6_000 {
+                let n = [2usize, 8, 8, 60, 188, 1024][rng.gen_range(0..6usize)];
+                let off = rng.gen_range(0..(64u64 << 10) - n as u64);
+                let mut buf = vec![rng.gen::<u8>(); n];
+                let (a, b) = match rng.gen_range(0..10u32) {
+                    0..=5 => (
+                        full.read(NodeId(0), off, &mut buf, t),
+                        timing.read_timing(NodeId(0), off, n, t),
+                    ),
+                    6..=7 => (
+                        full.write(NodeId(0), off, &buf, t),
+                        timing.write(NodeId(0), off, &buf, t),
+                    ),
+                    8 => (
+                        full.clflush(NodeId(0), off, n, t),
+                        timing.clflush(NodeId(0), off, n, t),
+                    ),
+                    _ => (
+                        full.write_uncached(NodeId(0), off, &buf[..n.min(8)], t),
+                        timing.write_uncached(NodeId(0), off, &buf[..n.min(8)], t),
+                    ),
+                };
+                assert_eq!(a, b, "capture={capture} step {step}");
+                t = a.end;
+            }
+            let cs = full.cache_stats(NodeId(0));
+            assert!(cs.hits > 1_000 && cs.misses > 1_000 && cs.writebacks > 100);
+            assert_eq!(timing.cache_stats(NodeId(0)), cs);
+            assert_eq!(timing.host_link_bytes(0), full.host_link_bytes(0));
+            assert_eq!(timing.switch_bytes(), full.switch_bytes());
+            assert_eq!(
+                timing.raw().slice(0, 64 << 10),
+                full.raw().slice(0, 64 << 10)
+            );
+            let (mut b1, mut b2) = (vec![0u8; 64 << 10], vec![0u8; 64 << 10]);
+            assert_eq!(
+                timing.read(NodeId(0), 0, &mut b2, t),
+                full.read(NodeId(0), 0, &mut b1, t)
+            );
+            assert_eq!(b1, b2, "capture={capture}");
+        }
+    }
+
+    #[test]
     fn poisoned_read_raises_pending_flag_only() {
         use simkit::faults::{self, Action, FaultPlan, Trigger};
         faults::clear();
@@ -1615,6 +1703,8 @@ mod tests {
         let a = p.read(NodeId(0), 0, &mut buf, SimTime(4));
         assert_eq!(a.end, SimTime(4));
         assert_eq!(buf, [7; 64]);
+        // A dead timing-only read is as inert.
+        assert_eq!(p.read_timing(NodeId(0), 0, 64, SimTime(4)).end, SimTime(4));
         // Dead stores and flushes are inert.
         p.write(NodeId(0), 0, &[9; 64], SimTime(4));
         p.write_uncached(NodeId(0), 0, &[9; 64], SimTime(4));

@@ -56,6 +56,18 @@ pub use time::{dur, SimTime};
 pub use trace::{Lane, QueryBreakdown, SpanKind, TraceEvent};
 pub use worker::{Step, WorkerId, WorkerSet};
 
+/// Run `f` over `len` zeroed scratch bytes: on the stack when they fit
+/// in 256 (a B+tree slot-directory shift, a record), on the heap above
+/// that — so the common small case never touches the allocator.
+#[inline]
+pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    let mut stack = [0u8; 256];
+    match stack.get_mut(..len) {
+        Some(buf) => f(buf),
+        None => f(&mut vec![0u8; len]),
+    }
+}
+
 /// Clone `v` keeping its *capacity*. `Vec::clone` allocates for the
 /// length alone, so a clone of a buffer that was pre-sized to keep a hot
 /// path off the allocator would start growing where the original never

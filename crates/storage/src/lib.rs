@@ -21,7 +21,7 @@ pub mod pagestore;
 pub mod wal;
 
 /// Identifies a database page within the storage service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PageId(pub u64);
 
 /// A log sequence number. LSN 0 is "before any record".

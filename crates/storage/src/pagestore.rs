@@ -105,6 +105,35 @@ impl PageStore {
         }
     }
 
+    /// What a page read costs, whichever page it is: counted, the channel
+    /// occupied, the device latency paid.
+    fn charge_read(&mut self, now: SimTime) -> Access {
+        if faults::crashed() {
+            // The host is dead: it still sees the (crash-consistent)
+            // stored bytes, but nothing is timed or counted any more.
+            return Access::free(now);
+        }
+        self.reads += 1;
+        let g = self.channel.transfer(now, self.page_size);
+        let end = g.end + STORAGE_READ_NS;
+        trace::attr_add(Lane::Storage, end.saturating_since(now));
+        Access {
+            end,
+            link_bytes: self.page_size,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The timing plane of [`PageStore::read_page`]: the same charge and
+    /// no bytes moved, for a caller that takes the page in place from
+    /// [`PageStore::raw_page`].
+    pub fn read_page_timing(&mut self, page: PageId, now: SimTime) -> Access {
+        let _prof = simkit::profile::scope(simkit::profile::Subsys::Storage);
+        debug_assert!(page.0 < self.capacity_pages);
+        self.charge_read(now)
+    }
+
     /// Timed page read into `buf`, or a typed error when `buf` is not
     /// exactly one page.
     pub fn try_read_page(
@@ -118,21 +147,7 @@ impl PageStore {
             return Err(StorageError::BadBuffer(buf.len() as u64, self.page_size));
         }
         self.region.read(page.0 * self.page_size, buf);
-        if faults::crashed() {
-            // The host is dead: it still sees the (crash-consistent)
-            // stored bytes, but nothing is timed or counted any more.
-            return Ok(Access::free(now));
-        }
-        self.reads += 1;
-        let g = self.channel.transfer(now, self.page_size);
-        let end = g.end + STORAGE_READ_NS;
-        trace::attr_add(Lane::Storage, end.saturating_since(now));
-        Ok(Access {
-            end,
-            link_bytes: self.page_size,
-            hits: 0,
-            misses: 0,
-        })
+        Ok(self.charge_read(now))
     }
 
     /// Timed page read into `buf` (must be exactly one page).
@@ -258,6 +273,28 @@ mod tests {
         assert!(last.as_nanos() > 64 * PAGE_SIZE / 4);
         assert_eq!(s.io_counts(), (64, 0));
         assert_eq!(s.channel_bytes(), 64 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn read_page_timing_charges_what_read_page_charges() {
+        let mk = || {
+            let mut s = PageStore::with_page_size(8, 256);
+            for _ in 0..8 {
+                s.allocate();
+            }
+            s
+        };
+        let (mut full, mut timing) = (mk(), mk());
+        let mut buf = vec![0u8; 256];
+        let mut t = SimTime::ZERO;
+        for p in [3u64, 3, 0, 7, 1] {
+            let a = full.read_page(PageId(p), &mut buf, t);
+            assert_eq!(timing.read_page_timing(PageId(p), t), a);
+            // Back-to-back issue: the channel backlog must match too.
+            t += 10;
+        }
+        assert_eq!(timing.io_counts(), full.io_counts());
+        assert_eq!(timing.channel_bytes(), full.channel_bytes());
     }
 
     #[test]

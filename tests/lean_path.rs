@@ -15,13 +15,21 @@
 //! and the `Access` sequences, `BpStats`, `CacheStats` and link bytes
 //! must be identical across the three.
 //!
+//! `BufferPool::touch` is the timing plane of `read` alone, and its trait
+//! default — read into a scratch buffer, discard — is the definition. The
+//! same op sequence with every read replaced by `touch` runs on each
+//! overriding pool in all three modes against that default, plus on the
+//! CXL pool under a poison plan that fires, with a breaker that opens,
+//! and over a capture-mode fabric.
+//!
 //! The RDMA sharing baseline has no second path, but the same split: it
 //! charges whole pages and moves only the bytes a statement touches. Its
 //! case runs the three modes over the serial and the phased API and
 //! checks that no charged transfer skipped its gate.
 
+use polardb_cxl_repro::bufferpool::BpStats;
 use polardb_cxl_repro::memsim::{Access, CacheStats, RdmaShard};
-use polardb_cxl_repro::polarcxlmem::{RdmaDbp, RdmaSharingNode};
+use polardb_cxl_repro::polarcxlmem::{RdmaDbp, RdmaSharingNode, SharedCxl};
 use polardb_cxl_repro::prelude::*;
 use polardb_cxl_repro::simkit::trace;
 use std::cell::RefCell;
@@ -60,10 +68,78 @@ fn store() -> PageStore {
     store
 }
 
+/// How [`drive`] issues its reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Plane {
+    /// `read`, checked against a byte oracle.
+    Read,
+    /// `touch`: the same accesses, no bytes.
+    Touch,
+}
+
+/// `P` with `touch` left at the trait's default — the definition every
+/// overriding pool is held to.
+struct ByDefault<P>(P);
+
+impl<P: BufferPool> BufferPool for ByDefault<P> {
+    fn page_size(&self) -> u64 {
+        self.0.page_size()
+    }
+    fn allocate_page(&mut self, now: SimTime) -> (PageId, SimTime) {
+        self.0.allocate_page(now)
+    }
+    fn read(&mut self, page: PageId, off: u16, buf: &mut [u8], now: SimTime) -> Access {
+        self.0.read(page, off, buf, now)
+    }
+    fn write(&mut self, page: PageId, off: u16, data: &[u8], lsn: Lsn, now: SimTime) -> Access {
+        self.0.write(page, off, data, lsn, now)
+    }
+    fn set_latch(&mut self, page: PageId, locked: bool, now: SimTime) -> SimTime {
+        self.0.set_latch(page, locked, now)
+    }
+    fn page_lsn(&self, page: PageId) -> Option<Lsn> {
+        self.0.page_lsn(page)
+    }
+    fn is_resident(&self, page: PageId) -> bool {
+        self.0.is_resident(page)
+    }
+    fn flush_all(&mut self, now: SimTime) -> SimTime {
+        self.0.flush_all(now)
+    }
+    fn stats(&self) -> BpStats {
+        self.0.stats()
+    }
+    fn store(&self) -> &PageStore {
+        self.0.store()
+    }
+    fn store_mut(&mut self) -> &mut PageStore {
+        self.0.store_mut()
+    }
+    fn prewarm(&mut self) {
+        self.0.prewarm()
+    }
+}
+
+/// [`drive`] over `pool` itself, or over `pool` with the default `touch`.
+fn drive_as<P: BufferPool>(
+    pool: P,
+    plane: Plane,
+    by_default: bool,
+) -> (P, Vec<Access>, Vec<SimTime>) {
+    let mut pool = ByDefault(pool);
+    let (accesses, flushes) = if by_default {
+        drive(&mut pool, plane)
+    } else {
+        drive(&mut pool.0, plane)
+    };
+    (pool.0, accesses, flushes)
+}
+
 /// The seeded op sequence: runs of field-sized reads on one page (a
 /// B+tree node visit) with record-sized reads, writes and checkpoints
-/// mixed in. Also checks every read against a byte oracle.
-fn drive<P: BufferPool>(pool: &mut P) -> (Vec<Access>, Vec<SimTime>) {
+/// mixed in. A `Plane::Read` run also checks every read against a byte
+/// oracle.
+fn drive<P: BufferPool>(pool: &mut P, plane: Plane) -> (Vec<Access>, Vec<SimTime>) {
     let mut rng = SimRng::seed_from_u64(0x1EA4);
     let mut oracle: Vec<Vec<u8>> = (0..PAGES).map(|p| vec![p as u8 + 1; PAGE_SIZE]).collect();
     let mut accesses = Vec::new();
@@ -78,10 +154,14 @@ fn drive<P: BufferPool>(pool: &mut P) -> (Vec<Access>, Vec<SimTime>) {
             0..=69 => {
                 let len = [2usize, 8, 8, 8, 30, 120, 188][rng.gen_range(0..7usize)];
                 let off = rng.gen_range(0..=PAGE_SIZE - len);
-                let mut buf = vec![0u8; len];
-                let a = pool.read(PageId(page), off as u16, &mut buf, now);
-                assert_eq!(buf, oracle[page as usize][off..off + len], "step {step}");
-                a
+                if plane == Plane::Touch {
+                    pool.touch(PageId(page), off as u16, len, now)
+                } else {
+                    let mut buf = vec![0u8; len];
+                    let a = pool.read(PageId(page), off as u16, &mut buf, now);
+                    assert_eq!(buf, oracle[page as usize][off..off + len], "step {step}");
+                    a
+                }
             }
             70..=97 => {
                 let len = rng.gen_range(1..=64usize);
@@ -131,30 +211,46 @@ fn under<R>(mode: Mode, body: impl FnOnce() -> R) -> (R, bool) {
     (out, observed)
 }
 
-fn assert_modes_agree(name: &str, run: impl Fn() -> Outcome) {
-    let (plain, _) = under(Mode::Plain, &run);
+/// Compare piecewise for a readable failure.
+fn assert_same(name: &str, got: &Outcome, want: &Outcome) {
+    for (i, (a, b)) in want.accesses.iter().zip(&got.accesses).enumerate() {
+        assert_eq!(a, b, "{name}: diverged at access {i}");
+    }
+    assert_eq!(got, want, "{name}");
+}
+
+/// `run(plane, by_default)` builds a pool and drives it. Reads agree
+/// across the three modes; and with every read replaced by `touch`, the
+/// pool's own `touch` in each mode leaves exactly what the trait default
+/// leaves — which is what the reads left.
+fn assert_modes_agree(name: &str, run: impl Fn(Plane, bool) -> Outcome) {
+    let (plain, _) = under(Mode::Plain, || run(Plane::Read, false));
     assert!(
         plain.cache.hits > 1_000 && plain.cache.misses > 100,
         "{name}: {plain:?}"
     );
-    for mode in [Mode::Attribution, Mode::ArmedFaults] {
-        let (got, observed) = under(mode, &run);
-        assert!(observed, "{name}: {mode:?} saw nothing");
-        // Compare piecewise for a readable failure.
-        for (i, (a, b)) in plain.accesses.iter().zip(&got.accesses).enumerate() {
-            assert_eq!(a, b, "{name}: {mode:?} diverged at access {i}");
+    let (reference, _) = under(Mode::Plain, || run(Plane::Touch, true));
+    assert_same(
+        &format!("{name}: default touch vs read"),
+        &reference,
+        &plain,
+    );
+    for mode in [Mode::Plain, Mode::Attribution, Mode::ArmedFaults] {
+        for plane in [Plane::Read, Plane::Touch] {
+            let (got, observed) = under(mode, || run(plane, false));
+            assert!(observed, "{name}: {mode:?} saw nothing");
+            assert_same(&format!("{name}: {mode:?} {plane:?}"), &got, &reference);
         }
-        assert_eq!(got, plain, "{name}: {mode:?}");
     }
 }
 
 #[test]
 fn dram_pool_lean_and_general_paths_agree() {
     for policy in PolicyKind::ALL {
-        assert_modes_agree(&format!("dram/{}", policy.name()), || {
+        assert_modes_agree(&format!("dram/{}", policy.name()), |plane, by_default| {
             let mut bp = DramBp::with_policy(FRAMES, CACHE_BYTES, store(), policy);
             bp.prewarm();
-            let (accesses, flushes) = drive(&mut bp);
+            let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
             Outcome {
                 accesses,
                 flushes,
@@ -169,7 +265,7 @@ fn dram_pool_lean_and_general_paths_agree() {
 #[test]
 fn tiered_pool_lean_and_general_paths_agree() {
     for policy in PolicyKind::ALL {
-        assert_modes_agree(&format!("tiered/{}", policy.name()), || {
+        assert_modes_agree(&format!("tiered/{}", policy.name()), |plane, by_default| {
             let rdma = Rc::new(RefCell::new(RdmaPool::new(1 << 20, 1)));
             let mut bp = TieredRdmaBp::with_policy(
                 Rc::clone(&rdma),
@@ -181,7 +277,7 @@ fn tiered_pool_lean_and_general_paths_agree() {
                 policy,
             );
             bp.prewarm();
-            let (accesses, flushes) = drive(&mut bp);
+            let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
             assert!(bp.stats().remote_read_bytes > 0 && bp.stats().writebacks > 0);
             let nic = rdma.borrow().nic_bytes(0);
             Outcome {
@@ -195,36 +291,143 @@ fn tiered_pool_lean_and_general_paths_agree() {
     }
 }
 
+/// A prewarmed CXL pool over its own single-node fabric.
+fn cxl_pool(policy: PolicyKind, capture: bool) -> (SharedCxl, CxlBp) {
+    let cxl = Rc::new(RefCell::new(CxlPool::single_host(
+        1 << 20,
+        1,
+        CACHE_BYTES,
+        capture,
+    )));
+    let mut bp = CxlBp::format_with_policy(
+        Rc::clone(&cxl),
+        NodeId(0),
+        0,
+        FRAMES as u64,
+        store(),
+        policy,
+    );
+    bp.prewarm();
+    (cxl, bp)
+}
+
+fn cxl_outcome(
+    cxl: &SharedCxl,
+    bp: &CxlBp,
+    accesses: Vec<Access>,
+    flushes: Vec<SimTime>,
+) -> Outcome {
+    let pool = cxl.borrow();
+    Outcome {
+        accesses,
+        flushes,
+        bp_stats: format!("{:?}", bp.stats()),
+        cache: pool.cache_stats(NodeId(0)),
+        link_bytes: vec![pool.host_link_bytes(0), pool.switch_bytes()],
+    }
+}
+
 #[test]
 fn cxl_pool_lean_and_general_paths_agree() {
     for policy in PolicyKind::ALL {
-        assert_modes_agree(&format!("cxl/{}", policy.name()), || {
-            let cxl = Rc::new(RefCell::new(CxlPool::single_host(
-                1 << 20,
-                1,
-                CACHE_BYTES,
-                false,
-            )));
-            let mut bp = CxlBp::format_with_policy(
-                Rc::clone(&cxl),
-                NodeId(0),
-                0,
-                FRAMES as u64,
-                store(),
-                policy,
-            );
-            bp.prewarm();
-            let (accesses, flushes) = drive(&mut bp);
-            let pool = cxl.borrow();
-            Outcome {
-                accesses,
-                flushes,
-                bp_stats: format!("{:?}", bp.stats()),
-                cache: pool.cache_stats(NodeId(0)),
-                link_bytes: vec![pool.host_link_bytes(0), pool.switch_bytes()],
-            }
+        assert_modes_agree(&format!("cxl/{}", policy.name()), |plane, by_default| {
+            let (cxl, bp) = cxl_pool(policy, false);
+            let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
+            cxl_outcome(&cxl, &bp, accesses, flushes)
         });
     }
+}
+
+/// Poison one CXL read in every `every`, from the 50th on.
+fn poison_plan(every: u64) -> FaultPlan {
+    (0..60).fold(FaultPlan::default(), |plan, i| {
+        plan.with(
+            Trigger::SiteHit(FaultSite::CxlRead, 50 + i * every),
+            Action::PoisonLine,
+        )
+    })
+}
+
+/// Drive a CXL pool under `plan` (installed fresh), breaker armed or not.
+fn cxl_under_plan(
+    plan: &FaultPlan,
+    breaker: bool,
+    plane: Plane,
+    by_default: bool,
+) -> (Outcome, BpStats) {
+    faults::clear();
+    let (cxl, mut bp) = cxl_pool(PolicyKind::Lru, false);
+    if breaker {
+        bp.enable_breaker(BreakerConfig {
+            trip_consecutive: 2,
+            cooldown_ns: 200_000,
+            half_open_probes: 1,
+        });
+    }
+    faults::install(plan.clone());
+    let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
+    faults::clear();
+    (cxl_outcome(&cxl, &bp, accesses, flushes), bp.stats())
+}
+
+#[test]
+fn cxl_touch_heals_poison_exactly_as_read_does() {
+    // A plan that fires: poisoned reads of clean pages rebuild the block
+    // from storage, of dirty pages retry in place — same counters, same
+    // completion times, whichever plane tripped over the poison.
+    let plan = poison_plan(37);
+    let (read, stats) = cxl_under_plan(&plan, false, Plane::Read, false);
+    assert!(
+        stats.poison_rebuilds > 5 && stats.fault_retries > 5,
+        "{stats:?}"
+    );
+    let (reference, _) = cxl_under_plan(&plan, false, Plane::Touch, true);
+    assert_same("poison: default touch vs read", &reference, &read);
+    let (touch, _) = cxl_under_plan(&plan, false, Plane::Touch, false);
+    assert_same("poison: touch vs default", &touch, &reference);
+}
+
+#[test]
+fn cxl_touch_counts_an_open_breaker_exactly_as_read_does() {
+    // Back-to-back poison trips the breaker; while it is open, clean
+    // pages are served storage-direct (counted, typed, nothing admitted)
+    // and the half-open probe closes it again.
+    let plan = poison_plan(2);
+    let (read, stats) = cxl_under_plan(&plan, true, Plane::Read, false);
+    assert!(
+        stats.breaker_trips > 0 && stats.breaker_fast_fails > 10 && stats.breaker_recoveries > 0,
+        "{stats:?}"
+    );
+    let (reference, _) = cxl_under_plan(&plan, true, Plane::Touch, true);
+    assert_same("breaker: default touch vs read", &reference, &read);
+    let (touch, _) = cxl_under_plan(&plan, true, Plane::Touch, false);
+    assert_same("breaker: touch vs default", &touch, &reference);
+}
+
+#[test]
+fn cxl_touch_fills_a_capture_cache_exactly_as_read_does() {
+    // Over a capture-mode fabric a miss fills the line whether or not the
+    // caller wants the bytes: the twin driven by `touch` ends with the
+    // same cache, and reading every page back afterwards costs the same
+    // and returns the same bytes as on the twin driven by `read`.
+    let run = |plane| {
+        let (cxl, bp) = cxl_pool(PolicyKind::Lru, true);
+        let (mut bp, accesses, flushes) = drive_as(bp, plane, false);
+        let mut now = accesses.last().expect("ran").end;
+        let mut pages = Vec::new();
+        for p in 0..PAGES {
+            let mut buf = vec![0u8; PAGE_SIZE];
+            let a = bp.read(PageId(p), 0, &mut buf, now);
+            now = a.end;
+            pages.push((a, buf));
+        }
+        (cxl_outcome(&cxl, &bp, accesses, flushes), pages)
+    };
+    let (read, read_pages) = run(Plane::Read);
+    let (touch, touch_pages) = run(Plane::Touch);
+    assert!(read.cache.misses > 100, "{read:?}");
+    assert_same("capture", &touch, &read);
+    assert_eq!(touch_pages, read_pages);
 }
 
 #[test]
