@@ -50,9 +50,12 @@ pub fn recover_replay<P: BufferPool>(
     let mut t = db.wal.charge_scan(ckpt, now);
     // InnoDB-style replay: hash records by page and apply page-at-a-time
     // (LSN order within a page), so each touched page is faulted exactly
-    // once regardless of buffer size.
-    let mut by_page: std::collections::HashMap<storage::PageId, Vec<LogRecord>> =
-        std::collections::HashMap::new();
+    // once regardless of buffer size. Unkeyed on purpose: under the std
+    // hasher's per-process key the per-page vectors are freed in a
+    // different order in every process, and the allocator state that
+    // leaves — so the resident size and set-up time of whatever runs
+    // next — is not reproducible from one run to the next.
+    let mut by_page: simkit::FastMap<storage::PageId, Vec<LogRecord>> = simkit::FastMap::default();
     for rec in db.wal.replay_from(ckpt) {
         by_page.entry(rec.page).or_default().push(rec.clone());
     }
