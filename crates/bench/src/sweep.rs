@@ -134,12 +134,6 @@ where
         .collect()
 }
 
-/// Minimal JSON emission for machine-readable bench artifacts
-/// (`BENCH_tiering.json`). Lives in `simkit::json` so the metrics
-/// registry and trace exporter use it too; re-exported here for the
-/// bench harnesses.
-pub use simkit::json;
-
 #[cfg(test)]
 mod tests {
     use super::*;

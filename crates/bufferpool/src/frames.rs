@@ -29,11 +29,6 @@ pub struct FrameTable {
     dirty: Vec<bool>,
     /// Per-frame page LSN (`None` until first write).
     lsn: Vec<Option<Lsn>>,
-    /// Per-frame 8-bit decaying access counter: saturating +1 on every
-    /// hit, halved by [`FrameTable::age_epoch`] on virtual-time epochs.
-    /// The adaptive tiering sweep reads these to pick promote/demote
-    /// candidates.
-    heat: Vec<u8>,
     /// The single residency probe: page → frame.
     map: FastMap<PageId, u32>,
     /// One-entry memo of the last successful [`lookup_touch`] probe. A
@@ -72,7 +67,6 @@ impl FrameTable {
             page: vec![None; frames],
             dirty: vec![false; frames],
             lsn: vec![None; frames],
-            heat: vec![0; frames],
             map,
             last: None,
             free: (0..frames as u32).rev().collect(),
@@ -110,9 +104,8 @@ impl FrameTable {
     }
 
     /// Residency probe that also records the hit with the eviction
-    /// policy and bumps the frame's heat counter — the single hash
-    /// lookup of the hot path, skipped when `page` is the page the last
-    /// call found.
+    /// policy — the single hash lookup of the hot path, skipped when
+    /// `page` is the page the last call found.
     #[inline]
     pub fn lookup_touch(&mut self, page: PageId) -> Option<u32> {
         let frame = match self.last {
@@ -124,8 +117,6 @@ impl FrameTable {
             }
         };
         self.policy.touch(frame);
-        let h = &mut self.heat[frame as usize];
-        *h = h.saturating_add(1);
         Some(frame)
     }
 
@@ -181,7 +172,6 @@ impl FrameTable {
         self.page[i] = Some(page);
         self.dirty[i] = false;
         self.lsn[i] = self.evicted_lsns.remove(&page);
-        self.heat[i] = 1;
         self.map.insert(page, frame);
         self.policy.insert(frame);
     }
@@ -219,23 +209,6 @@ impl FrameTable {
         }
     }
 
-    /// The frame's decaying access counter.
-    pub fn heat(&self, frame: u32) -> u8 {
-        self.heat[frame as usize]
-    }
-
-    /// Overwrite the frame's heat (migration carries heat across tiers).
-    pub fn set_heat(&mut self, frame: u32, heat: u8) {
-        self.heat[frame as usize] = heat;
-    }
-
-    /// Epoch aging: halve every frame's heat counter. Called by the
-    /// adaptive tiering sweep on virtual-time epoch boundaries, so a
-    /// page's heat approximates an exponentially-decayed hit count.
-    pub fn age_epoch(&mut self) {
-        self.heat.iter_mut().for_each(|h| *h >>= 1);
-    }
-
     /// Crash: drop every binding, dirty bit and LSN (resident and
     /// spilled alike).
     pub fn clear(&mut self) {
@@ -244,7 +217,6 @@ impl FrameTable {
         self.page.iter_mut().for_each(|p| *p = None);
         self.dirty.iter_mut().for_each(|d| *d = false);
         self.lsn.iter_mut().for_each(|l| *l = None);
-        self.heat.iter_mut().for_each(|h| *h = 0);
         self.map.clear();
         self.last = None;
         self.free = (0..n as u32).rev().collect();
@@ -297,7 +269,6 @@ mod tests {
         t.install(f, PageId(1));
         assert_eq!(t.lookup_touch(PageId(1)), Some(f));
         assert_eq!(t.lookup_touch(PageId(1)), Some(f), "memoised repeat");
-        assert_eq!(t.heat(f), 3, "a memoised probe still touches and heats");
         // Evicting the memoised page forgets it, even when the frame is
         // rebound to another page at once.
         let v = t.pop_victim().unwrap();
@@ -320,27 +291,6 @@ mod tests {
         t.lookup_touch(PageId(0)); // 0 hot, 1 cold
         let v = t.pop_victim().unwrap();
         assert_eq!(t.evict(v).0, PageId(1));
-    }
-
-    #[test]
-    fn heat_counts_hits_and_ages_by_halving() {
-        let mut t = FrameTable::new(2);
-        let f = t.pop_free().unwrap();
-        t.install(f, PageId(3));
-        assert_eq!(t.heat(f), 1, "install seeds heat at 1");
-        for _ in 0..5 {
-            t.lookup_touch(PageId(3));
-        }
-        assert_eq!(t.heat(f), 6);
-        t.age_epoch();
-        assert_eq!(t.heat(f), 3);
-        t.age_epoch();
-        t.age_epoch();
-        assert_eq!(t.heat(f), 0);
-        // Saturates instead of wrapping.
-        t.set_heat(f, u8::MAX);
-        t.lookup_touch(PageId(3));
-        assert_eq!(t.heat(f), u8::MAX);
     }
 
     #[test]

@@ -72,15 +72,6 @@ pub struct BpStats {
     /// Retry budgets burned to exhaustion (each surfaced as a typed
     /// [`OverloadError`], distinguishable from an orderly fallback).
     pub overload_errors: u64,
-    /// Circuit-breaker trips (closed/half-open → open).
-    pub breaker_trips: u64,
-    /// Fabric calls fast-failed to storage while the breaker was open.
-    pub breaker_fast_fails: u64,
-    /// Breaker recoveries (half-open probe succeeded, breaker closed).
-    pub breaker_recoveries: u64,
-    /// Lookups served storage-direct because the pool was browned out
-    /// (no shared-tier admission).
-    pub brownout_bypasses: u64,
 }
 
 impl BpStats {
@@ -118,16 +109,6 @@ impl BpStats {
             tier_promotes: self.tier_promotes.saturating_sub(earlier.tier_promotes),
             tier_demotes: self.tier_demotes.saturating_sub(earlier.tier_demotes),
             overload_errors: self.overload_errors.saturating_sub(earlier.overload_errors),
-            breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
-            breaker_fast_fails: self
-                .breaker_fast_fails
-                .saturating_sub(earlier.breaker_fast_fails),
-            breaker_recoveries: self
-                .breaker_recoveries
-                .saturating_sub(earlier.breaker_recoveries),
-            brownout_bypasses: self
-                .brownout_bypasses
-                .saturating_sub(earlier.brownout_bypasses),
         }
     }
 
@@ -142,16 +123,7 @@ impl BpStats {
     }
 }
 
-/// Why an operation was declared overloaded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverloadKind {
-    /// The bounded fabric retry budget was burned to exhaustion.
-    RetryBudget,
-    /// The circuit breaker was open and the call fast-failed.
-    BreakerOpen,
-}
-
-/// A fabric operation exhausted its overload budget. The pool still
+/// A fabric operation burned its bounded retry budget. The pool still
 /// degrades to storage where that is safe, but the condition is typed
 /// and counted ([`BpStats::overload_errors`]) so load shedding is
 /// distinguishable from an orderly fallback in every registry.
@@ -163,22 +135,14 @@ pub struct OverloadError {
     pub attempts: u32,
     /// Virtual time burned on the failed attempts (ns).
     pub burned_ns: u64,
-    /// What exhausted the budget.
-    pub kind: OverloadKind,
 }
 
 impl std::fmt::Display for OverloadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "page {:?} overloaded after {} fabric attempts ({} ns burned): {}",
-            self.page,
-            self.attempts,
-            self.burned_ns,
-            match self.kind {
-                OverloadKind::RetryBudget => "retry budget exhausted",
-                OverloadKind::BreakerOpen => "circuit breaker open",
-            }
+            "page {:?} overloaded after {} fabric attempts ({} ns burned): retry budget exhausted",
+            self.page, self.attempts, self.burned_ns
         )
     }
 }
@@ -194,7 +158,7 @@ impl std::error::Error for OverloadError {}
 /// A read has two planes. The **timing plane** is everything it does to
 /// the model: residency, miss / evict / write-back, policy recency and
 /// heat, [`BpStats`], the modelled CPU cache, link and NIC charges,
-/// fault gates, breaker bookkeeping, profiler rows, spans and lanes.
+/// fault gates, profiler rows, spans and lanes.
 /// The **data plane** is the host copy of the bytes into the caller's
 /// buffer, which no simulated value depends on. [`BufferPool::read`] is
 /// both; [`BufferPool::touch`] is the timing plane alone.

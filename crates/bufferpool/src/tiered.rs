@@ -27,10 +27,9 @@
 
 use crate::frames::FrameTable;
 use crate::policy::PolicyKind;
-use crate::{BpStats, BufferPool, OverloadError, OverloadKind};
+use crate::{BpStats, BufferPool, OverloadError};
 use memsim::{Access, DramSpace, RdmaError, RdmaPool};
 use simkit::faults;
-use simkit::qos::{BreakerConfig, BreakerState, CircuitBreaker};
 use simkit::trace::{self, SpanKind};
 use simkit::FastSet;
 use simkit::SimTime;
@@ -78,12 +77,8 @@ pub struct TieredRdmaBp {
     scratch: Vec<u8>,
     /// Reusable sort buffer for `flush_all`'s remote-only sweep.
     flush_order: Vec<PageId>,
-    /// Optional circuit breaker over the fabric retry paths
-    /// ([`TieredRdmaBp::enable_breaker`]); `None` preserves the plain
-    /// bounded-retry behaviour exactly.
-    breaker: Option<CircuitBreaker>,
-    /// The most recent typed overload condition (retry-budget burn or
-    /// breaker fast-fail), for callers that want more than the counter.
+    /// The most recent typed overload condition (a retry-budget burn),
+    /// for callers that want more than the counter.
     last_overload: Option<OverloadError>,
 }
 
@@ -159,7 +154,6 @@ impl TieredRdmaBp {
             stats: BpStats::default(),
             scratch: vec![0u8; page],
             flush_order: Vec::with_capacity(capacity),
-            breaker: None,
             last_overload: None,
         }
     }
@@ -195,24 +189,8 @@ impl TieredRdmaBp {
             stats: self.stats,
             scratch: self.scratch.clone(),
             flush_order: simkit::clone_reserved(&self.flush_order),
-            breaker: self.breaker.clone(),
             last_overload: self.last_overload,
         }
-    }
-
-    /// Arm a circuit breaker over the fabric retry paths: consecutive
-    /// transient failures trip it open, reads of storage-clean pages
-    /// and dirty write-backs then fast-fail to storage without burning
-    /// the retry budget, and a half-open probe closes it once the
-    /// fabric heals. Reads of dirty-only-in-remote pages always go to
-    /// the fabric (storage would be stale).
-    pub fn enable_breaker(&mut self, cfg: BreakerConfig) {
-        self.breaker = Some(CircuitBreaker::new(cfg));
-    }
-
-    /// Current breaker state (`None` when no breaker is armed).
-    pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.breaker.as_ref().map(|b| b.state())
     }
 
     /// Take the most recent typed overload condition, if any.
@@ -235,13 +213,12 @@ impl TieredRdmaBp {
     }
 
     /// Record a typed overload condition (counter + last-error slot).
-    fn overload(&mut self, page: PageId, attempts: u32, burned_ns: u64, kind: OverloadKind) {
+    fn overload(&mut self, page: PageId, attempts: u32, burned_ns: u64) {
         self.stats.overload_errors += 1;
         self.last_overload = Some(OverloadError {
             page,
             attempts,
             burned_ns,
-            kind,
         });
     }
 
@@ -277,40 +254,12 @@ impl TieredRdmaBp {
             // is charged; the frame then aliases the remote copy.
             let mut attempt = 0u32;
             loop {
-                let clean = !self.remote_dirty.contains(&page);
-                // An armed breaker that is open fast-fails straight to
-                // storage (when that is safe) instead of burning the
-                // retry budget against a fabric already known sick.
-                if clean {
-                    if let Some(b) = self.breaker.as_mut() {
-                        if !b.allow(t) {
-                            self.overload(
-                                page,
-                                attempt,
-                                t.saturating_since(now),
-                                OverloadKind::BreakerOpen,
-                            );
-                            self.stats.fault_fallbacks += 1;
-                            let io = self.store.read_page(
-                                page,
-                                self.space.raw_mut().slice_mut(off, ps),
-                                t,
-                            );
-                            self.stats.storage_read_bytes += ps as u64;
-                            t = io.end;
-                            break;
-                        }
-                    }
-                }
                 let r = self
                     .rdma
                     .borrow_mut()
                     .try_read_timing(self.host, ps as u64, t);
                 match r {
                     Ok(a) => {
-                        if let Some(b) = self.breaker.as_mut() {
-                            b.on_success(a.end);
-                        }
                         self.stats.remote_read_bytes += ps as u64;
                         self.aliased[frame as usize] = true;
                         t = a.end;
@@ -320,19 +269,11 @@ impl TieredRdmaBp {
                         self.stats.fault_retries += 1;
                         t = t + spike_ns + backoff_ns(attempt);
                         attempt += 1;
-                        if let Some(b) = self.breaker.as_mut() {
-                            b.on_failure(t);
-                        }
                         // Storage holds an equally new copy unless the
                         // page is dirty-only-in-remote: degrade to it
                         // rather than stalling on a sick NIC.
-                        if attempt >= MAX_FABRIC_RETRIES && clean {
-                            self.overload(
-                                page,
-                                attempt,
-                                t.saturating_since(now),
-                                OverloadKind::RetryBudget,
-                            );
+                        if attempt >= MAX_FABRIC_RETRIES && !self.remote_dirty.contains(&page) {
+                            self.overload(page, attempt, t.saturating_since(now));
                             self.stats.fault_fallbacks += 1;
                             let io = self.store.read_page(
                                 page,
@@ -381,26 +322,6 @@ impl TieredRdmaBp {
             let mut t = now;
             let mut attempt = 0u32;
             loop {
-                // Storage is always a safe destination for a write-back:
-                // an open breaker fast-fails the whole eviction there.
-                if let Some(b) = self.breaker.as_mut() {
-                    if !b.allow(t) {
-                        self.overload(
-                            page,
-                            attempt,
-                            t.saturating_since(now),
-                            OverloadKind::BreakerOpen,
-                        );
-                        self.stats.fault_fallbacks += 1;
-                        let io = self
-                            .store
-                            .write_page(page, self.space.raw().slice(foff, ps), t);
-                        self.stats.storage_write_bytes += ps as u64;
-                        self.remote_resident[page.0 as usize] = false;
-                        self.remote_dirty.remove(&page);
-                        return io.end;
-                    }
-                }
                 let r = self.rdma.borrow_mut().try_write(
                     self.host,
                     roff,
@@ -409,9 +330,6 @@ impl TieredRdmaBp {
                 );
                 match r {
                     Ok(a) => {
-                        if let Some(b) = self.breaker.as_mut() {
-                            b.on_success(a.end);
-                        }
                         self.stats.remote_write_bytes += ps as u64;
                         // A dead host's write never landed: do not
                         // advertise the remote copy as (newly) current.
@@ -425,19 +343,11 @@ impl TieredRdmaBp {
                         self.stats.fault_retries += 1;
                         t = t + spike_ns + backoff_ns(attempt);
                         attempt += 1;
-                        if let Some(b) = self.breaker.as_mut() {
-                            b.on_failure(t);
-                        }
                         if attempt >= MAX_FABRIC_RETRIES {
                             // Degrade: persist straight to storage. The
                             // remote copy (if any) is now stale, so stop
                             // trusting it.
-                            self.overload(
-                                page,
-                                attempt,
-                                t.saturating_since(now),
-                                OverloadKind::RetryBudget,
-                            );
+                            self.overload(page, attempt, t.saturating_since(now));
                             self.stats.fault_fallbacks += 1;
                             let io =
                                 self.store
@@ -617,14 +527,7 @@ impl BufferPool for TieredRdmaBp {
     }
 
     fn stats(&self) -> BpStats {
-        let mut s = self.stats;
-        if let Some(b) = &self.breaker {
-            let bs = b.stats();
-            s.breaker_trips = bs.trips;
-            s.breaker_fast_fails = bs.fast_fails;
-            s.breaker_recoveries = bs.recoveries;
-        }
-        s
+        self.stats
     }
 
     fn store(&self) -> &PageStore {
@@ -914,89 +817,10 @@ mod tests {
         let err = bp.take_overload().expect("typed overload surfaced");
         assert_eq!(err.page, PageId(5));
         assert_eq!(err.attempts, MAX_FABRIC_RETRIES);
-        assert_eq!(err.kind, OverloadKind::RetryBudget);
         assert!(err.burned_ns >= 3 * 500, "spikes + backoff accounted");
         assert!(err.to_string().contains("retry budget"));
         // One-shot: taking it clears the slot.
         assert!(bp.take_overload().is_none());
-    }
-
-    #[test]
-    fn breaker_trips_on_retry_burn_and_fast_fails_then_recovers() {
-        use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        let mut bp = setup(2); // pages 0,1 warm; 2.. remote only
-        bp.enable_breaker(BreakerConfig {
-            trip_consecutive: 3,
-            cooldown_ns: 1_000_000,
-            half_open_probes: 1,
-        });
-        // Every RDMA read faults for a while: the first miss burns its
-        // whole retry budget (3 consecutive failures) and trips the
-        // breaker open on the way to its storage fallback.
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaRead, 0),
-            Action::RdmaTransient {
-                failures: 8,
-                spike_ns: 500,
-            },
-        ));
-        let mut buf = [0u8; 8];
-        let a = bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, [6u8; 8]);
-        assert_eq!(bp.breaker_state(), Some(BreakerState::Open));
-        assert_eq!(bp.stats().breaker_trips, 1);
-        assert_eq!(bp.stats().fault_retries, MAX_FABRIC_RETRIES as u64);
-        // Next miss inside the cooldown: fast-fail straight to storage,
-        // zero additional fabric attempts or retries burned.
-        let b = bp.read(PageId(6), 0, &mut buf, a.end);
-        assert_eq!(buf, [7u8; 8]);
-        assert_eq!(bp.stats().fault_retries, MAX_FABRIC_RETRIES as u64);
-        assert_eq!(bp.stats().breaker_fast_fails, 1);
-        assert_eq!(
-            bp.take_overload().expect("fast-fail typed").kind,
-            OverloadKind::BreakerOpen
-        );
-        faults::clear();
-        // Cooldown over and the fabric healed: the half-open probe goes
-        // through and closes the breaker.
-        let probe_at = SimTime(b.end.as_nanos() + 2_000_000);
-        bp.read(PageId(7), 0, &mut buf, probe_at);
-        assert_eq!(buf, [8u8; 8]);
-        assert_eq!(bp.breaker_state(), Some(BreakerState::Closed));
-        assert_eq!(bp.stats().breaker_recoveries, 1);
-        assert_eq!(bp.stats().remote_read_bytes, 1024, "probe used the NIC");
-    }
-
-    #[test]
-    fn open_breaker_never_blocks_dirty_remote_reads() {
-        use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        let mut bp = setup(1);
-        bp.enable_breaker(BreakerConfig {
-            trip_consecutive: 1,
-            cooldown_ns: u64::MAX / 2,
-            half_open_probes: 1,
-        });
-        // Make page 0 dirty-only-in-remote: write it, then evict it.
-        bp.write(PageId(0), 0, &[0xD7], Lsn(1), SimTime::ZERO);
-        bp.read(PageId(1), 0, &mut [0u8; 1], SimTime::ZERO);
-        // Trip the breaker with one faulting read of a clean page.
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaRead, 0),
-            Action::RdmaTransient {
-                failures: 1,
-                spike_ns: 500,
-            },
-        ));
-        bp.read(PageId(2), 0, &mut [0u8; 1], SimTime::ZERO);
-        faults::clear();
-        assert_eq!(bp.breaker_state(), Some(BreakerState::Open));
-        // The dirty page's only current copy is remote: the read must
-        // ride the fabric despite the open breaker, and stay correct.
-        let mut buf = [0u8; 1];
-        bp.read(PageId(0), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, [0xD7], "dirty remote read not blocked");
     }
 
     // ---- aliased page-in: seeded property test -----------------------

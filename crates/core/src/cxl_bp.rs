@@ -23,10 +23,9 @@
 
 use crate::layout::{field, BlockMeta, Geometry, RegionHeader, MAGIC, META_SIZE, NO_PAGE};
 use bufferpool::policy::{AnyPolicy, Policy, PolicyKind};
-use bufferpool::{BpStats, BufferPool, OverloadError, OverloadKind};
+use bufferpool::{BpStats, BufferPool};
 use memsim::{Access, CxlPool, NodeId};
 use simkit::faults;
-use simkit::qos::{BreakerConfig, BreakerState, CircuitBreaker};
 use simkit::trace::{self, SpanKind};
 use simkit::FastMap;
 use simkit::SimTime;
@@ -92,14 +91,6 @@ pub struct CxlBp {
     /// stream from the store's own copy of the page.)
     page_buf: Vec<u8>,
     stats: BpStats,
-    /// Optional circuit breaker over the poisoned-read heal path: when
-    /// poison storms make fabric reads untrustworthy, storage-clean
-    /// reads are served storage-direct until a half-open probe succeeds.
-    /// `None` (the default) preserves the always-retry behaviour.
-    breaker: Option<CircuitBreaker>,
-    /// Most recent typed overload condition (one-shot, see
-    /// [`CxlBp::take_overload`]).
-    last_overload: Option<OverloadError>,
 }
 
 impl std::fmt::Debug for CxlBp {
@@ -171,8 +162,6 @@ impl CxlBp {
             ckpt_dirty: vec![false; nblocks as usize],
             page_buf: vec![0u8; geo.page_size as usize],
             stats: BpStats::default(),
-            breaker: None,
-            last_overload: None,
         }
     }
 
@@ -218,8 +207,6 @@ impl CxlBp {
             ckpt_dirty: vec![false; nblocks],
             page_buf: vec![0u8; geo.page_size as usize],
             stats: BpStats::default(),
-            breaker: None,
-            last_overload: None,
         }
     }
 
@@ -264,8 +251,6 @@ impl CxlBp {
             ckpt_dirty: self.ckpt_dirty.clone(),
             page_buf: self.page_buf.clone(),
             stats: self.stats,
-            breaker: self.breaker.clone(),
-            last_overload: self.last_overload,
         }
     }
 
@@ -282,36 +267,6 @@ impl CxlBp {
     /// Which eviction policy this pool runs.
     pub fn policy_kind(&self) -> PolicyKind {
         self.policy.kind()
-    }
-
-    /// Arm a circuit breaker over the poisoned-read heal path. Every
-    /// poisoned fabric read counts as a failure; `cfg.trip_consecutive`
-    /// of them in a row open the breaker, after which storage-clean
-    /// reads are served storage-direct (no fabric touch, no heal cost)
-    /// until a half-open probe comes back unpoisoned. Dirty pages —
-    /// whose only current copy is the CXL one — always go through.
-    pub fn enable_breaker(&mut self, cfg: BreakerConfig) {
-        self.breaker = Some(CircuitBreaker::new(cfg));
-    }
-
-    /// Current breaker state, if a breaker is armed.
-    pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.breaker.as_ref().map(|b| b.state())
-    }
-
-    /// Take (and clear) the most recent typed overload condition.
-    pub fn take_overload(&mut self) -> Option<OverloadError> {
-        self.last_overload.take()
-    }
-
-    fn overload(&mut self, page: PageId, attempts: u32, burned_ns: u64, kind: OverloadKind) {
-        self.stats.overload_errors += 1;
-        self.last_overload = Some(OverloadError {
-            page,
-            attempts,
-            burned_ns,
-            kind,
-        });
     }
 
     /// Shared fabric handle (used by recovery).
@@ -613,45 +568,11 @@ impl CxlBp {
         mut dst: Option<&mut [u8]>,
         now: SimTime,
     ) -> Access {
-        // An open breaker means fabric reads are being poisoned faster
-        // than healing pays off. A storage-clean page can be served
-        // straight from storage without touching (or admitting it to)
-        // the fabric; a dirty page's only current copy is the CXL one,
-        // so it always goes through regardless of breaker state.
-        // (The dirty probe is a second hash lookup, so it runs only when
-        // a breaker is armed to need its answer.)
-        if let Some(br) = self.breaker.as_mut() {
-            let dirty = self
-                .map
-                .get(&page)
-                .is_some_and(|&b| self.ckpt_dirty[b as usize]);
-            if !dirty && !br.allow(now) {
-                let io = self.store.read_page_timing(page, now);
-                self.stats.storage_read_bytes += self.geo.page_size;
-                if let Some(buf) = dst {
-                    let o = off as usize;
-                    buf.copy_from_slice(&self.store.raw_page(page)[o..o + len]);
-                }
-                self.overload(page, 0, 0, OverloadKind::BreakerOpen);
-                return Access {
-                    end: io.end,
-                    link_bytes: 0,
-                    hits: 0,
-                    misses: 0,
-                };
-            }
-        }
         let (b, t) = self.fix(page, now);
         let at = self.geo.data_off(b as u64) + off as u64;
         let a = self.fabric_read(at, len, dst.as_deref_mut(), t);
         if faults::take_poisoned() {
-            if let Some(br) = self.breaker.as_mut() {
-                br.on_failure(a.end);
-            }
             return self.heal_poisoned_read(page, b, at, len, dst, a);
-        }
-        if let Some(br) = self.breaker.as_mut() {
-            br.on_success(a.end);
         }
         a
     }
@@ -766,14 +687,7 @@ impl BufferPool for CxlBp {
     }
 
     fn stats(&self) -> BpStats {
-        let mut s = self.stats;
-        if let Some(b) = &self.breaker {
-            let bs = b.stats();
-            s.breaker_trips = bs.trips;
-            s.breaker_fast_fails = bs.fast_fails;
-            s.breaker_recoveries = bs.recoveries;
-        }
-        s
+        self.stats
     }
 
     fn store(&self) -> &PageStore {
@@ -1041,60 +955,6 @@ mod tests {
         assert_eq!(bp.stats().poison_rebuilds, 0);
         assert_eq!(bp.stats().fault_retries, 1);
         assert_eq!(bp.stats().storage_read_bytes, 0);
-    }
-
-    #[test]
-    fn breaker_opens_on_poison_storm_and_serves_clean_reads_direct() {
-        use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        let mut bp = setup(8, 8);
-        bp.enable_breaker(BreakerConfig {
-            trip_consecutive: 2,
-            cooldown_ns: 1_000_000,
-            half_open_probes: 1,
-        });
-        // Two poisoned reads in a row trip the breaker. Each heal of a
-        // clean page re-reads via the fabric (hits 1 and 3), so the
-        // poison triggers sit at fabric-read hits 0 and 2.
-        let plan = FaultPlan::default()
-            .with(Trigger::SiteHit(FaultSite::CxlRead, 0), Action::PoisonLine)
-            .with(Trigger::SiteHit(FaultSite::CxlRead, 2), Action::PoisonLine);
-        faults::install(plan);
-        let mut buf = [0u8; 8];
-        bp.read(PageId(3), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, [4u8; 8]);
-        bp.read(PageId(4), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, [5u8; 8]);
-        assert_eq!(bp.breaker_state(), Some(BreakerState::Open));
-        assert_eq!(bp.stats().poison_rebuilds, 2);
-        assert_eq!(bp.stats().breaker_trips, 1);
-        let storage_before = bp.stats().storage_read_bytes;
-        // Open breaker: a clean read is served storage-direct — no
-        // fabric touch, no heal cost — and surfaces a typed overload.
-        bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, [6u8; 8], "storage-direct read returns good bytes");
-        assert_eq!(bp.stats().storage_read_bytes, storage_before + 1024);
-        assert_eq!(bp.stats().poison_rebuilds, 2, "no heal on the direct path");
-        assert_eq!(bp.stats().breaker_fast_fails, 1);
-        let err = bp.take_overload().expect("typed overload surfaced");
-        assert_eq!(err.page, PageId(5));
-        assert_eq!(err.kind, OverloadKind::BreakerOpen);
-        // A dirty page's only current copy is the CXL one: it bypasses
-        // the breaker and reads through the fabric even while open.
-        let t = bp.set_latch(PageId(7), true, SimTime::ZERO);
-        let a = bp.write(PageId(7), 0, &[0xD7; 8], Lsn(4), t);
-        bp.set_latch(PageId(7), false, a.end);
-        bp.read(PageId(7), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, [0xD7; 8], "dirty read always goes through");
-        assert_eq!(bp.breaker_state(), Some(BreakerState::Open));
-        faults::clear();
-        // Past the cooldown a half-open probe rides a real fabric read;
-        // unpoisoned, it closes the breaker.
-        bp.read(PageId(6), 0, &mut buf, SimTime::from_millis(2));
-        assert_eq!(buf, [7u8; 8]);
-        assert_eq!(bp.breaker_state(), Some(BreakerState::Closed));
-        assert_eq!(bp.stats().breaker_recoveries, 1);
-        assert_eq!(bp.stats().breaker_trips, 1, "no re-trip after recovery");
     }
 
     #[test]

@@ -151,6 +151,15 @@ pub enum MigrationError {
         /// The owner the plan expected.
         expected: NodeId,
     },
+    /// The donor's lease moved to `successor` between PREPARE and COMMIT
+    /// (a failover takeover re-leased the dead donor's extents). The
+    /// intent was aborted — journal `ABORTED`, write-protect cleared —
+    /// and the old partition stands under its new holder: re-plan
+    /// against the successor.
+    DonorReplaced {
+        /// Who holds the lease now.
+        successor: NodeId,
+    },
     /// No lease covers the journalled extent (the journal and the
     /// manager disagree — a protocol bug the sweep would surface).
     LeaseUnknown {
@@ -178,6 +187,11 @@ impl std::fmt::Display for MigrationError {
                 f,
                 "lease at {}+{} owned by node {}, plan expected {}",
                 lease.offset, lease.size, lease.client.0, expected.0
+            ),
+            MigrationError::DonorReplaced { successor } => write!(
+                f,
+                "donor replaced by node {} before commit; intent aborted",
+                successor.0
             ),
             MigrationError::LeaseUnknown { offset, size } => {
                 write!(f, "no lease covers journalled extent {offset}+{size}")
@@ -465,6 +479,11 @@ impl MigrationCoordinator {
     /// bulk-adopt on the recipient, retire the intent. Every step
     /// idempotent; a crash anywhere after the commit point is replayed
     /// forward by [`MigrationCoordinator::recover`].
+    ///
+    /// The one precondition that can fail — the donor still holds the
+    /// lease — is checked *before* the commit point: if a third node
+    /// holds it, the intent is [`abort`](Self::abort)ed and
+    /// [`MigrationError::DonorReplaced`] names the holder.
     pub fn commit(
         &mut self,
         server: &mut FusionServer,
@@ -476,6 +495,14 @@ impl MigrationCoordinator {
         let Some(plan) = self.inflight else {
             return Err(MigrationError::NotInFlight);
         };
+        let holder = mgr.lease_at(plan.lease.offset, plan.lease.size);
+        if let Some(successor) = holder
+            .map(|l| l.client)
+            .filter(|&c| c != plan.donor && c != plan.recipient)
+        {
+            self.abort(server, now)?;
+            return Err(MigrationError::DonorReplaced { successor });
+        }
         let t = self.gate(MigrationStep::Reassign, now)?;
         let t = self.state_store(server, MigrationState::Committing, t);
         let t = self.gate(MigrationStep::Reassign, t)?;
@@ -967,6 +994,51 @@ mod tests {
             .recover(&mut server, &mut mgr, &mut nodes, t)
             .expect("idempotent recovery");
         assert_eq!(action, RecoveryAction::Nothing);
+    }
+
+    #[test]
+    fn donor_replaced_before_commit_aborts_short_of_the_commit_point() {
+        let (mut server, mut mgr, mut nodes, mut coord) = setup();
+        let p = plan(&mgr);
+        let t = coord
+            .prepare(&mut server, p, SimTime::ZERO)
+            .expect("prepare");
+        // A takeover re-leases the dead donor's extent to a third node
+        // between PREPARE and COMMIT.
+        let (_, t) = mgr.reassign(p.lease, NodeId(2), t).expect("re-lease");
+        let (d, r) = nodes.split_at_mut(1);
+        let err = coord
+            .commit(&mut server, &mut mgr, &mut d[0], &mut r[0], t)
+            .expect_err("the donor no longer holds the lease");
+        assert_eq!(
+            err,
+            MigrationError::DonorReplaced {
+                successor: NodeId(2)
+            }
+        );
+        // The intent ended before its commit point: journal ABORTED,
+        // protect cleared, one rollback, the successor keeps the lease.
+        let (rec, t) = coord.read_journal(&server, t);
+        assert_eq!(rec.state, MigrationState::Aborted);
+        assert_eq!(coord.protected(), None);
+        assert_eq!(coord.stats().rollbacks, 1);
+        assert_eq!(coord.stats().commits, 0);
+        assert_eq!(mgr.lease_at(0, 4 * PAGE).map(|l| l.client), Some(NodeId(2)));
+        check_partition(&server, &mgr);
+        // Recovery has nothing to roll forward into the same error, and
+        // the coordinator takes the next plan.
+        let (action, t) = coord
+            .recover(&mut server, &mut mgr, &mut nodes, t)
+            .expect("recovery");
+        assert_eq!(action, RecoveryAction::Nothing);
+        let next = MigrationPlan {
+            donor: NodeId(1),
+            recipient: NodeId(0),
+            from: PageId(4),
+            count: 4,
+            lease: mgr.lease_at(4 * PAGE, 4 * PAGE).expect("extent 1 lease"),
+        };
+        coord.prepare(&mut server, next, t).expect("re-plan");
     }
 
     #[test]

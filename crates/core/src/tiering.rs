@@ -39,15 +39,29 @@ use simkit::trace::{self, SpanKind};
 use simkit::{FastMap, SimTime};
 use storage::{Lsn, PageId, PageStore};
 
-/// Geometry and migration knobs for an [`AdaptivePool`].
+/// CPU cache bytes fronting the DRAM tier.
+const CACHE_BYTES: usize = 256 << 10;
+
+/// A CXL page with decayed heat `>=` this is a promotion candidate:
+/// "touched at least twice since the last aging". A single cold access
+/// (heat seeds at 1 on install) never earns promotion, so scans stay out
+/// of DRAM, while anything re-referenced within an epoch is a candidate.
+const PROMOTE_MIN_HEAT: u8 = 2;
+
+/// A DRAM page with decayed heat `<=` this is a demotion candidate. Below
+/// [`PROMOTE_MIN_HEAT`], so pages do not ping-pong.
+const DEMOTE_MAX_HEAT: u8 = 1;
+
+/// Migration cap per direction per sweep, bounding sweep latency.
+const SWEEP_BATCH: usize = 64;
+
+/// Geometry and migration regime of an [`AdaptivePool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
     /// DRAM tier capacity in page frames.
     pub dram_frames: usize,
     /// CXL tier capacity in page blocks.
     pub cxl_blocks: usize,
-    /// CPU cache bytes fronting the DRAM tier.
-    pub cache_bytes: usize,
     /// Eviction policy used by *both* tiers.
     pub policy: PolicyKind,
     /// `true` = adaptive regime (in-place CXL service + epoch sweeps);
@@ -55,33 +69,17 @@ pub struct TierConfig {
     pub adaptive: bool,
     /// Virtual-time epoch between sweeps, in nanoseconds.
     pub epoch_ns: u64,
-    /// A CXL page with decayed heat `>=` this is a promotion candidate.
-    pub promote_min_heat: u8,
-    /// A DRAM page with decayed heat `<=` this is a demotion candidate.
-    pub demote_max_heat: u8,
-    /// Migration cap per direction per sweep, bounding sweep latency.
-    pub sweep_batch: usize,
 }
 
 impl TierConfig {
-    /// Defaults tuned for the simulator's calibration: 1 ms epochs
-    /// (thousands of ops), hysteresis between the promote and demote
-    /// thresholds so pages do not ping-pong. `promote_min_heat` of 2
-    /// means "touched at least twice since the last aging": a single
-    /// cold access (heat seeds at 1 on install) never earns promotion,
-    /// so scans stay out of DRAM, while anything re-referenced within
-    /// an epoch is a candidate.
+    /// Adaptive LRU with 1 ms epochs (thousands of ops).
     pub fn standard(dram_frames: usize, cxl_blocks: usize) -> Self {
         TierConfig {
             dram_frames,
             cxl_blocks,
-            cache_bytes: 256 << 10,
             policy: PolicyKind::Lru,
             adaptive: true,
             epoch_ns: 1_000_000,
-            promote_min_heat: 2,
-            demote_max_heat: 1,
-            sweep_batch: 64,
         }
     }
 }
@@ -95,12 +93,19 @@ pub struct AdaptivePool {
     base: u64,
     cfg: TierConfig,
     store: PageStore,
-    /// DRAM tier: frame directory + heat + policy.
+    /// DRAM tier: frame directory + policy.
     dram: FrameTable,
     space: DramSpace,
-    /// CXL tier: block directory + heat + policy (block `b` lives at
+    /// CXL tier: block directory + policy (block `b` lives at
     /// `base + b * page_size`).
     cxlt: FrameTable,
+    /// Per-frame / per-block 8-bit decaying access counter: seeded at 1
+    /// on install, saturating +1 on every hit, halved at each epoch
+    /// sweep, carried with the page when it changes tier. The sweep
+    /// picks its promote / demote candidates from these; the heat of an
+    /// unbound slot is never read.
+    dram_heat: Vec<u8>,
+    cxl_heat: Vec<u8>,
     /// Pool-level page → LSN map. A single map (not the per-table LSN
     /// arrays) because pages migrate *between* tables: a per-tier spill
     /// would strand the LSN in whichever table last evicted the page.
@@ -119,11 +124,6 @@ pub struct AdaptivePool {
     /// Reusable candidate scratch: `(heat, frame)`.
     promote_scratch: Vec<(u8, u32)>,
     demote_scratch: Vec<(u8, u32)>,
-    /// Brownout: when set by the overload controller, non-resident
-    /// reads are served storage-direct with *no* tier admission, so a
-    /// degraded tenant cannot grow its memory footprint. Resident pages
-    /// and all writes keep the normal path.
-    brownout: bool,
     stats: BpStats,
 }
 
@@ -145,13 +145,17 @@ enum Loc {
     Cxl(u32),
 }
 
+/// A hit: saturating +1 on the slot's heat.
+fn bump(heat: &mut u8) {
+    *heat = heat.saturating_add(1);
+}
+
 impl AdaptivePool {
     /// A pool whose CXL tier occupies `cfg.cxl_blocks` pages starting at
     /// `base` in the shared CXL pool (a lease from the
     /// [`crate::manager::CxlMemoryManager`]).
     pub fn new(cxl: SharedCxl, node: NodeId, base: u64, cfg: TierConfig, store: PageStore) -> Self {
         assert!(cfg.dram_frames > 0 && cfg.cxl_blocks > 0);
-        assert!(cfg.sweep_batch > 0);
         let ps = store.page_size() as usize;
         assert!(
             (base + (cfg.cxl_blocks * ps) as u64) as usize <= cxl.borrow().len(),
@@ -168,9 +172,11 @@ impl AdaptivePool {
             node,
             base,
             cfg,
-            space: DramSpace::new(cfg.dram_frames * ps, cfg.cache_bytes, false),
+            space: DramSpace::new(cfg.dram_frames * ps, CACHE_BYTES, false),
             dram,
             cxlt,
+            dram_heat: vec![0; cfg.dram_frames],
+            cxl_heat: vec![0; cfg.cxl_blocks],
             lsns,
             page_buf: vec![0u8; ps],
             xfer_buf: vec![0u8; ps],
@@ -179,35 +185,9 @@ impl AdaptivePool {
             sweeps: 0,
             promote_scratch: Vec::with_capacity(cfg.cxl_blocks),
             demote_scratch: Vec::with_capacity(cfg.dram_frames),
-            brownout: false,
             store,
             stats: BpStats::default(),
         }
-    }
-
-    /// Enter or leave brownout. While browned out, a read of a page
-    /// resident in neither memory tier is served straight from storage
-    /// and *not* admitted ([`BpStats::brownout_bypasses`] counts them),
-    /// so a degraded tenant stops competing for DRAM/CXL capacity.
-    /// Resident pages are still served from their tier and writes keep
-    /// the normal (durable) path.
-    pub fn set_brownout(&mut self, on: bool) {
-        self.brownout = on;
-    }
-
-    /// Whether the pool is currently browned out.
-    pub fn browned(&self) -> bool {
-        self.brownout
-    }
-
-    /// The eviction policy both tiers run.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.cfg.policy
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &TierConfig {
-        &self.cfg
     }
 
     /// How many epoch sweeps have run.
@@ -231,6 +211,26 @@ impl AdaptivePool {
 
     fn block_off(&self, block: u32) -> u64 {
         self.base + block as u64 * self.store.page_size()
+    }
+
+    /// Bind DRAM `frame` to `page` with `heat` (1 for a fresh fill).
+    fn install_dram(&mut self, frame: u32, page: PageId, heat: u8) {
+        self.dram.install(frame, page);
+        self.dram_heat[frame as usize] = heat;
+    }
+
+    /// Bind CXL `block` to `page` with `heat` (1 for a fresh fill).
+    fn install_cxl(&mut self, block: u32, page: PageId, heat: u8) {
+        self.cxlt.install(block, page);
+        self.cxl_heat[block as usize] = heat;
+    }
+
+    /// Epoch aging: halve every heat counter, so a page's heat
+    /// approximates an exponentially-decayed hit count.
+    fn age_epoch(&mut self) {
+        let halve = |h: &mut u8| *h >>= 1;
+        self.dram_heat.iter_mut().for_each(halve);
+        self.cxl_heat.iter_mut().for_each(halve);
     }
 
     /// Evict the CXL tier's policy victim (writing it back to storage
@@ -270,7 +270,7 @@ impl AdaptivePool {
     /// CXL tier, carrying its dirty bit and heat. The frame binding is
     /// cleared; the caller owns the emptied frame.
     fn demote_frame(&mut self, frame: u32, now: SimTime) -> SimTime {
-        let heat = self.dram.heat(frame);
+        let heat = self.dram_heat[frame as usize];
         let (page, dirty) = self.dram.evict(frame);
         let mut t = self
             .space
@@ -285,11 +285,10 @@ impl AdaptivePool {
             .borrow_mut()
             .write_uncached(self.node, self.block_off(block), &self.xfer_buf, t)
             .end;
-        self.cxlt.install(block, page);
+        self.install_cxl(block, page, heat);
         if dirty {
             self.cxlt.mark_dirty(block);
         }
-        self.cxlt.set_heat(block, heat);
         self.stats.tier_demotes += 1;
         t
     }
@@ -310,7 +309,7 @@ impl AdaptivePool {
     /// Migrate CXL block `b` up into a DRAM frame, carrying dirty bit
     /// and heat.
     fn promote_block(&mut self, b: u32, now: SimTime) -> (u32, SimTime) {
-        let heat = self.cxlt.heat(b).max(1);
+        let heat = self.cxl_heat[b as usize].max(1);
         // Stage the bytes *before* freeing the block: acquiring the DRAM
         // frame below can demote a victim into this very block.
         let mut t = self
@@ -326,11 +325,10 @@ impl AdaptivePool {
             .space
             .write(self.frame_off(frame), &self.page_buf, t2)
             .end;
-        self.dram.install(frame, page);
+        self.install_dram(frame, page, heat);
         if dirty {
             self.dram.mark_dirty(frame);
         }
-        self.dram.set_heat(frame, heat);
         self.stats.tier_promotes += 1;
         (frame, t)
     }
@@ -341,12 +339,14 @@ impl AdaptivePool {
     /// CXL-resident page is served in place.
     fn locate(&mut self, page: PageId, now: SimTime) -> (Loc, SimTime) {
         if let Some(frame) = self.dram.lookup_touch(page) {
+            bump(&mut self.dram_heat[frame as usize]);
             self.stats.hits += 1;
             self.stats.tier_dram_hits += 1;
             return (Loc::Dram(frame), now);
         }
         self.stats.tier_dram_misses += 1;
         if let Some(b) = self.cxlt.lookup_touch(page) {
+            bump(&mut self.cxl_heat[b as usize]);
             self.stats.hits += 1;
             self.stats.tier_cxl_hits += 1;
             if self.cfg.adaptive {
@@ -370,7 +370,7 @@ impl AdaptivePool {
                 .borrow_mut()
                 .write_uncached(self.node, self.block_off(block), &self.page_buf, t)
                 .end;
-            self.cxlt.install(block, page);
+            self.install_cxl(block, page, 1);
             trace::span(SpanKind::BpMiss, 0, now, t, self.store.page_size());
             (Loc::Cxl(block), t)
         } else {
@@ -381,7 +381,7 @@ impl AdaptivePool {
                 .read_page(page, self.space.raw_mut().slice_mut(off, ps), t)
                 .end;
             self.stats.storage_read_bytes += ps as u64;
-            self.dram.install(frame, page);
+            self.install_dram(frame, page, 1);
             trace::span(SpanKind::BpMiss, 0, now, t, self.store.page_size());
             (Loc::Dram(frame), t)
         }
@@ -401,20 +401,20 @@ impl AdaptivePool {
             self.next_epoch += self.cfg.epoch_ns;
         }
         self.sweeps += 1;
-        self.dram.age_epoch();
-        self.cxlt.age_epoch();
+        self.age_epoch();
         let mut t = now;
         // Promotion candidates first: hot CXL pages, hottest first,
         // block id as tiebreak.
         self.promote_scratch.clear();
         for b in 0..self.cxlt.capacity() as u32 {
-            if self.cxlt.page_of(b).is_some() && self.cxlt.heat(b) >= self.cfg.promote_min_heat {
-                self.promote_scratch.push((self.cxlt.heat(b), b));
+            let heat = self.cxl_heat[b as usize];
+            if self.cxlt.page_of(b).is_some() && heat >= PROMOTE_MIN_HEAT {
+                self.promote_scratch.push((heat, b));
             }
         }
         self.promote_scratch
             .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let promotions = self.promote_scratch.len().min(self.cfg.sweep_batch);
+        let promotions = self.promote_scratch.len().min(SWEEP_BATCH);
         // Demote only to make room for those promotions — demotion
         // serves promotion, it is not an end in itself. When nothing is
         // hot enough to promote (a scan, a quiet period), the DRAM hot
@@ -426,8 +426,9 @@ impl AdaptivePool {
         if room_needed > 0 {
             self.demote_scratch.clear();
             for f in 0..self.dram.capacity() as u32 {
-                if self.dram.page_of(f).is_some() && self.dram.heat(f) <= self.cfg.demote_max_heat {
-                    self.demote_scratch.push((self.dram.heat(f), f));
+                let heat = self.dram_heat[f as usize];
+                if self.dram.page_of(f).is_some() && heat <= DEMOTE_MAX_HEAT {
+                    self.demote_scratch.push((heat, f));
                 }
             }
             self.demote_scratch.sort_unstable();
@@ -474,22 +475,6 @@ impl BufferPool for AdaptivePool {
 
     fn read(&mut self, page: PageId, off: u16, buf: &mut [u8], now: SimTime) -> Access {
         let _prof = profile::scope(Subsys::BufferPool);
-        if self.brownout && !self.dram.contains(page) && !self.cxlt.contains(page) {
-            // Browned out: serve the miss storage-direct without
-            // admitting the page to either tier.
-            let ps = self.store.page_size() as usize;
-            let io = self.store.read_page(page, &mut self.page_buf, now);
-            self.stats.storage_read_bytes += ps as u64;
-            self.stats.brownout_bypasses += 1;
-            let o = off as usize;
-            buf.copy_from_slice(&self.page_buf[o..o + buf.len()]);
-            return Access {
-                end: io.end,
-                link_bytes: 0,
-                hits: 0,
-                misses: 0,
-            };
-        }
         let (loc, t) = self.locate(page, now);
         match loc {
             Loc::Dram(frame) => self.space.read(self.frame_off(frame) + off as u64, buf, t),
@@ -590,14 +575,14 @@ impl BufferPool for AdaptivePool {
             if let Some(frame) = self.dram.pop_free() {
                 let off = self.frame_off(frame);
                 self.space.raw_mut().write(off, self.store.raw_page(page));
-                self.dram.install(frame, page);
+                self.install_dram(frame, page, 1);
             } else if let Some(block) = self.cxlt.pop_free() {
                 let off = self.block_off(block);
                 self.cxl
                     .borrow_mut()
                     .raw_mut()
                     .write(off, self.store.raw_page(page));
-                self.cxlt.install(block, page);
+                self.install_cxl(block, page, 1);
             } else {
                 break;
             }
@@ -738,33 +723,29 @@ mod tests {
     }
 
     #[test]
-    fn brownout_serves_nonresident_reads_storage_direct() {
+    fn heat_counts_hits_and_ages_by_halving() {
         let mut bp = pool(2, 4, true);
-        let mut t = SimTime::ZERO;
-        t = bp.read(PageId(0), 0, &mut [0u8; 4], t).end; // fills CXL
-        bp.set_brownout(true);
-        assert!(bp.browned());
-        // A resident page is still served from its tier, no bypass.
-        let mut buf = [0u8; 4];
-        t = bp.read(PageId(0), 0, &mut buf, t).end;
-        assert_eq!(bp.stats().brownout_bypasses, 0);
-        // A non-resident page goes storage-direct with no admission:
-        // the browned tenant's footprint cannot grow.
-        let resident_before = bp.dram_resident() + bp.cxl_resident();
-        let storage_before = bp.stats().storage_read_bytes;
-        t = bp.read(PageId(9), 0, &mut buf, t).end;
-        assert_eq!(bp.stats().brownout_bypasses, 1);
-        assert_eq!(bp.stats().storage_read_bytes, storage_before + PS);
-        assert!(!bp.is_resident(PageId(9)), "no admission while browned");
-        assert_eq!(bp.dram_resident() + bp.cxl_resident(), resident_before);
-        // Writes keep the normal (durable) path even while browned.
-        t = bp.write(PageId(10), 0, &[0xAB; 4], Lsn(3), t).end;
-        assert!(bp.is_resident(PageId(10)));
-        // Restore with hysteresis is the controller's job; once off,
-        // the next read admits again.
-        bp.set_brownout(false);
-        bp.read(PageId(9), 0, &mut buf, t);
-        assert!(bp.is_resident(PageId(9)));
+        let mut t = bp.read(PageId(3), 0, &mut [0u8; 4], SimTime::ZERO).end;
+        let b = bp
+            .cxlt
+            .lookup(PageId(3))
+            .expect("adaptive fill lands in CXL") as usize;
+        assert_eq!(bp.cxl_heat[b], 1, "install seeds heat at 1");
+        // Back-to-back hits on one page are the frame table's memoised
+        // probes; each still heats.
+        for _ in 0..5 {
+            t = bp.read(PageId(3), 0, &mut [0u8; 4], t).end;
+        }
+        assert_eq!(bp.cxl_heat[b], 6);
+        bp.age_epoch();
+        assert_eq!(bp.cxl_heat[b], 3);
+        bp.age_epoch();
+        bp.age_epoch();
+        assert_eq!(bp.cxl_heat[b], 0);
+        // Saturates instead of wrapping.
+        bp.cxl_heat[b] = u8::MAX;
+        bp.read(PageId(3), 0, &mut [0u8; 4], t);
+        assert_eq!(bp.cxl_heat[b], u8::MAX);
     }
 
     #[test]

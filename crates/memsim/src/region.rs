@@ -112,7 +112,7 @@ impl Region {
     // seated instance), not into this module's codegen unit: a set-up
     // function landing there regroups `memsim`'s units, `WriteLog::write`
     // stops being inlined into `cxl::Port::*`, and `share_mixed` loses
-    // 5-7 % of its host speed (EXPERIMENTS.md, ISSUE 19).
+    // 5-7 % of its host speed (docs/ledger-pairs.md, ISSUE 19).
     #[inline]
     pub fn copy_disjoint(&mut self, src: u64, dst: u64, len: usize) {
         let (src, dst) = (src as usize, dst as usize);

@@ -1,11 +1,8 @@
-//! Minimal JSON emission for machine-readable artifacts
-//! (`BENCH_tiering.json`, Chrome trace files). Numbers use Rust's
+//! Minimal JSON emission for machine-readable artifacts (metrics
+//! registries, Chrome trace files). Numbers use Rust's
 //! shortest-roundtrip float formatting; non-finite floats become `null`.
-//!
-//! Lived in `bench::sweep` originally; moved here so the trace exporter
-//! ([`crate::trace::chrome_trace_json`]) and the metrics registry
-//! ([`crate::stats::MetricsRegistry`]) can emit JSON without depending
-//! on the bench crate. `bench::sweep::json` re-exports this module.
+//! Used by the trace exporter ([`crate::trace::chrome_trace_json`]) and
+//! the metrics registry ([`crate::stats::MetricsRegistry`]).
 
 /// Escape a string for a JSON string literal (without quotes).
 pub fn escape(s: &str) -> String {

@@ -12,7 +12,7 @@
 //!    ([`Decision::ShedDeadline`]) — before it burns CPU, locks or
 //!    fabric bandwidth.
 //! 2. **Circuit breaker** ([`CircuitBreaker`]) — wraps a flaky
-//!    dependency (fabric retry paths, poisoned CXL reads). Trips open
+//!    dependency (a lane's fabric path in the overload harness). Trips open
 //!    on consecutive failures, fast-fails while open, and closes again
 //!    through a half-open probe after a virtual-time cooldown.
 //! 3. **Brownout** ([`Decision::Brownout`]) — a tenant flagged by the
@@ -22,9 +22,9 @@
 //!
 //! Every decision is a pure function of virtual time and per-tenant
 //! state, so runs are bit-identical across host worker counts. A
-//! harness that builds no gate and installs no breaker
-//! (`OverloadConfig::qos = false`, no `enable_breaker`) admits every
-//! query and leaves the simulation unperturbed.
+//! harness that builds no gate and no breaker
+//! (`OverloadConfig::qos = false`) admits every query and leaves the
+//! simulation unperturbed.
 
 use crate::SimTime;
 

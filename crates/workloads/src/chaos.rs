@@ -17,7 +17,7 @@ use crate::recovery_harness::{recover_untrusted, Scheme};
 use crate::sysbench::{make_record, Sysbench, SysbenchKind};
 use bufferpool::dram_bp::DramBp;
 use bufferpool::tiered::TieredRdmaBp;
-use bufferpool::{BufferPool, Crashable};
+use bufferpool::{BpStats, BufferPool, Crashable};
 use engine::{recover_polar, recover_replay, Db, RecoverySummary};
 use memsim::calib::PAGE_SIZE;
 use memsim::{CxlPool, NodeId, RdmaPool};
@@ -103,6 +103,27 @@ pub struct ChaosRunResult {
     pub telemetry: Option<TelemetryReport>,
 }
 
+/// Feed one finished transaction to the probe: its latency, and what
+/// the pool's counters moved by since the previous one.
+fn probe_txn<P: BufferPool>(
+    probe: &mut NodeProbe,
+    prev_bp: &mut BpStats,
+    pool: &P,
+    start: SimTime,
+    end: SimTime,
+) {
+    if !probe.enabled() {
+        return;
+    }
+    probe.record_op(0, end, end.saturating_since(start));
+    let s = pool.stats();
+    let d = s.since(prev_bp);
+    probe.record_misses(0, end, d.misses);
+    probe.record_retries(0, end, d.fault_retries);
+    probe.record_bytes(0, end, d.remote_read_bytes + d.remote_write_bytes);
+    *prev_bp = s;
+}
+
 fn run_chaos_phases<P, FR>(cfg: &ChaosConfig, mut db: Db<P>, recover: FR) -> ChaosRunResult
 where
     P: BufferPool + Crashable,
@@ -158,15 +179,7 @@ where
         }
         series.record_at(end, txn.len() as u64);
         queries += txn.len() as u64;
-        if probe.enabled() {
-            probe.record_op(0, end, end.saturating_since(start));
-            let s = db.pool.stats();
-            let d = s.since(&prev_bp);
-            probe.record_misses(0, end, d.misses);
-            probe.record_retries(0, end, d.fault_retries);
-            probe.record_bytes(0, end, d.remote_read_bytes + d.remote_write_bytes);
-            prev_bp = s;
-        }
+        probe_txn(&mut probe, &mut prev_bp, &db.pool, start, end);
         Step::Done(end)
     });
 
@@ -192,15 +205,7 @@ where
             let end = exec_txn(&mut db, &txn, start);
             series.record_at(end, txn.len() as u64);
             queries += txn.len() as u64;
-            if probe.enabled() {
-                probe.record_op(0, end, end.saturating_since(start));
-                let s = db.pool.stats();
-                let d = s.since(&prev_bp);
-                probe.record_misses(0, end, d.misses);
-                probe.record_retries(0, end, d.fault_retries);
-                probe.record_bytes(0, end, d.remote_read_bytes + d.remote_write_bytes);
-                prev_bp = s;
-            }
+            probe_txn(&mut probe, &mut prev_bp, &db.pool, start, end);
             Step::Done(end)
         });
         recovery = Some(summary);

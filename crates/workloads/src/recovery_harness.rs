@@ -17,7 +17,7 @@ use engine::{recover_polar, recover_polar_policy, recover_replay, Db, RecoverySu
 use memsim::calib::PAGE_SIZE;
 use memsim::{CxlPool, NodeId, RdmaPool};
 use polarcxlmem::{CxlBp, TrustPolicy};
-use simkit::rng::stream_rng;
+use simkit::rng::{stream_rng, SimRng};
 use simkit::{dur, SimTime, Step, TimeSeries, WorkerId, WorkerSet};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -106,6 +106,21 @@ pub struct RecoveryRunResult {
     pub summary: RecoverySummary,
 }
 
+/// One closed-loop step: the worker's next transaction, run and
+/// counted into the throughput series.
+fn step<P: BufferPool>(
+    gen: &Sysbench,
+    rng: &mut SimRng,
+    db: &mut Db<P>,
+    series: &mut TimeSeries,
+    start: SimTime,
+) -> Step {
+    let txn = gen.next_txn(rng);
+    let end = exec_txn(db, &txn, start);
+    series.record_at(end, txn.len() as u64);
+    Step::Done(end)
+}
+
 fn run_phases<P, FR>(cfg: &RecoveryConfig, mut db: Db<P>, recover: FR) -> RecoveryRunResult
 where
     P: BufferPool + Crashable,
@@ -126,10 +141,7 @@ where
 
     // Phase 1: steady state until the crash.
     ws.run_until(cfg.crash_at, |WorkerId(w), start| {
-        let txn = gen.next_txn(&mut rngs[w]);
-        let end = exec_txn(&mut db, &txn, start);
-        series.record_at(end, txn.len() as u64);
-        Step::Done(end)
+        step(&gen, &mut rngs[w], &mut db, &mut series, start)
     });
 
     // Crash: every worker dies with the process.
@@ -145,10 +157,7 @@ where
         ws.spawn(WorkerId(w), summary.done);
     }
     ws.run_until(cfg.duration, |WorkerId(w), start| {
-        let txn = gen.next_txn(&mut rngs[w]);
-        let end = exec_txn(&mut db, &txn, start);
-        series.record_at(end, txn.len() as u64);
-        Step::Done(end)
+        step(&gen, &mut rngs[w], &mut db, &mut series, start)
     });
 
     // Derived numbers.

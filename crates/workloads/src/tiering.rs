@@ -2,21 +2,11 @@
 //!
 //! Drives zipfian page traffic over an [`AdaptivePool`] whose working
 //! set is 10–100x the combined DRAM+CXL memory, so storage misses and
-//! tier migrations — not B+tree logic — dominate. This is the
-//! experiment behind `BENCH_tiering.json`: the same traffic swept
-//! across the three eviction policies and the static/adaptive migration
-//! regimes, comparing storage miss rate and tail latency.
-//!
-//! Phase patterns model the cloud traffic the adaptive sweep targets:
-//!
-//! * [`PhasePattern::Stable`] — one zipfian hot set for the whole run;
-//!   recency-based paging does fine here.
-//! * [`PhasePattern::Diurnal`] — the hot set's identity rotates a
-//!   quarter of the key space every phase (day/night tenant shifts).
-//! * [`PhasePattern::Burst`] — every fourth phase replaces the zipfian
-//!   traffic with uniform scans over the whole working set — the
-//!   antagonist that flushes a recency-managed DRAM tier but bounces
-//!   off the adaptive pool's admission control.
+//! tier migrations — not B+tree logic — dominate: one fixed zipfian hot
+//! set, run under an eviction policy and either the static or the
+//! adaptive migration regime, comparing storage miss rate and tail
+//! latency. `tests/tiering_claim.rs` holds the six cells that carry the
+//! paper's no-tiering argument.
 //!
 //! Everything is closed-loop in virtual time and bit-deterministic for
 //! a given config.
@@ -26,42 +16,17 @@ use bufferpool::{BufferPool, PolicyKind};
 use memsim::{CxlPool, NodeId};
 use polarcxlmem::tiering::{AdaptivePool, TierConfig};
 use simkit::rng::{stream_rng, Zipf};
-use simkit::telemetry::{
-    Metric, NodeProbe, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport,
-};
 use simkit::{Histogram, MetricsRegistry, SimTime, Step, WorkerId, WorkerSet};
 use std::cell::RefCell;
 use std::rc::Rc;
 use storage::{Lsn, PageId, PageStore};
 
-/// How the hot set moves over the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhasePattern {
-    /// One fixed zipfian hot set.
-    Stable,
-    /// The hot set rotates a quarter of the page space every phase.
-    Diurnal,
-    /// Every fourth phase is a uniform scan over the whole working set.
-    Burst,
-}
-
-impl PhasePattern {
-    /// All patterns, in sweep order.
-    pub const ALL: [PhasePattern; 3] = [
-        PhasePattern::Stable,
-        PhasePattern::Diurnal,
-        PhasePattern::Burst,
-    ];
-
-    /// Stable lowercase name for artifact keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            PhasePattern::Stable => "stable",
-            PhasePattern::Diurnal => "diurnal",
-            PhasePattern::Burst => "burst",
-        }
-    }
-}
+/// Page size in bytes.
+const PAGE_SIZE: u64 = 4096;
+/// Closed-loop workers.
+const WORKERS: usize = 8;
+/// Percent of operations that write.
+const WRITE_PCT: u8 = 20;
 
 /// Tiering experiment configuration.
 #[derive(Debug, Clone)]
@@ -69,8 +34,6 @@ pub struct TieringConfig {
     /// Working-set size in pages (the larger-than-memory axis: size this
     /// 10–100x `dram_frames + cxl_blocks`).
     pub pages: u64,
-    /// Page size in bytes.
-    pub page_size: u64,
     /// DRAM tier frames.
     pub dram_frames: usize,
     /// CXL tier blocks.
@@ -82,25 +45,10 @@ pub struct TieringConfig {
     pub adaptive: bool,
     /// Zipfian skew (`0` = uniform; YCSB default 0.99).
     pub theta: f64,
-    /// Hot-set movement over the run.
-    pub pattern: PhasePattern,
-    /// Virtual-time length of one phase.
-    pub phase: SimTime,
-    /// Closed-loop workers.
-    pub workers: usize,
-    /// Percent of operations that write (0–100).
-    pub write_pct: u8,
-    /// Sweep epoch for the adaptive regime, nanoseconds.
-    pub epoch_ns: u64,
     /// Measured window of virtual time.
     pub duration: SimTime,
     /// Root RNG seed.
     pub seed: u64,
-    /// Telemetry window width (ZERO = probes off; tiering leaves the
-    /// layer opt-in because sweeps, not alerts, are its headline).
-    pub telemetry_window: SimTime,
-    /// Windowed storage-miss-rate limit for the `miss_thrash` rule.
-    pub telemetry_miss_budget: f64,
 }
 
 impl TieringConfig {
@@ -110,21 +58,13 @@ impl TieringConfig {
         let cxl_blocks = 256;
         TieringConfig {
             pages: 16 * (dram_frames + cxl_blocks) as u64,
-            page_size: 4096,
             dram_frames,
             cxl_blocks,
             policy,
             adaptive,
             theta: 0.99,
-            pattern: PhasePattern::Stable,
-            phase: SimTime::from_millis(10),
-            workers: 8,
-            write_pct: 20,
-            epoch_ns: 1_000_000,
             duration: SimTime::from_millis(60),
             seed: 7,
-            telemetry_window: SimTime::ZERO,
-            telemetry_miss_budget: 0.9,
         }
     }
 }
@@ -142,38 +82,16 @@ pub struct TieringResult {
     pub dram_hit_rate: f64,
     /// Epoch sweeps executed.
     pub sweeps: u64,
-    /// Windowed ops report (`None` when `telemetry_window` is ZERO).
-    pub telemetry: Option<TelemetryReport>,
-}
-
-/// Map a zipfian rank to a page id under the phase pattern. Rank 0 is
-/// always the hottest; the pattern decides *which page* holds that rank
-/// at virtual time `now`.
-fn page_for(cfg: &TieringConfig, rank: u64, now: SimTime, rng: &mut simkit::rng::SimRng) -> u64 {
-    let phase_idx = now.as_nanos() / cfg.phase.as_nanos().max(1);
-    match cfg.pattern {
-        PhasePattern::Stable => rank,
-        PhasePattern::Diurnal => (rank + phase_idx * (cfg.pages / 4)) % cfg.pages,
-        PhasePattern::Burst => {
-            if phase_idx % 4 == 3 {
-                rng.gen_range(0..cfg.pages)
-            } else {
-                rank
-            }
-        }
-    }
 }
 
 /// Run a tiering experiment.
 pub fn run_tiering(cfg: &TieringConfig) -> TieringResult {
-    assert!(cfg.workers > 0 && cfg.pages > 0);
-    assert!(cfg.write_pct <= 100);
-    let ps = cfg.page_size;
-    let mut store = PageStore::with_page_size(cfg.pages, ps);
+    assert!(cfg.pages > 0);
+    let mut store = PageStore::with_page_size(cfg.pages, PAGE_SIZE);
     for _ in 0..cfg.pages {
         store.allocate();
     }
-    let cxl_bytes = (cfg.cxl_blocks as u64 * ps) as usize;
+    let cxl_bytes = (cfg.cxl_blocks as u64 * PAGE_SIZE) as usize;
     let cxl = Rc::new(RefCell::new(CxlPool::single_host(
         cxl_bytes,
         1,
@@ -183,36 +101,20 @@ pub fn run_tiering(cfg: &TieringConfig) -> TieringResult {
     let mut tier = TierConfig::standard(cfg.dram_frames, cfg.cxl_blocks);
     tier.policy = cfg.policy;
     tier.adaptive = cfg.adaptive;
-    tier.epoch_ns = cfg.epoch_ns;
     let mut pool = AdaptivePool::new(cxl, NodeId(0), 0, tier, store);
 
     let zipf = Zipf::new(cfg.pages, cfg.theta);
-    let mut rngs: Vec<_> = (0..cfg.workers)
+    let mut rngs: Vec<_> = (0..WORKERS)
         .map(|w| stream_rng(cfg.seed, w as u64))
         .collect();
     let mut ws = WorkerSet::new();
-    for w in 0..cfg.workers {
+    for w in 0..WORKERS {
         ws.spawn(WorkerId(w), SimTime::ZERO);
     }
-    // One probe, read/write lanes; the threshold rule trips when the
-    // windowed storage-miss rate holds above budget for two consecutive
-    // windows (tier thrash, e.g. a burst phase's uniform scans) — a
-    // single cold or overshoot window is not an incident.
-    let tcfg = TelemetryConfig::new(cfg.telemetry_window, 1)
-        .lanes(&["read", "write"])
-        .rule(
-            SloRule::above("miss_thrash", Metric::MissRate, cfg.telemetry_miss_budget)
-                .fire_after(2)
-                .clear_after(2),
-        );
-    let mut hub = TelemetryHub::new(tcfg.clone());
-    let mut probe = NodeProbe::new(0, &tcfg);
-    let mut prev_bp = pool.stats();
 
     let mut hist = Histogram::new();
     let mut ops = 0u64;
     let mut lsn = 0u64;
-    let rec_len = 64usize.min(ps as usize);
     let payload = [0xABu8; 64];
     let mut buf = [0u8; 64];
     let mut lat_batch: Vec<u64> = Vec::with_capacity(1024);
@@ -222,16 +124,15 @@ pub fn run_tiering(cfg: &TieringConfig) -> TieringResult {
         // but is not attributed to the operation's latency.
         let t0 = pool.maybe_sweep(start);
         let rng = &mut rngs[w];
-        let rank = zipf.sample(rng);
-        let page = page_for(cfg, rank, t0, rng);
-        let off = ((rank.wrapping_mul(64)) % (ps - rec_len as u64)) as u16;
-        let is_write = rng.gen_range(0u8..100) < cfg.write_pct;
+        // Rank 0 is the hottest page, for the whole run.
+        let page = zipf.sample(rng);
+        let off = (page.wrapping_mul(64) % (PAGE_SIZE - payload.len() as u64)) as u16;
+        let is_write = rng.gen_range(0u8..100) < WRITE_PCT;
         let end = if is_write {
             lsn += 1;
-            pool.write(PageId(page), off, &payload[..rec_len], Lsn(lsn), t0)
-                .end
+            pool.write(PageId(page), off, &payload, Lsn(lsn), t0).end
         } else {
-            pool.read(PageId(page), off, &mut buf[..rec_len], t0).end
+            pool.read(PageId(page), off, &mut buf, t0).end
         };
         lat_batch.push(end - t0);
         if lat_batch.len() == lat_batch.capacity() {
@@ -239,23 +140,9 @@ pub fn run_tiering(cfg: &TieringConfig) -> TieringResult {
             lat_batch.clear();
         }
         ops += 1;
-        if probe.enabled() {
-            probe.record_op(is_write as usize, end, end - t0);
-            let s = pool.stats();
-            let d = s.since(&prev_bp);
-            probe.record_misses(is_write as usize, end, d.misses);
-            probe.record_bytes(
-                is_write as usize,
-                end,
-                d.remote_read_bytes + d.remote_write_bytes,
-            );
-            prev_bp = s;
-        }
         Step::Done(end)
     });
     hist.record_batch(&lat_batch);
-
-    let telemetry_report = hub.conclude([&mut probe], cfg.duration);
 
     let s = pool.stats();
     let total = (s.hits + s.misses).max(1);
@@ -271,7 +158,7 @@ pub fn run_tiering(cfg: &TieringConfig) -> TieringResult {
         p99_latency_us: hist.p99_us(),
         p999_latency_us: hist.p999_us(),
         interconnect_gbps: 0.0,
-        memory_bytes: (cfg.dram_frames + cfg.cxl_blocks) as u64 * ps,
+        memory_bytes: (cfg.dram_frames + cfg.cxl_blocks) as u64 * PAGE_SIZE,
         window: cfg.duration,
         latency: hist,
     };
@@ -294,16 +181,12 @@ pub fn run_tiering(cfg: &TieringConfig) -> TieringResult {
     reg.set_num("dram_hit_rate", dram_hit_rate);
     reg.set_int("sweeps", pool.sweeps());
     reg.set_histogram("latency", &metrics.latency);
-    if let Some(rep) = &telemetry_report {
-        rep.register_into(&mut reg);
-    }
     TieringResult {
         metrics,
         registry: reg,
         storage_miss_rate,
         dram_hit_rate,
         sweeps: pool.sweeps(),
-        telemetry: telemetry_report,
     }
 }
 
@@ -311,15 +194,12 @@ pub fn run_tiering(cfg: &TieringConfig) -> TieringResult {
 mod tests {
     use super::*;
 
-    fn tiny(policy: PolicyKind, adaptive: bool, pattern: PhasePattern) -> TieringConfig {
+    fn tiny(policy: PolicyKind, adaptive: bool) -> TieringConfig {
         let mut cfg = TieringConfig::standard(policy, adaptive);
         cfg.dram_frames = 16;
         cfg.cxl_blocks = 48;
         cfg.pages = 10 * 64;
-        cfg.workers = 4;
-        cfg.pattern = pattern;
         cfg.duration = SimTime::from_millis(8);
-        cfg.phase = SimTime::from_millis(2);
         cfg
     }
 
@@ -327,7 +207,7 @@ mod tests {
     fn runs_are_deterministic_per_policy_and_regime() {
         for kind in PolicyKind::ALL {
             for adaptive in [false, true] {
-                let cfg = tiny(kind, adaptive, PhasePattern::Diurnal);
+                let cfg = tiny(kind, adaptive);
                 let a = run_tiering(&cfg);
                 let b = run_tiering(&cfg);
                 assert_eq!(a, b, "{kind:?} adaptive={adaptive} must replay exactly");
@@ -338,7 +218,7 @@ mod tests {
 
     #[test]
     fn seed_changes_the_run() {
-        let cfg = tiny(PolicyKind::Lru, true, PhasePattern::Stable);
+        let cfg = tiny(PolicyKind::Lru, true);
         let mut cfg2 = cfg.clone();
         cfg2.seed += 1;
         let a = run_tiering(&cfg);
@@ -348,7 +228,7 @@ mod tests {
 
     #[test]
     fn working_set_exceeds_memory_and_misses_happen() {
-        let cfg = tiny(PolicyKind::Lru, true, PhasePattern::Stable);
+        let cfg = tiny(PolicyKind::Lru, true);
         assert!(cfg.pages >= 10 * (cfg.dram_frames + cfg.cxl_blocks) as u64);
         let r = run_tiering(&cfg);
         assert!(r.storage_miss_rate > 0.0, "working set must not fit");
@@ -357,7 +237,7 @@ mod tests {
 
     #[test]
     fn adaptive_regime_sweeps_and_promotes() {
-        let r = run_tiering(&tiny(PolicyKind::Lru, true, PhasePattern::Stable));
+        let r = run_tiering(&tiny(PolicyKind::Lru, true));
         assert!(r.sweeps > 0, "epochs must have elapsed");
         let promotes = match r.registry.get("bp_tier_promotes") {
             Some(simkit::MetricValue::Int(v)) => v,
@@ -368,71 +248,8 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_rows_account_for_every_op() {
-        let mut cfg = tiny(PolicyKind::Lru, true, PhasePattern::Burst);
-        cfg.telemetry_window = SimTime::from_millis(1);
-        let r = run_tiering(&cfg);
-        let rep = r.telemetry.as_ref().expect("telemetry window is on");
-        let ops = match r.registry.get("ops") {
-            Some(v) => v.as_u64(),
-            None => panic!("ops missing"),
-        };
-        // Every operation lands in exactly one window (ops past the
-        // horizon spill into the overshoot tail window, not the void).
-        assert_eq!(rep.rows.iter().map(|w| w.ops).sum::<u64>(), ops);
-        // And the read/write lane split is exact too.
-        let lanes: u64 = rep.rows.iter().flat_map(|w| w.lane_ops.iter()).sum();
-        assert_eq!(lanes, ops);
-    }
-
-    #[test]
-    fn burst_thrash_is_visible_in_windowed_miss_rates() {
-        let window = SimTime::from_millis(1);
-        let peak_miss = |pattern| {
-            let mut cfg = tiny(PolicyKind::Lru, true, pattern);
-            cfg.telemetry_window = window;
-            let r = run_tiering(&cfg);
-            let rep = r.telemetry.unwrap();
-            // Skip thin windows (the overshoot tail has a handful of
-            // ops and a meaningless ratio).
-            rep.rows
-                .iter()
-                .filter(|w| w.ops >= 16)
-                .map(|w| w.misses as f64 / w.ops as f64)
-                .fold(0.0f64, f64::max)
-        };
-        let stable = peak_miss(PhasePattern::Stable);
-        let burst = peak_miss(PhasePattern::Burst);
-        // The uniform-scan phases thrash the tiers; end-of-run averages
-        // blur this, per-window telemetry does not.
-        assert!(
-            burst > stable,
-            "burst peak window miss rate {burst} must exceed stable {stable}"
-        );
-
-        // A limit between the two turns the thrash into an alert on
-        // the burst run and stays quiet on the stable one.
-        let limit = (stable + burst) / 2.0;
-        let fires = |pattern| {
-            let mut cfg = tiny(PolicyKind::Lru, true, pattern);
-            cfg.telemetry_window = window;
-            cfg.telemetry_miss_budget = limit;
-            let r = run_tiering(&cfg);
-            let rep = r.telemetry.unwrap();
-            (rep.alert_fires(), rep.alert_log())
-        };
-        let (burst_fires, log) = fires(PhasePattern::Burst);
-        assert!(
-            burst_fires > 0,
-            "miss_thrash must fire in scan phases:\n{log}"
-        );
-        let (stable_fires, log) = fires(PhasePattern::Stable);
-        assert_eq!(stable_fires, 0, "stable traffic must not alert:\n{log}");
-    }
-
-    #[test]
     fn static_regime_never_sweeps() {
-        let r = run_tiering(&tiny(PolicyKind::Lru, false, PhasePattern::Stable));
+        let r = run_tiering(&tiny(PolicyKind::Lru, false));
         assert_eq!(r.sweeps, 0);
         // Static demand paging serves every op from DRAM.
         assert!(r.dram_hit_rate > 0.0);

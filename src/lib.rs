@@ -81,8 +81,8 @@ pub mod prelude {
         run_chaos, run_elasticity, run_failover, run_overload, run_pooling, run_recovery,
         run_sharing, run_tiering, ChaosConfig, ChaosRunResult, DeathMode, ElasticTenantOutcome,
         ElasticityConfig, ElasticityResult, FailoverConfig, FailoverResult, FlapSpec, LinkChaos,
-        OverloadConfig, OverloadResult, PhasePattern, PoolKind, PoolingConfig, RecoveryConfig,
-        RecoveryRunResult, Scheme, SharingConfig, SharingResult, SharingSystem, SysbenchKind,
-        TenantOutcome, TieringConfig, TieringResult,
+        OverloadConfig, OverloadResult, PoolKind, PoolingConfig, RecoveryConfig, RecoveryRunResult,
+        Scheme, SharingConfig, SharingResult, SharingSystem, SysbenchKind, TenantOutcome,
+        TieringConfig, TieringResult,
     };
 }

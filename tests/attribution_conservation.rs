@@ -335,6 +335,45 @@ fn harness_attribution_matches_histogram_total() {
     );
 }
 
+/// The `run_sharing` twin of the test above: through the cluster driver
+/// the lane totals should cover the latency histogram's total as well.
+/// (`SharingResult` carries no registry, so there is no `attr_total_ns`
+/// to mirror; the tracer's own snapshot is the run-level figure.) It does
+/// not hold yet: distributed-lock waits advance a transaction's clock and
+/// land in no lane. Measured at this config — CXL: lanes 160 542 950 ns
+/// of a 1 520 019 812 ns histogram total (10.6 %); RDMA: 166 935 306 of
+/// 1 594 605 599 (10.5 %); mean lock wait × acquires ≈ 1.37 s / 1.44 s is
+/// the whole gap. ROADMAP item 3's lock-wait lane closes it.
+#[test]
+#[ignore = "lock waits reach no lane: lanes cover 10.6 % (CXL) / 10.5 % (RDMA) of the histogram total — ROADMAP item 3"]
+fn sharing_attribution_matches_histogram_total() {
+    use workloads::sharing::{point_update_gen, run_sharing, SharingConfig, SharingSystem};
+    for system in [
+        SharingSystem::Cxl,
+        SharingSystem::Rdma { lbp_fraction: 0.3 },
+    ] {
+        let mut c = SharingConfig::standard(system, 4);
+        c.layout.rows_per_group = 1_000;
+        c.duration = SimTime::from_millis(20);
+        let layout = c.layout;
+        trace::reset();
+        trace::enable_attribution(true);
+        let r = run_sharing(&c, point_update_gen(layout, 40));
+        trace::enable_attribution(false);
+        let attr = trace::attr_snapshot();
+        trace::reset();
+        let hist_total: u64 =
+            (r.metrics.avg_latency_us * 1e3 * r.metrics.latency.count() as f64) as u64;
+        assert!(
+            attr.total_ns() >= hist_total * 99 / 100,
+            "{system:?}: attribution {} < histogram {} ({:?})",
+            attr.total_ns(),
+            hist_total,
+            attr
+        );
+    }
+}
+
 /// Attribution survives barrier-parallel stepping: each node's lane
 /// totals accumulate in its own detached tracer state on whichever
 /// worker thread steps the node, and re-land on the driver at the merge

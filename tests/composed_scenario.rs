@@ -3,17 +3,18 @@
 //! takeover runs while elasticity's controller and two-phase
 //! `MigrationCoordinator` re-partition the same pool under a diurnal
 //! shift. The crash is aimed at the flip, so takeover lands among the
-//! migrations. The one composition rule (`drain`): a takeover waits for
-//! the in-flight migration to COMMIT, and no PREPARE is issued while a
-//! takeover is due — lease surgery and lease migration never interleave.
-//! The last test records what happens without it.
+//! migrations. With `drain` a takeover waits for the in-flight migration
+//! to COMMIT and no PREPARE is issued while a takeover is due, so lease
+//! surgery and lease migration never interleave; without it they do, and
+//! a migration whose donor was taken over between PREPARE and COMMIT ends
+//! in `MigrationError::DonorReplaced` — aborted, dropped, re-planned.
 
 use memsim::calib::{CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, PAGE_SIZE, STORAGE_READ_NS};
 use memsim::NodeId;
 use polarcxlmem::fusion::CoherencyMode::SoftwareLines;
 use polarcxlmem::{
     CxlMemoryManager, ElasticConfig, ElasticController, FencingPolicy, MigrationCoordinator,
-    MigrationPlan, MigrationRequest,
+    MigrationError, MigrationPlan, MigrationRequest,
 };
 use polardb_cxl_repro::workloads::cluster::{Cluster, FusionCluster};
 use polardb_cxl_repro::workloads::GroupLayout;
@@ -188,13 +189,21 @@ fn run(seed: u64, crash_at: SimTime, threads: usize, drain: bool) -> Outcome {
             // ---- elasticity: COMMIT last barrier's intent, else maybe
             // PREPARE a new one; both with every shard merged back.
             if let Some(req) = inflight.take() {
-                cl.merged(|cl| {
+                let committed = cl.merged(|cl| {
                     let (d, r) = pair(&mut cl.nodes, lane_of[req.donor], lane_of[req.recipient]);
                     coord.commit(&mut cl.fabric.server, &mut mgr, d, r, now)
-                })
-                .expect("fault-free commit");
-                ctl.apply(req);
-                cl.refresh_dir();
+                });
+                match committed {
+                    Ok(_) => {
+                        ctl.apply(req);
+                        cl.refresh_dir();
+                    }
+                    // Takeover re-leased the donor's extent since PREPARE:
+                    // the intent is aborted, the request dropped, and the
+                    // controller re-plans against `lane_of`.
+                    Err(MigrationError::DonorReplaced { .. }) => {}
+                    Err(e) => panic!("fault-free commit: {e}"),
+                }
             } else if !(drain && due) {
                 let pressured: Vec<bool> = (0..2)
                     .map(|t| remote_window[t].iter().sum::<u64>() * 5 > ops_window[t])
@@ -278,18 +287,23 @@ fn crash_instants_around_the_shift_all_hold() {
     // Every 400 us from well before the flip to well after it: takeover
     // lands before, between and after the evening's migrations.
     for k in 0..30 {
-        run(3, SimTime::from_micros(9_000 + k * 400), 2, true);
+        for drain in [true, false] {
+            run(3, SimTime::from_micros(9_000 + k * 400), 2, drain);
+        }
     }
 }
 
-/// Recorded under ROADMAP item 3. Without the drain rule the takeover's
-/// re-lease of the victim's extents can land between a migration's
-/// PREPARE and COMMIT when the victim is its donor: the journal names
-/// the victim, the manager now names the standby, and `commit` fails
-/// `WrongOwner`. `MigrationCoordinator` has no "donor was replaced"
-/// transition yet; until it does the control planes must serialise.
+/// Seed 1, crash at 15.007 ms, no drain rule: the takeover's re-lease of
+/// the victim's extents lands between a migration's PREPARE and COMMIT
+/// with the victim as its donor. `commit` checks the lease before its
+/// commit point, aborts the intent and names the standby; the controller
+/// re-plans with the standby as donor and every end-of-run invariant
+/// holds. (Until the check existed this run ended in `WrongOwner` past
+/// the commit point.)
 #[test]
-#[ignore = "known composition hazard: takeover re-lease vs a PREPARED migration"]
-fn takeover_racing_a_prepared_migration_breaks_commit() {
-    run(1, SimTime::from_micros(15_007), 1, false);
+fn takeover_racing_a_prepared_migration_aborts_and_replans() {
+    let r = run(1, SimTime::from_micros(15_007), 1, false);
+    assert!(r.takeover_done.is_some(), "the standby must take over");
+    assert!(r.migrations >= 2, "the shift must still migrate");
+    assert_eq!(r, run(1, SimTime::from_micros(15_007), 2, false));
 }

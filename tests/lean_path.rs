@@ -19,8 +19,8 @@
 //! default — read into a scratch buffer, discard — is the definition. The
 //! same op sequence with every read replaced by `touch` runs on each
 //! overriding pool in all three modes against that default, plus on the
-//! CXL pool under a poison plan that fires, with a breaker that opens,
-//! and over a capture-mode fabric.
+//! CXL pool under a poison plan that fires and over a capture-mode
+//! fabric.
 //!
 //! The RDMA sharing baseline has no second path, but the same split: it
 //! charges whole pages and moves only the bytes a statement touches. Its
@@ -348,22 +348,10 @@ fn poison_plan(every: u64) -> FaultPlan {
     })
 }
 
-/// Drive a CXL pool under `plan` (installed fresh), breaker armed or not.
-fn cxl_under_plan(
-    plan: &FaultPlan,
-    breaker: bool,
-    plane: Plane,
-    by_default: bool,
-) -> (Outcome, BpStats) {
+/// Drive a CXL pool under `plan` (installed fresh).
+fn cxl_under_plan(plan: &FaultPlan, plane: Plane, by_default: bool) -> (Outcome, BpStats) {
     faults::clear();
-    let (cxl, mut bp) = cxl_pool(PolicyKind::Lru, false);
-    if breaker {
-        bp.enable_breaker(BreakerConfig {
-            trip_consecutive: 2,
-            cooldown_ns: 200_000,
-            half_open_probes: 1,
-        });
-    }
+    let (cxl, bp) = cxl_pool(PolicyKind::Lru, false);
     faults::install(plan.clone());
     let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
     faults::clear();
@@ -376,32 +364,15 @@ fn cxl_touch_heals_poison_exactly_as_read_does() {
     // from storage, of dirty pages retry in place — same counters, same
     // completion times, whichever plane tripped over the poison.
     let plan = poison_plan(37);
-    let (read, stats) = cxl_under_plan(&plan, false, Plane::Read, false);
+    let (read, stats) = cxl_under_plan(&plan, Plane::Read, false);
     assert!(
         stats.poison_rebuilds > 5 && stats.fault_retries > 5,
         "{stats:?}"
     );
-    let (reference, _) = cxl_under_plan(&plan, false, Plane::Touch, true);
+    let (reference, _) = cxl_under_plan(&plan, Plane::Touch, true);
     assert_same("poison: default touch vs read", &reference, &read);
-    let (touch, _) = cxl_under_plan(&plan, false, Plane::Touch, false);
+    let (touch, _) = cxl_under_plan(&plan, Plane::Touch, false);
     assert_same("poison: touch vs default", &touch, &reference);
-}
-
-#[test]
-fn cxl_touch_counts_an_open_breaker_exactly_as_read_does() {
-    // Back-to-back poison trips the breaker; while it is open, clean
-    // pages are served storage-direct (counted, typed, nothing admitted)
-    // and the half-open probe closes it again.
-    let plan = poison_plan(2);
-    let (read, stats) = cxl_under_plan(&plan, true, Plane::Read, false);
-    assert!(
-        stats.breaker_trips > 0 && stats.breaker_fast_fails > 10 && stats.breaker_recoveries > 0,
-        "{stats:?}"
-    );
-    let (reference, _) = cxl_under_plan(&plan, true, Plane::Touch, true);
-    assert_same("breaker: default touch vs read", &reference, &read);
-    let (touch, _) = cxl_under_plan(&plan, true, Plane::Touch, false);
-    assert_same("breaker: touch vs default", &touch, &reference);
 }
 
 #[test]
