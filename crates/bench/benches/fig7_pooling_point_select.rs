@@ -2,40 +2,16 @@
 //! point-select — total throughput, average latency, and RDMA/CXL
 //! bandwidth as instances scale 1–12 on one host.
 
-use bench::{banner, footer, kqps, run_sweep};
-use workloads::{run_pooling, PoolKind, PoolingConfig, SysbenchKind};
+use bench::pooling_figure;
+use workloads::SysbenchKind;
 
 fn main() {
-    banner(
+    pooling_figure(
         "Figure 7",
         "Pooling: point-select, RDMA vs PolarCXLMem",
         "RDMA saturates at 3 instances (~1.1M QPS, 11 GB/s); PolarCXLMem scales to 3.6M QPS at 12 with stable latency",
+        SysbenchKind::PointSelect,
+        &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+        "RDMA hits its NIC ceiling early (read amplification: whole pages per row); CXL touches only needed lines",
     );
-    println!(
-        "{:>4} | {:>12} {:>12} | {:>12} {:>12} | {:>10} {:>10}",
-        "n", "RDMA K-QPS", "CXL K-QPS", "RDMA lat us", "CXL lat us", "RDMA GB/s", "CXL GB/s"
-    );
-    let configs: Vec<PoolingConfig> = (1..=12usize)
-        .flat_map(|n| {
-            [
-                PoolingConfig::standard(PoolKind::TieredRdma, SysbenchKind::PointSelect, n),
-                PoolingConfig::standard(PoolKind::Cxl, SysbenchKind::PointSelect, n),
-            ]
-        })
-        .collect();
-    let results = run_sweep(&configs, run_pooling);
-    for (pair, n) in results.chunks(2).zip(1..) {
-        let (r, c) = (&pair[0].metrics, &pair[1].metrics);
-        println!(
-            "{:>4} | {:>12} {:>12} | {:>12.1} {:>12.1} | {:>10.2} {:>10.2}",
-            n,
-            kqps(r.qps),
-            kqps(c.qps),
-            r.avg_latency_us,
-            c.avg_latency_us,
-            r.interconnect_gbps,
-            c.interconnect_gbps
-        );
-    }
-    footer("RDMA hits its NIC ceiling early (read amplification: whole pages per row); CXL touches only needed lines");
 }

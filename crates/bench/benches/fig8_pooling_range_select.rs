@@ -1,43 +1,16 @@
 //! Figure 8: pooling comparison under sysbench range-select
 //! (32 threads/instance) at 2/4/8/12 instances.
 
-use bench::{banner, footer, kqps, run_sweep};
-use workloads::{run_pooling, PoolKind, PoolingConfig, SysbenchKind};
-
-const POINTS: [usize; 4] = [2, 4, 8, 12];
+use bench::pooling_figure;
+use workloads::SysbenchKind;
 
 fn main() {
-    banner(
+    pooling_figure(
         "Figure 8",
         "Pooling: range-select, RDMA vs PolarCXLMem",
         "RDMA saturates at 4 instances (~11 GB/s); PolarCXLMem keeps scaling",
+        SysbenchKind::RangeSelect,
+        &[2, 4, 8, 12],
+        "ranges read whole pages usefully, so RDMA's amplification is smaller - but bandwidth still caps it",
     );
-    println!(
-        "{:>4} | {:>12} {:>12} | {:>12} {:>12} | {:>10} {:>10}",
-        "n", "RDMA K-QPS", "CXL K-QPS", "RDMA lat us", "CXL lat us", "RDMA GB/s", "CXL GB/s"
-    );
-    let configs: Vec<PoolingConfig> = POINTS
-        .iter()
-        .flat_map(|&n| {
-            [
-                PoolingConfig::standard(PoolKind::TieredRdma, SysbenchKind::RangeSelect, n),
-                PoolingConfig::standard(PoolKind::Cxl, SysbenchKind::RangeSelect, n),
-            ]
-        })
-        .collect();
-    let results = run_sweep(&configs, run_pooling);
-    for (pair, &n) in results.chunks(2).zip(POINTS.iter()) {
-        let (r, c) = (&pair[0].metrics, &pair[1].metrics);
-        println!(
-            "{:>4} | {:>12} {:>12} | {:>12.1} {:>12.1} | {:>10.2} {:>10.2}",
-            n,
-            kqps(r.qps),
-            kqps(c.qps),
-            r.avg_latency_us,
-            c.avg_latency_us,
-            r.interconnect_gbps,
-            c.interconnect_gbps
-        );
-    }
-    footer("ranges read whole pages usefully, so RDMA's amplification is smaller - but bandwidth still caps it");
 }

@@ -1,43 +1,16 @@
 //! Figure 9: pooling comparison under sysbench read-write
 //! (48 threads/instance) at 2/4/8/12 instances.
 
-use bench::{banner, footer, kqps, run_sweep};
-use workloads::{run_pooling, PoolKind, PoolingConfig, SysbenchKind};
-
-const POINTS: [usize; 5] = [1, 2, 4, 8, 12];
+use bench::pooling_figure;
+use workloads::SysbenchKind;
 
 fn main() {
-    banner(
+    pooling_figure(
         "Figure 9",
         "Pooling: read-write, RDMA vs PolarCXLMem",
         "RDMA saturates at 8 instances; PolarCXLMem keeps scaling; RDMA bandwidth ~40% above CXL at 1 instance",
+        SysbenchKind::ReadWrite,
+        &[1, 2, 4, 8, 12],
+        "writes amplify too: a dirty eviction ships a whole page over the NIC",
     );
-    println!(
-        "{:>4} | {:>12} {:>12} | {:>12} {:>12} | {:>10} {:>10}",
-        "n", "RDMA K-QPS", "CXL K-QPS", "RDMA lat us", "CXL lat us", "RDMA GB/s", "CXL GB/s"
-    );
-    let configs: Vec<PoolingConfig> = POINTS
-        .iter()
-        .flat_map(|&n| {
-            [
-                PoolingConfig::standard(PoolKind::TieredRdma, SysbenchKind::ReadWrite, n),
-                PoolingConfig::standard(PoolKind::Cxl, SysbenchKind::ReadWrite, n),
-            ]
-        })
-        .collect();
-    let results = run_sweep(&configs, run_pooling);
-    for (pair, &n) in results.chunks(2).zip(POINTS.iter()) {
-        let (r, c) = (&pair[0].metrics, &pair[1].metrics);
-        println!(
-            "{:>4} | {:>12} {:>12} | {:>12.1} {:>12.1} | {:>10.2} {:>10.2}",
-            n,
-            kqps(r.qps),
-            kqps(c.qps),
-            r.avg_latency_us,
-            c.avg_latency_us,
-            r.interconnect_gbps,
-            c.interconnect_gbps
-        );
-    }
-    footer("writes amplify too: a dirty eviction ships a whole page over the NIC");
 }

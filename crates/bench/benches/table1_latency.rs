@@ -2,35 +2,10 @@
 //! local vs remote NUMA — an Intel-MLC-style single-line pointer chase
 //! against each memory path.
 
-use bench::{banner, footer};
+use bench::{banner, footer, table1_latencies};
 use memsim::calib::{
     CXL_DIRECT_LOCAL_NS, CXL_DIRECT_REMOTE_NS, CXL_SWITCH_LOCAL_NS, CXL_SWITCH_REMOTE_NS,
 };
-use memsim::{CxlNodeConfig, CxlPool, DramSpace, NodeId};
-use simkit::SimTime;
-
-/// Measure mean single-cache-line load latency over `n` dependent loads
-/// at distinct addresses (defeating the cache, as MLC does).
-fn chase_cxl(pool: &mut CxlPool, node: NodeId, n: u64) -> f64 {
-    let mut t = SimTime::ZERO;
-    let mut buf = [0u8; 8];
-    for i in 0..n {
-        let a = pool.read_uncached(node, i * 64, &mut buf, t);
-        t = a.end;
-    }
-    t.as_nanos() as f64 / n as f64
-}
-
-fn chase_dram(space: &mut DramSpace, n: u64) -> f64 {
-    let mut t = SimTime::ZERO;
-    let mut buf = [0u8; 8];
-    for i in 0..n {
-        // A fresh line each time: every access misses the CPU cache.
-        let a = space.read((i * 64) % (space.len() as u64 - 64), &mut buf, t);
-        t = a.end;
-    }
-    t.as_nanos() as f64 / n as f64
-}
 
 fn main() {
     banner(
@@ -38,48 +13,24 @@ fn main() {
         "Access latency comparison between DRAM and CXL",
         "DRAM 146/231 ns (local/remote), CXL w/o switch 265.2/345.9 ns, CXL w/ switch 549/651 ns",
     );
-    const N: u64 = 10_000;
-
-    let mut dram_local = DramSpace::new(2 << 20, 64, false);
-    let mut dram_remote = DramSpace::new(2 << 20, 64, true);
-
-    let mk_pool = |remote: bool| {
-        CxlPool::new(
-            2 << 20,
-            [CxlNodeConfig {
-                host: 0,
-                cache_bytes: 64,
-                capture: false,
-                remote_numa: remote,
-                direct_attach: false,
-            }],
-        )
+    println!("{:<25} {:>12} {:>12}", "path", "local (ns)", "remote (ns)");
+    let row = |path: &str, [local, remote]: [f64; 2]| {
+        println!("{path:<25} {local:>12.0} {remote:>12.0}");
     };
-    let mut cxl_local = mk_pool(false);
-    let mut cxl_remote = mk_pool(true);
-
-    println!("{:<22} {:>12} {:>12}", "path", "local (ns)", "remote (ns)");
-    println!(
-        "{:<22} {:>12.0} {:>12.0}",
-        "DRAM",
-        chase_dram(&mut dram_local, N),
-        chase_dram(&mut dram_remote, N)
+    let [(_, dram), (_, direct), (_, switched)] = table1_latencies();
+    row("DRAM", dram);
+    // The raw load latencies are calibration constants; the "sw path"
+    // rows are what a pool access measures.
+    let calib = |local: u64, remote: u64| [local as f64, remote as f64];
+    row(
+        "CXL w/o switch (calib)",
+        calib(CXL_DIRECT_LOCAL_NS, CXL_DIRECT_REMOTE_NS),
     );
-    // The no-switch configuration is a calibration constant (we model
-    // the switched path; direct-attach is reported for completeness).
-    println!(
-        "{:<22} {:>12.0} {:>12.0}",
-        "CXL w/o switch (calib)", CXL_DIRECT_LOCAL_NS as f64, CXL_DIRECT_REMOTE_NS as f64
+    row("CXL w/o switch (sw path)", direct);
+    row(
+        "CXL w/ switch (load)",
+        calib(CXL_SWITCH_LOCAL_NS, CXL_SWITCH_REMOTE_NS),
     );
-    println!(
-        "{:<22} {:>12.0} {:>12.0}",
-        "CXL w/ switch (load)", CXL_SWITCH_LOCAL_NS as f64, CXL_SWITCH_REMOTE_NS as f64
-    );
-    println!(
-        "{:<22} {:>12.0} {:>12.0}",
-        "CXL w/ switch (sw path)",
-        chase_cxl(&mut cxl_local, NodeId(0), N),
-        chase_cxl(&mut cxl_remote, NodeId(0), N)
-    );
-    footer("switched-CXL loads include the software copy overhead the database path pays");
+    row("CXL w/ switch (sw path)", switched);
+    footer("sw-path loads include the software copy overhead the database path pays");
 }

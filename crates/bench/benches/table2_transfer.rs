@@ -1,9 +1,7 @@
 //! Table 2: data-transfer latency of RDMA vs CXL for 64 B – 16 KB,
 //! reads (remote → local) and writes (local → remote).
 
-use bench::{banner, footer};
-use memsim::{CxlPool, NodeId, RdmaPool};
-use simkit::SimTime;
+use bench::{banner, footer, table2_transfers};
 
 fn main() {
     banner(
@@ -15,31 +13,16 @@ fn main() {
         "{:>8} {:>14} {:>14} {:>14} {:>14}",
         "size", "RDMA wr (us)", "CXL wr (us)", "RDMA rd (us)", "CXL rd (us)"
     );
-    for &size in &[64usize, 512, 1024, 4096, 16384] {
-        // Fresh fabrics per size so queues carry no backlog between rows.
-        let mut rdma = RdmaPool::new(1 << 20, 1);
-        let mut cxl = CxlPool::single_host(1 << 20, 1, 64, false); // tiny cache: all misses
-        let data = vec![0xA5u8; size];
-        let mut buf = vec![0u8; size];
-
-        let rw = rdma.write(0, 0, &data, SimTime::ZERO).end.as_nanos() as f64 / 1e3;
-        let rr = rdma.read(0, 0, &mut buf, SimTime::ZERO).end.as_nanos() as f64 / 1e3;
-        let cw = cxl
-            .write_uncached(NodeId(0), 0, &data, SimTime::ZERO)
-            .end
-            .as_nanos() as f64
-            / 1e3;
-        let cr = cxl
-            .read_uncached(NodeId(0), 0, &mut buf, SimTime::ZERO)
-            .end
-            .as_nanos() as f64
-            / 1e3;
-        let label = if size >= 1024 {
-            format!("{}KB", size / 1024)
+    for r in table2_transfers() {
+        let label = if r.size >= 1024 {
+            format!("{}KB", r.size / 1024)
         } else {
-            format!("{size}B")
+            format!("{}B", r.size)
         };
-        println!("{label:>8} {rw:>14.2} {cw:>14.2} {rr:>14.2} {cr:>14.2}");
+        println!(
+            "{label:>8} {:>14.2} {:>14.2} {:>14.2} {:>14.2}",
+            r.rdma_write_us, r.cxl_write_us, r.rdma_read_us, r.cxl_read_us
+        );
     }
     footer("CXL wins ~6x at 64B; its lead narrows as size grows (store-buffer-depth-limited streaming), as in the paper");
 }

@@ -10,6 +10,10 @@ pub mod sweep;
 
 pub use sweep::{host_threads, run_sweep, run_sweep_threads};
 
+use memsim::{CxlNodeConfig, CxlPool, DramSpace, NodeId, RdmaPool};
+use simkit::SimTime;
+use workloads::{run_pooling, PoolKind, PoolingConfig, SysbenchKind};
+
 /// Print a figure/table banner.
 pub fn banner(id: &str, title: &str, paper_summary: &str) {
     println!("\n=== {id}: {title} ===");
@@ -35,6 +39,123 @@ pub fn improvement_pct(a: f64, b: f64) -> f64 {
     } else {
         (a / b - 1.0) * 100.0
     }
+}
+
+/// Figures 7–9: tiered RDMA against PolarCXLMem under `workload` at each
+/// instance count of `points` — the banner, one row per point
+/// (throughput, mean latency, interconnect bandwidth) and the note.
+pub fn pooling_figure(
+    id: &str,
+    title: &str,
+    paper_summary: &str,
+    workload: SysbenchKind,
+    points: &[usize],
+    note: &str,
+) {
+    banner(id, title, paper_summary);
+    println!(
+        "{:>4} | {:>12} {:>12} | {:>12} {:>12} | {:>10} {:>10}",
+        "n", "RDMA K-QPS", "CXL K-QPS", "RDMA lat us", "CXL lat us", "RDMA GB/s", "CXL GB/s"
+    );
+    let configs: Vec<PoolingConfig> = points
+        .iter()
+        .flat_map(|&n| {
+            [PoolKind::TieredRdma, PoolKind::Cxl]
+                .map(|kind| PoolingConfig::standard(kind, workload, n))
+        })
+        .collect();
+    let results = run_sweep(&configs, run_pooling);
+    for (pair, n) in results.chunks(2).zip(points) {
+        let (r, c) = (&pair[0].metrics, &pair[1].metrics);
+        println!(
+            "{:>4} | {:>12} {:>12} | {:>12.1} {:>12.1} | {:>10.2} {:>10.2}",
+            n,
+            kqps(r.qps),
+            kqps(c.qps),
+            r.avg_latency_us,
+            c.avg_latency_us,
+            r.interconnect_gbps,
+            c.interconnect_gbps
+        );
+    }
+    footer(note);
+}
+
+/// Table 1, measured: mean latency in ns of 10 000 dependent single-line
+/// loads at distinct addresses (defeating the cache, as Intel MLC does),
+/// `[local, remote]` NUMA, for DRAM, direct-attached CXL and switched
+/// CXL in that order. The CXL rows go through the pool's uncached load,
+/// so they carry the copy-loop overhead the database path pays.
+pub fn table1_latencies() -> [(&'static str, [f64; 2]); 3] {
+    const N: u64 = 10_000;
+    let dram = |remote: bool| {
+        let mut space = DramSpace::new(2 << 20, 64, remote);
+        let mut t = SimTime::ZERO;
+        for i in 0..N {
+            // A fresh line each time: every access misses the CPU cache.
+            let at = (i * 64) % (space.len() as u64 - 64);
+            t = space.read(at, &mut [0u8; 8], t).end;
+        }
+        t.as_nanos() as f64 / N as f64
+    };
+    let cxl = |direct_attach: bool, remote_numa: bool| {
+        let node = CxlNodeConfig {
+            cache_bytes: 64,
+            remote_numa,
+            direct_attach,
+            ..CxlNodeConfig::default()
+        };
+        let mut pool = CxlPool::new(2 << 20, [node]);
+        let mut t = SimTime::ZERO;
+        for i in 0..N {
+            t = pool.read_uncached(NodeId(0), i * 64, &mut [0u8; 8], t).end;
+        }
+        t.as_nanos() as f64 / N as f64
+    };
+    [
+        ("DRAM", [dram(false), dram(true)]),
+        ("CXL w/o switch", [cxl(true, false), cxl(true, true)]),
+        ("CXL w/ switch", [cxl(false, false), cxl(false, true)]),
+    ]
+}
+
+/// One size of Table 2, measured: µs to move `size` bytes over an idle
+/// fabric, local → remote (write) and remote → local (read).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TransferRow {
+    /// Transfer size in bytes.
+    pub size: usize,
+    /// RDMA write.
+    pub rdma_write_us: f64,
+    /// CXL non-temporal store stream.
+    pub cxl_write_us: f64,
+    /// RDMA read.
+    pub rdma_read_us: f64,
+    /// CXL uncached load stream.
+    pub cxl_read_us: f64,
+}
+
+/// Table 2, measured: 64 B – 16 KB, each size over fresh fabrics so the
+/// queues carry no backlog between rows.
+pub fn table2_transfers() -> Vec<TransferRow> {
+    let us = |end: SimTime| end.as_nanos() as f64 / 1e3;
+    [64usize, 512, 1024, 4096, 16384]
+        .into_iter()
+        .map(|size| {
+            let mut rdma = RdmaPool::new(1 << 20, 1);
+            let mut cxl = CxlPool::single_host(1 << 20, 1, 64, false); // tiny cache: all misses
+            let data = vec![0xA5u8; size];
+            let mut buf = vec![0u8; size];
+            let zero = SimTime::ZERO;
+            TransferRow {
+                size,
+                rdma_write_us: us(rdma.write(0, 0, &data, zero).end),
+                rdma_read_us: us(rdma.read(0, 0, &mut buf, zero).end),
+                cxl_write_us: us(cxl.write_uncached(NodeId(0), 0, &data, zero).end),
+                cxl_read_us: us(cxl.read_uncached(NodeId(0), 0, &mut buf, zero).end),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -124,11 +124,6 @@ impl BTree {
         self.height
     }
 
-    /// Leaf capacity in entries (exposed for sizing heuristics).
-    pub fn leaf_capacity(&self) -> u16 {
-        self.leaf.capacity
-    }
-
     fn init_leaf<P: BufferPool>(mtr: &mut Mtr<'_, P>, page: PageId, next_leaf: u64) {
         mtr.write(page, OFF_TYPE, &[TYPE_LEAF]);
         mtr.write(page, OFF_LEVEL, &[0]);

@@ -78,16 +78,10 @@ impl DramBp {
         // No middle tier: a DRAM miss goes straight to storage.
         self.stats.tier_cxl_misses += 1;
         let mut t = now;
-        let frame = if let Some(f) = self.frames.pop_free() {
-            f
-        } else {
-            let victim = self
-                .frames
-                .pop_victim()
-                .expect("no free frame and empty LRU");
-            t = self.evict(victim, t);
-            victim
-        };
+        let (frame, evicted) = self.frames.claim();
+        if let Some((victim, dirty)) = evicted {
+            t = self.write_back(frame, victim, dirty, t);
+        }
         // Fetch from storage straight into the frame: no intermediate
         // heap buffer, one copy instead of two.
         let ps = self.store.page_size() as usize;
@@ -102,8 +96,8 @@ impl DramBp {
         (frame, t)
     }
 
-    fn evict(&mut self, frame: u32, now: SimTime) -> SimTime {
-        let (page, dirty) = self.frames.evict(frame);
+    /// `frame` has just lost `page` to eviction: write it back if dirty.
+    fn write_back(&mut self, frame: u32, page: PageId, dirty: bool, now: SimTime) -> SimTime {
         self.stats.evictions += 1;
         if dirty {
             self.stats.writebacks += 1;
@@ -182,22 +176,14 @@ impl BufferPool for DramBp {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
         let ps = self.store.page_size() as usize;
         let mut t = now;
-        // Walking frame ids is deterministic (and allocation-free) by
-        // construction — no hash-order to launder.
-        for frame in 0..self.frames.capacity() as u32 {
-            let Some(page) = self.frames.page_of(frame) else {
-                continue;
-            };
-            if !self.frames.is_dirty(frame) {
-                continue;
-            }
+        let mut cursor = 0;
+        while let Some((frame, page)) = self.frames.take_dirty(&mut cursor) {
             let off = self.frame_off(frame);
             t = self
                 .store
                 .write_page(page, self.space.raw().slice(off, ps), t)
                 .end;
             self.stats.storage_write_bytes += ps as u64;
-            self.frames.clear_dirty(frame);
         }
         t
     }
@@ -215,19 +201,12 @@ impl BufferPool for DramBp {
     }
 
     fn prewarm(&mut self) {
-        let pages = self.store.allocated_pages();
-        for pid in 0..pages {
-            let page = PageId(pid);
-            if self.frames.contains(page) {
-                continue;
-            }
-            let Some(frame) = self.frames.pop_free() else {
-                break;
-            };
-            let off = self.frame_off(frame);
-            self.space.raw_mut().write(off, self.store.raw_page(page));
-            self.frames.install(frame, page);
-        }
+        let (space, store) = (&mut self.space, &self.store);
+        let pages = (0..store.allocated_pages()).map(PageId);
+        self.frames.warm(pages, |frame, page| {
+            let off = frame as u64 * store.page_size();
+            space.raw_mut().write(off, store.raw_page(page));
+        });
     }
 }
 

@@ -130,6 +130,23 @@ impl FrameTable {
         self.free.pop()
     }
 
+    /// A frame for a new page: a free one, else the policy's victim,
+    /// [`evict`](Self::evict)ed — in which case its `(page, was_dirty)`
+    /// comes back too, for the caller to write the bytes back (what that
+    /// costs is the pool's design) before it reuses the frame.
+    pub fn claim(&mut self) -> (u32, Option<(PageId, bool)>) {
+        match self.free.pop() {
+            Some(frame) => (frame, None),
+            None => {
+                let victim = self
+                    .policy
+                    .pop_victim()
+                    .expect("no free frame and empty policy");
+                (victim, Some(self.evict(victim)))
+            }
+        }
+    }
+
     /// Return an emptied frame (unlinked and [`evict`](Self::evict)ed)
     /// to the free stack — migration paths move a page *out* of a tier
     /// without immediately reusing its slot.
@@ -191,9 +208,38 @@ impl FrameTable {
         self.dirty[frame as usize] = true;
     }
 
-    /// Clear the dirty bit (checkpoint).
-    pub fn clear_dirty(&mut self, frame: u32) {
-        self.dirty[frame as usize] = false;
+    /// Checkpoint cursor: the first bound, dirty frame at or after
+    /// `*cursor` and its page, with the dirty bit cleared and the cursor
+    /// moved past it; `None` once every frame has been visited. Walking
+    /// frame ids is deterministic (and allocation-free) by construction —
+    /// no hash-order to launder.
+    pub fn take_dirty(&mut self, cursor: &mut u32) -> Option<(u32, PageId)> {
+        while (*cursor as usize) < self.page.len() {
+            let frame = *cursor;
+            *cursor += 1;
+            let i = frame as usize;
+            if let (Some(page), true) = (self.page[i], self.dirty[i]) {
+                self.dirty[i] = false;
+                return Some((frame, page));
+            }
+        }
+        None
+    }
+
+    /// Warm-up: bind each of `pages` that is not yet resident to a free
+    /// frame, calling `fill(frame, page)` to put its bytes there, until
+    /// the free frames run out. Nothing is evicted and nothing is timed.
+    pub fn warm(&mut self, pages: impl Iterator<Item = PageId>, mut fill: impl FnMut(u32, PageId)) {
+        for page in pages {
+            if self.contains(page) {
+                continue;
+            }
+            let Some(frame) = self.free.pop() else {
+                break;
+            };
+            fill(frame, page);
+            self.install(frame, page);
+        }
     }
 
     /// Record `page`'s LSN on its frame (indexed store, no hashing).

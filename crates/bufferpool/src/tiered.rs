@@ -236,16 +236,10 @@ impl TieredRdmaBp {
             self.stats.tier_cxl_misses += 1;
         }
         let mut t = now;
-        let frame = if let Some(f) = self.frames.pop_free() {
-            f
-        } else {
-            let victim = self
-                .frames
-                .pop_victim()
-                .expect("no free frame and empty LRU");
-            t = self.evict(victim, t);
-            victim
-        };
+        let (frame, evicted) = self.frames.claim();
+        if let Some((victim, dirty)) = evicted {
+            t = self.write_back(frame, victim, dirty, t);
+        }
         let ps = self.store.page_size() as usize;
         let off = self.frame_off(frame);
         if self.remote_resident[page.0 as usize] {
@@ -305,8 +299,9 @@ impl TieredRdmaBp {
         (frame, t)
     }
 
-    fn evict(&mut self, frame: u32, now: SimTime) -> SimTime {
-        let (page, dirty) = self.frames.evict(frame);
+    /// `frame` has just lost `page` to eviction: write it back to the
+    /// remote tier if dirty.
+    fn write_back(&mut self, frame: u32, page: PageId, dirty: bool, now: SimTime) -> SimTime {
         self.stats.evictions += 1;
         let was_aliased = std::mem::take(&mut self.aliased[frame as usize]);
         if dirty {
@@ -469,15 +464,8 @@ impl BufferPool for TieredRdmaBp {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
         let ps = self.store.page_size() as usize;
         let mut t = now;
-        // Walking frame ids is deterministic (and allocation-free) by
-        // construction — no hash-order to launder.
-        for frame in 0..self.frames.capacity() as u32 {
-            let Some(page) = self.frames.page_of(frame) else {
-                continue;
-            };
-            if !self.frames.is_dirty(frame) {
-                continue;
-            }
+        let mut cursor = 0;
+        while let Some((frame, page)) = self.frames.take_dirty(&mut cursor) {
             assert!(
                 !self.aliased[frame as usize],
                 "dirty frame still aliases remote memory"
@@ -501,7 +489,6 @@ impl BufferPool for TieredRdmaBp {
                 self.stats.remote_write_bytes += ps as u64;
                 t = a.end;
             }
-            self.frames.clear_dirty(frame);
         }
         // Pages whose newest version lives only in remote memory must
         // also reach storage, or the checkpoint would be a lie. The data
@@ -557,18 +544,11 @@ impl BufferPool for TieredRdmaBp {
             self.remote_resident[pid as usize] = true;
         }
         // ...and the LBP is warmed to capacity.
-        for pid in 0..pages {
-            let page = PageId(pid);
-            if self.frames.contains(page) {
-                continue;
-            }
-            let Some(frame) = self.frames.pop_free() else {
-                break;
-            };
-            let off = self.frame_off(frame);
-            self.space.raw_mut().write(off, self.store.raw_page(page));
-            self.frames.install(frame, page);
-        }
+        let (space, store) = (&mut self.space, &self.store);
+        self.frames.warm((0..pages).map(PageId), |frame, page| {
+            let off = frame as u64 * store.page_size();
+            space.raw_mut().write(off, store.raw_page(page));
+        });
     }
 }
 

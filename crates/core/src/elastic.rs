@@ -505,17 +505,45 @@ impl MigrationCoordinator {
         }
         let t = self.gate(MigrationStep::Reassign, now)?;
         let t = self.state_store(server, MigrationState::Committing, t);
-        let t = self.gate(MigrationStep::Reassign, t)?;
+        let t = self.roll_forward(server, mgr, plan, Some(donor), Some(recipient), t)?;
+        self.stats.commits += 1;
+        Ok(t)
+    }
+
+    /// Everything past the commit point, every step idempotent: transfer
+    /// the lease in place from `plan.donor` — the node that holds it
+    /// *now* — drop that node from the directory and its agent's entries,
+    /// bulk-adopt on the recipient, retire the intent. A missing donor
+    /// agent is skipped; a missing recipient agent leaves the server-side
+    /// hand-off, which repairs the directory directly.
+    fn roll_forward(
+        &mut self,
+        server: &mut FusionServer,
+        mgr: &mut CxlMemoryManager,
+        plan: MigrationPlan,
+        donor: Option<&mut SharingNode>,
+        recipient: Option<&mut SharingNode>,
+        now: SimTime,
+    ) -> Result<SimTime, MigrationError> {
+        let t = self.gate(MigrationStep::Reassign, now)?;
         let t = self.reassign_lease(mgr, plan.lease.offset, plan.lease.size, plan, t)?;
         let t = self.gate(MigrationStep::Reassign, t)?;
         let t = server.migrate_out(plan.donor, plan.from, plan.count, t);
-        donor.forget_range(plan.from, plan.count);
+        if let Some(donor) = donor {
+            donor.forget_range(plan.from, plan.count);
+        }
         let t = self.gate(MigrationStep::Adopt, t)?;
-        let (_, t) = recipient.adopt(server, plan.from, plan.count, t);
+        let t = match recipient {
+            Some(node) => node.adopt(server, plan.from, plan.count, t).1,
+            None => {
+                server
+                    .adopt_range(plan.recipient, plan.from, plan.count, t)
+                    .1
+            }
+        };
         let t = self.gate(MigrationStep::Retire, t)?;
         let t = self.state_store(server, MigrationState::Retired, t);
         self.inflight = None;
-        self.stats.commits += 1;
         Ok(t)
     }
 
@@ -602,43 +630,36 @@ impl MigrationCoordinator {
             }
             MigrationState::Committing => {
                 // The commit point passed: replay every remaining step.
+                // A takeover may have re-leased the donor's extent since
+                // (the coordinator died between the commit point and the
+                // lease transfer): its successor holds what the donor
+                // held, and stands in for it.
+                let donor = mgr
+                    .lease_at(rec.lease_offset, rec.lease_size)
+                    .map(|l| l.client)
+                    .filter(|&c| c != rec.recipient)
+                    .unwrap_or(rec.donor);
                 let plan = MigrationPlan {
-                    donor: rec.donor,
+                    donor,
                     recipient: rec.recipient,
                     from: rec.from,
                     count: rec.count,
                     lease: Lease {
-                        client: rec.donor,
+                        client: donor,
                         offset: rec.lease_offset,
                         size: rec.lease_size,
                     },
                 };
-                let t = self.gate(MigrationStep::Reassign, t)?;
-                let t = self.reassign_lease(mgr, rec.lease_offset, rec.lease_size, plan, t)?;
-                let t = self.gate(MigrationStep::Reassign, t)?;
-                let mut t = server.migrate_out(plan.donor, plan.from, plan.count, t);
-                let mut adopted = false;
+                let (mut from, mut to) = (None, None);
                 for node in nodes.iter_mut() {
                     // lint: order-insensitive (slice, not a hash map)
                     if node.id() == plan.donor {
-                        node.forget_range(plan.from, plan.count);
+                        from = Some(node);
                     } else if node.id() == plan.recipient {
-                        t = self.gate(MigrationStep::Adopt, t)?;
-                        let (_, end) = node.adopt(server, plan.from, plan.count, t);
-                        t = end;
-                        adopted = true;
+                        to = Some(node);
                     }
                 }
-                if !adopted {
-                    // No recipient agent supplied: repair the directory
-                    // directly so the server-side hand-off completes.
-                    t = self.gate(MigrationStep::Adopt, t)?;
-                    let (_, end) = server.adopt_range(plan.recipient, plan.from, plan.count, t);
-                    t = end;
-                }
-                let t = self.gate(MigrationStep::Retire, t)?;
-                let t = self.state_store(server, MigrationState::Retired, t);
-                self.inflight = None;
+                let t = self.roll_forward(server, mgr, plan, from, to, t)?;
                 self.stats.rolled_forward += 1;
                 Ok((RecoveryAction::RolledForward { seq: rec.seq }, t))
             }
@@ -990,6 +1011,66 @@ mod tests {
         assert_eq!(server.stats().storage_fills, fills);
         check_partition(&server, &mgr);
         // Recovery is idempotent: a second pass finds a retired intent.
+        let (action, _) = coord2
+            .recover(&mut server, &mut mgr, &mut nodes, t)
+            .expect("idempotent recovery");
+        assert_eq!(action, RecoveryAction::Nothing);
+    }
+
+    #[test]
+    fn donor_replaced_after_commit_point_rolls_forward_from_the_successor() {
+        let (mut server, mut mgr, mut nodes, mut coord) = setup();
+        // A standby (node 2) that can take the donor's place.
+        server.register_node(NodeId(2), 128 << 10);
+        nodes.push(SharingNode::new(NodeId(2), 128 << 10, PAGE));
+        let t = nodes[0].write(&mut server, PageId(2), 0, &[0xEF; 8], SimTime::ZERO);
+        let t = nodes[0].publish(&mut server, PageId(2), t);
+        let p = plan(&mgr);
+        let t = coord.prepare(&mut server, p, t).expect("prepare");
+        // The coordinator dies at the second reassign gate: COMMITTING
+        // is durable, the lease is still the donor's.
+        faults::install(
+            FaultPlan::count_only()
+                .with(Trigger::SiteHit(FaultSite::MigReassign, 1), Action::Crash),
+        );
+        let (d, r) = nodes.split_at_mut(1);
+        let err = coord
+            .commit(&mut server, &mut mgr, &mut d[0], &mut r[0], t)
+            .expect_err("gate kills the coordinator");
+        assert_eq!(
+            err,
+            MigrationError::Crashed {
+                step: MigrationStep::Reassign
+            }
+        );
+        faults::clear();
+        assert_eq!(
+            coord.read_journal(&server, t).0.state,
+            MigrationState::Committing
+        );
+        // The donor dies too, and a takeover hands its extent to the
+        // standby before anyone recovers the coordinator.
+        let (_, t) = mgr.reassign(p.lease, NodeId(2), t).expect("re-lease");
+        let (_, t) = nodes[2].adopt(&mut server, p.from, p.count, t);
+        let t = server.reclaim_node(NodeId(0), t);
+        let mut coord2 = MigrationCoordinator::new(NodeId(2), JOURNAL);
+        let (action, t) = coord2
+            .recover(&mut server, &mut mgr, &mut nodes, t)
+            .expect("recovery rolls forward from the successor, not into WrongOwner");
+        assert_eq!(action, RecoveryAction::RolledForward { seq: 1 });
+        // The lease ends at the recipient, the successor is out of the
+        // directory, and the donor's committed write is read out of CXL.
+        assert_eq!(mgr.lease_at(0, 4 * PAGE).map(|l| l.client), Some(NodeId(1)));
+        let dir = server.dir_snapshot();
+        for page in 0..4 {
+            assert_eq!(dir.active(PageId(page)), &[NodeId(1)]);
+        }
+        let fills = server.stats().storage_fills;
+        let mut buf = [0u8; 8];
+        nodes[1].read(&mut server, PageId(2), 0, &mut buf, t);
+        assert_eq!(buf, [0xEF; 8]);
+        assert_eq!(server.stats().storage_fills, fills);
+        check_partition(&server, &mgr);
         let (action, _) = coord2
             .recover(&mut server, &mut mgr, &mut nodes, t)
             .expect("idempotent recovery");

@@ -233,45 +233,38 @@ impl AdaptivePool {
         self.cxl_heat.iter_mut().for_each(halve);
     }
 
-    /// Evict the CXL tier's policy victim (writing it back to storage
-    /// if dirty) and return its now-free block.
-    fn evict_cxl_victim(&mut self, now: SimTime) -> (u32, SimTime) {
-        let victim = self
-            .cxlt
-            .pop_victim()
-            .expect("no free CXL block and empty policy");
-        let (page, dirty) = self.cxlt.evict(victim);
+    /// A free CXL block, evicting the policy victim (written back to
+    /// storage if dirty) if none.
+    fn cxl_slot(&mut self, now: SimTime) -> (u32, SimTime) {
+        let (block, evicted) = self.cxlt.claim();
+        let Some((page, dirty)) = evicted else {
+            return (block, now);
+        };
         self.stats.evictions += 1;
         self.stats.tier_demotes += 1;
         let mut t = now;
         if dirty {
-            let ps = self.store.page_size() as usize;
-            t = self
-                .cxl
-                .borrow_mut()
-                .read(self.node, self.block_off(victim), &mut self.wb_buf, t)
-                .end;
-            t = self.store.write_page(page, &self.wb_buf, t).end;
+            t = self.write_block_back(block, page, t);
             self.stats.writebacks += 1;
-            self.stats.storage_write_bytes += ps as u64;
         }
-        (victim, t)
+        (block, t)
     }
 
-    /// A free CXL block, evicting the policy victim if none.
-    fn cxl_slot(&mut self, now: SimTime) -> (u32, SimTime) {
-        match self.cxlt.pop_free() {
-            Some(b) => (b, now),
-            None => self.evict_cxl_victim(now),
-        }
+    /// Checkpoint CXL `block`, which holds `page`, to storage.
+    fn write_block_back(&mut self, block: u32, page: PageId, now: SimTime) -> SimTime {
+        let t = self
+            .cxl
+            .borrow_mut()
+            .read(self.node, self.block_off(block), &mut self.wb_buf, now)
+            .end;
+        self.stats.storage_write_bytes += self.store.page_size();
+        self.store.write_page(page, &self.wb_buf, t).end
     }
 
-    /// Demote a DRAM frame (already unlinked from its policy) to the
-    /// CXL tier, carrying its dirty bit and heat. The frame binding is
-    /// cleared; the caller owns the emptied frame.
-    fn demote_frame(&mut self, frame: u32, now: SimTime) -> SimTime {
+    /// Demote `page`, just evicted from DRAM `frame`, to the CXL tier,
+    /// carrying its dirty bit and heat. The caller owns the emptied frame.
+    fn demote_frame(&mut self, frame: u32, page: PageId, dirty: bool, now: SimTime) -> SimTime {
         let heat = self.dram_heat[frame as usize];
-        let (page, dirty) = self.dram.evict(frame);
         let mut t = self
             .space
             .read(self.frame_off(frame), &mut self.xfer_buf, now)
@@ -295,15 +288,10 @@ impl AdaptivePool {
 
     /// A free DRAM frame, demoting the policy victim to CXL if none.
     fn dram_slot(&mut self, now: SimTime) -> (u32, SimTime) {
-        if let Some(f) = self.dram.pop_free() {
-            return (f, now);
+        match self.dram.claim() {
+            (frame, None) => (frame, now),
+            (frame, Some((page, dirty))) => (frame, self.demote_frame(frame, page, dirty, now)),
         }
-        let victim = self
-            .dram
-            .pop_victim()
-            .expect("no free DRAM frame and empty policy");
-        let t = self.demote_frame(victim, now);
-        (victim, t)
     }
 
     /// Migrate CXL block `b` up into a DRAM frame, carrying dirty bit
@@ -436,7 +424,8 @@ impl AdaptivePool {
             for i in 0..demotions {
                 let (_, frame) = self.demote_scratch[i];
                 self.dram.unlink(frame);
-                t = self.demote_frame(frame, t);
+                let (page, dirty) = self.dram.evict(frame);
+                t = self.demote_frame(frame, page, dirty, t);
                 self.dram.push_free(frame);
             }
         }
@@ -519,36 +508,18 @@ impl BufferPool for AdaptivePool {
         let _prof = profile::scope(Subsys::BufferPool);
         let ps = self.store.page_size() as usize;
         let mut t = now;
-        for frame in 0..self.dram.capacity() as u32 {
-            let Some(page) = self.dram.page_of(frame) else {
-                continue;
-            };
-            if !self.dram.is_dirty(frame) {
-                continue;
-            }
+        let mut cursor = 0;
+        while let Some((frame, page)) = self.dram.take_dirty(&mut cursor) {
             let off = self.frame_off(frame);
             t = self
                 .store
                 .write_page(page, self.space.raw().slice(off, ps), t)
                 .end;
             self.stats.storage_write_bytes += ps as u64;
-            self.dram.clear_dirty(frame);
         }
-        for block in 0..self.cxlt.capacity() as u32 {
-            let Some(page) = self.cxlt.page_of(block) else {
-                continue;
-            };
-            if !self.cxlt.is_dirty(block) {
-                continue;
-            }
-            t = self
-                .cxl
-                .borrow_mut()
-                .read(self.node, self.block_off(block), &mut self.wb_buf, t)
-                .end;
-            t = self.store.write_page(page, &self.wb_buf, t).end;
-            self.stats.storage_write_bytes += ps as u64;
-            self.cxlt.clear_dirty(block);
+        let mut cursor = 0;
+        while let Some((block, page)) = self.cxlt.take_dirty(&mut cursor) {
+            t = self.write_block_back(block, page, t);
         }
         t
     }
@@ -566,27 +537,27 @@ impl BufferPool for AdaptivePool {
     }
 
     fn prewarm(&mut self) {
-        let pages = self.store.allocated_pages();
-        for pid in 0..pages {
-            let page = PageId(pid);
-            if self.is_resident(page) {
-                continue;
-            }
-            if let Some(frame) = self.dram.pop_free() {
-                let off = self.frame_off(frame);
-                self.space.raw_mut().write(off, self.store.raw_page(page));
-                self.install_dram(frame, page, 1);
-            } else if let Some(block) = self.cxlt.pop_free() {
-                let off = self.block_off(block);
-                self.cxl
-                    .borrow_mut()
+        // DRAM first, then CXL with what DRAM had no room for; a fresh
+        // fill seeds heat 1.
+        let ps = self.store.page_size();
+        let pages = || (0..self.store.allocated_pages()).map(PageId);
+        let (store, space, dram_heat) = (&self.store, &mut self.space, &mut self.dram_heat);
+        let cxlt = &self.cxlt;
+        self.dram
+            .warm(pages().filter(|&p| !cxlt.contains(p)), |frame, page| {
+                space
                     .raw_mut()
-                    .write(off, self.store.raw_page(page));
-                self.install_cxl(block, page, 1);
-            } else {
-                break;
-            }
-        }
+                    .write(frame as u64 * ps, store.raw_page(page));
+                dram_heat[frame as usize] = 1;
+            });
+        let (dram, cxl_heat) = (&self.dram, &mut self.cxl_heat);
+        let (mut cxl, base) = (self.cxl.borrow_mut(), self.base);
+        self.cxlt
+            .warm(pages().filter(|&p| !dram.contains(p)), |block, page| {
+                cxl.raw_mut()
+                    .write(base + block as u64 * ps, store.raw_page(page));
+                cxl_heat[block as usize] = 1;
+            });
     }
 }
 

@@ -209,35 +209,22 @@ impl<P: BufferPool> Db<P> {
         now: SimTime,
     ) -> (bool, SimTime) {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::Btree);
-        let g = self.cpus.acquire(now, CPU_WRITE_STMT_NS);
-        let (found, t) =
-            self.table
-                .update_field(&mut self.pool, &mut self.wal, key, field_off, data, g.end);
-        self.stats.queries += 1;
-        let t = self.commit(t);
-        (found, t)
+        let (found, t) = self.update_no_commit(key, field_off, data, now);
+        (found, self.commit(t))
     }
 
     /// Auto-commit insert. Returns (inserted, completion).
     pub fn insert(&mut self, key: u64, record: &[u8], now: SimTime) -> (bool, SimTime) {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::Btree);
-        let g = self.cpus.acquire(now, CPU_WRITE_STMT_NS);
-        let (ins, t) = self
-            .table
-            .insert(&mut self.pool, &mut self.wal, key, record, g.end);
-        self.stats.queries += 1;
-        let t = self.commit(t);
-        (ins, t)
+        let (ins, t) = self.insert_no_commit(key, record, now);
+        (ins, self.commit(t))
     }
 
     /// Auto-commit delete. Returns (found, completion).
     pub fn delete(&mut self, key: u64, now: SimTime) -> (bool, SimTime) {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::Btree);
-        let g = self.cpus.acquire(now, CPU_WRITE_STMT_NS);
-        let (found, t) = self.table.delete(&mut self.pool, &mut self.wal, key, g.end);
-        self.stats.queries += 1;
-        let t = self.commit(t);
-        (found, t)
+        let (found, t) = self.delete_no_commit(key, now);
+        (found, self.commit(t))
     }
 
     /// Update without the commit flush — for multi-statement

@@ -176,14 +176,22 @@ impl Port<'_> {
         delta
     }
 
+    /// Fabric latency of `lines` cache lines moved as one stream, plus
+    /// `hits` served by the cache: the Table 2 base cost of the direction
+    /// (adjusted for the attach point) for the first line and the
+    /// streaming increment for each further one.
     #[inline]
-    fn base_read_ns(&self) -> u64 {
-        (CXL_COPY_READ_BASE_NS as i64 + self.attach_delta_ns()) as u64
-    }
-
-    #[inline]
-    fn base_write_ns(&self) -> u64 {
-        (CXL_COPY_WRITE_BASE_NS as i64 + self.attach_delta_ns()) as u64
+    fn stream_ns(&self, store: bool, lines: u64, hits: u64) -> u64 {
+        let cached = hits * CACHE_HIT_NS;
+        if lines == 0 {
+            return cached;
+        }
+        let (base, per_line) = if store {
+            (CXL_COPY_WRITE_BASE_NS, CXL_STREAM_WRITE_NS_PER_LINE)
+        } else {
+            (CXL_COPY_READ_BASE_NS, CXL_STREAM_READ_NS_PER_LINE)
+        };
+        (base as i64 + self.attach_delta_ns()) as u64 + (lines - 1) * per_line + cached
     }
 
     /// Move the captured copy of `line` — a dirty victim, or a line just
@@ -222,6 +230,35 @@ impl Port<'_> {
         let base = lat_end.max(g1.end);
         let end = base.max(g2.end);
         (end, end.saturating_since(base))
+    }
+
+    /// The one epilogue of every timed operation: the latency of
+    /// `misses` lines streamed and `hits` served by the cache, plus
+    /// `extra_ns` of the operation's own; `link_bytes` charged to the host
+    /// link and the switch; the span and the attribution lanes noted; the
+    /// access reported. Loads stream at the read rate, stores and flushes
+    /// at the write rate. Inlined into each operation, as the blocks it
+    /// replaces were: the timing-mode arms of `read` and `write` make no
+    /// out-of-line call for it.
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        kind: SpanKind,
+        now: SimTime,
+        extra_ns: u64,
+        link_bytes: u64,
+        hits: u64,
+        misses: u64,
+    ) -> Access {
+        let latency_ns = extra_ns + self.stream_ns(kind != SpanKind::CxlRead, misses, hits);
+        let (end, switch_ns) = self.charge_link(now, link_bytes, latency_ns);
+        note_cxl(kind, self.node, now, end, link_bytes, hits, switch_ns);
+        Access {
+            end,
+            link_bytes,
+            hits,
+            misses,
+        }
     }
 
     /// Serve a read from the host's frozen post-crash view: cached line
@@ -277,29 +314,7 @@ impl Port<'_> {
                 self.mem.read(off, buf);
             }
             let link_bytes = (run.misses + run.dirty_evictions) * CACHE_LINE;
-            let latency = if run.misses == 0 {
-                run.hits * CACHE_HIT_NS
-            } else {
-                self.base_read_ns()
-                    + (run.misses - 1) * CXL_STREAM_READ_NS_PER_LINE
-                    + run.hits * CACHE_HIT_NS
-            };
-            let (end, switch_ns) = self.charge_link(now, link_bytes, latency);
-            note_cxl(
-                SpanKind::CxlRead,
-                self.node,
-                now,
-                end,
-                link_bytes,
-                run.hits,
-                switch_ns,
-            );
-            return Access {
-                end,
-                link_bytes,
-                hits: run.hits,
-                misses: run.misses,
-            };
+            return self.settle(SpanKind::CxlRead, now, 0, link_bytes, run.hits, run.misses);
         }
         let mut hits = 0u64;
         let mut misses = 0u64;
@@ -344,29 +359,7 @@ impl Port<'_> {
                 }
             }
         }
-        let latency = if misses == 0 {
-            hits * CACHE_HIT_NS
-        } else {
-            self.base_read_ns()
-                + misses.saturating_sub(1) * CXL_STREAM_READ_NS_PER_LINE
-                + hits * CACHE_HIT_NS
-        };
-        let (end, switch_ns) = self.charge_link(now, link_bytes, latency);
-        note_cxl(
-            SpanKind::CxlRead,
-            self.node,
-            now,
-            end,
-            link_bytes,
-            hits,
-            switch_ns,
-        );
-        Access {
-            end,
-            link_bytes,
-            hits,
-            misses,
-        }
+        self.settle(SpanKind::CxlRead, now, 0, link_bytes, hits, misses)
     }
 
     /// Cached write of `data` at `off` (write-allocate, write-back:
@@ -396,29 +389,7 @@ impl Port<'_> {
                     + u64::from(run.last_missed && last_partial)
             };
             let link_bytes = (fetches + run.dirty_evictions) * CACHE_LINE;
-            let latency = if run.misses == 0 {
-                run.hits * CACHE_HIT_NS
-            } else {
-                self.base_write_ns()
-                    + (run.misses - 1) * CXL_STREAM_WRITE_NS_PER_LINE
-                    + run.hits * CACHE_HIT_NS
-            };
-            let (end, switch_ns) = self.charge_link(now, link_bytes, latency);
-            note_cxl(
-                SpanKind::CxlWrite,
-                self.node,
-                now,
-                end,
-                link_bytes,
-                run.hits,
-                switch_ns,
-            );
-            return Access {
-                end,
-                link_bytes,
-                hits: run.hits,
-                misses: run.misses,
-            };
+            return self.settle(SpanKind::CxlWrite, now, 0, link_bytes, run.hits, run.misses);
         }
         let mut hits = 0u64;
         let mut misses = 0u64;
@@ -429,10 +400,10 @@ impl Port<'_> {
             let copy_from = off.max(line_start);
             let copy_to = end_off.min(line_start + CACHE_LINE);
             let src = &data[(copy_from - off) as usize..(copy_to - off) as usize];
+            let s = (copy_from - line_start) as usize;
             match self.cache.access(line, true) {
                 LineAccess::Hit => {
                     hits += 1;
-                    let s = (copy_from - line_start) as usize;
                     if let Some(cached) = self.cache.line_mut(line) {
                         cached[s..s + src.len()].copy_from_slice(src);
                     } else {
@@ -450,41 +421,14 @@ impl Port<'_> {
                         link_bytes += CACHE_LINE;
                         self.write_back(victim);
                     }
-                    if self.cache.captures() {
-                        let mut fill = [0u8; CACHE_LINE as usize];
-                        self.mem.read(line_start, &mut fill);
-                        let s = (copy_from - line_start) as usize;
-                        fill[s..s + src.len()].copy_from_slice(src);
-                        self.cache.put_line(line, &fill);
-                    } else {
-                        self.mem.write(copy_from, src);
-                    }
+                    let mut fill = [0u8; CACHE_LINE as usize];
+                    self.mem.read(line_start, &mut fill);
+                    fill[s..s + src.len()].copy_from_slice(src);
+                    self.cache.put_line(line, &fill);
                 }
             }
         }
-        let latency = if misses == 0 {
-            hits * CACHE_HIT_NS
-        } else {
-            self.base_write_ns()
-                + misses.saturating_sub(1) * CXL_STREAM_WRITE_NS_PER_LINE
-                + hits * CACHE_HIT_NS
-        };
-        let (end, switch_ns) = self.charge_link(now, link_bytes, latency);
-        note_cxl(
-            SpanKind::CxlWrite,
-            self.node,
-            now,
-            end,
-            link_bytes,
-            hits,
-            switch_ns,
-        );
-        Access {
-            end,
-            link_bytes,
-            hits,
-            misses,
-        }
+        self.settle(SpanKind::CxlWrite, now, 0, link_bytes, hits, misses)
     }
 
     /// Uncached read (metadata flags): always goes to the device,
@@ -503,24 +447,7 @@ impl Port<'_> {
         }
         self.mem.read(off, buf);
         let lines = line_range(off, buf.len()).count() as u64;
-        let link_bytes = lines * CACHE_LINE;
-        let latency = self.base_read_ns() + (lines - 1) * CXL_STREAM_READ_NS_PER_LINE;
-        let (end, switch_ns) = self.charge_link(now, link_bytes, latency);
-        note_cxl(
-            SpanKind::CxlRead,
-            self.node,
-            now,
-            end,
-            link_bytes,
-            0,
-            switch_ns,
-        );
-        Access {
-            end,
-            link_bytes,
-            hits: 0,
-            misses: lines,
-        }
+        self.settle(SpanKind::CxlRead, now, 0, lines * CACHE_LINE, 0, lines)
     }
 
     /// Uncached (non-temporal) store: bytes land in the device directly
@@ -547,24 +474,7 @@ impl Port<'_> {
         }
         self.mem.write(off, data);
         let lines = line_range(off, data.len()).count() as u64;
-        let link_bytes = lines * CACHE_LINE;
-        let latency = self.base_write_ns() + (lines - 1) * CXL_STREAM_WRITE_NS_PER_LINE;
-        let (end, switch_ns) = self.charge_link(now, link_bytes, latency);
-        note_cxl(
-            SpanKind::CxlWrite,
-            self.node,
-            now,
-            end,
-            link_bytes,
-            0,
-            switch_ns,
-        );
-        Access {
-            end,
-            link_bytes,
-            hits: 0,
-            misses: lines,
-        }
+        self.settle(SpanKind::CxlWrite, now, 0, lines * CACHE_LINE, 0, lines)
     }
 
     /// `clflush` the byte range: write back dirty lines and invalidate all
@@ -588,29 +498,8 @@ impl Port<'_> {
                 self.write_back(line);
             }
         }
-        let link_bytes = flushed * CACHE_LINE;
-        let latency = issued * CLFLUSH_ISSUE_NS
-            + if flushed > 0 {
-                self.base_write_ns() + (flushed - 1) * CXL_STREAM_WRITE_NS_PER_LINE
-            } else {
-                0
-            };
-        let (end, switch_ns) = self.charge_link(now, link_bytes, latency);
-        note_cxl(
-            SpanKind::Clflush,
-            self.node,
-            now,
-            end,
-            link_bytes,
-            0,
-            switch_ns,
-        );
-        Access {
-            end,
-            link_bytes,
-            hits: 0,
-            misses: flushed,
-        }
+        let (issue_ns, link_bytes) = (issued * CLFLUSH_ISSUE_NS, flushed * CACHE_LINE);
+        self.settle(SpanKind::Clflush, now, issue_ns, link_bytes, 0, flushed)
     }
 
     /// A clflush torn `keep_lines` dirty lines in: those lines reach the
@@ -684,25 +573,8 @@ impl Port<'_> {
         let lines = lr.count() as u64;
         let link_bytes = (lines + evictions) * CACHE_LINE;
         // Back-invalidation snoops traverse the switch once per sharer.
-        let latency = self.base_write_ns()
-            + (lines - 1) * CXL_STREAM_WRITE_NS_PER_LINE
-            + snooped * CXL_HW_SNOOP_NS;
-        let (end, switch_ns) = self.charge_link(now, link_bytes, latency);
-        note_cxl(
-            SpanKind::CxlWrite,
-            self.node,
-            now,
-            end,
-            link_bytes,
-            0,
-            switch_ns,
-        );
-        Access {
-            end,
-            link_bytes,
-            hits: 0,
-            misses: lines,
-        }
+        let snoop_ns = snooped * CXL_HW_SNOOP_NS;
+        self.settle(SpanKind::CxlWrite, now, snoop_ns, link_bytes, 0, lines)
     }
 }
 

@@ -61,11 +61,6 @@ impl Access {
             misses: 0,
         }
     }
-
-    /// Latency of this access relative to its start time.
-    pub fn latency_since(&self, start: SimTime) -> u64 {
-        self.end.saturating_since(start)
-    }
 }
 
 pub use cache::{Cache, CacheStats};

@@ -52,11 +52,6 @@ impl Region {
         self.bytes.is_empty()
     }
 
-    /// Whether this region survives host crashes.
-    pub fn is_persistent(&self) -> bool {
-        self.persistent
-    }
-
     /// Copy `buf.len()` bytes starting at `off` into `buf`.
     ///
     /// # Panics

@@ -82,11 +82,6 @@ impl VLock {
         self.s_free_at = self.s_free_at.max(release);
     }
 
-    /// Earliest time an exclusive request arriving now could be granted.
-    pub fn exclusive_free_at(&self) -> SimTime {
-        self.x_free_at.max(self.s_free_at)
-    }
-
     /// Forcibly release the lock at `now`: any hold extending past `now`
     /// is clamped so the next requester is granted immediately. Used by
     /// the fusion server to reclaim a dead node's page locks — the

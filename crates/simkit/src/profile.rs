@@ -114,16 +114,6 @@ impl Snapshot {
     pub fn row(&self, s: Subsys) -> SubsysRow {
         self.rows[s as usize]
     }
-
-    /// Sum of self time over all subsystems (host ns).
-    pub fn total_self_ns(&self) -> u64 {
-        self.rows.iter().map(|r| r.self_ns).sum()
-    }
-
-    /// Sum of self allocations over all subsystems.
-    pub fn total_self_allocs(&self) -> u64 {
-        self.rows.iter().map(|r| r.self_allocs).sum()
-    }
 }
 
 // ---------------------------------------------------------------------------

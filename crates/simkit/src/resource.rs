@@ -199,11 +199,6 @@ impl Link {
         self.name
     }
 
-    /// Capacity in GB/s.
-    pub fn capacity_gbps(&self) -> f64 {
-        self.gbps
-    }
-
     /// Pipe time for `bytes` at this link's capacity:
     /// [`dur::transfer_ns`](crate::time::dur::transfer_ns), memoised.
     #[inline]

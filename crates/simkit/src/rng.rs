@@ -74,12 +74,6 @@ impl SimRng {
         out
     }
 
-    /// Next raw 32-bit output (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value of any [`Random`] type.
     #[inline]
     pub fn gen<T: Random>(&mut self) -> T {

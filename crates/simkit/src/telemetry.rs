@@ -82,13 +82,6 @@ pub enum RuleKind {
         /// Exclusive upper bound for the healthy region.
         limit: f64,
     },
-    /// Breach while `metric < limit` in the latest window.
-    Below {
-        /// Metric evaluated per window.
-        metric: Metric,
-        /// Exclusive lower bound for the healthy region.
-        limit: f64,
-    },
     /// Multi-window burn rate: breach only when the trailing mean over
     /// the `short` *and* the `long` window both exceed `budget` —
     /// the classic fast-burn/slow-burn SLO pair collapsed into one
@@ -140,11 +133,6 @@ impl SloRule {
     /// Threshold rule: breach while `metric > limit`.
     pub fn above(name: &'static str, metric: Metric, limit: f64) -> Self {
         Self::new(name, RuleKind::Above { metric, limit })
-    }
-
-    /// Threshold rule: breach while `metric < limit`.
-    pub fn below(name: &'static str, metric: Metric, limit: f64) -> Self {
-        Self::new(name, RuleKind::Below { metric, limit })
     }
 
     /// Multi-window burn-rate rule (see [`RuleKind::BurnRate`]).
@@ -222,34 +210,16 @@ impl Health {
     }
 }
 
-/// Thresholds for the per-window health scorer.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthPolicy {
-    /// p99 latency above this marks the window `Degraded`
-    /// (`u64::MAX` = latency never degrades health).
-    pub p99_degraded_ns: u64,
-    /// Error rate above this marks the window `Degraded`.
-    pub err_degraded: f64,
-    /// Consecutive silent windows before `Suspect` (a single silent
-    /// window is already suspicious by default).
-    pub suspect_after: usize,
-    /// Consecutive silent windows before `Dead`.
-    pub dead_after: usize,
-}
+/// Health scorer: a window's error rate above this marks it `Degraded`
+/// (latency never degrades health — that is what the SLO rules are for).
+pub const ERR_DEGRADED: f64 = 0.05;
 
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            p99_degraded_ns: u64::MAX,
-            err_degraded: 0.05,
-            suspect_after: 1,
-            dead_after: 3,
-        }
-    }
-}
+/// Health scorer: consecutive silent windows before `Dead`. A single
+/// silent window is already `Suspect`.
+pub const DEAD_AFTER: u64 = 3;
 
 /// Configuration for a telemetry pipeline: window width, cluster size,
-/// lane names, alert rules and the health policy.
+/// lane names and alert rules.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Window width in virtual time. `SimTime::ZERO` disables the
@@ -261,24 +231,17 @@ pub struct TelemetryConfig {
     pub lanes: Vec<&'static str>,
     /// SLO alert rules, evaluated per node per window.
     pub rules: Vec<SloRule>,
-    /// Health-scorer thresholds.
-    pub health: HealthPolicy,
-    /// Sealed windows whose raw histograms stay resident for
-    /// [`TelemetryHub::merged_histogram`] (0 = keep all).
-    pub retain: usize,
 }
 
 impl TelemetryConfig {
     /// A pipeline over `nodes` node slots with `window`-wide windows,
-    /// one `"all"` lane, no rules and the default health policy.
+    /// one `"all"` lane and no rules.
     pub fn new(window: SimTime, nodes: usize) -> Self {
         TelemetryConfig {
             window,
             nodes,
             lanes: vec!["all"],
             rules: Vec::new(),
-            health: HealthPolicy::default(),
-            retain: 0,
         }
     }
 
@@ -292,18 +255,6 @@ impl TelemetryConfig {
     /// Append an alert rule.
     pub fn rule(mut self, r: SloRule) -> Self {
         self.rules.push(r);
-        self
-    }
-
-    /// Replace the health policy.
-    pub fn health(mut self, h: HealthPolicy) -> Self {
-        self.health = h;
-        self
-    }
-
-    /// Keep only the last `n` sealed windows' raw histograms.
-    pub fn retain(mut self, n: usize) -> Self {
-        self.retain = n;
         self
     }
 }
@@ -382,22 +333,6 @@ impl TelemetryReport {
     /// Number of alert clears.
     pub fn alert_clears(&self) -> u64 {
         self.alerts.iter().filter(|a| !a.firing).count() as u64
-    }
-
-    /// First fire of any rule on `node`.
-    pub fn first_fire(&self, node: u32) -> Option<SimTime> {
-        self.alerts
-            .iter()
-            .find(|a| a.firing && a.node == node)
-            .map(|a| a.at)
-    }
-
-    /// First fire of `rule` on `node`.
-    pub fn first_fire_of(&self, rule: &str, node: u32) -> Option<SimTime> {
-        self.alerts
-            .iter()
-            .find(|a| a.firing && a.node == node && a.rule == rule)
-            .map(|a| a.at)
     }
 
     /// Mean-time-to-detect: the gap between ground-truth injection time
@@ -716,8 +651,7 @@ pub struct TelemetryHub {
     sealed: u64,
     /// Open windows awaiting their seal, sorted by index.
     open: Vec<(u64, Vec<NodeSlot>)>,
-    /// Sealed windows kept for [`TelemetryHub::merged_histogram`]
-    /// (trimmed to `cfg.retain` when nonzero).
+    /// Sealed windows kept for [`TelemetryHub::merged_histogram`].
     ring: Vec<(u64, Vec<NodeSlot>)>,
     rows: Vec<WindowRow>,
     /// Per node: indices into `rows`, oldest first (burn-rate history).
@@ -854,10 +788,6 @@ impl TelemetryHub {
             };
             self.eval_window(w, &slots);
             self.ring.push((w, slots));
-            if self.cfg.retain > 0 && self.ring.len() > self.cfg.retain {
-                let cut = self.ring.len() - self.cfg.retain;
-                self.ring.drain(..cut);
-            }
             self.sealed += 1;
         }
     }
@@ -897,19 +827,16 @@ impl TelemetryHub {
             } else {
                 self.silence[node] = 0;
             }
-            let pol = &self.cfg.health;
             let err_rate = errs as f64 / (ops + errs).max(1) as f64;
             let p50_ns = hist.quantile_ns(0.50);
             let p99_ns = hist.quantile_ns(0.99);
             let health = if self.retired[node].is_some_and(|rw| w >= rw)
-                || self.silence[node] >= pol.dead_after as u64
+                || self.silence[node] >= DEAD_AFTER
             {
                 Health::Dead
             } else if ops == 0 {
-                // suspect_after <= dead_after is the sane shape; a
-                // silent window is at least Suspect regardless.
                 Health::Suspect
-            } else if p99_ns > pol.p99_degraded_ns || err_rate > pol.err_degraded {
+            } else if err_rate > ERR_DEGRADED {
                 Health::Degraded
             } else {
                 Health::Healthy
@@ -1013,10 +940,9 @@ impl TelemetryHub {
             .unwrap_or(false)
     }
 
-    /// Merge every retained window histogram for `node` (all lanes)
-    /// — with `retain == 0` this is exactly the end-of-run
-    /// histogram, which the window-exactness test pins via
-    /// [`Histogram::merge`].
+    /// Merge every window histogram for `node` (all lanes) — exactly
+    /// the end-of-run histogram, which the window-exactness test pins
+    /// via [`Histogram::merge`].
     pub fn merged_histogram(&self, node: u32) -> Histogram {
         let mut h = Histogram::new();
         for (_, slots) in self.ring.iter().chain(self.open.iter()) {
@@ -1081,7 +1007,6 @@ fn rule_breach(
     };
     match *kind {
         RuleKind::Above { metric, limit } => metric_value(last, window_ns, metric) > limit,
-        RuleKind::Below { metric, limit } => metric_value(last, window_ns, metric) < limit,
         RuleKind::BurnRate {
             metric,
             budget,

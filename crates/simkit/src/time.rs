@@ -126,12 +126,6 @@ pub mod dur {
     /// One second in nanoseconds.
     pub const SEC: u64 = 1_000_000_000;
 
-    /// Duration from fractional microseconds.
-    #[inline]
-    pub fn micros_f64(us: f64) -> u64 {
-        (us * US as f64).round() as u64
-    }
-
     /// Duration needed to move `bytes` over a link of `gbps` gigabytes per
     /// second (GB/s, decimal).
     #[inline]

@@ -273,12 +273,6 @@ pub fn enable_spans(on: bool) {
     }
 }
 
-/// Whether span recording is enabled on this thread.
-#[inline]
-pub fn spans_enabled() -> bool {
-    FLAGS.with(|f| f.get()) & SPANS != 0
-}
-
 /// Turn latency attribution on or off for the current thread.
 pub fn enable_attribution(on: bool) {
     FLAGS.with(|f| f.set(if on { f.get() | ATTR } else { f.get() & !ATTR }));

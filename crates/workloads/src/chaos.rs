@@ -11,24 +11,15 @@
 //! The whole run is deterministic: same `(seed, fault_seed)` ⇒ the same
 //! fault schedule, the same timeline, bit for bit.
 
-use crate::harness::{exec_txn, pages_for, PoolKind, PoolingConfig};
+use crate::harness::{closed_loop, exec_txn, single_cxl, single_dram, single_rdma, timeline};
 use crate::metrics::TimelinePoint;
 use crate::recovery_harness::{recover_untrusted, Scheme};
-use crate::sysbench::{make_record, Sysbench, SysbenchKind};
-use bufferpool::dram_bp::DramBp;
-use bufferpool::tiered::TieredRdmaBp;
+use crate::sysbench::{Sysbench, SysbenchKind};
 use bufferpool::{BpStats, BufferPool, Crashable};
 use engine::{recover_polar, recover_replay, Db, RecoverySummary};
-use memsim::calib::PAGE_SIZE;
-use memsim::{CxlPool, NodeId, RdmaPool};
-use polarcxlmem::CxlBp;
 use simkit::faults::{self, Action, FaultPlan, FaultSite, FaultStats, Trigger};
-use simkit::rng::stream_rng;
 use simkit::telemetry::{NodeProbe, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport};
-use simkit::{dur, MetricsRegistry, SimTime, Step, TimeSeries, WorkerId, WorkerSet};
-use std::cell::RefCell;
-use std::rc::Rc;
-use storage::PageStore;
+use simkit::{dur, MetricsRegistry, SimTime, Step, TimeSeries, WorkerId};
 
 /// Chaos experiment configuration.
 #[derive(Debug, Clone)]
@@ -136,14 +127,10 @@ where
     faults::install(plan);
 
     let gen = Sysbench::new(cfg.workload, cfg.table_size);
-    let mut rngs: Vec<_> = (0..cfg.workers)
-        .map(|w| stream_rng(cfg.seed, w as u64))
-        .collect();
+    // Pre-sized for the whole run; capacity only, so the observable
+    // series is identical to a grown one.
     let mut series = TimeSeries::with_capacity_for(cfg.bucket, cfg.duration);
-    let mut ws = WorkerSet::new();
-    for w in 0..cfg.workers {
-        ws.spawn(WorkerId(w), SimTime::ZERO);
-    }
+    let (mut rngs, mut ws) = closed_loop(cfg.workers, cfg.seed);
     db.reset_timing_queues();
 
     // Single-host telemetry: one probe, one "txn" lane. The absence
@@ -213,16 +200,6 @@ where
 
     let telemetry_report = hub.conclude([&mut probe], cfg.duration);
 
-    let timeline = series
-        .rates_per_sec()
-        .iter()
-        .enumerate()
-        .map(|(i, &qps)| TimelinePoint {
-            second: (i as u64 * cfg.bucket) / dur::SEC,
-            qps,
-        })
-        .collect();
-
     let mut reg = MetricsRegistry::new();
     let crashes = u64::from(crash_time.is_some());
     reg.set_int("chaos_crashes", crashes);
@@ -262,7 +239,7 @@ where
 
     ChaosRunResult {
         scheme: cfg.scheme.name(),
-        timeline,
+        timeline: timeline(&series.rates_per_sec(), cfg.bucket),
         fault_stats,
         crashes,
         recovery,
@@ -274,53 +251,16 @@ where
 
 /// Run one chaos experiment.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosRunResult {
-    let pages = pages_for(cfg.table_size, PAGE_SIZE);
-    // Cache size and local-buffer fraction are the pooling harness's.
-    let base = PoolingConfig::standard(PoolKind::TieredRdma, cfg.workload, 1);
-    let rows = || (1..=cfg.table_size).map(|k| (k, make_record(k, (k % 251) as u8)));
+    let rows = cfg.table_size;
     match cfg.scheme {
-        Scheme::Vanilla => {
-            let store = PageStore::new(pages);
-            let mut db = Db::create(
-                DramBp::new(pages as usize, base.cache_bytes, store),
-                crate::sysbench::RECORD_SIZE,
-            );
-            db.load(rows());
-            run_chaos_phases(cfg, db, |db, t| recover_replay(db, "vanilla", t))
-        }
-        Scheme::RdmaBased => {
-            let store = PageStore::new(pages);
-            let rdma = Rc::new(RefCell::new(RdmaPool::new((pages * PAGE_SIZE) as usize, 1)));
-            let lbp = ((pages as f64 * base.lbp_fraction).ceil() as usize).max(8);
-            let mut db = Db::create(
-                TieredRdmaBp::new(rdma, 0, 0, lbp, base.cache_bytes, store),
-                crate::sysbench::RECORD_SIZE,
-            );
-            db.load(rows());
-            run_chaos_phases(cfg, db, |db, t| recover_replay(db, "rdma-based", t))
-        }
-        Scheme::PolarRecv | Scheme::PolarRecvNoMeta => {
-            let store = PageStore::new(pages);
-            let geo = 64 + pages * (64 + PAGE_SIZE) + 4096;
-            let cxl = Rc::new(RefCell::new(CxlPool::single_host(
-                geo as usize,
-                1,
-                base.cache_bytes,
-                false,
-            )));
-            let mut db = Db::create(
-                CxlBp::format(cxl, NodeId(0), 0, pages, store),
-                crate::sysbench::RECORD_SIZE,
-            );
-            db.load(rows());
-            let recover: fn(&mut Db<CxlBp>, SimTime) -> RecoverySummary =
-                if cfg.scheme == Scheme::PolarRecv {
-                    recover_polar
-                } else {
-                    recover_untrusted
-                };
-            run_chaos_phases(cfg, db, recover)
-        }
+        Scheme::Vanilla => run_chaos_phases(cfg, single_dram(rows), |db, t| {
+            recover_replay(db, "vanilla", t)
+        }),
+        Scheme::RdmaBased => run_chaos_phases(cfg, single_rdma(rows), |db, t| {
+            recover_replay(db, "rdma-based", t)
+        }),
+        Scheme::PolarRecv => run_chaos_phases(cfg, single_cxl(rows), recover_polar),
+        Scheme::PolarRecvNoMeta => run_chaos_phases(cfg, single_cxl(rows), recover_untrusted),
     }
 }
 

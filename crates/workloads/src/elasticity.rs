@@ -48,20 +48,42 @@ pub const PROTECTED_WRITE_NS: u64 = 5_000;
 /// Number of tenants in the diurnal scenario (the shift is two-sided).
 pub const ELASTIC_TENANTS: usize = 2;
 
+/// Extents (= table groups). Initial split: tenant 0 owns the first
+/// 3/4, tenant 1 the rest — matching first-half demand.
+pub const EXTENTS: usize = 8;
+const _: () = assert!(EXTENTS >= 4, "need at least 4 extents for the shift");
+
+/// Virtual-time barrier quantum.
+pub const QUANTUM: SimTime = SimTime::from_micros(200);
+
+/// Closed-loop workers per node.
+pub const WORKERS_PER_NODE: usize = 4;
+
+/// Per-tenant p99 SLO (ns) for the settled window; feeds the example's
+/// pass/fail and the report, not the controller.
+pub const SLO_P99_NS: u64 = 420_000;
+
+/// Miss-rate SLO for the `miss_burn` burn-rate rule (misses/op).
+pub const MISS_BURN_SLO: f64 = 0.2;
+
+/// Fallback pressure threshold: percent of a tenant's statements in the
+/// last quantum that went storage-direct.
+pub const PRESSURE_PCT: u64 = 20;
+
+/// Controller knobs (hysteresis, cooldown, shrink floor).
+pub const ELASTIC: ElasticConfig = ElasticConfig {
+    min_extents: 1,
+    fire_streak: 2,
+    cool_quanta: 1,
+};
+
 /// Elasticity experiment configuration.
 #[derive(Debug, Clone)]
 pub struct ElasticityConfig {
-    /// Extents (= table groups). Initial split: tenant 0 owns the
-    /// first 3/4, tenant 1 the rest — matching first-half demand.
-    pub extents: usize,
     /// Rows per extent group.
     pub rows_per_group: u64,
     /// Measured window.
     pub duration: SimTime,
-    /// Virtual-time barrier quantum.
-    pub quantum: SimTime,
-    /// Closed-loop workers per node.
-    pub workers_per_node: usize,
     /// RNG seed.
     pub seed: u64,
     /// Host worker threads (`0` = [`simkit::par::host_threads`]). Any value
@@ -80,41 +102,20 @@ pub struct ElasticityConfig {
     /// write-protect window observable: the donor keeps touching an
     /// extent even after demand moved off it.
     pub background_pct: u32,
-    /// Per-tenant p99 SLO (ns) for the settled window; feeds the
-    /// example's pass/fail and the report, not the controller.
-    pub slo_p99_ns: u64,
-    /// Miss-rate SLO for the `miss_burn` burn-rate rule (misses/op).
-    pub miss_burn_slo: f64,
-    /// Fallback pressure threshold: percent of a tenant's statements
-    /// in the last quantum that went storage-direct.
-    pub pressure_pct: u64,
-    /// Controller knobs (hysteresis, cooldown, shrink floor).
-    pub elastic: ElasticConfig,
 }
 
 impl ElasticityConfig {
     /// Standard scaled-down diurnal shift.
     pub fn standard() -> Self {
         ElasticityConfig {
-            extents: 8,
             rows_per_group: 2_000,
             duration: SimTime::from_millis(60),
-            quantum: SimTime::from_micros(200),
-            workers_per_node: 4,
             seed: 23,
             host_threads: 0,
             telemetry_window: SimTime::from_millis(2),
             adaptive: true,
             write_pct: 20,
             background_pct: 10,
-            slo_p99_ns: 420_000,
-            miss_burn_slo: 0.2,
-            pressure_pct: 20,
-            elastic: ElasticConfig {
-                min_extents: 1,
-                fire_streak: 2,
-                cool_quanta: 1,
-            },
         }
     }
 
@@ -203,7 +204,7 @@ fn elasticity_tcfg(cfg: &ElasticityConfig) -> TelemetryConfig {
     TelemetryConfig::new(cfg.telemetry_window, ELASTIC_TENANTS)
         .lanes(&["local", "remote"])
         .rule(
-            SloRule::burn_rate("miss_burn", Metric::MissRate, cfg.miss_burn_slo, 2, 4)
+            SloRule::burn_rate("miss_burn", Metric::MissRate, MISS_BURN_SLO, 2, 4)
                 .fire_after(1)
                 .clear_after(2),
         )
@@ -213,7 +214,7 @@ fn elasticity_tcfg(cfg: &ElasticityConfig) -> TelemetryConfig {
 /// fronts the first 3/4 of the row space in the first half of the run
 /// and shrinks to the first 1/4 in the second; tenant 1 mirrors it.
 fn demand_range(cfg: &ElasticityConfig, tenant: usize, now: SimTime) -> std::ops::Range<usize> {
-    let e = cfg.extents;
+    let e = EXTENTS;
     let hot = (e * 3) / 4;
     let cold = e / 4;
     let evening = now.as_nanos() >= cfg.duration.as_nanos() / 2;
@@ -229,9 +230,8 @@ fn demand_range(cfg: &ElasticityConfig, tenant: usize, now: SimTime) -> std::ops
 /// Run the diurnal-shift elasticity scenario.
 pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
     let n = ELASTIC_TENANTS;
-    assert!(cfg.extents >= 4, "need at least 4 extents for the shift");
     let layout = GroupLayout {
-        groups: cfg.extents,
+        groups: EXTENTS,
         rows_per_group: cfg.rows_per_group,
     };
     let ext_pages = layout.pages_per_group();
@@ -245,37 +245,33 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
     // first 3/4 of the extents, tenant 1 the rest. One manager lease
     // per extent over the page-address space, so every extent is an
     // independently migratable unit.
-    let hot = (cfg.extents * 3) / 4;
+    let hot = (EXTENTS * 3) / 4;
     let initial_owner = |e: usize| -> usize { usize::from(e >= hot) };
     let mut mgr = CxlMemoryManager::new(total_pages * PAGE_SIZE);
-    for e in 0..cfg.extents {
+    for e in 0..EXTENTS {
         let (lease, _) = mgr
             .allocate(NodeId(initial_owner(e)), ext_bytes, SimTime::ZERO)
             .expect("pool sized for every extent");
         debug_assert_eq!(lease.offset, e as u64 * ext_bytes);
     }
     // Each tenant resolves every page of its extents.
-    for e in 0..cfg.extents {
+    for e in 0..EXTENTS {
         let pages = layout.group_pages(e).map(PageId);
         fusion.warm(&mut nodes[initial_owner(e)], pages, SimTime::ZERO);
     }
 
     let settle_from = SimTime(cfg.duration.as_nanos() * 2 / 3);
     let mut coord = MigrationCoordinator::new(NodeId(n), journal_base);
-    let mut ctl = ElasticController::new(
-        (0..cfg.extents).map(initial_owner).collect(),
-        n,
-        cfg.elastic,
-    );
+    let mut ctl = ElasticController::new((0..EXTENTS).map(initial_owner).collect(), n, ELASTIC);
     let tenants = (0..n)
         .map(|_| Tenant {
-            remote: vec![0; cfg.extents],
+            remote: vec![0; EXTENTS],
             owners: ctl.owners().to_vec(),
             ..Tenant::default()
         })
         .collect();
     let faults = (0..n).map(|_| FaultState::inactive()).collect();
-    let (tcfg, wpn) = (elasticity_tcfg(cfg), cfg.workers_per_node);
+    let (tcfg, wpn) = (elasticity_tcfg(cfg), WORKERS_PER_NODE);
     let mut cluster = Cluster::new(fusion, nodes, tenants, faults, tcfg, wpn, cfg.seed);
     // This scenario defines a miss itself: a storage-direct statement.
     cluster.protocol_probe = false;
@@ -288,7 +284,7 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
     let mut migrations = 0u64;
     let telemetry_report = cluster.run(
         cfg.duration,
-        cfg.quantum,
+        QUANTUM,
         cfg.host_threads,
         |ctx, w, start| {
             let i = ctx.lane;
@@ -366,7 +362,7 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
             let mut remote_window: Vec<Vec<u64>> = Vec::with_capacity(n);
             let mut ops_window: Vec<u64> = Vec::with_capacity(n);
             for lp in cl.exts.iter_mut() {
-                remote_window.push(std::mem::replace(&mut lp.remote, vec![0; cfg.extents]));
+                remote_window.push(std::mem::replace(&mut lp.remote, vec![0; EXTENTS]));
                 ops_window.push(std::mem::take(&mut lp.q_ops));
             }
             // Both migration phases run with every shard merged back.
@@ -393,7 +389,7 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
                 let mut pressured = vec![false; n];
                 for (t, p) in pressured.iter_mut().enumerate() {
                     let remote_total: u64 = remote_window[t].iter().sum();
-                    let share_hit = remote_total * 100 > ops_window[t] * cfg.pressure_pct;
+                    let share_hit = remote_total * 100 > ops_window[t] * PRESSURE_PCT;
                     *p = share_hit || cl.hub.firing("miss_burn", t as u32);
                 }
                 if let Some(req) = ctl.tick(&pressured, &remote_window) {
@@ -430,7 +426,7 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
         "DBP slot conservation"
     );
     mgr.check_invariants();
-    for e in 0..cfg.extents {
+    for e in 0..EXTENTS {
         let lease = mgr
             .lease_at(e as u64 * ext_bytes, ext_bytes)
             .expect("every extent keeps its lease");
@@ -537,25 +533,25 @@ mod tests {
             assert_eq!(r.telemetry.is_some(), window != SimTime::ZERO);
             // The diurnal flip moves exactly the extents tenant 1 newly
             // demands: 3/4·E − 1/4·E = E/2 of them.
-            let expect = (cfg.extents * 3 / 4 - cfg.extents / 4) as u64;
+            let expect = (EXTENTS * 3 / 4 - EXTENTS / 4) as u64;
             assert_eq!(r.migrations, expect, "owners: {:?}", r.final_owners);
             assert_eq!(r.elastic.commits, expect);
             assert_eq!(r.elastic.rollbacks, 0);
             assert!(r.fusion.migrated_out > 0, "pages handed off in place");
             // Post-shift ownership matches second-half demand exactly.
-            let cold = cfg.extents / 4;
-            for e in 0..cfg.extents {
+            let cold = EXTENTS / 4;
+            for e in 0..EXTENTS {
                 assert_eq!(r.final_owners[e], usize::from(e >= cold));
             }
             // Settled tails: both tenants inside the SLO once migration
             // has caught the partition up with demand.
             for t in &r.per_tenant {
                 assert!(
-                    t.settled_p99_ns <= cfg.slo_p99_ns,
+                    t.settled_p99_ns <= SLO_P99_NS,
                     "window {window:?}: tenant {} settled p99 {} > SLO {}",
                     t.tenant,
                     t.settled_p99_ns,
-                    cfg.slo_p99_ns
+                    SLO_P99_NS
                 );
             }
         }
@@ -565,11 +561,10 @@ mod tests {
     fn static_partition_thrashes_the_growing_tenant() {
         let r = run_elasticity(&threads_cfg(2, false));
         assert_eq!(r.migrations, 0);
-        let cfg = ElasticityConfig::smoke();
         // Tenant 1's second-half demand never fits its static share:
         // its settled p99 is storage-bound, far outside the SLO.
         assert!(
-            r.per_tenant[1].settled_p99_ns > cfg.slo_p99_ns,
+            r.per_tenant[1].settled_p99_ns > SLO_P99_NS,
             "static partition should thrash: settled p99 {}",
             r.per_tenant[1].settled_p99_ns
         );

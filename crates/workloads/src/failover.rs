@@ -93,6 +93,9 @@ impl LinkChaos {
     }
 }
 
+/// Percentage of statements on the shared group.
+pub const SHARED_PCT: u32 = 20;
+
 /// Failover experiment configuration.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
@@ -112,8 +115,6 @@ pub struct FailoverConfig {
     pub fault_seed: u64,
     /// Which primary dies.
     pub crash_node: usize,
-    /// Percentage of statements on the shared group.
-    pub shared_pct: u32,
     /// Detection window between the fault and the fence.
     pub detection: SimTime,
     /// Fencing policy ([`FencingPolicy::Disabled`] is the ablation).
@@ -149,7 +150,6 @@ impl FailoverConfig {
             seed: 11,
             fault_seed: 7,
             crash_node: 0,
-            shared_pct: 20,
             detection: SimTime::from_millis(2),
             fencing: FencingPolicy::Epoch,
             death: DeathMode::Zombie,
@@ -455,7 +455,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         cluster.activate(i, SimTime::ZERO);
     }
 
-    let shared_pct = cfg.shared_pct;
     let rows = layout.rows_per_group;
     let telemetry_report = cluster.run(
         cfg.duration,
@@ -469,7 +468,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
             for _ in 0..4 {
                 let s0 = t;
                 let rng = &mut ctx.rngs[w];
-                let group = if rng.gen_range(0..100) < shared_pct {
+                let group = if rng.gen_range(0..100) < SHARED_PCT {
                     n
                 } else {
                     serve_group

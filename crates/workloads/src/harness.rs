@@ -5,7 +5,7 @@
 //! drives closed-loop sysbench workers over them in virtual time, and
 //! reports throughput, latency and interconnect bandwidth.
 
-use crate::metrics::RunMetrics;
+use crate::metrics::{RunMetrics, TimelinePoint};
 use crate::sysbench::{
     fill_record, make_record, Statement, Sysbench, SysbenchKind, C_LEN, C_OFF, K_OFF, RANGE_LEN,
     RECORD_SIZE,
@@ -18,9 +18,9 @@ use memsim::calib::PAGE_SIZE;
 use memsim::{CxlPool, NodeId, RdmaPool};
 use polarcxlmem::{CxlBp, CxlMemoryManager};
 use simkit::faults;
-use simkit::rng::stream_rng;
+use simkit::rng::{stream_rng, SimRng};
 use simkit::trace::{self, Lane, QueryBreakdown, SpanKind};
-use simkit::{Histogram, MetricsRegistry, SimTime, Step, WorkerId, WorkerSet};
+use simkit::{dur, Histogram, MetricsRegistry, SimTime, Step, WorkerId, WorkerSet};
 use std::cell::RefCell;
 use std::rc::Rc;
 use storage::PageStore;
@@ -66,6 +66,11 @@ pub struct PoolingConfig {
     pub seed: u64,
 }
 
+/// [`PoolingConfig::standard`]'s CPU cache per instance and local-buffer
+/// fraction; the single-host seats below are built from the same two.
+const STANDARD_CACHE_BYTES: usize = 4 << 20;
+const STANDARD_LBP_FRACTION: f64 = 0.3;
+
 impl PoolingConfig {
     /// The paper's standard setup for a given design/workload/scale,
     /// scaled down in dataset size to keep simulation time reasonable.
@@ -81,8 +86,8 @@ impl PoolingConfig {
             },
             table_size: 30_000,
             duration: SimTime::from_millis(300),
-            cache_bytes: 4 << 20,
-            lbp_fraction: 0.3,
+            cache_bytes: STANDARD_CACHE_BYTES,
+            lbp_fraction: STANDARD_LBP_FRACTION,
             direct_attach: false,
             policy: PolicyKind::Lru,
             seed: 42,
@@ -114,6 +119,71 @@ pub(crate) fn pages_for(table_size: u64, page_size: u64) -> u64 {
     let leaves = table_size.div_ceil(rows_per_page.max(1));
     // meta + root chain + split slack.
     leaves * 2 + leaves / 8 + 64
+}
+
+/// Local-buffer frames of a tiered pool over `pages` pages.
+fn lbp_frames(pages: u64, fraction: f64) -> usize {
+    ((pages as f64 * fraction).ceil() as usize).max(8)
+}
+
+/// A database over `pool` holding the standard `table_size` rows.
+fn loaded<P: BufferPool>(pool: P, table_size: u64) -> Db<P> {
+    let mut db = Db::create(pool, RECORD_SIZE);
+    db.load((1..=table_size).map(|k| (k, make_record(k, (k % 251) as u8))));
+    db
+}
+
+/// The single-host seat of the local-DRAM design: one loaded instance
+/// whose pool holds the whole table (recovery and chaos harnesses).
+pub(crate) fn single_dram(table_size: u64) -> Db<DramBp> {
+    let pages = pages_for(table_size, PAGE_SIZE);
+    let store = PageStore::new(pages);
+    loaded(
+        DramBp::new(pages as usize, STANDARD_CACHE_BYTES, store),
+        table_size,
+    )
+}
+
+/// The single-host seat of the tiered RDMA design.
+pub(crate) fn single_rdma(table_size: u64) -> Db<TieredRdmaBp> {
+    let pages = pages_for(table_size, PAGE_SIZE);
+    let store = PageStore::new(pages);
+    let rdma = Rc::new(RefCell::new(RdmaPool::new((pages * PAGE_SIZE) as usize, 1)));
+    let lbp = lbp_frames(pages, STANDARD_LBP_FRACTION);
+    loaded(
+        TieredRdmaBp::new(rdma, 0, 0, lbp, STANDARD_CACHE_BYTES, store),
+        table_size,
+    )
+}
+
+/// The single-host seat of PolarCXLMem: a one-node pool, formatted.
+pub(crate) fn single_cxl(table_size: u64) -> Db<CxlBp> {
+    let pages = pages_for(table_size, PAGE_SIZE);
+    let store = PageStore::new(pages);
+    let geo = 64 + pages * (64 + PAGE_SIZE) + 4096;
+    let cxl = CxlPool::single_host(geo as usize, 1, STANDARD_CACHE_BYTES, false);
+    let cxl = Rc::new(RefCell::new(cxl));
+    loaded(CxlBp::format(cxl, NodeId(0), 0, pages, store), table_size)
+}
+
+/// Closed-loop set-up: one RNG stream per worker, and every worker
+/// spawned at time zero.
+pub(crate) fn closed_loop(workers: usize, seed: u64) -> (Vec<SimRng>, WorkerSet) {
+    let rngs = (0..workers).map(|w| stream_rng(seed, w as u64)).collect();
+    let mut ws = WorkerSet::new();
+    for w in 0..workers {
+        ws.spawn(WorkerId(w), SimTime::ZERO);
+    }
+    (rngs, ws)
+}
+
+/// A series' per-bucket rates as a throughput-over-time curve.
+pub(crate) fn timeline(rates: &[f64], bucket: u64) -> Vec<TimelinePoint> {
+    let point = |(i, &qps)| TimelinePoint {
+        second: (i as u64 * bucket) / dur::SEC,
+        qps,
+    };
+    rates.iter().enumerate().map(point).collect()
 }
 
 /// Execute one sysbench transaction against a database; returns its
@@ -163,13 +233,7 @@ fn drive<P: BufferPool>(dbs: &mut [Db<P>], cfg: &PoolingConfig) -> (u64, u64, Hi
     }
     let wpi = cfg.workers_per_instance;
     let gen = Sysbench::new(cfg.workload, cfg.table_size);
-    let mut rngs: Vec<_> = (0..dbs.len() * wpi)
-        .map(|w| stream_rng(cfg.seed, w as u64))
-        .collect();
-    let mut ws = WorkerSet::new();
-    for w in 0..dbs.len() * wpi {
-        ws.spawn(WorkerId(w), SimTime::ZERO);
-    }
+    let (mut rngs, mut ws) = closed_loop(dbs.len() * wpi, cfg.seed);
     let mut hist = Histogram::new();
     let mut queries = 0u64;
     let mut txns = 0u64;
@@ -307,11 +371,7 @@ fn seat<P: BufferPool, const ALL_LOADED: bool>(
     mut fresh: impl FnMut(usize) -> P,
     copy: impl Fn(&P, usize) -> P,
 ) -> Vec<Db<P>> {
-    let mut load = |i| {
-        let mut db = Db::create(fresh(i), RECORD_SIZE);
-        db.load((1..=cfg.table_size).map(|k| (k, make_record(k, (k % 251) as u8))));
-        db
-    };
+    let mut load = |i| loaded(fresh(i), cfg.table_size);
     let mut dbs = Vec::with_capacity(cfg.instances);
     dbs.push(load(0));
     for i in 1..cfg.instances {
@@ -385,7 +445,7 @@ fn pooling<const ALL_LOADED: bool>(cfg: &PoolingConfig) -> PoolingResult {
         PoolKind::TieredRdma => {
             let slice = pages * PAGE_SIZE;
             let rdma = Rc::new(RefCell::new(RdmaPool::new((slice * n) as usize, 1)));
-            let lbp_frames = ((pages as f64 * cfg.lbp_fraction).ceil() as usize).max(8);
+            let lbp_frames = lbp_frames(pages, cfg.lbp_fraction);
             let dbs = seat::<_, ALL_LOADED>(
                 cfg,
                 |i| {

@@ -41,5 +41,5 @@ pub use tiering::{run_tiering, TieringConfig, TieringResult};
 // downstream code can consume `FailoverResult::telemetry` and friends
 // without importing simkit directly).
 pub use simkit::telemetry::{
-    AlertEvent, Health, HealthPolicy, Metric, SloRule, TelemetryConfig, TelemetryReport, WindowRow,
+    AlertEvent, Health, Metric, SloRule, TelemetryConfig, TelemetryReport, WindowRow,
 };

@@ -24,7 +24,7 @@
 //!    storage-direct service ([`polarcxlmem::FusionServer::set_brownout`]) and its
 //!    exclusive buffer-pool share is shrunk
 //!    ([`polarcxlmem::FusionServer::shrink_node_share`]). Restoration is hysteretic:
-//!    only after [`OverloadConfig::clear_quanta`] consecutive clear
+//!    only after [`CLEAR_QUANTA`] consecutive clear
 //!    quanta does the tenant return to fabric service (its pages are
 //!    re-resolved serially, so no RPC happens inside a parallel phase).
 //!
@@ -56,6 +56,38 @@ pub const SHED_SERVICE_NS: u64 = 50_000;
 /// a retryable error without touching locks or the fabric.
 pub const WRITE_REFUSE_NS: u64 = 5_000;
 
+/// Virtual-time barrier quantum.
+pub const QUANTUM: SimTime = SimTime::from_micros(200);
+
+/// Closed-loop workers per node.
+pub const WORKERS_PER_NODE: usize = 4;
+
+/// Admission contract for victims (tenants 1..N).
+pub const VICTIM_CLASS: TenantClass = TenantClass {
+    ops_per_sec: 200_000,
+    burst: 1_000,
+    deadline_ns: 5_000_000,
+    priority: 1,
+};
+
+/// Victim p99 SLO (ns); feeds the `p99_slow` burn-rate rule.
+pub const SLO_P99_NS: u64 = 800_000;
+
+/// Percent of victim statements aimed at the shared hot set.
+pub const SHARED_READ_PCT: u32 = 60;
+
+/// Zipf skew over shared-group rows (rank 0 = hottest).
+pub const ZIPF_THETA: f64 = 0.99;
+
+/// Total DBP pages the browned tenant keeps. Pages shared with other
+/// tenants are pinned by them and set the floor — a request below the
+/// floor is clamped (typed `ShrinkError`, counted in
+/// `fusion_brownout_clamped`).
+pub const BROWNOUT_KEEP: usize = 2;
+
+/// Consecutive clear quanta required before brownout is lifted.
+pub const CLEAR_QUANTA: u32 = 10;
+
 /// One deterministic link-flap fault for the breaker scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlapSpec {
@@ -78,10 +110,6 @@ pub struct OverloadConfig {
     pub rows_per_group: u64,
     /// Measured window.
     pub duration: SimTime,
-    /// Virtual-time barrier quantum.
-    pub quantum: SimTime,
-    /// Closed-loop workers per node.
-    pub workers_per_node: usize,
     /// RNG seed.
     pub seed: u64,
     /// Host worker threads (`0` = [`simkit::par::host_threads`]). Any value
@@ -92,37 +120,20 @@ pub struct OverloadConfig {
     pub telemetry_window: SimTime,
     /// Master switch: admission + breaker + brownout. Off = baseline.
     pub qos: bool,
-    /// Admission contract for victims (tenants 1..N).
-    pub victim_class: TenantClass,
     /// Admission contract for the aggressor (tenant 0).
     pub aggressor_class: TenantClass,
-    /// Victim p99 SLO (ns); feeds the `p99_slow` burn-rate rule.
-    pub slo_p99_ns: f64,
     /// Aggressor burst square-wave period, ns of virtual time.
     pub burst_period: u64,
     /// Leading slice of each period the aggressor bursts for, ns.
     pub burst_on: u64,
     /// X-writes per aggressor transaction while bursting.
     pub burst_writes: usize,
-    /// Percent of victim statements aimed at the shared hot set.
-    pub shared_read_pct: u32,
-    /// Zipf skew over shared-group rows (rank 0 = hottest).
-    pub zipf_theta: f64,
     /// Optional link flap for the breaker scenario.
     pub link_flap: Option<FlapSpec>,
-    /// Breaker tuning for the per-lane fabric breakers.
-    pub breaker: BreakerConfig,
-    /// Total DBP pages the browned tenant keeps. Pages shared with
-    /// other tenants are pinned by them and set the floor — a request
-    /// below the floor is clamped (typed `ShrinkError`, counted in
-    /// `fusion_brownout_clamped`).
-    pub brownout_keep: usize,
     /// Brown out when DBP occupancy exceeds this percentage. The
     /// default (101) disables the occupancy rule — this harness warms
     /// every page, so occupancy sits at 100% by construction.
     pub occupancy_max_pct: u32,
-    /// Consecutive clear quanta required before brownout is lifted.
-    pub clear_quanta: u32,
 }
 
 impl OverloadConfig {
@@ -133,25 +144,16 @@ impl OverloadConfig {
             tenants,
             rows_per_group: 2_000,
             duration: SimTime::from_millis(60),
-            quantum: SimTime::from_micros(200),
-            workers_per_node: 4,
             seed: 17,
             host_threads: 0,
             telemetry_window: SimTime::from_millis(2),
             qos: true,
-            victim_class: TenantClass::new(200_000, 1_000, 5_000_000),
             aggressor_class: TenantClass::new(300, 4, 600_000).low_priority(),
-            slo_p99_ns: 800_000.0,
             burst_period: 10_000_000,
             burst_on: 5_000_000,
             burst_writes: 8,
-            shared_read_pct: 60,
-            zipf_theta: 0.99,
             link_flap: None,
-            breaker: BreakerConfig::default(),
-            brownout_keep: 2,
             occupancy_max_pct: 101,
-            clear_quanta: 10,
         }
     }
 
@@ -245,7 +247,7 @@ struct Tenant {
 fn qos_config(cfg: &OverloadConfig) -> QosConfig {
     let mut q = QosConfig::new().tenant(cfg.aggressor_class);
     for _ in 1..cfg.tenants {
-        q = q.tenant(cfg.victim_class);
+        q = q.tenant(VICTIM_CLASS);
     }
     q
 }
@@ -254,7 +256,7 @@ fn overload_tcfg(cfg: &OverloadConfig) -> TelemetryConfig {
     TelemetryConfig::new(cfg.telemetry_window, cfg.tenants)
         .lanes(&["private", "shared"])
         .rule(
-            SloRule::burn_rate("p99_slow", Metric::P99Ns, cfg.slo_p99_ns, 2, 4)
+            SloRule::burn_rate("p99_slow", Metric::P99Ns, SLO_P99_NS as f64, 2, 4)
                 .fire_after(1)
                 .clear_after(2),
         )
@@ -298,7 +300,7 @@ fn gen_txn(
         }
     } else {
         for _ in 0..4 {
-            let (group, row) = if rng.gen_range(0..100) < cfg.shared_read_pct {
+            let (group, row) = if rng.gen_range(0..100) < SHARED_READ_PCT {
                 (shared, zipf.sample(rng))
             } else {
                 (i, rng.gen_range(0..layout.rows_per_group))
@@ -326,7 +328,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
     fusion.warm_home(&mut nodes, &layout);
 
     let qcfg = qos_config(cfg);
-    let zipf = Zipf::new(cfg.rows_per_group, cfg.zipf_theta);
+    let zipf = Zipf::new(cfg.rows_per_group, ZIPF_THETA);
     // One fault plan per lane; a configured flap lands on its host's
     // lane so the outage is visible exactly where that tenant steps.
     let mut lane_plans: Vec<FaultPlan> = (0..n).map(|_| FaultPlan::default()).collect();
@@ -351,12 +353,12 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
             breaker_fallbacks: 0,
             refused_writes: 0,
             adm: Admission::new(&qcfg),
-            breaker: CircuitBreaker::new(cfg.breaker),
+            breaker: CircuitBreaker::new(BreakerConfig::default()),
             ops: Vec::with_capacity(16),
         })
         .collect();
     let faults = lane_plans.into_iter().map(FaultState::prepared).collect();
-    let (tcfg, wpn) = (overload_tcfg(cfg), cfg.workers_per_node);
+    let (tcfg, wpn) = (overload_tcfg(cfg), WORKERS_PER_NODE);
     let mut cluster = Cluster::new(fusion, nodes, tenants, faults, tcfg, wpn, cfg.seed);
     for i in 0..n {
         cluster.activate(i, SimTime::ZERO);
@@ -370,7 +372,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
     let mut brownout_exits = 0u64;
     let telemetry_report = cluster.run(
         cfg.duration,
-        cfg.quantum,
+        QUANTUM,
         cfg.host_threads,
         |ctx, w, start| {
             let i = ctx.lane;
@@ -463,14 +465,14 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
                 // pages) is expected under brownout: the shrink still
                 // recycled every exclusive page and counted the clamp
                 // into `FusionStats::brownout_clamped` for the registry.
-                if let Err(clamp) = server.shrink_node_share(NodeId(0), cfg.brownout_keep, now) {
-                    debug_assert!(clamp.achievable > cfg.brownout_keep);
+                if let Err(clamp) = server.shrink_node_share(NodeId(0), BROWNOUT_KEEP, now) {
+                    debug_assert!(clamp.achievable > BROWNOUT_KEEP);
                 }
                 cl.refresh_dir();
                 cl.exts[0].adm.set_brownout(0, true);
             } else if browned_now {
                 clear_streak = if pressure { 0 } else { clear_streak + 1 };
-                if clear_streak >= cfg.clear_quanta {
+                if clear_streak >= CLEAR_QUANTA {
                     browned_now = false;
                     brownout_exits += 1;
                     server.set_brownout(NodeId(0), false);

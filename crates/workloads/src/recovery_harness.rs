@@ -7,21 +7,14 @@
 //! throughput-over-time curve plus the derived recovery and warm-up
 //! times the paper quotes.
 
-use crate::harness::{exec_txn, pages_for, PoolKind, PoolingConfig};
+use crate::harness::{closed_loop, exec_txn, single_cxl, single_dram, single_rdma, timeline};
 use crate::metrics::TimelinePoint;
-use crate::sysbench::{make_record, Sysbench, SysbenchKind};
-use bufferpool::dram_bp::DramBp;
-use bufferpool::tiered::TieredRdmaBp;
+use crate::sysbench::{Sysbench, SysbenchKind};
 use bufferpool::{BufferPool, Crashable};
 use engine::{recover_polar, recover_polar_policy, recover_replay, Db, RecoverySummary};
-use memsim::calib::PAGE_SIZE;
-use memsim::{CxlPool, NodeId, RdmaPool};
 use polarcxlmem::{CxlBp, TrustPolicy};
-use simkit::rng::{stream_rng, SimRng};
-use simkit::{dur, SimTime, Step, TimeSeries, WorkerId, WorkerSet};
-use std::cell::RefCell;
-use std::rc::Rc;
-use storage::PageStore;
+use simkit::rng::SimRng;
+use simkit::{dur, SimTime, Step, TimeSeries, WorkerId};
 
 /// Which recovery scheme (and therefore which pool design) to test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,16 +120,10 @@ where
     FR: FnOnce(&mut Db<P>, SimTime) -> RecoverySummary,
 {
     let gen = Sysbench::new(cfg.workload, cfg.table_size);
-    let mut rngs: Vec<_> = (0..cfg.workers)
-        .map(|w| stream_rng(cfg.seed, w as u64))
-        .collect();
-    // Pre-size the bucket slab for the whole run; capacity only, so the
-    // observable series is identical to a grown one.
+    // Pre-sized for the whole run; capacity only, so the observable
+    // series is identical to a grown one.
     let mut series = TimeSeries::with_capacity_for(cfg.bucket, cfg.duration);
-    let mut ws = WorkerSet::new();
-    for w in 0..cfg.workers {
-        ws.spawn(WorkerId(w), SimTime::ZERO);
-    }
+    let (mut rngs, mut ws) = closed_loop(cfg.workers, cfg.seed);
     db.reset_timing_queues();
 
     // Phase 1: steady state until the crash.
@@ -176,17 +163,9 @@ where
                 / dur::SEC as f64
         })
         .unwrap_or(f64::INFINITY);
-    let timeline = rates
-        .iter()
-        .enumerate()
-        .map(|(i, &qps)| TimelinePoint {
-            second: (i as u64 * cfg.bucket) / dur::SEC,
-            qps,
-        })
-        .collect();
     RecoveryRunResult {
         scheme: cfg.scheme.name(),
-        timeline,
+        timeline: timeline(&rates, cfg.bucket),
         pre_crash_qps,
         recovery_secs,
         warmup_secs,
@@ -205,52 +184,15 @@ pub(crate) fn recover_untrusted(db: &mut Db<CxlBp>, now: SimTime) -> RecoverySum
 
 /// Run one recovery experiment.
 pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRunResult {
-    let pages = pages_for(cfg.table_size, PAGE_SIZE);
-    // Cache size and local-buffer fraction are the pooling harness's.
-    let base = PoolingConfig::standard(PoolKind::TieredRdma, cfg.workload, 1);
-    let rows = || (1..=cfg.table_size).map(|k| (k, make_record(k, (k % 251) as u8)));
+    let rows = cfg.table_size;
     match cfg.scheme {
-        Scheme::Vanilla => {
-            let store = PageStore::new(pages);
-            let mut db = Db::create(
-                DramBp::new(pages as usize, base.cache_bytes, store),
-                crate::sysbench::RECORD_SIZE,
-            );
-            db.load(rows());
-            run_phases(cfg, db, |db, t| recover_replay(db, "vanilla", t))
-        }
-        Scheme::RdmaBased => {
-            let store = PageStore::new(pages);
-            let rdma = Rc::new(RefCell::new(RdmaPool::new((pages * PAGE_SIZE) as usize, 1)));
-            let lbp = ((pages as f64 * base.lbp_fraction).ceil() as usize).max(8);
-            let mut db = Db::create(
-                TieredRdmaBp::new(rdma, 0, 0, lbp, base.cache_bytes, store),
-                crate::sysbench::RECORD_SIZE,
-            );
-            db.load(rows());
-            run_phases(cfg, db, |db, t| recover_replay(db, "rdma-based", t))
-        }
-        Scheme::PolarRecv | Scheme::PolarRecvNoMeta => {
-            let store = PageStore::new(pages);
-            let geo = 64 + pages * (64 + PAGE_SIZE) + 4096;
-            let cxl = Rc::new(RefCell::new(CxlPool::single_host(
-                geo as usize,
-                1,
-                base.cache_bytes,
-                false,
-            )));
-            let mut db = Db::create(
-                CxlBp::format(cxl, NodeId(0), 0, pages, store),
-                crate::sysbench::RECORD_SIZE,
-            );
-            db.load(rows());
-            let recover: fn(&mut Db<CxlBp>, SimTime) -> RecoverySummary =
-                if cfg.scheme == Scheme::PolarRecv {
-                    recover_polar
-                } else {
-                    recover_untrusted
-                };
-            run_phases(cfg, db, recover)
-        }
+        Scheme::Vanilla => run_phases(cfg, single_dram(rows), |db, t| {
+            recover_replay(db, "vanilla", t)
+        }),
+        Scheme::RdmaBased => run_phases(cfg, single_rdma(rows), |db, t| {
+            recover_replay(db, "rdma-based", t)
+        }),
+        Scheme::PolarRecv => run_phases(cfg, single_cxl(rows), recover_polar),
+        Scheme::PolarRecvNoMeta => run_phases(cfg, single_cxl(rows), recover_untrusted),
     }
 }

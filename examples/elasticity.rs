@@ -17,6 +17,7 @@
 //! Run with: `cargo run --release --example elasticity`
 //! (`ELASTIC_SMOKE=1` shrinks the run for CI.)
 
+use workloads::elasticity::{EXTENTS, SLO_P99_NS};
 use workloads::{run_elasticity, ElasticityConfig, ElasticityResult};
 
 fn base_cfg() -> ElasticityConfig {
@@ -64,12 +65,12 @@ fn print_run(tag: &str, r: &ElasticityResult) {
 
 fn main() {
     let cfg = base_cfg();
-    let slo = cfg.slo_p99_ns;
+    let slo = SLO_P99_NS;
 
     // ---- 1. Adaptive: live migration follows the sun -----------------
     let adaptive = run_invariant(&cfg);
     print_run("adaptive", &adaptive);
-    let moved = (cfg.extents * 3 / 4 - cfg.extents / 4) as u64;
+    let moved = (EXTENTS * 3 / 4 - EXTENTS / 4) as u64;
     assert_eq!(
         adaptive.migrations, moved,
         "the diurnal flip must move exactly the {moved} newly demanded extents"

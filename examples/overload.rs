@@ -23,6 +23,7 @@
 
 use simkit::qos::TenantClass;
 use simkit::{MetricValue, SimTime};
+use workloads::overload::SLO_P99_NS;
 use workloads::{run_overload, FlapSpec, OverloadConfig, OverloadResult};
 
 fn base_cfg() -> OverloadConfig {
@@ -79,7 +80,7 @@ fn print_registry(r: &OverloadResult) {
 
 fn main() {
     let cfg = base_cfg();
-    let slo = cfg.slo_p99_ns as u64;
+    let slo = SLO_P99_NS;
 
     // ---- 1. QoS on: victims protected, aggressor shed ----------------
     let on = run_invariant(&cfg);
