@@ -12,7 +12,7 @@ pub use sweep::{host_threads, run_sweep, run_sweep_threads};
 
 use memsim::{CxlNodeConfig, CxlPool, DramSpace, NodeId, RdmaPool};
 use simkit::SimTime;
-use workloads::{run_pooling, PoolKind, PoolingConfig, SysbenchKind};
+use workloads::{run_pooling, PoolKind, PoolingConfig, RunMetrics, SysbenchKind};
 
 /// Print a figure/table banner.
 pub fn banner(id: &str, title: &str, paper_summary: &str) {
@@ -57,16 +57,7 @@ pub fn pooling_figure(
         "{:>4} | {:>12} {:>12} | {:>12} {:>12} | {:>10} {:>10}",
         "n", "RDMA K-QPS", "CXL K-QPS", "RDMA lat us", "CXL lat us", "RDMA GB/s", "CXL GB/s"
     );
-    let configs: Vec<PoolingConfig> = points
-        .iter()
-        .flat_map(|&n| {
-            [PoolKind::TieredRdma, PoolKind::Cxl]
-                .map(|kind| PoolingConfig::standard(kind, workload, n))
-        })
-        .collect();
-    let results = run_sweep(&configs, run_pooling);
-    for (pair, n) in results.chunks(2).zip(points) {
-        let (r, c) = (&pair[0].metrics, &pair[1].metrics);
+    for ([r, c], n) in pooling_sweep(workload, points, |_| {}).iter().zip(points) {
         println!(
             "{:>4} | {:>12} {:>12} | {:>12.1} {:>12.1} | {:>10.2} {:>10.2}",
             n,
@@ -79,6 +70,30 @@ pub fn pooling_figure(
         );
     }
     footer(note);
+}
+
+/// The sweep behind [`pooling_figure`]: at each instance count of
+/// `points`, the tiered RDMA and the PolarCXLMem run of `workload` on
+/// [`PoolingConfig::standard`] as `adjust` leaves it, in that order.
+pub fn pooling_sweep(
+    workload: SysbenchKind,
+    points: &[usize],
+    adjust: impl Fn(&mut PoolingConfig),
+) -> Vec<[RunMetrics; 2]> {
+    let configs: Vec<PoolingConfig> = points
+        .iter()
+        .flat_map(|&n| {
+            [PoolKind::TieredRdma, PoolKind::Cxl].map(|kind| {
+                let mut cfg = PoolingConfig::standard(kind, workload, n);
+                adjust(&mut cfg);
+                cfg
+            })
+        })
+        .collect();
+    run_sweep(&configs, run_pooling)
+        .chunks(2)
+        .map(|pair| [pair[0].metrics.clone(), pair[1].metrics.clone()])
+        .collect()
 }
 
 /// Table 1, measured: mean latency in ns of 10 000 dependent single-line

@@ -77,17 +77,6 @@ fn note_cxl_slow(
     trace::span(kind, node.0 as u32, now, end, link_bytes);
 }
 
-/// Whether nothing observes or perturbs individual operations right now:
-/// host profiler off, tracer off, no fault plan installed. Only then may
-/// a lean path skip the per-operation profiler scope, attribution note
-/// and fault gate; an instrumented or fault-armed run takes the general
-/// path, so `prof.*.calls`, lane totals, spans and fault-site hit
-/// indices are those of the general path by construction.
-#[inline]
-fn unobserved() -> bool {
-    !simkit::profile::is_enabled() && !trace::active() && !faults::active()
-}
-
 /// Per-node attachment configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CxlNodeConfig {
@@ -797,7 +786,9 @@ impl CxlPool {
         now: SimTime,
     ) -> Access {
         let lines = line_range(off, len);
-        if unobserved() && lines.end - lines.start == 1 && self.caches[node.0].read_hit(lines.start)
+        if simkit::unobserved()
+            && lines.end - lines.start == 1
+            && self.caches[node.0].read_hit(lines.start)
         {
             if let Some(buf) = dst {
                 self.region.read(off, buf);

@@ -56,6 +56,18 @@ pub use time::{dur, SimTime};
 pub use trace::{Lane, QueryBreakdown, SpanKind, TraceEvent};
 pub use worker::{Step, WorkerId, WorkerSet};
 
+/// Whether nothing observes or perturbs individual operations right now:
+/// host profiler off, tracer off, no fault plan installed. Only then may
+/// a lean path skip the per-operation profiler scope, attribution note,
+/// fault gate or poison probe; an instrumented or fault-armed run takes
+/// the general path, so `prof.*.calls`, lane totals, spans and fault-site
+/// hit indices are those of the general path by construction. The one
+/// definition: every lean path asks this.
+#[inline]
+pub fn unobserved() -> bool {
+    !profile::is_enabled() && !trace::active() && !faults::active()
+}
+
 /// Run `f` over `len` zeroed scratch bytes: on the stack when they fit
 /// in 256 (a B+tree slot-directory shift, a record), on the heap above
 /// that — so the common small case never touches the allocator.

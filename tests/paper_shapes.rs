@@ -1,12 +1,17 @@
-//! The paper's Tables 1–2 as shapes (ROADMAP 1(a), first slice): every
+//! The paper's shapes, measured (ROADMAP 1(a)). Tables 1–2: every
 //! modelled latency and transfer time measured through `DramSpace` /
 //! `CxlPool` / `RdmaPool`'s public API — the loops the `table1_latency`
 //! and `table2_transfer` benches print — beside the paper's value.
-//! Orderings are held exactly, each magnitude inside a stated band of
+//! Figure 7: the three pooling shapes of the ledger's `pool_point`
+//! workload, from `run_pooling` at smoke scale through the
+//! `fig7_pooling_point_select` bench's own sweep. Orderings and knees are
+//! held exactly, each magnitude inside a stated band of
 //! |ln(ours / paper)|. `cargo test --test paper_shapes -- --nocapture`
-//! prints the rows EXPERIMENTS.md quotes. No harness runs here.
+//! prints the rows EXPERIMENTS.md quotes.
 
-use bench::{table1_latencies, table2_transfers, TransferRow};
+use bench::{pooling_sweep, table1_latencies, table2_transfers, TransferRow};
+use simkit::SimTime;
+use workloads::SysbenchKind;
 
 fn ln_ratio(ours: f64, paper: f64) -> f64 {
     (ours / paper).ln().abs()
@@ -128,4 +133,67 @@ fn table2_transfers_keep_the_papers_orderings_and_bands() {
         "{lead:?}"
     );
     assert!((5.0..7.5).contains(&lead[0].0) && (5.0..7.5).contains(&lead[0].1));
+}
+
+/// Figure 7 of the paper: RDMA pooling stops scaling at 3 instances on
+/// an 11 GB/s NIC, PolarCXLMem scales linearly to 8 and beyond.
+const FIG7_PAPER_KNEE: usize = 3;
+const FIG7_PAPER_CXL_LINEARITY: f64 = 1.0;
+const FIG7_PAPER_NIC_GBPS: f64 = 11.0;
+
+/// Bands at smoke scale (a quarter of the ledger's table, a 20 ms
+/// window). CXL's eight instances share nothing the workload saturates,
+/// so linearity is exact (1.000, as at full size). The NIC ceiling reads
+/// 10.29 GB/s here against 10.16 at full size (|ln ratio| 0.067 / 0.079):
+/// a smaller table hits the same page-per-row amplification, and 0.10
+/// leaves room for either scale.
+const BAND_CXL_LINEARITY: f64 = 0.02;
+const BAND_NIC_GBPS: f64 = 0.10;
+
+/// The ledger's `pool_point` shapes through the Figure 7 bench's sweep:
+/// the knee is the first instance count whose RDMA throughput falls under
+/// 90 % of linear scaling from one instance, linearity is qps(8) over
+/// 8 × qps(1), the ceiling is the most an RDMA point from 1 to 4 moves.
+#[test]
+fn figure7_pooling_keeps_the_papers_knee_linearity_and_nic_ceiling() {
+    let points = [1, 2, 3, 4, 8];
+    let pairs = pooling_sweep(SysbenchKind::PointSelect, &points, |cfg| {
+        cfg.table_size = 7_500;
+        cfg.duration = SimTime::from_millis(20);
+    });
+    let at = |n: usize| &pairs[points.iter().position(|&p| p == n).expect("a point")];
+    let base = at(1)[0].qps;
+    let knee = (2..=4)
+        .find(|&n| at(n)[0].qps < 0.9 * n as f64 * base)
+        .unwrap_or(5);
+    let linearity = at(8)[1].qps / (8.0 * at(1)[1].qps);
+    let nic = (1..=4)
+        .map(|n| at(n)[0].interconnect_gbps)
+        .fold(0.0, f64::max);
+    println!("| shape | paper | ours | \\|ln ratio\\| |");
+    println!("|---|---|---|---|");
+    println!("| `rdma_knee_instances` | {FIG7_PAPER_KNEE} | {knee} | |");
+    for (name, paper, ours) in [
+        ("cxl_linearity_8x", FIG7_PAPER_CXL_LINEARITY, linearity),
+        ("rdma_sat_gbps", FIG7_PAPER_NIC_GBPS, nic),
+    ] {
+        println!(
+            "| `{name}` | {paper} | {ours:.3} | {:.3} |",
+            ln_ratio(ours, paper)
+        );
+    }
+    assert_eq!(knee, FIG7_PAPER_KNEE, "{pairs:?}");
+    assert!(
+        ln_ratio(linearity, FIG7_PAPER_CXL_LINEARITY) <= BAND_CXL_LINEARITY,
+        "{linearity}"
+    );
+    assert!(
+        ln_ratio(nic, FIG7_PAPER_NIC_GBPS) <= BAND_NIC_GBPS,
+        "{nic} GB/s"
+    );
+    // Past the knee the NIC, not the instances, sets RDMA's throughput,
+    // and CXL pulls ahead.
+    for n in [3, 4, 8] {
+        assert!(at(n)[1].qps > at(n)[0].qps, "n = {n}: CXL must beat RDMA");
+    }
 }
