@@ -26,8 +26,8 @@ pub struct DramBp {
 impl std::fmt::Debug for DramBp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DramBp")
-            .field("frames", &self.frames.capacity())
-            .field("resident", &self.frames.resident())
+            .field("frames", &self.frames.dir().capacity())
+            .field("resident", &self.frames.dir().resident())
             .field("stats", &self.stats)
             .finish()
     }
@@ -173,7 +173,7 @@ impl BufferPool for DramBp {
     }
 
     fn is_resident(&self, page: PageId) -> bool {
-        self.frames.contains(page)
+        self.frames.dir().contains(page)
     }
 
     fn flush_all(&mut self, now: SimTime) -> SimTime {

@@ -1,98 +1,64 @@
-//! Struct-of-arrays frame metadata shared by the pool implementations.
-//!
-//! The original pools kept an `Option<Frame{page, dirty}>` per slot plus
-//! *two* hash maps — `map: page → frame` and `lsns: page → Lsn` — so the
-//! hot write path paid two hash probes per access (one in `fix`, one in
-//! `lsns.insert`). A [`FrameTable`] keeps one map (`page → frame`) and
-//! parallel per-frame arrays (page / dirty / LSN, redb-style), so after
-//! the single residency probe every update is an indexed array store.
-//!
-//! The "page LSN survives eviction" contract is preserved on the *cold*
-//! path: [`FrameTable::evict`] spills the frame's LSN into a side map
-//! that only eviction touches, and [`FrameTable::install`] pulls it
-//! back. A crash ([`FrameTable::clear`]) drops both, exactly like the
-//! old `lsns.clear()`.
+//! The residency directory every pool shares ([`Residency`]: what defines
+//! "hit", "memo hit" and "victim"), and the [`FrameTable`] of the pools
+//! whose frames are volatile host memory: a directory plus parallel
+//! per-frame dirty and LSN arrays (redb-style), so after the single
+//! residency probe every update is an indexed array store. An evicted
+//! page's LSN waits in a side map only eviction and install touch.
 
 use crate::policy::{AnyPolicy, Policy, PolicyKind};
 use crate::BpStats;
 use simkit::FastMap;
 use storage::{Lsn, PageId};
 
-/// Struct-of-arrays frame directory: residency map + per-frame parallel
-/// arrays + eviction policy + evicted-LSN spill. Frames and pages are
+/// Page → slot directory over `0..capacity` slots: map, slot → page
+/// array, free stack, eviction policy and memo. Slots and pages are
 /// indices, so a clone is an exact copy (hash tables clone at their
-/// reserved size).
+/// reserved size), memo included: it names a slot of the cloned policy.
 #[derive(Debug, Clone)]
-pub struct FrameTable {
-    /// Which page each frame holds (`None` = empty frame).
+pub struct Residency {
+    /// Which page each slot holds (`None` = free).
     page: Vec<Option<PageId>>,
-    /// Per-frame dirty bit.
-    dirty: Vec<bool>,
-    /// Per-frame page LSN (`None` until first write).
-    lsn: Vec<Option<Lsn>>,
-    /// The single residency probe: page → frame.
+    /// The single residency probe: page → slot.
     map: FastMap<PageId, u32>,
-    /// One-entry memo: the page whose frame the policy touched last, set
-    /// only by a `lookup_touch` hit. A B+tree node visit reads a dozen
-    /// fields of one page back to back, and touching the slot touched
-    /// last, with no policy call in between, changes nothing under LRU
-    /// (already the head), CLOCK (reference bit set) or 2Q (already the
-    /// protected head, a promotion included) — so a memo hit skips the
-    /// probe *and* the touch. Never set by `install` (after an insert 2Q's
-    /// next touch promotes); dropped by every other policy call —
-    /// `install`, `pop_victim`, `unlink`, `evict`, `clear`, and through
-    /// them `claim` and `warm` (a frame reaches `push_free` evicted).
+    /// One-entry memo: the page whose slot the policy touched last, set
+    /// only by a `lookup_touch` hit. Touching that slot again changes
+    /// nothing under any policy, so a memo hit skips the probe *and* the
+    /// touch (DESIGN.md "The lean read path"). Dropped by every other
+    /// policy call: `install`, `pop_victim`, `unlink`, `evict`, `clear`.
     last: Option<(PageId, u32)>,
     free: Vec<u32>,
     policy: AnyPolicy,
-    /// LSNs of evicted pages (cold path only; cleared on crash).
-    evicted_lsns: FastMap<PageId, Lsn>,
 }
 
-impl FrameTable {
-    /// An empty table over `frames` slots, evicting by LRU (the default
-    /// every pool ran before policies became pluggable).
-    pub fn new(frames: usize) -> Self {
-        Self::with_policy(frames, PolicyKind::Lru)
+impl Residency {
+    /// An empty directory over `slots` slots evicting under `kind`, every
+    /// slot free, its map presized for `2 × slots` entries: evict/install
+    /// churn leaves tombstones, and with live entries under half the
+    /// table they are rehashed in place, never by growing.
+    pub fn new(slots: usize, kind: PolicyKind) -> Self {
+        Self::with_map_capacity(slots, kind, slots * 2)
     }
 
-    /// An empty table over `frames` slots evicting under `kind`.
-    pub fn with_policy(frames: usize, kind: PolicyKind) -> Self {
-        assert!(frames > 0);
-        // The residency map never holds more than `frames` live entries,
-        // but the evict/install churn leaves hash-table tombstones, and
-        // a table whose live count fills its reserved capacity *grows*
-        // (allocates) when a later insert must clear them. Reserving 2x
-        // keeps live entries under half the table, so tombstone rehashes
-        // happen in place and the hot path never allocates.
+    /// [`new`](Self::new) with the map presized for `capacity` entries.
+    pub fn with_map_capacity(slots: usize, kind: PolicyKind, capacity: usize) -> Self {
+        assert!(slots > 0);
         let mut map = FastMap::default();
-        map.reserve(frames * 2);
-        FrameTable {
-            page: vec![None; frames],
-            dirty: vec![false; frames],
-            lsn: vec![None; frames],
+        map.reserve(capacity);
+        Residency {
+            page: vec![None; slots],
             map,
             last: None,
-            free: (0..frames as u32).rev().collect(),
-            policy: AnyPolicy::new(kind, frames),
-            evicted_lsns: FastMap::default(),
+            free: (0..slots as u32).rev().collect(),
+            policy: AnyPolicy::new(kind, slots),
         }
     }
 
-    /// Which eviction policy this table runs.
+    /// Which eviction policy this directory runs.
     pub fn policy_kind(&self) -> PolicyKind {
         self.policy.kind()
     }
 
-    /// Pre-size the eviction LSN spill map for a dataset of `pages`
-    /// pages, so evictions (which run inside the pools' profiled hot
-    /// sections) never grow it. 2x for the same tombstone-churn headroom
-    /// as the residency map (spill inserts pair with reinstall removes).
-    pub fn reserve_evictions(&mut self, pages: usize) {
-        self.evicted_lsns.reserve(pages * 2);
-    }
-
-    /// Total number of frames.
+    /// Total number of slots.
     pub fn capacity(&self) -> usize {
         self.page.len()
     }
@@ -107,16 +73,192 @@ impl FrameTable {
         self.map.get(&page).copied()
     }
 
+    /// Whether `page` is resident.
+    pub fn contains(&self, page: PageId) -> bool {
+        self.map.contains_key(&page)
+    }
+
+    /// The page bound to `slot`, if any.
+    pub fn page_of(&self, slot: u32) -> Option<PageId> {
+        self.page[slot as usize]
+    }
+
+    /// `page`'s slot when `page` is the memo's: the slot the policy
+    /// touched last, which a hit need neither probe nor touch.
+    #[inline(always)]
+    pub fn memo_hit(&self, page: PageId) -> Option<u32> {
+        match self.last {
+            Some((p, slot)) if p == page => Some(slot),
+            _ => None,
+        }
+    }
+
+    /// Forget the memo, so the next hit probes and touches. Changes no
+    /// answer and no victim: the reference the memo is tested against.
+    pub fn forget_memo(&mut self) {
+        self.last = None;
+    }
+
     /// Residency probe that also records the hit with the eviction
-    /// policy — the single hash lookup of the hot path. When `page` is
-    /// the page the policy touched last, both the probe and the touch
-    /// (a no-op then) are skipped, in line at the caller.
+    /// policy; on a memo hit, a compare in line at the caller.
     #[inline(always)]
     pub fn lookup_touch(&mut self, page: PageId) -> Option<u32> {
-        match self.last {
-            Some((p, frame)) if p == page => Some(frame),
-            _ => self.probe_touch(page),
+        match self.memo_hit(page) {
+            Some(slot) => Some(slot),
+            None => self.probe_touch(page),
         }
+    }
+
+    /// `lookup_touch` past the memo: probe, touch, and remember.
+    #[inline(never)]
+    fn probe_touch(&mut self, page: PageId) -> Option<u32> {
+        let slot = self.map.get(&page).copied()?;
+        self.policy.touch(slot);
+        self.last = Some((page, slot));
+        Some(slot)
+    }
+
+    /// Pop a free slot, if any.
+    pub fn pop_free(&mut self) -> Option<u32> {
+        self.free.pop()
+    }
+
+    /// Return an [`evict`](Self::evict)ed slot to the free stack, for
+    /// paths that move a page *out* without reusing its slot.
+    pub fn push_free(&mut self, slot: u32) {
+        debug_assert!(self.page[slot as usize].is_none(), "freeing a bound slot");
+        self.free.push(slot);
+    }
+
+    /// A slot for a new page: a free one, else the policy's victim,
+    /// [`evict`](Self::evict)ed — in which case the page it held comes
+    /// back too, for the caller to deal with before it reuses the slot.
+    pub fn claim(&mut self) -> (u32, Option<PageId>) {
+        match self.free.pop() {
+            Some(slot) => (slot, None),
+            None => {
+                let victim = self.pop_victim().expect("no free slot and empty policy");
+                (victim, Some(self.evict(victim)))
+            }
+        }
+    }
+
+    /// Pop the policy's eviction victim (unlinking it).
+    pub fn pop_victim(&mut self) -> Option<u32> {
+        self.last = None;
+        self.policy.pop_victim()
+    }
+
+    /// Unlink `slot` from the policy without evicting it (migration and
+    /// invalidation paths that already know the slot).
+    pub fn unlink(&mut self, slot: u32) {
+        self.last = None;
+        self.policy.remove(slot);
+    }
+
+    /// Unbind a slot popped via [`pop_victim`](Self::pop_victim) or
+    /// [`unlink`](Self::unlink)ed, returning the page it held.
+    pub fn evict(&mut self, slot: u32) -> PageId {
+        let page = self.page[slot as usize]
+            .take()
+            .expect("evicting empty slot");
+        self.map.remove(&page);
+        self.last = None;
+        page
+    }
+
+    /// Bind `slot` (fresh from [`pop_free`](Self::pop_free) or
+    /// [`evict`](Self::evict)) to `page` and link it with the policy as
+    /// newest.
+    pub fn install(&mut self, slot: u32, page: PageId) {
+        debug_assert!(self.page[slot as usize].is_none(), "slot is bound");
+        self.page[slot as usize] = Some(page);
+        self.map.insert(page, slot);
+        self.last = None;
+        self.policy.insert(slot);
+    }
+
+    /// Warm-up: bind each of `pages` that is not yet resident to a free
+    /// slot, calling `fill(slot, page)` to put its bytes there, until the
+    /// free slots run out. Nothing is evicted and nothing is timed.
+    pub fn warm(&mut self, pages: impl Iterator<Item = PageId>, mut fill: impl FnMut(u32, PageId)) {
+        for page in pages {
+            if self.contains(page) {
+                continue;
+            }
+            let Some(slot) = self.free.pop() else {
+                break;
+            };
+            fill(slot, page);
+            self.install(slot, page);
+        }
+    }
+
+    /// Crash: drop every binding; every slot is free again.
+    pub fn clear(&mut self) {
+        let n = self.capacity();
+        self.page.fill(None);
+        self.map.clear();
+        self.last = None;
+        self.free.clear();
+        self.free.extend((0..n as u32).rev());
+        self.policy = AnyPolicy::new(self.policy.kind(), n);
+    }
+
+    /// Rebuild from recovered bindings, ordered newest first: each is
+    /// linked with the policy oldest first, so the first ends up newest,
+    /// and the unbound slots make the free stack.
+    pub fn adopt(&mut self, newest_first: impl DoubleEndedIterator<Item = (u32, PageId)>) {
+        self.clear();
+        for (slot, page) in newest_first.rev() {
+            self.install(slot, page);
+        }
+        let page = &self.page;
+        self.free.retain(|&slot| page[slot as usize].is_none());
+    }
+}
+
+/// A [`Residency`] over frames plus parallel per-frame dirty and LSN
+/// arrays and the evicted-LSN spill.
+#[derive(Debug, Clone)]
+pub struct FrameTable {
+    dir: Residency,
+    /// Per-frame dirty bit; an unbound frame is clean.
+    dirty: Vec<bool>,
+    /// Per-frame page LSN (`None` until first write).
+    lsn: Vec<Option<Lsn>>,
+    /// LSNs of evicted pages (cold path only; cleared on crash).
+    evicted_lsns: FastMap<PageId, Lsn>,
+}
+
+impl FrameTable {
+    /// An empty table over `frames` slots evicting under `kind`.
+    pub fn with_policy(frames: usize, kind: PolicyKind) -> Self {
+        FrameTable {
+            dir: Residency::new(frames, kind),
+            dirty: vec![false; frames],
+            lsn: vec![None; frames],
+            evicted_lsns: FastMap::default(),
+        }
+    }
+
+    /// Pre-size the eviction LSN spill map for a dataset of `pages`
+    /// pages, so evictions (which run inside the pools' profiled hot
+    /// sections) never grow it. 2x for the same tombstone-churn headroom
+    /// as the residency map (spill inserts pair with reinstall removes).
+    pub fn reserve_evictions(&mut self, pages: usize) {
+        self.evicted_lsns.reserve(pages * 2);
+    }
+
+    /// The residency directory, for queries.
+    pub fn dir(&self) -> &Residency {
+        &self.dir
+    }
+
+    /// [`Residency::lookup_touch`].
+    #[inline(always)]
+    pub fn lookup_touch(&mut self, page: PageId) -> Option<u32> {
+        self.dir.lookup_touch(page)
     }
 
     /// The in-line half of `DramBp` / `TieredRdmaBp` `fix`: `lookup_touch`,
@@ -124,7 +266,7 @@ impl FrameTable {
     /// compare and two counters.
     #[inline(always)]
     pub(crate) fn lookup_counted(&mut self, page: PageId, stats: &mut BpStats) -> Option<u32> {
-        let frame = self.lookup_touch(page);
+        let frame = self.dir.lookup_touch(page);
         if frame.is_some() {
             stats.hits += 1;
             stats.tier_dram_hits += 1;
@@ -135,94 +277,56 @@ impl FrameTable {
         frame
     }
 
-    /// `lookup_touch` past the memo: probe, touch, and remember.
-    #[inline(never)]
-    fn probe_touch(&mut self, page: PageId) -> Option<u32> {
-        let frame = self.map.get(&page).copied()?;
-        self.policy.touch(frame);
-        self.last = Some((page, frame));
-        Some(frame)
-    }
-
-    /// Whether `page` is resident.
-    pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
-    }
-
-    /// Pop a free frame, if any.
+    /// [`Residency::pop_free`].
     pub fn pop_free(&mut self) -> Option<u32> {
-        self.free.pop()
+        self.dir.pop_free()
     }
 
-    /// A frame for a new page: a free one, else the policy's victim,
-    /// [`evict`](Self::evict)ed — in which case its `(page, was_dirty)`
-    /// comes back too, for the caller to write the bytes back (what that
-    /// costs is the pool's design) before it reuses the frame.
+    /// [`Residency::claim`], with the victim's `(page, was_dirty)`.
     pub fn claim(&mut self) -> (u32, Option<(PageId, bool)>) {
-        match self.free.pop() {
-            Some(frame) => (frame, None),
-            None => {
-                let victim = self
-                    .policy
-                    .pop_victim()
-                    .expect("no free frame and empty policy");
-                (victim, Some(self.evict(victim)))
-            }
-        }
+        let (frame, evicted) = self.dir.claim();
+        (frame, evicted.map(|page| (page, self.spill(frame, page))))
     }
 
-    /// Return an emptied frame (unlinked and [`evict`](Self::evict)ed)
-    /// to the free stack — migration paths move a page *out* of a tier
-    /// without immediately reusing its slot.
+    /// [`Residency::push_free`].
     pub fn push_free(&mut self, frame: u32) {
-        debug_assert!(self.page[frame as usize].is_none(), "freeing a bound frame");
-        self.free.push(frame);
+        self.dir.push_free(frame);
     }
 
-    /// Pop the policy's eviction victim (unlinking it).
+    /// [`Residency::pop_victim`].
     pub fn pop_victim(&mut self) -> Option<u32> {
-        self.last = None;
-        self.policy.pop_victim()
+        self.dir.pop_victim()
     }
 
-    /// Unlink `frame` from the policy without evicting it (migration
-    /// paths that already know the victim).
+    /// [`Residency::unlink`].
     pub fn unlink(&mut self, frame: u32) {
-        self.last = None;
-        self.policy.remove(frame);
+        self.dir.unlink(frame);
     }
 
-    /// Clear a frame popped via [`FrameTable::pop_victim`]: unmap its
-    /// page, spill the page's LSN to the eviction side map, and return
-    /// `(page, was_dirty)` so the caller can write the bytes back.
+    /// [`Residency::evict`], spilling the page's LSN to the eviction side
+    /// map; returns `(page, was_dirty)` so the caller can write the bytes
+    /// back.
     pub fn evict(&mut self, frame: u32) -> (PageId, bool) {
+        let page = self.dir.evict(frame);
+        (page, self.spill(frame, page))
+    }
+
+    /// The per-frame half of evicting `page` from `frame`: spill its LSN,
+    /// take its dirty bit.
+    fn spill(&mut self, frame: u32, page: PageId) -> bool {
         let i = frame as usize;
-        let page = self.page[i].take().expect("evicting empty frame");
-        self.map.remove(&page);
-        self.last = None;
         if let Some(lsn) = self.lsn[i].take() {
             self.evicted_lsns.insert(page, lsn);
         }
-        (page, std::mem::take(&mut self.dirty[i]))
+        std::mem::take(&mut self.dirty[i])
     }
 
-    /// Bind `frame` (fresh from [`pop_free`](Self::pop_free) or
-    /// [`evict`](Self::evict)) to `page`, clean, restoring any spilled
-    /// LSN, and link it with the policy as newest.
+    /// [`Residency::install`], restoring any spilled LSN; the frame is
+    /// clean.
     pub fn install(&mut self, frame: u32, page: PageId) {
-        let i = frame as usize;
-        debug_assert!(self.page[i].is_none(), "installing over a bound frame");
-        self.page[i] = Some(page);
-        self.dirty[i] = false;
-        self.lsn[i] = self.evicted_lsns.remove(&page);
-        self.map.insert(page, frame);
-        self.last = None;
-        self.policy.insert(frame);
-    }
-
-    /// The page bound to `frame`, if any.
-    pub fn page_of(&self, frame: u32) -> Option<PageId> {
-        self.page[frame as usize]
+        debug_assert!(!self.dirty[frame as usize], "an unbound frame is clean");
+        self.lsn[frame as usize] = self.evicted_lsns.remove(&page);
+        self.dir.install(frame, page);
     }
 
     /// Per-frame dirty bit.
@@ -241,32 +345,24 @@ impl FrameTable {
     /// frame ids is deterministic (and allocation-free) by construction —
     /// no hash-order to launder.
     pub fn take_dirty(&mut self, cursor: &mut u32) -> Option<(u32, PageId)> {
-        while (*cursor as usize) < self.page.len() {
+        while (*cursor as usize) < self.dirty.len() {
             let frame = *cursor;
             *cursor += 1;
-            let i = frame as usize;
-            if let (Some(page), true) = (self.page[i], self.dirty[i]) {
-                self.dirty[i] = false;
+            if let (Some(page), true) = (self.dir.page_of(frame), self.dirty[frame as usize]) {
+                self.dirty[frame as usize] = false;
                 return Some((frame, page));
             }
         }
         None
     }
 
-    /// Warm-up: bind each of `pages` that is not yet resident to a free
-    /// frame, calling `fill(frame, page)` to put its bytes there, until
-    /// the free frames run out. Nothing is evicted and nothing is timed.
+    /// [`Residency::warm`], restoring spilled LSNs as `install` does.
     pub fn warm(&mut self, pages: impl Iterator<Item = PageId>, mut fill: impl FnMut(u32, PageId)) {
-        for page in pages {
-            if self.contains(page) {
-                continue;
-            }
-            let Some(frame) = self.free.pop() else {
-                break;
-            };
+        let (lsn, spilled) = (&mut self.lsn, &mut self.evicted_lsns);
+        self.dir.warm(pages, |frame, page| {
             fill(frame, page);
-            self.install(frame, page);
-        }
+            lsn[frame as usize] = spilled.remove(&page);
+        });
     }
 
     /// Record `page`'s LSN on its frame (indexed store, no hashing).
@@ -276,8 +372,8 @@ impl FrameTable {
 
     /// Latest LSN recorded for `page` — resident or evicted.
     pub fn page_lsn(&self, page: PageId) -> Option<Lsn> {
-        match self.map.get(&page) {
-            Some(&frame) => self.lsn[frame as usize],
+        match self.dir.lookup(page) {
+            Some(frame) => self.lsn[frame as usize],
             None => self.evicted_lsns.get(&page).copied(),
         }
     }
@@ -285,25 +381,18 @@ impl FrameTable {
     /// Crash: drop every binding, dirty bit and LSN (resident and
     /// spilled alike).
     pub fn clear(&mut self) {
-        let n = self.capacity();
-        let kind = self.policy.kind();
-        self.page.iter_mut().for_each(|p| *p = None);
-        self.dirty.iter_mut().for_each(|d| *d = false);
-        self.lsn.iter_mut().for_each(|l| *l = None);
-        self.map.clear();
-        self.last = None;
-        self.free = (0..n as u32).rev().collect();
-        self.policy = AnyPolicy::new(kind, n);
+        self.dir.clear();
+        self.dirty.fill(false);
+        self.lsn.fill(None);
         self.evicted_lsns.clear();
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simkit::rng::SimRng;
 
-    /// The table as it was before a memo hit could skip the touch: a
+    /// The directory as it was before a memo hit could skip the touch: a
     /// residency map, a free stack and a policy touched on every hit.
     struct TouchEveryHit {
         map: FastMap<PageId, u32>,
@@ -372,7 +461,7 @@ mod tests {
         for kind in PolicyKind::ALL {
             for seed in 0..16u64 {
                 let mut rng = SimRng::seed_from_u64(seed);
-                let mut t = FrameTable::with_policy(FRAMES, kind);
+                let mut t = Residency::new(FRAMES, kind);
                 let mut r = TouchEveryHit::new(FRAMES, kind);
                 let mut page = PageId(0);
                 for step in 0..1_500 {
@@ -391,12 +480,7 @@ mod tests {
                             let p = PageId(rng.gen_range(0..PAGES));
                             if !t.contains(p) {
                                 let (frame, evicted) = t.claim();
-                                let want = r.claim();
-                                assert_eq!(
-                                    (frame, evicted.map(|e| e.0)),
-                                    want,
-                                    "{kind:?} {seed} {step}"
-                                );
+                                assert_eq!((frame, evicted), r.claim(), "{kind:?} {seed} {step}");
                                 t.install(frame, p);
                                 r.install(frame, p);
                             }
@@ -411,7 +495,7 @@ mod tests {
                                 if t.page_of(v) != Some(page) {
                                     assert_eq!(t.lookup_touch(page), r.lookup_touch(page));
                                 }
-                                assert_eq!(t.evict(v).0, r.evict(v));
+                                assert_eq!(t.evict(v), r.evict(v));
                                 t.push_free(v);
                                 r.free.push(v);
                             }
@@ -425,7 +509,7 @@ mod tests {
                                 if t.page_of(f) != Some(page) {
                                     assert_eq!(t.lookup_touch(page), r.lookup_touch(page));
                                 }
-                                assert_eq!(t.evict(f).0, r.evict(f));
+                                assert_eq!(t.evict(f), r.evict(f));
                                 t.push_free(f);
                                 r.free.push(f);
                             }
@@ -462,7 +546,7 @@ mod tests {
 
     #[test]
     fn single_probe_lifecycle() {
-        let mut t = FrameTable::new(2);
+        let mut t = FrameTable::with_policy(2, PolicyKind::Lru);
         assert_eq!(t.lookup_touch(PageId(7)), None);
         let f = t.pop_free().unwrap();
         t.install(f, PageId(7));
@@ -475,7 +559,7 @@ mod tests {
 
     #[test]
     fn lsn_survives_eviction_but_not_crash() {
-        let mut t = FrameTable::new(1);
+        let mut t = FrameTable::with_policy(1, PolicyKind::Lru);
         let f = t.pop_free().unwrap();
         t.install(f, PageId(1));
         t.set_lsn(f, Lsn(5));
@@ -483,7 +567,7 @@ mod tests {
         let v = t.pop_victim().unwrap();
         let (page, dirty) = t.evict(v);
         assert_eq!((page, dirty), (PageId(1), true));
-        assert!(!t.contains(PageId(1)));
+        assert!(!t.dir().contains(PageId(1)));
         assert_eq!(t.page_lsn(PageId(1)), Some(Lsn(5)), "LSN outlives eviction");
         // Reinstall: the spilled LSN comes back to the frame array.
         t.install(v, PageId(1));
@@ -495,7 +579,7 @@ mod tests {
 
     #[test]
     fn last_page_memo_never_outlives_the_binding() {
-        let mut t = FrameTable::new(1);
+        let mut t = Residency::new(1, PolicyKind::Lru);
         let f = t.pop_free().unwrap();
         t.install(f, PageId(1));
         assert_eq!(t.lookup_touch(PageId(1)), Some(f));
@@ -514,21 +598,20 @@ mod tests {
 
     #[test]
     fn eviction_order_is_lru() {
-        let mut t = FrameTable::new(2);
+        let mut t = Residency::new(2, PolicyKind::Lru);
         let a = t.pop_free().unwrap();
         t.install(a, PageId(0));
         let b = t.pop_free().unwrap();
         t.install(b, PageId(1));
         t.lookup_touch(PageId(0)); // 0 hot, 1 cold
         let v = t.pop_victim().unwrap();
-        assert_eq!(t.evict(v).0, PageId(1));
+        assert_eq!(t.evict(v), PageId(1));
     }
 
     #[test]
     fn policy_is_pluggable_per_table() {
-        use crate::policy::PolicyKind;
         for kind in PolicyKind::ALL {
-            let mut t = FrameTable::with_policy(4, kind);
+            let mut t = Residency::new(4, kind);
             assert_eq!(t.policy_kind(), kind);
             for p in 0..4u64 {
                 let f = t.pop_free().unwrap();
@@ -537,11 +620,11 @@ mod tests {
             // One full drain cycle so CLOCK's insert-time reference bits
             // are cleared; then re-touch page 0 and evict once.
             let v = t.pop_victim().unwrap();
-            let (gone, _) = t.evict(v);
+            let gone = t.evict(v);
             t.install(v, gone);
             t.lookup_touch(PageId(0));
             let v = t.pop_victim().unwrap();
-            let (page, _) = t.evict(v);
+            let page = t.evict(v);
             // Every policy spares the just-touched page.
             assert_ne!(page, PageId(0), "{kind:?} evicted the hot page");
             t.clear();

@@ -24,7 +24,7 @@ pub mod lru;
 pub mod policy;
 pub mod tiered;
 
-pub use frames::FrameTable;
+pub use frames::{FrameTable, Residency};
 pub use policy::{AnyPolicy, ClockRing, Policy, PolicyKind, TwoQ};
 
 use memsim::Access;

@@ -86,7 +86,7 @@ impl std::fmt::Debug for TieredRdmaBp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TieredRdmaBp")
             .field("host", &self.host)
-            .field("lbp_frames", &self.frames.capacity())
+            .field("lbp_frames", &self.frames.dir().capacity())
             .field("stats", &self.stats)
             .finish()
     }
@@ -201,7 +201,7 @@ impl TieredRdmaBp {
     /// Local tier size in bytes (the memory-overhead axis of the paper's
     /// cost comparisons).
     pub fn local_bytes(&self) -> u64 {
-        self.frames.capacity() as u64 * self.store.page_size()
+        self.frames.dir().capacity() as u64 * self.store.page_size()
     }
 
     fn frame_off(&self, frame: u32) -> u64 {
@@ -463,7 +463,7 @@ impl BufferPool for TieredRdmaBp {
     }
 
     fn is_resident(&self, page: PageId) -> bool {
-        self.frames.contains(page)
+        self.frames.dir().contains(page)
     }
 
     fn flush_all(&mut self, now: SimTime) -> SimTime {
@@ -844,7 +844,7 @@ mod tests {
 
         /// The aliasing invariants, checked after every step.
         fn check_invariants(&self, step: usize) {
-            for frame in 0..self.bp.frames.capacity() as u32 {
+            for frame in 0..self.bp.frames.dir().capacity() as u32 {
                 if !self.bp.aliased[frame as usize] {
                     continue;
                 }
@@ -855,6 +855,7 @@ mod tests {
                 let page = self
                     .bp
                     .frames
+                    .dir()
                     .page_of(frame)
                     .unwrap_or_else(|| panic!("step {step}: empty frame {frame} is aliased"));
                 assert!(self.bp.remote_resident(page), "step {step}: {page:?}");

@@ -22,12 +22,11 @@
 //! the CXL copy is complete and trusted.
 
 use crate::layout::{field, BlockMeta, Geometry, RegionHeader, MAGIC, META_SIZE, NO_PAGE};
-use bufferpool::policy::{AnyPolicy, Policy, PolicyKind};
-use bufferpool::{BpStats, BufferPool};
+use bufferpool::policy::PolicyKind;
+use bufferpool::{BpStats, BufferPool, Residency};
 use memsim::{Access, CxlPool, NodeId};
 use simkit::faults;
 use simkit::trace::{self, SpanKind};
-use simkit::FastMap;
 use simkit::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -35,14 +34,6 @@ use storage::{Lsn, PageId, PageStore};
 
 /// The CXL fabric shared by every node of a simulation.
 pub type SharedCxl = Rc<RefCell<CxlPool>>;
-
-/// Residency map pre-sized for `nblocks` entries, so inserts on the
-/// miss path never rehash (the hot path stays allocation-free).
-fn presized_map(nblocks: usize) -> FastMap<PageId, u32> {
-    let mut m = FastMap::default();
-    m.reserve(nblocks);
-    m
-}
 
 /// Dirty-range capacity per block: sized for the worst latch window the
 /// B+tree produces (a page split rewrites about half a page
@@ -62,21 +53,14 @@ pub struct CxlBp {
     node: NodeId,
     geo: Geometry,
     store: PageStore,
-    /// Volatile page → block map (rebuilt by recovery).
-    map: FastMap<PageId, u32>,
-    /// One-entry memo: the page whose block the policy touched last, set
-    /// only by a `fix` hit (a B+tree node visit reads a dozen fields of
-    /// one page back to back), so a `fix` of it skips the probe and the
-    /// touch, and reads of it may take the hot-page branch in `access`.
-    /// Kept exactly as [`bufferpool::FrameTable`] keeps its own; dropped
-    /// by the miss path, `evict`, `crash`, `adopt_recovered_state`,
-    /// `prewarm` and `copy_to`.
-    last: Option<(PageId, u32)>,
-    /// Volatile eviction-order state over blocks (LRU / CLOCK / 2Q);
-    /// membership itself is authoritative in CXL (`in_use` + list
-    /// links), so the policy is rebuildable after a crash.
-    policy: AnyPolicy,
-    free: Vec<u32>,
+    /// Volatile page → block directory: map, free stack, eviction order
+    /// (LRU / CLOCK / 2Q) and memo, whose page's reads may take the
+    /// hot-page branch in `access`. Membership itself is authoritative
+    /// in CXL (`in_use` + list links), so recovery rebuilds it. Its map
+    /// is presized for `nblocks` entries, not 2×: a pool that holds its
+    /// dataset never churns, and at 2× glibc keeps ≈ 200 MB more heap
+    /// between the ledger's `pool_point` cells (docs/ledger-pairs.md).
+    dir: Residency,
     /// Host-side mirror of every block's metadata (write-through).
     mirror: Vec<BlockMeta>,
     /// Mirror of the region header.
@@ -101,7 +85,7 @@ impl std::fmt::Debug for CxlBp {
         f.debug_struct("CxlBp")
             .field("node", &self.node)
             .field("blocks", &self.geo.nblocks)
-            .field("resident", &self.map.len())
+            .field("resident", &self.dir.resident())
             .field("stats", &self.stats)
             .finish()
     }
@@ -155,10 +139,7 @@ impl CxlBp {
             node,
             geo,
             store,
-            map: presized_map(nblocks as usize),
-            last: None,
-            policy: AnyPolicy::new(policy, nblocks as usize),
-            free: (0..nblocks as u32).rev().collect(),
+            dir: Residency::with_map_capacity(nblocks as usize, policy, nblocks as usize),
             mirror: vec![BlockMeta::free(); nblocks as usize],
             inuse_head: 0,
             dirty_ranges: presized_ranges(nblocks as usize),
@@ -170,7 +151,8 @@ impl CxlBp {
 
     /// Attach to an already-formatted region after a crash, *without*
     /// rebuilding volatile state — [`crate::recovery::polar_recv`] does
-    /// that. Evicts by LRU; panics if the region is not formatted.
+    /// that, before the pool serves a page. Evicts by LRU; panics if the
+    /// region is not formatted.
     pub fn attach(cxl: SharedCxl, node: NodeId, base: u64, store: PageStore) -> Self {
         Self::attach_with_policy(cxl, node, base, store, PolicyKind::Lru)
     }
@@ -200,10 +182,7 @@ impl CxlBp {
             node,
             geo,
             store,
-            map: presized_map(nblocks),
-            last: None,
-            policy: AnyPolicy::new(policy, nblocks),
-            free: Vec::new(),
+            dir: Residency::with_map_capacity(nblocks, policy, nblocks),
             mirror: vec![BlockMeta::free(); nblocks],
             inuse_head: hdr.inuse_head,
             dirty_ranges: presized_ranges(nblocks),
@@ -214,7 +193,7 @@ impl CxlBp {
     }
 
     /// An exact copy of this pool run by `node` over the lease at `base`
-    /// of the same fabric: the host-side state is cloned (map, policy,
+    /// of the same fabric: the host-side state is cloned (directory,
     /// mirror, dirty ranges, counters, page store), the lease bytes are
     /// copied raw and `node`'s CPU cache becomes this node's, moved by
     /// the lease delta ([`CxlPool::copy_lease`]). Everything kept in the
@@ -240,10 +219,7 @@ impl CxlBp {
             node,
             geo: Geometry { base, ..self.geo },
             store: self.store.clone(),
-            map: self.map.clone(),
-            last: None,
-            policy: self.policy.clone(),
-            free: self.free.clone(),
+            dir: self.dir.clone(),
             mirror: self.mirror.clone(),
             inuse_head: self.inuse_head,
             dirty_ranges: self
@@ -267,11 +243,6 @@ impl CxlBp {
         self.node
     }
 
-    /// Which eviction policy this pool runs.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
-    }
-
     /// Shared fabric handle (used by recovery).
     pub fn fabric(&self) -> &SharedCxl {
         &self.cxl
@@ -282,10 +253,7 @@ impl CxlBp {
     /// Normal use afterwards is [`CxlBp::attach`] + recovery.
     pub fn crash(&mut self) {
         self.cxl.borrow_mut().crash_node(self.node);
-        self.map.clear();
-        self.last = None;
-        self.policy = AnyPolicy::new(self.policy.kind(), self.geo.nblocks as usize);
-        self.free.clear();
+        self.dir.clear();
         for m in &mut self.mirror {
             *m = BlockMeta::free();
         }
@@ -297,29 +265,19 @@ impl CxlBp {
 
     /// Install recovered metadata (called by
     /// [`crate::recovery::polar_recv`] after it has repaired the CXL
-    /// image): rebuilds the map, mirror, recency list and free stack.
-    /// `metas` is ordered front (MRU) to back (LRU).
+    /// image): rebuilds the mirror and the directory. `metas` is ordered
+    /// front (MRU) to back (LRU), and the first ends up newest with the
+    /// policy (exact MRU for LRU; for CLOCK/2Q the recovered order seeds
+    /// the ring/probation equivalently).
     pub fn adopt_recovered_state(&mut self, metas: &[(u32, BlockMeta)]) {
-        self.map.clear();
-        self.last = None;
-        self.policy = AnyPolicy::new(self.policy.kind(), self.geo.nblocks as usize);
         for m in &mut self.mirror {
             *m = BlockMeta::free();
         }
-        let mut used = vec![false; self.geo.nblocks as usize];
-        // Insert in reverse so the first meta ends up newest with the
-        // policy (exact MRU for LRU; for CLOCK/2Q the recovered order
-        // seeds the ring/probation equivalently).
-        for (b, m) in metas.iter().rev() {
+        for (b, m) in metas {
             self.mirror[*b as usize] = *m;
-            self.map.insert(PageId(m.page_id), *b);
-            self.policy.insert(*b);
-            used[*b as usize] = true;
         }
-        self.free = (0..self.geo.nblocks as u32)
-            .rev()
-            .filter(|&b| !used[b as usize])
-            .collect();
+        self.dir
+            .adopt(metas.iter().map(|(b, m)| (*b, PageId(m.page_id))));
         self.inuse_head = metas.first().map_or(0, |(b, _)| *b as u64 + 1);
     }
 
@@ -328,7 +286,7 @@ impl CxlBp {
     pub fn mark_dirty_for_checkpoint(&mut self, page: PageId) {
         // A non-resident page has nothing ahead of storage to flush (the
         // old page-keyed set also skipped it at checkpoint time).
-        if let Some(&b) = self.map.get(&page) {
+        if let Some(b) = self.dir.lookup(page) {
             self.ckpt_dirty[b as usize] = true;
         }
     }
@@ -404,19 +362,9 @@ impl CxlBp {
         self.nt_store_u64(hdr_lock, 0, t)
     }
 
-    /// Ensure `page` occupies a block; returns (block, time). A hit on
-    /// the memo's page skips the probe and the touch: the policy touched
-    /// its block last, so touching it again is a no-op.
+    /// Ensure `page` occupies a block; returns (block, time).
     fn fix(&mut self, page: PageId, now: SimTime) -> (u32, SimTime) {
-        let resident = match self.last {
-            Some((p, b)) if p == page => Some(b),
-            _ => self.map.get(&page).map(|&b| {
-                self.policy.touch(b);
-                self.last = Some((page, b));
-                b
-            }),
-        };
-        if let Some(b) = resident {
+        if let Some(b) = self.dir.lookup_touch(page) {
             self.stats.hits += 1;
             self.stats.tier_cxl_hits += 1;
             return (b, now);
@@ -424,16 +372,10 @@ impl CxlBp {
         self.stats.misses += 1;
         self.stats.tier_cxl_misses += 1;
         let mut t = now;
-        let b = if let Some(b) = self.free.pop() {
-            b
-        } else {
-            let victim = self
-                .policy
-                .pop_victim()
-                .expect("no free block and empty policy");
-            t = self.evict(victim, t);
-            victim
-        };
+        let (b, victim) = self.dir.claim();
+        if let Some(victim) = victim {
+            t = self.evict(b, victim, t);
+        }
         // Durable membership first, with the block marked locked so a
         // crash mid-fill is detected by recovery.
         t = self.set_meta_field(b, field::LOCK_STATE, 1, t);
@@ -443,9 +385,7 @@ impl CxlBp {
         t = self.fill_from_storage(b, page, t);
         t = self.set_meta_field(b, field::LOCK_STATE, 0, t);
         self.mirror[b as usize].lock_state = 0;
-        self.map.insert(page, b);
-        self.last = None;
-        self.policy.insert(b);
+        self.dir.install(b, page);
         trace::span(
             SpanKind::BpMiss,
             self.node.0 as u32,
@@ -472,11 +412,9 @@ impl CxlBp {
             .end
     }
 
-    fn evict(&mut self, b: u32, now: SimTime) -> SimTime {
-        let m = self.mirror[b as usize];
-        let page = PageId(m.page_id);
-        self.map.remove(&page);
-        self.last = None;
+    /// The durable half of evicting `page` from block `b`, which the
+    /// directory has already unbound: write-back, then unlink.
+    fn evict(&mut self, b: u32, page: PageId, now: SimTime) -> SimTime {
         self.stats.evictions += 1;
         let mut t = now;
         self.dirty_ranges[b as usize].clear();
@@ -581,8 +519,8 @@ impl CxlBp {
         mut dst: Option<&mut [u8]>,
         now: SimTime,
     ) -> Access {
-        if let Some((p, b)) = self.last {
-            if p == page && simkit::unobserved() {
+        if let Some(b) = self.dir.memo_hit(page) {
+            if simkit::unobserved() {
                 self.stats.hits += 1;
                 self.stats.tier_cxl_hits += 1;
                 let at = self.geo.data_off(b as u64) + off as u64;
@@ -683,13 +621,13 @@ impl BufferPool for CxlBp {
     }
 
     fn page_lsn(&self, page: PageId) -> Option<Lsn> {
-        let b = *self.map.get(&page)?;
+        let b = self.dir.lookup(page)?;
         let m = &self.mirror[b as usize];
         (m.lsn != 0).then_some(Lsn(m.lsn))
     }
 
     fn is_resident(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+        self.dir.contains(page)
     }
 
     fn flush_all(&mut self, now: SimTime) -> SimTime {
@@ -720,49 +658,34 @@ impl BufferPool for CxlBp {
     }
 
     fn prewarm(&mut self) {
-        let pages = self.store.allocated_pages().min(self.geo.nblocks);
+        let (geo, pages) = (self.geo, self.store.allocated_pages());
+        let mut pool = self.cxl.borrow_mut();
         let mut prev_link = 0u64; // block index +1 of previous
-        for pid in 0..pages {
-            let page = PageId(pid);
-            if self.map.contains_key(&page) {
-                continue;
-            }
-            let Some(b) = self.free.pop() else { break };
+        let pages = (0..pages.min(geo.nblocks)).map(PageId);
+        self.dir.warm(pages, |b, page| {
+            let link = b as u64 + 1;
             let meta = BlockMeta {
-                page_id: pid,
-                lock_state: 0,
+                page_id: page.0,
                 prev: prev_link,
-                next: 0,
-                lsn: 0,
                 in_use: 1,
+                ..BlockMeta::free()
             };
-            {
-                let mut pool = self.cxl.borrow_mut();
-                pool.raw_mut()
-                    .write(self.geo.meta_off(b as u64), &meta.encode());
-                pool.raw_mut()
-                    .write(self.geo.data_off(b as u64), self.store.raw_page(page));
-                if prev_link != 0 {
-                    let prev_meta_off = self.geo.meta_off(prev_link - 1) + field::NEXT;
-                    pool.raw_mut()
-                        .write(prev_meta_off, &(b as u64 + 1).to_le_bytes());
-                    self.mirror[(prev_link - 1) as usize].next = b as u64 + 1;
-                }
+            pool.raw_mut().write(geo.meta_off(b as u64), &meta.encode());
+            let data = self.store.raw_page(page);
+            pool.raw_mut().write(geo.data_off(b as u64), data);
+            if prev_link != 0 {
+                let prev_meta_off = geo.meta_off(prev_link - 1) + field::NEXT;
+                pool.raw_mut().write(prev_meta_off, &link.to_le_bytes());
+                self.mirror[(prev_link - 1) as usize].next = link;
             }
             self.mirror[b as usize] = meta;
             if self.inuse_head == 0 {
-                self.inuse_head = b as u64 + 1;
-                let hdr_head = self.geo.base + field::HDR_INUSE_HEAD;
-                self.cxl
-                    .borrow_mut()
-                    .raw_mut()
-                    .write(hdr_head, &(b as u64 + 1).to_le_bytes());
+                self.inuse_head = link;
+                let hdr_head = geo.base + field::HDR_INUSE_HEAD;
+                pool.raw_mut().write(hdr_head, &link.to_le_bytes());
             }
-            prev_link = b as u64 + 1;
-            self.map.insert(page, b);
-            self.last = None;
-            self.policy.insert(b);
-        }
+            prev_link = link;
+        });
     }
 }
 
@@ -865,7 +788,7 @@ mod tests {
         let a = bp.write(PageId(2), 0, &[0xAB; 16], Lsn(77), t);
         bp.set_latch(PageId(2), false, a.end);
         // Inspect raw CXL: lock clear, lsn durable, data durable.
-        let b = *bp.map.get(&PageId(2)).unwrap();
+        let b = bp.dir.lookup(PageId(2)).unwrap();
         let geo = bp.geometry();
         let pool = bp.fabric().borrow();
         let meta = BlockMeta::decode(pool.raw().slice(geo.meta_off(b as u64), 64));
@@ -879,7 +802,7 @@ mod tests {
     fn latched_page_is_marked_in_cxl() {
         let mut bp = setup(8, 8);
         bp.set_latch(PageId(1), true, SimTime::ZERO);
-        let b = *bp.map.get(&PageId(1)).unwrap();
+        let b = bp.dir.lookup(PageId(1)).unwrap();
         let geo = bp.geometry();
         let pool = bp.fabric().borrow();
         let meta = BlockMeta::decode(pool.raw().slice(geo.meta_off(b as u64), 64));
@@ -1001,7 +924,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut read = |bp: &mut CxlBp, p: u64| {
             if forget_memo {
-                bp.last = None;
+                bp.dir.forget_memo();
             }
             now = bp.read(PageId(p), 8, &mut buf, now).end;
         };

@@ -20,8 +20,9 @@
 //! pending store that `publish` lands there.
 
 use bufferpool::lru::LruList;
-use bufferpool::policy::{AnyPolicy, Policy, PolicyKind};
+use bufferpool::policy::PolicyKind;
 use bufferpool::tiered::SharedRdma;
+use bufferpool::Residency;
 use memsim::calib::{DRAM_LOCAL_NS, DRAM_STREAM_NS_PER_LINE, RPC_NS};
 use memsim::shard::overlay;
 use memsim::{NodeId, RdmaFabric};
@@ -300,16 +301,12 @@ pub struct RdmaSharingNode {
     node: NodeId,
     host: usize,
     page_size: u64,
-    /// LBP frame metadata, struct-of-arrays: which page each frame
-    /// holds…
-    frame_page: Vec<Option<PageId>>,
-    /// …and the DBP address it was paged in from. A frame has no bytes
+    /// LBP frames: which page each holds, free stack, policy and memo…
+    dir: Residency,
+    /// …and the DBP address each was paged in from. A frame has no bytes
     /// of its own: the modelled copy is the remote page under this
     /// node's own stores, since a peer's store drops the frame as it lands.
     frame_addr: Vec<u64>,
-    free: Vec<u32>,
-    map: FastMap<PageId, u32>,
-    policy: AnyPolicy,
     /// Unpublished stores in program order (a page is dirty while it
     /// has one) and their bytes. A statement writes, then publishes.
     pending: Vec<PendingStore>,
@@ -322,7 +319,7 @@ impl std::fmt::Debug for RdmaSharingNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RdmaSharingNode")
             .field("node", &self.node)
-            .field("frames", &self.frame_page.len())
+            .field("frames", &self.dir.capacity())
             .field("stats", &self.stats)
             .finish()
     }
@@ -347,16 +344,12 @@ impl RdmaSharingNode {
         page_size: u64,
         policy: PolicyKind,
     ) -> Self {
-        assert!(lbp_frames > 0);
         RdmaSharingNode {
             node,
             host,
             page_size,
-            frame_page: vec![None; lbp_frames],
+            dir: Residency::new(lbp_frames, policy),
             frame_addr: vec![0; lbp_frames],
-            free: (0..lbp_frames as u32).rev().collect(),
-            map: FastMap::default(),
-            policy: AnyPolicy::new(policy, lbp_frames),
             pending: Vec::new(),
             pending_bytes: Vec::new(),
             addrs: FastMap::default(),
@@ -376,7 +369,7 @@ impl RdmaSharingNode {
 
     /// Local tier size in bytes (memory-overhead accounting, Table 3).
     pub fn local_bytes(&self) -> u64 {
-        self.frame_page.len() as u64 * self.page_size
+        self.dir.capacity() as u64 * self.page_size
     }
 
     fn is_dirty(&self, page: PageId) -> bool {
@@ -385,11 +378,11 @@ impl RdmaSharingNode {
 
     /// Drop the local copy of `page` (invalidation message received).
     pub fn invalidate_local(&mut self, page: PageId) {
-        if let Some(frame) = self.map.remove(&page) {
+        if let Some(frame) = self.dir.lookup(page) {
             debug_assert!(!self.is_dirty(page), "invalidating a dirty page");
-            self.frame_page[frame as usize] = None;
-            self.policy.remove(frame);
-            self.free.push(frame);
+            self.dir.unlink(frame);
+            self.dir.evict(frame);
+            self.dir.push_free(frame);
             self.stats.invalidations += 1;
         }
     }
@@ -397,21 +390,12 @@ impl RdmaSharingNode {
     /// Claim a frame for `page` at DBP address `addr`, evicting the
     /// policy's victim if none is free. Pure local-metadata work.
     fn claim_frame(&mut self, page: PageId, addr: u64) {
-        let frame = if let Some(f) = self.free.pop() {
-            f
-        } else {
-            let victim = self.policy.pop_victim().expect("nonempty policy");
-            let vpage = self.frame_page[victim as usize]
-                .take()
-                .expect("page in frame");
+        let (frame, victim) = self.dir.claim();
+        if let Some(vpage) = victim {
             assert!(!self.is_dirty(vpage), "evicting dirty page outside lock");
-            self.map.remove(&vpage);
-            victim
-        };
-        self.frame_page[frame as usize] = Some(page);
+        }
         self.frame_addr[frame as usize] = addr;
-        self.map.insert(page, frame);
-        self.policy.insert(frame);
+        self.dir.install(frame, page);
     }
 
     /// Read from a shared page (caller holds ≥ S lock).
@@ -489,9 +473,8 @@ impl RdmaSharingNode {
         page: PageId,
         now: SimTime,
     ) -> (u64, SimTime) {
-        if let Some(&frame) = self.map.get(&page) {
+        if let Some(frame) = self.dir.lookup_touch(page) {
             self.stats.local_hits += 1;
-            self.policy.touch(frame);
             return (self.frame_addr[frame as usize], now);
         }
         let &addr = self
@@ -686,12 +669,70 @@ mod tests {
         n0.read(&mut server, PageId(0), 0, &mut buf, SimTime::ZERO);
         n0.read(&mut server, PageId(1), 0, &mut buf, SimTime::ZERO);
         n0.read(&mut server, PageId(2), 0, &mut buf, SimTime::ZERO);
-        assert!(!n0.map.contains_key(&PageId(0)), "LRU page evicted");
+        assert!(!n0.dir.contains(PageId(0)), "LRU page evicted");
         // Address cache persists, so the re-read skips the RPC.
         let rpcs_before = server.stats().rpcs;
         n0.read(&mut server, PageId(0), 0, &mut buf, SimTime::ZERO);
         assert_eq!(server.stats().rpcs, rpcs_before);
         assert_eq!(n0.stats().page_reads, 4);
+    }
+
+    /// Runs of same-page reads between invalidations (of the page just
+    /// read or another), LBP eviction pressure and re-faults (four
+    /// frames, sixteen pages): the `RdmaNodeStats`, the order the LBP's
+    /// pages would leave in after every visit, every byte read, the NIC's
+    /// bytes, and how many reads found the memo. With `forget_memo` no
+    /// read finds it, so every hit probes and touches the policy: the
+    /// reference the memo must match.
+    fn memo_script(policy: PolicyKind, forget_memo: bool) -> (String, usize) {
+        let (mut server, _, _) = setup(1);
+        let mut node = RdmaSharingNode::with_policy(NodeId(0), 0, 4, 1024, policy);
+        let mut rng = simkit::rng::stream_rng(0x3E30, policy as u64);
+        let (mut page, mut back, mut now) = (PageId(0), PageId(1), SimTime::ZERO);
+        let (mut order, mut bytes, mut memo_hits) = (Vec::new(), Vec::new(), 0);
+        for _ in 0..1_500 {
+            match rng.gen_range(0..10u32) {
+                0 => node.invalidate_local(page),
+                // A free frame for a later miss, with the memo elsewhere.
+                1 => node.invalidate_local(PageId(rng.gen_range(0..16u64))),
+                2 | 3 => back = std::mem::replace(&mut page, PageId(rng.gen_range(0..16u64))),
+                // Back to the page before: a hit right after a miss.
+                4..=6 => std::mem::swap(&mut page, &mut back),
+                _ => {}
+            }
+            for _ in 0..rng.gen_range(1..4u32) {
+                if forget_memo {
+                    node.dir.forget_memo();
+                }
+                memo_hits += node.dir.memo_hit(page).is_some() as usize;
+                let mut buf = [0u8; 8];
+                let off = rng.gen_range(0..1016u64);
+                now = node.read(&mut server, page, off, &mut buf, now);
+                bytes.extend_from_slice(&buf);
+            }
+            // The order the LBP's pages would leave in, from here.
+            let mut dir = node.dir.clone();
+            while let Some(frame) = dir.pop_victim() {
+                order.push(dir.page_of(frame));
+            }
+        }
+        let nic = server.fabric().borrow().nic_bytes(0);
+        let s = node.stats();
+        assert!(s.invalidations > 0 && s.page_reads > 100 && s.local_hits > 1_000);
+        (
+            format!("{s:?} {order:?} {bytes:?} {nic} {now:?}"),
+            memo_hits,
+        )
+    }
+
+    #[test]
+    fn memo_hits_keep_stats_eviction_order_and_bytes() {
+        for policy in PolicyKind::ALL {
+            let (lean, memo_hits) = memo_script(policy, false);
+            let (touch_every_hit, none) = memo_script(policy, true);
+            assert_eq!(lean, touch_every_hit, "{policy:?}");
+            assert!(memo_hits > 1_000 && none == 0, "{policy:?}: {memo_hits}");
+        }
     }
 
     /// Two-node phased fixture: every page resolved on both nodes, one

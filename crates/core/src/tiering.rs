@@ -161,10 +161,6 @@ impl AdaptivePool {
             (base + (cfg.cxl_blocks * ps) as u64) as usize <= cxl.borrow().len(),
             "CXL tier does not fit in the pool"
         );
-        let mut dram = FrameTable::with_policy(cfg.dram_frames, cfg.policy);
-        dram.reserve_evictions(store.capacity_pages() as usize);
-        let mut cxlt = FrameTable::with_policy(cfg.cxl_blocks, cfg.policy);
-        cxlt.reserve_evictions(store.capacity_pages() as usize);
         let mut lsns = FastMap::default();
         lsns.reserve(store.capacity_pages() as usize * 2);
         AdaptivePool {
@@ -173,8 +169,8 @@ impl AdaptivePool {
             base,
             cfg,
             space: DramSpace::new(cfg.dram_frames * ps, CACHE_BYTES, false),
-            dram,
-            cxlt,
+            dram: FrameTable::with_policy(cfg.dram_frames, cfg.policy),
+            cxlt: FrameTable::with_policy(cfg.cxl_blocks, cfg.policy),
             dram_heat: vec![0; cfg.dram_frames],
             cxl_heat: vec![0; cfg.cxl_blocks],
             lsns,
@@ -197,12 +193,12 @@ impl AdaptivePool {
 
     /// Pages resident in the DRAM tier.
     pub fn dram_resident(&self) -> usize {
-        self.dram.resident()
+        self.dram.dir().resident()
     }
 
     /// Pages resident in the CXL tier.
     pub fn cxl_resident(&self) -> usize {
-        self.cxlt.resident()
+        self.cxlt.dir().resident()
     }
 
     fn frame_off(&self, frame: u32) -> u64 {
@@ -394,9 +390,9 @@ impl AdaptivePool {
         // Promotion candidates first: hot CXL pages, hottest first,
         // block id as tiebreak.
         self.promote_scratch.clear();
-        for b in 0..self.cxlt.capacity() as u32 {
+        for b in 0..self.cxlt.dir().capacity() as u32 {
             let heat = self.cxl_heat[b as usize];
-            if self.cxlt.page_of(b).is_some() && heat >= PROMOTE_MIN_HEAT {
+            if self.cxlt.dir().page_of(b).is_some() && heat >= PROMOTE_MIN_HEAT {
                 self.promote_scratch.push((heat, b));
             }
         }
@@ -409,13 +405,13 @@ impl AdaptivePool {
         // set stays frozen in place instead of bleeding back to CXL as
         // its heat decays. Coldest first, frame id as tiebreak; a frame
         // above the demote threshold is never sacrificed.
-        let free = self.dram.capacity() - self.dram.resident();
+        let free = self.dram.dir().capacity() - self.dram.dir().resident();
         let room_needed = promotions.saturating_sub(free);
         if room_needed > 0 {
             self.demote_scratch.clear();
-            for f in 0..self.dram.capacity() as u32 {
+            for f in 0..self.dram.dir().capacity() as u32 {
                 let heat = self.dram_heat[f as usize];
-                if self.dram.page_of(f).is_some() && heat <= DEMOTE_MAX_HEAT {
+                if self.dram.dir().page_of(f).is_some() && heat <= DEMOTE_MAX_HEAT {
                     self.demote_scratch.push((heat, f));
                 }
             }
@@ -432,7 +428,7 @@ impl AdaptivePool {
         // Promote into free frames only — never at the cost of a DRAM
         // page the demote threshold chose to keep.
         for i in 0..promotions {
-            if self.dram.resident() >= self.dram.capacity() {
+            if self.dram.dir().resident() >= self.dram.dir().capacity() {
                 break;
             }
             let (_, block) = self.promote_scratch[i];
@@ -501,7 +497,7 @@ impl BufferPool for AdaptivePool {
     }
 
     fn is_resident(&self, page: PageId) -> bool {
-        self.dram.contains(page) || self.cxlt.contains(page)
+        self.dram.dir().contains(page) || self.cxlt.dir().contains(page)
     }
 
     fn flush_all(&mut self, now: SimTime) -> SimTime {
@@ -542,7 +538,7 @@ impl BufferPool for AdaptivePool {
         let ps = self.store.page_size();
         let pages = || (0..self.store.allocated_pages()).map(PageId);
         let (store, space, dram_heat) = (&self.store, &mut self.space, &mut self.dram_heat);
-        let cxlt = &self.cxlt;
+        let cxlt = self.cxlt.dir();
         self.dram
             .warm(pages().filter(|&p| !cxlt.contains(p)), |frame, page| {
                 space
@@ -550,7 +546,7 @@ impl BufferPool for AdaptivePool {
                     .write(frame as u64 * ps, store.raw_page(page));
                 dram_heat[frame as usize] = 1;
             });
-        let (dram, cxl_heat) = (&self.dram, &mut self.cxl_heat);
+        let (dram, cxl_heat) = (self.dram.dir(), &mut self.cxl_heat);
         let (mut cxl, base) = (self.cxl.borrow_mut(), self.base);
         self.cxlt
             .warm(pages().filter(|&p| !dram.contains(p)), |block, page| {
@@ -616,10 +612,13 @@ mod tests {
         // Re-read a CXL-resident page: it must migrate up.
         let demoted = (0..6u64)
             .map(PageId)
-            .find(|p| !bp.dram.contains(*p) && bp.cxlt.contains(*p))
+            .find(|p| !bp.dram.dir().contains(*p) && bp.cxlt.dir().contains(*p))
             .expect("some page demoted to CXL");
         bp.read(demoted, 0, &mut [0u8; 8], t);
-        assert!(bp.dram.contains(demoted), "static regime promotes on hit");
+        assert!(
+            bp.dram.dir().contains(demoted),
+            "static regime promotes on hit"
+        );
         assert!(bp.stats().tier_promotes >= 1);
         assert!(bp.stats().tier_demotes >= 1);
     }
@@ -643,7 +642,10 @@ mod tests {
         let t2 = bp.maybe_sweep(deadline);
         assert!(t2 >= deadline);
         assert!(bp.stats().tier_promotes > promotes_before);
-        assert!(bp.dram.contains(PageId(1)), "hot page promoted by sweep");
+        assert!(
+            bp.dram.dir().contains(PageId(1)),
+            "hot page promoted by sweep"
+        );
     }
 
     #[test]
@@ -699,6 +701,7 @@ mod tests {
         let mut t = bp.read(PageId(3), 0, &mut [0u8; 4], SimTime::ZERO).end;
         let b = bp
             .cxlt
+            .dir()
             .lookup(PageId(3))
             .expect("adaptive fill lands in CXL") as usize;
         assert_eq!(bp.cxl_heat[b], 1, "install seeds heat at 1");

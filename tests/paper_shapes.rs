@@ -2,16 +2,18 @@
 //! modelled latency and transfer time measured through `DramSpace` /
 //! `CxlPool` / `RdmaPool`'s public API — the loops the `table1_latency`
 //! and `table2_transfer` benches print — beside the paper's value.
-//! Figure 7: the three pooling shapes of the ledger's `pool_point`
-//! workload, from `run_pooling` at smoke scale through the
-//! `fig7_pooling_point_select` bench's own sweep. Orderings and knees are
-//! held exactly, each magnitude inside a stated band of
-//! |ln(ours / paper)|. `cargo test --test paper_shapes -- --nocapture`
-//! prints the rows EXPERIMENTS.md quotes.
+//! Figures 7–9: the pooling shapes, from `run_pooling` at smoke scale
+//! through the `fig7`/`fig8`/`fig9` benches' own sweep — Figure 7's are
+//! the ledger's `pool_point` workload, Figure 9's bandwidth ratio is its
+//! `pool_rw_spill` one. Orderings and knees are held exactly, each
+//! magnitude inside a stated band of |ln(ours / paper)|, or of
+//! |ln(ours / today)| where the two are still far apart.
+//! `cargo test --test paper_shapes -- --nocapture` prints the rows
+//! EXPERIMENTS.md quotes.
 
 use bench::{pooling_sweep, table1_latencies, table2_transfers, TransferRow};
 use simkit::SimTime;
-use workloads::SysbenchKind;
+use workloads::{PoolingConfig, RunMetrics, SysbenchKind};
 
 fn ln_ratio(ours: f64, paper: f64) -> f64 {
     (ours / paper).ln().abs()
@@ -150,28 +152,75 @@ const FIG7_PAPER_NIC_GBPS: f64 = 11.0;
 const BAND_CXL_LINEARITY: f64 = 0.02;
 const BAND_NIC_GBPS: f64 = 0.10;
 
-/// The ledger's `pool_point` shapes through the Figure 7 bench's sweep:
-/// the knee is the first instance count whose RDMA throughput falls under
-/// 90 % of linear scaling from one instance, linearity is qps(8) over
-/// 8 × qps(1), the ceiling is the most an RDMA point from 1 to 4 moves.
-#[test]
-fn figure7_pooling_keeps_the_papers_knee_linearity_and_nic_ceiling() {
-    let points = [1, 2, 3, 4, 8];
-    let pairs = pooling_sweep(SysbenchKind::PointSelect, &points, |cfg| {
-        cfg.table_size = 7_500;
-        cfg.duration = SimTime::from_millis(20);
-    });
-    let at = |n: usize| &pairs[points.iter().position(|&p| p == n).expect("a point")];
-    let base = at(1)[0].qps;
-    let knee = (2..=4)
-        .find(|&n| at(n)[0].qps < 0.9 * n as f64 * base)
-        .unwrap_or(5);
-    let linearity = at(8)[1].qps / (8.0 * at(1)[1].qps);
-    let nic = (1..=4)
-        .map(|n| at(n)[0].interconnect_gbps)
-        .fold(0.0, f64::max);
+/// A pooling sweep at smoke scale, looked up by instance count.
+struct Sweep {
+    points: Vec<usize>,
+    pairs: Vec<[RunMetrics; 2]>,
+}
+
+impl Sweep {
+    /// `bench::pooling_sweep` of `workload` at `points` with a 20 ms
+    /// window, `adjust` setting the rest.
+    fn run(workload: SysbenchKind, points: &[usize], adjust: impl Fn(&mut PoolingConfig)) -> Self {
+        let pairs = pooling_sweep(workload, points, |cfg| {
+            cfg.duration = SimTime::from_millis(20);
+            adjust(cfg);
+        });
+        Sweep {
+            points: points.to_vec(),
+            pairs,
+        }
+    }
+
+    /// `[tiered RDMA, PolarCXLMem]` at `n` instances.
+    fn at(&self, n: usize) -> &[RunMetrics; 2] {
+        &self.pairs[self.points.iter().position(|&p| p == n).expect("a point")]
+    }
+
+    /// The ledger's `rdma_knee_instances`: the first instance count from
+    /// 2 to 4 whose RDMA throughput falls under 90 % of linear scaling
+    /// from one instance (5: none does).
+    fn knee(&self) -> usize {
+        let base = self.at(1)[0].qps;
+        (2..=4)
+            .find(|&n| self.at(n)[0].qps < 0.9 * n as f64 * base)
+            .unwrap_or(5)
+    }
+
+    /// CXL throughput at `n` instances over `n` × its throughput at one.
+    fn cxl_linearity(&self, n: usize) -> f64 {
+        self.at(n)[1].qps / (n as f64 * self.at(1)[1].qps)
+    }
+
+    /// Past the knee the NIC, not the instances, sets RDMA's throughput,
+    /// and CXL pulls ahead at every point from the knee on.
+    fn assert_cxl_ahead_from(&self, knee: usize) {
+        for &n in self.points.iter().filter(|&&n| n >= knee) {
+            let [rdma, cxl] = self.at(n);
+            assert!(cxl.qps > rdma.qps, "n = {n}: CXL must beat RDMA");
+        }
+    }
+}
+
+fn print_header() {
     println!("| shape | paper | ours | \\|ln ratio\\| |");
     println!("|---|---|---|---|");
+}
+
+/// The ledger's `pool_point` shapes through the Figure 7 bench's sweep:
+/// the knee, linearity at 8 instances, and the ceiling — the most an
+/// RDMA point from 1 to 4 moves.
+#[test]
+fn figure7_pooling_keeps_the_papers_knee_linearity_and_nic_ceiling() {
+    let sweep = Sweep::run(SysbenchKind::PointSelect, &[1, 2, 3, 4, 8], |cfg| {
+        cfg.table_size = 7_500;
+    });
+    let knee = sweep.knee();
+    let linearity = sweep.cxl_linearity(8);
+    let nic = (1..=4)
+        .map(|n| sweep.at(n)[0].interconnect_gbps)
+        .fold(0.0, f64::max);
+    print_header();
     println!("| `rdma_knee_instances` | {FIG7_PAPER_KNEE} | {knee} | |");
     for (name, paper, ours) in [
         ("cxl_linearity_8x", FIG7_PAPER_CXL_LINEARITY, linearity),
@@ -182,7 +231,7 @@ fn figure7_pooling_keeps_the_papers_knee_linearity_and_nic_ceiling() {
             ln_ratio(ours, paper)
         );
     }
-    assert_eq!(knee, FIG7_PAPER_KNEE, "{pairs:?}");
+    assert_eq!(knee, FIG7_PAPER_KNEE, "{:?}", sweep.pairs);
     assert!(
         ln_ratio(linearity, FIG7_PAPER_CXL_LINEARITY) <= BAND_CXL_LINEARITY,
         "{linearity}"
@@ -191,9 +240,82 @@ fn figure7_pooling_keeps_the_papers_knee_linearity_and_nic_ceiling() {
         ln_ratio(nic, FIG7_PAPER_NIC_GBPS) <= BAND_NIC_GBPS,
         "{nic} GB/s"
     );
-    // Past the knee the NIC, not the instances, sets RDMA's throughput,
-    // and CXL pulls ahead.
-    for n in [3, 4, 8] {
-        assert!(at(n)[1].qps > at(n)[0].qps, "n = {n}: CXL must beat RDMA");
-    }
+    sweep.assert_cxl_ahead_from(knee);
+}
+
+/// Figure 8 of the paper: under range-select RDMA saturates at 4
+/// instances and PolarCXLMem keeps scaling.
+const FIG8_PAPER_KNEE: usize = 4;
+
+/// Ours, by the knee's definition: 3 here and at full size (RDMA runs at
+/// 0.85 / 0.73 of linear at 3 instances). The bench's 2/4/8/12 points
+/// cannot tell 3 from 4. CXL moves bytes at every point and stays linear
+/// to the last digit, as in Figure 7.
+const FIG8_KNEE: usize = 3;
+const BAND_FIG8_CXL_LINEARITY: f64 = 0.02;
+
+/// Figure 8 at smoke scale: a quarter of the table and of the CPU cache
+/// (with the full 4 MB a quarter-size table never leaves the cache on the
+/// CXL side), up to 4 instances.
+#[test]
+fn figure8_range_select_keeps_its_knee_and_cxl_linearity() {
+    let sweep = Sweep::run(SysbenchKind::RangeSelect, &[1, 2, 3, 4], |cfg| {
+        cfg.table_size = 7_500;
+        cfg.cache_bytes = 1 << 20;
+    });
+    let knee = sweep.knee();
+    let linearity = sweep.cxl_linearity(4);
+    print_header();
+    println!("| `rdma_knee_instances` | {FIG8_PAPER_KNEE} | {knee} | |");
+    println!(
+        "| `cxl_linearity_4x` | 1 | {linearity:.3} | {:.3} |",
+        ln_ratio(linearity, 1.0)
+    );
+    assert_eq!(knee, FIG8_KNEE, "{:?}", sweep.pairs);
+    assert!(
+        ln_ratio(linearity, 1.0) <= BAND_FIG8_CXL_LINEARITY,
+        "{linearity}"
+    );
+    assert!(sweep.at(1)[1].interconnect_gbps > 0.0, "CXL moved no bytes");
+    sweep.assert_cxl_ahead_from(knee);
+}
+
+/// Figure 9 of the paper: under read-write RDMA saturates at 8 instances,
+/// and at one instance it moves 1.4× CXL's bytes.
+const FIG9_PAPER_KNEE: usize = 8;
+const FIG9_PAPER_RDMA_OVER_CXL_BW: f64 = 1.4;
+
+/// Ours, held where they stand until item 1(b) fits a cause: the knee is
+/// 2 (RDMA at 0.894 of linear at 2 instances here, 0.872 at full size),
+/// and RDMA moves 5.33× CXL's bytes at one instance here (4.85 in the
+/// ledger's full-size `pool_rw_spill`).
+const FIG9_KNEE: usize = 2;
+const FIG9_RDMA_OVER_CXL_BW: f64 = 5.33;
+const BAND_FIG9_RDMA_OVER_CXL_BW: f64 = 0.02;
+
+/// Figure 9 at smoke scale, on the ledger's `pool_rw_spill` cells as
+/// `benchmark run --quick` sizes them: a 15 000-row table, the LBP 10 %
+/// of it and a 256 KB CPU cache, so both designs spill.
+#[test]
+fn figure9_read_write_keeps_its_knee_and_bandwidth_ratio() {
+    let sweep = Sweep::run(SysbenchKind::ReadWrite, &[1, 2, 3, 4], |cfg| {
+        cfg.table_size = 15_000;
+        cfg.cache_bytes = 256 << 10;
+        cfg.lbp_fraction = 0.1;
+    });
+    let knee = sweep.knee();
+    let [rdma, cxl] = sweep.at(1);
+    let bw = rdma.interconnect_gbps / cxl.interconnect_gbps;
+    print_header();
+    println!("| `rdma_knee_instances` | {FIG9_PAPER_KNEE} | {knee} | |");
+    println!(
+        "| `rdma_over_cxl_bw_n1` | {FIG9_PAPER_RDMA_OVER_CXL_BW} | {bw:.3} | {:.3} |",
+        ln_ratio(bw, FIG9_PAPER_RDMA_OVER_CXL_BW)
+    );
+    assert_eq!(knee, FIG9_KNEE, "{:?}", sweep.pairs);
+    assert!(
+        ln_ratio(bw, FIG9_RDMA_OVER_CXL_BW) <= BAND_FIG9_RDMA_OVER_CXL_BW,
+        "{bw}"
+    );
+    sweep.assert_cxl_ahead_from(knee);
 }
