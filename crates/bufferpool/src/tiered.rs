@@ -8,16 +8,20 @@
 //! - dirty LBP eviction → RDMA-write the whole page back.
 //!
 //! The page-in is *modelled*, not performed: the NIC is charged for the
-//! full page, but the host copies nothing — the frame is marked
-//! **aliased** and its bytes are read in place from the instance's remote
-//! slice, while timing still runs the frame's own offsets through the
-//! LBP's cache model. The first write to an aliased frame materialises it
-//! with one untimed copy (copy-on-write), so a dirty frame is always
-//! local. The invariant that makes this exact: **a remote page is never
-//! mutated while a frame aliases it** — write-back targets a page that is
-//! being evicted, `flush_all` writes only dirty (hence local) frames,
-//! `prewarm` writes only pages the remote tier does not hold, and other
-//! instances own other slices.
+//! full page, but the host copies nothing — every 64 B line of the frame
+//! is marked **read in place**, and its bytes come from the instance's
+//! remote slice, while timing still runs the frame's own offsets through
+//! the LBP's cache model. Ownership is tracked per line, one bit each: a
+//! write first copies in the lines it touches that the frame does not
+//! own yet (copy-on-write at line grain, untimed — the modelled page-in
+//! already paid for those bytes), and a dirty write-back charges the NIC
+//! for the whole page but lands only the frame's own lines, since the
+//! others are the remote copy already. The invariant that makes this
+//! exact: **a remote line is never mutated while a frame reads it in
+//! place** — write-back targets a page that is being evicted,
+//! `flush_all` and the storage fallback first give the frame every line
+//! it still reads in place, `prewarm` writes only pages the remote tier
+//! does not hold, and other instances own other slices.
 //!
 //! Requesting a few hundred bytes therefore moves 16 KB over the NIC —
 //! the read/write amplification that saturates the ConnectX-6 at a
@@ -34,11 +38,88 @@ use simkit::trace::{self, SpanKind};
 use simkit::FastSet;
 use simkit::SimTime;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 use storage::{Lsn, PageId, PageStore};
 
 /// The RDMA fabric shared by all instances of a simulation.
 pub type SharedRdma = Rc<RefCell<RdmaPool>>;
+
+/// Copy-on-write grain: one CPU cache line.
+const LINE: usize = memsim::calib::CACHE_LINE as usize;
+
+/// Per-frame line ownership of the LBP: bit `line` of a frame set means
+/// the frame holds its own bytes for that line; clear means the line is
+/// read in place from the page's remote copy.
+#[derive(Clone)]
+struct LineMap {
+    bits: Vec<u64>,
+    /// Per frame: `Some(own)` while every line's bit is `own`, so a read
+    /// need not look at the bits; `None` once they may differ.
+    uniform: Vec<Option<bool>>,
+    /// Bitmap words per frame.
+    words: usize,
+    /// Lines per page.
+    per_page: usize,
+}
+
+impl LineMap {
+    fn new(frames: usize, page_size: usize) -> Self {
+        assert!(
+            page_size.is_multiple_of(LINE),
+            "a page is whole cache lines"
+        );
+        let per_page = page_size / LINE;
+        let words = per_page.div_ceil(64);
+        LineMap {
+            bits: vec![0; frames * words],
+            uniform: vec![Some(false); frames],
+            words,
+            per_page,
+        }
+    }
+
+    #[inline(always)]
+    fn owns(&self, frame: u32, line: usize) -> bool {
+        self.bits[frame as usize * self.words + line / 64] >> (line % 64) & 1 != 0
+    }
+
+    /// Every line of `frame` own (a local fill) or read in place (a
+    /// remote page-in).
+    fn fill(&mut self, frame: u32, own: bool) {
+        let w = frame as usize * self.words;
+        self.bits[w..w + self.words].fill(if own { !0 } else { 0 });
+        self.uniform[frame as usize] = Some(own);
+    }
+
+    fn set(&mut self, frame: u32, lines: Range<usize>) {
+        self.uniform[frame as usize] = (lines.len() == self.per_page).then_some(true);
+        let w = frame as usize * self.words;
+        for line in lines {
+            self.bits[w + line / 64] |= 1 << (line % 64);
+        }
+    }
+
+    /// The maximal runs of equal ownership within `lines`, in order:
+    /// `(run, own)`.
+    fn runs(
+        &self,
+        frame: u32,
+        lines: Range<usize>,
+    ) -> impl Iterator<Item = (Range<usize>, bool)> + '_ {
+        let mut at = lines.start;
+        std::iter::from_fn(move || {
+            if at >= lines.end {
+                return None;
+            }
+            let (start, own) = (at, self.owns(frame, at));
+            while at < lines.end && self.owns(frame, at) == own {
+                at += 1;
+            }
+            Some((start..at, own))
+        })
+    }
+}
 
 /// Transient-fault retries before the pool gives up on the fabric and
 /// degrades to the storage path.
@@ -67,9 +148,9 @@ pub struct TieredRdmaBp {
     space: DramSpace,
     store: PageStore,
     frames: FrameTable,
-    /// Per-frame: the frame's bytes are the remote copy of its page, read
-    /// in place (see the module docs). Never set on a dirty frame.
-    aliased: Vec<bool>,
+    /// Which lines of each frame hold their own bytes; the rest are read
+    /// in place from the page's remote copy (see the module docs).
+    owned: LineMap,
     stats: BpStats,
     /// Page-sized staging buffer for checkpoint transfers that cross two
     /// owned stores (remote → storage), so cold paths allocate nothing
@@ -150,7 +231,7 @@ impl TieredRdmaBp {
             space: DramSpace::new(lbp_frames * page, cache_bytes, false),
             store,
             frames,
-            aliased: vec![false; lbp_frames],
+            owned: LineMap::new(lbp_frames, page),
             stats: BpStats::default(),
             scratch: vec![0u8; page],
             flush_order: Vec::with_capacity(capacity),
@@ -185,7 +266,7 @@ impl TieredRdmaBp {
             space: self.space.clone(),
             store: self.store.clone(),
             frames: self.frames.clone(),
-            aliased: self.aliased.clone(),
+            owned: self.owned.clone(),
             stats: self.stats,
             scratch: self.scratch.clone(),
             flush_order: simkit::clone_reserved(&self.flush_order),
@@ -248,10 +329,13 @@ impl TieredRdmaBp {
         }
         let ps = self.store.page_size() as usize;
         let off = self.frame_off(frame);
+        // A storage fill gives the frame its own bytes; a page-in from
+        // remote reads every line in place.
+        let mut own = true;
         if self.remote_resident[page.0 as usize] {
             // Page-granularity RDMA read: the whole page crosses the NIC
             // no matter how few bytes the query wants. Only the transfer
-            // is charged; the frame then aliases the remote copy.
+            // is charged; the frame then reads the remote copy in place.
             let mut attempt = 0u32;
             loop {
                 let r = self
@@ -261,7 +345,7 @@ impl TieredRdmaBp {
                 match r {
                     Ok(a) => {
                         self.stats.remote_read_bytes += ps as u64;
-                        self.aliased[frame as usize] = true;
+                        own = false;
                         t = a.end;
                         break;
                     }
@@ -294,6 +378,7 @@ impl TieredRdmaBp {
             self.stats.storage_read_bytes += ps as u64;
             t = io.end;
         }
+        self.owned.fill(frame, own);
         self.frames.install(frame, page);
         trace::span(
             SpanKind::BpMiss,
@@ -309,28 +394,28 @@ impl TieredRdmaBp {
     /// remote tier if dirty.
     fn write_back(&mut self, frame: u32, page: PageId, dirty: bool, now: SimTime) -> SimTime {
         self.stats.evictions += 1;
-        let was_aliased = std::mem::take(&mut self.aliased[frame as usize]);
         if dirty {
-            // The write-back below overwrites this page's remote copy
-            // from the frame, so the frame must hold its own bytes.
-            assert!(!was_aliased, "dirty frame still aliases remote memory");
             // Full-page RDMA write-back, even for a one-byte change:
             // write amplification.
             self.stats.writebacks += 1;
             let ps = self.store.page_size() as usize;
             let foff = self.frame_off(frame);
-            let roff = self.remote_off(page);
             let mut t = now;
             let mut attempt = 0u32;
             loop {
-                let r = self.rdma.borrow_mut().try_write(
-                    self.host,
-                    roff,
-                    self.space.raw().slice(foff, ps),
-                    t,
-                );
+                let r = self
+                    .rdma
+                    .borrow_mut()
+                    .try_write_timing(self.host, ps as u64, t);
                 match r {
-                    Ok(a) => {
+                    Ok(landed) => {
+                        let a = match landed {
+                            Some(a) => {
+                                self.land_own_lines(frame, page);
+                                a
+                            }
+                            None => Access::free(t),
+                        };
                         self.stats.remote_write_bytes += ps as u64;
                         // A dead host's write never landed: do not
                         // advertise the remote copy as (newly) current.
@@ -350,6 +435,7 @@ impl TieredRdmaBp {
                             // trusting it.
                             self.overload(page, attempt, t.saturating_since(now));
                             self.stats.fault_fallbacks += 1;
+                            self.own_lines(frame, page, 0..self.owned.per_page);
                             let io =
                                 self.store
                                     .write_page(page, self.space.raw().slice(foff, ps), t);
@@ -370,25 +456,74 @@ impl TieredRdmaBp {
     pub fn crash(&mut self) {
         self.space.crash();
         self.frames.clear();
-        self.aliased.fill(false);
     }
 
-    /// Copy-on-write: give an aliased frame its own copy of the page
-    /// before the first store into it. The modelled page-in already paid
-    /// for these bytes to arrive, so the host copy is untimed.
-    #[cold]
-    fn materialise(&mut self, frame: u32, page: PageId) {
-        let ps = self.store.page_size() as usize;
+    /// Copy-on-write at line grain: give `frame` its own copy of every
+    /// line of `lines` it still reads in place from `page`'s remote copy.
+    /// The modelled page-in already paid for these bytes to arrive, so
+    /// the host copy is untimed.
+    fn own_lines(&mut self, frame: u32, page: PageId, lines: Range<usize>) {
+        if self.owned.uniform[frame as usize] == Some(true) {
+            return;
+        }
         let (foff, roff) = (self.frame_off(frame), self.remote_off(page));
-        self.space
-            .raw_mut()
-            .write(foff, self.rdma.borrow().raw().slice(roff, ps));
-        self.aliased[frame as usize] = false;
+        let rdma = self.rdma.borrow();
+        for (run, own) in self.owned.runs(frame, lines.clone()) {
+            if !own {
+                let (at, len) = ((run.start * LINE) as u64, run.len() * LINE);
+                self.space
+                    .raw_mut()
+                    .write(foff + at, rdma.raw().slice(roff + at, len));
+            }
+        }
+        drop(rdma);
+        self.owned.set(frame, lines);
+    }
+
+    /// The data half of a dirty write-back: land `frame`'s own lines in
+    /// `page`'s remote copy. The lines it reads in place are that copy
+    /// already.
+    fn land_own_lines(&mut self, frame: u32, page: PageId) {
+        let (foff, roff) = (self.frame_off(frame), self.remote_off(page));
+        let mut rdma = self.rdma.borrow_mut();
+        for (run, own) in self.owned.runs(frame, 0..self.owned.per_page) {
+            if own {
+                let (at, len) = ((run.start * LINE) as u64, run.len() * LINE);
+                rdma.raw_mut()
+                    .write(roff + at, self.space.raw().slice(foff + at, len));
+            }
+        }
+    }
+
+    /// Copy `buf.len()` bytes at `off` of `page` out of `frame`, or out of
+    /// the page's remote copy for lines the frame reads in place.
+    #[inline(always)]
+    fn copy_out(&self, own: bool, frame: u32, page: PageId, off: usize, buf: &mut [u8]) {
+        if own {
+            let local = self.frame_off(frame) + off as u64;
+            self.space.raw().read(local, buf);
+        } else {
+            let remote = self.remote_off(page) + off as u64;
+            self.rdma.borrow().raw().read(remote, buf);
+        }
+    }
+
+    /// A read spanning lines: split where the frame's ownership changes.
+    // Out of line: inlined, it made `read` half as large again and slowed
+    // the field reads, which never call it.
+    #[inline(never)]
+    fn read_runs(&self, frame: u32, page: PageId, off: usize, buf: &mut [u8]) {
+        let end = off + buf.len();
+        for (run, own) in self.owned.runs(frame, off / LINE..end.div_ceil(LINE)) {
+            let (from, to) = ((run.start * LINE).max(off), (run.end * LINE).min(end));
+            self.copy_out(own, frame, page, from, &mut buf[from - off..to - off]);
+        }
     }
 
     /// Fix `page` and run the LBP cache model over `off..off + len` of
-    /// its frame — the frame's own lines, aliased or not: all of a read
-    /// except the copy. Returns the frame and the access.
+    /// its frame — the frame's own offsets, whether its lines are read in
+    /// place or not: all of a read except the copy. Returns the frame and
+    /// the access.
     #[inline(always)]
     fn access(&mut self, page: PageId, off: u16, len: usize, now: SimTime) -> (u32, Access) {
         let (frame, t) = self.fix(page, now);
@@ -401,10 +536,19 @@ impl TieredRdmaBp {
         self.space.cache_stats()
     }
 
-    /// How many LBP frames currently alias their page's remote copy
-    /// (paged in and not written since).
+    /// How many LBP frames read at least one line in place from their
+    /// page's remote copy (paged in and not wholly written since).
     pub fn aliased_frames(&self) -> usize {
-        self.aliased.iter().filter(|&&a| a).count()
+        let dir = self.frames.dir();
+        (0..dir.capacity() as u32)
+            .filter(|&f| {
+                dir.page_of(f).is_some()
+                    && self
+                        .owned
+                        .runs(f, 0..self.owned.per_page)
+                        .any(|(_, own)| !own)
+            })
+            .count()
     }
 
     /// Whether the remote tier holds `page` (used by RDMA-assisted
@@ -431,12 +575,15 @@ impl BufferPool for TieredRdmaBp {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
         let (frame, a) = self.access(page, off, buf.len(), now);
         // The bytes, from wherever they live.
-        if self.aliased[frame as usize] {
-            let remote = self.remote_off(page) + off as u64;
-            self.rdma.borrow().raw().read(remote, buf);
+        let off = off as usize;
+        let line = off / LINE;
+        if let Some(own) = self.owned.uniform[frame as usize] {
+            self.copy_out(own, frame, page, off, buf);
+        } else if (off + buf.len()).wrapping_sub(1) / LINE == line {
+            // Inside one line (every field read): one bit decides.
+            self.copy_out(self.owned.owns(frame, line), frame, page, off, buf);
         } else {
-            let local = self.frame_off(frame) + off as u64;
-            self.space.raw().read(local, buf);
+            self.read_runs(frame, page, off, buf);
         }
         a
     }
@@ -449,9 +596,8 @@ impl BufferPool for TieredRdmaBp {
     fn write(&mut self, page: PageId, off: u16, data: &[u8], lsn: Lsn, now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::BufferPool);
         let (frame, t) = self.fix(page, now);
-        if self.aliased[frame as usize] {
-            self.materialise(frame, page);
-        }
+        let at = off as usize;
+        self.own_lines(frame, page, at / LINE..(at + data.len()).div_ceil(LINE));
         self.frames.mark_dirty(frame);
         self.frames.set_lsn(frame, lsn);
         let base = self.frame_off(frame);
@@ -472,10 +618,7 @@ impl BufferPool for TieredRdmaBp {
         let mut t = now;
         let mut cursor = 0;
         while let Some((frame, page)) = self.frames.take_dirty(&mut cursor) {
-            assert!(
-                !self.aliased[frame as usize],
-                "dirty frame still aliases remote memory"
-            );
+            self.own_lines(frame, page, 0..self.owned.per_page);
             let foff = self.frame_off(frame);
             t = self
                 .store
@@ -550,10 +693,11 @@ impl BufferPool for TieredRdmaBp {
             self.remote_resident[pid as usize] = true;
         }
         // ...and the LBP is warmed to capacity.
-        let (space, store) = (&mut self.space, &self.store);
+        let (space, store, owned) = (&mut self.space, &self.store, &mut self.owned);
         self.frames.warm((0..pages).map(PageId), |frame, page| {
             let off = frame as u64 * store.page_size();
             space.raw_mut().write(off, store.raw_page(page));
+            owned.fill(frame, true);
         });
     }
 }
@@ -842,30 +986,42 @@ mod tests {
             self.bp.rdma.borrow().raw().slice(off, PROP_PS).to_vec()
         }
 
-        /// The aliasing invariants, checked after every step.
+        /// The aliasing invariant, checked per line after every step: a
+        /// remote line is never mutated while a frame reads it in place,
+        /// so every such line holds the oracle's bytes — on dirty frames
+        /// too.
         fn check_invariants(&self, step: usize) {
+            let lines = self.bp.owned.per_page;
             for frame in 0..self.bp.frames.dir().capacity() as u32 {
-                if !self.bp.aliased[frame as usize] {
+                let Some(page) = self.bp.frames.dir().page_of(frame) else {
                     continue;
+                };
+                let remote = self.remote_bytes(page);
+                for (run, own) in self.bp.owned.runs(frame, 0..lines) {
+                    if let Some(all) = self.bp.owned.uniform[frame as usize] {
+                        assert_eq!(own, all, "step {step}: frame {frame} is not uniform");
+                    }
+                    if own {
+                        continue;
+                    }
+                    assert!(self.bp.remote_resident(page), "step {step}: {page:?}");
+                    let bytes = run.start * LINE..run.end * LINE;
+                    assert_eq!(
+                        remote[bytes.clone()],
+                        self.oracle[page.0 as usize][bytes.clone()],
+                        "step {step}: {page:?} bytes {bytes:?} read in place diverged"
+                    );
                 }
-                assert!(
-                    !self.bp.frames.is_dirty(frame),
-                    "step {step}: dirty frame {frame} is aliased"
-                );
-                let page = self
-                    .bp
-                    .frames
-                    .dir()
-                    .page_of(frame)
-                    .unwrap_or_else(|| panic!("step {step}: empty frame {frame} is aliased"));
-                assert!(self.bp.remote_resident(page), "step {step}: {page:?}");
-                // A remote page is never mutated while a frame aliases it.
-                assert_eq!(
-                    self.remote_bytes(page),
-                    self.oracle[page.0 as usize],
-                    "step {step}: aliased {page:?} diverged from its remote copy"
-                );
             }
+        }
+
+        /// Whether a dirty frame still reads some line in place.
+        fn dirty_frame_reads_in_place(&self) -> bool {
+            let lines = self.bp.owned.per_page;
+            (0..self.bp.frames.dir().capacity() as u32).any(|frame| {
+                self.bp.frames.is_dirty(frame)
+                    && self.bp.owned.runs(frame, 0..lines).any(|(_, own)| !own)
+            })
         }
 
         fn read_checked(&mut self, page: u64, off: usize, len: usize, now: SimTime, step: usize) {
@@ -959,7 +1115,7 @@ mod tests {
             let mut a = Checked::new(&rdma, 0, 4);
             let mut b = Checked::new(&rdma, 1 << 19, 3);
             let mut rng = simkit::rng::SimRng::seed_from_u64(seed);
-            let mut max_aliased = 0;
+            let (mut max_aliased, mut dirty_in_place) = (0, false);
             for step in 0..3_000 {
                 let now = SimTime(step as u64 * 10_000);
                 let who = if rng.gen_bool(0.5) { &mut a } else { &mut b };
@@ -973,40 +1129,57 @@ mod tests {
                 a.read_checked(page, 0, PROP_PS, now, step);
                 b.read_checked(page, 0, PROP_PS, now, step);
                 max_aliased = max_aliased.max(a.bp.aliased_frames());
+                dirty_in_place |= a.dirty_frame_reads_in_place();
             }
             assert_eq!(max_aliased, 4, "seed {seed}: aliasing was exercised");
+            assert!(dirty_in_place, "seed {seed}: no partly-local dirty frame");
             assert!(a.bp.stats().writebacks > 0 && a.bp.stats().remote_read_bytes > 0);
         }
     }
 
+    fn owned_lines(bp: &TieredRdmaBp, page: PageId) -> Vec<usize> {
+        let frame = bp.frames.dir().lookup(page).expect("resident");
+        (0..bp.owned.per_page)
+            .filter(|&line| bp.owned.owns(frame, line))
+            .collect()
+    }
+
+    fn remote_page(bp: &TieredRdmaBp, page: PageId) -> Vec<u8> {
+        let off = bp.remote_off(page);
+        bp.rdma.borrow().raw().slice(off, 1024).to_vec()
+    }
+
     #[test]
-    fn first_write_materialises_an_aliased_frame() {
-        let mut bp = setup(2); // pages 0,1 warm (local copies); 2.. remote only
-        assert_eq!(
-            bp.aliased_frames(),
-            0,
-            "prewarm fills frames with local copies"
-        );
+    fn one_byte_write_copies_one_line_and_write_back_charges_a_page() {
+        let mut bp = setup(1); // page 0 warm (a local copy); 1.. remote only
+        assert_eq!(bp.aliased_frames(), 0, "prewarm fills with local copies");
         let mut buf = [0u8; 8];
         bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(bp.aliased_frames(), 1, "page-in aliases instead of copying");
-        let remote_before = bp
-            .rdma
-            .borrow()
-            .raw()
-            .slice(bp.remote_off(PageId(5)), 1024)
-            .to_vec();
-        // Copy-on-write: the store lands in a private copy, never in the
-        // remote page the frame was aliasing.
-        bp.write(PageId(5), 3, &[0xAB], Lsn(1), SimTime::ZERO);
-        assert_eq!(bp.aliased_frames(), 0);
-        assert_eq!(
-            bp.rdma.borrow().raw().slice(bp.remote_off(PageId(5)), 1024),
-            &remote_before[..]
-        );
-        bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, [6, 6, 6, 0xAB, 6, 6, 6, 6]);
-        // A storage-fallback fill is a local copy, not an alias.
+        assert_eq!(bp.aliased_frames(), 1, "page-in reads in place");
+        assert!(owned_lines(&bp, PageId(5)).is_empty());
+        let remote_before = remote_page(&bp, PageId(5));
+        // Copy-on-write at line grain: a one-byte store into line 2
+        // copies that line alone and never lands in the remote page.
+        bp.write(PageId(5), 130, &[0xAB], Lsn(1), SimTime::ZERO);
+        assert_eq!(owned_lines(&bp, PageId(5)), [2]);
+        assert_eq!(bp.aliased_frames(), 1, "the other lines read in place");
+        assert_eq!(remote_page(&bp, PageId(5)), remote_before);
+        let mut oracle = remote_before;
+        oracle[130] = 0xAB;
+        // A read across lines stitches own and in-place lines together.
+        let mut wide = [0u8; 192];
+        bp.read(PageId(5), 64, &mut wide, SimTime::ZERO);
+        assert_eq!(wide[..], oracle[64..256]);
+        // Dirty eviction: the NIC is charged one full page for the
+        // write-back (plus one for the fill), and the remote copy is
+        // exactly the oracle's page.
+        let nic_before = bp.rdma.borrow().nic_bytes(0);
+        bp.read(PageId(6), 0, &mut buf, SimTime::ZERO);
+        assert_eq!(bp.rdma.borrow().nic_bytes(0) - nic_before, 2 * 1024);
+        assert_eq!(bp.stats().writebacks, 1);
+        assert_eq!(bp.stats().remote_write_bytes, 1024);
+        assert_eq!(remote_page(&bp, PageId(5)), oracle);
+        // A storage-fallback fill is a local copy, not read in place.
         use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
         faults::clear();
         faults::install(FaultPlan::default().with(
@@ -1016,11 +1189,43 @@ mod tests {
                 spike_ns: 500,
             },
         ));
-        bp.read(PageId(6), 0, &mut buf, SimTime::ZERO);
+        bp.read(PageId(7), 0, &mut buf, SimTime::ZERO);
         faults::clear();
-        assert_eq!(buf, [7u8; 8]);
+        assert_eq!(buf, [8u8; 8]);
         assert_eq!(bp.stats().fault_fallbacks, 1);
+        assert_eq!(owned_lines(&bp, PageId(7)).len(), 1024 / LINE);
         assert_eq!(bp.aliased_frames(), 0, "fallback fill and evicted alias");
+    }
+
+    #[test]
+    fn write_back_fallback_from_a_partly_local_frame_stores_the_whole_page() {
+        use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
+        faults::clear();
+        let mut bp = setup(1);
+        // Page 5 paged in (every line in place), then one line written:
+        // the frame's other lines still hold page 0's prewarmed bytes.
+        bp.read(PageId(5), 0, &mut [0u8; 1], SimTime::ZERO);
+        bp.write(PageId(5), 200, &[0xEE; 3], Lsn(1), SimTime::ZERO);
+        assert_eq!(owned_lines(&bp, PageId(5)), [3]);
+        faults::install(FaultPlan::default().with(
+            Trigger::SiteHit(FaultSite::RdmaWrite, 0),
+            Action::RdmaTransient {
+                failures: 8,
+                spike_ns: 500,
+            },
+        ));
+        // Evict dirty page 5: the write-back keeps faulting and degrades
+        // to storage, which must receive the full current page.
+        bp.read(PageId(6), 0, &mut [0u8; 1], SimTime::ZERO);
+        faults::clear();
+        assert_eq!(bp.stats().fault_fallbacks, 1);
+        let mut oracle = vec![6u8; 1024];
+        oracle[200..203].fill(0xEE);
+        assert_eq!(bp.store().raw_page(PageId(5)), &oracle[..]);
+        assert!(!bp.remote_resident(PageId(5)));
+        let mut buf = vec![0u8; 1024];
+        bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
+        assert_eq!(buf, oracle);
     }
 
     #[test]

@@ -22,18 +22,18 @@ pub use recovery::{recover_polar, recover_polar_policy, recover_replay, Recovery
 #[cfg(test)]
 mod tests {
     use crate::db::Db;
-    use crate::recovery::{recover_polar, recover_replay};
+    use crate::recovery::{recover_polar, recover_replay, RecoverySummary};
     use bufferpool::dram_bp::DramBp;
     use bufferpool::tiered::TieredRdmaBp;
     use bufferpool::BufferPool;
-    use memsim::{CxlPool, NodeId, RdmaPool};
+    use memsim::{Access, CxlPool, NodeId, RdmaPool};
     use polarcxlmem::CxlBp;
     use simkit::rng::SimRng;
     use simkit::SimTime;
     use std::cell::RefCell;
     use std::collections::BTreeMap;
     use std::rc::Rc;
-    use storage::PageStore;
+    use storage::{LogRecord, Lsn, PageId, PageStore};
 
     const REC: u16 = 120;
     const KEYS: u64 = 400;
@@ -396,5 +396,159 @@ mod tests {
         let s = recover_replay(&mut db, "vanilla", now);
         // Only the post-checkpoint records replay.
         assert_eq!(s.records_applied, 5);
+    }
+
+    /// A pool that records every write it receives, in order.
+    struct Recording<P> {
+        inner: P,
+        writes: Vec<(PageId, u16, Vec<u8>, Lsn)>,
+    }
+
+    impl<P: BufferPool> BufferPool for Recording<P> {
+        fn page_size(&self) -> u64 {
+            self.inner.page_size()
+        }
+        fn allocate_page(&mut self, now: SimTime) -> (PageId, SimTime) {
+            self.inner.allocate_page(now)
+        }
+        fn read(&mut self, page: PageId, off: u16, buf: &mut [u8], now: SimTime) -> Access {
+            self.inner.read(page, off, buf, now)
+        }
+        fn write(&mut self, page: PageId, off: u16, data: &[u8], lsn: Lsn, now: SimTime) -> Access {
+            self.writes.push((page, off, data.to_vec(), lsn));
+            self.inner.write(page, off, data, lsn, now)
+        }
+        fn page_lsn(&self, page: PageId) -> Option<Lsn> {
+            self.inner.page_lsn(page)
+        }
+        fn is_resident(&self, page: PageId) -> bool {
+            self.inner.is_resident(page)
+        }
+        fn flush_all(&mut self, now: SimTime) -> SimTime {
+            self.inner.flush_all(now)
+        }
+        fn stats(&self) -> bufferpool::BpStats {
+            self.inner.stats()
+        }
+        fn store(&self) -> &PageStore {
+            self.inner.store()
+        }
+        fn store_mut(&mut self) -> &mut PageStore {
+            self.inner.store_mut()
+        }
+        fn prewarm(&mut self) {
+            self.inner.prewarm()
+        }
+    }
+
+    impl<P: bufferpool::Crashable> bufferpool::Crashable for Recording<P> {
+        fn crash(&mut self) {
+            self.inner.crash()
+        }
+    }
+
+    /// Reference replay for `recover_replay`'s apply order: clone every
+    /// record into a per-page vector (log order within a page), then
+    /// apply the pages in ascending order.
+    fn grouped_replay<P: BufferPool>(
+        db: &mut Db<P>,
+        scheme: &'static str,
+        now: SimTime,
+    ) -> RecoverySummary {
+        let ckpt = db.wal.checkpoint_lsn();
+        let log_bytes = db.wal.replay_bytes_from(ckpt);
+        let mut t = db.wal.charge_scan(ckpt, now);
+        let mut by_page: simkit::FastMap<PageId, Vec<LogRecord>> = simkit::FastMap::default();
+        for rec in db.wal.replay_from(ckpt) {
+            by_page.entry(rec.page).or_default().push(rec.clone());
+        }
+        let mut pages: Vec<_> = by_page.keys().copied().collect();
+        pages.sort_unstable();
+        let mut applied = 0u64;
+        for page in &pages {
+            for rec in &by_page[page] {
+                t = db.pool.write(rec.page, rec.off, &rec.data, rec.lsn, t).end;
+                applied += 1;
+            }
+        }
+        let (table, done) = btree::BTree::open(&mut db.pool, db.table.meta_page, t);
+        db.table = table;
+        RecoverySummary {
+            scheme,
+            pages_rebuilt: pages.len() as u64,
+            records_applied: applied,
+            log_bytes,
+            done,
+        }
+    }
+
+    /// A crashed database over a recording pool: a seeded mix of
+    /// updates, inserts and deletes on random keys (so the log
+    /// interleaves pages and repeats them), checkpointed part-way.
+    fn crashed_recording<P: BufferPool + bufferpool::Crashable>(
+        mut db: Db<Recording<P>>,
+        seed: u64,
+    ) -> Db<Recording<P>> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut now = SimTime::ZERO;
+        for i in 0..400u64 {
+            let k = rng.gen_range(1..=KEYS);
+            now = match i % 4 {
+                0 | 1 => db.update(k, 8, &[rng.gen::<u8>(); 16], now).1,
+                2 => {
+                    db.insert(KEYS + 1 + i, &[rng.gen::<u8>(); REC as usize], now)
+                        .1
+                }
+                _ => db.delete(k, now).1,
+            };
+            if i == 150 {
+                now = db.checkpoint(now);
+            }
+        }
+        db.crash();
+        db.pool.writes.clear();
+        db
+    }
+
+    fn replay_matches_the_grouped_reference<P: BufferPool + bufferpool::Crashable>(
+        make: impl Fn() -> P,
+    ) {
+        for seed in [3u64, 11, 29] {
+            let recording = || {
+                let pool = Recording {
+                    inner: make(),
+                    writes: Vec::new(),
+                };
+                let mut db = Db::create(pool, REC);
+                db.load(rows());
+                crashed_recording(db, seed)
+            };
+            let (mut reference, mut db) = (recording(), recording());
+            let now = SimTime::from_secs(1);
+            let want = grouped_replay(&mut reference, "replay", now);
+            let got = recover_replay(&mut db, "replay", now);
+            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(db.pool.writes, reference.pool.writes, "seed {seed}");
+            // The case is not trivial: a checkpoint floor cut the log,
+            // pages repeat, and the log interleaved them (apply order is
+            // not LSN order).
+            let last = db.wal.max_assigned_lsn().0;
+            assert!(want.records_applied < last, "seed {seed}: {want:?}");
+            assert!(want.records_applied > 2 * want.pages_rebuilt, "{want:?}");
+            let lsns: Vec<Lsn> = db.pool.writes.iter().map(|w| w.3).collect();
+            assert!(lsns.windows(2).any(|w| w[0] > w[1]), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn replay_in_place_applies_the_grouped_order() {
+        replay_matches_the_grouped_reference(|| {
+            DramBp::new(64, 1 << 20, PageStore::with_page_size(256, 2048))
+        });
+        replay_matches_the_grouped_reference(|| {
+            let rdma = Rc::new(RefCell::new(RdmaPool::new(1 << 20, 1)));
+            let store = PageStore::with_page_size(256, 2048);
+            TieredRdmaBp::new(rdma, 0, 0, 64, 1 << 20, store)
+        });
     }
 }

@@ -48,34 +48,24 @@ pub fn recover_replay<P: BufferPool>(
     let ckpt = db.wal.checkpoint_lsn();
     let log_bytes = db.wal.replay_bytes_from(ckpt);
     let mut t = db.wal.charge_scan(ckpt, now);
-    // InnoDB-style replay: hash records by page and apply page-at-a-time
-    // (LSN order within a page), so each touched page is faulted exactly
-    // once regardless of buffer size. Unkeyed on purpose: under the std
-    // hasher's per-process key the per-page vectors are freed in a
-    // different order in every process, and the allocator state that
-    // leaves — so the resident size and set-up time of whatever runs
-    // next — is not reproducible from one run to the next.
-    let mut by_page: simkit::FastMap<storage::PageId, Vec<LogRecord>> = simkit::FastMap::default();
-    for rec in db.wal.replay_from(ckpt) {
-        by_page.entry(rec.page).or_default().push(rec.clone());
+    // InnoDB-style replay: apply page-at-a-time (LSN order within a
+    // page), so each touched page is faulted exactly once regardless of
+    // buffer size. The log is in LSN order, so a stable sort of its
+    // records by page is that order — applied in place, nothing cloned.
+    let mut recs: Vec<&LogRecord> = db.wal.replay_from(ckpt).collect();
+    recs.sort_by_key(|rec| rec.page);
+    for rec in &recs {
+        t = db.pool.write(rec.page, rec.off, &rec.data, rec.lsn, t).end;
     }
-    let mut pages: Vec<_> = by_page.keys().copied().collect();
-    pages.sort_unstable();
-    let mut applied = 0u64;
-    for page in &pages {
-        for rec in &by_page[page] {
-            let a = db.pool.write(rec.page, rec.off, &rec.data, rec.lsn, t);
-            t = a.end;
-            applied += 1;
-        }
-    }
+    let pages_rebuilt = recs.chunk_by(|a, b| a.page == b.page).count() as u64;
+    let applied = recs.len() as u64;
     // Reattach the table through the (possibly empty) pool.
     let (table, t2) = BTree::open(&mut db.pool, db.table.meta_page, t);
     db.table = table;
     trace::span(SpanKind::RecoveryReplay, 0, now, t2, log_bytes);
     RecoverySummary {
         scheme,
-        pages_rebuilt: pages.len() as u64,
+        pages_rebuilt,
         records_applied: applied,
         log_bytes,
         done: t2,

@@ -14,7 +14,7 @@
 use crate::harness::{closed_loop, exec_txn, single_cxl, single_dram, single_rdma, timeline};
 use crate::metrics::TimelinePoint;
 use crate::recovery_harness::{recover_untrusted, Scheme};
-use crate::sysbench::{Sysbench, SysbenchKind};
+use crate::sysbench::{Sysbench, SysbenchKind, Transaction};
 use bufferpool::{BpStats, BufferPool, Crashable};
 use engine::{recover_polar, recover_replay, Db, RecoverySummary};
 use simkit::faults::{self, Action, FaultPlan, FaultSite, FaultStats, Trigger};
@@ -131,6 +131,8 @@ where
     // series is identical to a grown one.
     let mut series = TimeSeries::with_capacity_for(cfg.bucket, cfg.duration);
     let (mut rngs, mut ws) = closed_loop(cfg.workers, cfg.seed);
+    // One transaction buffer for both phases, refilled by `fill_txn`.
+    let mut txn = Transaction::new();
     db.reset_timing_queues();
 
     // Single-host telemetry: one probe, one "txn" lane. The absence
@@ -158,7 +160,7 @@ where
             crash_time.get_or_insert(start);
             return Step::Park;
         }
-        let txn = gen.next_txn(&mut rngs[w]);
+        gen.fill_txn(&mut rngs[w], &mut txn);
         let end = exec_txn(&mut db, &txn, start);
         if faults::crashed() {
             crash_time.get_or_insert(end);
@@ -188,7 +190,7 @@ where
         // first post-recovery transaction doesn't see a wrap.
         prev_bp = db.pool.stats();
         ws.run_until(cfg.duration, |WorkerId(w), start| {
-            let txn = gen.next_txn(&mut rngs[w]);
+            gen.fill_txn(&mut rngs[w], &mut txn);
             let end = exec_txn(&mut db, &txn, start);
             series.record_at(end, txn.len() as u64);
             queries += txn.len() as u64;

@@ -9,7 +9,7 @@
 
 use crate::harness::{closed_loop, exec_txn, single_cxl, single_dram, single_rdma, timeline};
 use crate::metrics::TimelinePoint;
-use crate::sysbench::{Sysbench, SysbenchKind};
+use crate::sysbench::{Sysbench, SysbenchKind, Transaction};
 use bufferpool::{BufferPool, Crashable};
 use engine::{recover_polar, recover_polar_policy, recover_replay, Db, RecoverySummary};
 use polarcxlmem::{CxlBp, TrustPolicy};
@@ -99,17 +99,18 @@ pub struct RecoveryRunResult {
     pub summary: RecoverySummary,
 }
 
-/// One closed-loop step: the worker's next transaction, run and
-/// counted into the throughput series.
+/// One closed-loop step: the worker's next transaction, drawn into the
+/// run's one reused buffer, run and counted into the throughput series.
 fn step<P: BufferPool>(
     gen: &Sysbench,
     rng: &mut SimRng,
+    txn: &mut Transaction,
     db: &mut Db<P>,
     series: &mut TimeSeries,
     start: SimTime,
 ) -> Step {
-    let txn = gen.next_txn(rng);
-    let end = exec_txn(db, &txn, start);
+    gen.fill_txn(rng, txn);
+    let end = exec_txn(db, txn, start);
     series.record_at(end, txn.len() as u64);
     Step::Done(end)
 }
@@ -124,11 +125,12 @@ where
     // series is identical to a grown one.
     let mut series = TimeSeries::with_capacity_for(cfg.bucket, cfg.duration);
     let (mut rngs, mut ws) = closed_loop(cfg.workers, cfg.seed);
+    let mut txn = Transaction::new();
     db.reset_timing_queues();
 
     // Phase 1: steady state until the crash.
     ws.run_until(cfg.crash_at, |WorkerId(w), start| {
-        step(&gen, &mut rngs[w], &mut db, &mut series, start)
+        step(&gen, &mut rngs[w], &mut txn, &mut db, &mut series, start)
     });
 
     // Crash: every worker dies with the process.
@@ -144,7 +146,7 @@ where
         ws.spawn(WorkerId(w), summary.done);
     }
     ws.run_until(cfg.duration, |WorkerId(w), start| {
-        step(&gen, &mut rngs[w], &mut db, &mut series, start)
+        step(&gen, &mut rngs[w], &mut txn, &mut db, &mut series, start)
     });
 
     // Derived numbers.

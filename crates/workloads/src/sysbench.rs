@@ -163,13 +163,6 @@ impl Sysbench {
         }
     }
 
-    /// Generate the next transaction as a fresh vector.
-    pub fn next_txn(&self, rng: &mut SimRng) -> Transaction {
-        let mut txn = Vec::new();
-        self.fill_txn(rng, &mut txn);
-        txn
-    }
-
     /// The write statements shared by write-only and read-write:
     /// index update, non-index update, delete + insert of the same key.
     fn write_tail(&self, rng: &mut SimRng, txn: &mut Transaction) {
@@ -215,10 +208,17 @@ mod tests {
         SimRng::seed_from_u64(1)
     }
 
+    /// The next transaction, in a fresh buffer.
+    fn next(g: &Sysbench, rng: &mut SimRng) -> Transaction {
+        let mut txn = Transaction::new();
+        g.fill_txn(rng, &mut txn);
+        txn
+    }
+
     #[test]
     fn point_select_is_one_read() {
         let g = Sysbench::new(SysbenchKind::PointSelect, 10_000);
-        let txn = g.next_txn(&mut rng());
+        let txn = next(&g, &mut rng());
         assert_eq!(txn.len(), 1);
         assert!(!txn[0].is_write());
     }
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn read_write_mix_matches_sysbench_shape() {
         let g = Sysbench::new(SysbenchKind::ReadWrite, 10_000);
-        let txn = g.next_txn(&mut rng());
+        let txn = next(&g, &mut rng());
         assert_eq!(txn.len(), 18);
         let reads = txn.iter().filter(|s| !s.is_write()).count();
         let writes = txn.iter().filter(|s| s.is_write()).count();
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn point_update_is_ten_updates() {
         let g = Sysbench::new(SysbenchKind::PointUpdate, 10_000);
-        let txn = g.next_txn(&mut rng());
+        let txn = next(&g, &mut rng());
         assert_eq!(txn.len(), 10);
         assert!(txn.iter().all(|s| s.is_write()));
     }
@@ -256,7 +256,7 @@ mod tests {
         let g = Sysbench::new(SysbenchKind::ReadWrite, 500);
         let mut r = rng();
         for _ in 0..100 {
-            for s in g.next_txn(&mut r) {
+            for s in next(&g, &mut r) {
                 let k = match s {
                     Statement::PointSelect { key }
                     | Statement::UpdateIndex { key, .. }
@@ -273,20 +273,25 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let g = Sysbench::new(SysbenchKind::ReadWrite, 10_000);
-        let a: Vec<_> = (0..10).map(|_| g.next_txn(&mut rng())).collect();
-        let b: Vec<_> = (0..10).map(|_| g.next_txn(&mut rng())).collect();
+        let a: Vec<_> = (0..10).map(|_| next(&g, &mut rng())).collect();
+        let b: Vec<_> = (0..10).map(|_| next(&g, &mut rng())).collect();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn fill_txn_reuses_buffer_and_matches_next_txn() {
-        let g = Sysbench::new(SysbenchKind::ReadWrite, 10_000);
+    fn fill_txn_clears_a_reused_buffer() {
+        // A long transaction then a short one into the same buffer: each
+        // fill leaves exactly what a fresh buffer would hold.
+        let long = Sysbench::new(SysbenchKind::ReadWrite, 10_000);
+        let short = Sysbench::new(SysbenchKind::WriteOnly, 10_000);
         let mut buf = Transaction::new();
         let mut a = rng();
         let mut b = rng();
         for _ in 0..20 {
-            g.fill_txn(&mut a, &mut buf);
-            assert_eq!(buf, g.next_txn(&mut b));
+            long.fill_txn(&mut a, &mut buf);
+            assert_eq!(buf, next(&long, &mut b));
+            short.fill_txn(&mut a, &mut buf);
+            assert_eq!(buf, next(&short, &mut b));
         }
     }
 

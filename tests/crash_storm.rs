@@ -153,9 +153,10 @@ fn five_crashes_on_tiered_rdma_cannot_corrupt_committed_state() {
         if round % 2 == 1 {
             now = db.checkpoint(now);
         }
-        // Land the crash while most LBP frames alias remote memory: the
-        // write burst above leaves private (materialised) frames, so
-        // sweep clean leaves in with point selects first.
+        // Land the crash while most LBP frames read at least one line in
+        // place from remote memory: frames the write burst above filled
+        // from storage hold only their own lines, so sweep clean leaves
+        // in with point selects first.
         for k in (1..next_key).step_by(2) {
             now = db.point_select(k, now).1;
         }
