@@ -3,8 +3,8 @@
 //! write-only workloads, plus the recovery and warm-up times the paper
 //! quotes.
 
-use bench::{banner, footer};
-use workloads::recovery_harness::{run_recovery, RecoveryConfig, Scheme};
+use bench::{banner, footer, recovery_sweep};
+use workloads::recovery_harness::Scheme;
 use workloads::SysbenchKind;
 
 fn main() {
@@ -13,19 +13,19 @@ fn main() {
         "Recovery performance comparison",
         "read-write recovery: vanilla 110s, RDMA 33s, PolarRecv 8s; warm-up after read-only crash: 30s/10s/~0",
     );
-    for wl in [
+    let kinds = [
         SysbenchKind::ReadOnly,
         SysbenchKind::ReadWrite,
         SysbenchKind::WriteOnly,
-    ] {
+    ];
+    let schemes = [Scheme::Vanilla, Scheme::RdmaBased, Scheme::PolarRecv];
+    for (wl, runs) in kinds.iter().zip(recovery_sweep(&kinds, &schemes, |_| {})) {
         println!("[{wl:?}] (crash at t=2s of 6s; 100ms buckets)");
         println!(
             "{:<11} {:>12} {:>14} {:>12} {:>14} {:>12}",
             "scheme", "pre K-QPS", "recovery (s)", "warmup (s)", "pages rebuilt", "log bytes"
         );
-        let mut curves = Vec::new();
-        for scheme in [Scheme::Vanilla, Scheme::RdmaBased, Scheme::PolarRecv] {
-            let r = run_recovery(&RecoveryConfig::standard(scheme, wl));
+        for r in &runs {
             println!(
                 "{:<11} {:>12.1} {:>14.3} {:>12.3} {:>14} {:>12}",
                 r.scheme,
@@ -39,19 +39,19 @@ fn main() {
                 r.summary.pages_rebuilt,
                 r.summary.log_bytes
             );
-            curves.push((r.scheme, r.timeline));
         }
         // Timeline around the crash (t = 1.5s .. 4.0s, 100 ms buckets):
         // the dip and ramp are visible at this resolution.
         println!("  timeline around crash (K-QPS per 100ms, t=1.5s..4.0s):");
-        for (name, tl) in &curves {
-            let seg: Vec<String> = tl
+        for r in &runs {
+            let seg: Vec<String> = r
+                .timeline
                 .iter()
                 .skip(15)
                 .take(25)
                 .map(|p| format!("{:>4.0}", p.qps / 1e3))
                 .collect();
-            println!("  {:<11} {}", name, seg.join(" "));
+            println!("  {:<11} {}", r.scheme, seg.join(" "));
         }
         println!();
     }

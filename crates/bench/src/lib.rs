@@ -12,6 +12,7 @@ pub use sweep::{host_threads, run_sweep, run_sweep_threads};
 
 use memsim::{CxlNodeConfig, CxlPool, DramSpace, NodeId, RdmaPool};
 use simkit::SimTime;
+use workloads::recovery_harness::{run_recovery, RecoveryConfig, RecoveryRunResult, Scheme};
 use workloads::{run_pooling, PoolKind, PoolingConfig, RunMetrics, SysbenchKind};
 
 /// Print a figure/table banner.
@@ -93,6 +94,31 @@ pub fn pooling_sweep(
     run_sweep(&configs, run_pooling)
         .chunks(2)
         .map(|pair| [pair[0].metrics.clone(), pair[1].metrics.clone()])
+        .collect()
+}
+
+/// Figure 10's sweep: for each workload of `kinds`, one crash-and-recover
+/// run per scheme of `schemes` on [`RecoveryConfig::standard`] as
+/// `adjust` leaves it — one row per kind, the schemes in the order given.
+pub fn recovery_sweep(
+    kinds: &[SysbenchKind],
+    schemes: &[Scheme],
+    adjust: impl Fn(&mut RecoveryConfig),
+) -> Vec<Vec<RecoveryRunResult>> {
+    let adjust = &adjust;
+    let configs: Vec<RecoveryConfig> = kinds
+        .iter()
+        .flat_map(|&kind| {
+            schemes.iter().map(move |&scheme| {
+                let mut cfg = RecoveryConfig::standard(scheme, kind);
+                adjust(&mut cfg);
+                cfg
+            })
+        })
+        .collect();
+    run_sweep(&configs, run_recovery)
+        .chunks(schemes.len())
+        .map(<[RecoveryRunResult]>::to_vec)
         .collect()
 }
 

@@ -27,7 +27,27 @@ use std::sync::Mutex;
 /// available parallelism, overridable with the `SWEEP_THREADS`
 /// environment variable (useful for A/B-ing the runner itself).
 pub fn host_threads() -> usize {
-    simkit::par::threads_from_env("SWEEP_THREADS")
+    threads_from_env("SWEEP_THREADS")
+}
+
+/// What the value of a thread-count environment variable means: the
+/// number it spells (surrounding whitespace ignored, clamped to ≥ 1), or
+/// `None` when it spells none.
+fn parse_threads(value: &str) -> Option<usize> {
+    value.trim().parse::<usize>().ok().map(|n| n.max(1))
+}
+
+/// Worker count named by the environment variable `var`, or the
+/// machine's available parallelism when it is unset or not a number.
+fn threads_from_env(var: &str) -> usize {
+    std::env::var(var)
+        .ok()
+        .and_then(|v| parse_threads(&v))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 /// Run `f` over every configuration using [`host_threads`] workers,
@@ -166,5 +186,15 @@ mod tests {
     fn more_threads_than_configs() {
         let out = run_sweep_threads(&[1u32, 2], 16, |&c| c);
         assert_eq!(out, vec![1, 2]);
+    }
+
+    #[test]
+    fn thread_counts_parse_trimmed_and_clamped() {
+        assert_eq!(parse_threads("2"), Some(2));
+        assert_eq!(parse_threads(" 2 \n"), Some(2));
+        assert_eq!(parse_threads("0"), Some(1));
+        assert_eq!(parse_threads(""), None);
+        assert_eq!(parse_threads("two"), None);
+        assert_eq!(parse_threads("-1"), None);
     }
 }

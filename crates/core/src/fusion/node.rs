@@ -110,7 +110,7 @@ impl SharingNode {
     /// Create the node's sharing agent. `flag_base` is its flag-array
     /// lease (16 bytes per page id). The node holds no fabric handle —
     /// serial methods reach the pool through their `server` argument,
-    /// which keeps the struct `Send` for barrier-synchronized phases.
+    /// and phase methods through the node's detached shard.
     pub fn new(node: NodeId, flag_base: u64, page_size: u64) -> Self {
         Self::with_mode(node, flag_base, page_size, CoherencyMode::SoftwareLines)
     }

@@ -145,8 +145,8 @@ impl FusionServer {
     }
 
     /// Shared fabric handle. Nodes hold no fabric reference of their
-    /// own (keeps them `Send` for parallel phases); serial protocol
-    /// methods borrow the pool through their server instead.
+    /// own; serial protocol methods borrow the pool through their
+    /// server instead.
     pub fn fabric(&self) -> &SharedCxl {
         &self.cxl
     }

@@ -212,8 +212,8 @@ impl RdmaDbp {
     }
 
     /// Shared fabric handle. Nodes hold no fabric reference of their
-    /// own (keeps them `Send` for parallel phases); serial protocol
-    /// methods borrow the pool through their server instead.
+    /// own; serial protocol methods borrow the pool through their
+    /// server instead.
     pub fn fabric(&self) -> &SharedRdma {
         &self.rdma
     }
@@ -328,8 +328,8 @@ impl std::fmt::Debug for RdmaSharingNode {
 impl RdmaSharingNode {
     /// Create a node with `lbp_frames` local frames riding `host`'s
     /// NIC. The node holds no fabric handle — serial methods reach the
-    /// pool through their `server` argument, which keeps the struct
-    /// `Send` for barrier-synchronized phases.
+    /// pool through their `server` argument, and phase methods through
+    /// the node's detached shard.
     pub fn new(node: NodeId, host: usize, lbp_frames: usize, page_size: u64) -> Self {
         Self::with_policy(node, host, lbp_frames, page_size, PolicyKind::Lru)
     }

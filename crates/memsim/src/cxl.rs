@@ -15,7 +15,7 @@
 //!   invalid/removal flags) that must be immediately visible to other
 //!   nodes and survive a crash (non-temporal stores).
 //!
-//! For barrier-synchronized parallel stepping ([`simkit::par`]) a node's
+//! For barrier-synchronized stepping (`workloads::cluster`) a node's
 //! attachment can be *detached* into a [`CxlShard`]: the node's cache
 //! moves out of the pool, the shared switch and host links are replaced
 //! by [`LinkFork`] proxies, and region accesses run against a
@@ -1004,8 +1004,8 @@ impl CxlFabric for CxlPool {
 
 /// One node's detached, phase-private attachment to the pool: owns the
 /// node's cache, forked link proxies, and a reader + write-log view of
-/// the region. Safe to move to a worker thread for one quantum; the
-/// driver calls [`CxlPool::barrier`] to merge and refresh.
+/// the region. It steps one node for one quantum; [`CxlPool::barrier`]
+/// merges and refreshes it.
 #[derive(Debug)]
 pub struct CxlShard {
     node: NodeId,

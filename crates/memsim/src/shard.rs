@@ -1,11 +1,11 @@
 //! Phase-private views of a shared [`Region`] for barrier-synchronized
-//! parallel stepping (see [`simkit::par`]).
+//! stepping.
 //!
-//! Between virtual-time barriers each simulated node runs on its own host
-//! thread against a *private* view of the shared memory region:
+//! Between virtual-time barriers each simulated node steps against a
+//! *private* view of the shared memory region:
 //!
 //! - a [`RegionReader`] — an immutable raw-pointer window over the region
-//!   bytes, shareable across threads;
+//!   bytes;
 //! - a [`WriteLog`] — the node's pending stores, applied to the real
 //!   region at the barrier in fixed node order.
 //!
@@ -13,7 +13,7 @@
 //! *own* pending stores over the base bytes: a node always observes its
 //! own writes immediately (program order), while peers' writes become
 //! visible at the next barrier — a bounded staleness of at most one
-//! quantum, identical for every host-thread count. Timing never depends
+//! quantum, whatever order the nodes step in. Timing never depends
 //! on page *content*, and content-correctness oracles run after the final
 //! barrier, so the lag is a model choice, not a race.
 //!
@@ -24,7 +24,7 @@
 use crate::cache::line_range;
 use crate::region::Region;
 
-/// A shareable immutable window over a region's bytes.
+/// An immutable window over a region's bytes.
 ///
 /// # Safety contract
 ///
@@ -38,12 +38,6 @@ pub struct RegionReader {
     ptr: *const u8,
     len: usize,
 }
-
-// SAFETY: the pointed-to bytes are immutable for the reader's whole
-// validity window (see the struct-level safety contract), so concurrent
-// reads from any thread are data-race free.
-unsafe impl Send for RegionReader {}
-unsafe impl Sync for RegionReader {}
 
 impl RegionReader {
     /// Capture a read-only window over `region`'s current storage.

@@ -446,16 +446,16 @@ pub fn active() -> bool {
 }
 
 /// A detached fault-engine state: one node's private schedule, flags
-/// and counters, movable across worker threads.
+/// and counters.
 ///
-/// Barrier-synchronized parallel stepping gives every simulated node
-/// its own engine: the driver prepares one state per node (routing each
-/// plan event to the node whose primitives it perturbs), swaps the
-/// state in around the node's quantum with [`swap_state`], and polls /
-/// merges the detached states at barriers. Because each node's gates
-/// only ever consult its own engine, the fault schedule is a function
-/// of the node's own deterministic poll sequence — invariant to worker
-/// count and to which host thread runs the quantum.
+/// Barrier-synchronized stepping gives every simulated node its own
+/// engine: the harness prepares one state per node (routing each plan
+/// event to the node whose primitives it perturbs), swaps the state in
+/// around the node's quantum with [`swap_state`], and polls / merges
+/// the detached states at barriers. Because each node's gates only
+/// ever consult its own engine, the fault schedule is a function of the
+/// node's own deterministic poll sequence — hit-index triggers count
+/// that node's polls only, whatever the lane order.
 pub struct FaultState {
     flags: u8,
     engine: Engine,
@@ -520,9 +520,9 @@ impl FaultState {
 }
 
 /// Exchange the calling thread's fault-engine state with `state`. Used
-/// by the parallel stepper around each node's quantum: swap the node's
-/// state in, run the quantum, swap it back out — identical whether the
-/// quantum runs inline or on a pool worker.
+/// by `workloads::cluster` around each lane's quantum: swap the lane's
+/// state in, run the quantum, swap it back out, so the engine counts
+/// that lane's polls only.
 pub fn swap_state(state: &mut FaultState) {
     FLAGS.with(|f| {
         let cur = f.get();

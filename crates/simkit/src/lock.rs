@@ -246,10 +246,9 @@ impl<K: Eq + Hash + Ord + Copy> LockTable<K> {
     /// own timeline (`max`), while a shard whose holds overlap work
     /// merged before it queues behind that work — only its *busy* time
     /// (hold durations, never idle gaps between its grants) is
-    /// appended to the shared clock. A grant may lag a peer's
-    /// same-quantum hold by at most one barrier interval, identically
-    /// for every worker count. Shared holds are max-merged (readers
-    /// overlap).
+    /// appended to the shared clock. Deltas merge in lane order, and a
+    /// grant may lag a peer's same-quantum hold by at most one barrier
+    /// interval. Shared holds are max-merged (readers overlap).
     ///
     /// Drains `delta`, leaving its buffers for the next quantum's
     /// [`LockTable::shard_reusing`].

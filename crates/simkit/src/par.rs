@@ -1,77 +1,17 @@
-//! Barrier-synchronized parallel stepping: run one *simulation config*
-//! on several host cores without changing a single simulated result.
+//! A barrier phase on a host thread pool, kept only for the ledger.
 //!
-//! The model is bulk-synchronous: virtual time is cut into fixed quanta
-//! (barriers). Between barriers every simulated node steps its own
-//! independent work — bufferpool ops, cache simulation, CPU queueing —
-//! against *private* state: forked [`Link`](crate::resource::Link)
-//! proxies, copy-on-touch [`LockShard`](crate::lock::LockShard)s,
-//! per-node [`faults::FaultState`](crate::faults::FaultState) /
-//! [`trace::TraceState`](crate::trace::TraceState), and write-logged
-//! views of shared memory regions. At the barrier the driver folds every
-//! node's deltas back into the shared structures **in fixed node
-//! order**.
-//!
-//! Determinism argument, in three parts:
-//!
-//! 1. *Within a quantum* each node's execution is a pure function of its
-//!    own state: the scheduler ([`WorkerSet`](crate::worker::WorkerSet))
-//!    is per-node, the RNG streams are per-worker, and the fault/trace
-//!    thread-local state is swapped in per node — nothing read during
-//!    the quantum can be influenced by a peer's concurrent progress.
-//! 2. *At the barrier* merges happen in node order on the driver
-//!    thread, so the shared state after barrier `k` is a deterministic
-//!    function of the state after barrier `k-1`.
-//! 3. The worker pool only decides *which host thread* executes a
-//!    node's quantum, never the order of simulated events inside it —
-//!    so results are bit-identical for 1, 2, 4, … workers.
-//!
-//! Cross-node effects (lock holds, switch/NIC backlog, invalidation
-//! flags, region bytes) therefore propagate with at most one quantum of
-//! lag — identically for every worker count, which is what keeps the
-//! schedule a *model choice* rather than a race.
-
-use std::sync::OnceLock;
-
-/// What the value of a thread-count environment variable means: the
-/// number it spells (surrounding whitespace ignored, clamped to ≥ 1), or
-/// `None` when it spells none.
-fn parse_threads(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().map(|n| n.max(1))
-}
-
-/// Worker count named by the environment variable `var`, or the
-/// machine's available parallelism when it is unset or not a number.
-pub fn threads_from_env(var: &str) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| parse_threads(&v))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Number of host worker threads a driver should use for intra-config
-/// parallel stepping: [`threads_from_env`] of `HOST_THREADS`. Read once
-/// and cached; pass an explicit count to [`run_phase`] to override
-/// (tests pin 1/2/4).
-pub fn host_threads() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| threads_from_env("HOST_THREADS"))
-}
+//! No crate calls [`run_phase`]: `workloads::cluster` steps its lanes
+//! inline, in lane order, on the calling thread, because spawning per
+//! 200 µs quantum cost more than the phase work it spread (0.61× at two
+//! threads on the 8-node sharing cells). The `benchmark` package still times this function
+//! (`simkit.par.phase_ns` / `phase_2t_ns`), so it stays as it was until
+//! the next change to that package deletes the rows and this module.
 
 /// Run one quantum: apply `f` to every shard, distributing shards
 /// round-robin over `threads` host threads (`f(i, shard)` receives the
 /// shard's index). With `threads <= 1` the shards run inline on the
-/// calling thread, in index order — the *same code path* drivers use
-/// for every worker count, which is what makes worker-count invariance
-/// a structural property instead of a testing aspiration.
-///
-/// `f` must leave no state behind on the executing thread: anything
-/// thread-local a shard touches (fault engine, tracer) must be swapped
-/// in from the shard at entry and back out before returning.
+/// calling thread, in index order. No crate calls it; the ledger times
+/// it.
 pub fn run_phase<S, F>(threads: usize, shards: &mut [S], f: F)
 where
     S: Send,
@@ -138,20 +78,5 @@ mod tests {
         assert_eq!(serial, run(2));
         assert_eq!(serial, run(4));
         assert_eq!(serial, run(16));
-    }
-
-    #[test]
-    fn thread_counts_parse_trimmed_and_clamped() {
-        assert_eq!(parse_threads("2"), Some(2));
-        assert_eq!(parse_threads(" 2 \n"), Some(2));
-        assert_eq!(parse_threads("0"), Some(1));
-        assert_eq!(parse_threads(""), None);
-        assert_eq!(parse_threads("two"), None);
-        assert_eq!(parse_threads("-1"), None);
-    }
-
-    #[test]
-    fn host_threads_is_at_least_one() {
-        assert!(host_threads() >= 1);
     }
 }

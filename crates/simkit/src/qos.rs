@@ -21,7 +21,7 @@
 //!    cleared serially at virtual-time barriers with hysteresis.
 //!
 //! Every decision is a pure function of virtual time and per-tenant
-//! state, so runs are bit-identical across host worker counts. A
+//! state, so a rerun is bit-identical. A
 //! harness that builds no gate and no breaker
 //! (`OverloadConfig::qos = false`) admits every query and leaves the
 //! simulation unperturbed.
@@ -223,8 +223,8 @@ impl Bucket {
 }
 
 /// Per-tenant admission gate: token buckets + latency EWMAs +
-/// brownout flags. Plain data (`Send`), so a parallel harness can
-/// give each lane the gate for its own tenant.
+/// brownout flags. Plain data, so a cluster harness can give each lane
+/// the gate for its own tenant.
 #[derive(Debug, Clone)]
 pub struct Admission {
     cfg: QosConfig,

@@ -286,7 +286,7 @@ impl Link {
     /// fork's occupancy delta reproduces the clock any serial schedule
     /// of the same transfers would have produced; grant *start* times
     /// within a quantum may lag peers' same-quantum traffic by at most
-    /// one barrier interval, identically for every worker count.
+    /// one barrier interval, whatever the lane order.
     pub fn fork(&self) -> LinkFork {
         LinkFork {
             link: self.clone(),

@@ -641,8 +641,8 @@ struct RuleState {
 
 /// The serial aggregation half: ingests probe windows at barriers,
 /// seals closed windows into [`WindowRow`]s, scores health and
-/// steps the alert rules. Drive it only from serial (barrier)
-/// code — that is what makes the output worker-count invariant.
+/// steps the alert rules. Drive it only from barrier code, in lane
+/// order — that is what makes the output a function of the run.
 #[derive(Debug)]
 pub struct TelemetryHub {
     cfg: TelemetryConfig,

@@ -355,15 +355,15 @@ fn span_slow(kind: SpanKind, node: u32, start: SimTime, end: SimTime, bytes: u64
 }
 
 /// A detached tracer state (enable flags, lane totals and span ring)
-/// for one simulated node, movable across worker threads.
+/// for one simulated node.
 ///
-/// Barrier-synchronized parallel stepping gives every node its own
-/// tracer: the driver arms one state per node with [`TraceState::armed`]
+/// Barrier-synchronized stepping gives every node its own tracer: the
+/// cluster loop arms one state per node with [`TraceState::armed`]
 /// (inheriting the calling thread's enable switches), swaps it in
 /// around the node's quantum with [`swap_state`], and folds the
-/// detached states back with [`absorb`] in fixed node order at the end
-/// of the run. Lane totals and recorded spans are therefore a function
-/// of the node's own op sequence — invariant to worker count.
+/// detached states back with [`absorb`] in lane order at the end of
+/// the run. Lane totals and recorded spans are therefore a function of
+/// the node's own op sequence, and the stream of the lane order.
 pub struct TraceState {
     flags: u8,
     lanes: [u64; LANE_COUNT],

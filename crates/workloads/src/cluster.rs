@@ -15,14 +15,16 @@
 //!   takeover, overload's brownout controller and elasticity's
 //!   PREPARE/COMMIT live there.
 //!
-//! One quantum, in fixed order: build lanes for the active nodes → swap
-//! each lane's tracer and fault engine in → [`par::run_phase`] to the
-//! quantum end → swap out → fold lock deltas, then the fabric barrier,
-//! then probe ingest + window seal, all in node order → the hook. At the
+//! One quantum, in fixed order: for each active lane, ascending, on the
+//! calling thread — make its lock shard → swap its tracer and fault
+//! engine in → run its workers to the quantum end → land its protocol
+//! delta → swap out → finish the lock shard; then fold lock deltas, the
+//! fabric barrier, probe ingest + window seal, all in lane order → the
+//! hook. A lane sees its peers only through what the barrier published,
+//! so results are a function of the quantum and the lane order. At the
 //! end of the run the shards re-attach, per-node invalidation counters
 //! fold into the server, the hub drains and reports, and every lane's
-//! trace state re-lands on the driver thread in node order. Results are
-//! a function of the quantum, never of the host thread count.
+//! trace state re-lands on the calling thread's tracer in lane order.
 //!
 //! A hook may touch anything on the [`Cluster`], but fabric shards only
 //! through [`Cluster::deactivate`] / [`Cluster::activate`] /
@@ -43,7 +45,7 @@ use simkit::rng::{stream_rng, SimRng};
 use simkit::telemetry::{NodeProbe, TelemetryConfig, TelemetryHub, TelemetryReport};
 use simkit::trace::{self, TraceState};
 use simkit::{
-    par, LockDelta, LockMode, LockShard, LockTable, MultiServer, SimTime, Step, WorkerId, WorkerSet,
+    LockDelta, LockMode, LockShard, LockTable, MultiServer, SimTime, Step, WorkerId, WorkerSet,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -59,13 +61,13 @@ pub struct Fenced(pub SimTime);
 /// runs under a page lock.
 pub trait Fabric {
     /// A database node's protocol state.
-    type Node: Send;
+    type Node;
     /// A node's phase-private view of the fabric.
-    type Shard: Send;
+    type Shard;
     /// Read-only directory snapshot lanes publish against.
-    type Dir: Sync;
+    type Dir;
     /// Per-node protocol counters (snapshotted at quantum edges).
-    type Stats: Default + Send;
+    type Stats: Default;
 
     /// Zero the link counters: the measured window starts here.
     fn reset_link_counters(&mut self);
@@ -171,15 +173,6 @@ impl<F: Fabric, X> LaneCtx<'_, '_, F, X> {
     }
 }
 
-struct PhaseLane<'a, F: Fabric, X> {
-    ix: usize,
-    core: &'a mut NodeCore<F::Stats>,
-    node: &'a mut F::Node,
-    shard: &'a mut F::Shard,
-    ext: &'a mut X,
-    lock: LockShard<'a, PageId>,
-}
-
 /// A cluster between barriers: everything a hook may touch.
 pub struct Cluster<F: Fabric, X> {
     /// Pool + coherency server.
@@ -203,7 +196,7 @@ pub struct Cluster<F: Fabric, X> {
     dir: F::Dir,
 }
 
-impl<F: Fabric, X: Send> Cluster<F, X> {
+impl<F: Fabric, X> Cluster<F, X> {
     /// Assemble a cluster of `nodes.len()` lanes, all inactive until
     /// [`Cluster::activate`], each with `wpn` closed-loop workers (worker
     /// `k` of lane `i` draws RNG stream `i·wpn + k` of `seed`). `fabric`
@@ -292,63 +285,39 @@ impl<F: Fabric, X: Send> Cluster<F, X> {
         self.dir = self.fabric.dir();
     }
 
-    /// Step `duration` of virtual time in `quantum`-wide phases on
-    /// `host_threads` host threads (`0` = [`par::host_threads`]; any
-    /// count yields bit-identical results). Returns the telemetry report
-    /// (`None` when the window is ZERO).
+    /// Step `duration` of virtual time in `quantum`-wide phases, the
+    /// active lanes in ascending order on the calling thread. Returns the
+    /// telemetry report (`None` when the window is ZERO).
     pub fn run(
         &mut self,
         duration: SimTime,
         quantum: SimTime,
-        host_threads: usize,
-        body: impl Fn(&mut LaneCtx<'_, '_, F, X>, usize, SimTime) -> Step + Sync,
+        body: impl Fn(&mut LaneCtx<'_, '_, F, X>, usize, SimTime) -> Step,
         mut hook: impl FnMut(&mut Self, SimTime),
     ) -> Option<TelemetryReport> {
-        let threads = match host_threads {
-            0 => par::host_threads(),
-            t => t,
-        };
         let mut now = SimTime::ZERO;
         while now < duration {
             let q_end = (now + quantum.as_nanos().max(1)).min(duration);
-            let (locks, dir, active) = (&self.locks, &self.dir, &self.active);
-            let mut shards = self.shards.iter_mut();
-            let mut lanes: Vec<PhaseLane<'_, F, X>> = Vec::with_capacity(active.len());
-            let all = (self.nodes.iter_mut())
-                .zip(self.cores.iter_mut())
-                .zip(self.exts.iter_mut())
-                .enumerate();
-            for (ix, ((node, core), ext)) in all.filter(|(ix, _)| active.binary_search(ix).is_ok())
-            {
-                lanes.push(PhaseLane {
-                    ix,
-                    lock: locks.shard_reusing(&mut core.lock_buf),
-                    core,
-                    node,
-                    shard: shards.next().expect("one shard per active lane"),
-                    ext,
-                });
-            }
-            let protocol_probe = self.protocol_probe;
-            par::run_phase(threads, &mut lanes, |_, lane| {
-                let core = &mut *lane.core;
+            for (&ix, shard) in self.active.iter().zip(self.shards.iter_mut()) {
+                let core = &mut self.cores[ix];
+                let mut lock = self.locks.shard_reusing(&mut core.lock_buf);
                 trace::swap_state(&mut core.trace);
                 faults::swap_state(&mut core.faults);
                 let mut ctx = LaneCtx {
-                    lane: lane.ix,
+                    lane: ix,
                     cpu: &mut core.cpu,
                     rngs: &mut core.rngs,
                     probe: &mut core.probe,
-                    ext: &mut *lane.ext,
+                    ext: &mut self.exts[ix],
                     buf: &mut core.buf,
-                    node: &mut *lane.node,
-                    shard: &mut *lane.shard,
-                    lock: &mut lane.lock,
-                    dir,
+                    node: &mut self.nodes[ix],
+                    shard,
+                    lock: &mut lock,
+                    dir: &self.dir,
                 };
                 core.ws
                     .run_until(q_end, |WorkerId(w), start| body(&mut ctx, w, start));
-                if protocol_probe && ctx.probe.enabled() {
+                if self.protocol_probe && ctx.probe.enabled() {
                     // Protocol counters land as misses/retries in the
                     // window still open at this quantum edge.
                     let (misses, retries) = F::protocol_delta(ctx.node, &mut core.prev);
@@ -358,12 +327,10 @@ impl<F: Fabric, X: Send> Cluster<F, X> {
                 }
                 faults::swap_state(&mut core.faults);
                 trace::swap_state(&mut core.trace);
-            });
+                core.lock_buf = lock.finish();
+            }
             // Barrier, all in lane order: lock deltas, the fabric's write
             // logs and link backlog, then telemetry windows.
-            for lane in lanes {
-                lane.core.lock_buf = lane.lock.finish();
-            }
             for core in self.cores.iter_mut() {
                 self.locks.absorb(&mut core.lock_buf);
             }
@@ -385,8 +352,8 @@ impl<F: Fabric, X: Send> Cluster<F, X> {
         let probes = self.cores.iter_mut().map(|core| &mut core.probe);
         let report = self.hub.conclude(probes, duration);
         // Each lane's lane totals, spans and dropped-span count re-land
-        // on the driver thread's tracer, so consumers observe one
-        // coherent stream.
+        // on the calling thread's tracer in lane order, so consumers
+        // observe one coherent stream.
         for core in self.cores.iter_mut() {
             trace::absorb(&mut core.trace);
         }
@@ -491,7 +458,7 @@ impl FusionCluster {
     }
 }
 
-impl<X: Send> Cluster<FusionCluster, X> {
+impl<X> Cluster<FusionCluster, X> {
     /// Re-resolve `pages` on an active lane serially at `now`: its shard
     /// merges back for the RPCs and detaches again.
     pub fn rewarm(&mut self, lane: usize, pages: impl Iterator<Item = PageId>, now: SimTime) {

@@ -20,8 +20,8 @@
 //! partition is static and the growing tenant thrashes on storage for
 //! the whole second half.
 //!
-//! Everything is a function of virtual time and per-node state, so
-//! results are bit-identical across 1/2/4 host worker threads.
+//! Everything is a function of virtual time, per-node state and lane
+//! order, so a rerun is bit-identical.
 
 use crate::cluster::{Cluster, FusionCluster};
 use crate::sharing::GroupLayout;
@@ -86,9 +86,6 @@ pub struct ElasticityConfig {
     pub duration: SimTime,
     /// RNG seed.
     pub seed: u64,
-    /// Host worker threads (`0` = [`simkit::par::host_threads`]). Any value
-    /// yields bit-identical results.
-    pub host_threads: usize,
     /// Telemetry window width (ZERO disables probes; the controller
     /// then runs on the remote-share fallback alone).
     pub telemetry_window: SimTime,
@@ -111,7 +108,6 @@ impl ElasticityConfig {
             rows_per_group: 2_000,
             duration: SimTime::from_millis(60),
             seed: 23,
-            host_threads: 0,
             telemetry_window: SimTime::from_millis(2),
             adaptive: true,
             write_pct: 20,
@@ -285,7 +281,6 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
     let telemetry_report = cluster.run(
         cfg.duration,
         QUANTUM,
-        cfg.host_threads,
         |ctx, w, start| {
             let i = ctx.lane;
             let demand = demand_range(cfg, i, start);
@@ -515,9 +510,8 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
 mod tests {
     use super::*;
 
-    fn threads_cfg(threads: usize, adaptive: bool) -> ElasticityConfig {
+    fn smoke_cfg(adaptive: bool) -> ElasticityConfig {
         let mut cfg = ElasticityConfig::smoke();
-        cfg.host_threads = threads;
         cfg.adaptive = adaptive;
         cfg
     }
@@ -527,7 +521,7 @@ mod tests {
         // Window on: the `miss_burn` rule and the remote-share threshold
         // both feed the controller. Window ZERO: the threshold alone.
         for window in [SimTime::from_millis(2), SimTime::ZERO] {
-            let mut cfg = threads_cfg(2, true);
+            let mut cfg = smoke_cfg(true);
             cfg.telemetry_window = window;
             let r = run_elasticity(&cfg);
             assert_eq!(r.telemetry.is_some(), window != SimTime::ZERO);
@@ -559,7 +553,7 @@ mod tests {
 
     #[test]
     fn static_partition_thrashes_the_growing_tenant() {
-        let r = run_elasticity(&threads_cfg(2, false));
+        let r = run_elasticity(&smoke_cfg(false));
         assert_eq!(r.migrations, 0);
         // Tenant 1's second-half demand never fits its static share:
         // its settled p99 is storage-bound, far outside the SLO.
@@ -572,17 +566,8 @@ mod tests {
     }
 
     #[test]
-    fn elasticity_is_worker_count_invariant() {
-        let r1 = run_elasticity(&threads_cfg(1, true));
-        let r2 = run_elasticity(&threads_cfg(2, true));
-        let r4 = run_elasticity(&threads_cfg(4, true));
-        assert_eq!(r1, r2);
-        assert_eq!(r2, r4);
-    }
-
-    #[test]
     fn protected_window_refuses_donor_writes_but_serves_reads() {
-        let mut cfg = threads_cfg(2, true);
+        let mut cfg = smoke_cfg(true);
         // Plenty of writes and background traffic so the one-quantum
         // protect window between PREPARE and COMMIT is hit.
         cfg.write_pct = 50;

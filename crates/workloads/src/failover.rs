@@ -129,10 +129,6 @@ pub struct FailoverConfig {
     /// Run entirely fault-free — no crash, no link chaos. The control
     /// run for the telemetry false-positive measurement.
     pub fault_free: bool,
-    /// Host worker threads stepping nodes between barriers
-    /// (`0` = [`simkit::par::host_threads`]). Any value yields bit-identical
-    /// results; it only changes wall-clock time.
-    pub host_threads: usize,
 }
 
 impl FailoverConfig {
@@ -156,7 +152,6 @@ impl FailoverConfig {
             link_chaos: LinkChaos::None,
             telemetry_window: SimTime::from_millis(2),
             fault_free: false,
-            host_threads: 0,
         }
     }
 
@@ -341,8 +336,8 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     // (seed, fault_seed) ⇒ bit-identical run. Each plan event is routed
     // to the node whose primitives it perturbs — gates only ever
     // consult their own node's detached engine, so the fault schedule
-    // is a function of that node's deterministic poll sequence,
-    // invariant to the host worker count.
+    // is a function of that node's deterministic poll sequence, and
+    // the lanes step in lane order.
     let dead = cfg.crash_node;
     let mut frng = stream_rng(cfg.fault_seed, 0xFA11);
     let span = cfg.duration.as_nanos();
@@ -459,7 +454,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     let telemetry_report = cluster.run(
         cfg.duration,
         SimTime(idle_tick),
-        cfg.host_threads,
         |ctx, w, start| {
             // The standby serves the dead node's group.
             let serve_group = if ctx.lane < n { ctx.lane } else { dead };

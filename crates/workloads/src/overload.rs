@@ -28,8 +28,8 @@
 //!    quanta does the tenant return to fabric service (its pages are
 //!    re-resolved serially, so no RPC happens inside a parallel phase).
 //!
-//! Every QoS decision is a function of virtual time and per-node state
-//! only, so results are bit-identical across host thread counts.
+//! Every QoS decision is a function of virtual time, per-node state and
+//! lane order only, so a rerun is bit-identical.
 
 use crate::cluster::{Cluster, FusionCluster};
 use crate::sharing::{exec_op, GroupLayout, ShOp};
@@ -112,9 +112,6 @@ pub struct OverloadConfig {
     pub duration: SimTime,
     /// RNG seed.
     pub seed: u64,
-    /// Host worker threads (`0` = [`simkit::par::host_threads`]). Any value
-    /// yields bit-identical results.
-    pub host_threads: usize,
     /// Telemetry window width (ZERO disables probes and with them the
     /// p99-driven brownout rule; the occupancy rule still works).
     pub telemetry_window: SimTime,
@@ -145,7 +142,6 @@ impl OverloadConfig {
             rows_per_group: 2_000,
             duration: SimTime::from_millis(60),
             seed: 17,
-            host_threads: 0,
             telemetry_window: SimTime::from_millis(2),
             qos: true,
             aggressor_class: TenantClass::new(300, 4, 600_000).low_priority(),
@@ -373,7 +369,6 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
     let telemetry_report = cluster.run(
         cfg.duration,
         QUANTUM,
-        cfg.host_threads,
         |ctx, w, start| {
             let i = ctx.lane;
             // Layer 1: admission — before any CPU, lock, or fabric
@@ -718,22 +713,5 @@ mod tests {
         assert!(r.fusion.brownout_reclaims > 0);
         let rep = r.telemetry.as_ref().expect("telemetry window is on");
         assert!(rep.alert_fires() > 0, "the p99_slow rule fired");
-    }
-
-    #[test]
-    fn results_are_identical_across_host_thread_counts() {
-        let run = |threads: usize, qos: bool| {
-            let mut cfg = OverloadConfig::smoke(3);
-            cfg.host_threads = threads;
-            cfg.qos = qos;
-            run_overload(&cfg)
-        };
-        for qos in [true, false] {
-            let a = run(1, qos);
-            let b = run(2, qos);
-            let c = run(4, qos);
-            assert_eq!(a, b, "1 vs 2 host threads (qos={qos})");
-            assert_eq!(b, c, "2 vs 4 host threads (qos={qos})");
-        }
     }
 }

@@ -145,12 +145,11 @@ pub struct SharingConfig {
     pub seed: u64,
     /// Virtual-time barrier quantum: nodes step independently between
     /// barriers; cross-node effects commit at each barrier in fixed
-    /// node order. Results are a function of the quantum, never of the
-    /// host thread count.
+    /// node order. Results are a function of the quantum and that order.
     pub quantum: SimTime,
-    /// Host worker threads stepping nodes between barriers
-    /// (`0` = [`simkit::par::host_threads`]). Any value yields bit-identical
-    /// results; it only changes wall-clock time.
+    /// Inert: no code reads it. Lanes step inline on the calling thread.
+    /// Kept only because the `benchmark` package's cells still write it;
+    /// the next change to that package deletes it.
     pub host_threads: usize,
     /// Eviction policy for node-local page frames (the RDMA design's
     /// local buffer pool; ignored by designs without one).
@@ -186,7 +185,7 @@ impl SharingConfig {
 pub fn point_update_gen(
     layout: GroupLayout,
     shared_pct: u32,
-) -> impl Fn(&mut SimRng, usize) -> Vec<ShOp> + Sync {
+) -> impl Fn(&mut SimRng, usize) -> Vec<ShOp> {
     move |rng, node| {
         (0..10)
             .map(|_| {
@@ -212,7 +211,7 @@ pub fn point_update_gen(
 pub fn read_write_gen(
     layout: GroupLayout,
     shared_pct: u32,
-) -> impl Fn(&mut SimRng, usize) -> Vec<ShOp> + Sync {
+) -> impl Fn(&mut SimRng, usize) -> Vec<ShOp> {
     move |rng, node| {
         let pick = |rng: &mut SimRng| {
             let group = if rng.gen_range(0..100) < shared_pct {
@@ -285,14 +284,12 @@ pub(crate) fn seed_storage(layout: &GroupLayout) -> PageStore {
 
 /// Run a sharing experiment with the given transaction generator.
 ///
-/// The run is *always* phased (barrier-synchronized parallel stepping on
-/// the [`crate::cluster`] driver): nodes step between virtual-time
-/// barriers on up to [`SharingConfig::host_threads`] host threads, and
-/// the results are bit-identical for every thread count — including 1,
-/// which runs the same phased code inline.
+/// The run is *always* phased (barrier-synchronized stepping on the
+/// [`crate::cluster`] loop): nodes step between virtual-time barriers
+/// in lane order, and cross-node effects land at each barrier.
 pub fn run_sharing<F>(cfg: &SharingConfig, gen: F) -> SharingResult
 where
-    F: Fn(&mut SimRng, usize) -> Vec<ShOp> + Sync,
+    F: Fn(&mut SimRng, usize) -> Vec<ShOp>,
 {
     let (layout, n) = (cfg.layout, cfg.nodes);
     let mode = match cfg.system {
@@ -310,7 +307,7 @@ where
 
 fn run_rdma<F>(cfg: &SharingConfig, gen: &F, lbp_fraction: f64) -> SharingResult
 where
-    F: Fn(&mut SimRng, usize) -> Vec<ShOp> + Sync,
+    F: Fn(&mut SimRng, usize) -> Vec<ShOp>,
 {
     let (layout, n) = (cfg.layout, cfg.nodes);
     let dbp_bytes = layout.total_pages() * PAGE_SIZE;
@@ -397,7 +394,7 @@ fn run_on<Fb: Fabric, F>(
     memory: u64,
 ) -> SharingResult
 where
-    F: Fn(&mut SimRng, usize) -> Vec<ShOp> + Sync,
+    F: Fn(&mut SimRng, usize) -> Vec<ShOp>,
 {
     let n = cfg.nodes;
     // One probe per node, the statement's target group as the lane. No
@@ -416,7 +413,6 @@ where
     let telemetry = cluster.run(
         cfg.duration,
         cfg.quantum,
-        cfg.host_threads,
         |ctx, w, start| {
             let txn = gen(&mut ctx.rngs[w], ctx.lane);
             let mut t = start + CPU_TXN_OVERHEAD_NS;
@@ -555,22 +551,18 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_is_identical_across_host_thread_counts() {
-        let run = |threads| {
+    fn telemetry_reruns_bit_identically() {
+        let run = || {
             let mut cfg = SharingConfig::standard(SharingSystem::Rdma { lbp_fraction: 0.3 }, 4);
             cfg.layout.rows_per_group = 1_000;
             cfg.duration = SimTime::from_millis(20);
             cfg.workers_per_node = 4;
             cfg.telemetry_window = SimTime::from_millis(2);
-            cfg.host_threads = threads;
             let layout = cfg.layout;
             run_sharing(&cfg, point_update_gen(layout, 30))
         };
-        let a = run(1);
-        let b = run(2);
-        let c = run(4);
-        assert_eq!(a.telemetry, b.telemetry, "1 vs 2 host threads");
-        assert_eq!(b.telemetry, c.telemetry, "2 vs 4 host threads");
+        let a = run();
+        assert_eq!(a.telemetry, run().telemetry, "rerun diverged");
         assert!(a.telemetry.as_ref().unwrap().windows > 0);
     }
 

@@ -1,8 +1,7 @@
 //! Crash-safe online elasticity demo: live CXL re-partitioning via the
 //! two-phase lease-migration protocol, under a diurnal two-tenant shift.
 //!
-//! Two runs of the same cluster, each executed at 1, 2 and 4 host
-//! threads and asserted bit-identical:
+//! Two runs of the same cluster:
 //!
 //! 1. **Adaptive** — the elastic controller watches per-tenant miss
 //!    pressure at quantum barriers and live-migrates extents from the
@@ -28,23 +27,6 @@ fn base_cfg() -> ElasticityConfig {
     }
 }
 
-/// Run the config at 1, 2 and 4 host threads; the results must be
-/// bit-identical (every controller and coordinator decision is a
-/// function of virtual time and per-node state only).
-fn run_invariant(cfg: &ElasticityConfig) -> ElasticityResult {
-    let run = |threads: usize| {
-        let mut c = cfg.clone();
-        c.host_threads = threads;
-        run_elasticity(&c)
-    };
-    let a = run(1);
-    let b = run(2);
-    let c = run(4);
-    assert_eq!(a, b, "1 vs 2 host threads diverged");
-    assert_eq!(b, c, "2 vs 4 host threads diverged");
-    a
-}
-
 fn print_run(tag: &str, r: &ElasticityResult) {
     println!(
         "[{tag}] migrations {}, pages handed off {}, flushed {}, protected-write refusals {}",
@@ -68,7 +50,7 @@ fn main() {
     let slo = SLO_P99_NS;
 
     // ---- 1. Adaptive: live migration follows the sun -----------------
-    let adaptive = run_invariant(&cfg);
+    let adaptive = run_elasticity(&cfg);
     print_run("adaptive", &adaptive);
     let moved = (EXTENTS * 3 / 4 - EXTENTS / 4) as u64;
     assert_eq!(
@@ -93,7 +75,7 @@ fn main() {
     // ---- 2. Static: the growing tenant thrashes ----------------------
     let mut static_cfg = cfg.clone();
     static_cfg.adaptive = false;
-    let fixed = run_invariant(&static_cfg);
+    let fixed = run_elasticity(&static_cfg);
     print_run("static  ", &fixed);
     assert_eq!(fixed.migrations, 0);
     assert!(
@@ -109,6 +91,6 @@ fn main() {
 
     println!(
         "elasticity demo passed: live migration kept both tenants inside the {slo} ns SLO \
-         while the static partition thrashed, bit-identical across 1/2/4 host threads"
+         while the static partition thrashed"
     );
 }

@@ -373,34 +373,3 @@ fn sharing_attribution_matches_histogram_total() {
         );
     }
 }
-
-/// Attribution survives barrier-parallel stepping: each node's lane
-/// totals accumulate in its own detached tracer state on whichever
-/// worker thread steps the node, and re-land on the driver at the merge
-/// in fixed node order — so a parallel-stepped sharing run attributes
-/// exactly the same simulated nanoseconds, lane by lane, as the serial
-/// run of the same config. No nanosecond is lost or double-counted at
-/// the barrier hand-offs.
-#[test]
-fn parallel_stepped_sharing_attribution_is_conserved() {
-    use workloads::sharing::{point_update_gen, run_sharing, SharingConfig, SharingSystem};
-    let run = |threads: usize| {
-        let mut c = SharingConfig::standard(SharingSystem::Cxl, 4);
-        c.layout.rows_per_group = 1_000;
-        c.duration = SimTime::from_millis(20);
-        c.host_threads = threads;
-        let layout = c.layout;
-        trace::reset();
-        trace::enable_attribution(true);
-        let r = run_sharing(&c, point_update_gen(layout, 40));
-        trace::enable_attribution(false);
-        let attr = trace::attr_snapshot();
-        trace::reset();
-        (r, attr)
-    };
-    let (r1, a1) = run(1);
-    let (r4, a4) = run(4);
-    assert!(a1.total_ns() > 0, "run attributed no nanoseconds");
-    assert_eq!(r1, r4, "worker count changed simulation results");
-    assert_eq!(a1, a4, "parallel stepping changed the lane totals");
-}

@@ -67,7 +67,7 @@ fn pair<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
     }
 }
 
-fn run(seed: u64, crash_at: SimTime, threads: usize, drain: bool) -> Outcome {
+fn run(seed: u64, crash_at: SimTime, drain: bool) -> Outcome {
     let duration = SimTime::from_millis(30);
     let (ext_pages, total) = (LAYOUT.pages_per_group(), LAYOUT.total_pages());
     let ext_bytes = ext_pages * PAGE_SIZE;
@@ -118,7 +118,6 @@ fn run(seed: u64, crash_at: SimTime, threads: usize, drain: bool) -> Outcome {
     cluster.run(
         duration,
         SimTime::from_micros(200),
-        threads,
         |ctx, w, start| {
             let me = ctx.lane % STANDBY; // the standby serves as tenant 0
             let evening = start.as_nanos() >= duration.as_nanos() / 2;
@@ -258,7 +257,7 @@ fn run(seed: u64, crash_at: SimTime, threads: usize, drain: bool) -> Outcome {
 fn failover_during_live_migration_keeps_every_invariant() {
     // Crash 200 us after the diurnal flip: the controller is mid-shift.
     let crash_at = SimTime::from_micros(15_200);
-    let r = run(7, crash_at, 1, true);
+    let r = run(7, crash_at, true);
     assert!(
         r.migrations >= 2,
         "the shift must migrate: {}",
@@ -267,15 +266,14 @@ fn failover_during_live_migration_keeps_every_invariant() {
     assert!(r.takeover_done.is_some(), "the standby must take over");
     assert!(r.queries[2] > 0, "the standby must serve");
     assert!(r.oracle_rows > 0);
-    assert_eq!(r, run(7, crash_at, 2, true), "1 vs 2 host threads");
-    assert_eq!(r, run(7, crash_at, 4, true), "1 vs 4 host threads");
+    assert_eq!(r, run(7, crash_at, true), "rerun diverged");
 }
 
 #[test]
 fn crash_before_the_shift_still_lets_the_standby_donate() {
     // Takeover completes in the morning; every evening migration then
     // has the *standby* as donor — adopt followed by migrate-out.
-    let r = run(11, SimTime::from_millis(6), 2, true);
+    let r = run(11, SimTime::from_millis(6), true);
     assert!(r
         .takeover_done
         .is_some_and(|t| t < SimTime::from_millis(15)));
@@ -288,7 +286,7 @@ fn crash_instants_around_the_shift_all_hold() {
     // lands before, between and after the evening's migrations.
     for k in 0..30 {
         for drain in [true, false] {
-            run(3, SimTime::from_micros(9_000 + k * 400), 2, drain);
+            run(3, SimTime::from_micros(9_000 + k * 400), drain);
         }
     }
 }
@@ -302,8 +300,8 @@ fn crash_instants_around_the_shift_all_hold() {
 /// the commit point.)
 #[test]
 fn takeover_racing_a_prepared_migration_aborts_and_replans() {
-    let r = run(1, SimTime::from_micros(15_007), 1, false);
+    let r = run(1, SimTime::from_micros(15_007), false);
     assert!(r.takeover_done.is_some(), "the standby must take over");
     assert!(r.migrations >= 2, "the shift must still migrate");
-    assert_eq!(r, run(1, SimTime::from_micros(15_007), 2, false));
+    assert_eq!(r, run(1, SimTime::from_micros(15_007), false));
 }

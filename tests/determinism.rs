@@ -251,68 +251,53 @@ fn failover_sweep_is_thread_count_invariant() {
     }
 }
 
-// ---- intra-config parallel stepping ------------------------------------
+// ---- reruns of one config ----------------------------------------------
 //
-// The sweeps above parallelise across independent runs. The phased
-// engines also parallelise *within* one run: nodes step concurrently
-// between virtual-time barriers, and cross-node effects commit at each
-// barrier in fixed node order. The host worker count must never reach
-// simulated state — 1, 2 and 4 workers have to agree bit-for-bit,
-// traces and fault schedules included.
+// Two fresh runs in one process: every std `HashMap` draws its own
+// random key, so a host-order dependence anywhere in the stepped lanes
+// shows up as a diverging rerun.
 
-fn sharing_with_workers(system: SharingSystem, threads: usize) -> SharingResult {
+fn sharing_run(system: SharingSystem) -> SharingResult {
     let mut c = SharingConfig::standard(system, 4);
     c.layout.rows_per_group = 1_000;
     c.duration = SimTime::from_millis(20);
-    c.host_threads = threads;
     let layout = c.layout;
     run_sharing(&c, point_update_gen(layout, 40))
 }
 
 #[test]
-fn sharing_intra_config_is_worker_count_invariant() {
+fn sharing_intra_config_reruns_bit_identically() {
     for system in [
         SharingSystem::Cxl,
         SharingSystem::Cxl3Hw,
         SharingSystem::Rdma { lbp_fraction: 0.3 },
     ] {
-        let one = sharing_with_workers(system, 1);
-        for workers in [2usize, 4] {
-            assert_eq!(
-                one,
-                sharing_with_workers(system, workers),
-                "{system:?}: {workers} workers diverged from serial"
-            );
-        }
+        assert_eq!(
+            sharing_run(system),
+            sharing_run(system),
+            "{system:?}: rerun diverged"
+        );
     }
 }
 
 #[test]
-fn eviction_policies_are_worker_count_invariant() {
+fn eviction_policies_reruns_bit_identically() {
     // The pluggable eviction policies (LRU / CLOCK / 2Q) live inside
-    // each node's local pool, which steps on whichever host worker
-    // drives the node — so a policy with any host-order dependence
-    // (iteration over a hash map, a tiebreak on wall time) would
-    // diverge here. Every policy must be worker-count invariant.
-    let run = |policy: PolicyKind, threads: usize| {
+    // each node's local pool, so a policy with any host-order dependence
+    // (iteration over a hash map, a tiebreak on wall time) would diverge
+    // here.
+    let run = |policy: PolicyKind| {
         let mut c = SharingConfig::standard(SharingSystem::Rdma { lbp_fraction: 0.3 }, 4);
         c.layout.rows_per_group = 1_000;
         c.duration = SimTime::from_millis(20);
-        c.host_threads = threads;
         c.policy = policy;
         let layout = c.layout;
         run_sharing(&c, point_update_gen(layout, 40))
     };
     let mut baselines = Vec::new();
     for policy in PolicyKind::ALL {
-        let one = run(policy, 1);
-        for workers in [2usize, 4] {
-            assert_eq!(
-                one,
-                run(policy, workers),
-                "{policy:?}: {workers} workers diverged from serial"
-            );
-        }
+        let one = run(policy);
+        assert_eq!(one, run(policy), "{policy:?}: rerun diverged");
         baselines.push(one);
     }
     // And the knob is alive: the three policies are different algorithms
@@ -324,16 +309,16 @@ fn eviction_policies_are_worker_count_invariant() {
 }
 
 #[test]
-fn sharing_traces_are_worker_count_invariant() {
-    // Spans recorded on worker threads re-land on the driver in node
-    // order at the merge, so the trace stream (and the attribution it
+fn sharing_traces_reruns_bit_identically() {
+    // Each lane's spans re-land on the calling thread in lane order at
+    // the end of the run, so the trace stream (and the attribution it
     // sums to) is itself part of the determinism contract.
     use polardb_cxl_repro::simkit::trace;
-    let capture = |threads: usize| {
+    let capture = || {
         trace::reset();
         trace::enable_spans(true);
         trace::enable_attribution(true);
-        let r = sharing_with_workers(SharingSystem::Cxl, threads);
+        let r = sharing_run(SharingSystem::Cxl);
         trace::enable_spans(false);
         trace::enable_attribution(false);
         let attr = trace::attr_snapshot();
@@ -341,23 +326,23 @@ fn sharing_traces_are_worker_count_invariant() {
         trace::reset();
         (r, attr, events)
     };
-    let (r1, a1, e1) = capture(1);
-    let (r4, a4, e4) = capture(4);
-    assert_eq!(r1, r4, "tracing + parallel stepping changed results");
-    assert_eq!(a1, a4, "attribution diverged across worker counts");
+    let (r1, a1, e1) = capture();
+    let (r2, a2, e2) = capture();
+    assert_eq!(r1, r2, "tracing changed results on a rerun");
+    assert_eq!(a1, a2, "attribution diverged on a rerun");
     assert!(!e1.is_empty(), "traced run recorded no spans");
-    assert_eq!(e1, e4, "span streams diverged across worker counts");
+    assert_eq!(e1, e2, "span streams diverged on a rerun");
 }
 
 #[test]
-fn overload_intra_config_is_worker_count_invariant() {
+fn overload_intra_config_reruns_bit_identically() {
     // The overload harness adds three host-side actors that could each
     // leak host order into simulated state: per-lane admission buckets,
     // per-lane circuit breakers, and the serial brownout controller at
     // quantum barriers. Every QoS decision must be a function of virtual
     // time and per-node state only — with QoS on, with it off, and with
     // a link flap driving the breaker through trip/half-open/close.
-    let run = |qos: bool, flap: bool, threads: usize| {
+    let run = |qos: bool, flap: bool| {
         let mut c = OverloadConfig::smoke(3);
         c.qos = qos;
         if flap {
@@ -368,31 +353,21 @@ fn overload_intra_config_is_worker_count_invariant() {
                 retry_ns: 100_000,
             });
         }
-        c.host_threads = threads;
         run_overload(&c)
     };
     for (qos, flap) in [(true, false), (false, false), (true, true)] {
-        let one = run(qos, flap, 1);
-        for workers in [2usize, 4] {
-            let p = run(qos, flap, workers);
-            assert_eq!(
-                one.per_tenant, p.per_tenant,
-                "qos={qos} flap={flap} {workers} workers: per-tenant outcomes"
-            );
-            assert_eq!(
-                one.registry, p.registry,
-                "qos={qos} flap={flap} {workers} workers: registry"
-            );
-            assert_eq!(
-                one, p,
-                "qos={qos} flap={flap} {workers} workers diverged from serial"
-            );
-        }
+        let (one, p) = (run(qos, flap), run(qos, flap));
+        assert_eq!(
+            one.per_tenant, p.per_tenant,
+            "qos={qos} flap={flap}: per-tenant outcomes"
+        );
+        assert_eq!(one.registry, p.registry, "qos={qos} flap={flap}: registry");
+        assert_eq!(one, p, "qos={qos} flap={flap}: rerun diverged");
     }
 }
 
 #[test]
-fn elasticity_intra_config_is_worker_count_invariant() {
+fn elasticity_intra_config_reruns_bit_identically() {
     // Live migration adds the sharpest host-order hazards yet: the
     // controller's pressure streaks are folded from per-lane counters at
     // barriers, the coordinator's PREPARE/COMMIT mutate the shared
@@ -400,77 +375,55 @@ fn elasticity_intra_config_is_worker_count_invariant() {
     // per-lane statements. Every one of those must be a function of
     // virtual time and node state only — adaptive and static, and with
     // the protected window under a heavy write mix.
-    let run = |adaptive: bool, write_pct: u32, threads: usize| {
+    let run = |adaptive: bool, write_pct: u32| {
         let mut c = ElasticityConfig::smoke();
         c.adaptive = adaptive;
         c.write_pct = write_pct;
-        c.host_threads = threads;
         run_elasticity(&c)
     };
     for (adaptive, write_pct) in [(true, 20), (false, 20), (true, 50)] {
-        let one = run(adaptive, write_pct, 1);
-        for workers in [2usize, 4] {
-            let p = run(adaptive, write_pct, workers);
-            assert_eq!(
-                one.per_tenant, p.per_tenant,
-                "adaptive={adaptive} wr={write_pct} {workers} workers: per-tenant outcomes"
-            );
-            assert_eq!(
-                one.final_owners, p.final_owners,
-                "adaptive={adaptive} wr={write_pct} {workers} workers: extent owners"
-            );
-            assert_eq!(
-                one.registry, p.registry,
-                "adaptive={adaptive} wr={write_pct} {workers} workers: registry"
-            );
-            assert_eq!(
-                one, p,
-                "adaptive={adaptive} wr={write_pct} {workers} workers diverged from serial"
-            );
-        }
+        let (one, p) = (run(adaptive, write_pct), run(adaptive, write_pct));
+        assert_eq!(
+            one.per_tenant, p.per_tenant,
+            "adaptive={adaptive} wr={write_pct}: per-tenant outcomes"
+        );
+        assert_eq!(
+            one.final_owners, p.final_owners,
+            "adaptive={adaptive} wr={write_pct}: extent owners"
+        );
+        assert_eq!(
+            one.registry, p.registry,
+            "adaptive={adaptive} wr={write_pct}: registry"
+        );
+        assert_eq!(one, p, "adaptive={adaptive} wr={write_pct}: rerun diverged");
     }
 }
 
 #[test]
-fn failover_intra_config_is_worker_count_invariant() {
-    // Failover folds the fault engine into the phased run: each node's
-    // fault state steps on whichever worker drives the node, so the
-    // fault schedule is the sharpest place for a worker-count leak to
-    // show up. It must not.
-    let run = |threads: usize| {
+fn failover_intra_config_reruns_bit_identically() {
+    // Failover folds the fault engine into the stepped run: each lane's
+    // fault state counts only that lane's polls, so the fault schedule
+    // is the sharpest place for a host-order leak to show up.
+    let run = || {
         let mut c = FailoverConfig::smoke(3);
         c.seed = 11;
         c.fault_seed = 7;
-        c.host_threads = threads;
         run_failover(&c)
     };
-    let one = run(1);
-    for workers in [2usize, 4] {
-        let p = run(workers);
-        assert_eq!(one.queries, p.queries, "{workers} workers: queries");
-        assert_eq!(
-            one.queries_per_node, p.queries_per_node,
-            "{workers} workers: per-node queries"
-        );
-        assert_eq!(
-            one.per_node_timeline, p.per_node_timeline,
-            "{workers} workers: timelines"
-        );
-        assert_eq!(one.takeover, p.takeover, "{workers} workers: takeover");
-        assert_eq!(
-            one.fault_stats, p.fault_stats,
-            "{workers} workers: fault schedule"
-        );
-        assert_eq!(one.fusion, p.fusion, "{workers} workers: fusion stats");
-        assert_eq!(
-            one.max_survivor_gap_ns, p.max_survivor_gap_ns,
-            "{workers} workers: survivor gap"
-        );
-        assert_eq!(one.registry, p.registry, "{workers} workers: registry");
-        // The telemetry report — every window row, health glyph and
-        // alert timestamp — is part of the bit-identical contract:
-        // windows close at virtual-time barriers, not host-thread
-        // boundaries.
-        assert_eq!(one.telemetry, p.telemetry, "{workers} workers: telemetry");
-    }
+    let (one, p) = (run(), run());
+    assert_eq!(one.queries, p.queries, "queries");
+    assert_eq!(one.queries_per_node, p.queries_per_node, "per-node queries");
+    assert_eq!(one.per_node_timeline, p.per_node_timeline, "timelines");
+    assert_eq!(one.takeover, p.takeover, "takeover");
+    assert_eq!(one.fault_stats, p.fault_stats, "fault schedule");
+    assert_eq!(one.fusion, p.fusion, "fusion stats");
+    assert_eq!(
+        one.max_survivor_gap_ns, p.max_survivor_gap_ns,
+        "survivor gap"
+    );
+    assert_eq!(one.registry, p.registry, "registry");
+    // The telemetry report — every window row, health glyph and alert
+    // timestamp — is part of the bit-identical contract: windows close
+    // at virtual-time barriers.
+    assert_eq!(one.telemetry, p.telemetry, "telemetry");
 }

@@ -79,7 +79,6 @@ fn sharing_cfg(system: SharingSystem) -> SharingConfig {
     c.duration = SimTime::from_millis(30);
     c.workers_per_node = 4;
     c.telemetry_window = SimTime::from_millis(2);
-    c.host_threads = 2;
     c
 }
 
@@ -151,7 +150,6 @@ fn sharing_rdma_matches_golden() {
 fn failover_cfg(death: DeathMode) -> FailoverConfig {
     let mut c = FailoverConfig::smoke(3);
     c.death = death;
-    c.host_threads = 2;
     c
 }
 
@@ -271,7 +269,6 @@ fn overload_qos_with_link_flap_matches_golden() {
         down_ns: 4_000_000,
         retry_ns: 100_000,
     });
-    c.host_threads = 2;
     check(
         "overload_qos_flap",
         OVERLOAD_QOS_FLAP,
@@ -316,7 +313,6 @@ lanes cpu=198227000 cxl_link=8480717 switch=0 rdma_nic=0 cache_hit=11288 dram=0 
 fn elasticity_adaptive_matches_golden() {
     let mut c = ElasticityConfig::smoke();
     c.adaptive = true;
-    c.host_threads = 2;
     check(
         "elasticity_adaptive",
         ELASTICITY_ADAPTIVE,

@@ -7,12 +7,15 @@
 //! the ledger's `pool_point` workload, Figure 9's bandwidth ratio is its
 //! `pool_rw_spill` one. Orderings and knees are held exactly, each
 //! magnitude inside a stated band of |ln(ours / paper)|, or of
-//! |ln(ours / today)| where the two are still far apart.
+//! |ln(ours / today)| where the two are still far apart. Figure 10: the
+//! recovery-time orderings from `run_recovery` through the
+//! `fig10_recovery` bench's sweep, on the ledger's `recover` cells.
 //! `cargo test --test paper_shapes -- --nocapture` prints the rows
 //! EXPERIMENTS.md quotes.
 
-use bench::{pooling_sweep, table1_latencies, table2_transfers, TransferRow};
+use bench::{pooling_sweep, recovery_sweep, table1_latencies, table2_transfers, TransferRow};
 use simkit::SimTime;
+use workloads::recovery_harness::Scheme;
 use workloads::{PoolingConfig, RunMetrics, SysbenchKind};
 
 fn ln_ratio(ours: f64, paper: f64) -> f64 {
@@ -318,4 +321,64 @@ fn figure9_read_write_keeps_its_knee_and_bandwidth_ratio() {
         "{bw}"
     );
     sweep.assert_cxl_ahead_from(knee);
+}
+
+/// Figure 10 of the paper, recovery seconds: write-only vanilla 173,
+/// RDMA-based 73, PolarRecv 15; read-write vanilla 110, RDMA-based 33.
+const FIG10_PAPER: [(&str, f64); 3] = [
+    ("vanilla_over_polar_wo", 173.0 / 15.0),
+    ("rdma_over_polar_wo", 73.0 / 15.0),
+    ("vanilla_over_rdma_rw", 110.0 / 33.0),
+];
+
+/// Ours, held where they stand until item 1(b)(i) fits recovery scale:
+/// on these cells 75.34 / 9.52 / 10.07 (the ledger's full-size `recover`
+/// reads 95.5 / 25.7 / 6.76). The orderings hold from 250 rows up, but
+/// the ratios move with scale (73.9 / 10.4 / 11.7 at 1 000 rows), so the
+/// test runs the cells `benchmark run --workload recover --quick` runs,
+/// whose shapes are these three values, in ≈ 1 s unoptimised.
+const FIG10_OURS: [f64; 3] = [75.34, 9.52, 10.07];
+const BAND_FIG10: f64 = 0.02;
+
+/// Figure 10 on the ledger's `recover` cells as `--quick` sizes them:
+/// 7 500 rows, 48 workers, a crash at 10 ms of a 20 ms run, seed 42.
+#[test]
+fn figure10_recovery_keeps_its_ordering() {
+    let kinds = [SysbenchKind::WriteOnly, SysbenchKind::ReadWrite];
+    let schemes = [Scheme::Vanilla, Scheme::RdmaBased, Scheme::PolarRecv];
+    let runs = recovery_sweep(&kinds, &schemes, |cfg| {
+        cfg.table_size = 7_500;
+        cfg.duration = SimTime::from_millis(20);
+        cfg.crash_at = SimTime::from_millis(10);
+        cfg.seed = 42;
+    });
+    let [wo, rw] = [0, 1].map(|k| runs[k].iter().map(|r| r.recovery_secs).collect::<Vec<_>>());
+    println!("| workload | vanilla | rdma-based | polarrecv |");
+    println!("|---|---|---|---|");
+    for (name, secs) in [("write-only", &wo), ("read-write", &rw)] {
+        let ms: Vec<String> = secs.iter().map(|s| format!("{:.3} ms", s * 1e3)).collect();
+        println!("| {name} recovery | {} |", ms.join(" | "));
+    }
+    assert!(
+        wo[0] > wo[1] && wo[1] > wo[2],
+        "write-only: vanilla > RDMA-based > PolarRecv must hold: {wo:?}"
+    );
+    assert!(
+        rw[0] > rw[1],
+        "read-write: vanilla > RDMA-based must hold: {rw:?}"
+    );
+    let ours = [wo[0] / wo[2], wo[1] / wo[2], rw[0] / rw[1]];
+    print_header();
+    for ((name, paper), ours) in FIG10_PAPER.iter().zip(ours) {
+        println!(
+            "| `{name}` | {paper:.2} | {ours:.2} | {:.3} |",
+            ln_ratio(ours, *paper)
+        );
+    }
+    for ((name, _), (ours, today)) in FIG10_PAPER.iter().zip(ours.iter().zip(FIG10_OURS)) {
+        assert!(
+            ln_ratio(*ours, today) <= BAND_FIG10,
+            "{name}: {ours} outside {BAND_FIG10} of {today}"
+        );
+    }
 }
