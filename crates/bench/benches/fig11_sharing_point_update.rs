@@ -2,8 +2,10 @@
 //! 8-node cluster — throughput, improvement over RDMA, and latency as
 //! the shared-data percentage sweeps 0–100 %.
 
-use bench::{banner, footer, improvement_pct, kqps};
-use workloads::sharing::{point_update_gen, run_sharing, SharingConfig, SharingSystem};
+use bench::{banner, footer, improvement_pct, kqps, sharing_sweep};
+use workloads::SysbenchKind;
+
+const SHARED: [u32; 6] = [0, 20, 40, 60, 80, 100];
 
 fn main() {
     banner(
@@ -15,19 +17,16 @@ fn main() {
         "{:>7} | {:>12} {:>12} {:>8} | {:>12} {:>12}",
         "shared", "RDMA K-QPS", "CXL K-QPS", "improve", "RDMA lat us", "CXL lat us"
     );
-    for &pct in &[0u32, 20, 40, 60, 80, 100] {
-        let rcfg = SharingConfig::standard(SharingSystem::Rdma { lbp_fraction: 0.3 }, 8);
-        let ccfg = SharingConfig::standard(SharingSystem::Cxl, 8);
-        let r = run_sharing(&rcfg, point_update_gen(rcfg.layout, pct));
-        let c = run_sharing(&ccfg, point_update_gen(ccfg.layout, pct));
+    let sweep = sharing_sweep(&[8], &SHARED, SysbenchKind::PointUpdate, |_| {});
+    for ([r, c], pct) in sweep.iter().zip(SHARED) {
         println!(
             "{:>6}% | {:>12} {:>12} {:>7.0}% | {:>12.1} {:>12.1}",
             pct,
-            kqps(r.metrics.qps),
-            kqps(c.metrics.qps),
-            improvement_pct(c.metrics.qps, r.metrics.qps),
-            r.metrics.avg_latency_us,
-            c.metrics.avg_latency_us
+            kqps(r.qps),
+            kqps(c.qps),
+            improvement_pct(c.qps, r.qps),
+            r.avg_latency_us,
+            c.avg_latency_us
         );
     }
     footer("RDMA flushes whole pages inside the lock hold; CXL flushes only modified lines and stores a flag");

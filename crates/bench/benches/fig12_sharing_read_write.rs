@@ -1,23 +1,11 @@
 //! Figure 12: sharing under sysbench read-write on 8- and 12-node
 //! clusters, 20–100 % shared data.
 
-use bench::{banner, footer, improvement_pct, kqps, run_sweep};
-use workloads::sharing::{
-    read_write_gen, run_sharing, SharingConfig, SharingResult, SharingSystem,
-};
+use bench::{banner, footer, improvement_pct, kqps, sharing_sweep};
+use workloads::SysbenchKind;
 
 const NODES: [usize; 2] = [8, 12];
 const SHARED: [u32; 5] = [20, 40, 60, 80, 100];
-
-fn run_point(&(nodes, pct, cxl): &(usize, u32, bool)) -> SharingResult {
-    let system = if cxl {
-        SharingSystem::Cxl
-    } else {
-        SharingSystem::Rdma { lbp_fraction: 0.3 }
-    };
-    let cfg = SharingConfig::standard(system, nodes);
-    run_sharing(&cfg, read_write_gen(cfg.layout, pct))
-}
 
 fn main() {
     banner(
@@ -25,23 +13,14 @@ fn main() {
         "Sharing: read-write, 8 and 12 nodes",
         "peak improvement +68.2% (8 nodes) and +154.4% (12 nodes) at 60% shared; +34%/+126% even at 100%",
     );
-    let configs: Vec<(usize, u32, bool)> = NODES
-        .iter()
-        .flat_map(|&nodes| {
-            SHARED
-                .iter()
-                .flat_map(move |&pct| [(nodes, pct, false), (nodes, pct, true)])
-        })
-        .collect();
-    let results = run_sweep(&configs, run_point);
-    for (series, &nodes) in results.chunks(2 * SHARED.len()).zip(NODES.iter()) {
+    let sweep = sharing_sweep(&NODES, &SHARED, SysbenchKind::ReadWrite, |_| {});
+    for (series, nodes) in sweep.chunks(SHARED.len()).zip(NODES) {
         println!("[{nodes} nodes]");
         println!(
             "{:>7} | {:>12} {:>12} {:>8}",
             "shared", "RDMA K-QPS", "CXL K-QPS", "improve"
         );
-        for (pair, &pct) in series.chunks(2).zip(SHARED.iter()) {
-            let (r, c) = (&pair[0].metrics, &pair[1].metrics);
+        for ([r, c], pct) in series.iter().zip(SHARED) {
             println!(
                 "{:>6}% | {:>12} {:>12} {:>7.0}%",
                 pct,

@@ -13,7 +13,10 @@ pub use sweep::{host_threads, run_sweep, run_sweep_threads};
 use memsim::{CxlNodeConfig, CxlPool, DramSpace, NodeId, RdmaPool};
 use simkit::SimTime;
 use workloads::recovery_harness::{run_recovery, RecoveryConfig, RecoveryRunResult, Scheme};
-use workloads::{run_pooling, PoolKind, PoolingConfig, RunMetrics, SysbenchKind};
+use workloads::sharing::{point_update_gen, read_write_gen, run_sharing};
+use workloads::{
+    run_pooling, PoolKind, PoolingConfig, RunMetrics, SharingConfig, SharingSystem, SysbenchKind,
+};
 
 /// Print a figure/table banner.
 pub fn banner(id: &str, title: &str, paper_summary: &str) {
@@ -119,6 +122,36 @@ pub fn recovery_sweep(
     run_sweep(&configs, run_recovery)
         .chunks(schemes.len())
         .map(<[RecoveryRunResult]>::to_vec)
+        .collect()
+}
+
+/// Figures 11–12's sweep: at each node count of `nodes` and shared
+/// percentage of `pcts`, the RDMA (30 % LBP) and the PolarCXLMem run of
+/// `mix` — `PointUpdate` or `ReadWrite` — on [`SharingConfig::standard`]
+/// as `adjust` leaves it: one `[rdma, cxl]` pair per point, nodes outer.
+pub fn sharing_sweep(
+    nodes: &[usize],
+    pcts: &[u32],
+    mix: SysbenchKind,
+    adjust: impl Fn(&mut SharingConfig),
+) -> Vec<[RunMetrics; 2]> {
+    let rdma = SharingSystem::Rdma { lbp_fraction: 0.3 };
+    let mut configs = Vec::new();
+    for (&n, &pct) in nodes.iter().flat_map(|n| pcts.iter().map(move |p| (n, p))) {
+        for system in [rdma, SharingSystem::Cxl] {
+            let mut cfg = SharingConfig::standard(system, n);
+            adjust(&mut cfg);
+            configs.push((cfg, pct));
+        }
+    }
+    let run = |(cfg, pct): &(SharingConfig, u32)| match mix {
+        SysbenchKind::PointUpdate => run_sharing(cfg, point_update_gen(cfg.layout, *pct)),
+        SysbenchKind::ReadWrite => run_sharing(cfg, read_write_gen(cfg.layout, *pct)),
+        other => panic!("no sharing generator for {other:?}"),
+    };
+    run_sweep(&configs, run)
+        .chunks(2)
+        .map(|pair| [pair[0].metrics.clone(), pair[1].metrics.clone()])
         .collect()
 }
 

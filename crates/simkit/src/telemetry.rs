@@ -20,8 +20,7 @@
 //!   ([`Health`]), and the alert engine steps every [`SloRule`].
 //!   Because windows only close at barriers — and the worker-set
 //!   guarantees no in-flight operation can end before the barrier it
-//!   overshot — the whole pipeline is bit-identical across host worker
-//!   counts.
+//!   overshot — the whole pipeline reruns bit-identically.
 //! - [`TelemetryReport`] — the exported result: all rows, the alert
 //!   fire/clear log, an ASCII per-node health timeline and a JSON ops
 //!   report, plus MTTD helpers for scoring detection against

@@ -11,9 +11,9 @@
 //!   RNG streams, probe, scenario state and the two locked statements);
 //! * a **barrier hook**, run serially on the driver thread after every
 //!   barrier with the whole [`Cluster`] back in hand (server, nodes,
-//!   lock table, hub, per-lane state) — failover's detect/fence/
-//!   takeover, overload's brownout controller and elasticity's
-//!   PREPARE/COMMIT live there.
+//!   lock table, hub, per-lane state) — the control planes of
+//!   [`crate::control`] (failover's supervisor, elasticity's rebalancer)
+//!   and overload's brownout controller run there.
 //!
 //! One quantum, in fixed order: for each active lane, ascending, on the
 //! calling thread — make its lock shard → swap its tracer and fault

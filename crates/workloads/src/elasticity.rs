@@ -9,41 +9,31 @@
 //! resident read/write); a statement on a foreign extent is served
 //! storage-direct — the tens-of-microseconds path that blows the tail.
 //!
-//! With `adaptive` on, an [`ElasticController`] watches per-tenant miss
-//! pressure at quantum barriers (the `miss_burn` telemetry rule while
-//! the window is on, a remote-share threshold either way) and re-partitions
-//! live: each plan runs the two-phase lease migration of
-//! [`MigrationCoordinator`] — PREPARE (journal + write-protect + flush)
-//! at one barrier, COMMIT (reassign + hand-off + bulk adopt + retire)
-//! at the next, so there is a real write-protected window with both
-//! tenants serving traffic through it. With `adaptive` off the
-//! partition is static and the growing tenant thrashes on storage for
-//! the whole second half.
+//! With `adaptive` on, the barrier hook runs a [`Rebalancer`]: its
+//! controller watches per-tenant miss pressure (the `miss_burn`
+//! telemetry rule while the window is on, a remote-share threshold either
+//! way) and each plan runs the two-phase lease migration — PREPARE
+//! (journal + write-protect + flush) at one barrier, COMMIT (reassign +
+//! hand-off + bulk adopt + retire) at the next, with both tenants serving
+//! through the write-protected window. With `adaptive` off the partition
+//! is static and the growing tenant thrashes on storage for the whole
+//! second half.
 //!
 //! Everything is a function of virtual time, per-node state and lane
 //! order, so a rerun is bit-identical.
 
 use crate::cluster::{Cluster, FusionCluster};
+use crate::control::{Partition, Rebalancer};
 use crate::sharing::GroupLayout;
 use memsim::calib::{
-    CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, CPU_WRITE_STMT_NS, PAGE_SIZE, STORAGE_READ_NS,
-    STORAGE_WRITE_NS,
+    CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, CPU_WRITE_REFUSE_NS, CPU_WRITE_STMT_NS,
+    STORAGE_READ_NS, STORAGE_WRITE_NS,
 };
-use memsim::NodeId;
 use polarcxlmem::fusion::CoherencyMode;
-use polarcxlmem::{
-    CxlMemoryManager, ElasticConfig, ElasticController, ElasticStats, FusionStats,
-    MigrationCoordinator, MigrationPlan, MigrationRequest,
-};
+use polarcxlmem::{ElasticConfig, ElasticStats, FusionStats};
 use simkit::faults::FaultState;
 use simkit::telemetry::{Metric, SloRule, TelemetryConfig, TelemetryReport};
 use simkit::{Histogram, MetricsRegistry, SimTime, Step};
-use storage::PageId;
-
-/// CPU charged to refuse a write into the write-protected (migrating)
-/// range: the donor returns a retryable error without touching locks
-/// or the fabric. Same cost as the brownout write refusal.
-pub const PROTECTED_WRITE_NS: u64 = 5_000;
 
 /// Number of tenants in the diurnal scenario (the shift is two-sided).
 pub const ELASTIC_TENANTS: usize = 2;
@@ -65,10 +55,6 @@ pub const SLO_P99_NS: u64 = 420_000;
 
 /// Miss-rate SLO for the `miss_burn` burn-rate rule (misses/op).
 pub const MISS_BURN_SLO: f64 = 0.2;
-
-/// Fallback pressure threshold: percent of a tenant's statements in the
-/// last quantum that went storage-direct.
-pub const PRESSURE_PCT: u64 = 20;
 
 /// Controller knobs (hysteresis, cooldown, shrink floor).
 pub const ELASTIC: ElasticConfig = ElasticConfig {
@@ -125,7 +111,7 @@ impl ElasticityConfig {
 }
 
 /// Per-tenant outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ElasticTenantOutcome {
     /// Tenant id (= node id).
     pub tenant: usize,
@@ -174,26 +160,14 @@ pub struct ElasticityResult {
     pub telemetry: Option<TelemetryReport>,
 }
 
-/// What a tenant's lane accumulates, plus its view of the partition —
-/// refreshed by the barrier hook, read-only inside a phase.
+/// What a tenant's lane accumulates — its outcome's counters and two
+/// latency histograms — plus its view of the partition.
 #[derive(Default)]
 struct Tenant {
+    out: ElasticTenantOutcome,
     hist: Histogram,
     settled: Histogram,
-    queries: u64,
-    txns: u64,
-    remote_reads: u64,
-    remote_writes: u64,
-    protected_writes: u64,
-    /// Per-extent storage-direct statements this quantum (controller
-    /// food; reset at each barrier).
-    remote: Vec<u64>,
-    /// Statements this quantum.
-    q_ops: u64,
-    /// Extent → owning tenant.
-    owners: Vec<usize>,
-    /// The write-protected (migrating) page range, if any.
-    protected: Option<(PageId, u64)>,
+    part: Partition,
 }
 
 fn elasticity_tcfg(cfg: &ElasticityConfig) -> TelemetryConfig {
@@ -210,16 +184,12 @@ fn elasticity_tcfg(cfg: &ElasticityConfig) -> TelemetryConfig {
 /// fronts the first 3/4 of the row space in the first half of the run
 /// and shrinks to the first 1/4 in the second; tenant 1 mirrors it.
 fn demand_range(cfg: &ElasticityConfig, tenant: usize, now: SimTime) -> std::ops::Range<usize> {
-    let e = EXTENTS;
-    let hot = (e * 3) / 4;
-    let cold = e / 4;
     let evening = now.as_nanos() >= cfg.duration.as_nanos() / 2;
-    match (tenant, evening) {
-        (0, false) => 0..hot,
-        (1, false) => hot..e,
-        (0, true) => 0..cold,
-        (1, true) => cold..e,
-        _ => 0..e,
+    let cut = EXTENTS * if evening { 1 } else { 3 } / 4;
+    if tenant == 0 {
+        0..cut
+    } else {
+        cut..EXTENTS
     }
 }
 
@@ -230,39 +200,21 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
         groups: EXTENTS,
         rows_per_group: cfg.rows_per_group,
     };
-    let ext_pages = layout.pages_per_group();
-    let ext_bytes = ext_pages * PAGE_SIZE;
-    let total_pages = layout.total_pages();
-    // The migration journal sits behind the DBP slots and flag arrays.
-    let journal_base = total_pages * (PAGE_SIZE + 16 * n as u64);
     let (mut fusion, mut nodes) =
         FusionCluster::with_nodes(&layout, n, CoherencyMode::SoftwareLines);
     // Initial partition matches first-half demand: tenant 0 owns the
     // first 3/4 of the extents, tenant 1 the rest. One manager lease
     // per extent over the page-address space, so every extent is an
-    // independently migratable unit.
-    let hot = (EXTENTS * 3) / 4;
-    let initial_owner = |e: usize| -> usize { usize::from(e >= hot) };
-    let mut mgr = CxlMemoryManager::new(total_pages * PAGE_SIZE);
-    for e in 0..EXTENTS {
-        let (lease, _) = mgr
-            .allocate(NodeId(initial_owner(e)), ext_bytes, SimTime::ZERO)
-            .expect("pool sized for every extent");
-        debug_assert_eq!(lease.offset, e as u64 * ext_bytes);
-    }
-    // Each tenant resolves every page of its extents.
-    for e in 0..EXTENTS {
-        let pages = layout.group_pages(e).map(PageId);
-        fusion.warm(&mut nodes[initial_owner(e)], pages, SimTime::ZERO);
-    }
+    // independently migratable unit, resolved on its owner.
+    let owners = (0..EXTENTS)
+        .map(|e| usize::from(e >= EXTENTS * 3 / 4))
+        .collect();
+    let mut reb = Rebalancer::new(&mut fusion, &mut nodes, layout, owners, n, ELASTIC);
 
     let settle_from = SimTime(cfg.duration.as_nanos() * 2 / 3);
-    let mut coord = MigrationCoordinator::new(NodeId(n), journal_base);
-    let mut ctl = ElasticController::new((0..EXTENTS).map(initial_owner).collect(), n, ELASTIC);
     let tenants = (0..n)
         .map(|_| Tenant {
-            remote: vec![0; EXTENTS],
-            owners: ctl.owners().to_vec(),
+            part: reb.partition(),
             ..Tenant::default()
         })
         .collect();
@@ -276,8 +228,6 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
     }
 
     let payload = [0xE7u8; 96];
-    let mut inflight: Option<MigrationRequest> = None;
-    let mut migrations = 0u64;
     let telemetry_report = cluster.run(
         cfg.duration,
         QUANTUM,
@@ -287,7 +237,7 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
             let span = (demand.end - demand.start) as u64;
             let mut t = start + CPU_TXN_OVERHEAD_NS;
             for _ in 0..4 {
-                let (rng, owners) = (&mut ctx.rngs[w], &ctx.ext.owners);
+                let (rng, owners) = (&mut ctx.rngs[w], &ctx.ext.part.owners);
                 let background = rng.gen_range(0..100) < cfg.background_pct as u64;
                 let e = if background {
                     // Residual trickle: a uniform pick over the
@@ -305,15 +255,14 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
                 let (page, off) = layout.locate(e, row);
                 let is_write = rng.gen_range(0..100) < cfg.write_pct as u64;
                 let owned = owners[e] == i;
-                let in_protected = (ctx.ext.protected)
-                    .is_some_and(|(from, count)| page.0 >= from.0 && page.0 < from.0 + count);
+                let in_protected = ctx.ext.part.protects(page);
                 let s0 = t;
                 if owned && is_write && in_protected {
                     // The migrating range is write-protected on the
                     // donor: refuse fast, client retries after the
                     // hand-off. Reads below keep flowing.
-                    t = ctx.cpu.acquire(t, PROTECTED_WRITE_NS).end;
-                    ctx.ext.protected_writes += 1;
+                    t = ctx.cpu.acquire(t, CPU_WRITE_REFUSE_NS).end;
+                    ctx.ext.out.protected_writes += 1;
                     ctx.probe.record_errs(0, t, 1);
                 } else if owned {
                     t = if is_write {
@@ -329,19 +278,19 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
                     // thrash the controller exists to remove.
                     if is_write {
                         t = ctx.cpu.acquire(t, CPU_WRITE_STMT_NS).end + STORAGE_WRITE_NS;
-                        ctx.ext.remote_writes += 1;
+                        ctx.ext.out.remote_writes += 1;
                     } else {
                         t = ctx.cpu.acquire(t, CPU_POINT_SELECT_NS).end + STORAGE_READ_NS;
-                        ctx.ext.remote_reads += 1;
+                        ctx.ext.out.remote_reads += 1;
                     }
-                    ctx.ext.remote[e] += 1;
+                    ctx.ext.part.remote[e] += 1;
                     ctx.probe.record_op(1, t, t.saturating_since(s0));
                     ctx.probe.record_misses(1, t, 1);
                 }
-                ctx.ext.queries += 1;
-                ctx.ext.q_ops += 1;
+                ctx.ext.out.queries += 1;
+                ctx.ext.part.q_ops += 1;
             }
-            ctx.ext.txns += 1;
+            ctx.ext.out.txns += 1;
             ctx.ext.hist.record(t - start);
             if start >= settle_from {
                 ctx.ext.settled.record(t - start);
@@ -349,135 +298,44 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
             Step::Done(t)
         },
         |cl, now| {
-            if !cfg.adaptive {
-                return;
-            }
-            // Controller food: per-tenant per-extent remote ops and totals
-            // for the quantum just ended, folded in node order.
-            let mut remote_window: Vec<Vec<u64>> = Vec::with_capacity(n);
-            let mut ops_window: Vec<u64> = Vec::with_capacity(n);
-            for lp in cl.exts.iter_mut() {
-                remote_window.push(std::mem::replace(&mut lp.remote, vec![0; EXTENTS]));
-                ops_window.push(std::mem::take(&mut lp.q_ops));
-            }
-            // Both migration phases run with every shard merged back.
-            if let Some(req) = inflight.take() {
-                // COMMIT barrier: the intent journalled last barrier
-                // goes through phase 2 while the lanes were serving
-                // through the write-protected window.
-                cl.merged(|cl| {
-                    let (lo, hi) = cl.nodes.split_at_mut(1);
-                    let (d, r) = match req.donor {
-                        0 => (&mut lo[0], &mut hi[0]),
-                        _ => (&mut hi[0], &mut lo[0]),
-                    };
-                    coord.commit(&mut cl.fabric.server, &mut mgr, d, r, now)
-                })
-                .expect("fault-free commit");
-                ctl.apply(req);
-                cl.refresh_dir();
-                migrations += 1;
-            } else {
-                // Pressure: the telemetry burn-rate rule while the
-                // window is on, OR the remote-share fallback
-                // (deterministic from folded counters either way).
-                let mut pressured = vec![false; n];
-                for (t, p) in pressured.iter_mut().enumerate() {
-                    let remote_total: u64 = remote_window[t].iter().sum();
-                    let share_hit = remote_total * 100 > ops_window[t] * PRESSURE_PCT;
-                    *p = share_hit || cl.hub.firing("miss_burn", t as u32);
-                }
-                if let Some(req) = ctl.tick(&pressured, &remote_window) {
-                    // PREPARE barrier: journal the intent and flush the
-                    // donor range; the next quantum runs with the range
-                    // write-protected on the donor.
-                    let plan = MigrationPlan {
-                        donor: NodeId(req.donor),
-                        recipient: NodeId(req.recipient),
-                        from: PageId(layout.group_pages(req.extent).start),
-                        count: ext_pages,
-                        lease: mgr
-                            .lease_at(req.extent as u64 * ext_bytes, ext_bytes)
-                            .expect("every extent keeps its lease"),
-                    };
-                    cl.merged(|cl| coord.prepare(&mut cl.fabric.server, plan, now))
-                        .expect("fault-free prepare");
-                    inflight = Some(req);
-                }
-            }
-            for lp in cl.exts.iter_mut() {
-                lp.owners.clone_from_slice(ctl.owners());
-                lp.protected = coord.protected();
+            if cfg.adaptive {
+                reb.observe(cl, |x| &mut x.part);
+                reb.step(cl, now, |x| &mut x.part);
             }
         },
     );
 
-    // Partition sanity: slot conservation, lease invariants, and the
-    // lease map agreeing with the controller's extent map.
-    let server = &cluster.fabric.server;
-    debug_assert_eq!(
-        server.pages_in_use() + server.free_slots(),
-        total_pages as usize,
-        "DBP slot conservation"
-    );
-    mgr.check_invariants();
-    for e in 0..EXTENTS {
-        let lease = mgr
-            .lease_at(e as u64 * ext_bytes, ext_bytes)
-            .expect("every extent keeps its lease");
-        assert_eq!(
-            lease.client,
-            NodeId(ctl.owner(e)),
-            "lease owner and controller map agree for extent {e}"
-        );
-    }
+    reb.audit(&cluster);
 
     // Fold lanes in node order: outcomes and aggregates.
-    let mut per_tenant = Vec::with_capacity(n);
-    let mut queries = 0u64;
-    let mut txns = 0u64;
-    for (i, lp) in cluster.exts.iter().enumerate() {
-        queries += lp.queries;
-        txns += lp.txns;
-        per_tenant.push(ElasticTenantOutcome {
-            tenant: i,
-            txns: lp.txns,
-            queries: lp.queries,
-            remote_reads: lp.remote_reads,
-            remote_writes: lp.remote_writes,
-            protected_writes: lp.protected_writes,
+    let per_tenant: Vec<ElasticTenantOutcome> = (cluster.exts.iter().enumerate())
+        .map(|(tenant, lp)| ElasticTenantOutcome {
+            tenant,
             p99_ns: lp.hist.quantile_ns(0.99),
             settled_p99_ns: lp.settled.quantile_ns(0.99),
             mean_ns: (lp.hist.mean_us() * 1_000.0).round() as u64,
-        });
-    }
-    let fusion = server.stats();
-    let elastic = coord.stats();
-    let final_owners = ctl.owners().to_vec();
+            ..lp.out.clone()
+        })
+        .collect();
+    let total = |count: fn(&ElasticTenantOutcome) -> u64| per_tenant.iter().map(count).sum();
+    let (queries, txns) = (total(|t| t.queries), total(|t| t.txns));
+    let fusion = cluster.fabric.server.stats();
+    let elastic = reb.coord.stats();
+    let final_owners = reb.ctl.owners().to_vec();
+    let migrations = reb.ctl.moves();
 
     let mut registry = MetricsRegistry::new();
     registry.set_int("elasticity_adaptive", cfg.adaptive as u64);
     registry.set_int("elasticity_queries", queries);
     registry.set_int("elasticity_txns", txns);
-    registry.set_num(
-        "elasticity_qps",
-        queries as f64 / cfg.duration.as_secs_f64(),
-    );
+    let qps = queries as f64 / cfg.duration.as_secs_f64();
+    registry.set_num("elasticity_qps", qps);
     registry.set_int("elasticity_migrations", migrations);
     registry.set_int("elasticity_rollbacks", elastic.rollbacks);
     registry.set_int("elasticity_pages_flushed", elastic.pages_flushed);
-    registry.set_int(
-        "elasticity_remote_reads",
-        per_tenant.iter().map(|t| t.remote_reads).sum(),
-    );
-    registry.set_int(
-        "elasticity_remote_writes",
-        per_tenant.iter().map(|t| t.remote_writes).sum(),
-    );
-    registry.set_int(
-        "elasticity_protected_writes",
-        per_tenant.iter().map(|t| t.protected_writes).sum(),
-    );
+    registry.set_int("elasticity_remote_reads", total(|t| t.remote_reads));
+    registry.set_int("elasticity_remote_writes", total(|t| t.remote_writes));
+    registry.set_int("elasticity_protected_writes", total(|t| t.protected_writes));
     for t in &per_tenant {
         registry.set_int(
             &format!("elasticity_t{}_settled_p99_ns", t.tenant),

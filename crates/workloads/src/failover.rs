@@ -5,9 +5,9 @@
 //! seeded fault plan kills one primary mid-run ([`Action::CrashNode`]).
 //! The cluster then plays the paper's availability story:
 //!
-//! 1. **Detection** — a supervisor declares the node dead one detection
-//!    window after the fault fires (you cannot distinguish dead from
-//!    slow, which is why fencing exists).
+//! 1. **Detection** — the [`Supervisor`] declares the node dead one
+//!    detection window after the fault fires (you cannot distinguish
+//!    dead from slow, which is why fencing exists).
 //! 2. **Fencing** — the fusion server bumps the node's epoch word in
 //!    CXL; any late guarded store/publish from its zombie incarnation
 //!    is rejected ([`polarcxlmem::FencedError`]).
@@ -28,6 +28,7 @@
 //! [`FailoverResult::assert_safety`].
 
 use crate::cluster::{Cluster, Fenced, FusionCluster};
+use crate::control::Supervisor;
 use crate::metrics::TimelinePoint;
 use crate::sharing::{seed_storage, GroupLayout};
 use memsim::calib::{CPU_TXN_OVERHEAD_NS, PAGE_SIZE};
@@ -84,12 +85,36 @@ pub enum LinkChaos {
 }
 
 impl LinkChaos {
-    /// The host this chaos strikes, if any.
-    pub fn host(&self) -> Option<u32> {
-        match *self {
-            LinkChaos::None => None,
-            LinkChaos::Degrade { host, .. } | LinkChaos::Flap { host, .. } => Some(host),
-        }
+    /// The host this chaos strikes and the fault it injects there, if any.
+    pub fn strike(self) -> Option<(u32, Action)> {
+        let (host, action) = match self {
+            LinkChaos::None => return None,
+            LinkChaos::Degrade {
+                host,
+                factor,
+                heal_ns,
+            } => (
+                host,
+                Action::LinkDegrade {
+                    host,
+                    factor,
+                    heal_ns,
+                },
+            ),
+            LinkChaos::Flap {
+                host,
+                down_ns,
+                retry_ns,
+            } => (
+                host,
+                Action::LinkFlap {
+                    host,
+                    down_ns,
+                    retry_ns,
+                },
+            ),
+        };
+        Some((host, action))
     }
 }
 
@@ -285,30 +310,17 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     let mut mgr = CxlMemoryManager::new(pool_size);
     let server_id = NodeId(n);
     let standby_id = NodeId(n + 1);
-    let (slots_lease, _) = mgr
-        .allocate(server_id, slots_bytes, SimTime::ZERO)
-        .expect("slot lease");
-    assert_eq!(slots_lease.offset, 0);
+    let mut lease = |owner, bytes| {
+        let leased = mgr.allocate(owner, bytes, SimTime::ZERO);
+        leased.expect("pool sized for every lease").0
+    };
+    assert_eq!(lease(server_id, slots_bytes).offset, 0, "slots first");
     // The spare flag array (index n) is held by the control plane until
     // takeover reassigns it to the standby.
-    let flag_leases: Vec<Lease> = (0..=n)
-        .map(|i| {
-            let owner = if i == n { server_id } else { NodeId(i) };
-            mgr.allocate(owner, flags_bytes, SimTime::ZERO)
-                .expect("flag lease")
-                .0
-        })
-        .collect();
-    let (epoch_lease, _) = mgr
-        .allocate(server_id, (n as u64 + 2) * 8, SimTime::ZERO)
-        .expect("epoch lease");
-    let scratch_leases: Vec<Lease> = (0..n)
-        .map(|i| {
-            mgr.allocate(NodeId(i), 4096, SimTime::ZERO)
-                .expect("scratch lease")
-                .0
-        })
-        .collect();
+    let flag_owner = |i| if i == n { server_id } else { NodeId(i) };
+    let flag_leases: Vec<Lease> = (0..=n).map(|i| lease(flag_owner(i), flags_bytes)).collect();
+    let epoch_lease = lease(server_id, (n as u64 + 2) * 8);
+    let scratch_leases: Vec<Lease> = (0..n).map(|i| lease(NodeId(i), 4096)).collect();
 
     // ---- Fabric, storage, fusion server, nodes ----------------------
     let mut fusion = FusionCluster::new(&layout, pool_size, n + 2, server_id);
@@ -352,38 +364,10 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         );
         // Link health is consulted by the afflicted host's own accesses,
         // so the chaos event rides that host's lane.
-        match cfg.link_chaos {
-            LinkChaos::None => {}
-            LinkChaos::Degrade {
-                host,
-                factor,
-                heal_ns,
-            } => {
-                let lane = (host as usize).min(n);
-                lane_plans[lane] = std::mem::take(&mut lane_plans[lane]).with(
-                    Trigger::At(crash_at),
-                    Action::LinkDegrade {
-                        host,
-                        factor,
-                        heal_ns,
-                    },
-                );
-            }
-            LinkChaos::Flap {
-                host,
-                down_ns,
-                retry_ns,
-            } => {
-                let lane = (host as usize).min(n);
-                lane_plans[lane] = std::mem::take(&mut lane_plans[lane]).with(
-                    Trigger::At(crash_at),
-                    Action::LinkFlap {
-                        host,
-                        down_ns,
-                        retry_ns,
-                    },
-                );
-            }
+        if let Some((host, action)) = cfg.link_chaos.strike() {
+            let lane = (host as usize).min(n);
+            let plan = std::mem::take(&mut lane_plans[lane]);
+            lane_plans[lane] = plan.with(Trigger::At(crash_at), action);
         }
     }
 
@@ -395,7 +379,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     let zombie_row = layout.locate(n, 0);
     model.insert(zombie_row, n as u8);
 
-    let mut death_declared: Option<SimTime> = None;
+    let mut sup = Supervisor::new(dead, cfg.detection, cfg.death);
     let mut takeover: Option<TakeoverSummary> = None;
     let mut zombie_due: Option<SimTime> = None;
     let detection_ns = cfg.detection.as_nanos();
@@ -512,91 +496,54 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
             for served in cl.exts.iter_mut() {
                 model.extend(served.writes.drain(..));
             }
-            if death_declared.is_none() {
-                if let Some(node) = cl.cores[dead].faults.take_node_crash() {
-                    debug_assert_eq!(node as usize, dead);
-                    death_declared = Some(now);
-                    // The victim stops being stepped; its shard merges
-                    // back so serial code (the zombie, the crash path)
-                    // works through the pool.
-                    cl.deactivate(dead);
-                    if cfg.death == DeathMode::Crash {
-                        cl.fabric.pool.borrow_mut().crash_node(NodeId(dead));
-                    }
-                    // Ground-truth acknowledged: pin the victim's health to
-                    // Dead from this window on. Its rules keep evaluating —
-                    // the absence alert still fires and scores MTTD.
-                    cl.hub.retire(dead as u32, now);
-                }
-            } else if let Some(declared) = death_declared {
-                if takeover.is_none() && now >= declared + detection_ns {
-                    let fence_start = now;
-                    let (fabric, sb) = (&mut cl.fabric, &mut cl.nodes[n]);
-                    // 1. Fence: bump the dead node's epoch word. Serial at
-                    //    the barrier — shard reads observe it next quantum.
-                    let mut t = fabric.server.fence_node(NodeId(dead), fence_start);
-                    // 2. Reclaim its page locks (its group + shared pages).
-                    let mut locks_reclaimed = 0u64;
-                    for page in layout.home_pages(dead) {
-                        if cl.locks.reclaim(page, t) {
-                            locks_reclaimed += 1;
-                        }
-                    }
-                    // 3. Lease surgery: revoke the dead node's scratch
-                    //    lease (idempotent — failover can race shutdown)
-                    //    and hand the spare flag array to the standby.
-                    let (revoked, t2) = mgr.revoke(scratch_leases[dead], t);
-                    debug_assert!(revoked);
-                    let (again, t3) = mgr.revoke(scratch_leases[dead], t2);
-                    debug_assert!(!again);
-                    let (_, t4) = mgr
-                        .reassign(flag_leases[n], standby_id, t3)
-                        .expect("standby flag lease");
-                    t = t4;
-                    // 4. Standby adopts the DBP straight out of CXL while
-                    //    the pages are still mapped (PolarRecv band).
-                    let fills_before = fabric.server.stats().storage_fills;
-                    t = fabric.admit(sb, flag_leases[n].offset, guard, t);
-                    // One bulk RPC adopts the dead node's whole group out of
-                    // the DBP directory — no per-page round trips, no
-                    // storage replay.
-                    let first = PageId(layout.group_pages(dead).start);
-                    let (adopted, t2) = sb.adopt(&mut fabric.server, first, pages_per_group, t);
-                    t = t2;
-                    // 5. Self-heal the server: drop the dead node from every
-                    //    active list, clear its flag words, recycle slots
-                    //    nobody else holds.
-                    let slots_before = fabric.server.stats().reclaimed_slots;
-                    t = fabric.server.reclaim_node(NodeId(dead), t);
-                    trace::span(
-                        SpanKind::RecoveryReplay,
-                        standby_id.0 as u32,
-                        fence_start,
-                        t,
-                        pages_per_group * PAGE_SIZE,
-                    );
-                    takeover = Some(TakeoverSummary {
-                        death_declared: declared,
-                        fence_start,
-                        takeover_done: t,
-                        takeover_ns: t.saturating_since(fence_start),
-                        replay_estimate_ns,
-                        pages_recovered: adopted,
-                        storage_fills_during_takeover: fabric.server.stats().storage_fills
-                            - fills_before,
-                        locks_reclaimed,
-                        slots_reclaimed: fabric.server.stats().reclaimed_slots - slots_before,
-                    });
-                    // The standby also serves the shared group: resolve its
-                    // pages serially so no RPC happens mid-phase, then start
-                    // its workers at takeover_done on a shard of its own.
-                    fabric.warm(sb, layout.group_pages(n).map(PageId), t);
-                    cl.activate(n, t);
-                    cl.hub.expect_from(n as u32, t);
-                    cl.refresh_dir();
-                    if cfg.death == DeathMode::Zombie {
-                        zombie_due = Some(t + idle_tick);
-                    }
+            // Handover: reclaim the dead node's page locks (its group +
+            // shared), revoke its scratch lease (twice: idempotent), give the
+            // standby the spare flag array; it registers, then adopts the
+            // whole group out of the DBP in one bulk RPC (PolarRecv band).
+            // Nothing before the handover fills a page or recycles a slot,
+            // so counters read here are the takeover's baseline.
+            let before = cl.fabric.server.stats();
+            let (mut locks_reclaimed, mut adopted) = (0, 0);
+            let done = sup.at_barrier(cl, now, |cl, t| {
+                let (fabric, sb) = (&mut cl.fabric, &mut cl.nodes[n]);
+                let reclaimed = layout.home_pages(dead).map(|p| cl.locks.reclaim(p, t));
+                locks_reclaimed = reclaimed.map(u64::from).sum();
+                let (revoked, t) = mgr.revoke(scratch_leases[dead], t);
+                let (again, t) = mgr.revoke(scratch_leases[dead], t);
+                debug_assert!(revoked && !again);
+                let relet = mgr.reassign(flag_leases[n], standby_id, t);
+                let t = relet.expect("standby flag lease").1;
+                let t = fabric.admit(sb, flag_leases[n].offset, guard, t);
+                let first = PageId(layout.group_pages(dead).start);
+                let (pages, t) = sb.adopt(&mut fabric.server, first, pages_per_group, t);
+                adopted = pages;
+                t
+            });
+            if let Some(t) = done {
+                let (id, bytes) = (standby_id.0 as u32, pages_per_group * PAGE_SIZE);
+                trace::span(SpanKind::RecoveryReplay, id, now, t, bytes);
+                let after = cl.fabric.server.stats();
+                takeover = Some(TakeoverSummary {
+                    death_declared: sup.declared.expect("declared before the takeover"),
+                    fence_start: now,
+                    takeover_done: t,
+                    takeover_ns: t.saturating_since(now),
+                    replay_estimate_ns,
+                    pages_recovered: adopted,
+                    storage_fills_during_takeover: after.storage_fills - before.storage_fills,
+                    locks_reclaimed,
+                    slots_reclaimed: after.reclaimed_slots - before.reclaimed_slots,
+                });
+                // The standby also serves the shared group: resolve its
+                // pages serially so no RPC happens mid-phase, then start
+                // its workers at takeover_done on a shard of its own.
+                cl.fabric
+                    .warm(&mut cl.nodes[n], layout.group_pages(n).map(PageId), t);
+                cl.activate(n, t);
+                cl.hub.expect_from(n as u32, t);
+                cl.refresh_dir();
+                if cfg.death == DeathMode::Zombie {
+                    zombie_due = Some(t + idle_tick);
                 }
             }
             if zombie_due.is_some_and(|due| now >= due) {
@@ -743,7 +690,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
                 registry.set_int("telemetry_mttd_crash_ns", mttd);
             }
         }
-        if let Some(host) = cfg.link_chaos.host() {
+        if let Some((host, _)) = cfg.link_chaos.strike() {
             // Link chaos is detected by whichever rule reacts first:
             // a flap silences the host (absence), a degrade inflates
             // its p99 (burn rate).

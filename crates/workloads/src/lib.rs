@@ -10,6 +10,7 @@
 
 pub mod chaos;
 pub mod cluster;
+pub mod control;
 pub mod elasticity;
 pub mod failover;
 pub mod harness;

@@ -33,7 +33,9 @@
 
 use crate::cluster::{Cluster, FusionCluster};
 use crate::sharing::{exec_op, GroupLayout, ShOp};
-use memsim::calib::{CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, STORAGE_READ_NS};
+use memsim::calib::{
+    CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, CPU_WRITE_REFUSE_NS, STORAGE_READ_NS,
+};
 use memsim::NodeId;
 use polarcxlmem::fusion::CoherencyMode;
 use polarcxlmem::FusionStats;
@@ -50,11 +52,6 @@ use simkit::{Histogram, MetricsRegistry, SimTime, Step};
 /// rejects at admission (no locks, no fabric) and the closed-loop
 /// client backs off before retrying.
 pub const SHED_SERVICE_NS: u64 = 50_000;
-
-/// CPU charged to refuse a write from a degraded (storage-direct)
-/// tenant: browned tenants get read-only service; their writes return
-/// a retryable error without touching locks or the fabric.
-pub const WRITE_REFUSE_NS: u64 = 5_000;
 
 /// Virtual-time barrier quantum.
 pub const QUANTUM: SimTime = SimTime::from_micros(200);
@@ -426,7 +423,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
                         ctx.probe.record_op(lane_ix, t, t.saturating_since(s0));
                     }
                     ShOp::Write { page, .. } => {
-                        t = ctx.cpu.acquire(t, WRITE_REFUSE_NS).end;
+                        t = ctx.cpu.acquire(t, CPU_WRITE_REFUSE_NS).end;
                         ctx.ext.refused_writes += 1;
                         let lane_ix = (page.0 >= shared_start) as usize;
                         ctx.probe.record_errs(lane_ix, t, 1);
