@@ -2,8 +2,8 @@
 //! number of instances on one 192-vCPU host grows from 1 to 12, for
 //! point-select, range-select and read-write.
 
-use bench::{banner, footer, kqps, run_sweep};
-use workloads::{run_pooling, PoolKind, PoolingConfig, SysbenchKind};
+use bench::{banner, footer, kqps, pooling_sweep, DRAM_VS_CXL};
+use workloads::SysbenchKind;
 
 const POINTS: [usize; 7] = [1, 2, 4, 6, 8, 10, 12];
 
@@ -13,31 +13,18 @@ fn main() {
         "DRAM-based vs CXL-based buffer pool in the database",
         "CXL-BP within ~7-10% of DRAM-BP at every scale; both scale to 12 instances",
     );
-    let workloads = [
+    for w in [
         SysbenchKind::PointSelect,
         SysbenchKind::RangeSelect,
         SysbenchKind::ReadWrite,
-    ];
-    let configs: Vec<PoolingConfig> = workloads
-        .iter()
-        .flat_map(|&w| {
-            POINTS.iter().flat_map(move |&n| {
-                [
-                    PoolingConfig::standard(PoolKind::Dram, w, n),
-                    PoolingConfig::standard(PoolKind::Cxl, w, n),
-                ]
-            })
-        })
-        .collect();
-    let results = run_sweep(&configs, run_pooling);
-    for (series, &w) in results.chunks(2 * POINTS.len()).zip(workloads.iter()) {
+    ] {
+        let series = pooling_sweep(DRAM_VS_CXL, w, &POINTS, |_| {});
         println!("[{w:?}]");
         println!(
             "{:>10} {:>14} {:>14} {:>8}",
             "instances", "DRAM-BP K-QPS", "CXL-BP K-QPS", "CXL/DRAM"
         );
-        for (pair, &n) in series.chunks(2).zip(POINTS.iter()) {
-            let (d, c) = (&pair[0].metrics, &pair[1].metrics);
+        for ([d, c], n) in series.iter().zip(POINTS) {
             println!(
                 "{:>10} {:>14} {:>14} {:>7.1}%",
                 n,

@@ -45,6 +45,12 @@ pub fn improvement_pct(a: f64, b: f64) -> f64 {
     }
 }
 
+/// The two pools Figure 3 compares, in [`pooling_sweep`]'s order.
+pub const DRAM_VS_CXL: [PoolKind; 2] = [PoolKind::Dram, PoolKind::Cxl];
+
+/// The two pools Figures 7–9 compare, in [`pooling_sweep`]'s order.
+pub const RDMA_VS_CXL: [PoolKind; 2] = [PoolKind::TieredRdma, PoolKind::Cxl];
+
 /// Figures 7–9: tiered RDMA against PolarCXLMem under `workload` at each
 /// instance count of `points` — the banner, one row per point
 /// (throughput, mean latency, interconnect bandwidth) and the note.
@@ -61,7 +67,8 @@ pub fn pooling_figure(
         "{:>4} | {:>12} {:>12} | {:>12} {:>12} | {:>10} {:>10}",
         "n", "RDMA K-QPS", "CXL K-QPS", "RDMA lat us", "CXL lat us", "RDMA GB/s", "CXL GB/s"
     );
-    for ([r, c], n) in pooling_sweep(workload, points, |_| {}).iter().zip(points) {
+    let sweep = pooling_sweep(RDMA_VS_CXL, workload, points, |_| {});
+    for ([r, c], n) in sweep.iter().zip(points) {
         println!(
             "{:>4} | {:>12} {:>12} | {:>12.1} {:>12.1} | {:>10.2} {:>10.2}",
             n,
@@ -76,10 +83,11 @@ pub fn pooling_figure(
     footer(note);
 }
 
-/// The sweep behind [`pooling_figure`]: at each instance count of
-/// `points`, the tiered RDMA and the PolarCXLMem run of `workload` on
+/// The sweep behind Figure 3 and [`pooling_figure`]: at each instance
+/// count of `points`, one run of `workload` per pool of `kinds` on
 /// [`PoolingConfig::standard`] as `adjust` leaves it, in that order.
 pub fn pooling_sweep(
+    kinds: [PoolKind; 2],
     workload: SysbenchKind,
     points: &[usize],
     adjust: impl Fn(&mut PoolingConfig),
@@ -87,7 +95,7 @@ pub fn pooling_sweep(
     let configs: Vec<PoolingConfig> = points
         .iter()
         .flat_map(|&n| {
-            [PoolKind::TieredRdma, PoolKind::Cxl].map(|kind| {
+            kinds.map(|kind| {
                 let mut cfg = PoolingConfig::standard(kind, workload, n);
                 adjust(&mut cfg);
                 cfg

@@ -288,19 +288,9 @@ impl FrameTable {
         (frame, evicted.map(|page| (page, self.spill(frame, page))))
     }
 
-    /// [`Residency::push_free`].
-    pub fn push_free(&mut self, frame: u32) {
-        self.dir.push_free(frame);
-    }
-
     /// [`Residency::pop_victim`].
     pub fn pop_victim(&mut self) -> Option<u32> {
         self.dir.pop_victim()
-    }
-
-    /// [`Residency::unlink`].
-    pub fn unlink(&mut self, frame: u32) {
-        self.dir.unlink(frame);
     }
 
     /// [`Residency::evict`], spilling the page's LSN to the eviction side

@@ -65,10 +65,6 @@ pub struct BpStats {
     pub tier_cxl_hits: u64,
     /// Lookups that missed every memory tier and went to storage.
     pub tier_cxl_misses: u64,
-    /// Pages migrated upward (CXL → DRAM).
-    pub tier_promotes: u64,
-    /// Pages migrated downward (DRAM → CXL, CXL → storage).
-    pub tier_demotes: u64,
     /// Retry budgets burned to exhaustion (each surfaced as a typed
     /// [`OverloadError`], distinguishable from an orderly fallback).
     pub overload_errors: u64,
@@ -106,8 +102,6 @@ impl BpStats {
                 .saturating_sub(earlier.tier_dram_misses),
             tier_cxl_hits: self.tier_cxl_hits.saturating_sub(earlier.tier_cxl_hits),
             tier_cxl_misses: self.tier_cxl_misses.saturating_sub(earlier.tier_cxl_misses),
-            tier_promotes: self.tier_promotes.saturating_sub(earlier.tier_promotes),
-            tier_demotes: self.tier_demotes.saturating_sub(earlier.tier_demotes),
             overload_errors: self.overload_errors.saturating_sub(earlier.overload_errors),
         }
     }

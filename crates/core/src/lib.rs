@@ -28,7 +28,6 @@ pub mod layout;
 pub mod manager;
 pub mod rdma_sharing;
 pub mod recovery;
-pub mod tiering;
 
 pub use cxl_bp::{CxlBp, SharedCxl};
 pub use elastic::{
@@ -43,4 +42,3 @@ pub use fusion::{
 pub use manager::{AllocError, CxlMemoryManager, Lease, ReleaseError};
 pub use rdma_sharing::{RdmaDbp, RdmaDir, RdmaNodeStats, RdmaSharingNode};
 pub use recovery::{polar_recv, polar_recv_policy, polar_recv_with, RecoveryReport, TrustPolicy};
-pub use tiering::{AdaptivePool, TierConfig};

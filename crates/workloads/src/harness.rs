@@ -293,8 +293,6 @@ fn collect_registry<P: BufferPool>(
         bp.tier_dram_misses += s.tier_dram_misses;
         bp.tier_cxl_hits += s.tier_cxl_hits;
         bp.tier_cxl_misses += s.tier_cxl_misses;
-        bp.tier_promotes += s.tier_promotes;
-        bp.tier_demotes += s.tier_demotes;
         let (f, b) = db.wal.flush_stats();
         wal_flushes += f;
         wal_bytes += b;
@@ -327,8 +325,6 @@ fn collect_registry<P: BufferPool>(
     reg.set_int("bp_tier_dram_misses", bp.tier_dram_misses);
     reg.set_int("bp_tier_cxl_hits", bp.tier_cxl_hits);
     reg.set_int("bp_tier_cxl_misses", bp.tier_cxl_misses);
-    reg.set_int("bp_tier_promotes", bp.tier_promotes);
-    reg.set_int("bp_tier_demotes", bp.tier_demotes);
     reg.set_int("wal_flushes", wal_flushes);
     reg.set_int("wal_bytes_flushed", wal_bytes);
     reg.set_int("db_queries", db_sum.queries);

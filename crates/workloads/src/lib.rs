@@ -20,7 +20,6 @@ pub mod recovery_harness;
 pub mod sharing;
 pub mod sysbench;
 pub mod tatp;
-pub mod tiering;
 pub mod tpcc;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosRunResult};
@@ -36,7 +35,6 @@ pub use overload::{run_overload, FlapSpec, OverloadConfig, OverloadResult, Tenan
 pub use recovery_harness::{run_recovery, RecoveryConfig, RecoveryRunResult, Scheme};
 pub use sharing::{run_sharing, GroupLayout, ShOp, SharingConfig, SharingResult, SharingSystem};
 pub use sysbench::{Sysbench, SysbenchKind};
-pub use tiering::{run_tiering, TieringConfig, TieringResult};
 
 // The telemetry vocabulary the harness results speak (re-exported so
 // downstream code can consume `FailoverResult::telemetry` and friends

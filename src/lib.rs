@@ -63,7 +63,6 @@ pub mod prelude {
     pub use bufferpool::{BufferPool, Crashable, PolicyKind};
     pub use engine::{recover_polar, recover_polar_policy, recover_replay, Db};
     pub use memsim::{CxlPool, NodeId, RdmaPool};
-    pub use polarcxlmem::{AdaptivePool, TierConfig};
     pub use polarcxlmem::{CxlBp, CxlMemoryManager, FusionServer, SharingNode, TrustPolicy};
     pub use polarcxlmem::{FencingPolicy, ReleaseError};
     pub use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
@@ -79,10 +78,9 @@ pub mod prelude {
     pub use storage::{Lsn, PageId, PageStore, Wal};
     pub use workloads::{
         run_chaos, run_elasticity, run_failover, run_overload, run_pooling, run_recovery,
-        run_sharing, run_tiering, ChaosConfig, ChaosRunResult, DeathMode, ElasticTenantOutcome,
+        run_sharing, ChaosConfig, ChaosRunResult, DeathMode, ElasticTenantOutcome,
         ElasticityConfig, ElasticityResult, FailoverConfig, FailoverResult, FlapSpec, LinkChaos,
         OverloadConfig, OverloadResult, PoolKind, PoolingConfig, RecoveryConfig, RecoveryRunResult,
         Scheme, SharingConfig, SharingResult, SharingSystem, SysbenchKind, TenantOutcome,
-        TieringConfig, TieringResult,
     };
 }

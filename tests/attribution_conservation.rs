@@ -194,72 +194,6 @@ fn cxl_bp_conserves_under_clock_and_2q() {
     cxl_bp_conserves(bufferpool::PolicyKind::TwoQ);
 }
 
-/// The adaptive tiered pool conserves too, across DRAM hits, in-place
-/// CXL service, storage faults, and — the interesting part — the epoch
-/// sweep's batched promotions and demotions, which run *between*
-/// operations and must account every migrated nanosecond to a lane.
-#[test]
-fn adaptive_pool_conserves_including_sweeps() {
-    use polarcxlmem::{AdaptivePool, TierConfig};
-    use storage::Lsn;
-    let ps = 1024u64;
-    let mut store = PageStore::with_page_size(128, ps);
-    for _ in 0..128 {
-        store.allocate();
-    }
-    let cxl = Rc::new(RefCell::new(CxlPool::single_host(
-        1 << 20,
-        1,
-        64 << 10,
-        false,
-    )));
-    let mut tier = TierConfig::standard(8, 24);
-    // Sweep often enough for several epochs at test scale, but not so
-    // often that aging outruns the op rate and no page ever stays hot.
-    tier.epoch_ns = 500_000;
-    let mut pool = AdaptivePool::new(cxl, NodeId(0), 0, tier, store);
-    trace::reset();
-    trace::enable_attribution(true);
-    let mut t = SimTime::ZERO;
-    let mut buf = [0u8; 16];
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-    for i in 0..1_500u64 {
-        rng = rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        // Skewed traffic: mostly a small hot set (so the sweep finds
-        // promotion candidates), with a cold tail forcing storage misses
-        // and cascading demotions.
-        // Decide hot-vs-cold and the page from *different* bits of the
-        // LCG state — `rng % 8 == 0` correlates with `rng % 128`.
-        let page = PageId(if !rng.is_multiple_of(8) {
-            (rng >> 32) % 4
-        } else {
-            (rng >> 32) % 128
-        });
-        let before = trace::attr_snapshot();
-        let t0 = t;
-        t = pool.maybe_sweep(t0);
-        t = if i % 3 == 0 {
-            pool.write(page, 0, &[i as u8; 16], Lsn(i + 1), t).end
-        } else {
-            pool.read(page, 0, &mut buf, t).end
-        };
-        let diff = trace::attr_snapshot().since(&before);
-        assert_eq!(
-            diff.total_ns(),
-            t - t0,
-            "op {i}: lane sum {diff:?} != end-to-end latency (sweep included)"
-        );
-    }
-    trace::enable_attribution(false);
-    trace::reset();
-    assert!(pool.sweeps() > 0, "epochs never elapsed at this scale");
-    let s = pool.stats();
-    assert!(s.tier_promotes > 0, "sweeps never promoted the hot set");
-    assert!(s.tier_demotes > 0, "no demotions despite a cold tail");
-}
-
 #[test]
 fn rdma_sharing_conserves_every_nanosecond() {
     let page_size = 1024u64;

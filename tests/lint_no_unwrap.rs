@@ -13,13 +13,12 @@
 //! revocation, epoch fencing, node reclamation and live lease migration
 //! run exactly when nodes are dying or crash-recovering, so a
 //! panic there takes the failover path down with the failed node), plus
-//! the overload-reaction layer `tiering.rs` / `telemetry.rs` (brownout
-//! decisions and SLO alerting must keep running *while* the cluster is
-//! degraded — that is the only time they matter). Only
-//! non-test code is
-//! linted (`#[cfg(test)]` and below is free to unwrap). `.expect(` is
-//! allowed — it documents an invariant. Deliberate panicking wrappers
-//! over typed APIs carry a `// lint: fault-path panic` marker.
+//! the SLO alerting of `telemetry.rs`, which must keep running *while*
+//! the cluster is degraded — that is the only time it matters. Only
+//! non-test code is linted (`#[cfg(test)]` and below is free to
+//! unwrap). `.expect(` is allowed — it documents an invariant.
+//! Deliberate panicking wrappers over typed APIs carry a
+//! `// lint: fault-path panic` marker.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -33,7 +32,6 @@ const SCANNED: &[&str] = &[
     "crates/core/src/manager.rs",
     "crates/core/src/fusion",
     "crates/core/src/elastic.rs",
-    "crates/core/src/tiering.rs",
     "crates/simkit/src/telemetry.rs",
 ];
 

@@ -2,8 +2,9 @@
 //! modelled latency and transfer time measured through `DramSpace` /
 //! `CxlPool` / `RdmaPool`'s public API — the loops the `table1_latency`
 //! and `table2_transfer` benches print — beside the paper's value.
-//! Figures 7–9: the pooling shapes, from `run_pooling` at smoke scale
-//! through the `fig7`/`fig8`/`fig9` benches' own sweep — Figure 7's are
+//! Figures 3 and 7–9: the pooling shapes, from `run_pooling` at smoke
+//! scale through the `fig3`/`fig7`/`fig8`/`fig9` benches' own sweep —
+//! Figure 3's are the paper's case against a DRAM tier, Figure 7's are
 //! the ledger's `pool_point` workload, Figure 9's bandwidth ratio is its
 //! `pool_rw_spill` one. Orderings and knees are held exactly, each
 //! magnitude inside a stated band of |ln(ours / paper)|, or of
@@ -17,10 +18,11 @@
 
 use bench::{
     pooling_sweep, recovery_sweep, sharing_sweep, table1_latencies, table2_transfers, TransferRow,
+    DRAM_VS_CXL, RDMA_VS_CXL,
 };
 use simkit::SimTime;
 use workloads::recovery_harness::Scheme;
-use workloads::{PoolingConfig, RunMetrics, SharingConfig, SysbenchKind};
+use workloads::{PoolKind, PoolingConfig, RunMetrics, SharingConfig, SysbenchKind};
 
 fn ln_ratio(ours: f64, paper: f64) -> f64 {
     (ours / paper).ln().abs()
@@ -144,6 +146,57 @@ fn table2_transfers_keep_the_papers_orderings_and_bands() {
     assert!((5.0..7.5).contains(&lead[0].0) && (5.0..7.5).contains(&lead[0].1));
 }
 
+/// Figure 3 of the paper: CXL-BP runs 7–10 % behind DRAM-BP at every
+/// scale (≈ 7 % point-select, ≈ 10 % range-select) and both scale to 12
+/// instances — the evidence that a CXL-native pool needs no DRAM tier.
+/// As CXL-over-DRAM throughput ratios, the two ends of that range.
+const FIG3_PAPER_CXL_OVER_DRAM: [f64; 2] = [0.93, 0.90];
+
+/// Figure 3 at smoke scale: DRAM-BP against CXL-BP through
+/// `bench::pooling_sweep`, as the `fig3_cxl_vs_dram` bench runs it, on
+/// Figure 7's 7 500-row table at 1, 2 and 4 instances. The window is
+/// 10 ms, half the other pooling figures', which keeps the test near
+/// Figure 7's cost unoptimised. The gap is the divergence
+/// (EXPERIMENTS.md "Figure 3"): CXL-BP reads 99.45 % of DRAM-BP under
+/// read-write here and 100 % under point-select (0–0.1 % behind at full
+/// size), so it is printed, not banded. Held exactly: CXL is never ahead
+/// of DRAM, and it scales linearly to 4 instances inside the band Figure
+/// 8's linearity uses.
+#[test]
+fn figure3_cxl_never_beats_dram_and_scales_linearly() {
+    let [close, far] = FIG3_PAPER_CXL_OVER_DRAM;
+    println!(
+        "| workload | n | DRAM K-QPS | CXL K-QPS | CXL / DRAM | \\|ln\\| vs {close} / {far} |"
+    );
+    println!("|---|---|---|---|---|---|");
+    for workload in [SysbenchKind::PointSelect, SysbenchKind::ReadWrite] {
+        let sweep = Sweep::run(DRAM_VS_CXL, workload, &[1, 2, 4], |cfg| {
+            cfg.table_size = 7_500;
+            cfg.duration = SimTime::from_millis(10);
+        });
+        for (n, [dram, cxl]) in sweep.points.iter().zip(&sweep.pairs) {
+            let ratio = cxl.qps / dram.qps;
+            println!(
+                "| {workload:?} | {n} | {:.1} | {:.1} | {ratio:.4} | {:.3} / {:.3} |",
+                dram.qps / 1e3,
+                cxl.qps / 1e3,
+                ln_ratio(ratio, close),
+                ln_ratio(ratio, far)
+            );
+            assert!(
+                cxl.qps <= dram.qps,
+                "{workload:?}, n = {n}: CXL ahead of DRAM"
+            );
+        }
+        let linearity = sweep.cxl_linearity(4);
+        println!("| {workload:?} | `cxl_linearity_4x` | | | {linearity:.3} | |");
+        assert!(
+            ln_ratio(linearity, 1.0) <= BAND_FIG8_CXL_LINEARITY,
+            "{workload:?}: {linearity}"
+        );
+    }
+}
+
 /// Figure 7 of the paper: RDMA pooling stops scaling at 3 instances on
 /// an 11 GB/s NIC, PolarCXLMem scales linearly to 8 and beyond.
 const FIG7_PAPER_KNEE: usize = 3;
@@ -166,10 +219,15 @@ struct Sweep {
 }
 
 impl Sweep {
-    /// `bench::pooling_sweep` of `workload` at `points` with a 20 ms
-    /// window, `adjust` setting the rest.
-    fn run(workload: SysbenchKind, points: &[usize], adjust: impl Fn(&mut PoolingConfig)) -> Self {
-        let pairs = pooling_sweep(workload, points, |cfg| {
+    /// `bench::pooling_sweep` of `kinds` under `workload` at `points`
+    /// with a 20 ms window, `adjust` setting the rest.
+    fn run(
+        kinds: [PoolKind; 2],
+        workload: SysbenchKind,
+        points: &[usize],
+        adjust: impl Fn(&mut PoolingConfig),
+    ) -> Self {
+        let pairs = pooling_sweep(kinds, workload, points, |cfg| {
             cfg.duration = SimTime::from_millis(20);
             adjust(cfg);
         });
@@ -179,7 +237,7 @@ impl Sweep {
         }
     }
 
-    /// `[tiered RDMA, PolarCXLMem]` at `n` instances.
+    /// The pair of runs at `n` instances, in the sweep's `kinds` order.
     fn at(&self, n: usize) -> &[RunMetrics; 2] {
         &self.pairs[self.points.iter().position(|&p| p == n).expect("a point")]
     }
@@ -219,9 +277,14 @@ fn print_header() {
 /// RDMA point from 1 to 4 moves.
 #[test]
 fn figure7_pooling_keeps_the_papers_knee_linearity_and_nic_ceiling() {
-    let sweep = Sweep::run(SysbenchKind::PointSelect, &[1, 2, 3, 4, 8], |cfg| {
-        cfg.table_size = 7_500;
-    });
+    let sweep = Sweep::run(
+        RDMA_VS_CXL,
+        SysbenchKind::PointSelect,
+        &[1, 2, 3, 4, 8],
+        |cfg| {
+            cfg.table_size = 7_500;
+        },
+    );
     let knee = sweep.knee();
     let linearity = sweep.cxl_linearity(8);
     let nic = (1..=4)
@@ -266,10 +329,15 @@ const BAND_FIG8_CXL_LINEARITY: f64 = 0.02;
 /// CXL side), up to 4 instances.
 #[test]
 fn figure8_range_select_keeps_its_knee_and_cxl_linearity() {
-    let sweep = Sweep::run(SysbenchKind::RangeSelect, &[1, 2, 3, 4], |cfg| {
-        cfg.table_size = 7_500;
-        cfg.cache_bytes = 1 << 20;
-    });
+    let sweep = Sweep::run(
+        RDMA_VS_CXL,
+        SysbenchKind::RangeSelect,
+        &[1, 2, 3, 4],
+        |cfg| {
+            cfg.table_size = 7_500;
+            cfg.cache_bytes = 1 << 20;
+        },
+    );
     let knee = sweep.knee();
     let linearity = sweep.cxl_linearity(4);
     print_header();
@@ -305,7 +373,7 @@ const BAND_FIG9_RDMA_OVER_CXL_BW: f64 = 0.02;
 /// of it and a 256 KB CPU cache, so both designs spill.
 #[test]
 fn figure9_read_write_keeps_its_knee_and_bandwidth_ratio() {
-    let sweep = Sweep::run(SysbenchKind::ReadWrite, &[1, 2, 3, 4], |cfg| {
+    let sweep = Sweep::run(RDMA_VS_CXL, SysbenchKind::ReadWrite, &[1, 2, 3, 4], |cfg| {
         cfg.table_size = 15_000;
         cfg.cache_bytes = 256 << 10;
         cfg.lbp_fraction = 0.1;
