@@ -3,11 +3,9 @@
 //! to 100 % of the disaggregated memory, for point-select and
 //! read-write.
 
-use bench::{banner, footer, kqps, run_sweep};
+use bench::{banner, footer, kqps, lbp_sweep, LBP_FRACTIONS};
 use simkit::SimTime;
-use workloads::{run_pooling, PoolKind, PoolingConfig, SysbenchKind};
-
-const FRACS: [f64; 5] = [0.10, 0.30, 0.50, 0.70, 1.00];
+use workloads::SysbenchKind;
 
 fn main() {
     banner(
@@ -16,31 +14,20 @@ fn main() {
         "point-select: 6.9 GB/s at 10% LBP falling to 0 at 100%; read-write: 3.9 GB/s at 10%; throughput rises as LBP grows",
     );
     let workloads = [SysbenchKind::PointSelect, SysbenchKind::ReadWrite];
-    let configs: Vec<PoolingConfig> = workloads
-        .iter()
-        .flat_map(|&w| {
-            FRACS.iter().map(move |&frac| {
-                let mut cfg = PoolingConfig::standard(PoolKind::TieredRdma, w, 1);
-                cfg.lbp_fraction = frac;
-                cfg.duration = SimTime::from_millis(200);
-                cfg
-            })
-        })
-        .collect();
-    let results = run_sweep(&configs, run_pooling);
-    for (series, &w) in results.chunks(FRACS.len()).zip(workloads.iter()) {
+    let results = lbp_sweep(&workloads, |cfg| cfg.duration = SimTime::from_millis(200));
+    for (series, &w) in results.iter().zip(workloads.iter()) {
         println!("[{w:?}]");
         println!(
             "{:>6} {:>14} {:>16} {:>14}",
             "LBP", "K-QPS", "RDMA GB/s", "avg lat (us)"
         );
-        for (r, &frac) in series.iter().zip(FRACS.iter()) {
+        for (r, &frac) in series.iter().zip(LBP_FRACTIONS.iter()) {
             println!(
                 "{:>5.0}% {:>14} {:>16.2} {:>14.1}",
                 frac * 100.0,
-                kqps(r.metrics.qps),
-                r.metrics.interconnect_gbps,
-                r.metrics.avg_latency_us
+                kqps(r.qps),
+                r.interconnect_gbps,
+                r.avg_latency_us
             );
         }
         println!();

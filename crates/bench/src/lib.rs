@@ -108,6 +108,33 @@ pub fn pooling_sweep(
         .collect()
 }
 
+/// Figure 1's LBP sizes, as fractions of the disaggregated memory.
+pub const LBP_FRACTIONS: [f64; 5] = [0.10, 0.30, 0.50, 0.70, 1.00];
+
+/// Figure 1's sweep: per workload of `kinds`, one row of single-instance
+/// tiered-RDMA runs on [`PoolingConfig::standard`] as `adjust` leaves
+/// it, one per fraction of [`LBP_FRACTIONS`].
+pub fn lbp_sweep(
+    kinds: &[SysbenchKind],
+    adjust: impl Fn(&mut PoolingConfig),
+) -> Vec<Vec<RunMetrics>> {
+    let configs: Vec<PoolingConfig> = kinds
+        .iter()
+        .flat_map(|&kind| {
+            LBP_FRACTIONS.map(|frac| {
+                let mut cfg = PoolingConfig::standard(PoolKind::TieredRdma, kind, 1);
+                cfg.lbp_fraction = frac;
+                adjust(&mut cfg);
+                cfg
+            })
+        })
+        .collect();
+    run_sweep(&configs, run_pooling)
+        .chunks(LBP_FRACTIONS.len())
+        .map(|row| row.iter().map(|r| r.metrics.clone()).collect())
+        .collect()
+}
+
 /// Figure 10's sweep: for each workload of `kinds`, one crash-and-recover
 /// run per scheme of `schemes` on [`RecoveryConfig::standard`] as
 /// `adjust` leaves it — one row per kind, the schemes in the order given.

@@ -14,7 +14,8 @@ use simkit::SimTime;
 use storage::{Lsn, PageId, PageStore};
 
 /// A local-DRAM buffer pool over a page store. It owns everything it
-/// touches and addresses it by frame, so a clone is an exact copy.
+/// touches and addresses it by frame, so a clone is an exact copy (one
+/// that shares the store's pages copy-on-write).
 #[derive(Clone)]
 pub struct DramBp {
     space: DramSpace,

@@ -241,8 +241,9 @@ impl TieredRdmaBp {
 
     /// An exact copy of this pool seated at `remote_base` of the same
     /// fabric: the private state is cloned (LBP frames with their cache
-    /// model, frame table, residency and dirty sets, counters, page
-    /// store) and the remote slice is copied raw. Every address the pool
+    /// model, frame table, residency and dirty sets, counters; the page
+    /// store's pages are shared copy-on-write) and the remote slice is
+    /// copied raw. Every address the pool
     /// keeps is relative — frame offsets, page ids, `remote_off` from the
     /// base — so the copy is the pool that replaying this one's history
     /// at `remote_base` would have produced. Untimed.

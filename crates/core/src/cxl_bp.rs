@@ -35,17 +35,13 @@ use storage::{Lsn, PageId, PageStore};
 /// The CXL fabric shared by every node of a simulation.
 pub type SharedCxl = Rc<RefCell<CxlPool>>;
 
-/// Dirty-range capacity per block: sized for the worst latch window the
-/// B+tree produces (a page split rewrites about half a page
-/// record-by-record, three range pushes per moved record), so the write
-/// path never grows these vectors.
-const DIRTY_RANGES_CAP: usize = 512;
-
-fn presized_ranges(nblocks: usize) -> Vec<Vec<(u16, u16)>> {
-    (0..nblocks)
-        .map(|_| Vec::with_capacity(DIRTY_RANGES_CAP))
-        .collect()
-}
+/// Dirty-range capacity of a pool, sized for the widest latch window
+/// the B+tree produces: a leaf split moves half a leaf record by record,
+/// four range pushes per moved record across its two pages, and the
+/// parents take a few more. On 16 KB pages that fits records of 24 bytes
+/// and up (the sysbench table's 188-byte rows peak at 189 entries), so
+/// the write path never grows the list.
+const DIRTY_RANGES_CAP: usize = 1024;
 
 /// The buffer pool living wholly in CXL memory.
 pub struct CxlBp {
@@ -65,11 +61,12 @@ pub struct CxlBp {
     mirror: Vec<BlockMeta>,
     /// Mirror of the region header.
     inuse_head: u64,
-    /// Dirty byte ranges per *block* (parallel to `mirror`), flushed on
-    /// unlatch. Block-indexed, so after the single residency probe in
-    /// `fix` the write path touches no hash table; cleared in place, so
-    /// capacity is retained and the hot path never allocates.
-    dirty_ranges: Vec<Vec<(u16, u16)>>,
+    /// Byte ranges written inside the open latch windows, as (block,
+    /// offset, length) in push order; unlatching a page flushes and drops
+    /// its block's. Keyed by block, so after the single residency probe
+    /// in `fix` the write path touches no hash table; presized and
+    /// drained in place, so the hot path never allocates.
+    dirty_ranges: Vec<(u32, u16, u16)>,
     /// Per-block "updates not yet checkpointed to storage" bit
     /// (parallel to `mirror`).
     ckpt_dirty: Vec<bool>,
@@ -142,7 +139,7 @@ impl CxlBp {
             dir: Residency::with_map_capacity(nblocks as usize, policy, nblocks as usize),
             mirror: vec![BlockMeta::free(); nblocks as usize],
             inuse_head: 0,
-            dirty_ranges: presized_ranges(nblocks as usize),
+            dirty_ranges: Vec::with_capacity(DIRTY_RANGES_CAP),
             ckpt_dirty: vec![false; nblocks as usize],
             page_buf: vec![0u8; geo.page_size as usize],
             stats: BpStats::default(),
@@ -185,7 +182,7 @@ impl CxlBp {
             dir: Residency::with_map_capacity(nblocks, policy, nblocks),
             mirror: vec![BlockMeta::free(); nblocks],
             inuse_head: hdr.inuse_head,
-            dirty_ranges: presized_ranges(nblocks),
+            dirty_ranges: Vec::with_capacity(DIRTY_RANGES_CAP),
             ckpt_dirty: vec![false; nblocks],
             page_buf: vec![0u8; geo.page_size as usize],
             stats: BpStats::default(),
@@ -194,7 +191,8 @@ impl CxlBp {
 
     /// An exact copy of this pool run by `node` over the lease at `base`
     /// of the same fabric: the host-side state is cloned (directory,
-    /// mirror, dirty ranges, counters, page store), the lease bytes are
+    /// mirror, dirty ranges, counters; the page store's pages are shared
+    /// copy-on-write), the lease bytes are
     /// copied raw and `node`'s CPU cache becomes this node's, moved by
     /// the lease delta ([`CxlPool::copy_lease`]). Everything kept in the
     /// lease is a block index or a page id and every offset is taken from
@@ -222,11 +220,7 @@ impl CxlBp {
             dir: self.dir.clone(),
             mirror: self.mirror.clone(),
             inuse_head: self.inuse_head,
-            dirty_ranges: self
-                .dirty_ranges
-                .iter()
-                .map(simkit::clone_reserved)
-                .collect(),
+            dirty_ranges: simkit::clone_reserved(&self.dirty_ranges),
             ckpt_dirty: self.ckpt_dirty.clone(),
             page_buf: self.page_buf.clone(),
             stats: self.stats,
@@ -257,9 +251,7 @@ impl CxlBp {
         for m in &mut self.mirror {
             *m = BlockMeta::free();
         }
-        for r in &mut self.dirty_ranges {
-            r.clear();
-        }
+        self.dirty_ranges.clear();
         self.ckpt_dirty.iter_mut().for_each(|d| *d = false);
     }
 
@@ -417,7 +409,7 @@ impl CxlBp {
     fn evict(&mut self, b: u32, page: PageId, now: SimTime) -> SimTime {
         self.stats.evictions += 1;
         let mut t = now;
-        self.dirty_ranges[b as usize].clear();
+        self.dirty_ranges.retain(|&(blk, ..)| blk != b);
         if std::mem::take(&mut self.ckpt_dirty[b as usize]) {
             // Write the page down to storage before the block is reused.
             self.stats.writebacks += 1;
@@ -576,8 +568,8 @@ impl BufferPool for CxlBp {
             (a, a2)
         };
         self.mirror[b as usize].lsn = lsn.0;
-        // Block-indexed stores: no further hashing after `fix`'s probe.
-        self.dirty_ranges[b as usize].push((off, data.len() as u16));
+        // Block-keyed: no further hashing after `fix`'s probe.
+        self.dirty_ranges.push((b, off, data.len() as u16));
         self.ckpt_dirty[b as usize] = true;
         Access {
             end: a2.end,
@@ -597,23 +589,20 @@ impl BufferPool for CxlBp {
             // Publish: flush dirty data ranges + meta line, then clear
             // the lock durably.
             let base = self.geo.data_off(b as u64);
-            let ranges = &mut self.dirty_ranges[b as usize];
-            if !ranges.is_empty() {
+            let mut flushed = false;
+            {
                 let mut pool = self.cxl.borrow_mut();
-                for &(off, len) in ranges.iter() {
+                for &(_, off, len) in self.dirty_ranges.iter().filter(|r| r.0 == b) {
                     t = pool
                         .clflush(self.node, base + off as u64, len as usize, t)
                         .end;
+                    flushed = true;
                 }
-                ranges.clear();
-                t = pool
-                    .clflush(
-                        self.node,
-                        self.geo.meta_off(b as u64),
-                        META_SIZE as usize,
-                        t,
-                    )
-                    .end;
+                if flushed {
+                    let meta = self.geo.meta_off(b as u64);
+                    t = pool.clflush(self.node, meta, META_SIZE as usize, t).end;
+                    self.dirty_ranges.retain(|&(blk, ..)| blk != b);
+                }
             }
             self.mirror[b as usize].lock_state = 0;
             self.set_meta_field(b, field::LOCK_STATE, 0, t)
@@ -695,6 +684,12 @@ mod tests {
     use memsim::CxlPool;
 
     fn setup(nblocks: u64, npages: u64) -> CxlBp {
+        setup_on(nblocks, npages, false)
+    }
+
+    /// `setup` over a CPU cache that holds dirty bytes out of the region
+    /// until they are flushed (`capture`), or writes them through.
+    fn setup_on(nblocks: u64, npages: u64, capture: bool) -> CxlBp {
         let mut store = PageStore::with_page_size(npages, 1024);
         for p in 0..npages {
             store.allocate();
@@ -704,7 +699,7 @@ mod tests {
             8 << 20,
             1,
             256 << 10,
-            false,
+            capture,
         )));
         let mut bp = CxlBp::format(cxl, NodeId(0), 0, nblocks, store);
         bp.prewarm();
@@ -796,6 +791,61 @@ mod tests {
         assert_eq!(meta.lsn, 77);
         assert_eq!(meta.page_id, 2);
         assert_eq!(pool.raw().slice(geo.data_off(b as u64), 1)[0], 0xAB);
+    }
+
+    /// Pages 1 and 2 latched in one window and written in turn, two
+    /// ranges each; returns their blocks.
+    fn two_latched_pages(bp: &mut CxlBp) -> (u32, u32) {
+        let mut t = bp.set_latch(PageId(1), true, SimTime::ZERO);
+        t = bp.set_latch(PageId(2), true, t);
+        for (off, lsn) in [(0u16, 1u64), (128, 2)] {
+            for page in [1u8, 2] {
+                let data = [0x10 * page + lsn as u8; 64];
+                t = bp.write(PageId(page as u64), off, &data, Lsn(lsn), t).end;
+            }
+        }
+        let block = |p| bp.dir.lookup(PageId(p)).unwrap();
+        (block(1), block(2))
+    }
+
+    /// The first byte of each 64-byte range `offs` of block `b`, as the
+    /// region (not the CPU cache) holds it.
+    fn region_bytes(bp: &CxlBp, b: u32, offs: [u64; 2]) -> [u8; 2] {
+        let pool = bp.fabric().borrow();
+        offs.map(|off| pool.raw().slice(bp.geometry().data_off(b as u64) + off, 1)[0])
+    }
+
+    #[test]
+    fn unlatching_one_page_flushes_only_its_own_ranges() {
+        let mut bp = setup_on(4, 4, true);
+        let (b1, b2) = two_latched_pages(&mut bp);
+        assert_eq!(region_bytes(&bp, b1, [0, 128]), [2, 2], "held in cache");
+        bp.set_latch(PageId(1), false, SimTime::ZERO);
+        assert_eq!(region_bytes(&bp, b1, [0, 128]), [0x11, 0x12]);
+        assert_eq!(region_bytes(&bp, b2, [0, 128]), [3, 3], "still unflushed");
+        assert_eq!(bp.dirty_ranges, [(b2, 0, 64), (b2, 128, 64)]);
+        bp.set_latch(PageId(2), false, SimTime::ZERO);
+        assert_eq!(region_bytes(&bp, b2, [0, 128]), [0x21, 0x22]);
+        assert!(bp.dirty_ranges.is_empty());
+    }
+
+    #[test]
+    fn unlatch_flushes_its_ranges_in_push_order() {
+        use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
+        faults::clear();
+        let mut bp = setup_on(4, 4, true);
+        let (b1, b2) = two_latched_pages(&mut bp);
+        // The host dies at the unlatch's second flush: the range pushed
+        // first is in the region, the one pushed second is not.
+        faults::install(
+            FaultPlan::default().with(Trigger::SiteHit(FaultSite::Clflush, 1), Action::Crash),
+        );
+        bp.set_latch(PageId(1), false, SimTime::ZERO);
+        assert!(faults::crashed());
+        faults::clear();
+        bp.crash();
+        assert_eq!(region_bytes(&bp, b1, [0, 128]), [0x11, 2]);
+        assert_eq!(region_bytes(&bp, b2, [0, 128]), [3, 3]);
     }
 
     #[test]

@@ -122,6 +122,7 @@ impl Snapshot {
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Number of heap allocations made by the current thread since start,
@@ -132,6 +133,14 @@ pub fn alloc_count() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
+/// Bytes the current thread has requested through [`CountingAlloc`]'s
+/// `alloc`, `alloc_zeroed` and `realloc` (its new size) since start;
+/// frees are not subtracted. Zero if the host binary did not install it.
+#[inline]
+pub fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.with(|c| c.get())
+}
+
 /// A `GlobalAlloc` wrapper around [`System`] that counts allocations
 /// per thread. Install it from the profiling binary:
 ///
@@ -140,20 +149,21 @@ pub fn alloc_count() -> u64 {
 /// static ALLOC: simkit::profile::CountingAlloc = simkit::profile::CountingAlloc;
 /// ```
 ///
-/// The counter is a const-initialized thread-local `Cell` with no
+/// The counters are const-initialized thread-local `Cell`s with no
 /// destructor, so counting never allocates or recurses.
 pub struct CountingAlloc;
 
 #[inline]
-fn bump_allocs() {
+fn bump_allocs(bytes: usize) {
     ALLOCS.with(|c| c.set(c.get() + 1));
+    ALLOC_BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
-// SAFETY: delegates every operation to `System`; the only addition is a
-// thread-local counter increment, which neither allocates nor unwinds.
+// SAFETY: delegates every operation to `System`; the only addition is
+// two thread-local counter increments, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump_allocs();
+        bump_allocs(layout.size());
         System.alloc(layout)
     }
 
@@ -162,12 +172,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump_allocs();
+        bump_allocs(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump_allocs();
+        bump_allocs(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }

@@ -2,14 +2,19 @@
 //!
 //! Models PolarDB's disaggregated storage: page reads/writes pay an
 //! NVMe-class latency plus occupancy on a shared storage channel. The
-//! backing region is persistent — storage survives compute-host crashes,
+//! stored pages are persistent — storage survives compute-host crashes,
 //! which is what the *vanilla* recovery scheme relies on.
+//!
+//! Pages are shared copy-on-write: a fresh store points every page at
+//! one zero page and a clone copies pointers, so a copied seat takes a
+//! page of its own only when it writes that page.
 
 use memsim::calib::{PAGE_SIZE, STORAGE_GBPS, STORAGE_READ_NS, STORAGE_WRITE_NS};
-use memsim::{Access, Region};
+use memsim::Access;
 use simkit::faults::{self, FaultSite, Verdict};
 use simkit::trace::{self, Lane};
 use simkit::{Link, SimTime};
+use std::rc::Rc;
 
 use crate::PageId;
 
@@ -37,15 +42,23 @@ impl std::fmt::Display for StorageError {
 impl std::error::Error for StorageError {}
 
 /// A fixed-capacity page store.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PageStore {
-    region: Region,
+    /// One slot per page, shared copy-on-write (module docs).
+    pages: Vec<Rc<[u8]>>,
     channel: Link,
     page_size: u64,
     capacity_pages: u64,
     next_free: u64,
     reads: u64,
     writes: u64,
+}
+
+impl std::fmt::Debug for PageStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (used, cap) = (self.next_free, self.capacity_pages);
+        write!(f, "PageStore({used} of {cap} pages)")
+    }
 }
 
 impl PageStore {
@@ -58,8 +71,9 @@ impl PageStore {
     /// A store with a custom page size (tests use small pages).
     pub fn with_page_size(capacity_pages: u64, page_size: u64) -> Self {
         assert!(page_size > 0 && capacity_pages > 0);
+        let zero: Rc<[u8]> = vec![0u8; page_size as usize].into();
         PageStore {
-            region: Region::persistent((capacity_pages * page_size) as usize),
+            pages: vec![zero; capacity_pages as usize],
             channel: Link::new("storage", STORAGE_GBPS).with_propagation(0),
             page_size,
             capacity_pages,
@@ -146,7 +160,7 @@ impl PageStore {
         if buf.len() as u64 != self.page_size {
             return Err(StorageError::BadBuffer(buf.len() as u64, self.page_size));
         }
-        self.region.read(page.0 * self.page_size, buf);
+        buf.copy_from_slice(&self.pages[page.0 as usize]);
         Ok(self.charge_read(now))
     }
 
@@ -176,10 +190,10 @@ impl PageStore {
             // A transient channel hiccup delays the write; it still lands.
             Verdict::Transient { spike_ns } => now + spike_ns,
             // Dead (or the crash landed on this very write): the page
-            // never reaches the persistent region.
+            // never reaches the store.
             _ => return Ok(Access::free(now)),
         };
-        self.region.write(page.0 * self.page_size, data);
+        self.put(page, data);
         self.writes += 1;
         let g = self.channel.transfer(now, self.page_size);
         let end = g.end + STORAGE_WRITE_NS;
@@ -202,14 +216,23 @@ impl PageStore {
 
     /// Untimed raw read (test assertions, bulk loading).
     pub fn raw_page(&self, page: PageId) -> &[u8] {
-        self.region
-            .slice(page.0 * self.page_size, self.page_size as usize)
+        &self.pages[page.0 as usize]
     }
 
     /// Untimed raw write (bulk loading before a timed run).
     pub fn raw_write_page(&mut self, page: PageId, data: &[u8]) {
         assert_eq!(data.len() as u64, self.page_size);
-        self.region.write(page.0 * self.page_size, data);
+        self.put(page, data);
+    }
+
+    /// Store one page's bytes: in place when no clone shares the page,
+    /// else in a fresh page of this side's own (the clone keeps the old).
+    fn put(&mut self, page: PageId, data: &[u8]) {
+        let slot = &mut self.pages[page.0 as usize];
+        match Rc::get_mut(slot) {
+            Some(bytes) => bytes.copy_from_slice(data),
+            None => *slot = data.into(),
+        }
     }
 
     /// (reads, writes) issued so far.
@@ -331,6 +354,68 @@ mod tests {
         faults::clear();
         // Only the pre-crash write was counted; dead I/O is uncounted.
         assert_eq!(s.io_counts(), (0, 1));
+    }
+
+    /// Whether `a` and `b` hold `page` in one shared slot.
+    fn shared(a: &PageStore, b: &PageStore, page: u64) -> bool {
+        Rc::ptr_eq(&a.pages[page as usize], &b.pages[page as usize])
+    }
+
+    #[test]
+    fn never_written_pages_read_as_zeros_from_one_shared_page() {
+        let mut s = PageStore::with_page_size(4, 64);
+        let p = s.allocate();
+        s.raw_write_page(PageId(3), &[5; 64]);
+        let mut buf = vec![0xFFu8; 64];
+        s.read_page(p, &mut buf, SimTime::ZERO);
+        assert_eq!(buf, vec![0u8; 64]);
+        assert_eq!(s.raw_page(PageId(2)), &[0u8; 64][..]);
+        assert!(Rc::ptr_eq(&s.pages[0], &s.pages[2]));
+        assert!(!Rc::ptr_eq(&s.pages[0], &s.pages[3]));
+    }
+
+    #[test]
+    fn a_clone_shares_every_page_until_a_side_writes_it() {
+        let mut a = PageStore::with_page_size(4, 64);
+        for p in 0..4 {
+            a.allocate();
+            a.raw_write_page(PageId(p), &[p as u8 + 1; 64]);
+        }
+        let mut b = a.clone();
+        assert!((0..4).all(|p| shared(&a, &b, p)));
+        // Through the clone's timed write: only the clone's page moves.
+        b.write_page(PageId(1), &[0xB1; 64], SimTime::ZERO);
+        assert_eq!(a.raw_page(PageId(1)), &[2u8; 64][..]);
+        assert_eq!(b.raw_page(PageId(1)), &[0xB1u8; 64][..]);
+        // Through the original's raw write: only the original's.
+        a.raw_write_page(PageId(2), &[0xA2; 64]);
+        assert_eq!(a.raw_page(PageId(2)), &[0xA2u8; 64][..]);
+        assert_eq!(b.raw_page(PageId(2)), &[3u8; 64][..]);
+        assert_eq!(
+            (0..4).map(|p| shared(&a, &b, p)).collect::<Vec<_>>(),
+            [true, false, false, true]
+        );
+        // A second write to a page a side already owns stays in place.
+        let owned = Rc::as_ptr(&b.pages[1]);
+        b.raw_write_page(PageId(1), &[0xB2; 64]);
+        assert_eq!(Rc::as_ptr(&b.pages[1]), owned);
+        assert_eq!((a.io_counts(), b.io_counts()), ((0, 0), (0, 1)));
+    }
+
+    #[test]
+    fn a_write_a_dead_host_refuses_copies_nothing() {
+        use simkit::faults::{self, FaultPlan};
+        faults::clear();
+        let mut a = PageStore::with_page_size(2, 64);
+        a.allocate();
+        a.raw_write_page(PageId(0), &[0xAA; 64]);
+        let mut b = a.clone();
+        faults::install(FaultPlan::crash_at_hit(0));
+        b.write_page(PageId(0), &[0xBB; 64], SimTime::ZERO);
+        assert!(faults::crashed());
+        faults::clear();
+        assert!(shared(&a, &b, 0));
+        assert_eq!(b.raw_page(PageId(0)), &[0xAAu8; 64][..]);
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub struct PoolingResult {
 
 /// Pages needed to hold `table_size` rows plus B+tree overhead and
 /// insert slack (every single-host harness sizes its store with this).
-pub(crate) fn pages_for(table_size: u64, page_size: u64) -> u64 {
+pub fn pages_for(table_size: u64, page_size: u64) -> u64 {
     let rows_per_page = (page_size - 16) / (8 + RECORD_SIZE as u64);
     let leaves = table_size.div_ceil(rows_per_page.max(1));
     // meta + root chain + split slack.

@@ -2,11 +2,12 @@
 //! modelled latency and transfer time measured through `DramSpace` /
 //! `CxlPool` / `RdmaPool`'s public API — the loops the `table1_latency`
 //! and `table2_transfer` benches print — beside the paper's value.
-//! Figures 3 and 7–9: the pooling shapes, from `run_pooling` at smoke
-//! scale through the `fig3`/`fig7`/`fig8`/`fig9` benches' own sweep —
-//! Figure 3's are the paper's case against a DRAM tier, Figure 7's are
-//! the ledger's `pool_point` workload, Figure 9's bandwidth ratio is its
-//! `pool_rw_spill` one. Orderings and knees are held exactly, each
+//! Figure 1: the RDMA design's LBP sweep, through the `fig1_lbp_size`
+//! bench's own sweep. Figures 3 and 7–9: the pooling shapes, from
+//! `run_pooling` at smoke scale through the `fig3`/`fig7`/`fig8`/`fig9`
+//! benches' own sweep — Figure 3's are the paper's case against a DRAM
+//! tier, Figure 7's are the ledger's `pool_point` workload, Figure 9's
+//! bandwidth ratio is its `pool_rw_spill` one. Orderings and knees are held exactly, each
 //! magnitude inside a stated band of |ln(ours / paper)|, or of
 //! |ln(ours / today)| where the two are still far apart. Figure 10: the
 //! recovery-time orderings from `run_recovery` through the
@@ -17,8 +18,8 @@
 //! EXPERIMENTS.md quotes.
 
 use bench::{
-    pooling_sweep, recovery_sweep, sharing_sweep, table1_latencies, table2_transfers, TransferRow,
-    DRAM_VS_CXL, RDMA_VS_CXL,
+    lbp_sweep, pooling_sweep, recovery_sweep, sharing_sweep, table1_latencies, table2_transfers,
+    TransferRow, DRAM_VS_CXL, LBP_FRACTIONS, RDMA_VS_CXL,
 };
 use simkit::SimTime;
 use workloads::recovery_harness::Scheme;
@@ -144,6 +145,50 @@ fn table2_transfers_keep_the_papers_orderings_and_bands() {
         "{lead:?}"
     );
     assert!((5.0..7.5).contains(&lead[0].0) && (5.0..7.5).contains(&lead[0].1));
+}
+
+/// Figure 1 of the paper: the tiered RDMA design's throughput rises
+/// about 25 % as its local buffer pool grows from 10 % to 100 % of the
+/// disaggregated memory, while its RDMA bandwidth falls to 0.
+const FIG1_PAPER_QPS_GAIN: f64 = 1.25;
+
+/// Figure 1 at Figure 3's scale (7 500 rows, 10 ms windows) through
+/// `bench::lbp_sweep`, as the `fig1_lbp_size` bench runs it. Held
+/// exactly: RDMA bandwidth never rises as the LBP grows, and it is 0 at
+/// 100 %. The throughput gain is the divergence (EXPERIMENTS.md "Figure
+/// 1"): ours is flat, because a statement's memory stalls hide under its
+/// CPU cost (ROADMAP 1(b)(ii)), so it is printed beside the paper's,
+/// not banded.
+#[test]
+fn figure1_rdma_bandwidth_falls_to_zero_as_the_lbp_grows() {
+    let kinds = [SysbenchKind::PointSelect, SysbenchKind::ReadWrite];
+    let sweep = lbp_sweep(&kinds, |cfg| {
+        cfg.table_size = 7_500;
+        cfg.duration = SimTime::from_millis(10);
+    });
+    println!("| workload | LBP | K-QPS | RDMA GB/s |");
+    println!("|---|---|---|---|");
+    for (series, kind) in sweep.iter().zip(kinds) {
+        for (m, frac) in series.iter().zip(LBP_FRACTIONS) {
+            println!(
+                "| {kind:?} | {:.0} % | {:.1} | {:.3} |",
+                frac * 100.0,
+                m.qps / 1e3,
+                m.interconnect_gbps
+            );
+        }
+        let gbps: Vec<f64> = series.iter().map(|m| m.interconnect_gbps).collect();
+        assert!(
+            gbps.windows(2).all(|w| w[1] <= w[0]),
+            "{kind:?}: RDMA bandwidth rose with the LBP: {gbps:?}"
+        );
+        assert_eq!(gbps[gbps.len() - 1], 0.0, "{kind:?}: RDMA traffic at 100 %");
+        let gain = series[series.len() - 1].qps / series[0].qps;
+        println!(
+            "| {kind:?} | 100 % / 10 % | {gain:.4} (paper {FIG1_PAPER_QPS_GAIN}, \\|ln\\| {:.3}) | |",
+            ln_ratio(gain, FIG1_PAPER_QPS_GAIN)
+        );
+    }
 }
 
 /// Figure 3 of the paper: CXL-BP runs 7–10 % behind DRAM-BP at every
