@@ -119,7 +119,7 @@ impl BpStats {
 
 /// A fabric operation burned its bounded retry budget. The pool still
 /// degrades to storage where that is safe, but the condition is typed
-/// and counted ([`BpStats::overload_errors`]) so load shedding is
+/// and counted ([`BpStats::overload_errors`]) so a burned budget is
 /// distinguishable from an orderly fallback in every registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadError {

@@ -1,7 +1,7 @@
 //! Crash-safe online elasticity: live re-partitioning of the CXL pool
 //! via a two-phase lease migration.
 //!
-//! PR 9 can brown a tenant out; this module moves capacity instead. A
+//! A tenant under pressure gets capacity moved to it, not taken away. A
 //! migration hands a contiguous range of DBP pages — data in place,
 //! nothing copied — from a donor tenant to a recipient while both keep
 //! serving traffic:

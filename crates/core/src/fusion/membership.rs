@@ -1,48 +1,16 @@
 //! Membership changes over the slot table: what happens to a node's
 //! active entries and flag words when the cluster changes shape —
 //! reclaim after a declared death, bulk adoption by a standby or a
-//! migration recipient, the donor-side migration hand-off and the
-//! brownout shrink. Every operation returns early, touching nothing,
-//! for a node that never registered a flag array.
+//! migration recipient, and the donor-side migration hand-off. Every
+//! operation returns early, touching nothing, for a node that never
+//! registered a flag array.
 
 use super::node::SharingNode;
-use super::server::{invalid_flag_off, removal_flag_off, FusionServer};
+use super::server::{invalid_flag_off, FusionServer};
 use crate::manager::rpc_gate;
 use memsim::NodeId;
 use simkit::SimTime;
 use storage::PageId;
-
-/// Typed outcome of an unachievable [`FusionServer::shrink_node_share`]
-/// request: the node's pinned share (pages other tenants are also
-/// active on — recycling those would evict a healthy tenant's data)
-/// already exceeds the requested share. The shrink still recycles every
-/// exclusive page, so the error reports what *was* achieved instead of
-/// silently clamping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShrinkError {
-    /// The browned-out node whose share was shrunk.
-    pub node: NodeId,
-    /// The share the caller asked to keep (total DBP pages).
-    pub requested: usize,
-    /// The smallest share actually achievable (the pinned page count).
-    pub achievable: usize,
-    /// Completion time of the partial shrink (all exclusive pages were
-    /// still recycled; callers continue from here).
-    pub completed: SimTime,
-}
-
-impl std::fmt::Display for ShrinkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shrink of node {} clamped: requested share {} is below the \
-             {} pages pinned by co-tenants",
-            self.node.0, self.requested, self.achievable
-        )
-    }
-}
-
-impl std::error::Error for ShrinkError {}
 
 impl FusionServer {
     /// Self-healing after [`FusionServer::fence_node`]: walk the DBP,
@@ -79,84 +47,6 @@ impl FusionServer {
             }
         }
         t
-    }
-
-    /// Put `node` into (or take it out of) brownout. A browned-out node
-    /// is served storage-direct by its harness (no new DBP admissions)
-    /// and its exclusive DBP share may be shrunk with
-    /// [`FusionServer::shrink_node_share`]. Pure control plane — no
-    /// fabric traffic, idempotent, and orthogonal to fencing (a browned
-    /// node is degraded, not dead).
-    pub fn set_brownout(&mut self, node: NodeId, on: bool) {
-        if on {
-            if !self.browned.contains(&node) {
-                self.browned.push(node);
-                self.stats.brownouts += 1;
-            }
-        } else {
-            self.browned.retain(|&n| n != node);
-        }
-    }
-
-    /// Whether `node` is currently browned out.
-    pub fn is_browned(&self, node: NodeId) -> bool {
-        self.browned.contains(&node)
-    }
-
-    /// Shrink a browned-out node's DBP footprint to at most `keep`
-    /// pages total. Only pages *exclusively* active on `node` can be
-    /// recycled (sorted page order; the lowest-numbered survive,
-    /// deterministically) — pages shared with any other node are pinned
-    /// by that co-tenant and set the floor the shrink cannot go below.
-    /// Each recycled page gets the node's removal flag set, exactly
-    /// like an LRU recycle, so a restored node re-requests it cleanly.
-    ///
-    /// Returns the completion time, or a typed [`ShrinkError`] when
-    /// `keep` is below the pinned-page floor: the shrink still recycles
-    /// every exclusive page, and the error reports the achievable share
-    /// instead of silently clamping.
-    pub fn shrink_node_share(
-        &mut self,
-        node: NodeId,
-        keep: usize,
-        now: SimTime,
-    ) -> Result<SimTime, ShrinkError> {
-        let Some(&flag_base) = self.flag_bases.get(&node) else {
-            return Ok(now);
-        };
-        // FastMap iteration order is not deterministic: collect and sort
-        // before doing timed work.
-        let mut exclusive: Vec<PageId> = self
-            .map
-            .iter()
-            .filter(|(_, info)| info.active.len() == 1 && info.active[0] == node)
-            .map(|(&page, _)| page)
-            .collect();
-        exclusive.sort_unstable();
-        let pinned = self
-            .map
-            .iter()
-            .filter(|(_, info)| info.active.len() > 1 && info.active.contains(&node))
-            .count();
-        let keep_exclusive = keep.saturating_sub(pinned);
-        let mut t = now;
-        for page in exclusive.into_iter().skip(keep_exclusive) {
-            if self.unmap(page).is_none() {
-                continue;
-            }
-            t = self.store_uncached(removal_flag_off(flag_base, page), &1u64.to_le_bytes(), t);
-            self.stats.brownout_reclaims += 1;
-        }
-        if keep < pinned {
-            self.stats.brownout_clamped += 1;
-            return Err(ShrinkError {
-                node,
-                requested: keep,
-                achievable: pinned,
-                completed: t,
-            });
-        }
-        Ok(t)
     }
 
     /// Bulk directory fetch for standby adoption (PolarRecv-style): one
@@ -323,82 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn brownout_shrinks_exclusive_share_and_restores_cleanly() {
-        let (mut server, mut n0, mut n1) = setup();
-        let mut buf = [0u8; 8];
-        // Node 0 alone touches pages 1..=3; both nodes share page 5.
-        n0.read(&mut server, PageId(1), 0, &mut buf, SimTime::ZERO);
-        n0.read(&mut server, PageId(2), 0, &mut buf, SimTime::ZERO);
-        n0.read(&mut server, PageId(3), 0, &mut buf, SimTime::ZERO);
-        n0.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
-        n1.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(server.pages_in_use(), 4);
-        assert!(!server.is_browned(NodeId(0)));
-        server.set_brownout(NodeId(0), true);
-        server.set_brownout(NodeId(0), true); // idempotent
-        assert!(server.is_browned(NodeId(0)));
-        // Keep = 2 total: one pinned (shared page 5) + one exclusive.
-        let t = server
-            .shrink_node_share(NodeId(0), 2, SimTime::ZERO)
-            .expect("share of 2 is achievable (1 pinned + 1 exclusive)");
-        // Pages 2 and 3 recycled (lowest page id survives); the page
-        // shared with node 1 is untouched.
-        assert_eq!(server.pages_in_use(), 2);
-        assert_eq!(server.stats().brownouts, 1);
-        assert_eq!(server.stats().brownout_reclaims, 2);
-        assert_eq!(
-            server.pages_in_use() + server.free_slots(),
-            16,
-            "no leaked slots"
-        );
-        // The shared page still reads from the DBP without a storage
-        // round trip.
-        let fills = server.stats().storage_fills;
-        n1.read(&mut server, PageId(5), 0, &mut buf, t);
-        assert_eq!(buf, [6u8; 8]);
-        assert_eq!(server.stats().storage_fills, fills);
-        // Restore: the node sees the removal flag on a recycled page
-        // and re-requests it through the normal protocol.
-        server.set_brownout(NodeId(0), false);
-        assert!(!server.is_browned(NodeId(0)));
-        let removals = n0.stats().removal_reloads;
-        n0.read(&mut server, PageId(3), 0, &mut buf, t);
-        assert_eq!(buf, [4u8; 8]);
-        assert_eq!(n0.stats().removal_reloads, removals + 1);
-        assert_eq!(server.pages_in_use(), 3);
-    }
-
-    #[test]
-    fn shrink_below_pinned_floor_reports_typed_clamp() {
-        let (mut server, mut n0, mut n1) = setup();
-        let mut buf = [0u8; 8];
-        // Node 0 exclusive on pages 1..=2; both nodes share page 5.
-        n0.read(&mut server, PageId(1), 0, &mut buf, SimTime::ZERO);
-        n0.read(&mut server, PageId(2), 0, &mut buf, SimTime::ZERO);
-        n0.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
-        n1.read(&mut server, PageId(5), 0, &mut buf, SimTime::ZERO);
-        server.set_brownout(NodeId(0), true);
-        // Requesting 0 cannot evict the co-tenant's shared page: the
-        // shrink recycles every exclusive page and reports the floor.
-        let err = server
-            .shrink_node_share(NodeId(0), 0, SimTime::ZERO)
-            .expect_err("share below the pinned floor must be a typed clamp");
-        assert_eq!(err.node, NodeId(0));
-        assert_eq!(err.requested, 0);
-        assert_eq!(err.achievable, 1, "page 5 is pinned by node 1");
-        assert!(err.completed > SimTime::ZERO, "exclusive pages recycled");
-        assert_eq!(server.stats().brownout_reclaims, 2);
-        assert_eq!(server.stats().brownout_clamped, 1);
-        assert_eq!(server.pages_in_use(), 1, "only the shared page remains");
-        assert_eq!(server.pages_in_use() + server.free_slots(), 16);
-        // The co-tenant's shared page still serves from the DBP.
-        let fills = server.stats().storage_fills;
-        n1.read(&mut server, PageId(5), 0, &mut buf, err.completed);
-        assert_eq!(buf, [6u8; 8]);
-        assert_eq!(server.stats().storage_fills, fills);
-    }
-
-    #[test]
     fn migrate_out_hands_pages_off_without_recycling() {
         let (mut server, mut n0, mut n1) = setup();
         let mut buf = [0u8; 8];
@@ -456,7 +270,6 @@ mod tests {
         assert_eq!(stray.adopt(&mut server, PageId(0), 8, t), (0, t));
         assert_eq!(server.reclaim_node(NodeId(1), t), t);
         assert_eq!(server.migrate_out(NodeId(1), PageId(0), 8, t), t);
-        assert_eq!(server.shrink_node_share(NodeId(1), 0, t), Ok(t));
         assert_eq!(server.stats(), before);
         assert_eq!(server.fabric().borrow().switch_bytes(), link);
         // The registered node's directory entry is untouched.

@@ -26,7 +26,7 @@
 //! snapshot), `node` (the data plane: every step of the protocol above,
 //! written once over [`memsim::CxlFabric`] for the serial and the phase
 //! API), `fencing` (epoch words, both sides) and `membership` (reclaim,
-//! adoption, migration hand-off, brownout shrink).
+//! adoption, migration hand-off).
 
 mod fencing;
 mod membership;
@@ -34,7 +34,6 @@ mod node;
 mod server;
 
 pub use fencing::{epoch_off, FencedError, FencingPolicy};
-pub use membership::ShrinkError;
 pub use node::{CoherencyMode, SharingNode, SharingNodeStats};
 pub use server::{
     invalid_flag_off, removal_flag_off, FusionDir, FusionServer, FusionStats, SharedStore,

@@ -45,15 +45,6 @@ pub struct FusionStats {
     pub reclaimed_slots: u64,
     /// Per-(node, page) flag words cleared during reclamation.
     pub reclaimed_flags: u64,
-    /// Brownout entries (nodes degraded to storage-direct service).
-    pub brownouts: u64,
-    /// DBP slots recycled by [`FusionServer::shrink_node_share`] while
-    /// their exclusive owner was browned out.
-    pub brownout_reclaims: u64,
-    /// Shrink requests clamped because the node's pinned (shared) pages
-    /// already exceeded the requested share
-    /// ([`ShrinkError`](super::ShrinkError) returned).
-    pub brownout_clamped: u64,
     /// Pages handed off in place by [`FusionServer::migrate_out`]
     /// during a lease migration (slots not recycled — they transfer).
     pub migrated_out: u64,
@@ -87,9 +78,6 @@ pub struct FusionServer {
     pub(super) epochs: FastMap<NodeId, u64>,
     /// Nodes currently declared dead.
     pub(super) dead: Vec<NodeId>,
-    /// Nodes currently browned out (degraded to storage-direct service
-    /// by the overload controller; their DBP share may be shrunk).
-    pub(super) browned: Vec<NodeId>,
 }
 
 impl std::fmt::Debug for FusionServer {
@@ -140,7 +128,6 @@ impl FusionServer {
             epoch_base: None,
             epochs: FastMap::default(),
             dead: Vec::new(),
-            browned: Vec::new(),
         }
     }
 

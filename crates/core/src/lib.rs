@@ -37,7 +37,7 @@ pub use elastic::{
 };
 pub use fusion::{
     CoherencyMode, FencedError, FencingPolicy, FusionDir, FusionServer, FusionStats, SharedStore,
-    SharingNode, SharingNodeStats, ShrinkError,
+    SharingNode, SharingNodeStats,
 };
 pub use manager::{AllocError, CxlMemoryManager, Lease, ReleaseError};
 pub use rdma_sharing::{RdmaDbp, RdmaDir, RdmaNodeStats, RdmaSharingNode};

@@ -26,8 +26,6 @@
 //!   leaf primitives the tracer instruments.
 //! - [`telemetry`] — online windowed per-node/per-lane aggregates,
 //!   health scoring and SLO alerting, sealed at virtual-time barriers.
-//! - [`qos`] — overload protection: per-tenant token-bucket admission,
-//!   deadline-based load shedding and circuit breakers in virtual time.
 //! - [`json`] — the dependency-free JSON writer behind every artifact.
 
 #![warn(missing_docs)]
@@ -38,7 +36,6 @@ pub mod json;
 pub mod lock;
 pub mod par;
 pub mod profile;
-pub mod qos;
 pub mod resource;
 pub mod rng;
 pub mod stats;

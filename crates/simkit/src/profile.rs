@@ -144,9 +144,19 @@ pub fn alloc_bytes() -> u64 {
 /// A `GlobalAlloc` wrapper around [`System`] that counts allocations
 /// per thread. Install it from the profiling binary:
 ///
-/// ```ignore
+/// ```
+/// use simkit::profile::{alloc_bytes, alloc_count, CountingAlloc};
+///
 /// #[global_allocator]
-/// static ALLOC: simkit::profile::CountingAlloc = simkit::profile::CountingAlloc;
+/// static ALLOC: CountingAlloc = CountingAlloc;
+///
+/// fn main() {
+///     let (count, bytes) = (alloc_count(), alloc_bytes());
+///     let v = std::hint::black_box(vec![0u8; 100]);
+///     assert_eq!(alloc_count(), count + 1);
+///     assert!(alloc_bytes() >= bytes + 100);
+///     drop(v);
+/// }
 /// ```
 ///
 /// The counters are const-initialized thread-local `Cell`s with no

@@ -229,53 +229,6 @@ impl<T: UniformInt> SampleRange<T> for RangeInclusive<T> {
     }
 }
 
-/// Deterministic zipfian sampler over ranks `0..n`.
-///
-/// Rank `k` is drawn with probability proportional to `1/(k+1)^theta` —
-/// the standard model for skewed database access (YCSB's `zipfian`
-/// distribution). Implemented as a precomputed CDF plus binary search:
-/// `O(n)` setup, `O(log n)` per sample, no floating-point iteration at
-/// sample time beyond one comparison path, so draws are bit-reproducible
-/// for a given `(n, theta, seed)` triple.
-///
-/// `theta = 0` degenerates to uniform; YCSB's default skew is
-/// `theta = 0.99`; larger values concentrate mass further onto the head.
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// A sampler over `0..n` with skew `theta >= 0`.
-    pub fn new(n: u64, theta: f64) -> Self {
-        assert!(n > 0, "zipf needs a non-empty domain");
-        assert!(theta >= 0.0 && theta.is_finite(), "skew must be finite");
-        let mut cdf = Vec::with_capacity(n as usize);
-        let mut acc = 0.0f64;
-        for k in 0..n {
-            acc += 1.0 / ((k + 1) as f64).powf(theta);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Domain size `n`.
-    pub fn n(&self) -> u64 {
-        self.cdf.len() as u64
-    }
-
-    /// Draw one rank in `0..n`; rank 0 is the hottest.
-    #[inline]
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c <= u) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,40 +319,6 @@ mod tests {
         let mut r = stream_rng(8, 0);
         let hits = (0..10_000).filter(|_| r.gen_bool(0.25)).count();
         assert!((2_000..3_000).contains(&hits), "{hits}");
-    }
-
-    #[test]
-    fn zipf_is_deterministic_and_in_range() {
-        let z = Zipf::new(100, 0.99);
-        let mut a = stream_rng(20, 0);
-        let mut b = stream_rng(20, 0);
-        for _ in 0..1_000 {
-            let x = z.sample(&mut a);
-            assert_eq!(x, z.sample(&mut b));
-            assert!(x < 100);
-        }
-    }
-
-    #[test]
-    fn zipf_skews_toward_low_ranks() {
-        let z = Zipf::new(1_000, 0.99);
-        let mut r = stream_rng(21, 0);
-        let head = (0..10_000).filter(|_| z.sample(&mut r) < 10).count();
-        // The 1% hottest ranks draw well over a quarter of the samples.
-        assert!(head > 2_500, "{head}");
-    }
-
-    #[test]
-    fn zipf_theta_zero_is_uniform() {
-        let z = Zipf::new(8, 0.0);
-        let mut r = stream_rng(22, 0);
-        let mut buckets = [0u32; 8];
-        for _ in 0..8_000 {
-            buckets[z.sample(&mut r) as usize] += 1;
-        }
-        for b in buckets {
-            assert!((800..1_200).contains(&b), "{buckets:?}");
-        }
     }
 
     #[test]

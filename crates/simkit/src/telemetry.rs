@@ -923,8 +923,8 @@ impl TelemetryHub {
 
     /// Whether `rule` is currently firing for `node` — the
     /// hysteresis-filtered alert state as of the last sealed
-    /// window. This is the control-plane read used by brownout
-    /// controllers at virtual-time barriers; unknown rule names and
+    /// window. The elasticity rebalancer reads its `miss_burn` rule
+    /// through this at virtual-time barriers; unknown rule names and
     /// disabled hubs read `false`.
     pub fn firing(&self, rule: &str, node: u32) -> bool {
         if self.window_ns == 0 {

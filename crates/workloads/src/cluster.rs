@@ -2,7 +2,7 @@
 //! fabric, stepped in virtual-time quanta between barriers.
 //!
 //! Every multi-node harness (sharing on CXL and on RDMA, failover,
-//! overload, elasticity) is a *scenario* on this driver: it builds a
+//! elasticity) is a *scenario* on this driver: it builds a
 //! [`Fabric`], hands over one node + one lane-state value per lane, and
 //! supplies two closures —
 //!
@@ -13,7 +13,7 @@
 //!   barrier with the whole [`Cluster`] back in hand (server, nodes,
 //!   lock table, hub, per-lane state) — the control planes of
 //!   [`crate::control`] (failover's supervisor, elasticity's rebalancer)
-//!   and overload's brownout controller run there.
+//!   run there.
 //!
 //! One quantum, in fixed order: for each active lane, ascending, on the
 //! calling thread — make its lock shard → swap its tracer and fault
@@ -28,7 +28,7 @@
 //!
 //! A hook may touch anything on the [`Cluster`], but fabric shards only
 //! through [`Cluster::deactivate`] / [`Cluster::activate`] /
-//! [`Cluster::merged`] / [`Cluster::rewarm`], and it must call [`Cluster::refresh_dir`] after
+//! [`Cluster::merged`], and it must call [`Cluster::refresh_dir`] after
 //! mutating the server's directory — lanes read a snapshot.
 
 use crate::sharing::GroupLayout;
@@ -455,16 +455,6 @@ impl FusionCluster {
         for (i, node) in nodes.iter_mut().enumerate() {
             self.warm(node, layout.home_pages(i), SimTime::ZERO);
         }
-    }
-}
-
-impl<X> Cluster<FusionCluster, X> {
-    /// Re-resolve `pages` on an active lane serially at `now`: its shard
-    /// merges back for the RPCs and detaches again.
-    pub fn rewarm(&mut self, lane: usize, pages: impl Iterator<Item = PageId>, now: SimTime) {
-        self.deactivate(lane);
-        self.fabric.warm(&mut self.nodes[lane], pages, now);
-        self.activate(lane, now);
     }
 }
 

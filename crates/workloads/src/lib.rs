@@ -15,7 +15,6 @@ pub mod elasticity;
 pub mod failover;
 pub mod harness;
 pub mod metrics;
-pub mod overload;
 pub mod recovery_harness;
 pub mod sharing;
 pub mod sysbench;
@@ -31,7 +30,6 @@ pub use failover::{
 };
 pub use harness::{run_pooling, PoolKind, PoolingConfig, PoolingResult};
 pub use metrics::RunMetrics;
-pub use overload::{run_overload, FlapSpec, OverloadConfig, OverloadResult, TenantOutcome};
 pub use recovery_harness::{run_recovery, RecoveryConfig, RecoveryRunResult, Scheme};
 pub use sharing::{run_sharing, GroupLayout, ShOp, SharingConfig, SharingResult, SharingSystem};
 pub use sysbench::{Sysbench, SysbenchKind};

@@ -355,7 +355,7 @@ struct Tally {
 
 /// Execute one [`ShOp`] on a lane: the locked statement, then the probe
 /// record on the `private` (0) / `shared` (1) lane its page falls in.
-pub(crate) fn exec_op<F: Fabric, X>(
+fn exec_op<F: Fabric, X>(
     ctx: &mut LaneCtx<'_, '_, F, X>,
     op: ShOp,
     payload: &[u8],

@@ -66,10 +66,6 @@ pub mod prelude {
     pub use polarcxlmem::{CxlBp, CxlMemoryManager, FusionServer, SharingNode, TrustPolicy};
     pub use polarcxlmem::{FencingPolicy, ReleaseError};
     pub use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
-    pub use simkit::qos::{
-        self, Admission, AdmissionStats, BreakerConfig, BreakerState, BreakerStats, CircuitBreaker,
-        Decision, QosConfig, TenantClass,
-    };
     pub use simkit::rng::{stream_rng, SimRng};
     pub use simkit::telemetry::{
         self, Health, Metric, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport,
@@ -77,10 +73,10 @@ pub mod prelude {
     pub use simkit::{dur, SimTime};
     pub use storage::{Lsn, PageId, PageStore, Wal};
     pub use workloads::{
-        run_chaos, run_elasticity, run_failover, run_overload, run_pooling, run_recovery,
-        run_sharing, ChaosConfig, ChaosRunResult, DeathMode, ElasticTenantOutcome,
-        ElasticityConfig, ElasticityResult, FailoverConfig, FailoverResult, FlapSpec, LinkChaos,
-        OverloadConfig, OverloadResult, PoolKind, PoolingConfig, RecoveryConfig, RecoveryRunResult,
-        Scheme, SharingConfig, SharingResult, SharingSystem, SysbenchKind, TenantOutcome,
+        run_chaos, run_elasticity, run_failover, run_pooling, run_recovery, run_sharing,
+        ChaosConfig, ChaosRunResult, DeathMode, ElasticTenantOutcome, ElasticityConfig,
+        ElasticityResult, FailoverConfig, FailoverResult, LinkChaos, PoolKind, PoolingConfig,
+        RecoveryConfig, RecoveryRunResult, Scheme, SharingConfig, SharingResult, SharingSystem,
+        SysbenchKind,
     };
 }

@@ -335,38 +335,6 @@ fn sharing_traces_reruns_bit_identically() {
 }
 
 #[test]
-fn overload_intra_config_reruns_bit_identically() {
-    // The overload harness adds three host-side actors that could each
-    // leak host order into simulated state: per-lane admission buckets,
-    // per-lane circuit breakers, and the serial brownout controller at
-    // quantum barriers. Every QoS decision must be a function of virtual
-    // time and per-node state only — with QoS on, with it off, and with
-    // a link flap driving the breaker through trip/half-open/close.
-    let run = |qos: bool, flap: bool| {
-        let mut c = OverloadConfig::smoke(3);
-        c.qos = qos;
-        if flap {
-            c.link_flap = Some(FlapSpec {
-                host: 1,
-                at: SimTime::from_millis(6),
-                down_ns: 4_000_000,
-                retry_ns: 100_000,
-            });
-        }
-        run_overload(&c)
-    };
-    for (qos, flap) in [(true, false), (false, false), (true, true)] {
-        let (one, p) = (run(qos, flap), run(qos, flap));
-        assert_eq!(
-            one.per_tenant, p.per_tenant,
-            "qos={qos} flap={flap}: per-tenant outcomes"
-        );
-        assert_eq!(one.registry, p.registry, "qos={qos} flap={flap}: registry");
-        assert_eq!(one, p, "qos={qos} flap={flap}: rerun diverged");
-    }
-}
-
-#[test]
 fn elasticity_intra_config_reruns_bit_identically() {
     // Live migration adds the sharpest host-order hazards yet: the
     // controller's pressure streaks are folded from per-lane counters at

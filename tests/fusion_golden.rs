@@ -9,7 +9,11 @@
 //! The values were captured at commit `2dbcc7a`, before `fusion.rs` was
 //! split and its serial and phase bodies were merged, so a refactor of
 //! that module is checked against the commit that wrote these numbers,
-//! not against itself. Nothing here depends on a cargo feature.
+//! not against itself. When the brownout shrink left the server, its
+//! step left the script and the values were re-pinned from commit
+//! `1586876` running the shortened script (the same dump, less
+//! `FusionStats`' three brownout counters). Nothing here depends on a
+//! cargo feature.
 //!
 //! Every returned `SimTime` is a line of the dump, followed by
 //! `FusionStats`, the three `SharingNodeStats` and the pool's link byte
@@ -178,23 +182,6 @@ fn script(mode: CoherencyMode) -> String {
         n1.read(&mut server, PageId(5), 0, &mut buf, t),
     );
     log.line(format!("n1.sees.p5={buf:?}"));
-
-    // -- brownout shrink --------------------------------------------------
-    server.set_brownout(NodeId(0), true);
-    let t = log.t(
-        "shrink.keep3",
-        server
-            .shrink_node_share(NodeId(0), 3, t)
-            .expect("achievable"),
-    );
-    let clamped = server.shrink_node_share(NodeId(0), 0, t);
-    log.line(format!("shrink.keep0={clamped:?}"));
-    let t = clamped.expect_err("a co-tenant pins one page").completed;
-    server.set_brownout(NodeId(0), false);
-    let t = log.t(
-        "n0.read.p7.restored",
-        n0.read(&mut server, PageId(7), 0, &mut buf, t),
-    );
 
     // -- the recycler on its own ------------------------------------------
     let t = log.t("server.recycle_slot", server.recycle_slot(t));
@@ -449,62 +436,59 @@ n0.write.p5=1334599
 n0.publish.p5=1335359
 n1.read.p5=1362269
 n1.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
-shrink.keep3=1362999
-shrink.keep0=Err(ShrinkError { node: NodeId(0), requested: 0, achievable: 1, completed: SimTime(1364459) })
-n0.read.p7.restored=1493115
-server.recycle_slot=1493845
-server.background_recycle=1494575
-n0.write.p5.prefence=1496005
-server.fence0=1496735
-server.fence0.again=1496735
+server.recycle_slot=1362999
+server.background_recycle=1363729
+n0.write.p5.prefence=1365159
+server.fence0=1365889
+server.fence0.again=1365889
 n0.guarded_write=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.guarded_publish=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.check_epoch=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
-n0.publish.p5.fenced=1497495
-n1.check_epoch.after=1498195
-server.reclaim0=1499655
-dbp in_use=1 free=5
-register0.again=1500385
+n0.publish.p5.fenced=1366649
+n1.check_epoch.after=1367349
+server.reclaim0=1368809
+dbp in_use=3 free=3
+register0.again=1369539
 grant0.again 1
-n0b.adopted=1
-n0b.adopt=1526599
-n0b.read.p5=1527999
+n0b.adopted=3
+n0b.adopt=1396713
+n0b.read.p5=1398113
 n0b.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
-n0b.guarded_write.p5=1529403
-n0b.guarded_publish.p5=1531593
-server.migrate_out=1557327
-server.migrate_out.replay=1583061
-n0b.adopted.again=1
-n0b.adopt.again=1609275
+n0b.guarded_write.p5=1399517
+n0b.guarded_publish.p5=1401707
+server.migrate_out=1427441
+server.migrate_out.replay=1453175
+n0b.adopted.again=3
+n0b.adopt.again=1480349
 slot_of.p5=Some(5120)
-warm.n0b.p5=1609975
-warm.n1.p5=1636185
-warm.n0b.p4=1763441
-warm.n1.p4=1789651
-dir len=2 active.p5=[NodeId(0), NodeId(1)] active.p4=[NodeId(0), NodeId(1)]
-res.n0b.write.a=1791081
-res.n0b.write.b=1792515
-res.n0b.publish=1794799
-res.n0b.guarded_write=1796937
-res.n0b.guarded_publish=1799195
-res.n1.read.same_quantum=1791051
+warm.n0b.p5=1481049
+warm.n1.p5=1507259
+warm.n0b.p4=1634515
+warm.n1.p4=1660725
+dir len=4 active.p5=[NodeId(0), NodeId(1)] active.p4=[NodeId(0), NodeId(1)]
+res.n0b.write.a=1662155
+res.n0b.write.b=1663589
+res.n0b.publish=1665873
+res.n0b.guarded_write=1668011
+res.n0b.guarded_publish=1670269
+res.n1.read.same_quantum=1662125
 res.n1.sees.same_quantum=[6, 6, 6, 6, 6, 6, 6, 6]
-res.n1.check_epoch=1791751
-res.n1.access.p4.addr=0
-res.n1.access.p4=1792451
-res.n1.read.p5.next_quantum=1801805
+res.n1.check_epoch=1662825
+res.n1.access.p4.addr=1024
+res.n1.access.p4=1663525
+res.n1.read.p5.next_quantum=1672879
 res.n1.sees.p5=[161, 161, 161, 161, 161, 161, 161, 161]
-res.n1.read.p4.next_quantum=1804415
+res.n1.read.p4.next_quantum=1675489
 res.n1.sees.p4=[177, 177, 177, 177, 177, 177, 177, 177]
-res.n1.write.p4=1805845
-res.n1.publish.p4=1807335
-res.n0b.read.p5.own=1800595
-FusionStats { rpcs: 20, recycles: 6, invalidations: 7, storage_fills: 12, fenced_nodes: 1, fenced_rejects: 1, reclaimed_slots: 1, reclaimed_flags: 2, brownouts: 1, brownout_reclaims: 3, brownout_clamped: 1, migrated_out: 1 }
-n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 1, removal_reloads: 1, invalidations_sent: 0 }
+res.n1.write.p4=1676919
+res.n1.publish.p4=1678409
+res.n0b.read.p5.own=1671669
+FusionStats { rpcs: 19, recycles: 6, invalidations: 7, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 1, reclaimed_slots: 1, reclaimed_flags: 2, migrated_out: 3 }
+n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 1, removal_reloads: 0, invalidations_sent: 0 }
 n0b SharingNodeStats { local_hits: 7, rpcs: 3, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 2 }
 n1 SharingNodeStats { local_hits: 10, rpcs: 5, invalid_drops: 4, removal_reloads: 2, invalidations_sent: 1 }
-dbp in_use=2 free=4
-switch_bytes=21248 host_link_bytes=[3584, 2560, 15104]
+dbp in_use=4 free=2
+switch_bytes=19840 host_link_bytes=[3456, 2560, 13824]
 ";
 
 const SOFTWARE_FULL_PAGE: &str = "\
@@ -547,62 +531,59 @@ n0.write.p5=1334653
 n0.publish.p5=1335863
 n1.read.p5=1362773
 n1.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
-shrink.keep3=1363503
-shrink.keep0=Err(ShrinkError { node: NodeId(0), requested: 0, achievable: 1, completed: SimTime(1364963) })
-n0.read.p7.restored=1493619
-server.recycle_slot=1494349
-server.background_recycle=1495079
-n0.write.p5.prefence=1496509
-server.fence0=1497239
-server.fence0.again=1497239
+server.recycle_slot=1363503
+server.background_recycle=1364233
+n0.write.p5.prefence=1365663
+server.fence0=1366393
+server.fence0.again=1366393
 n0.guarded_write=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.guarded_publish=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.check_epoch=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
-n0.publish.p5.fenced=1498449
-n1.check_epoch.after=1499149
-server.reclaim0=1500609
-dbp in_use=1 free=5
-register0.again=1501339
+n0.publish.p5.fenced=1367603
+n1.check_epoch.after=1368303
+server.reclaim0=1369763
+dbp in_use=3 free=3
+register0.again=1370493
 grant0.again 1
-n0b.adopted=1
-n0b.adopt=1527553
-n0b.read.p5=1528953
+n0b.adopted=3
+n0b.adopt=1397667
+n0b.read.p5=1399067
 n0b.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
-n0b.guarded_write.p5=1530357
-n0b.guarded_publish.p5=1532997
-server.migrate_out=1558731
-server.migrate_out.replay=1584465
-n0b.adopted.again=1
-n0b.adopt.again=1610679
+n0b.guarded_write.p5=1400471
+n0b.guarded_publish.p5=1403111
+server.migrate_out=1428845
+server.migrate_out.replay=1454579
+n0b.adopted.again=3
+n0b.adopt.again=1481753
 slot_of.p5=Some(5120)
-warm.n0b.p5=1611379
-warm.n1.p5=1637589
-warm.n0b.p4=1764845
-warm.n1.p4=1791055
-dir len=2 active.p5=[NodeId(0), NodeId(1)] active.p4=[NodeId(0), NodeId(1)]
-res.n0b.write.a=1792485
-res.n0b.write.b=1793919
-res.n0b.publish=1795867
-res.n0b.guarded_write=1798005
-res.n0b.guarded_publish=1800653
-res.n1.read.same_quantum=1792455
+warm.n0b.p5=1482453
+warm.n1.p5=1508663
+warm.n0b.p4=1635919
+warm.n1.p4=1662129
+dir len=4 active.p5=[NodeId(0), NodeId(1)] active.p4=[NodeId(0), NodeId(1)]
+res.n0b.write.a=1663559
+res.n0b.write.b=1664993
+res.n0b.publish=1666941
+res.n0b.guarded_write=1669079
+res.n0b.guarded_publish=1671727
+res.n1.read.same_quantum=1663529
 res.n1.sees.same_quantum=[6, 6, 6, 6, 6, 6, 6, 6]
-res.n1.check_epoch=1793155
-res.n1.access.p4.addr=0
-res.n1.access.p4=1793855
-res.n1.read.p5.next_quantum=1803263
+res.n1.check_epoch=1664229
+res.n1.access.p4.addr=1024
+res.n1.access.p4=1664929
+res.n1.read.p5.next_quantum=1674337
 res.n1.sees.p5=[161, 161, 161, 161, 161, 161, 161, 161]
-res.n1.read.p4.next_quantum=1805873
+res.n1.read.p4.next_quantum=1676947
 res.n1.sees.p4=[177, 177, 177, 177, 177, 177, 177, 177]
-res.n1.write.p4=1807303
-res.n1.publish.p4=1809243
-res.n0b.read.p5.own=1802053
-FusionStats { rpcs: 20, recycles: 6, invalidations: 7, storage_fills: 12, fenced_nodes: 1, fenced_rejects: 1, reclaimed_slots: 1, reclaimed_flags: 2, brownouts: 1, brownout_reclaims: 3, brownout_clamped: 1, migrated_out: 1 }
-n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 1, removal_reloads: 1, invalidations_sent: 0 }
+res.n1.write.p4=1678377
+res.n1.publish.p4=1680317
+res.n0b.read.p5.own=1673127
+FusionStats { rpcs: 19, recycles: 6, invalidations: 7, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 1, reclaimed_slots: 1, reclaimed_flags: 2, migrated_out: 3 }
+n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 1, removal_reloads: 0, invalidations_sent: 0 }
 n0b SharingNodeStats { local_hits: 7, rpcs: 3, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 2 }
 n1 SharingNodeStats { local_hits: 10, rpcs: 5, invalid_drops: 4, removal_reloads: 2, invalidations_sent: 1 }
-dbp in_use=2 free=4
-switch_bytes=21248 host_link_bytes=[3584, 2560, 15104]
+dbp in_use=4 free=2
+switch_bytes=19840 host_link_bytes=[3456, 2560, 13824]
 ";
 
 const HARDWARE: &str = "\
@@ -645,60 +626,57 @@ n0.write.p5=1326427
 n0.publish.p5=1326427
 n1.read.p5=1353337
 n1.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
-shrink.keep3=1354067
-shrink.keep0=Err(ShrinkError { node: NodeId(0), requested: 0, achievable: 1, completed: SimTime(1355527) })
-n0.read.p7.restored=1484183
-server.recycle_slot=1484913
-server.background_recycle=1485643
-n0.write.p5.prefence=1487073
-server.fence0=1487803
-server.fence0.again=1487803
+server.recycle_slot=1354067
+server.background_recycle=1354797
+n0.write.p5.prefence=1356227
+server.fence0=1356957
+server.fence0.again=1356957
 n0.guarded_write=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.guarded_publish=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.check_epoch=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
-n0.publish.p5.fenced=1487803
-n1.check_epoch.after=1488503
-server.reclaim0=1489963
-dbp in_use=1 free=5
-register0.again=1490693
+n0.publish.p5.fenced=1356957
+n1.check_epoch.after=1357657
+server.reclaim0=1359117
+dbp in_use=3 free=3
+register0.again=1359847
 grant0.again 1
-n0b.adopted=1
-n0b.adopt=1516907
-n0b.read.p5=1518307
+n0b.adopted=3
+n0b.adopt=1387021
+n0b.read.p5=1388421
 n0b.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
-n0b.guarded_write.p5=1520687
-n0b.guarded_publish.p5=1521387
-server.migrate_out=1547121
-server.migrate_out.replay=1572855
-n0b.adopted.again=1
-n0b.adopt.again=1599069
+n0b.guarded_write.p5=1390801
+n0b.guarded_publish.p5=1391501
+server.migrate_out=1417235
+server.migrate_out.replay=1442969
+n0b.adopted.again=3
+n0b.adopt.again=1470143
 slot_of.p5=Some(5120)
-warm.n0b.p5=1599769
-warm.n1.p5=1625979
-warm.n0b.p4=1753235
-warm.n1.p4=1779445
-dir len=2 active.p5=[NodeId(0), NodeId(1)] active.p4=[NodeId(0), NodeId(1)]
-res.n0b.write.a=1781375
-res.n0b.write.b=1783809
-res.n0b.publish=1783809
-res.n0b.guarded_write=1787447
-res.n0b.guarded_publish=1788147
-res.n1.read.same_quantum=1780845
+warm.n0b.p5=1470843
+warm.n1.p5=1497053
+warm.n0b.p4=1624309
+warm.n1.p4=1650519
+dir len=4 active.p5=[NodeId(0), NodeId(1)] active.p4=[NodeId(0), NodeId(1)]
+res.n0b.write.a=1652449
+res.n0b.write.b=1654883
+res.n0b.publish=1654883
+res.n0b.guarded_write=1658521
+res.n0b.guarded_publish=1659221
+res.n1.read.same_quantum=1651919
 res.n1.sees.same_quantum=[6, 6, 6, 6, 6, 6, 6, 6]
-res.n1.check_epoch=1781545
-res.n1.access.p4.addr=0
-res.n1.access.p4=1782245
-res.n1.read.p5.next_quantum=1789547
+res.n1.check_epoch=1652619
+res.n1.access.p4.addr=1024
+res.n1.access.p4=1653319
+res.n1.read.p5.next_quantum=1660621
 res.n1.sees.p5=[161, 161, 161, 161, 161, 161, 161, 161]
-res.n1.read.p4.next_quantum=1790947
+res.n1.read.p4.next_quantum=1662021
 res.n1.sees.p4=[177, 177, 177, 177, 177, 177, 177, 177]
-res.n1.write.p4=1792877
-res.n1.publish.p4=1792877
-res.n0b.read.p5.own=1788851
-FusionStats { rpcs: 20, recycles: 6, invalidations: 0, storage_fills: 12, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 1, reclaimed_flags: 2, brownouts: 1, brownout_reclaims: 3, brownout_clamped: 1, migrated_out: 1 }
-n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 0, removal_reloads: 1, invalidations_sent: 0 }
+res.n1.write.p4=1663951
+res.n1.publish.p4=1663951
+res.n0b.read.p5.own=1659925
+FusionStats { rpcs: 19, recycles: 6, invalidations: 0, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 1, reclaimed_flags: 2, migrated_out: 3 }
+n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 0 }
 n0b SharingNodeStats { local_hits: 7, rpcs: 3, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 0 }
 n1 SharingNodeStats { local_hits: 10, rpcs: 5, invalid_drops: 0, removal_reloads: 2, invalidations_sent: 0 }
-dbp in_use=2 free=4
-switch_bytes=19584 host_link_bytes=[2752, 1984, 14848]
+dbp in_use=4 free=2
+switch_bytes=18176 host_link_bytes=[2624, 1984, 13568]
 ";

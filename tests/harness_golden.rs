@@ -2,10 +2,9 @@
 //!
 //! `tests/determinism.rs` proves a run equals itself; this file pins what
 //! a run *is*, for one small config per loop — sharing (CXL and RDMA),
-//! failover (crash and zombie), overload (QoS on, one link flap) and
-//! elasticity (adaptive) — so a refactor of the run loop is checked
-//! against the commit that wrote these values (`018232b`), not against
-//! itself. Every config runs twice, untraced and with attribution +
+//! failover (crash and zombie) and elasticity (adaptive) — so a
+//! refactor of the run loop is checked against the commit that wrote
+//! these values (`018232b`), not against itself. Every config runs twice, untraced and with attribution +
 //! spans on: the two results must be equal (tracing observes, never
 //! perturbs), and the nine lane totals and the span count are pinned too.
 //!
@@ -180,7 +179,7 @@ queries=5388 per_node=[612, 1828, 1828, 1120] timeline=036862e6594937e1
 takeover=Some(TakeoverSummary { death_declared: SimTime(8000000), fence_start: SimTime(9000000), takeover_done: SimTime(9221022), takeover_ns: 221022, replay_estimate_ns: 1353248, pages_recovered: 13, storage_fills_during_takeover: 0, locks_reclaimed: 6, slots_reclaimed: 0 })
 safety_ok=true mismatches=0 max_survivor_gap_ns=0
 faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0, 0, 0, 0, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
-fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, brownouts: 0, brownout_reclaims: 0, brownout_clamped: 0, migrated_out: 0 }
+fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, migrated_out: 0 }
 registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "links_degraded": 0, "links_down": 0, "links_worst_factor": 1, "manager_rpcs": 12, "qps": 224500, "queries": 5388, "telemetry_alert_clears": 0, "telemetry_alert_fires": 1, "telemetry_dead_windows": 17, "telemetry_degraded_windows": 0, "telemetry_mttd_crash_ns": 2631335, "telemetry_suspect_windows": 0, "telemetry_window_ns": 1000000, "telemetry_windows": 25}
 telemetry windows=25 rows=91 alerts=1 json=1a569924364cfb34
 lanes cpu=219682000 cxl_link=19316716 switch=0 rdma_nic=0 cache_hit=16064 dram=0 wal=0 storage=10986520 other=2600000 spans 22588
@@ -202,7 +201,7 @@ queries=5388 per_node=[612, 1828, 1828, 1120] timeline=036862e6594937e1
 takeover=Some(TakeoverSummary { death_declared: SimTime(8000000), fence_start: SimTime(9000000), takeover_done: SimTime(9221022), takeover_ns: 221022, replay_estimate_ns: 1353248, pages_recovered: 13, storage_fills_during_takeover: 0, locks_reclaimed: 6, slots_reclaimed: 0 })
 safety_ok=true mismatches=0 max_survivor_gap_ns=0
 faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0, 0, 0, 0, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
-fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, brownouts: 0, brownout_reclaims: 0, brownout_clamped: 0, migrated_out: 0 }
+fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, migrated_out: 0 }
 registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "links_degraded": 0, "links_down": 0, "links_worst_factor": 1, "manager_rpcs": 12, "qps": 224500, "queries": 5388, "telemetry_alert_clears": 0, "telemetry_alert_fires": 1, "telemetry_dead_windows": 17, "telemetry_degraded_windows": 0, "telemetry_mttd_crash_ns": 2631335, "telemetry_suspect_windows": 0, "telemetry_window_ns": 1000000, "telemetry_windows": 25}
 telemetry windows=25 rows=91 alerts=1 json=1a569924364cfb34
 lanes cpu=219682000 cxl_link=19317416 switch=0 rdma_nic=0 cache_hit=16064 dram=0 wal=0 storage=10986520 other=2600000 spans 22589
@@ -216,64 +215,6 @@ fn failover_zombie_matches_golden() {
         FAILOVER_ZOMBIE,
         || run_failover(&c),
         dump_failover,
-    );
-}
-
-// ---- overload ------------------------------------------------------------
-
-fn dump_overload(r: &OverloadResult) -> String {
-    let tenants: String = r.per_tenant.iter().map(|t| format!("{t:?}\n")).collect();
-    format!(
-        "queries={} txns={} brownout_entries={} brownout_exits={}\n\
-         victim_p99_ns={} aggressor_p99_ns={} lock_contended={}\n\
-         {tenants}admission={:?}\n\
-         breaker={:?}\n\
-         fusion={:?}\n\
-         registry={}\n{}",
-        r.queries,
-        r.txns,
-        r.brownout_entries,
-        r.brownout_exits,
-        r.victim_p99_ns,
-        r.aggressor_p99_ns,
-        r.lock_contended,
-        r.admission,
-        r.breaker,
-        r.fusion,
-        r.registry.to_json(),
-        telemetry_line(&r.telemetry),
-    )
-}
-
-const OVERLOAD_QOS_FLAP: &str = r#"
-queries=3876 txns=964 brownout_entries=0 brownout_exits=0
-victim_p99_ns=1081344 aggressor_p99_ns=1409024 lock_contended=30
-TenantOutcome { tenant: 0, txns: 11, queries: 64, shed_txns: 1815, browned_txns: 0, breaker_fallbacks: 0, refused_writes: 0, p99_ns: 1409024, mean_ns: 487688, admission: AdmissionStats { admitted: 11, shed_rate: 1814, shed_deadline: 1, browned: 0 }, breaker: BreakerStats { trips: 0, fast_fails: 0, probes: 0, recoveries: 0 } }
-TenantOutcome { tenant: 1, txns: 436, queries: 1744, shed_txns: 0, browned_txns: 0, breaker_fallbacks: 25, refused_writes: 0, p99_ns: 1081344, mean_ns: 220887, admission: AdmissionStats { admitted: 436, shed_rate: 0, shed_deadline: 0, browned: 0 }, breaker: BreakerStats { trips: 4, fast_fails: 19, probes: 4, recoveries: 1 } }
-TenantOutcome { tenant: 2, txns: 517, queries: 2068, shed_txns: 0, browned_txns: 0, breaker_fallbacks: 0, refused_writes: 0, p99_ns: 352256, mean_ns: 186310, admission: AdmissionStats { admitted: 517, shed_rate: 0, shed_deadline: 0, browned: 0 }, breaker: BreakerStats { trips: 0, fast_fails: 0, probes: 0, recoveries: 0 } }
-admission=AdmissionStats { admitted: 964, shed_rate: 1814, shed_deadline: 1, browned: 0 }
-breaker=BreakerStats { trips: 4, fast_fails: 19, probes: 4, recoveries: 1 }
-fusion=FusionStats { rpcs: 78, recycles: 0, invalidations: 112, storage_fills: 52, fenced_nodes: 0, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 0, brownouts: 0, brownout_reclaims: 0, brownout_clamped: 0, migrated_out: 0 }
-registry={"fusion_brownout_clamped": 0, "fusion_brownout_reclaims": 0, "fusion_brownouts": 0, "fusion_invalidations": 112, "fusion_rpcs": 78, "fusion_storage_fills": 52, "overload_admitted": 964, "overload_aggressor_p99_ns": 1409024, "overload_breaker_fast_fails": 19, "overload_breaker_probes": 4, "overload_breaker_recoveries": 1, "overload_breaker_trips": 4, "overload_browned_ops": 0, "overload_brownout_entries": 0, "overload_brownout_exits": 0, "overload_latency_count": 964, "overload_latency_max_ns": 4176248, "overload_latency_p50_ns": 176128, "overload_latency_p999_ns": 4128768, "overload_latency_p99_ns": 1081344, "overload_lock_contended": 30, "overload_qos_enabled": 1, "overload_qps": 161500, "overload_queries": 3876, "overload_refused_writes": 0, "overload_shed_deadline": 1, "overload_shed_rate": 1814, "overload_txns": 964, "overload_victim_p99_ns": 1081344, "telemetry_alert_clears": 0, "telemetry_alert_fires": 0, "telemetry_dead_windows": 0, "telemetry_degraded_windows": 8, "telemetry_suspect_windows": 5, "telemetry_window_ns": 2000000, "telemetry_windows": 13}
-telemetry windows=13 rows=39 alerts=0 json=3266a81c0e88309b
-lanes cpu=147754000 cxl_link=9188721 switch=0 rdma_nic=0 cache_hit=19676 dram=0 wal=0 storage=9633272 other=1950000 spans 7976
-"#;
-
-#[test]
-fn overload_qos_with_link_flap_matches_golden() {
-    let mut c = OverloadConfig::smoke(3);
-    c.qos = true;
-    c.link_flap = Some(FlapSpec {
-        host: 1,
-        at: SimTime::from_millis(6),
-        down_ns: 4_000_000,
-        retry_ns: 100_000,
-    });
-    check(
-        "overload_qos_flap",
-        OVERLOAD_QOS_FLAP,
-        || run_overload(&c),
-        dump_overload,
     );
 }
 
@@ -303,7 +244,7 @@ adaptive=true queries=5024 txns=1256 migrations=4 final_owners=[0, 0, 1, 1, 1, 1
 ElasticTenantOutcome { tenant: 0, txns: 642, queries: 2568, remote_reads: 0, remote_writes: 0, protected_writes: 0, p99_ns: 278528, settled_p99_ns: 262144, mean_ns: 187632 }
 ElasticTenantOutcome { tenant: 1, txns: 614, queries: 2456, remote_reads: 46, remote_writes: 13, protected_writes: 0, p99_ns: 368640, settled_p99_ns: 249856, mean_ns: 196160 }
 elastic=ElasticStats { prepares: 4, commits: 4, rollbacks: 0, rolled_forward: 0, transient_retries: 0, pages_flushed: 40 }
-fusion=FusionStats { rpcs: 88, recycles: 0, invalidations: 0, storage_fills: 80, fenced_nodes: 0, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 0, brownouts: 0, brownout_reclaims: 0, brownout_clamped: 0, migrated_out: 40 }
+fusion=FusionStats { rpcs: 88, recycles: 0, invalidations: 0, storage_fills: 80, fenced_nodes: 0, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 0, migrated_out: 40 }
 registry={"elasticity_adaptive": 1, "elasticity_migrations": 4, "elasticity_pages_flushed": 40, "elasticity_protected_writes": 0, "elasticity_qps": 167466.6666666667, "elasticity_queries": 5024, "elasticity_remote_reads": 46, "elasticity_remote_writes": 13, "elasticity_rollbacks": 0, "elasticity_t0_p99_ns": 278528, "elasticity_t0_settled_p99_ns": 262144, "elasticity_t1_p99_ns": 368640, "elasticity_t1_settled_p99_ns": 249856, "elasticity_txns": 1256, "fusion_migrated_out": 40, "fusion_rpcs": 88, "fusion_storage_fills": 80, "telemetry_alert_clears": 0, "telemetry_alert_fires": 0, "telemetry_dead_windows": 0, "telemetry_degraded_windows": 0, "telemetry_suspect_windows": 0, "telemetry_window_ns": 2000000, "telemetry_windows": 16}
 telemetry windows=16 rows=32 alerts=0 json=1eb2e017d81d5df4
 lanes cpu=198227000 cxl_link=8480717 switch=0 rdma_nic=0 cache_hit=11288 dram=0 wal=0 storage=19360024 other=2500000 spans 11302

@@ -114,17 +114,21 @@ fn alert_hysteresis_ignores_oscillation_and_fires_once_on_sustained_breach() {
     for w in 0..8 {
         let miss = if w % 2 == 0 { 10 } else { 0 };
         feed_window(&mut hub, &cfg, w, 10, miss);
+        assert!(!hub.firing("miss_thrash", 0), "window {w}: oscillation");
     }
     // Phase 2 — sustained breach for 4 windows: exactly one fire, at
     // the close of the second breach window (index 9).
     for w in 8..12 {
         feed_window(&mut hub, &cfg, w, 10, 10);
+        assert_eq!(hub.firing("miss_thrash", 0), w >= 9, "window {w}: breach");
     }
     // Phase 3 — sustained recovery: exactly one clear, at the close of
     // the second clean window (index 13).
     for w in 12..16 {
         feed_window(&mut hub, &cfg, w, 10, 0);
+        assert_eq!(hub.firing("miss_thrash", 0), w < 13, "window {w}: recovery");
     }
+    assert!(!hub.firing("no_such_rule", 0), "unknown rules read false");
     hub.finish(SimTime(16 * WINDOW_NS));
     let rep = hub.report();
 
