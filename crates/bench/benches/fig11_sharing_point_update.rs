@@ -17,8 +17,9 @@ fn main() {
         "{:>7} | {:>12} {:>12} {:>8} | {:>12} {:>12}",
         "shared", "RDMA K-QPS", "CXL K-QPS", "improve", "RDMA lat us", "CXL lat us"
     );
-    let sweep = sharing_sweep(&[8], &SHARED, SysbenchKind::PointUpdate, |_| {});
-    for ([r, c], pct) in sweep.iter().zip(SHARED) {
+    let sweep = sharing_sweep(&[8], &SHARED, &[0.3], SysbenchKind::PointUpdate, |_| {});
+    for (row, pct) in sweep.iter().zip(SHARED) {
+        let (r, c) = (&row[0], &row[1]);
         println!(
             "{:>6}% | {:>12} {:>12} {:>7.0}% | {:>12.1} {:>12.1}",
             pct,

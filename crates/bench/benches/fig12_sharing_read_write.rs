@@ -13,14 +13,15 @@ fn main() {
         "Sharing: read-write, 8 and 12 nodes",
         "peak improvement +68.2% (8 nodes) and +154.4% (12 nodes) at 60% shared; +34%/+126% even at 100%",
     );
-    let sweep = sharing_sweep(&NODES, &SHARED, SysbenchKind::ReadWrite, |_| {});
+    let sweep = sharing_sweep(&NODES, &SHARED, &[0.3], SysbenchKind::ReadWrite, |_| {});
     for (series, nodes) in sweep.chunks(SHARED.len()).zip(NODES) {
         println!("[{nodes} nodes]");
         println!(
             "{:>7} | {:>12} {:>12} {:>8}",
             "shared", "RDMA K-QPS", "CXL K-QPS", "improve"
         );
-        for ([r, c], pct) in series.iter().zip(SHARED) {
+        for (row, pct) in series.iter().zip(SHARED) {
+            let (r, c) = (&row[0], &row[1]);
             println!(
                 "{:>6}% | {:>12} {:>12} {:>7.0}%",
                 pct,

@@ -2,18 +2,10 @@
 //! to 100 % of each node's accessed dataset vs PolarCXLMem, sysbench
 //! point-update, 8 nodes.
 
-use bench::{banner, footer, kqps, run_sweep};
-use workloads::sharing::{
-    point_update_gen, run_sharing, SharingConfig, SharingResult, SharingSystem,
-};
+use bench::{banner, footer, kqps, sharing_sweep, LBP_FRACTIONS};
+use workloads::SysbenchKind;
 
-const FRACS: [f64; 5] = [0.10, 0.30, 0.50, 0.70, 1.00];
 const SHARED: [u32; 5] = [20, 40, 60, 80, 100];
-
-fn run_point(&(pct, system): &(u32, SharingSystem)) -> SharingResult {
-    let cfg = SharingConfig::standard(system, 8);
-    run_sharing(&cfg, point_update_gen(cfg.layout, pct))
-}
 
 fn main() {
     banner(
@@ -22,26 +14,24 @@ fn main() {
         "at 20% shared CXL = 2.14x RDMA-LBP10; LBP size stops mattering as sharing grows; CXL wins even vs LBP-100",
     );
     print!("{:>7} |", "shared");
-    for f in FRACS {
+    for f in LBP_FRACTIONS {
         print!(" {:>10}", format!("LBP-{:.0}%", f * 100.0));
     }
     println!(" {:>12}", "PolarCXLMem");
-    let configs: Vec<(u32, SharingSystem)> = SHARED
-        .iter()
-        .flat_map(|&pct| {
-            FRACS
-                .iter()
-                .map(move |&f| (pct, SharingSystem::Rdma { lbp_fraction: f }))
-                .chain(std::iter::once((pct, SharingSystem::Cxl)))
-        })
-        .collect();
-    let results = run_sweep(&configs, run_point);
-    for (row, &pct) in results.chunks(FRACS.len() + 1).zip(SHARED.iter()) {
+    let sweep = sharing_sweep(
+        &[8],
+        &SHARED,
+        &LBP_FRACTIONS,
+        SysbenchKind::PointUpdate,
+        |_| {},
+    );
+    for (row, pct) in sweep.iter().zip(SHARED) {
+        let (lbp, cxl) = row.split_at(LBP_FRACTIONS.len());
         print!("{:>6}% |", pct);
-        for r in &row[..FRACS.len()] {
-            print!(" {:>10}", kqps(r.metrics.qps));
+        for m in lbp {
+            print!(" {:>10}", kqps(m.qps));
         }
-        println!(" {:>12}", kqps(row[FRACS.len()].metrics.qps));
+        println!(" {:>12}", kqps(cxl[0].qps));
     }
     footer(
         "all columns are K-QPS; growing the LBP buys RDMA little once synchronization dominates",

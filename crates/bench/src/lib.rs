@@ -108,7 +108,8 @@ pub fn pooling_sweep(
         .collect()
 }
 
-/// Figure 1's LBP sizes, as fractions of the disaggregated memory.
+/// The LBP sizes Figures 1 and 13 sweep, as fractions of the memory an
+/// RDMA node pages from (Figure 1's pool, Figure 13's accessed data).
 pub const LBP_FRACTIONS: [f64; 5] = [0.10, 0.30, 0.50, 0.70, 1.00];
 
 /// Figure 1's sweep: per workload of `kinds`, one row of single-instance
@@ -160,20 +161,25 @@ pub fn recovery_sweep(
         .collect()
 }
 
-/// Figures 11–12's sweep: at each node count of `nodes` and shared
-/// percentage of `pcts`, the RDMA (30 % LBP) and the PolarCXLMem run of
-/// `mix` — `PointUpdate` or `ReadWrite` — on [`SharingConfig::standard`]
-/// as `adjust` leaves it: one `[rdma, cxl]` pair per point, nodes outer.
+/// Figures 11–13's sweep: at each node count of `nodes` and shared
+/// percentage of `pcts`, one RDMA run of `mix` — `PointUpdate` or
+/// `ReadWrite` — per LBP fraction of `lbps`, then the PolarCXLMem run,
+/// on [`SharingConfig::standard`] as `adjust` leaves it: one row per
+/// point, nodes outer, CXL last.
 pub fn sharing_sweep(
     nodes: &[usize],
     pcts: &[u32],
+    lbps: &[f64],
     mix: SysbenchKind,
     adjust: impl Fn(&mut SharingConfig),
-) -> Vec<[RunMetrics; 2]> {
-    let rdma = SharingSystem::Rdma { lbp_fraction: 0.3 };
+) -> Vec<Vec<RunMetrics>> {
+    let rdma = lbps
+        .iter()
+        .map(|&f| SharingSystem::Rdma { lbp_fraction: f });
+    let systems: Vec<SharingSystem> = rdma.chain([SharingSystem::Cxl]).collect();
     let mut configs = Vec::new();
     for (&n, &pct) in nodes.iter().flat_map(|n| pcts.iter().map(move |p| (n, p))) {
-        for system in [rdma, SharingSystem::Cxl] {
+        for &system in &systems {
             let mut cfg = SharingConfig::standard(system, n);
             adjust(&mut cfg);
             configs.push((cfg, pct));
@@ -185,8 +191,8 @@ pub fn sharing_sweep(
         other => panic!("no sharing generator for {other:?}"),
     };
     run_sweep(&configs, run)
-        .chunks(2)
-        .map(|pair| [pair[0].metrics.clone(), pair[1].metrics.clone()])
+        .chunks(systems.len())
+        .map(|row| row.iter().map(|r| r.metrics.clone()).collect())
         .collect()
 }
 

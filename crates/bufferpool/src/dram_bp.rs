@@ -5,7 +5,7 @@
 //! configuration every database runs when it has enough local memory —
 //! the upper bound the CXL pool is measured against.
 
-use crate::frames::FrameTable;
+use crate::frames::{FrameTable, FramedPool};
 use crate::policy::PolicyKind;
 use crate::{BpStats, BufferPool};
 use memsim::{Access, DramSpace};
@@ -65,58 +65,6 @@ impl DramBp {
         frame as u64 * self.store.page_size()
     }
 
-    /// Ensure `page` occupies a frame; returns (frame, time after any
-    /// fetch I/O). One hash probe on a hit — every later update is an
-    /// indexed store into the frame table's arrays.
-    #[inline(always)]
-    fn fix(&mut self, page: PageId, now: SimTime) -> (u32, SimTime) {
-        match self.frames.lookup_counted(page, &mut self.stats) {
-            Some(frame) => (frame, now),
-            None => self.fix_miss(page, now),
-        }
-    }
-
-    /// `fix` of a page no frame holds (the miss is already counted):
-    /// claim a frame and fetch the page.
-    #[cold]
-    fn fix_miss(&mut self, page: PageId, now: SimTime) -> (u32, SimTime) {
-        // No middle tier: a DRAM miss goes straight to storage.
-        self.stats.tier_cxl_misses += 1;
-        let mut t = now;
-        let (frame, evicted) = self.frames.claim();
-        if let Some((victim, dirty)) = evicted {
-            t = self.write_back(frame, victim, dirty, t);
-        }
-        // Fetch from storage straight into the frame: no intermediate
-        // heap buffer, one copy instead of two.
-        let ps = self.store.page_size() as usize;
-        let off = self.frame_off(frame);
-        let io = self
-            .store
-            .read_page(page, self.space.raw_mut().slice_mut(off, ps), t);
-        self.stats.storage_read_bytes += ps as u64;
-        t = io.end;
-        self.frames.install(frame, page);
-        trace::span(SpanKind::BpMiss, 0, now, t, self.store.page_size());
-        (frame, t)
-    }
-
-    /// `frame` has just lost `page` to eviction: write it back if dirty.
-    fn write_back(&mut self, frame: u32, page: PageId, dirty: bool, now: SimTime) -> SimTime {
-        self.stats.evictions += 1;
-        if dirty {
-            self.stats.writebacks += 1;
-            let ps = self.store.page_size() as usize;
-            let off = self.frame_off(frame);
-            let io = self
-                .store
-                .write_page(page, self.space.raw().slice(off, ps), now);
-            self.stats.storage_write_bytes += ps as u64;
-            return io.end;
-        }
-        now
-    }
-
     /// Fix `page` and run the cache model over `off..off + len` of its
     /// frame: all of a read except the copy. Returns where the bytes are
     /// in the frame space, and the access.
@@ -136,6 +84,41 @@ impl DramBp {
     pub fn crash(&mut self) {
         self.space.crash();
         self.frames.clear();
+    }
+}
+
+impl FramedPool for DramBp {
+    fn frames_and_stats(&mut self) -> (&mut FrameTable, &mut BpStats) {
+        (&mut self.frames, &mut self.stats)
+    }
+
+    /// Fetch from storage straight into the frame: no intermediate heap
+    /// buffer, one copy instead of two.
+    fn fill(&mut self, frame: u32, page: PageId, now: SimTime, t: SimTime) -> SimTime {
+        let ps = self.store.page_size() as usize;
+        let off = self.frame_off(frame);
+        let io = self
+            .store
+            .read_page(page, self.space.raw_mut().slice_mut(off, ps), t);
+        self.stats.storage_read_bytes += ps as u64;
+        self.frames.install(frame, page);
+        trace::span(SpanKind::BpMiss, 0, now, io.end, self.store.page_size());
+        io.end
+    }
+
+    fn write_back(&mut self, frame: u32, page: PageId, dirty: bool, now: SimTime) -> SimTime {
+        self.stats.evictions += 1;
+        if dirty {
+            self.stats.writebacks += 1;
+            let ps = self.store.page_size() as usize;
+            let off = self.frame_off(frame);
+            let io = self
+                .store
+                .write_page(page, self.space.raw().slice(off, ps), now);
+            self.stats.storage_write_bytes += ps as u64;
+            return io.end;
+        }
+        now
     }
 }
 

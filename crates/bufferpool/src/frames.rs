@@ -7,7 +7,7 @@
 
 use crate::policy::{AnyPolicy, Policy, PolicyKind};
 use crate::BpStats;
-use simkit::FastMap;
+use simkit::{FastMap, SimTime};
 use storage::{Lsn, PageId};
 
 /// Page → slot directory over `0..capacity` slots: map, slot → page
@@ -261,22 +261,6 @@ impl FrameTable {
         self.dir.lookup_touch(page)
     }
 
-    /// The in-line half of `DramBp` / `TieredRdmaBp` `fix`: `lookup_touch`,
-    /// counted in `stats` as a DRAM-tier hit or miss — on a memo hit, a
-    /// compare and two counters.
-    #[inline(always)]
-    pub(crate) fn lookup_counted(&mut self, page: PageId, stats: &mut BpStats) -> Option<u32> {
-        let frame = self.dir.lookup_touch(page);
-        if frame.is_some() {
-            stats.hits += 1;
-            stats.tier_dram_hits += 1;
-        } else {
-            stats.misses += 1;
-            stats.tier_dram_misses += 1;
-        }
-        frame
-    }
-
     /// [`Residency::pop_free`].
     pub fn pop_free(&mut self) -> Option<u32> {
         self.dir.pop_free()
@@ -377,6 +361,52 @@ impl FrameTable {
         self.evicted_lsns.clear();
     }
 }
+
+/// A pool whose frames a [`FrameTable`] holds (`DramBp`,
+/// `TieredRdmaBp`): `fix` and the miss path's claim are written once
+/// here, and each pool brings its write-back and its fill.
+pub(crate) trait FramedPool {
+    /// The frame table, and the stats its lookups count into.
+    fn frames_and_stats(&mut self) -> (&mut FrameTable, &mut BpStats);
+
+    /// `frame` has just lost `page` to eviction: write it back if dirty.
+    fn write_back(&mut self, frame: u32, page: PageId, dirty: bool, now: SimTime) -> SimTime;
+
+    /// Bring `page` into the claimed `frame` from `t` on and install it
+    /// (the miss began at `now`); returns when the page is in.
+    fn fill(&mut self, frame: u32, page: PageId, now: SimTime, t: SimTime) -> SimTime;
+
+    /// Ensure `page` occupies a frame; returns (frame, time after any
+    /// fetch I/O). One probe, counted as a hit or a miss — on a memo
+    /// hit, a compare and one counter.
+    #[inline(always)]
+    fn fix(&mut self, page: PageId, now: SimTime) -> (u32, SimTime) {
+        let (frames, stats) = self.frames_and_stats();
+        match frames.dir.lookup_touch(page) {
+            Some(frame) => {
+                stats.hits += 1;
+                (frame, now)
+            }
+            None => {
+                stats.misses += 1;
+                self.fix_miss(page, now)
+            }
+        }
+    }
+
+    /// `fix` of a page no frame holds (the miss is already counted):
+    /// claim a frame, write its victim back, fill it.
+    #[cold]
+    fn fix_miss(&mut self, page: PageId, now: SimTime) -> (u32, SimTime) {
+        let (frame, evicted) = self.frames_and_stats().0.claim();
+        let mut t = now;
+        if let Some((victim, dirty)) = evicted {
+            t = self.write_back(frame, victim, dirty, t);
+        }
+        (frame, self.fill(frame, page, now, t))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

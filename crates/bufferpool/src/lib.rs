@@ -56,15 +56,6 @@ pub struct BpStats {
     pub fault_fallbacks: u64,
     /// Poisoned CXL reads healed by rebuilding the block from storage.
     pub poison_rebuilds: u64,
-    /// Lookups served by the DRAM tier (single-tier pools count every
-    /// local hit here).
-    pub tier_dram_hits: u64,
-    /// Lookups that missed the DRAM tier.
-    pub tier_dram_misses: u64,
-    /// DRAM-tier misses served by the CXL (or remote) tier.
-    pub tier_cxl_hits: u64,
-    /// Lookups that missed every memory tier and went to storage.
-    pub tier_cxl_misses: u64,
     /// Retry budgets burned to exhaustion (each surfaced as a typed
     /// [`OverloadError`], distinguishable from an orderly fallback).
     pub overload_errors: u64,
@@ -96,12 +87,6 @@ impl BpStats {
             fault_retries: self.fault_retries.saturating_sub(earlier.fault_retries),
             fault_fallbacks: self.fault_fallbacks.saturating_sub(earlier.fault_fallbacks),
             poison_rebuilds: self.poison_rebuilds.saturating_sub(earlier.poison_rebuilds),
-            tier_dram_hits: self.tier_dram_hits.saturating_sub(earlier.tier_dram_hits),
-            tier_dram_misses: self
-                .tier_dram_misses
-                .saturating_sub(earlier.tier_dram_misses),
-            tier_cxl_hits: self.tier_cxl_hits.saturating_sub(earlier.tier_cxl_hits),
-            tier_cxl_misses: self.tier_cxl_misses.saturating_sub(earlier.tier_cxl_misses),
             overload_errors: self.overload_errors.saturating_sub(earlier.overload_errors),
         }
     }

@@ -29,7 +29,7 @@
 //! shared by every instance on the host, so amplification from one
 //! instance steals bandwidth from all.
 
-use crate::frames::FrameTable;
+use crate::frames::{FrameTable, FramedPool};
 use crate::policy::PolicyKind;
 use crate::{BpStats, BufferPool, OverloadError};
 use memsim::{Access, DramSpace, RdmaError, RdmaPool};
@@ -304,154 +304,6 @@ impl TieredRdmaBp {
         });
     }
 
-    /// Ensure `page` occupies an LBP frame; returns (frame, time after
-    /// any page-in).
-    #[inline(always)]
-    fn fix(&mut self, page: PageId, now: SimTime) -> (u32, SimTime) {
-        match self.frames.lookup_counted(page, &mut self.stats) {
-            Some(frame) => (frame, now),
-            None => self.fix_miss(page, now),
-        }
-    }
-
-    /// `fix` of a page no frame holds (the miss is already counted):
-    /// claim a frame and page it in from the remote tier, or from storage.
-    #[cold]
-    fn fix_miss(&mut self, page: PageId, now: SimTime) -> (u32, SimTime) {
-        if self.remote_resident[page.0 as usize] {
-            self.stats.tier_cxl_hits += 1;
-        } else {
-            self.stats.tier_cxl_misses += 1;
-        }
-        let mut t = now;
-        let (frame, evicted) = self.frames.claim();
-        if let Some((victim, dirty)) = evicted {
-            t = self.write_back(frame, victim, dirty, t);
-        }
-        let ps = self.store.page_size() as usize;
-        let off = self.frame_off(frame);
-        // A storage fill gives the frame its own bytes; a page-in from
-        // remote reads every line in place.
-        let mut own = true;
-        if self.remote_resident[page.0 as usize] {
-            // Page-granularity RDMA read: the whole page crosses the NIC
-            // no matter how few bytes the query wants. Only the transfer
-            // is charged; the frame then reads the remote copy in place.
-            let mut attempt = 0u32;
-            loop {
-                let r = self
-                    .rdma
-                    .borrow_mut()
-                    .try_read_timing(self.host, ps as u64, t);
-                match r {
-                    Ok(a) => {
-                        self.stats.remote_read_bytes += ps as u64;
-                        own = false;
-                        t = a.end;
-                        break;
-                    }
-                    Err(RdmaError::Transient { spike_ns }) => {
-                        self.stats.fault_retries += 1;
-                        t = t + spike_ns + backoff_ns(attempt);
-                        attempt += 1;
-                        // Storage holds an equally new copy unless the
-                        // page is dirty-only-in-remote: degrade to it
-                        // rather than stalling on a sick NIC.
-                        if attempt >= MAX_FABRIC_RETRIES && !self.remote_dirty.contains(&page) {
-                            self.overload(page, attempt, t.saturating_since(now));
-                            self.stats.fault_fallbacks += 1;
-                            let io = self.store.read_page(
-                                page,
-                                self.space.raw_mut().slice_mut(off, ps),
-                                t,
-                            );
-                            self.stats.storage_read_bytes += ps as u64;
-                            t = io.end;
-                            break;
-                        }
-                    }
-                }
-            }
-        } else {
-            let io = self
-                .store
-                .read_page(page, self.space.raw_mut().slice_mut(off, ps), t);
-            self.stats.storage_read_bytes += ps as u64;
-            t = io.end;
-        }
-        self.owned.fill(frame, own);
-        self.frames.install(frame, page);
-        trace::span(
-            SpanKind::BpMiss,
-            self.host as u32,
-            now,
-            t,
-            self.store.page_size(),
-        );
-        (frame, t)
-    }
-
-    /// `frame` has just lost `page` to eviction: write it back to the
-    /// remote tier if dirty.
-    fn write_back(&mut self, frame: u32, page: PageId, dirty: bool, now: SimTime) -> SimTime {
-        self.stats.evictions += 1;
-        if dirty {
-            // Full-page RDMA write-back, even for a one-byte change:
-            // write amplification.
-            self.stats.writebacks += 1;
-            let ps = self.store.page_size() as usize;
-            let foff = self.frame_off(frame);
-            let mut t = now;
-            let mut attempt = 0u32;
-            loop {
-                let r = self
-                    .rdma
-                    .borrow_mut()
-                    .try_write_timing(self.host, ps as u64, t);
-                match r {
-                    Ok(landed) => {
-                        let a = match landed {
-                            Some(a) => {
-                                self.land_own_lines(frame, page);
-                                a
-                            }
-                            None => Access::free(t),
-                        };
-                        self.stats.remote_write_bytes += ps as u64;
-                        // A dead host's write never landed: do not
-                        // advertise the remote copy as (newly) current.
-                        if !faults::crashed() {
-                            self.remote_resident[page.0 as usize] = true;
-                            self.remote_dirty.insert(page);
-                        }
-                        return a.end;
-                    }
-                    Err(RdmaError::Transient { spike_ns }) => {
-                        self.stats.fault_retries += 1;
-                        t = t + spike_ns + backoff_ns(attempt);
-                        attempt += 1;
-                        if attempt >= MAX_FABRIC_RETRIES {
-                            // Degrade: persist straight to storage. The
-                            // remote copy (if any) is now stale, so stop
-                            // trusting it.
-                            self.overload(page, attempt, t.saturating_since(now));
-                            self.stats.fault_fallbacks += 1;
-                            self.own_lines(frame, page, 0..self.owned.per_page);
-                            let io =
-                                self.store
-                                    .write_page(page, self.space.raw().slice(foff, ps), t);
-                            self.stats.storage_write_bytes += ps as u64;
-                            self.remote_resident[page.0 as usize] = false;
-                            self.remote_dirty.remove(&page);
-                            return io.end;
-                        }
-                    }
-                }
-            }
-        }
-        now
-    }
-
     /// Crash: local tier dies; the remote memory node (separate machine)
     /// keeps its pages — which is what RDMA-assisted recovery exploits.
     pub fn crash(&mut self) {
@@ -556,6 +408,138 @@ impl TieredRdmaBp {
     /// recovery to decide between a NIC read and a storage read).
     pub fn remote_resident(&self, page: PageId) -> bool {
         self.remote_resident[page.0 as usize]
+    }
+}
+
+impl FramedPool for TieredRdmaBp {
+    fn frames_and_stats(&mut self) -> (&mut FrameTable, &mut BpStats) {
+        (&mut self.frames, &mut self.stats)
+    }
+
+    /// Page `page` in from the remote tier, or from storage.
+    fn fill(&mut self, frame: u32, page: PageId, now: SimTime, mut t: SimTime) -> SimTime {
+        let ps = self.store.page_size() as usize;
+        let off = self.frame_off(frame);
+        // A storage fill gives the frame its own bytes; a page-in from
+        // remote reads every line in place.
+        let mut own = true;
+        if self.remote_resident[page.0 as usize] {
+            // Page-granularity RDMA read: the whole page crosses the NIC
+            // no matter how few bytes the query wants. Only the transfer
+            // is charged; the frame then reads the remote copy in place.
+            let mut attempt = 0u32;
+            loop {
+                let r = self
+                    .rdma
+                    .borrow_mut()
+                    .try_read_timing(self.host, ps as u64, t);
+                match r {
+                    Ok(a) => {
+                        self.stats.remote_read_bytes += ps as u64;
+                        own = false;
+                        t = a.end;
+                        break;
+                    }
+                    Err(RdmaError::Transient { spike_ns }) => {
+                        self.stats.fault_retries += 1;
+                        t = t + spike_ns + backoff_ns(attempt);
+                        attempt += 1;
+                        // Storage holds an equally new copy unless the
+                        // page is dirty-only-in-remote: degrade to it
+                        // rather than stalling on a sick NIC.
+                        if attempt >= MAX_FABRIC_RETRIES && !self.remote_dirty.contains(&page) {
+                            self.overload(page, attempt, t.saturating_since(now));
+                            self.stats.fault_fallbacks += 1;
+                            let io = self.store.read_page(
+                                page,
+                                self.space.raw_mut().slice_mut(off, ps),
+                                t,
+                            );
+                            self.stats.storage_read_bytes += ps as u64;
+                            t = io.end;
+                            break;
+                        }
+                    }
+                }
+            }
+        } else {
+            let io = self
+                .store
+                .read_page(page, self.space.raw_mut().slice_mut(off, ps), t);
+            self.stats.storage_read_bytes += ps as u64;
+            t = io.end;
+        }
+        self.owned.fill(frame, own);
+        self.frames.install(frame, page);
+        trace::span(
+            SpanKind::BpMiss,
+            self.host as u32,
+            now,
+            t,
+            self.store.page_size(),
+        );
+        t
+    }
+
+    /// `frame` has just lost `page` to eviction: write it back to the
+    /// remote tier if dirty.
+    fn write_back(&mut self, frame: u32, page: PageId, dirty: bool, now: SimTime) -> SimTime {
+        self.stats.evictions += 1;
+        if dirty {
+            // Full-page RDMA write-back, even for a one-byte change:
+            // write amplification.
+            self.stats.writebacks += 1;
+            let ps = self.store.page_size() as usize;
+            let foff = self.frame_off(frame);
+            let mut t = now;
+            let mut attempt = 0u32;
+            loop {
+                let r = self
+                    .rdma
+                    .borrow_mut()
+                    .try_write_timing(self.host, ps as u64, t);
+                match r {
+                    Ok(landed) => {
+                        let a = match landed {
+                            Some(a) => {
+                                self.land_own_lines(frame, page);
+                                a
+                            }
+                            None => Access::free(t),
+                        };
+                        self.stats.remote_write_bytes += ps as u64;
+                        // A dead host's write never landed: do not
+                        // advertise the remote copy as (newly) current.
+                        if !faults::crashed() {
+                            self.remote_resident[page.0 as usize] = true;
+                            self.remote_dirty.insert(page);
+                        }
+                        return a.end;
+                    }
+                    Err(RdmaError::Transient { spike_ns }) => {
+                        self.stats.fault_retries += 1;
+                        t = t + spike_ns + backoff_ns(attempt);
+                        attempt += 1;
+                        if attempt >= MAX_FABRIC_RETRIES {
+                            // Degrade: persist straight to storage. The
+                            // remote copy (if any) is now stale, so stop
+                            // trusting it.
+                            self.overload(page, attempt, t.saturating_since(now));
+                            self.stats.fault_fallbacks += 1;
+                            self.own_lines(frame, page, 0..self.owned.per_page);
+                            let io =
+                                self.store
+                                    .write_page(page, self.space.raw().slice(foff, ps), t);
+                            self.stats.storage_write_bytes += ps as u64;
+                            self.remote_resident[page.0 as usize] = false;
+                            self.remote_dirty.remove(&page);
+                            return io.end;
+                        }
+                    }
+                }
+            }
+        }
+        now
     }
 }
 

@@ -358,11 +358,9 @@ impl CxlBp {
     fn fix(&mut self, page: PageId, now: SimTime) -> (u32, SimTime) {
         if let Some(b) = self.dir.lookup_touch(page) {
             self.stats.hits += 1;
-            self.stats.tier_cxl_hits += 1;
             return (b, now);
         }
         self.stats.misses += 1;
-        self.stats.tier_cxl_misses += 1;
         let mut t = now;
         let (b, victim) = self.dir.claim();
         if let Some(victim) = victim {
@@ -514,7 +512,6 @@ impl CxlBp {
         if let Some(b) = self.dir.memo_hit(page) {
             if simkit::unobserved() {
                 self.stats.hits += 1;
-                self.stats.tier_cxl_hits += 1;
                 let at = self.geo.data_off(b as u64) + off as u64;
                 return self.fabric_read(at, len, dst, now);
             }

@@ -28,9 +28,10 @@
 //! `tests/fault_sweep.rs` proves this by crashing at every site.
 //!
 //! [`ElasticController`] sits on top: at quantum barriers it consumes
-//! per-tenant telemetry (miss burn-rate firings and storage-direct op
-//! counts) and emits grow/shrink plans with hysteresis, which the
-//! harness executes through the coordinator.
+//! per-tenant pressure flags and storage-direct op counts (both folded
+//! from the lanes' own counters, not from telemetry) and emits
+//! grow/shrink plans with hysteresis, which the harness executes
+//! through the coordinator.
 
 use crate::fusion::{FusionServer, SharingNode};
 use crate::manager::{CxlMemoryManager, Lease};
@@ -707,9 +708,9 @@ pub struct MigrationRequest {
 }
 
 /// Barrier-time elasticity controller. Owns the extent→tenant map and
-/// turns per-tenant pressure (telemetry burn-rate firings) plus
-/// per-extent remote-op counts into one migration request at a time,
-/// with hysteresis on entry and a cooldown between moves.
+/// turns per-tenant pressure flags plus per-extent remote-op counts
+/// into one migration request at a time, with hysteresis on entry and
+/// a cooldown between moves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElasticController {
     cfg: ElasticConfig,
@@ -756,9 +757,9 @@ impl ElasticController {
     }
 
     /// One quantum barrier: update hysteresis from `pressured[t]` (the
-    /// tenant's miss burn-rate rule is firing) and, if a tenant has
-    /// been pressured for `fire_streak` quanta, plan to grow it by the
-    /// extent it most often had to serve storage-direct
+    /// tenant served too much of its quantum storage-direct) and, if a
+    /// tenant has been pressured for `fire_streak` quanta, plan to grow
+    /// it by the extent it most often had to serve storage-direct
     /// (`remote_ops[t][e]`, ties to the lowest extent id —
     /// deterministic). Donors below `min_extents` are never shrunk.
     pub fn tick(

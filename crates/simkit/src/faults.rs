@@ -283,9 +283,11 @@ impl FaultPlan {
         self
     }
 
-    /// A seeded chaos schedule of `events` non-crashing faults (RDMA
-    /// transients and poisoned CXL reads) spread uniformly over the
-    /// first `horizon_hits` site hits. Same seed ⇒ same schedule.
+    /// A seeded background schedule of `events` non-crashing faults
+    /// (RDMA transients and poisoned CXL reads) spread uniformly over
+    /// the first `horizon_hits` site hits: the fault load for the
+    /// scenario fuzzer (ROADMAP 4(b)) to draw per seed. Same seed ⇒
+    /// same schedule.
     pub fn random(seed: u64, horizon_hits: u64, events: usize) -> Self {
         let mut rng = SimRng::seed_from_u64(seed);
         let mut plan = FaultPlan::default();

@@ -3,10 +3,9 @@
 //!
 //! The observability layers built so far (profiler, traces, the
 //! end-of-run [`MetricsRegistry`]) are post-mortem: one snapshot when
-//! the run finishes. This module adds the online view an operator (or
-//! an automated failover controller) actually works from — per-window,
-//! per-node, per-lane aggregates plus declarative SLO rules evaluated
-//! as windows close:
+//! the run finishes. This module adds the online view an operator
+//! works from — per-window, per-node, per-lane aggregates plus
+//! declarative SLO rules evaluated as windows close:
 //!
 //! - [`NodeProbe`] — the per-node recording side. Lives inside a node's
 //!   shard during barrier-parallel phases (like `TraceState` /
@@ -30,8 +29,10 @@
 //! (`TelemetryConfig::window == ZERO`, [`NodeProbe::off`]) makes every
 //! recorder an early-out, allocates nothing and exports no report.
 //! Observation only: recording never feeds back into virtual time, RNG
-//! streams or simulated state, so a run with the window on and the same
-//! run with it off agree on every simulation result.
+//! streams or simulated state, and no control plane reads an alert (the
+//! hub has no query for a rule's live state), so a run with the window
+//! on and the same run with it off agree on every simulation result.
+//! Failover scores its detection time (MTTD) from the report afterwards.
 
 use crate::json::{self, Obj};
 use crate::stats::{Histogram, MetricsRegistry};
@@ -74,13 +75,6 @@ impl Metric {
 /// The condition side of an [`SloRule`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RuleKind {
-    /// Breach while `metric > limit` in the latest window.
-    Above {
-        /// Metric evaluated per window.
-        metric: Metric,
-        /// Exclusive upper bound for the healthy region.
-        limit: f64,
-    },
     /// Multi-window burn rate: breach only when the trailing mean over
     /// the `short` *and* the `long` window both exceed `budget` —
     /// the classic fast-burn/slow-burn SLO pair collapsed into one
@@ -127,11 +121,6 @@ impl SloRule {
             fire_after: 2,
             clear_after: 2,
         }
-    }
-
-    /// Threshold rule: breach while `metric > limit`.
-    pub fn above(name: &'static str, metric: Metric, limit: f64) -> Self {
-        Self::new(name, RuleKind::Above { metric, limit })
     }
 
     /// Multi-window burn-rate rule (see [`RuleKind::BurnRate`]).
@@ -921,24 +910,6 @@ impl TelemetryHub {
         self.retired[node as usize] = Some(t.as_nanos() / self.window_ns);
     }
 
-    /// Whether `rule` is currently firing for `node` — the
-    /// hysteresis-filtered alert state as of the last sealed
-    /// window. The elasticity rebalancer reads its `miss_burn` rule
-    /// through this at virtual-time barriers; unknown rule names and
-    /// disabled hubs read `false`.
-    pub fn firing(&self, rule: &str, node: u32) -> bool {
-        if self.window_ns == 0 {
-            return false;
-        }
-        let Some(ri) = self.cfg.rules.iter().position(|r| r.name == rule) else {
-            return false;
-        };
-        self.rule_state
-            .get(ri * self.cfg.nodes + node as usize)
-            .map(|st| st.firing)
-            .unwrap_or(false)
-    }
-
     /// Merge every window histogram for `node` (all lanes) — exactly
     /// the end-of-run histogram, which the window-exactness test pins
     /// via [`Histogram::merge`].
@@ -1000,12 +971,7 @@ fn rule_breach(
     silence: u64,
     window_ns: u64,
 ) -> bool {
-    let last = match hist.last() {
-        Some(&i) => &rows[i],
-        None => return false,
-    };
     match *kind {
-        RuleKind::Above { metric, limit } => metric_value(last, window_ns, metric) > limit,
         RuleKind::BurnRate {
             metric,
             budget,

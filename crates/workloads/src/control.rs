@@ -17,7 +17,7 @@ use simkit::SimTime;
 use storage::PageId;
 
 /// Percent of a tenant's quantum served storage-direct above which the
-/// rebalancer calls it pressured (as it does while `miss_burn` fires).
+/// rebalancer calls it pressured: its one pressure signal.
 pub const PRESSURE_PCT: u64 = 20;
 
 /// Where a scenario's lane state keeps its [`Partition`].
@@ -215,13 +215,8 @@ impl Rebalancer {
                 Err(e) => panic!("fault-free commit: {e}"),
             }
         } else {
-            // A disabled hub and an unknown rule both read false.
             let pressured: Vec<bool> = (self.remote.iter().zip(&self.ops))
-                .zip(&self.lane_of)
-                .map(|((remote, &ops), &lane)| {
-                    remote.iter().sum::<u64>() * 100 > ops * PRESSURE_PCT
-                        || cl.hub.firing("miss_burn", lane as u32)
-                })
+                .map(|(remote, &ops)| remote.iter().sum::<u64>() * 100 > ops * PRESSURE_PCT)
                 .collect();
             if let Some(req) = self.ctl.tick(&pressured, &self.remote) {
                 let pages = self.layout.group_pages(req.extent);

@@ -10,12 +10,12 @@
 //! storage-direct — the tens-of-microseconds path that blows the tail.
 //!
 //! With `adaptive` on, the barrier hook runs a [`Rebalancer`]: its
-//! controller watches per-tenant miss pressure (the `miss_burn`
-//! telemetry rule while the window is on, a remote-share threshold either
-//! way) and each plan runs the two-phase lease migration — PREPARE
-//! (journal + write-protect + flush) at one barrier, COMMIT (reassign +
-//! hand-off + bulk adopt + retire) at the next, with both tenants serving
-//! through the write-protected window. With `adaptive` off the partition
+//! controller watches per-tenant miss pressure (the share of a quantum
+//! served storage-direct; telemetry only observes) and each plan runs
+//! the two-phase lease migration — PREPARE (journal + write-protect +
+//! flush) at one barrier, COMMIT (reassign + hand-off + bulk adopt +
+//! retire) at the next, with both tenants serving through the
+//! write-protected window. With `adaptive` off the partition
 //! is static and the growing tenant thrashes on storage for the whole
 //! second half.
 //!
@@ -32,7 +32,7 @@ use memsim::calib::{
 use polarcxlmem::fusion::CoherencyMode;
 use polarcxlmem::{ElasticConfig, ElasticStats, FusionStats};
 use simkit::faults::FaultState;
-use simkit::telemetry::{Metric, SloRule, TelemetryConfig, TelemetryReport};
+use simkit::telemetry::{TelemetryConfig, TelemetryReport};
 use simkit::{Histogram, MetricsRegistry, SimTime, Step};
 
 /// Number of tenants in the diurnal scenario (the shift is two-sided).
@@ -53,9 +53,6 @@ pub const WORKERS_PER_NODE: usize = 4;
 /// pass/fail and the report, not the controller.
 pub const SLO_P99_NS: u64 = 420_000;
 
-/// Miss-rate SLO for the `miss_burn` burn-rate rule (misses/op).
-pub const MISS_BURN_SLO: f64 = 0.2;
-
 /// Controller knobs (hysteresis, cooldown, shrink floor).
 pub const ELASTIC: ElasticConfig = ElasticConfig {
     min_extents: 1,
@@ -72,8 +69,7 @@ pub struct ElasticityConfig {
     pub duration: SimTime,
     /// RNG seed.
     pub seed: u64,
-    /// Telemetry window width (ZERO disables probes; the controller
-    /// then runs on the remote-share fallback alone).
+    /// Telemetry window width (ZERO disables probes).
     pub telemetry_window: SimTime,
     /// Live migration on (`true`) or static-partition ablation.
     pub adaptive: bool,
@@ -170,16 +166,6 @@ struct Tenant {
     part: Partition,
 }
 
-fn elasticity_tcfg(cfg: &ElasticityConfig) -> TelemetryConfig {
-    TelemetryConfig::new(cfg.telemetry_window, ELASTIC_TENANTS)
-        .lanes(&["local", "remote"])
-        .rule(
-            SloRule::burn_rate("miss_burn", Metric::MissRate, MISS_BURN_SLO, 2, 4)
-                .fire_after(1)
-                .clear_after(2),
-        )
-}
-
 /// The extents tenant `tenant` demands at virtual time `now`: tenant 0
 /// fronts the first 3/4 of the row space in the first half of the run
 /// and shrinks to the first 1/4 in the second; tenant 1 mirrors it.
@@ -219,7 +205,8 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
         })
         .collect();
     let faults = (0..n).map(|_| FaultState::inactive()).collect();
-    let (tcfg, wpn) = (elasticity_tcfg(cfg), WORKERS_PER_NODE);
+    let tcfg = TelemetryConfig::new(cfg.telemetry_window, n).lanes(&["local", "remote"]);
+    let wpn = WORKERS_PER_NODE;
     let mut cluster = Cluster::new(fusion, nodes, tenants, faults, tcfg, wpn, cfg.seed);
     // This scenario defines a miss itself: a storage-direct statement.
     cluster.protocol_probe = false;
@@ -376,8 +363,8 @@ mod tests {
 
     #[test]
     fn adaptive_run_migrates_and_clears_the_thrash() {
-        // Window on: the `miss_burn` rule and the remote-share threshold
-        // both feed the controller. Window ZERO: the threshold alone.
+        // The remote-share threshold alone feeds the controller, so the
+        // window changes only whether a telemetry report comes back.
         for window in [SimTime::from_millis(2), SimTime::ZERO] {
             let mut cfg = smoke_cfg(true);
             cfg.telemetry_window = window;

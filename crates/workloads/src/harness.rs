@@ -134,7 +134,7 @@ fn loaded<P: BufferPool>(pool: P, table_size: u64) -> Db<P> {
 }
 
 /// The single-host seat of the local-DRAM design: one loaded instance
-/// whose pool holds the whole table (recovery and chaos harnesses).
+/// whose pool holds the whole table (the recovery harness).
 pub(crate) fn single_dram(table_size: u64) -> Db<DramBp> {
     let pages = pages_for(table_size, PAGE_SIZE);
     let store = PageStore::new(pages);
@@ -289,10 +289,6 @@ fn collect_registry<P: BufferPool>(
         bp.fault_retries += s.fault_retries;
         bp.fault_fallbacks += s.fault_fallbacks;
         bp.poison_rebuilds += s.poison_rebuilds;
-        bp.tier_dram_hits += s.tier_dram_hits;
-        bp.tier_dram_misses += s.tier_dram_misses;
-        bp.tier_cxl_hits += s.tier_cxl_hits;
-        bp.tier_cxl_misses += s.tier_cxl_misses;
         let (f, b) = db.wal.flush_stats();
         wal_flushes += f;
         wal_bytes += b;
@@ -319,12 +315,6 @@ fn collect_registry<P: BufferPool>(
     reg.set_int("bp_fault_retries", bp.fault_retries);
     reg.set_int("bp_fault_fallbacks", bp.fault_fallbacks);
     reg.set_int("bp_poison_rebuilds", bp.poison_rebuilds);
-    // Per-tier counters are emitted unconditionally (zero for designs
-    // without that tier) so every snapshot has the same schema.
-    reg.set_int("bp_tier_dram_hits", bp.tier_dram_hits);
-    reg.set_int("bp_tier_dram_misses", bp.tier_dram_misses);
-    reg.set_int("bp_tier_cxl_hits", bp.tier_cxl_hits);
-    reg.set_int("bp_tier_cxl_misses", bp.tier_cxl_misses);
     reg.set_int("wal_flushes", wal_flushes);
     reg.set_int("wal_bytes_flushed", wal_bytes);
     reg.set_int("db_queries", db_sum.queries);

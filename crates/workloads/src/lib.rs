@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod cluster;
 pub mod control;
 pub mod elasticity;
@@ -21,7 +20,6 @@ pub mod sysbench;
 pub mod tatp;
 pub mod tpcc;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosRunResult};
 pub use elasticity::{
     run_elasticity, ElasticTenantOutcome, ElasticityConfig, ElasticityResult, ELASTIC_TENANTS,
 };

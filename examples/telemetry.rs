@@ -13,17 +13,11 @@
 //! 3. **Fault-free control** — no crash, no chaos: the false-positive
 //!    count must be zero.
 //!
-//! Plus one run of the single-host chaos harness: a mid-run crash with
-//! full log-replay recovery, detected by the absence rule and cleared
-//! once service resumes.
-//!
 //! Run with: `cargo run --release --example telemetry`
 //! (`TELEMETRY_SMOKE=1` shrinks the run for CI.)
 
 use simkit::SimTime;
-use workloads::{
-    run_chaos, run_failover, ChaosConfig, FailoverConfig, LinkChaos, Scheme, SysbenchKind,
-};
+use workloads::{run_failover, FailoverConfig, LinkChaos};
 
 fn base_cfg() -> FailoverConfig {
     let smoke = std::env::var_os("TELEMETRY_SMOKE").is_some();
@@ -32,21 +26,6 @@ fn base_cfg() -> FailoverConfig {
     } else {
         FailoverConfig::standard(3)
     }
-}
-
-fn chaos_cfg() -> ChaosConfig {
-    // RdmaBased replays the full log on recovery, so the outage spans
-    // several 500 us windows; an instant-recovery scheme would be
-    // sub-window and (correctly) invisible to the absence rule.
-    let mut cfg = ChaosConfig::standard(Scheme::RdmaBased, SysbenchKind::ReadWrite);
-    cfg.table_size = 2_000;
-    cfg.workers = 8;
-    cfg.duration = SimTime::from_millis(120);
-    cfg.fault_events = 12;
-    cfg.horizon_hits = 20_000;
-    cfg.crash_at_hit = Some(5_000);
-    cfg.telemetry_window = SimTime(500_000);
-    cfg
 }
 
 fn main() {
@@ -129,27 +108,6 @@ fn main() {
         rep3.alert_fires(),
         rep3.windows,
         rep3.nodes,
-    );
-
-    // ---- 4. Chaos harness: crash under background faults ------------
-    println!("\n== run 4: chaos crash (single host, full log replay) ==");
-    let ccfg = chaos_cfg();
-    let c = run_chaos(&ccfg);
-    assert_eq!(c.crashes, 1);
-    let crep = c.telemetry.as_ref().expect("telemetry window is on");
-    print!("{}", crep.ascii_timeline());
-    println!("alert log:");
-    print!("{}", crep.alert_log());
-    let chaos_mttd = c
-        .registry
-        .get("telemetry_mttd_crash_ns")
-        .expect("chaos crash detected by absence rule")
-        .as_u64();
-    println!(
-        "chaos crash detected in {:.3} ms ({:.1} windows), alert cleared after recovery: {}",
-        chaos_mttd as f64 / 1e6,
-        chaos_mttd as f64 / ccfg.telemetry_window.as_nanos() as f64,
-        crep.alert_clears() > 0,
     );
 
     println!("\nJSON ops report (run 1, first 3 lines):");

@@ -73,10 +73,9 @@ pub mod prelude {
     pub use simkit::{dur, SimTime};
     pub use storage::{Lsn, PageId, PageStore, Wal};
     pub use workloads::{
-        run_chaos, run_elasticity, run_failover, run_pooling, run_recovery, run_sharing,
-        ChaosConfig, ChaosRunResult, DeathMode, ElasticTenantOutcome, ElasticityConfig,
-        ElasticityResult, FailoverConfig, FailoverResult, LinkChaos, PoolKind, PoolingConfig,
-        RecoveryConfig, RecoveryRunResult, Scheme, SharingConfig, SharingResult, SharingSystem,
-        SysbenchKind,
+        run_elasticity, run_failover, run_pooling, run_recovery, run_sharing, DeathMode,
+        ElasticTenantOutcome, ElasticityConfig, ElasticityResult, FailoverConfig, FailoverResult,
+        LinkChaos, PoolKind, PoolingConfig, RecoveryConfig, RecoveryRunResult, Scheme,
+        SharingConfig, SharingResult, SharingSystem, SysbenchKind,
     };
 }
