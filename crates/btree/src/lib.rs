@@ -245,7 +245,7 @@ mod tests {
             fresh.store_mut().allocate();
         }
         for r in wal.replay_from(storage::Lsn::ZERO) {
-            fresh.write(r.page, r.off, &r.data, r.lsn, SimTime::ZERO);
+            fresh.write(r.page, r.off, r.data, r.lsn, SimTime::ZERO);
         }
         let (t2, _) = BTree::open(&mut fresh, t.meta_page, SimTime::ZERO);
         assert_eq!(t2.height(), t.height());
@@ -285,7 +285,7 @@ mod tests {
             fresh.store_mut().allocate();
         }
         for r in wal.replay_from(storage::Lsn::ZERO) {
-            fresh.write(r.page, r.off, &r.data, r.lsn, SimTime::ZERO);
+            fresh.write(r.page, r.off, r.data, r.lsn, SimTime::ZERO);
         }
         let (t2, _) = BTree::open(&mut fresh, t.meta_page, SimTime::ZERO);
         assert_eq!(t2.check_invariants(&mut fresh), 30);

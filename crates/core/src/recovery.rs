@@ -179,8 +179,8 @@ pub fn polar_recv_policy(
                 .write_uncached(node, geo.data_off(b as u64), &buf, t);
             t = a.end;
         }
-        // Apply every durable record targeting a rebuild page.
-        let mut applied: Vec<(u32, u16, storage::wal::Payload, u64)> = Vec::new();
+        // Apply every durable record targeting a rebuild page, in log
+        // order, straight from the log.
         for rec in wal.replay_from(ckpt) {
             if !rebuild_pages.contains(&rec.page) {
                 continue;
@@ -190,21 +190,18 @@ pub fn polar_recv_policy(
                 .find(|&&(_, p)| p == rec.page)
                 .map(|&(b, _)| b)
                 .expect("rebuild page has a block");
-            applied.push((b, rec.off, rec.data.clone(), rec.lsn.0));
-        }
-        for (b, off, data, lsn) in applied {
             let fabric = bp.fabric().clone();
             let a = fabric.borrow_mut().write_uncached(
                 node,
-                geo.data_off(b as u64) + off as u64,
-                &data,
+                geo.data_off(b as u64) + rec.off as u64,
+                rec.data,
                 t,
             );
             t = a.end;
             records_applied += 1;
             // Track the newest LSN per block in the metas vector.
             if let Some((_, m)) = metas.iter_mut().find(|(bb, _)| *bb == b) {
-                m.lsn = m.lsn.max(lsn);
+                m.lsn = m.lsn.max(rec.lsn.0);
             }
         }
     }

@@ -94,36 +94,12 @@ impl<P: BufferPool> Db<P> {
     /// discarded by the harnesses ([`Db::reset_timing_queues`]); a harness
     /// that seats several identical instances loads the first and makes
     /// the rest with [`Db::copy_onto`].
-    ///
-    /// The whole load is one log flush, so the volatile buffer ends up
-    /// holding every record of it. Rather than let it double its way
-    /// there, the load sizes it from the iterator's `size_hint` and the
-    /// records per row appended so far (rounded up) — first once the log
-    /// holds a record per expected row, a sample that has seen page
-    /// splits at close to their steady rate while the buffer is still a
-    /// fraction of its final size; again only if that ran low, which a
-    /// small table's sample can. The largest single row seen is kept as
-    /// headroom, so after the first sizing the buffer never doubles.
     pub fn load(&mut self, rows: impl IntoIterator<Item = (u64, Vec<u8>)>) {
-        let rows = rows.into_iter();
-        let expected = rows.size_hint().0 as u64;
-        let first_lsn = self.wal.max_assigned_lsn().0;
-        // Records the buffer is good for (until sized: the sample to wait
-        // for), and the most one row appended (a split moves half a page).
-        let (mut room, mut biggest, mut appended) = (expected, 0, 0);
-        for (done, (k, v)) in (1u64..).zip(rows) {
+        for (k, v) in rows {
             let (ins, _) = self
                 .table
                 .insert(&mut self.pool, &mut self.wal, k, &v, SimTime::ZERO);
             assert!(ins, "bulk load saw duplicate key {k}");
-            let now = self.wal.max_assigned_lsn().0 - first_lsn;
-            biggest = biggest.max(now - appended);
-            appended = now;
-            if appended + biggest > room && done < expected {
-                let more = appended.div_ceil(done) * (expected - done) + biggest;
-                self.wal.reserve(more as usize);
-                room = appended + more;
-            }
         }
         self.checkpoint(SimTime::ZERO);
         self.pool.prewarm();

@@ -70,50 +70,6 @@ mod tests {
         db
     }
 
-    /// `Db::load` sizes its log buffer from the row count and what the
-    /// first rows append. Against a load that cannot (an iterator with no
-    /// size hint, so the buffer grows by doubling), nothing simulated
-    /// moves — LSNs, flushed bytes, stored pages — and the buffer ends up
-    /// just above the records it held, where doubling overshoots.
-    #[test]
-    fn load_sizes_its_log_once_and_changes_nothing_else() {
-        const N: u64 = 8_000;
-        let load = |hinted: bool| {
-            let store = PageStore::new(256);
-            let mut db = Db::create(DramBp::new(256, 1 << 20, store), 188);
-            let rows = (1..=N).map(|k| (k, vec![(k % 250) as u8; 188]));
-            if hinted {
-                db.load(rows);
-            } else {
-                db.load(rows.filter(|_| true));
-            }
-            db
-        };
-        let (sized, doubled) = (load(true), load(false));
-        let records = sized.wal.max_assigned_lsn().0 as usize;
-        assert_eq!(records, doubled.wal.max_assigned_lsn().0 as usize);
-        assert_eq!(sized.wal.flush_stats(), doubled.wal.flush_stats());
-        assert_eq!(sized.wal.durable_lsn(), doubled.wal.durable_lsn());
-        assert_eq!(sized.wal.checkpoint_lsn(), doubled.wal.checkpoint_lsn());
-        let pages = sized.pool.store().allocated_pages();
-        assert_eq!(pages, doubled.pool.store().allocated_pages());
-        for p in 0..pages {
-            let p = storage::PageId(p);
-            assert_eq!(
-                sized.pool.store().raw_page(p),
-                doubled.pool.store().raw_page(p)
-            );
-        }
-        // Everything the load logged sat in the buffer at once (one flush).
-        assert_eq!(sized.wal.flush_stats().0, 1);
-        let (cap, doubled_cap) = (sized.wal.capacity(), doubled.wal.capacity());
-        assert!(
-            cap >= records && cap < records + records / 8,
-            "{cap} slots for {records} records"
-        );
-        assert!(doubled_cap > records + records / 2, "{doubled_cap}");
-    }
-
     #[test]
     #[should_panic(expected = "installed fault plan")]
     fn copying_under_a_fault_plan_is_refused() {
@@ -447,7 +403,7 @@ mod tests {
         }
     }
 
-    /// Reference replay for `recover_replay`'s apply order: clone every
+    /// Reference replay for `recover_replay`'s apply order: gather every
     /// record into a per-page vector (log order within a page), then
     /// apply the pages in ascending order.
     fn grouped_replay<P: BufferPool>(
@@ -458,16 +414,16 @@ mod tests {
         let ckpt = db.wal.checkpoint_lsn();
         let log_bytes = db.wal.replay_bytes_from(ckpt);
         let mut t = db.wal.charge_scan(ckpt, now);
-        let mut by_page: simkit::FastMap<PageId, Vec<LogRecord>> = simkit::FastMap::default();
+        let mut by_page: simkit::FastMap<PageId, Vec<LogRecord<'_>>> = simkit::FastMap::default();
         for rec in db.wal.replay_from(ckpt) {
-            by_page.entry(rec.page).or_default().push(rec.clone());
+            by_page.entry(rec.page).or_default().push(rec);
         }
         let mut pages: Vec<_> = by_page.keys().copied().collect();
         pages.sort_unstable();
         let mut applied = 0u64;
         for page in &pages {
             for rec in &by_page[page] {
-                t = db.pool.write(rec.page, rec.off, &rec.data, rec.lsn, t).end;
+                t = db.pool.write(rec.page, rec.off, rec.data, rec.lsn, t).end;
                 applied += 1;
             }
         }

@@ -51,11 +51,12 @@ pub fn recover_replay<P: BufferPool>(
     // InnoDB-style replay: apply page-at-a-time (LSN order within a
     // page), so each touched page is faulted exactly once regardless of
     // buffer size. The log is in LSN order, so a stable sort of its
-    // records by page is that order — applied in place, nothing cloned.
-    let mut recs: Vec<&LogRecord> = db.wal.replay_from(ckpt).collect();
+    // record views by page is that order — applied in place, nothing
+    // cloned.
+    let mut recs: Vec<LogRecord<'_>> = db.wal.replay_from(ckpt).collect();
     recs.sort_by_key(|rec| rec.page);
     for rec in &recs {
-        t = db.pool.write(rec.page, rec.off, &rec.data, rec.lsn, t).end;
+        t = db.pool.write(rec.page, rec.off, rec.data, rec.lsn, t).end;
     }
     let pages_rebuilt = recs.chunk_by(|a, b| a.page == b.page).count() as u64;
     let applied = recs.len() as u64;

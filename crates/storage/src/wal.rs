@@ -11,6 +11,16 @@
 //!   (the encoder marks the group end, and replay never surfaces a torn
 //!   group);
 //! - checkpoints bound how far back replay must scan.
+//!
+//! In host memory both the buffer and the durable tail are block logs:
+//! records are written back to back as bytes into fixed 64 KB blocks,
+//! which are never reallocated, and are read back as borrowed
+//! [`LogRecord`] views. A record costs a 13-byte header plus its payload;
+//! its LSN (8 bytes more) is written only where it is not the previous
+//! record's + 1 — a log's first record, and the first after the gap a
+//! crash leaves. Appending allocates nothing until a block fills. The
+//! device format ([`encode`], [`encoded_len`]) is separate and fixed:
+//! every flush, scan and replay is charged by it.
 
 use memsim::calib::{WAL_FLUSH_NS, WAL_GBPS};
 use simkit::faults::{self, FaultSite, Verdict};
@@ -19,109 +29,187 @@ use simkit::{Link, SimTime};
 
 use crate::{Lsn, PageId};
 
-/// One physiological redo record: "write `data` at `off` within `page`".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    /// This record's LSN (unique, dense, ascending).
+/// One physiological redo record: "write `data` at `off` within `page`",
+/// borrowed from the log (or the buffer) it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogRecord<'a> {
+    /// This record's LSN (unique, ascending).
     pub lsn: Lsn,
     /// Target page.
     pub page: PageId,
     /// Byte offset within the page.
     pub off: u16,
     /// Bytes to write at `off`.
-    pub data: Payload,
+    pub data: &'a [u8],
     /// True on the last record of a mini-transaction: the group
     /// `(.., mtr_end]` applies atomically.
     pub mtr_end: bool,
 }
 
-/// Payload bytes stored inline in [`Payload`] without a heap allocation.
-/// Sized for the b-tree's header, slot-directory, and key writes (2–8
-/// bytes each); only full-record payloads spill to the heap. 22 keeps
-/// the whole enum at 24 bytes (tag + len + buffer matches the 16-byte
-/// `Box<[u8]>` arm plus alignment), which matters because the log
-/// buffers millions of records in a write-heavy run.
-const PAYLOAD_INLINE: usize = 22;
+/// Bytes per log block. Under glibc's default 128 KB mmap threshold, so
+/// a freed block goes back on the heap for the next log to reuse.
+const BLOCK: usize = 64 << 10;
 
-/// A redo payload with small-buffer optimization.
-///
-/// Appending a redo record is on the hot path of every simulated page
-/// write, and almost all payloads are tiny header/slot/key updates; a
-/// heap `Vec<u8>` per record is the single largest allocation source in
-/// a write-heavy run. Payloads up to `PAYLOAD_INLINE` bytes live
-/// inside the record. Derefs to `[u8]`, so `&rec.data` still reads as a
-/// byte slice everywhere.
-#[derive(Clone)]
-pub enum Payload {
-    /// Payload stored inline (length, buffer).
-    Inline(u8, [u8; PAYLOAD_INLINE]),
-    /// Payload too large to inline.
-    Heap(Box<[u8]>),
+/// Host header of a record without its LSN: flags, page, offset, length.
+const HEADER: usize = 1 + 8 + 2 + 2;
+
+/// Record flag: last record of a mini-transaction.
+const END: u8 = 1;
+
+/// Record flag: the record carries its LSN.
+const HAS_LSN: u8 = 2;
+
+/// Records back to back in fixed blocks:
+/// `flags u8 | [lsn u64] | page u64 | off u16 | len u16 | payload`.
+/// A record that does not fit the tail block opens a new one (of its own
+/// size if it exceeds [`BLOCK`]).
+#[derive(Default)]
+struct BlockLog {
+    blocks: Vec<Vec<u8>>,
+    records: usize,
+    /// Records up to and including the last group end.
+    sealed: usize,
+    /// LSN of the last record, and where its flags byte sits.
+    last_lsn: u64,
+    last_at: (usize, usize),
 }
 
-impl Payload {
-    /// Build from a byte slice, inlining when it fits.
-    pub fn from_slice(d: &[u8]) -> Self {
-        if d.len() <= PAYLOAD_INLINE {
-            let mut buf = [0u8; PAYLOAD_INLINE];
-            buf[..d.len()].copy_from_slice(d);
-            Payload::Inline(d.len() as u8, buf)
-        } else {
-            Payload::Heap(d.into())
-        }
-    }
-
-    /// The payload bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            Payload::Inline(len, buf) => &buf[..*len as usize],
-            Payload::Heap(b) => b,
+/// Blocks keep their capacity, so a copied log fills its tail block
+/// where the original would.
+impl Clone for BlockLog {
+    fn clone(&self) -> Self {
+        BlockLog {
+            blocks: self.blocks.iter().map(simkit::clone_reserved).collect(),
+            ..*self
         }
     }
 }
 
-impl std::ops::Deref for Payload {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl From<Vec<u8>> for Payload {
-    fn from(v: Vec<u8>) -> Self {
-        Payload::from_slice(&v)
-    }
-}
-
-impl From<&[u8]> for Payload {
-    fn from(d: &[u8]) -> Self {
-        Payload::from_slice(d)
-    }
-}
-
-impl PartialEq for Payload {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Payload {}
-
-impl PartialEq<Vec<u8>> for Payload {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialEq<[u8]> for Payload {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl std::fmt::Debug for Payload {
+impl std::fmt::Debug for BlockLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.as_slice().fmt(f)
+        f.debug_struct("BlockLog")
+            .field("records", &self.records)
+            .field("blocks", &self.blocks.len())
+            .finish()
+    }
+}
+
+impl BlockLog {
+    fn push(&mut self, rec: LogRecord<'_>) {
+        let len = u16::try_from(rec.data.len()).expect("a redo payload fits its u16 length");
+        let explicit = self.records == 0 || rec.lsn.0 != self.last_lsn + 1;
+        let size = HEADER + 8 * explicit as usize + rec.data.len();
+        let room = self.blocks.last().map_or(0, |b| b.capacity() - b.len());
+        if size > room {
+            self.blocks.push(Vec::with_capacity(size.max(BLOCK)));
+        }
+        let at = self.blocks.len() - 1;
+        let b = &mut self.blocks[at];
+        self.last_at = (at, b.len());
+        b.push(if rec.mtr_end { END } else { 0 } | if explicit { HAS_LSN } else { 0 });
+        if explicit {
+            b.extend_from_slice(&rec.lsn.0.to_le_bytes());
+        }
+        b.extend_from_slice(&rec.page.0.to_le_bytes());
+        b.extend_from_slice(&rec.off.to_le_bytes());
+        b.extend_from_slice(&len.to_le_bytes());
+        b.extend_from_slice(rec.data);
+        self.records += 1;
+        self.last_lsn = rec.lsn.0;
+        if rec.mtr_end {
+            self.sealed = self.records;
+        }
+    }
+
+    fn seal(&mut self) {
+        if self.records > 0 {
+            let (block, at) = self.last_at;
+            self.blocks[block][at] |= END;
+            self.sealed = self.records;
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Drop every record, keeping one block for the next.
+    fn clear(&mut self) {
+        self.blocks.truncate(1);
+        if let Some(b) = self.blocks.first_mut() {
+            b.clear();
+        }
+        self.records = 0;
+        self.sealed = 0;
+    }
+
+    /// Copy `other`'s records onto this log and clear it.
+    fn append(&mut self, other: &mut BlockLog) {
+        for rec in other.iter() {
+            self.push(rec);
+        }
+        other.clear();
+    }
+
+    /// Drop the first `n` records (the first one kept then carries its
+    /// LSN).
+    fn drop_first(&mut self, n: usize) {
+        let mut rest = BlockLog::default();
+        for rec in self.iter().skip(n) {
+            rest.push(rec);
+        }
+        *self = rest;
+    }
+
+    fn iter(&self) -> Records<'_> {
+        Records {
+            blocks: &self.blocks,
+            block: 0,
+            at: 0,
+            lsn: 0,
+        }
+    }
+}
+
+/// Reads a [`BlockLog`] front to back.
+struct Records<'a> {
+    blocks: &'a [Vec<u8>],
+    block: usize,
+    at: usize,
+    lsn: u64,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = LogRecord<'a>;
+
+    fn next(&mut self) -> Option<LogRecord<'a>> {
+        let blocks = self.blocks;
+        let mut b = blocks.get(self.block)?;
+        while self.at == b.len() {
+            self.block += 1;
+            self.at = 0;
+            b = blocks.get(self.block)?;
+        }
+        let flags = b[self.at];
+        let mut at = self.at + 1;
+        self.lsn = if flags & HAS_LSN != 0 {
+            at += 8;
+            le_u64(b, at - 8)
+        } else {
+            self.lsn + 1
+        };
+        let page = PageId(le_u64(b, at));
+        let off = le_u16(b, at + 8);
+        let len = le_u16(b, at + 10) as usize;
+        at += 12;
+        self.at = at + len;
+        Some(LogRecord {
+            lsn: Lsn(self.lsn),
+            page,
+            off,
+            data: &b[at..at + len],
+            mtr_end: flags & END != 0,
+        })
     }
 }
 
@@ -139,13 +227,14 @@ pub fn encode(rec: &LogRecord, out: &mut Vec<u8>) {
     out.extend_from_slice(&rec.off.to_le_bytes());
     out.extend_from_slice(&(rec.data.len() as u16).to_le_bytes());
     out.push(rec.mtr_end as u8);
-    out.extend_from_slice(&crc32(&rec.data).to_le_bytes());
-    out.extend_from_slice(&rec.data);
+    out.extend_from_slice(&crc32(rec.data).to_le_bytes());
+    out.extend_from_slice(rec.data);
 }
 
-/// Decode one record from `buf`, returning it and the bytes consumed.
-/// Returns `None` on truncation or CRC mismatch (a torn tail).
-pub fn decode(buf: &[u8]) -> Option<(LogRecord, usize)> {
+/// Decode one record from `buf`, returning it (borrowing its payload from
+/// `buf`) and the bytes consumed. Returns `None` on truncation or CRC
+/// mismatch (a torn tail).
+pub fn decode(buf: &[u8]) -> Option<(LogRecord<'_>, usize)> {
     if buf.len() < 25 {
         return None;
     }
@@ -158,8 +247,8 @@ pub fn decode(buf: &[u8]) -> Option<(LogRecord, usize)> {
     if buf.len() < 25 + len {
         return None;
     }
-    let data = Payload::from_slice(&buf[25..25 + len]);
-    if crc32(&data) != crc {
+    let data = &buf[25..25 + len];
+    if crc32(data) != crc {
         return None;
     }
     Some((
@@ -224,14 +313,14 @@ fn crc32(data: &[u8]) -> u32 {
 /// assert_eq!(survivors.len(), 1);
 /// assert_eq!(survivors[0].page, PageId(3));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Wal {
     next_lsn: u64,
     /// Volatile log buffer (local DRAM): lost on crash.
-    buffer: Vec<LogRecord>,
+    buffer: BlockLog,
     buffer_bytes: u64,
     /// Durable tail (log device): survives crashes.
-    durable: Vec<LogRecord>,
+    durable: BlockLog,
     durable_lsn: Lsn,
     checkpoint_lsn: Lsn,
     device: Link,
@@ -245,27 +334,14 @@ impl Default for Wal {
     }
 }
 
-/// Both record vectors keep their capacity, so a copied instance grows
-/// its log buffers at the same appends as the one it was copied from.
-impl Clone for Wal {
-    fn clone(&self) -> Self {
-        Wal {
-            buffer: simkit::clone_reserved(&self.buffer),
-            durable: simkit::clone_reserved(&self.durable),
-            device: self.device.clone(),
-            ..*self
-        }
-    }
-}
-
 impl Wal {
     /// A fresh, empty log.
     pub fn new() -> Self {
         Wal {
             next_lsn: 1,
-            buffer: Vec::new(),
+            buffer: BlockLog::default(),
             buffer_bytes: 0,
-            durable: Vec::new(),
+            durable: BlockLog::default(),
             durable_lsn: Lsn::ZERO,
             checkpoint_lsn: Lsn::ZERO,
             device: Link::new("wal", WAL_GBPS),
@@ -282,22 +358,11 @@ impl Wal {
     /// When `updates` is empty — an empty mini-transaction is a caller bug.
     pub fn append_mtr(&mut self, updates: Vec<(PageId, u16, Vec<u8>)>) -> Lsn {
         assert!(!updates.is_empty(), "mini-transaction must contain updates");
-        let n = updates.len();
-        let mut last = Lsn::ZERO;
-        for (i, (page, off, data)) in updates.into_iter().enumerate() {
-            let rec = LogRecord {
-                lsn: Lsn(self.next_lsn),
-                page,
-                off,
-                data: Payload::from(data),
-                mtr_end: i + 1 == n,
-            };
-            self.next_lsn += 1;
-            last = rec.lsn;
-            self.buffer_bytes += encoded_len(&rec);
-            self.buffer.push(rec);
+        for (page, off, data) in &updates {
+            self.append_update(*page, *off, data);
         }
-        last
+        self.seal_mtr();
+        self.max_assigned_lsn()
     }
 
     /// Append a single update record (ARIES WAL rule: callers log before
@@ -308,35 +373,19 @@ impl Wal {
             lsn: Lsn(self.next_lsn),
             page,
             off,
-            data: Payload::from_slice(data),
+            data,
             mtr_end: false,
         };
         self.next_lsn += 1;
         self.buffer_bytes += encoded_len(&rec);
-        let lsn = rec.lsn;
         self.buffer.push(rec);
-        lsn
-    }
-
-    /// Make room for `records` more appends, so a bulk loader that knows
-    /// how many rows are coming grows the volatile buffer once instead of
-    /// by doubling.
-    pub fn reserve(&mut self, records: usize) {
-        self.buffer.reserve_exact(records);
-    }
-
-    /// Records the log's two vectors have room for — what the log holds
-    /// in host memory, whether or not records occupy it.
-    pub fn capacity(&self) -> usize {
-        self.buffer.capacity() + self.durable.capacity()
+        rec.lsn
     }
 
     /// Mark the end of the current mini-transaction group (idempotent;
     /// a group with no updates is a no-op).
     pub fn seal_mtr(&mut self) {
-        if let Some(last) = self.buffer.last_mut() {
-            last.mtr_end = true;
-        }
+        self.buffer.seal();
     }
 
     /// Highest LSN assigned so far (durable or not).
@@ -378,15 +427,11 @@ impl Wal {
             _ => return now,
         };
         let bytes = self.buffer_bytes;
-        self.durable_lsn = self
-            .buffer
-            .last()
-            .expect("flush buffer checked non-empty")
-            .lsn;
+        self.durable_lsn = Lsn(self.buffer.last_lsn);
         if self.durable.is_empty() {
             // Common case (first flush, or everything up to here already
-            // checkpointed away): adopt the buffer wholesale instead of
-            // copying it record by record — bulk load flushes hundreds of
+            // checkpointed away): adopt the buffer's blocks wholesale
+            // instead of copying them — bulk load flushes hundreds of
             // thousands of records in one go.
             std::mem::swap(&mut self.durable, &mut self.buffer);
         } else {
@@ -412,7 +457,7 @@ impl Wal {
         let mut fit_bytes = 0u64;
         let mut kept = 0usize; // records up to the last complete group
         for (i, r) in self.buffer.iter().enumerate() {
-            let next = fit_bytes + encoded_len(r);
+            let next = fit_bytes + encoded_len(&r);
             if next > keep_bytes {
                 break;
             }
@@ -425,16 +470,13 @@ impl Wal {
             return now;
         }
         let mut bytes = 0u64;
-        for r in self.buffer.drain(..kept) {
+        for r in self.buffer.iter().take(kept) {
             bytes += encoded_len(&r);
             self.durable.push(r);
         }
+        self.buffer.drop_first(kept);
         self.buffer_bytes -= bytes;
-        self.durable_lsn = self
-            .durable
-            .last()
-            .expect("torn flush kept at least one record")
-            .lsn;
+        self.durable_lsn = Lsn(self.durable.last_lsn);
         self.flushes += 1;
         self.bytes_flushed += bytes;
         now
@@ -459,7 +501,8 @@ impl Wal {
         if lsn == self.durable_lsn {
             self.durable.clear();
         } else {
-            self.durable.retain(|r| r.lsn > lsn);
+            let gone = self.durable.iter().take_while(|r| r.lsn <= lsn).count();
+            self.durable.drop_first(gone);
         }
     }
 
@@ -473,17 +516,11 @@ impl Wal {
     /// after the last *complete* mini-transaction group (a torn group at
     /// the tail is never surfaced — though flush-atomicity means one can
     /// only appear if callers flush mid-group).
-    pub fn replay_from(&self, from: Lsn) -> impl Iterator<Item = &LogRecord> {
-        let end = {
-            let mut end = 0;
-            for (i, r) in self.durable.iter().enumerate() {
-                if r.mtr_end {
-                    end = i + 1;
-                }
-            }
-            end
-        };
-        self.durable[..end].iter().filter(move |r| r.lsn > from)
+    pub fn replay_from(&self, from: Lsn) -> impl Iterator<Item = LogRecord<'_>> {
+        self.durable
+            .iter()
+            .take(self.durable.sealed)
+            .filter(move |r| r.lsn > from)
     }
 
     /// Bytes of durable log with `lsn > from` — what a recovery scan must
@@ -492,7 +529,7 @@ impl Wal {
         self.durable
             .iter()
             .filter(|r| r.lsn > from)
-            .map(encoded_len)
+            .map(|r| encoded_len(&r))
             .sum()
     }
 
@@ -522,34 +559,95 @@ impl Wal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn upd(page: u64, off: u16, byte: u8) -> (PageId, u16, Vec<u8>) {
         (PageId(page), off, vec![byte; 8])
     }
 
-    #[test]
-    fn log_record_stays_small() {
-        // The log buffers millions of records in write-heavy runs; the
-        // small-buffer payload keeps a record at 48 bytes. Growing either
-        // type is a real host-memory/bandwidth regression — look hard at
-        // any change that trips this.
-        assert_eq!(std::mem::size_of::<Payload>(), 24);
-        assert_eq!(std::mem::size_of::<LogRecord>(), 48);
+    /// Host bytes a block log holds.
+    fn host_bytes(log: &BlockLog) -> usize {
+        log.blocks.iter().map(Vec::len).sum()
+    }
+
+    /// The durable records as replay yields them.
+    fn records(wal: &Wal) -> Vec<LogRecord<'_>> {
+        wal.replay_from(Lsn::ZERO).collect()
+    }
+
+    /// LSNs of the first record in each durable block.
+    pub(crate) fn durable_block_starts(wal: &Wal) -> Vec<Lsn> {
+        let mut recs = wal.durable.iter();
+        let (mut starts, mut block) = (Vec::new(), usize::MAX);
+        while let Some(rec) = recs.next() {
+            if recs.block != block {
+                block = recs.block;
+                starts.push(rec.lsn);
+            }
+        }
+        starts
     }
 
     #[test]
-    fn payload_inlines_small_and_heaps_large() {
-        let small = Payload::from_slice(&[7u8; PAYLOAD_INLINE]);
-        assert!(matches!(small, Payload::Inline(..)));
-        assert_eq!(&small[..], &[7u8; PAYLOAD_INLINE][..]);
-        let large = Payload::from_slice(&[9u8; PAYLOAD_INLINE + 1]);
-        assert!(matches!(large, Payload::Heap(..)));
-        assert_eq!(&large[..], &[9u8; PAYLOAD_INLINE + 1][..]);
-        // Equality is by bytes, not representation.
-        assert_eq!(Payload::from_slice(b"abc"), Payload::from_slice(b"abc"));
-        assert_ne!(Payload::from_slice(b"abc"), Payload::from_slice(b"abd"));
+    fn a_record_costs_thirteen_bytes_plus_its_payload() {
+        // The log's first record carries its LSN; its successors do not.
+        let mut wal = Wal::new();
+        wal.append_update(PageId(1), 0, &[1; 5]);
+        assert_eq!(host_bytes(&wal.buffer), 21 + 5);
+        wal.append_update(PageId(2), 0, &[2; 7]);
+        wal.seal_mtr();
+        assert_eq!(host_bytes(&wal.buffer), 21 + 5 + 13 + 7);
+        wal.flush(SimTime::ZERO);
+        assert_eq!(host_bytes(&wal.durable), 21 + 5 + 13 + 7);
+        // A crash loses LSN 3: the record after the gap carries its LSN.
+        wal.append_update(PageId(3), 0, &[3; 4]);
+        wal.crash();
+        wal.append_update(PageId(4), 0, &[4; 4]);
+        wal.append_update(PageId(5), 0, &[]);
+        wal.seal_mtr();
+        wal.flush(SimTime::ZERO);
+        assert_eq!(host_bytes(&wal.durable), 21 + 5 + 13 + 7 + 21 + 4 + 13);
+        let lsns: Vec<u64> = records(&wal).iter().map(|r| r.lsn.0).collect();
+        assert_eq!(lsns, [1, 2, 4, 5]);
+        // The device format stays 25 bytes plus the payload.
+        assert_eq!(wal.replay_bytes_from(Lsn::ZERO), 4 * 25 + 5 + 7 + 4);
+    }
+
+    #[test]
+    fn a_full_block_opens_the_next() {
+        let mut wal = Wal::new();
+        let payload = [7u8; 100];
+        // 21 + 100 bytes for the first record, 13 + 100 for each next.
+        let fits = 1 + (BLOCK - 121) / 113;
+        for _ in 0..fits {
+            wal.append_update(PageId(1), 0, &payload);
+        }
+        assert_eq!(wal.buffer.blocks.len(), 1);
+        let first = wal.buffer.blocks[0].as_ptr();
+        wal.append_update(PageId(2), 0, &payload);
+        assert_eq!(wal.buffer.blocks.len(), 2, "the next record opens a block");
+        assert_eq!(wal.buffer.blocks[0].as_ptr(), first, "a block never moves");
+        // A record longer than a block gets a block of its own size.
+        let jumbo = vec![9u8; u16::MAX as usize];
+        wal.append_update(PageId(3), 0, &jumbo);
+        wal.append_update(PageId(4), 0, &payload);
+        wal.seal_mtr();
+        let caps: Vec<usize> = wal.buffer.blocks.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [BLOCK, BLOCK, 13 + jumbo.len(), BLOCK]);
+        wal.flush(SimTime::ZERO);
+        let recs = records(&wal);
+        let after = |n: usize| Lsn((fits + n) as u64);
+        assert_eq!(recs.len(), fits + 3);
+        assert!(recs[..=fits].iter().all(|r| r.data == payload));
+        assert_eq!((recs[fits].page, recs[fits].lsn), (PageId(2), after(1)));
+        assert_eq!(recs[fits + 1].data, &jumbo[..]);
+        assert_eq!(recs[fits + 2].page, PageId(4));
+        assert!(recs[fits + 2].mtr_end);
+        assert_eq!(
+            durable_block_starts(&wal),
+            [Lsn(1), after(1), after(2), after(3)]
+        );
     }
 
     #[test]
@@ -570,34 +668,18 @@ mod tests {
     }
 
     #[test]
-    fn reserve_changes_nothing_but_capacity() {
-        let fill = |wal: &mut Wal| {
-            for p in 0..100 {
-                wal.append_update(PageId(p), 8, &[p as u8; 30]);
-                wal.seal_mtr();
-            }
-            wal.flush(SimTime::ZERO)
-        };
-        let (mut plain, mut sized) = (Wal::new(), Wal::new());
-        sized.reserve(100);
-        assert_eq!(sized.capacity(), 100);
-        assert_eq!(fill(&mut plain), fill(&mut sized));
-        assert_eq!(sized.capacity(), 100, "sized once, never regrown");
-        assert_eq!(plain.flush_stats(), sized.flush_stats());
-        assert_eq!(plain.max_assigned_lsn(), sized.max_assigned_lsn());
-        let records = |w: &Wal| w.replay_from(Lsn::ZERO).cloned().collect::<Vec<_>>();
-        assert_eq!(records(&plain), records(&sized));
-    }
-
-    #[test]
     fn clone_keeps_records_counters_and_capacity() {
         let mut wal = Wal::new();
-        wal.reserve(64);
         wal.append_mtr(vec![upd(1, 0, 1), upd(2, 0, 2)]);
         wal.flush(SimTime::ZERO);
         wal.append_mtr(vec![upd(3, 0, 3)]);
         let copy = wal.clone();
-        assert_eq!(copy.capacity(), wal.capacity());
+        let capacities = |w: &Wal| {
+            [&w.buffer, &w.durable]
+                .map(|log| log.blocks.iter().map(Vec::capacity).collect::<Vec<_>>())
+        };
+        assert_eq!(capacities(&copy), capacities(&wal));
+        assert_eq!(capacities(&copy), [vec![BLOCK], vec![BLOCK]]);
         assert_eq!(copy.pending_bytes(), wal.pending_bytes());
         assert_eq!(copy.flush_stats(), wal.flush_stats());
         assert_eq!(copy.max_assigned_lsn(), Lsn(3));
@@ -605,7 +687,6 @@ mod tests {
         // the same instant and makes the same records durable.
         let (mut a, mut b) = (wal, copy);
         assert_eq!(a.flush(SimTime(10)), b.flush(SimTime(10)));
-        let records = |w: &Wal| w.replay_from(Lsn::ZERO).cloned().collect::<Vec<_>>();
         assert_eq!(records(&a), records(&b));
         assert_eq!(records(&a).len(), 3);
     }
@@ -691,7 +772,7 @@ mod tests {
             lsn: Lsn(42),
             page: PageId(7),
             off: 513,
-            data: Payload::from_slice(&[1, 2, 3, 4, 5]),
+            data: &[1, 2, 3, 4, 5],
             mtr_end: true,
         };
         let mut bytes = Vec::new();
@@ -708,7 +789,7 @@ mod tests {
             lsn: Lsn(1),
             page: PageId(1),
             off: 0,
-            data: Payload::from_slice(&[9; 16]),
+            data: &[9; 16],
             mtr_end: false,
         };
         let mut bytes = Vec::new();

@@ -1,15 +1,16 @@
 #!/bin/sh
 # Non-test Rust lines that sit inside an 8-line window occurring at least
 # twice: every .rs file under crates/ and src/, each cut at its first
-# `#[cfg(test)]`; blank, comment-only and closing-punctuation lines
-# dropped, whitespace collapsed; windows never span two files.
+# `#[cfg(test)]` or `#![cfg(test)]`; blank, comment-only and
+# closing-punctuation lines dropped, whitespace collapsed; windows never
+# span two files.
 # Prints one number. Run from anywhere inside the repository.
 set -eu
 cd "$(dirname "$0")/.."
 find crates src -name '*.rs' -not -path '*/target/*' -print | sort |
     xargs awk -v W=8 '
         FNR == 1 { counting = 1; file++ }
-        /#\[cfg\(test\)\]/ { counting = 0 }
+        /#!?\[cfg\(test\)\]/ { counting = 0 }
         !counting { next }
         {
             gsub(/[ \t]+/, " ")

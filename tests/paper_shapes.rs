@@ -11,7 +11,8 @@
 //! magnitude inside a stated band of |ln(ours / paper)|, or of
 //! |ln(ours / today)| where the two are still far apart. Figure 10: the
 //! recovery-time orderings from `run_recovery` through the
-//! `fig10_recovery` bench's sweep, on the ledger's `recover` cells.
+//! `fig10_recovery` bench's sweep, on the ledger's `recover` cells, and
+//! ablation A2 (PolarRecv without its block metadata) on the same cells.
 //! Figures 11–13: the sharing orderings from `run_sharing` through the
 //! `fig11`/`fig12`/`fig13` benches' sweep, with the ledger's
 //! `share_mixed` gains and Figure 13's LBP breakdown.
@@ -23,7 +24,7 @@ use bench::{
     TransferRow, DRAM_VS_CXL, LBP_FRACTIONS, RDMA_VS_CXL,
 };
 use simkit::SimTime;
-use workloads::recovery_harness::Scheme;
+use workloads::recovery_harness::{RecoveryConfig, RecoveryRunResult, Scheme};
 use workloads::{PoolKind, PoolingConfig, RunMetrics, SharingConfig, SysbenchKind};
 
 fn ln_ratio(ours: f64, paper: f64) -> f64 {
@@ -458,18 +459,21 @@ const FIG10_PAPER: [(&str, f64); 3] = [
 const FIG10_OURS: [f64; 3] = [75.34, 9.52, 10.07];
 const BAND_FIG10: f64 = 0.02;
 
-/// Figure 10 on the ledger's `recover` cells as `--quick` sizes them:
-/// 7 500 rows, 48 workers, a crash at 10 ms of a 20 ms run, seed 42.
+/// The ledger's `recover` cells as `--quick` sizes them: 7 500 rows,
+/// 48 workers, a crash at 10 ms of a 20 ms run, seed 42.
+fn fig10_quick(cfg: &mut RecoveryConfig) {
+    cfg.table_size = 7_500;
+    cfg.duration = SimTime::from_millis(20);
+    cfg.crash_at = SimTime::from_millis(10);
+    cfg.seed = 42;
+}
+
+/// Figure 10 on the ledger's `recover` cells as `--quick` sizes them.
 #[test]
 fn figure10_recovery_keeps_its_ordering() {
     let kinds = [SysbenchKind::WriteOnly, SysbenchKind::ReadWrite];
     let schemes = [Scheme::Vanilla, Scheme::RdmaBased, Scheme::PolarRecv];
-    let runs = recovery_sweep(&kinds, &schemes, |cfg| {
-        cfg.table_size = 7_500;
-        cfg.duration = SimTime::from_millis(20);
-        cfg.crash_at = SimTime::from_millis(10);
-        cfg.seed = 42;
-    });
+    let runs = recovery_sweep(&kinds, &schemes, fig10_quick);
     let [wo, rw] = [0, 1].map(|k| runs[k].iter().map(|r| r.recovery_secs).collect::<Vec<_>>());
     println!("| workload | vanilla | rdma-based | polarrecv |");
     println!("|---|---|---|---|");
@@ -497,6 +501,50 @@ fn figure10_recovery_keeps_its_ordering() {
         assert!(
             ln_ratio(*ours, today) <= BAND_FIG10,
             "{name}: {ours} outside {BAND_FIG10} of {today}"
+        );
+    }
+}
+
+/// Ablation A2 on Figure 10's cells: PolarRecv trusting no block's
+/// metadata rebuilds every in-use page from storage and redo — the only
+/// run of `polarcxlmem::recovery`'s replay of the log into rebuilt
+/// blocks. Pages rebuilt and records applied are exact at this seed,
+/// `[write-only, read-write]`; the paper gives no number for the gap.
+const A2_NOMETA_WORK: [(u64, u64); 2] = [(184, 10_952), (184, 2_154)];
+
+/// Ours, held where they stand: recovery without metadata over recovery
+/// with it (28.08 / 21.38 ms against 0.2645 ms).
+const A2_NOMETA_OVER_POLAR: [f64; 2] = [106.2, 80.8];
+const BAND_A2: f64 = 0.02;
+
+/// Ablation A2 (§3.2's design rationale): durable `{lock_state, lsn}` in
+/// CXL is what lets PolarRecv trust the surviving pages instead of
+/// rebuilding the resident set.
+#[test]
+fn ablation_a2_durable_metadata_spares_the_rebuild() {
+    let kinds = [SysbenchKind::WriteOnly, SysbenchKind::ReadWrite];
+    let schemes = [Scheme::PolarRecv, Scheme::PolarRecvNoMeta];
+    let runs = recovery_sweep(&kinds, &schemes, fig10_quick);
+    println!("| workload | polarrecv | no metadata | pages rebuilt | records applied | ratio |");
+    println!("|---|---|---|---|---|---|");
+    let done = |r: &RecoveryRunResult| (r.summary.pages_rebuilt, r.summary.records_applied);
+    for (k, name) in ["write-only", "read-write"].into_iter().enumerate() {
+        let (polar, nometa) = (&runs[k][0], &runs[k][1]);
+        let ratio = nometa.recovery_secs / polar.recovery_secs;
+        println!(
+            "| {name} | {:.4} ms | {:.2} ms | {} | {} | {ratio:.1} |",
+            polar.recovery_secs * 1e3,
+            nometa.recovery_secs * 1e3,
+            nometa.summary.pages_rebuilt,
+            nometa.summary.records_applied,
+        );
+        assert_eq!(done(polar), (0, 0), "{name}: PolarRecv rebuilt");
+        assert!(nometa.summary.pages_rebuilt > 0, "{name}: nothing rebuilt");
+        assert_eq!(done(nometa), A2_NOMETA_WORK[k], "{name}: rebuild work");
+        let today = A2_NOMETA_OVER_POLAR[k];
+        assert!(
+            ln_ratio(ratio, today) <= BAND_A2,
+            "{name}: {ratio} outside {BAND_A2} of {today}"
         );
     }
 }
