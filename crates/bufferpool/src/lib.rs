@@ -62,35 +62,6 @@ pub struct BpStats {
 }
 
 impl BpStats {
-    /// Field-wise delta since an `earlier` snapshot (saturating, so a
-    /// crash-reset pool yields zeros rather than wrapping). This is
-    /// what feeds per-window telemetry: snapshot at a window edge,
-    /// diff against the previous edge.
-    pub fn since(&self, earlier: &BpStats) -> BpStats {
-        BpStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            writebacks: self.writebacks.saturating_sub(earlier.writebacks),
-            storage_read_bytes: self
-                .storage_read_bytes
-                .saturating_sub(earlier.storage_read_bytes),
-            storage_write_bytes: self
-                .storage_write_bytes
-                .saturating_sub(earlier.storage_write_bytes),
-            remote_read_bytes: self
-                .remote_read_bytes
-                .saturating_sub(earlier.remote_read_bytes),
-            remote_write_bytes: self
-                .remote_write_bytes
-                .saturating_sub(earlier.remote_write_bytes),
-            fault_retries: self.fault_retries.saturating_sub(earlier.fault_retries),
-            fault_fallbacks: self.fault_fallbacks.saturating_sub(earlier.fault_fallbacks),
-            poison_rebuilds: self.poison_rebuilds.saturating_sub(earlier.poison_rebuilds),
-            overload_errors: self.overload_errors.saturating_sub(earlier.overload_errors),
-        }
-    }
-
     /// Hit ratio in [0, 1]; 1.0 when there were no lookups.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;

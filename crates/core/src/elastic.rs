@@ -29,7 +29,7 @@
 //!
 //! [`ElasticController`] sits on top: at quantum barriers it consumes
 //! per-tenant pressure flags and storage-direct op counts (both folded
-//! from the lanes' own counters, not from telemetry) and emits
+//! from the lanes' own counters) and emits
 //! grow/shrink plans with hysteresis, which the harness executes
 //! through the coordinator.
 
@@ -669,7 +669,7 @@ impl MigrationCoordinator {
 }
 
 // ---------------------------------------------------------------------------
-// Elastic controller: telemetry → grow/shrink plans.
+// Elastic controller: lane counters → grow/shrink plans.
 // ---------------------------------------------------------------------------
 
 /// Controller knobs.

@@ -55,22 +55,6 @@ pub struct SharingNodeStats {
     pub invalidations_sent: u64,
 }
 
-impl SharingNodeStats {
-    /// Field-wise delta since an `earlier` snapshot (saturating) —
-    /// feeds per-window telemetry at virtual-time barriers.
-    pub fn since(&self, earlier: &SharingNodeStats) -> SharingNodeStats {
-        SharingNodeStats {
-            local_hits: self.local_hits.saturating_sub(earlier.local_hits),
-            rpcs: self.rpcs.saturating_sub(earlier.rpcs),
-            invalid_drops: self.invalid_drops.saturating_sub(earlier.invalid_drops),
-            removal_reloads: self.removal_reloads.saturating_sub(earlier.removal_reloads),
-            invalidations_sent: self
-                .invalidations_sent
-                .saturating_sub(earlier.invalidations_sent),
-        }
-    }
-}
-
 /// A database node participating in CXL data sharing.
 pub struct SharingNode {
     pub(super) node: NodeId,

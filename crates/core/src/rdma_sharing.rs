@@ -270,22 +270,6 @@ pub struct RdmaNodeStats {
     pub invalidation_msgs_sent: u64,
 }
 
-impl RdmaNodeStats {
-    /// Field-wise delta since an `earlier` snapshot (saturating) —
-    /// feeds per-window telemetry at virtual-time barriers.
-    pub fn since(&self, earlier: &RdmaNodeStats) -> RdmaNodeStats {
-        RdmaNodeStats {
-            local_hits: self.local_hits.saturating_sub(earlier.local_hits),
-            page_reads: self.page_reads.saturating_sub(earlier.page_reads),
-            page_writes: self.page_writes.saturating_sub(earlier.page_writes),
-            invalidations: self.invalidations.saturating_sub(earlier.invalidations),
-            invalidation_msgs_sent: self
-                .invalidation_msgs_sent
-                .saturating_sub(earlier.invalidation_msgs_sent),
-        }
-    }
-}
-
 /// A store made under the X lock and not yet published.
 #[derive(Debug)]
 struct PendingStore {

@@ -643,8 +643,7 @@ fn link_health_slow(site: FaultSite, host: u32, now: SimTime) -> LinkHealth {
 /// link faults are active at an instant, split degraded vs down, with
 /// the worst slowdown factor. Unlike [`link_health`] the snapshot
 /// paths count no gate hit and prune nothing — surfacing link state
-/// into telemetry and registry snapshots cannot perturb fault
-/// schedules.
+/// into registry snapshots cannot perturb fault schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkSnapshot {
     /// Live degrade entries (a slowdown factor applies).

@@ -24,8 +24,6 @@
 //!   (the simulated-time counterpart of [`profile`]).
 //! - [`faults`] — seeded, deterministic fault injection over the same
 //!   leaf primitives the tracer instruments.
-//! - [`telemetry`] — online windowed per-node/per-lane aggregates,
-//!   health scoring and SLO alerting, sealed at virtual-time barriers.
 //! - [`json`] — the dependency-free JSON writer behind every artifact.
 
 #![warn(missing_docs)]
@@ -39,7 +37,6 @@ pub mod profile;
 pub mod resource;
 pub mod rng;
 pub mod stats;
-pub mod telemetry;
 pub mod time;
 pub mod trace;
 pub mod worker;

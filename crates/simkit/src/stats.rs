@@ -647,4 +647,28 @@ mod tests {
         assert_eq!(ts.first_reaching(SimTime::from_secs(3), 1.0), None);
         assert_eq!(ts.first_reaching(SimTime::ZERO, 1000.0), None);
     }
+
+    const WINDOW_NS: u64 = 1_000;
+
+    #[test]
+    fn timeseries_buckets_align_exactly_at_horizon_edges() {
+        let horizon = SimTime(10 * WINDOW_NS);
+        let mut plain = TimeSeries::new(WINDOW_NS);
+        let mut reserved = TimeSeries::with_capacity_for(WINDOW_NS, horizon);
+        for ts in [&mut plain, &mut reserved] {
+            ts.record_at(SimTime(0), 1); // first instant of bucket 0
+            ts.record_at(SimTime(WINDOW_NS - 1), 2); // last instant of bucket 0
+            ts.record_at(SimTime(WINDOW_NS), 4); // first instant of bucket 1
+            ts.record_at(SimTime(horizon.as_nanos() - 1), 8); // inside the horizon
+            ts.record_at(horizon, 16); // horizon edge opens a fresh bucket
+        }
+        // Boundary instants split exactly: [w*B, (w+1)*B) half-open.
+        assert_eq!(plain.buckets()[0], 3);
+        assert_eq!(plain.buckets()[1], 4);
+        assert_eq!(plain.buckets()[9], 8);
+        assert_eq!(plain.buckets()[10], 16);
+        assert_eq!(plain.buckets().len(), 11);
+        // Capacity reservation is invisible in the observable series.
+        assert_eq!(plain, reserved);
+    }
 }

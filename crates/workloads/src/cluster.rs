@@ -8,23 +8,22 @@
 //!
 //! * a **transaction body**, monomorphised into the phase and run once
 //!   per closed-loop worker step against a [`LaneCtx`] (the lane's CPU,
-//!   RNG streams, probe, scenario state and the two locked statements);
+//!   RNG streams, scenario state and the two locked statements);
 //! * a **barrier hook**, run serially on the driver thread after every
 //!   barrier with the whole [`Cluster`] back in hand (server, nodes,
-//!   lock table, hub, per-lane state) — the control planes of
+//!   lock table, per-lane state) — the control planes of
 //!   [`crate::control`] (failover's supervisor, elasticity's rebalancer)
 //!   run there.
 //!
 //! One quantum, in fixed order: for each active lane, ascending, on the
 //! calling thread — make its lock shard → swap its tracer and fault
-//! engine in → run its workers to the quantum end → land its protocol
-//! delta → swap out → finish the lock shard; then fold lock deltas, the
-//! fabric barrier, probe ingest + window seal, all in lane order → the
-//! hook. A lane sees its peers only through what the barrier published,
-//! so results are a function of the quantum and the lane order. At the
-//! end of the run the shards re-attach, per-node invalidation counters
-//! fold into the server, the hub drains and reports, and every lane's
-//! trace state re-lands on the calling thread's tracer in lane order.
+//! engine in → run its workers to the quantum end → swap out → finish
+//! the lock shard; then fold lock deltas and the fabric barrier, both in
+//! lane order → the hook. A lane sees its peers only through what the
+//! barrier published, so results are a function of the quantum and the
+//! lane order. At the end of the run the shards re-attach, per-node
+//! invalidation counters fold into the server, and every lane's trace
+//! state re-lands on the calling thread's tracer in lane order.
 //!
 //! A hook may touch anything on the [`Cluster`], but fabric shards only
 //! through [`Cluster::deactivate`] / [`Cluster::activate`] /
@@ -37,12 +36,10 @@ use memsim::calib::{CPU_POINT_SELECT_NS, CPU_WRITE_STMT_NS, LOCK_SERVICE_NS, PAG
 use memsim::{CxlNodeConfig, CxlPool, CxlShard, NodeId, RdmaShard};
 use polarcxlmem::fusion::CoherencyMode;
 use polarcxlmem::{
-    FusionDir, FusionServer, RdmaDbp, RdmaDir, RdmaNodeStats, RdmaSharingNode, SharedCxl,
-    SharingNode, SharingNodeStats,
+    FusionDir, FusionServer, RdmaDbp, RdmaDir, RdmaSharingNode, SharedCxl, SharingNode,
 };
 use simkit::faults::{self, FaultState};
 use simkit::rng::{stream_rng, SimRng};
-use simkit::telemetry::{NodeProbe, TelemetryConfig, TelemetryHub, TelemetryReport};
 use simkit::trace::{self, TraceState};
 use simkit::{
     LockDelta, LockMode, LockShard, LockTable, MultiServer, SimTime, Step, WorkerId, WorkerSet,
@@ -66,8 +63,6 @@ pub trait Fabric {
     type Shard;
     /// Read-only directory snapshot lanes publish against.
     type Dir;
-    /// Per-node protocol counters (snapshotted at quantum edges).
-    type Stats: Default;
 
     /// Zero the link counters: the measured window starts here.
     fn reset_link_counters(&mut self);
@@ -102,9 +97,6 @@ pub trait Fabric {
         data: &[u8],
         now: SimTime,
     ) -> Option<SimTime>;
-    /// `(misses, retries)` the node's protocol counted since `prev`;
-    /// advances `prev`.
-    fn protocol_delta(node: &Self::Node, prev: &mut Self::Stats) -> (u64, u64);
     /// End of run: fold the nodes' invalidation counters into the server.
     fn absorb_invalidations(&mut self, nodes: &[Self::Node]);
 }
@@ -112,8 +104,8 @@ pub trait Fabric {
 /// Per-lane core state that survives across quanta: the closed-loop
 /// scheduler, CPU cores, one RNG stream per worker, a read buffer, the
 /// lane's detached tracer / fault engine (swapped in around each
-/// quantum), its probe and its spent lock delta.
-pub struct NodeCore<S> {
+/// quantum) and its spent lock delta.
+pub struct NodeCore {
     ws: WorkerSet,
     cpu: MultiServer,
     rngs: Vec<SimRng>,
@@ -121,8 +113,6 @@ pub struct NodeCore<S> {
     trace: TraceState,
     /// The lane's fault engine (hooks poll it; scenarios fold its stats).
     pub faults: FaultState,
-    probe: NodeProbe,
-    prev: S,
     lock_buf: LockDelta<PageId>,
     started: bool,
 }
@@ -135,8 +125,6 @@ pub struct LaneCtx<'a, 'l, F: Fabric, X> {
     pub cpu: &'a mut MultiServer,
     /// One RNG stream per worker.
     pub rngs: &'a mut [SimRng],
-    /// The lane's telemetry probe.
-    pub probe: &'a mut NodeProbe,
     /// Scenario state of this lane.
     pub ext: &'a mut X,
     buf: &'a mut [u8],
@@ -180,16 +168,11 @@ pub struct Cluster<F: Fabric, X> {
     /// Node protocol state, lane order.
     pub nodes: Vec<F::Node>,
     /// Core lane state, lane order.
-    pub cores: Vec<NodeCore<F::Stats>>,
+    pub cores: Vec<NodeCore>,
     /// Scenario lane state, lane order.
     pub exts: Vec<X>,
     /// The distributed page-lock table.
     pub locks: LockTable<PageId>,
-    /// Telemetry aggregation (sealed at every barrier).
-    pub hub: TelemetryHub,
-    /// Land the protocol's miss/retry counters on probe lane 0 at each
-    /// quantum edge (on unless the scenario defines misses itself).
-    pub protocol_probe: bool,
     /// Lanes currently stepping, ascending, and their shards.
     active: Vec<usize>,
     shards: Vec<F::Shard>,
@@ -206,7 +189,6 @@ impl<F: Fabric, X> Cluster<F, X> {
         nodes: Vec<F::Node>,
         exts: Vec<X>,
         faults: Vec<FaultState>,
-        tcfg: TelemetryConfig,
         wpn: usize,
         seed: u64,
     ) -> Self {
@@ -223,8 +205,6 @@ impl<F: Fabric, X> Cluster<F, X> {
                 buf: vec![0u8; 256],
                 trace: TraceState::armed(),
                 faults,
-                probe: NodeProbe::new(i as u32, &tcfg),
-                prev: F::Stats::default(),
                 lock_buf: LockDelta::default(),
                 started: false,
             })
@@ -237,8 +217,6 @@ impl<F: Fabric, X> Cluster<F, X> {
             cores,
             exts,
             locks: LockTable::new(),
-            hub: TelemetryHub::new(tcfg),
-            protocol_probe: true,
             active: Vec::new(),
             shards: Vec::new(),
         }
@@ -286,15 +264,14 @@ impl<F: Fabric, X> Cluster<F, X> {
     }
 
     /// Step `duration` of virtual time in `quantum`-wide phases, the
-    /// active lanes in ascending order on the calling thread. Returns the
-    /// telemetry report (`None` when the window is ZERO).
+    /// active lanes in ascending order on the calling thread.
     pub fn run(
         &mut self,
         duration: SimTime,
         quantum: SimTime,
         body: impl Fn(&mut LaneCtx<'_, '_, F, X>, usize, SimTime) -> Step,
         mut hook: impl FnMut(&mut Self, SimTime),
-    ) -> Option<TelemetryReport> {
+    ) {
         let mut now = SimTime::ZERO;
         while now < duration {
             let q_end = (now + quantum.as_nanos().max(1)).min(duration);
@@ -307,7 +284,6 @@ impl<F: Fabric, X> Cluster<F, X> {
                     lane: ix,
                     cpu: &mut core.cpu,
                     rngs: &mut core.rngs,
-                    probe: &mut core.probe,
                     ext: &mut self.exts[ix],
                     buf: &mut core.buf,
                     node: &mut self.nodes[ix],
@@ -317,31 +293,17 @@ impl<F: Fabric, X> Cluster<F, X> {
                 };
                 core.ws
                     .run_until(q_end, |WorkerId(w), start| body(&mut ctx, w, start));
-                if self.protocol_probe && ctx.probe.enabled() {
-                    // Protocol counters land as misses/retries in the
-                    // window still open at this quantum edge.
-                    let (misses, retries) = F::protocol_delta(ctx.node, &mut core.prev);
-                    let edge = SimTime(q_end.as_nanos().saturating_sub(1));
-                    ctx.probe.record_misses(0, edge, misses);
-                    ctx.probe.record_retries(0, edge, retries);
-                }
                 faults::swap_state(&mut core.faults);
                 trace::swap_state(&mut core.trace);
                 core.lock_buf = lock.finish();
             }
-            // Barrier, all in lane order: lock deltas, the fabric's write
-            // logs and link backlog, then telemetry windows.
+            // Barrier, all in lane order: lock deltas, then the fabric's
+            // write logs and link backlog.
             for core in self.cores.iter_mut() {
                 self.locks.absorb(&mut core.lock_buf);
             }
             self.fabric.barrier(&mut self.shards, &mut self.nodes);
             now = q_end;
-            if self.hub.enabled() {
-                for core in self.cores.iter_mut() {
-                    self.hub.ingest(&mut core.probe, now);
-                }
-                self.hub.seal(now);
-            }
             hook(self, now);
         }
         for shard in self.shards.drain(..) {
@@ -349,15 +311,12 @@ impl<F: Fabric, X> Cluster<F, X> {
         }
         self.active.clear();
         self.fabric.absorb_invalidations(&self.nodes);
-        let probes = self.cores.iter_mut().map(|core| &mut core.probe);
-        let report = self.hub.conclude(probes, duration);
         // Each lane's lane totals, spans and dropped-span count re-land
         // on the calling thread's tracer in lane order, so consumers
         // observe one coherent stream.
         for core in self.cores.iter_mut() {
             trace::absorb(&mut core.trace);
         }
-        report
     }
 }
 
@@ -462,7 +421,6 @@ impl Fabric for FusionCluster {
     type Node = SharingNode;
     type Shard = CxlShard;
     type Dir = FusionDir;
-    type Stats = SharingNodeStats;
 
     fn reset_link_counters(&mut self) {
         self.pool.borrow_mut().reset_link_counters();
@@ -507,12 +465,6 @@ impl Fabric for FusionCluster {
             .ok()?;
         node.guarded_publish_resident(shard, dir, page, t).ok()
     }
-    fn protocol_delta(node: &SharingNode, prev: &mut SharingNodeStats) -> (u64, u64) {
-        let now = node.stats();
-        let d = now.since(prev);
-        *prev = now;
-        (d.rpcs, d.invalid_drops + d.removal_reloads)
-    }
     fn absorb_invalidations(&mut self, nodes: &[SharingNode]) {
         let sent = nodes.iter().map(|n| n.stats().invalidations_sent).sum();
         self.server.absorb_invalidations(sent);
@@ -540,7 +492,6 @@ impl Fabric for RdmaCluster {
     type Node = (RdmaSharingNode, Outbox);
     type Shard = RdmaShard;
     type Dir = RdmaDir;
-    type Stats = RdmaNodeStats;
 
     fn reset_link_counters(&mut self) {
         self.pool.borrow_mut().reset_link_counters();
@@ -591,12 +542,6 @@ impl Fabric for RdmaCluster {
         // lock hold path; their effects on peers land at the barrier.
         let t = node.0.write_resident(shard, page, off, data, now);
         Some(node.0.publish_resident(shard, dir, page, &mut node.1, t))
-    }
-    fn protocol_delta(node: &(RdmaSharingNode, Outbox), prev: &mut RdmaNodeStats) -> (u64, u64) {
-        let now = node.0.stats();
-        let d = now.since(prev);
-        *prev = now;
-        (d.page_reads, d.invalidations)
     }
     fn absorb_invalidations(&mut self, nodes: &[(RdmaSharingNode, Outbox)]) {
         let sent = (nodes.iter())

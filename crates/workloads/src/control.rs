@@ -51,9 +51,8 @@ impl Supervisor {
     }
 
     /// One barrier at `now`. The victim's crash fault firing declares it
-    /// dead: its shard merges back, a crash freezes its CPU caches, and
-    /// the hub pins its health Dead. One detection window later: fence,
-    /// `handover` (lease surgery and the standby's adoption), reclaim.
+    /// dead: its shard merges back and a crash freezes its CPU caches.
+    /// One detection window later: fence, `handover` (lease surgery and the standby's adoption), reclaim.
     /// Returns the end time then; the caller starts the standby and calls
     /// [`Cluster::refresh_dir`].
     pub fn at_barrier<X>(
@@ -71,7 +70,6 @@ impl Supervisor {
             if self.death == DeathMode::Crash {
                 cl.fabric.pool.borrow_mut().crash_node(dead);
             }
-            cl.hub.retire(self.victim as u32, now);
             return None;
         };
         if self.done.is_some() || now < declared + self.detection.as_nanos() {

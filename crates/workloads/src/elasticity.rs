@@ -11,7 +11,8 @@
 //!
 //! With `adaptive` on, the barrier hook runs a [`Rebalancer`]: its
 //! controller watches per-tenant miss pressure (the share of a quantum
-//! served storage-direct; telemetry only observes) and each plan runs
+//! served storage-direct, read from the lanes' own counters) and each
+//! plan runs
 //! the two-phase lease migration — PREPARE (journal + write-protect +
 //! flush) at one barrier, COMMIT (reassign + hand-off + bulk adopt +
 //! retire) at the next, with both tenants serving through the
@@ -32,7 +33,6 @@ use memsim::calib::{
 use polarcxlmem::fusion::CoherencyMode;
 use polarcxlmem::{ElasticConfig, ElasticStats, FusionStats};
 use simkit::faults::FaultState;
-use simkit::telemetry::{TelemetryConfig, TelemetryReport};
 use simkit::{Histogram, MetricsRegistry, SimTime, Step};
 
 /// Number of tenants in the diurnal scenario (the shift is two-sided).
@@ -69,8 +69,6 @@ pub struct ElasticityConfig {
     pub duration: SimTime,
     /// RNG seed.
     pub seed: u64,
-    /// Telemetry window width (ZERO disables probes).
-    pub telemetry_window: SimTime,
     /// Live migration on (`true`) or static-partition ablation.
     pub adaptive: bool,
     /// Percent of statements that are writes.
@@ -90,7 +88,6 @@ impl ElasticityConfig {
             rows_per_group: 2_000,
             duration: SimTime::from_millis(60),
             seed: 23,
-            telemetry_window: SimTime::from_millis(2),
             adaptive: true,
             write_pct: 20,
             background_pct: 10,
@@ -152,8 +149,6 @@ pub struct ElasticityResult {
     pub fusion: FusionStats,
     /// Flat metrics export.
     pub registry: MetricsRegistry,
-    /// Windowed per-node ops report (`None` when the window is ZERO).
-    pub telemetry: Option<TelemetryReport>,
 }
 
 /// What a tenant's lane accumulates — its outcome's counters and two
@@ -205,17 +200,14 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
         })
         .collect();
     let faults = (0..n).map(|_| FaultState::inactive()).collect();
-    let tcfg = TelemetryConfig::new(cfg.telemetry_window, n).lanes(&["local", "remote"]);
     let wpn = WORKERS_PER_NODE;
-    let mut cluster = Cluster::new(fusion, nodes, tenants, faults, tcfg, wpn, cfg.seed);
-    // This scenario defines a miss itself: a storage-direct statement.
-    cluster.protocol_probe = false;
+    let mut cluster = Cluster::new(fusion, nodes, tenants, faults, wpn, cfg.seed);
     for i in 0..n {
         cluster.activate(i, SimTime::ZERO);
     }
 
     let payload = [0xE7u8; 96];
-    let telemetry_report = cluster.run(
+    cluster.run(
         cfg.duration,
         QUANTUM,
         |ctx, w, start| {
@@ -243,14 +235,12 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
                 let is_write = rng.gen_range(0..100) < cfg.write_pct as u64;
                 let owned = owners[e] == i;
                 let in_protected = ctx.ext.part.protects(page);
-                let s0 = t;
                 if owned && is_write && in_protected {
                     // The migrating range is write-protected on the
                     // donor: refuse fast, client retries after the
                     // hand-off. Reads below keep flowing.
                     t = ctx.cpu.acquire(t, CPU_WRITE_REFUSE_NS).end;
                     ctx.ext.out.protected_writes += 1;
-                    ctx.probe.record_errs(0, t, 1);
                 } else if owned {
                     t = if is_write {
                         ctx.locked_write_publish(page, off as u64 + 8, &payload, t)
@@ -258,8 +248,6 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
                     } else {
                         ctx.locked_read(page, off as u64 + 8, 96, t)
                     };
-                    ctx.probe.record_op(0, t, t.saturating_since(s0));
-                    ctx.probe.record_bytes(0, t, 96);
                 } else {
                     // Foreign extent: storage-direct service — the
                     // thrash the controller exists to remove.
@@ -271,8 +259,6 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
                         ctx.ext.out.remote_reads += 1;
                     }
                     ctx.ext.part.remote[e] += 1;
-                    ctx.probe.record_op(1, t, t.saturating_since(s0));
-                    ctx.probe.record_misses(1, t, 1);
                 }
                 ctx.ext.out.queries += 1;
                 ctx.ext.part.q_ops += 1;
@@ -333,9 +319,6 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
     registry.set_int("fusion_rpcs", fusion.rpcs);
     registry.set_int("fusion_storage_fills", fusion.storage_fills);
     registry.set_int("fusion_migrated_out", fusion.migrated_out);
-    if let Some(rep) = telemetry_report.as_ref() {
-        rep.register_into(&mut registry);
-    }
 
     ElasticityResult {
         adaptive: cfg.adaptive,
@@ -347,7 +330,6 @@ pub fn run_elasticity(cfg: &ElasticityConfig) -> ElasticityResult {
         elastic,
         fusion,
         registry,
-        telemetry: telemetry_report,
     }
 }
 
@@ -363,36 +345,29 @@ mod tests {
 
     #[test]
     fn adaptive_run_migrates_and_clears_the_thrash() {
-        // The remote-share threshold alone feeds the controller, so the
-        // window changes only whether a telemetry report comes back.
-        for window in [SimTime::from_millis(2), SimTime::ZERO] {
-            let mut cfg = smoke_cfg(true);
-            cfg.telemetry_window = window;
-            let r = run_elasticity(&cfg);
-            assert_eq!(r.telemetry.is_some(), window != SimTime::ZERO);
-            // The diurnal flip moves exactly the extents tenant 1 newly
-            // demands: 3/4·E − 1/4·E = E/2 of them.
-            let expect = (EXTENTS * 3 / 4 - EXTENTS / 4) as u64;
-            assert_eq!(r.migrations, expect, "owners: {:?}", r.final_owners);
-            assert_eq!(r.elastic.commits, expect);
-            assert_eq!(r.elastic.rollbacks, 0);
-            assert!(r.fusion.migrated_out > 0, "pages handed off in place");
-            // Post-shift ownership matches second-half demand exactly.
-            let cold = EXTENTS / 4;
-            for e in 0..EXTENTS {
-                assert_eq!(r.final_owners[e], usize::from(e >= cold));
-            }
-            // Settled tails: both tenants inside the SLO once migration
-            // has caught the partition up with demand.
-            for t in &r.per_tenant {
-                assert!(
-                    t.settled_p99_ns <= SLO_P99_NS,
-                    "window {window:?}: tenant {} settled p99 {} > SLO {}",
-                    t.tenant,
-                    t.settled_p99_ns,
-                    SLO_P99_NS
-                );
-            }
+        let r = run_elasticity(&smoke_cfg(true));
+        // The diurnal flip moves exactly the extents tenant 1 newly
+        // demands: 3/4·E − 1/4·E = E/2 of them.
+        let expect = (EXTENTS * 3 / 4 - EXTENTS / 4) as u64;
+        assert_eq!(r.migrations, expect, "owners: {:?}", r.final_owners);
+        assert_eq!(r.elastic.commits, expect);
+        assert_eq!(r.elastic.rollbacks, 0);
+        assert!(r.fusion.migrated_out > 0, "pages handed off in place");
+        // Post-shift ownership matches second-half demand exactly.
+        let cold = EXTENTS / 4;
+        for e in 0..EXTENTS {
+            assert_eq!(r.final_owners[e], usize::from(e >= cold));
+        }
+        // Settled tails: both tenants inside the SLO once migration has
+        // caught the partition up with demand.
+        for t in &r.per_tenant {
+            assert!(
+                t.settled_p99_ns <= SLO_P99_NS,
+                "tenant {} settled p99 {} > SLO {}",
+                t.tenant,
+                t.settled_p99_ns,
+                SLO_P99_NS
+            );
         }
     }
 

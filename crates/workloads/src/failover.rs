@@ -37,7 +37,6 @@ use polarcxlmem::{CxlMemoryManager, FencingPolicy, FusionStats, Lease, SharingNo
 use simkit::faults::{self, Action, FaultPlan, FaultSite, FaultState, FaultStats, Trigger};
 use simkit::rng::stream_rng;
 use simkit::stats::TimeSeries;
-use simkit::telemetry::{Metric, SloRule, TelemetryConfig, TelemetryReport};
 use simkit::trace::{self, SpanKind};
 use simkit::{MetricsRegistry, SimTime, Step};
 use std::collections::BTreeMap;
@@ -73,7 +72,7 @@ pub enum LinkChaos {
     /// Take `host`'s CXL link fully down for `down_ns` once the crash
     /// fires: the host's accesses stall until the link returns (the
     /// fabric replays them), so its completions go silent for the
-    /// outage — the signature the telemetry absence rule detects.
+    /// outage.
     Flap {
         /// Host whose link flaps.
         host: u32,
@@ -148,12 +147,6 @@ pub struct FailoverConfig {
     pub death: DeathMode,
     /// Optional link degradation riding along with the crash.
     pub link_chaos: LinkChaos,
-    /// Telemetry window width (`SimTime::ZERO` disables the online
-    /// telemetry pipeline).
-    pub telemetry_window: SimTime,
-    /// Run entirely fault-free — no crash, no link chaos. The control
-    /// run for the telemetry false-positive measurement.
-    pub fault_free: bool,
 }
 
 impl FailoverConfig {
@@ -175,8 +168,6 @@ impl FailoverConfig {
             fencing: FencingPolicy::Epoch,
             death: DeathMode::Zombie,
             link_chaos: LinkChaos::None,
-            telemetry_window: SimTime::from_millis(2),
-            fault_free: false,
         }
     }
 
@@ -188,7 +179,6 @@ impl FailoverConfig {
         cfg.bucket = SimTime::from_millis(1);
         cfg.workers_per_node = 4;
         cfg.detection = SimTime::from_millis(1);
-        cfg.telemetry_window = cfg.bucket;
         cfg
     }
 }
@@ -241,8 +231,6 @@ pub struct FailoverResult {
     pub fault_stats: FaultStats,
     /// Fusion-server counters.
     pub fusion: FusionStats,
-    /// Online telemetry report (`None` when `telemetry_window` is ZERO).
-    pub telemetry: Option<TelemetryReport>,
     /// All counters, for tables and machine diffing.
     pub registry: MetricsRegistry,
 }
@@ -260,11 +248,6 @@ impl FailoverResult {
         );
     }
 }
-
-/// p99 budget (ns) for the `p99_slow` burn-rate rule: safely above the
-/// healthy per-window p99 of the failover workload at every shipped
-/// config, and well below what a 4x link degrade sustains.
-const P99_SLOW_BUDGET_NS: f64 = 400_000.0;
 
 /// Deterministic payload byte for the `k`-th write of worker `w`.
 /// Never zero and never the zombie's 0xEE sentinel.
@@ -355,20 +338,18 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     let span = cfg.duration.as_nanos();
     let crash_at = SimTime(span / 4 + frng.gen_range(0..span / 8));
     let mut lane_plans: Vec<FaultPlan> = (0..n + 1).map(|_| FaultPlan::default()).collect();
-    if !cfg.fault_free {
-        lane_plans[dead] = std::mem::take(&mut lane_plans[dead]).with(
-            Trigger::At(crash_at),
-            Action::CrashNode {
-                node: cfg.crash_node as u32,
-            },
-        );
-        // Link health is consulted by the afflicted host's own accesses,
-        // so the chaos event rides that host's lane.
-        if let Some((host, action)) = cfg.link_chaos.strike() {
-            let lane = (host as usize).min(n);
-            let plan = std::mem::take(&mut lane_plans[lane]);
-            lane_plans[lane] = plan.with(Trigger::At(crash_at), action);
-        }
+    lane_plans[dead] = std::mem::take(&mut lane_plans[dead]).with(
+        Trigger::At(crash_at),
+        Action::CrashNode {
+            node: cfg.crash_node as u32,
+        },
+    );
+    // Link health is consulted by the afflicted host's own accesses, so
+    // the chaos event rides that host's lane.
+    if let Some((host, action)) = cfg.link_chaos.strike() {
+        let lane = (host as usize).min(n);
+        let plan = std::mem::take(&mut lane_plans[lane]);
+        lane_plans[lane] = plan.with(Trigger::At(crash_at), action);
     }
 
     // Oracle: committed row contents, keyed (page, offset). Shared row 0
@@ -401,23 +382,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     // ---- The cluster -------------------------------------------------
     // Every node (and, once serving, the standby) steps on its own lane
     // of the [`crate::cluster`] driver, one supervisor idle tick per
-    // quantum. One probe per identity: the absence rule is the
-    // telemetry-driven death detector scored against the fault plan's
-    // ground truth; the p99 burn-rate rule catches link degradation
-    // (sustained latency inflation with the short mean reacting and the
-    // long confirming).
-    let tcfg = TelemetryConfig::new(cfg.telemetry_window, n + 1)
-        .lanes(&["private", "shared"])
-        .rule(
-            SloRule::absence("node_absent", 2)
-                .fire_after(1)
-                .clear_after(2),
-        )
-        .rule(
-            SloRule::burn_rate("p99_slow", Metric::P99Ns, P99_SLOW_BUDGET_NS, 2, 4)
-                .fire_after(1)
-                .clear_after(2),
-        );
+    // quantum.
     let served = (0..=n)
         .map(|_| Served {
             write_seq: vec![0u64; wpn],
@@ -427,15 +392,13 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         })
         .collect();
     let faults = lane_plans.into_iter().map(FaultState::prepared).collect();
-    let mut cluster = Cluster::new(fusion, nodes, served, faults, tcfg, wpn, cfg.seed);
-    // The standby is silent until takeover — not a missing heartbeat.
-    cluster.hub.set_inactive(n as u32);
+    let mut cluster = Cluster::new(fusion, nodes, served, faults, wpn, cfg.seed);
     for i in 0..n {
         cluster.activate(i, SimTime::ZERO);
     }
 
     let rows = layout.rows_per_group;
-    let telemetry_report = cluster.run(
+    cluster.run(
         cfg.duration,
         SimTime(idle_tick),
         |ctx, w, start| {
@@ -444,14 +407,12 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
             let mut t = start + CPU_TXN_OVERHEAD_NS;
             let mut stmts = 0u64;
             for _ in 0..4 {
-                let s0 = t;
                 let rng = &mut ctx.rngs[w];
                 let group = if rng.gen_range(0..100) < SHARED_PCT {
                     n
                 } else {
                     serve_group
                 };
-                let lane_ix = (group == n) as usize;
                 // Shared row 0 is the zombie's reserved target.
                 let row = if group == n {
                     rng.gen_range(1..rows)
@@ -468,19 +429,16 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
                             t = t2;
                             ctx.ext.writes.push(((page, off), b));
                         }
-                        Err(Fenced(at)) => {
+                        Err(Fenced(_)) => {
                             // Fenced mid-run: the write never committed,
                             // so the oracle keeps the old value; stop
                             // serving.
-                            ctx.probe.record_errs(lane_ix, at, 1);
                             return Step::Park;
                         }
                     }
                 } else {
                     t = ctx.locked_read(page, off as u64, 120, t);
                 }
-                ctx.probe.record_op(lane_ix, t, t.saturating_since(s0));
-                ctx.probe.record_bytes(lane_ix, t, 120);
                 stmts += 1;
             }
             ctx.ext.series.record_at(t, stmts);
@@ -540,7 +498,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
                 cl.fabric
                     .warm(&mut cl.nodes[n], layout.group_pages(n).map(PageId), t);
                 cl.activate(n, t);
-                cl.hub.expect_from(n as u32, t);
                 cl.refresh_dir();
                 if cfg.death == DeathMode::Zombie {
                     zombie_due = Some(t + idle_tick);
@@ -683,27 +640,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         registry.set_int("failover_locks_reclaimed", s.locks_reclaimed);
         registry.set_int("failover_slots_reclaimed", s.slots_reclaimed);
     }
-    if let Some(rep) = &telemetry_report {
-        rep.register_into(&mut registry);
-        if takeover.is_some() {
-            if let Some(mttd) = rep.mttd_ns("node_absent", dead as u32, crash_at) {
-                registry.set_int("telemetry_mttd_crash_ns", mttd);
-            }
-        }
-        if let Some((host, _)) = cfg.link_chaos.strike() {
-            // Link chaos is detected by whichever rule reacts first:
-            // a flap silences the host (absence), a degrade inflates
-            // its p99 (burn rate).
-            let mttd = ["node_absent", "p99_slow"]
-                .iter()
-                .filter_map(|r| rep.mttd_ns(r, host, crash_at))
-                .min();
-            if let Some(mttd) = mttd {
-                registry.set_int("telemetry_mttd_link_ns", mttd);
-            }
-        }
-    }
-
     // The DBP must never leak slots, whatever the failure did.
     assert_eq!(
         server.pages_in_use() + server.free_slots(),
@@ -722,7 +658,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
         max_survivor_gap_ns,
         fault_stats,
         fusion,
-        telemetry: telemetry_report,
         registry,
     }
 }
@@ -782,116 +717,36 @@ mod tests {
 
     #[test]
     fn link_chaos_slows_but_does_not_wedge_survivors() {
-        let mut cfg = FailoverConfig::smoke(3);
-        // Degrade survivor host 1's CXL link for most of the run.
-        cfg.link_chaos = LinkChaos::Degrade {
-            host: 1,
-            factor: 4,
-            heal_ns: 8_000_000,
-        };
         let healthy = run_failover(&FailoverConfig::smoke(3));
-        let r = run_failover(&cfg);
-        r.assert_safety();
-        assert!(r.takeover.is_some());
-        // Node 1 still completes work, but less of it.
-        assert!(r.queries_per_node[1] > 0, "degraded survivor keeps serving");
-        assert!(
-            r.queries_per_node[1] < healthy.queries_per_node[1],
-            "degradation must cost throughput: {} vs {}",
-            r.queries_per_node[1],
-            healthy.queries_per_node[1]
-        );
-    }
-
-    #[test]
-    fn telemetry_detects_the_crash_on_the_victim_only() {
-        let cfg = FailoverConfig::smoke(3);
-        let r = run_failover(&cfg);
-        r.assert_safety();
-        let rep = r.telemetry.as_ref().expect("telemetry window is on");
-        let crash_at = SimTime(
-            r.registry
-                .get("failover_crash_at_ns")
-                .expect("crash instant recorded")
-                .as_u64(),
-        );
-        let mttd = rep
-            .mttd_ns("node_absent", cfg.crash_node as u32, crash_at)
-            .expect("absence alert fired for the victim");
-        // Fire at a window boundary, within a few detection windows.
-        assert!(
-            mttd <= 4 * cfg.telemetry_window.as_nanos(),
-            "MTTD {mttd} ns too slow"
-        );
-        assert_eq!(
-            r.registry
-                .get("telemetry_mttd_crash_ns")
-                .map(|v| v.as_u64()),
-            Some(mttd)
-        );
-        // No other node trips the absence rule.
-        for a in rep.alerts.iter().filter(|a| a.firing) {
+        // Survivor host 1's CXL link degrades for most of the run, or
+        // goes fully down for 4 ms and comes back.
+        let chaos = [
+            LinkChaos::Degrade {
+                host: 1,
+                factor: 4,
+                heal_ns: 8_000_000,
+            },
+            LinkChaos::Flap {
+                host: 1,
+                down_ns: 4_000_000,
+                retry_ns: 100_000,
+            },
+        ];
+        for link_chaos in chaos {
+            let mut cfg = FailoverConfig::smoke(3);
+            cfg.link_chaos = link_chaos;
+            let r = run_failover(&cfg);
+            r.assert_safety();
+            assert!(r.takeover.is_some(), "{link_chaos:?}");
+            // Node 1 still completes work, but less of it.
+            assert!(r.queries_per_node[1] > 0, "degraded survivor keeps serving");
             assert!(
-                a.rule != "node_absent" || a.node == cfg.crash_node as u32,
-                "absence fired on non-victim node {}",
-                a.node
+                r.queries_per_node[1] < healthy.queries_per_node[1],
+                "{link_chaos:?} must cost throughput: {} vs {}",
+                r.queries_per_node[1],
+                healthy.queries_per_node[1]
             );
         }
-    }
-
-    #[test]
-    fn fault_free_failover_run_raises_no_alerts() {
-        let mut cfg = FailoverConfig::smoke(3);
-        cfg.fault_free = true;
-        let r = run_failover(&cfg);
-        r.assert_safety();
-        assert!(r.takeover.is_none(), "fault-free run must not fail over");
-        let rep = r.telemetry.as_ref().expect("telemetry window is on");
-        assert_eq!(rep.alert_fires(), 0, "{}", rep.alert_log());
-        assert_eq!(rep.alert_clears(), 0);
-    }
-
-    #[test]
-    fn telemetry_detects_a_link_flap_and_clears() {
-        let mut cfg = FailoverConfig::smoke(3);
-        cfg.link_chaos = LinkChaos::Flap {
-            host: 1,
-            down_ns: 4 * cfg.telemetry_window.as_nanos(),
-            retry_ns: 100_000,
-        };
-        let r = run_failover(&cfg);
-        r.assert_safety();
-        let mttd = r
-            .registry
-            .get("telemetry_mttd_link_ns")
-            .expect("flap detected")
-            .as_u64();
-        assert!(
-            mttd <= 8 * cfg.telemetry_window.as_nanos(),
-            "flap MTTD {mttd} ns too slow"
-        );
-        // The outage heals, so the alert must clear again.
-        let rep = r.telemetry.as_ref().unwrap();
-        assert!(
-            rep.alert_clears() > 0,
-            "flap alert never cleared:\n{}",
-            rep.alert_log()
-        );
-    }
-
-    #[test]
-    fn telemetry_is_observation_only() {
-        // Turning the window width to ZERO (probes off) must not change
-        // a single simulated outcome.
-        let on = run_failover(&FailoverConfig::smoke(3));
-        let mut cfg = FailoverConfig::smoke(3);
-        cfg.telemetry_window = SimTime::ZERO;
-        let off = run_failover(&cfg);
-        assert!(off.telemetry.is_none());
-        assert_eq!(on.queries, off.queries);
-        assert_eq!(on.queries_per_node, off.queries_per_node);
-        assert_eq!(on.per_node_timeline, off.per_node_timeline);
-        assert_eq!(on.max_survivor_gap_ns, off.max_survivor_gap_ns);
     }
 
     #[test]

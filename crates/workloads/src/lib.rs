@@ -31,10 +31,3 @@ pub use metrics::RunMetrics;
 pub use recovery_harness::{run_recovery, RecoveryConfig, RecoveryRunResult, Scheme};
 pub use sharing::{run_sharing, GroupLayout, ShOp, SharingConfig, SharingResult, SharingSystem};
 pub use sysbench::{Sysbench, SysbenchKind};
-
-// The telemetry vocabulary the harness results speak (re-exported so
-// downstream code can consume `FailoverResult::telemetry` and friends
-// without importing simkit directly).
-pub use simkit::telemetry::{
-    AlertEvent, Health, Metric, SloRule, TelemetryConfig, TelemetryReport, WindowRow,
-};

@@ -24,7 +24,6 @@ use polarcxlmem::fusion::CoherencyMode;
 use polarcxlmem::{RdmaDbp, RdmaSharingNode};
 use simkit::faults::FaultState;
 use simkit::rng::SimRng;
-use simkit::telemetry::{TelemetryConfig, TelemetryReport};
 use simkit::{Histogram, SimTime, Step};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -154,9 +153,6 @@ pub struct SharingConfig {
     /// Eviction policy for node-local page frames (the RDMA design's
     /// local buffer pool; ignored by designs without one).
     pub policy: bufferpool::PolicyKind,
-    /// Telemetry window width (ZERO = probes off, the default: this
-    /// harness is a throughput experiment, not an ops scenario).
-    pub telemetry_window: SimTime,
 }
 
 impl SharingConfig {
@@ -175,7 +171,6 @@ impl SharingConfig {
             quantum: SimTime::from_micros(200),
             host_threads: 0,
             policy: bufferpool::PolicyKind::Lru,
-            telemetry_window: SimTime::ZERO,
         }
     }
 }
@@ -252,9 +247,6 @@ pub struct SharingResult {
     pub lock_contended: u64,
     /// Mean lock wait, ns.
     pub lock_mean_wait_ns: f64,
-    /// Windowed per-node ops report (`None` when `telemetry_window` is
-    /// ZERO).
-    pub telemetry: Option<TelemetryReport>,
 }
 
 pub(crate) fn seed_storage(layout: &GroupLayout) -> PageStore {
@@ -353,34 +345,19 @@ struct Tally {
     txns: u64,
 }
 
-/// Execute one [`ShOp`] on a lane: the locked statement, then the probe
-/// record on the `private` (0) / `shared` (1) lane its page falls in.
+/// Execute one [`ShOp`] on a lane as its locked statement.
 fn exec_op<F: Fabric, X>(
     ctx: &mut LaneCtx<'_, '_, F, X>,
     op: ShOp,
     payload: &[u8],
-    shared_start: u64,
     now: SimTime,
 ) -> SimTime {
-    let (page, len, t) = match op {
-        ShOp::Read { page, off, len } => (
-            page,
-            len,
-            ctx.locked_read(page, off as u64, len as usize, now),
-        ),
-        ShOp::Write { page, off, len } => {
-            let t = ctx
-                .locked_write_publish(page, off as u64, &payload[..len as usize], now)
-                .expect("no node of this cluster is ever fenced");
-            (page, len, t)
-        }
-    };
-    if ctx.probe.enabled() {
-        let lane_ix = (page.0 >= shared_start) as usize;
-        ctx.probe.record_op(lane_ix, t, t.saturating_since(now));
-        ctx.probe.record_bytes(lane_ix, t, len as u64);
+    match op {
+        ShOp::Read { page, off, len } => ctx.locked_read(page, off as u64, len as usize, now),
+        ShOp::Write { page, off, len } => ctx
+            .locked_write_publish(page, off as u64, &payload[..len as usize], now)
+            .expect("no node of this cluster is ever fenced"),
     }
-    t
 }
 
 /// The sharing scenario on either fabric: every lane runs `gen`'s
@@ -397,27 +374,22 @@ where
     F: Fn(&mut SimRng, usize) -> Vec<ShOp>,
 {
     let n = cfg.nodes;
-    // One probe per node, the statement's target group as the lane. No
-    // SLO rules — this harness is fault-free; the report is a per-node
-    // windowed throughput/latency map.
-    let tcfg = TelemetryConfig::new(cfg.telemetry_window, n).lanes(&["private", "shared"]);
     let tallies = (0..n).map(|_| Tally::default()).collect();
     let faults = (0..n).map(|_| FaultState::inactive()).collect();
     let (wpn, seed) = (cfg.workers_per_node, cfg.seed);
-    let mut cluster = Cluster::new(fabric, nodes, tallies, faults, tcfg, wpn, seed);
+    let mut cluster = Cluster::new(fabric, nodes, tallies, faults, wpn, seed);
     for i in 0..n {
         cluster.activate(i, SimTime::ZERO);
     }
-    let shared_start = cfg.layout.group_pages(cfg.layout.groups - 1).start;
     let payload = [0xC5u8; 120];
-    let telemetry = cluster.run(
+    cluster.run(
         cfg.duration,
         cfg.quantum,
         |ctx, w, start| {
             let txn = gen(&mut ctx.rngs[w], ctx.lane);
             let mut t = start + CPU_TXN_OVERHEAD_NS;
             for &op in &txn {
-                t = exec_op(ctx, op, &payload, shared_start, t);
+                t = exec_op(ctx, op, &payload, t);
             }
             ctx.ext.queries += txn.len() as u64;
             ctx.ext.txns += 1;
@@ -451,7 +423,6 @@ where
         },
         lock_contended: cluster.locks.contended(),
         lock_mean_wait_ns: cluster.locks.mean_wait_ns(),
-        telemetry,
     }
 }
 
@@ -514,56 +485,6 @@ mod tests {
             hi.metrics.qps < lo.metrics.qps,
             "contention must cost throughput"
         );
-    }
-
-    #[test]
-    fn telemetry_lanes_split_private_from_shared_traffic() {
-        let run = |shared_pct| {
-            let mut cfg = SharingConfig::standard(SharingSystem::Cxl, 4);
-            cfg.layout.rows_per_group = 1_000;
-            cfg.duration = SimTime::from_millis(20);
-            cfg.workers_per_node = 4;
-            cfg.telemetry_window = SimTime::from_millis(2);
-            let layout = cfg.layout;
-            run_sharing(&cfg, point_update_gen(layout, shared_pct))
-        };
-        let r0 = run(0);
-        let rep0 = r0.telemetry.as_ref().expect("telemetry window is on");
-        let lane_sum = |rep: &simkit::telemetry::TelemetryReport, lane: usize| {
-            rep.rows.iter().map(|w| w.lane_ops[lane]).sum::<u64>()
-        };
-        assert!(lane_sum(rep0, 0) > 0);
-        assert_eq!(
-            lane_sum(rep0, 1),
-            0,
-            "0% shared puts nothing on the shared lane"
-        );
-
-        let r40 = run(40);
-        let rep40 = r40.telemetry.as_ref().unwrap();
-        let (private, shared) = (lane_sum(rep40, 0), lane_sum(rep40, 1));
-        assert!(shared > 0);
-        // ~40% of statements aim at the shared group.
-        let frac = shared as f64 / (private + shared) as f64;
-        assert!((0.25..0.55).contains(&frac), "shared fraction {frac}");
-        // Fault-free throughput run: no rules, so no alerts ever.
-        assert_eq!(rep40.alert_fires(), 0);
-    }
-
-    #[test]
-    fn telemetry_reruns_bit_identically() {
-        let run = || {
-            let mut cfg = SharingConfig::standard(SharingSystem::Rdma { lbp_fraction: 0.3 }, 4);
-            cfg.layout.rows_per_group = 1_000;
-            cfg.duration = SimTime::from_millis(20);
-            cfg.workers_per_node = 4;
-            cfg.telemetry_window = SimTime::from_millis(2);
-            let layout = cfg.layout;
-            run_sharing(&cfg, point_update_gen(layout, 30))
-        };
-        let a = run();
-        assert_eq!(a.telemetry, run().telemetry, "rerun diverged");
-        assert!(a.telemetry.as_ref().unwrap().windows > 0);
     }
 
     #[test]

@@ -67,9 +67,6 @@ pub mod prelude {
     pub use polarcxlmem::{FencingPolicy, ReleaseError};
     pub use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
     pub use simkit::rng::{stream_rng, SimRng};
-    pub use simkit::telemetry::{
-        self, Health, Metric, SloRule, TelemetryConfig, TelemetryHub, TelemetryReport,
-    };
     pub use simkit::{dur, SimTime};
     pub use storage::{Lsn, PageId, PageStore, Wal};
     pub use workloads::{

@@ -18,7 +18,6 @@ use polardb_cxl_repro::workloads::cluster::{Cluster, FusionCluster};
 use polardb_cxl_repro::workloads::control::{Partition, Rebalancer, Supervisor};
 use polardb_cxl_repro::workloads::{DeathMode, GroupLayout};
 use simkit::faults::{Action, FaultPlan, FaultState, Trigger};
-use simkit::telemetry::TelemetryConfig;
 use simkit::{SimTime, Step};
 use std::collections::BTreeMap;
 use storage::PageId;
@@ -79,9 +78,7 @@ fn run(seed: u64, crash_at: SimTime) -> Outcome {
             ..Tenant::default()
         })
         .collect();
-    let tcfg = TelemetryConfig::new(SimTime::ZERO, 3).lanes(&["all"]);
-    let mut cluster = Cluster::new(fusion, nodes, tenants, faults.into(), tcfg, 4, seed);
-    cluster.protocol_probe = false;
+    let mut cluster = Cluster::new(fusion, nodes, tenants, faults.into(), 4, seed);
     (0..2).for_each(|lane| cluster.activate(lane, SimTime::ZERO));
 
     let mut model: BTreeMap<(PageId, u16), u8> = BTreeMap::new();

@@ -9,10 +9,10 @@
 //! perturbs), and the nine lane totals and the span count are pinned too.
 //!
 //! Small outputs (every metric, counter and registry entry) are pinned as
-//! text; bulky ones (latency histograms, per-node timelines, telemetry
-//! rows) as a 64-bit FNV-1a of their `Debug` / JSON rendering. On a
-//! mismatch the test prints the whole actual dump, so it can be diffed
-//! against the same dump from any earlier commit.
+//! text; bulky ones (latency histograms, per-node timelines) as a 64-bit
+//! FNV-1a of their `Debug` rendering. On a mismatch the test prints the
+//! whole actual dump, so it can be diffed against the same dump from any
+//! earlier commit.
 
 use polardb_cxl_repro::prelude::*;
 use polardb_cxl_repro::workloads::sharing::{point_update_gen, read_write_gen};
@@ -43,19 +43,6 @@ fn traced<R>(f: impl FnOnce() -> R) -> (R, String) {
     (r, format!("lanes {} spans {spans}\n", lanes.join(" ")))
 }
 
-fn telemetry_line(t: &Option<TelemetryReport>) -> String {
-    match t {
-        None => "telemetry none\n".to_string(),
-        Some(rep) => format!(
-            "telemetry windows={} rows={} alerts={} json={:016x}\n",
-            rep.windows,
-            rep.rows.len(),
-            rep.alerts.len(),
-            fnv(&rep.to_json())
-        ),
-    }
-}
-
 /// Run `run` untraced and traced, require equal dumps, and compare the
 /// dump + trace line against `want`.
 fn check<R>(name: &str, want: &str, run: impl Fn() -> R, dump: impl Fn(&R) -> String) {
@@ -77,7 +64,6 @@ fn sharing_cfg(system: SharingSystem) -> SharingConfig {
     c.layout.rows_per_group = 1_000;
     c.duration = SimTime::from_millis(30);
     c.workers_per_node = 4;
-    c.telemetry_window = SimTime::from_millis(2);
     c
 }
 
@@ -86,7 +72,7 @@ fn dump_sharing(r: &SharingResult) -> String {
     format!(
         "qps={:?} tps={:?} avg_us={:?} p50_us={:?} p95_us={:?} p99_us={:?} p999_us={:?}\n\
          gbps={:?} memory_bytes={} window_ns={} latency={:016x}\n\
-         lock_contended={} lock_mean_wait_ns={:?}\n{}",
+         lock_contended={} lock_mean_wait_ns={:?}\n",
         m.qps,
         m.tps,
         m.avg_latency_us,
@@ -100,7 +86,6 @@ fn dump_sharing(r: &SharingResult) -> String {
         fnv(&format!("{:?}", m.latency)),
         r.lock_contended,
         r.lock_mean_wait_ns,
-        telemetry_line(&r.telemetry),
     )
 }
 
@@ -108,7 +93,6 @@ const SHARING_CXL: &str = r#"
 qps=84000.0 tps=4666.666666666667 avg_us=2711.9743857142857 p50_us=2686.976 p95_us=3407.872 p99_us=3735.552 p999_us=3801.088
 gbps=0.022107733333333334 memory_bytes=854464 window_ns=30000000 latency=5d89de71783c165b
 lock_contended=249 lock_mean_wait_ns=105093.89325396826
-telemetry windows=17 rows=51 alerts=0 json=9855064475bc230d
 lanes cpu=100292000 cxl_link=6610919 switch=0 rdma_nic=0 cache_hit=3864 dram=0 wal=0 storage=9633272 other=1950000 spans 6572
 "#;
 
@@ -128,7 +112,6 @@ const SHARING_RDMA: &str = r#"
 qps=71333.33333333334 tps=7133.333333333334 avg_us=1722.2743785046728 p50_us=1736.704 p95_us=2228.224 p99_us=2555.904 p999_us=2686.976
 gbps=1.8962133333333333 memory_bytes=1245184 window_ns=30000000 latency=dd436a27ab7db312
 lock_contended=423 lock_mean_wait_ns=110577.37943925234
-telemetry windows=16 rows=48 alerts=0 json=f0c106024003971c
 lanes cpu=96522000 cxl_link=0 switch=0 rdma_nic=27556545 cache_hit=0 dram=318084 wal=0 storage=9633272 other=1950000 spans 4841
 "#;
 
@@ -159,7 +142,7 @@ fn dump_failover(r: &FailoverResult) -> String {
          safety_ok={} mismatches={} max_survivor_gap_ns={}\n\
          faults={:?}\n\
          fusion={:?}\n\
-         registry={}\n{}",
+         registry={}\n",
         r.queries,
         r.queries_per_node,
         fnv(&format!("{:?}", r.per_node_timeline)),
@@ -170,7 +153,6 @@ fn dump_failover(r: &FailoverResult) -> String {
         r.fault_stats,
         r.fusion,
         r.registry.to_json(),
-        telemetry_line(&r.telemetry),
     )
 }
 
@@ -180,8 +162,7 @@ takeover=Some(TakeoverSummary { death_declared: SimTime(8000000), fence_start: S
 safety_ok=true mismatches=0 max_survivor_gap_ns=0
 faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0, 0, 0, 0, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
 fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, migrated_out: 0 }
-registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "links_degraded": 0, "links_down": 0, "links_worst_factor": 1, "manager_rpcs": 12, "qps": 224500, "queries": 5388, "telemetry_alert_clears": 0, "telemetry_alert_fires": 1, "telemetry_dead_windows": 17, "telemetry_degraded_windows": 0, "telemetry_mttd_crash_ns": 2631335, "telemetry_suspect_windows": 0, "telemetry_window_ns": 1000000, "telemetry_windows": 25}
-telemetry windows=25 rows=91 alerts=1 json=1a569924364cfb34
+registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "links_degraded": 0, "links_down": 0, "links_worst_factor": 1, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
 lanes cpu=219682000 cxl_link=19316716 switch=0 rdma_nic=0 cache_hit=16064 dram=0 wal=0 storage=10986520 other=2600000 spans 22588
 "#;
 
@@ -202,8 +183,7 @@ takeover=Some(TakeoverSummary { death_declared: SimTime(8000000), fence_start: S
 safety_ok=true mismatches=0 max_survivor_gap_ns=0
 faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0, 0, 0, 0, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
 fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, migrated_out: 0 }
-registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "links_degraded": 0, "links_down": 0, "links_worst_factor": 1, "manager_rpcs": 12, "qps": 224500, "queries": 5388, "telemetry_alert_clears": 0, "telemetry_alert_fires": 1, "telemetry_dead_windows": 17, "telemetry_degraded_windows": 0, "telemetry_mttd_crash_ns": 2631335, "telemetry_suspect_windows": 0, "telemetry_window_ns": 1000000, "telemetry_windows": 25}
-telemetry windows=25 rows=91 alerts=1 json=1a569924364cfb34
+registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "links_degraded": 0, "links_down": 0, "links_worst_factor": 1, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
 lanes cpu=219682000 cxl_link=19317416 switch=0 rdma_nic=0 cache_hit=16064 dram=0 wal=0 storage=10986520 other=2600000 spans 22589
 "#;
 
@@ -226,7 +206,7 @@ fn dump_elasticity(r: &ElasticityResult) -> String {
         "adaptive={} queries={} txns={} migrations={} final_owners={:?}\n\
          {tenants}elastic={:?}\n\
          fusion={:?}\n\
-         registry={}\n{}",
+         registry={}\n",
         r.adaptive,
         r.queries,
         r.txns,
@@ -235,7 +215,6 @@ fn dump_elasticity(r: &ElasticityResult) -> String {
         r.elastic,
         r.fusion,
         r.registry.to_json(),
-        telemetry_line(&r.telemetry),
     )
 }
 
@@ -245,8 +224,7 @@ ElasticTenantOutcome { tenant: 0, txns: 642, queries: 2568, remote_reads: 0, rem
 ElasticTenantOutcome { tenant: 1, txns: 614, queries: 2456, remote_reads: 46, remote_writes: 13, protected_writes: 0, p99_ns: 368640, settled_p99_ns: 249856, mean_ns: 196160 }
 elastic=ElasticStats { prepares: 4, commits: 4, rollbacks: 0, rolled_forward: 0, transient_retries: 0, pages_flushed: 40 }
 fusion=FusionStats { rpcs: 88, recycles: 0, invalidations: 0, storage_fills: 80, fenced_nodes: 0, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 0, migrated_out: 40 }
-registry={"elasticity_adaptive": 1, "elasticity_migrations": 4, "elasticity_pages_flushed": 40, "elasticity_protected_writes": 0, "elasticity_qps": 167466.6666666667, "elasticity_queries": 5024, "elasticity_remote_reads": 46, "elasticity_remote_writes": 13, "elasticity_rollbacks": 0, "elasticity_t0_p99_ns": 278528, "elasticity_t0_settled_p99_ns": 262144, "elasticity_t1_p99_ns": 368640, "elasticity_t1_settled_p99_ns": 249856, "elasticity_txns": 1256, "fusion_migrated_out": 40, "fusion_rpcs": 88, "fusion_storage_fills": 80, "telemetry_alert_clears": 0, "telemetry_alert_fires": 0, "telemetry_dead_windows": 0, "telemetry_degraded_windows": 0, "telemetry_suspect_windows": 0, "telemetry_window_ns": 2000000, "telemetry_windows": 16}
-telemetry windows=16 rows=32 alerts=0 json=1eb2e017d81d5df4
+registry={"elasticity_adaptive": 1, "elasticity_migrations": 4, "elasticity_pages_flushed": 40, "elasticity_protected_writes": 0, "elasticity_qps": 167466.6666666667, "elasticity_queries": 5024, "elasticity_remote_reads": 46, "elasticity_remote_writes": 13, "elasticity_rollbacks": 0, "elasticity_t0_p99_ns": 278528, "elasticity_t0_settled_p99_ns": 262144, "elasticity_t1_p99_ns": 368640, "elasticity_t1_settled_p99_ns": 249856, "elasticity_txns": 1256, "fusion_migrated_out": 40, "fusion_rpcs": 88, "fusion_storage_fills": 80}
 lanes cpu=198227000 cxl_link=8480717 switch=0 rdma_nic=0 cache_hit=11288 dram=0 wal=0 storage=19360024 other=2500000 spans 11302
 "#;
 

@@ -25,8 +25,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Crates whose sources are scanned (the ones holding simulated state).
-/// simkit is included for the telemetry/alerting pipeline: window rows,
-/// alert logs and health maps feed bit-deterministic reports, so any
+/// simkit is included for the kernel's own state: the fault engine, lock
+/// table and metrics registry feed bit-deterministic results, so any
 /// hash-order iteration there is just as corrupting as in the simulator.
 /// workloads holds the cluster driver and every "fold in node order"
 /// merge of the harnesses.
