@@ -704,7 +704,9 @@ impl CxlPool {
     }
 
     /// Seat `to` as an exact copy of `from`: the `len` bytes of `from`'s
-    /// lease at `from_off` are copied raw to `to_off`, and `to`'s cache
+    /// lease at `from_off` are copied raw to `to_off` (by
+    /// [`Region::copy_disjoint`], which maps whole windows onto the
+    /// source's bytes until either side writes them), and `to`'s cache
     /// becomes `from`'s with every line moved by the lease delta
     /// ([`Cache::shifted`]) — the state `to` would have reached by making
     /// `from`'s accesses at its own base. Untimed; `from` is untouched.

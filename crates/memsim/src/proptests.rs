@@ -167,3 +167,198 @@ fn multiserver_conserves_capacity() {
         );
     }
 }
+
+/// The copy-on-write window of [`crate::Region`] (private there).
+const WINDOW: usize = 256 << 10;
+
+/// A copy's source/destination/length: each class is a shape the
+/// mapping treats differently.
+fn random_copy(rng: &mut SimRng, size: usize) -> (usize, usize, usize) {
+    loop {
+        let (src, dst, len) = match rng.gen_range(0u32..5) {
+            // Window-aligned: every covered window maps, no edges.
+            0 => {
+                let len = rng.gen_range(1usize..=3) * WINDOW;
+                let src = rng.gen_range(0..size / WINDOW) * WINDOW;
+                (src, rng.gen_range(0..size / WINDOW) * WINDOW, len)
+            }
+            // The pooling harness's lease delta: 4 224 mod 16 KB.
+            1 => {
+                let len = rng.gen_range(WINDOW..3 * WINDOW);
+                let src = rng.gen_range(0..size / 64) * 64;
+                let delta = len + rng.gen_range(0usize..4) * (16 << 10) + 4_224;
+                match rng.gen_bool(0.5) {
+                    true => (src, src + delta, len),
+                    false => (src, src.wrapping_sub(delta), len),
+                }
+            }
+            // One line away: a copy that is all edge.
+            2 => {
+                let len = rng.gen_range(1usize..=64);
+                let src = rng.gen_range(64..size - 128);
+                (src, src + 64, len)
+            }
+            // A whole number of windows plus one line away, either way:
+            // a mapped window reads one line of its second source window.
+            3 => {
+                let len = rng.gen_range(WINDOW..2 * WINDOW);
+                let src = rng.gen_range(0..size);
+                match rng.gen_bool(0.5) {
+                    true => (src, src + 2 * WINDOW + 64, len),
+                    false => (src, src.wrapping_sub(2 * WINDOW + 64), len),
+                }
+            }
+            // Anywhere, shorter than a window: edges only.
+            _ => {
+                let len = rng.gen_range(1usize..WINDOW);
+                (rng.gen_range(0..size), rng.gen_range(0..size), len)
+            }
+        };
+        let fits = |at: usize| at.checked_add(len).is_some_and(|end| end <= size);
+        if fits(src) && fits(dst) && (src + len <= dst || dst + len <= src) {
+            return (src, dst, len);
+        }
+    }
+}
+
+/// A range inside one window: a 64-byte line, a 16 KB page or anything
+/// up to the window's end — the ranges `slice` promises to borrow.
+fn within_one_window(rng: &mut SimRng, size: usize) -> (usize, usize) {
+    match rng.gen_range(0u32..3) {
+        0 => (rng.gen_range(0..size / 64) * 64, 64),
+        1 => (rng.gen_range(0..size / (16 << 10)) * (16 << 10), 16 << 10),
+        _ => {
+            let off = rng.gen_range(0..size);
+            let room = (WINDOW - off % WINDOW).min(size - off);
+            (off, rng.gen_range(1..=room))
+        }
+    }
+}
+
+/// `Region`'s mapped copies read and write as a flat byte array does,
+/// under every operation, on volatile and persistent regions, with every
+/// shape of copy. The bytes are compared after every operation.
+#[test]
+fn region_matches_a_flat_model() {
+    use crate::Region;
+    // Ten whole windows and a ragged one.
+    const SIZE: usize = 10 * WINDOW + 12_345;
+    let mut mapped_seen = 0;
+    for case in 0..16u64 {
+        let mut rng = SimRng::seed_from_u64(0x11EE_3000 + case);
+        let persistent = case % 2 == 0;
+        let mut region = match persistent {
+            true => Region::persistent(SIZE),
+            false => Region::volatile(SIZE),
+        };
+        let mut model = vec![0u8; SIZE];
+        let mut copies = 0;
+        let mut all = vec![0u8; SIZE];
+        for step in 0..120 {
+            // Half the ranges start within 128 bytes of a window edge, and
+            // half are at most 256 bytes long: a mapped window may read as
+            // little as one line of a source window.
+            let off = match rng.gen_bool(0.5) {
+                true => rng.gen_range(0..SIZE),
+                false => (rng.gen_range(1..=SIZE / WINDOW) * WINDOW - 128) + rng.gen_range(0..256),
+            };
+            let longest = if rng.gen_bool(0.5) { 256 } else { 2 * WINDOW };
+            let len = rng.gen_range(0..=longest.min(SIZE - off));
+            let fill: u64 = rng.gen();
+            let pattern = |n: usize| {
+                let mut p = vec![0u8; n];
+                p.chunks_mut(8).enumerate().for_each(|(i, c)| {
+                    c.copy_from_slice(&fill.wrapping_add(i as u64).to_le_bytes()[..c.len()]);
+                });
+                p
+            };
+            match rng.gen_range(0u32..16) {
+                0..=2 => {
+                    let mut buf = vec![0u8; len];
+                    region.read(off as u64, &mut buf);
+                    assert!(
+                        buf == model[off..off + len],
+                        "case {case} step {step}: read"
+                    );
+                }
+                3..=5 => {
+                    let data = pattern(len);
+                    region.write(off as u64, &data);
+                    model[off..off + len].copy_from_slice(&data);
+                }
+                6 => {
+                    region.zero(off as u64, len);
+                    model[off..off + len].fill(0);
+                }
+                7 => {
+                    let (off, len) = within_one_window(&mut rng, SIZE);
+                    let got = region.slice(off as u64, len);
+                    assert!(
+                        got == &model[off..off + len],
+                        "case {case} step {step}: slice"
+                    );
+                }
+                8 => {
+                    let (off, len) = within_one_window(&mut rng, SIZE);
+                    let data = pattern(len);
+                    region.slice_mut(off as u64, len).copy_from_slice(&data);
+                    model[off..off + len].copy_from_slice(&data);
+                }
+                9 => {
+                    region.crash();
+                    if !persistent {
+                        model.fill(0xDE);
+                        assert_eq!(region.owned_bytes(), SIZE, "a wiped region maps nothing");
+                    }
+                }
+                _ => {
+                    let (src, dst, len) = random_copy(&mut rng, SIZE);
+                    region.copy_disjoint(src as u64, dst as u64, len);
+                    model.copy_within(src..src + len, dst);
+                    copies += 1;
+                }
+            }
+            region.read(0, &mut all);
+            assert!(all == model, "case {case} step {step}: bytes diverged");
+            mapped_seen += (region.owned_bytes() < SIZE) as u32;
+        }
+        assert!(copies > 0, "case {case} made no copy");
+    }
+    assert!(
+        mapped_seen > 100,
+        "copies mapped windows in {mapped_seen} steps only"
+    );
+}
+
+/// One source copied to seven destinations at the harness's lease
+/// stride: all seven stay mapped, reading them maps nothing back, and a
+/// new copy of a source that already has readers leaves those readers
+/// mapped.
+#[test]
+fn one_source_seven_copies_stay_mapped() {
+    use crate::Region;
+    // A lease of three whole windows and some, 4 224 mod 16 KB apart.
+    const LEASE: usize = 3 * WINDOW + 10_000;
+    const STRIDE: usize = LEASE + 4_224 + 3 * (16 << 10);
+    let mut region = Region::persistent(8 * STRIDE);
+    let source: Vec<u8> = (0..LEASE).map(|i| (i % 251) as u8).collect();
+    region.write(0, &source);
+    let covered = |base: usize| (base + LEASE) / WINDOW - base.div_ceil(WINDOW);
+    let mut mapped = 0;
+    for i in 1..8 {
+        region.copy_disjoint(0, (i * STRIDE) as u64, LEASE);
+        mapped += covered(i * STRIDE);
+        assert_eq!(
+            region.owned_bytes(),
+            8 * STRIDE - mapped * WINDOW,
+            "copy {i}"
+        );
+    }
+    assert!(mapped >= 7 * 2, "every copy maps whole windows");
+    for i in 1..8 {
+        let mut lease = vec![0u8; LEASE];
+        region.read((i * STRIDE) as u64, &mut lease);
+        assert!(lease == source, "copy {i} reads as the source");
+    }
+    assert_eq!(region.owned_bytes(), 8 * STRIDE - mapped * WINDOW);
+}

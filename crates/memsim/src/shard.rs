@@ -41,7 +41,17 @@ pub struct RegionReader {
 
 impl RegionReader {
     /// Capture a read-only window over `region`'s current storage.
+    ///
+    /// # Panics
+    /// When a copy left some of `region`'s windows mapped: the reader
+    /// reads raw bytes at their own addresses. The sharing harnesses that
+    /// detach nodes never copy a lease.
     pub fn new(region: &Region) -> Self {
+        assert_eq!(
+            region.owned_bytes(),
+            region.len(),
+            "a RegionReader needs a region with no mapped copies"
+        );
         let s = region.slice(0, region.len());
         RegionReader {
             ptr: s.as_ptr(),
@@ -193,6 +203,14 @@ impl WriteLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "no mapped copies")]
+    fn a_reader_refuses_a_region_holding_a_mapped_copy() {
+        let mut region = Region::persistent(1 << 20);
+        region.copy_disjoint(0, 512 << 10, 512 << 10);
+        RegionReader::new(&region);
+    }
 
     #[test]
     fn read_through_patches_own_writes_in_program_order() {

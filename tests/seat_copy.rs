@@ -24,8 +24,11 @@
 //! for the fault plan, in `memsim` for `Cache::shifted`,
 //! `Region::copy_disjoint` and `CxlPool::copy_lease`.
 
-use polardb_cxl_repro::memsim::{Access, CacheStats};
+use polardb_cxl_repro::memsim::calib::PAGE_SIZE;
+use polardb_cxl_repro::memsim::{Access, CacheStats, Region};
 use polardb_cxl_repro::prelude::*;
+use polardb_cxl_repro::workloads::harness::pages_for;
+use polardb_cxl_repro::workloads::sysbench::{make_record, RECORD_SIZE};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -192,6 +195,14 @@ fn polar(db: &mut Db<CxlBp>, t: SimTime) -> String {
     format!("{:?}", recover_polar(db, t))
 }
 
+/// `len` bytes of `region` at `base`, read, not borrowed: a copied seat's
+/// windows read through its source's, so its slice is no one borrow.
+fn read_all(region: &Region, base: u64, len: u64) -> Vec<u8> {
+    let mut bytes = vec![0; len as usize];
+    region.read(base, &mut bytes);
+    bytes
+}
+
 /// One world: seats A and B of one design, and how to look at them.
 struct World<P: BufferPool> {
     a: Db<P>,
@@ -282,7 +293,7 @@ fn tiered_rdma_copy_is_exact() {
                 };
                 let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
                     let rdma = Rc::clone(&rdma);
-                    Box::new(move || rdma.borrow().raw().slice(base, slice as usize).to_vec())
+                    Box::new(move || read_all(rdma.borrow().raw(), base, slice))
                 };
                 let links = Rc::clone(&rdma);
                 World {
@@ -327,7 +338,7 @@ fn cxl_copy_is_exact() {
                 };
                 let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
                     let cxl = Rc::clone(&cxl);
-                    Box::new(move || cxl.borrow().raw().slice(base, lease as usize).to_vec())
+                    Box::new(move || read_all(cxl.borrow().raw(), base, lease))
                 };
                 let (stats, links) = (Rc::clone(&cxl), Rc::clone(&cxl));
                 World {
@@ -341,6 +352,159 @@ fn cxl_copy_is_exact() {
             polar,
         );
     }
+}
+
+// ---- what a copied seat owns ---------------------------------------
+//
+// A copy maps every 256 KB window of the shared region it covers whole
+// onto its source's bytes, and a window takes bytes of its own only when
+// it is written — or, for a source window, when it is written while
+// windows read through it. So after seating `pool_point`'s cells and
+// running point selects, the region owns every window but those the
+// copies cover whole — lease 0, the ragged edge windows of every other
+// lease and the gaps — and each later write owns exactly the windows the
+// rule names. `mapped` below is that rule kept by hand: the windows left
+// mapped, each with the address its bytes live at.
+
+/// `memsim::Region`'s copy-on-write window.
+const WINDOW: u64 = 256 << 10;
+/// `pool_point`'s table.
+const POINT_ROWS: u64 = 30_000;
+
+/// The windows a copy of `len` bytes from `from` to `to` maps: every one
+/// it covers whole, with where its bytes live.
+fn mapped_by(from: u64, to: u64, len: u64) -> Vec<(u64, u64)> {
+    (to.div_ceil(WINDOW)..(to + len) / WINDOW)
+        .map(|w| (w, w * WINDOW + from - to))
+        .collect()
+}
+
+/// One write at `off`: the window under it owns its bytes, and so does
+/// every window that read through it.
+fn write_through(mapped: &mut Vec<(u64, u64)>, off: u64) {
+    let w = off / WINDOW;
+    let (lo, hi) = (w * WINDOW, (w + 1) * WINDOW);
+    mapped.retain(|&(v, at)| v != w && (at >= hi || at + WINDOW <= lo));
+}
+
+fn assert_owns(region: &Region, mapped: &[(u64, u64)], what: &str) {
+    let owned = region.len() as u64 - mapped.len() as u64 * WINDOW;
+    assert_eq!(region.owned_bytes() as u64, owned, "{what}");
+}
+
+fn point_loaded<P: BufferPool>(pool: P) -> Db<P> {
+    let mut db = Db::create(pool, RECORD_SIZE);
+    db.load((1..=POINT_ROWS).map(|k| (k, make_record(k, (k % 251) as u8))));
+    db
+}
+
+/// A read-only window: point selects on every seat.
+fn point_selects<P: BufferPool>(dbs: &mut [Db<P>]) {
+    let mut rng = SimRng::seed_from_u64(0x5EA7);
+    let mut t = SimTime::ZERO;
+    for _ in 0..500 {
+        for db in dbs.iter_mut() {
+            let (found, end) = db.point_select(rng.gen_range(1..=POINT_ROWS), t);
+            assert!(found);
+            t = end;
+        }
+    }
+}
+
+/// Seats 1..n as `run_pooling` seats them: copies of a loaded seat 0.
+fn seat_copies<P: BufferPool>(first: Db<P>, n: usize, copy: impl Fn(&P, usize) -> P) -> Vec<Db<P>> {
+    let mut dbs = vec![first];
+    for i in 1..n {
+        let db = dbs[0].copy_onto(copy(&dbs[0].pool, i));
+        dbs.push(db);
+    }
+    dbs
+}
+
+#[test]
+fn cxl_n8_seat_owns_lease_0_and_the_edges() {
+    let pages = pages_for(POINT_ROWS, PAGE_SIZE);
+    let lease = 64 + pages * (64 + PAGE_SIZE);
+    let pool_size = (lease + 4096) * 8;
+    let cxl = Rc::new(RefCell::new(CxlPool::single_host(
+        pool_size as usize,
+        8,
+        4 << 20,
+        false,
+    )));
+    let mut mgr = CxlMemoryManager::new(pool_size);
+    let bases: Vec<u64> = (0..8)
+        .map(|i| {
+            mgr.allocate(NodeId(i), lease, SimTime::ZERO)
+                .expect("room")
+                .0
+                .offset
+        })
+        .collect();
+    assert_eq!(bases[1] - bases[0], 13_701_248);
+    let store = PageStore::new(pages);
+    let first = point_loaded(CxlBp::format(
+        Rc::clone(&cxl),
+        NodeId(0),
+        bases[0],
+        pages,
+        store,
+    ));
+    let mut dbs = seat_copies(first, 8, |p, i| p.copy_to(NodeId(i), bases[i]));
+    let mut mapped: Vec<_> = (1..8)
+        .flat_map(|i| mapped_by(bases[0], bases[i], lease))
+        .collect();
+    assert_eq!(mapped.len(), 359);
+    assert_owns(cxl.borrow().raw(), &mapped, "seated");
+    point_selects(&mut dbs);
+    assert_owns(cxl.borrow().raw(), &mapped, "after point selects");
+    // One store into a copy's mapped window owns that window alone.
+    let at = bases[3] + lease / 2;
+    cxl.borrow_mut()
+        .write(NodeId(3), at, &[7; 8], SimTime::ZERO);
+    write_through(&mut mapped, at);
+    assert_owns(cxl.borrow().raw(), &mapped, "a copy written");
+    // One store into lease 0 owns every window that read through it.
+    let at = bases[0] + lease / 3;
+    let before = mapped.len();
+    cxl.borrow_mut()
+        .write(NodeId(0), at, &[7; 8], SimTime::ZERO);
+    write_through(&mut mapped, at);
+    assert_eq!(before - mapped.len(), 14, "two readers per copy");
+    assert_owns(cxl.borrow().raw(), &mapped, "the source written");
+}
+
+#[test]
+fn tiered_n4_seat_owns_slice_0_and_the_edges() {
+    let pages = pages_for(POINT_ROWS, PAGE_SIZE);
+    let slice = pages * PAGE_SIZE;
+    let rdma = Rc::new(RefCell::new(RdmaPool::new((slice * 4) as usize, 1)));
+    let lbp = (pages as f64 * 0.3).ceil() as usize;
+    let store = PageStore::new(pages);
+    let first = point_loaded(TieredRdmaBp::new(
+        Rc::clone(&rdma),
+        0,
+        0,
+        lbp,
+        4 << 20,
+        store,
+    ));
+    let mut dbs = seat_copies(first, 4, |p, i| p.copy_to(i as u64 * slice));
+    let mut mapped: Vec<_> = (1..4)
+        .flat_map(|i| mapped_by(0, i * slice, slice))
+        .collect();
+    assert_eq!(mapped.len(), 3 * 51);
+    assert_owns(rdma.borrow().raw(), &mapped, "seated");
+    point_selects(&mut dbs);
+    assert_owns(rdma.borrow().raw(), &mapped, "after point selects");
+    let at = 2 * slice + slice / 2;
+    rdma.borrow_mut().raw_mut().write(at, &[7; 8]);
+    write_through(&mut mapped, at);
+    assert_owns(rdma.borrow().raw(), &mapped, "a copy written");
+    let at = slice / 3;
+    rdma.borrow_mut().raw_mut().write(at, &[7; 8]);
+    write_through(&mut mapped, at);
+    assert_owns(rdma.borrow().raw(), &mapped, "the source written");
 }
 
 // ---- what a copy refuses --------------------------------------------
