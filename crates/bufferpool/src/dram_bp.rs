@@ -38,20 +38,10 @@ impl DramBp {
     /// A pool with `frames` page frames over `store`, fronted by a CPU
     /// cache of `cache_bytes`, evicting by LRU.
     pub fn new(frames: usize, cache_bytes: usize, store: PageStore) -> Self {
-        Self::with_policy(frames, cache_bytes, store, PolicyKind::Lru)
-    }
-
-    /// Like [`DramBp::new`] but evicting under `policy`.
-    pub fn with_policy(
-        frames: usize,
-        cache_bytes: usize,
-        store: PageStore,
-        policy: PolicyKind,
-    ) -> Self {
         assert!(frames > 0);
         let page = store.page_size() as usize;
         // Pre-size the eviction spill map so misses never allocate.
-        let mut table = FrameTable::with_policy(frames, policy);
+        let mut table = FrameTable::with_policy(frames, PolicyKind::Lru);
         table.reserve_evictions(store.capacity_pages() as usize);
         DramBp {
             space: DramSpace::new(frames * page, cache_bytes, false),

@@ -56,9 +56,6 @@ pub struct BpStats {
     pub fault_fallbacks: u64,
     /// Poisoned CXL reads healed by rebuilding the block from storage.
     pub poison_rebuilds: u64,
-    /// Retry budgets burned to exhaustion (each surfaced as a typed
-    /// [`OverloadError`], distinguishable from an orderly fallback).
-    pub overload_errors: u64,
 }
 
 impl BpStats {
@@ -72,32 +69,6 @@ impl BpStats {
         }
     }
 }
-
-/// A fabric operation burned its bounded retry budget. The pool still
-/// degrades to storage where that is safe, but the condition is typed
-/// and counted ([`BpStats::overload_errors`]) so a burned budget is
-/// distinguishable from an orderly fallback in every registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverloadError {
-    /// The page whose operation overloaded.
-    pub page: PageId,
-    /// Fabric attempts made before giving up.
-    pub attempts: u32,
-    /// Virtual time burned on the failed attempts (ns).
-    pub burned_ns: u64,
-}
-
-impl std::fmt::Display for OverloadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "page {:?} overloaded after {} fabric attempts ({} ns burned): retry budget exhausted",
-            self.page, self.attempts, self.burned_ns
-        )
-    }
-}
-
-impl std::error::Error for OverloadError {}
 
 /// The buffer pool contract used by the B+tree and the engine.
 ///

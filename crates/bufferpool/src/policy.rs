@@ -1,8 +1,11 @@
-//! Pluggable, deterministic eviction policies for the pool tiers.
+//! Deterministic eviction policies behind one recency contract.
 //!
-//! Every pool used to hard-code the intrusive [`LruList`]; this module
-//! extracts the recency contract behind a small [`Policy`] trait with
-//! three implementations, selectable per tier via [`PolicyKind`]:
+//! Every pool runs the intrusive [`LruList`], the paper's one recency
+//! order. This module puts that contract behind a small [`Policy`] trait
+//! with three implementations, selectable per
+//! [`FrameTable`](crate::FrameTable) via [`PolicyKind`]; CLOCK and 2Q
+//! are reached only through `FrameTable::with_policy`, where the
+//! performance ledger times them:
 //!
 //! - **LRU** — the existing intrusive doubly-linked list. Exact recency,
 //!   but every hit relinks the node (3 pointer stores + branches).
@@ -19,8 +22,8 @@
 
 use crate::lru::LruList;
 
-/// Which eviction policy a tier runs. Defaults to [`PolicyKind::Lru`],
-/// the behaviour every pool had before policies became pluggable.
+/// Which eviction policy a directory runs. Defaults to
+/// [`PolicyKind::Lru`], the one every pool runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PolicyKind {
     /// Exact recency via the intrusive doubly-linked [`LruList`].
@@ -35,25 +38,6 @@ pub enum PolicyKind {
 impl PolicyKind {
     /// Every policy, in sweep order.
     pub const ALL: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Clock, PolicyKind::TwoQ];
-
-    /// Stable lowercase name used in metrics keys and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Lru => "lru",
-            PolicyKind::Clock => "clock",
-            PolicyKind::TwoQ => "2q",
-        }
-    }
-
-    /// Parse a [`PolicyKind::name`] back (env knobs, CLI).
-    pub fn parse(s: &str) -> Option<PolicyKind> {
-        match s {
-            "lru" => Some(PolicyKind::Lru),
-            "clock" => Some(PolicyKind::Clock),
-            "2q" | "twoq" => Some(PolicyKind::TwoQ),
-            _ => None,
-        }
-    }
 }
 
 /// The recency contract a pool tier needs from its eviction policy.

@@ -94,18 +94,6 @@ impl CxlBp {
     /// attach to it, evicting by LRU. Formatting is raw (startup,
     /// untimed).
     pub fn format(cxl: SharedCxl, node: NodeId, base: u64, nblocks: u64, store: PageStore) -> Self {
-        Self::format_with_policy(cxl, node, base, nblocks, store, PolicyKind::Lru)
-    }
-
-    /// Like [`CxlBp::format`] but evicting under `policy`.
-    pub fn format_with_policy(
-        cxl: SharedCxl,
-        node: NodeId,
-        base: u64,
-        nblocks: u64,
-        store: PageStore,
-        policy: PolicyKind,
-    ) -> Self {
         let geo = Geometry {
             base,
             nblocks,
@@ -136,7 +124,7 @@ impl CxlBp {
             node,
             geo,
             store,
-            dir: Residency::with_map_capacity(nblocks as usize, policy, nblocks as usize),
+            dir: Residency::with_map_capacity(nblocks as usize, PolicyKind::Lru, nblocks as usize),
             mirror: vec![BlockMeta::free(); nblocks as usize],
             inuse_head: 0,
             dirty_ranges: Vec::with_capacity(DIRTY_RANGES_CAP),
@@ -151,17 +139,6 @@ impl CxlBp {
     /// that, before the pool serves a page. Evicts by LRU; panics if the
     /// region is not formatted.
     pub fn attach(cxl: SharedCxl, node: NodeId, base: u64, store: PageStore) -> Self {
-        Self::attach_with_policy(cxl, node, base, store, PolicyKind::Lru)
-    }
-
-    /// Like [`CxlBp::attach`] but evicting under `policy`.
-    pub fn attach_with_policy(
-        cxl: SharedCxl,
-        node: NodeId,
-        base: u64,
-        store: PageStore,
-        policy: PolicyKind,
-    ) -> Self {
         let hdr = {
             let pool = cxl.borrow();
             RegionHeader::decode(pool.raw().slice(base, META_SIZE as usize))
@@ -179,7 +156,7 @@ impl CxlBp {
             node,
             geo,
             store,
-            dir: Residency::with_map_capacity(nblocks, policy, nblocks),
+            dir: Residency::with_map_capacity(nblocks, PolicyKind::Lru, nblocks),
             mirror: vec![BlockMeta::free(); nblocks],
             inuse_head: hdr.inuse_head,
             dirty_ranges: Vec::with_capacity(DIRTY_RANGES_CAP),
@@ -258,9 +235,7 @@ impl CxlBp {
     /// Install recovered metadata (called by
     /// [`crate::recovery::polar_recv`] after it has repaired the CXL
     /// image): rebuilds the mirror and the directory. `metas` is ordered
-    /// front (MRU) to back (LRU), and the first ends up newest with the
-    /// policy (exact MRU for LRU; for CLOCK/2Q the recovered order seeds
-    /// the ring/probation equivalently).
+    /// front (MRU) to back (LRU), and the first ends up newest.
     pub fn adopt_recovered_state(&mut self, metas: &[(u32, BlockMeta)]) {
         for m in &mut self.mirror {
             *m = BlockMeta::free();
@@ -953,7 +928,7 @@ mod tests {
     /// sweep: the `BpStats` and the order pages leave in. With
     /// `forget_memo` every read finds no memo, so every hit probes and
     /// touches the policy: the reference the memo must match.
-    fn memo_script(policy: PolicyKind, forget_memo: bool) -> (String, Vec<u64>) {
+    fn memo_script(forget_memo: bool) -> (String, Vec<u64>) {
         let mut store = PageStore::with_page_size(16, 1024);
         for p in 0..16 {
             store.allocate();
@@ -966,7 +941,7 @@ mod tests {
             false,
         )));
         // Eight blocks, all free: pages 0–3 take four of them.
-        let mut bp = CxlBp::format_with_policy(cxl, NodeId(0), 0, 8, store, policy);
+        let mut bp = CxlBp::format(cxl, NodeId(0), 0, 8, store);
         let mut buf = [0u8; 8];
         let mut now = SimTime::ZERO;
         let mut read = |bp: &mut CxlBp, p: u64| {
@@ -978,8 +953,7 @@ mod tests {
         // Page 0 is hot when page 1's free-block miss inserts it: that
         // install must drop the memo (under LRU page 0 is no longer the
         // head, and the next read of it must move it back). Page 2's read
-        // after its own miss must not find a memo either: under 2Q that
-        // read is the promotion.
+        // after its own miss must not find a memo either.
         for p in [0, 0, 0, 1, 0, 2, 2, 3, 3] {
             read(&mut bp, p);
         }
@@ -995,20 +969,18 @@ mod tests {
 
     #[test]
     fn hot_page_branch_keeps_stats_and_eviction_order() {
-        for policy in PolicyKind::ALL {
-            simkit::trace::enable_attribution(false);
-            let lean = memo_script(policy, false);
-            let touch_every_hit = memo_script(policy, true);
-            simkit::trace::reset();
-            simkit::trace::enable_attribution(true);
-            let observed = memo_script(policy, false);
-            simkit::trace::enable_attribution(false);
-            assert!(simkit::trace::attr_snapshot().total_ns() > 0);
-            assert_eq!(lean, observed, "{policy:?}");
-            assert_eq!(lean, touch_every_hit, "{policy:?}");
-            // Twelve new pages, four free blocks: eight evictions.
-            assert_eq!(lean.1.len(), 8, "{policy:?}: {:?}", lean.1);
-        }
+        simkit::trace::enable_attribution(false);
+        let lean = memo_script(false);
+        let touch_every_hit = memo_script(true);
+        simkit::trace::reset();
+        simkit::trace::enable_attribution(true);
+        let observed = memo_script(false);
+        simkit::trace::enable_attribution(false);
+        assert!(simkit::trace::attr_snapshot().total_ns() > 0);
+        assert_eq!(lean, observed);
+        assert_eq!(lean, touch_every_hit);
+        // Twelve new pages, four free blocks: eight evictions.
+        assert_eq!(lean.1.len(), 8, "{:?}", lean.1);
     }
 
     #[test]

@@ -315,24 +315,11 @@ impl RdmaSharingNode {
     /// pool through their `server` argument, and phase methods through
     /// the node's detached shard.
     pub fn new(node: NodeId, host: usize, lbp_frames: usize, page_size: u64) -> Self {
-        Self::with_policy(node, host, lbp_frames, page_size, PolicyKind::Lru)
-    }
-
-    /// Like [`RdmaSharingNode::new`] but evicting the LBP under
-    /// `policy`. The policy runs *inside* barrier-synchronized parallel
-    /// phases, so every implementation must be (and is) deterministic.
-    pub fn with_policy(
-        node: NodeId,
-        host: usize,
-        lbp_frames: usize,
-        page_size: u64,
-        policy: PolicyKind,
-    ) -> Self {
         RdmaSharingNode {
             node,
             host,
             page_size,
-            dir: Residency::new(lbp_frames, policy),
+            dir: Residency::new(lbp_frames, PolicyKind::Lru),
             frame_addr: vec![0; lbp_frames],
             pending: Vec::new(),
             pending_bytes: Vec::new(),
@@ -668,10 +655,10 @@ mod tests {
     /// bytes, and how many reads found the memo. With `forget_memo` no
     /// read finds it, so every hit probes and touches the policy: the
     /// reference the memo must match.
-    fn memo_script(policy: PolicyKind, forget_memo: bool) -> (String, usize) {
+    fn memo_script(forget_memo: bool) -> (String, usize) {
         let (mut server, _, _) = setup(1);
-        let mut node = RdmaSharingNode::with_policy(NodeId(0), 0, 4, 1024, policy);
-        let mut rng = simkit::rng::stream_rng(0x3E30, policy as u64);
+        let mut node = RdmaSharingNode::new(NodeId(0), 0, 4, 1024);
+        let mut rng = simkit::rng::stream_rng(0x3E30, 0);
         let (mut page, mut back, mut now) = (PageId(0), PageId(1), SimTime::ZERO);
         let (mut order, mut bytes, mut memo_hits) = (Vec::new(), Vec::new(), 0);
         for _ in 0..1_500 {
@@ -711,12 +698,10 @@ mod tests {
 
     #[test]
     fn memo_hits_keep_stats_eviction_order_and_bytes() {
-        for policy in PolicyKind::ALL {
-            let (lean, memo_hits) = memo_script(policy, false);
-            let (touch_every_hit, none) = memo_script(policy, true);
-            assert_eq!(lean, touch_every_hit, "{policy:?}");
-            assert!(memo_hits > 1_000 && none == 0, "{policy:?}: {memo_hits}");
-        }
+        let (lean, memo_hits) = memo_script(false);
+        let (touch_every_hit, none) = memo_script(true);
+        assert_eq!(lean, touch_every_hit);
+        assert!(memo_hits > 1_000 && none == 0, "{memo_hits}");
     }
 
     /// Two-node phased fixture: every page resolved on both nodes, one

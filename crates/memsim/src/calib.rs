@@ -62,8 +62,6 @@ pub const CXL_STREAM_WRITE_NS_PER_LINE: u64 = 4;
 pub const CXL_HOST_LINK_GBPS: f64 = 64.0;
 /// Aggregate switching capacity of the XConn switch, GB/s (2 TB/s).
 pub const CXL_SWITCH_GBPS: f64 = 2_000.0;
-/// Effective local DRAM streaming bandwidth per socket, GB/s.
-pub const DRAM_GBPS: f64 = 120.0;
 /// DRAM streaming cost per line beyond the first access.
 pub const DRAM_STREAM_NS_PER_LINE: u64 = 1;
 
@@ -83,10 +81,6 @@ pub const WAL_GBPS: f64 = 2.0;
 // ------------------------------------------------------------------- CPU
 /// vCPUs per database instance in every experiment (§4.1).
 pub const INSTANCE_VCPUS: usize = 16;
-/// vCPUs per physical host (§4.2: 192 vCPUs, 12 instances).
-pub const HOST_VCPUS: usize = 192;
-/// Max instances per host.
-pub const MAX_INSTANCES_PER_HOST: usize = 12;
 
 /// Pure CPU work of a point-select query (parse/plan/B-tree walk compute),
 /// excluding memory stalls. Calibrated so one 16-vCPU instance on a local

@@ -510,15 +510,6 @@ impl FaultState {
     pub fn stats(&self) -> FaultStats {
         self.engine.stats
     }
-
-    /// Passive link-fault snapshot of this detached state at `now`
-    /// (the detached equivalent of [`link_snapshot`]).
-    pub fn link_snapshot(&self, now: SimTime) -> LinkSnapshot {
-        if self.flags & LINK_FAULTS == 0 {
-            return LinkSnapshot::default();
-        }
-        LinkSnapshot::of(&self.engine.link_faults, now)
-    }
 }
 
 /// Exchange the calling thread's fault-engine state with `state`. Used
@@ -637,58 +628,6 @@ fn link_health_slow(site: FaultSite, host: u32, now: SimTime) -> LinkHealth {
         }
         health
     })
-}
-
-/// A passive summary of the live link-fault table: how many per-host
-/// link faults are active at an instant, split degraded vs down, with
-/// the worst slowdown factor. Unlike [`link_health`] the snapshot
-/// paths count no gate hit and prune nothing — surfacing link state
-/// into registry snapshots cannot perturb fault schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkSnapshot {
-    /// Live degrade entries (a slowdown factor applies).
-    pub degraded: u32,
-    /// Live outage entries (link down, callers in retry backoff).
-    pub down: u32,
-    /// Worst slowdown factor across live degrade entries (1 = none).
-    pub worst_factor: u32,
-}
-
-impl Default for LinkSnapshot {
-    fn default() -> Self {
-        LinkSnapshot {
-            degraded: 0,
-            down: 0,
-            worst_factor: 1,
-        }
-    }
-}
-
-impl LinkSnapshot {
-    fn of(link_faults: &[LinkFault], now: SimTime) -> LinkSnapshot {
-        let mut s = LinkSnapshot::default();
-        for lf in link_faults {
-            if lf.until <= now {
-                continue;
-            }
-            if lf.down {
-                s.down += 1;
-            } else {
-                s.degraded += 1;
-                s.worst_factor = s.worst_factor.max(lf.factor);
-            }
-        }
-        s
-    }
-}
-
-/// Snapshot the calling thread's live link faults at `now` — see
-/// [`LinkSnapshot`]. One flag test when no link fault was ever armed.
-pub fn link_snapshot(now: SimTime) -> LinkSnapshot {
-    if FLAGS.with(|f| f.get()) & LINK_FAULTS == 0 {
-        return LinkSnapshot::default();
-    }
-    ENGINE.with(|e| LinkSnapshot::of(&e.borrow().link_faults, now))
 }
 
 /// Poll the fault engine at an injection site. One inlined thread-local

@@ -330,14 +330,6 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    /// Integer view (a `Num` is truncated toward zero).
-    pub fn as_u64(self) -> u64 {
-        match self {
-            MetricValue::Int(v) => v,
-            MetricValue::Num(v) => v as u64,
-        }
-    }
-
     /// Floating-point view.
     pub fn as_f64(self) -> f64 {
         match self {

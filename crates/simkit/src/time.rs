@@ -117,8 +117,6 @@ impl fmt::Display for SimTime {
 
 /// Duration constants and conversion helpers (plain `u64` nanoseconds).
 pub mod dur {
-    /// One nanosecond.
-    pub const NS: u64 = 1;
     /// One microsecond in nanoseconds.
     pub const US: u64 = 1_000;
     /// One millisecond in nanoseconds.

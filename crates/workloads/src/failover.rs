@@ -34,7 +34,7 @@ use crate::sharing::{seed_storage, GroupLayout};
 use memsim::calib::{CPU_TXN_OVERHEAD_NS, PAGE_SIZE};
 use memsim::NodeId;
 use polarcxlmem::{CxlMemoryManager, FencingPolicy, FusionStats, Lease, SharingNode};
-use simkit::faults::{self, Action, FaultPlan, FaultSite, FaultState, FaultStats, Trigger};
+use simkit::faults::{Action, FaultPlan, FaultSite, FaultState, FaultStats, Trigger};
 use simkit::rng::stream_rng;
 use simkit::stats::TimeSeries;
 use simkit::trace::{self, SpanKind};
@@ -516,16 +516,10 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
             }
         },
     );
-    // Fold per-lane fault counters and end-of-run link state in lane
-    // order.
+    // Fold per-lane fault counters in lane order.
     let mut fault_stats = FaultStats::default();
-    let mut link_snap = faults::LinkSnapshot::default();
     for core in &cluster.cores {
         fault_stats.absorb(&core.faults.stats());
-        let ls = core.faults.link_snapshot(cfg.duration);
-        link_snap.degraded += ls.degraded;
-        link_snap.down += ls.down;
-        link_snap.worst_factor = link_snap.worst_factor.max(ls.worst_factor);
     }
     let queries_per_node: Vec<u64> = cluster.exts.iter().map(|s| s.queries).collect();
 
@@ -617,9 +611,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     registry.set_int("faults_node_crashes", fault_stats.node_crashes);
     registry.set_int("faults_link_degrades", fault_stats.link_degrades);
     registry.set_int("faults_link_flaps", fault_stats.link_flaps);
-    registry.set_int("links_degraded", link_snap.degraded as u64);
-    registry.set_int("links_down", link_snap.down as u64);
-    registry.set_int("links_worst_factor", link_snap.worst_factor as u64);
     for site in FaultSite::ALL {
         registry.set_int(
             &format!("faults_injected_{}", site.name()),

@@ -12,7 +12,7 @@ use crate::sysbench::{
 };
 use bufferpool::dram_bp::DramBp;
 use bufferpool::tiered::TieredRdmaBp;
-use bufferpool::{BufferPool, PolicyKind};
+use bufferpool::BufferPool;
 use engine::Db;
 use memsim::calib::PAGE_SIZE;
 use memsim::{CxlPool, NodeId, RdmaPool};
@@ -60,8 +60,6 @@ pub struct PoolingConfig {
     /// CXL only: model direct-attached memory (no switch) instead of the
     /// switched pool — the §2.3 latency counterfactual.
     pub direct_attach: bool,
-    /// Eviction policy for the design's page frames.
-    pub policy: PolicyKind,
     /// Root RNG seed.
     pub seed: u64,
 }
@@ -89,7 +87,6 @@ impl PoolingConfig {
             cache_bytes: STANDARD_CACHE_BYTES,
             lbp_fraction: STANDARD_LBP_FRACTION,
             direct_attach: false,
-            policy: PolicyKind::Lru,
             seed: 42,
         }
     }
@@ -324,16 +321,11 @@ fn collect_registry<P: BufferPool>(
     reg.set_int("storage_reads", io_reads);
     reg.set_int("storage_writes", io_writes);
     reg.set_int("storage_channel_bytes", channel_bytes);
-    // Link health: cumulative fault-engine counters plus the passive
-    // end-of-run snapshot (what is *still* degraded/down at the
-    // horizon). All zero on fault-free runs, but the schema is uniform.
+    // Link health: the fault engine's cumulative counters. Zero on
+    // fault-free runs, but the schema is uniform.
     let fstats = faults::stats();
     reg.set_int("faults_link_degrades", fstats.link_degrades);
     reg.set_int("faults_link_flaps", fstats.link_flaps);
-    let links = faults::link_snapshot(metrics.window);
-    reg.set_int("links_degraded", links.degraded as u64);
-    reg.set_int("links_down", links.down as u64);
-    reg.set_int("links_worst_factor", links.worst_factor as u64);
     reg.set_num("qps", metrics.qps);
     reg.set_num("tps", metrics.tps);
     reg.set_histogram("latency", &metrics.latency);
@@ -422,7 +414,7 @@ fn pooling<const ALL_LOADED: bool>(cfg: &PoolingConfig) -> PoolingResult {
                 cfg,
                 |_| {
                     let store = PageStore::new(pages);
-                    DramBp::with_policy(pages as usize, cfg.cache_bytes, store, cfg.policy)
+                    DramBp::new(pages as usize, cfg.cache_bytes, store)
                 },
                 |first, _| first.clone(),
             );
@@ -435,14 +427,13 @@ fn pooling<const ALL_LOADED: bool>(cfg: &PoolingConfig) -> PoolingResult {
             let dbs = seat::<_, ALL_LOADED>(
                 cfg,
                 |i| {
-                    TieredRdmaBp::with_policy(
+                    TieredRdmaBp::new(
                         Rc::clone(&rdma),
                         0,
                         i as u64 * slice,
                         lbp_frames,
                         cfg.cache_bytes,
                         PageStore::new(pages),
-                        cfg.policy,
                     )
                 },
                 |first, i| first.copy_to(i as u64 * slice),
@@ -483,7 +474,7 @@ fn pooling<const ALL_LOADED: bool>(cfg: &PoolingConfig) -> PoolingResult {
                 |i| {
                     let store = PageStore::new(pages);
                     let (cxl, node) = (Rc::clone(&cxl), NodeId(i));
-                    CxlBp::format_with_policy(cxl, node, leases[i], pages, store, cfg.policy)
+                    CxlBp::format(cxl, node, leases[i], pages, store)
                 },
                 |first, i| first.copy_to(NodeId(i), leases[i]),
             );
@@ -551,26 +542,23 @@ mod tests {
     /// every instance itself, the whole result — metrics, latency
     /// histogram, per-instance QPS, every registry entry — is equal, for
     /// every design, a read-only and a logging workload, both instance
-    /// counts past one, two eviction policies, and modelled caches small
-    /// enough to alias constantly (a power-of-two set count at n = 2,
-    /// 1 536 sets at n = 3).
+    /// counts past one, and modelled caches small enough to alias
+    /// constantly (a power-of-two set count at n = 2, 1 536 sets at
+    /// n = 3).
     #[test]
     fn copied_instances_equal_loaded_ones() {
         for kind in [PoolKind::Dram, PoolKind::TieredRdma, PoolKind::Cxl] {
             for workload in [SysbenchKind::PointSelect, SysbenchKind::ReadWrite] {
                 for n in [2, 3] {
-                    for policy in [PolicyKind::Lru, PolicyKind::Clock] {
-                        let mut cfg = PoolingConfig::standard(kind, workload, n);
-                        cfg.table_size = 3_000;
-                        cfg.duration = SimTime::from_millis(3);
-                        cfg.workers_per_instance = 8;
-                        cfg.cache_bytes = if n == 2 { 64 << 10 } else { 96 << 10 };
-                        cfg.lbp_fraction = 0.2;
-                        cfg.policy = policy;
-                        let copied = run_pooling(&cfg);
-                        assert_eq!(copied, pooling::<true>(&cfg), "{cfg:?}");
-                        assert!(copied.per_instance_qps.iter().all(|&q| q > 0.0));
-                    }
+                    let mut cfg = PoolingConfig::standard(kind, workload, n);
+                    cfg.table_size = 3_000;
+                    cfg.duration = SimTime::from_millis(3);
+                    cfg.workers_per_instance = 8;
+                    cfg.cache_bytes = if n == 2 { 64 << 10 } else { 96 << 10 };
+                    cfg.lbp_fraction = 0.2;
+                    let copied = run_pooling(&cfg);
+                    assert_eq!(copied, pooling::<true>(&cfg), "{cfg:?}");
+                    assert!(copied.per_instance_qps.iter().all(|&q| q > 0.0));
                 }
             }
         }

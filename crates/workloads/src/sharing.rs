@@ -150,9 +150,6 @@ pub struct SharingConfig {
     /// Kept only because the `benchmark` package's cells still write it;
     /// the next change to that package deletes it.
     pub host_threads: usize,
-    /// Eviction policy for node-local page frames (the RDMA design's
-    /// local buffer pool; ignored by designs without one).
-    pub policy: bufferpool::PolicyKind,
 }
 
 impl SharingConfig {
@@ -170,7 +167,6 @@ impl SharingConfig {
             seed: 11,
             quantum: SimTime::from_micros(200),
             host_threads: 0,
-            policy: bufferpool::PolicyKind::Lru,
         }
     }
 }
@@ -312,7 +308,7 @@ where
     let accessed_pages = 2 * layout.pages_per_group();
     let lbp_frames = ((accessed_pages as f64 * lbp_fraction).ceil() as usize).max(4);
     let mut nodes: Vec<RdmaSharingNode> = (0..n)
-        .map(|i| RdmaSharingNode::with_policy(NodeId(i), i, lbp_frames, PAGE_SIZE, cfg.policy))
+        .map(|i| RdmaSharingNode::new(NodeId(i), i, lbp_frames, PAGE_SIZE))
         .collect();
     // Warm serially: resolve the DBP address of *every* page the node
     // may touch (no server RPC can happen mid-phase), then fault in up

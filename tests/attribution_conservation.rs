@@ -119,7 +119,8 @@ fn tiered_rdma_conserves_and_span_bytes_match_nic() {
     trace::reset();
 }
 
-fn cxl_bp_conserves(policy: bufferpool::PolicyKind) {
+#[test]
+fn cxl_bp_conserves_and_span_bytes_match_switch() {
     let geo_size = 64 + PAGES * (64 + PAGE_SIZE);
     let pool_size = geo_size + 4096;
     let node_cfg = CxlNodeConfig {
@@ -136,14 +137,7 @@ fn cxl_bp_conserves(policy: bufferpool::PolicyKind) {
         .expect("pool sized for one node");
     let store = PageStore::new(PAGES);
     let mut db = Db::create(
-        CxlBp::format_with_policy(
-            Rc::clone(&cxl),
-            NodeId(0),
-            lease.offset,
-            PAGES,
-            store,
-            policy,
-        ),
+        CxlBp::format(Rc::clone(&cxl), NodeId(0), lease.offset, PAGES, store),
         RECORD,
     );
     db.load(rows());
@@ -178,20 +172,6 @@ fn cxl_bp_conserves(policy: bufferpool::PolicyKind) {
         "single host: every switch byte crossed host 0's link"
     );
     trace::reset();
-}
-
-#[test]
-fn cxl_bp_conserves_and_span_bytes_match_switch() {
-    cxl_bp_conserves(bufferpool::PolicyKind::Lru);
-}
-
-#[test]
-fn cxl_bp_conserves_under_clock_and_2q() {
-    // The eviction policy decides *which* pages move, not how moves are
-    // accounted — conservation and the byte cross-check must hold under
-    // every pluggable policy.
-    cxl_bp_conserves(bufferpool::PolicyKind::Clock);
-    cxl_bp_conserves(bufferpool::PolicyKind::TwoQ);
 }
 
 #[test]

@@ -217,34 +217,6 @@ fn sharing_intra_config_reruns_bit_identically() {
 }
 
 #[test]
-fn eviction_policies_reruns_bit_identically() {
-    // The pluggable eviction policies (LRU / CLOCK / 2Q) live inside
-    // each node's local pool, so a policy with any host-order dependence
-    // (iteration over a hash map, a tiebreak on wall time) would diverge
-    // here.
-    let run = |policy: PolicyKind| {
-        let mut c = SharingConfig::standard(SharingSystem::Rdma { lbp_fraction: 0.3 }, 4);
-        c.layout.rows_per_group = 1_000;
-        c.duration = SimTime::from_millis(20);
-        c.policy = policy;
-        let layout = c.layout;
-        run_sharing(&c, point_update_gen(layout, 40))
-    };
-    let mut baselines = Vec::new();
-    for policy in PolicyKind::ALL {
-        let one = run(policy);
-        assert_eq!(one, run(policy), "{policy:?}: rerun diverged");
-        baselines.push(one);
-    }
-    // And the knob is alive: the three policies are different algorithms
-    // and must not all produce identical runs on an eviction-heavy pool.
-    assert!(
-        baselines.windows(2).any(|w| w[0] != w[1]),
-        "all eviction policies produced identical runs — policy knob is dead"
-    );
-}
-
-#[test]
 fn sharing_traces_reruns_bit_identically() {
     // Each lane's spans re-land on the calling thread in lane order at
     // the end of the run, so the trace stream (and the attribution it

@@ -194,10 +194,6 @@ fn build_rdma() -> Db<TieredRdmaBp> {
 }
 
 fn build_cxl() -> Db<CxlBp> {
-    build_cxl_policy(PolicyKind::Lru)
-}
-
-fn build_cxl_policy(policy: PolicyKind) -> Db<CxlBp> {
     let store = PageStore::with_page_size(512, 2048);
     // capture=true: stores sit in the CPU cache until clflush, so
     // partial-clflush points genuinely tear pages.
@@ -208,7 +204,7 @@ fn build_cxl_policy(policy: PolicyKind) -> Db<CxlBp> {
         true,
     )));
     load(Db::create(
-        CxlBp::format_with_policy(cxl, NodeId(0), 0, 512, store, policy),
+        CxlBp::format(cxl, NodeId(0), 0, 512, store),
         REC,
     ))
 }
@@ -412,39 +408,6 @@ fn sweep_polarrecv() {
             "cxl_nt_store",
             "storage_write",
         ],
-    );
-}
-
-/// The eviction policy decides which pages are CXL-resident (and
-/// therefore which bytes recovery can trust) at every crash point — the
-/// whole sweep must stay clean under CLOCK and 2Q, not just LRU.
-#[test]
-fn sweep_polarrecv_clock_policy() {
-    let out = sweep_design(
-        || build_cxl_policy(PolicyKind::Clock),
-        |db, t| {
-            recover_polar(db, t);
-        },
-    );
-    assert_clean(
-        &out,
-        "polarrecv-clock",
-        &["wal_flush", "clflush", "cxl_read", "cxl_nt_store"],
-    );
-}
-
-#[test]
-fn sweep_polarrecv_2q_policy() {
-    let out = sweep_design(
-        || build_cxl_policy(PolicyKind::TwoQ),
-        |db, t| {
-            recover_polar(db, t);
-        },
-    );
-    assert_clean(
-        &out,
-        "polarrecv-2q",
-        &["wal_flush", "clflush", "cxl_read", "cxl_nt_store"],
     );
 }
 

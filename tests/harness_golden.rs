@@ -162,7 +162,7 @@ takeover=Some(TakeoverSummary { death_declared: SimTime(8000000), fence_start: S
 safety_ok=true mismatches=0 max_survivor_gap_ns=0
 faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0, 0, 0, 0, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
 fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, migrated_out: 0 }
-registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "links_degraded": 0, "links_down": 0, "links_worst_factor": 1, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
+registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
 lanes cpu=219682000 cxl_link=19316716 switch=0 rdma_nic=0 cache_hit=16064 dram=0 wal=0 storage=10986520 other=2600000 spans 22588
 "#;
 
@@ -183,7 +183,7 @@ takeover=Some(TakeoverSummary { death_declared: SimTime(8000000), fence_start: S
 safety_ok=true mismatches=0 max_survivor_gap_ns=0
 faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0, 0, 0, 0, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
 fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, migrated_out: 0 }
-registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "links_degraded": 0, "links_down": 0, "links_worst_factor": 1, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
+registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
 lanes cpu=219682000 cxl_link=19317416 switch=0 rdma_nic=0 cache_hit=16064 dram=0 wal=0 storage=10986520 other=2600000 spans 22589
 "#;
 

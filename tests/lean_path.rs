@@ -6,8 +6,8 @@
 //! DRAM-backed pools have one path, whose re-fix of that page is in
 //! line); everything else — and every read of an instrumented or
 //! fault-armed run — takes the general path. The two must be
-//! indistinguishable in every simulated value. For each pool × eviction
-//! policy one seeded op sequence runs three times:
+//! indistinguishable in every simulated value. For each pool one seeded
+//! op sequence runs three times:
 //!
 //! - **plain**: lean paths wherever they apply;
 //! - **attribution on**: the CXL pool routes every read through `fix` and
@@ -250,67 +250,48 @@ fn assert_modes_agree(name: &str, run: impl Fn(Plane, bool) -> Outcome) {
 
 #[test]
 fn dram_pool_lean_and_general_paths_agree() {
-    for policy in PolicyKind::ALL {
-        assert_modes_agree(&format!("dram/{}", policy.name()), |plane, by_default| {
-            let mut bp = DramBp::with_policy(FRAMES, CACHE_BYTES, store(), policy);
-            bp.prewarm();
-            let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
-            Outcome {
-                accesses,
-                flushes,
-                bp_stats: format!("{:?}", bp.stats()),
-                cache: bp.cache_stats(),
-                link_bytes: vec![],
-            }
-        });
-    }
+    assert_modes_agree("dram", |plane, by_default| {
+        let mut bp = DramBp::new(FRAMES, CACHE_BYTES, store());
+        bp.prewarm();
+        let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
+        Outcome {
+            accesses,
+            flushes,
+            bp_stats: format!("{:?}", bp.stats()),
+            cache: bp.cache_stats(),
+            link_bytes: vec![],
+        }
+    });
 }
 
 #[test]
 fn tiered_pool_lean_and_general_paths_agree() {
-    for policy in PolicyKind::ALL {
-        assert_modes_agree(&format!("tiered/{}", policy.name()), |plane, by_default| {
-            let rdma = Rc::new(RefCell::new(RdmaPool::new(1 << 20, 1)));
-            let mut bp = TieredRdmaBp::with_policy(
-                Rc::clone(&rdma),
-                0,
-                0,
-                FRAMES,
-                CACHE_BYTES,
-                store(),
-                policy,
-            );
-            bp.prewarm();
-            let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
-            assert!(bp.stats().remote_read_bytes > 0 && bp.stats().writebacks > 0);
-            let nic = rdma.borrow().nic_bytes(0);
-            Outcome {
-                accesses,
-                flushes,
-                bp_stats: format!("{:?}", bp.stats()),
-                cache: bp.cache_stats(),
-                link_bytes: vec![nic],
-            }
-        });
-    }
+    assert_modes_agree("tiered", |plane, by_default| {
+        let rdma = Rc::new(RefCell::new(RdmaPool::new(1 << 20, 1)));
+        let mut bp = TieredRdmaBp::new(Rc::clone(&rdma), 0, 0, FRAMES, CACHE_BYTES, store());
+        bp.prewarm();
+        let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
+        assert!(bp.stats().remote_read_bytes > 0 && bp.stats().writebacks > 0);
+        let nic = rdma.borrow().nic_bytes(0);
+        Outcome {
+            accesses,
+            flushes,
+            bp_stats: format!("{:?}", bp.stats()),
+            cache: bp.cache_stats(),
+            link_bytes: vec![nic],
+        }
+    });
 }
 
 /// A prewarmed CXL pool over its own single-node fabric.
-fn cxl_pool(policy: PolicyKind, capture: bool) -> (SharedCxl, CxlBp) {
+fn cxl_pool(capture: bool) -> (SharedCxl, CxlBp) {
     let cxl = Rc::new(RefCell::new(CxlPool::single_host(
         1 << 20,
         1,
         CACHE_BYTES,
         capture,
     )));
-    let mut bp = CxlBp::format_with_policy(
-        Rc::clone(&cxl),
-        NodeId(0),
-        0,
-        FRAMES as u64,
-        store(),
-        policy,
-    );
+    let mut bp = CxlBp::format(Rc::clone(&cxl), NodeId(0), 0, FRAMES as u64, store());
     bp.prewarm();
     (cxl, bp)
 }
@@ -333,13 +314,11 @@ fn cxl_outcome(
 
 #[test]
 fn cxl_pool_lean_and_general_paths_agree() {
-    for policy in PolicyKind::ALL {
-        assert_modes_agree(&format!("cxl/{}", policy.name()), |plane, by_default| {
-            let (cxl, bp) = cxl_pool(policy, false);
-            let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
-            cxl_outcome(&cxl, &bp, accesses, flushes)
-        });
-    }
+    assert_modes_agree("cxl", |plane, by_default| {
+        let (cxl, bp) = cxl_pool(false);
+        let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
+        cxl_outcome(&cxl, &bp, accesses, flushes)
+    });
 }
 
 /// Poison one CXL read in every `every`, from the 50th on.
@@ -355,7 +334,7 @@ fn poison_plan(every: u64) -> FaultPlan {
 /// Drive a CXL pool under `plan` (installed fresh).
 fn cxl_under_plan(plan: &FaultPlan, plane: Plane, by_default: bool) -> (Outcome, BpStats) {
     faults::clear();
-    let (cxl, bp) = cxl_pool(PolicyKind::Lru, false);
+    let (cxl, bp) = cxl_pool(false);
     faults::install(plan.clone());
     let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
     faults::clear();
@@ -386,7 +365,7 @@ fn cxl_touch_fills_a_capture_cache_exactly_as_read_does() {
     // same cache, and reading every page back afterwards costs the same
     // and returns the same bytes as on the twin driven by `read`.
     let run = |plane| {
-        let (cxl, bp) = cxl_pool(PolicyKind::Lru, true);
+        let (cxl, bp) = cxl_pool(true);
         let (mut bp, accesses, flushes) = drive_as(bp, plane, false);
         let mut now = accesses.last().expect("ran").end;
         let mut pages = Vec::new();

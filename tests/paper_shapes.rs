@@ -13,6 +13,8 @@
 //! recovery-time orderings from `run_recovery` through the
 //! `fig10_recovery` bench's sweep, on the ledger's `recover` cells, and
 //! ablation A2 (PolarRecv without its block metadata) on the same cells.
+//! Ablation A3: the CPU cache's size against CXL switch bytes and
+//! throughput, through the `ablation_cache_size` bench's sizes.
 //! Figures 11–13: the sharing orderings from `run_sharing` through the
 //! `fig11`/`fig12`/`fig13` benches' sweep, with the ledger's
 //! `share_mixed` gains and Figure 13's LBP breakdown.
@@ -20,12 +22,13 @@
 //! EXPERIMENTS.md quotes.
 
 use bench::{
-    lbp_sweep, pooling_sweep, recovery_sweep, sharing_sweep, table1_latencies, table2_transfers,
-    TransferRow, DRAM_VS_CXL, LBP_FRACTIONS, RDMA_VS_CXL,
+    lbp_sweep, pooling_sweep, recovery_sweep, run_sweep, sharing_sweep, table1_latencies,
+    table2_transfers, TransferRow, DRAM_VS_CXL, LBP_FRACTIONS, RDMA_VS_CXL,
 };
+use simkit::stats::MetricValue;
 use simkit::SimTime;
 use workloads::recovery_harness::{RecoveryConfig, RecoveryRunResult, Scheme};
-use workloads::{PoolKind, PoolingConfig, RunMetrics, SharingConfig, SysbenchKind};
+use workloads::{run_pooling, PoolKind, PoolingConfig, RunMetrics, SharingConfig, SysbenchKind};
 
 fn ln_ratio(ours: f64, paper: f64) -> f64 {
     (ours / paper).ln().abs()
@@ -545,6 +548,65 @@ fn ablation_a2_durable_metadata_spares_the_rebuild() {
         assert!(
             ln_ratio(ratio, today) <= BAND_A2,
             "{name}: {ratio} outside {BAND_A2} of {today}"
+        );
+    }
+}
+
+/// Ablation A3's cache sizes, the `ablation_cache_size` bench's sweep.
+const A3_CACHE_KIB: [usize; 5] = [64, 256, 1024, 4096, 16384];
+
+/// How far point-select throughput may move across the cache sizes,
+/// |ln(qps / qps at 64 KiB)|. It reads 0.0009 at every larger size:
+/// 425.2 K-QPS at 64 KiB, 425.6 K from 256 KiB on.
+const BAND_A3_QPS: f64 = 0.002;
+
+/// Ablation A3 (§2.3: buffer-pool workloads are bandwidth-, not
+/// latency-sensitive) at smoke scale: one CXL point-select instance on
+/// the standard 30 000-row table, a 10 ms window per cache size.
+/// Held exactly: the switch bytes fall strictly across the bench's
+/// sizes, 2.39 MB at 64 KiB to 0 at 16 MiB. The fall is not monotone at
+/// every size: a 3 MiB cache maps the table to other sets than 4 MiB
+/// does and moves 0.9 % fewer bytes. Throughput stays inside
+/// [`BAND_A3_QPS`] of the smallest cache's, since the workload is
+/// CPU-bound.
+#[test]
+fn ablation_a3_the_cache_absorbs_switch_traffic_not_throughput() {
+    let configs: Vec<PoolingConfig> = A3_CACHE_KIB
+        .iter()
+        .map(|&kib| {
+            let mut cfg = PoolingConfig::standard(PoolKind::Cxl, SysbenchKind::PointSelect, 1);
+            cfg.duration = SimTime::from_millis(10);
+            cfg.cache_bytes = kib << 10;
+            cfg
+        })
+        .collect();
+    let runs = run_sweep(&configs, run_pooling);
+    println!("| cache | K-QPS | switch bytes | CXL GB/s |");
+    println!("|---|---|---|---|");
+    let switch_bytes: Vec<u64> = runs
+        .iter()
+        .map(|r| match r.registry.get("cxl_switch_bytes") {
+            Some(MetricValue::Int(b)) => b,
+            other => panic!("cxl_switch_bytes: {other:?}"),
+        })
+        .collect();
+    for ((kib, r), bytes) in A3_CACHE_KIB.iter().zip(&runs).zip(&switch_bytes) {
+        println!(
+            "| {kib} KiB | {:.2} | {bytes} | {:.3} |",
+            r.metrics.qps / 1e3,
+            r.metrics.interconnect_gbps
+        );
+    }
+    for (w, kib) in switch_bytes.windows(2).zip(&A3_CACHE_KIB[1..]) {
+        assert!(w[1] < w[0], "{kib} KiB: switch bytes {} !< {}", w[1], w[0]);
+    }
+    let base = runs[0].metrics.qps;
+    for (kib, r) in A3_CACHE_KIB.iter().zip(&runs) {
+        let moved = ln_ratio(r.metrics.qps, base);
+        println!("{kib} KiB: |ln(qps / qps at 64 KiB)| = {moved:.4}");
+        assert!(
+            moved <= BAND_A3_QPS,
+            "{kib} KiB: {moved} outside {BAND_A3_QPS}"
         );
     }
 }

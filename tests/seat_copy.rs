@@ -276,37 +276,35 @@ fn dram_copy_is_exact() {
 #[test]
 fn tiered_rdma_copy_is_exact() {
     let slice = PAGES * PAGE;
-    for policy in [PolicyKind::Lru, PolicyKind::Clock] {
-        assert_copy_is_exact(
-            |copy| {
-                let rdma = Rc::new(RefCell::new(RdmaPool::new(2 * slice as usize, 1)));
-                let fresh = |base| {
-                    let store = PageStore::new(PAGES);
-                    let rdma = Rc::clone(&rdma);
-                    TieredRdmaBp::with_policy(rdma, 0, base, 24, CACHE_BYTES, store, policy)
-                };
-                let a = loaded(fresh(0));
-                let b = if copy {
-                    a.copy_onto(a.pool.copy_to(slice))
-                } else {
-                    loaded(fresh(slice))
-                };
-                let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
-                    let rdma = Rc::clone(&rdma);
-                    Box::new(move || read_all(rdma.borrow().raw(), base, slice))
-                };
-                let links = Rc::clone(&rdma);
-                World {
-                    a,
-                    b,
-                    slices: [bytes(0), bytes(slice)],
-                    cache: Box::new(TieredRdmaBp::cache_stats),
-                    reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
-                }
-            },
-            replay,
-        );
-    }
+    assert_copy_is_exact(
+        |copy| {
+            let rdma = Rc::new(RefCell::new(RdmaPool::new(2 * slice as usize, 1)));
+            let fresh = |base| {
+                let store = PageStore::new(PAGES);
+                let rdma = Rc::clone(&rdma);
+                TieredRdmaBp::new(rdma, 0, base, 24, CACHE_BYTES, store)
+            };
+            let a = loaded(fresh(0));
+            let b = if copy {
+                a.copy_onto(a.pool.copy_to(slice))
+            } else {
+                loaded(fresh(slice))
+            };
+            let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
+                let rdma = Rc::clone(&rdma);
+                Box::new(move || read_all(rdma.borrow().raw(), base, slice))
+            };
+            let links = Rc::clone(&rdma);
+            World {
+                a,
+                b,
+                slices: [bytes(0), bytes(slice)],
+                cache: Box::new(TieredRdmaBp::cache_stats),
+                reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
+            }
+        },
+        replay,
+    );
 }
 
 #[test]
@@ -317,41 +315,39 @@ fn cxl_copy_is_exact() {
     // Not a multiple of the 768-set cache's reach: B's lines land in
     // other sets than A's, with a carry into the tags.
     let b_base = lease + 4096 + 3 * 64;
-    for policy in [PolicyKind::Lru, PolicyKind::Clock] {
-        assert_copy_is_exact(
-            |copy| {
-                let cxl = Rc::new(RefCell::new(CxlPool::single_host(
-                    (b_base + lease) as usize,
-                    2,
-                    CACHE_BYTES,
-                    false,
-                )));
-                let fresh = |node, base| {
-                    let store = PageStore::new(PAGES);
-                    CxlBp::format_with_policy(Rc::clone(&cxl), node, base, BLOCKS, store, policy)
-                };
-                let a = loaded(fresh(NodeId(0), 0));
-                let b = if copy {
-                    a.copy_onto(a.pool.copy_to(NodeId(1), b_base))
-                } else {
-                    loaded(fresh(NodeId(1), b_base))
-                };
-                let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
-                    let cxl = Rc::clone(&cxl);
-                    Box::new(move || read_all(cxl.borrow().raw(), base, lease))
-                };
-                let (stats, links) = (Rc::clone(&cxl), Rc::clone(&cxl));
-                World {
-                    a,
-                    b,
-                    slices: [bytes(0), bytes(b_base)],
-                    cache: Box::new(move |bp: &CxlBp| stats.borrow().cache_stats(bp.node())),
-                    reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
-                }
-            },
-            polar,
-        );
-    }
+    assert_copy_is_exact(
+        |copy| {
+            let cxl = Rc::new(RefCell::new(CxlPool::single_host(
+                (b_base + lease) as usize,
+                2,
+                CACHE_BYTES,
+                false,
+            )));
+            let fresh = |node, base| {
+                let store = PageStore::new(PAGES);
+                CxlBp::format(Rc::clone(&cxl), node, base, BLOCKS, store)
+            };
+            let a = loaded(fresh(NodeId(0), 0));
+            let b = if copy {
+                a.copy_onto(a.pool.copy_to(NodeId(1), b_base))
+            } else {
+                loaded(fresh(NodeId(1), b_base))
+            };
+            let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
+                let cxl = Rc::clone(&cxl);
+                Box::new(move || read_all(cxl.borrow().raw(), base, lease))
+            };
+            let (stats, links) = (Rc::clone(&cxl), Rc::clone(&cxl));
+            World {
+                a,
+                b,
+                slices: [bytes(0), bytes(b_base)],
+                cache: Box::new(move |bp: &CxlBp| stats.borrow().cache_stats(bp.node())),
+                reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
+            }
+        },
+        polar,
+    );
 }
 
 // ---- what a copied seat owns ---------------------------------------
