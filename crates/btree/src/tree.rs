@@ -19,6 +19,7 @@ use crate::page::{
     OFF_NEXT_LEAF, OFF_NKEYS, OFF_TYPE, TYPE_INNER, TYPE_LEAF,
 };
 use bufferpool::BufferPool;
+use memsim::calib::PAGE_SIZE;
 use simkit::SimTime;
 use storage::{PageId, Wal};
 
@@ -65,6 +66,18 @@ impl<P: BufferPool> Cursor<'_, P> {
     /// ([`BufferPool::touch`]): for bytes nothing will look at.
     fn touch(&mut self, page: PageId, off: u16, len: usize) {
         self.now = self.pool.touch(page, off, len, self.now).end;
+    }
+}
+
+/// Run `f` on `len` zeroed bytes of a page-long stack buffer (on the
+/// heap only past a page), so a structure modification allocates nothing
+/// for the bytes it moves. Out of line: its frame is a page.
+#[inline(never)]
+fn with_page_scratch<R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    let mut page = [0u8; PAGE_SIZE as usize];
+    match page.get_mut(..len) {
+        Some(buf) => f(buf),
+        None => f(&mut vec![0u8; len]),
     }
 }
 
@@ -561,24 +574,24 @@ impl BTree {
             return;
         }
         // Append the right page's entries (all its keys are larger).
-        let rec_size = self.leaf.record_size as usize;
-        for i in 0..rn {
-            let sh = mtr.ru16(right, self.leaf.slot_off(i));
-            let k = mtr.ru64(right, self.leaf.heap_off(sh));
-            let mut rec = vec![0u8; rec_size];
-            mtr.rbytes(right, self.leaf.heap_rec_off(sh), &mut rec);
-            self.leaf_insert_at(mtr, left, ln + i, ln + i, k, &rec);
-        }
+        with_page_scratch(self.leaf.record_size as usize, |rec| {
+            for i in 0..rn {
+                let sh = mtr.ru16(right, self.leaf.slot_off(i));
+                let k = mtr.ru64(right, self.leaf.heap_off(sh));
+                mtr.rbytes(right, self.leaf.heap_rec_off(sh), rec);
+                self.leaf_insert_at(mtr, left, ln + i, ln + i, k, rec);
+            }
+        });
         // Unlink the right page from the leaf chain...
         let after = mtr.ru64(right, OFF_NEXT_LEAF);
         mtr.write_u64(left, OFF_NEXT_LEAF, after);
         // ...and remove its separator from the parent.
-        if sep_idx + 1 < pn {
-            let move_len = (pn - sep_idx - 1) as usize * 16;
-            let mut buf = vec![0u8; move_len];
-            mtr.rbytes(parent, self.inner.key_off(sep_idx + 1), &mut buf);
-            mtr.write(parent, self.inner.key_off(sep_idx), &buf);
-        }
+        self.move_entries(
+            mtr,
+            (parent, sep_idx + 1),
+            (parent, sep_idx),
+            pn - sep_idx - 1,
+        );
         mtr.write_u16(parent, OFF_NKEYS, pn - 1);
         if pn - 1 == 0 {
             self.handle_empty_inner(mtr, parent, &path[..path.len() - 1]);
@@ -626,19 +639,10 @@ impl BTree {
         let sib_child0 = mtr.ru64(sib, OFF_CHILD0);
         mtr.write_u64(node, self.inner.key_off(0), sep);
         mtr.write_u64(node, self.inner.child_off(0), sib_child0);
-        if sn > 0 {
-            let mut buf = vec![0u8; sn as usize * 16];
-            mtr.rbytes(sib, self.inner.key_off(0), &mut buf);
-            mtr.write(node, self.inner.key_off(1), &buf);
-        }
+        self.move_entries(mtr, (sib, 0), (node, 1), sn);
         mtr.write_u16(node, OFF_NKEYS, 1 + sn);
         // Remove the sibling's separator from the grandparent.
-        if gj + 1 < gpn {
-            let move_len = (gpn - gj - 1) as usize * 16;
-            let mut buf = vec![0u8; move_len];
-            mtr.rbytes(gp, self.inner.key_off(gj + 1), &mut buf);
-            mtr.write(gp, self.inner.key_off(gj), &buf);
-        }
+        self.move_entries(mtr, (gp, gj + 1), (gp, gj), gpn - gj - 1);
         mtr.write_u16(gp, OFF_NKEYS, gpn - 1);
         if gpn - 1 == 0 {
             self.handle_empty_inner(mtr, gp, &path[..path.len() - 1]);
@@ -658,26 +662,31 @@ impl BTree {
         // Copy entries [mid..nkeys) into the right page compactly.
         let move_cnt = nkeys - mid;
         let mut sep = 0u64;
+        // One buffer for the moved records, then the right page's slot
+        // directory: cell i in slot i.
         let rec_size = self.leaf.record_size as usize;
-        let mut slots = Vec::with_capacity(move_cnt as usize);
-        for i in 0..move_cnt {
-            let h = mtr.ru16(leaf, self.leaf.slot_off(mid + i));
-            let key = mtr.ru64(leaf, self.leaf.heap_off(h));
-            if i == 0 {
-                sep = key;
+        with_page_scratch(rec_size.max(2 * move_cnt as usize), |buf| {
+            let rec = &mut buf[..rec_size];
+            for i in 0..move_cnt {
+                let h = mtr.ru16(leaf, self.leaf.slot_off(mid + i));
+                let key = mtr.ru64(leaf, self.leaf.heap_off(h));
+                if i == 0 {
+                    sep = key;
+                }
+                mtr.rbytes(leaf, self.leaf.heap_rec_off(h), rec);
+                mtr.write_u64(right, self.leaf.heap_off(i), key);
+                mtr.write(right, self.leaf.heap_rec_off(i), rec);
+                // Recycle the left page's heap cell.
+                let old_free = mtr.ru16(leaf, OFF_FREE_HEAD);
+                mtr.write_u16(leaf, self.leaf.heap_off(h), old_free);
+                mtr.write_u16(leaf, OFF_FREE_HEAD, h + 1);
             }
-            let mut rec = vec![0u8; rec_size];
-            mtr.rbytes(leaf, self.leaf.heap_rec_off(h), &mut rec);
-            mtr.write_u64(right, self.leaf.heap_off(i), key);
-            mtr.write(right, self.leaf.heap_rec_off(i), &rec);
-            slots.push(i);
-            // Recycle the left page's heap cell.
-            let old_free = mtr.ru16(leaf, OFF_FREE_HEAD);
-            mtr.write_u16(leaf, self.leaf.heap_off(h), old_free);
-            mtr.write_u16(leaf, OFF_FREE_HEAD, h + 1);
-        }
-        let slot_bytes: Vec<u8> = slots.iter().flat_map(|s| s.to_le_bytes()).collect();
-        mtr.write(right, self.leaf.slot_off(0), &slot_bytes);
+            let slots = &mut buf[..2 * move_cnt as usize];
+            for (i, slot) in slots.chunks_exact_mut(2).enumerate() {
+                slot.copy_from_slice(&(i as u16).to_le_bytes());
+            }
+            mtr.write(right, self.leaf.slot_off(0), slots);
+        });
         mtr.write_u16(right, OFF_NKEYS, move_cnt);
         mtr.write_u16(right, OFF_HEAP_USED, move_cnt);
         // Chain: left -> right -> old next.
@@ -696,21 +705,40 @@ impl BTree {
         let promoted = mtr.ru64(page, self.inner.key_off(mid));
         let right_child0 = mtr.ru64(page, self.inner.child_off(mid));
         let move_cnt = nkeys - mid - 1;
-        let mut buf = vec![0u8; move_cnt as usize * 16];
-        if move_cnt > 0 {
-            mtr.rbytes(page, self.inner.key_off(mid + 1), &mut buf);
-        }
-        mtr.write(right, OFF_TYPE, &[TYPE_INNER]);
-        let mut lvl = [0u8; 1];
-        mtr.rbytes(page, OFF_LEVEL, &mut lvl);
-        mtr.write(right, OFF_LEVEL, &lvl);
-        mtr.write_u16(right, OFF_NKEYS, move_cnt);
-        mtr.write_u64(right, OFF_CHILD0, right_child0);
-        if move_cnt > 0 {
-            mtr.write(right, self.inner.key_off(0), &buf);
-        }
+        with_page_scratch(move_cnt as usize * 16, |buf| {
+            if move_cnt > 0 {
+                mtr.rbytes(page, self.inner.key_off(mid + 1), buf);
+            }
+            mtr.write(right, OFF_TYPE, &[TYPE_INNER]);
+            let mut lvl = [0u8; 1];
+            mtr.rbytes(page, OFF_LEVEL, &mut lvl);
+            mtr.write(right, OFF_LEVEL, &lvl);
+            mtr.write_u16(right, OFF_NKEYS, move_cnt);
+            mtr.write_u64(right, OFF_CHILD0, right_child0);
+            if move_cnt > 0 {
+                mtr.write(right, self.inner.key_off(0), buf);
+            }
+        });
         mtr.write_u16(page, OFF_NKEYS, mid);
         (promoted, right)
+    }
+
+    /// Move `n` inner entries (a key and its right child, 16 bytes each)
+    /// from entry `from` to entry `to` (page, index): one read, then one
+    /// logged write, and no access at all when `n` is 0.
+    fn move_entries<P: BufferPool>(
+        &self,
+        mtr: &mut Mtr<'_, P>,
+        from: (PageId, u16),
+        to: (PageId, u16),
+        n: u16,
+    ) {
+        if n > 0 {
+            with_page_scratch(n as usize * 16, |buf| {
+                mtr.rbytes(from.0, self.inner.key_off(from.1), buf);
+                mtr.write(to.0, self.inner.key_off(to.1), buf);
+            });
+        }
     }
 
     /// Propagate a split (sep, right) into the ancestors recorded in
@@ -741,12 +769,7 @@ impl BTree {
             };
             let nkeys = mtr.ru16(parent, OFF_NKEYS);
             if nkeys < self.inner.capacity {
-                if idx < nkeys {
-                    let move_len = (nkeys - idx) as usize * 16;
-                    let mut buf = vec![0u8; move_len];
-                    mtr.rbytes(parent, self.inner.key_off(idx), &mut buf);
-                    mtr.write(parent, self.inner.key_off(idx + 1), &buf);
-                }
+                self.move_entries(mtr, (parent, idx), (parent, idx + 1), nkeys - idx);
                 mtr.write_u64(parent, self.inner.key_off(idx), sep);
                 mtr.write_u64(parent, self.inner.child_off(idx), right.0);
                 mtr.write_u16(parent, OFF_NKEYS, nkeys + 1);
@@ -762,12 +785,7 @@ impl BTree {
                 (parent, idx)
             };
             let tn = mtr.ru16(target, OFF_NKEYS);
-            if tidx < tn {
-                let move_len = (tn - tidx) as usize * 16;
-                let mut buf = vec![0u8; move_len];
-                mtr.rbytes(target, self.inner.key_off(tidx), &mut buf);
-                mtr.write(target, self.inner.key_off(tidx + 1), &buf);
-            }
+            self.move_entries(mtr, (target, tidx), (target, tidx + 1), tn - tidx);
             mtr.write_u64(target, self.inner.key_off(tidx), sep);
             mtr.write_u64(target, self.inner.child_off(tidx), right.0);
             mtr.write_u16(target, OFF_NKEYS, tn + 1);

@@ -88,13 +88,25 @@ impl<P: BufferPool> Db<P> {
         self.stats
     }
 
-    /// Bulk-load `rows` (untimed host work + normal redo-logged inserts
-    /// at t=0), then checkpoint so the experiment starts clean, and
-    /// prewarm the pool. Whatever virtual time the load spends is
-    /// discarded by the harnesses ([`Db::reset_timing_queues`]); a harness
-    /// that seats several identical instances loads the first and makes
-    /// the rest with [`Db::copy_onto`].
+    /// Bulk-load `rows` (untimed host work + normal inserts at t=0), then
+    /// checkpoint so the experiment starts clean, and prewarm the pool.
+    /// The inserts run in the WAL's unlogged range
+    /// ([`Wal::begin_unlogged`]), which the checkpoint ends: every LSN,
+    /// flush and page is the logged load's, but no redo is kept that the
+    /// checkpoint would discard unread. Whatever virtual time the load
+    /// spends is discarded by the harnesses ([`Db::reset_timing_queues`]);
+    /// a harness that seats several identical instances loads the first
+    /// and makes the rest with [`Db::copy_onto`].
+    ///
+    /// # Panics
+    /// When a fault plan is installed: a crash mid-load would need the
+    /// redo the load does not keep.
     pub fn load(&mut self, rows: impl IntoIterator<Item = (u64, Vec<u8>)>) {
+        assert!(
+            !simkit::faults::active(),
+            "cannot bulk-load under an installed fault plan"
+        );
+        self.wal.begin_unlogged();
         for (k, v) in rows {
             let (ins, _) = self
                 .table

@@ -80,6 +80,14 @@ mod tests {
         db.copy_onto(db.pool.clone());
     }
 
+    #[test]
+    #[should_panic(expected = "installed fault plan")]
+    fn loading_under_a_fault_plan_is_refused() {
+        // A crash mid-load would need the redo the load does not keep.
+        simkit::faults::install(simkit::FaultPlan::crash_at_hit(u64::MAX));
+        dram_db();
+    }
+
     fn check_contents<P: BufferPool>(db: &mut Db<P>, model: &BTreeMap<u64, Vec<u8>>) {
         for (k, v) in model {
             let (got, _) = db.table.get(&mut db.pool, *k, SimTime::ZERO);

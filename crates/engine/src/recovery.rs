@@ -20,7 +20,7 @@ use bufferpool::BufferPool;
 use polarcxlmem::CxlBp;
 use simkit::trace::{self, SpanKind};
 use simkit::SimTime;
-use storage::LogRecord;
+use storage::{LogRecord, Lsn, Wal};
 
 /// What a recovery run did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,13 +48,7 @@ pub fn recover_replay<P: BufferPool>(
     let ckpt = db.wal.checkpoint_lsn();
     let log_bytes = db.wal.replay_bytes_from(ckpt);
     let mut t = db.wal.charge_scan(ckpt, now);
-    // InnoDB-style replay: apply page-at-a-time (LSN order within a
-    // page), so each touched page is faulted exactly once regardless of
-    // buffer size. The log is in LSN order, so a stable sort of its
-    // record views by page is that order — applied in place, nothing
-    // cloned.
-    let mut recs: Vec<LogRecord<'_>> = db.wal.replay_from(ckpt).collect();
-    recs.sort_by_key(|rec| rec.page);
+    let recs = replay_order(&db.wal, ckpt);
     for rec in &recs {
         t = db.pool.write(rec.page, rec.off, rec.data, rec.lsn, t).end;
     }
@@ -71,6 +65,20 @@ pub fn recover_replay<P: BufferPool>(
         log_bytes,
         done: t2,
     }
+}
+
+/// The durable records after `from` in InnoDB-style apply order:
+/// page-at-a-time (LSN order within a page), so each touched page is
+/// faulted exactly once regardless of buffer size. The views are
+/// collected at their exact count and sorted in place by (page, LSN) —
+/// LSNs are unique, so that is the stable order without a merge buffer,
+/// and nothing is cloned. Not generic, so the sort is compiled here once
+/// rather than into every crate that instantiates [`recover_replay`].
+fn replay_order(wal: &Wal, from: Lsn) -> Vec<LogRecord<'_>> {
+    let mut recs = Vec::with_capacity(wal.replay_from(from).count());
+    recs.extend(wal.replay_from(from));
+    recs.sort_unstable_by_key(|rec| (rec.page, rec.lsn));
+    recs
 }
 
 /// PolarRecv over a crashed CXL-resident pool (§3.2).

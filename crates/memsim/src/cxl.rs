@@ -403,7 +403,8 @@ impl Port<'_> {
                     misses += 1;
                     // Write-allocate: the line is fetched before modification
                     // unless the store covers it entirely.
-                    if src.len() < CACHE_LINE as usize {
+                    let partial = src.len() < CACHE_LINE as usize;
+                    if partial {
                         link_bytes += CACHE_LINE;
                     }
                     if let Some(victim) = evicted_dirty {
@@ -411,7 +412,9 @@ impl Port<'_> {
                         self.write_back(victim);
                     }
                     let mut fill = [0u8; CACHE_LINE as usize];
-                    self.mem.read(line_start, &mut fill);
+                    if partial {
+                        self.mem.read(line_start, &mut fill);
+                    }
                     fill[s..s + src.len()].copy_from_slice(src);
                     self.cache.put_line(line, &fill);
                 }

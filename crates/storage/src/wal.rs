@@ -326,6 +326,8 @@ pub struct Wal {
     device: Link,
     flushes: u64,
     bytes_flushed: u64,
+    /// Inside an unlogged range ([`Wal::begin_unlogged`]).
+    unlogged: bool,
 }
 
 impl Default for Wal {
@@ -347,7 +349,23 @@ impl Wal {
             device: Link::new("wal", WAL_GBPS),
             flushes: 0,
             bytes_flushed: 0,
+            unlogged: false,
         }
+    }
+
+    /// Open an unlogged range, for a bulk load whose pages the checkpoint
+    /// that ends it writes out (InnoDB's sorted index build logs no redo
+    /// either). Inside it an append assigns its LSN and charges its
+    /// device bytes as a logged one does, but keeps no record: the
+    /// closing flush makes the same LSN durable at the same cost, and the
+    /// checkpoint leaves the state a logged twin would. Records already
+    /// buffered flush as usual.
+    ///
+    /// The range ends at a [`Wal::set_checkpoint`] on its last LSN, made
+    /// durable; a [`Wal::crash`] inside it panics, since its LSNs have
+    /// no redo to replay.
+    pub fn begin_unlogged(&mut self) {
+        self.unlogged = true;
     }
 
     /// Append one mini-transaction's records to the volatile buffer.
@@ -378,7 +396,9 @@ impl Wal {
         };
         self.next_lsn += 1;
         self.buffer_bytes += encoded_len(&rec);
-        self.buffer.push(rec);
+        if !self.unlogged {
+            self.buffer.push(rec);
+        }
         rec.lsn
     }
 
@@ -411,10 +431,11 @@ impl Wal {
 
     /// Flush the volatile buffer to the durable tail. Charges device
     /// latency + bandwidth; returns completion time. A flush with an
-    /// empty buffer is free (group commit fast path).
+    /// empty buffer is free (group commit fast path). Every appended
+    /// LSN becomes durable, logged or not.
     pub fn flush(&mut self, now: SimTime) -> SimTime {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::Wal);
-        if self.buffer.is_empty() {
+        if self.buffer_bytes == 0 {
             return now;
         }
         let now = match faults::gate(FaultSite::WalFlush, now) {
@@ -427,7 +448,7 @@ impl Wal {
             _ => return now,
         };
         let bytes = self.buffer_bytes;
-        self.durable_lsn = Lsn(self.buffer.last_lsn);
+        self.durable_lsn = self.max_assigned_lsn();
         if self.durable.is_empty() {
             // Common case (first flush, or everything up to here already
             // checkpointed away): adopt the buffer's blocks wholesale
@@ -496,6 +517,14 @@ impl Wal {
             "cannot checkpoint beyond durability"
         );
         assert!(lsn >= self.checkpoint_lsn, "checkpoints move forward");
+        if self.unlogged {
+            assert_eq!(
+                lsn,
+                self.max_assigned_lsn(),
+                "an unlogged range ends at a checkpoint on its last LSN"
+            );
+            self.unlogged = false;
+        }
         self.checkpoint_lsn = lsn;
         // Durable records at or below the checkpoint can be discarded.
         if lsn == self.durable_lsn {
@@ -507,7 +536,14 @@ impl Wal {
     }
 
     /// Crash: the volatile buffer is lost; the durable tail survives.
+    ///
+    /// # Panics
+    /// Inside an unlogged range: nothing replayable exists for its LSNs.
     pub fn crash(&mut self) {
+        assert!(
+            !self.unlogged,
+            "crash inside an unlogged range: its LSNs have no redo to replay"
+        );
         self.buffer.clear();
         self.buffer_bytes = 0;
     }
@@ -844,6 +880,93 @@ pub(crate) mod tests {
         assert_eq!(wal.checkpoint_lsn(), Lsn::ZERO);
         assert_eq!(wal.replay_from(Lsn::ZERO).count(), 1);
         faults::clear();
+    }
+
+    /// A logged WAL and its unlogged twin, fed the same appends: a
+    /// logged meta record first, then `range` inside the twin's unlogged
+    /// range (two groups).
+    fn twins(range: &[(PageId, u16, Vec<u8>)]) -> (Wal, Wal) {
+        let (mut logged, mut unlogged) = (Wal::new(), Wal::new());
+        for wal in [&mut logged, &mut unlogged] {
+            wal.append_mtr(vec![upd(9, 0, 9)]);
+        }
+        unlogged.begin_unlogged();
+        let (first, second) = range.split_at(range.len() / 2);
+        for group in [first, second] {
+            for (page, off, data) in group {
+                let lsn = logged.append_update(*page, *off, data);
+                assert_eq!(unlogged.append_update(*page, *off, data), lsn);
+                assert_eq!(unlogged.pending_bytes(), logged.pending_bytes());
+            }
+            logged.seal_mtr();
+            unlogged.seal_mtr();
+        }
+        (logged, unlogged)
+    }
+
+    fn state(wal: &Wal) -> (Lsn, Lsn, Lsn, u64, (u64, u64)) {
+        (
+            wal.max_assigned_lsn(),
+            wal.durable_lsn(),
+            wal.checkpoint_lsn(),
+            wal.pending_bytes(),
+            wal.flush_stats(),
+        )
+    }
+
+    #[test]
+    fn an_unlogged_range_matches_its_logged_twin() {
+        let range: Vec<_> = (0..40)
+            .map(|i| (PageId(i % 7), i as u16, vec![i as u8; i as usize]))
+            .collect();
+        let (mut logged, mut unlogged) = twins(&range);
+        assert_eq!(state(&unlogged), state(&logged));
+        assert_eq!(
+            host_bytes(&unlogged.buffer),
+            21 + 8,
+            "only the meta record is kept"
+        );
+        // The closing flush makes the same LSN durable at the same cost
+        // (the twin's durable log holds only the meta record); the
+        // checkpoint on it leaves nothing either side could replay.
+        let end = logged.flush(SimTime(7));
+        assert_eq!(unlogged.flush(SimTime(7)), end);
+        assert_eq!(state(&unlogged), state(&logged));
+        assert_eq!(logged.durable_lsn(), Lsn(41));
+        assert_eq!(records(&unlogged).len(), 1);
+        for wal in [&mut logged, &mut unlogged] {
+            wal.set_checkpoint(wal.durable_lsn());
+        }
+        assert_eq!(state(&unlogged), state(&logged));
+        assert!(records(&unlogged).is_empty() && records(&logged).is_empty());
+        assert_eq!(unlogged.replay_bytes_from(Lsn::ZERO), 0);
+        // The range is closed: the twin logs again, and survives a crash.
+        for wal in [&mut logged, &mut unlogged] {
+            wal.append_mtr(vec![upd(3, 4, 5)]);
+            wal.flush(end);
+            wal.append_update(PageId(4), 0, &[1]);
+            wal.crash();
+        }
+        assert_eq!(state(&unlogged), state(&logged));
+        assert_eq!(records(&unlogged), records(&logged));
+        assert_eq!(records(&unlogged)[0].lsn, Lsn(42));
+    }
+
+    #[test]
+    #[should_panic(expected = "crash inside an unlogged range")]
+    fn a_crash_inside_an_unlogged_range_panics() {
+        let (_, mut unlogged) = twins(&[upd(1, 0, 1), upd(2, 0, 2)]);
+        // Flushed, not yet checkpointed: the range is still open.
+        unlogged.flush(SimTime::ZERO);
+        unlogged.crash();
+    }
+
+    #[test]
+    #[should_panic(expected = "ends at a checkpoint on its last LSN")]
+    fn an_unlogged_range_ends_only_on_its_last_lsn() {
+        let (_, mut unlogged) = twins(&[upd(1, 0, 1), upd(2, 0, 2)]);
+        unlogged.flush(SimTime::ZERO);
+        unlogged.set_checkpoint(Lsn(2));
     }
 
     #[test]

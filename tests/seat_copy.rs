@@ -18,6 +18,11 @@
 //!   every completion time and recovery summary compared;
 //! - equal at rest again afterwards, and seat A undisturbed.
 //!
+//! The same three looks hold `Db::load` itself, which logs no redo,
+//! against the logged reference — the same rows inserted through
+//! `BTree::insert` on a plain WAL, then the same checkpoint and prewarm:
+//! a seat B loaded either way is one instance.
+//!
 //! The refusals of a copy — the cases the exactness argument does not
 //! cover — each have a `should_panic` case at the layer that refuses and
 //! through the pool that inherits it: here for the two pools, in `engine`
@@ -48,6 +53,31 @@ fn loaded<P: BufferPool>(pool: P) -> Db<P> {
     let mut db = Db::create(pool, RECORD);
     db.load(rows());
     db
+}
+
+/// `Db::load`'s logged reference: every insert redo-logged, then the
+/// checkpoint that discards the log, then the prewarm.
+fn logged<P: BufferPool>(pool: P) -> Db<P> {
+    let mut db = Db::create(pool, RECORD);
+    for (k, v) in rows() {
+        let (inserted, _) = db
+            .table
+            .insert(&mut db.pool, &mut db.wal, k, &v, SimTime::ZERO);
+        assert!(inserted, "key {k}");
+    }
+    db.checkpoint(SimTime::ZERO);
+    db.pool.prewarm();
+    db
+}
+
+/// How a world makes seat B.
+enum SeatB {
+    /// `Db::load` at its own seat.
+    Loaded,
+    /// The logged reference at its own seat.
+    Logged,
+    /// A copy of seat A.
+    Copied,
 }
 
 /// What can be read off an instance without disturbing it.
@@ -224,130 +254,164 @@ impl<P: BufferPool> World<P> {
     }
 }
 
-/// `build(copy)` makes a world whose seat B is copied from A (`true`) or
-/// loaded (`false`).
+/// Seat B of `x` and of `y` is one instance: at rest, under the seeded
+/// mix, and afterwards. Returns what the mix saw.
+fn assert_same_seat_b<P: BufferPool + Crashable>(
+    x: &mut World<P>,
+    y: &mut World<P>,
+    recover: fn(&mut Db<P>, SimTime) -> String,
+) -> InMotion {
+    assert_eq!(x.b_at_rest(), y.b_at_rest(), "seat B at rest");
+    (x.reset_links)();
+    (y.reset_links)();
+    let moved = drive(&mut x.b, recover);
+    assert_eq!(moved, drive(&mut y.b, recover), "seat B in motion");
+    assert!(moved.accesses.iter().any(|a| a.misses > 0));
+    assert!(moved.found.iter().any(|&f| f) && moved.found.iter().any(|&f| !f));
+    assert_eq!(x.b_at_rest(), y.b_at_rest(), "seat B afterwards");
+    moved
+}
+
+/// `build(how)` makes a world whose seat B is made `how`.
 fn assert_copy_is_exact<P: BufferPool + Crashable>(
-    build: impl Fn(bool) -> World<P>,
+    build: impl Fn(SeatB) -> World<P>,
     recover: fn(&mut Db<P>, SimTime) -> String,
 ) {
-    let mut loaded = build(false);
-    let mut copied = build(true);
+    let mut loaded = build(SeatB::Loaded);
+    let mut copied = build(SeatB::Copied);
     let a_before = copied.a_at_rest();
     assert_eq!(a_before, loaded.a_at_rest(), "seat A");
     // Same table, same pool, another seat: at rest A and B differ in
     // nothing either (their slices hold the same bytes).
     assert_eq!(a_before, copied.b_at_rest(), "seat B is seat A elsewhere");
-    assert_eq!(copied.b_at_rest(), loaded.b_at_rest(), "seat B at rest");
-    (loaded.reset_links)();
-    (copied.reset_links)();
-    let moved = drive(&mut copied.b, recover);
-    assert_eq!(moved, drive(&mut loaded.b, recover), "seat B in motion");
-    assert!(moved.accesses.iter().any(|a| a.misses > 0));
-    assert!(moved.found.iter().any(|&f| f) && moved.found.iter().any(|&f| !f));
-    assert_eq!(copied.b_at_rest(), loaded.b_at_rest(), "seat B afterwards");
+    assert_same_seat_b(&mut copied, &mut loaded, recover);
     assert_ne!(a_before, copied.b_at_rest(), "the mix changed seat B");
     // Neither making the copy nor driving it touched the source.
     assert_eq!(a_before, copied.a_at_rest(), "seat A afterwards");
 }
 
-#[test]
-fn dram_copy_is_exact() {
-    assert_copy_is_exact(
-        |copy| {
-            let fresh = || DramBp::new(40, CACHE_BYTES, PageStore::new(PAGES));
-            let a = loaded(fresh());
-            let b = if copy {
-                a.copy_onto(a.pool.clone())
-            } else {
-                loaded(fresh())
-            };
-            World {
-                a,
-                b,
-                slices: [Box::new(Vec::new), Box::new(Vec::new)],
-                cache: Box::new(DramBp::cache_stats),
-                reset_links: Box::new(|| {}),
-            }
-        },
-        replay,
-    );
+/// `Db::load` is its logged reference: every page's bytes and LSN, the
+/// WAL's LSNs and flush counters, `BpStats` and the modelled cache equal
+/// at rest, and so does everything after.
+fn assert_load_matches_logged<P: BufferPool + Crashable>(
+    build: impl Fn(SeatB) -> World<P>,
+    recover: fn(&mut Db<P>, SimTime) -> String,
+) {
+    let mut unlogged = build(SeatB::Loaded);
+    let mut logged = build(SeatB::Logged);
+    assert_same_seat_b(&mut unlogged, &mut logged, recover);
 }
 
-#[test]
-fn tiered_rdma_copy_is_exact() {
+fn dram_world(how: SeatB) -> World<DramBp> {
+    let fresh = || DramBp::new(40, CACHE_BYTES, PageStore::new(PAGES));
+    let a = loaded(fresh());
+    let b = match how {
+        SeatB::Loaded => loaded(fresh()),
+        SeatB::Logged => logged(fresh()),
+        SeatB::Copied => a.copy_onto(a.pool.clone()),
+    };
+    World {
+        a,
+        b,
+        slices: [Box::new(Vec::new), Box::new(Vec::new)],
+        cache: Box::new(DramBp::cache_stats),
+        reset_links: Box::new(|| {}),
+    }
+}
+
+fn tiered_rdma_world(how: SeatB) -> World<TieredRdmaBp> {
     let slice = PAGES * PAGE;
-    assert_copy_is_exact(
-        |copy| {
-            let rdma = Rc::new(RefCell::new(RdmaPool::new(2 * slice as usize, 1)));
-            let fresh = |base| {
-                let store = PageStore::new(PAGES);
-                let rdma = Rc::clone(&rdma);
-                TieredRdmaBp::new(rdma, 0, base, 24, CACHE_BYTES, store)
-            };
-            let a = loaded(fresh(0));
-            let b = if copy {
-                a.copy_onto(a.pool.copy_to(slice))
-            } else {
-                loaded(fresh(slice))
-            };
-            let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
-                let rdma = Rc::clone(&rdma);
-                Box::new(move || read_all(rdma.borrow().raw(), base, slice))
-            };
-            let links = Rc::clone(&rdma);
-            World {
-                a,
-                b,
-                slices: [bytes(0), bytes(slice)],
-                cache: Box::new(TieredRdmaBp::cache_stats),
-                reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
-            }
-        },
-        replay,
-    );
+    let rdma = Rc::new(RefCell::new(RdmaPool::new(2 * slice as usize, 1)));
+    let fresh = |base| {
+        let store = PageStore::new(PAGES);
+        let rdma = Rc::clone(&rdma);
+        TieredRdmaBp::new(rdma, 0, base, 24, CACHE_BYTES, store)
+    };
+    let a = loaded(fresh(0));
+    let b = match how {
+        SeatB::Loaded => loaded(fresh(slice)),
+        SeatB::Logged => logged(fresh(slice)),
+        SeatB::Copied => a.copy_onto(a.pool.copy_to(slice)),
+    };
+    let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
+        let rdma = Rc::clone(&rdma);
+        Box::new(move || read_all(rdma.borrow().raw(), base, slice))
+    };
+    let links = Rc::clone(&rdma);
+    World {
+        a,
+        b,
+        slices: [bytes(0), bytes(slice)],
+        cache: Box::new(TieredRdmaBp::cache_stats),
+        reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
+    }
 }
 
-#[test]
-fn cxl_copy_is_exact() {
+fn cxl_world(how: SeatB) -> World<CxlBp> {
     // Fewer blocks than the table has pages, so the load itself evicts.
     const BLOCKS: u64 = 60;
     let lease = 64 + BLOCKS * (64 + PAGE);
     // Not a multiple of the 768-set cache's reach: B's lines land in
     // other sets than A's, with a carry into the tags.
     let b_base = lease + 4096 + 3 * 64;
-    assert_copy_is_exact(
-        |copy| {
-            let cxl = Rc::new(RefCell::new(CxlPool::single_host(
-                (b_base + lease) as usize,
-                2,
-                CACHE_BYTES,
-                false,
-            )));
-            let fresh = |node, base| {
-                let store = PageStore::new(PAGES);
-                CxlBp::format(Rc::clone(&cxl), node, base, BLOCKS, store)
-            };
-            let a = loaded(fresh(NodeId(0), 0));
-            let b = if copy {
-                a.copy_onto(a.pool.copy_to(NodeId(1), b_base))
-            } else {
-                loaded(fresh(NodeId(1), b_base))
-            };
-            let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
-                let cxl = Rc::clone(&cxl);
-                Box::new(move || read_all(cxl.borrow().raw(), base, lease))
-            };
-            let (stats, links) = (Rc::clone(&cxl), Rc::clone(&cxl));
-            World {
-                a,
-                b,
-                slices: [bytes(0), bytes(b_base)],
-                cache: Box::new(move |bp: &CxlBp| stats.borrow().cache_stats(bp.node())),
-                reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
-            }
-        },
-        polar,
-    );
+    let cxl = Rc::new(RefCell::new(CxlPool::single_host(
+        (b_base + lease) as usize,
+        2,
+        CACHE_BYTES,
+        false,
+    )));
+    let fresh = |node, base| {
+        let store = PageStore::new(PAGES);
+        CxlBp::format(Rc::clone(&cxl), node, base, BLOCKS, store)
+    };
+    let a = loaded(fresh(NodeId(0), 0));
+    let b = match how {
+        SeatB::Loaded => loaded(fresh(NodeId(1), b_base)),
+        SeatB::Logged => logged(fresh(NodeId(1), b_base)),
+        SeatB::Copied => a.copy_onto(a.pool.copy_to(NodeId(1), b_base)),
+    };
+    let bytes = |base| -> Box<dyn Fn() -> Vec<u8>> {
+        let cxl = Rc::clone(&cxl);
+        Box::new(move || read_all(cxl.borrow().raw(), base, lease))
+    };
+    let (stats, links) = (Rc::clone(&cxl), Rc::clone(&cxl));
+    World {
+        a,
+        b,
+        slices: [bytes(0), bytes(b_base)],
+        cache: Box::new(move |bp: &CxlBp| stats.borrow().cache_stats(bp.node())),
+        reset_links: Box::new(move || links.borrow_mut().reset_link_counters()),
+    }
+}
+
+#[test]
+fn dram_copy_is_exact() {
+    assert_copy_is_exact(dram_world, replay);
+}
+
+#[test]
+fn tiered_rdma_copy_is_exact() {
+    assert_copy_is_exact(tiered_rdma_world, replay);
+}
+
+#[test]
+fn cxl_copy_is_exact() {
+    assert_copy_is_exact(cxl_world, polar);
+}
+
+#[test]
+fn dram_load_matches_the_logged_reference() {
+    assert_load_matches_logged(dram_world, replay);
+}
+
+#[test]
+fn tiered_rdma_load_matches_the_logged_reference() {
+    assert_load_matches_logged(tiered_rdma_world, replay);
+}
+
+#[test]
+fn cxl_load_matches_the_logged_reference() {
+    assert_load_matches_logged(cxl_world, polar);
 }
 
 // ---- what a copied seat owns ---------------------------------------
