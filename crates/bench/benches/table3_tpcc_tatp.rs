@@ -25,7 +25,7 @@ fn run_tpcc(system: SharingSystem) -> (f64, f64, u64) {
     let c = cfg(system);
     let layout = c.layout;
     let gen = Tpcc::new(layout, NODES);
-    let r = run_sharing(&c, |rng, node| gen.next_txn(rng, node).0);
+    let r = run_sharing(&c, |rng, node, txn| *txn = gen.next_txn(rng, node).0);
     // TpmC: New-Order transactions per minute (45% of the mix).
     let tpmc = r.metrics.tps * 0.45 * 60.0;
     (tpmc, r.metrics.p95_latency_us / 1e3, r.metrics.memory_bytes)
@@ -35,7 +35,7 @@ fn run_tatp(system: SharingSystem) -> (f64, f64, u64) {
     let c = cfg(system);
     let layout = c.layout;
     let gen = Tatp::new(layout);
-    let r = run_sharing(&c, |rng, node| gen.next_txn(rng, node).0);
+    let r = run_sharing(&c, |rng, node, txn| *txn = gen.next_txn(rng, node).0);
     (
         r.metrics.qps,
         r.metrics.avg_latency_us / 1e3,

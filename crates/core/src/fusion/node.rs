@@ -317,6 +317,18 @@ impl SharingNode {
         }
     }
 
+    /// Prefetch into the host's cache what a `*_resident` access of
+    /// `len` bytes at `off` in `page` will load: this node's flag line
+    /// for the page and the record's lines. A host-side hint through
+    /// [`memsim::CxlShard::prefetch`] — nothing modelled changes. A page
+    /// not resolved here is skipped.
+    pub fn prefetch_resident(&self, shard: &memsim::CxlShard, page: PageId, off: u64, len: usize) {
+        if let Some(&addr) = self.entries.get(&page) {
+            shard.prefetch(invalid_flag_off(self.flag_base, page), 16);
+            shard.prefetch(addr + off, len);
+        }
+    }
+
     /// Phase-capable [`SharingNode::read`] (caller holds ≥ S lock).
     pub fn read_resident<F: CxlFabric>(
         &mut self,

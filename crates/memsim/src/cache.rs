@@ -17,7 +17,10 @@
 //! Line copies live in a dense slab — one 64-byte buffer per *live* copy,
 //! found through a per-set index and recycled through a free list — so a
 //! warmed cache allocates nothing, and host memory follows the lines a
-//! node actually holds rather than the modelled capacity.
+//! node actually holds rather than the modelled capacity. A bitmap with
+//! one bit per line of the region indexes which lines hold a copy, so
+//! [`Cache::invalidate_run`] visits only those instead of every tag of
+//! the range.
 
 use crate::calib::CACHE_LINE;
 
@@ -88,7 +91,7 @@ pub type LineBytes = [u8; CACHE_LINE as usize];
 /// owner is kept beside the bytes (not read off the set's tag) because
 /// the two part ways mid-operation: a dirty victim's copy outlives its
 /// tag until the caller takes it for write-back.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 struct Captured {
     line: u64,
     bytes: LineBytes,
@@ -105,14 +108,38 @@ struct LineStore {
     lines: Vec<Captured>,
     /// Entries of `lines` no set refers to.
     free: Vec<u32>,
+    /// Bit `l % 64` of word `l / 64` is set iff line `l` has a copy here.
+    /// Sized once for the lines below the region's end; a line beyond it
+    /// (a cache used without a region) has no bit.
+    resident: Vec<u64>,
 }
 
 impl LineStore {
-    fn new(sets: usize) -> Self {
+    fn new(sets: usize, region_bytes: usize) -> Self {
         LineStore {
             idx: vec![0; sets],
             lines: Vec::new(),
             free: Vec::new(),
+            resident: vec![0; (region_bytes as u64).div_ceil(CACHE_LINE * 64) as usize],
+        }
+    }
+
+    /// Lines `0..indexed()` have a bit in `resident`.
+    #[inline]
+    fn indexed(&self) -> u64 {
+        self.resident.len() as u64 * 64
+    }
+
+    /// Set or reset `line`'s resident bit, if it has one.
+    #[inline]
+    fn mark(&mut self, line: u64, held: bool) {
+        if let Some(word) = self.resident.get_mut((line / 64) as usize) {
+            let bit = 1 << (line % 64);
+            if held {
+                *word |= bit;
+            } else {
+                *word &= !bit;
+            }
         }
     }
 
@@ -143,6 +170,7 @@ impl LineStore {
             self.lines.push(copy);
             self.idx[set] = u32::try_from(self.lines.len()).expect("line slab exceeds u32");
         }
+        self.mark(line, true);
     }
 
     /// Drop `line`'s copy, handing its buffer back; returns the bytes.
@@ -151,6 +179,7 @@ impl LineStore {
         let i = self.find(set, line)?;
         self.idx[set] = 0;
         self.free.push(i as u32);
+        self.mark(line, false);
         Some(self.lines[i].bytes)
     }
 
@@ -158,6 +187,7 @@ impl LineStore {
         self.idx.fill(0);
         self.lines.clear();
         self.free.clear();
+        self.resident.fill(0);
     }
 }
 
@@ -200,10 +230,12 @@ impl Cache {
         }
     }
 
-    /// A data-capturing cache (see module docs).
-    pub fn with_capture(capacity_bytes: usize) -> Self {
+    /// A data-capturing cache (see module docs) over a region of
+    /// `region_bytes`: its lines are indexed for
+    /// [`Cache::invalidate_run`], which tag-scans any line beyond them.
+    pub fn with_capture(capacity_bytes: usize, region_bytes: usize) -> Self {
         let mut c = Cache::new(capacity_bytes);
-        c.data = Some(LineStore::new(c.slots.len()));
+        c.data = Some(LineStore::new(c.slots.len(), region_bytes));
         c
     }
 
@@ -424,11 +456,53 @@ impl Cache {
         }
     }
 
-    /// [`Cache::invalidate`] for every line of a contiguous run, as one
-    /// sweep: up to the wrap of the set index the run's sets are
-    /// contiguous and its lines share one key, so each stretch is a pass
-    /// over a slice of tags comparing against a constant.
+    /// [`Cache::invalidate`] for every line of a contiguous run, in
+    /// ascending line order.
+    ///
+    /// A capture cache visits only the lines its resident bitmap holds:
+    /// between operations a capture-mode tag is valid iff its line has a
+    /// copy, so the lines with a set bit are exactly the lines whose tag
+    /// matches. (Inside an operation the two part ways — a dirty victim's
+    /// copy outlives its tag — but no operation invalidates there.) Lines
+    /// beyond the bitmap, and every line of a timing cache, take the tag
+    /// scan.
     pub fn invalidate_run(&mut self, lines: std::ops::Range<u64>) {
+        let indexed = self.data.as_ref().map_or(0, LineStore::indexed);
+        let split = lines.end.min(indexed).max(lines.start);
+        self.invalidate_resident(lines.start..split);
+        self.invalidate_scan(split..lines.end);
+    }
+
+    /// The bitmap half of [`Cache::invalidate_run`]: `lines` lies below
+    /// the capture store's `indexed()`.
+    fn invalidate_resident(&mut self, lines: std::ops::Range<u64>) {
+        let (lo, hi) = (lines.start, lines.end);
+        if lo >= hi {
+            return;
+        }
+        let mut w = lo / 64;
+        while w * 64 < hi {
+            let Some(data) = &self.data else { return };
+            let mut bits = data.resident[w as usize];
+            if w == lo / 64 {
+                bits &= !0 << (lo % 64);
+            }
+            if (w + 1) * 64 > hi {
+                bits &= (1 << (hi % 64)) - 1;
+            }
+            while bits != 0 {
+                self.invalidate(w * 64 + bits.trailing_zeros() as u64);
+                bits &= bits - 1;
+            }
+            w += 1;
+        }
+    }
+
+    /// The tag half of [`Cache::invalidate_run`], as one sweep: up to the
+    /// wrap of the set index the run's sets are contiguous and its lines
+    /// share one key, so each stretch is a pass over a slice of tags
+    /// comparing against a constant.
+    pub(crate) fn invalidate_scan(&mut self, lines: std::ops::Range<u64>) {
         let sets = self.slots.len() as u64;
         let mut line = lines.start;
         while line < lines.end {
@@ -443,6 +517,20 @@ impl Cache {
                 }
             }
             line += n;
+        }
+    }
+
+    /// Prefetch the tag words of `lines` — and, in capture mode, their
+    /// copy-index words — into the host's cache. A host-side hint:
+    /// nothing of the cache changes.
+    #[inline]
+    pub(crate) fn prefetch(&self, lines: std::ops::Range<u64>) {
+        for line in lines {
+            let set = self.split(line).0;
+            crate::shard::prefetch((&self.slots[set] as *const Slot).cast());
+            if let Some(data) = &self.data {
+                crate::shard::prefetch((&data.idx[set] as *const u32).cast());
+            }
         }
     }
 
@@ -486,6 +574,46 @@ impl Cache {
     pub fn take_line(&mut self, line: u64) -> Option<LineBytes> {
         let set = self.split(line).0;
         self.data.as_mut()?.release(set, line)
+    }
+}
+
+#[cfg(test)]
+impl Cache {
+    /// Test oracle for the resident bitmap: each indexed line's bit is set
+    /// exactly when the line's tag holds it, and then its copy exists.
+    pub(crate) fn assert_resident_matches_tags(&self) {
+        let data = self.data.as_ref().expect("capture mode");
+        for line in 0..data.indexed() {
+            let bit = data.resident[(line / 64) as usize] >> (line % 64) & 1 != 0;
+            assert_eq!(
+                bit,
+                self.contains(line),
+                "resident bit vs tag of line {line}"
+            );
+            assert_eq!(
+                bit,
+                self.line(line).is_some(),
+                "resident bit vs copy of {line}"
+            );
+        }
+    }
+
+    /// Test oracle: tags, statistics and — in capture mode — every slab
+    /// buffer, the per-set index, the free-list order and the resident
+    /// bitmap equal `other`'s.
+    pub(crate) fn assert_same(&self, other: &Cache) {
+        assert_eq!(self.slots, other.slots, "tags");
+        assert_eq!(self.stats, other.stats, "stats");
+        match (&self.data, &other.data) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.idx, b.idx, "copy index");
+                assert_eq!(a.lines, b.lines, "line buffers");
+                assert_eq!(a.free, b.free, "free list");
+                assert_eq!(a.resident, b.resident, "resident bitmap");
+            }
+            _ => panic!("one cache captures, the other does not"),
+        }
     }
 }
 
@@ -561,7 +689,7 @@ mod tests {
 
     #[test]
     fn crash_discards_dirty_lines() {
-        let mut c = Cache::with_capture(4096);
+        let mut c = Cache::with_capture(4096, 1 << 20);
         c.access(1, true);
         c.put_line(1, &[7u8; 64]);
         c.crash();
@@ -571,7 +699,7 @@ mod tests {
 
     #[test]
     fn capture_roundtrip() {
-        let mut c = Cache::with_capture(4096);
+        let mut c = Cache::with_capture(4096, 1 << 20);
         c.access(9, true);
         c.put_line(9, &[1u8; 64]);
         c.line_mut(9).unwrap()[0] = 42;
@@ -583,7 +711,7 @@ mod tests {
 
     #[test]
     fn capture_drops_copy_on_clean_eviction() {
-        let mut c = Cache::with_capture(128);
+        let mut c = Cache::with_capture(128, 1 << 20);
         c.access(0, false);
         c.put_line(0, &[1u8; 64]);
         c.access(2, false); // evicts line 0 (clean)
@@ -785,7 +913,7 @@ mod tests {
         assert!(c.is_dirty(7), "a read hit keeps the dirty bit");
         // Capture-mode caches always decline: reads must go through the
         // per-line data plumbing.
-        let mut cap = Cache::with_capture(4096);
+        let mut cap = Cache::with_capture(4096, 1 << 20);
         cap.access(7, false);
         assert!(!cap.read_hit(7));
         assert_eq!(cap.stats().hits, 0);
@@ -900,7 +1028,8 @@ mod tests {
     /// flushed, as `cxl::Port` does — plus bare takes, invalidations and
     /// crashes, through the slab and the map side by side.
     fn assert_slab_matches_map(sets: usize, base_line: u64, seed: u64) {
-        let mut c = Cache::with_capture(sets * CACHE_LINE as usize);
+        // No resident bitmap: bare takes below leave tags without copies.
+        let mut c = Cache::with_capture(sets * CACHE_LINE as usize, 0);
         let mut m = MapRef::new(sets);
         let mut rng = simkit::rng::SimRng::seed_from_u64(seed);
         let reach = base_line..base_line + sets as u64 * 3;
@@ -986,7 +1115,7 @@ mod tests {
         assert_slab_matches_map(48, (1 << 33) + 17, 0x51AD);
     }
 
-    // ---- invalidate_run vs per-line invalidate ------------------------
+    // ---- invalidate_run vs per-line invalidate and the tag scan -------
 
     fn assert_invalidate_run_matches_per_line(sets: usize) {
         let n = sets as u64;
@@ -1002,9 +1131,13 @@ mod tests {
             (1 << 33) + n - 2..(1 << 33) + n + 2,
             0..4 * n,
         ];
+        // The bitmap indexes the lines of a `2n`-line region (rounded up
+        // to a whole word): the longer runs cross its end, so their tail
+        // takes the tag scan, and the run far above takes it whole.
+        let region = 2 * sets * CACHE_LINE as usize;
         for run in runs {
-            let mut swept = Cache::with_capture(sets * CACHE_LINE as usize);
-            let mut per_line = Cache::with_capture(sets * CACHE_LINE as usize);
+            let mut swept = Cache::with_capture(sets * CACHE_LINE as usize, region);
+            let mut per_line = Cache::with_capture(sets * CACHE_LINE as usize, region);
             let mut m = MapRef::new(sets);
             // Clean and dirty lines with copies, drawn so that about half
             // the sets hold a line of the run and the rest an alias of one.
@@ -1029,7 +1162,10 @@ mod tests {
                     }
                 }
             }
+            swept.assert_resident_matches_tags();
+            let mut scanned = swept.clone();
             swept.invalidate_run(run.clone());
+            scanned.invalidate_scan(run.clone());
             for line in run.clone() {
                 per_line.invalidate(line);
                 m.invalidate(line);
@@ -1037,10 +1173,15 @@ mod tests {
             let reach = run.start.saturating_sub(n)..run.start.saturating_sub(n) + 4 * n;
             assert_same_state(&swept, &m, reach.clone());
             assert_same_state(&per_line, &m, reach);
+            // The bitmap walk leaves the cache the tag scan leaves, down
+            // to the order buffers went back on the free list.
+            swept.assert_same(&scanned);
+            swept.assert_same(&per_line);
+            swept.assert_resident_matches_tags();
         }
         // A line whose key overflows a slot — here to exactly line 1's key
         // once truncated — is held by no set and must drop nothing.
-        let mut c = Cache::with_capture(sets * CACHE_LINE as usize);
+        let mut c = Cache::with_capture(sets * CACHE_LINE as usize, region);
         c.access(1, false);
         c.put_line(1, &[5; 64]);
         c.invalidate_run((n << 32)..(n << 32) + 3);
@@ -1129,7 +1270,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capture-mode cache cannot be shifted")]
     fn shifting_a_capture_cache_is_refused() {
-        Cache::with_capture(4096).shifted(1);
+        Cache::with_capture(4096, 1 << 20).shifted(1);
     }
 
     #[test]
@@ -1141,7 +1282,7 @@ mod tests {
 
     #[test]
     fn invalidate_is_silent_drop() {
-        let mut c = Cache::with_capture(4096);
+        let mut c = Cache::with_capture(4096, 1 << 20);
         c.access(4, true);
         c.put_line(4, &[9u8; 64]);
         c.invalidate(4);

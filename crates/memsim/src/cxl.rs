@@ -623,7 +623,7 @@ impl CxlPool {
             let n = n.borrow();
             hosts = hosts.max(n.host + 1);
             caches.push(if n.capture {
-                Cache::with_capture(n.cache_bytes)
+                Cache::with_capture(n.cache_bytes, size)
             } else {
                 Cache::new(n.cache_bytes)
             });
@@ -1045,6 +1045,21 @@ impl CxlShard {
         self.cache.crash();
     }
 
+    /// Prefetch what an access to `off..off + len` will load first into
+    /// the host's cache: the region's lines and the node cache's tag and
+    /// copy-index words for them. A host-side hint — no modelled state,
+    /// no profiler scope, no span. Empty, or starting at or past the end
+    /// of the region, it does nothing.
+    #[inline]
+    pub fn prefetch(&self, off: u64, len: usize) {
+        let len = (len as u64).min((self.reader.len() as u64).saturating_sub(off));
+        if len == 0 {
+            return;
+        }
+        self.reader.prefetch(off, len as usize);
+        self.cache.prefetch(line_range(off, len as usize));
+    }
+
     fn port(&mut self) -> Port<'_> {
         Port {
             node: self.node,
@@ -1103,6 +1118,14 @@ impl CxlFabric for CxlShard {
         let snooped = (lr.end - lr.start) * (self.total_nodes as u64).saturating_sub(1);
         self.coherent_invals.extend(lr);
         self.port().write_coherent_tail(off, data, snooped, now)
+    }
+}
+
+#[cfg(test)]
+impl CxlPool {
+    /// A node's cache, for the memsim tests' oracles.
+    pub(crate) fn node_cache(&self, node: NodeId) -> &Cache {
+        &self.caches[node.0]
     }
 }
 
@@ -1666,6 +1689,35 @@ mod tests {
         let mut b = [0u8; 64];
         p.read(NodeId(0), 0, &mut b, SimTime::ZERO);
         assert_eq!(b, [9; 64]);
+    }
+
+    #[test]
+    fn shard_prefetch_is_a_no_op_at_the_edges() {
+        let size = 1u64 << 16;
+        let mut p = CxlPool::single_host(size as usize, 1, 4 << 10, true);
+        let mut shard = p.detach_node(NodeId(0));
+        shard.write(NodeId(0), size - 64, &[3; 64], SimTime::ZERO);
+        let stats = shard.cache_stats();
+        // Empty, at the end, past it, far past it, and a length that
+        // would overflow the offset; then one clipped at the end and one
+        // well inside.
+        for (off, len) in [
+            (0, 0),
+            (size, 0),
+            (size, 64),
+            (size + 1, 64),
+            (u64::MAX, 1),
+            (size - 1, usize::MAX),
+            (size - 100, 4096),
+            (128, 120),
+        ] {
+            shard.prefetch(off, len);
+            shard.reader.prefetch(off, len);
+        }
+        assert_eq!(shard.cache_stats(), stats, "a prefetch models nothing");
+        let mut b = [0u8; 64];
+        shard.read(NodeId(0), size - 64, &mut b, SimTime::ZERO);
+        assert_eq!(b, [3; 64]);
     }
 
     // ---- copy_lease vs the same traffic made at the other base ---------

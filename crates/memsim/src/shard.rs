@@ -22,7 +22,23 @@
 //! the scan back, never change a byte.
 
 use crate::cache::line_range;
+use crate::calib::CACHE_LINE;
 use crate::region::Region;
+
+/// Ask the host CPU to start loading the cache line at `p`: a hint with
+/// no effect on any value, a no-op off x86_64.
+#[inline(always)]
+pub(crate) fn prefetch(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and reads nothing the program sees;
+    // callers pass only addresses inside a live allocation.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
 
 /// An immutable window over a region's bytes.
 ///
@@ -67,6 +83,22 @@ impl RegionReader {
     /// True when zero-sized.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Prefetch the lines holding bytes `off..off + len` (clipped to the
+    /// window) into the host's cache. A host-side hint: no byte, no
+    /// modelled state changes. Empty, or starting at or past the end, it
+    /// does nothing.
+    #[inline]
+    pub(crate) fn prefetch(&self, off: u64, len: usize) {
+        let len = (len as u64).min((self.len as u64).saturating_sub(off));
+        if len == 0 {
+            return;
+        }
+        for line in line_range(off, len as usize) {
+            // SAFETY: `off <= at < off + len <= self.len`, inside the window.
+            prefetch(unsafe { self.ptr.add((line * CACHE_LINE).max(off) as usize) });
+        }
     }
 
     /// Copy `buf.len()` bytes starting at `off` into `buf`.
@@ -353,6 +385,28 @@ mod tests {
         reader.read(40, &mut a);
         region.read(40, &mut b);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn reader_prefetch_is_a_no_op_at_the_edges() {
+        let mut region = Region::volatile(256);
+        region.write(0, &[4u8; 256]);
+        let reader = RegionReader::new(&region);
+        for (off, len) in [
+            (0, 0),
+            (100, 0),
+            (256, 0),
+            (256, 1),
+            (300, 64),
+            (u64::MAX, 8),
+            (255, usize::MAX),
+            (0, 256),
+        ] {
+            reader.prefetch(off, len);
+        }
+        let mut buf = [0u8; 256];
+        reader.read(0, &mut buf);
+        assert_eq!(buf, [4u8; 256]);
     }
 
     #[test]

@@ -99,6 +99,10 @@ pub trait Fabric {
     ) -> Option<SimTime>;
     /// End of run: fold the nodes' invalidation counters into the server.
     fn absorb_invalidations(&mut self, nodes: &[Self::Node]);
+    /// Host-side hint ahead of a statement on `len` bytes at `off` in
+    /// `page`: start loading what it will touch. Changes nothing
+    /// modelled; the default does nothing.
+    fn prefetch(_node: &Self::Node, _shard: &Self::Shard, _page: PageId, _off: u64, _len: usize) {}
 }
 
 /// Per-lane core state that survives across quanta: the closed-loop
@@ -142,6 +146,12 @@ impl<F: Fabric, X> LaneCtx<'_, '_, F, X> {
         let t = F::read(self.node, self.shard, page, off, &mut self.buf[..len], t);
         self.lock.extend_shared(page, t);
         t
+    }
+
+    /// Prefetch what a statement on `len` bytes at `off` in `page` will
+    /// touch ([`Fabric::prefetch`]): a host-side hint, no modelled state.
+    pub fn prefetch(&self, page: PageId, off: u64, len: usize) {
+        F::prefetch(self.node, self.shard, page, off, len);
     }
 
     /// One write statement: CPU, X lock, store `data`, publish (flush +
@@ -468,6 +478,9 @@ impl Fabric for FusionCluster {
     fn absorb_invalidations(&mut self, nodes: &[SharingNode]) {
         let sent = nodes.iter().map(|n| n.stats().invalidations_sent).sum();
         self.server.absorb_invalidations(sent);
+    }
+    fn prefetch(node: &SharingNode, shard: &CxlShard, page: PageId, off: u64, len: usize) {
+        node.prefetch_resident(shard, page, off, len);
     }
 }
 

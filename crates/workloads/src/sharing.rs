@@ -172,28 +172,28 @@ impl SharingConfig {
 }
 
 /// Sysbench point-update transactions (10 updates of the `c` column),
-/// X % of statements on the shared group.
+/// X % of statements on the shared group. Like every generator
+/// [`run_sharing`] takes, it appends one transaction's statements to the
+/// buffer it is handed.
 pub fn point_update_gen(
     layout: GroupLayout,
     shared_pct: u32,
-) -> impl Fn(&mut SimRng, usize) -> Vec<ShOp> {
-    move |rng, node| {
-        (0..10)
-            .map(|_| {
-                let group = if rng.gen_range(0..100) < shared_pct {
-                    layout.groups - 1
-                } else {
-                    node
-                };
-                let row = rng.gen_range(0..layout.rows_per_group);
-                let (page, off) = layout.locate(group, row);
-                ShOp::Write {
-                    page,
-                    off: off + 8,
-                    len: 120,
-                }
-            })
-            .collect()
+) -> impl Fn(&mut SimRng, usize, &mut Vec<ShOp>) {
+    move |rng, node, txn| {
+        for _ in 0..10 {
+            let group = if rng.gen_range(0..100) < shared_pct {
+                layout.groups - 1
+            } else {
+                node
+            };
+            let row = rng.gen_range(0..layout.rows_per_group);
+            let (page, off) = layout.locate(group, row);
+            txn.push(ShOp::Write {
+                page,
+                off: off + 8,
+                len: 120,
+            });
+        }
     }
 }
 
@@ -202,8 +202,8 @@ pub fn point_update_gen(
 pub fn read_write_gen(
     layout: GroupLayout,
     shared_pct: u32,
-) -> impl Fn(&mut SimRng, usize) -> Vec<ShOp> {
-    move |rng, node| {
+) -> impl Fn(&mut SimRng, usize, &mut Vec<ShOp>) {
+    move |rng, node, txn| {
         let pick = |rng: &mut SimRng| {
             let group = if rng.gen_range(0..100) < shared_pct {
                 layout.groups - 1
@@ -213,7 +213,6 @@ pub fn read_write_gen(
             let row = rng.gen_range(0..layout.rows_per_group);
             layout.locate(group, row)
         };
-        let mut txn = Vec::with_capacity(18);
         for _ in 0..14 {
             let (page, off) = pick(rng);
             txn.push(ShOp::Read {
@@ -230,7 +229,6 @@ pub fn read_write_gen(
                 len: 120,
             });
         }
-        txn
     }
 }
 
@@ -270,14 +268,16 @@ pub(crate) fn seed_storage(layout: &GroupLayout) -> PageStore {
     store
 }
 
-/// Run a sharing experiment with the given transaction generator.
+/// Run a sharing experiment with the given transaction generator, which
+/// appends a worker's next transaction to the (empty) buffer it is
+/// handed; each lane reuses one buffer.
 ///
 /// The run is *always* phased (barrier-synchronized stepping on the
 /// [`crate::cluster`] loop): nodes step between virtual-time barriers
 /// in lane order, and cross-node effects land at each barrier.
 pub fn run_sharing<F>(cfg: &SharingConfig, gen: F) -> SharingResult
 where
-    F: Fn(&mut SimRng, usize) -> Vec<ShOp>,
+    F: Fn(&mut SimRng, usize, &mut Vec<ShOp>),
 {
     let (layout, n) = (cfg.layout, cfg.nodes);
     let mode = match cfg.system {
@@ -295,7 +295,7 @@ where
 
 fn run_rdma<F>(cfg: &SharingConfig, gen: &F, lbp_fraction: f64) -> SharingResult
 where
-    F: Fn(&mut SimRng, usize) -> Vec<ShOp>,
+    F: Fn(&mut SimRng, usize, &mut Vec<ShOp>),
 {
     let (layout, n) = (cfg.layout, cfg.nodes);
     let dbp_bytes = layout.total_pages() * PAGE_SIZE;
@@ -333,12 +333,19 @@ where
 }
 
 /// What a sharing lane accumulates: the txn-latency histogram and the
-/// statement / transaction counters.
+/// statement / transaction counters — and the lane's transaction buffer.
 #[derive(Default)]
 struct Tally {
     hist: Histogram,
     queries: u64,
     txns: u64,
+    txn: Vec<ShOp>,
+}
+
+/// Start loading the fabric lines `op` will touch (a host-side hint).
+fn prefetch_op<F: Fabric, X>(ctx: &LaneCtx<'_, '_, F, X>, op: ShOp) {
+    let (ShOp::Read { page, off, len } | ShOp::Write { page, off, len }) = op;
+    ctx.prefetch(page, off as u64, len as usize);
 }
 
 /// Execute one [`ShOp`] on a lane as its locked statement.
@@ -367,7 +374,7 @@ fn run_on<Fb: Fabric, F>(
     memory: u64,
 ) -> SharingResult
 where
-    F: Fn(&mut SimRng, usize) -> Vec<ShOp>,
+    F: Fn(&mut SimRng, usize, &mut Vec<ShOp>),
 {
     let n = cfg.nodes;
     let tallies = (0..n).map(|_| Tally::default()).collect();
@@ -382,14 +389,25 @@ where
         cfg.duration,
         cfg.quantum,
         |ctx, w, start| {
-            let txn = gen(&mut ctx.rngs[w], ctx.lane);
+            let mut txn = std::mem::take(&mut ctx.ext.txn);
+            txn.clear();
+            gen(&mut ctx.rngs[w], ctx.lane, &mut txn);
+            // Each statement's lines are requested one statement ahead,
+            // so the host loads them while the one before it runs.
+            if let Some(&first) = txn.first() {
+                prefetch_op(ctx, first);
+            }
             let mut t = start + CPU_TXN_OVERHEAD_NS;
-            for &op in &txn {
+            for (k, &op) in txn.iter().enumerate() {
+                if let Some(&next) = txn.get(k + 1) {
+                    prefetch_op(ctx, next);
+                }
                 t = exec_op(ctx, op, &payload, t);
             }
             ctx.ext.queries += txn.len() as u64;
             ctx.ext.txns += 1;
             ctx.ext.hist.record(t - start);
+            ctx.ext.txn = txn;
             Step::Done(t)
         },
         |_, _| {},
@@ -508,16 +526,19 @@ mod tests {
         };
         let shared_range = (l.pages_per_group() * 4)..(l.pages_per_group() * 5);
         let mut rng = stream_rng(3, 0);
-        let gen = point_update_gen(l, 100);
-        for op in gen(&mut rng, 0) {
+        let gen = |g: &dyn Fn(&mut SimRng, usize, &mut Vec<ShOp>), rng: &mut SimRng| {
+            let mut txn = Vec::new();
+            g(rng, 0, &mut txn);
+            txn
+        };
+        for op in gen(&point_update_gen(l, 100), &mut rng) {
             let ShOp::Write { page, .. } = op else {
                 panic!()
             };
             assert!(shared_range.contains(&page.0), "100% shared");
         }
-        let gen0 = point_update_gen(l, 0);
         let own_range = 0..l.pages_per_group();
-        for op in gen0(&mut rng, 0) {
+        for op in gen(&point_update_gen(l, 0), &mut rng) {
             let ShOp::Write { page, .. } = op else {
                 panic!()
             };
