@@ -1,7 +1,6 @@
 //! Membership changes over the slot table: what happens to a node's
 //! active entries and flag words when the cluster changes shape —
-//! reclaim after a declared death, bulk adoption by a standby or a
-//! migration recipient, and the donor-side migration hand-off. Every
+//! reclaim after a declared death and bulk adoption by a standby. Every
 //! operation returns early, touching nothing, for a node that never
 //! registered a flag array.
 
@@ -88,47 +87,6 @@ impl FusionServer {
         let end = self.store_uncached(invalid_flag_off(flag_base, from), &zeros, t);
         (grants, end)
     }
-
-    /// Migration hand-off, donor side: drop `donor` from the active
-    /// list of every mapped page in `[from, from + count)` and set its
-    /// removal flags for the whole range in one contiguous patterned
-    /// ntstore sweep (removal word := 1, invalid word := 0 — removal is
-    /// checked first, so a live donor re-requests cleanly). Slots are
-    /// *not* recycled: the pages transfer in place to the recipient
-    /// ([`FusionServer::adopt_range`]), which is the whole point of a
-    /// CXL migration — no data moves. Idempotent; returns completion
-    /// time.
-    pub fn migrate_out(
-        &mut self,
-        donor: NodeId,
-        from: PageId,
-        count: u64,
-        now: SimTime,
-    ) -> SimTime {
-        let Some(&flag_base) = self.flag_bases.get(&donor) else {
-            return now;
-        };
-        self.stats.rpcs += 1;
-        let t = rpc_gate(now);
-        let mut handed = 0u64;
-        for p in from.0..from.0 + count {
-            if let Some(info) = self.map.get_mut(&PageId(p)) {
-                if info.active.contains(&donor) {
-                    info.active.retain(|&n| n != donor);
-                    handed += 1;
-                }
-            }
-        }
-        self.stats.migrated_out += handed;
-        // Flag words for a contiguous page range are contiguous in the
-        // donor's flag array: one patterned sweep sets every removal
-        // word in the range.
-        let mut pattern = vec![0u8; (count * 16) as usize];
-        for i in 0..count as usize {
-            pattern[i * 16 + 8] = 1;
-        }
-        self.store_uncached(invalid_flag_off(flag_base, from), &pattern, t)
-    }
 }
 
 impl SharingNode {
@@ -150,17 +108,6 @@ impl SharingNode {
             t = self.install(&mut *pool, page, addr, t);
         }
         (adopted, t)
-    }
-
-    /// Migration hand-off, node side: drop the local metadata entries
-    /// for `[from, from + count)`. The donor calls this after the
-    /// coordinator's [`FusionServer::migrate_out`] so its next touch of
-    /// a migrated page goes through the normal removal/re-request
-    /// protocol instead of a stale local address. Pure control plane.
-    pub fn forget_range(&mut self, from: PageId, count: u64) {
-        for p in from.0..from.0 + count {
-            self.entries.remove(&PageId(p));
-        }
     }
 }
 
@@ -213,43 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn migrate_out_hands_pages_off_without_recycling() {
-        let (mut server, mut n0, mut n1) = setup();
-        let mut buf = [0u8; 8];
-        // Donor (node 0) active on pages 2..=4; write one of them so the
-        // data in CXL is worth keeping.
-        n0.read(&mut server, PageId(2), 0, &mut buf, SimTime::ZERO);
-        n0.read(&mut server, PageId(3), 0, &mut buf, SimTime::ZERO);
-        n0.read(&mut server, PageId(4), 0, &mut buf, SimTime::ZERO);
-        let t = n0.write(&mut server, PageId(3), 0, &[9u8; 8], SimTime::ZERO);
-        let t = n0.publish(&mut server, PageId(3), t);
-        let in_use = server.pages_in_use();
-        let free = server.free_slots();
-        let t = server.migrate_out(NodeId(0), PageId(2), 3, t);
-        // Slots neither freed nor leaked: the pages transfer in place.
-        assert_eq!(server.pages_in_use(), in_use);
-        assert_eq!(server.free_slots(), free);
-        assert_eq!(server.stats().migrated_out, 3);
-        assert!(server.slot_of(PageId(3)).is_some());
-        // Idempotent: a replay hands off nothing new.
-        let t = server.migrate_out(NodeId(0), PageId(2), 3, t);
-        assert_eq!(server.stats().migrated_out, 3);
-        // The recipient adopts the range and reads the donor's committed
-        // write without a storage round trip.
-        let (grants, t) = n1.adopt(&mut server, PageId(2), 3, t);
-        assert_eq!(grants, 3);
-        let fills = server.stats().storage_fills;
-        n1.read(&mut server, PageId(3), 0, &mut buf, t);
-        assert_eq!(buf, [9u8; 8]);
-        assert_eq!(server.stats().storage_fills, fills);
-        // The donor polls its removal flag and re-requests cleanly if it
-        // ever comes back to the page.
-        let removals = n0.stats().removal_reloads;
-        n0.read(&mut server, PageId(3), 0, &mut buf, t);
-        assert_eq!(n0.stats().removal_reloads, removals + 1);
-    }
-
-    #[test]
     fn membership_changes_for_an_unregistered_node_touch_nothing() {
         // Node 1 never registered a flag array (a standby whose
         // registration was lost, say). Every membership operation on the
@@ -269,7 +179,6 @@ mod tests {
         );
         assert_eq!(stray.adopt(&mut server, PageId(0), 8, t), (0, t));
         assert_eq!(server.reclaim_node(NodeId(1), t), t);
-        assert_eq!(server.migrate_out(NodeId(1), PageId(0), 8, t), t);
         assert_eq!(server.stats(), before);
         assert_eq!(server.fabric().borrow().switch_bytes(), link);
         // The registered node's directory entry is untouched.

@@ -25,8 +25,8 @@
 //! RPC, recycling, the server-issued publish, the [`FusionDir`]
 //! snapshot), `node` (the data plane: every step of the protocol above,
 //! written once over [`memsim::CxlFabric`] for the serial and the phase
-//! API), `fencing` (epoch words, both sides) and `membership` (reclaim,
-//! adoption, migration hand-off).
+//! API), `fencing` (epoch words, both sides) and `membership` (reclaim
+//! and adoption).
 
 mod fencing;
 mod membership;

@@ -31,7 +31,7 @@ pub(super) struct SlotInfo {
 pub struct FusionStats {
     /// Page-address RPCs served.
     pub rpcs: u64,
-    /// Slots recycled by the background thread / allocation pressure.
+    /// Slots recycled under allocation pressure.
     pub recycles: u64,
     /// Invalidation flag stores issued.
     pub invalidations: u64,
@@ -45,9 +45,6 @@ pub struct FusionStats {
     pub reclaimed_slots: u64,
     /// Per-(node, page) flag words cleared during reclamation.
     pub reclaimed_flags: u64,
-    /// Pages handed off in place by [`FusionServer::migrate_out`]
-    /// during a lease migration (slots not recycled — they transfer).
-    pub migrated_out: u64,
 }
 
 /// The buffer fusion server: allocates DBP slots from its CXL lease and
@@ -143,18 +140,6 @@ impl FusionServer {
         self.flag_bases.insert(node, flag_base);
     }
 
-    /// DBP slot size in bytes (one page per slot).
-    pub fn page_size(&self) -> u64 {
-        self.page_size
-    }
-
-    /// CXL byte address of `page`'s DBP slot, if the page is mapped.
-    /// Pure directory lookup — no fabric traffic (the migration
-    /// coordinator uses it to flush a donor range in place).
-    pub fn slot_of(&self, page: PageId) -> Option<u64> {
-        self.map.get(&page).map(|info| self.slot_addr(info.slot))
-    }
-
     /// Server statistics.
     pub fn stats(&self) -> FusionStats {
         self.stats
@@ -235,8 +220,8 @@ impl FusionServer {
     }
 
     /// Recycle the least-recently-used slot: set every active node's
-    /// `removal` flag and free the slot (the background recycle thread,
-    /// §3.3). Returns completion time.
+    /// `removal` flag and free the slot (§3.3's recycle thread, run here
+    /// on demand when the free list is empty). Returns completion time.
     pub fn recycle_slot(&mut self, now: SimTime) -> SimTime {
         let Some(victim) = self.lru.back() else {
             return now;
@@ -277,18 +262,6 @@ impl FusionServer {
             let flag_base = self.flag_bases[&node];
             t = self.store_uncached(invalid_flag_off(flag_base, page), &1u64.to_le_bytes(), t);
             self.stats.invalidations += 1;
-        }
-        t
-    }
-
-    /// Background recycler step: recycle up to `n` LRU slots if fewer
-    /// than `low_water` are free.
-    pub fn background_recycle(&mut self, n: usize, low_water: usize, now: SimTime) -> SimTime {
-        let mut t = now;
-        let mut done = 0;
-        while self.free.len() < low_water && done < n && !self.lru.is_empty() {
-            t = self.recycle_slot(t);
-            done += 1;
         }
         t
     }
@@ -414,21 +387,6 @@ mod tests {
         n0.read(&mut server, PageId(16), 0, &mut buf, SimTime::ZERO);
         assert_eq!(server.stats().recycles, 1);
         assert_eq!(server.pages_in_use(), 16);
-    }
-
-    #[test]
-    fn background_recycle_respects_low_water() {
-        let (mut server, mut n0, _) = setup();
-        let mut buf = [0u8; 8];
-        for p in 0..16u64 {
-            n0.read(&mut server, PageId(p), 0, &mut buf, SimTime::ZERO);
-        }
-        server.background_recycle(4, 2, SimTime::ZERO);
-        assert_eq!(server.stats().recycles, 2);
-        // Already above the low-water mark: no further recycling.
-        server.background_recycle(4, 2, SimTime::ZERO);
-        assert_eq!(server.stats().recycles, 2);
-        assert_eq!(server.pages_in_use() + server.free_slots(), 16);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod cxl_bp;
-pub mod elastic;
 pub mod fusion;
 pub mod layout;
 pub mod manager;
@@ -30,11 +29,6 @@ pub mod rdma_sharing;
 pub mod recovery;
 
 pub use cxl_bp::{CxlBp, SharedCxl};
-pub use elastic::{
-    ElasticConfig, ElasticController, ElasticStats, JournalRecord, MigrationCoordinator,
-    MigrationError, MigrationPlan, MigrationRequest, MigrationState, MigrationStep, RecoveryAction,
-    MIG_JOURNAL_BYTES,
-};
 pub use fusion::{
     CoherencyMode, FencedError, FencingPolicy, FusionDir, FusionServer, FusionStats, SharedStore,
     SharingNode, SharingNodeStats,

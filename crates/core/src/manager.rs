@@ -149,18 +149,6 @@ impl CxlMemoryManager {
         &self.leases
     }
 
-    /// The lease covering exactly `[offset, offset + size)`, if any.
-    /// Pure lookup — no RPC. Migration recovery uses it to decide,
-    /// idempotently, whether a journalled reassignment already ran:
-    /// the extent's owner is the ground truth, not the coordinator's
-    /// (lost) in-memory state.
-    pub fn lease_at(&self, offset: u64, size: u64) -> Option<Lease> {
-        self.leases
-            .iter()
-            .find(|l| l.offset == offset && l.size == size)
-            .copied()
-    }
-
     /// Allocate `size` bytes for `client` (first fit, 64-B aligned).
     /// Returns the lease and the RPC completion time.
     pub fn allocate(

@@ -90,10 +90,6 @@ pub const CPU_POINT_SELECT_NS: u64 = 38_000;
 pub const CPU_PER_ROW_NS: u64 = 900;
 /// CPU work of an update/insert/delete statement (excl. memory/WAL).
 pub const CPU_WRITE_STMT_NS: u64 = 45_000;
-/// CPU work of refusing a write the node may not take (a write into a
-/// range write-protected by a live migration): a retryable error,
-/// returned without locks or fabric.
-pub const CPU_WRITE_REFUSE_NS: u64 = 5_000;
 /// Fixed CPU cost of beginning/committing a transaction.
 pub const CPU_TXN_OVERHEAD_NS: u64 = 8_000;
 

@@ -67,22 +67,10 @@ pub enum FaultSite {
     /// Control-plane RPC to the memory manager / fusion server
     /// ([`Verdict::Transient`] delays and retries the RPC).
     Rpc = 9,
-    /// Lease-migration PREPARE: the coordinator write-protects the
-    /// donor range and journals the intent record.
-    MigPrepare = 10,
-    /// Lease-migration dirty-frame flush of the donor range.
-    MigFlush = 11,
-    /// Lease-migration COMMIT point: journal flip plus
-    /// `revoke`/`reassign` against the memory manager.
-    MigReassign = 12,
-    /// Lease-migration bulk adoption of the range on the recipient.
-    MigAdopt = 13,
-    /// Lease-migration intent retirement (journal goes quiescent).
-    MigRetire = 14,
 }
 
 /// Number of [`FaultSite`] variants (length of per-site stat tables).
-pub const SITE_COUNT: usize = 15;
+pub const SITE_COUNT: usize = 10;
 
 impl FaultSite {
     /// Stable snake_case name (used as metric keys and in reports).
@@ -98,11 +86,6 @@ impl FaultSite {
             FaultSite::CxlLink => "cxl_link",
             FaultSite::RdmaLink => "rdma_link",
             FaultSite::Rpc => "rpc",
-            FaultSite::MigPrepare => "mig_prepare",
-            FaultSite::MigFlush => "mig_flush",
-            FaultSite::MigReassign => "mig_reassign",
-            FaultSite::MigAdopt => "mig_adopt",
-            FaultSite::MigRetire => "mig_retire",
         }
     }
 
@@ -118,11 +101,6 @@ impl FaultSite {
         FaultSite::CxlLink,
         FaultSite::RdmaLink,
         FaultSite::Rpc,
-        FaultSite::MigPrepare,
-        FaultSite::MigFlush,
-        FaultSite::MigReassign,
-        FaultSite::MigAdopt,
-        FaultSite::MigRetire,
     ];
 }
 

@@ -1,19 +1,17 @@
 //! The one cluster driver: N database nodes, a coherency server and a
 //! fabric, stepped in virtual-time quanta between barriers.
 //!
-//! Every multi-node harness (sharing on CXL and on RDMA, failover,
-//! elasticity) is a *scenario* on this driver: it builds a
-//! [`Fabric`], hands over one node + one lane-state value per lane, and
-//! supplies two closures —
+//! Every multi-node harness (sharing on CXL and on RDMA, failover) is a
+//! *scenario* on this driver: it builds a [`Fabric`], hands over one
+//! node + one lane-state value per lane, and supplies two closures —
 //!
 //! * a **transaction body**, monomorphised into the phase and run once
 //!   per closed-loop worker step against a [`LaneCtx`] (the lane's CPU,
 //!   RNG streams, scenario state and the two locked statements);
 //! * a **barrier hook**, run serially on the driver thread after every
 //!   barrier with the whole [`Cluster`] back in hand (server, nodes,
-//!   lock table, per-lane state) — the control planes of
-//!   [`crate::control`] (failover's supervisor, elasticity's rebalancer)
-//!   run there.
+//!   lock table, per-lane state) — failover's
+//!   [`crate::control::Supervisor`] runs there.
 //!
 //! One quantum, in fixed order: for each active lane, ascending, on the
 //! calling thread — make its lock shard → swap its tracer and fault
@@ -26,9 +24,9 @@
 //! state re-lands on the calling thread's tracer in lane order.
 //!
 //! A hook may touch anything on the [`Cluster`], but fabric shards only
-//! through [`Cluster::deactivate`] / [`Cluster::activate`] /
-//! [`Cluster::merged`], and it must call [`Cluster::refresh_dir`] after
-//! mutating the server's directory — lanes read a snapshot.
+//! through [`Cluster::deactivate`] / [`Cluster::activate`], and it must
+//! call [`Cluster::refresh_dir`] after mutating the server's directory —
+//! lanes read a snapshot.
 
 use crate::sharing::GroupLayout;
 use bufferpool::tiered::SharedRdma;
@@ -254,18 +252,6 @@ impl<F: Fabric, X> Cluster<F, X> {
         let pos = self.active.binary_search(&lane).expect("lane is active");
         self.active.remove(pos);
         self.fabric.attach(self.shards.remove(pos));
-    }
-
-    /// Run serial code with every stepping lane's shard merged back (the
-    /// pool as the server sees it), then detach them all again.
-    pub fn merged<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let lanes = self.active.clone();
-        lanes.iter().for_each(|&lane| self.deactivate(lane));
-        let r = f(self);
-        lanes
-            .iter()
-            .for_each(|&lane| self.activate(lane, SimTime::ZERO));
-        r
     }
 
     /// Re-snapshot the directory after a hook mutated the server's.

@@ -10,7 +10,6 @@
 
 pub mod cluster;
 pub mod control;
-pub mod elasticity;
 pub mod failover;
 pub mod harness;
 pub mod metrics;
@@ -20,9 +19,6 @@ pub mod sysbench;
 pub mod tatp;
 pub mod tpcc;
 
-pub use elasticity::{
-    run_elasticity, ElasticTenantOutcome, ElasticityConfig, ElasticityResult, ELASTIC_TENANTS,
-};
 pub use failover::{
     run_failover, DeathMode, FailoverConfig, FailoverResult, LinkChaos, TakeoverSummary,
 };

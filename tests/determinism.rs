@@ -243,39 +243,6 @@ fn sharing_traces_reruns_bit_identically() {
 }
 
 #[test]
-fn elasticity_intra_config_reruns_bit_identically() {
-    // Live migration adds the sharpest host-order hazards yet: the
-    // controller's pressure streaks are folded from per-lane counters at
-    // barriers, the coordinator's PREPARE/COMMIT mutate the shared
-    // directory between quanta, and the write-protected window gates
-    // per-lane statements. Every one of those must be a function of
-    // virtual time and node state only — adaptive and static, and with
-    // the protected window under a heavy write mix.
-    let run = |adaptive: bool, write_pct: u32| {
-        let mut c = ElasticityConfig::smoke();
-        c.adaptive = adaptive;
-        c.write_pct = write_pct;
-        run_elasticity(&c)
-    };
-    for (adaptive, write_pct) in [(true, 20), (false, 20), (true, 50)] {
-        let (one, p) = (run(adaptive, write_pct), run(adaptive, write_pct));
-        assert_eq!(
-            one.per_tenant, p.per_tenant,
-            "adaptive={adaptive} wr={write_pct}: per-tenant outcomes"
-        );
-        assert_eq!(
-            one.final_owners, p.final_owners,
-            "adaptive={adaptive} wr={write_pct}: extent owners"
-        );
-        assert_eq!(
-            one.registry, p.registry,
-            "adaptive={adaptive} wr={write_pct}: registry"
-        );
-        assert_eq!(one, p, "adaptive={adaptive} wr={write_pct}: rerun diverged");
-    }
-}
-
-#[test]
 fn failover_intra_config_reruns_bit_identically() {
     // Failover folds the fault engine into the stepped run: each lane's
     // fault state counts only that lane's polls, so the fault schedule

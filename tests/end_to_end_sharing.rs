@@ -61,10 +61,10 @@ fn bigger_lbp_narrows_but_does_not_close_the_gap() {
     );
 }
 
-/// The background recycler under DBP pressure: a fusion server whose
-/// slot pool is much smaller than the dataset keeps recycling LRU slots
-/// (setting removal flags); nodes must transparently re-request and
-/// still read correct data.
+/// Demand recycling under DBP pressure: a fusion server whose slot pool
+/// is much smaller than the dataset keeps recycling LRU slots (setting
+/// removal flags); nodes must transparently re-request and still read
+/// correct data.
 #[test]
 fn dbp_pressure_recycles_without_corruption() {
     use polardb_cxl_repro::memsim::calib::PAGE_SIZE;
@@ -105,8 +105,8 @@ fn dbp_pressure_recycles_without_corruption() {
         })
         .collect();
     let mut t = SimTime::ZERO;
-    // Sweep all pages repeatedly from both nodes with background
-    // recycling interleaved: every page read must return its own id.
+    // Sweep all pages repeatedly from both nodes: every page read must
+    // return its own id.
     for round in 0..3u64 {
         for p in 0..total_pages {
             let node = ((p + round) % 2) as usize;
@@ -117,9 +117,6 @@ fn dbp_pressure_recycles_without_corruption() {
                 p,
                 "round {round}: page {p} corrupted under recycling"
             );
-            if p % 7 == 0 {
-                t = server.background_recycle(2, slots as usize / 2, t);
-            }
         }
     }
     assert!(

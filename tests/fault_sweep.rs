@@ -691,495 +691,6 @@ fn sweep_fusion_cluster_node_crashes() {
     }
     assert!(crashes_seen > 0, "no swept point actually killed a node");
 }
-
-// ---------------------------------------------------------------------------
-// Lease-migration sweep: crash the coordinator at every migration fault
-// site (plus between the two phases) and recover from the CXL journal.
-// ---------------------------------------------------------------------------
-
-mod migration {
-    use super::*;
-    use polardb_cxl_repro::memsim::CxlNodeConfig;
-    use polardb_cxl_repro::polarcxlmem::{
-        CxlMemoryManager, FusionServer, MigrationCoordinator, MigrationError, MigrationPlan,
-        MigrationState, RecoveryAction, SharingNode,
-    };
-
-    pub const MG_TENANTS: usize = 2;
-    pub const MG_EXTENTS: usize = 4;
-    pub const MG_EPP: u64 = 4; // pages per extent
-    pub const MG_PAGES: u64 = MG_EXTENTS as u64 * MG_EPP;
-    pub const MG_PAGE: u64 = 2048;
-    pub const MG_EXT_BYTES: u64 = MG_EPP * MG_PAGE;
-    pub const MG_STMTS: usize = 150;
-
-    pub struct MgWorld {
-        pub server: FusionServer,
-        pub nodes: Vec<SharingNode>,
-        pub mgr: CxlMemoryManager,
-        pub coord: MigrationCoordinator,
-        /// Extent → owning tenant (the oracle's partition map).
-        pub owners: Vec<usize>,
-        pub journal_base: u64,
-    }
-
-    pub fn initial_owner(extent: usize) -> usize {
-        usize::from(extent >= MG_EXTENTS / 2)
-    }
-
-    /// Two-tenant cluster with one lease per extent and a CXL-resident
-    /// migration journal above the flag arrays. Warmed so every page is
-    /// resolved by its owner before any fault plan is armed.
-    pub fn build() -> MgWorld {
-        let slots_bytes = MG_PAGES * MG_PAGE;
-        let flags_bytes = MG_PAGES * 16;
-        let journal_base = slots_bytes + MG_TENANTS as u64 * flags_bytes;
-        let pool = journal_base + 4096;
-        let cfgs: Vec<CxlNodeConfig> = (0..=MG_TENANTS)
-            .map(|host| CxlNodeConfig {
-                host,
-                cache_bytes: 1 << 20,
-                capture: true,
-                remote_numa: false,
-                direct_attach: false,
-            })
-            .collect();
-        let cxl = Rc::new(RefCell::new(CxlPool::new(pool as usize, &cfgs)));
-        let mut store = PageStore::with_page_size(MG_PAGES, MG_PAGE);
-        for _ in 0..MG_PAGES {
-            store.allocate();
-        }
-        let store = Rc::new(RefCell::new(store));
-        let mut server = FusionServer::new(
-            Rc::clone(&cxl),
-            NodeId(MG_TENANTS),
-            0,
-            MG_PAGES as u32,
-            store,
-        );
-        let mut nodes: Vec<SharingNode> = (0..MG_TENANTS)
-            .map(|i| {
-                let flag_base = slots_bytes + i as u64 * flags_bytes;
-                server.register_node(NodeId(i), flag_base);
-                SharingNode::new(NodeId(i), flag_base, MG_PAGE)
-            })
-            .collect();
-        let mut mgr = CxlMemoryManager::new(MG_PAGES * MG_PAGE);
-        for e in 0..MG_EXTENTS {
-            let owner = initial_owner(e);
-            let (lease, _) = mgr
-                .allocate(NodeId(owner), MG_EXT_BYTES, SimTime::ZERO)
-                .expect("pool sized for every extent");
-            assert_eq!(lease.offset, e as u64 * MG_EXT_BYTES);
-            for p in 0..MG_EPP {
-                nodes[owner].access(&mut server, PageId(e as u64 * MG_EPP + p), SimTime::ZERO);
-            }
-        }
-        let coord = MigrationCoordinator::new(NodeId(MG_TENANTS), journal_base);
-        MgWorld {
-            server,
-            nodes,
-            mgr,
-            coord,
-            owners: (0..MG_EXTENTS).map(initial_owner).collect(),
-            journal_base,
-        }
-    }
-
-    /// One scripted step. Statements resolve their extent against the
-    /// partition map *at execution time*, so the same script is valid
-    /// whichever side of a migration it lands on.
-    #[derive(Debug, Clone, Copy)]
-    pub enum MgOp {
-        Stmt {
-            tenant: usize,
-            /// Index into the tenant's owned-extent set (mod its size).
-            slot: usize,
-            page_in_ext: u64,
-            off: u64,
-            val: u8,
-            write: bool,
-        },
-        Prepare {
-            extent: usize,
-            recipient: usize,
-        },
-        Commit,
-    }
-
-    /// Deterministic script: both tenants read/write their own extents,
-    /// with two live migrations dropped in — each with a window of
-    /// statements between PREPARE and COMMIT so the write-protected
-    /// range is genuinely exercised mid-flight.
-    pub fn gen_script() -> Vec<MgOp> {
-        let mut rng = SimRng::seed_from_u64(0xE1A5);
-        let mut script = Vec::with_capacity(MG_STMTS + 4);
-        for i in 0..MG_STMTS {
-            match i {
-                50 => script.push(MgOp::Prepare {
-                    extent: 1,
-                    recipient: 1,
-                }),
-                58 => script.push(MgOp::Commit),
-                100 => script.push(MgOp::Prepare {
-                    extent: 2,
-                    recipient: 0,
-                }),
-                110 => script.push(MgOp::Commit),
-                _ => {}
-            }
-            script.push(MgOp::Stmt {
-                tenant: (i % MG_TENANTS),
-                slot: rng.gen_range(0..16u64) as usize,
-                page_in_ext: rng.gen_range(0..MG_EPP),
-                off: 64 + rng.gen_range(0..8u64) * 64,
-                val: rng.gen_range(1..=250u32) as u8,
-                write: rng.gen_range(0..100u32) < 55,
-            });
-        }
-        script
-    }
-
-    pub type MgModel = BTreeMap<(u64, u64), u8>;
-
-    /// Execute the script from the top. Stops early when a migration
-    /// step dies at a fault gate (returning the typed crash) or when
-    /// `stop_before_commit` names the 0-based index of a COMMIT op to
-    /// die in front of — the coordinator-crash-between-phases point.
-    /// The model records completed, published writes only; writes
-    /// refused by the write-protect window are (correctly) absent.
-    pub fn run_script(
-        w: &mut MgWorld,
-        script: &[MgOp],
-        model: &mut MgModel,
-        stop_before_commit: Option<usize>,
-    ) -> (SimTime, Option<MigrationError>) {
-        let mut t = SimTime::ZERO;
-        let mut commits_seen = 0usize;
-        let mut inflight: Option<(usize, usize)> = None; // (extent, recipient)
-        for op in script {
-            match *op {
-                MgOp::Stmt {
-                    tenant,
-                    slot,
-                    page_in_ext,
-                    off,
-                    val,
-                    write,
-                } => {
-                    let owned: Vec<usize> =
-                        (0..MG_EXTENTS).filter(|&e| w.owners[e] == tenant).collect();
-                    let e = owned[slot % owned.len()];
-                    let page = PageId(e as u64 * MG_EPP + page_in_ext);
-                    if write {
-                        if w.coord.write_protected(page) {
-                            continue; // refused: the range is migrating
-                        }
-                        let t2 = w.nodes[tenant].write(&mut w.server, page, off, &[val; 32], t);
-                        t = w.nodes[tenant].publish(&mut w.server, page, t2);
-                        model.insert((page.0, off), val);
-                    } else {
-                        let mut buf = [0u8; 32];
-                        t = w.nodes[tenant].read(&mut w.server, page, off, &mut buf, t);
-                        let want = *model.get(&(page.0, off)).unwrap_or(&0);
-                        assert_eq!(buf, [want; 32], "read-your-writes at page {}", page.0);
-                    }
-                }
-                MgOp::Prepare { extent, recipient } => {
-                    let donor = w.owners[extent];
-                    let lease = w
-                        .mgr
-                        .lease_at(extent as u64 * MG_EXT_BYTES, MG_EXT_BYTES)
-                        .expect("extent lease");
-                    let plan = MigrationPlan {
-                        donor: NodeId(donor),
-                        recipient: NodeId(recipient),
-                        from: PageId(extent as u64 * MG_EPP),
-                        count: MG_EPP,
-                        lease,
-                    };
-                    match w.coord.prepare(&mut w.server, plan, t) {
-                        Ok(end) => {
-                            t = end;
-                            inflight = Some((extent, recipient));
-                        }
-                        Err(e) => return (t, Some(e)),
-                    }
-                }
-                MgOp::Commit => {
-                    if stop_before_commit == Some(commits_seen) {
-                        // The coordinator dies between the phases: the
-                        // PREPARED intent sits in the journal.
-                        return (t, Some(MigrationError::NotInFlight));
-                    }
-                    commits_seen += 1;
-                    let Some((extent, recipient)) = inflight.take() else {
-                        continue; // this migration was rolled back earlier
-                    };
-                    let donor = w.owners[extent];
-                    let (a, b) = w.nodes.split_at_mut(donor.max(recipient));
-                    let (d, r) = if donor < recipient {
-                        (&mut a[donor], &mut b[0])
-                    } else {
-                        (&mut b[0], &mut a[recipient])
-                    };
-                    match w.coord.commit(&mut w.server, &mut w.mgr, d, r, t) {
-                        Ok(end) => {
-                            t = end;
-                            w.owners[extent] = recipient;
-                        }
-                        Err(e) => return (t, Some(e)),
-                    }
-                }
-            }
-        }
-        (t, None)
-    }
-
-    /// Crash recovery with a *fresh* coordinator (the old one died):
-    /// read the journal, replay or roll back, and fold the outcome into
-    /// the oracle's partition map. Asserts the action matches the
-    /// journalled state and that recovery is idempotent.
-    pub fn recover_and_settle(w: &mut MgWorld, t: SimTime) -> (RecoveryAction, SimTime) {
-        faults::clear();
-        let mut coord = MigrationCoordinator::new(NodeId(MG_TENANTS), w.journal_base);
-        let (pre, _) = coord.read_journal(&w.server, t);
-        let (action, t) = coord
-            .recover(&mut w.server, &mut w.mgr, &mut w.nodes, t)
-            .expect("recovery runs fault-free");
-        match pre.state {
-            MigrationState::Prepared => {
-                assert!(
-                    matches!(action, RecoveryAction::RolledBack { .. }),
-                    "PREPARED must roll back, got {action:?}"
-                );
-            }
-            MigrationState::Committing => {
-                assert!(
-                    matches!(action, RecoveryAction::RolledForward { .. }),
-                    "COMMITTING must roll forward, got {action:?}"
-                );
-                // The commit point passed: the new partition stands.
-                let e = (pre.from.0 / MG_EPP) as usize;
-                w.owners[e] = pre.recipient.0;
-            }
-            _ => {
-                assert!(
-                    matches!(action, RecoveryAction::Nothing),
-                    "quiescent journal must recover to Nothing, got {action:?}"
-                );
-            }
-        }
-        let (again, t) = coord
-            .recover(&mut w.server, &mut w.mgr, &mut w.nodes, t)
-            .expect("second recovery");
-        assert!(
-            matches!(again, RecoveryAction::Nothing),
-            "recovery must be idempotent, got {again:?}"
-        );
-        w.coord = coord;
-        (action, t)
-    }
-
-    /// The sweep oracle: exactly-old-or-new partition, lease
-    /// conservation, slot conservation, no extent served by two
-    /// tenants, and no lost committed write.
-    pub fn verify(w: &mut MgWorld, model: &MgModel, point: &str) -> SimTime {
-        w.mgr.check_invariants();
-        assert_eq!(
-            w.server.pages_in_use() + w.server.free_slots(),
-            MG_PAGES as usize,
-            "{point}: DBP slot conservation"
-        );
-        let mut seen = BTreeSet::new();
-        for e in 0..MG_EXTENTS {
-            let lease = w
-                .mgr
-                .lease_at(e as u64 * MG_EXT_BYTES, MG_EXT_BYTES)
-                .unwrap_or_else(|| panic!("{point}: extent {e} lost its lease"));
-            assert_eq!(
-                lease.client,
-                NodeId(w.owners[e]),
-                "{point}: extent {e} lease torn between partitions"
-            );
-            assert!(
-                seen.insert(lease.offset),
-                "{point}: extent {e} leased twice"
-            );
-        }
-        // No lost committed write: every published byte is readable by
-        // the extent's post-recovery owner through the protocol.
-        let mut t = SimTime::ZERO;
-        for (&(page, off), &want) in model {
-            let owner = w.owners[(page / MG_EPP) as usize];
-            let mut buf = [0u8; 32];
-            t = w.nodes[owner].read(&mut w.server, PageId(page), off, &mut buf, t);
-            assert_eq!(
-                buf, [want; 32],
-                "{point}: lost committed write at page {page} off {off}"
-            );
-        }
-        t
-    }
-
-    /// Post-recovery liveness: every extent's owner can still write and
-    /// read back — the partition is not just consistent but serving.
-    pub fn verify_live(w: &mut MgWorld, t: SimTime, point: &str) {
-        let mut t = t;
-        for e in 0..MG_EXTENTS {
-            let owner = w.owners[e];
-            let page = PageId(e as u64 * MG_EPP);
-            let t2 = w.nodes[owner].write(&mut w.server, page, 128, &[0xAB; 32], t);
-            let t3 = w.nodes[owner].publish(&mut w.server, page, t2);
-            let mut buf = [0u8; 32];
-            t = w.nodes[owner].read(&mut w.server, page, 128, &mut buf, t3);
-            assert_eq!(buf, [0xAB; 32], "{point}: extent {e} not serving");
-        }
-    }
-}
-
-/// ALICE-style sweep over the lease-migration protocol: a scripted
-/// two-tenant workload runs two live migrations (with statements inside
-/// each PREPARE→COMMIT window); the coordinator is crashed at every hit
-/// of every migration fault site, a fresh coordinator recovers from the
-/// CXL journal, and the oracle checks the partition is exactly
-/// old-or-new with no lost committed write.
-#[test]
-fn sweep_migration_crash_points() {
-    use migration::*;
-    use polardb_cxl_repro::polarcxlmem::MigrationError;
-
-    let script = gen_script();
-    // Dry run: per-site hit counts for the migration sites.
-    let dry = {
-        let mut w = build();
-        let mut model = MgModel::new();
-        faults::install(FaultPlan::count_only());
-        let (_, err) = run_script(&mut w, &script, &mut model, None);
-        let s = faults::stats();
-        faults::clear();
-        assert!(err.is_none(), "count-only run must complete: {err:?}");
-        s
-    };
-    let mig_sites = [
-        FaultSite::MigPrepare,
-        FaultSite::MigFlush,
-        FaultSite::MigReassign,
-        FaultSite::MigAdopt,
-        FaultSite::MigRetire,
-    ];
-    for site in mig_sites {
-        assert!(
-            dry.hits[site as usize] > 0,
-            "script never reaches {}",
-            site.name()
-        );
-    }
-
-    // Sweep every hit of every migration site (the counts are small
-    // enough to be exhaustive, no striding needed).
-    let mut swept = 0usize;
-    let mut forward = 0usize;
-    let mut back = 0usize;
-    for site in mig_sites {
-        for j in 0..dry.hits[site as usize] {
-            let point = format!("{}[{j}]", site.name());
-            let mut w = build();
-            let mut model = MgModel::new();
-            faults::install(FaultPlan::count_only().with(Trigger::SiteHit(site, j), Action::Crash));
-            let (t, err) = run_script(&mut w, &script, &mut model, None);
-            let st = faults::stats();
-            assert!(
-                matches!(err, Some(MigrationError::Crashed { .. })),
-                "{point}: expected a coordinator crash, got {err:?}"
-            );
-            assert_eq!(st.crash_site, Some(site), "{point}");
-            let (action, _) = recover_and_settle(&mut w, t);
-            match action {
-                polardb_cxl_repro::polarcxlmem::RecoveryAction::RolledForward { .. } => {
-                    forward += 1
-                }
-                polardb_cxl_repro::polarcxlmem::RecoveryAction::RolledBack { .. } => back += 1,
-                _ => {}
-            }
-            let t = verify(&mut w, &model, &point);
-            verify_live(&mut w, t, &point);
-            swept += 1;
-        }
-    }
-    assert!(swept >= 15, "sweep too thin: {swept} points");
-    assert!(back > 0, "no swept point exercised rollback");
-    assert!(forward > 0, "no swept point exercised roll-forward");
-
-    // Coordinator crash *between* the phases: PREPARE journalled, the
-    // process dies before COMMIT ever starts. Recovery must roll back
-    // and the old partition must stand, for each scripted migration.
-    for k in 0..2 {
-        let point = format!("between-phases[{k}]");
-        let mut w = build();
-        let mut model = MgModel::new();
-        faults::install(FaultPlan::count_only());
-        let (t, err) = run_script(&mut w, &script, &mut model, Some(k));
-        faults::clear();
-        assert!(err.is_some(), "{point}: script must stop at the commit");
-        let before = w.owners.clone();
-        let (action, _) = recover_and_settle(&mut w, t);
-        assert!(
-            matches!(
-                action,
-                polardb_cxl_repro::polarcxlmem::RecoveryAction::RolledBack { .. }
-            ),
-            "{point}: got {action:?}"
-        );
-        assert_eq!(w.owners, before, "{point}: partition must be exactly-old");
-        let t = verify(&mut w, &model, &point);
-        verify_live(&mut w, t, &point);
-    }
-}
-
-/// After a crash + recovery mid-script, the *rest* of the script —
-/// including a second, later migration — must run to completion on the
-/// recovered partition. Crash-safety is not just consistency at the
-/// point of death; the system keeps re-partitioning afterwards.
-#[test]
-fn migration_recovery_resumes_the_script() {
-    use migration::*;
-    use polardb_cxl_repro::polarcxlmem::MigrationError;
-
-    let script = gen_script();
-    // Crash the first migration's adopt step, recover, then run the
-    // remainder of the script (second migration included) fault-free.
-    let mut w = build();
-    let mut model = MgModel::new();
-    faults::install(
-        FaultPlan::count_only().with(Trigger::SiteHit(FaultSite::MigAdopt, 0), Action::Crash),
-    );
-    let (t, err) = run_script(&mut w, &script, &mut model, None);
-    assert!(matches!(err, Some(MigrationError::Crashed { .. })));
-    let (_, _) = recover_and_settle(&mut w, t);
-    // First migration rolled forward at adopt: extent 1 now tenant 1's.
-    assert_eq!(w.owners, vec![0, 1, 1, 1]);
-    // Replay the whole script on the recovered world: already-moved
-    // extents make the first PREPARE a WrongOwner no-op path, so drive
-    // only the tail (from the first commit onwards) to keep it simple —
-    // the second migration must succeed end to end.
-    let tail: Vec<MgOp> = script
-        .iter()
-        .copied()
-        .skip_while(|op| !matches!(op, MgOp::Commit))
-        .skip(1)
-        .collect();
-    let (_, err) = run_script(&mut w, &tail, &mut model, None);
-    assert!(err.is_none(), "tail must complete: {err:?}");
-    assert_eq!(
-        w.owners,
-        vec![0, 1, 0, 1],
-        "the second migration moved extent 2 back to tenant 0"
-    );
-    let t = verify(&mut w, &model, "resume");
-    verify_live(&mut w, t, "resume");
-}
-
 /// Teeth: the deliberately broken trust policy must corrupt at least
 /// one partial-clflush point. This proves the sweep can actually catch
 /// a recovery bug — a sweep that passes everything proves nothing.

@@ -12,8 +12,13 @@
 //! not against itself. When the brownout shrink left the server, its
 //! step left the script and the values were re-pinned from commit
 //! `1586876` running the shortened script (the same dump, less
-//! `FusionStats`' three brownout counters). Nothing here depends on a
-//! cargo feature.
+//! `FusionStats`' three brownout counters). When live migration and the
+//! background recycler left the server, their steps (one recycler step,
+//! the donor hand-off and its replay, the node's range forget, the
+//! second adoption and the slot lookup) left the script and the values
+//! were re-pinned from commit `02e59a3` running the shortened script
+//! (the same dump, less `FusionStats`' migration counter). Nothing here
+//! depends on a cargo feature.
 //!
 //! Every returned `SimTime` is a line of the dump, followed by
 //! `FusionStats`, the three `SharingNodeStats` and the pool's link byte
@@ -185,10 +190,6 @@ fn script(mode: CoherencyMode) -> String {
 
     // -- the recycler on its own ------------------------------------------
     let t = log.t("server.recycle_slot", server.recycle_slot(t));
-    let t = log.t(
-        "server.background_recycle",
-        server.background_recycle(1, 6, t),
-    );
 
     // -- fence: the zombie's guarded ops are rejected ----------------------
     let t = log.t(
@@ -247,21 +248,6 @@ fn script(mode: CoherencyMode) -> String {
         n0b.guarded_publish(&mut server, PageId(5), t)
             .expect("resurrected"),
     );
-
-    // -- migration hand-off ---------------------------------------------------
-    let t = log.t(
-        "server.migrate_out",
-        server.migrate_out(NodeId(1), PageId(0), 8, t),
-    );
-    n1.forget_range(PageId(0), 8);
-    let t = log.t(
-        "server.migrate_out.replay",
-        server.migrate_out(NodeId(1), PageId(0), 8, t),
-    );
-    let (adopted, t) = n0b.adopt(&mut server, PageId(0), 8, t);
-    log.line(format!("n0b.adopted.again={adopted}"));
-    let t = log.t("n0b.adopt.again", t);
-    log.line(format!("slot_of.p5={:?}", server.slot_of(PageId(5))));
 
     // -- the same writes through the phase API, across one barrier -----------
     let (_, t) = n0b.access(&mut server, PageId(5), t);
@@ -437,15 +423,14 @@ n0.publish.p5=1335359
 n1.read.p5=1362269
 n1.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
 server.recycle_slot=1362999
-server.background_recycle=1363729
-n0.write.p5.prefence=1365159
-server.fence0=1365889
-server.fence0.again=1365889
+n0.write.p5.prefence=1364429
+server.fence0=1365159
+server.fence0.again=1365159
 n0.guarded_write=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.guarded_publish=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.check_epoch=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
-n0.publish.p5.fenced=1366649
-n1.check_epoch.after=1367349
+n0.publish.p5.fenced=1365919
+n1.check_epoch.after=1366619
 server.reclaim0=1368809
 dbp in_use=3 free=3
 register0.again=1369539
@@ -456,39 +441,34 @@ n0b.read.p5=1398113
 n0b.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
 n0b.guarded_write.p5=1399517
 n0b.guarded_publish.p5=1401707
-server.migrate_out=1427441
-server.migrate_out.replay=1453175
-n0b.adopted.again=3
-n0b.adopt.again=1480349
-slot_of.p5=Some(5120)
-warm.n0b.p5=1481049
-warm.n1.p5=1507259
-warm.n0b.p4=1634515
-warm.n1.p4=1660725
-dir len=4 active.p5=[NodeId(0), NodeId(1)] active.p4=[NodeId(0), NodeId(1)]
-res.n0b.write.a=1662155
-res.n0b.write.b=1663589
-res.n0b.publish=1665873
-res.n0b.guarded_write=1668011
-res.n0b.guarded_publish=1670269
-res.n1.read.same_quantum=1662125
+warm.n0b.p5=1402407
+warm.n1.p5=1404317
+warm.n0b.p4=1531573
+warm.n1.p4=1557783
+dir len=4 active.p5=[NodeId(1), NodeId(0)] active.p4=[NodeId(0), NodeId(1)]
+res.n0b.write.a=1559213
+res.n0b.write.b=1560647
+res.n0b.publish=1562931
+res.n0b.guarded_write=1565069
+res.n0b.guarded_publish=1567327
+res.n1.read.same_quantum=1559183
 res.n1.sees.same_quantum=[6, 6, 6, 6, 6, 6, 6, 6]
-res.n1.check_epoch=1662825
+res.n1.check_epoch=1559883
 res.n1.access.p4.addr=1024
-res.n1.access.p4=1663525
-res.n1.read.p5.next_quantum=1672879
+res.n1.access.p4=1560583
+res.n1.read.p5.next_quantum=1569937
 res.n1.sees.p5=[161, 161, 161, 161, 161, 161, 161, 161]
-res.n1.read.p4.next_quantum=1675489
+res.n1.read.p4.next_quantum=1572547
 res.n1.sees.p4=[177, 177, 177, 177, 177, 177, 177, 177]
-res.n1.write.p4=1676919
-res.n1.publish.p4=1678409
-res.n0b.read.p5.own=1671669
-FusionStats { rpcs: 19, recycles: 6, invalidations: 7, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 1, reclaimed_slots: 1, reclaimed_flags: 2, migrated_out: 3 }
+res.n1.write.p4=1573977
+res.n1.publish.p4=1575467
+res.n0b.read.p5.own=1568727
+FusionStats { rpcs: 15, recycles: 5, invalidations: 7, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 1, reclaimed_slots: 2, reclaimed_flags: 3 }
 n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 1, removal_reloads: 0, invalidations_sent: 0 }
-n0b SharingNodeStats { local_hits: 7, rpcs: 3, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 2 }
-n1 SharingNodeStats { local_hits: 10, rpcs: 5, invalid_drops: 4, removal_reloads: 2, invalidations_sent: 1 }
+n0b SharingNodeStats { local_hits: 7, rpcs: 2, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 2 }
+n1 SharingNodeStats { local_hits: 11, rpcs: 4, invalid_drops: 5, removal_reloads: 2, invalidations_sent: 1 }
 dbp in_use=4 free=2
-switch_bytes=19840 host_link_bytes=[3456, 2560, 13824]
+switch_bytes=19520 host_link_bytes=[3456, 2688, 13376]
 ";
 
 const SOFTWARE_FULL_PAGE: &str = "\
@@ -532,15 +512,14 @@ n0.publish.p5=1335863
 n1.read.p5=1362773
 n1.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
 server.recycle_slot=1363503
-server.background_recycle=1364233
-n0.write.p5.prefence=1365663
-server.fence0=1366393
-server.fence0.again=1366393
+n0.write.p5.prefence=1364933
+server.fence0=1365663
+server.fence0.again=1365663
 n0.guarded_write=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.guarded_publish=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.check_epoch=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
-n0.publish.p5.fenced=1367603
-n1.check_epoch.after=1368303
+n0.publish.p5.fenced=1366873
+n1.check_epoch.after=1367573
 server.reclaim0=1369763
 dbp in_use=3 free=3
 register0.again=1370493
@@ -551,39 +530,34 @@ n0b.read.p5=1399067
 n0b.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
 n0b.guarded_write.p5=1400471
 n0b.guarded_publish.p5=1403111
-server.migrate_out=1428845
-server.migrate_out.replay=1454579
-n0b.adopted.again=3
-n0b.adopt.again=1481753
-slot_of.p5=Some(5120)
-warm.n0b.p5=1482453
-warm.n1.p5=1508663
-warm.n0b.p4=1635919
-warm.n1.p4=1662129
-dir len=4 active.p5=[NodeId(0), NodeId(1)] active.p4=[NodeId(0), NodeId(1)]
-res.n0b.write.a=1663559
-res.n0b.write.b=1664993
-res.n0b.publish=1666941
-res.n0b.guarded_write=1669079
-res.n0b.guarded_publish=1671727
-res.n1.read.same_quantum=1663529
+warm.n0b.p5=1403811
+warm.n1.p5=1405721
+warm.n0b.p4=1532977
+warm.n1.p4=1559187
+dir len=4 active.p5=[NodeId(1), NodeId(0)] active.p4=[NodeId(0), NodeId(1)]
+res.n0b.write.a=1560617
+res.n0b.write.b=1562051
+res.n0b.publish=1563999
+res.n0b.guarded_write=1566137
+res.n0b.guarded_publish=1568785
+res.n1.read.same_quantum=1560587
 res.n1.sees.same_quantum=[6, 6, 6, 6, 6, 6, 6, 6]
-res.n1.check_epoch=1664229
+res.n1.check_epoch=1561287
 res.n1.access.p4.addr=1024
-res.n1.access.p4=1664929
-res.n1.read.p5.next_quantum=1674337
+res.n1.access.p4=1561987
+res.n1.read.p5.next_quantum=1571395
 res.n1.sees.p5=[161, 161, 161, 161, 161, 161, 161, 161]
-res.n1.read.p4.next_quantum=1676947
+res.n1.read.p4.next_quantum=1574005
 res.n1.sees.p4=[177, 177, 177, 177, 177, 177, 177, 177]
-res.n1.write.p4=1678377
-res.n1.publish.p4=1680317
-res.n0b.read.p5.own=1673127
-FusionStats { rpcs: 19, recycles: 6, invalidations: 7, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 1, reclaimed_slots: 1, reclaimed_flags: 2, migrated_out: 3 }
+res.n1.write.p4=1575435
+res.n1.publish.p4=1577375
+res.n0b.read.p5.own=1570185
+FusionStats { rpcs: 15, recycles: 5, invalidations: 7, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 1, reclaimed_slots: 2, reclaimed_flags: 3 }
 n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 1, removal_reloads: 0, invalidations_sent: 0 }
-n0b SharingNodeStats { local_hits: 7, rpcs: 3, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 2 }
-n1 SharingNodeStats { local_hits: 10, rpcs: 5, invalid_drops: 4, removal_reloads: 2, invalidations_sent: 1 }
+n0b SharingNodeStats { local_hits: 7, rpcs: 2, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 2 }
+n1 SharingNodeStats { local_hits: 11, rpcs: 4, invalid_drops: 5, removal_reloads: 2, invalidations_sent: 1 }
 dbp in_use=4 free=2
-switch_bytes=19840 host_link_bytes=[3456, 2560, 13824]
+switch_bytes=19520 host_link_bytes=[3456, 2688, 13376]
 ";
 
 const HARDWARE: &str = "\
@@ -627,15 +601,14 @@ n0.publish.p5=1326427
 n1.read.p5=1353337
 n1.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
 server.recycle_slot=1354067
-server.background_recycle=1354797
-n0.write.p5.prefence=1356227
-server.fence0=1356957
-server.fence0.again=1356957
+n0.write.p5.prefence=1355497
+server.fence0=1356227
+server.fence0.again=1356227
 n0.guarded_write=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.guarded_publish=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
 n0.check_epoch=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
-n0.publish.p5.fenced=1356957
-n1.check_epoch.after=1357657
+n0.publish.p5.fenced=1356227
+n1.check_epoch.after=1356927
 server.reclaim0=1359117
 dbp in_use=3 free=3
 register0.again=1359847
@@ -646,37 +619,32 @@ n0b.read.p5=1388421
 n0b.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
 n0b.guarded_write.p5=1390801
 n0b.guarded_publish.p5=1391501
-server.migrate_out=1417235
-server.migrate_out.replay=1442969
-n0b.adopted.again=3
-n0b.adopt.again=1470143
-slot_of.p5=Some(5120)
-warm.n0b.p5=1470843
-warm.n1.p5=1497053
-warm.n0b.p4=1624309
-warm.n1.p4=1650519
-dir len=4 active.p5=[NodeId(0), NodeId(1)] active.p4=[NodeId(0), NodeId(1)]
-res.n0b.write.a=1652449
-res.n0b.write.b=1654883
-res.n0b.publish=1654883
-res.n0b.guarded_write=1658521
-res.n0b.guarded_publish=1659221
-res.n1.read.same_quantum=1651919
+warm.n0b.p5=1392201
+warm.n1.p5=1392901
+warm.n0b.p4=1520157
+warm.n1.p4=1546367
+dir len=4 active.p5=[NodeId(1), NodeId(0)] active.p4=[NodeId(0), NodeId(1)]
+res.n0b.write.a=1548297
+res.n0b.write.b=1550731
+res.n0b.publish=1550731
+res.n0b.guarded_write=1554369
+res.n0b.guarded_publish=1555069
+res.n1.read.same_quantum=1547767
 res.n1.sees.same_quantum=[6, 6, 6, 6, 6, 6, 6, 6]
-res.n1.check_epoch=1652619
+res.n1.check_epoch=1548467
 res.n1.access.p4.addr=1024
-res.n1.access.p4=1653319
-res.n1.read.p5.next_quantum=1660621
+res.n1.access.p4=1549167
+res.n1.read.p5.next_quantum=1556469
 res.n1.sees.p5=[161, 161, 161, 161, 161, 161, 161, 161]
-res.n1.read.p4.next_quantum=1662021
+res.n1.read.p4.next_quantum=1557869
 res.n1.sees.p4=[177, 177, 177, 177, 177, 177, 177, 177]
-res.n1.write.p4=1663951
-res.n1.publish.p4=1663951
-res.n0b.read.p5.own=1659925
-FusionStats { rpcs: 19, recycles: 6, invalidations: 0, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 1, reclaimed_flags: 2, migrated_out: 3 }
+res.n1.write.p4=1559799
+res.n1.publish.p4=1559799
+res.n0b.read.p5.own=1555773
+FusionStats { rpcs: 15, recycles: 5, invalidations: 0, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 2, reclaimed_flags: 3 }
 n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 0 }
-n0b SharingNodeStats { local_hits: 7, rpcs: 3, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 0 }
-n1 SharingNodeStats { local_hits: 10, rpcs: 5, invalid_drops: 0, removal_reloads: 2, invalidations_sent: 0 }
+n0b SharingNodeStats { local_hits: 7, rpcs: 2, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 0 }
+n1 SharingNodeStats { local_hits: 11, rpcs: 4, invalid_drops: 0, removal_reloads: 2, invalidations_sent: 0 }
 dbp in_use=4 free=2
-switch_bytes=18176 host_link_bytes=[2624, 1984, 13568]
+switch_bytes=17792 host_link_bytes=[2624, 2048, 13120]
 ";

@@ -2,9 +2,8 @@
 //!
 //! `tests/determinism.rs` proves a run equals itself; this file pins what
 //! a run *is*, for one small config per loop — sharing (CXL and RDMA),
-//! failover (crash and zombie) and elasticity (adaptive) — so a
-//! refactor of the run loop is checked against the commit that wrote
-//! these values (`018232b`), not against itself. Every config runs twice, untraced and with attribution +
+//! failover (crash and zombie) — so a refactor of the run loop is
+//! checked against the commit that wrote these values (`018232b`), not against itself. Every config runs twice, untraced and with attribution +
 //! spans on: the two results must be equal (tracing observes, never
 //! perturbs), and the nine lane totals and the span count are pinned too.
 //!
@@ -160,9 +159,9 @@ const FAILOVER_CRASH: &str = r#"
 queries=5388 per_node=[612, 1828, 1828, 1120] timeline=036862e6594937e1
 takeover=Some(TakeoverSummary { death_declared: SimTime(8000000), fence_start: SimTime(9000000), takeover_done: SimTime(9221022), takeover_ns: 221022, replay_estimate_ns: 1353248, pages_recovered: 13, storage_fills_during_takeover: 0, locks_reclaimed: 6, slots_reclaimed: 0 })
 safety_ok=true mismatches=0 max_survivor_gap_ns=0
-faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0, 0, 0, 0, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
-fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, migrated_out: 0 }
-registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
+faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
+fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26 }
+registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
 lanes cpu=219682000 cxl_link=19316716 switch=0 rdma_nic=0 cache_hit=16064 dram=0 wal=0 storage=10986520 other=2600000 spans 22588
 "#;
 
@@ -181,9 +180,9 @@ const FAILOVER_ZOMBIE: &str = r#"
 queries=5388 per_node=[612, 1828, 1828, 1120] timeline=036862e6594937e1
 takeover=Some(TakeoverSummary { death_declared: SimTime(8000000), fence_start: SimTime(9000000), takeover_done: SimTime(9221022), takeover_ns: 221022, replay_estimate_ns: 1353248, pages_recovered: 13, storage_fills_during_takeover: 0, locks_reclaimed: 6, slots_reclaimed: 0 })
 safety_ok=true mismatches=0 max_survivor_gap_ns=0
-faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0, 0, 0, 0, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
-fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26, migrated_out: 0 }
-registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_mig_adopt": 0, "faults_injected_mig_flush": 0, "faults_injected_mig_prepare": 0, "faults_injected_mig_reassign": 0, "faults_injected_mig_retire": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
+faults=FaultStats { hits: [0, 2134, 3254, 1388, 0, 0, 0, 17507, 0, 0], injected: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0], crash_hit: None, crash_site: None, node_crashes: 1, link_degrades: 0, link_flaps: 0 }
+fusion=FusionStats { rpcs: 92, recycles: 0, invalidations: 922, storage_fills: 52, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 26 }
+registry={"failover_crash_at_ns": 8368665, "failover_crash_node": 0, "failover_death_declared_ns": 8000000, "failover_detection_ns": 1000000, "failover_fence_start_ns": 9000000, "failover_locks_reclaimed": 6, "failover_max_survivor_gap_ns": 0, "failover_pages_recovered": 13, "failover_replay_estimate_ns": 1353248, "failover_safety_mismatches": 0, "failover_safety_ok": 1, "failover_slots_reclaimed": 0, "failover_storage_fills_during_takeover": 0, "failover_takeover_done_ns": 9221022, "failover_takeover_ns": 221022, "faults_hits": 24283, "faults_injected": 1, "faults_injected_clflush": 0, "faults_injected_cxl_link": 1, "faults_injected_cxl_nt_store": 0, "faults_injected_cxl_read": 0, "faults_injected_rdma_link": 0, "faults_injected_rdma_read": 0, "faults_injected_rdma_write": 0, "faults_injected_rpc": 0, "faults_injected_storage_write": 0, "faults_injected_wal_flush": 0, "faults_link_degrades": 0, "faults_link_flaps": 0, "faults_node_crashes": 1, "fusion_fenced_nodes": 1, "fusion_fenced_rejects": 0, "fusion_invalidations": 922, "fusion_reclaimed_flags": 26, "fusion_reclaimed_slots": 0, "fusion_rpcs": 92, "fusion_storage_fills": 0, "manager_rpcs": 12, "qps": 224500, "queries": 5388}
 lanes cpu=219682000 cxl_link=19317416 switch=0 rdma_nic=0 cache_hit=16064 dram=0 wal=0 storage=10986520 other=2600000 spans 22589
 "#;
 
@@ -195,47 +194,5 @@ fn failover_zombie_matches_golden() {
         FAILOVER_ZOMBIE,
         || run_failover(&c),
         dump_failover,
-    );
-}
-
-// ---- elasticity ----------------------------------------------------------
-
-fn dump_elasticity(r: &ElasticityResult) -> String {
-    let tenants: String = r.per_tenant.iter().map(|t| format!("{t:?}\n")).collect();
-    format!(
-        "adaptive={} queries={} txns={} migrations={} final_owners={:?}\n\
-         {tenants}elastic={:?}\n\
-         fusion={:?}\n\
-         registry={}\n",
-        r.adaptive,
-        r.queries,
-        r.txns,
-        r.migrations,
-        r.final_owners,
-        r.elastic,
-        r.fusion,
-        r.registry.to_json(),
-    )
-}
-
-const ELASTICITY_ADAPTIVE: &str = r#"
-adaptive=true queries=5024 txns=1256 migrations=4 final_owners=[0, 0, 1, 1, 1, 1, 1, 1]
-ElasticTenantOutcome { tenant: 0, txns: 642, queries: 2568, remote_reads: 0, remote_writes: 0, protected_writes: 0, p99_ns: 278528, settled_p99_ns: 262144, mean_ns: 187632 }
-ElasticTenantOutcome { tenant: 1, txns: 614, queries: 2456, remote_reads: 46, remote_writes: 13, protected_writes: 0, p99_ns: 368640, settled_p99_ns: 249856, mean_ns: 196160 }
-elastic=ElasticStats { prepares: 4, commits: 4, rollbacks: 0, rolled_forward: 0, transient_retries: 0, pages_flushed: 40 }
-fusion=FusionStats { rpcs: 88, recycles: 0, invalidations: 0, storage_fills: 80, fenced_nodes: 0, fenced_rejects: 0, reclaimed_slots: 0, reclaimed_flags: 0, migrated_out: 40 }
-registry={"elasticity_adaptive": 1, "elasticity_migrations": 4, "elasticity_pages_flushed": 40, "elasticity_protected_writes": 0, "elasticity_qps": 167466.6666666667, "elasticity_queries": 5024, "elasticity_remote_reads": 46, "elasticity_remote_writes": 13, "elasticity_rollbacks": 0, "elasticity_t0_p99_ns": 278528, "elasticity_t0_settled_p99_ns": 262144, "elasticity_t1_p99_ns": 368640, "elasticity_t1_settled_p99_ns": 249856, "elasticity_txns": 1256, "fusion_migrated_out": 40, "fusion_rpcs": 88, "fusion_storage_fills": 80}
-lanes cpu=198227000 cxl_link=8480717 switch=0 rdma_nic=0 cache_hit=11288 dram=0 wal=0 storage=19360024 other=2500000 spans 11302
-"#;
-
-#[test]
-fn elasticity_adaptive_matches_golden() {
-    let mut c = ElasticityConfig::smoke();
-    c.adaptive = true;
-    check(
-        "elasticity_adaptive",
-        ELASTICITY_ADAPTIVE,
-        || run_elasticity(&c),
-        dump_elasticity,
     );
 }
