@@ -248,12 +248,6 @@ impl TieredRdmaBp {
         }
     }
 
-    /// Local tier size in bytes (the memory-overhead axis of the paper's
-    /// cost comparisons).
-    pub fn local_bytes(&self) -> u64 {
-        self.frames.dir().capacity() as u64 * self.store.page_size()
-    }
-
     fn frame_off(&self, frame: u32) -> u64 {
         frame as u64 * self.store.page_size()
     }

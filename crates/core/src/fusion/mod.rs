@@ -139,7 +139,6 @@ mod tests {
         for mode in [
             CoherencyMode::SoftwareLines,
             CoherencyMode::SoftwareFullPage,
-            CoherencyMode::Hardware,
         ] {
             let run = |phased: bool| {
                 let mut server = testkit::server();

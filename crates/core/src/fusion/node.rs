@@ -32,9 +32,6 @@ pub enum CoherencyMode {
     /// Ablation: the software protocol but flushing the *whole page* on
     /// publish — what a naive port of page-granularity thinking costs.
     SoftwareFullPage,
-    /// Forward-looking: CXL 3.0 hardware coherency — stores back-
-    /// invalidate sharers in the fabric; no flushes, no invalid flags.
-    Hardware,
 }
 
 /// Node-side statistics.
@@ -99,8 +96,8 @@ impl SharingNode {
         Self::with_mode(node, flag_base, page_size, CoherencyMode::SoftwareLines)
     }
 
-    /// Create the agent with an explicit coherency mode (ablations and
-    /// the CXL 3.0 hardware-coherency experiments).
+    /// Create the agent with an explicit coherency mode (the
+    /// full-page-flush ablation).
     pub fn with_mode(node: NodeId, flag_base: u64, page_size: u64, mode: CoherencyMode) -> Self {
         SharingNode {
             node,
@@ -130,8 +127,7 @@ impl SharingNode {
     /// `removal` wins — the slot is gone, nothing else about it matters;
     /// otherwise a set `invalid` flag (modified by another node) drops
     /// the (clean) cached lines and clears the flag, so subsequent loads
-    /// fetch fresh data. Hardware coherency still needs the removal flag
-    /// (slot recycling is a software concern) but never the invalid one.
+    /// fetch fresh data.
     fn poll_flags<F: CxlFabric>(
         &mut self,
         fabric: &mut F,
@@ -147,7 +143,7 @@ impl SharingNode {
         if word(8) {
             return Polled::Removed(t);
         }
-        if self.mode != CoherencyMode::Hardware && word(0) {
+        if word(0) {
             self.stats.invalid_drops += 1;
             let inv = fabric.invalidate(self.node, addr, self.page_size as usize, t);
             let clear = fabric.write_uncached(self.node, flag_off, &0u64.to_le_bytes(), inv.end);
@@ -177,9 +173,8 @@ impl SharingNode {
         fabric.read(self.node, at, buf, now).end
     }
 
-    /// Store to a resolved page. Under CXL 3.0 the store itself is
-    /// globally coherent; otherwise it lands in this node's CPU cache
-    /// and the range is remembered for the release-time flush.
+    /// Store to a resolved page: it lands in this node's CPU cache and
+    /// the range is remembered for the release-time flush.
     fn store<F: CxlFabric>(
         &mut self,
         fabric: &mut F,
@@ -187,9 +182,6 @@ impl SharingNode {
         data: &[u8],
         now: SimTime,
     ) -> SimTime {
-        if self.mode == CoherencyMode::Hardware {
-            return fabric.write_coherent(self.node, at, data, now).end;
-        }
         self.dirty_ranges.push((at, data.len()));
         fabric.write(self.node, at, data, now).end
     }
@@ -197,26 +189,23 @@ impl SharingNode {
     /// Release-time flush: `clflush` exactly the modified lines (64-B
     /// granularity, not the page!) — or, under the full-page ablation,
     /// the entire page regardless of what the transaction modified.
-    /// `None` under hardware coherency: the stores were coherent, there
-    /// is nothing to flush and nobody to signal.
-    fn flush_dirty<F: CxlFabric>(&mut self, fabric: &mut F, now: SimTime) -> Option<SimTime> {
+    fn flush_dirty<F: CxlFabric>(&mut self, fabric: &mut F, now: SimTime) -> SimTime {
         match self.mode {
-            CoherencyMode::Hardware => None,
             CoherencyMode::SoftwareLines => {
                 let mut t = now;
                 for (addr, len) in self.dirty_ranges.drain(..) {
                     t = fabric.clflush(self.node, addr, len, t).end;
                 }
-                Some(t)
+                t
             }
             CoherencyMode::SoftwareFullPage => {
                 let Some(&(addr, _)) = self.dirty_ranges.first() else {
-                    return Some(now);
+                    return now;
                 };
                 self.dirty_ranges.clear();
                 let page_base = addr - (addr % self.page_size);
                 let a = fabric.clflush(self.node, page_base, self.page_size as usize, now);
-                Some(a.end)
+                a.end
             }
         }
     }
@@ -287,11 +276,8 @@ impl SharingNode {
     /// server set other nodes' invalid flags ([`FusionServer::publish`],
     /// which also refuses a fenced writer).
     pub fn publish(&mut self, server: &mut FusionServer, page: PageId, now: SimTime) -> SimTime {
-        let flushed = self.flush_dirty(&mut *server.fabric().borrow_mut(), now);
-        match flushed {
-            Some(t) => server.publish(page, self.node, t),
-            None => now,
-        }
+        let t = self.flush_dirty(&mut *server.fabric().borrow_mut(), now);
+        server.publish(page, self.node, t)
     }
 
     // ---- Phase API: every page pre-resolved, step on the given fabric --
@@ -367,9 +353,7 @@ impl SharingNode {
         page: PageId,
         now: SimTime,
     ) -> SimTime {
-        let Some(mut t) = self.flush_dirty(fabric, now) else {
-            return now;
-        };
+        let mut t = self.flush_dirty(fabric, now);
         for &peer in dir.active(page).iter().filter(|&&peer| peer != self.node) {
             let foff = invalid_flag_off(dir.flag_base(peer), page);
             t = fabric
@@ -383,7 +367,7 @@ impl SharingNode {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{self, setup};
+    use super::super::testkit::setup;
     use super::*;
 
     #[test]
@@ -428,27 +412,6 @@ mod tests {
         // The 10-byte write spans at most 2 lines; fills + flushes stay
         // far below a page.
         assert!(moved <= 4 * 64, "{moved} bytes moved; expected ≲4 lines");
-    }
-
-    #[test]
-    fn hardware_mode_needs_no_publish() {
-        let mut server = testkit::server();
-        let mut n0 = SharingNode::with_mode(NodeId(0), 64 << 10, 1024, CoherencyMode::Hardware);
-        let mut n1 = SharingNode::with_mode(NodeId(1), 96 << 10, 1024, CoherencyMode::Hardware);
-        server.register_node(NodeId(0), 64 << 10);
-        server.register_node(NodeId(1), 96 << 10);
-        let mut buf = [0u8; 8];
-        n1.read(&mut server, PageId(0), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, [1u8; 8]);
-        // Write WITHOUT publish: hardware coherency makes it visible.
-        let t = n0.write(&mut server, PageId(0), 0, &[0x5C; 8], SimTime::ZERO);
-        n1.read(&mut server, PageId(0), 0, &mut buf, t);
-        assert_eq!(
-            buf, [0x5C; 8],
-            "CXL 3.0 store visible with no software protocol"
-        );
-        assert_eq!(n0.publish(&mut server, PageId(0), t), t, "nothing to do");
-        assert_eq!(server.stats().invalidations, 0);
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use fusion::{
 };
 pub use manager::{AllocError, CxlMemoryManager, Lease, ReleaseError};
 pub use rdma_sharing::{RdmaDbp, RdmaDir, RdmaNodeStats, RdmaSharingNode};
-pub use recovery::{polar_recv, polar_recv_policy, polar_recv_with, RecoveryReport, TrustPolicy};
+pub use recovery::{polar_recv, polar_recv_policy, RecoveryReport, TrustPolicy};

@@ -338,11 +338,6 @@ impl RdmaSharingNode {
         self.stats
     }
 
-    /// Local tier size in bytes (memory-overhead accounting, Table 3).
-    pub fn local_bytes(&self) -> u64 {
-        self.dir.capacity() as u64 * self.page_size
-    }
-
     fn is_dirty(&self, page: PageId) -> bool {
         self.pending.iter().any(|s| s.page == page)
     }

@@ -68,23 +68,6 @@ pub fn polar_recv(bp: &mut CxlBp, wal: &mut Wal, now: SimTime) -> RecoveryReport
     polar_recv_policy(bp, wal, now, TrustPolicy::Durable)
 }
 
-/// PolarRecv with the metadata-ablation knob: `trust_metadata = false`
-/// maps to [`TrustPolicy::Nothing`]. (Used by the
-/// `ablation_recovery_metadata` bench.)
-pub fn polar_recv_with(
-    bp: &mut CxlBp,
-    wal: &mut Wal,
-    now: SimTime,
-    trust_metadata: bool,
-) -> RecoveryReport {
-    let policy = if trust_metadata {
-        TrustPolicy::Durable
-    } else {
-        TrustPolicy::Nothing
-    };
-    polar_recv_policy(bp, wal, now, policy)
-}
-
 /// PolarRecv with an explicit [`TrustPolicy`].
 pub fn polar_recv_policy(
     bp: &mut CxlBp,

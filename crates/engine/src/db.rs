@@ -14,7 +14,7 @@ use memsim::calib::{
 };
 use simkit::trace::{self, Lane, SpanKind};
 use simkit::{MultiServer, SimTime};
-use storage::{Lsn, PageId, Wal};
+use storage::{Lsn, Wal};
 
 /// Engine counters.
 #[derive(Debug, Default, Clone, Copy)]
@@ -51,12 +51,6 @@ impl<P: BufferPool> Db<P> {
     /// Create a database with a fresh table of `record_size`-byte rows
     /// and the paper's standard 16 vCPUs.
     pub fn create(pool: P, record_size: u16) -> Self {
-        Self::new(pool, record_size, INSTANCE_VCPUS)
-    }
-
-    /// Create with an explicit vCPU count (instances in the paper have
-    /// 16 vCPUs).
-    pub fn new(pool: P, record_size: u16, vcpus: usize) -> Self {
         let mut pool = pool;
         let mut wal = Wal::new();
         let (table, _) = BTree::create(&mut pool, &mut wal, record_size, SimTime::ZERO);
@@ -64,21 +58,7 @@ impl<P: BufferPool> Db<P> {
             pool,
             wal,
             table,
-            cpus: MultiServer::new(vcpus),
-            stats: DbStats::default(),
-        }
-    }
-
-    /// Reattach to an existing table after recovery (the tree metadata
-    /// page is re-read from the pool).
-    pub fn reopen(pool: P, meta_page: PageId, vcpus: usize) -> Self {
-        let mut pool = pool;
-        let (table, _) = BTree::open(&mut pool, meta_page, SimTime::ZERO);
-        Db {
-            pool,
-            wal: Wal::new(),
-            table,
-            cpus: MultiServer::new(vcpus),
+            cpus: MultiServer::new(INSTANCE_VCPUS),
             stats: DbStats::default(),
         }
     }

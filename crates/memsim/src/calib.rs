@@ -102,8 +102,9 @@ pub const RPC_NS: u64 = 25_000;
 pub const CLFLUSH_ISSUE_NS: u64 = 30;
 
 /// CXL 3.0 hardware back-invalidation snoop cost per sharer (the
-/// fabric-level analogue of the software invalid-flag store; used by the
-/// forward-looking hardware-coherency experiments).
+/// fabric-level analogue of the software invalid-flag store). Only
+/// `CxlPool::write_coherent` charges it, for the ledger's
+/// `memsim.cxl.write_coherent_ns` row.
 pub const CXL_HW_SNOOP_NS: u64 = 250;
 
 /// Distributed page-lock service acquire/release round trip (PolarDB-MP's

@@ -533,10 +533,9 @@ impl Port<'_> {
         }
     }
 
-    /// Shared tail of the CXL 3.0 coherent store: device write, writer
-    /// cache refresh, and latency including `snooped` back-invalidation
-    /// snoops. The caller decides how sharers are counted and invalidated
-    /// — directly in serial mode, deferred to the barrier in shard mode.
+    /// Tail of [`CxlPool::write_coherent`]: device write, writer cache
+    /// refresh, and latency including `snooped` back-invalidation snoops
+    /// (the caller counts and invalidates the sharers).
     fn write_coherent_tail(&mut self, off: u64, data: &[u8], snooped: u64, now: SimTime) -> Access {
         // Write through to the device.
         self.mem.write(off, data);
@@ -587,8 +586,6 @@ pub trait CxlFabric {
     fn clflush(&mut self, node: NodeId, off: u64, len: usize, now: SimTime) -> Access;
     /// Invalidate a byte range (see [`CxlPool::invalidate`]).
     fn invalidate(&mut self, node: NodeId, off: u64, len: usize, now: SimTime) -> Access;
-    /// Hardware-coherent store (see [`CxlPool::write_coherent`]).
-    fn write_coherent(&mut self, node: NodeId, off: u64, data: &[u8], now: SimTime) -> Access;
 }
 
 /// The shared CXL memory pool with its fabric and per-node caches.
@@ -877,6 +874,12 @@ impl CxlPool {
     /// `clflush`, no invalidation flags. The store pays the normal write
     /// path plus a per-sharer snoop latency; the writer's own cache keeps
     /// a clean copy.
+    ///
+    /// No sharing node issues it: the paper measures CXL 2.0, and sharing
+    /// runs the §3.3 software protocol only. The `benchmark` package
+    /// still times it (`memsim.cxl.write_coherent_ns`), so it stays as it
+    /// was until the next change to that package deletes the row and
+    /// this method.
     pub fn write_coherent(&mut self, node: NodeId, off: u64, data: &[u8], now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::CxlMem);
         if faults::crashed() {
@@ -914,31 +917,22 @@ impl CxlPool {
             host,
             remote: self.node_remote[node.0],
             direct: self.node_direct[node.0],
-            total_nodes: self.caches.len(),
             cache,
             host_link: self.host_links[host].fork(),
             switch: self.switch.fork(),
             reader: RegionReader::new(&self.region),
             log: WriteLog::new(),
-            coherent_invals: Vec::new(),
         }
     }
 
     /// Re-attach a detached node (e.g. after its simulated host dies, so
     /// barrier-boundary serial code can touch its frozen cache): merges
-    /// the shard's link deltas, applies its write log and deferred
-    /// coherent invalidations, and moves the cache back in.
+    /// the shard's link deltas, applies its write log and moves the cache
+    /// back in.
     pub fn attach_node(&mut self, mut shard: CxlShard) {
         self.host_links[shard.host].merge(&shard.host_link);
         self.switch.merge(&shard.switch);
         shard.log.apply(&mut self.region);
-        for &line in &shard.coherent_invals {
-            for (j, c) in self.caches.iter_mut().enumerate() {
-                if j != shard.node.0 {
-                    c.invalidate(line);
-                }
-            }
-        }
         self.caches[shard.node.0] = shard.cache;
     }
 
@@ -946,34 +940,15 @@ impl CxlPool {
     /// state **in the order given** (drivers pass fixed node order), then
     /// refresh each shard's private views for the next quantum.
     ///
-    /// Order of effects: link-backlog deltas and write logs merge per
-    /// shard in sequence; then deferred CXL 3.0 back-invalidations land
-    /// in all other shards' (and still-attached nodes') caches; finally
-    /// readers and link forks are re-derived from the merged state.
+    /// Order of effects: each shard's link-backlog deltas merge and its
+    /// write log applies, shard by shard; then the readers and link forks
+    /// are re-derived from the merged state. No cache changes here: a
+    /// peer's stale lines leave only through the §3.3 invalid flags.
     pub fn barrier(&mut self, shards: &mut [CxlShard]) {
         for s in shards.iter_mut() {
             self.host_links[s.host].merge(&s.host_link);
             self.switch.merge(&s.switch);
             s.log.apply(&mut self.region);
-        }
-        for i in 0..shards.len() {
-            if shards[i].coherent_invals.is_empty() {
-                continue;
-            }
-            let (before, rest) = shards.split_at_mut(i);
-            let (me, after) = rest.split_first_mut().expect("index in range");
-            let writer = me.node;
-            for &line in &me.coherent_invals {
-                for s in before.iter_mut().chain(after.iter_mut()) {
-                    s.cache.invalidate(line);
-                }
-                for (j, c) in self.caches.iter_mut().enumerate() {
-                    if j != writer.0 {
-                        c.invalidate(line);
-                    }
-                }
-            }
-            me.coherent_invals.clear();
         }
         for s in shards.iter_mut() {
             s.host_link = self.host_links[s.host].fork();
@@ -1002,9 +977,6 @@ impl CxlFabric for CxlPool {
     fn invalidate(&mut self, node: NodeId, off: u64, len: usize, now: SimTime) -> Access {
         CxlPool::invalidate(self, node, off, len, now)
     }
-    fn write_coherent(&mut self, node: NodeId, off: u64, data: &[u8], now: SimTime) -> Access {
-        CxlPool::write_coherent(self, node, off, data, now)
-    }
 }
 
 /// One node's detached, phase-private attachment to the pool: owns the
@@ -1017,15 +989,11 @@ pub struct CxlShard {
     host: usize,
     remote: bool,
     direct: bool,
-    total_nodes: usize,
     cache: Cache,
     host_link: LinkFork,
     switch: LinkFork,
     reader: RegionReader,
     log: WriteLog,
-    /// Lines back-invalidated by CXL 3.0 coherent stores this quantum,
-    /// applied to peer caches at the barrier.
-    coherent_invals: Vec<u64>,
 }
 
 impl CxlShard {
@@ -1104,20 +1072,6 @@ impl CxlFabric for CxlShard {
         debug_assert_eq!(node, self.node);
         let _prof = simkit::profile::scope(simkit::profile::Subsys::CxlMem);
         self.port().invalidate(off, len, now)
-    }
-    fn write_coherent(&mut self, node: NodeId, off: u64, data: &[u8], now: SimTime) -> Access {
-        debug_assert_eq!(node, self.node);
-        let _prof = simkit::profile::scope(simkit::profile::Subsys::CxlMem);
-        if faults::crashed() {
-            return Access::free(now);
-        }
-        let lr = line_range(off, data.len());
-        // Deterministic shard-mode snoop model: every peer is charged a
-        // snoop per line (no peeking at peer caches mid-phase); the
-        // actual back-invalidations land at the barrier.
-        let snooped = (lr.end - lr.start) * (self.total_nodes as u64).saturating_sub(1);
-        self.coherent_invals.extend(lr);
-        self.port().write_coherent_tail(off, data, snooped, now)
     }
 }
 
@@ -1657,23 +1611,6 @@ mod tests {
 
         assert_eq!(serial.host_link_bytes(0), phased.host_link_bytes(0));
         assert_eq!(serial.switch_bytes(), phased.switch_bytes());
-    }
-
-    #[test]
-    fn shard_coherent_store_invalidates_peers_at_the_barrier() {
-        let mut p = CxlPool::single_host(1 << 16, 2, 4 << 10, true);
-        // Node 1 caches a line (serial warmup).
-        let mut b = [0u8; 64];
-        p.read(NodeId(1), 0, &mut b, SimTime::ZERO);
-        let mut shards = vec![p.detach_node(NodeId(0)), p.detach_node(NodeId(1))];
-        shards[0].write_coherent(NodeId(0), 0, &[0x5C; 64], SimTime::ZERO);
-        // Mid-phase node 1 still reads its stale cached copy.
-        shards[1].read(NodeId(1), 0, &mut b, SimTime::ZERO);
-        assert_eq!(b[0], 0);
-        p.barrier(&mut shards);
-        // After the barrier the back-invalidation has landed.
-        shards[1].read(NodeId(1), 0, &mut b, SimTime::ZERO);
-        assert_eq!(b, [0x5C; 64]);
     }
 
     #[test]

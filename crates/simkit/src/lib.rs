@@ -17,7 +17,7 @@
 //!   distributed page locks).
 //! - [`worker::WorkerSet`] — closed-loop scheduler that interleaves
 //!   sysbench-style workers in start-time order.
-//! - [`stats`] — counters, HDR-style histograms, time-bucketed series,
+//! - [`stats`] — HDR-style histograms, time-bucketed series,
 //!   and the named [`stats::MetricsRegistry`] snapshotted into BENCH JSON.
 //! - [`rng`] — seeded, stream-split randomness.
 //! - [`trace`] — virtual-time spans and per-lane latency attribution
@@ -45,7 +45,7 @@ pub use fastmap::{FastMap, FastSet};
 pub use faults::{FaultPlan, FaultSite, FaultStats, Verdict};
 pub use lock::{LockDelta, LockMode, LockShard, LockTable, VLock};
 pub use resource::{Grant, Link, LinkFork, MultiServer};
-pub use stats::{Counter, Histogram, MetricValue, MetricsRegistry, TimeSeries};
+pub use stats::{Histogram, MetricValue, MetricsRegistry, TimeSeries};
 pub use time::{dur, SimTime};
 pub use trace::{Lane, QueryBreakdown, SpanKind, TraceEvent};
 pub use worker::{Step, WorkerId, WorkerSet};

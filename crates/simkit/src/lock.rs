@@ -41,9 +41,6 @@ pub struct VLock {
     x_free_at: SimTime,
     /// End of the latest shared hold granted so far.
     s_free_at: SimTime,
-    /// Exclusive grants issued (for stats).
-    x_grants: u64,
-    s_grants: u64,
 }
 
 impl VLock {
@@ -59,14 +56,8 @@ impl VLock {
         };
         let release = grant + hold_ns;
         match mode {
-            LockMode::Shared => {
-                self.s_free_at = self.s_free_at.max(release);
-                self.s_grants += 1;
-            }
-            LockMode::Exclusive => {
-                self.x_free_at = release;
-                self.x_grants += 1;
-            }
+            LockMode::Shared => self.s_free_at = self.s_free_at.max(release),
+            LockMode::Exclusive => self.x_free_at = release,
         }
         (grant, release)
     }
@@ -92,11 +83,6 @@ impl VLock {
         self.x_free_at = self.x_free_at.min(now);
         self.s_free_at = self.s_free_at.min(now);
         cut
-    }
-
-    /// Grants issued as (shared, exclusive).
-    pub fn grants(&self) -> (u64, u64) {
-        (self.s_grants, self.x_grants)
     }
 }
 
@@ -265,8 +251,6 @@ impl<K: Eq + Hash + Ord + Copy> LockTable<K> {
                 }
             }
             lock.s_free_at = lock.s_free_at.max(slot.lock.s_free_at);
-            lock.x_grants += slot.lock.x_grants - slot.base_xg;
-            lock.s_grants += slot.lock.s_grants - slot.base_sg;
         }
         self.wait_ns += std::mem::take(&mut delta.wait_ns);
         self.contended += std::mem::take(&mut delta.contended);
@@ -274,14 +258,11 @@ impl<K: Eq + Hash + Ord + Copy> LockTable<K> {
     }
 }
 
-/// A touched lock inside a [`LockShard`]: the private copy, the base
-/// snapshot it was forked from, and the shard's exclusive-hold
-/// accounting for the barrier merge.
+/// A touched lock inside a [`LockShard`]: the private copy and the
+/// shard's exclusive-hold accounting for the barrier merge.
 #[derive(Debug, Clone)]
 struct ShardSlot {
     lock: VLock,
-    base_sg: u64,
-    base_xg: u64,
     /// First exclusive grant this shard issued for the key (None if it
     /// only read-locked it).
     first_xg: Option<SimTime>,
@@ -308,11 +289,9 @@ impl<K: Eq + Hash + Copy> LockShard<'_, K> {
         self.touched.entry(key).or_insert_with(|| {
             let lock = self.base.locks.get(&key).cloned().unwrap_or_default();
             ShardSlot {
-                base_sg: lock.s_grants,
-                base_xg: lock.x_grants,
+                lock,
                 first_xg: None,
                 busy_x: 0,
-                lock,
             }
         })
     }
@@ -407,6 +386,13 @@ impl<K> Default for LockDelta<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_lock_is_two_clocks() {
+        // `share_mixed` copies one slot per touched lock per quantum.
+        assert_eq!(std::mem::size_of::<VLock>(), 16);
+        assert_eq!(std::mem::size_of::<ShardSlot>(), 40);
+    }
 
     #[test]
     fn exclusive_serializes() {

@@ -47,9 +47,6 @@ impl Grant {
 pub struct MultiServer {
     /// Earliest availability of each server (min-heap).
     free_at: BinaryHeap<Reverse<u64>>,
-    servers: usize,
-    busy_ns: u64,
-    grants: u64,
 }
 
 impl MultiServer {
@@ -60,17 +57,7 @@ impl MultiServer {
         for _ in 0..servers {
             free_at.push(Reverse(0));
         }
-        MultiServer {
-            free_at,
-            servers,
-            busy_ns: 0,
-            grants: 0,
-        }
-    }
-
-    /// Number of servers in the pool.
-    pub fn servers(&self) -> usize {
-        self.servers
+        MultiServer { free_at }
     }
 
     /// Request `service_ns` of exclusive service starting no earlier than
@@ -93,32 +80,10 @@ impl MultiServer {
         // backlog clock grows by its occupancy, not to `now`.
         *top = Reverse(free + service_ns);
         drop(top);
-        self.busy_ns += service_ns;
-        self.grants += 1;
         // Attribution leaf: service plus any queue wait is CPU time
         // (`start >= now`, so the delta is exact).
         crate::trace::attr_add(crate::trace::Lane::Cpu, end.saturating_since(now));
         Grant { start, end }
-    }
-
-    /// Total service time granted so far.
-    pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
-    }
-
-    /// Number of grants issued.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Fraction of capacity used over `[0, horizon)`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        let cap = horizon.as_nanos().saturating_mul(self.servers as u64);
-        if cap == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / cap as f64
-        }
     }
 }
 
@@ -153,8 +118,6 @@ pub struct Link {
     propagation_ns: u64,
     free_at: SimTime,
     bytes: u64,
-    transfers: u64,
-    busy_ns: u64,
     /// Recent `(bytes, transfer_ns(bytes, gbps))` results, direct-mapped
     /// on the size in cache lines. A link carries a handful of sizes (one
     /// to four 64 B lines, 16 KB pages), and the formula's `f64::round` is
@@ -175,8 +138,6 @@ impl Link {
             propagation_ns: 0,
             free_at: SimTime::ZERO,
             bytes: 0,
-            transfers: 0,
-            busy_ns: 0,
             // `transfer_ns(0, _)` is 0 for every capacity.
             transfer_memo: [(0, 0); 4],
         }
@@ -221,8 +182,6 @@ impl Link {
         // clock grows by occupancy only, never ratchets to `now`.
         self.free_at += occupy;
         self.bytes += bytes;
-        self.transfers += 1;
-        self.busy_ns += occupy;
         Grant {
             start,
             end: pipe_done + self.propagation_ns,
@@ -241,37 +200,10 @@ impl Link {
         self.bytes
     }
 
-    /// Number of transfers.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Achieved throughput in GB/s over `[0, horizon)`.
-    pub fn achieved_gbps(&self, horizon: SimTime) -> f64 {
-        let ns = horizon.as_nanos();
-        if ns == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / ns as f64
-        }
-    }
-
-    /// Fraction of time the pipe was busy over `[0, horizon)`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        let ns = horizon.as_nanos();
-        if ns == 0 {
-            0.0
-        } else {
-            (self.busy_ns.min(ns)) as f64 / ns as f64
-        }
-    }
-
-    /// Reset byte/transfer counters (used between measurement windows)
+    /// Reset the byte counter (used between measurement windows)
     /// without releasing the queue state.
     pub fn reset_counters(&mut self) {
         self.bytes = 0;
-        self.transfers = 0;
-        self.busy_ns = 0;
     }
 
     /// Fork a private proxy of this link for barrier-synchronized
@@ -292,8 +224,6 @@ impl Link {
             link: self.clone(),
             base_free_at: self.free_at,
             base_bytes: self.bytes,
-            base_transfers: self.transfers,
-            base_busy_ns: self.busy_ns,
         }
     }
 
@@ -302,8 +232,6 @@ impl Link {
     pub fn merge(&mut self, fork: &LinkFork) {
         self.free_at += fork.link.free_at.saturating_since(fork.base_free_at);
         self.bytes += fork.link.bytes - fork.base_bytes;
-        self.transfers += fork.link.transfers - fork.base_transfers;
-        self.busy_ns += fork.link.busy_ns - fork.base_busy_ns;
     }
 }
 
@@ -315,8 +243,6 @@ pub struct LinkFork {
     link: Link,
     base_free_at: SimTime,
     base_bytes: u64,
-    base_transfers: u64,
-    base_busy_ns: u64,
 }
 
 impl std::ops::Deref for LinkFork {
@@ -360,8 +286,6 @@ mod tests {
         assert_eq!(g2.start, SimTime::ZERO);
         // Third waits for whichever finishes first.
         assert_eq!(g3.start, SimTime(100));
-        assert_eq!(cpu.busy_ns(), 300);
-        assert_eq!(cpu.grants(), 3);
     }
 
     #[test]
@@ -371,16 +295,6 @@ mod tests {
         // Request long after the first finished: starts immediately.
         let g = cpu.acquire(SimTime(1000), 10);
         assert_eq!(g.start, SimTime(1000));
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut cpu = MultiServer::new(4);
-        for _ in 0..8 {
-            cpu.acquire(SimTime::ZERO, 50);
-        }
-        let u = cpu.utilization(SimTime(100));
-        assert!((u - 1.0).abs() < 1e-9, "{u}");
     }
 
     #[test]
@@ -452,17 +366,13 @@ mod tests {
         shared.merge(&f1);
         assert_eq!(shared.free_at, serial.free_at);
         assert_eq!(shared.bytes(), serial.bytes());
-        assert_eq!(shared.transfers(), serial.transfers());
-        assert_eq!(shared.busy_ns, serial.busy_ns);
     }
 
     #[test]
-    fn link_saturation_shows_in_utilization() {
+    fn link_saturation_stretches_completion() {
         let mut nic = Link::new("rdma", 1.0);
         // Demand 2 GB over a 1 GB/s link within 1 s: must take 2 s.
         let g = nic.transfer(SimTime::ZERO, 2 * dur::SEC);
         assert_eq!(g.end.as_nanos(), 2 * dur::SEC);
-        assert!((nic.utilization(SimTime::from_secs(1)) - 1.0).abs() < 1e-9);
-        assert!((nic.achieved_gbps(SimTime::from_secs(2)) - 1.0).abs() < 1e-9);
     }
 }

@@ -1,59 +1,10 @@
-//! Measurement instruments: counters, latency histograms, time series.
+//! Measurement instruments: latency histograms, time series and the
+//! metrics registry.
 //!
 //! Every number the bench harness prints — QPS, average/p95 latency,
-//! GB/s, recovery timelines — comes out of these three types.
+//! GB/s, recovery timelines — comes out of these types.
 
 use crate::time::{dur, SimTime};
-
-/// A monotonically increasing event/byte counter with a rate helper.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Events per second over `[0, horizon)`.
-    pub fn rate_per_sec(&self, horizon: SimTime) -> f64 {
-        let s = horizon.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.value as f64 / s
-        }
-    }
-
-    /// Interpreting the counter as bytes: GB/s over `[0, horizon)`.
-    pub fn gbps(&self, horizon: SimTime) -> f64 {
-        let ns = horizon.as_nanos();
-        if ns == 0 {
-            0.0
-        } else {
-            self.value as f64 / ns as f64
-        }
-    }
-}
 
 /// Log-bucketed latency histogram (HDR-style: 2^k major buckets, each with
 /// linear sub-buckets), covering 1 ns .. ~18 s with bounded relative error.
@@ -451,19 +402,6 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_rates() {
-        let mut c = Counter::new();
-        c.add(500);
-        c.inc();
-        assert_eq!(c.get(), 501);
-        assert!((c.rate_per_sec(SimTime::from_secs(2)) - 250.5).abs() < 1e-9);
-        // 1 GB in 1 s == 1 GB/s
-        let mut b = Counter::new();
-        b.add(1_000_000_000);
-        assert!((b.gbps(SimTime::from_secs(1)) - 1.0).abs() < 1e-9);
-    }
 
     #[test]
     fn histogram_mean_and_extremes() {

@@ -116,9 +116,6 @@ pub enum SharingSystem {
     /// Ablation: the software protocol but flushing whole pages on
     /// publish (page-granularity thinking ported to CXL).
     CxlFullPageFlush,
-    /// Forward-looking: CXL 3.0 hardware coherency — no flushes, no
-    /// invalid flags.
-    Cxl3Hw,
     /// RDMA-based PolarDB-MP with a local buffer pool sized to the given
     /// fraction of each node's accessed dataset.
     Rdma {
@@ -283,7 +280,6 @@ where
     let mode = match cfg.system {
         SharingSystem::Cxl => CoherencyMode::SoftwareLines,
         SharingSystem::CxlFullPageFlush => CoherencyMode::SoftwareFullPage,
-        SharingSystem::Cxl3Hw => CoherencyMode::Hardware,
         SharingSystem::Rdma { lbp_fraction } => return run_rdma(cfg, &gen, lbp_fraction),
     };
     let (mut fusion, mut nodes) = FusionCluster::with_nodes(&layout, n, mode);

@@ -205,7 +205,6 @@ fn sharing_run(system: SharingSystem) -> SharingResult {
 fn sharing_intra_config_reruns_bit_identically() {
     for system in [
         SharingSystem::Cxl,
-        SharingSystem::Cxl3Hw,
         SharingSystem::Rdma { lbp_fraction: 0.3 },
     ] {
         assert_eq!(

@@ -414,11 +414,11 @@ fn sweep_polarrecv() {
 #[test]
 fn sweep_polarrecv_nometa() {
     let out = sweep_design(build_cxl, |db, t| {
-        let report = polardb_cxl_repro::polarcxlmem::recovery::polar_recv_with(
+        let report = polardb_cxl_repro::polarcxlmem::recovery::polar_recv_policy(
             &mut db.pool,
             &mut db.wal,
             t,
-            false,
+            TrustPolicy::Nothing,
         );
         let (table, _) = BTree::open(&mut db.pool, db.table.meta_page, report.done);
         db.table = table;

@@ -377,11 +377,6 @@ fn software_full_page_protocol_is_pinned() {
     check(CoherencyMode::SoftwareFullPage, SOFTWARE_FULL_PAGE);
 }
 
-#[test]
-fn hardware_protocol_is_pinned() {
-    check(CoherencyMode::Hardware, HARDWARE);
-}
-
 const SOFTWARE_LINES: &str = "\
 register0=730
 register1=1460
@@ -558,93 +553,4 @@ n0b SharingNodeStats { local_hits: 7, rpcs: 2, invalid_drops: 0, removal_reloads
 n1 SharingNodeStats { local_hits: 11, rpcs: 4, invalid_drops: 5, removal_reloads: 2, invalidations_sent: 1 }
 dbp in_use=4 free=2
 switch_bytes=19520 host_link_bytes=[3456, 2688, 13376]
-";
-
-const HARDWARE: &str = "\
-register0=730
-register1=1460
-grants 0 0
-n0.read.p0.first=129416
-n1.read.p0.first=156326
-n0.read.p0.hit=157030
-n1.access.p1.addr=1024
-n1.access.p1=284286
-n1.access.p1.again.addr=1024
-n1.access.p1.again=284986
-n0.write.p0.a=286416
-n0.write.p0.b=287850
-n1.read.p0.unpublished=289250
-n1.sees.unpublished=[161, 161, 161, 161, 161, 161, 161, 161]
-n0.publish.p0=289250
-n1.read.p0.fresh=289954
-n1.sees.fresh=[161, 161, 161, 161, 161, 161, 161, 161]
-n1.read.p0.wide=291361
-n1.sees.wide=[1, 1, 162, 162, 162, 162, 162, 162]
-n0.publish.p0.clean=291361
-n1.check_epoch=292061
-n1.guarded_write.p0=294199
-n1.guarded_publish.p0=294899
-n0.read.p0.after_n1=296299
-n0.sees=[177, 177, 177, 177, 177, 177, 177, 177]
-n0.read.p2.pressure=424255
-n0.read.p3.pressure=552211
-n0.read.p4.pressure=680167
-n0.read.p5.pressure=808123
-n0.read.p6.pressure=937539
-n0.read.p7.pressure=1066225
-dbp in_use=6 free=0
-n1.read.p0.reload=1195611
-n1.sees.reload=[1, 1, 1, 1, 1, 1, 1, 1]
-n1.read.p1.reload=1324997
-n0.write.p5=1326427
-n0.publish.p5=1326427
-n1.read.p5=1353337
-n1.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
-server.recycle_slot=1354067
-n0.write.p5.prefence=1355497
-server.fence0=1356227
-server.fence0.again=1356227
-n0.guarded_write=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
-n0.guarded_publish=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
-n0.check_epoch=Err(FencedError { node: NodeId(0), observed_epoch: 1, grant_epoch: 0 })
-n0.publish.p5.fenced=1356227
-n1.check_epoch.after=1356927
-server.reclaim0=1359117
-dbp in_use=3 free=3
-register0.again=1359847
-grant0.again 1
-n0b.adopted=3
-n0b.adopt=1387021
-n0b.read.p5=1388421
-n0b.sees.p5=[193, 193, 193, 193, 193, 193, 193, 193]
-n0b.guarded_write.p5=1390801
-n0b.guarded_publish.p5=1391501
-warm.n0b.p5=1392201
-warm.n1.p5=1392901
-warm.n0b.p4=1520157
-warm.n1.p4=1546367
-dir len=4 active.p5=[NodeId(1), NodeId(0)] active.p4=[NodeId(0), NodeId(1)]
-res.n0b.write.a=1548297
-res.n0b.write.b=1550731
-res.n0b.publish=1550731
-res.n0b.guarded_write=1554369
-res.n0b.guarded_publish=1555069
-res.n1.read.same_quantum=1547767
-res.n1.sees.same_quantum=[6, 6, 6, 6, 6, 6, 6, 6]
-res.n1.check_epoch=1548467
-res.n1.access.p4.addr=1024
-res.n1.access.p4=1549167
-res.n1.read.p5.next_quantum=1556469
-res.n1.sees.p5=[161, 161, 161, 161, 161, 161, 161, 161]
-res.n1.read.p4.next_quantum=1557869
-res.n1.sees.p4=[177, 177, 177, 177, 177, 177, 177, 177]
-res.n1.write.p4=1559799
-res.n1.publish.p4=1559799
-res.n0b.read.p5.own=1555773
-FusionStats { rpcs: 15, recycles: 5, invalidations: 0, storage_fills: 11, fenced_nodes: 1, fenced_rejects: 0, reclaimed_slots: 2, reclaimed_flags: 3 }
-n0 SharingNodeStats { local_hits: 6, rpcs: 7, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 0 }
-n0b SharingNodeStats { local_hits: 7, rpcs: 2, invalid_drops: 0, removal_reloads: 0, invalidations_sent: 0 }
-n1 SharingNodeStats { local_hits: 11, rpcs: 4, invalid_drops: 0, removal_reloads: 2, invalidations_sent: 0 }
-dbp in_use=4 free=2
-switch_bytes=17792 host_link_bytes=[2624, 2048, 13120]
 ";

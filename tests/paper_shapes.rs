@@ -13,6 +13,8 @@
 //! recovery-time orderings from `run_recovery` through the
 //! `fig10_recovery` bench's sweep, on the ledger's `recover` cells, and
 //! ablation A2 (PolarRecv without its block metadata) on the same cells.
+//! Ablation A1: line-granularity against full-page flushing on publish,
+//! the `ablation_coherency` bench's two columns.
 //! Ablation A3: the CPU cache's size against CXL switch bytes and
 //! throughput, through the `ablation_cache_size` bench's sizes.
 //! Figures 11–13: the sharing orderings from `run_sharing` through the
@@ -28,7 +30,11 @@ use bench::{
 use simkit::stats::MetricValue;
 use simkit::SimTime;
 use workloads::recovery_harness::{RecoveryConfig, RecoveryRunResult, Scheme};
-use workloads::{run_pooling, PoolKind, PoolingConfig, RunMetrics, SharingConfig, SysbenchKind};
+use workloads::sharing::point_update_gen;
+use workloads::{
+    run_pooling, run_sharing, PoolKind, PoolingConfig, RunMetrics, SharingConfig, SharingSystem,
+    SysbenchKind,
+};
 
 fn ln_ratio(ours: f64, paper: f64) -> f64 {
     (ours / paper).ln().abs()
@@ -504,6 +510,52 @@ fn figure10_recovery_keeps_its_ordering() {
         assert!(
             ln_ratio(*ours, today) <= BAND_FIG10,
             "{name}: {ours} outside {BAND_FIG10} of {today}"
+        );
+    }
+}
+
+/// Ablation A1's shared percentages, three of the `ablation_coherency`
+/// bench's five.
+const A1_PCTS: [u32; 3] = [20, 60, 100];
+
+/// Ablation A1 (§3.3's granularity argument): publishing a write flushes
+/// only the modified 64-B lines, and that beats flushing the whole page
+/// at every sharing level. The `ablation_coherency` bench's two columns
+/// on 8 nodes, point-update, 20 ms windows, seed 11
+/// (`SharingConfig::standard`'s). The paper gives no number for the gap;
+/// |ln(lines / full page)| is printed per point.
+#[test]
+fn ablation_a1_line_flushing_beats_full_page_flushing() {
+    let systems = [SharingSystem::CxlFullPageFlush, SharingSystem::Cxl];
+    let configs: Vec<(SharingConfig, u32)> = A1_PCTS
+        .iter()
+        .flat_map(|&pct| {
+            systems.map(|system| {
+                let mut cfg = SharingConfig::standard(system, 8);
+                cfg.duration = SimTime::from_millis(20);
+                (cfg, pct)
+            })
+        })
+        .collect();
+    let qps = run_sweep(&configs, |(cfg, pct)| {
+        run_sharing(cfg, point_update_gen(cfg.layout, *pct))
+            .metrics
+            .qps
+    });
+    println!("| shared | full page K-QPS | lines K-QPS | lines / full page | |ln ratio| |");
+    println!("|---|---|---|---|---|");
+    for (pct, pair) in A1_PCTS.iter().zip(qps.chunks(2)) {
+        let (full, lines) = (pair[0], pair[1]);
+        println!(
+            "| {pct} % | {:.1} | {:.1} | {:.3} | {:.3} |",
+            full / 1e3,
+            lines / 1e3,
+            lines / full,
+            ln_ratio(lines, full)
+        );
+        assert!(
+            lines > full,
+            "{pct} %: line flushing {lines} must beat full-page {full}"
         );
     }
 }
