@@ -52,65 +52,13 @@ fn threads_from_env(var: &str) -> usize {
 
 /// Run `f` over every configuration using [`host_threads`] workers,
 /// returning results in input order.
-///
-/// Single-configuration sweeps honor the `--trace <path>` switch (or the
-/// `TRACE_OUT` env var): the run executes with span recording and
-/// latency attribution enabled and the Chrome `trace_event` JSON is
-/// written to the given path — see [`run_traced`]. Multi-configuration
-/// sweeps ignore the switch (interleaved per-thread rings would produce
-/// a misleading mixed trace).
 pub fn run_sweep<C, R, F>(configs: &[C], f: F) -> Vec<R>
 where
     C: Sync,
     R: Send,
     F: Fn(&C) -> R + Sync,
 {
-    if configs.len() == 1 {
-        if let Some(path) = trace_out_path() {
-            return vec![run_traced(&configs[0], &path, &f)];
-        }
-    }
     run_sweep_threads(configs, host_threads(), f)
-}
-
-/// Trace output path from the `--trace <path>` command-line switch or
-/// the `TRACE_OUT` environment variable (argv wins); `None` when neither
-/// is set.
-pub fn trace_out_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(Into::into);
-        }
-    }
-    std::env::var_os("TRACE_OUT").map(Into::into)
-}
-
-/// Run `f(cfg)` with span recording and latency attribution enabled,
-/// then write the recorded spans as Chrome `trace_event` JSON to `path`
-/// (load it in <https://ui.perfetto.dev> or `chrome://tracing`).
-/// Tracing is observation-only, so the returned result is bit-identical
-/// to an untraced run.
-pub fn run_traced<C, R>(cfg: &C, path: &std::path::Path, f: impl Fn(&C) -> R) -> R {
-    use simkit::trace;
-    trace::reset();
-    trace::enable_spans(true);
-    trace::enable_attribution(true);
-    let r = f(cfg);
-    trace::enable_spans(false);
-    trace::enable_attribution(false);
-    let events = trace::take_events();
-    let dropped = trace::dropped_events();
-    std::fs::write(path, trace::chrome_trace_json(&events))
-        .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-    eprintln!(
-        "trace: {} spans -> {} ({} dropped; open in Perfetto)",
-        events.len(),
-        path.display(),
-        dropped
-    );
-    trace::reset();
-    r
 }
 
 /// Run `f` over every configuration using exactly `threads` workers

@@ -249,11 +249,6 @@ impl Cache {
         self.stats
     }
 
-    /// Reset statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Number of sets (= lines of capacity; the cache is direct-mapped).
     pub fn sets(&self) -> usize {
         self.slots.len()
@@ -1260,10 +1255,10 @@ mod tests {
         c.access(3, false);
         assert!(!c.is_untouched());
         c.invalidate(3);
-        c.reset_stats();
+        c.stats = CacheStats::default();
         assert!(c.is_untouched());
         c.access(3, false);
-        c.reset_stats();
+        c.stats = CacheStats::default();
         assert!(!c.is_untouched(), "a held line is use, counted or not");
     }
 

@@ -155,19 +155,9 @@ impl<K: Eq + Hash> LockTable<K> {
         }
     }
 
-    /// Total acquires issued.
-    pub fn acquires(&self) -> u64 {
-        self.acquires
-    }
-
     /// Acquires that experienced queueing.
     pub fn contended(&self) -> u64 {
         self.contended
-    }
-
-    /// Total queueing time in nanoseconds.
-    pub fn wait_ns(&self) -> u64 {
-        self.wait_ns
     }
 
     /// Mean wait per acquire, ns.
@@ -445,9 +435,9 @@ mod tests {
         t.acquire(1, SimTime::ZERO, LockMode::Exclusive, 100);
         t.acquire(1, SimTime::ZERO, LockMode::Exclusive, 100);
         t.acquire(2, SimTime::ZERO, LockMode::Exclusive, 100); // uncontended
-        assert_eq!(t.acquires(), 3);
+        assert_eq!(t.acquires, 3);
         assert_eq!(t.contended(), 1);
-        assert_eq!(t.wait_ns(), 100);
+        assert_eq!(t.wait_ns, 100);
         assert_eq!(t.len(), 2);
         assert!((t.mean_wait_ns() - 100.0 / 3.0).abs() < 1e-9);
     }
@@ -495,7 +485,7 @@ mod tests {
         let (g_shard, _) = table.acquire(1, SimTime::ZERO, LockMode::Exclusive, 1);
         assert_eq!(g_serial, g_shard);
         assert_eq!(g_shard, SimTime(200));
-        assert_eq!(table.acquires(), 4);
+        assert_eq!(table.acquires, 4);
         // Within-quantum cross-shard waits are deferred to the barrier,
         // so only the post-merge acquire observes contention here.
         assert_eq!(table.contended(), 1);
@@ -524,7 +514,7 @@ mod tests {
                 reused.acquire(key, SimTime::ZERO, LockMode::Exclusive, 1)
             );
         }
-        assert_eq!(fresh.wait_ns(), reused.wait_ns());
+        assert_eq!(fresh.wait_ns, reused.wait_ns);
         assert_eq!(fresh.contended(), reused.contended());
     }
 

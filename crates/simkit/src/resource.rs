@@ -22,14 +22,6 @@ pub struct Grant {
     pub end: SimTime,
 }
 
-impl Grant {
-    /// Queueing delay experienced before service started.
-    #[inline]
-    pub fn wait_ns(&self, requested: SimTime) -> u64 {
-        self.start.saturating_since(requested)
-    }
-}
-
 /// A pool of `k` identical servers with a shared queue
 /// (an M/G/k-style station in virtual time).
 ///
@@ -273,7 +265,7 @@ mod tests {
         // Second request queues behind the first.
         assert_eq!(g2.start, SimTime(100));
         assert_eq!(g2.end, SimTime(200));
-        assert_eq!(g2.wait_ns(SimTime::ZERO), 100);
+        assert_eq!(g2.start.saturating_since(SimTime::ZERO), 100);
     }
 
     #[test]

@@ -123,15 +123,6 @@ impl Histogram {
         self.mean_ns() / dur::US as f64
     }
 
-    /// Smallest sample (0 when empty).
-    pub fn min_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
     /// Largest sample.
     pub fn max_ns(&self) -> u64 {
         self.max
@@ -411,7 +402,7 @@ mod tests {
         }
         assert_eq!(h.count(), 3);
         assert!((h.mean_ns() - 200.0).abs() < 1e-9);
-        assert_eq!(h.min_ns(), 100);
+        assert_eq!(h.min, 100);
         assert_eq!(h.max_ns(), 300);
     }
 
@@ -485,7 +476,7 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.quantile_ns(0.95), 0);
         assert_eq!(h.mean_ns(), 0.0);
-        assert_eq!(h.min_ns(), 0);
+        assert_eq!(h.min, u64::MAX, "no sample: the minimum is unset");
     }
 
     #[test]

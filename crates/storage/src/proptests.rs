@@ -9,7 +9,8 @@
 
 #![cfg(test)]
 
-use crate::wal::{encoded_len, tests::durable_block_starts, LogRecord};
+use crate::wal::tests::{append_mtr, durable_block_starts};
+use crate::wal::{encoded_len, LogRecord};
 use crate::{Lsn, PageId, Wal};
 use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
 use simkit::rng::SimRng;
@@ -108,7 +109,7 @@ fn durable_prefix_matches_model() {
                         updates.push((PageId(page), off, data));
                         next_lsn += 1;
                     }
-                    assert_eq!(wal.append_mtr(updates), Lsn(next_lsn - 1));
+                    assert_eq!(append_mtr(&mut wal, updates), Lsn(next_lsn - 1));
                 }
                 2 if !volatile.is_empty() && rng.gen_range(0u32..3) == 0 => {
                     // A flush torn part-way into its device write: the

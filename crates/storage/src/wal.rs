@@ -368,21 +368,6 @@ impl Wal {
         self.unlogged = true;
     }
 
-    /// Append one mini-transaction's records to the volatile buffer.
-    /// Assigns LSNs; the last record is the group end. Returns the LSN of
-    /// the last record.
-    ///
-    /// # Panics
-    /// When `updates` is empty — an empty mini-transaction is a caller bug.
-    pub fn append_mtr(&mut self, updates: Vec<(PageId, u16, Vec<u8>)>) -> Lsn {
-        assert!(!updates.is_empty(), "mini-transaction must contain updates");
-        for (page, off, data) in &updates {
-            self.append_update(*page, *off, data);
-        }
-        self.seal_mtr();
-        self.max_assigned_lsn()
-    }
-
     /// Append a single update record (ARIES WAL rule: callers log before
     /// writing the page). The record joins the current mini-transaction
     /// group; call [`Wal::seal_mtr`] at group end.
@@ -602,6 +587,21 @@ pub(crate) mod tests {
         (PageId(page), off, vec![byte; 8])
     }
 
+    /// Append one mini-transaction's records to `wal`'s volatile buffer
+    /// through [`Wal::append_update`] and [`Wal::seal_mtr`]: the last
+    /// record is the group end. Returns the LSN of the last record.
+    ///
+    /// # Panics
+    /// When `updates` is empty — an empty mini-transaction is a caller bug.
+    pub(crate) fn append_mtr(wal: &mut Wal, updates: Vec<(PageId, u16, Vec<u8>)>) -> Lsn {
+        assert!(!updates.is_empty(), "mini-transaction must contain updates");
+        for (page, off, data) in &updates {
+            wal.append_update(*page, *off, data);
+        }
+        wal.seal_mtr();
+        wal.max_assigned_lsn()
+    }
+
     /// Host bytes a block log holds.
     fn host_bytes(log: &BlockLog) -> usize {
         log.blocks.iter().map(Vec::len).sum()
@@ -690,11 +690,11 @@ pub(crate) mod tests {
     fn flush_into_empty_durable_adopts_buffer() {
         // The swap fast path must be observationally identical to append.
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 1), upd(2, 0, 2)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1), upd(2, 0, 2)]);
         wal.flush(SimTime::ZERO);
         assert_eq!(wal.replay_from(Lsn::ZERO).count(), 2);
         // Second flush lands on a non-empty tail (append path).
-        wal.append_mtr(vec![upd(3, 0, 3)]);
+        append_mtr(&mut wal, vec![upd(3, 0, 3)]);
         wal.flush(SimTime::ZERO);
         let lsns: Vec<u64> = wal.replay_from(Lsn::ZERO).map(|r| r.lsn.0).collect();
         assert_eq!(lsns, vec![1, 2, 3]);
@@ -706,9 +706,9 @@ pub(crate) mod tests {
     #[test]
     fn clone_keeps_records_counters_and_capacity() {
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 1), upd(2, 0, 2)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1), upd(2, 0, 2)]);
         wal.flush(SimTime::ZERO);
-        wal.append_mtr(vec![upd(3, 0, 3)]);
+        append_mtr(&mut wal, vec![upd(3, 0, 3)]);
         let copy = wal.clone();
         let capacities = |w: &Wal| {
             [&w.buffer, &w.durable]
@@ -730,8 +730,8 @@ pub(crate) mod tests {
     #[test]
     fn lsns_are_dense_and_ascending() {
         let mut wal = Wal::new();
-        let l1 = wal.append_mtr(vec![upd(1, 0, 1), upd(2, 0, 2)]);
-        let l2 = wal.append_mtr(vec![upd(3, 0, 3)]);
+        let l1 = append_mtr(&mut wal, vec![upd(1, 0, 1), upd(2, 0, 2)]);
+        let l2 = append_mtr(&mut wal, vec![upd(3, 0, 3)]);
         assert_eq!(l1, Lsn(2));
         assert_eq!(l2, Lsn(3));
         assert_eq!(wal.max_assigned_lsn(), Lsn(3));
@@ -740,9 +740,9 @@ pub(crate) mod tests {
     #[test]
     fn unflushed_records_die_in_a_crash() {
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 1)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1)]);
         wal.flush(SimTime::ZERO);
-        wal.append_mtr(vec![upd(2, 0, 2)]);
+        append_mtr(&mut wal, vec![upd(2, 0, 2)]);
         wal.crash();
         assert_eq!(wal.durable_lsn(), Lsn(1));
         let survivors: Vec<_> = wal.replay_from(Lsn::ZERO).collect();
@@ -753,9 +753,9 @@ pub(crate) mod tests {
     #[test]
     fn replay_respects_floor() {
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 1)]);
-        wal.append_mtr(vec![upd(2, 0, 2)]);
-        wal.append_mtr(vec![upd(3, 0, 3)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1)]);
+        append_mtr(&mut wal, vec![upd(2, 0, 2)]);
+        append_mtr(&mut wal, vec![upd(3, 0, 3)]);
         wal.flush(SimTime::ZERO);
         let from2: Vec<_> = wal.replay_from(Lsn(2)).map(|r| r.page).collect();
         assert_eq!(from2, vec![PageId(3)]);
@@ -764,8 +764,8 @@ pub(crate) mod tests {
     #[test]
     fn checkpoint_discards_old_records() {
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 1)]);
-        wal.append_mtr(vec![upd(2, 0, 2)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1)]);
+        append_mtr(&mut wal, vec![upd(2, 0, 2)]);
         wal.flush(SimTime::ZERO);
         wal.set_checkpoint(Lsn(1));
         assert_eq!(wal.replay_from(Lsn::ZERO).count(), 1);
@@ -776,14 +776,14 @@ pub(crate) mod tests {
     #[should_panic(expected = "beyond durability")]
     fn checkpoint_cannot_pass_durable() {
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 1)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1)]);
         wal.set_checkpoint(Lsn(1)); // not yet flushed
     }
 
     #[test]
     fn mtr_groups_flag_their_end() {
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 1), upd(2, 0, 2), upd(3, 0, 3)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1), upd(2, 0, 2), upd(3, 0, 3)]);
         wal.flush(SimTime::ZERO);
         let flags: Vec<bool> = wal.replay_from(Lsn::ZERO).map(|r| r.mtr_end).collect();
         assert_eq!(flags, vec![false, false, true]);
@@ -792,7 +792,7 @@ pub(crate) mod tests {
     #[test]
     fn flush_is_timed_and_idempotent_when_empty() {
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 9)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 9)]);
         let end = wal.flush(SimTime::ZERO);
         assert!(end.as_nanos() >= WAL_FLUSH_NS);
         // Nothing pending: free.
@@ -845,8 +845,8 @@ pub(crate) mod tests {
         // Group A encodes to 33 bytes. Tear inside group B: A plus B's
         // first record fit the durable prefix, but only complete groups
         // may surface.
-        wal.append_mtr(vec![upd(1, 0, 1)]);
-        wal.append_mtr(vec![upd(2, 0, 2), upd(3, 0, 3)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1)]);
+        append_mtr(&mut wal, vec![upd(2, 0, 2), upd(3, 0, 3)]);
         faults::install(FaultPlan::default().with(
             Trigger::SiteHit(FaultSite::WalFlush, 0),
             Action::TornWalFlush {
@@ -867,10 +867,10 @@ pub(crate) mod tests {
         use simkit::faults::{self, FaultPlan};
         faults::clear();
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 1)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1)]);
         wal.flush(SimTime::ZERO);
         faults::install(FaultPlan::crash_at_hit(0));
-        wal.append_mtr(vec![upd(2, 0, 2)]);
+        append_mtr(&mut wal, vec![upd(2, 0, 2)]);
         let end = wal.flush(SimTime(5));
         assert_eq!(end, SimTime(5), "dead flush is untimed");
         assert!(faults::crashed());
@@ -888,7 +888,7 @@ pub(crate) mod tests {
     fn twins(range: &[(PageId, u16, Vec<u8>)]) -> (Wal, Wal) {
         let (mut logged, mut unlogged) = (Wal::new(), Wal::new());
         for wal in [&mut logged, &mut unlogged] {
-            wal.append_mtr(vec![upd(9, 0, 9)]);
+            append_mtr(wal, vec![upd(9, 0, 9)]);
         }
         unlogged.begin_unlogged();
         let (first, second) = range.split_at(range.len() / 2);
@@ -942,7 +942,7 @@ pub(crate) mod tests {
         assert_eq!(unlogged.replay_bytes_from(Lsn::ZERO), 0);
         // The range is closed: the twin logs again, and survives a crash.
         for wal in [&mut logged, &mut unlogged] {
-            wal.append_mtr(vec![upd(3, 4, 5)]);
+            append_mtr(wal, vec![upd(3, 4, 5)]);
             wal.flush(end);
             wal.append_update(PageId(4), 0, &[1]);
             wal.crash();
@@ -972,7 +972,7 @@ pub(crate) mod tests {
     #[test]
     fn replay_bytes_matches_encoded_sizes() {
         let mut wal = Wal::new();
-        wal.append_mtr(vec![upd(1, 0, 1)]);
+        append_mtr(&mut wal, vec![upd(1, 0, 1)]);
         wal.flush(SimTime::ZERO);
         assert_eq!(wal.replay_bytes_from(Lsn::ZERO), 25 + 8);
         assert_eq!(wal.replay_bytes_from(Lsn(1)), 0);
