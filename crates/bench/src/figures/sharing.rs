@@ -21,13 +21,17 @@ pub mod fig11 {
     use super::*;
     pub const NODES: [usize; 1] = [8];
     pub const PCTS: [u32; 6] = [0, 20, 40, 60, 80, 100];
+    /// Point-update, 8 nodes, 0 % shared: "PolarCXLMem +33% at 0%
+    /// shared".
+    pub const GAIN_UPD0: Paper = paper("cxl_gain_upd0", 1.33);
     /// Point-update, 8 nodes, 40 % shared: PolarCXLMem +62 % over RDMA.
     pub const GAIN_UPD40: Paper = paper("cxl_gain_upd40", 1.62);
-    pub const PAPER: &[Paper] = &[GAIN_UPD40];
+    pub const PAPER: &[Paper] = &[GAIN_UPD0, GAIN_UPD40];
 
-    /// [`GAIN_UPD40`] measured, from one `[rdma, cxl]` pair per point.
-    pub fn gain_upd40(pairs: &[[RunMetrics; 2]]) -> f64 {
-        let [rdma, cxl] = &pairs[index_of(&PCTS, 40)];
+    /// CXL over RDMA at `pct` % shared, from one `[rdma, cxl]` pair per
+    /// point.
+    pub fn gain_at(pairs: &[[RunMetrics; 2]], pct: u32) -> f64 {
+        let [rdma, cxl] = &pairs[index_of(&PCTS, pct)];
         cxl.qps / rdma.qps
     }
 

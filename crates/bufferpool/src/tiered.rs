@@ -806,60 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn link_flap_longer_than_retry_budget_falls_back_to_storage() {
-        use simkit::faults::{Action, FaultPlan, Trigger};
-        faults::clear();
-        let mut bp = setup(2); // pages 0,1 warm; 2.. remote only
-
-        // Host 0's RDMA link goes down for far longer than the retry
-        // budget can bridge.
-        faults::install(FaultPlan::default().with(
-            Trigger::At(SimTime::ZERO),
-            Action::LinkFlap {
-                host: 0,
-                down_ns: 10_000_000,
-                retry_ns: 1_000,
-            },
-        ));
-        let mut buf = [0u8; 8];
-        bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-        faults::clear();
-        // The pool burned its budget against the dead link, then
-        // degraded to storage — slower, never wedged, bytes right.
-        assert_eq!(buf, [6u8; 8]);
-        assert_eq!(bp.stats().fault_retries, MAX_FABRIC_RETRIES as u64);
-        assert_eq!(bp.stats().fault_fallbacks, 1);
-        assert_eq!(bp.stats().storage_read_bytes, 1024);
-    }
-
-    #[test]
-    fn short_link_flap_heals_within_the_retry_budget() {
-        use simkit::faults::{Action, FaultPlan, Trigger};
-        faults::clear();
-        let mut bp = setup(2);
-        // The link comes back before the budget runs out: each retry
-        // waits out the advertised retry interval, so the read lands on
-        // the fabric after the flap, with no storage fallback.
-        faults::install(FaultPlan::default().with(
-            Trigger::At(SimTime::ZERO),
-            Action::LinkFlap {
-                host: 0,
-                down_ns: 1_500,
-                retry_ns: 1_000,
-            },
-        ));
-        let mut buf = [0u8; 8];
-        let a = bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-        faults::clear();
-        assert_eq!(buf, [6u8; 8]);
-        assert!(bp.stats().fault_retries >= 1);
-        assert_eq!(bp.stats().fault_fallbacks, 0, "no storage fallback");
-        assert_eq!(bp.stats().remote_read_bytes, 1024);
-        // The stall is visible in the completion time.
-        assert!(a.end.as_nanos() >= 1_500);
-    }
-
-    #[test]
     fn retry_budget_exhaustion_falls_back_to_storage() {
         use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
         faults::clear();

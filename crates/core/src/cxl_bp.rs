@@ -679,54 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_cxl_link_slows_reads_but_serves_them() {
-        use simkit::faults::{self, Action, FaultPlan, Trigger};
-        // A tiny CPU cache forces reads onto the fabric, where the
-        // degraded link bites. CXL loads have no software retry path —
-        // the latency multiplier lands directly on the access.
-        let cold = |fault: Option<Action>| {
-            faults::clear();
-            let mut store = PageStore::with_page_size(8, 1024);
-            for p in 0..8 {
-                store.allocate();
-                store.raw_write_page(PageId(p), &vec![p as u8 + 1; 1024]);
-            }
-            let cxl = Rc::new(RefCell::new(CxlPool::single_host(
-                8 << 20,
-                1,
-                2 << 10,
-                false,
-            )));
-            let mut bp = CxlBp::format(cxl, NodeId(0), 0, 8, store);
-            if let Some(action) = fault {
-                faults::install(FaultPlan::default().with(Trigger::At(SimTime::ZERO), action));
-            }
-            let mut buf = [0u8; 8];
-            let a = bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-            faults::clear();
-            assert_eq!(buf, [6u8; 8], "bytes stay right on a sick link");
-            a.end.as_nanos()
-        };
-        let healthy = cold(None);
-        let degraded = cold(Some(Action::LinkDegrade {
-            host: 0,
-            factor: 4,
-            heal_ns: 1_000_000,
-        }));
-        let flapped = cold(Some(Action::LinkFlap {
-            host: 0,
-            down_ns: 50_000,
-            retry_ns: 1_000,
-        }));
-        assert!(
-            degraded > healthy,
-            "degradation must cost latency: {degraded} <= {healthy}"
-        );
-        // A downed link stalls the load until the fabric replays it.
-        assert!(flapped >= 50_000, "stall-through: {flapped}");
-    }
-
-    #[test]
     fn read_your_writes() {
         let mut bp = setup(8, 8);
         bp.set_latch(PageId(0), true, SimTime::ZERO);

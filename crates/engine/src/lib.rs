@@ -101,40 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_keeps_serving_over_a_degraded_cxl_link() {
-        use simkit::faults::{self, Action, FaultPlan, Trigger};
-        faults::clear();
-        let mut db = cxl_db();
-        faults::install(FaultPlan::default().with(
-            Trigger::At(SimTime::ZERO),
-            Action::LinkDegrade {
-                host: 0,
-                factor: 4,
-                heal_ns: u64::MAX / 2,
-            },
-        ));
-        // A full mixed workload rides the sick fabric: every query must
-        // still return correct data — slower, never wedged.
-        let mut rng = SimRng::seed_from_u64(7);
-        let mut t = SimTime::ZERO;
-        for i in 0..200u64 {
-            let k = rng.gen_range(1..=KEYS);
-            if i % 4 == 0 {
-                let (found, t2) = db.update(k, 0, &[0xBB; 8], t);
-                assert!(found);
-                t = t2;
-            } else {
-                let (found, t2) = db.point_select(k, t);
-                assert!(found);
-                t = t2;
-            }
-        }
-        faults::clear();
-        let (n, _) = db.range_select(1, KEYS as usize, SimTime::ZERO);
-        assert_eq!(n as u64, KEYS, "every row survives the degraded window");
-    }
-
-    #[test]
     fn queries_work_on_all_three_pools() {
         let mut d = dram_db();
         let mut t = tiered_db();

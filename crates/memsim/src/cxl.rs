@@ -141,7 +141,6 @@ impl Mem<'_> {
 /// `Mem::Logged`) execute literally the same code.
 struct Port<'a> {
     node: NodeId,
-    host: usize,
     remote: bool,
     direct: bool,
     cache: &'a mut Cache,
@@ -200,18 +199,6 @@ impl Port<'_> {
     fn charge_link(&mut self, now: SimTime, bytes: u64, latency_ns: u64) -> (SimTime, u64) {
         if bytes == 0 {
             return (now + latency_ns, 0);
-        }
-        let mut now = now;
-        let mut latency_ns = latency_ns;
-        match faults::link_health(faults::FaultSite::CxlLink, self.host as u32, now) {
-            faults::LinkHealth::Healthy => {}
-            faults::LinkHealth::Degraded { factor } => latency_ns *= factor as u64,
-            faults::LinkHealth::Down { until, .. } => {
-                // The link is out: the op stalls until it returns, then
-                // completes at normal speed (CXL loads/stores have no
-                // software retry path — the fabric replays them).
-                now = now.max(until);
-            }
         }
         let lat_end = now + latency_ns;
         let g1 = self.host_link.transfer(now, bytes);
@@ -744,7 +731,6 @@ impl CxlPool {
         let host = self.node_host[node.0];
         Port {
             node,
-            host,
             remote: self.node_remote[node.0],
             direct: self.node_direct[node.0],
             cache: &mut self.caches[node.0],
@@ -1031,7 +1017,6 @@ impl CxlShard {
     fn port(&mut self) -> Port<'_> {
         Port {
             node: self.node,
-            host: self.host,
             remote: self.remote,
             direct: self.direct,
             cache: &mut self.cache,

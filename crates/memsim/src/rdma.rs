@@ -40,32 +40,6 @@ impl std::fmt::Display for RdmaError {
 
 impl std::error::Error for RdmaError {}
 
-/// Poll a host's NIC link health. An outage surfaces as a typed
-/// transient error whose spike is the retry interval — the caller's
-/// existing retry/backoff/fallback machinery handles it (and the
-/// infallible paths terminate because retries advance `now` past
-/// the outage). A degrade returns the latency multiplier.
-fn link_gate(host: usize, now: SimTime) -> Result<u64, RdmaError> {
-    match faults::link_health(FaultSite::RdmaLink, host as u32, now) {
-        faults::LinkHealth::Healthy => Ok(1),
-        faults::LinkHealth::Degraded { factor } => Ok(factor as u64),
-        faults::LinkHealth::Down { retry_ns, .. } => {
-            Err(RdmaError::Transient { spike_ns: retry_ns })
-        }
-    }
-}
-
-/// Stretch a completed transfer by the degrade factor, charging the
-/// slowdown to the NIC attribution lane.
-fn degrade(a: &mut Access, now: SimTime, factor: u64) {
-    if factor > 1 {
-        let delta = a.end.saturating_since(now);
-        let extra = delta.saturating_mul(factor - 1);
-        a.end += extra;
-        trace::attr_add(Lane::RdmaNic, extra);
-    }
-}
-
 /// Charge a bulk transfer to a NIC pipe: the single timed body shared by
 /// the pool and the per-node shard, so both paths cost identically.
 fn charge_nic(link: &mut Link, kind: SpanKind, host: usize, len: u64, now: SimTime) -> Access {
@@ -87,11 +61,11 @@ fn charge_nic(link: &mut Link, kind: SpanKind, host: usize, len: u64, now: SimTi
 const PAGE_IN: (FaultSite, SpanKind) = (FaultSite::RdmaRead, SpanKind::RdmaPageIn);
 const PAGE_OUT: (FaultSite, SpanKind) = (FaultSite::RdmaWrite, SpanKind::RdmaPageOut);
 
-/// Gate the link and the direction's site, then charge `len` bytes to a
-/// NIC pipe, stretched by any degrade factor: the one gate/charge/degrade
-/// body behind every bulk transfer of the pool and of a shard. Moves no
-/// bytes. `Ok(None)` means the host is dead: nothing is timed or queued,
-/// and a write must not reach the remote node.
+/// Gate the direction's site, then charge `len` bytes to a NIC pipe:
+/// the one gate/charge body behind every bulk transfer of the pool and
+/// of a shard. Moves no bytes. `Ok(None)` means the host is dead:
+/// nothing is timed or queued, and a write must not reach the remote
+/// node.
 #[inline]
 fn gated_transfer(
     link: &mut Link,
@@ -100,13 +74,8 @@ fn gated_transfer(
     len: u64,
     now: SimTime,
 ) -> Result<Option<Access>, RdmaError> {
-    let factor = link_gate(host, now)?;
     match faults::gate(site, now) {
-        Verdict::Run => {
-            let mut a = charge_nic(link, kind, host, len, now);
-            degrade(&mut a, now, factor);
-            Ok(Some(a))
-        }
+        Verdict::Run => Ok(Some(charge_nic(link, kind, host, len, now))),
         Verdict::Transient { spike_ns } => Err(RdmaError::Transient { spike_ns }),
         _ => Ok(None),
     }
@@ -114,7 +83,7 @@ fn gated_transfer(
 
 /// Retry `attempt` in place until it succeeds, starting each new try
 /// after the spike the failed one burned (a transient burst is finite
-/// by construction, and retries advance `now` past a link outage).
+/// by construction).
 fn retrying<T>(mut now: SimTime, mut attempt: impl FnMut(SimTime) -> Result<T, RdmaError>) -> T {
     loop {
         match attempt(now) {
@@ -131,21 +100,10 @@ fn message_on(tx: &mut Link, host: usize, now: SimTime) -> SimTime {
     if faults::crashed() {
         return now;
     }
-    // Outage: the sender retries the doorbell until the NIC returns;
-    // each attempt burns the backoff interval.
-    let (factor, now) = retrying(now, |now| link_gate(host, now).map(|f| (f, now)));
     let end = tx.transfer(now, 64).end;
     trace::attr_add(Lane::RdmaNic, end.saturating_since(now));
-    let mut a = Access {
-        end,
-        link_bytes: 64,
-        hits: 0,
-        misses: 0,
-    };
-    // `degrade` charges the slowdown to the NIC lane itself.
-    degrade(&mut a, now, factor);
-    trace::span(SpanKind::RdmaMsg, host as u32, now, a.end, 64);
-    a.end
+    trace::span(SpanKind::RdmaMsg, host as u32, now, end, 64);
+    end
 }
 
 /// The RDMA operations node-level database code issues, abstracted over
@@ -227,11 +185,11 @@ impl RdmaPool {
         &mut self.region
     }
 
-    /// The timing half of [`RdmaPool::try_read`]: gate the link and the
-    /// read site, charge `len` bytes to `host`'s NIC (stretched by any
-    /// degrade factor) — and move no bytes. For a caller that models the
-    /// transfer but reads the remote bytes in place (the tiered pool's
-    /// aliased page-in). A dead host is neither timed nor queued.
+    /// The timing half of [`RdmaPool::try_read`]: gate the read site,
+    /// charge `len` bytes to `host`'s NIC — and move no bytes. For a
+    /// caller that models the transfer but reads the remote bytes in
+    /// place (the tiered pool's aliased page-in). A dead host is neither
+    /// timed nor queued.
     pub fn try_read_timing(
         &mut self,
         host: usize,
@@ -532,57 +490,6 @@ mod tests {
         assert_eq!(&buf, b"keep");
         assert_eq!(a.end, SimTime(9));
         faults::clear();
-    }
-
-    #[test]
-    fn link_flap_stalls_then_heals() {
-        use simkit::faults::{Action, FaultPlan, Trigger};
-        simkit::faults::clear();
-        let mut p = RdmaPool::new(1 << 20, 2);
-        p.write(0, 0, b"x", SimTime::ZERO);
-        simkit::faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaLink, 0),
-            Action::LinkFlap {
-                host: 0,
-                down_ns: 10_000,
-                retry_ns: 1_000,
-            },
-        ));
-        let mut buf = [0u8; 1];
-        // Typed path: the outage surfaces as a transient with the retry
-        // interval as its spike.
-        assert_eq!(
-            p.try_read(0, 0, &mut buf, SimTime::ZERO),
-            Err(RdmaError::Transient { spike_ns: 1_000 })
-        );
-        // Other hosts' NICs are unaffected.
-        assert!(p.try_read(1, 0, &mut buf, SimTime::ZERO).is_ok());
-        // The infallible path retries through the outage and terminates.
-        let a = p.read(0, 0, &mut buf, SimTime(1_000));
-        assert!(a.end.as_nanos() >= 10_000, "{a:?}");
-        assert_eq!(&buf, b"x");
-        simkit::faults::clear();
-    }
-
-    #[test]
-    fn link_degrade_multiplies_latency() {
-        use simkit::faults::{Action, FaultPlan, Trigger};
-        simkit::faults::clear();
-        let mut p = RdmaPool::new(1 << 20, 1);
-        let mut buf = vec![0u8; PAGE_SIZE as usize];
-        let healthy = p.read(0, 0, &mut buf, SimTime::ZERO).end.as_nanos();
-        let mut p = RdmaPool::new(1 << 20, 1);
-        simkit::faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaLink, 0),
-            Action::LinkDegrade {
-                host: 0,
-                factor: 3,
-                heal_ns: u64::MAX,
-            },
-        ));
-        let degraded = p.read(0, 0, &mut buf, SimTime::ZERO).end.as_nanos();
-        assert_eq!(degraded, healthy * 3, "{degraded} vs {healthy}");
-        simkit::faults::clear();
     }
 
     #[test]

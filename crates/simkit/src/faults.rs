@@ -59,18 +59,13 @@ pub enum FaultSite {
     RdmaWrite = 5,
     /// Page write to the simulated NVMe store.
     StorageWrite = 6,
-    /// Per-host CXL link health poll (degrade/flap; no data verdicts —
-    /// consumers read [`link_health`] after gating here).
-    CxlLink = 7,
-    /// Per-host RDMA NIC link health poll (degrade/flap).
-    RdmaLink = 8,
     /// Control-plane RPC to the memory manager / fusion server
     /// ([`Verdict::Transient`] delays and retries the RPC).
-    Rpc = 9,
+    Rpc = 7,
 }
 
 /// Number of [`FaultSite`] variants (length of per-site stat tables).
-pub const SITE_COUNT: usize = 10;
+pub const SITE_COUNT: usize = 8;
 
 impl FaultSite {
     /// Stable snake_case name (used as metric keys and in reports).
@@ -83,8 +78,6 @@ impl FaultSite {
             FaultSite::RdmaRead => "rdma_read",
             FaultSite::RdmaWrite => "rdma_write",
             FaultSite::StorageWrite => "storage_write",
-            FaultSite::CxlLink => "cxl_link",
-            FaultSite::RdmaLink => "rdma_link",
             FaultSite::Rpc => "rpc",
         }
     }
@@ -98,8 +91,6 @@ impl FaultSite {
         FaultSite::RdmaRead,
         FaultSite::RdmaWrite,
         FaultSite::StorageWrite,
-        FaultSite::CxlLink,
-        FaultSite::RdmaLink,
         FaultSite::Rpc,
     ];
 }
@@ -184,46 +175,6 @@ pub enum Action {
         /// Node index to kill (the harness maps it to its `NodeId`).
         node: u32,
     },
-    /// Degrade one host's fabric link: per-byte latency is multiplied
-    /// by `factor` until the link heals `heal_ns` after the trigger.
-    LinkDegrade {
-        /// Host index whose link degrades.
-        host: u32,
-        /// Latency multiplier while degraded (≥ 1).
-        factor: u32,
-        /// Healing delay after the trigger fires, in nanoseconds.
-        heal_ns: u64,
-    },
-    /// Flap one host's fabric link: the link is down (ops stall and
-    /// retry every `retry_ns`) until it comes back `down_ns` after the
-    /// trigger.
-    LinkFlap {
-        /// Host index whose link flaps.
-        host: u32,
-        /// Outage duration after the trigger fires, in nanoseconds.
-        down_ns: u64,
-        /// Retry/backoff interval burned per failed attempt.
-        retry_ns: u64,
-    },
-}
-
-/// Health of one host's fabric link, as seen by a timed primitive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkHealth {
-    /// Link is up at full speed.
-    Healthy,
-    /// Link is up but slow: multiply per-transfer latency by `factor`.
-    Degraded {
-        /// Latency multiplier (≥ 1).
-        factor: u32,
-    },
-    /// Link is down until `until`; each attempt burns `retry_ns`.
-    Down {
-        /// Virtual time at which the link comes back.
-        until: SimTime,
-        /// Backoff burned per failed attempt, in nanoseconds.
-        retry_ns: u64,
-    },
 }
 
 /// One scheduled fault.
@@ -235,7 +186,9 @@ pub struct FaultEvent {
     pub action: Action,
 }
 
-/// A declarative, deterministic schedule of fault events.
+/// A declarative, deterministic schedule of fault events. An empty plan
+/// (`FaultPlan::default()`) fires nothing but still counts every site
+/// poll: sweeps install one to enumerate the reachable injection sites.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The schedule; at most one unfired event fires per gate poll
@@ -244,12 +197,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan: nothing fires, but every site poll is counted.
-    /// Used by sweeps to enumerate reachable injection sites.
-    pub fn count_only() -> Self {
-        FaultPlan::default()
-    }
-
     /// A plan with a single crash at the `n`-th global site hit.
     pub fn crash_at_hit(n: u64) -> Self {
         FaultPlan::default().with(Trigger::HitIndex(n), Action::Crash)
@@ -303,10 +250,6 @@ pub struct FaultStats {
     pub crash_site: Option<FaultSite>,
     /// Node-granular crashes declared via [`Action::CrashNode`].
     pub node_crashes: u64,
-    /// Link degrades injected via [`Action::LinkDegrade`].
-    pub link_degrades: u64,
-    /// Link outages injected via [`Action::LinkFlap`].
-    pub link_flaps: u64,
 }
 
 impl FaultStats {
@@ -325,8 +268,6 @@ impl FaultStats {
             self.injected[i] += other.injected[i];
         }
         self.node_crashes += other.node_crashes;
-        self.link_degrades += other.link_degrades;
-        self.link_flaps += other.link_flaps;
         if self.crash_hit.is_none() {
             self.crash_hit = other.crash_hit;
             self.crash_site = other.crash_site;
@@ -347,17 +288,6 @@ const ACTIVE: u8 = 1 << 0;
 const CRASHED: u8 = 1 << 1;
 const POISONED: u8 = 1 << 2;
 const NODE_CRASH: u8 = 1 << 3;
-const LINK_FAULTS: u8 = 1 << 4;
-
-/// One active per-host link fault in the engine's table.
-struct LinkFault {
-    site: FaultSite,
-    host: u32,
-    until: SimTime,
-    factor: u32,
-    retry_ns: u64,
-    down: bool,
-}
 
 struct Engine {
     events: Vec<(FaultEvent, bool)>, // (event, fired)
@@ -367,7 +297,6 @@ struct Engine {
     transient_spike: u64,
     transient_site: FaultSite,
     pending_node_crashes: Vec<u32>,
-    link_faults: Vec<LinkFault>,
 }
 
 impl Engine {
@@ -380,16 +309,27 @@ impl Engine {
                 crash_hit: None,
                 crash_site: None,
                 node_crashes: 0,
-                link_degrades: 0,
-                link_flaps: 0,
             },
             total_hits: 0,
             transient_left: 0,
             transient_spike: 0,
             transient_site: FaultSite::RdmaRead,
             pending_node_crashes: Vec::new(),
-            link_faults: Vec::new(),
         }
+    }
+
+    /// Pop the oldest pending node crash, clearing [`NODE_CRASH`] in
+    /// `flags` once none is left: the one body behind the thread's
+    /// [`take_node_crash`] and a detached [`FaultState::take_node_crash`].
+    fn pop_node_crash(&mut self, flags: &mut u8) -> Option<u32> {
+        if self.pending_node_crashes.is_empty() {
+            return None;
+        }
+        let node = self.pending_node_crashes.remove(0);
+        if self.pending_node_crashes.is_empty() {
+            *flags &= !NODE_CRASH;
+        }
+        Some(node)
     }
 }
 
@@ -461,27 +401,10 @@ impl FaultState {
         }
     }
 
-    /// Whether this state's plan has killed its host (the detached
-    /// equivalent of [`crashed`]).
-    pub fn crashed(&self) -> bool {
-        self.flags & CRASHED != 0
-    }
-
     /// Consume one pending node crash from this state (the detached
     /// equivalent of [`take_node_crash`], polled at barriers).
     pub fn take_node_crash(&mut self) -> Option<u32> {
-        if self.flags & NODE_CRASH == 0 {
-            return None;
-        }
-        let node = if self.engine.pending_node_crashes.is_empty() {
-            None
-        } else {
-            Some(self.engine.pending_node_crashes.remove(0))
-        };
-        if self.engine.pending_node_crashes.is_empty() {
-            self.flags &= !NODE_CRASH;
-        }
-        node
+        self.engine.pop_node_crash(&mut self.flags)
     }
 
     /// Counter snapshot of this state.
@@ -537,75 +460,13 @@ pub fn take_poisoned() -> bool {
 /// clock. One inlined flag test when no node crash is pending.
 #[inline]
 pub fn take_node_crash() -> Option<u32> {
-    if FLAGS.with(|f| f.get()) & NODE_CRASH == 0 {
+    let mut flags = FLAGS.with(|f| f.get());
+    if flags & NODE_CRASH == 0 {
         return None;
     }
-    ENGINE.with(|e| {
-        let mut e = e.borrow_mut();
-        let node = if e.pending_node_crashes.is_empty() {
-            None
-        } else {
-            Some(e.pending_node_crashes.remove(0))
-        };
-        if e.pending_node_crashes.is_empty() {
-            FLAGS.with(|f| f.set(f.get() & !NODE_CRASH));
-        }
-        node
-    })
-}
-
-/// Poll the health of one host's fabric link at a link site
-/// ([`FaultSite::CxlLink`] or [`FaultSite::RdmaLink`]). Counts a gate
-/// hit (so link events can fire) and then consults the active link
-/// fault table: an outage dominates a degrade; overlapping degrades
-/// take the worst factor; expired entries are pruned. One inlined flag
-/// test when no plan is installed.
-#[inline]
-pub fn link_health(site: FaultSite, host: u32, now: SimTime) -> LinkHealth {
-    let flags = FLAGS.with(|f| f.get());
-    if flags & ACTIVE == 0 {
-        return LinkHealth::Healthy;
-    }
-    link_health_slow(site, host, now)
-}
-
-#[cold]
-fn link_health_slow(site: FaultSite, host: u32, now: SimTime) -> LinkHealth {
-    // Let plan events (LinkDegrade / LinkFlap / anything else keyed to
-    // this site) fire; the data verdict is ignored — link sites speak
-    // through the health table.
-    let _ = gate(site, now);
-    if FLAGS.with(|f| f.get()) & LINK_FAULTS == 0 {
-        return LinkHealth::Healthy;
-    }
-    ENGINE.with(|e| {
-        let e = e.borrow();
-        // Evaluate each entry against THIS call's `now` — never prune.
-        // Lane worker times are not monotonic (an op that stalls through
-        // an outage runs its next accesses far ahead of its peers), so
-        // pruning on the maximum time seen would hide a live outage
-        // from workers still inside it. Expired entries are skipped and
-        // linger until the state drops or [`clear`] runs; plans inject
-        // a bounded handful of link faults, so the table stays tiny.
-        let mut health = LinkHealth::Healthy;
-        for lf in e.link_faults.iter() {
-            if lf.site != site || lf.host != host || lf.until <= now {
-                continue;
-            }
-            if lf.down {
-                return LinkHealth::Down {
-                    until: lf.until,
-                    retry_ns: lf.retry_ns,
-                };
-            }
-            let worst = match health {
-                LinkHealth::Degraded { factor } => factor.max(lf.factor),
-                _ => lf.factor,
-            };
-            health = LinkHealth::Degraded { factor: worst };
-        }
-        health
-    })
+    let node = ENGINE.with(|e| e.borrow_mut().pop_node_crash(&mut flags));
+    FLAGS.with(|f| f.set(flags));
+    node
 }
 
 /// Poll the fault engine at an injection site. One inlined thread-local
@@ -714,54 +575,8 @@ fn gate_slow(site: FaultSite, now: SimTime) -> Verdict {
                 FLAGS.with(|f| f.set(f.get() | NODE_CRASH));
                 Verdict::Run
             }
-            Action::LinkDegrade {
-                host,
-                factor,
-                heal_ns,
-            } => {
-                e.stats.injected[site as usize] += 1;
-                e.stats.link_degrades += 1;
-                e.link_faults.push(LinkFault {
-                    site: link_site_for(site),
-                    host,
-                    until: SimTime(now.0.saturating_add(heal_ns)),
-                    factor: factor.max(1),
-                    retry_ns: 0,
-                    down: false,
-                });
-                FLAGS.with(|f| f.set(f.get() | LINK_FAULTS));
-                Verdict::Run
-            }
-            Action::LinkFlap {
-                host,
-                down_ns,
-                retry_ns,
-            } => {
-                e.stats.injected[site as usize] += 1;
-                e.stats.link_flaps += 1;
-                e.link_faults.push(LinkFault {
-                    site: link_site_for(site),
-                    host,
-                    until: SimTime(now.0.saturating_add(down_ns)),
-                    factor: 1,
-                    retry_ns: retry_ns.max(1),
-                    down: true,
-                });
-                FLAGS.with(|f| f.set(f.get() | LINK_FAULTS));
-                Verdict::Run
-            }
         }
     })
-}
-
-/// The link-health site a link fault applies to when its trigger fired
-/// at `site`. Firing at a link site pins the fault there; firing
-/// anywhere else (a coarse global-hit plan) lands on the CXL link.
-fn link_site_for(site: FaultSite) -> FaultSite {
-    match site {
-        FaultSite::RdmaLink | FaultSite::RdmaRead | FaultSite::RdmaWrite => FaultSite::RdmaLink,
-        _ => FaultSite::CxlLink,
-    }
 }
 
 #[cfg(test)]
@@ -782,9 +597,9 @@ mod tests {
     }
 
     #[test]
-    fn count_only_plan_counts_per_site() {
+    fn empty_plan_counts_per_site() {
         drain();
-        install(FaultPlan::count_only());
+        install(FaultPlan::default());
         for _ in 0..3 {
             assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
         }
@@ -918,109 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn link_degrade_scales_then_heals() {
-        drain();
-        install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::CxlLink, 0),
-            Action::LinkDegrade {
-                host: 1,
-                factor: 4,
-                heal_ns: 100,
-            },
-        ));
-        // First poll fires the event and sees the degrade.
-        assert_eq!(
-            link_health(FaultSite::CxlLink, 1, SimTime(10)),
-            LinkHealth::Degraded { factor: 4 }
-        );
-        // Other hosts and the other fabric are untouched.
-        assert_eq!(
-            link_health(FaultSite::CxlLink, 0, SimTime(20)),
-            LinkHealth::Healthy
-        );
-        assert_eq!(
-            link_health(FaultSite::RdmaLink, 1, SimTime(20)),
-            LinkHealth::Healthy
-        );
-        // Healed after `heal_ns` past the trigger instant.
-        assert_eq!(
-            link_health(FaultSite::CxlLink, 1, SimTime(200)),
-            LinkHealth::Healthy
-        );
-        drain();
-    }
-
-    #[test]
-    fn link_flap_downs_the_link_until_it_returns() {
-        drain();
-        install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaLink, 0),
-            Action::LinkFlap {
-                host: 0,
-                down_ns: 1_000,
-                retry_ns: 50,
-            },
-        ));
-        assert_eq!(
-            link_health(FaultSite::RdmaLink, 0, SimTime(5)),
-            LinkHealth::Down {
-                until: SimTime(1_005),
-                retry_ns: 50,
-            }
-        );
-        assert_eq!(
-            link_health(FaultSite::RdmaLink, 0, SimTime(1_005)),
-            LinkHealth::Healthy
-        );
-        drain();
-    }
-
-    #[test]
-    fn overlapping_degrades_take_worst_factor_and_down_dominates() {
-        drain();
-        install(
-            FaultPlan::default()
-                .with(
-                    Trigger::SiteHit(FaultSite::CxlLink, 0),
-                    Action::LinkDegrade {
-                        host: 0,
-                        factor: 2,
-                        heal_ns: 10_000,
-                    },
-                )
-                .with(
-                    Trigger::SiteHit(FaultSite::CxlLink, 1),
-                    Action::LinkDegrade {
-                        host: 0,
-                        factor: 8,
-                        heal_ns: 10_000,
-                    },
-                )
-                .with(
-                    Trigger::SiteHit(FaultSite::CxlLink, 2),
-                    Action::LinkFlap {
-                        host: 0,
-                        down_ns: 500,
-                        retry_ns: 25,
-                    },
-                ),
-        );
-        assert_eq!(
-            link_health(FaultSite::CxlLink, 0, SimTime(0)),
-            LinkHealth::Degraded { factor: 2 }
-        );
-        assert_eq!(
-            link_health(FaultSite::CxlLink, 0, SimTime(1)),
-            LinkHealth::Degraded { factor: 8 }
-        );
-        match link_health(FaultSite::CxlLink, 0, SimTime(2)) {
-            LinkHealth::Down { retry_ns, .. } => assert_eq!(retry_ns, 25),
-            h => panic!("expected Down, got {h:?}"),
-        }
-        drain();
-    }
-
-    #[test]
     fn detached_states_isolate_node_schedules() {
         drain();
         let mut a = FaultState::prepared(FaultPlan::crash_at_hit(0));
@@ -1031,7 +743,7 @@ mod tests {
         swap_state(&mut a);
         assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Dead);
         swap_state(&mut a);
-        assert!(a.crashed());
+        assert!(a.stats().crash_hit.is_some());
         assert!(!crashed(), "main-thread state untouched");
         assert_eq!(stats().total_hits(), 0);
         swap_state(&mut b);

@@ -54,69 +54,6 @@ pub enum DeathMode {
     Zombie,
 }
 
-/// Optional fabric degradation striking a survivor during failover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkChaos {
-    /// Healthy fabric.
-    None,
-    /// Degrade `host`'s CXL link by `factor` for `heal_ns` once the
-    /// crash fires (survivors keep serving, slower).
-    Degrade {
-        /// Host whose link degrades.
-        host: u32,
-        /// Latency multiplier.
-        factor: u32,
-        /// Outage length, ns.
-        heal_ns: u64,
-    },
-    /// Take `host`'s CXL link fully down for `down_ns` once the crash
-    /// fires: the host's accesses stall until the link returns (the
-    /// fabric replays them), so its completions go silent for the
-    /// outage.
-    Flap {
-        /// Host whose link flaps.
-        host: u32,
-        /// Outage length, ns.
-        down_ns: u64,
-        /// Suggested retry backoff for software-retry fabrics, ns.
-        retry_ns: u64,
-    },
-}
-
-impl LinkChaos {
-    /// The host this chaos strikes and the fault it injects there, if any.
-    pub fn strike(self) -> Option<(u32, Action)> {
-        let (host, action) = match self {
-            LinkChaos::None => return None,
-            LinkChaos::Degrade {
-                host,
-                factor,
-                heal_ns,
-            } => (
-                host,
-                Action::LinkDegrade {
-                    host,
-                    factor,
-                    heal_ns,
-                },
-            ),
-            LinkChaos::Flap {
-                host,
-                down_ns,
-                retry_ns,
-            } => (
-                host,
-                Action::LinkFlap {
-                    host,
-                    down_ns,
-                    retry_ns,
-                },
-            ),
-        };
-        Some((host, action))
-    }
-}
-
 /// Percentage of statements on the shared group.
 pub const SHARED_PCT: u32 = 20;
 
@@ -145,8 +82,6 @@ pub struct FailoverConfig {
     pub fencing: FencingPolicy,
     /// How the victim dies.
     pub death: DeathMode,
-    /// Optional link degradation riding along with the crash.
-    pub link_chaos: LinkChaos,
 }
 
 impl FailoverConfig {
@@ -167,7 +102,6 @@ impl FailoverConfig {
             detection: SimTime::from_millis(2),
             fencing: FencingPolicy::Epoch,
             death: DeathMode::Zombie,
-            link_chaos: LinkChaos::None,
         }
     }
 
@@ -328,29 +262,21 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
 
     // ---- Fault plan --------------------------------------------------
     // The crash instant is derived from the fault seed: same
-    // (seed, fault_seed) ⇒ bit-identical run. Each plan event is routed
-    // to the node whose primitives it perturbs — gates only ever
-    // consult their own node's detached engine, so the fault schedule
-    // is a function of that node's deterministic poll sequence, and
-    // the lanes step in lane order.
+    // (seed, fault_seed) ⇒ bit-identical run. The crash event rides the
+    // victim's own lane — gates only ever consult their own node's
+    // detached engine, so the fault schedule is a function of that
+    // node's deterministic poll sequence, and the lanes step in lane
+    // order.
     let dead = cfg.crash_node;
     let mut frng = stream_rng(cfg.fault_seed, 0xFA11);
     let span = cfg.duration.as_nanos();
     let crash_at = SimTime(span / 4 + frng.gen_range(0..span / 8));
-    let mut lane_plans: Vec<FaultPlan> = (0..n + 1).map(|_| FaultPlan::default()).collect();
-    lane_plans[dead] = std::mem::take(&mut lane_plans[dead]).with(
+    let crash_plan = FaultPlan::default().with(
         Trigger::At(crash_at),
         Action::CrashNode {
             node: cfg.crash_node as u32,
         },
     );
-    // Link health is consulted by the afflicted host's own accesses, so
-    // the chaos event rides that host's lane.
-    if let Some((host, action)) = cfg.link_chaos.strike() {
-        let lane = (host as usize).min(n);
-        let plan = std::mem::take(&mut lane_plans[lane]);
-        lane_plans[lane] = plan.with(Trigger::At(crash_at), action);
-    }
 
     // Oracle: committed row contents, keyed (page, offset). Shared row 0
     // is reserved as the zombie's target — the workload never writes it,
@@ -391,7 +317,16 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
             writes: Vec::new(),
         })
         .collect();
-    let faults = lane_plans.into_iter().map(FaultState::prepared).collect();
+    let faults = (0..=n)
+        .map(|lane| {
+            let plan = if lane == dead {
+                crash_plan.clone()
+            } else {
+                FaultPlan::default()
+            };
+            FaultState::prepared(plan)
+        })
+        .collect();
     let mut cluster = Cluster::new(fusion, nodes, served, faults, wpn, cfg.seed);
     for i in 0..n {
         cluster.activate(i, SimTime::ZERO);
@@ -609,8 +544,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverResult {
     registry.set_int("faults_hits", fault_stats.total_hits());
     registry.set_int("faults_injected", fault_stats.total_injected());
     registry.set_int("faults_node_crashes", fault_stats.node_crashes);
-    registry.set_int("faults_link_degrades", fault_stats.link_degrades);
-    registry.set_int("faults_link_flaps", fault_stats.link_flaps);
     for site in FaultSite::ALL {
         registry.set_int(
             &format!("faults_injected_{}", site.name()),
@@ -704,40 +637,6 @@ mod tests {
         r.assert_safety();
         assert!(r.takeover.is_some());
         assert!(r.queries_per_node[cfg.nodes] > 0);
-    }
-
-    #[test]
-    fn link_chaos_slows_but_does_not_wedge_survivors() {
-        let healthy = run_failover(&FailoverConfig::smoke(3));
-        // Survivor host 1's CXL link degrades for most of the run, or
-        // goes fully down for 4 ms and comes back.
-        let chaos = [
-            LinkChaos::Degrade {
-                host: 1,
-                factor: 4,
-                heal_ns: 8_000_000,
-            },
-            LinkChaos::Flap {
-                host: 1,
-                down_ns: 4_000_000,
-                retry_ns: 100_000,
-            },
-        ];
-        for link_chaos in chaos {
-            let mut cfg = FailoverConfig::smoke(3);
-            cfg.link_chaos = link_chaos;
-            let r = run_failover(&cfg);
-            r.assert_safety();
-            assert!(r.takeover.is_some(), "{link_chaos:?}");
-            // Node 1 still completes work, but less of it.
-            assert!(r.queries_per_node[1] > 0, "degraded survivor keeps serving");
-            assert!(
-                r.queries_per_node[1] < healthy.queries_per_node[1],
-                "{link_chaos:?} must cost throughput: {} vs {}",
-                r.queries_per_node[1],
-                healthy.queries_per_node[1]
-            );
-        }
     }
 
     #[test]

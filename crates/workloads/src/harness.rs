@@ -17,7 +17,6 @@ use engine::Db;
 use memsim::calib::PAGE_SIZE;
 use memsim::{CxlPool, NodeId, RdmaPool};
 use polarcxlmem::{CxlBp, CxlMemoryManager};
-use simkit::faults;
 use simkit::rng::{stream_rng, SimRng};
 use simkit::trace::{self, Lane, QueryBreakdown, SpanKind};
 use simkit::{dur, Histogram, MetricsRegistry, SimTime, Step, WorkerId, WorkerSet};
@@ -321,11 +320,6 @@ fn collect_registry<P: BufferPool>(
     reg.set_int("storage_reads", io_reads);
     reg.set_int("storage_writes", io_writes);
     reg.set_int("storage_channel_bytes", channel_bytes);
-    // Link health: the fault engine's cumulative counters. Zero on
-    // fault-free runs, but the schema is uniform.
-    let fstats = faults::stats();
-    reg.set_int("faults_link_degrades", fstats.link_degrades);
-    reg.set_int("faults_link_flaps", fstats.link_flaps);
     reg.set_num("qps", metrics.qps);
     reg.set_num("tps", metrics.tps);
     reg.set_histogram("latency", &metrics.latency);

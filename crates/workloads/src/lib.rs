@@ -19,9 +19,7 @@ pub mod sysbench;
 pub mod tatp;
 pub mod tpcc;
 
-pub use failover::{
-    run_failover, DeathMode, FailoverConfig, FailoverResult, LinkChaos, TakeoverSummary,
-};
+pub use failover::{run_failover, DeathMode, FailoverConfig, FailoverResult, TakeoverSummary};
 pub use harness::{run_pooling, PoolKind, PoolingConfig, PoolingResult};
 pub use metrics::RunMetrics;
 pub use recovery_harness::{run_recovery, RecoveryConfig, RecoveryRunResult, Scheme};

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use storage::{Lsn, PageId, PageStore, Wal};
     pub use workloads::{
         run_failover, run_pooling, run_recovery, run_sharing, DeathMode, FailoverConfig,
-        FailoverResult, LinkChaos, PoolKind, PoolingConfig, RecoveryConfig, RecoveryRunResult,
-        Scheme, SharingConfig, SharingResult, SharingSystem, SysbenchKind,
+        FailoverResult, PoolKind, PoolingConfig, RecoveryConfig, RecoveryRunResult, Scheme,
+        SharingConfig, SharingResult, SharingSystem, SysbenchKind,
     };
 }

@@ -258,11 +258,11 @@ struct SweepOutcome {
 fn dry_run<P: BufferPool, B: Fn() -> Db<P>>(build: &B, ops: &[Op]) -> FaultStats {
     let mut db = build();
     let mut model = initial_model();
-    faults::install(FaultPlan::count_only());
+    faults::install(FaultPlan::default());
     let (_, crashed) = run_ops(&mut db, ops, &mut model);
     let dry = faults::stats();
     faults::clear();
-    assert!(crashed.is_none(), "count-only plan must not crash");
+    assert!(crashed.is_none(), "an empty plan must not crash");
     assert!(dry.total_hits() > 0, "workload must reach injection sites");
     dry
 }
@@ -278,14 +278,12 @@ fn sweep_plans(dry: &FaultStats, b: &SweepBudget) -> Vec<FaultPlan> {
         let h = dry.hits[site as usize];
         let p = (b.per_site as u64).min(h);
         for j in 0..p {
-            plans.push(
-                FaultPlan::count_only().with(Trigger::SiteHit(site, j * h / p), Action::Crash),
-            );
+            plans.push(FaultPlan::default().with(Trigger::SiteHit(site, j * h / p), Action::Crash));
         }
     }
     let hw = dry.hits[FaultSite::WalFlush as usize];
     for j in 0..(b.torn as u64).min(hw) {
-        plans.push(FaultPlan::count_only().with(
+        plans.push(FaultPlan::default().with(
             Trigger::SiteHit(FaultSite::WalFlush, j * hw / (b.torn as u64).min(hw)),
             // Vary the tear byte-depth so both "nothing fit" and "some
             // whole groups fit" shapes occur.
@@ -296,7 +294,7 @@ fn sweep_plans(dry: &FaultStats, b: &SweepBudget) -> Vec<FaultPlan> {
     }
     let hc = dry.hits[FaultSite::Clflush as usize];
     for j in 0..(b.partial as u64).min(hc) {
-        plans.push(FaultPlan::count_only().with(
+        plans.push(FaultPlan::default().with(
             Trigger::SiteHit(FaultSite::Clflush, j * hc / (b.partial as u64).min(hc)),
             Action::PartialClflush {
                 keep_lines: 1 + (j % 2),
@@ -430,6 +428,47 @@ fn sweep_polarrecv_nometa() {
     );
 }
 
+/// Every site a design's script polls honours the fault a plan schedules
+/// there: a one-shot transient at the site's first poll is counted at
+/// that site and delays the script's end.
+#[test]
+fn every_polled_site_honours_a_transient() {
+    fn check<P: BufferPool, B: Fn() -> Db<P>>(design: &str, build: B) {
+        let ops = gen_ops();
+        let dry = dry_run(&build, &ops);
+        let (clean_end, _) = run_ops(&mut build(), &ops, &mut initial_model());
+        for site in FaultSite::ALL {
+            if dry.hits[site as usize] == 0 {
+                continue;
+            }
+            let mut db = build();
+            faults::install(FaultPlan::default().with(
+                Trigger::SiteHit(site, 0),
+                Action::RdmaTransient {
+                    failures: 1,
+                    spike_ns: 50_000,
+                },
+            ));
+            let (end, crashed) = run_ops(&mut db, &ops, &mut initial_model());
+            let injected = faults::stats().injected[site as usize];
+            faults::clear();
+            let name = site.name();
+            assert!(
+                crashed.is_none(),
+                "{design} {name}: a transient kills nothing"
+            );
+            assert_eq!(injected, 1, "{design} {name}: counted where scheduled");
+            assert!(
+                end > clean_end,
+                "{design} {name}: the transient must delay the script ({end} vs {clean_end})"
+            );
+        }
+    }
+    check("vanilla", build_vanilla);
+    check("rdma-based", build_rdma);
+    check("polarrecv", build_cxl);
+}
+
 // ---------------------------------------------------------------------------
 // Multi-primary fusion cluster: node-granular crash sweep.
 // ---------------------------------------------------------------------------
@@ -548,7 +587,7 @@ fn sweep_fusion_cluster_node_crashes() {
     let dry = {
         let mut cl = build();
         let mut t = SimTime::ZERO;
-        faults::install(FaultPlan::count_only());
+        faults::install(FaultPlan::default());
         for op in &ops {
             t = exec(&mut cl, op, t, None);
         }
@@ -596,7 +635,7 @@ fn sweep_fusion_cluster_node_crashes() {
         // Build (warm) fault-free, then arm the plan — hit indices then
         // line up with the dry run's script-only horizon.
         let mut cl = build();
-        faults::install(FaultPlan::count_only().with(
+        faults::install(FaultPlan::default().with(
             Trigger::HitIndex(i * n / points),
             Action::CrashNode { node: victim },
         ));
@@ -713,7 +752,7 @@ fn broken_trust_policy_fails_the_sweep() {
     let mut broken = 0usize;
     let mut run = 0usize;
     for j in 0..points {
-        let plan = FaultPlan::count_only().with(
+        let plan = FaultPlan::default().with(
             Trigger::SiteHit(FaultSite::Clflush, j * hc / points),
             Action::PartialClflush {
                 keep_lines: 1 + (j % 2),

@@ -198,7 +198,7 @@ fn under<R>(mode: Mode, body: impl FnOnce() -> R) -> (R, bool) {
             trace::reset();
             trace::enable_attribution(true);
         }
-        Mode::ArmedFaults => faults::install(FaultPlan::count_only()),
+        Mode::ArmedFaults => faults::install(FaultPlan::default()),
     }
     let out = body();
     let observed = match mode {
