@@ -21,19 +21,15 @@
 //!
 //! # Module map
 //!
-//! One slot table, four concerns: `server` (the table itself — page
+//! One slot table, two concerns: `server` (the table itself — page
 //! RPC, recycling, the server-issued publish, the [`FusionDir`]
-//! snapshot), `node` (the data plane: every step of the protocol above,
-//! written once over [`memsim::CxlFabric`] for the serial and the phase
-//! API), `fencing` (epoch words, both sides) and `membership` (reclaim
-//! and adoption).
+//! snapshot) and `node` (the data plane: every step of the protocol
+//! above, written once over [`memsim::CxlFabric`] for the serial and
+//! the phase API).
 
-mod fencing;
-mod membership;
 mod node;
 mod server;
 
-pub use fencing::{epoch_off, FencedError, FencingPolicy};
 pub use node::{CoherencyMode, SharingNode, SharingNodeStats};
 pub use server::{
     invalid_flag_off, removal_flag_off, FusionDir, FusionServer, FusionStats, SharedStore,
@@ -48,9 +44,6 @@ mod testkit {
     use std::cell::RefCell;
     use std::rc::Rc;
     use storage::{PageId, PageStore};
-
-    /// Epoch region for fencing tests, above the flag arrays.
-    pub(super) const EPOCH_BASE: u64 = 128 << 10;
 
     /// A 16-slot server (node 2) over one capture-mode pool, 16 pages of
     /// `page + 1` bytes in storage; nodes 0 and 1 get flag arrays at

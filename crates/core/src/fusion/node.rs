@@ -15,7 +15,6 @@
 //! flag is a driver bug, and the node issues the peers' `invalid`
 //! stores itself through its own shard.
 
-use super::fencing::FenceGuard;
 use super::server::{invalid_flag_off, FusionDir, FusionServer};
 use memsim::{CxlFabric, NodeId};
 use simkit::FastMap;
@@ -54,18 +53,16 @@ pub struct SharingNodeStats {
 
 /// A database node participating in CXL data sharing.
 pub struct SharingNode {
-    pub(super) node: NodeId,
+    node: NodeId,
     /// Base of this node's flag array within the CXL pool.
     flag_base: u64,
     page_size: u64,
     mode: CoherencyMode,
     /// Local page metadata buffer: page → CXL data address.
-    pub(super) entries: FastMap<PageId, u64>,
+    entries: FastMap<PageId, u64>,
     /// Dirty line ranges of the page currently being written.
     dirty_ranges: Vec<(u64, usize)>,
-    pub(super) stats: SharingNodeStats,
-    /// `Some` once the node registered under fencing.
-    pub(super) fencing: Option<FenceGuard>,
+    stats: SharingNodeStats,
 }
 
 impl std::fmt::Debug for SharingNode {
@@ -107,7 +104,6 @@ impl SharingNode {
             entries: FastMap::default(),
             dirty_ranges: Vec::new(),
             stats: SharingNodeStats::default(),
-            fencing: None,
         }
     }
 
@@ -156,7 +152,7 @@ impl SharingNode {
     /// Take a granted slot into the local metadata buffer. The slot may
     /// have been recycled from a page this node cached under the same
     /// address: drop any stale lines for its range before first use.
-    pub(super) fn install<F: CxlFabric>(
+    fn install<F: CxlFabric>(
         &mut self,
         fabric: &mut F,
         page: PageId,
@@ -273,8 +269,7 @@ impl SharingNode {
     }
 
     /// Release-time publish: flush the modified lines and have the
-    /// server set other nodes' invalid flags ([`FusionServer::publish`],
-    /// which also refuses a fenced writer).
+    /// server set other nodes' invalid flags ([`FusionServer::publish`]).
     pub fn publish(&mut self, server: &mut FusionServer, page: PageId, now: SimTime) -> SimTime {
         let t = self.flush_dirty(&mut *server.fabric().borrow_mut(), now);
         server.publish(page, self.node, t)

@@ -4,9 +4,8 @@
 //! read-only [`FusionDir`] snapshot nodes use while the server is out
 //! of reach during a parallel phase.
 
-use super::fencing::FencingPolicy;
 use crate::cxl_bp::SharedCxl;
-use crate::manager::rpc_gate;
+use crate::manager::rpc_round_trip;
 use bufferpool::lru::LruList;
 use memsim::NodeId;
 use simkit::FastMap;
@@ -20,10 +19,10 @@ pub type SharedStore = Rc<RefCell<PageStore>>;
 
 /// Per-page DBP metadata on the fusion server.
 #[derive(Debug)]
-pub(super) struct SlotInfo {
-    pub(super) slot: u32,
+struct SlotInfo {
+    slot: u32,
     /// Nodes that have this page in their local metadata buffer.
-    pub(super) active: Vec<NodeId>,
+    active: Vec<NodeId>,
 }
 
 /// Statistics kept by the fusion server.
@@ -37,14 +36,6 @@ pub struct FusionStats {
     pub invalidations: u64,
     /// Pages faulted in from storage.
     pub storage_fills: u64,
-    /// Nodes declared dead and fenced ([`FusionServer::fence_node`]).
-    pub fenced_nodes: u64,
-    /// Publishes rejected because the writer was fenced.
-    pub fenced_rejects: u64,
-    /// DBP slots reclaimed from dead nodes.
-    pub reclaimed_slots: u64,
-    /// Per-(node, page) flag words cleared during reclamation.
-    pub reclaimed_flags: u64,
 }
 
 /// The buffer fusion server: allocates DBP slots from its CXL lease and
@@ -58,23 +49,14 @@ pub struct FusionServer {
     slot_base: u64,
     nslots: u32,
     page_size: u64,
-    pub(super) map: FastMap<PageId, SlotInfo>,
+    map: FastMap<PageId, SlotInfo>,
     slot_page: Vec<Option<PageId>>,
     free: Vec<u32>,
-    pub(super) lru: LruList,
+    lru: LruList,
     /// Per registered node: base of its flag array in CXL.
-    pub(super) flag_bases: FastMap<NodeId, u64>,
+    flag_bases: FastMap<NodeId, u64>,
     store: SharedStore,
-    pub(super) stats: FusionStats,
-    pub(super) fencing: FencingPolicy,
-    /// Base of the per-node epoch-word array in CXL; `None` until
-    /// [`FusionServer::enable_fencing`] — the server is then fully
-    /// inert on every pre-existing path.
-    pub(super) epoch_base: Option<u64>,
-    /// Current epoch per node (the CXL words mirror this).
-    pub(super) epochs: FastMap<NodeId, u64>,
-    /// Nodes currently declared dead.
-    pub(super) dead: Vec<NodeId>,
+    stats: FusionStats,
 }
 
 impl std::fmt::Debug for FusionServer {
@@ -121,10 +103,6 @@ impl FusionServer {
             flag_bases: FastMap::default(),
             store,
             stats: FusionStats::default(),
-            fencing: FencingPolicy::default(),
-            epoch_base: None,
-            epochs: FastMap::default(),
-            dead: Vec::new(),
         }
     }
 
@@ -150,40 +128,30 @@ impl FusionServer {
         self.map.len()
     }
 
-    /// Number of free DBP slots (used by leak checks: `pages_in_use +
-    /// free_slots == nslots` must hold after reclamation).
+    /// Number of free DBP slots (`pages_in_use + free_slots == nslots`
+    /// always holds).
     pub fn free_slots(&self) -> usize {
         self.free.len()
     }
 
-    pub(super) fn slot_addr(&self, slot: u32) -> u64 {
+    fn slot_addr(&self, slot: u32) -> u64 {
         self.slot_base + slot as u64 * self.page_size
     }
 
     /// One uncached store from the server's own fabric port (every flag
-    /// word, epoch word and storage fill it writes). Returns completion.
-    pub(super) fn store_uncached(&self, off: u64, data: &[u8], now: SimTime) -> SimTime {
+    /// word and storage fill it writes). Returns completion.
+    fn store_uncached(&self, off: u64, data: &[u8], now: SimTime) -> SimTime {
         self.cxl
             .borrow_mut()
             .write_uncached(self.server_node, off, data, now)
             .end
     }
 
-    /// Take `page` out of the DBP (directory entry, LRU position, slot
-    /// back on the free list). Telling its active nodes is the caller's job.
-    pub(super) fn unmap(&mut self, page: PageId) -> Option<SlotInfo> {
-        let info = self.map.remove(&page)?;
-        self.slot_page[info.slot as usize] = None;
-        self.lru.remove(info.slot);
-        self.free.push(info.slot);
-        Some(info)
-    }
-
     /// Serve a page-address request from `node` (the RPC of Figure 6).
     /// Returns (CXL data address, completion time).
     pub fn request_page(&mut self, page: PageId, node: NodeId, now: SimTime) -> (u64, SimTime) {
         self.stats.rpcs += 1;
-        let mut t = rpc_gate(now);
+        let mut t = rpc_round_trip(now);
         let slot = if let Some(info) = self.map.get_mut(&page) {
             if !info.active.contains(&node) {
                 info.active.push(node);
@@ -226,8 +194,12 @@ impl FusionServer {
         let Some(victim) = self.lru.back() else {
             return now;
         };
-        let page = self.slot_page[victim as usize].expect("LRU slot holds a page");
-        let info = self.unmap(page).expect("mapped page");
+        let page = self.slot_page[victim as usize]
+            .take()
+            .expect("LRU slot holds a page");
+        let info = self.map.remove(&page).expect("mapped page");
+        self.lru.remove(victim);
+        self.free.push(victim);
         self.stats.recycles += 1;
         let mut t = now;
         for node in info.active {
@@ -243,17 +215,10 @@ impl FusionServer {
     /// within a few hundred nanoseconds".
     ///
     /// The one step the serial and the phase API do not share: here the
-    /// server issues the stores and refuses a fenced writer; in a phase
+    /// server issues the stores; in a phase
     /// [`SharingNode::publish_resident`](super::SharingNode::publish_resident)
     /// issues them through the writer's own shard off a [`FusionDir`].
     pub fn publish(&mut self, page: PageId, writer: NodeId, now: SimTime) -> SimTime {
-        if self.is_fenced(writer) {
-            // A fenced node's late publish never reaches the other
-            // nodes' invalid flags: its write stays trapped in its own
-            // CPU cache, where the fabric no longer serves it.
-            self.stats.fenced_rejects += 1;
-            return now;
-        }
         let Some(info) = self.map.get(&page) else {
             return now;
         };
@@ -306,7 +271,7 @@ impl FusionServer {
 /// stores through their *own* fabric shard — which keeps the cost
 /// inside the writer's lock hold window, exactly where the serial
 /// server RPC would have charged it. Directory *mutations* (first
-/// touches, recycling, fencing) happen serially at barriers.
+/// touches, recycling) happen serially, outside the phase.
 #[derive(Debug)]
 pub struct FusionDir {
     /// page → nodes active on the page.

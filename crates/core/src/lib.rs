@@ -30,8 +30,7 @@ pub mod recovery;
 
 pub use cxl_bp::{CxlBp, SharedCxl};
 pub use fusion::{
-    CoherencyMode, FencedError, FencingPolicy, FusionDir, FusionServer, FusionStats, SharedStore,
-    SharingNode, SharingNodeStats,
+    CoherencyMode, FusionDir, FusionServer, FusionStats, SharedStore, SharingNode, SharingNodeStats,
 };
 pub use manager::{AllocError, CxlMemoryManager, Lease, ReleaseError};
 pub use rdma_sharing::{RdmaDbp, RdmaDir, RdmaNodeStats, RdmaSharingNode};

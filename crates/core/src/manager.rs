@@ -9,19 +9,14 @@
 
 use memsim::calib::RPC_NS;
 use memsim::NodeId;
-use simkit::faults::{self, FaultSite, Verdict};
 use simkit::trace::{self, Lane};
 use simkit::SimTime;
 
-/// Complete a control-plane RPC at `now`, polling the fault engine at
-/// the [`FaultSite::Rpc`] site. A transient fabric fault delays the RPC
-/// by the spike and the caller retries (finitely: bursts are bounded by
-/// construction); a healthy poll costs one [`RPC_NS`] round trip.
-pub(crate) fn rpc_gate(now: SimTime) -> SimTime {
-    let mut now = now;
-    while let Verdict::Transient { spike_ns } = faults::gate(FaultSite::Rpc, now) {
-        now += spike_ns;
-    }
+/// Complete a control-plane RPC issued at `now`: one [`RPC_NS`] round
+/// trip, attributed to [`Lane::Other`]. Every RPC in the crate — the
+/// memory manager's, the fusion server's and the RDMA baseline's
+/// page-address request — charges through here.
+pub(crate) fn rpc_round_trip(now: SimTime) -> SimTime {
     trace::attr_add(Lane::Other, RPC_NS);
     now + RPC_NS
 }
@@ -68,8 +63,7 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// Errors returned by lease-lifecycle RPCs ([`CxlMemoryManager::release`],
-/// [`CxlMemoryManager::reassign`]).
+/// Errors returned by [`CxlMemoryManager::release`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReleaseError {
     /// The lease is not (or no longer) registered with the manager.
@@ -181,7 +175,7 @@ impl CxlMemoryManager {
             size,
         };
         self.leases.push(lease);
-        Ok((lease, rpc_gate(now)))
+        Ok((lease, rpc_round_trip(now)))
     }
 
     /// Release a lease (tenant shutdown). Coalesces adjacent free
@@ -190,49 +184,13 @@ impl CxlMemoryManager {
     /// manager must answer either way).
     pub fn release(&mut self, lease: Lease, now: SimTime) -> Result<SimTime, ReleaseError> {
         self.rpcs += 1;
-        let end = rpc_gate(now);
+        let end = rpc_round_trip(now);
         let Some(idx) = self.leases.iter().position(|l| l == &lease) else {
             return Err(ReleaseError::UnknownLease { lease });
         };
         self.leases.swap_remove(idx);
         self.insert_free(lease.offset, lease.size);
         Ok(end)
-    }
-
-    /// Revoke a (possibly already-released) lease: the fencing path,
-    /// where the server frees a dead node's memory without the node's
-    /// cooperation. Idempotent — revoking a lease the manager no longer
-    /// holds is a no-op, because failover may race an orderly shutdown.
-    /// Returns whether the lease was actually reclaimed, and the RPC
-    /// completion time.
-    pub fn revoke(&mut self, lease: Lease, now: SimTime) -> (bool, SimTime) {
-        self.rpcs += 1;
-        let end = rpc_gate(now);
-        let Some(idx) = self.leases.iter().position(|l| l == &lease) else {
-            return (false, end);
-        };
-        self.leases.swap_remove(idx);
-        self.insert_free(lease.offset, lease.size);
-        (true, end)
-    }
-
-    /// Transfer a lease to a new owner in place (standby takeover): the
-    /// bytes stay where they are — offset and size are preserved — only
-    /// the owning tenant changes, so the standby can adopt the dead
-    /// node's buffer pool without copying. Returns the updated lease.
-    pub fn reassign(
-        &mut self,
-        lease: Lease,
-        new_client: NodeId,
-        now: SimTime,
-    ) -> Result<(Lease, SimTime), ReleaseError> {
-        self.rpcs += 1;
-        let end = rpc_gate(now);
-        let Some(idx) = self.leases.iter().position(|l| l == &lease) else {
-            return Err(ReleaseError::UnknownLease { lease });
-        };
-        self.leases[idx].client = new_client;
-        Ok((self.leases[idx], end))
     }
 
     /// Insert a freed extent sorted and coalesce with its neighbours.
@@ -343,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_release_is_typed_and_double_release_revokes_idempotently() {
+    fn unknown_release_is_typed() {
         let mut m = CxlMemoryManager::new(4096);
         let (a, _) = m.allocate(NodeId(0), 1024, SimTime::ZERO).unwrap();
         assert!(m.release(a, SimTime::ZERO).is_ok());
@@ -353,50 +311,7 @@ mod tests {
             Err(ReleaseError::UnknownLease { lease: a })
         );
         m.check_invariants();
-        // The revocation path is idempotent: first revoke reclaims,
-        // repeats are no-ops (failover racing an orderly shutdown).
-        let (b, _) = m.allocate(NodeId(1), 512, SimTime::ZERO).unwrap();
-        let (hit, _) = m.revoke(b, SimTime::ZERO);
-        assert!(hit);
-        let (hit, _) = m.revoke(b, SimTime::ZERO);
-        assert!(!hit);
-        m.check_invariants();
         assert_eq!(m.allocated(), 0);
-    }
-
-    #[test]
-    fn reassign_preserves_extent_and_changes_owner() {
-        let mut m = CxlMemoryManager::new(4096);
-        let (a, _) = m.allocate(NodeId(0), 1024, SimTime::ZERO).unwrap();
-        let (b, _) = m.reassign(a, NodeId(7), SimTime::ZERO).unwrap();
-        assert_eq!((b.offset, b.size), (a.offset, a.size));
-        assert_eq!(b.client, NodeId(7));
-        // The old lease handle no longer resolves; the new one does.
-        assert_eq!(
-            m.reassign(a, NodeId(8), SimTime::ZERO),
-            Err(ReleaseError::UnknownLease { lease: a })
-        );
-        assert!(m.release(b, SimTime::ZERO).is_ok());
-        m.check_invariants();
-    }
-
-    #[test]
-    fn rpcs_retry_through_transient_faults() {
-        use simkit::faults::{Action, FaultPlan, Trigger};
-        faults::clear();
-        let mut m = CxlMemoryManager::new(1 << 20);
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::Rpc, 0),
-            Action::RdmaTransient {
-                failures: 3,
-                spike_ns: 10_000,
-            },
-        ));
-        let (_, t) = m.allocate(NodeId(0), 64, SimTime::ZERO).unwrap();
-        // Three failed attempts burn their spikes before the RPC lands.
-        assert_eq!(t.as_nanos(), 3 * 10_000 + RPC_NS);
-        assert_eq!(faults::stats().injected[FaultSite::Rpc as usize], 3);
-        faults::clear();
     }
 
     /// Seeded random allocate/release interleavings preserve the

@@ -23,7 +23,7 @@ use bufferpool::lru::LruList;
 use bufferpool::policy::PolicyKind;
 use bufferpool::tiered::SharedRdma;
 use bufferpool::Residency;
-use memsim::calib::{DRAM_LOCAL_NS, DRAM_STREAM_NS_PER_LINE, RPC_NS};
+use memsim::calib::{DRAM_LOCAL_NS, DRAM_STREAM_NS_PER_LINE};
 use memsim::shard::overlay;
 use memsim::{NodeId, RdmaFabric};
 use simkit::trace::{self, Lane};
@@ -32,6 +32,7 @@ use simkit::SimTime;
 use storage::PageId;
 
 use crate::fusion::SharedStore;
+use crate::manager::rpc_round_trip;
 
 /// Local-DRAM access cost for `len` bytes (no cache model on this path;
 /// both baselines' local tiers use the same approximation).
@@ -119,9 +120,8 @@ impl RdmaDbp {
     /// Resolve `page` to its remote address for `node`, faulting it in
     /// from storage when absent.
     pub fn request_page(&mut self, page: PageId, node: NodeId, now: SimTime) -> (u64, SimTime) {
+        let mut t = rpc_round_trip(now);
         self.stats.rpcs += 1;
-        trace::attr_add(Lane::Other, RPC_NS);
-        let mut t = now + RPC_NS;
         let slot = if let Some(info) = self.map.get_mut(&page) {
             if !info.active.contains(&node) {
                 info.active.push(node);

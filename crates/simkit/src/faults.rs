@@ -59,13 +59,10 @@ pub enum FaultSite {
     RdmaWrite = 5,
     /// Page write to the simulated NVMe store.
     StorageWrite = 6,
-    /// Control-plane RPC to the memory manager / fusion server
-    /// ([`Verdict::Transient`] delays and retries the RPC).
-    Rpc = 7,
 }
 
 /// Number of [`FaultSite`] variants (length of per-site stat tables).
-pub const SITE_COUNT: usize = 8;
+pub const SITE_COUNT: usize = 7;
 
 impl FaultSite {
     /// Stable snake_case name (used as metric keys and in reports).
@@ -78,7 +75,6 @@ impl FaultSite {
             FaultSite::RdmaRead => "rdma_read",
             FaultSite::RdmaWrite => "rdma_write",
             FaultSite::StorageWrite => "storage_write",
-            FaultSite::Rpc => "rpc",
         }
     }
 
@@ -91,7 +87,6 @@ impl FaultSite {
         FaultSite::RdmaRead,
         FaultSite::RdmaWrite,
         FaultSite::StorageWrite,
-        FaultSite::Rpc,
     ];
 }
 
@@ -167,14 +162,6 @@ pub enum Action {
         /// Extra latency per failed attempt, in nanoseconds.
         spike_ns: u64,
     },
-    /// Kill one cluster node (not the whole host thread). The harness
-    /// polls [`take_node_crash`] between statements, discards that
-    /// node's volatile state and declares it dead; the engine itself
-    /// keeps running so survivors keep serving.
-    CrashNode {
-        /// Node index to kill (the harness maps it to its `NodeId`).
-        node: u32,
-    },
 }
 
 /// One scheduled fault.
@@ -248,30 +235,12 @@ pub struct FaultStats {
     pub crash_hit: Option<u64>,
     /// Site whose poll the crash landed on, if it did.
     pub crash_site: Option<FaultSite>,
-    /// Node-granular crashes declared via [`Action::CrashNode`].
-    pub node_crashes: u64,
 }
 
 impl FaultStats {
     /// Gate polls across all sites.
     pub fn total_hits(&self) -> u64 {
         self.hits.iter().sum()
-    }
-
-    /// Fold another engine's counters into this one (used to aggregate
-    /// per-node [`FaultState`]s in fixed node order at the end of a
-    /// parallel-stepped run). The crash markers keep the first crash
-    /// observed.
-    pub fn absorb(&mut self, other: &FaultStats) {
-        for i in 0..SITE_COUNT {
-            self.hits[i] += other.hits[i];
-            self.injected[i] += other.injected[i];
-        }
-        self.node_crashes += other.node_crashes;
-        if self.crash_hit.is_none() {
-            self.crash_hit = other.crash_hit;
-            self.crash_site = other.crash_site;
-        }
     }
 
     /// Injected faults across all sites.
@@ -287,7 +256,6 @@ impl FaultStats {
 const ACTIVE: u8 = 1 << 0;
 const CRASHED: u8 = 1 << 1;
 const POISONED: u8 = 1 << 2;
-const NODE_CRASH: u8 = 1 << 3;
 
 struct Engine {
     events: Vec<(FaultEvent, bool)>, // (event, fired)
@@ -296,7 +264,6 @@ struct Engine {
     transient_left: u32,
     transient_spike: u64,
     transient_site: FaultSite,
-    pending_node_crashes: Vec<u32>,
 }
 
 impl Engine {
@@ -308,28 +275,12 @@ impl Engine {
                 injected: [0; SITE_COUNT],
                 crash_hit: None,
                 crash_site: None,
-                node_crashes: 0,
             },
             total_hits: 0,
             transient_left: 0,
             transient_spike: 0,
             transient_site: FaultSite::RdmaRead,
-            pending_node_crashes: Vec::new(),
         }
-    }
-
-    /// Pop the oldest pending node crash, clearing [`NODE_CRASH`] in
-    /// `flags` once none is left: the one body behind the thread's
-    /// [`take_node_crash`] and a detached [`FaultState::take_node_crash`].
-    fn pop_node_crash(&mut self, flags: &mut u8) -> Option<u32> {
-        if self.pending_node_crashes.is_empty() {
-            return None;
-        }
-        let node = self.pending_node_crashes.remove(0);
-        if self.pending_node_crashes.is_empty() {
-            *flags &= !NODE_CRASH;
-        }
-        Some(node)
     }
 }
 
@@ -365,67 +316,6 @@ pub fn active() -> bool {
     FLAGS.with(|f| f.get()) & ACTIVE != 0
 }
 
-/// A detached fault-engine state: one node's private schedule, flags
-/// and counters.
-///
-/// Barrier-synchronized stepping gives every simulated node its own
-/// engine: the harness prepares one state per node (routing each plan
-/// event to the node whose primitives it perturbs), swaps the state in
-/// around the node's quantum with [`swap_state`], and polls / merges
-/// the detached states at barriers. Because each node's gates only
-/// ever consult its own engine, the fault schedule is a function of the
-/// node's own deterministic poll sequence — hit-index triggers count
-/// that node's polls only, whatever the lane order.
-pub struct FaultState {
-    flags: u8,
-    engine: Engine,
-}
-
-impl FaultState {
-    /// An inactive state: gates behave as if no plan were installed.
-    pub fn inactive() -> Self {
-        FaultState {
-            flags: 0,
-            engine: Engine::empty(),
-        }
-    }
-
-    /// A state armed with `plan`, counters at zero (the detached
-    /// equivalent of [`install`]).
-    pub fn prepared(plan: FaultPlan) -> Self {
-        let mut engine = Engine::empty();
-        engine.events = plan.events.into_iter().map(|ev| (ev, false)).collect();
-        FaultState {
-            flags: ACTIVE,
-            engine,
-        }
-    }
-
-    /// Consume one pending node crash from this state (the detached
-    /// equivalent of [`take_node_crash`], polled at barriers).
-    pub fn take_node_crash(&mut self) -> Option<u32> {
-        self.engine.pop_node_crash(&mut self.flags)
-    }
-
-    /// Counter snapshot of this state.
-    pub fn stats(&self) -> FaultStats {
-        self.engine.stats
-    }
-}
-
-/// Exchange the calling thread's fault-engine state with `state`. Used
-/// by `workloads::cluster` around each lane's quantum: swap the lane's
-/// state in, run the quantum, swap it back out, so the engine counts
-/// that lane's polls only.
-pub fn swap_state(state: &mut FaultState) {
-    FLAGS.with(|f| {
-        let cur = f.get();
-        f.set(state.flags);
-        state.flags = cur;
-    });
-    ENGINE.with(|e| std::mem::swap(&mut *e.borrow_mut(), &mut state.engine));
-}
-
 /// Whether the installed plan has killed the host. The harness polls
 /// this between statements and then runs the real crash path.
 #[inline]
@@ -452,21 +342,6 @@ pub fn take_poisoned() -> bool {
             false
         }
     })
-}
-
-/// Consume one pending node crash declared by [`Action::CrashNode`].
-/// The cluster harness polls this between statements; on `Some(node)`
-/// it discards that node's volatile state and starts the detection
-/// clock. One inlined flag test when no node crash is pending.
-#[inline]
-pub fn take_node_crash() -> Option<u32> {
-    let mut flags = FLAGS.with(|f| f.get());
-    if flags & NODE_CRASH == 0 {
-        return None;
-    }
-    let node = ENGINE.with(|e| e.borrow_mut().pop_node_crash(&mut flags));
-    FLAGS.with(|f| f.set(flags));
-    node
 }
 
 /// Poll the fault engine at an injection site. One inlined thread-local
@@ -564,16 +439,6 @@ fn gate_slow(site: FaultSite, now: SimTime) -> Verdict {
                 e.transient_site = site;
                 e.stats.injected[site as usize] += 1;
                 Verdict::Transient { spike_ns }
-            }
-            Action::CrashNode { node } => {
-                // Death is declared at the next statement boundary (the
-                // harness polls `take_node_crash`), so the in-flight op
-                // completes and there is no old-or-new ambiguity.
-                e.stats.injected[site as usize] += 1;
-                e.stats.node_crashes += 1;
-                e.pending_node_crashes.push(node);
-                FLAGS.with(|f| f.set(f.get() | NODE_CRASH));
-                Verdict::Run
             }
         }
     })
@@ -708,55 +573,6 @@ mod tests {
     fn random_plans_replay_by_seed() {
         assert_eq!(FaultPlan::random(7, 1000, 8), FaultPlan::random(7, 1000, 8));
         assert_ne!(FaultPlan::random(7, 1000, 8), FaultPlan::random(8, 1000, 8));
-    }
-
-    #[test]
-    fn crash_node_is_deferred_to_statement_boundary() {
-        drain();
-        install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::CxlRead, 1),
-            Action::CrashNode { node: 2 },
-        ));
-        assert_eq!(take_node_crash(), None);
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
-        assert_eq!(take_node_crash(), None);
-        // The triggering poll itself still runs — death is declared at
-        // the next harness poll, not mid-op.
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
-        assert!(!crashed());
-        assert_eq!(take_node_crash(), Some(2));
-        assert_eq!(take_node_crash(), None);
-        let s = stats();
-        assert_eq!(s.node_crashes, 1);
-        assert_eq!(s.crash_hit, None);
-        drain();
-    }
-
-    #[test]
-    fn detached_states_isolate_node_schedules() {
-        drain();
-        let mut a = FaultState::prepared(FaultPlan::crash_at_hit(0));
-        let mut b = FaultState::prepared(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::CxlRead, 0),
-            Action::CrashNode { node: 3 },
-        ));
-        swap_state(&mut a);
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Dead);
-        swap_state(&mut a);
-        assert!(a.stats().crash_hit.is_some());
-        assert!(!crashed(), "main-thread state untouched");
-        assert_eq!(stats().total_hits(), 0);
-        swap_state(&mut b);
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
-        swap_state(&mut b);
-        assert_eq!(b.take_node_crash(), Some(3));
-        assert_eq!(b.take_node_crash(), None);
-        let mut total = a.stats();
-        total.absorb(&b.stats());
-        assert_eq!(total.total_hits(), 2);
-        assert_eq!(total.node_crashes, 1);
-        assert_eq!(total.crash_hit, Some(0));
-        drain();
     }
 
     #[test]

@@ -72,18 +72,6 @@ impl VLock {
     pub fn extend_shared(&mut self, release: SimTime) {
         self.s_free_at = self.s_free_at.max(release);
     }
-
-    /// Forcibly release the lock at `now`: any hold extending past `now`
-    /// is clamped so the next requester is granted immediately. Used by
-    /// the fusion server to reclaim a dead node's page locks — the
-    /// holder is gone and will never release. Returns `true` if a hold
-    /// was actually cut short.
-    pub fn reclaim(&mut self, now: SimTime) -> bool {
-        let cut = self.x_free_at > now || self.s_free_at > now;
-        self.x_free_at = self.x_free_at.min(now);
-        self.s_free_at = self.s_free_at.min(now);
-        cut
-    }
 }
 
 /// A keyed table of [`VLock`]s with aggregate contention statistics.
@@ -166,15 +154,6 @@ impl<K: Eq + Hash> LockTable<K> {
             0.0
         } else {
             self.wait_ns as f64 / self.acquires as f64
-        }
-    }
-
-    /// Forcibly release the lock on `key` at `now` (see
-    /// [`VLock::reclaim`]). Returns `true` if a hold was cut short.
-    pub fn reclaim(&mut self, key: K, now: SimTime) -> bool {
-        match self.locks.get_mut(&key) {
-            Some(lock) => lock.reclaim(now),
-            None => false,
         }
     }
 
@@ -440,24 +419,6 @@ mod tests {
         assert_eq!(t.wait_ns, 100);
         assert_eq!(t.len(), 2);
         assert!((t.mean_wait_ns() - 100.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reclaim_frees_a_dead_holders_lock() {
-        let mut l = VLock::default();
-        l.acquire(SimTime::ZERO, LockMode::Exclusive, 1_000_000);
-        assert!(l.reclaim(SimTime(50)));
-        let (g, _) = l.acquire(SimTime(50), LockMode::Exclusive, 10);
-        assert_eq!(g, SimTime(50));
-        // Reclaiming an already-free lock is a no-op.
-        assert!(!l.reclaim(SimTime(5_000)));
-
-        let mut t: LockTable<u32> = LockTable::new();
-        t.acquire(7, SimTime::ZERO, LockMode::Exclusive, 1_000_000);
-        assert!(t.reclaim(7, SimTime(10)));
-        assert!(!t.reclaim(8, SimTime(10))); // unknown key: no-op
-        let (g, _) = t.acquire(7, SimTime(10), LockMode::Shared, 1);
-        assert_eq!(g, SimTime(10));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod control;
-pub mod failover;
 pub mod harness;
 pub mod metrics;
 pub mod recovery_harness;
@@ -19,7 +17,6 @@ pub mod sysbench;
 pub mod tatp;
 pub mod tpcc;
 
-pub use failover::{run_failover, DeathMode, FailoverConfig, FailoverResult, TakeoverSummary};
 pub use harness::{run_pooling, PoolKind, PoolingConfig, PoolingResult};
 pub use metrics::RunMetrics;
 pub use recovery_harness::{run_recovery, RecoveryConfig, RecoveryRunResult, Scheme};

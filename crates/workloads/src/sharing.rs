@@ -22,7 +22,6 @@ use memsim::calib::{CPU_TXN_OVERHEAD_NS, PAGE_SIZE};
 use memsim::{NodeId, RdmaPool};
 use polarcxlmem::fusion::CoherencyMode;
 use polarcxlmem::{RdmaDbp, RdmaSharingNode};
-use simkit::faults::FaultState;
 use simkit::rng::SimRng;
 use simkit::{Histogram, SimTime, Step};
 use std::cell::RefCell;
@@ -353,15 +352,14 @@ fn exec_op<F: Fabric, X>(
 ) -> SimTime {
     match op {
         ShOp::Read { page, off, len } => ctx.locked_read(page, off as u64, len as usize, now),
-        ShOp::Write { page, off, len } => ctx
-            .locked_write_publish(page, off as u64, &payload[..len as usize], now)
-            .expect("no node of this cluster is ever fenced"),
+        ShOp::Write { page, off, len } => {
+            ctx.locked_write_publish(page, off as u64, &payload[..len as usize], now)
+        }
     }
 }
 
 /// The sharing scenario on either fabric: every lane runs `gen`'s
-/// transactions; there is no control plane, so the barrier hook is
-/// empty. `memory` is the design's footprint.
+/// transactions. `memory` is the design's footprint.
 fn run_on<Fb: Fabric, F>(
     cfg: &SharingConfig,
     gen: &F,
@@ -374,40 +372,31 @@ where
 {
     let n = cfg.nodes;
     let tallies = (0..n).map(|_| Tally::default()).collect();
-    let faults = (0..n).map(|_| FaultState::inactive()).collect();
     let (wpn, seed) = (cfg.workers_per_node, cfg.seed);
-    let mut cluster = Cluster::new(fabric, nodes, tallies, faults, wpn, seed);
-    for i in 0..n {
-        cluster.activate(i, SimTime::ZERO);
-    }
+    let mut cluster = Cluster::new(fabric, nodes, tallies, wpn, seed);
     let payload = [0xC5u8; 120];
-    cluster.run(
-        cfg.duration,
-        cfg.quantum,
-        |ctx, w, start| {
-            let mut txn = std::mem::take(&mut ctx.ext.txn);
-            txn.clear();
-            gen(&mut ctx.rngs[w], ctx.lane, &mut txn);
-            // Each statement's lines are requested one statement ahead,
-            // so the host loads them while the one before it runs.
-            if let Some(&first) = txn.first() {
-                prefetch_op(ctx, first);
+    cluster.run(cfg.duration, cfg.quantum, |ctx, w, start| {
+        let mut txn = std::mem::take(&mut ctx.ext.txn);
+        txn.clear();
+        gen(&mut ctx.rngs[w], ctx.lane, &mut txn);
+        // Each statement's lines are requested one statement ahead,
+        // so the host loads them while the one before it runs.
+        if let Some(&first) = txn.first() {
+            prefetch_op(ctx, first);
+        }
+        let mut t = start + CPU_TXN_OVERHEAD_NS;
+        for (k, &op) in txn.iter().enumerate() {
+            if let Some(&next) = txn.get(k + 1) {
+                prefetch_op(ctx, next);
             }
-            let mut t = start + CPU_TXN_OVERHEAD_NS;
-            for (k, &op) in txn.iter().enumerate() {
-                if let Some(&next) = txn.get(k + 1) {
-                    prefetch_op(ctx, next);
-                }
-                t = exec_op(ctx, op, &payload, t);
-            }
-            ctx.ext.queries += txn.len() as u64;
-            ctx.ext.txns += 1;
-            ctx.ext.hist.record(t - start);
-            ctx.ext.txn = txn;
-            Step::Done(t)
-        },
-        |_, _| {},
-    );
+            t = exec_op(ctx, op, &payload, t);
+        }
+        ctx.ext.queries += txn.len() as u64;
+        ctx.ext.txns += 1;
+        ctx.ext.hist.record(t - start);
+        ctx.ext.txn = txn;
+        Step::Done(t)
+    });
     let mut hist = Histogram::new();
     let (mut queries, mut txns) = (0u64, 0u64);
     for tally in &cluster.exts {

@@ -63,15 +63,14 @@ pub mod prelude {
     pub use bufferpool::{BufferPool, Crashable};
     pub use engine::{recover_polar, recover_polar_policy, recover_replay, Db};
     pub use memsim::{CxlPool, NodeId, RdmaPool};
+    pub use polarcxlmem::ReleaseError;
     pub use polarcxlmem::{CxlBp, CxlMemoryManager, FusionServer, SharingNode, TrustPolicy};
-    pub use polarcxlmem::{FencingPolicy, ReleaseError};
     pub use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
     pub use simkit::rng::{stream_rng, SimRng};
     pub use simkit::{dur, SimTime};
     pub use storage::{Lsn, PageId, PageStore, Wal};
     pub use workloads::{
-        run_failover, run_pooling, run_recovery, run_sharing, DeathMode, FailoverConfig,
-        FailoverResult, PoolKind, PoolingConfig, RecoveryConfig, RecoveryRunResult, Scheme,
-        SharingConfig, SharingResult, SharingSystem, SysbenchKind,
+        run_pooling, run_recovery, run_sharing, PoolKind, PoolingConfig, RecoveryConfig,
+        RecoveryRunResult, Scheme, SharingConfig, SharingResult, SharingSystem, SysbenchKind,
     };
 }

@@ -129,64 +129,6 @@ fn recovery_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-// ---- failover ----------------------------------------------------------
-//
-// The failover harness folds the fault engine, the fencing protocol and
-// the standby takeover into one run; `(seed, fault_seed)` must pin the
-// whole thing — crash instant, per-node timelines, takeover cost,
-// counters and registry alike.
-
-fn failover(seed: u64, fault_seed: u64) -> FailoverResult {
-    let mut c = FailoverConfig::smoke(3);
-    c.seed = seed;
-    c.fault_seed = fault_seed;
-    run_failover(&c)
-}
-
-#[test]
-fn failover_timeline_is_bit_deterministic() {
-    let a = failover(11, 7);
-    let b = failover(11, 7);
-    assert_eq!(a.queries, b.queries);
-    assert_eq!(a.queries_per_node, b.queries_per_node);
-    assert_eq!(a.per_node_timeline, b.per_node_timeline);
-    assert_eq!(a.takeover, b.takeover);
-    assert_eq!(a.fault_stats, b.fault_stats);
-    assert_eq!(a.fusion, b.fusion);
-    assert_eq!(a.max_survivor_gap_ns, b.max_survivor_gap_ns);
-    assert_eq!(a.registry, b.registry);
-    // A different fault schedule moves the crash instant and with it
-    // the whole takeover timeline.
-    let c = failover(11, 0xBEEF);
-    assert_ne!(a.takeover, c.takeover);
-}
-
-#[test]
-fn failover_sweep_is_thread_count_invariant() {
-    use bench::run_sweep_threads;
-    let configs: Vec<FailoverConfig> = [(11u64, 7u64), (11, 21), (23, 7)]
-        .into_iter()
-        .map(|(seed, fault_seed)| {
-            let mut c = FailoverConfig::smoke(3);
-            c.seed = seed;
-            c.fault_seed = fault_seed;
-            c
-        })
-        .collect();
-    let serial = run_sweep_threads(&configs, 1, run_failover);
-    let parallel = run_sweep_threads(&configs, 3, run_failover);
-    assert_eq!(serial.len(), parallel.len());
-    for (i, (s, p)) in serial.iter().zip(parallel.iter()).enumerate() {
-        assert_eq!(s.queries, p.queries, "config {i}: queries diverged");
-        assert_eq!(
-            s.per_node_timeline, p.per_node_timeline,
-            "config {i}: timelines diverged"
-        );
-        assert_eq!(s.takeover, p.takeover, "config {i}: takeover diverged");
-        assert_eq!(s.registry, p.registry, "config {i}: registry diverged");
-    }
-}
-
 // ---- reruns of one config ----------------------------------------------
 //
 // Two fresh runs in one process: every std `HashMap` draws its own
@@ -239,29 +181,4 @@ fn sharing_traces_reruns_bit_identically() {
     assert_eq!(a1, a2, "attribution diverged on a rerun");
     assert!(!e1.is_empty(), "traced run recorded no spans");
     assert_eq!(e1, e2, "span streams diverged on a rerun");
-}
-
-#[test]
-fn failover_intra_config_reruns_bit_identically() {
-    // Failover folds the fault engine into the stepped run: each lane's
-    // fault state counts only that lane's polls, so the fault schedule
-    // is the sharpest place for a host-order leak to show up.
-    let run = || {
-        let mut c = FailoverConfig::smoke(3);
-        c.seed = 11;
-        c.fault_seed = 7;
-        run_failover(&c)
-    };
-    let (one, p) = (run(), run());
-    assert_eq!(one.queries, p.queries, "queries");
-    assert_eq!(one.queries_per_node, p.queries_per_node, "per-node queries");
-    assert_eq!(one.per_node_timeline, p.per_node_timeline, "timelines");
-    assert_eq!(one.takeover, p.takeover, "takeover");
-    assert_eq!(one.fault_stats, p.fault_stats, "fault schedule");
-    assert_eq!(one.fusion, p.fusion, "fusion stats");
-    assert_eq!(
-        one.max_survivor_gap_ns, p.max_survivor_gap_ns,
-        "survivor gap"
-    );
-    assert_eq!(one.registry, p.registry, "registry");
 }

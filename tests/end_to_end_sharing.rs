@@ -197,3 +197,98 @@ fn cross_node_reads_always_see_committed_writes() {
         }
     }
 }
+
+/// The byte oracle on the cluster loop's phase path: `Cluster::run` steps
+/// three lanes over detached `CxlShard`s (the `*_resident` protocol
+/// calls) and folds their write logs at each barrier. Every committed
+/// write is logged with its (quantum, lane, order in lane) position —
+/// the order the barrier folds it in — and at the end every written row,
+/// re-read by every node through the serial protocol, must hold the last
+/// write in that order.
+#[test]
+fn cluster_phases_serve_the_last_write_in_barrier_fold_order() {
+    use polardb_cxl_repro::polarcxlmem::CoherencyMode;
+    use polardb_cxl_repro::simkit::Step;
+    use polardb_cxl_repro::workloads::cluster::{Cluster, FusionCluster};
+    use std::collections::BTreeMap;
+
+    const NODES: usize = 3;
+    const QUANTUM_NS: u64 = 20_000;
+    // 3 private groups + the shared one; the 12 hot rows span 3 pages.
+    let layout = GroupLayout {
+        groups: NODES + 1,
+        rows_per_group: 300,
+    };
+    let shared = NODES;
+    let (mut fusion, mut nodes) =
+        FusionCluster::with_nodes(&layout, NODES, CoherencyMode::SoftwareLines);
+    fusion.warm_home(&mut nodes, &layout);
+    // Per lane: (quantum, row, tag) of each committed write, in issue order.
+    let logs: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); NODES];
+    let mut cluster = Cluster::new(fusion, nodes, logs, 2, 0x0AC1E);
+    let record = |tag: u64| -> Vec<u8> { tag.to_le_bytes().repeat(15) };
+    cluster.run(
+        SimTime::from_millis(5),
+        SimTime(QUANTUM_NS),
+        |ctx, w, start| {
+            let rng = &mut ctx.rngs[w];
+            let row = rng.gen_range(0..12u64) * 25;
+            let write = rng.gen_bool(0.5);
+            let (page, off) = layout.locate(shared, row);
+            let t = if write {
+                // Distinct bytes per write: lane, worker, sequence.
+                let seq = ctx.ext.len() as u64;
+                let tag = (ctx.lane as u64 + 1) << 40 | (w as u64) << 32 | seq;
+                let t = ctx.locked_write_publish(page, off as u64, &record(tag), start);
+                ctx.ext.push((start.as_nanos() / QUANTUM_NS, row, tag));
+                t
+            } else {
+                ctx.locked_read(page, off as u64, 120, start)
+            };
+            Step::Done(t)
+        },
+    );
+
+    let mut writes: Vec<(u64, usize, usize, u64, u64)> = Vec::new();
+    for (lane, log) in cluster.exts.iter().enumerate() {
+        for (k, &(quantum, row, tag)) in log.iter().enumerate() {
+            writes.push((quantum, lane, k, row, tag));
+        }
+        assert!(log.len() > 40, "lane {lane} committed {} writes", log.len());
+    }
+    writes.sort_unstable();
+    let mut last: BTreeMap<u64, u64> = BTreeMap::new();
+    for &(_, _, _, row, tag) in &writes {
+        last.insert(row, tag);
+    }
+    assert_eq!(last.len(), 12, "every hot row was written");
+    // Fold order, not virtual time, decides a row two lanes wrote in
+    // one quantum: the run must contain such rows.
+    let mut writers: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
+    for &(quantum, lane, _, row, _) in &writes {
+        writers.entry((quantum, row)).or_default().push(lane);
+    }
+    let contested = (writers.values())
+        .filter(|lanes| lanes.iter().any(|&l| l != lanes[0]))
+        .count();
+    assert!(
+        contested > 0,
+        "no row was written by two lanes in one quantum"
+    );
+
+    let server = &mut cluster.fabric.server;
+    let mut buf = [0u8; 120];
+    let mut t = SimTime::from_millis(5);
+    let mut stale = Vec::new();
+    for (reader, node) in cluster.nodes.iter_mut().enumerate() {
+        for (&row, &tag) in &last {
+            let (page, off) = layout.locate(shared, row);
+            t = node.read(server, page, off as u64, &mut buf, t);
+            if buf[..] != record(tag)[..] {
+                let got = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                stale.push(format!("node {reader} row {row}: {got:#x}, want {tag:#x}"));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "{}", stale.join("\n"));
+}

@@ -469,267 +469,6 @@ fn every_polled_site_honours_a_transient() {
     check("polarrecv", build_cxl);
 }
 
-// ---------------------------------------------------------------------------
-// Multi-primary fusion cluster: node-granular crash sweep.
-// ---------------------------------------------------------------------------
-
-mod fusion_cluster {
-    use super::*;
-    use polardb_cxl_repro::memsim::CxlNodeConfig;
-    use polardb_cxl_repro::polarcxlmem::{FencingPolicy, FusionServer, SharingNode};
-
-    pub const CL_NODES: usize = 3;
-    pub const PPG: u64 = 8; // pages per group (one private group per node + shared)
-    pub const CL_PAGES: u64 = (CL_NODES as u64 + 1) * PPG;
-    pub const CL_PAGE: u64 = 2048;
-    pub const CL_OPS: usize = 160;
-
-    pub fn ppage(node: usize, i: u64) -> PageId {
-        PageId(node as u64 * PPG + i)
-    }
-    pub fn spage(i: u64) -> PageId {
-        PageId(CL_NODES as u64 * PPG + i)
-    }
-
-    pub struct Cluster {
-        pub cxl: Rc<RefCell<CxlPool>>,
-        pub server: FusionServer,
-        pub nodes: Vec<SharingNode>,
-    }
-
-    /// Build a 3-primary cluster (capture-mode caches, each node on its
-    /// own host) and warm it: every node resolves its private group and
-    /// the shared group, so active lists are known exactly.
-    pub fn build() -> Cluster {
-        let slots_bytes = CL_PAGES * CL_PAGE;
-        let flags_bytes = CL_PAGES * 16;
-        let epoch_base = slots_bytes + CL_NODES as u64 * flags_bytes;
-        let pool = epoch_base + 4096;
-        let cfgs: Vec<CxlNodeConfig> = (0..CL_NODES + 1)
-            .map(|host| CxlNodeConfig {
-                host,
-                cache_bytes: 1 << 20,
-                capture: true,
-                remote_numa: false,
-                direct_attach: false,
-            })
-            .collect();
-        let cxl = Rc::new(RefCell::new(CxlPool::new(pool as usize, &cfgs)));
-        let mut store = PageStore::with_page_size(CL_PAGES, CL_PAGE);
-        for _ in 0..CL_PAGES {
-            store.allocate();
-        }
-        let store = Rc::new(RefCell::new(store));
-        let mut server =
-            FusionServer::new(Rc::clone(&cxl), NodeId(CL_NODES), 0, CL_PAGES as u32, store);
-        server.enable_fencing(FencingPolicy::Epoch, epoch_base);
-        let mut nodes: Vec<SharingNode> = (0..CL_NODES)
-            .map(|i| {
-                let flag_base = slots_bytes + i as u64 * flags_bytes;
-                server.register_node_fenced(NodeId(i), flag_base, SimTime::ZERO);
-                SharingNode::new(NodeId(i), flag_base, CL_PAGE)
-            })
-            .collect();
-        for (i, node) in nodes.iter_mut().enumerate() {
-            for p in 0..PPG {
-                node.access(&mut server, ppage(i, p), SimTime::ZERO);
-                node.access(&mut server, spage(p), SimTime::ZERO);
-            }
-        }
-        Cluster { cxl, server, nodes }
-    }
-
-    /// One scripted statement: `node` writes `val` to (page, off) or
-    /// reads it back.
-    #[derive(Debug, Clone, Copy)]
-    pub struct ClOp {
-        pub node: usize,
-        pub page: PageId,
-        pub off: u64,
-        pub val: u8,
-        pub write: bool,
-    }
-
-    pub fn gen_cluster_ops() -> Vec<ClOp> {
-        let mut rng = SimRng::seed_from_u64(0xC105);
-        (0..CL_OPS)
-            .map(|_| {
-                let node = rng.gen_range(0..CL_NODES as u32) as usize;
-                let page = if rng.gen_range(0..100u32) < 30 {
-                    spage(rng.gen_range(0..PPG))
-                } else {
-                    ppage(node, rng.gen_range(0..PPG))
-                };
-                ClOp {
-                    node,
-                    page,
-                    off: 64 + rng.gen_range(0..8u64) * 64,
-                    val: rng.gen_range(1..=250u32) as u8,
-                    write: rng.gen_range(0..100u32) < 60,
-                }
-            })
-            .collect()
-    }
-}
-
-/// Node-granular crash sweep over the fusion cluster: at each swept
-/// global hit, one primary dies (its CPU cache vanishes, its CXL lease
-/// survives). The server fences + reclaims it; the script then verifies
-/// every survivor-reachable row against the oracle, that the dead
-/// node's X locks were cut, and that reclamation leaked no slots.
-#[test]
-fn sweep_fusion_cluster_node_crashes() {
-    use fusion_cluster::*;
-    use polardb_cxl_repro::simkit::{LockMode, LockTable};
-
-    let ops = gen_cluster_ops();
-    // Dry run for the hit horizon.
-    let dry = {
-        let mut cl = build();
-        let mut t = SimTime::ZERO;
-        faults::install(FaultPlan::default());
-        for op in &ops {
-            t = exec(&mut cl, op, t, None);
-        }
-        let s = faults::stats();
-        faults::clear();
-        s
-    };
-    let n = dry.total_hits();
-    assert!(n > 0, "cluster script must reach injection sites");
-    let points = (if std::env::var_os("FAULT_SWEEP_SMOKE").is_some() {
-        6u64
-    } else {
-        24
-    })
-    .min(n);
-
-    fn exec(
-        cl: &mut fusion_cluster::Cluster,
-        op: &fusion_cluster::ClOp,
-        t: SimTime,
-        model: Option<&mut BTreeMap<(PageId, u64), u8>>,
-    ) -> SimTime {
-        let node = &mut cl.nodes[op.node];
-        if op.write {
-            let t2 = node.write(&mut cl.server, op.page, op.off, &[op.val; 32], t);
-            let t3 = node.publish(&mut cl.server, op.page, t2);
-            if let Some(m) = model {
-                m.insert((op.page, op.off), op.val);
-            }
-            t3
-        } else {
-            let mut buf = [0u8; 32];
-            let t2 = node.read(&mut cl.server, op.page, op.off, &mut buf, t);
-            if let Some(m) = model {
-                let want = *m.get(&(op.page, op.off)).unwrap_or(&0);
-                assert_eq!(buf, [want; 32], "read-your-cluster-writes");
-            }
-            t2
-        }
-    }
-
-    let mut crashes_seen = 0u64;
-    for i in 0..points {
-        let victim = (i % CL_NODES as u64) as u32;
-        // Build (warm) fault-free, then arm the plan — hit indices then
-        // line up with the dry run's script-only horizon.
-        let mut cl = build();
-        faults::install(FaultPlan::default().with(
-            Trigger::HitIndex(i * n / points),
-            Action::CrashNode { node: victim },
-        ));
-        let mut locks: LockTable<PageId> = LockTable::new();
-        let mut model: BTreeMap<(PageId, u64), u8> = BTreeMap::new();
-        let mut t = SimTime::ZERO;
-        let mut dead: Option<usize> = None;
-        for op in &ops {
-            if Some(op.node) == dead {
-                continue; // the dead node's sessions are gone
-            }
-            if op.write {
-                let (grant, _) = locks.acquire(op.page, t, LockMode::Exclusive, 0);
-                t = grant;
-            }
-            t = exec(&mut cl, op, t, Some(&mut model));
-            if op.write {
-                locks.extend_exclusive(op.page, t);
-            }
-            // Death is declared at the statement boundary: the op that
-            // was in flight completed, so there is no old-or-new
-            // ambiguity in the oracle.
-            if dead.is_none() {
-                if let Some(nd) = faults::take_node_crash() {
-                    let d = nd as usize;
-                    dead = Some(d);
-                    cl.cxl.borrow_mut().crash_node(NodeId(d));
-                    t = cl.server.fence_node(NodeId(d), t);
-                    for p in 0..PPG {
-                        locks.reclaim(ppage(d, p), t);
-                        locks.reclaim(spage(p), t);
-                    }
-                    t = cl.server.reclaim_node(NodeId(d), t);
-                    // The dead node's private pages die with it (sole
-                    // active): the oracle reverts them to storage state.
-                    model.retain(|(page, _), _| {
-                        !(ppage(d, 0).0..ppage(d, 0).0 + PPG).contains(&page.0)
-                    });
-                }
-            }
-        }
-        let st = faults::stats();
-        faults::clear();
-        if st.node_crashes == 0 {
-            continue; // trigger landed past the horizon
-        }
-        crashes_seen += 1;
-        let d = dead.expect("declared");
-        let stats = cl.server.stats();
-        assert_eq!(stats.fenced_nodes, 1, "point {i}");
-        // Every page the dead node was active on had its flags cleared;
-        // its private pages (sole active) were recycled.
-        assert_eq!(stats.reclaimed_flags, 2 * PPG, "point {i}");
-        assert_eq!(stats.reclaimed_slots, PPG, "point {i}");
-        // No residual lock holds: a fresh X grant on the dead node's
-        // pages is immediate.
-        for p in 0..PPG {
-            let (grant, _) = locks.acquire(ppage(d, p), t, LockMode::Exclusive, 0);
-            assert_eq!(grant, t, "leaked lock on dead page {p} at point {i}");
-        }
-        // Survivors' view matches the oracle (fresh reads through the
-        // protocol — the capture cache makes stale bytes observable).
-        let survivor = (0..CL_NODES).find(|&s| s != d).expect("a survivor");
-        let mut failures = Vec::new();
-        for (&(page, off), &want) in &model {
-            let reader = if page.0 < CL_NODES as u64 * PPG {
-                (page.0 / PPG) as usize // the private group's owner
-            } else {
-                survivor
-            };
-            let mut buf = [0u8; 32];
-            t = cl.nodes[reader].read(&mut cl.server, page, off, &mut buf, t);
-            if buf != [want; 32] {
-                failures.push(format!(
-                    "point {i}: page {} off {off}: got {:#x}, want {want:#x}",
-                    page.0, buf[0]
-                ));
-            }
-        }
-        assert!(failures.is_empty(), "{}", failures.join("\n"));
-        // The dead node's recycled pages refill from storage (zeros) —
-        // the slot really was freed, not leaked.
-        let mut buf = [0u8; 32];
-        let _ = cl.nodes[survivor].read(&mut cl.server, ppage(d, 0), 64, &mut buf, t);
-        assert_eq!(buf, [0u8; 32], "recycled page refills from storage");
-        // Slot conservation: nothing leaked, whatever the crash point.
-        assert_eq!(
-            cl.server.pages_in_use() + cl.server.free_slots(),
-            CL_PAGES as usize,
-            "point {i}: DBP slot conservation"
-        );
-    }
-    assert!(crashes_seen > 0, "no swept point actually killed a node");
-}
 /// Teeth: the deliberately broken trust policy must corrupt at least
 /// one partial-clflush point. This proves the sweep can actually catch
 /// a recovery bug — a sweep that passes everything proves nothing.

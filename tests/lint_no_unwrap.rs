@@ -9,10 +9,9 @@
 //!
 //! Scope: all of `crates/memsim/src` (RDMA + CXL fabric models), the
 //! storage primitives `wal.rs` / `pagestore.rs`, and the cluster
-//! control plane `manager.rs` / `fusion/` (lease revocation, epoch
-//! fencing and node reclamation run exactly when nodes are dying or
-//! crash-recovering, so a panic there takes the failover path down with
-//! the failed node). Only
+//! control plane `manager.rs` / `fusion/` (lease allocation, the
+//! page-address RPC and slot recycling sit under every node of a
+//! sharing cluster, so a panic there takes all of them down). Only
 //! non-test code is linted (`#[cfg(test)]` and below is free to
 //! unwrap). `.expect(` is allowed — it documents an invariant.
 //! Deliberate panicking wrappers over typed APIs carry a

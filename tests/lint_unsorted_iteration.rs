@@ -98,9 +98,7 @@ fn test_code_start(src: &str) -> usize {
 
 /// Lint every file under `dir` against the hash-typed field names
 /// declared *anywhere* under it: a struct and the `impl` block that
-/// iterates its map need not share a file (`core::fusion` keeps
-/// `FusionServer { map }` in `server.rs` and walks it in
-/// `membership.rs`).
+/// iterates its map need not share a file.
 fn check_dir(dir: &Path, violations: &mut String) -> usize {
     let mut files = Vec::new();
     rust_files(dir, &mut files);
