@@ -50,12 +50,6 @@ pub struct BpStats {
     pub remote_read_bytes: u64,
     /// Bytes written to remote (disaggregated) memory.
     pub remote_write_bytes: u64,
-    /// Transient fabric faults absorbed by retrying (with backoff).
-    pub fault_retries: u64,
-    /// Operations that gave up on the fabric and fell back to storage.
-    pub fault_fallbacks: u64,
-    /// Poisoned CXL reads healed by rebuilding the block from storage.
-    pub poison_rebuilds: u64,
 }
 
 impl BpStats {

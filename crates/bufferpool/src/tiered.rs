@@ -19,9 +19,9 @@
 //! others are the remote copy already. The invariant that makes this
 //! exact: **a remote line is never mutated while a frame reads it in
 //! place** — write-back targets a page that is being evicted,
-//! `flush_all` and the storage fallback first give the frame every line
-//! it still reads in place, `prewarm` writes only pages the remote tier
-//! does not hold, and other instances own other slices.
+//! `flush_all` first gives the frame every line it still reads in
+//! place, `prewarm` writes only pages the remote tier does not hold,
+//! and other instances own other slices.
 //!
 //! Requesting a few hundred bytes therefore moves 16 KB over the NIC —
 //! the read/write amplification that saturates the ConnectX-6 at a
@@ -32,8 +32,7 @@
 use crate::frames::{FrameTable, FramedPool};
 use crate::policy::PolicyKind;
 use crate::{BpStats, BufferPool};
-use memsim::{Access, DramSpace, RdmaError, RdmaPool};
-use simkit::faults;
+use memsim::{Access, DramSpace, RdmaFabric, RdmaPool};
 use simkit::trace::{self, SpanKind};
 use simkit::FastSet;
 use simkit::SimTime;
@@ -119,18 +118,6 @@ impl LineMap {
             Some((start..at, own))
         })
     }
-}
-
-/// Transient-fault retries before the pool gives up on the fabric and
-/// degrades to the storage path.
-const MAX_FABRIC_RETRIES: u32 = 3;
-
-/// Deterministic exponential backoff charged between fabric retries
-/// (doubles per attempt, capped at 64 µs).
-const BACKOFF_BASE_NS: u64 = 1_000;
-
-fn backoff_ns(attempt: u32) -> u64 {
-    BACKOFF_BASE_NS << attempt.min(6)
 }
 
 /// Tiered buffer pool: LBP frames over a remote-memory slice.
@@ -371,55 +358,28 @@ impl FramedPool for TieredRdmaBp {
     /// Page `page` in from the remote tier, or from storage.
     fn fill(&mut self, frame: u32, page: PageId, now: SimTime, mut t: SimTime) -> SimTime {
         let ps = self.store.page_size() as usize;
-        let off = self.frame_off(frame);
         // A storage fill gives the frame its own bytes; a page-in from
         // remote reads every line in place.
-        let mut own = true;
-        if self.remote_resident[page.0 as usize] {
+        let own = if self.remote_resident[page.0 as usize] {
             // Page-granularity RDMA read: the whole page crosses the NIC
             // no matter how few bytes the query wants. Only the transfer
             // is charged; the frame then reads the remote copy in place.
-            let mut attempt = 0u32;
-            loop {
-                let r = self
-                    .rdma
-                    .borrow_mut()
-                    .try_read_timing(self.host, ps as u64, t);
-                match r {
-                    Ok(a) => {
-                        self.stats.remote_read_bytes += ps as u64;
-                        own = false;
-                        t = a.end;
-                        break;
-                    }
-                    Err(RdmaError::Transient { spike_ns }) => {
-                        self.stats.fault_retries += 1;
-                        t = t + spike_ns + backoff_ns(attempt);
-                        attempt += 1;
-                        // Storage holds an equally new copy unless the
-                        // page is dirty-only-in-remote: degrade to it
-                        // rather than stalling on a sick NIC.
-                        if attempt >= MAX_FABRIC_RETRIES && !self.remote_dirty.contains(&page) {
-                            self.stats.fault_fallbacks += 1;
-                            let io = self.store.read_page(
-                                page,
-                                self.space.raw_mut().slice_mut(off, ps),
-                                t,
-                            );
-                            self.stats.storage_read_bytes += ps as u64;
-                            t = io.end;
-                            break;
-                        }
-                    }
-                }
-            }
+            t = self
+                .rdma
+                .borrow_mut()
+                .read_timing(self.host, ps as u64, t)
+                .end;
+            self.stats.remote_read_bytes += ps as u64;
+            false
         } else {
+            let off = self.frame_off(frame);
             let io = self
                 .store
                 .read_page(page, self.space.raw_mut().slice_mut(off, ps), t);
             self.stats.storage_read_bytes += ps as u64;
             t = io.end;
-        }
+            true
+        };
         self.owned.fill(frame, own);
         self.frames.install(frame, page);
         trace::span(
@@ -441,52 +401,18 @@ impl FramedPool for TieredRdmaBp {
             // write amplification.
             self.stats.writebacks += 1;
             let ps = self.store.page_size() as usize;
-            let foff = self.frame_off(frame);
-            let mut t = now;
-            let mut attempt = 0u32;
-            loop {
-                let r = self
-                    .rdma
-                    .borrow_mut()
-                    .try_write_timing(self.host, ps as u64, t);
-                match r {
-                    Ok(landed) => {
-                        let a = match landed {
-                            Some(a) => {
-                                self.land_own_lines(frame, page);
-                                a
-                            }
-                            None => Access::free(t),
-                        };
-                        self.stats.remote_write_bytes += ps as u64;
-                        // A dead host's write never landed: do not
-                        // advertise the remote copy as (newly) current.
-                        if !faults::crashed() {
-                            self.remote_resident[page.0 as usize] = true;
-                            self.remote_dirty.insert(page);
-                        }
-                        return a.end;
-                    }
-                    Err(RdmaError::Transient { spike_ns }) => {
-                        self.stats.fault_retries += 1;
-                        t = t + spike_ns + backoff_ns(attempt);
-                        attempt += 1;
-                        if attempt >= MAX_FABRIC_RETRIES {
-                            // Degrade: persist straight to storage. The
-                            // remote copy (if any) is now stale, so stop
-                            // trusting it.
-                            self.stats.fault_fallbacks += 1;
-                            self.own_lines(frame, page, 0..self.owned.per_page);
-                            let io =
-                                self.store
-                                    .write_page(page, self.space.raw().slice(foff, ps), t);
-                            self.stats.storage_write_bytes += ps as u64;
-                            self.remote_resident[page.0 as usize] = false;
-                            self.remote_dirty.remove(&page);
-                            return io.end;
-                        }
-                    }
-                }
+            let landed = self
+                .rdma
+                .borrow_mut()
+                .write_timing(self.host, ps as u64, now);
+            self.stats.remote_write_bytes += ps as u64;
+            // A dead host's write never landed: do not advertise the
+            // remote copy as (newly) current.
+            if let Some(a) = landed {
+                self.land_own_lines(frame, page);
+                self.remote_resident[page.0 as usize] = true;
+                self.remote_dirty.insert(page);
+                return a.end;
             }
         }
         now
@@ -748,89 +674,6 @@ mod tests {
         assert!(tb > ta, "shared NIC serializes cross-instance transfers");
     }
 
-    #[test]
-    fn fabric_read_faults_retry_then_fall_back_to_storage() {
-        use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        let mut bp = setup(2); // pages 0,1 warm; 2.. remote only
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaRead, 0),
-            Action::RdmaTransient {
-                failures: 8, // outlives the retry budget
-                spike_ns: 500,
-            },
-        ));
-        let mut buf = [0u8; 8];
-        let a = bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-        faults::clear();
-        // Page 5 is remote-resident but storage-clean, so after the
-        // retry budget the pool degrades to a storage read — and the
-        // bytes are still right.
-        assert_eq!(buf, [6u8; 8]);
-        assert_eq!(bp.stats().fault_retries, MAX_FABRIC_RETRIES as u64);
-        assert_eq!(bp.stats().fault_fallbacks, 1);
-        assert_eq!(bp.stats().storage_read_bytes, 1024);
-        assert_eq!(bp.stats().remote_read_bytes, 0);
-        // Retries charged their spikes + backoff before the fallback.
-        assert!(a.end.as_nanos() >= memsim::calib::STORAGE_READ_NS + 3 * 500);
-    }
-
-    #[test]
-    fn fabric_write_faults_degrade_dirty_eviction_to_storage() {
-        use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        let mut bp = setup(1);
-        bp.write(PageId(0), 0, &[0xEE], Lsn(1), SimTime::ZERO);
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaWrite, 0),
-            Action::RdmaTransient {
-                failures: 8,
-                spike_ns: 500,
-            },
-        ));
-        // Touch another page: evicts dirty page 0; the write-back keeps
-        // faulting, so the page goes to storage instead.
-        bp.read(PageId(1), 0, &mut [0u8; 1], SimTime::ZERO);
-        faults::clear();
-        assert_eq!(bp.stats().fault_retries, MAX_FABRIC_RETRIES as u64);
-        assert_eq!(bp.stats().fault_fallbacks, 1);
-        assert_eq!(bp.store().raw_page(PageId(0))[0], 0xEE);
-        assert!(
-            !bp.remote_resident(PageId(0)),
-            "stale remote copy must not be trusted after the fallback"
-        );
-        // The update survives a re-read (now served from storage).
-        let mut buf = [0u8; 1];
-        bp.read(PageId(0), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, [0xEE]);
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_falls_back_to_storage() {
-        use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        let mut bp = setup(2);
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaRead, 0),
-            Action::RdmaTransient {
-                failures: 8,
-                spike_ns: 500,
-            },
-        ));
-        let mut buf = [0u8; 8];
-        let a = bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-        faults::clear();
-        // Every retry met a spike: the budget ran out and the miss was
-        // served from storage, with correct bytes.
-        assert_eq!(buf, [6u8; 8]);
-        assert_eq!(bp.stats().fault_retries, MAX_FABRIC_RETRIES as u64);
-        assert_eq!(bp.stats().fault_fallbacks, 1);
-        // The completion time covers the three spikes and the backoff
-        // charged after each.
-        let backoff: u64 = (0..MAX_FABRIC_RETRIES).map(backoff_ns).sum();
-        assert!(a.end.as_nanos() >= 3 * 500 + backoff, "{:?}", a.end);
-    }
-
     // ---- aliased page-in: seeded property test -----------------------
 
     const PROP_PAGES: u64 = 16;
@@ -1057,53 +900,6 @@ mod tests {
         assert_eq!(bp.stats().writebacks, 1);
         assert_eq!(bp.stats().remote_write_bytes, 1024);
         assert_eq!(remote_page(&bp, PageId(5)), oracle);
-        // A storage-fallback fill is a local copy, not read in place.
-        use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaRead, 0),
-            Action::RdmaTransient {
-                failures: 8,
-                spike_ns: 500,
-            },
-        ));
-        bp.read(PageId(7), 0, &mut buf, SimTime::ZERO);
-        faults::clear();
-        assert_eq!(buf, [8u8; 8]);
-        assert_eq!(bp.stats().fault_fallbacks, 1);
-        assert_eq!(owned_lines(&bp, PageId(7)).len(), 1024 / LINE);
-        assert_eq!(bp.aliased_frames(), 0, "fallback fill and evicted alias");
-    }
-
-    #[test]
-    fn write_back_fallback_from_a_partly_local_frame_stores_the_whole_page() {
-        use simkit::faults::{Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        let mut bp = setup(1);
-        // Page 5 paged in (every line in place), then one line written:
-        // the frame's other lines still hold page 0's prewarmed bytes.
-        bp.read(PageId(5), 0, &mut [0u8; 1], SimTime::ZERO);
-        bp.write(PageId(5), 200, &[0xEE; 3], Lsn(1), SimTime::ZERO);
-        assert_eq!(owned_lines(&bp, PageId(5)), [3]);
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaWrite, 0),
-            Action::RdmaTransient {
-                failures: 8,
-                spike_ns: 500,
-            },
-        ));
-        // Evict dirty page 5: the write-back keeps faulting and degrades
-        // to storage, which must receive the full current page.
-        bp.read(PageId(6), 0, &mut [0u8; 1], SimTime::ZERO);
-        faults::clear();
-        assert_eq!(bp.stats().fault_fallbacks, 1);
-        let mut oracle = vec![6u8; 1024];
-        oracle[200..203].fill(0xEE);
-        assert_eq!(bp.store().raw_page(PageId(5)), &oracle[..]);
-        assert!(!bp.remote_resident(PageId(5)));
-        let mut buf = vec![0u8; 1024];
-        bp.read(PageId(5), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(buf, oracle);
     }
 
     #[test]

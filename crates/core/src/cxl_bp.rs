@@ -25,7 +25,6 @@ use crate::layout::{field, BlockMeta, Geometry, RegionHeader, MAGIC, META_SIZE, 
 use bufferpool::policy::PolicyKind;
 use bufferpool::{BpStats, BufferPool, Residency};
 use memsim::{Access, CxlPool, NodeId};
-use simkit::faults;
 use simkit::trace::{self, SpanKind};
 use simkit::SimTime;
 use std::cell::RefCell;
@@ -405,16 +404,6 @@ impl CxlBp {
             .borrow_mut()
             .read(self.node, data_off, &mut self.page_buf, t)
             .end;
-        if faults::take_poisoned() {
-            // A poisoned line in a page being checkpointed: re-read it
-            // (the poison is transient) rather than persisting doubt.
-            self.stats.fault_retries += 1;
-            t = self
-                .cxl
-                .borrow_mut()
-                .read(self.node, data_off, &mut self.page_buf, t)
-                .end;
-        }
         let io = self.store.write_page(page, &self.page_buf, t);
         self.stats.storage_write_bytes += ps as u64;
         io.end
@@ -431,39 +420,6 @@ impl CxlBp {
         }
     }
 
-    /// Degradation path for a read that tripped a poisoned CXL line.
-    ///
-    /// A storage-clean page is rebuilt wholesale from storage (the
-    /// paper's "forced rebuild": the CXL copy is no longer trusted);
-    /// a dirty page — whose only current copy *is* the CXL one — is
-    /// re-read, charging the retry. Either way the caller's buffer, if
-    /// there is one, ends up with good bytes.
-    #[cold]
-    fn heal_poisoned_read(
-        &mut self,
-        page: PageId,
-        b: u32,
-        at: u64,
-        len: usize,
-        dst: Option<&mut [u8]>,
-        bad: Access,
-    ) -> Access {
-        let mut t = bad.end;
-        if self.ckpt_dirty[b as usize] {
-            self.stats.fault_retries += 1;
-        } else {
-            self.stats.poison_rebuilds += 1;
-            t = self.fill_from_storage(b, page, t);
-        }
-        let good = self.fabric_read(at, len, dst, t);
-        Access {
-            end: good.end,
-            link_bytes: bad.link_bytes + good.link_bytes,
-            hits: bad.hits + good.hits,
-            misses: bad.misses + good.misses,
-        }
-    }
-
     /// The one read body: everything a read of `len` bytes at `off`
     /// within `page` does to the model, and — when `dst` (`len` bytes
     /// long) is given — the copy. `read` passes its buffer, `touch`
@@ -472,16 +428,15 @@ impl CxlBp {
     /// The hot-page branch: when `page` is the memo's page and nothing
     /// observes the run ([`simkit::unobserved`]), the hit is counted as
     /// `fix` counts it and the read goes straight to the fabric — no
-    /// out-of-line `fix` call and no poison probe (only a gate raises
-    /// poison, and gates fire only under a plan). The profiler scope
-    /// around it is inert then.
+    /// out-of-line `fix` call. The profiler scope around it is inert
+    /// then.
     #[inline(always)]
     fn access(
         &mut self,
         page: PageId,
         off: u16,
         len: usize,
-        mut dst: Option<&mut [u8]>,
+        dst: Option<&mut [u8]>,
         now: SimTime,
     ) -> Access {
         if let Some(b) = self.dir.memo_hit(page) {
@@ -493,11 +448,7 @@ impl CxlBp {
         }
         let (b, t) = self.fix(page, now);
         let at = self.geo.data_off(b as u64) + off as u64;
-        let a = self.fabric_read(at, len, dst.as_deref_mut(), t);
-        if faults::take_poisoned() {
-            return self.heal_poisoned_read(page, b, at, len, dst, a);
-        }
-        a
+        self.fabric_read(at, len, dst, t)
     }
 }
 
@@ -833,47 +784,6 @@ mod tests {
         bp.set_latch(PageId(5), false, SimTime::ZERO);
         bp.flush_all(SimTime::ZERO);
         assert_eq!(bp.store().raw_page(PageId(5))[0], 0x55);
-    }
-
-    #[test]
-    fn poisoned_read_of_clean_page_rebuilds_from_storage() {
-        use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        let mut bp = setup(8, 8);
-        faults::install(
-            FaultPlan::default().with(Trigger::SiteHit(FaultSite::CxlRead, 0), Action::PoisonLine),
-        );
-        let mut buf = [0u8; 8];
-        bp.read(PageId(3), 0, &mut buf, SimTime::ZERO);
-        faults::clear();
-        // Page 3 is storage-clean: the block was rebuilt from storage
-        // and the caller still got good bytes.
-        assert_eq!(buf, [4u8; 8]);
-        assert_eq!(bp.stats().poison_rebuilds, 1);
-        assert_eq!(bp.stats().fault_retries, 0);
-        assert_eq!(bp.stats().storage_read_bytes, 1024);
-    }
-
-    #[test]
-    fn poisoned_read_of_dirty_page_retries_in_place() {
-        use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
-        faults::clear();
-        let mut bp = setup(8, 8);
-        bp.set_latch(PageId(2), true, SimTime::ZERO);
-        bp.write(PageId(2), 0, &[0xD7; 8], Lsn(4), SimTime::ZERO);
-        bp.set_latch(PageId(2), false, SimTime::ZERO);
-        faults::install(
-            FaultPlan::default().with(Trigger::SiteHit(FaultSite::CxlRead, 0), Action::PoisonLine),
-        );
-        let mut buf = [0u8; 8];
-        bp.read(PageId(2), 0, &mut buf, SimTime::ZERO);
-        faults::clear();
-        // The CXL copy is the only current one (not yet checkpointed):
-        // no storage rebuild, just a charged re-read.
-        assert_eq!(buf, [0xD7; 8]);
-        assert_eq!(bp.stats().poison_rebuilds, 0);
-        assert_eq!(bp.stats().fault_retries, 1);
-        assert_eq!(bp.stats().storage_read_bytes, 0);
     }
 
     /// Free-block misses between hits of one page, then a pressure

@@ -268,15 +268,9 @@ impl Port<'_> {
     /// timing plane alone ([`CxlPool::read_timing`]).
     fn read(&mut self, off: u64, len: usize, mut dst: Option<&mut [u8]>, now: SimTime) -> Access {
         debug_assert!(dst.as_ref().is_none_or(|buf| buf.len() == len));
-        let now = match faults::gate(FaultSite::CxlRead, now) {
-            // A poisoned line is reported to the consumer through the
-            // pending-poison flag; the raw bytes still transfer so the
-            // pool's own accounting is undisturbed.
-            Verdict::Run | Verdict::Poison => now,
-            // A transient fabric hiccup delays the load; it still runs.
-            Verdict::Transient { spike_ns } => now + spike_ns,
-            _ => return self.frozen_read(off, dst, now),
-        };
+        if faults::gate(FaultSite::CxlRead) != Verdict::Run {
+            return self.frozen_read(off, dst, now);
+        }
         if !self.cache.captures() {
             // Timing-mode fast path: one tag sweep over the whole run, one
             // bulk copy, one link charge. In timing mode the region always
@@ -432,16 +426,13 @@ impl Port<'_> {
     /// Uncached (non-temporal) store: bytes land in the device directly
     /// and become visible to every node; local cache copies are dropped.
     fn write_uncached(&mut self, off: u64, data: &[u8], now: SimTime) -> Access {
-        let now = match faults::gate(FaultSite::CxlNtStore, now) {
-            Verdict::Run => now,
-            // A transient fabric hiccup delays the store; it still lands.
-            Verdict::Transient { spike_ns } => now + spike_ns,
+        if faults::gate(FaultSite::CxlNtStore) != Verdict::Run {
             // Dead (or the crash landed on this very store): the
             // non-temporal store never reaches the device. Crashing
             // between the ntstores of a list splice is exactly how a
             // torn `list_lock != 0` state arises.
-            _ => return Access::free(now),
-        };
+            return Access::free(now);
+        }
         for line in line_range(off, data.len()) {
             // An ntstore invalidates the local cached copy. A *dirty*
             // overlapping line must be written back first: the store may
@@ -459,15 +450,13 @@ impl Port<'_> {
     /// `clflush` the byte range: write back dirty lines and invalidate all
     /// cached lines (the §3.3 protocol's publish / self-invalidate step).
     fn clflush(&mut self, off: u64, len: usize, now: SimTime) -> Access {
-        let now = match faults::gate(FaultSite::Clflush, now) {
-            Verdict::Run => now,
-            // A transient fabric hiccup delays the flush; it still runs.
-            Verdict::Transient { spike_ns } => now + spike_ns,
+        match faults::gate(FaultSite::Clflush) {
+            Verdict::Run => {}
             Verdict::Partial { keep_lines } => {
                 return self.partial_clflush(off, len, keep_lines, now)
             }
             _ => return Access::free(now),
-        };
+        }
         let mut flushed = 0u64;
         let mut issued = 0u64;
         for line in line_range(off, len) {
@@ -1476,27 +1465,6 @@ mod tests {
             );
             assert_eq!(b1, b2, "capture={capture}");
         }
-    }
-
-    #[test]
-    fn poisoned_read_raises_pending_flag_only() {
-        use simkit::faults::{self, Action, FaultPlan, Trigger};
-        faults::clear();
-        let mut p = pool(false);
-        p.write(NodeId(0), 0, &[5; 64], SimTime::ZERO);
-        faults::install(
-            FaultPlan::default().with(Trigger::SiteHit(FaultSite::CxlRead, 0), Action::PoisonLine),
-        );
-        let mut buf = [0u8; 64];
-        let a = p.read(NodeId(0), 0, &mut buf, SimTime::ZERO);
-        // Bytes and timing are those of a normal read...
-        assert_eq!(buf, [5; 64]);
-        assert!(a.end > SimTime::ZERO);
-        // ...but the consumer sees the poison report exactly once.
-        assert!(faults::take_poisoned());
-        assert!(!faults::take_poisoned());
-        assert!(!faults::crashed());
-        faults::clear();
     }
 
     #[test]

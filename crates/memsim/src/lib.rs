@@ -66,6 +66,6 @@ impl Access {
 pub use cache::{Cache, CacheStats};
 pub use cxl::{CxlFabric, CxlNodeConfig, CxlPool, CxlShard};
 pub use dram::DramSpace;
-pub use rdma::{RdmaError, RdmaFabric, RdmaPool, RdmaShard};
+pub use rdma::{RdmaFabric, RdmaPool, RdmaShard};
 pub use region::Region;
 pub use shard::{RegionReader, WriteLog};

@@ -16,30 +16,6 @@ use simkit::faults::{self, FaultSite, Verdict};
 use simkit::trace::{self, Lane, SpanKind};
 use simkit::{Link, LinkFork, SimTime};
 
-/// Typed failure of an RDMA operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RdmaError {
-    /// Transient NIC/fabric error: the attempt failed after burning
-    /// `spike_ns` of extra latency; the caller retries (with backoff)
-    /// or falls back to storage.
-    Transient {
-        /// Latency the failed attempt cost, in nanoseconds.
-        spike_ns: u64,
-    },
-}
-
-impl std::fmt::Display for RdmaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RdmaError::Transient { spike_ns } => {
-                write!(f, "transient rdma fault (+{spike_ns} ns)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RdmaError {}
-
 /// Charge a bulk transfer to a NIC pipe: the single timed body shared by
 /// the pool and the per-node shard, so both paths cost identically.
 fn charge_nic(link: &mut Link, kind: SpanKind, host: usize, len: u64, now: SimTime) -> Access {
@@ -63,9 +39,8 @@ const PAGE_OUT: (FaultSite, SpanKind) = (FaultSite::RdmaWrite, SpanKind::RdmaPag
 
 /// Gate the direction's site, then charge `len` bytes to a NIC pipe:
 /// the one gate/charge body behind every bulk transfer of the pool and
-/// of a shard. Moves no bytes. `Ok(None)` means the host is dead:
-/// nothing is timed or queued, and a write must not reach the remote
-/// node.
+/// of a shard. Moves no bytes. `None` means the host is dead: nothing
+/// is timed or queued, and a write must not reach the remote node.
 #[inline]
 fn gated_transfer(
     link: &mut Link,
@@ -73,23 +48,10 @@ fn gated_transfer(
     host: usize,
     len: u64,
     now: SimTime,
-) -> Result<Option<Access>, RdmaError> {
-    match faults::gate(site, now) {
-        Verdict::Run => Ok(Some(charge_nic(link, kind, host, len, now))),
-        Verdict::Transient { spike_ns } => Err(RdmaError::Transient { spike_ns }),
-        _ => Ok(None),
-    }
-}
-
-/// Retry `attempt` in place until it succeeds, starting each new try
-/// after the spike the failed one burned (a transient burst is finite
-/// by construction).
-fn retrying<T>(mut now: SimTime, mut attempt: impl FnMut(SimTime) -> Result<T, RdmaError>) -> T {
-    loop {
-        match attempt(now) {
-            Ok(v) => return v,
-            Err(RdmaError::Transient { spike_ns }) => now += spike_ns,
-        }
+) -> Option<Access> {
+    match faults::gate(site) {
+        Verdict::Run => Some(charge_nic(link, kind, host, len, now)),
+        _ => None,
     }
 }
 
@@ -115,13 +77,12 @@ fn message_on(tx: &mut Link, host: usize, now: SimTime) -> SimTime {
 /// bytes and cost nothing — so a caller can model a whole-page transfer
 /// while touching only the bytes it needs.
 pub trait RdmaFabric {
-    /// Charge a `len`-byte RDMA read to `host`'s NIC (retrying
-    /// transients in place).
+    /// Charge a `len`-byte RDMA read to `host`'s NIC. A dead host is
+    /// neither timed nor queued.
     fn read_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access;
-    /// Charge a `len`-byte RDMA write to `host`'s NIC (retrying
-    /// transients in place). `None`: the host is dead, the write never
-    /// reaches the remote node and the caller must [`poke`](Self::poke)
-    /// nothing.
+    /// Charge a `len`-byte RDMA write to `host`'s NIC. `None`: the host
+    /// is dead, the write never reaches the remote node and the caller
+    /// must [`poke`](Self::poke) nothing.
     fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Option<Access>;
     /// Untimed copy of the remote bytes at `off` as this view sees them:
     /// its own stores at once, peers' stores once they landed.
@@ -185,83 +146,25 @@ impl RdmaPool {
         &mut self.region
     }
 
-    /// The timing half of [`RdmaPool::try_read`]: gate the read site,
-    /// charge `len` bytes to `host`'s NIC — and move no bytes. For a
-    /// caller that models the transfer but reads the remote bytes in
-    /// place (the tiered pool's aliased page-in). A dead host is neither
-    /// timed nor queued.
-    pub fn try_read_timing(
-        &mut self,
-        host: usize,
-        len: u64,
-        now: SimTime,
-    ) -> Result<Access, RdmaError> {
-        let a = gated_transfer(&mut self.nics[host].0, PAGE_IN, host, len, now)?;
-        Ok(a.unwrap_or(Access::free(now)))
-    }
-
-    /// RDMA read with typed fault propagation: like [`RdmaPool::read`],
-    /// but a transient fabric fault surfaces as an error (carrying the
-    /// latency the failed attempt burned) instead of being retried
-    /// internally. A dead host still sees the remote node's (surviving)
-    /// bytes.
-    pub fn try_read(
-        &mut self,
-        host: usize,
-        off: u64,
-        buf: &mut [u8],
-        now: SimTime,
-    ) -> Result<Access, RdmaError> {
-        let a = self.try_read_timing(host, buf.len() as u64, now)?;
-        self.region.read(off, buf);
-        Ok(a)
-    }
-
     /// RDMA read: copy `buf.len()` bytes from remote `off` into `buf`
-    /// over `host`'s NIC. Transient faults are retried in place (the
-    /// burst is finite by construction); use [`RdmaPool::try_read`] for
-    /// typed propagation.
+    /// over `host`'s NIC. A dead host still sees the remote node's
+    /// (surviving) bytes.
     pub fn read(&mut self, host: usize, off: u64, buf: &mut [u8], now: SimTime) -> Access {
-        retrying(now, |now| self.try_read(host, off, buf, now))
+        let a = self.read_timing(host, buf.len() as u64, now);
+        self.region.read(off, buf);
+        a
     }
 
-    /// The timing half of [`RdmaPool::try_write`], twin of
-    /// [`RdmaPool::try_read_timing`]. `Ok(None)`: the host is dead and
-    /// the write must not land.
-    pub fn try_write_timing(
-        &mut self,
-        host: usize,
-        len: u64,
-        now: SimTime,
-    ) -> Result<Option<Access>, RdmaError> {
-        gated_transfer(&mut self.nics[host].1, PAGE_OUT, host, len, now)
-    }
-
-    /// RDMA write with typed fault propagation: like
-    /// [`RdmaPool::write`], but a transient fabric fault surfaces as an
-    /// error instead of being retried internally. A dead host's writes
-    /// never reach the remote node.
-    pub fn try_write(
-        &mut self,
-        host: usize,
-        off: u64,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<Access, RdmaError> {
-        Ok(match self.try_write_timing(host, data.len() as u64, now)? {
+    /// RDMA write: copy `data` to remote `off` over `host`'s NIC. A dead
+    /// host's writes never reach the remote node.
+    pub fn write(&mut self, host: usize, off: u64, data: &[u8], now: SimTime) -> Access {
+        match self.write_timing(host, data.len() as u64, now) {
             Some(a) => {
                 self.region.write(off, data);
                 a
             }
             None => Access::free(now),
-        })
-    }
-
-    /// RDMA write: copy `data` to remote `off` over `host`'s NIC.
-    /// Transient faults are retried in place; use
-    /// [`RdmaPool::try_write`] for typed propagation.
-    pub fn write(&mut self, host: usize, off: u64, data: &[u8], now: SimTime) -> Access {
-        retrying(now, |now| self.try_write(host, off, data, now))
+        }
     }
 
     /// A small control message (e.g. a page-invalidation RPC in the
@@ -344,10 +247,10 @@ impl RdmaPool {
 
 impl RdmaFabric for RdmaPool {
     fn read_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access {
-        retrying(now, |now| self.try_read_timing(host, len, now))
+        gated_transfer(&mut self.nics[host].0, PAGE_IN, host, len, now).unwrap_or(Access::free(now))
     }
     fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Option<Access> {
-        retrying(now, |now| self.try_write_timing(host, len, now))
+        gated_transfer(&mut self.nics[host].1, PAGE_OUT, host, len, now)
     }
     fn peek(&self, off: u64, buf: &mut [u8]) {
         self.region.read(off, buf);
@@ -387,17 +290,12 @@ impl RdmaShard {
 impl RdmaFabric for RdmaShard {
     fn read_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access {
         debug_assert_eq!(host, self.host);
-        let a = retrying(now, |now| {
-            gated_transfer(&mut self.rx, PAGE_IN, host, len, now)
-        });
-        a.unwrap_or(Access::free(now))
+        gated_transfer(&mut self.rx, PAGE_IN, host, len, now).unwrap_or(Access::free(now))
     }
 
     fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Option<Access> {
         debug_assert_eq!(host, self.host);
-        retrying(now, |now| {
-            gated_transfer(&mut self.tx, PAGE_OUT, host, len, now)
-        })
+        gated_transfer(&mut self.tx, PAGE_OUT, host, len, now)
     }
 
     /// Base bytes as of the last barrier, patched with this shard's own
@@ -434,46 +332,6 @@ mod tests {
         let mut buf = [0u8; 6];
         p.read(0, 4096, &mut buf, SimTime::ZERO);
         assert_eq!(&buf, b"remote");
-    }
-
-    #[test]
-    fn transient_faults_surface_typed_and_heal() {
-        use simkit::faults::{Action, FaultPlan, Trigger};
-        simkit::faults::clear();
-        let mut p = RdmaPool::new(1 << 20, 1);
-        p.write(0, 0, b"x", SimTime::ZERO);
-        simkit::faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaRead, 0),
-            Action::RdmaTransient {
-                failures: 2,
-                spike_ns: 500,
-            },
-        ));
-        let mut buf = [0u8; 1];
-        assert_eq!(
-            p.try_read(0, 0, &mut buf, SimTime::ZERO),
-            Err(RdmaError::Transient { spike_ns: 500 })
-        );
-        assert_eq!(
-            p.try_read(0, 0, &mut buf, SimTime::ZERO),
-            Err(RdmaError::Transient { spike_ns: 500 })
-        );
-        let a = p.try_read(0, 0, &mut buf, SimTime::ZERO).expect("healed");
-        assert_eq!(&buf, b"x");
-        assert!(a.end > SimTime::ZERO);
-        simkit::faults::clear();
-        // The infallible path retries the burst internally, charging the
-        // spikes as start-time delay.
-        simkit::faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaRead, 0),
-            Action::RdmaTransient {
-                failures: 1,
-                spike_ns: 700,
-            },
-        ));
-        let a = p.read(0, 0, &mut buf, SimTime::ZERO);
-        assert!(a.end.as_nanos() >= 700);
-        simkit::faults::clear();
     }
 
     #[test]

@@ -1,22 +1,19 @@
-//! Deterministic fault injection: seeded fault plans over the leaf
-//! primitives of the simulated fabric.
+//! Deterministic crash injection: fault plans over the leaf primitives
+//! of the simulated fabric.
 //!
 //! [`trace`](crate::trace) *observes* the leaf timed primitives; this
 //! module *perturbs* them. A [`FaultPlan`] is a declarative schedule of
-//! fault events — triggered by global hit index, per-site hit index, or
-//! virtual time — installed per thread. Every leaf primitive that can
-//! fail in a real disaggregated-memory deployment polls [`gate`] at its
-//! injection [`FaultSite`] and obeys the returned [`Verdict`]:
+//! fault events — triggered by global or per-site hit index — installed
+//! per thread. Every leaf primitive a host crash can interrupt polls
+//! [`gate`] at its injection [`FaultSite`] and obeys the returned
+//! [`Verdict`]. Every fault is a crash, the adversary PolarRecv's
+//! safety claim is about:
 //!
 //! - **Torn WAL flush** — only a prefix of the flush becomes durable
 //!   before the host dies (a torn multi-block log write).
 //! - **Partial clflush** — only the first *k* dirty cache lines reach
 //!   the CXL box before the host dies (a torn multi-cacheline flush,
 //!   the §3.3 protocol's adversary).
-//! - **Poisoned CXL read** — the device reports a poisoned line; the
-//!   consumer must rebuild from storage or retry.
-//! - **RDMA transient** — the NIC fails an op (with a latency spike);
-//!   the consumer retries with backoff or falls back to storage.
 //! - **Crash** — the host dies at the *n*-th site hit. After a crash
 //!   every subsequent gate returns [`Verdict::Dead`]: durable-boundary
 //!   mutators become no-ops and reads serve the frozen pre-crash view,
@@ -28,14 +25,10 @@
 //! - **Zero cost when unused.** With no plan installed, [`gate`] is one
 //!   inlined thread-local flag test returning [`Verdict::Run`] — no
 //!   heap traffic, no branch into the engine.
-//! - **Deterministic.** Triggers count virtual-time events, never host
-//!   time; [`FaultPlan::random`] derives its schedule from a seed via
-//!   [`SimRng`]. Same plan ⇒ bit-identical fault schedule, metrics and
-//!   recovered contents, on any thread (state is thread-local, so
-//!   serial and parallel sweeps agree).
-
-use crate::rng::SimRng;
-use crate::time::SimTime;
+//! - **Deterministic.** Triggers count gate polls, never host time.
+//!   Same plan ⇒ bit-identical fault schedule, metrics and recovered
+//!   contents, on any thread (state is thread-local, so serial and
+//!   parallel sweeps agree).
 
 // ---------------------------------------------------------------------------
 // Sites, verdicts, plans.
@@ -49,13 +42,13 @@ pub enum FaultSite {
     WalFlush = 0,
     /// Cache-line flush against CXL memory ([`Verdict::Partial`]).
     Clflush = 1,
-    /// Cached CXL memory read ([`Verdict::Poison`]).
+    /// Cached CXL memory read.
     CxlRead = 2,
     /// Uncached (non-temporal) CXL store — the durable-metadata path.
     CxlNtStore = 3,
-    /// RDMA read from remote memory ([`Verdict::Transient`]).
+    /// RDMA read from remote memory.
     RdmaRead = 4,
-    /// RDMA write to remote memory ([`Verdict::Transient`]).
+    /// RDMA write to remote memory.
     RdmaWrite = 5,
     /// Page write to the simulated NVMe store.
     StorageWrite = 6,
@@ -110,15 +103,6 @@ pub enum Verdict {
         /// Cache lines that complete before the crash.
         keep_lines: u64,
     },
-    /// The read returns poisoned data; the consumer must recover
-    /// (rebuild from storage, or retry against the device).
-    Poison,
-    /// Transient fabric error: the op fails after a latency spike; the
-    /// consumer retries (with backoff) or falls back.
-    Transient {
-        /// Extra latency the failed attempt burned, in nanoseconds.
-        spike_ns: u64,
-    },
 }
 
 /// When a [`FaultEvent`] fires. All counters are 0-indexed and count
@@ -129,8 +113,6 @@ pub enum Trigger {
     HitIndex(u64),
     /// The `n`-th gate poll at one specific site.
     SiteHit(FaultSite, u64),
-    /// The first gate poll at or after a virtual-time instant.
-    At(SimTime),
 }
 
 /// What happens when a trigger fires. Actions whose shape requires a
@@ -151,16 +133,6 @@ pub enum Action {
     PartialClflush {
         /// Cache lines that complete before the crash.
         keep_lines: u64,
-    },
-    /// Poison one CXL read (no crash).
-    PoisonLine,
-    /// Fail the next `failures` ops at the triggering site with a
-    /// latency spike each (no crash).
-    RdmaTransient {
-        /// Consecutive failed attempts before the fabric heals.
-        failures: u32,
-        /// Extra latency per failed attempt, in nanoseconds.
-        spike_ns: u64,
     },
 }
 
@@ -193,32 +165,6 @@ impl FaultPlan {
     pub fn with(mut self, trigger: Trigger, action: Action) -> Self {
         self.events.push(FaultEvent { trigger, action });
         self
-    }
-
-    /// A seeded background schedule of `events` non-crashing faults
-    /// (RDMA transients and poisoned CXL reads) spread uniformly over
-    /// the first `horizon_hits` site hits: the fault load for the
-    /// scenario fuzzer (ROADMAP 4(b)) to draw per seed. Same seed ⇒
-    /// same schedule.
-    pub fn random(seed: u64, horizon_hits: u64, events: usize) -> Self {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut plan = FaultPlan::default();
-        for _ in 0..events {
-            let at = rng.gen_range(0..horizon_hits.max(1));
-            let action = if rng.gen_bool(0.5) {
-                Action::RdmaTransient {
-                    failures: rng.gen_range(1u32..=3),
-                    spike_ns: rng.gen_range(2_000u64..=20_000),
-                }
-            } else {
-                Action::PoisonLine
-            };
-            plan.events.push(FaultEvent {
-                trigger: Trigger::HitIndex(at),
-                action,
-            });
-        }
-        plan
     }
 }
 
@@ -255,15 +201,11 @@ impl FaultStats {
 
 const ACTIVE: u8 = 1 << 0;
 const CRASHED: u8 = 1 << 1;
-const POISONED: u8 = 1 << 2;
 
 struct Engine {
     events: Vec<(FaultEvent, bool)>, // (event, fired)
     stats: FaultStats,
     total_hits: u64,
-    transient_left: u32,
-    transient_spike: u64,
-    transient_site: FaultSite,
 }
 
 impl Engine {
@@ -277,9 +219,6 @@ impl Engine {
                 crash_site: None,
             },
             total_hits: 0,
-            transient_left: 0,
-            transient_spike: 0,
-            transient_site: FaultSite::RdmaRead,
         }
     }
 }
@@ -292,8 +231,8 @@ thread_local! {
 }
 
 /// Install a fault plan on this thread (replacing any previous one) and
-/// arm the gates. Counters start from zero; the crashed and poisoned
-/// flags are cleared.
+/// arm the gates. Counters start from zero; the crashed flag is
+/// cleared.
 pub fn install(plan: FaultPlan) {
     ENGINE.with(|e| {
         let mut e = e.borrow_mut();
@@ -328,35 +267,19 @@ pub fn stats() -> FaultStats {
     ENGINE.with(|e| e.borrow().stats)
 }
 
-/// Consume the pending-poison flag set by a [`Verdict::Poison`] at a
-/// CXL read. The buffer pool polls this right after the read it wraps
-/// and runs its degradation path when set.
-#[inline]
-pub fn take_poisoned() -> bool {
-    FLAGS.with(|f| {
-        let v = f.get();
-        if v & POISONED != 0 {
-            f.set(v & !POISONED);
-            true
-        } else {
-            false
-        }
-    })
-}
-
 /// Poll the fault engine at an injection site. One inlined thread-local
 /// flag test when no plan is installed; otherwise the slow path counts
 /// the hit and matches it against the plan.
 #[inline]
-pub fn gate(site: FaultSite, now: SimTime) -> Verdict {
+pub fn gate(site: FaultSite) -> Verdict {
     if FLAGS.with(|f| f.get()) == 0 {
         return Verdict::Run;
     }
-    gate_slow(site, now)
+    gate_slow(site)
 }
 
 #[cold]
-fn gate_slow(site: FaultSite, now: SimTime) -> Verdict {
+fn gate_slow(site: FaultSite) -> Verdict {
     let flags = FLAGS.with(|f| f.get());
     if flags & ACTIVE == 0 {
         return Verdict::Run;
@@ -372,21 +295,11 @@ fn gate_slow(site: FaultSite, now: SimTime) -> Verdict {
         let site_idx = e.stats.hits[site as usize];
         e.stats.hits[site as usize] += 1;
 
-        // An armed transient burst consumes hits at its site first.
-        if e.transient_left > 0 && e.transient_site == site {
-            e.transient_left -= 1;
-            e.stats.injected[site as usize] += 1;
-            return Verdict::Transient {
-                spike_ns: e.transient_spike,
-            };
-        }
-
         let fired = e.events.iter_mut().find(|(ev, fired)| {
             !*fired
                 && match ev.trigger {
                     Trigger::HitIndex(n) => n == idx,
                     Trigger::SiteHit(s, n) => s == site && n == site_idx,
-                    Trigger::At(t) => now >= t,
                 }
         });
         let Some((ev, fired)) = fired else {
@@ -395,51 +308,20 @@ fn gate_slow(site: FaultSite, now: SimTime) -> Verdict {
         *fired = true;
         let action = ev.action;
 
-        let crash = |e: &mut Engine| {
-            e.stats.crash_hit = Some(idx);
-            e.stats.crash_site = Some(site);
-            e.stats.injected[site as usize] += 1;
-            FLAGS.with(|f| f.set(f.get() | CRASHED));
-        };
+        // Every action kills the host; a torn flush or partial clflush
+        // first lands its prefix when it fires on its own site kind.
+        e.stats.crash_hit = Some(idx);
+        e.stats.crash_site = Some(site);
+        e.stats.injected[site as usize] += 1;
+        FLAGS.with(|f| f.set(f.get() | CRASHED));
         match action {
-            Action::Crash => {
-                crash(e);
-                Verdict::Dead
+            Action::TornWalFlush { keep_bytes } if site == FaultSite::WalFlush => {
+                Verdict::Torn { keep_bytes }
             }
-            Action::TornWalFlush { keep_bytes } => {
-                crash(e);
-                if site == FaultSite::WalFlush {
-                    Verdict::Torn { keep_bytes }
-                } else {
-                    Verdict::Dead
-                }
+            Action::PartialClflush { keep_lines } if site == FaultSite::Clflush => {
+                Verdict::Partial { keep_lines }
             }
-            Action::PartialClflush { keep_lines } => {
-                crash(e);
-                if site == FaultSite::Clflush {
-                    Verdict::Partial { keep_lines }
-                } else {
-                    Verdict::Dead
-                }
-            }
-            Action::PoisonLine => {
-                if site == FaultSite::CxlRead {
-                    e.stats.injected[site as usize] += 1;
-                    FLAGS.with(|f| f.set(f.get() | POISONED));
-                    Verdict::Poison
-                } else {
-                    // Poison is only meaningful on the read path; firing
-                    // elsewhere (a coarse random plan) is a no-op.
-                    Verdict::Run
-                }
-            }
-            Action::RdmaTransient { failures, spike_ns } => {
-                e.transient_left = failures.saturating_sub(1);
-                e.transient_spike = spike_ns;
-                e.transient_site = site;
-                e.stats.injected[site as usize] += 1;
-                Verdict::Transient { spike_ns }
-            }
+            _ => Verdict::Dead,
         }
     })
 }
@@ -455,7 +337,7 @@ mod tests {
     #[test]
     fn disarmed_gate_is_run_and_counts_nothing() {
         drain();
-        assert_eq!(gate(FaultSite::WalFlush, SimTime(5)), Verdict::Run);
+        assert_eq!(gate(FaultSite::WalFlush), Verdict::Run);
         assert_eq!(stats().total_hits(), 0);
         assert!(!active());
         assert!(!crashed());
@@ -466,9 +348,9 @@ mod tests {
         drain();
         install(FaultPlan::default());
         for _ in 0..3 {
-            assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
+            assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
         }
-        assert_eq!(gate(FaultSite::WalFlush, SimTime::ZERO), Verdict::Run);
+        assert_eq!(gate(FaultSite::WalFlush), Verdict::Run);
         let s = stats();
         assert_eq!(s.hits[FaultSite::CxlRead as usize], 3);
         assert_eq!(s.hits[FaultSite::WalFlush as usize], 1);
@@ -481,12 +363,12 @@ mod tests {
     fn crash_at_hit_kills_and_freezes_counters() {
         drain();
         install(FaultPlan::crash_at_hit(2));
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Dead);
+        assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
+        assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
+        assert_eq!(gate(FaultSite::CxlRead), Verdict::Dead);
         assert!(crashed());
         // Post-crash polls are Dead and uncounted.
-        assert_eq!(gate(FaultSite::WalFlush, SimTime::ZERO), Verdict::Dead);
+        assert_eq!(gate(FaultSite::WalFlush), Verdict::Dead);
         let s = stats();
         assert_eq!(s.total_hits(), 3);
         assert_eq!(s.crash_hit, Some(2));
@@ -502,12 +384,9 @@ mod tests {
             Action::TornWalFlush { keep_bytes: 100 },
         );
         install(plan.clone());
-        assert_eq!(gate(FaultSite::WalFlush, SimTime::ZERO), Verdict::Run);
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
-        assert_eq!(
-            gate(FaultSite::WalFlush, SimTime::ZERO),
-            Verdict::Torn { keep_bytes: 100 }
-        );
+        assert_eq!(gate(FaultSite::WalFlush), Verdict::Run);
+        assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
+        assert_eq!(gate(FaultSite::WalFlush), Verdict::Torn { keep_bytes: 100 });
         assert!(crashed());
         drain();
         // The same action landing on a non-WAL site degrades to Crash.
@@ -515,75 +394,20 @@ mod tests {
             Trigger::HitIndex(0),
             Action::TornWalFlush { keep_bytes: 100 },
         ));
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Dead);
+        assert_eq!(gate(FaultSite::CxlRead), Verdict::Dead);
         assert!(crashed());
         drain();
-    }
-
-    #[test]
-    fn poison_sets_pending_flag_once() {
-        drain();
-        install(
-            FaultPlan::default().with(Trigger::SiteHit(FaultSite::CxlRead, 0), Action::PoisonLine),
-        );
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Poison);
-        assert!(take_poisoned());
-        assert!(!take_poisoned());
-        assert!(!crashed());
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
-        drain();
-    }
-
-    #[test]
-    fn transient_burst_consumes_consecutive_site_hits() {
-        drain();
-        install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::RdmaRead, 0),
-            Action::RdmaTransient {
-                failures: 2,
-                spike_ns: 7,
-            },
-        ));
-        assert_eq!(
-            gate(FaultSite::RdmaRead, SimTime::ZERO),
-            Verdict::Transient { spike_ns: 7 }
-        );
-        // Other sites are untouched mid-burst.
-        assert_eq!(gate(FaultSite::RdmaWrite, SimTime::ZERO), Verdict::Run);
-        assert_eq!(
-            gate(FaultSite::RdmaRead, SimTime::ZERO),
-            Verdict::Transient { spike_ns: 7 }
-        );
-        assert_eq!(gate(FaultSite::RdmaRead, SimTime::ZERO), Verdict::Run);
-        assert_eq!(stats().injected[FaultSite::RdmaRead as usize], 2);
-        drain();
-    }
-
-    #[test]
-    fn time_trigger_fires_at_first_late_poll() {
-        drain();
-        install(FaultPlan::default().with(Trigger::At(SimTime(100)), Action::Crash));
-        assert_eq!(gate(FaultSite::CxlRead, SimTime(99)), Verdict::Run);
-        assert_eq!(gate(FaultSite::CxlRead, SimTime(100)), Verdict::Dead);
-        assert!(crashed());
-        drain();
-    }
-
-    #[test]
-    fn random_plans_replay_by_seed() {
-        assert_eq!(FaultPlan::random(7, 1000, 8), FaultPlan::random(7, 1000, 8));
-        assert_ne!(FaultPlan::random(7, 1000, 8), FaultPlan::random(8, 1000, 8));
     }
 
     #[test]
     fn clear_disarms_and_resets() {
         drain();
         install(FaultPlan::crash_at_hit(0));
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Dead);
+        assert_eq!(gate(FaultSite::CxlRead), Verdict::Dead);
         clear();
         assert!(!active());
         assert!(!crashed());
-        assert_eq!(gate(FaultSite::CxlRead, SimTime::ZERO), Verdict::Run);
+        assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
         assert_eq!(stats().total_hits(), 0);
     }
 }

@@ -22,8 +22,8 @@
 //! - [`rng`] — seeded, stream-split randomness.
 //! - [`trace`] — virtual-time spans and per-lane latency attribution
 //!   (the simulated-time counterpart of [`profile`]).
-//! - [`faults`] — seeded, deterministic fault injection over the same
-//!   leaf primitives the tracer instruments.
+//! - [`faults`] — deterministic crash injection over the same leaf
+//!   primitives the tracer instruments.
 //! - [`json`] — the dependency-free JSON writer behind every artifact.
 
 #![warn(missing_docs)]
@@ -52,8 +52,8 @@ pub use worker::{Step, WorkerId, WorkerSet};
 
 /// Whether nothing observes or perturbs individual operations right now:
 /// host profiler off, tracer off, no fault plan installed. Only then may
-/// a lean path skip the per-operation profiler scope, attribution note,
-/// fault gate or poison probe; an instrumented or fault-armed run takes
+/// a lean path skip the per-operation profiler scope, attribution note
+/// or fault gate; an instrumented or fault-armed run takes
 /// the general path, so `prof.*.calls`, lane totals, spans and fault-site
 /// hit indices are those of the general path by construction. The one
 /// definition: every lean path asks this.

@@ -185,14 +185,11 @@ impl PageStore {
         if data.len() as u64 != self.page_size {
             return Err(StorageError::BadBuffer(data.len() as u64, self.page_size));
         }
-        let now = match faults::gate(FaultSite::StorageWrite, now) {
-            Verdict::Run => now,
-            // A transient channel hiccup delays the write; it still lands.
-            Verdict::Transient { spike_ns } => now + spike_ns,
+        if faults::gate(FaultSite::StorageWrite) != Verdict::Run {
             // Dead (or the crash landed on this very write): the page
             // never reaches the store.
-            _ => return Ok(Access::free(now)),
-        };
+            return Ok(Access::free(now));
+        }
         self.put(page, data);
         self.writes += 1;
         let g = self.channel.transfer(now, self.page_size);

@@ -423,15 +423,13 @@ impl Wal {
         if self.buffer_bytes == 0 {
             return now;
         }
-        let now = match faults::gate(FaultSite::WalFlush, now) {
-            Verdict::Run => now,
-            // A transient device hiccup delays the flush; it still lands.
-            Verdict::Transient { spike_ns } => now + spike_ns,
+        match faults::gate(FaultSite::WalFlush) {
+            Verdict::Run => {}
             Verdict::Torn { keep_bytes } => return self.torn_flush(keep_bytes, now),
             // Dead (the host crashed at or before this flush): nothing
             // new becomes durable; the buffer dies with the host.
             _ => return now,
-        };
+        }
         let bytes = self.buffer_bytes;
         self.durable_lsn = self.max_assigned_lsn();
         if self.durable.is_empty() {

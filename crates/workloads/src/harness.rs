@@ -282,9 +282,6 @@ fn collect_registry<P: BufferPool>(
         bp.storage_write_bytes += s.storage_write_bytes;
         bp.remote_read_bytes += s.remote_read_bytes;
         bp.remote_write_bytes += s.remote_write_bytes;
-        bp.fault_retries += s.fault_retries;
-        bp.fault_fallbacks += s.fault_fallbacks;
-        bp.poison_rebuilds += s.poison_rebuilds;
         let (f, b) = db.wal.flush_stats();
         wal_flushes += f;
         wal_bytes += b;
@@ -308,9 +305,6 @@ fn collect_registry<P: BufferPool>(
     reg.set_int("bp_remote_read_bytes", bp.remote_read_bytes);
     reg.set_int("bp_remote_write_bytes", bp.remote_write_bytes);
     reg.set_num("bp_hit_ratio", bp.hit_ratio());
-    reg.set_int("bp_fault_retries", bp.fault_retries);
-    reg.set_int("bp_fault_fallbacks", bp.fault_fallbacks);
-    reg.set_int("bp_poison_rebuilds", bp.poison_rebuilds);
     reg.set_int("wal_flushes", wal_flushes);
     reg.set_int("wal_bytes_flushed", wal_bytes);
     reg.set_int("db_queries", db_sum.queries);

@@ -304,6 +304,32 @@ fn sweep_plans(dry: &FaultStats, b: &SweepBudget) -> Vec<FaultPlan> {
     plans
 }
 
+/// Run the script under `plan`; if the plan killed the host, crash the
+/// pool, recover it with `recover` and verify it against the committed
+/// model. `None`: the trigger landed past the workload's horizon.
+fn crash_point<P, B, R>(
+    build: &B,
+    recover: &R,
+    ops: &[Op],
+    plan: FaultPlan,
+) -> Option<(FaultStats, Result<(), String>)>
+where
+    P: BufferPool + Crashable,
+    B: Fn() -> Db<P>,
+    R: Fn(&mut Db<P>, SimTime),
+{
+    let mut db = build();
+    let mut model = initial_model();
+    faults::install(plan);
+    let (now, in_flight) = run_ops(&mut db, ops, &mut model);
+    let st = faults::stats();
+    faults::clear();
+    st.crash_hit?;
+    db.crash();
+    recover(&mut db, now);
+    Some((st, verify(&mut db, &model, in_flight.map(|i| &ops[i]))))
+}
+
 fn sweep_design<P, B, R>(build: B, recover: R) -> SweepOutcome
 where
     P: BufferPool + Crashable,
@@ -320,22 +346,15 @@ where
         points_run: 0,
     };
     for plan in sweep_plans(&dry, &b) {
-        let mut db = build();
-        let mut model = initial_model();
-        faults::install(plan);
-        let (now, in_flight) = run_ops(&mut db, &ops, &mut model);
-        let st = faults::stats();
-        faults::clear();
-        let Some(hit) = st.crash_hit else {
-            continue; // the trigger landed past the workload's horizon
+        let Some((st, verdict)) = crash_point(&build, &recover, &ops, plan) else {
+            continue;
         };
+        let hit = st.crash_hit.expect("crash_point returns crashed runs only");
         let site = st.crash_site.expect("crash has a site").name();
         out.points_run += 1;
         out.crash_hits.insert(hit);
         out.crash_sites.insert(site);
-        db.crash();
-        recover(&mut db, now);
-        if let Err(e) = verify(&mut db, &model, in_flight.map(|i| &ops[i])) {
+        if let Err(e) = verdict {
             out.failures
                 .push(format!("crash at hit {hit} ({site}): {e}"));
         }
@@ -429,44 +448,50 @@ fn sweep_polarrecv_nometa() {
 }
 
 /// Every site a design's script polls honours the fault a plan schedules
-/// there: a one-shot transient at the site's first poll is counted at
-/// that site and delays the script's end.
+/// there: a crash at the site's first poll lands on that site, is
+/// counted there, and the design's recovery restores the committed
+/// state.
 #[test]
-fn every_polled_site_honours_a_transient() {
-    fn check<P: BufferPool, B: Fn() -> Db<P>>(design: &str, build: B) {
+fn every_polled_site_honours_a_crash() {
+    fn check<P, B, R>(design: &str, build: B, recover: R)
+    where
+        P: BufferPool + Crashable,
+        B: Fn() -> Db<P>,
+        R: Fn(&mut Db<P>, SimTime),
+    {
         let ops = gen_ops();
         let dry = dry_run(&build, &ops);
-        let (clean_end, _) = run_ops(&mut build(), &ops, &mut initial_model());
         for site in FaultSite::ALL {
             if dry.hits[site as usize] == 0 {
                 continue;
             }
-            let mut db = build();
-            faults::install(FaultPlan::default().with(
-                Trigger::SiteHit(site, 0),
-                Action::RdmaTransient {
-                    failures: 1,
-                    spike_ns: 50_000,
-                },
-            ));
-            let (end, crashed) = run_ops(&mut db, &ops, &mut initial_model());
-            let injected = faults::stats().injected[site as usize];
-            faults::clear();
             let name = site.name();
-            assert!(
-                crashed.is_none(),
-                "{design} {name}: a transient kills nothing"
+            let plan = FaultPlan::default().with(Trigger::SiteHit(site, 0), Action::Crash);
+            let (st, verdict) = crash_point(&build, &recover, &ops, plan)
+                .unwrap_or_else(|| panic!("{design} {name}: the scheduled crash never fired"));
+            assert_eq!(
+                st.crash_site,
+                Some(site),
+                "{design} {name}: the crash lands where scheduled"
             );
-            assert_eq!(injected, 1, "{design} {name}: counted where scheduled");
-            assert!(
-                end > clean_end,
-                "{design} {name}: the transient must delay the script ({end} vs {clean_end})"
+            assert_eq!(
+                st.injected[site as usize], 1,
+                "{design} {name}: counted where scheduled"
             );
+            if let Err(e) = verdict {
+                panic!("{design} {name}: recovery diverged from the model: {e}");
+            }
         }
     }
-    check("vanilla", build_vanilla);
-    check("rdma-based", build_rdma);
-    check("polarrecv", build_cxl);
+    check("vanilla", build_vanilla, |db, t| {
+        recover_replay(db, "vanilla", t);
+    });
+    check("rdma-based", build_rdma, |db, t| {
+        recover_replay(db, "rdma-based", t);
+    });
+    check("polarrecv", build_cxl, |db, t| {
+        recover_polar(db, t);
+    });
 }
 
 /// Teeth: the deliberately broken trust policy must corrupt at least

@@ -23,8 +23,7 @@
 //! default — read into a scratch buffer, discard — is the definition. The
 //! same op sequence with every read replaced by `touch` runs on each
 //! overriding pool in all three modes against that default, plus on the
-//! CXL pool under a poison plan that fires and over a capture-mode
-//! fabric.
+//! CXL pool over a capture-mode fabric.
 //!
 //! The RDMA sharing baseline has no second path, but the same split: it
 //! charges whole pages and moves only the bytes a statement touches. Its
@@ -319,43 +318,6 @@ fn cxl_pool_lean_and_general_paths_agree() {
         let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
         cxl_outcome(&cxl, &bp, accesses, flushes)
     });
-}
-
-/// Poison one CXL read in every `every`, from the 50th on.
-fn poison_plan(every: u64) -> FaultPlan {
-    (0..60).fold(FaultPlan::default(), |plan, i| {
-        plan.with(
-            Trigger::SiteHit(FaultSite::CxlRead, 50 + i * every),
-            Action::PoisonLine,
-        )
-    })
-}
-
-/// Drive a CXL pool under `plan` (installed fresh).
-fn cxl_under_plan(plan: &FaultPlan, plane: Plane, by_default: bool) -> (Outcome, BpStats) {
-    faults::clear();
-    let (cxl, bp) = cxl_pool(false);
-    faults::install(plan.clone());
-    let (bp, accesses, flushes) = drive_as(bp, plane, by_default);
-    faults::clear();
-    (cxl_outcome(&cxl, &bp, accesses, flushes), bp.stats())
-}
-
-#[test]
-fn cxl_touch_heals_poison_exactly_as_read_does() {
-    // A plan that fires: poisoned reads of clean pages rebuild the block
-    // from storage, of dirty pages retry in place — same counters, same
-    // completion times, whichever plane tripped over the poison.
-    let plan = poison_plan(37);
-    let (read, stats) = cxl_under_plan(&plan, Plane::Read, false);
-    assert!(
-        stats.poison_rebuilds > 5 && stats.fault_retries > 5,
-        "{stats:?}"
-    );
-    let (reference, _) = cxl_under_plan(&plan, Plane::Touch, true);
-    assert_same("poison: default touch vs read", &reference, &read);
-    let (touch, _) = cxl_under_plan(&plan, Plane::Touch, false);
-    assert_same("poison: touch vs default", &touch, &reference);
 }
 
 #[test]

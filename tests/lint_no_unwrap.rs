@@ -1,11 +1,12 @@
 //! Robustness guard: no `.unwrap(` / `panic!(` on the fabric and
 //! storage fault paths.
 //!
-//! The fault-injection layer (`simkit::faults`) makes transient fabric
-//! errors, poisoned reads, and torn device writes *normal* outcomes on
-//! these paths. A stray `unwrap`/`panic!` there turns an injectable,
-//! recoverable fault into a process abort — exactly the failure mode
-//! this PR converts into typed `Result`s plus retry/degrade logic.
+//! The fault-injection layer (`simkit::faults`) makes a host crash, a
+//! torn WAL flush and a partial `clflush` *normal* outcomes on these
+//! paths: after one, every primitive keeps running against the frozen
+//! pre-crash view until the harness runs the crash path. A stray
+//! `unwrap`/`panic!` there turns an injectable, recoverable crash into a
+//! process abort instead.
 //!
 //! Scope: all of `crates/memsim/src` (RDMA + CXL fabric models), the
 //! storage primitives `wal.rs` / `pagestore.rs`, and the cluster
