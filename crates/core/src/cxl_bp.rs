@@ -706,15 +706,13 @@ mod tests {
 
     #[test]
     fn unlatch_flushes_its_ranges_in_push_order() {
-        use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
+        use simkit::faults::{self, FaultPlan, FaultSite, Trigger};
         faults::clear();
         let mut bp = setup_on(4, 4, true);
         let (b1, b2) = two_latched_pages(&mut bp);
         // The host dies at the unlatch's second flush: the range pushed
         // first is in the region, the one pushed second is not.
-        faults::install(
-            FaultPlan::default().with(Trigger::SiteHit(FaultSite::Clflush, 1), Action::Crash),
-        );
+        faults::install(FaultPlan::Crash(Trigger::SiteHit(FaultSite::Clflush, 1)));
         bp.set_latch(PageId(1), false, SimTime::ZERO);
         assert!(faults::crashed());
         faults::clear();

@@ -982,12 +982,6 @@ impl CxlShard {
         self.cache.stats()
     }
 
-    /// Crash this node's host mid-phase: the cache (dirty lines
-    /// included) is lost, mirroring [`CxlPool::crash_node`].
-    pub fn crash_node(&mut self) {
-        self.cache.crash();
-    }
-
     /// Prefetch what an access to `off..off + len` will load first into
     /// the host's cache: the region's lines and the node cache's tag and
     /// copy-index words for them. A host-side hint — no modelled state,
@@ -1469,16 +1463,16 @@ mod tests {
 
     #[test]
     fn partial_clflush_tears_at_a_line_boundary() {
-        use simkit::faults::{self, Action, FaultPlan, Trigger};
+        use simkit::faults::{self, FaultPlan};
         faults::clear();
         let mut p = pool(true);
         // Dirty three lines in the capture cache.
         p.write(NodeId(0), 0, &[0xAA; 192], SimTime::ZERO);
         assert_eq!(p.raw().slice(0, 1), &[0]);
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::Clflush, 0),
-            Action::PartialClflush { keep_lines: 1 },
-        ));
+        faults::install(FaultPlan::PartialClflush {
+            nth: 0,
+            keep_lines: 1,
+        });
         p.clflush(NodeId(0), 0, 192, SimTime::ZERO);
         assert!(faults::crashed());
         faults::clear();

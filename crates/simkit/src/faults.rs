@@ -2,18 +2,18 @@
 //! of the simulated fabric.
 //!
 //! [`trace`](crate::trace) *observes* the leaf timed primitives; this
-//! module *perturbs* them. A [`FaultPlan`] is a declarative schedule of
-//! fault events — triggered by global or per-site hit index — installed
-//! per thread. Every leaf primitive a host crash can interrupt polls
-//! [`gate`] at its injection [`FaultSite`] and obeys the returned
-//! [`Verdict`]. Every fault is a crash, the adversary PolarRecv's
-//! safety claim is about:
+//! module *perturbs* them. A [`FaultPlan`] schedules at most one host
+//! crash — the adversary PolarRecv's safety claim is about — by global
+//! or per-site hit index, and is installed per thread. Every leaf
+//! primitive a host crash can interrupt polls [`gate`] at its injection
+//! [`FaultSite`] and obeys the returned [`Verdict`]. The crash takes
+//! one of three shapes:
 //!
-//! - **Torn WAL flush** — only a prefix of the flush becomes durable
-//!   before the host dies (a torn multi-block log write).
-//! - **Partial clflush** — only the first *k* dirty cache lines reach
-//!   the CXL box before the host dies (a torn multi-cacheline flush,
-//!   the §3.3 protocol's adversary).
+//! - **Torn WAL flush** — only a prefix of the *n*-th WAL flush becomes
+//!   durable before the host dies (a torn multi-block log write).
+//! - **Partial clflush** — only the first *k* dirty cache lines of the
+//!   *n*-th clflush reach the CXL box before the host dies (a torn
+//!   multi-cacheline flush, the §3.3 protocol's adversary).
 //! - **Crash** — the host dies at the *n*-th site hit. After a crash
 //!   every subsequent gate returns [`Verdict::Dead`]: durable-boundary
 //!   mutators become no-ops and reads serve the frozen pre-crash view,
@@ -105,8 +105,8 @@ pub enum Verdict {
     },
 }
 
-/// When a [`FaultEvent`] fires. All counters are 0-indexed and count
-/// *armed, pre-crash* gate polls only.
+/// Where a [`FaultPlan::Crash`] lands. Both counters are 0-indexed and
+/// count *armed, pre-crash* gate polls only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trigger {
     /// The `n`-th gate poll across all sites.
@@ -115,56 +115,41 @@ pub enum Trigger {
     SiteHit(FaultSite, u64),
 }
 
-/// What happens when a trigger fires. Actions whose shape requires a
-/// specific site kind (a torn flush needs a WAL flush) degrade to a
-/// plain [`Action::Crash`] if they fire elsewhere, so a plan built from
-/// global hit indices stays meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// Kill the host at this hit (subsequent gates return
+/// A deterministic fault schedule: at most one host crash. The default
+/// plan crashes nowhere but still counts every site poll: sweeps
+/// install one to enumerate the reachable injection sites. A torn or
+/// partial shape names its own site, so it always lands where its
+/// prefix can be honoured. Every index counts that site's armed,
+/// pre-crash polls from 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum FaultPlan {
+    /// Count polls only.
+    #[default]
+    NoCrash,
+    /// Kill the host at the triggering poll (subsequent gates return
     /// [`Verdict::Dead`]).
-    Crash,
-    /// Tear the WAL flush at a byte boundary, then kill the host.
+    Crash(Trigger),
+    /// Tear the `nth` WAL flush at a byte boundary, then kill the host.
     TornWalFlush {
+        /// Which [`FaultSite::WalFlush`] poll tears.
+        nth: u64,
         /// Durable prefix length in bytes.
         keep_bytes: u64,
     },
-    /// Flush only the first `keep_lines` lines, then kill the host.
+    /// Flush only the first `keep_lines` lines of the `nth` clflush,
+    /// then kill the host.
     PartialClflush {
+        /// Which [`FaultSite::Clflush`] poll is cut short.
+        nth: u64,
         /// Cache lines that complete before the crash.
         keep_lines: u64,
     },
 }
 
-/// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// When it fires (each event fires at most once).
-    pub trigger: Trigger,
-    /// What it does.
-    pub action: Action,
-}
-
-/// A declarative, deterministic schedule of fault events. An empty plan
-/// (`FaultPlan::default()`) fires nothing but still counts every site
-/// poll: sweeps install one to enumerate the reachable injection sites.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// The schedule; at most one unfired event fires per gate poll
-    /// (first match in order wins).
-    pub events: Vec<FaultEvent>,
-}
-
 impl FaultPlan {
     /// A plan with a single crash at the `n`-th global site hit.
     pub fn crash_at_hit(n: u64) -> Self {
-        FaultPlan::default().with(Trigger::HitIndex(n), Action::Crash)
-    }
-
-    /// Append an event (builder style).
-    pub fn with(mut self, trigger: Trigger, action: Action) -> Self {
-        self.events.push(FaultEvent { trigger, action });
-        self
+        FaultPlan::Crash(Trigger::HitIndex(n))
     }
 }
 
@@ -175,8 +160,6 @@ pub struct FaultStats {
     /// Gate polls per site, indexed by [`FaultSite`] (see
     /// [`FaultSite::ALL`]).
     pub hits: [u64; SITE_COUNT],
-    /// Non-[`Verdict::Run`] verdicts injected per site.
-    pub injected: [u64; SITE_COUNT],
     /// Global hit index at which the host crashed, if it did.
     pub crash_hit: Option<u64>,
     /// Site whose poll the crash landed on, if it did.
@@ -188,11 +171,6 @@ impl FaultStats {
     pub fn total_hits(&self) -> u64 {
         self.hits.iter().sum()
     }
-
-    /// Injected faults across all sites.
-    pub fn total_injected(&self) -> u64 {
-        self.injected.iter().sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -203,22 +181,19 @@ const ACTIVE: u8 = 1 << 0;
 const CRASHED: u8 = 1 << 1;
 
 struct Engine {
-    events: Vec<(FaultEvent, bool)>, // (event, fired)
+    plan: FaultPlan,
     stats: FaultStats,
-    total_hits: u64,
 }
 
 impl Engine {
     const fn empty() -> Self {
         Engine {
-            events: Vec::new(),
+            plan: FaultPlan::NoCrash,
             stats: FaultStats {
                 hits: [0; SITE_COUNT],
-                injected: [0; SITE_COUNT],
                 crash_hit: None,
                 crash_site: None,
             },
-            total_hits: 0,
         }
     }
 }
@@ -237,7 +212,7 @@ pub fn install(plan: FaultPlan) {
     ENGINE.with(|e| {
         let mut e = e.borrow_mut();
         *e = Engine::empty();
-        e.events = plan.events.into_iter().map(|ev| (ev, false)).collect();
+        e.plan = plan;
     });
     FLAGS.with(|f| f.set(ACTIVE));
 }
@@ -280,49 +255,38 @@ pub fn gate(site: FaultSite) -> Verdict {
 
 #[cold]
 fn gate_slow(site: FaultSite) -> Verdict {
-    let flags = FLAGS.with(|f| f.get());
-    if flags & ACTIVE == 0 {
-        return Verdict::Run;
-    }
-    if flags & CRASHED != 0 {
+    // Only `install` sets `ACTIVE` and `CRASHED` never comes without it,
+    // so a non-zero flag word means a plan is armed.
+    if crashed() {
         return Verdict::Dead;
     }
     ENGINE.with(|e| {
         let mut e = e.borrow_mut();
-        let e = &mut *e;
-        let idx = e.total_hits;
-        e.total_hits += 1;
+        let idx = e.stats.total_hits();
         let site_idx = e.stats.hits[site as usize];
         e.stats.hits[site as usize] += 1;
 
-        let fired = e.events.iter_mut().find(|(ev, fired)| {
-            !*fired
-                && match ev.trigger {
-                    Trigger::HitIndex(n) => n == idx,
-                    Trigger::SiteHit(s, n) => s == site && n == site_idx,
-                }
-        });
-        let Some((ev, fired)) = fired else {
-            return Verdict::Run;
-        };
-        *fired = true;
-        let action = ev.action;
-
-        // Every action kills the host; a torn flush or partial clflush
-        // first lands its prefix when it fires on its own site kind.
-        e.stats.crash_hit = Some(idx);
-        e.stats.crash_site = Some(site);
-        e.stats.injected[site as usize] += 1;
-        FLAGS.with(|f| f.set(f.get() | CRASHED));
-        match action {
-            Action::TornWalFlush { keep_bytes } if site == FaultSite::WalFlush => {
+        let verdict = match e.plan {
+            FaultPlan::Crash(Trigger::HitIndex(n)) if n == idx => Verdict::Dead,
+            FaultPlan::Crash(Trigger::SiteHit(s, n)) if s == site && n == site_idx => Verdict::Dead,
+            FaultPlan::TornWalFlush { nth, keep_bytes }
+                if site == FaultSite::WalFlush && nth == site_idx =>
+            {
                 Verdict::Torn { keep_bytes }
             }
-            Action::PartialClflush { keep_lines } if site == FaultSite::Clflush => {
+            FaultPlan::PartialClflush { nth, keep_lines }
+                if site == FaultSite::Clflush && nth == site_idx =>
+            {
                 Verdict::Partial { keep_lines }
             }
-            _ => Verdict::Dead,
-        }
+            _ => return Verdict::Run,
+        };
+        // The crash freezes the counters: later polls see `CRASHED`
+        // and never reach the plan again.
+        e.stats.crash_hit = Some(idx);
+        e.stats.crash_site = Some(site);
+        FLAGS.with(|f| f.set(f.get() | CRASHED));
+        verdict
     })
 }
 
@@ -355,7 +319,7 @@ mod tests {
         assert_eq!(s.hits[FaultSite::CxlRead as usize], 3);
         assert_eq!(s.hits[FaultSite::WalFlush as usize], 1);
         assert_eq!(s.total_hits(), 4);
-        assert_eq!(s.total_injected(), 0);
+        assert_eq!(s.crash_hit, None);
         drain();
     }
 
@@ -377,25 +341,17 @@ mod tests {
     }
 
     #[test]
-    fn torn_flush_fires_on_wal_site_only() {
+    fn torn_flush_fires_at_its_nth_wal_flush() {
         drain();
-        let plan = FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::WalFlush, 1),
-            Action::TornWalFlush { keep_bytes: 100 },
-        );
-        install(plan.clone());
+        install(FaultPlan::TornWalFlush {
+            nth: 1,
+            keep_bytes: 100,
+        });
         assert_eq!(gate(FaultSite::WalFlush), Verdict::Run);
         assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
         assert_eq!(gate(FaultSite::WalFlush), Verdict::Torn { keep_bytes: 100 });
         assert!(crashed());
-        drain();
-        // The same action landing on a non-WAL site degrades to Crash.
-        install(FaultPlan::default().with(
-            Trigger::HitIndex(0),
-            Action::TornWalFlush { keep_bytes: 100 },
-        ));
-        assert_eq!(gate(FaultSite::CxlRead), Verdict::Dead);
-        assert!(crashed());
+        assert_eq!(stats().crash_site, Some(FaultSite::WalFlush));
         drain();
     }
 

@@ -313,8 +313,8 @@ pub fn take_events() -> Vec<TraceEvent> {
     RING.with(|r| r.borrow_mut().drain())
 }
 
-/// Events overwritten because a ring buffer was full — this thread's,
-/// plus every detached state's folded in by [`absorb`].
+/// Events this thread's ring buffer overwrote because it was full,
+/// since the last [`reset`].
 pub fn dropped_events() -> u64 {
     RING.with(|r| r.borrow().dropped)
 }
@@ -352,72 +352,6 @@ fn span_slow(kind: SpanKind, node: u32, start: SimTime, end: SimTime, bytes: u64
         bytes,
     };
     RING.with(|r| r.borrow_mut().push(ev));
-}
-
-/// A detached tracer state (enable flags, lane totals and span ring)
-/// for one simulated node.
-///
-/// Barrier-synchronized stepping gives every node its own tracer: the
-/// cluster loop arms one state per node with [`TraceState::armed`]
-/// (inheriting the calling thread's enable switches), swaps it in
-/// around the node's quantum with [`swap_state`], and folds the
-/// detached states back with [`absorb`] in lane order at the end of
-/// the run. Lane totals and recorded spans are therefore a function of
-/// the node's own op sequence, and the stream of the lane order.
-pub struct TraceState {
-    flags: u8,
-    lanes: [u64; LANE_COUNT],
-    ring: Ring,
-}
-
-impl TraceState {
-    /// A fresh state inheriting the calling thread's enable switches,
-    /// with zero lane totals and an empty ring.
-    pub fn armed() -> Self {
-        let flags = FLAGS.with(|f| f.get());
-        let mut ring = Ring::new();
-        if flags & SPANS != 0 {
-            ring.buf.reserve(RING_CAPACITY);
-        }
-        TraceState {
-            flags,
-            lanes: [0; LANE_COUNT],
-            ring,
-        }
-    }
-}
-
-/// Exchange the calling thread's tracer state with `state` (see
-/// [`TraceState`]): swap the node's state in, run its quantum, swap it
-/// back out — identical whether the quantum runs inline or on a pool
-/// worker.
-pub fn swap_state(state: &mut TraceState) {
-    FLAGS.with(|f| {
-        let cur = f.get();
-        f.set(state.flags);
-        state.flags = cur;
-    });
-    LANES.with(|l| std::mem::swap(&mut *l.borrow_mut(), &mut state.lanes));
-    RING.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut state.ring));
-}
-
-/// Fold a detached state into the calling thread's tracer and leave it
-/// empty: lane totals add, spans re-land in recorded order, and the
-/// spans the state's own ring overwrote stay counted in
-/// [`dropped_events`].
-pub fn absorb(state: &mut TraceState) {
-    LANES.with(|l| {
-        for (total, ns) in l.borrow_mut().iter_mut().zip(&mut state.lanes) {
-            *total += std::mem::take(ns);
-        }
-    });
-    RING.with(|r| {
-        let mut r = r.borrow_mut();
-        for ev in state.ring.drain() {
-            r.push(ev);
-        }
-        r.dropped += std::mem::take(&mut state.ring.dropped);
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -561,43 +495,6 @@ mod tests {
         // Oldest three were overwritten; drain starts at event 3.
         assert_eq!(ev[0].start, t(3));
         assert_eq!(ev.last().unwrap().start, t(RING_CAPACITY as u64 + 2));
-        reset();
-    }
-
-    #[test]
-    fn absorb_counts_every_span_a_detached_state_emitted() {
-        reset();
-        enable_spans(true);
-        enable_attribution(true);
-        // Lane 0 overflows its own ring by 5; lane 1's 7 spans then
-        // overflow the driver's ring as they re-land.
-        let emitted = [RING_CAPACITY as u64 + 5, 7];
-        let mut lanes = [TraceState::armed(), TraceState::armed()];
-        for (node, (state, &n)) in lanes.iter_mut().zip(&emitted).enumerate() {
-            swap_state(state);
-            for i in 0..n {
-                span(SpanKind::Query, node as u32, t(i), t(i + 1), 0);
-                attr_add(Lane::Cpu, 1);
-            }
-            swap_state(state);
-        }
-        assert!(take_events().is_empty(), "lanes record detached");
-        for state in &mut lanes {
-            absorb(state);
-        }
-        enable_spans(false);
-        enable_attribution(false);
-        let total: u64 = emitted.iter().sum();
-        assert_eq!(dropped_events(), 5 + 7);
-        assert_eq!(attr_snapshot().lane(Lane::Cpu), total);
-        let ev = take_events();
-        assert_eq!(ev.len() as u64 + dropped_events(), total);
-        assert_eq!(ev.last().unwrap().node, 1, "lane order preserved");
-        // Absorbing leaves the state empty: a second fold adds nothing.
-        absorb(&mut lanes[0]);
-        assert!(take_events().is_empty());
-        assert_eq!(dropped_events(), 5 + 7);
-        assert_eq!(attr_snapshot().lane(Lane::Cpu), total);
         reset();
     }
 

@@ -8,8 +8,8 @@
 //!   the durable tail — so after a crash, everything up to
 //!   [`Wal::durable_lsn`] is replayable and everything after is *gone*;
 //! - records belonging to one mini-transaction become durable atomically
-//!   (the encoder marks the group end, and replay never surfaces a torn
-//!   group);
+//!   (each group's last record carries an end flag, and replay never
+//!   surfaces a torn group);
 //! - checkpoints bound how far back replay must scan.
 //!
 //! In host memory both the buffer and the durable tail are block logs:
@@ -19,8 +19,8 @@
 //! its LSN (8 bytes more) is written only where it is not the previous
 //! record's + 1 — a log's first record, and the first after the gap a
 //! crash leaves. Appending allocates nothing until a block fills. The
-//! device format ([`encode`], [`encoded_len`]) is separate and fixed:
-//! every flush, scan and replay is charged by it.
+//! device format is separate and fixed: every flush, scan and replay is
+//! charged by a record's device size, [`encoded_len`].
 
 use memsim::calib::{WAL_FLUSH_NS, WAL_GBPS};
 use simkit::faults::{self, FaultSite, Verdict};
@@ -219,50 +219,6 @@ pub fn encoded_len(rec: &LogRecord) -> u64 {
     25 + rec.data.len() as u64
 }
 
-/// Encode a record to bytes (the on-device format; exercised by tests and
-/// used to size flush I/O).
-pub fn encode(rec: &LogRecord, out: &mut Vec<u8>) {
-    out.extend_from_slice(&rec.lsn.0.to_le_bytes());
-    out.extend_from_slice(&rec.page.0.to_le_bytes());
-    out.extend_from_slice(&rec.off.to_le_bytes());
-    out.extend_from_slice(&(rec.data.len() as u16).to_le_bytes());
-    out.push(rec.mtr_end as u8);
-    out.extend_from_slice(&crc32(rec.data).to_le_bytes());
-    out.extend_from_slice(rec.data);
-}
-
-/// Decode one record from `buf`, returning it (borrowing its payload from
-/// `buf`) and the bytes consumed. Returns `None` on truncation or CRC
-/// mismatch (a torn tail).
-pub fn decode(buf: &[u8]) -> Option<(LogRecord<'_>, usize)> {
-    if buf.len() < 25 {
-        return None;
-    }
-    let lsn = Lsn(le_u64(buf, 0));
-    let page = PageId(le_u64(buf, 8));
-    let off = le_u16(buf, 16);
-    let len = le_u16(buf, 18) as usize;
-    let mtr_end = buf[20] != 0;
-    let crc = le_u32(buf, 21);
-    if buf.len() < 25 + len {
-        return None;
-    }
-    let data = &buf[25..25 + len];
-    if crc32(data) != crc {
-        return None;
-    }
-    Some((
-        LogRecord {
-            lsn,
-            page,
-            off,
-            data,
-            mtr_end,
-        },
-        25 + len,
-    ))
-}
-
 /// Read a little-endian `u64` at `at` (caller has bounds-checked).
 fn le_u64(buf: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
@@ -270,31 +226,11 @@ fn le_u64(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-/// Read a little-endian `u32` at `at` (caller has bounds-checked).
-fn le_u32(buf: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&buf[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
 /// Read a little-endian `u16` at `at` (caller has bounds-checked).
 fn le_u16(buf: &[u8], at: usize) -> u16 {
     let mut b = [0u8; 2];
     b.copy_from_slice(&buf[at..at + 2]);
     u16::from_le_bytes(b)
-}
-
-/// Small table-less CRC32 (IEEE) — integrity check for the log format.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// A redo-only WAL with a volatile buffer and durable tail.
@@ -791,6 +727,8 @@ pub(crate) mod tests {
     fn flush_is_timed_and_idempotent_when_empty() {
         let mut wal = Wal::new();
         append_mtr(&mut wal, vec![upd(1, 0, 9)]);
+        // Charged by `encoded_len`: a 25-byte header plus the payload.
+        assert_eq!(wal.pending_bytes(), 25 + 8);
         let end = wal.flush(SimTime::ZERO);
         assert!(end.as_nanos() >= WAL_FLUSH_NS);
         // Nothing pending: free.
@@ -801,43 +739,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let rec = LogRecord {
-            lsn: Lsn(42),
-            page: PageId(7),
-            off: 513,
-            data: &[1, 2, 3, 4, 5],
-            mtr_end: true,
-        };
-        let mut bytes = Vec::new();
-        encode(&rec, &mut bytes);
-        assert_eq!(bytes.len() as u64, encoded_len(&rec));
-        let (back, used) = decode(&bytes).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(used, bytes.len());
-    }
-
-    #[test]
-    fn decode_rejects_corruption_and_truncation() {
-        let rec = LogRecord {
-            lsn: Lsn(1),
-            page: PageId(1),
-            off: 0,
-            data: &[9; 16],
-            mtr_end: false,
-        };
-        let mut bytes = Vec::new();
-        encode(&rec, &mut bytes);
-        assert!(decode(&bytes[..10]).is_none(), "truncated header");
-        assert!(decode(&bytes[..30]).is_none(), "truncated payload");
-        let mut corrupt = bytes.clone();
-        *corrupt.last_mut().unwrap() ^= 0xFF;
-        assert!(decode(&corrupt).is_none(), "payload corruption");
-    }
-
-    #[test]
     fn torn_flush_keeps_only_complete_groups() {
-        use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
+        use simkit::faults::{self, FaultPlan};
         faults::clear();
         let mut wal = Wal::new();
         // Group A encodes to 33 bytes. Tear inside group B: A plus B's
@@ -845,12 +748,10 @@ pub(crate) mod tests {
         // may surface.
         append_mtr(&mut wal, vec![upd(1, 0, 1)]);
         append_mtr(&mut wal, vec![upd(2, 0, 2), upd(3, 0, 3)]);
-        faults::install(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::WalFlush, 0),
-            Action::TornWalFlush {
-                keep_bytes: 33 + 40,
-            },
-        ));
+        faults::install(FaultPlan::TornWalFlush {
+            nth: 0,
+            keep_bytes: 33 + 40,
+        });
         wal.flush(SimTime::ZERO);
         assert!(faults::crashed());
         faults::clear();

@@ -10,14 +10,13 @@
 //!
 //! Every lane steps from t = 0 to the end of the run. One quantum, in
 //! fixed order: for each lane, ascending, on the calling thread — make
-//! its lock shard → swap its tracer in → run its workers to the quantum
-//! end → swap out → finish the lock shard; then fold lock deltas and the
-//! fabric barrier, both in lane order. A lane sees its peers only
-//! through what the barrier published, so results are a function of the
-//! quantum and the lane order. At the end of the run the shards
-//! re-attach, per-node invalidation counters fold into the server, and
-//! every lane's trace state re-lands on the calling thread's tracer in
-//! lane order.
+//! its lock shard → run its workers to the quantum end → finish the
+//! lock shard; then fold lock deltas and the fabric barrier, both in
+//! lane order. A lane sees its peers only through what the barrier
+//! published, so results are a function of the quantum and the lane
+//! order. Lanes record on the calling thread's tracer, so spans land in
+//! stepping order. At the end of the run the shards re-attach and
+//! per-node invalidation counters fold into the server.
 
 use crate::sharing::GroupLayout;
 use bufferpool::tiered::SharedRdma;
@@ -28,7 +27,6 @@ use polarcxlmem::{
     FusionDir, FusionServer, RdmaDbp, RdmaDir, RdmaSharingNode, SharedCxl, SharingNode,
 };
 use simkit::rng::{stream_rng, SimRng};
-use simkit::trace::{self, TraceState};
 use simkit::{
     LockDelta, LockMode, LockShard, LockTable, MultiServer, SimTime, Step, WorkerId, WorkerSet,
 };
@@ -88,15 +86,13 @@ pub trait Fabric {
 }
 
 /// Per-lane core state that survives across quanta: the closed-loop
-/// scheduler, CPU cores, one RNG stream per worker, a read buffer, the
-/// lane's detached tracer (swapped in around each quantum) and its
-/// spent lock delta.
+/// scheduler, CPU cores, one RNG stream per worker, a read buffer and
+/// the lane's spent lock delta.
 struct NodeCore {
     ws: WorkerSet,
     cpu: MultiServer,
     rngs: Vec<SimRng>,
     buf: Vec<u8>,
-    trace: TraceState,
     lock_buf: LockDelta<PageId>,
 }
 
@@ -183,7 +179,6 @@ impl<F: Fabric, X> Cluster<F, X> {
                         .map(|k| stream_rng(seed, (i * wpn + k) as u64))
                         .collect(),
                     buf: vec![0u8; 256],
-                    trace: TraceState::armed(),
                     lock_buf: LockDelta::default(),
                 }
             })
@@ -217,7 +212,6 @@ impl<F: Fabric, X> Cluster<F, X> {
             let lanes = self.cores.iter_mut().zip(&mut self.nodes).zip(&mut shards);
             for (ix, ((core, node), shard)) in lanes.enumerate() {
                 let mut lock = self.locks.shard_reusing(&mut core.lock_buf);
-                trace::swap_state(&mut core.trace);
                 let mut ctx = LaneCtx {
                     lane: ix,
                     cpu: &mut core.cpu,
@@ -231,7 +225,6 @@ impl<F: Fabric, X> Cluster<F, X> {
                 };
                 core.ws
                     .run_until(q_end, |WorkerId(w), start| body(&mut ctx, w, start));
-                trace::swap_state(&mut core.trace);
                 core.lock_buf = lock.finish();
             }
             // Barrier, all in lane order: lock deltas, then the fabric's
@@ -246,12 +239,6 @@ impl<F: Fabric, X> Cluster<F, X> {
             self.fabric.attach(shard);
         }
         self.fabric.absorb_invalidations(&self.nodes);
-        // Each lane's lane totals, spans and dropped-span count re-land
-        // on the calling thread's tracer in lane order, so consumers
-        // observe one coherent stream.
-        for core in self.cores.iter_mut() {
-            trace::absorb(&mut core.trace);
-        }
     }
 }
 

@@ -65,7 +65,7 @@ pub mod prelude {
     pub use memsim::{CxlPool, NodeId, RdmaPool};
     pub use polarcxlmem::ReleaseError;
     pub use polarcxlmem::{CxlBp, CxlMemoryManager, FusionServer, SharingNode, TrustPolicy};
-    pub use simkit::faults::{self, Action, FaultPlan, FaultSite, Trigger};
+    pub use simkit::faults::{self, FaultPlan, FaultSite, Trigger};
     pub use simkit::rng::{stream_rng, SimRng};
     pub use simkit::{dur, SimTime};
     pub use storage::{Lsn, PageId, PageStore, Wal};

@@ -278,28 +278,24 @@ fn sweep_plans(dry: &FaultStats, b: &SweepBudget) -> Vec<FaultPlan> {
         let h = dry.hits[site as usize];
         let p = (b.per_site as u64).min(h);
         for j in 0..p {
-            plans.push(FaultPlan::default().with(Trigger::SiteHit(site, j * h / p), Action::Crash));
+            plans.push(FaultPlan::Crash(Trigger::SiteHit(site, j * h / p)));
         }
     }
     let hw = dry.hits[FaultSite::WalFlush as usize];
     for j in 0..(b.torn as u64).min(hw) {
-        plans.push(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::WalFlush, j * hw / (b.torn as u64).min(hw)),
+        plans.push(FaultPlan::TornWalFlush {
+            nth: j * hw / (b.torn as u64).min(hw),
             // Vary the tear byte-depth so both "nothing fit" and "some
             // whole groups fit" shapes occur.
-            Action::TornWalFlush {
-                keep_bytes: 24 + 61 * j,
-            },
-        ));
+            keep_bytes: 24 + 61 * j,
+        });
     }
     let hc = dry.hits[FaultSite::Clflush as usize];
     for j in 0..(b.partial as u64).min(hc) {
-        plans.push(FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::Clflush, j * hc / (b.partial as u64).min(hc)),
-            Action::PartialClflush {
-                keep_lines: 1 + (j % 2),
-            },
-        ));
+        plans.push(FaultPlan::PartialClflush {
+            nth: j * hc / (b.partial as u64).min(hc),
+            keep_lines: 1 + (j % 2),
+        });
     }
     plans
 }
@@ -447,10 +443,10 @@ fn sweep_polarrecv_nometa() {
     );
 }
 
-/// Every site a design's script polls honours the fault a plan schedules
-/// there: a crash at the site's first poll lands on that site, is
-/// counted there, and the design's recovery restores the committed
-/// state.
+/// Every site a design's script polls honours the crash a plan schedules
+/// there: a plain crash at the site's first poll — and, at `wal_flush`
+/// and `clflush`, a torn or partial one — lands on that site, and the
+/// design's recovery restores the committed state.
 #[test]
 fn every_polled_site_honours_a_crash() {
     fn check<P, B, R>(design: &str, build: B, recover: R)
@@ -461,25 +457,40 @@ fn every_polled_site_honours_a_crash() {
     {
         let ops = gen_ops();
         let dry = dry_run(&build, &ops);
-        for site in FaultSite::ALL {
+        let shaped = [
+            (
+                FaultSite::WalFlush,
+                FaultPlan::TornWalFlush {
+                    nth: 0,
+                    keep_bytes: 24,
+                },
+            ),
+            (
+                FaultSite::Clflush,
+                FaultPlan::PartialClflush {
+                    nth: 0,
+                    keep_lines: 1,
+                },
+            ),
+        ];
+        let plans = FaultSite::ALL
+            .map(|site| (site, FaultPlan::Crash(Trigger::SiteHit(site, 0))))
+            .into_iter()
+            .chain(shaped);
+        for (site, plan) in plans {
             if dry.hits[site as usize] == 0 {
                 continue;
             }
             let name = site.name();
-            let plan = FaultPlan::default().with(Trigger::SiteHit(site, 0), Action::Crash);
             let (st, verdict) = crash_point(&build, &recover, &ops, plan)
-                .unwrap_or_else(|| panic!("{design} {name}: the scheduled crash never fired"));
+                .unwrap_or_else(|| panic!("{design} {plan:?}: the scheduled crash never fired"));
             assert_eq!(
                 st.crash_site,
                 Some(site),
-                "{design} {name}: the crash lands where scheduled"
-            );
-            assert_eq!(
-                st.injected[site as usize], 1,
-                "{design} {name}: counted where scheduled"
+                "{design} {plan:?}: the crash lands on {name}"
             );
             if let Err(e) = verdict {
-                panic!("{design} {name}: recovery diverged from the model: {e}");
+                panic!("{design} {plan:?}: recovery diverged from the model: {e}");
             }
         }
     }
@@ -516,12 +527,10 @@ fn broken_trust_policy_fails_the_sweep() {
     let mut broken = 0usize;
     let mut run = 0usize;
     for j in 0..points {
-        let plan = FaultPlan::default().with(
-            Trigger::SiteHit(FaultSite::Clflush, j * hc / points),
-            Action::PartialClflush {
-                keep_lines: 1 + (j % 2),
-            },
-        );
+        let plan = FaultPlan::PartialClflush {
+            nth: j * hc / points,
+            keep_lines: 1 + (j % 2),
+        };
         let mut db = build_cxl();
         let mut model = initial_model();
         faults::install(plan);

@@ -205,7 +205,7 @@ fn under<R>(mode: Mode, body: impl FnOnce() -> R) -> (R, bool) {
         // Compiled without the `trace` feature the switch is a no-op.
         Mode::Attribution => !trace::attribution_enabled() || trace::attr_snapshot().total_ns() > 0,
         Mode::ArmedFaults => {
-            assert_eq!(faults::stats().total_injected(), 0, "plan must never fire");
+            assert_eq!(faults::stats().crash_hit, None, "plan must never fire");
             faults::stats().total_hits() > 0
         }
     };
