@@ -1,22 +1,31 @@
-//! Exhaustive crash-point sweep (ALICE-style): run a scripted, seeded
-//! workload against every pool design, crash the host at each selected
-//! injection-site hit — plain crashes, torn WAL flushes, partial
-//! `clflush`es — recover with the design's scheme, and verify the
-//! database against a model that tracks exactly what was committed.
+//! The crash oracle: every crash → recover → verify test of the pool
+//! designs, written once.
+//!
+//! - **The sweep** (ALICE-style): run a scripted, seeded workload against
+//!   each design, crash the host at each selected injection-site hit —
+//!   plain crashes, torn WAL flushes, partial `clflush`es — recover with
+//!   the design's scheme, and verify against a model that tracks exactly
+//!   what was committed.
+//! - **The storm**: five crashes at statement boundaries over one long
+//!   script, the database serving on after each recovery.
+//! - **The untrusted page**: PolarRecv rebuilds a page left write-latched
+//!   at the crash, and one whose redo never became durable.
 //!
 //! A recovered database must match the committed model, with the single
 //! in-flight operation allowed to be either fully present or fully
 //! absent (commit durability is decided by the WAL tail). Anything else
-//! — a torn record, a half-applied page, a wrong row count — fails the
-//! sweep.
+//! — a torn record, a half-applied page, a wrong row count, a panic in
+//! recovery or in the tree — fails.
 //!
 //! The deliberately broken [`TrustPolicy::TrustLatched`] recovery must
-//! FAIL this sweep (see `broken_trust_policy_fails_the_sweep`): it
-//! trusts write-latched CXL pages, so a partial clflush leaves torn
-//! bytes that Durable would have rebuilt.
+//! FAIL the sweep (see `broken_trust_policy_fails_the_sweep`): it trusts
+//! write-latched CXL pages, so a partial clflush leaves torn bytes that
+//! Durable would have rebuilt.
 //!
-//! Knobs: `FAULT_SWEEP_SMOKE=1` (CI; few points), `FAULT_SWEEP_FULL=1`
-//! (dense), `FAULT_SWEEP_POINTS=n` (explicit global point count).
+//! The budget is fixed: [`GLOBAL_POINTS`] global points plus
+//! [`SITE_POINTS`] per site, [`TORN_POINTS`] torn WAL flushes and
+//! [`PARTIAL_POINTS`] partial clflushes per design, and every design's
+//! sweep must reach at least [`MIN_CRASH_HITS`] distinct crash hits.
 
 use polardb_cxl_repro::prelude::*;
 use polardb_cxl_repro::simkit::faults::FaultStats;
@@ -27,13 +36,31 @@ use std::rc::Rc;
 
 const REC: u16 = 120;
 const KEYS: u64 = 140;
+/// The sweep's script: its length and seed.
 const OPS: usize = 120;
-const MAX_KEY: u64 = KEYS + OPS as u64;
 const OPS_SEED: u64 = 0xFA01;
+/// The storm's script length, crashed this many times.
+const STORM_OPS: usize = 600;
+const STORM_CRASHES: usize = 5;
+
+/// Crash points strided over the global hit index.
+const GLOBAL_POINTS: u64 = 400;
+/// Crash points strided over each reachable site (coverage guarantee).
+const SITE_POINTS: u64 = 4;
+/// Torn-WAL-flush points (`wal_flush` hits).
+const TORN_POINTS: u64 = 8;
+/// Partial-clflush points (`clflush` hits).
+const PARTIAL_POINTS: u64 = 8;
+/// Partial-clflush points the broken trust policy is probed at.
+const BROKEN_POLICY_POINTS: u64 = 24;
+/// Distinct crash hits each design's sweep must cover.
+const MIN_CRASH_HITS: usize = 40;
 
 // ---------------------------------------------------------------------------
 // The scripted workload and its model.
 // ---------------------------------------------------------------------------
+
+type Model = BTreeMap<u64, Vec<u8>>;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -44,14 +71,14 @@ enum Op {
     Checkpoint,
 }
 
-/// One deterministic op script shared by every design and every sweep
-/// point (the checkpoint mid-run varies the replay floor).
-fn gen_ops() -> Vec<Op> {
-    let mut rng = SimRng::seed_from_u64(OPS_SEED);
+/// A deterministic op script of `len` statements; the checkpoint half-way
+/// varies the replay floor.
+fn script(seed: u64, len: usize) -> Vec<Op> {
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut next_key = KEYS + 1;
-    let mut ops = Vec::with_capacity(OPS + 1);
-    for i in 0..OPS {
-        if i == OPS / 2 {
+    let mut ops = Vec::with_capacity(len + 1);
+    for i in 0..len {
+        if i == len / 2 {
             ops.push(Op::Checkpoint);
         }
         ops.push(match rng.gen_range(0..10u32) {
@@ -68,54 +95,57 @@ fn gen_ops() -> Vec<Op> {
     ops
 }
 
-fn initial_model() -> BTreeMap<u64, Vec<u8>> {
-    (1..=KEYS)
-        .map(|k| (k, vec![(k % 250) as u8; REC as usize]))
-        .collect()
+fn rows() -> impl Iterator<Item = (u64, Vec<u8>)> {
+    (1..=KEYS).map(|k| (k, vec![(k % 250) as u8; REC as usize]))
 }
 
-fn apply_db<P: BufferPool>(db: &mut Db<P>, op: &Op, now: SimTime) -> SimTime {
+/// Run `op` on the database: whether it found its key (an insert:
+/// whether it added one) and its completion time.
+fn apply_db<P: BufferPool>(db: &mut Db<P>, op: &Op, now: SimTime) -> (bool, SimTime) {
     match op {
-        Op::Update(k, v) => db.update(*k, 16, v, now).1,
-        Op::Insert(k, rec) => db.insert(*k, rec, now).1,
-        Op::Delete(k) => db.delete(*k, now).1,
-        Op::Select(k) => db.point_select(*k, now).1,
-        Op::Checkpoint => db.checkpoint(now),
+        Op::Update(k, v) => db.update(*k, 16, v, now),
+        Op::Insert(k, rec) => db.insert(*k, rec, now),
+        Op::Delete(k) => db.delete(*k, now),
+        Op::Select(k) => db.point_select(*k, now),
+        Op::Checkpoint => (true, db.checkpoint(now)),
     }
 }
 
-fn apply_model(model: &mut BTreeMap<u64, Vec<u8>>, op: &Op) {
+/// Apply `op` to the model; returns what [`apply_db`] must return.
+fn apply_model(model: &mut Model, op: &Op) -> bool {
     match op {
-        Op::Update(k, v) => {
-            if let Some(rec) = model.get_mut(k) {
-                rec[16..16 + 72].copy_from_slice(v);
-            }
-        }
-        Op::Insert(k, rec) => {
-            model.insert(*k, rec.clone());
-        }
-        Op::Delete(k) => {
-            model.remove(k);
-        }
-        Op::Select(_) | Op::Checkpoint => {}
+        Op::Update(k, v) => model
+            .get_mut(k)
+            .map(|rec| rec[16..16 + 72].copy_from_slice(v))
+            .is_some(),
+        Op::Insert(k, rec) => model.insert(*k, rec.clone()).is_none(),
+        Op::Delete(k) => model.remove(k).is_some(),
+        Op::Select(k) => model.contains_key(k),
+        Op::Checkpoint => true,
     }
 }
 
-/// Run the script until it finishes or the installed plan kills the
-/// host. The model tracks completed ops only; the index of the op that
-/// was in flight at the crash (if any) is returned.
-fn run_ops<P: BufferPool>(
+/// Run `ops` from `now` until they finish or the installed plan kills
+/// the host. Each completed op must return what the model predicts, and
+/// then joins the model; the op in flight at a crash, if any, is
+/// returned.
+fn run_ops<'a, P: BufferPool>(
     db: &mut Db<P>,
-    ops: &[Op],
-    model: &mut BTreeMap<u64, Vec<u8>>,
-) -> (SimTime, Option<usize>) {
-    let mut now = SimTime::ZERO;
-    for (i, op) in ops.iter().enumerate() {
-        now = apply_db(db, op, now);
+    ops: &'a [Op],
+    model: &mut Model,
+    mut now: SimTime,
+) -> (SimTime, Option<&'a Op>) {
+    for op in ops {
+        let (got, t) = apply_db(db, op, now);
+        now = t;
         if faults::crashed() {
-            return (now, Some(i));
+            return (now, Some(op));
         }
-        apply_model(model, op);
+        assert_eq!(
+            got,
+            apply_model(model, op),
+            "{op:?} disagrees with the model"
+        );
     }
     (now, None)
 }
@@ -124,20 +154,18 @@ fn run_ops<P: BufferPool>(
 // Verification: recovered state must be the model, modulo the in-flight op.
 // ---------------------------------------------------------------------------
 
-fn matches_model<P: BufferPool>(
-    db: &mut Db<P>,
-    model: &BTreeMap<u64, Vec<u8>>,
-) -> Result<(), String> {
-    for k in 1..=MAX_KEY {
-        let (got, _) = db.table.get(&mut db.pool, k, SimTime::ZERO);
-        if got.as_deref() != model.get(&k).map(|v| v.as_slice()) {
+fn matches_model<P: BufferPool>(db: &mut Db<P>, model: &Model) -> Result<(), String> {
+    for (k, want) in model {
+        let (got, _) = db.table.get(&mut db.pool, *k, SimTime::ZERO);
+        if got.as_ref() != Some(want) {
             return Err(format!(
                 "key {k}: got {:?}…, want {:?}…",
                 got.as_deref().map(|v| &v[..8.min(v.len())]),
-                model.get(&k).map(|v| &v[..8])
+                &want[..8]
             ));
         }
     }
+    // Every model key is present, so an equal count leaves no extra one.
     let rows = db.table.check_invariants(&mut db.pool);
     if rows != model.len() as u64 {
         return Err(format!("row count {rows}, want {}", model.len()));
@@ -146,301 +174,276 @@ fn matches_model<P: BufferPool>(
 }
 
 /// The recovered database must equal the committed model with the
-/// in-flight op either fully absent or fully applied. Panics inside the
-/// tree (torn pages) count as failures, not aborts.
+/// in-flight op either fully absent or fully applied, and no page may
+/// read as the host's wiped volatile memory (0xDE fill): every page
+/// comes back from memory that survived the crash, or from storage.
 fn verify<P: BufferPool>(
     db: &mut Db<P>,
-    model: &BTreeMap<u64, Vec<u8>>,
+    model: &Model,
     in_flight: Option<&Op>,
 ) -> Result<(), String> {
-    catch_unwind(AssertUnwindSafe(|| {
-        let old = matches_model(db, model);
-        if old.is_ok() {
-            return Ok(());
+    for p in 0..db.pool.store().allocated_pages() {
+        let mut header = [0u8; 16];
+        db.pool.read(PageId(p), 0, &mut header, SimTime::ZERO);
+        if header == [0xDE; 16] {
+            return Err(format!("page {p} reads as wiped"));
         }
-        if let Some(op) = in_flight {
-            let mut after = model.clone();
-            apply_model(&mut after, op);
-            return matches_model(db, &after)
-                .map_err(|e| format!("neither old ({}) nor new ({e}) state", old.unwrap_err()));
+    }
+    let old = matches_model(db, model);
+    match in_flight {
+        Some(op) if old.is_err() => {
+            let mut new = model.clone();
+            apply_model(&mut new, op);
+            matches_model(db, &new)
+                .map_err(|e| format!("neither old ({}) nor new ({e}) state", old.unwrap_err()))
         }
-        old
-    }))
-    .unwrap_or_else(|_| Err("verification panicked (corrupt tree)".into()))
+        _ => old,
+    }
 }
 
 // ---------------------------------------------------------------------------
-// World builders, one per pool design.
+// The designs under test.
 // ---------------------------------------------------------------------------
 
-fn load<P: BufferPool>(mut db: Db<P>) -> Db<P> {
-    db.load((1..=KEYS).map(|k| (k, vec![(k % 250) as u8; REC as usize])));
+/// One pool design: how to build it, how it recovers, and the sites its
+/// sweep must crash at.
+struct Design<P: BufferPool> {
+    name: &'static str,
+    build: fn() -> Db<P>,
+    /// Recover a crashed database; returns the completion time.
+    recover: fn(&mut Db<P>, SimTime) -> SimTime,
+    sites: &'static [&'static str],
+    /// Runs at a statement boundary just before each storm crash.
+    before_crash: fn(&mut Db<P>, SimTime) -> SimTime,
+}
+
+fn loaded<P: BufferPool>(pool: P) -> Db<P> {
+    let mut db = Db::create(pool, REC);
+    db.load(rows());
     db
 }
 
-fn build_vanilla() -> Db<DramBp> {
-    let store = PageStore::with_page_size(512, 2048);
+fn store() -> PageStore {
+    PageStore::with_page_size(512, 2048)
+}
+
+const RDMA_FRAMES: usize = 8;
+
+const VANILLA: Design<DramBp> = Design {
+    name: "vanilla",
     // 16 frames force dirty evictions, so StorageWrite sites fire mid-run.
-    load(Db::create(DramBp::new(16, 1 << 20, store), REC))
-}
+    build: || loaded(DramBp::new(16, 1 << 20, store())),
+    recover: |db, t| recover_replay(db, "vanilla", t).done,
+    sites: &["wal_flush", "storage_write"],
+    before_crash: |_, t| t,
+};
 
-fn build_rdma() -> Db<TieredRdmaBp> {
-    let store = PageStore::with_page_size(512, 2048);
-    let rdma = Rc::new(RefCell::new(RdmaPool::new(512 * 2048, 1)));
-    load(Db::create(
-        TieredRdmaBp::new(rdma, 0, 0, 8, 1 << 20, store),
-        REC,
-    ))
-}
+const RDMA: Design<TieredRdmaBp> = Design {
+    name: "rdma-based",
+    build: || {
+        let rdma = Rc::new(RefCell::new(RdmaPool::new(512 * 2048, 1)));
+        loaded(TieredRdmaBp::new(rdma, 0, 0, RDMA_FRAMES, 1 << 20, store()))
+    },
+    recover: |db, t| recover_replay(db, "rdma-based", t).done,
+    sites: &["wal_flush", "rdma_read", "rdma_write"],
+    // Land the crash while most LBP frames read at least one line in
+    // place from remote memory: frames the writes filled from storage
+    // hold only their own lines, so sweep clean leaves in with point
+    // selects first.
+    before_crash: |db, mut t| {
+        for k in (1..=KEYS + STORM_OPS as u64).step_by(2) {
+            t = db.point_select(k, t).1;
+        }
+        let aliased = db.pool.aliased_frames();
+        assert!(
+            aliased * 2 > RDMA_FRAMES,
+            "only {aliased} of {RDMA_FRAMES} frames aliased at the crash"
+        );
+        t
+    },
+};
 
-fn build_cxl() -> Db<CxlBp> {
-    let store = PageStore::with_page_size(512, 2048);
+const POLARRECV: Design<CxlBp> = Design {
+    name: "polarrecv",
     // capture=true: stores sit in the CPU cache until clflush, so
     // partial-clflush points genuinely tear pages.
-    let cxl = Rc::new(RefCell::new(CxlPool::single_host(
-        4 << 20,
-        1,
-        1 << 20,
-        true,
-    )));
-    load(Db::create(
-        CxlBp::format(cxl, NodeId(0), 0, 512, store),
-        REC,
-    ))
-}
+    build: || {
+        let cxl = Rc::new(RefCell::new(CxlPool::single_host(
+            4 << 20,
+            1,
+            1 << 20,
+            true,
+        )));
+        loaded(CxlBp::format(cxl, NodeId(0), 0, 512, store()))
+    },
+    recover: |db, t| recover_polar(db, t).done,
+    sites: &[
+        "wal_flush",
+        "clflush",
+        "cxl_read",
+        "cxl_nt_store",
+        "storage_write",
+    ],
+    before_crash: |_, t| t,
+};
 
 // ---------------------------------------------------------------------------
-// The sweep driver.
+// The crash point, and the sweep over them.
 // ---------------------------------------------------------------------------
 
-struct SweepBudget {
-    /// Crash points strided over the global hit index.
-    global: usize,
-    /// Crash points strided per reachable site (coverage guarantee).
-    per_site: usize,
-    /// Torn-WAL-flush points (WalFlush hits).
-    torn: usize,
-    /// Partial-clflush points (Clflush hits).
-    partial: usize,
-    /// Enforce the ≥40-distinct-crash-points floor.
-    strict: bool,
-}
-
-fn budget() -> SweepBudget {
-    let smoke = std::env::var_os("FAULT_SWEEP_SMOKE").is_some();
-    let full = std::env::var_os("FAULT_SWEEP_FULL").is_some();
-    let global = std::env::var("FAULT_SWEEP_POINTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke {
-            10
-        } else if full {
-            400
-        } else {
-            48
-        });
-    SweepBudget {
-        global,
-        per_site: if smoke { 2 } else { 4 },
-        torn: if smoke { 3 } else { 8 },
-        partial: if smoke { 3 } else { 8 },
-        strict: !smoke && global >= 40,
-    }
-}
-
-struct SweepOutcome {
-    crash_hits: BTreeSet<u64>,
-    crash_sites: BTreeSet<&'static str>,
-    failures: Vec<String>,
-    points_run: usize,
-}
-
-fn dry_run<P: BufferPool, B: Fn() -> Db<P>>(build: &B, ops: &[Op]) -> FaultStats {
-    let mut db = build();
-    let mut model = initial_model();
-    faults::install(FaultPlan::default());
-    let (_, crashed) = run_ops(&mut db, ops, &mut model);
-    let dry = faults::stats();
+/// Build the design and run `ops` under `plan`. If the plan killed the
+/// host, crash the pool, recover it and verify it against the committed
+/// model; a panic in recovery or verification is a failed verdict. The
+/// verdict is `None` when the trigger landed past the script's horizon.
+fn crash_point<P: BufferPool + Crashable>(
+    d: &Design<P>,
+    ops: &[Op],
+    plan: FaultPlan,
+) -> (FaultStats, Option<Result<(), String>>) {
+    let mut db = (d.build)();
+    let mut model: Model = rows().collect();
+    faults::install(plan);
+    let (now, in_flight) = run_ops(&mut db, ops, &mut model, SimTime::ZERO);
+    let st = faults::stats();
     faults::clear();
-    assert!(crashed.is_none(), "an empty plan must not crash");
-    assert!(dry.total_hits() > 0, "workload must reach injection sites");
+    if st.crash_hit.is_none() {
+        return (st, None);
+    }
+    db.crash();
+    let verdict = catch_unwind(AssertUnwindSafe(|| {
+        (d.recover)(&mut db, now);
+        verify(&mut db, &model, in_flight)
+    }))
+    .unwrap_or_else(|_| Err("recovery or verification panicked".into()));
+    (st, Some(verdict))
+}
+
+/// The hits per site of the sweep's script under an empty plan.
+fn dry_run<P: BufferPool + Crashable>(d: &Design<P>, ops: &[Op]) -> FaultStats {
+    let (dry, verdict) = crash_point(d, ops, FaultPlan::default());
+    assert!(
+        verdict.is_none(),
+        "{}: an empty plan must not crash",
+        d.name
+    );
+    assert!(
+        dry.total_hits() > 0,
+        "{}: the script must reach injection sites",
+        d.name
+    );
     dry
 }
 
-fn sweep_plans(dry: &FaultStats, b: &SweepBudget) -> Vec<FaultPlan> {
-    let n = dry.total_hits();
-    let mut plans = Vec::new();
-    let global = (b.global as u64).min(n);
-    for i in 0..global {
-        plans.push(FaultPlan::crash_at_hit(i * n / global));
-    }
+/// `points` hit indices spread evenly over `0..hits` (every one when
+/// there are fewer), each with its ordinal.
+fn strided(points: u64, hits: u64) -> impl Iterator<Item = (u64, u64)> {
+    let p = points.min(hits);
+    (0..p).map(move |j| (j, j * hits / p))
+}
+
+fn partial_clflushes(points: u64, hits: u64) -> impl Iterator<Item = FaultPlan> {
+    strided(points, hits).map(|(j, nth)| FaultPlan::PartialClflush {
+        nth,
+        keep_lines: 1 + (j % 2),
+    })
+}
+
+fn sweep_plans(dry: &FaultStats) -> Vec<FaultPlan> {
+    let hits = |site: FaultSite| dry.hits[site as usize];
+    let mut plans: Vec<FaultPlan> = strided(GLOBAL_POINTS, dry.total_hits())
+        .map(|(_, i)| FaultPlan::crash_at_hit(i))
+        .collect();
     for site in FaultSite::ALL {
-        let h = dry.hits[site as usize];
-        let p = (b.per_site as u64).min(h);
-        for j in 0..p {
-            plans.push(FaultPlan::Crash(Trigger::SiteHit(site, j * h / p)));
-        }
+        plans.extend(
+            strided(SITE_POINTS, hits(site))
+                .map(|(_, h)| FaultPlan::Crash(Trigger::SiteHit(site, h))),
+        );
     }
-    let hw = dry.hits[FaultSite::WalFlush as usize];
-    for j in 0..(b.torn as u64).min(hw) {
-        plans.push(FaultPlan::TornWalFlush {
-            nth: j * hw / (b.torn as u64).min(hw),
-            // Vary the tear byte-depth so both "nothing fit" and "some
-            // whole groups fit" shapes occur.
+    // Vary the tear byte-depth so both "nothing fit" and "some whole
+    // groups fit" shapes occur.
+    plans.extend(
+        strided(TORN_POINTS, hits(FaultSite::WalFlush)).map(|(j, nth)| FaultPlan::TornWalFlush {
+            nth,
             keep_bytes: 24 + 61 * j,
-        });
-    }
-    let hc = dry.hits[FaultSite::Clflush as usize];
-    for j in 0..(b.partial as u64).min(hc) {
-        plans.push(FaultPlan::PartialClflush {
-            nth: j * hc / (b.partial as u64).min(hc),
-            keep_lines: 1 + (j % 2),
-        });
-    }
+        }),
+    );
+    plans.extend(partial_clflushes(PARTIAL_POINTS, hits(FaultSite::Clflush)));
     plans
 }
 
-/// Run the script under `plan`; if the plan killed the host, crash the
-/// pool, recover it with `recover` and verify it against the committed
-/// model. `None`: the trigger landed past the workload's horizon.
-fn crash_point<P, B, R>(
-    build: &B,
-    recover: &R,
-    ops: &[Op],
-    plan: FaultPlan,
-) -> Option<(FaultStats, Result<(), String>)>
-where
-    P: BufferPool + Crashable,
-    B: Fn() -> Db<P>,
-    R: Fn(&mut Db<P>, SimTime),
-{
-    let mut db = build();
-    let mut model = initial_model();
-    faults::install(plan);
-    let (now, in_flight) = run_ops(&mut db, ops, &mut model);
-    let st = faults::stats();
-    faults::clear();
-    st.crash_hit?;
-    db.crash();
-    recover(&mut db, now);
-    Some((st, verify(&mut db, &model, in_flight.map(|i| &ops[i]))))
-}
-
-fn sweep_design<P, B, R>(build: B, recover: R) -> SweepOutcome
-where
-    P: BufferPool + Crashable,
-    B: Fn() -> Db<P>,
-    R: Fn(&mut Db<P>, SimTime),
-{
-    let ops = gen_ops();
-    let dry = dry_run(&build, &ops);
-    let b = budget();
-    let mut out = SweepOutcome {
-        crash_hits: BTreeSet::new(),
-        crash_sites: BTreeSet::new(),
-        failures: Vec::new(),
-        points_run: 0,
-    };
-    for plan in sweep_plans(&dry, &b) {
-        let Some((st, verdict)) = crash_point(&build, &recover, &ops, plan) else {
+/// Crash the design at every point of the budget: each recovery must
+/// restore the committed state, the points must cover at least
+/// [`MIN_CRASH_HITS`] distinct hits, and the crashes must land on every
+/// site the design lists.
+fn sweep<P: BufferPool + Crashable>(d: &Design<P>) {
+    let ops = script(OPS_SEED, OPS);
+    let mut crash_hits = BTreeSet::new();
+    let mut crash_sites = BTreeSet::new();
+    let mut failures = Vec::new();
+    let mut points = 0usize;
+    for plan in sweep_plans(&dry_run(d, &ops)) {
+        let (st, Some(verdict)) = crash_point(d, &ops, plan) else {
             continue;
         };
-        let hit = st.crash_hit.expect("crash_point returns crashed runs only");
+        let hit = st.crash_hit.expect("a verdict follows a crash");
         let site = st.crash_site.expect("crash has a site").name();
-        out.points_run += 1;
-        out.crash_hits.insert(hit);
-        out.crash_sites.insert(site);
+        points += 1;
+        crash_hits.insert(hit);
+        crash_sites.insert(site);
         if let Err(e) = verdict {
-            out.failures
-                .push(format!("crash at hit {hit} ({site}): {e}"));
+            failures.push(format!("crash at hit {hit} ({site}): {e}"));
         }
     }
-    if b.strict {
-        assert!(
-            out.crash_hits.len() >= 40,
-            "sweep must cover >=40 distinct crash points, got {}",
-            out.crash_hits.len()
-        );
-    }
-    out
-}
-
-fn assert_clean(out: &SweepOutcome, design: &str, expect_sites: &[&str]) {
-    assert!(
-        out.failures.is_empty(),
-        "{design}: {} of {} crash points failed recovery:\n{}",
-        out.failures.len(),
-        out.points_run,
-        out.failures.join("\n")
+    println!(
+        "{}: {points} crash points, {} distinct crash hits",
+        d.name,
+        crash_hits.len()
     );
-    for s in expect_sites {
+    assert!(
+        failures.is_empty(),
+        "{}: {} of {points} crash points failed recovery:\n{}",
+        d.name,
+        failures.len(),
+        failures.join("\n")
+    );
+    assert!(
+        crash_hits.len() >= MIN_CRASH_HITS,
+        "{}: the sweep must cover >= {MIN_CRASH_HITS} distinct crash points, got {}",
+        d.name,
+        crash_hits.len()
+    );
+    for s in d.sites {
         assert!(
-            out.crash_sites.contains(s),
-            "{design}: sweep never crashed at {s} (covered: {:?})",
-            out.crash_sites
+            crash_sites.contains(s),
+            "{}: the sweep never crashed at {s} (covered: {crash_sites:?})",
+            d.name
         );
     }
 }
-
-// ---------------------------------------------------------------------------
-// The sweeps, one per design.
-// ---------------------------------------------------------------------------
 
 #[test]
 fn sweep_vanilla_dram_replay() {
-    let out = sweep_design(build_vanilla, |db, t| {
-        recover_replay(db, "vanilla", t);
-    });
-    assert_clean(&out, "vanilla", &["wal_flush", "storage_write"]);
+    sweep(&VANILLA);
 }
 
 #[test]
 fn sweep_rdma_based_replay() {
-    let out = sweep_design(build_rdma, |db, t| {
-        recover_replay(db, "rdma-based", t);
-    });
-    assert_clean(
-        &out,
-        "rdma-based",
-        &["wal_flush", "rdma_read", "rdma_write"],
-    );
+    sweep(&RDMA);
 }
 
 #[test]
 fn sweep_polarrecv() {
-    let out = sweep_design(build_cxl, |db, t| {
-        recover_polar(db, t);
-    });
-    assert_clean(
-        &out,
-        "polarrecv",
-        &[
-            "wal_flush",
-            "clflush",
-            "cxl_read",
-            "cxl_nt_store",
-            "storage_write",
-        ],
-    );
+    sweep(&POLARRECV);
 }
 
 #[test]
 fn sweep_polarrecv_nometa() {
-    let out = sweep_design(build_cxl, |db, t| {
-        let report = polardb_cxl_repro::polarcxlmem::recovery::polar_recv_policy(
-            &mut db.pool,
-            &mut db.wal,
-            t,
-            TrustPolicy::Nothing,
-        );
-        let (table, _) = BTree::open(&mut db.pool, db.table.meta_page, report.done);
-        db.table = table;
+    sweep(&Design {
+        name: "polarrecv-nometa",
+        recover: |db, t| recover_polar_policy(db, TrustPolicy::Nothing, t).done,
+        sites: &["wal_flush", "clflush", "cxl_read", "cxl_nt_store"],
+        ..POLARRECV
     });
-    assert_clean(
-        &out,
-        "polarrecv-nometa",
-        &["wal_flush", "clflush", "cxl_read", "cxl_nt_store"],
-    );
 }
 
 /// Every site a design's script polls honours the crash a plan schedules
@@ -449,14 +452,9 @@ fn sweep_polarrecv_nometa() {
 /// design's recovery restores the committed state.
 #[test]
 fn every_polled_site_honours_a_crash() {
-    fn check<P, B, R>(design: &str, build: B, recover: R)
-    where
-        P: BufferPool + Crashable,
-        B: Fn() -> Db<P>,
-        R: Fn(&mut Db<P>, SimTime),
-    {
-        let ops = gen_ops();
-        let dry = dry_run(&build, &ops);
+    fn check<P: BufferPool + Crashable>(d: &Design<P>) {
+        let ops = script(OPS_SEED, OPS);
+        let dry = dry_run(d, &ops);
         let shaped = [
             (
                 FaultSite::WalFlush,
@@ -482,27 +480,23 @@ fn every_polled_site_honours_a_crash() {
                 continue;
             }
             let name = site.name();
-            let (st, verdict) = crash_point(&build, &recover, &ops, plan)
-                .unwrap_or_else(|| panic!("{design} {plan:?}: the scheduled crash never fired"));
+            let (st, verdict) = crash_point(d, &ops, plan);
+            let verdict = verdict
+                .unwrap_or_else(|| panic!("{} {plan:?}: the scheduled crash never fired", d.name));
             assert_eq!(
                 st.crash_site,
                 Some(site),
-                "{design} {plan:?}: the crash lands on {name}"
+                "{} {plan:?}: the crash lands on {name}",
+                d.name
             );
             if let Err(e) = verdict {
-                panic!("{design} {plan:?}: recovery diverged from the model: {e}");
+                panic!("{} {plan:?}: recovery diverged from the model: {e}", d.name);
             }
         }
     }
-    check("vanilla", build_vanilla, |db, t| {
-        recover_replay(db, "vanilla", t);
-    });
-    check("rdma-based", build_rdma, |db, t| {
-        recover_replay(db, "rdma-based", t);
-    });
-    check("polarrecv", build_cxl, |db, t| {
-        recover_polar(db, t);
-    });
+    check(&VANILLA);
+    check(&RDMA);
+    check(&POLARRECV);
 }
 
 /// Teeth: the deliberately broken trust policy must corrupt at least
@@ -510,52 +504,109 @@ fn every_polled_site_honours_a_crash() {
 /// a recovery bug — a sweep that passes everything proves nothing.
 #[test]
 fn broken_trust_policy_fails_the_sweep() {
-    let ops = gen_ops();
-    let dry = dry_run(&build_cxl, &ops);
-    let hc = dry.hits[FaultSite::Clflush as usize];
+    let latched = Design {
+        name: "polarrecv-trust-latched",
+        recover: |db, t| recover_polar_policy(db, TrustPolicy::TrustLatched, t).done,
+        ..POLARRECV
+    };
+    let ops = script(OPS_SEED, OPS);
+    let hc = dry_run(&latched, &ops).hits[FaultSite::Clflush as usize];
     assert!(hc > 0, "the CXL design must reach clflush sites");
-    let points = (if std::env::var_os("FAULT_SWEEP_SMOKE").is_some() {
-        8u64
-    } else {
-        24
-    })
-    .min(hc);
     // Expected-failure points panic inside the torn tree; keep the test
     // log quiet while probing them.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let mut broken = 0usize;
-    let mut run = 0usize;
-    for j in 0..points {
-        let plan = FaultPlan::PartialClflush {
-            nth: j * hc / points,
-            keep_lines: 1 + (j % 2),
-        };
-        let mut db = build_cxl();
-        let mut model = initial_model();
-        faults::install(plan);
-        let (now, in_flight) = run_ops(&mut db, &ops, &mut model);
-        let st = faults::stats();
-        faults::clear();
-        if st.crash_hit.is_none() {
-            continue;
-        }
-        run += 1;
-        db.crash();
-        let bad = catch_unwind(AssertUnwindSafe(|| {
-            recover_polar_policy(&mut db, TrustPolicy::TrustLatched, now);
-            verify(&mut db, &model, in_flight.map(|i| &ops[i])).is_err()
-        }))
-        .unwrap_or(true);
-        if bad {
-            broken += 1;
-        }
-    }
+    let verdicts: Vec<_> = partial_clflushes(BROKEN_POLICY_POINTS, hc)
+        .filter_map(|plan| crash_point(&latched, &ops, plan).1)
+        .collect();
     std::panic::set_hook(hook);
-    assert!(run > 0, "no partial-clflush point fired");
+    let broken = verdicts.iter().filter(|v| v.is_err()).count();
+    println!(
+        "{}: {broken} of {} partial-clflush points fail",
+        latched.name,
+        verdicts.len()
+    );
+    assert!(!verdicts.is_empty(), "no partial-clflush point fired");
     assert!(
         broken > 0,
-        "TrustLatched recovered all {run} partial-clflush points consistently — \
-         the sweep has no teeth"
+        "TrustLatched recovered all {} partial-clflush points consistently — \
+         the sweep has no teeth",
+        verdicts.len()
     );
+}
+
+// ---------------------------------------------------------------------------
+// The storm: repeated crashes between statements, serving on in between.
+// ---------------------------------------------------------------------------
+
+/// Crash the design [`STORM_CRASHES`] times at statement boundaries of
+/// one long script, recovering each time and serving on: every recovery
+/// must restore exactly the committed state.
+fn storm<P: BufferPool + Crashable>(d: &Design<P>, seed: u64) {
+    let ops = script(seed, STORM_OPS);
+    let mut db = (d.build)();
+    let mut model: Model = rows().collect();
+    let mut now = SimTime::ZERO;
+    for (round, ops) in ops.chunks(ops.len().div_ceil(STORM_CRASHES)).enumerate() {
+        now = run_ops(&mut db, ops, &mut model, now).0;
+        now = (d.before_crash)(&mut db, now);
+        db.crash();
+        now = (d.recover)(&mut db, now);
+        if let Err(e) = verify(&mut db, &model, None) {
+            panic!("{} storm, round {round}: {e}", d.name);
+        }
+    }
+}
+
+#[test]
+fn storm_vanilla_dram_replay() {
+    storm(&VANILLA, 88);
+}
+
+#[test]
+fn storm_rdma_based_replay() {
+    storm(&RDMA, 77);
+}
+
+#[test]
+fn storm_polarrecv() {
+    storm(&POLARRECV, 99);
+}
+
+/// PolarRecv rebuilds a page it cannot trust from storage and durable
+/// redo, whatever its CXL bytes hold: one left write-latched at the
+/// crash, and one whose last update's redo never became durable (§3.2
+/// challenge 4, the "too new" page).
+#[test]
+fn untrusted_page_is_rebuilt_from_durable_redo() {
+    for latched in [true, false] {
+        let mut db = (POLARRECV.build)();
+        let t = db.update(7, 0, &[0x31; 8], SimTime::ZERO).1;
+        let t = if latched {
+            // Die inside a write-latch window on key 7's leaf: the page
+            // the committed update stamped.
+            let lsn = Some(db.wal.max_assigned_lsn());
+            let leaf = (0..db.pool.store().allocated_pages())
+                .map(PageId)
+                .find(|&p| db.pool.page_lsn(p) == lsn)
+                .expect("the update stamped key 7's leaf");
+            db.pool.set_latch(leaf, true, t)
+        } else {
+            // The mtr commits (latch cleared), but its redo is never
+            // flushed: the page is too new for the durable log.
+            db.update_no_commit(7, 0, &[0x32; 8], t).1
+        };
+        db.crash();
+        let report = recover_polar(&mut db, t);
+        assert!(
+            report.pages_rebuilt >= 1,
+            "latched {latched}: the untrusted page must be rebuilt"
+        );
+        let (got, _) = db.table.get(&mut db.pool, 7, SimTime::ZERO);
+        assert_eq!(
+            &got.unwrap()[0..8],
+            &[0x31; 8],
+            "latched {latched}: only durable state survives"
+        );
+    }
 }
