@@ -24,30 +24,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of host threads worth using for sweeps: the machine's
-/// available parallelism, overridable with the `SWEEP_THREADS`
-/// environment variable (useful for A/B-ing the runner itself).
+/// available parallelism.
 pub fn host_threads() -> usize {
-    threads_from_env("SWEEP_THREADS")
-}
-
-/// What the value of a thread-count environment variable means: the
-/// number it spells (surrounding whitespace ignored, clamped to ≥ 1), or
-/// `None` when it spells none.
-fn parse_threads(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().map(|n| n.max(1))
-}
-
-/// Worker count named by the environment variable `var`, or the
-/// machine's available parallelism when it is unset or not a number.
-fn threads_from_env(var: &str) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| parse_threads(&v))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Run `f` over every configuration using [`host_threads`] workers,
@@ -134,15 +113,5 @@ mod tests {
     fn more_threads_than_configs() {
         let out = run_sweep_threads(&[1u32, 2], 16, |&c| c);
         assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn thread_counts_parse_trimmed_and_clamped() {
-        assert_eq!(parse_threads("2"), Some(2));
-        assert_eq!(parse_threads(" 2 \n"), Some(2));
-        assert_eq!(parse_threads("0"), Some(1));
-        assert_eq!(parse_threads(""), None);
-        assert_eq!(parse_threads("two"), None);
-        assert_eq!(parse_threads("-1"), None);
     }
 }

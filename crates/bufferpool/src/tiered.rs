@@ -401,19 +401,15 @@ impl FramedPool for TieredRdmaBp {
             // write amplification.
             self.stats.writebacks += 1;
             let ps = self.store.page_size() as usize;
-            let landed = self
+            let a = self
                 .rdma
                 .borrow_mut()
                 .write_timing(self.host, ps as u64, now);
             self.stats.remote_write_bytes += ps as u64;
-            // A dead host's write never landed: do not advertise the
-            // remote copy as (newly) current.
-            if let Some(a) = landed {
-                self.land_own_lines(frame, page);
-                self.remote_resident[page.0 as usize] = true;
-                self.remote_dirty.insert(page);
-                return a.end;
-            }
+            self.land_own_lines(frame, page);
+            self.remote_resident[page.0 as usize] = true;
+            self.remote_dirty.insert(page);
+            return a.end;
         }
         now
     }

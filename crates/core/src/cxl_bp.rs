@@ -713,8 +713,8 @@ mod tests {
         // The host dies at the unlatch's second flush: the range pushed
         // first is in the region, the one pushed second is not.
         faults::install(FaultPlan::Crash(Trigger::SiteHit(FaultSite::Clflush, 1)));
-        bp.set_latch(PageId(1), false, SimTime::ZERO);
-        assert!(faults::crashed());
+        let crash = faults::catch(|| bp.set_latch(PageId(1), false, SimTime::ZERO));
+        assert_eq!(crash, Err(faults::Crashed));
         faults::clear();
         bp.crash();
         assert_eq!(region_bytes(&bp, b1, [0, 128]), [0x11, 2]);

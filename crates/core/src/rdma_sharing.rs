@@ -19,7 +19,6 @@
 //! served in place from the remote region, and a write is a small
 //! pending store that `publish` lands there.
 
-use bufferpool::lru::LruList;
 use bufferpool::policy::PolicyKind;
 use bufferpool::tiered::SharedRdma;
 use bufferpool::Residency;
@@ -66,9 +65,7 @@ pub struct RdmaDbp {
     nslots: u32,
     page_size: u64,
     map: FastMap<PageId, SlotInfo>,
-    slot_page: Vec<Option<PageId>>,
     free: Vec<u32>,
-    lru: LruList,
     store: SharedStore,
     stats: RdmaDbpStats,
 }
@@ -84,7 +81,9 @@ impl std::fmt::Debug for RdmaDbp {
 }
 
 impl RdmaDbp {
-    /// Create the DBP server over `nslots` remote slots at `slot_base`.
+    /// Create the DBP server over `nslots` remote slots at `slot_base`,
+    /// one per page its nodes will touch: a slot is never recycled (see
+    /// [`RdmaDbp::request_page`]).
     pub fn new(
         rdma: SharedRdma,
         server_host: usize,
@@ -100,9 +99,7 @@ impl RdmaDbp {
             nslots,
             page_size,
             map: FastMap::default(),
-            slot_page: vec![None; nslots as usize],
             free: (0..nslots).rev().collect(),
-            lru: LruList::new(nslots as usize),
             store,
             stats: RdmaDbpStats::default(),
         }
@@ -119,6 +116,11 @@ impl RdmaDbp {
 
     /// Resolve `page` to its remote address for `node`, faulting it in
     /// from storage when absent.
+    ///
+    /// # Panics
+    /// When the page is absent and every slot holds another page. Nodes
+    /// cache resolved addresses and are never told of a move, so handing
+    /// a slot to a new page would serve it to them under the old one.
     pub fn request_page(&mut self, page: PageId, node: NodeId, now: SimTime) -> (u64, SimTime) {
         let mut t = rpc_round_trip(now);
         self.stats.rpcs += 1;
@@ -126,32 +128,23 @@ impl RdmaDbp {
             if !info.active.contains(&node) {
                 info.active.push(node);
             }
-            self.lru.touch(info.slot);
             info.slot
         } else {
-            let slot = if let Some(s) = self.free.pop() {
-                s
-            } else {
-                let victim = self.lru.pop_back().expect("nonempty LRU");
-                let vpage = self.slot_page[victim as usize]
-                    .take()
-                    .expect("page in slot");
-                self.map.remove(&vpage);
-                victim
+            let Some(slot) = self.free.pop() else {
+                panic!(
+                    "the DBP is full: all {} slots hold pages, none is free for {page:?}",
+                    self.nslots
+                );
             };
             // Storage reads straight into the slot; the server's NIC is
-            // charged the page write that models the move. The bytes stay
-            // even if that write meets a dead host: the directory naming
-            // the slot dies with it, and a new server refills before use.
+            // charged the page write that models the move.
             let mut rdma = self.rdma.borrow_mut();
             let dst = rdma
                 .raw_mut()
                 .slice_mut(self.slot_addr(slot), self.page_size as usize);
             t = self.store.borrow_mut().read_page(page, dst, t).end;
             self.stats.storage_fills += 1;
-            if let Some(a) = rdma.write_timing(self.server_host, self.page_size, t) {
-                t = a.end;
-            }
+            t = rdma.write_timing(self.server_host, self.page_size, t).end;
             drop(rdma);
             self.map.insert(
                 page,
@@ -160,8 +153,6 @@ impl RdmaDbp {
                     active: vec![node],
                 },
             );
-            self.slot_page[slot as usize] = Some(page);
-            self.lru.push_front(slot);
             slot
         };
         (self.slot_addr(slot), t)
@@ -504,8 +495,7 @@ impl RdmaSharingNode {
     /// The write-back half of a publish: if `page` is dirty, charge the
     /// **whole page** to this node's NIC and land its pending stores —
     /// the only bytes in which the modelled local copy differs from the
-    /// DBP's. A dead host's write-back lands nothing; the stores are
-    /// dropped either way.
+    /// DBP's.
     fn flush_resident<R: RdmaFabric>(
         &mut self,
         fabric: &mut R,
@@ -516,18 +506,16 @@ impl RdmaSharingNode {
             return now;
         }
         let addr = *self.addrs.get(&page).expect("dirty page has an address");
-        let landed = fabric.write_timing(self.host, self.page_size, now);
+        let a = fabric.write_timing(self.host, self.page_size, now);
         self.stats.page_writes += 1;
-        if landed.is_some() {
-            for s in self.pending.iter().filter(|s| s.page == page) {
-                fabric.poke(addr + s.off, &self.pending_bytes[s.bytes.clone()]);
-            }
+        for s in self.pending.iter().filter(|s| s.page == page) {
+            fabric.poke(addr + s.off, &self.pending_bytes[s.bytes.clone()]);
         }
         self.pending.retain(|s| s.page != page);
         if self.pending.is_empty() {
             self.pending_bytes.clear();
         }
-        landed.map_or(now, |a| a.end)
+        a.end
     }
 
     /// Phase-capable [`publish`](Self::publish): the page write-back
@@ -784,11 +772,12 @@ mod tests {
         let (mut server, mut n0, _) = setup(4);
         let t = n0.write(&mut server, PageId(1), 0, &[0x77; 16], SimTime::ZERO);
         let nic_before = server.fabric().borrow().nic_bytes(0);
-        // The publish's first gate poll kills the host.
+        // The publish's first gate poll kills the host: it unwinds before
+        // the write-back is timed or lands.
         faults::install(FaultPlan::crash_at_hit(0));
-        let (_, done) = n0.publish(&mut server, PageId(1), t);
+        let crash = faults::catch(|| n0.publish(&mut server, PageId(1), t));
+        assert!(crash.is_err());
         faults::clear();
-        assert_eq!(done, t, "a dead host is not timed");
         let pool = server.fabric().borrow();
         assert_eq!(pool.nic_bytes(0), nic_before);
         let slot = pool.raw().slice(n0.addrs[&PageId(1)], 1024);
@@ -947,22 +936,16 @@ mod tests {
     }
 
     #[test]
-    fn dbp_slot_pressure_recycles() {
+    #[should_panic(expected = "the DBP is full")]
+    fn a_full_dbp_refuses_a_new_page() {
         let (server, mut n0, _) = setup(4);
-        // 32 slots but only 16 pages allocated; force pressure with a
-        // smaller server.
+        // Two slots for three pages.
         let rdma = Rc::clone(server.fabric());
         let mut small = RdmaDbp::new(rdma, 2, 0, 2, Rc::clone(&server.store));
         drop(server);
         let mut buf = [0u8; 1];
-        n0.read(&mut small, PageId(0), 0, &mut buf, SimTime::ZERO);
-        n0.invalidate_local(PageId(0)); // keep LBP out of the picture
-        n0.addrs.clear();
-        n0.read(&mut small, PageId(1), 0, &mut buf, SimTime::ZERO);
-        n0.invalidate_local(PageId(1));
-        n0.addrs.clear();
-        n0.read(&mut small, PageId(2), 0, &mut buf, SimTime::ZERO);
-        assert_eq!(small.stats().storage_fills, 3);
-        assert_eq!(small.map.len(), 2);
+        for p in 0..3 {
+            n0.read(&mut small, PageId(p), 0, &mut buf, SimTime::ZERO);
+        }
     }
 }

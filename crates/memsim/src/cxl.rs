@@ -237,30 +237,6 @@ impl Port<'_> {
         }
     }
 
-    /// Serve a read from the host's frozen post-crash view: cached line
-    /// data where the (captured) cache still holds it, device bytes
-    /// elsewhere — with no cache, LRU or link mutation and no timing.
-    #[cold]
-    fn frozen_read(&mut self, off: u64, dst: Option<&mut [u8]>, now: SimTime) -> Access {
-        if let Some(buf) = dst {
-            self.mem.read(off, buf);
-            if self.cache.captures() {
-                let end_off = off + buf.len() as u64;
-                for line in line_range(off, buf.len()) {
-                    let line_start = line * CACHE_LINE;
-                    let copy_from = off.max(line_start);
-                    let copy_to = end_off.min(line_start + CACHE_LINE);
-                    if let Some(data) = self.cache.line(line) {
-                        let s = (copy_from - line_start) as usize;
-                        let dst = &mut buf[(copy_from - off) as usize..(copy_to - off) as usize];
-                        dst.copy_from_slice(&data[s..s + dst.len()]);
-                    }
-                }
-            }
-        }
-        Access::free(now)
-    }
-
     /// Cached read of `len` bytes at `off`: the fault gate, the cache
     /// model, the link and switch charges, and — in capture mode — the
     /// line fills, whether or not anyone wants the bytes. `dst`, when
@@ -268,9 +244,7 @@ impl Port<'_> {
     /// timing plane alone ([`CxlPool::read_timing`]).
     fn read(&mut self, off: u64, len: usize, mut dst: Option<&mut [u8]>, now: SimTime) -> Access {
         debug_assert!(dst.as_ref().is_none_or(|buf| buf.len() == len));
-        if faults::gate(FaultSite::CxlRead) != Verdict::Run {
-            return self.frozen_read(off, dst, now);
-        }
+        faults::gate(FaultSite::CxlRead);
         if !self.cache.captures() {
             // Timing-mode fast path: one tag sweep over the whole run, one
             // bulk copy, one link charge. In timing mode the region always
@@ -335,10 +309,6 @@ impl Port<'_> {
     /// Cached write of `data` at `off` (write-allocate, write-back:
     /// dirty lines stay in the node's cache).
     fn write(&mut self, off: u64, data: &[u8], now: SimTime) -> Access {
-        if faults::crashed() {
-            // Dead host: its stores touch neither cache nor device.
-            return Access::free(now);
-        }
         if !self.cache.captures() {
             // Timing-mode fast path (see `read`). The only per-line detail
             // that survives batching is write-allocate accounting: a missed
@@ -407,11 +377,6 @@ impl Port<'_> {
     /// Uncached read (metadata flags): always goes to the device,
     /// observing other nodes' non-temporal stores immediately.
     fn read_uncached(&mut self, off: u64, buf: &mut [u8], now: SimTime) -> Access {
-        if faults::crashed() {
-            // Dead host: the device view is frozen; serve it untimed.
-            self.mem.read(off, buf);
-            return Access::free(now);
-        }
         // Drop any locally cached copies so a later cached read refetches.
         for line in line_range(off, buf.len()) {
             if self.cache.clflush(line) {
@@ -426,13 +391,10 @@ impl Port<'_> {
     /// Uncached (non-temporal) store: bytes land in the device directly
     /// and become visible to every node; local cache copies are dropped.
     fn write_uncached(&mut self, off: u64, data: &[u8], now: SimTime) -> Access {
-        if faults::gate(FaultSite::CxlNtStore) != Verdict::Run {
-            // Dead (or the crash landed on this very store): the
-            // non-temporal store never reaches the device. Crashing
-            // between the ntstores of a list splice is exactly how a
-            // torn `list_lock != 0` state arises.
-            return Access::free(now);
-        }
+        // A crash here unwinds before the store reaches the device.
+        // Crashing between the ntstores of a list splice is exactly how
+        // a torn `list_lock != 0` state arises.
+        faults::gate(FaultSite::CxlNtStore);
         for line in line_range(off, data.len()) {
             // An ntstore invalidates the local cached copy. A *dirty*
             // overlapping line must be written back first: the store may
@@ -450,12 +412,8 @@ impl Port<'_> {
     /// `clflush` the byte range: write back dirty lines and invalidate all
     /// cached lines (the §3.3 protocol's publish / self-invalidate step).
     fn clflush(&mut self, off: u64, len: usize, now: SimTime) -> Access {
-        match faults::gate(FaultSite::Clflush) {
-            Verdict::Run => {}
-            Verdict::Partial { keep_lines } => {
-                return self.partial_clflush(off, len, keep_lines, now)
-            }
-            _ => return Access::free(now),
+        if let Verdict::Partial { keep_lines } = faults::gate(FaultSite::Clflush) {
+            self.partial_clflush(off, len, keep_lines);
         }
         let mut flushed = 0u64;
         let mut issued = 0u64;
@@ -471,11 +429,10 @@ impl Port<'_> {
     }
 
     /// A clflush torn `keep_lines` dirty lines in: those lines reach the
-    /// device, the rest stay unflushed in the (dying) CPU cache.
-    /// Injected by [`simkit::faults`]; the caller observes the crash via
-    /// [`simkit::faults::crashed`] and runs the real crash path.
+    /// device, the rest stay unflushed in the dying CPU cache, and the
+    /// crash unwinds to the harness ([`simkit::faults::unwind`]).
     #[cold]
-    fn partial_clflush(&mut self, off: u64, len: usize, keep_lines: u64, now: SimTime) -> Access {
+    fn partial_clflush(&mut self, off: u64, len: usize, keep_lines: u64) -> ! {
         let mut flushed = 0u64;
         for line in line_range(off, len) {
             if flushed >= keep_lines {
@@ -486,16 +443,13 @@ impl Port<'_> {
                 self.write_back(line);
             }
         }
-        Access::free(now)
+        faults::unwind()
     }
 
     /// Invalidate (without writeback) every cached line of the range —
     /// the reader-side step after observing an `invalid` flag (§3.3: the
     /// lines are clean because writers hold the page lock exclusively).
     fn invalidate(&mut self, off: u64, len: usize, now: SimTime) -> Access {
-        if faults::crashed() {
-            return Access::free(now);
-        }
         let lines = line_range(off, len);
         let issued = lines.end - lines.start;
         self.cache.invalidate_run(lines);
@@ -857,9 +811,6 @@ impl CxlPool {
     /// this method.
     pub fn write_coherent(&mut self, node: NodeId, off: u64, data: &[u8], now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::CxlMem);
-        if faults::crashed() {
-            return Access::free(now);
-        }
         // Back-invalidate sharers first, then let the shared tail write
         // the device and refresh the writer's copy: snoops touch only
         // other nodes' caches and the writer's accesses touch only its
@@ -1473,8 +1424,8 @@ mod tests {
             nth: 0,
             keep_lines: 1,
         });
-        p.clflush(NodeId(0), 0, 192, SimTime::ZERO);
-        assert!(faults::crashed());
+        let crash = faults::catch(|| p.clflush(NodeId(0), 0, 192, SimTime::ZERO));
+        assert_eq!(crash, Err(faults::Crashed));
         faults::clear();
         p.crash_node(NodeId(0)); // unflushed dirty lines die with the host
         assert_eq!(p.raw().slice(0, 1), &[0xAA], "first line made it");
@@ -1483,26 +1434,33 @@ mod tests {
     }
 
     #[test]
-    fn dead_host_sees_frozen_view_without_mutation() {
-        use simkit::faults::{self, FaultPlan};
+    fn a_crash_unwinds_at_its_site_and_lands_nothing_after() {
+        use simkit::faults::{self, FaultPlan, FaultSite, Trigger};
         faults::clear();
         let mut p = pool(true);
         p.write(NodeId(0), 0, &[7; 64], SimTime::ZERO); // dirty in cache
-        faults::install(FaultPlan::crash_at_hit(0));
-        // First poll (this read) crashes the host; the frozen view still
-        // includes its own cached dirty line.
+        let cache = p.cache_stats(NodeId(0));
+        // The host dies at its first non-temporal store: the earlier
+        // cached read runs, the store and everything after it do not.
+        faults::install(FaultPlan::Crash(Trigger::SiteHit(FaultSite::CxlNtStore, 0)));
         let mut buf = [0u8; 64];
-        let a = p.read(NodeId(0), 0, &mut buf, SimTime(4));
-        assert_eq!(a.end, SimTime(4));
-        assert_eq!(buf, [7; 64]);
-        // A dead timing-only read is as inert.
-        assert_eq!(p.read_timing(NodeId(0), 0, 64, SimTime(4)).end, SimTime(4));
-        // Dead stores and flushes are inert.
-        p.write(NodeId(0), 0, &[9; 64], SimTime(4));
-        p.write_uncached(NodeId(0), 0, &[9; 64], SimTime(4));
-        p.clflush(NodeId(0), 0, 64, SimTime(4));
-        assert_eq!(p.raw().slice(0, 1), &[0], "device never saw any store");
+        let mut reached = 0;
+        let crash = faults::catch(|| {
+            p.read(NodeId(0), 0, &mut buf, SimTime(4));
+            reached += 1;
+            p.write_uncached(NodeId(0), 64, &[9; 64], SimTime(4));
+            reached += 1;
+        });
+        assert_eq!(crash, Err(faults::Crashed));
+        assert_eq!((reached, buf), (1, [7; 64]));
+        // Every later gate unwinds too, until the plan is cleared.
+        let again = faults::catch(|| p.clflush(NodeId(0), 0, 64, SimTime(4)));
+        assert_eq!(again, Err(faults::Crashed));
+        assert_eq!(faults::stats().total_hits(), 2);
         faults::clear();
+        assert_eq!(p.raw().slice(0, 1), &[0], "the dirty line never landed");
+        assert_eq!(p.raw().slice(64, 1), &[0], "the store never landed");
+        assert_eq!(p.cache_stats(NodeId(0)).hits, cache.hits + 1);
     }
 
     #[test]

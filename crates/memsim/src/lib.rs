@@ -50,19 +50,6 @@ pub struct Access {
     pub misses: u64,
 }
 
-impl Access {
-    /// A free access completing instantly at `now` (used for zero-length
-    /// operations).
-    pub fn free(now: SimTime) -> Self {
-        Access {
-            end: now,
-            link_bytes: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
 pub use cache::{Cache, CacheStats};
 pub use cxl::{CxlFabric, CxlNodeConfig, CxlPool, CxlShard};
 pub use dram::DramSpace;

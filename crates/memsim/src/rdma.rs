@@ -12,7 +12,7 @@ use crate::calib::{RDMA_NIC_GBPS, RDMA_PER_OP_NS, RDMA_READ_BASE_NS, RDMA_WRITE_
 use crate::region::Region;
 use crate::shard::{RegionReader, WriteLog};
 use crate::Access;
-use simkit::faults::{self, FaultSite, Verdict};
+use simkit::faults::{self, FaultSite};
 use simkit::trace::{self, Lane, SpanKind};
 use simkit::{Link, LinkFork, SimTime};
 
@@ -39,8 +39,8 @@ const PAGE_OUT: (FaultSite, SpanKind) = (FaultSite::RdmaWrite, SpanKind::RdmaPag
 
 /// Gate the direction's site, then charge `len` bytes to a NIC pipe:
 /// the one gate/charge body behind every bulk transfer of the pool and
-/// of a shard. Moves no bytes. `None` means the host is dead: nothing
-/// is timed or queued, and a write must not reach the remote node.
+/// of a shard. Moves no bytes. A crash at the gate unwinds before
+/// anything is timed, so a write never reaches the remote node.
 #[inline]
 fn gated_transfer(
     link: &mut Link,
@@ -48,20 +48,15 @@ fn gated_transfer(
     host: usize,
     len: u64,
     now: SimTime,
-) -> Option<Access> {
-    match faults::gate(site) {
-        Verdict::Run => Some(charge_nic(link, kind, host, len, now)),
-        _ => None,
-    }
+) -> Access {
+    faults::gate(site);
+    charge_nic(link, kind, host, len, now)
 }
 
 /// A small control message on a NIC's tx pipe — costs a round trip but
 /// no bulk bandwidth. Shared body of [`RdmaPool::message`] and
 /// [`RdmaShard::message`].
 fn message_on(tx: &mut Link, host: usize, now: SimTime) -> SimTime {
-    if faults::crashed() {
-        return now;
-    }
     let end = tx.transfer(now, 64).end;
     trace::attr_add(Lane::RdmaNic, end.saturating_since(now));
     trace::span(SpanKind::RdmaMsg, host as u32, now, end, 64);
@@ -77,13 +72,11 @@ fn message_on(tx: &mut Link, host: usize, now: SimTime) -> SimTime {
 /// bytes and cost nothing — so a caller can model a whole-page transfer
 /// while touching only the bytes it needs.
 pub trait RdmaFabric {
-    /// Charge a `len`-byte RDMA read to `host`'s NIC. A dead host is
-    /// neither timed nor queued.
+    /// Charge a `len`-byte RDMA read to `host`'s NIC.
     fn read_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access;
-    /// Charge a `len`-byte RDMA write to `host`'s NIC. `None`: the host
-    /// is dead, the write never reaches the remote node and the caller
-    /// must [`poke`](Self::poke) nothing.
-    fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Option<Access>;
+    /// Charge a `len`-byte RDMA write to `host`'s NIC. A crash here
+    /// unwinds before the caller can [`poke`](Self::poke) the bytes.
+    fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access;
     /// Untimed copy of the remote bytes at `off` as this view sees them:
     /// its own stores at once, peers' stores once they landed.
     fn peek(&self, off: u64, buf: &mut [u8]);
@@ -147,24 +140,18 @@ impl RdmaPool {
     }
 
     /// RDMA read: copy `buf.len()` bytes from remote `off` into `buf`
-    /// over `host`'s NIC. A dead host still sees the remote node's
-    /// (surviving) bytes.
+    /// over `host`'s NIC.
     pub fn read(&mut self, host: usize, off: u64, buf: &mut [u8], now: SimTime) -> Access {
         let a = self.read_timing(host, buf.len() as u64, now);
         self.region.read(off, buf);
         a
     }
 
-    /// RDMA write: copy `data` to remote `off` over `host`'s NIC. A dead
-    /// host's writes never reach the remote node.
+    /// RDMA write: copy `data` to remote `off` over `host`'s NIC.
     pub fn write(&mut self, host: usize, off: u64, data: &[u8], now: SimTime) -> Access {
-        match self.write_timing(host, data.len() as u64, now) {
-            Some(a) => {
-                self.region.write(off, data);
-                a
-            }
-            None => Access::free(now),
-        }
+        let a = self.write_timing(host, data.len() as u64, now);
+        self.region.write(off, data);
+        a
     }
 
     /// A small control message (e.g. a page-invalidation RPC in the
@@ -247,9 +234,9 @@ impl RdmaPool {
 
 impl RdmaFabric for RdmaPool {
     fn read_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access {
-        gated_transfer(&mut self.nics[host].0, PAGE_IN, host, len, now).unwrap_or(Access::free(now))
+        gated_transfer(&mut self.nics[host].0, PAGE_IN, host, len, now)
     }
-    fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Option<Access> {
+    fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access {
         gated_transfer(&mut self.nics[host].1, PAGE_OUT, host, len, now)
     }
     fn peek(&self, off: u64, buf: &mut [u8]) {
@@ -290,10 +277,10 @@ impl RdmaShard {
 impl RdmaFabric for RdmaShard {
     fn read_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access {
         debug_assert_eq!(host, self.host);
-        gated_transfer(&mut self.rx, PAGE_IN, host, len, now).unwrap_or(Access::free(now))
+        gated_transfer(&mut self.rx, PAGE_IN, host, len, now)
     }
 
-    fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Option<Access> {
+    fn write_timing(&mut self, host: usize, len: u64, now: SimTime) -> Access {
         debug_assert_eq!(host, self.host);
         gated_transfer(&mut self.tx, PAGE_OUT, host, len, now)
     }
@@ -335,19 +322,22 @@ mod tests {
     }
 
     #[test]
-    fn dead_host_rdma_is_frozen() {
+    fn a_crash_at_a_write_lands_nothing() {
         use simkit::faults::{self, FaultPlan};
         faults::clear();
         let mut p = RdmaPool::new(1 << 20, 1);
         p.write(0, 0, b"keep", SimTime::ZERO);
+        let nic = p.nic_bytes(0);
         faults::install(FaultPlan::crash_at_hit(0));
-        // First gate poll crashes the host: the write must not land.
-        p.write(0, 0, b"lost", SimTime(9));
-        let mut buf = [0u8; 4];
-        let a = p.read(0, 0, &mut buf, SimTime(9));
-        assert_eq!(&buf, b"keep");
-        assert_eq!(a.end, SimTime(9));
+        // The first gate poll crashes the host: the write unwinds before
+        // it is timed or lands.
+        let crash = faults::catch(|| p.write(0, 0, b"lost", SimTime(9)));
+        assert_eq!(crash, Err(faults::Crashed));
         faults::clear();
+        let mut buf = [0u8; 4];
+        p.read(0, 0, &mut buf, SimTime(9));
+        assert_eq!(&buf, b"keep");
+        assert_eq!(p.nic_bytes(0), nic + 4, "only the read was charged");
     }
 
     #[test]

@@ -6,19 +6,25 @@
 //! crash — the adversary PolarRecv's safety claim is about — by global
 //! or per-site hit index, and is installed per thread. Every leaf
 //! primitive a host crash can interrupt polls [`gate`] at its injection
-//! [`FaultSite`] and obeys the returned [`Verdict`]. The crash takes
-//! one of three shapes:
+//! [`FaultSite`]. The crash takes one of three shapes:
 //!
 //! - **Torn WAL flush** — only a prefix of the *n*-th WAL flush becomes
 //!   durable before the host dies (a torn multi-block log write).
 //! - **Partial clflush** — only the first *k* dirty cache lines of the
 //!   *n*-th clflush reach the CXL box before the host dies (a torn
 //!   multi-cacheline flush, the §3.3 protocol's adversary).
-//! - **Crash** — the host dies at the *n*-th site hit. After a crash
-//!   every subsequent gate returns [`Verdict::Dead`]: durable-boundary
-//!   mutators become no-ops and reads serve the frozen pre-crash view,
-//!   so the in-flight statement completes harmlessly and the harness
-//!   then discards all volatile state via the normal crash path.
+//! - **Crash** — the host dies at the *n*-th site hit, before that
+//!   primitive does anything.
+//!
+//! A crash is an instant, not a mode: it ends the host's execution. The
+//! gate records where it landed and unwinds with the [`Crashed`]
+//! payload; a torn or partial site first lands its prefix, then calls
+//! the same [`unwind`]. Nothing runs on the dead host, so no layer
+//! below the harness has a dead-host path: the harness [`catch`]es the
+//! payload and runs the normal crash path (the pool's `crash`, then
+//! recovery). Until [`install`] or [`clear`], every later gate unwinds
+//! again. A plan therefore needs the default `panic = "unwind"`; no
+//! build here sets `abort`, and the ledger never installs a plan.
 //!
 //! Discipline (same as the tracer's):
 //!
@@ -83,22 +89,22 @@ impl FaultSite {
     ];
 }
 
-/// What the polled primitive must do.
+/// What the polled primitive must do. A plain crash returns none: the
+/// gate unwinds instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// No fault: execute normally.
     Run,
-    /// The host has already crashed: mutators of durable state are
-    /// no-ops, reads serve the frozen pre-crash view, nothing is timed.
-    Dead,
     /// Torn WAL flush: only the first `keep_bytes` bytes of the flushed
-    /// buffer become durable, then the host is dead.
+    /// buffer become durable; the site lands them, then calls
+    /// [`unwind`].
     Torn {
         /// Durable prefix length in bytes (clamped by the flush size).
         keep_bytes: u64,
     },
     /// Partial clflush: only the first `keep_lines` dirty lines of this
-    /// flush reach the device, then the host is dead.
+    /// flush reach the device; the site lands them, then calls
+    /// [`unwind`].
     Partial {
         /// Cache lines that complete before the crash.
         keep_lines: u64,
@@ -126,8 +132,8 @@ pub enum FaultPlan {
     /// Count polls only.
     #[default]
     NoCrash,
-    /// Kill the host at the triggering poll (subsequent gates return
-    /// [`Verdict::Dead`]).
+    /// Kill the host at the triggering poll, before that primitive
+    /// does anything.
     Crash(Trigger),
     /// Tear the `nth` WAL flush at a byte boundary, then kill the host.
     TornWalFlush {
@@ -154,7 +160,7 @@ impl FaultPlan {
 }
 
 /// What the installed plan has done so far. Counters freeze at the
-/// crash instant (post-crash [`Verdict::Dead`] polls are not counted).
+/// crash instant (a gate reached after it unwinds uncounted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Gate polls per site, indexed by [`FaultSite`] (see
@@ -177,9 +183,6 @@ impl FaultStats {
 // The per-thread engine.
 // ---------------------------------------------------------------------------
 
-const ACTIVE: u8 = 1 << 0;
-const CRASHED: u8 = 1 << 1;
-
 struct Engine {
     plan: FaultPlan,
     stats: FaultStats,
@@ -199,42 +202,35 @@ impl Engine {
 }
 
 use std::cell::{Cell, RefCell};
+use std::panic::{self, AssertUnwindSafe};
 
 thread_local! {
-    static FLAGS: Cell<u8> = const { Cell::new(0) };
+    static ARMED: Cell<bool> = const { Cell::new(false) };
     static ENGINE: RefCell<Engine> = const { RefCell::new(Engine::empty()) };
 }
 
 /// Install a fault plan on this thread (replacing any previous one) and
-/// arm the gates. Counters start from zero; the crashed flag is
-/// cleared.
+/// arm the gates. Counters start from zero and the host lives again.
 pub fn install(plan: FaultPlan) {
     ENGINE.with(|e| {
         let mut e = e.borrow_mut();
         *e = Engine::empty();
         e.plan = plan;
     });
-    FLAGS.with(|f| f.set(ACTIVE));
+    ARMED.with(|a| a.set(true));
 }
 
 /// Disarm fault injection on this thread and drop the plan. Gates go
 /// back to the single-flag-test fast path.
 pub fn clear() {
-    FLAGS.with(|f| f.set(0));
+    ARMED.with(|a| a.set(false));
     ENGINE.with(|e| *e.borrow_mut() = Engine::empty());
 }
 
 /// Whether a plan is installed on this thread.
 #[inline]
 pub fn active() -> bool {
-    FLAGS.with(|f| f.get()) & ACTIVE != 0
-}
-
-/// Whether the installed plan has killed the host. The harness polls
-/// this between statements and then runs the real crash path.
-#[inline]
-pub fn crashed() -> bool {
-    FLAGS.with(|f| f.get()) & CRASHED != 0
+    ARMED.with(Cell::get)
 }
 
 /// Snapshot of the installed plan's counters.
@@ -242,12 +238,39 @@ pub fn stats() -> FaultStats {
     ENGINE.with(|e| e.borrow().stats)
 }
 
+/// The payload a host crash unwinds with. [`catch`] tells it apart from
+/// any other panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crashed;
+
+/// End the host's execution: unwind to the harness's [`catch`] with the
+/// [`Crashed`] payload. `resume_unwind` runs no panic hook, so a crash
+/// prints nothing. A torn or partial site calls this after landing its
+/// prefix; plain crashes unwind from [`gate`] itself.
+pub fn unwind() -> ! {
+    panic::resume_unwind(Box::new(Crashed))
+}
+
+/// Run `f`, the host's work under an installed plan: `Err(Crashed)` when
+/// the plan's crash unwound out of it. Any other panic propagates, so a
+/// bug on a crash path still fails its test. What `f` borrows is taken
+/// as unwind-safe because the caller's crash path discards every
+/// volatile part of it: that is the crash model itself.
+pub fn catch<R>(f: impl FnOnce() -> R) -> Result<R, Crashed> {
+    match panic::catch_unwind(AssertUnwindSafe(f)) {
+        Ok(r) => Ok(r),
+        Err(payload) if payload.is::<Crashed>() => Err(Crashed),
+        Err(payload) => panic::resume_unwind(payload),
+    }
+}
+
 /// Poll the fault engine at an injection site. One inlined thread-local
 /// flag test when no plan is installed; otherwise the slow path counts
-/// the hit and matches it against the plan.
+/// the hit and matches it against the plan. A plain crash here unwinds
+/// and never returns; a torn or partial one returns its shape.
 #[inline]
 pub fn gate(site: FaultSite) -> Verdict {
-    if FLAGS.with(|f| f.get()) == 0 {
+    if !active() {
         return Verdict::Run;
     }
     gate_slow(site)
@@ -255,39 +278,41 @@ pub fn gate(site: FaultSite) -> Verdict {
 
 #[cold]
 fn gate_slow(site: FaultSite) -> Verdict {
-    // Only `install` sets `ACTIVE` and `CRASHED` never comes without it,
-    // so a non-zero flag word means a plan is armed.
-    if crashed() {
-        return Verdict::Dead;
-    }
-    ENGINE.with(|e| {
+    let (fires, shape) = ENGINE.with(|e| {
         let mut e = e.borrow_mut();
+        if e.stats.crash_hit.is_some() {
+            // Nothing runs on a dead host; the counters stay frozen.
+            return (true, Verdict::Run);
+        }
         let idx = e.stats.total_hits();
         let site_idx = e.stats.hits[site as usize];
         e.stats.hits[site as usize] += 1;
-
-        let verdict = match e.plan {
-            FaultPlan::Crash(Trigger::HitIndex(n)) if n == idx => Verdict::Dead,
-            FaultPlan::Crash(Trigger::SiteHit(s, n)) if s == site && n == site_idx => Verdict::Dead,
-            FaultPlan::TornWalFlush { nth, keep_bytes }
-                if site == FaultSite::WalFlush && nth == site_idx =>
-            {
-                Verdict::Torn { keep_bytes }
-            }
-            FaultPlan::PartialClflush { nth, keep_lines }
-                if site == FaultSite::Clflush && nth == site_idx =>
-            {
-                Verdict::Partial { keep_lines }
-            }
-            _ => return Verdict::Run,
+        // A plain crash keeps none of the primitive (`Run` stands for
+        // "no prefix"); a torn or partial one keeps its prefix.
+        let (fires, shape) = match e.plan {
+            FaultPlan::NoCrash => (false, Verdict::Run),
+            FaultPlan::Crash(Trigger::HitIndex(n)) => (n == idx, Verdict::Run),
+            FaultPlan::Crash(Trigger::SiteHit(s, n)) => (s == site && n == site_idx, Verdict::Run),
+            FaultPlan::TornWalFlush { nth, keep_bytes } => (
+                site == FaultSite::WalFlush && nth == site_idx,
+                Verdict::Torn { keep_bytes },
+            ),
+            FaultPlan::PartialClflush { nth, keep_lines } => (
+                site == FaultSite::Clflush && nth == site_idx,
+                Verdict::Partial { keep_lines },
+            ),
         };
-        // The crash freezes the counters: later polls see `CRASHED`
-        // and never reach the plan again.
-        e.stats.crash_hit = Some(idx);
-        e.stats.crash_site = Some(site);
-        FLAGS.with(|f| f.set(f.get() | CRASHED));
-        verdict
-    })
+        if fires {
+            e.stats.crash_hit = Some(idx);
+            e.stats.crash_site = Some(site);
+        }
+        (fires, shape)
+    });
+    match (fires, shape) {
+        (false, _) => Verdict::Run,
+        (true, Verdict::Run) => unwind(),
+        (true, shape) => shape,
+    }
 }
 
 #[cfg(test)]
@@ -304,7 +329,6 @@ mod tests {
         assert_eq!(gate(FaultSite::WalFlush), Verdict::Run);
         assert_eq!(stats().total_hits(), 0);
         assert!(!active());
-        assert!(!crashed());
     }
 
     #[test]
@@ -327,12 +351,17 @@ mod tests {
     fn crash_at_hit_kills_and_freezes_counters() {
         drain();
         install(FaultPlan::crash_at_hit(2));
-        assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
-        assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
-        assert_eq!(gate(FaultSite::CxlRead), Verdict::Dead);
-        assert!(crashed());
-        // Post-crash polls are Dead and uncounted.
-        assert_eq!(gate(FaultSite::WalFlush), Verdict::Dead);
+        let mut ran = 0;
+        let r = catch(|| {
+            for _ in 0..4 {
+                gate(FaultSite::CxlRead);
+                ran += 1;
+            }
+        });
+        assert_eq!(r, Err(Crashed));
+        assert_eq!(ran, 2, "the crash unwinds at its own poll");
+        // A later poll unwinds again and is not counted.
+        assert_eq!(catch(|| gate(FaultSite::WalFlush)), Err(Crashed));
         let s = stats();
         assert_eq!(s.total_hits(), 3);
         assert_eq!(s.crash_hit, Some(2));
@@ -349,9 +378,10 @@ mod tests {
         });
         assert_eq!(gate(FaultSite::WalFlush), Verdict::Run);
         assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
+        // A shaped crash returns for its site to land the prefix.
         assert_eq!(gate(FaultSite::WalFlush), Verdict::Torn { keep_bytes: 100 });
-        assert!(crashed());
         assert_eq!(stats().crash_site, Some(FaultSite::WalFlush));
+        assert_eq!(catch(|| gate(FaultSite::CxlRead)), Err(Crashed));
         drain();
     }
 
@@ -359,11 +389,16 @@ mod tests {
     fn clear_disarms_and_resets() {
         drain();
         install(FaultPlan::crash_at_hit(0));
-        assert_eq!(gate(FaultSite::CxlRead), Verdict::Dead);
+        assert_eq!(catch(|| gate(FaultSite::CxlRead)), Err(Crashed));
         clear();
         assert!(!active());
-        assert!(!crashed());
         assert_eq!(gate(FaultSite::CxlRead), Verdict::Run);
         assert_eq!(stats().total_hits(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a crash")]
+    fn catch_lets_any_other_panic_through() {
+        let _ = catch(|| panic!("not a crash"));
     }
 }

@@ -11,7 +11,7 @@
 
 use memsim::calib::{PAGE_SIZE, STORAGE_GBPS, STORAGE_READ_NS, STORAGE_WRITE_NS};
 use memsim::Access;
-use simkit::faults::{self, FaultSite, Verdict};
+use simkit::faults::{self, FaultSite};
 use simkit::trace::{self, Lane};
 use simkit::{Link, SimTime};
 use std::rc::Rc;
@@ -122,11 +122,6 @@ impl PageStore {
     /// What a page read costs, whichever page it is: counted, the channel
     /// occupied, the device latency paid.
     fn charge_read(&mut self, now: SimTime) -> Access {
-        if faults::crashed() {
-            // The host is dead: it still sees the (crash-consistent)
-            // stored bytes, but nothing is timed or counted any more.
-            return Access::free(now);
-        }
         self.reads += 1;
         let g = self.channel.transfer(now, self.page_size);
         let end = g.end + STORAGE_READ_NS;
@@ -174,7 +169,7 @@ impl PageStore {
 
     /// Timed page write from `data`, or a typed error when `data` is not
     /// exactly one page. Polls the [`FaultSite::StorageWrite`] gate: a
-    /// dead host's writes never reach the store.
+    /// crash there unwinds before the page reaches the store.
     pub fn try_write_page(
         &mut self,
         page: PageId,
@@ -185,11 +180,7 @@ impl PageStore {
         if data.len() as u64 != self.page_size {
             return Err(StorageError::BadBuffer(data.len() as u64, self.page_size));
         }
-        if faults::gate(FaultSite::StorageWrite) != Verdict::Run {
-            // Dead (or the crash landed on this very write): the page
-            // never reaches the store.
-            return Ok(Access::free(now));
-        }
+        faults::gate(FaultSite::StorageWrite);
         self.put(page, data);
         self.writes += 1;
         let g = self.channel.transfer(now, self.page_size);
@@ -341,16 +332,15 @@ mod tests {
         let p = s.allocate();
         s.write_page(p, &[0xAA; 64], SimTime::ZERO);
         faults::install(FaultPlan::crash_at_hit(0));
-        let a = s.write_page(p, &[0xBB; 64], SimTime(3));
-        assert_eq!(a.end, SimTime(3));
-        assert!(faults::crashed());
-        // Post-crash reads still see the pre-crash stored bytes.
+        let crash = faults::catch(|| s.write_page(p, &[0xBB; 64], SimTime(3)));
+        assert_eq!(crash, Err(faults::Crashed));
+        faults::clear();
+        // The store keeps the pre-crash bytes, and the write that the
+        // crash cut off was neither landed nor counted.
         let mut buf = vec![0u8; 64];
         s.read_page(p, &mut buf, SimTime(3));
         assert_eq!(buf, vec![0xAA; 64]);
-        faults::clear();
-        // Only the pre-crash write was counted; dead I/O is uncounted.
-        assert_eq!(s.io_counts(), (0, 1));
+        assert_eq!(s.io_counts(), (1, 1));
     }
 
     /// Whether `a` and `b` hold `page` in one shared slot.
@@ -408,8 +398,8 @@ mod tests {
         a.raw_write_page(PageId(0), &[0xAA; 64]);
         let mut b = a.clone();
         faults::install(FaultPlan::crash_at_hit(0));
-        b.write_page(PageId(0), &[0xBB; 64], SimTime::ZERO);
-        assert!(faults::crashed());
+        let crash = faults::catch(|| b.write_page(PageId(0), &[0xBB; 64], SimTime::ZERO));
+        assert_eq!(crash, Err(faults::Crashed));
         faults::clear();
         assert!(shared(&a, &b, 0));
         assert_eq!(b.raw_page(PageId(0)), &[0xAAu8; 64][..]);

@@ -359,12 +359,8 @@ impl Wal {
         if self.buffer_bytes == 0 {
             return now;
         }
-        match faults::gate(FaultSite::WalFlush) {
-            Verdict::Run => {}
-            Verdict::Torn { keep_bytes } => return self.torn_flush(keep_bytes, now),
-            // Dead (the host crashed at or before this flush): nothing
-            // new becomes durable; the buffer dies with the host.
-            _ => return now,
+        if let Verdict::Torn { keep_bytes } = faults::gate(FaultSite::WalFlush) {
+            self.torn_flush(keep_bytes);
         }
         let bytes = self.buffer_bytes;
         self.durable_lsn = self.max_assigned_lsn();
@@ -389,11 +385,10 @@ impl Wal {
     /// A flush torn `keep_bytes` into its device write: records fully
     /// inside the durable prefix — truncated to the last complete
     /// mini-transaction group, preserving group atomicity — become
-    /// durable; the rest (and the host) die. Injected by
-    /// [`simkit::faults`]; the caller observes the crash via
-    /// [`simkit::faults::crashed`] and runs the real crash path.
+    /// durable; the rest die with the host, and the crash unwinds to
+    /// the harness ([`simkit::faults::unwind`]).
     #[cold]
-    fn torn_flush(&mut self, keep_bytes: u64, now: SimTime) -> SimTime {
+    fn torn_flush(&mut self, keep_bytes: u64) -> ! {
         let mut fit_bytes = 0u64;
         let mut kept = 0usize; // records up to the last complete group
         for (i, r) in self.buffer.iter().enumerate() {
@@ -406,31 +401,25 @@ impl Wal {
                 kept = i + 1;
             }
         }
-        if kept == 0 {
-            return now;
+        if kept > 0 {
+            let mut bytes = 0u64;
+            for r in self.buffer.iter().take(kept) {
+                bytes += encoded_len(&r);
+                self.durable.push(r);
+            }
+            self.buffer.drop_first(kept);
+            self.buffer_bytes -= bytes;
+            self.durable_lsn = Lsn(self.durable.last_lsn);
+            self.flushes += 1;
+            self.bytes_flushed += bytes;
         }
-        let mut bytes = 0u64;
-        for r in self.buffer.iter().take(kept) {
-            bytes += encoded_len(&r);
-            self.durable.push(r);
-        }
-        self.buffer.drop_first(kept);
-        self.buffer_bytes -= bytes;
-        self.durable_lsn = Lsn(self.durable.last_lsn);
-        self.flushes += 1;
-        self.bytes_flushed += bytes;
-        now
+        faults::unwind()
     }
 
     /// Record a checkpoint at `lsn`: replay after a crash starts here.
     /// (The engine is responsible for having flushed the corresponding
     /// dirty pages first.)
     pub fn set_checkpoint(&mut self, lsn: Lsn) {
-        if faults::crashed() {
-            // The host died mid-checkpoint: the durable log must not be
-            // truncated by a checkpoint record that never hit the device.
-            return;
-        }
         assert!(
             lsn <= self.durable_lsn,
             "cannot checkpoint beyond durability"
@@ -752,8 +741,8 @@ pub(crate) mod tests {
             nth: 0,
             keep_bytes: 33 + 40,
         });
-        wal.flush(SimTime::ZERO);
-        assert!(faults::crashed());
+        let crash = faults::catch(|| wal.flush(SimTime::ZERO));
+        assert_eq!(crash, Err(faults::Crashed));
         faults::clear();
         wal.crash();
         assert_eq!(wal.durable_lsn(), Lsn(1));
@@ -770,15 +759,18 @@ pub(crate) mod tests {
         wal.flush(SimTime::ZERO);
         faults::install(FaultPlan::crash_at_hit(0));
         append_mtr(&mut wal, vec![upd(2, 0, 2)]);
-        let end = wal.flush(SimTime(5));
-        assert_eq!(end, SimTime(5), "dead flush is untimed");
-        assert!(faults::crashed());
+        // The host dies at the flush, so the checkpoint after it never
+        // runs and cannot truncate the log.
+        let crash = faults::catch(|| {
+            wal.flush(SimTime(5));
+            wal.set_checkpoint(Lsn(1));
+        });
+        assert_eq!(crash, Err(faults::Crashed));
+        faults::clear();
+        wal.crash();
         assert_eq!(wal.durable_lsn(), Lsn(1), "nothing new became durable");
-        // A checkpoint taken by the dying host must not truncate the log.
-        wal.set_checkpoint(Lsn(1));
         assert_eq!(wal.checkpoint_lsn(), Lsn::ZERO);
         assert_eq!(wal.replay_from(Lsn::ZERO).count(), 1);
-        faults::clear();
     }
 
     /// A logged WAL and its unlogged twin, fed the same appends: a

@@ -10,12 +10,17 @@
 //!   script, the database serving on after each recovery.
 //! - **The untrusted page**: PolarRecv rebuilds a page left write-latched
 //!   at the crash, and one whose redo never became durable.
+//! - **The recovery crash**: the host dies again inside recovery, and
+//!   the next recovery must still restore the committed state.
 //!
-//! A recovered database must match the committed model, with the single
-//! in-flight operation allowed to be either fully present or fully
-//! absent (commit durability is decided by the WAL tail). Anything else
-//! — a torn record, a half-applied page, a wrong row count, a panic in
-//! recovery or in the tree — fails.
+//! A crash unwinds out of the operation in flight
+//! ([`faults::catch`]); the harness then crashes the pool and recovers
+//! from the end of the last *completed* operation. A panic that is not
+//! the crash fails the test. A recovered database must match the
+//! committed model, with the single in-flight operation allowed to be
+//! either fully present or fully absent (commit durability is decided
+//! by the WAL tail). Anything else — a torn record, a half-applied
+//! page, a wrong row count, a panic in recovery or in the tree — fails.
 //!
 //! The deliberately broken [`TrustPolicy::TrustLatched`] recovery must
 //! FAIL the sweep (see `broken_trust_policy_fails_the_sweep`): it trusts
@@ -25,7 +30,9 @@
 //! The budget is fixed: [`GLOBAL_POINTS`] global points plus
 //! [`SITE_POINTS`] per site, [`TORN_POINTS`] torn WAL flushes and
 //! [`PARTIAL_POINTS`] partial clflushes per design, and every design's
-//! sweep must reach at least [`MIN_CRASH_HITS`] distinct crash hits.
+//! sweep must reach at least [`MIN_CRASH_HITS`] distinct crash hits. The
+//! recovery crash draws [`FIRST_CRASHES`] first crashes and at most
+//! [`RECOVERY_POINTS`] crashes inside each one's recovery.
 
 use polardb_cxl_repro::prelude::*;
 use polardb_cxl_repro::simkit::faults::FaultStats;
@@ -55,6 +62,10 @@ const PARTIAL_POINTS: u64 = 8;
 const BROKEN_POLICY_POINTS: u64 = 24;
 /// Distinct crash hits each design's sweep must cover.
 const MIN_CRASH_HITS: usize = 40;
+/// First crashes (strided global hits) whose recovery is crashed too.
+const FIRST_CRASHES: u64 = 12;
+/// Crash points strided over one recovery's own gate polls.
+const RECOVERY_POINTS: u64 = 64;
 
 // ---------------------------------------------------------------------------
 // The scripted workload and its model.
@@ -125,29 +136,27 @@ fn apply_model(model: &mut Model, op: &Op) -> bool {
     }
 }
 
-/// Run `ops` from `now` until they finish or the installed plan kills
-/// the host. Each completed op must return what the model predicts, and
-/// then joins the model; the op in flight at a crash, if any, is
-/// returned.
-fn run_ops<'a, P: BufferPool>(
+/// Run `ops` in order from `*now`. Each op must return what the model
+/// predicts; it then joins the model, `*now` moves to its completion and
+/// `*done` counts it. A crash unwinds out of the op in flight,
+/// `ops[*done]`, and leaves all three at the last completed op.
+fn run_ops<P: BufferPool>(
     db: &mut Db<P>,
-    ops: &'a [Op],
+    ops: &[Op],
     model: &mut Model,
-    mut now: SimTime,
-) -> (SimTime, Option<&'a Op>) {
+    now: &mut SimTime,
+    done: &mut usize,
+) {
     for op in ops {
-        let (got, t) = apply_db(db, op, now);
-        now = t;
-        if faults::crashed() {
-            return (now, Some(op));
-        }
+        let (got, t) = apply_db(db, op, *now);
         assert_eq!(
             got,
             apply_model(model, op),
             "{op:?} disagrees with the model"
         );
+        *now = t;
+        *done += 1;
     }
-    (now, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -291,31 +300,91 @@ const POLARRECV: Design<CxlBp> = Design {
 // The crash point, and the sweep over them.
 // ---------------------------------------------------------------------------
 
-/// Build the design and run `ops` under `plan`. If the plan killed the
-/// host, crash the pool, recover it and verify it against the committed
-/// model; a panic in recovery or verification is a failed verdict. The
-/// verdict is `None` when the trigger landed past the script's horizon.
+/// A design's database as a crash left it: pool crashed, not yet
+/// recovered.
+struct AtCrash<'a, P: BufferPool> {
+    db: Db<P>,
+    /// The committed model: every op that completed before the crash.
+    model: Model,
+    /// The end of the last completed op, where recovery starts.
+    now: SimTime,
+    in_flight: Option<&'a Op>,
+}
+
+/// Build the design and run `ops` under `plan`: the plan's counters, and
+/// the crashed database when the plan fired within the script.
+fn run_to_crash<'a, P: BufferPool + Crashable>(
+    d: &Design<P>,
+    ops: &'a [Op],
+    plan: FaultPlan,
+) -> (FaultStats, Option<AtCrash<'a, P>>) {
+    let mut db = (d.build)();
+    let mut model: Model = rows().collect();
+    let (mut now, mut done) = (SimTime::ZERO, 0);
+    faults::install(plan);
+    let run = faults::catch(|| run_ops(&mut db, ops, &mut model, &mut now, &mut done));
+    let st = faults::stats();
+    faults::clear();
+    if run.is_ok() {
+        return (st, None);
+    }
+    db.crash();
+    let in_flight = ops.get(done);
+    (
+        st,
+        Some(AtCrash {
+            db,
+            model,
+            now,
+            in_flight,
+        }),
+    )
+}
+
+/// Recover a crashed database with the design's scheme and verify it
+/// against the committed model; a panic in either is a failed verdict.
+fn recover_and_verify<P: BufferPool>(d: &Design<P>, c: &mut AtCrash<P>) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        (d.recover)(&mut c.db, c.now);
+        verify(&mut c.db, &c.model, c.in_flight)
+    }))
+    .unwrap_or_else(|_| Err("recovery or verification panicked".into()))
+}
+
+/// Build the design, run `ops` under `plan`, and if the plan killed the
+/// host, recover and verify. The verdict is `None` when the trigger
+/// landed past the script's horizon.
 fn crash_point<P: BufferPool + Crashable>(
     d: &Design<P>,
     ops: &[Op],
     plan: FaultPlan,
 ) -> (FaultStats, Option<Result<(), String>>) {
-    let mut db = (d.build)();
-    let mut model: Model = rows().collect();
-    faults::install(plan);
-    let (now, in_flight) = run_ops(&mut db, ops, &mut model, SimTime::ZERO);
+    let (st, crashed) = run_to_crash(d, ops, plan);
+    (st, crashed.map(|mut c| recover_and_verify(d, &mut c)))
+}
+
+/// Crash the script under `first`, then run the recovery under `second`:
+/// the recovery's counters, and — when `second` killed the host inside
+/// it — the verdict of a second recovery with no plan. `None` when
+/// either plan landed past its horizon.
+fn recovery_crash_point<P: BufferPool + Crashable>(
+    d: &Design<P>,
+    ops: &[Op],
+    first: FaultPlan,
+    second: FaultPlan,
+) -> (FaultStats, Option<Result<(), String>>) {
+    let (_, Some(mut c)) = run_to_crash(d, ops, first) else {
+        return (FaultStats::default(), None);
+    };
+    faults::install(second);
+    let recovery = faults::catch(|| (d.recover)(&mut c.db, c.now));
     let st = faults::stats();
     faults::clear();
-    if st.crash_hit.is_none() {
+    if recovery.is_ok() {
         return (st, None);
     }
-    db.crash();
-    let verdict = catch_unwind(AssertUnwindSafe(|| {
-        (d.recover)(&mut db, now);
-        verify(&mut db, &model, in_flight)
-    }))
-    .unwrap_or_else(|_| Err("recovery or verification panicked".into()));
-    (st, Some(verdict))
+    c.db.crash();
+    (st, Some(recover_and_verify(d, &mut c)))
 }
 
 /// The hits per site of the sweep's script under an empty plan.
@@ -535,6 +604,57 @@ fn broken_trust_policy_fails_the_sweep() {
     );
 }
 
+/// Recovery survives its own crash (ROADMAP item 18): crash each
+/// design's script at [`FIRST_CRASHES`] strided global hits, crash each
+/// recovery at up to [`RECOVERY_POINTS`] strided polls of its own (a dry
+/// run under [`FaultPlan::NoCrash`] counts them), recover again with no
+/// plan, and verify. Vanilla recovery polls a gate only when replay
+/// evicts a dirty page, so only rdma-based and polarrecv must reach a
+/// point.
+#[test]
+fn recovery_survives_its_own_crash() {
+    fn check<P: BufferPool + Crashable>(d: &Design<P>) -> usize {
+        let ops = script(OPS_SEED, OPS);
+        let mut points = 0;
+        let mut failures = Vec::new();
+        for (_, hit) in strided(FIRST_CRASHES, dry_run(d, &ops).total_hits()) {
+            let first = FaultPlan::crash_at_hit(hit);
+            let (polls, none) = recovery_crash_point(d, &ops, first, FaultPlan::NoCrash);
+            assert!(
+                none.is_none(),
+                "{}: an empty plan must not crash recovery",
+                d.name
+            );
+            for (_, i) in strided(RECOVERY_POINTS, polls.total_hits()) {
+                let second = FaultPlan::crash_at_hit(i);
+                let (st, Some(verdict)) = recovery_crash_point(d, &ops, first, second) else {
+                    continue;
+                };
+                points += 1;
+                if let Err(e) = verdict {
+                    let site = st.crash_site.expect("crash has a site").name();
+                    failures.push(format!(
+                        "crash at hit {hit}, then at recovery poll {i} ({site}): {e}"
+                    ));
+                }
+            }
+        }
+        println!("{}: {points} recovery crash points", d.name);
+        assert!(
+            failures.is_empty(),
+            "{}: {} of {points} recovery crash points failed:\n{}",
+            d.name,
+            failures.len(),
+            failures.join("\n")
+        );
+        points
+    }
+    check(&VANILLA);
+    for points in [check(&RDMA), check(&POLARRECV)] {
+        assert!(points > 0, "a recovery crash point must fire");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The storm: repeated crashes between statements, serving on in between.
 // ---------------------------------------------------------------------------
@@ -548,7 +668,7 @@ fn storm<P: BufferPool + Crashable>(d: &Design<P>, seed: u64) {
     let mut model: Model = rows().collect();
     let mut now = SimTime::ZERO;
     for (round, ops) in ops.chunks(ops.len().div_ceil(STORM_CRASHES)).enumerate() {
-        now = run_ops(&mut db, ops, &mut model, now).0;
+        run_ops(&mut db, ops, &mut model, &mut now, &mut 0);
         now = (d.before_crash)(&mut db, now);
         db.crash();
         now = (d.recover)(&mut db, now);

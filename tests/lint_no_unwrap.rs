@@ -3,10 +3,11 @@
 //!
 //! The fault-injection layer (`simkit::faults`) makes a host crash, a
 //! torn WAL flush and a partial `clflush` *normal* outcomes on these
-//! paths: after one, every primitive keeps running against the frozen
-//! pre-crash view until the harness runs the crash path. A stray
-//! `unwrap`/`panic!` there turns an injectable, recoverable crash into a
-//! process abort instead.
+//! paths: the crash unwinds from `simkit::faults` with its own typed
+//! payload, which the harness catches and recovers from. A stray
+//! `unwrap`/`panic!` there is not that crash: it carries no such
+//! payload, so it fails the run instead of reading as a recoverable
+//! crash.
 //!
 //! Scope: all of `crates/memsim/src` (RDMA + CXL fabric models), the
 //! storage primitives `wal.rs` / `pagestore.rs`, and the cluster
