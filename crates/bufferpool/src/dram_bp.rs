@@ -69,12 +69,6 @@ impl DramBp {
     pub fn cache_stats(&self) -> memsim::CacheStats {
         self.space.cache_stats()
     }
-
-    /// Crash: all volatile pool state is lost.
-    pub fn crash(&mut self) {
-        self.space.crash();
-        self.frames.clear();
-    }
 }
 
 impl FramedPool for DramBp {
@@ -185,6 +179,12 @@ impl BufferPool for DramBp {
             let off = frame as u64 * store.page_size();
             space.raw_mut().write(off, store.raw_page(page));
         });
+    }
+
+    /// All volatile pool state is lost.
+    fn crash(&mut self) {
+        self.space.crash();
+        self.frames.clear();
     }
 }
 

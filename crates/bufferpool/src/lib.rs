@@ -137,24 +137,9 @@ pub trait BufferPool {
     /// Populate the pool with already-allocated pages without charging
     /// time (experiments start warm unless they test warm-up itself).
     fn prewarm(&mut self);
-}
 
-/// Pools that can simulate a host crash: volatile state (local frames,
-/// maps, CPU cache) is lost; whatever the design keeps off-host (remote
-/// memory, the CXL box, storage) survives.
-pub trait Crashable {
-    /// Lose all volatile state.
+    /// Simulate a host crash: volatile state (local frames, maps, CPU
+    /// cache) is lost; whatever the design keeps off-host (remote
+    /// memory, the CXL box, storage) survives.
     fn crash(&mut self);
-}
-
-impl Crashable for dram_bp::DramBp {
-    fn crash(&mut self) {
-        dram_bp::DramBp::crash(self);
-    }
-}
-
-impl Crashable for tiered::TieredRdmaBp {
-    fn crash(&mut self) {
-        tiered::TieredRdmaBp::crash(self);
-    }
 }

@@ -243,13 +243,6 @@ impl TieredRdmaBp {
         self.remote_base + page.0 * self.store.page_size()
     }
 
-    /// Crash: local tier dies; the remote memory node (separate machine)
-    /// keeps its pages — which is what RDMA-assisted recovery exploits.
-    pub fn crash(&mut self) {
-        self.space.crash();
-        self.frames.clear();
-    }
-
     /// Copy-on-write at line grain: give `frame` its own copy of every
     /// line of `lines` it still reads in place from `page`'s remote copy.
     /// The modelled page-in already paid for these bytes to arrive, so
@@ -556,6 +549,13 @@ impl BufferPool for TieredRdmaBp {
             space.raw_mut().write(off, store.raw_page(page));
             owned.fill(frame, true);
         });
+    }
+
+    /// The local tier dies; the remote memory node (separate machine)
+    /// keeps its pages — which is what RDMA-assisted recovery exploits.
+    fn crash(&mut self) {
+        self.space.crash();
+        self.frames.clear();
     }
 }
 

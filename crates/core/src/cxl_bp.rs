@@ -218,19 +218,6 @@ impl CxlBp {
         &self.cxl
     }
 
-    /// Crash this node: the host's CPU cache and all of the pool's
-    /// volatile host-side state are lost; the CXL region survives.
-    /// Normal use afterwards is [`CxlBp::attach`] + recovery.
-    pub fn crash(&mut self) {
-        self.cxl.borrow_mut().crash_node(self.node);
-        self.dir.clear();
-        for m in &mut self.mirror {
-            *m = BlockMeta::free();
-        }
-        self.dirty_ranges.clear();
-        self.ckpt_dirty.iter_mut().for_each(|d| *d = false);
-    }
-
     /// Install recovered metadata (called by
     /// [`crate::recovery::polar_recv`] after it has repaired the CXL
     /// image): rebuilds the mirror and the directory. `metas` is ordered
@@ -452,12 +439,6 @@ impl CxlBp {
     }
 }
 
-impl bufferpool::Crashable for CxlBp {
-    fn crash(&mut self) {
-        CxlBp::crash(self);
-    }
-}
-
 impl BufferPool for CxlBp {
     fn page_size(&self) -> u64 {
         self.geo.page_size
@@ -598,6 +579,19 @@ impl BufferPool for CxlBp {
             }
             prev_link = link;
         });
+    }
+
+    /// The host's CPU cache and all of the pool's volatile host-side
+    /// state are lost; the CXL region survives. Normal use afterwards is
+    /// [`CxlBp::attach`] + recovery.
+    fn crash(&mut self) {
+        self.cxl.borrow_mut().crash_node(self.node);
+        self.dir.clear();
+        for m in &mut self.mirror {
+            *m = BlockMeta::free();
+        }
+        self.dirty_ranges.clear();
+        self.ckpt_dirty.iter_mut().for_each(|d| *d = false);
     }
 }
 

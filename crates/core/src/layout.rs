@@ -177,6 +177,12 @@ pub mod field {
     pub const HDR_LIST_LOCK: u64 = 32;
 }
 
+/// Lease bytes a region of `nblocks` blocks of `page_size` bytes takes:
+/// the header line, then each block's meta line and page.
+pub fn lease_size(nblocks: u64, page_size: u64) -> u64 {
+    META_SIZE + nblocks * (META_SIZE + page_size)
+}
+
 /// Geometry of a pool region: where headers, blocks and data live.
 #[derive(Debug, Clone, Copy)]
 pub struct Geometry {
@@ -194,9 +200,9 @@ impl Geometry {
         META_SIZE + self.page_size
     }
 
-    /// Total lease size required.
+    /// Total lease size required ([`lease_size`]).
     pub fn lease_size(&self) -> u64 {
-        META_SIZE + self.nblocks * self.block_stride()
+        lease_size(self.nblocks, self.page_size)
     }
 
     /// Offset of block `b`'s metadata line.

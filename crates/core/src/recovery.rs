@@ -21,7 +21,7 @@
 use crate::cxl_bp::CxlBp;
 use crate::layout::{field, BlockMeta, RegionHeader, META_SIZE, NO_PAGE};
 use bufferpool::BufferPool;
-use simkit::SimTime;
+use simkit::{FastMap, SimTime};
 use storage::{PageId, Wal};
 
 /// What PolarRecv did, and when it finished.
@@ -125,10 +125,10 @@ pub fn polar_recv_policy(
         }
     }
 
-    // 3. Decide trust vs rebuild.
-    let mut rebuild: Vec<(u32, PageId)> = Vec::new();
-    let mut trusted = 0u64;
-    for (b, m) in &metas {
+    // 3. Decide trust vs rebuild: each page to rebuild maps to its
+    //    block's entry in `metas`, which keeps the rebuild order.
+    let mut rebuild: FastMap<PageId, usize> = FastMap::default();
+    for (i, (_, m)) in metas.iter().enumerate() {
         let too_new = m.lsn > durable.0;
         let must_rebuild = match policy {
             TrustPolicy::Durable => m.lock_state != 0 || too_new,
@@ -136,11 +136,10 @@ pub fn polar_recv_policy(
             TrustPolicy::TrustLatched => too_new,
         };
         if must_rebuild {
-            rebuild.push((*b, PageId(m.page_id)));
-        } else {
-            trusted += 1;
+            rebuild.insert(PageId(m.page_id), i);
         }
     }
+    let rebuilt = |m: &BlockMeta| rebuild.contains_key(&PageId(m.page_id));
 
     // 4. Rebuild pages: storage image + redo replay (physical records:
     //    unconditional re-application from the checkpoint is idempotent).
@@ -149,43 +148,35 @@ pub fn polar_recv_policy(
     let mut records_applied = 0u64;
     if !rebuild.is_empty() {
         t = wal.charge_scan(ckpt, t);
-        let rebuild_pages: std::collections::HashSet<PageId> =
-            rebuild.iter().map(|&(_, p)| p).collect();
         let ps = geo.page_size as usize;
-        for &(b, page) in &rebuild {
+        for (b, m) in metas.iter().filter(|(_, m)| rebuilt(m)) {
             let mut buf = vec![0u8; ps];
-            let io = bp.store_mut().read_page(page, &mut buf, t);
+            let io = bp.store_mut().read_page(PageId(m.page_id), &mut buf, t);
             t = io.end;
             let fabric = bp.fabric().clone();
             let a = fabric
                 .borrow_mut()
-                .write_uncached(node, geo.data_off(b as u64), &buf, t);
+                .write_uncached(node, geo.data_off(*b as u64), &buf, t);
             t = a.end;
         }
         // Apply every durable record targeting a rebuild page, in log
         // order, straight from the log.
         for rec in wal.replay_from(ckpt) {
-            if !rebuild_pages.contains(&rec.page) {
+            let Some(&i) = rebuild.get(&rec.page) else {
                 continue;
-            }
-            let b = rebuild
-                .iter()
-                .find(|&&(_, p)| p == rec.page)
-                .map(|&(b, _)| b)
-                .expect("rebuild page has a block");
+            };
+            let (b, m) = &mut metas[i];
             let fabric = bp.fabric().clone();
             let a = fabric.borrow_mut().write_uncached(
                 node,
-                geo.data_off(b as u64) + rec.off as u64,
+                geo.data_off(*b as u64) + rec.off as u64,
                 rec.data,
                 t,
             );
             t = a.end;
             records_applied += 1;
             // Track the newest LSN per block in the metas vector.
-            if let Some((_, m)) = metas.iter_mut().find(|(bb, _)| *bb == b) {
-                m.lsn = m.lsn.max(rec.lsn.0);
-            }
+            m.lsn = m.lsn.max(rec.lsn.0);
         }
     }
 
@@ -248,16 +239,13 @@ pub fn polar_recv_policy(
     // Pages whose CXL copy is ahead of storage must reach the next
     // checkpoint: rebuilt pages and anything newer than the checkpoint.
     for (_, m) in &metas {
-        if m.lsn > ckpt.0 {
+        if m.lsn > ckpt.0 || rebuilt(m) {
             bp.mark_dirty_for_checkpoint(PageId(m.page_id));
         }
     }
-    for &(_, page) in &rebuild {
-        bp.mark_dirty_for_checkpoint(page);
-    }
 
     RecoveryReport {
-        trusted,
+        trusted: (metas.len() - rebuild.len()) as u64,
         rebuilt: rebuild.len() as u64,
         records_applied,
         log_bytes_scanned: if rebuild.is_empty() { 0 } else { log_bytes },

@@ -8,7 +8,7 @@
 //! unit.
 
 use btree::BTree;
-use bufferpool::{BufferPool, Crashable};
+use bufferpool::BufferPool;
 use memsim::calib::{
     CPU_PER_ROW_NS, CPU_POINT_SELECT_NS, CPU_TXN_OVERHEAD_NS, CPU_WRITE_STMT_NS, INSTANCE_VCPUS,
 };
@@ -265,12 +265,10 @@ impl<P: BufferPool> Db<P> {
     pub fn durable_lsn(&self) -> Lsn {
         self.wal.durable_lsn()
     }
-}
 
-impl<P: BufferPool + Crashable> Db<P> {
-    /// Crash the instance: pool volatile state, WAL buffer, and all
-    /// engine state die. The caller then builds a recovered Db via the
-    /// scheme under test ([`crate::recovery`]).
+    /// Crash the instance: pool volatile state, the WAL's volatile tail
+    /// and all engine state die. The caller then builds a recovered Db
+    /// via the scheme under test ([`crate::recovery`]).
     pub fn crash(&mut self) {
         self.pool.crash();
         self.wal.crash();

@@ -17,7 +17,7 @@ pub mod db;
 pub mod recovery;
 
 pub use db::{Db, DbStats};
-pub use recovery::{recover_polar, recover_polar_policy, recover_replay, RecoverySummary};
+pub use recovery::{recover_polar, recover_replay, RecoverySummary};
 
 #[cfg(test)]
 mod tests {
@@ -139,7 +139,7 @@ mod tests {
         let mut now_c = t0;
         drive(&mut now_c, &mut |k, t| cx.update(k, 0, &[1; 8], t).1);
         cx.crash();
-        let sp = recover_polar(&mut cx, now_c);
+        let sp = recover_polar(&mut cx, polarcxlmem::TrustPolicy::Durable, now_c);
 
         let dv = sv.done - now_v;
         let dr = sr.done - now_r;
@@ -209,9 +209,6 @@ mod tests {
         fn prewarm(&mut self) {
             self.inner.prewarm()
         }
-    }
-
-    impl<P: bufferpool::Crashable> bufferpool::Crashable for Recording<P> {
         fn crash(&mut self) {
             self.inner.crash()
         }
@@ -255,10 +252,7 @@ mod tests {
     /// A crashed database over a recording pool: a seeded mix of
     /// updates, inserts and deletes on random keys (so the log
     /// interleaves pages and repeats them), checkpointed part-way.
-    fn crashed_recording<P: BufferPool + bufferpool::Crashable>(
-        mut db: Db<Recording<P>>,
-        seed: u64,
-    ) -> Db<Recording<P>> {
+    fn crashed_recording<P: BufferPool>(mut db: Db<Recording<P>>, seed: u64) -> Db<Recording<P>> {
         let mut rng = SimRng::seed_from_u64(seed);
         let mut now = SimTime::ZERO;
         for i in 0..400u64 {
@@ -280,9 +274,7 @@ mod tests {
         db
     }
 
-    fn replay_matches_the_grouped_reference<P: BufferPool + bufferpool::Crashable>(
-        make: impl Fn() -> P,
-    ) {
+    fn replay_matches_the_grouped_reference<P: BufferPool>(make: impl Fn() -> P) {
         for seed in [3u64, 11, 29] {
             let recording = || {
                 let pool = Recording {

@@ -17,7 +17,7 @@
 use crate::db::Db;
 use btree::BTree;
 use bufferpool::BufferPool;
-use polarcxlmem::CxlBp;
+use polarcxlmem::{CxlBp, TrustPolicy};
 use simkit::trace::{self, SpanKind};
 use simkit::SimTime;
 use storage::{LogRecord, Lsn, Wal};
@@ -81,19 +81,11 @@ fn replay_order(wal: &Wal, from: Lsn) -> Vec<LogRecord<'_>> {
     recs
 }
 
-/// PolarRecv over a crashed CXL-resident pool (§3.2).
-pub fn recover_polar(db: &mut Db<CxlBp>, now: SimTime) -> RecoverySummary {
-    recover_polar_policy(db, polarcxlmem::TrustPolicy::Durable, now)
-}
-
-/// PolarRecv with an explicit trust policy — the fault-sweep harness
-/// uses this to show that a broken policy
-/// ([`polarcxlmem::TrustPolicy::TrustLatched`]) fails verification.
-pub fn recover_polar_policy(
-    db: &mut Db<CxlBp>,
-    policy: polarcxlmem::TrustPolicy,
-    now: SimTime,
-) -> RecoverySummary {
+/// PolarRecv over a crashed CXL-resident pool (§3.2) under `policy`:
+/// [`TrustPolicy::Durable`] is the paper's scheme; the fault sweep runs
+/// the broken [`TrustPolicy::TrustLatched`] to show that verification
+/// catches it.
+pub fn recover_polar(db: &mut Db<CxlBp>, policy: TrustPolicy, now: SimTime) -> RecoverySummary {
     let report = polarcxlmem::recovery::polar_recv_policy(&mut db.pool, &mut db.wal, now, policy);
     let (table, t2) = BTree::open(&mut db.pool, db.table.meta_page, report.done);
     db.table = table;

@@ -8,10 +8,11 @@
 //!
 //! - [`pagestore::PageStore`] — the page-granularity storage service
 //!   (NVMe-class latency, 4 GB/s channel).
-//! - [`wal::Wal`] — the ARIES-style redo log: a **volatile** log buffer
-//!   (lost on crash, §3.2 challenge 4) in front of a durable tail, with
-//!   mini-transaction-atomic appends, group flush, checkpoints and
-//!   replay iteration.
+//! - [`wal::Wal`] — the ARIES-style redo log: one log whose durable
+//!   mark splits the prefix on the log device from the **volatile** tail
+//!   (lost on crash, §3.2 challenge 4), with mini-transaction-atomic
+//!   appends, group flush (the mark moves; no record is copied),
+//!   checkpoints and replay iteration.
 
 #![warn(missing_docs)]
 
@@ -33,5 +34,5 @@ impl Lsn {
     pub const ZERO: Lsn = Lsn(0);
 }
 
-pub use pagestore::{PageStore, StorageError};
+pub use pagestore::PageStore;
 pub use wal::{LogRecord, Wal};

@@ -18,29 +18,6 @@ use std::rc::Rc;
 
 use crate::PageId;
 
-/// Typed failure of a page-store operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageError {
-    /// Allocation requested from a full store (capacity in pages).
-    Full(u64),
-    /// A read/write buffer whose length is not exactly one page
-    /// (got, want).
-    BadBuffer(u64, u64),
-}
-
-impl std::fmt::Display for StorageError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StorageError::Full(cap) => write!(f, "page store full ({cap} pages)"),
-            StorageError::BadBuffer(got, want) => {
-                write!(f, "buffer must be one page ({got} bytes, want {want})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StorageError {}
-
 /// A fixed-capacity page store.
 #[derive(Clone)]
 pub struct PageStore {
@@ -98,24 +75,25 @@ impl PageStore {
         self.next_free
     }
 
-    /// Allocate the next page, or report a full store.
-    pub fn try_allocate(&mut self) -> Result<PageId, StorageError> {
-        if self.next_free >= self.capacity_pages {
-            return Err(StorageError::Full(self.capacity_pages));
-        }
-        let id = PageId(self.next_free);
-        self.next_free += 1;
-        Ok(id)
-    }
-
     /// Allocate the next page.
     ///
     /// # Panics
     /// When the store is full.
     pub fn allocate(&mut self) -> PageId {
-        match self.try_allocate() {
-            Ok(id) => id,
-            Err(e) => panic!("{e}"), // lint: fault-path panic pinned by tests
+        let cap = self.capacity_pages;
+        if self.next_free >= cap {
+            panic!("page store full ({cap} pages)"); // lint: fault-path panic pinned by tests
+        }
+        let id = PageId(self.next_free);
+        self.next_free += 1;
+        id
+    }
+
+    /// Panics unless a caller's buffer of `len` bytes is exactly one page.
+    fn check_one_page(&self, len: usize) {
+        let want = self.page_size;
+        if len as u64 != want {
+            panic!("buffer must be one page ({len} bytes, want {want})"); // lint: fault-path panic pinned by tests
         }
     }
 
@@ -143,62 +121,36 @@ impl PageStore {
         self.charge_read(now)
     }
 
-    /// Timed page read into `buf`, or a typed error when `buf` is not
-    /// exactly one page.
-    pub fn try_read_page(
-        &mut self,
-        page: PageId,
-        buf: &mut [u8],
-        now: SimTime,
-    ) -> Result<Access, StorageError> {
-        let _prof = simkit::profile::scope(simkit::profile::Subsys::Storage);
-        if buf.len() as u64 != self.page_size {
-            return Err(StorageError::BadBuffer(buf.len() as u64, self.page_size));
-        }
-        buf.copy_from_slice(&self.pages[page.0 as usize]);
-        Ok(self.charge_read(now))
-    }
-
-    /// Timed page read into `buf` (must be exactly one page).
+    /// Timed page read into `buf`.
+    ///
+    /// # Panics
+    /// When `buf` is not exactly one page.
     pub fn read_page(&mut self, page: PageId, buf: &mut [u8], now: SimTime) -> Access {
-        match self.try_read_page(page, buf, now) {
-            Ok(a) => a,
-            Err(e) => panic!("{e}"), // lint: fault-path panic pinned by tests
-        }
+        let _prof = simkit::profile::scope(simkit::profile::Subsys::Storage);
+        self.check_one_page(buf.len());
+        buf.copy_from_slice(&self.pages[page.0 as usize]);
+        self.charge_read(now)
     }
 
-    /// Timed page write from `data`, or a typed error when `data` is not
-    /// exactly one page. Polls the [`FaultSite::StorageWrite`] gate: a
-    /// crash there unwinds before the page reaches the store.
-    pub fn try_write_page(
-        &mut self,
-        page: PageId,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<Access, StorageError> {
+    /// Timed page write from `data`. Polls the [`FaultSite::StorageWrite`]
+    /// gate: a crash there unwinds before the page reaches the store.
+    ///
+    /// # Panics
+    /// When `data` is not exactly one page.
+    pub fn write_page(&mut self, page: PageId, data: &[u8], now: SimTime) -> Access {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::Storage);
-        if data.len() as u64 != self.page_size {
-            return Err(StorageError::BadBuffer(data.len() as u64, self.page_size));
-        }
+        self.check_one_page(data.len());
         faults::gate(FaultSite::StorageWrite);
         self.put(page, data);
         self.writes += 1;
         let g = self.channel.transfer(now, self.page_size);
         let end = g.end + STORAGE_WRITE_NS;
         trace::attr_add(Lane::Storage, end.saturating_since(now));
-        Ok(Access {
+        Access {
             end,
             link_bytes: self.page_size,
             hits: 0,
             misses: 0,
-        })
-    }
-
-    /// Timed page write from `data` (must be exactly one page).
-    pub fn write_page(&mut self, page: PageId, data: &[u8], now: SimTime) -> Access {
-        match self.try_write_page(page, data, now) {
-            Ok(a) => a,
-            Err(e) => panic!("{e}"), // lint: fault-path panic pinned by tests
         }
     }
 
@@ -309,22 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_errors_mirror_the_panics() {
-        let mut s = PageStore::with_page_size(1, 64);
-        assert_eq!(s.try_allocate(), Ok(PageId(0)));
-        assert_eq!(s.try_allocate(), Err(StorageError::Full(1)));
-        let mut small = vec![0u8; 32];
-        assert_eq!(
-            s.try_read_page(PageId(0), &mut small, SimTime::ZERO),
-            Err(StorageError::BadBuffer(32, 64))
-        );
-        assert_eq!(
-            s.try_write_page(PageId(0), &small, SimTime::ZERO),
-            Err(StorageError::BadBuffer(32, 64))
-        );
-    }
-
-    #[test]
     fn dead_host_writes_never_reach_storage() {
         use simkit::faults::{self, FaultPlan};
         faults::clear();
@@ -406,19 +342,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "page store full")]
+    #[should_panic(expected = "page store full (1 pages)")]
     fn allocation_beyond_capacity_panics() {
         let mut s = PageStore::with_page_size(1, 64);
-        s.allocate();
+        assert_eq!(s.allocate(), PageId(0));
         s.allocate();
     }
 
     #[test]
-    #[should_panic(expected = "one page")]
+    #[should_panic(expected = "buffer must be one page (32 bytes, want 64)")]
     fn wrong_buffer_size_panics() {
         let mut s = PageStore::with_page_size(1, 64);
         let p = s.allocate();
         let mut buf = vec![0u8; 32];
         s.read_page(p, &mut buf, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer must be one page (32 bytes, want 64)")]
+    fn a_short_write_buffer_panics() {
+        let mut s = PageStore::with_page_size(1, 64);
+        let p = s.allocate();
+        s.write_page(p, &[0u8; 32], SimTime::ZERO);
     }
 }

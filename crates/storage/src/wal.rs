@@ -2,19 +2,22 @@
 //!
 //! Matches the recovery story of §3.2:
 //!
-//! - every page update appends a physiological redo record to a
-//!   **volatile** log buffer in local DRAM;
-//! - commit (and mini-transaction commit for SMOs) flushes the buffer to
-//!   the durable tail — so after a crash, everything up to
+//! - every page update appends a physiological redo record to the log's
+//!   **volatile** tail in local DRAM;
+//! - commit (and mini-transaction commit for SMOs) flushes the tail to
+//!   the log device — so after a crash, everything up to
 //!   [`Wal::durable_lsn`] is replayable and everything after is *gone*;
 //! - records belonging to one mini-transaction become durable atomically
 //!   (each group's last record carries an end flag, and replay never
 //!   surfaces a torn group);
 //! - checkpoints bound how far back replay must scan.
 //!
-//! In host memory both the buffer and the durable tail are block logs:
-//! records are written back to back as bytes into fixed 64 KB blocks,
-//! which are never reallocated, and are read back as borrowed
+//! In host memory the log is one block log, the durable prefix followed
+//! by the volatile tail, with a durable mark between them: a flush moves
+//! the mark to the log's end, a crash truncates the log to it, and a
+//! checkpoint drops the prefix it covers. No record is copied to become
+//! durable. Records are written back to back as bytes into fixed 64 KB
+//! blocks, which are never reallocated, and are read back as borrowed
 //! [`LogRecord`] views. A record costs a 13-byte header plus its payload;
 //! its LSN (8 bytes more) is written only where it is not the previous
 //! record's + 1 — a log's first record, and the first after the gap a
@@ -30,7 +33,7 @@ use simkit::{Link, SimTime};
 use crate::{Lsn, PageId};
 
 /// One physiological redo record: "write `data` at `off` within `page`",
-/// borrowed from the log (or the buffer) it was read from.
+/// borrowed from the log it was read from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogRecord<'a> {
     /// This record's LSN (unique, ascending).
@@ -59,6 +62,20 @@ const END: u8 = 1;
 /// Record flag: the record carries its LSN.
 const HAS_LSN: u8 = 2;
 
+/// A place in a [`BlockLog`] — its end, or the durable mark: where the
+/// next record starts, and what precedes it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    /// Records before the mark.
+    records: usize,
+    /// Of those, the records up to and including the last group end.
+    sealed: usize,
+    /// LSN of the record before the mark.
+    last_lsn: u64,
+    /// Block index and byte offset of the mark.
+    pos: (usize, usize),
+}
+
 /// Records back to back in fixed blocks:
 /// `flags u8 | [lsn u64] | page u64 | off u16 | len u16 | payload`.
 /// A record that does not fit the tail block opens a new one (of its own
@@ -66,11 +83,9 @@ const HAS_LSN: u8 = 2;
 #[derive(Default)]
 struct BlockLog {
     blocks: Vec<Vec<u8>>,
-    records: usize,
-    /// Records up to and including the last group end.
-    sealed: usize,
-    /// LSN of the last record, and where its flags byte sits.
-    last_lsn: u64,
+    /// Where the log ends.
+    end: Mark,
+    /// Where the last record's flags byte sits.
     last_at: (usize, usize),
 }
 
@@ -88,7 +103,7 @@ impl Clone for BlockLog {
 impl std::fmt::Debug for BlockLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockLog")
-            .field("records", &self.records)
+            .field("records", &self.end.records)
             .field("blocks", &self.blocks.len())
             .finish()
     }
@@ -97,7 +112,7 @@ impl std::fmt::Debug for BlockLog {
 impl BlockLog {
     fn push(&mut self, rec: LogRecord<'_>) {
         let len = u16::try_from(rec.data.len()).expect("a redo payload fits its u16 length");
-        let explicit = self.records == 0 || rec.lsn.0 != self.last_lsn + 1;
+        let explicit = self.end.records == 0 || rec.lsn.0 != self.end.last_lsn + 1;
         let size = HEADER + 8 * explicit as usize + rec.data.len();
         let room = self.blocks.last().map_or(0, |b| b.capacity() - b.len());
         if size > room {
@@ -114,60 +129,62 @@ impl BlockLog {
         b.extend_from_slice(&rec.off.to_le_bytes());
         b.extend_from_slice(&len.to_le_bytes());
         b.extend_from_slice(rec.data);
-        self.records += 1;
-        self.last_lsn = rec.lsn.0;
+        let end = &mut self.end;
+        end.records += 1;
         if rec.mtr_end {
-            self.sealed = self.records;
+            end.sealed = end.records;
         }
+        end.last_lsn = rec.lsn.0;
+        end.pos = (at, b.len());
     }
 
+    /// Flag the last record as a group end (the log is not empty).
     fn seal(&mut self) {
-        if self.records > 0 {
-            let (block, at) = self.last_at;
-            self.blocks[block][at] |= END;
-            self.sealed = self.records;
-        }
+        let (block, at) = self.last_at;
+        self.blocks[block][at] |= END;
+        self.end.sealed = self.end.records;
     }
 
-    fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-
-    /// Drop every record, keeping one block for the next.
-    fn clear(&mut self) {
-        self.blocks.truncate(1);
-        if let Some(b) = self.blocks.first_mut() {
-            b.clear();
+    /// Drop every record after `m`, keeping the block `m` sits in.
+    fn truncate(&mut self, m: Mark) {
+        self.blocks.truncate(m.pos.0 + 1);
+        if let Some(b) = self.blocks.get_mut(m.pos.0) {
+            b.truncate(m.pos.1);
         }
-        self.records = 0;
-        self.sealed = 0;
-    }
-
-    /// Copy `other`'s records onto this log and clear it.
-    fn append(&mut self, other: &mut BlockLog) {
-        for rec in other.iter() {
-            self.push(rec);
-        }
-        other.clear();
+        self.end = m;
     }
 
     /// Drop the first `n` records (the first one kept then carries its
-    /// LSN).
-    fn drop_first(&mut self, n: usize) {
+    /// LSN). Returns `m`, a mark at or past them, where it sits after.
+    fn drop_first(&mut self, n: usize, m: Mark) -> Mark {
+        if n == self.end.records {
+            self.truncate(Mark::default());
+            return Mark::default();
+        }
         let mut rest = BlockLog::default();
+        let mut moved = Mark::default();
         for rec in self.iter().skip(n) {
             rest.push(rec);
+            if n + rest.end.records == m.records {
+                moved = rest.end;
+            }
         }
         *self = rest;
+        moved
+    }
+
+    /// The records after `m`.
+    fn iter_from(&self, m: Mark) -> Records<'_> {
+        Records {
+            blocks: &self.blocks,
+            block: m.pos.0,
+            at: m.pos.1,
+            lsn: m.last_lsn,
+        }
     }
 
     fn iter(&self) -> Records<'_> {
-        Records {
-            blocks: &self.blocks,
-            block: 0,
-            at: 0,
-            lsn: 0,
-        }
+        self.iter_from(Mark::default())
     }
 }
 
@@ -233,7 +250,8 @@ fn le_u16(buf: &[u8], at: usize) -> u16 {
     u16::from_le_bytes(b)
 }
 
-/// A redo-only WAL with a volatile buffer and durable tail.
+/// A redo-only WAL: one log, whose durable mark splits the records the
+/// log device holds from the volatile tail.
 ///
 /// ```
 /// use storage::{Lsn, PageId, Wal};
@@ -252,11 +270,13 @@ fn le_u16(buf: &[u8], at: usize) -> u16 {
 #[derive(Debug, Clone)]
 pub struct Wal {
     next_lsn: u64,
-    /// Volatile log buffer (local DRAM): lost on crash.
-    buffer: BlockLog,
-    buffer_bytes: u64,
-    /// Durable tail (log device): survives crashes.
-    durable: BlockLog,
+    /// The durable prefix, then the volatile tail (local DRAM: lost on
+    /// crash).
+    log: BlockLog,
+    /// The durable mark: where the prefix the log device holds ends.
+    durable: Mark,
+    /// Device bytes of the volatile tail, logged or not.
+    pending_bytes: u64,
     durable_lsn: Lsn,
     checkpoint_lsn: Lsn,
     device: Link,
@@ -277,9 +297,9 @@ impl Wal {
     pub fn new() -> Self {
         Wal {
             next_lsn: 1,
-            buffer: BlockLog::default(),
-            buffer_bytes: 0,
-            durable: BlockLog::default(),
+            log: BlockLog::default(),
+            durable: Mark::default(),
+            pending_bytes: 0,
             durable_lsn: Lsn::ZERO,
             checkpoint_lsn: Lsn::ZERO,
             device: Link::new("wal", WAL_GBPS),
@@ -295,7 +315,7 @@ impl Wal {
     /// device bytes as a logged one does, but keeps no record: the
     /// closing flush makes the same LSN durable at the same cost, and the
     /// checkpoint leaves the state a logged twin would. Records already
-    /// buffered flush as usual.
+    /// in the volatile tail flush as usual.
     ///
     /// The range ends at a [`Wal::set_checkpoint`] on its last LSN, made
     /// durable; a [`Wal::crash`] inside it panics, since its LSNs have
@@ -316,17 +336,19 @@ impl Wal {
             mtr_end: false,
         };
         self.next_lsn += 1;
-        self.buffer_bytes += encoded_len(&rec);
+        self.pending_bytes += encoded_len(&rec);
         if !self.unlogged {
-            self.buffer.push(rec);
+            self.log.push(rec);
         }
         rec.lsn
     }
 
     /// Mark the end of the current mini-transaction group (idempotent;
-    /// a group with no updates is a no-op).
+    /// a no-op while the volatile tail is empty).
     pub fn seal_mtr(&mut self) {
-        self.buffer.seal();
+        if self.log.end.records > self.durable.records {
+            self.log.seal();
+        }
     }
 
     /// Highest LSN assigned so far (durable or not).
@@ -345,35 +367,27 @@ impl Wal {
         self.checkpoint_lsn
     }
 
-    /// Bytes waiting in the volatile buffer.
+    /// Bytes waiting in the volatile tail.
     pub fn pending_bytes(&self) -> u64 {
-        self.buffer_bytes
+        self.pending_bytes
     }
 
-    /// Flush the volatile buffer to the durable tail. Charges device
-    /// latency + bandwidth; returns completion time. A flush with an
-    /// empty buffer is free (group commit fast path). Every appended
-    /// LSN becomes durable, logged or not.
+    /// Flush the volatile tail: the durable mark moves to the log's end.
+    /// Charges device latency + bandwidth; returns completion time. A
+    /// flush with an empty tail is free (group commit fast path). Every
+    /// appended LSN becomes durable, logged or not.
     pub fn flush(&mut self, now: SimTime) -> SimTime {
         let _prof = simkit::profile::scope(simkit::profile::Subsys::Wal);
-        if self.buffer_bytes == 0 {
+        if self.pending_bytes == 0 {
             return now;
         }
         if let Verdict::Torn { keep_bytes } = faults::gate(FaultSite::WalFlush) {
             self.torn_flush(keep_bytes);
         }
-        let bytes = self.buffer_bytes;
+        let bytes = self.pending_bytes;
         self.durable_lsn = self.max_assigned_lsn();
-        if self.durable.is_empty() {
-            // Common case (first flush, or everything up to here already
-            // checkpointed away): adopt the buffer's blocks wholesale
-            // instead of copying them — bulk load flushes hundreds of
-            // thousands of records in one go.
-            std::mem::swap(&mut self.durable, &mut self.buffer);
-        } else {
-            self.durable.append(&mut self.buffer);
-        }
-        self.buffer_bytes = 0;
+        self.durable = self.log.end;
+        self.pending_bytes = 0;
         self.flushes += 1;
         self.bytes_flushed += bytes;
         let end = self.device.transfer(now, bytes).end + WAL_FLUSH_NS;
@@ -382,33 +396,34 @@ impl Wal {
         end
     }
 
-    /// A flush torn `keep_bytes` into its device write: records fully
-    /// inside the durable prefix — truncated to the last complete
-    /// mini-transaction group, preserving group atomicity — become
-    /// durable; the rest die with the host, and the crash unwinds to
+    /// A flush torn `keep_bytes` into its device write: the durable mark
+    /// moves past the records fully inside the durable prefix, truncated
+    /// to the last complete mini-transaction group (preserving group
+    /// atomicity); the rest die with the host, and the crash unwinds to
     /// the harness ([`simkit::faults::unwind`]).
     #[cold]
     fn torn_flush(&mut self, keep_bytes: u64) -> ! {
-        let mut fit_bytes = 0u64;
-        let mut kept = 0usize; // records up to the last complete group
-        for (i, r) in self.buffer.iter().enumerate() {
-            let next = fit_bytes + encoded_len(&r);
-            if next > keep_bytes {
+        let (mut fit_bytes, mut bytes) = (0u64, 0u64);
+        let mut records = self.durable.records;
+        let mut recs = self.log.iter_from(self.durable);
+        while let Some(r) = recs.next() {
+            fit_bytes += encoded_len(&r);
+            if fit_bytes > keep_bytes {
                 break;
             }
-            fit_bytes = next;
+            records += 1;
             if r.mtr_end {
-                kept = i + 1;
+                self.durable = Mark {
+                    records,
+                    sealed: records,
+                    last_lsn: r.lsn.0,
+                    pos: (recs.block, recs.at),
+                };
+                bytes = fit_bytes;
             }
         }
-        if kept > 0 {
-            let mut bytes = 0u64;
-            for r in self.buffer.iter().take(kept) {
-                bytes += encoded_len(&r);
-                self.durable.push(r);
-            }
-            self.buffer.drop_first(kept);
-            self.buffer_bytes -= bytes;
+        if bytes > 0 {
+            self.pending_bytes -= bytes;
             self.durable_lsn = Lsn(self.durable.last_lsn);
             self.flushes += 1;
             self.bytes_flushed += bytes;
@@ -435,15 +450,15 @@ impl Wal {
         }
         self.checkpoint_lsn = lsn;
         // Durable records at or below the checkpoint can be discarded.
-        if lsn == self.durable_lsn {
-            self.durable.clear();
+        let gone = if lsn == self.durable_lsn {
+            self.durable.records
         } else {
-            let gone = self.durable.iter().take_while(|r| r.lsn <= lsn).count();
-            self.durable.drop_first(gone);
-        }
+            self.log.iter().take_while(|r| r.lsn <= lsn).count()
+        };
+        self.durable = self.log.drop_first(gone, self.durable);
     }
 
-    /// Crash: the volatile buffer is lost; the durable tail survives.
+    /// Crash: the log is truncated to its durable mark.
     ///
     /// # Panics
     /// Inside an unlogged range: nothing replayable exists for its LSNs.
@@ -452,8 +467,8 @@ impl Wal {
             !self.unlogged,
             "crash inside an unlogged range: its LSNs have no redo to replay"
         );
-        self.buffer.clear();
-        self.buffer_bytes = 0;
+        self.log.truncate(self.durable);
+        self.pending_bytes = 0;
     }
 
     /// Iterate durable records with `lsn > from`, in LSN order, stopping
@@ -461,7 +476,7 @@ impl Wal {
     /// the tail is never surfaced — though flush-atomicity means one can
     /// only appear if callers flush mid-group).
     pub fn replay_from(&self, from: Lsn) -> impl Iterator<Item = LogRecord<'_>> {
-        self.durable
+        self.log
             .iter()
             .take(self.durable.sealed)
             .filter(move |r| r.lsn > from)
@@ -470,8 +485,9 @@ impl Wal {
     /// Bytes of durable log with `lsn > from` — what a recovery scan must
     /// read.
     pub fn replay_bytes_from(&self, from: Lsn) -> u64 {
-        self.durable
+        self.log
             .iter()
+            .take(self.durable.records)
             .filter(|r| r.lsn > from)
             .map(|r| encoded_len(&r))
             .sum()
@@ -510,7 +526,7 @@ pub(crate) mod tests {
         (PageId(page), off, vec![byte; 8])
     }
 
-    /// Append one mini-transaction's records to `wal`'s volatile buffer
+    /// Append one mini-transaction's records to `wal`'s volatile tail
     /// through [`Wal::append_update`] and [`Wal::seal_mtr`]: the last
     /// record is the group end. Returns the LSN of the last record.
     ///
@@ -525,9 +541,14 @@ pub(crate) mod tests {
         wal.max_assigned_lsn()
     }
 
-    /// Host bytes a block log holds.
-    fn host_bytes(log: &BlockLog) -> usize {
-        log.blocks.iter().map(Vec::len).sum()
+    /// Host bytes the log holds, durable or not.
+    fn host_bytes(wal: &Wal) -> usize {
+        wal.log.blocks.iter().map(Vec::len).sum()
+    }
+
+    /// Each kept record's LSN and where its payload sits, durable or not.
+    fn addresses(wal: &Wal) -> Vec<(Lsn, *const u8)> {
+        wal.log.iter().map(|r| (r.lsn, r.data.as_ptr())).collect()
     }
 
     /// The durable records as replay yields them.
@@ -537,9 +558,10 @@ pub(crate) mod tests {
 
     /// LSNs of the first record in each durable block.
     pub(crate) fn durable_block_starts(wal: &Wal) -> Vec<Lsn> {
-        let mut recs = wal.durable.iter();
+        let mut recs = wal.log.iter();
         let (mut starts, mut block) = (Vec::new(), usize::MAX);
-        while let Some(rec) = recs.next() {
+        for _ in 0..wal.durable.records {
+            let rec = recs.next().expect("the durable prefix is in the log");
             if recs.block != block {
                 block = recs.block;
                 starts.push(rec.lsn);
@@ -553,12 +575,12 @@ pub(crate) mod tests {
         // The log's first record carries its LSN; its successors do not.
         let mut wal = Wal::new();
         wal.append_update(PageId(1), 0, &[1; 5]);
-        assert_eq!(host_bytes(&wal.buffer), 21 + 5);
+        assert_eq!(host_bytes(&wal), 21 + 5);
         wal.append_update(PageId(2), 0, &[2; 7]);
         wal.seal_mtr();
-        assert_eq!(host_bytes(&wal.buffer), 21 + 5 + 13 + 7);
+        assert_eq!(host_bytes(&wal), 21 + 5 + 13 + 7);
         wal.flush(SimTime::ZERO);
-        assert_eq!(host_bytes(&wal.durable), 21 + 5 + 13 + 7);
+        assert_eq!(host_bytes(&wal), 21 + 5 + 13 + 7);
         // A crash loses LSN 3: the record after the gap carries its LSN.
         wal.append_update(PageId(3), 0, &[3; 4]);
         wal.crash();
@@ -566,7 +588,7 @@ pub(crate) mod tests {
         wal.append_update(PageId(5), 0, &[]);
         wal.seal_mtr();
         wal.flush(SimTime::ZERO);
-        assert_eq!(host_bytes(&wal.durable), 21 + 5 + 13 + 7 + 21 + 4 + 13);
+        assert_eq!(host_bytes(&wal), 21 + 5 + 13 + 7 + 21 + 4 + 13);
         let lsns: Vec<u64> = records(&wal).iter().map(|r| r.lsn.0).collect();
         assert_eq!(lsns, [1, 2, 4, 5]);
         // The device format stays 25 bytes plus the payload.
@@ -582,17 +604,17 @@ pub(crate) mod tests {
         for _ in 0..fits {
             wal.append_update(PageId(1), 0, &payload);
         }
-        assert_eq!(wal.buffer.blocks.len(), 1);
-        let first = wal.buffer.blocks[0].as_ptr();
+        assert_eq!(wal.log.blocks.len(), 1);
+        let first = wal.log.blocks[0].as_ptr();
         wal.append_update(PageId(2), 0, &payload);
-        assert_eq!(wal.buffer.blocks.len(), 2, "the next record opens a block");
-        assert_eq!(wal.buffer.blocks[0].as_ptr(), first, "a block never moves");
+        assert_eq!(wal.log.blocks.len(), 2, "the next record opens a block");
+        assert_eq!(wal.log.blocks[0].as_ptr(), first, "a block never moves");
         // A record longer than a block gets a block of its own size.
         let jumbo = vec![9u8; u16::MAX as usize];
         wal.append_update(PageId(3), 0, &jumbo);
         wal.append_update(PageId(4), 0, &payload);
         wal.seal_mtr();
-        let caps: Vec<usize> = wal.buffer.blocks.iter().map(Vec::capacity).collect();
+        let caps: Vec<usize> = wal.log.blocks.iter().map(Vec::capacity).collect();
         assert_eq!(caps, [BLOCK, BLOCK, 13 + jumbo.len(), BLOCK]);
         wal.flush(SimTime::ZERO);
         let recs = records(&wal);
@@ -610,20 +632,28 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn flush_into_empty_durable_adopts_buffer() {
-        // The swap fast path must be observationally identical to append.
+    fn a_flush_moves_the_mark_and_no_record() {
         let mut wal = Wal::new();
         append_mtr(&mut wal, vec![upd(1, 0, 1), upd(2, 0, 2)]);
+        let first = addresses(&wal);
         wal.flush(SimTime::ZERO);
-        assert_eq!(wal.replay_from(Lsn::ZERO).count(), 2);
-        // Second flush lands on a non-empty tail (append path).
         append_mtr(&mut wal, vec![upd(3, 0, 3)]);
+        let kept = addresses(&wal);
+        assert_eq!(kept[..2], first[..]);
+        // The second flush lands after a durable prefix: every record,
+        // the one it makes durable included, keeps its bytes' address.
         wal.flush(SimTime::ZERO);
-        let lsns: Vec<u64> = wal.replay_from(Lsn::ZERO).map(|r| r.lsn.0).collect();
-        assert_eq!(lsns, vec![1, 2, 3]);
-        // Checkpoint at the durable tip empties the durable log entirely.
+        assert_eq!(addresses(&wal), kept);
+        // A crash drops the volatile tail and nothing before it.
+        append_mtr(&mut wal, vec![upd(4, 0, 4)]);
+        assert_eq!(addresses(&wal).len(), 4);
+        wal.crash();
+        assert_eq!(addresses(&wal), kept);
+        let lsns: Vec<u64> = records(&wal).iter().map(|r| r.lsn.0).collect();
+        assert_eq!(lsns, [1, 2, 3]);
+        // Checkpoint at the durable tip empties the log entirely.
         wal.set_checkpoint(wal.durable_lsn());
-        assert_eq!(wal.replay_from(Lsn::ZERO).count(), 0);
+        assert!(addresses(&wal).is_empty());
     }
 
     #[test]
@@ -633,16 +663,13 @@ pub(crate) mod tests {
         wal.flush(SimTime::ZERO);
         append_mtr(&mut wal, vec![upd(3, 0, 3)]);
         let copy = wal.clone();
-        let capacities = |w: &Wal| {
-            [&w.buffer, &w.durable]
-                .map(|log| log.blocks.iter().map(Vec::capacity).collect::<Vec<_>>())
-        };
+        let capacities = |w: &Wal| w.log.blocks.iter().map(Vec::capacity).collect::<Vec<_>>();
         assert_eq!(capacities(&copy), capacities(&wal));
-        assert_eq!(capacities(&copy), [vec![BLOCK], vec![BLOCK]]);
+        assert_eq!(capacities(&copy), [BLOCK]);
         assert_eq!(copy.pending_bytes(), wal.pending_bytes());
         assert_eq!(copy.flush_stats(), wal.flush_stats());
         assert_eq!(copy.max_assigned_lsn(), Lsn(3));
-        // Same device backlog, same buffered tail: the next flush ends at
+        // Same device backlog, same volatile tail: the next flush ends at
         // the same instant and makes the same records durable.
         let (mut a, mut b) = (wal, copy);
         assert_eq!(a.flush(SimTime(10)), b.flush(SimTime(10)));
@@ -813,7 +840,7 @@ pub(crate) mod tests {
         let (mut logged, mut unlogged) = twins(&range);
         assert_eq!(state(&unlogged), state(&logged));
         assert_eq!(
-            host_bytes(&unlogged.buffer),
+            host_bytes(&unlogged),
             21 + 8,
             "only the meta record is kept"
         );

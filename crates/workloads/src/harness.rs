@@ -16,6 +16,7 @@ use bufferpool::BufferPool;
 use engine::Db;
 use memsim::calib::PAGE_SIZE;
 use memsim::{CxlPool, NodeId, RdmaPool};
+use polarcxlmem::layout::lease_size;
 use polarcxlmem::{CxlBp, CxlMemoryManager};
 use simkit::rng::{stream_rng, SimRng};
 use simkit::trace::{self, Lane, QueryBreakdown, SpanKind};
@@ -156,7 +157,7 @@ pub(crate) fn single_rdma(table_size: u64) -> Db<TieredRdmaBp> {
 pub(crate) fn single_cxl(table_size: u64) -> Db<CxlBp> {
     let pages = pages_for(table_size, PAGE_SIZE);
     let store = PageStore::new(pages);
-    let geo = 64 + pages * (64 + PAGE_SIZE) + 4096;
+    let geo = lease_size(pages, PAGE_SIZE) + 4096;
     let cxl = CxlPool::single_host(geo as usize, 1, STANDARD_CACHE_BYTES, false);
     let cxl = Rc::new(RefCell::new(cxl));
     loaded(CxlBp::format(cxl, NodeId(0), 0, pages, store), table_size)
@@ -366,19 +367,8 @@ fn measure<P: BufferPool>(
         trace::attribution_enabled().then(|| trace::attr_snapshot().since(&attr_before));
     let window = cfg.duration;
     let secs = window.as_secs_f64();
-    let metrics = RunMetrics {
-        qps: queries as f64 / secs,
-        tps: txns as f64 / secs,
-        avg_latency_us: hist.mean_us(),
-        p50_latency_us: hist.p50_us(),
-        p95_latency_us: hist.p95_us(),
-        p99_latency_us: hist.p99_us(),
-        p999_latency_us: hist.p999_us(),
-        interconnect_gbps: interconnect_bytes() as f64 / window.as_nanos() as f64,
-        memory_bytes,
-        window,
-        latency: hist,
-    };
+    let link_bytes = interconnect_bytes();
+    let metrics = RunMetrics::new(queries, txns, hist, window, link_bytes, memory_bytes);
     let registry = collect_registry(&dbs, &metrics, attribution.as_ref());
     PoolingResult {
         metrics,
@@ -435,7 +425,7 @@ fn pooling<const ALL_LOADED: bool>(cfg: &PoolingConfig) -> PoolingResult {
         }
         PoolKind::Cxl => {
             // One CXL pool on the host, carved up by the memory manager.
-            let geo_size = 64 + pages * (64 + PAGE_SIZE);
+            let geo_size = lease_size(pages, PAGE_SIZE);
             let pool_size = (geo_size + 4096) * n;
             let node_cfg = memsim::CxlNodeConfig {
                 host: 0,

@@ -35,6 +35,33 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// The metrics of a `window` in which `txns` transactions of
+    /// `queries` statements completed with latencies `latency`, moving
+    /// `link_bytes` over the interconnect, on a design of `memory_bytes`.
+    pub(crate) fn new(
+        queries: u64,
+        txns: u64,
+        latency: Histogram,
+        window: SimTime,
+        link_bytes: u64,
+        memory_bytes: u64,
+    ) -> Self {
+        let secs = window.as_secs_f64();
+        RunMetrics {
+            qps: queries as f64 / secs,
+            tps: txns as f64 / secs,
+            avg_latency_us: latency.mean_us(),
+            p50_latency_us: latency.p50_us(),
+            p95_latency_us: latency.p95_us(),
+            p99_latency_us: latency.p99_us(),
+            p999_latency_us: latency.p999_us(),
+            interconnect_gbps: link_bytes as f64 / window.as_nanos() as f64,
+            memory_bytes,
+            window,
+            latency,
+        }
+    }
+
     /// Pretty single-line summary.
     pub fn summary(&self) -> String {
         format!(

@@ -10,9 +10,9 @@
 use crate::harness::{closed_loop, exec_txn, single_cxl, single_dram, single_rdma, timeline};
 use crate::metrics::TimelinePoint;
 use crate::sysbench::{Sysbench, SysbenchKind, Transaction};
-use bufferpool::{BufferPool, Crashable};
-use engine::{recover_polar, recover_polar_policy, recover_replay, Db, RecoverySummary};
-use polarcxlmem::{CxlBp, TrustPolicy};
+use bufferpool::BufferPool;
+use engine::{recover_polar, recover_replay, Db, RecoverySummary};
+use polarcxlmem::TrustPolicy;
 use simkit::rng::SimRng;
 use simkit::{dur, SimTime, Step, TimeSeries, WorkerId};
 
@@ -117,7 +117,7 @@ fn step<P: BufferPool>(
 
 fn run_phases<P, FR>(cfg: &RecoveryConfig, mut db: Db<P>, recover: FR) -> RecoveryRunResult
 where
-    P: BufferPool + Crashable,
+    P: BufferPool,
     FR: FnOnce(&mut Db<P>, SimTime) -> RecoverySummary,
 {
     let gen = Sysbench::new(cfg.workload, cfg.table_size);
@@ -175,15 +175,6 @@ where
     }
 }
 
-/// PolarRecv trusting no block's metadata ([`Scheme::PolarRecvNoMeta`]):
-/// every in-use page is rebuilt from storage + redo.
-pub(crate) fn recover_untrusted(db: &mut Db<CxlBp>, now: SimTime) -> RecoverySummary {
-    RecoverySummary {
-        scheme: "polarrecv-nometa",
-        ..recover_polar_policy(db, TrustPolicy::Nothing, now)
-    }
-}
-
 /// Run one recovery experiment.
 pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRunResult {
     let rows = cfg.table_size;
@@ -194,7 +185,14 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRunResult {
         Scheme::RdmaBased => run_phases(cfg, single_rdma(rows), |db, t| {
             recover_replay(db, "rdma-based", t)
         }),
-        Scheme::PolarRecv => run_phases(cfg, single_cxl(rows), recover_polar),
-        Scheme::PolarRecvNoMeta => run_phases(cfg, single_cxl(rows), recover_untrusted),
+        Scheme::PolarRecv => run_phases(cfg, single_cxl(rows), |db, t| {
+            recover_polar(db, TrustPolicy::Durable, t)
+        }),
+        // No block's metadata trusted: every in-use page is rebuilt from
+        // storage + redo.
+        Scheme::PolarRecvNoMeta => run_phases(cfg, single_cxl(rows), |db, t| RecoverySummary {
+            scheme: "polarrecv-nometa",
+            ..recover_polar(db, TrustPolicy::Nothing, t)
+        }),
     }
 }

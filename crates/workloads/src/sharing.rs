@@ -404,22 +404,9 @@ where
         queries += tally.queries;
         txns += tally.txns;
     }
-    let window = cfg.duration;
-    let secs = window.as_secs_f64();
+    let link_bytes = cluster.fabric.link_bytes();
     SharingResult {
-        metrics: RunMetrics {
-            qps: queries as f64 / secs,
-            tps: txns as f64 / secs,
-            avg_latency_us: hist.mean_us(),
-            p50_latency_us: hist.p50_us(),
-            p95_latency_us: hist.p95_us(),
-            p99_latency_us: hist.p99_us(),
-            p999_latency_us: hist.p999_us(),
-            interconnect_gbps: cluster.fabric.link_bytes() as f64 / window.as_nanos() as f64,
-            memory_bytes: memory,
-            window,
-            latency: hist,
-        },
+        metrics: RunMetrics::new(queries, txns, hist, cfg.duration, link_bytes, memory),
         lock_contended: cluster.locks.contended(),
         lock_mean_wait_ns: cluster.locks.mean_wait_ns(),
     }

@@ -7,11 +7,10 @@
 //!
 //! Run with: `cargo run --release --example pooling_scaling`
 //!
-//! Pass `--trace out.json` (or set `TRACE_OUT=out.json`) to rerun the
-//! first configuration with span recording + latency attribution on and
-//! dump a Chrome `trace_event` file — open it at https://ui.perfetto.dev
-//! (or `chrome://tracing`) to see every simulated nanosecond on a
-//! per-node, per-span-kind timeline.
+//! Pass `--trace out.json` to rerun the first configuration with span
+//! recording + latency attribution on and dump a Chrome `trace_event`
+//! file — open it at https://ui.perfetto.dev (or `chrome://tracing`) to
+//! see every simulated nanosecond on a per-node, per-span-kind timeline.
 
 use bench::figures::RDMA_VS_CXL;
 use bench::pooling_sweep;
@@ -53,17 +52,12 @@ fn main() {
     }
 }
 
-/// Trace output path from the `--trace <path>` command-line switch or
-/// the `TRACE_OUT` environment variable (argv wins); `None` when neither
-/// is set.
+/// Trace output path from the `--trace <path>` command-line switch;
+/// `None` when it is not given.
 fn trace_out_path() -> Option<PathBuf> {
     let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(Into::into);
-        }
-    }
-    std::env::var_os("TRACE_OUT").map(Into::into)
+    args.position(|a| a == "--trace")?;
+    args.next().map(Into::into)
 }
 
 /// Run `cfg` with span recording and latency attribution enabled,

@@ -48,7 +48,7 @@ fn main() {
     // --- 4. Crash and instant recovery (§3.2) -------------------------
     db.crash();
     println!("host crashed: CPU cache and local state gone; CXL box survives");
-    let report = recover_polar(&mut db, t);
+    let report = recover_polar(&mut db, TrustPolicy::Durable, t);
     println!(
         "PolarRecv done in {}: trusted CXL copies, rebuilt {} page(s), applied {} redo record(s)",
         simkit::SimTime::from_nanos(report.done - t),

@@ -60,8 +60,8 @@ pub mod prelude {
     pub use btree::BTree;
     pub use bufferpool::dram_bp::DramBp;
     pub use bufferpool::tiered::TieredRdmaBp;
-    pub use bufferpool::{BufferPool, Crashable};
-    pub use engine::{recover_polar, recover_polar_policy, recover_replay, Db};
+    pub use bufferpool::BufferPool;
+    pub use engine::{recover_polar, recover_replay, Db};
     pub use memsim::{CxlPool, NodeId, RdmaPool};
     pub use polarcxlmem::ReleaseError;
     pub use polarcxlmem::{CxlBp, CxlMemoryManager, FusionServer, SharingNode, TrustPolicy};

@@ -16,6 +16,7 @@ use bufferpool::BufferPool;
 use engine::Db;
 use memsim::calib::PAGE_SIZE;
 use memsim::{CxlNodeConfig, CxlPool, NodeId, RdmaPool};
+use polarcxlmem::layout::lease_size;
 use polarcxlmem::{CxlBp, CxlMemoryManager, RdmaDbp, RdmaSharingNode};
 use simkit::trace::{self, SpanKind};
 use simkit::SimTime;
@@ -121,7 +122,7 @@ fn tiered_rdma_conserves_and_span_bytes_match_nic() {
 
 #[test]
 fn cxl_bp_conserves_and_span_bytes_match_switch() {
-    let geo_size = 64 + PAGES * (64 + PAGE_SIZE);
+    let geo_size = lease_size(PAGES, PAGE_SIZE);
     let pool_size = geo_size + 4096;
     let node_cfg = CxlNodeConfig {
         host: 0,

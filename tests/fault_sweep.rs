@@ -285,7 +285,7 @@ const POLARRECV: Design<CxlBp> = Design {
         )));
         loaded(CxlBp::format(cxl, NodeId(0), 0, 512, store()))
     },
-    recover: |db, t| recover_polar(db, t).done,
+    recover: |db, t| recover_polar(db, TrustPolicy::Durable, t).done,
     sites: &[
         "wal_flush",
         "clflush",
@@ -313,7 +313,7 @@ struct AtCrash<'a, P: BufferPool> {
 
 /// Build the design and run `ops` under `plan`: the plan's counters, and
 /// the crashed database when the plan fired within the script.
-fn run_to_crash<'a, P: BufferPool + Crashable>(
+fn run_to_crash<'a, P: BufferPool>(
     d: &Design<P>,
     ops: &'a [Op],
     plan: FaultPlan,
@@ -354,7 +354,7 @@ fn recover_and_verify<P: BufferPool>(d: &Design<P>, c: &mut AtCrash<P>) -> Resul
 /// Build the design, run `ops` under `plan`, and if the plan killed the
 /// host, recover and verify. The verdict is `None` when the trigger
 /// landed past the script's horizon.
-fn crash_point<P: BufferPool + Crashable>(
+fn crash_point<P: BufferPool>(
     d: &Design<P>,
     ops: &[Op],
     plan: FaultPlan,
@@ -367,7 +367,7 @@ fn crash_point<P: BufferPool + Crashable>(
 /// the recovery's counters, and — when `second` killed the host inside
 /// it — the verdict of a second recovery with no plan. `None` when
 /// either plan landed past its horizon.
-fn recovery_crash_point<P: BufferPool + Crashable>(
+fn recovery_crash_point<P: BufferPool>(
     d: &Design<P>,
     ops: &[Op],
     first: FaultPlan,
@@ -388,7 +388,7 @@ fn recovery_crash_point<P: BufferPool + Crashable>(
 }
 
 /// The hits per site of the sweep's script under an empty plan.
-fn dry_run<P: BufferPool + Crashable>(d: &Design<P>, ops: &[Op]) -> FaultStats {
+fn dry_run<P: BufferPool>(d: &Design<P>, ops: &[Op]) -> FaultStats {
     let (dry, verdict) = crash_point(d, ops, FaultPlan::default());
     assert!(
         verdict.is_none(),
@@ -444,7 +444,7 @@ fn sweep_plans(dry: &FaultStats) -> Vec<FaultPlan> {
 /// restore the committed state, the points must cover at least
 /// [`MIN_CRASH_HITS`] distinct hits, and the crashes must land on every
 /// site the design lists.
-fn sweep<P: BufferPool + Crashable>(d: &Design<P>) {
+fn sweep<P: BufferPool>(d: &Design<P>) {
     let ops = script(OPS_SEED, OPS);
     let mut crash_hits = BTreeSet::new();
     let mut crash_sites = BTreeSet::new();
@@ -509,7 +509,7 @@ fn sweep_polarrecv() {
 fn sweep_polarrecv_nometa() {
     sweep(&Design {
         name: "polarrecv-nometa",
-        recover: |db, t| recover_polar_policy(db, TrustPolicy::Nothing, t).done,
+        recover: |db, t| recover_polar(db, TrustPolicy::Nothing, t).done,
         sites: &["wal_flush", "clflush", "cxl_read", "cxl_nt_store"],
         ..POLARRECV
     });
@@ -521,7 +521,7 @@ fn sweep_polarrecv_nometa() {
 /// design's recovery restores the committed state.
 #[test]
 fn every_polled_site_honours_a_crash() {
-    fn check<P: BufferPool + Crashable>(d: &Design<P>) {
+    fn check<P: BufferPool>(d: &Design<P>) {
         let ops = script(OPS_SEED, OPS);
         let dry = dry_run(d, &ops);
         let shaped = [
@@ -575,7 +575,7 @@ fn every_polled_site_honours_a_crash() {
 fn broken_trust_policy_fails_the_sweep() {
     let latched = Design {
         name: "polarrecv-trust-latched",
-        recover: |db, t| recover_polar_policy(db, TrustPolicy::TrustLatched, t).done,
+        recover: |db, t| recover_polar(db, TrustPolicy::TrustLatched, t).done,
         ..POLARRECV
     };
     let ops = script(OPS_SEED, OPS);
@@ -613,7 +613,7 @@ fn broken_trust_policy_fails_the_sweep() {
 /// point.
 #[test]
 fn recovery_survives_its_own_crash() {
-    fn check<P: BufferPool + Crashable>(d: &Design<P>) -> usize {
+    fn check<P: BufferPool>(d: &Design<P>) -> usize {
         let ops = script(OPS_SEED, OPS);
         let mut points = 0;
         let mut failures = Vec::new();
@@ -662,7 +662,7 @@ fn recovery_survives_its_own_crash() {
 /// Crash the design [`STORM_CRASHES`] times at statement boundaries of
 /// one long script, recovering each time and serving on: every recovery
 /// must restore exactly the committed state.
-fn storm<P: BufferPool + Crashable>(d: &Design<P>, seed: u64) {
+fn storm<P: BufferPool>(d: &Design<P>, seed: u64) {
     let ops = script(seed, STORM_OPS);
     let mut db = (d.build)();
     let mut model: Model = rows().collect();
@@ -717,7 +717,7 @@ fn untrusted_page_is_rebuilt_from_durable_redo() {
             db.update_no_commit(7, 0, &[0x32; 8], t).1
         };
         db.crash();
-        let report = recover_polar(&mut db, t);
+        let report = recover_polar(&mut db, TrustPolicy::Durable, t);
         assert!(
             report.pages_rebuilt >= 1,
             "latched {latched}: the untrusted page must be rebuilt"

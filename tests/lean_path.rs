@@ -121,6 +121,9 @@ impl<P: BufferPool> BufferPool for ByDefault<P> {
     fn prewarm(&mut self) {
         self.0.prewarm()
     }
+    fn crash(&mut self) {
+        self.0.crash()
+    }
 }
 
 /// [`drive`] over `pool` itself, or over `pool` with the default `touch`.

@@ -16,7 +16,7 @@
 //! sharing cluster, so a panic there takes all of them down). Only
 //! non-test code is linted (`#[cfg(test)]` and below is free to
 //! unwrap). `.expect(` is allowed — it documents an invariant.
-//! Deliberate panicking wrappers over typed APIs carry a
+//! A deliberate panic — a check whose message a test pins — carries a
 //! `// lint: fault-path panic` marker.
 
 use std::fmt::Write as _;
@@ -91,9 +91,9 @@ fn no_unwrap_or_panic_on_fabric_and_storage_paths() {
     }
     assert!(
         violations.is_empty(),
-        "fault paths must return typed errors, not abort (use the try_* \
-         APIs, or add `// {MARKER}` on a deliberate wrapper whose panic \
-         a test pins):\n{violations}"
+        "fault paths must not abort (state the invariant with `.expect(`, \
+         or add `// {MARKER}` on a deliberate check whose panic a test \
+         pins):\n{violations}"
     );
 }
 

@@ -31,6 +31,7 @@
 
 use polardb_cxl_repro::memsim::calib::PAGE_SIZE;
 use polardb_cxl_repro::memsim::{Access, CacheStats, Region};
+use polardb_cxl_repro::polarcxlmem::layout::lease_size;
 use polardb_cxl_repro::prelude::*;
 use polardb_cxl_repro::workloads::harness::pages_for;
 use polardb_cxl_repro::workloads::sysbench::{make_record, RECORD_SIZE};
@@ -134,10 +135,7 @@ struct InMotion {
 
 /// The seeded mix (see the module docs). `recover` is the design's
 /// recovery scheme, run after the mid-mix crash.
-fn drive<P: BufferPool + Crashable>(
-    db: &mut Db<P>,
-    recover: fn(&mut Db<P>, SimTime) -> String,
-) -> InMotion {
+fn drive<P: BufferPool>(db: &mut Db<P>, recover: fn(&mut Db<P>, SimTime) -> String) -> InMotion {
     let mut out = InMotion::default();
     let mut rng = SimRng::seed_from_u64(0xC0B1);
     let mut t = SimTime::ZERO;
@@ -222,7 +220,7 @@ fn replay<P: BufferPool>(db: &mut Db<P>, t: SimTime) -> String {
 }
 
 fn polar(db: &mut Db<CxlBp>, t: SimTime) -> String {
-    format!("{:?}", recover_polar(db, t))
+    format!("{:?}", recover_polar(db, TrustPolicy::Durable, t))
 }
 
 /// `len` bytes of `region` at `base`, read, not borrowed: a copied seat's
@@ -256,7 +254,7 @@ impl<P: BufferPool> World<P> {
 
 /// Seat B of `x` and of `y` is one instance: at rest, under the seeded
 /// mix, and afterwards. Returns what the mix saw.
-fn assert_same_seat_b<P: BufferPool + Crashable>(
+fn assert_same_seat_b<P: BufferPool>(
     x: &mut World<P>,
     y: &mut World<P>,
     recover: fn(&mut Db<P>, SimTime) -> String,
@@ -273,7 +271,7 @@ fn assert_same_seat_b<P: BufferPool + Crashable>(
 }
 
 /// `build(how)` makes a world whose seat B is made `how`.
-fn assert_copy_is_exact<P: BufferPool + Crashable>(
+fn assert_copy_is_exact<P: BufferPool>(
     build: impl Fn(SeatB) -> World<P>,
     recover: fn(&mut Db<P>, SimTime) -> String,
 ) {
@@ -293,7 +291,7 @@ fn assert_copy_is_exact<P: BufferPool + Crashable>(
 /// `Db::load` is its logged reference: every page's bytes and LSN, the
 /// WAL's LSNs and flush counters, `BpStats` and the modelled cache equal
 /// at rest, and so does everything after.
-fn assert_load_matches_logged<P: BufferPool + Crashable>(
+fn assert_load_matches_logged<P: BufferPool>(
     build: impl Fn(SeatB) -> World<P>,
     recover: fn(&mut Db<P>, SimTime) -> String,
 ) {
@@ -350,7 +348,7 @@ fn tiered_rdma_world(how: SeatB) -> World<TieredRdmaBp> {
 fn cxl_world(how: SeatB) -> World<CxlBp> {
     // Fewer blocks than the table has pages, so the load itself evicts.
     const BLOCKS: u64 = 60;
-    let lease = 64 + BLOCKS * (64 + PAGE);
+    let lease = lease_size(BLOCKS, PAGE);
     // Not a multiple of the 768-set cache's reach: B's lines land in
     // other sets than A's, with a carry into the tags.
     let b_base = lease + 4096 + 3 * 64;
@@ -484,7 +482,7 @@ fn seat_copies<P: BufferPool>(first: Db<P>, n: usize, copy: impl Fn(&P, usize) -
 #[test]
 fn cxl_n8_seat_owns_lease_0_and_the_edges() {
     let pages = pages_for(POINT_ROWS, PAGE_SIZE);
-    let lease = 64 + pages * (64 + PAGE_SIZE);
+    let lease = lease_size(pages, PAGE_SIZE);
     let pool_size = (lease + 4096) * 8;
     let cxl = Rc::new(RefCell::new(CxlPool::single_host(
         pool_size as usize,
