@@ -16,8 +16,10 @@
 //!   RPC) and its `invalid` flag (modified elsewhere? drop the CPU-cache
 //!   copy, then read fresh lines from CXL).
 //!
-//! Because [`memsim::Cache`] runs in capture mode here, skipping any of
-//! these steps produces *observably stale reads* — see the tests.
+//! On a capture-mode [`memsim::Cache`] (the tests' pools), skipping any
+//! of these steps produces *observably stale reads* — see the tests.
+//! Harness runs take timing-mode caches: the same hits, misses and link
+//! bytes, without the line copies.
 //!
 //! # Module map
 //!

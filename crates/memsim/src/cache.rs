@@ -6,21 +6,17 @@
 //! - **Timing mode** (default): only tags are tracked. Reads/writes still
 //!   go to the backing region immediately; the tag array decides whether
 //!   an access costs a cache hit or a fabric miss, and how many bytes hit
-//!   the link. Used for the single-node pooling experiments.
+//!   the link. Every harness run (pooling, recovery and sharing) uses it.
 //! - **Capture mode**: the cache additionally stores *copies of line
 //!   data*. Reads are served from the copies and writes land only in the
 //!   copies until written back (eviction or `clflush`). This makes cache
 //!   coherency *real*: a node that skips the paper's invalidation protocol
-//!   observably reads stale data. Used by the multi-primary sharing
-//!   experiments and their tests (§3.3).
+//!   observably reads stale data. It changes where bytes live, never a
+//!   hit, a miss or a link byte, so it is the byte oracle of the
+//!   coherency tests (§3.3) rather than a run mode.
 //!
-//! Line copies live in a dense slab — one 64-byte buffer per *live* copy,
-//! found through a per-set index and recycled through a free list — so a
-//! warmed cache allocates nothing, and host memory follows the lines a
-//! node actually holds rather than the modelled capacity. A bitmap with
-//! one bit per line of the region indexes which lines hold a copy, so
-//! [`Cache::invalidate_run`] visits only those instead of every tag of
-//! the range.
+//! A capture cache keeps at most one copy per set, beside the set's tag,
+//! so a warmed cache allocates nothing.
 
 use crate::calib::CACHE_LINE;
 
@@ -97,99 +93,9 @@ struct Captured {
     bytes: LineBytes,
 }
 
-/// Capture-mode line copies. A direct-mapped set holds at most one copy,
-/// so `idx` finds it in one load; the buffers themselves are dense
-/// (`lines.len()` is the high-water mark of live copies, not the set
-/// count) and reused through `free`.
-#[derive(Clone)]
-struct LineStore {
-    /// Per set: index into `lines` plus one; 0 = the set holds no copy.
-    idx: Vec<u32>,
-    lines: Vec<Captured>,
-    /// Entries of `lines` no set refers to.
-    free: Vec<u32>,
-    /// Bit `l % 64` of word `l / 64` is set iff line `l` has a copy here.
-    /// Sized once for the lines below the region's end; a line beyond it
-    /// (a cache used without a region) has no bit.
-    resident: Vec<u64>,
-}
-
-impl LineStore {
-    fn new(sets: usize, region_bytes: usize) -> Self {
-        LineStore {
-            idx: vec![0; sets],
-            lines: Vec::new(),
-            free: Vec::new(),
-            resident: vec![0; (region_bytes as u64).div_ceil(CACHE_LINE * 64) as usize],
-        }
-    }
-
-    /// Lines `0..indexed()` have a bit in `resident`.
-    #[inline]
-    fn indexed(&self) -> u64 {
-        self.resident.len() as u64 * 64
-    }
-
-    /// Set or reset `line`'s resident bit, if it has one.
-    #[inline]
-    fn mark(&mut self, line: u64, held: bool) {
-        if let Some(word) = self.resident.get_mut((line / 64) as usize) {
-            let bit = 1 << (line % 64);
-            if held {
-                *word |= bit;
-            } else {
-                *word &= !bit;
-            }
-        }
-    }
-
-    /// The buffer holding `line`'s copy, if `set` (its set) has one.
-    #[inline]
-    fn find(&self, set: usize, line: u64) -> Option<usize> {
-        let i = self.idx[set].checked_sub(1)? as usize;
-        (self.lines[i].line == line).then_some(i)
-    }
-
-    /// Install `bytes` as `line`'s copy: over its current copy, or into a
-    /// recycled (else new) buffer.
-    #[inline]
-    fn put(&mut self, set: usize, line: u64, bytes: &LineBytes) {
-        let copy = Captured {
-            line,
-            bytes: *bytes,
-        };
-        if let Some(i) = self.idx[set].checked_sub(1) {
-            // A different owner here would be a dirty victim nobody took:
-            // a store about to be lost.
-            debug_assert_eq!(self.lines[i as usize].line, line, "orphaned line copy");
-            self.lines[i as usize] = copy;
-        } else if let Some(i) = self.free.pop() {
-            self.lines[i as usize] = copy;
-            self.idx[set] = i + 1;
-        } else {
-            self.lines.push(copy);
-            self.idx[set] = u32::try_from(self.lines.len()).expect("line slab exceeds u32");
-        }
-        self.mark(line, true);
-    }
-
-    /// Drop `line`'s copy, handing its buffer back; returns the bytes.
-    #[inline]
-    fn release(&mut self, set: usize, line: u64) -> Option<LineBytes> {
-        let i = self.find(set, line)?;
-        self.idx[set] = 0;
-        self.free.push(i as u32);
-        self.mark(line, false);
-        Some(self.lines[i].bytes)
-    }
-
-    fn clear(&mut self) {
-        self.idx.fill(0);
-        self.lines.clear();
-        self.free.clear();
-        self.resident.fill(0);
-    }
-}
+/// Capture-mode line copies, one slot per set: a direct-mapped set holds
+/// at most one copy.
+type LineStore = Vec<Option<Captured>>;
 
 /// Direct-mapped write-back cache. Addresses are byte offsets into the
 /// backing region; lines are [`CACHE_LINE`] bytes.
@@ -230,12 +136,10 @@ impl Cache {
         }
     }
 
-    /// A data-capturing cache (see module docs) over a region of
-    /// `region_bytes`: its lines are indexed for
-    /// [`Cache::invalidate_run`], which tag-scans any line beyond them.
-    pub fn with_capture(capacity_bytes: usize, region_bytes: usize) -> Self {
+    /// A data-capturing cache (see module docs) of `capacity_bytes`.
+    pub fn with_capture(capacity_bytes: usize) -> Self {
         let mut c = Cache::new(capacity_bytes);
-        c.data = Some(LineStore::new(c.slots.len(), region_bytes));
+        c.data = Some(vec![None; c.slots.len()]);
         c
     }
 
@@ -346,10 +250,7 @@ impl Cache {
         if slot != 0 && evicted_dirty.is_none() {
             // Clean eviction: drop the stale copy. Dirty copies are
             // removed by `take_line` during writeback.
-            let victim = self.line_of(set, slot);
-            if let Some(data) = &mut self.data {
-                data.release(set, victim);
-            }
+            self.release(set, self.line_of(set, slot));
         }
         self.slots[set] = Self::pack(key, write);
         self.stats.misses += 1;
@@ -432,8 +333,8 @@ impl Cache {
         self.stats.invalidations += 1;
         if was_dirty {
             self.stats.flushes += 1;
-        } else if let Some(data) = &mut self.data {
-            data.release(set, line);
+        } else {
+            self.release(set, line);
         }
         was_dirty
     }
@@ -445,59 +346,16 @@ impl Cache {
         if (self.slots[set] >> 1) as u64 == key {
             self.slots[set] = 0;
             self.stats.invalidations += 1;
-            if let Some(data) = &mut self.data {
-                data.release(set, line);
-            }
+            self.release(set, line);
         }
     }
 
     /// [`Cache::invalidate`] for every line of a contiguous run, in
-    /// ascending line order.
-    ///
-    /// A capture cache visits only the lines its resident bitmap holds:
-    /// between operations a capture-mode tag is valid iff its line has a
-    /// copy, so the lines with a set bit are exactly the lines whose tag
-    /// matches. (Inside an operation the two part ways — a dirty victim's
-    /// copy outlives its tag — but no operation invalidates there.) Lines
-    /// beyond the bitmap, and every line of a timing cache, take the tag
-    /// scan.
+    /// ascending line order, as one sweep: up to the wrap of the set index
+    /// the run's sets are contiguous and its lines share one key, so each
+    /// stretch is a pass over a slice of tags comparing against a
+    /// constant.
     pub fn invalidate_run(&mut self, lines: std::ops::Range<u64>) {
-        let indexed = self.data.as_ref().map_or(0, LineStore::indexed);
-        let split = lines.end.min(indexed).max(lines.start);
-        self.invalidate_resident(lines.start..split);
-        self.invalidate_scan(split..lines.end);
-    }
-
-    /// The bitmap half of [`Cache::invalidate_run`]: `lines` lies below
-    /// the capture store's `indexed()`.
-    fn invalidate_resident(&mut self, lines: std::ops::Range<u64>) {
-        let (lo, hi) = (lines.start, lines.end);
-        if lo >= hi {
-            return;
-        }
-        let mut w = lo / 64;
-        while w * 64 < hi {
-            let Some(data) = &self.data else { return };
-            let mut bits = data.resident[w as usize];
-            if w == lo / 64 {
-                bits &= !0 << (lo % 64);
-            }
-            if (w + 1) * 64 > hi {
-                bits &= (1 << (hi % 64)) - 1;
-            }
-            while bits != 0 {
-                self.invalidate(w * 64 + bits.trailing_zeros() as u64);
-                bits &= bits - 1;
-            }
-            w += 1;
-        }
-    }
-
-    /// The tag half of [`Cache::invalidate_run`], as one sweep: up to the
-    /// wrap of the set index the run's sets are contiguous and its lines
-    /// share one key, so each stretch is a pass over a slice of tags
-    /// comparing against a constant.
-    pub(crate) fn invalidate_scan(&mut self, lines: std::ops::Range<u64>) {
         let sets = self.slots.len() as u64;
         let mut line = lines.start;
         while line < lines.end {
@@ -515,17 +373,13 @@ impl Cache {
         }
     }
 
-    /// Prefetch the tag words of `lines` — and, in capture mode, their
-    /// copy-index words — into the host's cache. A host-side hint:
-    /// nothing of the cache changes.
+    /// Prefetch the tag words of `lines` into the host's cache. A
+    /// host-side hint: nothing of the cache changes.
     #[inline]
     pub(crate) fn prefetch(&self, lines: std::ops::Range<u64>) {
         for line in lines {
             let set = self.split(line).0;
             crate::shard::prefetch((&self.slots[set] as *const Slot).cast());
-            if let Some(data) = &self.data {
-                crate::shard::prefetch((&data.idx[set] as *const u32).cast());
-            }
         }
     }
 
@@ -535,7 +389,7 @@ impl Cache {
     pub fn crash(&mut self) {
         self.slots.fill(0);
         if let Some(data) = &mut self.data {
-            data.clear();
+            data.fill(None);
         }
     }
 
@@ -546,69 +400,42 @@ impl Cache {
     pub fn put_line(&mut self, line: u64, bytes: &LineBytes) {
         let set = self.split(line).0;
         if let Some(data) = &mut self.data {
-            data.put(set, line, bytes);
+            // A different owner here would be a dirty victim nobody took:
+            // a store about to be lost.
+            debug_assert!(
+                data[set].is_none_or(|c| c.line == line),
+                "orphaned line copy"
+            );
+            data[set] = Some(Captured {
+                line,
+                bytes: *bytes,
+            });
         }
     }
 
     /// Borrow the cached copy of `line`, if capturing and present.
     pub fn line(&self, line: u64) -> Option<&LineBytes> {
-        let data = self.data.as_ref()?;
-        let i = data.find(self.split(line).0, line)?;
-        Some(&data.lines[i].bytes)
+        let copy = self.data.as_ref()?[self.split(line).0].as_ref()?;
+        (copy.line == line).then_some(&copy.bytes)
     }
 
     /// Mutably borrow the cached copy of `line`.
     pub fn line_mut(&mut self, line: u64) -> Option<&mut LineBytes> {
         let set = self.split(line).0;
-        let data = self.data.as_mut()?;
-        let i = data.find(set, line)?;
-        Some(&mut data.lines[i].bytes)
+        let copy = self.data.as_mut()?[set].as_mut()?;
+        (copy.line == line).then_some(&mut copy.bytes)
     }
 
     /// Remove and return the data copy of `line` (for writeback).
     pub fn take_line(&mut self, line: u64) -> Option<LineBytes> {
-        let set = self.split(line).0;
-        self.data.as_mut()?.release(set, line)
-    }
-}
-
-#[cfg(test)]
-impl Cache {
-    /// Test oracle for the resident bitmap: each indexed line's bit is set
-    /// exactly when the line's tag holds it, and then its copy exists.
-    pub(crate) fn assert_resident_matches_tags(&self) {
-        let data = self.data.as_ref().expect("capture mode");
-        for line in 0..data.indexed() {
-            let bit = data.resident[(line / 64) as usize] >> (line % 64) & 1 != 0;
-            assert_eq!(
-                bit,
-                self.contains(line),
-                "resident bit vs tag of line {line}"
-            );
-            assert_eq!(
-                bit,
-                self.line(line).is_some(),
-                "resident bit vs copy of {line}"
-            );
-        }
+        self.release(self.split(line).0, line)
     }
 
-    /// Test oracle: tags, statistics and — in capture mode — every slab
-    /// buffer, the per-set index, the free-list order and the resident
-    /// bitmap equal `other`'s.
-    pub(crate) fn assert_same(&self, other: &Cache) {
-        assert_eq!(self.slots, other.slots, "tags");
-        assert_eq!(self.stats, other.stats, "stats");
-        match (&self.data, &other.data) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(a.idx, b.idx, "copy index");
-                assert_eq!(a.lines, b.lines, "line buffers");
-                assert_eq!(a.free, b.free, "free list");
-                assert_eq!(a.resident, b.resident, "resident bitmap");
-            }
-            _ => panic!("one cache captures, the other does not"),
-        }
+    /// Drop `line`'s copy from `set`, if it holds one; returns the bytes.
+    #[inline]
+    fn release(&mut self, set: usize, line: u64) -> Option<LineBytes> {
+        let copy = self.data.as_mut()?[set].take_if(|c| c.line == line)?;
+        Some(copy.bytes)
     }
 }
 
@@ -684,7 +511,7 @@ mod tests {
 
     #[test]
     fn crash_discards_dirty_lines() {
-        let mut c = Cache::with_capture(4096, 1 << 20);
+        let mut c = Cache::with_capture(4096);
         c.access(1, true);
         c.put_line(1, &[7u8; 64]);
         c.crash();
@@ -694,7 +521,7 @@ mod tests {
 
     #[test]
     fn capture_roundtrip() {
-        let mut c = Cache::with_capture(4096, 1 << 20);
+        let mut c = Cache::with_capture(4096);
         c.access(9, true);
         c.put_line(9, &[1u8; 64]);
         c.line_mut(9).unwrap()[0] = 42;
@@ -706,7 +533,7 @@ mod tests {
 
     #[test]
     fn capture_drops_copy_on_clean_eviction() {
-        let mut c = Cache::with_capture(128, 1 << 20);
+        let mut c = Cache::with_capture(128);
         c.access(0, false);
         c.put_line(0, &[1u8; 64]);
         c.access(2, false); // evicts line 0 (clean)
@@ -908,17 +735,16 @@ mod tests {
         assert!(c.is_dirty(7), "a read hit keeps the dirty bit");
         // Capture-mode caches always decline: reads must go through the
         // per-line data plumbing.
-        let mut cap = Cache::with_capture(4096, 1 << 20);
+        let mut cap = Cache::with_capture(4096);
         cap.access(7, false);
         assert!(!cap.read_hit(7));
         assert_eq!(cap.stats().hits, 0);
     }
 
-    // ---- slab line store vs a map of line copies ----------------------
+    // ---- per-set line store vs a map of line copies -------------------
     //
-    // The reference is the capture cache as it was before the slab: an
-    // unpacked tag per set and a `HashMap` of line copies keyed by line,
-    // each method a transcription of the old body.
+    // The reference is an unpacked tag per set and a `HashMap` of line
+    // copies keyed by line.
 
     struct MapRef {
         slots: Vec<Option<(u64, bool)>>,
@@ -1000,7 +826,8 @@ mod tests {
         }
     }
 
-    /// Tags, dirty bits, stats and every stored copy agree over `reach`.
+    /// Tags, dirty bits, stats and — in capture mode — every stored copy
+    /// agree over `reach`.
     fn assert_same_state(c: &Cache, m: &MapRef, reach: std::ops::Range<u64>) {
         assert_eq!(c.stats(), m.stats);
         for line in reach {
@@ -1010,8 +837,17 @@ mod tests {
                 m.holds(line) == Some(true),
                 "dirty {line}"
             );
-            assert_eq!(c.line(line), m.data.get(&line), "copy of {line}");
+            if c.captures() {
+                assert_eq!(c.line(line), m.data.get(&line), "copy of {line}");
+            }
         }
+    }
+
+    /// Tags, statistics and every line copy equal `b`'s.
+    fn assert_same(a: &Cache, b: &Cache) {
+        assert_eq!(a.slots, b.slots, "tags");
+        assert_eq!(a.stats, b.stats, "stats");
+        assert_eq!(a.data, b.data, "line copies");
     }
 
     fn random_line_bytes(rng: &mut simkit::rng::SimRng) -> LineBytes {
@@ -1021,14 +857,12 @@ mod tests {
     /// Random protocol-shaped traffic — fills that take their dirty victim
     /// before installing the new copy, flushes that take what they
     /// flushed, as `cxl::Port` does — plus bare takes, invalidations and
-    /// crashes, through the slab and the map side by side.
-    fn assert_slab_matches_map(sets: usize, base_line: u64, seed: u64) {
-        // No resident bitmap: bare takes below leave tags without copies.
-        let mut c = Cache::with_capture(sets * CACHE_LINE as usize, 0);
+    /// crashes, through the per-set store and the map side by side.
+    fn assert_store_matches_map(sets: usize, base_line: u64, seed: u64) {
+        let mut c = Cache::with_capture(sets * CACHE_LINE as usize);
         let mut m = MapRef::new(sets);
         let mut rng = simkit::rng::SimRng::seed_from_u64(seed);
         let reach = base_line..base_line + sets as u64 * 3;
-        let mut high_water = 0;
         let (mut retagged_takes, mut held_takes) = (0, 0);
         for step in 0..20_000 {
             let line = rng.gen_range(reach.clone());
@@ -1088,12 +922,9 @@ mod tests {
                     }
                 }
             }
-            // One buffer per live copy, and never more buffers than the
-            // most copies that were ever live at once.
+            // One copy per live line, each in its own line's set.
             let store = c.data.as_ref().expect("capture mode");
-            assert_eq!(store.lines.len() - store.free.len(), m.data.len());
-            high_water = high_water.max(m.data.len());
-            assert!(store.lines.len() <= high_water);
+            assert_eq!(store.iter().flatten().count(), m.data.len());
             assert_eq!(c.line(line), m.data.get(&line));
             if step % 500 == 0 {
                 assert_same_state(&c, &m, reach.clone());
@@ -1104,15 +935,23 @@ mod tests {
     }
 
     #[test]
-    fn slab_store_matches_a_map_of_copies() {
-        assert_slab_matches_map(64, 0, 0x51AB);
-        assert_slab_matches_map(48, 0, 0x51AC);
-        assert_slab_matches_map(48, (1 << 33) + 17, 0x51AD);
+    fn per_set_store_matches_a_map_of_copies() {
+        assert_store_matches_map(64, 0, 0x51AB);
+        assert_store_matches_map(48, 0, 0x51AC);
+        assert_store_matches_map(48, (1 << 33) + 17, 0x51AD);
     }
 
-    // ---- invalidate_run vs per-line invalidate and the tag scan -------
+    // ---- invalidate_run vs per-line invalidate ------------------------
 
-    fn assert_invalidate_run_matches_per_line(sets: usize) {
+    fn assert_invalidate_run_matches_per_line(sets: usize, capture: bool) {
+        let cache = || {
+            let bytes = sets * CACHE_LINE as usize;
+            if capture {
+                Cache::with_capture(bytes)
+            } else {
+                Cache::new(bytes)
+            }
+        };
         let n = sets as u64;
         let mut rng = simkit::rng::SimRng::seed_from_u64(0x1A7A ^ n);
         // Within one stretch, across the set-index wrap, the whole cache,
@@ -1126,13 +965,8 @@ mod tests {
             (1 << 33) + n - 2..(1 << 33) + n + 2,
             0..4 * n,
         ];
-        // The bitmap indexes the lines of a `2n`-line region (rounded up
-        // to a whole word): the longer runs cross its end, so their tail
-        // takes the tag scan, and the run far above takes it whole.
-        let region = 2 * sets * CACHE_LINE as usize;
         for run in runs {
-            let mut swept = Cache::with_capture(sets * CACHE_LINE as usize, region);
-            let mut per_line = Cache::with_capture(sets * CACHE_LINE as usize, region);
+            let (mut swept, mut per_line) = (cache(), cache());
             let mut m = MapRef::new(sets);
             // Clean and dirty lines with copies, drawn so that about half
             // the sets hold a line of the run and the rest an alias of one.
@@ -1157,10 +991,7 @@ mod tests {
                     }
                 }
             }
-            swept.assert_resident_matches_tags();
-            let mut scanned = swept.clone();
             swept.invalidate_run(run.clone());
-            scanned.invalidate_scan(run.clone());
             for line in run.clone() {
                 per_line.invalidate(line);
                 m.invalidate(line);
@@ -1168,26 +999,24 @@ mod tests {
             let reach = run.start.saturating_sub(n)..run.start.saturating_sub(n) + 4 * n;
             assert_same_state(&swept, &m, reach.clone());
             assert_same_state(&per_line, &m, reach);
-            // The bitmap walk leaves the cache the tag scan leaves, down
-            // to the order buffers went back on the free list.
-            swept.assert_same(&scanned);
-            swept.assert_same(&per_line);
-            swept.assert_resident_matches_tags();
+            assert_same(&swept, &per_line);
         }
         // A line whose key overflows a slot — here to exactly line 1's key
         // once truncated — is held by no set and must drop nothing.
-        let mut c = Cache::with_capture(sets * CACHE_LINE as usize, region);
+        let mut c = cache();
         c.access(1, false);
         c.put_line(1, &[5; 64]);
         c.invalidate_run((n << 32)..(n << 32) + 3);
-        assert!(c.contains(1) && c.line(1).is_some());
+        assert!(c.contains(1) && c.line(1).is_some() == capture);
         assert_eq!(c.stats().invalidations, 0);
     }
 
     #[test]
     fn invalidate_run_matches_per_line_invalidate() {
-        assert_invalidate_run_matches_per_line(64);
-        assert_invalidate_run_matches_per_line(48);
+        for capture in [true, false] {
+            assert_invalidate_run_matches_per_line(64, capture);
+            assert_invalidate_run_matches_per_line(48, capture);
+        }
     }
 
     // ---- shifted vs the same traffic replayed at another base ----------
@@ -1265,7 +1094,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capture-mode cache cannot be shifted")]
     fn shifting_a_capture_cache_is_refused() {
-        Cache::with_capture(4096, 1 << 20).shifted(1);
+        Cache::with_capture(4096).shifted(1);
     }
 
     #[test]
@@ -1277,7 +1106,7 @@ mod tests {
 
     #[test]
     fn invalidate_is_silent_drop() {
-        let mut c = Cache::with_capture(4096, 1 << 20);
+        let mut c = Cache::with_capture(4096);
         c.access(4, true);
         c.put_line(4, &[9u8; 64]);
         c.invalidate(4);

@@ -84,8 +84,9 @@ pub struct CxlNodeConfig {
     pub host: usize,
     /// CPU cache capacity dedicated to this node's CXL traffic.
     pub cache_bytes: usize,
-    /// Whether the cache captures line data (required for coherency
-    /// experiments; see [`crate::cache`]).
+    /// Whether the cache captures line data: the byte oracle of the
+    /// coherency tests, which changes no hit, miss or link byte (see
+    /// [`crate::cache`]). No harness run captures.
     pub capture: bool,
     /// Whether the node's CPUs sit on a remote NUMA socket relative to
     /// the CXL attach point (Table 1's "remote" column).
@@ -550,7 +551,7 @@ impl CxlPool {
             let n = n.borrow();
             hosts = hosts.max(n.host + 1);
             caches.push(if n.capture {
-                Cache::with_capture(n.cache_bytes, size)
+                Cache::with_capture(n.cache_bytes)
             } else {
                 Cache::new(n.cache_bytes)
             });
@@ -851,10 +852,9 @@ impl CxlPool {
         }
     }
 
-    /// Re-attach a detached node (e.g. after its simulated host dies, so
-    /// barrier-boundary serial code can touch its frozen cache): merges
-    /// the shard's link deltas, applies its write log and moves the cache
-    /// back in.
+    /// Re-attach a detached node (at the end of a run, so serial code can
+    /// touch its cache again): merges the shard's link deltas, applies its
+    /// write log and moves the cache back in.
     pub fn attach_node(&mut self, mut shard: CxlShard) {
         self.host_links[shard.host].merge(&shard.host_link);
         self.switch.merge(&shard.switch);
@@ -934,10 +934,10 @@ impl CxlShard {
     }
 
     /// Prefetch what an access to `off..off + len` will load first into
-    /// the host's cache: the region's lines and the node cache's tag and
-    /// copy-index words for them. A host-side hint — no modelled state,
-    /// no profiler scope, no span. Empty, or starting at or past the end
-    /// of the region, it does nothing.
+    /// the host's cache: the region's lines and the node cache's tag
+    /// words for them. A host-side hint — no modelled state, no profiler
+    /// scope, no span. Empty, or starting at or past the end of the
+    /// region, it does nothing.
     #[inline]
     pub fn prefetch(&self, off: u64, len: usize) {
         let len = (len as u64).min((self.reader.len() as u64).saturating_sub(off));
@@ -991,14 +991,6 @@ impl CxlFabric for CxlShard {
         debug_assert_eq!(node, self.node);
         let _prof = simkit::profile::scope(simkit::profile::Subsys::CxlMem);
         self.port().invalidate(off, len, now)
-    }
-}
-
-#[cfg(test)]
-impl CxlPool {
-    /// A node's cache, for the memsim tests' oracles.
-    pub(crate) fn node_cache(&self, node: NodeId) -> &Cache {
-        &self.caches[node.0]
     }
 }
 

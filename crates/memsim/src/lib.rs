@@ -7,8 +7,8 @@
 //! - [`region::Region`] — byte-addressable backing stores that really
 //!   hold the bytes (volatile DRAM vs crash-persistent CXL box).
 //! - [`cache::Cache`] — a write-back CPU cache with 64-B lines; in
-//!   capture mode coherency violations are *observable*, which is how the
-//!   §3.3 protocol is tested.
+//!   capture mode (tests only) coherency violations are *observable*,
+//!   which is how the §3.3 protocol is tested.
 //! - [`cxl::CxlPool`] — the CXL-switch memory pool: cached and uncached
 //!   (non-temporal) access paths, `clflush`, per-host x16 links, switch
 //!   fabric, NUMA, and crash semantics (cache dies, box survives).

@@ -111,77 +111,6 @@ fn single_node_cached_view_matches_model() {
     }
 }
 
-/// The capture cache's resident bitmap tracks its tags through every
-/// path the pool drives a cache: cached fills with clean and dirty
-/// evictions, `clflush`, uncached loads and stores, coherent stores,
-/// invalidations and crashes. After each operation a line's bit is set
-/// exactly when its tag holds it; each `invalidate` leaves the cache —
-/// tags, stats, copies, free-list order — that per-line `invalidate`
-/// calls and the plain tag scan leave.
-#[test]
-fn capture_resident_bits_track_tags() {
-    use crate::cache::line_range;
-    const REGION: u64 = 4 * SPACE; // 256 lines over a 32-set cache
-    let (mut dropped, mut writebacks, mut crashes) = (0, 0, 0);
-    for case in 0..24u64 {
-        let mut rng = SimRng::seed_from_u64(0xB17_0000 + case);
-        let mut pool = CxlPool::single_host(REGION as usize, 2, 2048, true);
-        let t = SimTime::ZERO;
-        for step in 0..300 {
-            let n = NodeId(rng.gen_range(0..2usize));
-            let off = rng.gen_range(0..REGION - 512);
-            let len = rng.gen_range(0..512usize);
-            let fill = vec![rng.gen::<u8>(); len];
-            match rng.gen_range(0..100u32) {
-                0..=29 => {
-                    pool.read(n, off, &mut vec![0; len], t);
-                }
-                30..=54 => {
-                    pool.write(n, off, &fill, t);
-                }
-                55..=61 => {
-                    pool.read_uncached(n, off, &mut vec![0; len], t);
-                }
-                62..=68 => {
-                    pool.write_uncached(n, off, &fill, t);
-                }
-                69..=75 => {
-                    pool.write_coherent(n, off, &fill, t);
-                }
-                76..=83 => {
-                    pool.clflush(n, off, len, t);
-                }
-                84..=98 => {
-                    let before = pool.node_cache(n).clone();
-                    let (mut per_line, mut scanned) = (before.clone(), before.clone());
-                    for line in line_range(off, len) {
-                        per_line.invalidate(line);
-                    }
-                    scanned.invalidate_scan(line_range(off, len));
-                    pool.invalidate(n, off, len, t);
-                    let after = pool.node_cache(n);
-                    after.assert_same(&per_line);
-                    after.assert_same(&scanned);
-                    dropped += after.stats().invalidations - before.stats().invalidations;
-                }
-                _ => {
-                    pool.crash_node(n);
-                    crashes += 1;
-                }
-            }
-            for node in [NodeId(0), NodeId(1)] {
-                pool.node_cache(node).assert_resident_matches_tags();
-            }
-            if step == 299 {
-                writebacks += pool.cache_stats(NodeId(0)).writebacks;
-            }
-        }
-    }
-    // Every path ran: invalidations dropped lines, fills evicted dirty
-    // lines, hosts crashed.
-    assert!(dropped > 100 && writebacks > 100 && crashes > 10);
-}
-
 /// Links conserve capacity: after any request sequence, the last
 /// pipe-completion time is at least total_occupancy, and no grant
 /// completes before its own request + service.

@@ -328,6 +328,7 @@ impl Wal {
     /// writing the page). The record joins the current mini-transaction
     /// group; call [`Wal::seal_mtr`] at group end.
     pub fn append_update(&mut self, page: PageId, off: u16, data: &[u8]) -> Lsn {
+        let _prof = simkit::profile::scope(simkit::profile::Subsys::Wal);
         let rec = LogRecord {
             lsn: Lsn(self.next_lsn),
             page,

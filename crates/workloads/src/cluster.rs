@@ -257,7 +257,10 @@ impl FusionCluster {
     /// The standard cluster: `layout`'s dataset seeded in storage,
     /// primaries `0..n` on hosts `0..n`, and the fusion server as
     /// identity `n` with one DBP slot per page at offset 0 and every
-    /// primary's flag array behind the slots.
+    /// primary's flag array behind the slots. Every node's 8 MB cache is
+    /// timing-mode: the run's hits, misses and link bytes come from the
+    /// tags alone, and a test that checks bytes swaps `pool` for a
+    /// capture pool of the same length.
     pub fn with_nodes(
         layout: &GroupLayout,
         n: usize,
@@ -270,9 +273,7 @@ impl FusionCluster {
             .map(|host| CxlNodeConfig {
                 host,
                 cache_bytes: 8 << 20,
-                capture: true,
-                remote_numa: false,
-                direct_attach: false,
+                ..CxlNodeConfig::default()
             })
             .collect();
         let pool = Rc::new(RefCell::new(CxlPool::new(pool_bytes as usize, &cfgs)));

@@ -1,10 +1,12 @@
-//! Allocation gate for the capture-mode CXL shard path.
+//! Allocation gate for the CXL shard path, in both cache modes.
 //!
-//! A capture-mode cache keeps a copy of every line it holds, and a shard
-//! logs every store of its quantum. Both reuse their storage: once the
-//! cache's line slab and the write log have grown to the working set, a
+//! A shard logs every store of its quantum, and a capture-mode cache
+//! also keeps a copy of every line it holds, one slot per set. Both reuse
+//! their storage: once the write log has grown to the working set, a
 //! statement — fill, evict, write back, flush, invalidate, flag access —
-//! and the barrier that ends its quantum allocate nothing. The count is
+//! and the barrier that ends its quantum allocate nothing. The timing
+//! mode is the path every harness run takes (`share_mixed` among them);
+//! the capture mode is the coherency tests' byte oracle. The count is
 //! per thread and exact, so it gates without a timing in sight.
 
 use polardb_cxl_repro::memsim::{CxlFabric, CxlPool, CxlShard, NodeId};
@@ -46,31 +48,32 @@ fn traffic(shard: &mut CxlShard, rng: &mut SimRng, calls: usize) {
 
 #[test]
 fn warmed_capture_shard_allocates_nothing() {
-    let mut pool = CxlPool::single_host(POOL_BYTES as usize, 2, CACHE_BYTES, true);
-    // Warm the cache serially: a copy in every set, all of them dropped,
-    // then all of them back, so the slab and its free list are both at
-    // the size they can never exceed.
-    let mut page = vec![0u8; CACHE_BYTES];
-    pool.read(N0, 0, &mut page, SimTime::ZERO);
-    pool.invalidate(N0, 0, CACHE_BYTES, SimTime::ZERO);
-    pool.read(N0, 0, &mut page, SimTime::ZERO);
+    for capture in [true, false] {
+        let mut pool = CxlPool::single_host(POOL_BYTES as usize, 2, CACHE_BYTES, capture);
+        // Warm the cache serially: a line in every set, all of them
+        // dropped, then all of them back.
+        let mut page = vec![0u8; CACHE_BYTES];
+        pool.read(N0, 0, &mut page, SimTime::ZERO);
+        pool.invalidate(N0, 0, CACHE_BYTES, SimTime::ZERO);
+        pool.read(N0, 0, &mut page, SimTime::ZERO);
 
-    let mut shards = [pool.detach_node(N0)];
-    let mut rng = SimRng::seed_from_u64(0xA110C);
-    // One double-length quantum sizes the write log.
-    traffic(&mut shards[0], &mut rng, 10_000);
-    pool.barrier(&mut shards);
-
-    let before = alloc_count();
-    for _ in 0..2 {
-        traffic(&mut shards[0], &mut rng, 5_000);
+        let mut shards = [pool.detach_node(N0)];
+        let mut rng = SimRng::seed_from_u64(0xA110C);
+        // One double-length quantum sizes the write log.
+        traffic(&mut shards[0], &mut rng, 10_000);
         pool.barrier(&mut shards);
+
+        let before = alloc_count();
+        for _ in 0..2 {
+            traffic(&mut shards[0], &mut rng, 5_000);
+            pool.barrier(&mut shards);
+        }
+        assert_eq!(
+            alloc_count() - before,
+            0,
+            "the warmed shard path allocated (capture: {capture})"
+        );
+        let stats = shards[0].cache_stats();
+        assert!(stats.writebacks > 1_000 && stats.flushes > 100 && stats.invalidations > 1_000);
     }
-    assert_eq!(
-        alloc_count() - before,
-        0,
-        "the warmed capture path allocated"
-    );
-    let stats = shards[0].cache_stats();
-    assert!(stats.writebacks > 1_000 && stats.flushes > 100 && stats.invalidations > 1_000);
 }

@@ -1,7 +1,7 @@
 //! End-to-end sharing integration: the full multi-primary stack (lock
-//! service + fusion server + coherency protocol + capture-mode caches)
-//! on both systems, checking the paper's qualitative claims and the
-//! protocol's observable correctness.
+//! service + fusion server + coherency protocol) on both systems,
+//! checking the paper's qualitative claims and, on capture-mode caches,
+//! the protocol's observable correctness.
 
 use polardb_cxl_repro::polarcxlmem::{FusionServer, SharingNode};
 use polardb_cxl_repro::prelude::*;
@@ -205,11 +205,19 @@ fn cross_node_reads_always_see_committed_writes() {
 /// the order the barrier folds it in — and at the end every written row,
 /// re-read by every node through the serial protocol, must hold the last
 /// write in that order.
+///
+/// The script runs twice: on a capture pool of `with_nodes`' geometry,
+/// whose caches hold line copies so a missed invalidation serves stale
+/// bytes, and on `with_nodes`' own timing pool, which every harness run
+/// takes. Capture changes bytes, never time: the two runs must log the
+/// same writes and leave the same lock and link counts. Only the
+/// capture run is checked byte by byte.
 #[test]
 fn cluster_phases_serve_the_last_write_in_barrier_fold_order() {
+    use polardb_cxl_repro::memsim::CxlNodeConfig;
     use polardb_cxl_repro::polarcxlmem::CoherencyMode;
     use polardb_cxl_repro::simkit::Step;
-    use polardb_cxl_repro::workloads::cluster::{Cluster, FusionCluster};
+    use polardb_cxl_repro::workloads::cluster::{Cluster, Fabric, FusionCluster};
     use std::collections::BTreeMap;
 
     const NODES: usize = 3;
@@ -220,34 +228,57 @@ fn cluster_phases_serve_the_last_write_in_barrier_fold_order() {
         rows_per_group: 300,
     };
     let shared = NODES;
-    let (mut fusion, mut nodes) =
-        FusionCluster::with_nodes(&layout, NODES, CoherencyMode::SoftwareLines);
-    fusion.warm_home(&mut nodes, &layout);
-    // Per lane: (quantum, row, tag) of each committed write, in issue order.
-    let logs: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); NODES];
-    let mut cluster = Cluster::new(fusion, nodes, logs, 2, 0x0AC1E);
     let record = |tag: u64| -> Vec<u8> { tag.to_le_bytes().repeat(15) };
-    cluster.run(
-        SimTime::from_millis(5),
-        SimTime(QUANTUM_NS),
-        |ctx, w, start| {
-            let rng = &mut ctx.rngs[w];
-            let row = rng.gen_range(0..12u64) * 25;
-            let write = rng.gen_bool(0.5);
-            let (page, off) = layout.locate(shared, row);
-            let t = if write {
-                // Distinct bytes per write: lane, worker, sequence.
-                let seq = ctx.ext.len() as u64;
-                let tag = (ctx.lane as u64 + 1) << 40 | (w as u64) << 32 | seq;
-                let t = ctx.locked_write_publish(page, off as u64, &record(tag), start);
-                ctx.ext.push((start.as_nanos() / QUANTUM_NS, row, tag));
-                t
-            } else {
-                ctx.locked_read(page, off as u64, 120, start)
-            };
-            Step::Done(t)
-        },
+    let run = |capture: bool| {
+        let (mut fusion, mut nodes) =
+            FusionCluster::with_nodes(&layout, NODES, CoherencyMode::SoftwareLines);
+        if capture {
+            let len = fusion.pool.borrow().len();
+            let cfgs = (0..=NODES).map(|host| CxlNodeConfig {
+                host,
+                cache_bytes: 8 << 20,
+                capture: true,
+                ..CxlNodeConfig::default()
+            });
+            *fusion.pool.borrow_mut() = CxlPool::new(len, cfgs);
+        }
+        fusion.warm_home(&mut nodes, &layout);
+        // Per lane: (quantum, row, tag) of each committed write, in issue
+        // order.
+        let logs: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); NODES];
+        let mut cluster = Cluster::new(fusion, nodes, logs, 2, 0x0AC1E);
+        cluster.run(
+            SimTime::from_millis(5),
+            SimTime(QUANTUM_NS),
+            |ctx, w, start| {
+                let rng = &mut ctx.rngs[w];
+                let row = rng.gen_range(0..12u64) * 25;
+                let write = rng.gen_bool(0.5);
+                let (page, off) = layout.locate(shared, row);
+                let t = if write {
+                    // Distinct bytes per write: lane, worker, sequence.
+                    let seq = ctx.ext.len() as u64;
+                    let tag = (ctx.lane as u64 + 1) << 40 | (w as u64) << 32 | seq;
+                    let t = ctx.locked_write_publish(page, off as u64, &record(tag), start);
+                    ctx.ext.push((start.as_nanos() / QUANTUM_NS, row, tag));
+                    t
+                } else {
+                    ctx.locked_read(page, off as u64, 120, start)
+                };
+                Step::Done(t)
+            },
+        );
+        cluster
+    };
+    let mut cluster = run(true);
+    let timing = run(false);
+    assert_eq!(cluster.exts, timing.exts, "write logs, capture vs timing");
+    assert_eq!(cluster.locks.contended(), timing.locks.contended());
+    assert_eq!(
+        cluster.locks.mean_wait_ns().to_bits(),
+        timing.locks.mean_wait_ns().to_bits()
     );
+    assert_eq!(cluster.fabric.link_bytes(), timing.fabric.link_bytes());
 
     let mut writes: Vec<(u64, usize, usize, u64, u64)> = Vec::new();
     for (lane, log) in cluster.exts.iter().enumerate() {
